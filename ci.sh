@@ -317,9 +317,9 @@ echo "== parallel gate (sealed engines: byte-identical for any --parallel, wall-
 # The deterministic-merge contract: the same seeded bench must write a
 # byte-identical artifact under --parallel 4, under an odd thread count
 # (engines share threads via i mod threads), and with the serial
-# engine. Wall-clock goes to the trend artifact — tracked, not gated —
-# except the one ordering that must hold: with real cores available,
-# parallel must not lose to serial on the chain-heavy scenario.
+# engine. Wall-clock goes to the trend artifact — tracked, not gated:
+# wall ordering is host-dependent, and perfbench measures it
+# (engine.serial_wall_s / engine.parallel_wall_s).
 par_scenario=(--requests 200 --rate 400 --gpus 8 --replicas 4 --seed 7)
 timeout 300 cargo run -q -p flashoverlap-cli --bin flashoverlap -- bench \
   "${par_scenario[@]}" --metrics-out "$tmp/par-serial.json" \
@@ -341,7 +341,7 @@ timeout 300 cargo run -q -p flashoverlap-cli --bin flashoverlap -- serve \
   --parallel 4 --metrics-out "$tmp/wedge-par.json" > /dev/null
 cmp "$tmp/wedge.json" "$tmp/wedge-par.json" \
   || { echo "parallel gate: wedged chaos serve diverged under --parallel 4"; exit 1; }
-python3 - "$tmp/wc-serial.json" "$tmp/wc-4.json" BENCH_wallclock.json "$(nproc)" <<'EOF'
+python3 - "$tmp/wc-serial.json" "$tmp/wc-4.json" BENCH_wallclock.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     serial = json.load(f)
@@ -361,16 +361,8 @@ assert committed["kind"] == "flashoverlap-bench-wallclock", committed.get("kind"
 for key in ("seed", "requests", "gpus", "replicas", "mode", "threads"):
     assert committed[key] == par[key], \
         f"committed BENCH_wallclock.json pins a different scenario ({key})"
-cores = int(sys.argv[4])
-if cores >= 2:
-    assert par["wall_s"] <= serial["wall_s"], \
-        f"parallel(4) must not lose to serial with {cores} cores " \
-        f"({par['wall_s']:.3f}s vs {serial['wall_s']:.3f}s)"
-    verdict = f"{serial['wall_s'] / par['wall_s']:.2f}x speedup on {cores} cores"
-else:
-    verdict = "single core: wall-clock ordering not asserted"
 print(f"parallel gate: ok (byte-identical at 1/3/4 threads incl. wedged chaos; "
-      f"serial {serial['wall_s']:.3f}s vs parallel {par['wall_s']:.3f}s — {verdict})")
+      f"serial {serial['wall_s']:.3f}s vs parallel {par['wall_s']:.3f}s, not gated)")
 EOF
 
 echo "ci: all gates passed"

@@ -382,6 +382,14 @@ fn parse_u32(flag: &str, value: Option<&String>) -> Result<u32, CliError> {
         .map_err(|_| CliError::usage(format!("invalid integer for {flag}")))
 }
 
+/// A GEMM dimension: a positive integer.
+fn parse_dim(flag: &str, value: Option<&String>) -> Result<u32, CliError> {
+    match parse_u32(flag, value)? {
+        0 => Err(CliError::usage(format!("{flag} must be positive"))),
+        v => Ok(v),
+    }
+}
+
 fn parse_u64(flag: &str, value: Option<&String>) -> Result<u64, CliError> {
     value
         .ok_or_else(|| CliError::usage(format!("missing value for {flag}")))?
@@ -486,9 +494,9 @@ impl Cli {
                 continue;
             }
             match flag.as_str() {
-                "-m" => m = Some(parse_u32("-m", it.next())?),
-                "-n" => n = Some(parse_u32("-n", it.next())?),
-                "-k" => k = Some(parse_u32("-k", it.next())?),
+                "-m" => m = Some(parse_dim("-m", it.next())?),
+                "-n" => n = Some(parse_dim("-n", it.next())?),
+                "-k" => k = Some(parse_dim("-k", it.next())?),
                 "--gpus" => gpus = parse_u32("--gpus", it.next())? as usize,
                 "--seed" => seed = parse_u64("--seed", it.next())?,
                 "--primitive" => {

@@ -1108,6 +1108,22 @@ mod tests {
     }
 
     #[test]
+    fn zero_dimension_is_a_usage_error() {
+        for flag in ["-m 0 -n 64 -k 64", "-m 64 -n 0 -k 64", "-m 64 -n 64 -k 0"] {
+            let err = execute_argv(&argv(&format!("run {flag}"))).unwrap_err();
+            assert!(err.show_usage, "{flag}: {}", err.message);
+            assert!(err.message.contains("must be positive"), "{}", err.message);
+        }
+    }
+
+    #[test]
+    fn one_element_gemm_runs_and_verifies() {
+        let run = execute_argv(&argv("run -m 1 -n 1 -k 1")).unwrap();
+        assert!(run.contains("latency"), "{run}");
+        execute_argv(&argv("verify -m 1 -n 1 -k 1")).unwrap();
+    }
+
+    #[test]
     fn run_accepts_explicit_partition() {
         // 2048x4096 -> 256 tiles -> 3 contended waves on the 4090.
         let out = execute_argv(&argv("run -m 2048 -n 4096 -k 4096 --partition 1,2")).unwrap();

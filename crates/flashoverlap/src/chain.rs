@@ -1,14 +1,27 @@
-//! Chain-aware fault injection and watchdog recovery (shared by
-//! [`crate::sequence::execute_sequence`] and [`crate::pipeline::Pipeline`]).
+//! The chain executor: the one place that builds counting-table sets,
+//! enqueues program segments and drives the simulator.
 //!
-//! Single-shot resilience (PR 3) watches one program on one stream pair.
-//! Chained execution — pipelined layers, sequenced batches — threads
-//! counting-table state across segments via parity-ping-ponged table
-//! reuse, so a wedge in segment `k` can silently poison every inheritor:
-//! the table `k + 2` rearms still holds `k`'s armed fault budget, and the
-//! compute stream parks forever on `k`'s never-recorded comm-done event.
-//! This module extends the watchdog/escalation ladder to whole chains
-//! under two rules:
+//! Every execution is a chain of segments on one per-rank
+//! compute/communication stream pair. A single
+//! [`OverlapPlan::execute_with`] run is a one-segment chain (iteration
+//! mode is `n` copies of the plan), a [`crate::pipeline::Pipeline`] is
+//! one segment per layer, and [`crate::sequence::execute_sequence`] is
+//! one segment per batch. The chain shape supplies what differs:
+//!
+//! - **Table ping-pong.** Counting tables are allocated once, sized for
+//!   the widest segment, and ping-ponged between two sets by segment
+//!   parity. Every reuse enqueues the rearm edges
+//!   (wait-previous-comm-done → reset → ready → comm-wait), so a
+//!   segment's waits never see its predecessor's saturated counts.
+//! - **Data edge.** A segment whose predecessor has a fused epilogue
+//!   reads its activations from that epilogue's output (pipelines).
+//! - **Serial barrier.** [`Chain::serial`] holds each segment's GEMM
+//!   until the previous segment's collectives drained (the non-pipelined
+//!   reference schedule of a sequence).
+//!
+//! Under [`Chain::resilient`] the chain runs under the watchdog with
+//! one [`FaultPlan`] per segment, and two rules keep the ping-pong
+//! sound:
 //!
 //! - **Table quarantine.** Before a segment's first increment can land,
 //!   a compute-stream callback disarms whatever fault budget the
@@ -34,41 +47,303 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use collectives::CollectiveRole;
+use gpu_sim::elementwise::ElementwiseOp;
+use gpu_sim::memory::BufferId;
 use gpu_sim::stream::{
-    abort_counter_waits, enqueue, Callback, Delay, RecordEvent, WaitCounter, WaitEvent,
+    abort_counter_waits, enqueue, Callback, Delay, RecordEvent, ResetCounter, WaitCounter,
+    WaitEvent,
 };
 use gpu_sim::{
     Cluster, ClusterSim, GpuEventId, IncrementFault, RuntimeEvent, RuntimeEventKind, StuckWait,
 };
-use sim::{SimDuration, SimTime};
+use sim::{Sim, SimDuration, SimTime};
 
 use crate::error::{ChainPosition, FlashOverlapError};
 use crate::resilience::{Fault, FaultPlan, ResilientOutcome, WatchdogConfig};
-use crate::runtime::{OverlapPlan, ProgramHandles, StreamCtx};
+use crate::runtime::{FunctionalInputs, Instrumentation, OverlapPlan, ProgramHandles, StreamCtx};
+use crate::sequence::SequenceOutcome;
 
 /// Shared fault/recovery timeline: segment-arming callbacks append from
 /// inside the simulation, the watchdog appends from outside.
-pub(crate) type EventLog = Rc<RefCell<Vec<RuntimeEvent>>>;
+type EventLog = Rc<RefCell<Vec<RuntimeEvent>>>;
+
+/// A chain to execute: one plan per segment plus the chain-wide modes.
+#[derive(Default)]
+pub(crate) struct Chain<'a> {
+    /// Segment `i` runs plan `i`. All plans must target the same rank
+    /// count; the cluster is built from the first plan's system.
+    pub(crate) plans: &'a [&'a OverlapPlan],
+    /// Fused epilogue of segment `i` (missing entries mean none). A
+    /// segment after an epilogue consumes its output as activations.
+    pub(crate) epilogues: Vec<Option<&'a ElementwiseOp>>,
+    /// Functional mode: `inputs[i]` feeds segment `i`.
+    pub(crate) inputs: Option<&'a [FunctionalInputs]>,
+    /// Full barrier between segments.
+    pub(crate) serial: bool,
+    /// Record per-stream operation spans.
+    pub(crate) trace: bool,
+    /// Observation hooks; a seeded mutation applies to `mutate_segment`.
+    pub(crate) instrument: Option<&'a Instrumentation>,
+    /// The segment a seeded [`crate::runtime::SignalMutation`] targets.
+    pub(crate) mutate_segment: usize,
+    /// Skip this segment's table rearm (the sanitizer self-test of
+    /// [`crate::sequence::SequenceOptions::drop_cross_batch_edge`]).
+    pub(crate) drop_rearm: Option<usize>,
+    /// Run under the watchdog with `faults[i]` armed at segment `i`.
+    pub(crate) resilient: Option<(&'a [FaultPlan], &'a WatchdogConfig)>,
+}
+
+/// Executes `chain` in one simulation and reports per segment.
+///
+/// # Errors
+///
+/// Returns [`FlashOverlapError::BadInputs`] on an empty chain, mismatched
+/// rank counts, malformed functional inputs, or fault plans that do not
+/// fit their segments (or come with probes/mutations);
+/// [`FlashOverlapError::Deadlock`] when an uninstrumented, non-resilient
+/// schedule wedges; and [`FlashOverlapError::Simulation`] on engine
+/// failure.
+pub(crate) fn execute_chain(chain: &Chain) -> Result<SequenceOutcome, FlashOverlapError> {
+    let plans = chain.plans;
+    let Some(first) = plans.first() else {
+        return Err(FlashOverlapError::BadInputs {
+            reason: "a chain needs at least one segment".into(),
+        });
+    };
+    let n = first.system.n_gpus;
+    for (i, plan) in plans.iter().enumerate() {
+        if plan.system.n_gpus != n {
+            return Err(FlashOverlapError::BadInputs {
+                reason: format!(
+                    "segment {i} targets {} ranks but the chain runs on {n}",
+                    plan.system.n_gpus
+                ),
+            });
+        }
+    }
+    if let Some(inputs) = chain.inputs {
+        if inputs.len() != plans.len() {
+            return Err(FlashOverlapError::BadInputs {
+                reason: format!("{} input sets for {} segments", inputs.len(), plans.len()),
+            });
+        }
+        for (plan, inp) in plans.iter().zip(inputs) {
+            plan.check_inputs(inp)?;
+        }
+    }
+    let default_instr = Instrumentation::default();
+    let instr = chain.instrument.unwrap_or(&default_instr);
+    if let Some((faults, _)) = chain.resilient {
+        validate_chain_faults(plans, faults)?;
+        if instr.probe.is_some() || instr.mutation.is_some() {
+            return Err(FlashOverlapError::BadInputs {
+                reason: "resilient execution injects faults through FaultPlan, \
+                         not probes or signal mutations"
+                    .into(),
+            });
+        }
+    }
+
+    let mut world = first.system.build_cluster(chain.inputs.is_some());
+    if chain.trace {
+        world.enable_op_spans();
+    }
+    if let Some(monitor) = &instr.monitor {
+        world.set_monitor(Rc::clone(monitor));
+    }
+    let mut sim: ClusterSim = Sim::new();
+    if let Some(probe) = &instr.probe {
+        sim.set_probe(Rc::clone(probe));
+    }
+    // Cluster-level faults (degraded links, stalls, stragglers) exist
+    // before the chain starts, whichever segment's plan armed them.
+    let log: EventLog = Rc::new(RefCell::new(Vec::new()));
+    let faults_armed = match chain.resilient {
+        Some((faults, _)) => arm_cluster_faults(&mut world, &sim, faults, &log),
+        None => 0,
+    };
+    let streams = StreamCtx::create(&mut world, n);
+    let segments = enqueue_chain(&mut world, &mut sim, chain, instr, &streams, &log);
+
+    let (end, outcomes) = if let Some((_, watchdog)) = chain.resilient {
+        drive_chain(
+            &mut world, &mut sim, plans, &segments, &streams, watchdog, &log,
+        )?
+    } else {
+        let end = sim.run(&mut world)?;
+        let instrumented =
+            instr.monitor.is_some() || instr.probe.is_some() || instr.mutation.is_some();
+        if !instrumented && chain.drop_rearm.is_none() {
+            check_quiescent_chain(&world, &segments)?;
+        }
+        (end, vec![ResilientOutcome::Clean; plans.len()])
+    };
+    let spans = if chain.trace {
+        world.op_spans.take().unwrap_or_default()
+    } else {
+        Vec::new()
+    };
+    let outputs = chain.inputs.map(|_| {
+        plans
+            .iter()
+            .zip(&segments)
+            .map(|(plan, seg)| plan.extract_outputs(&world, &seg.handles))
+            .collect()
+    });
+    Ok(SequenceOutcome {
+        total: end - SimTime::ZERO,
+        reports: segments.iter().map(|s| s.handles.probes.report()).collect(),
+        spans,
+        outputs,
+        outcomes,
+        events: Rc::try_unwrap(log).map_or_else(|rc| rc.borrow().clone(), RefCell::into_inner),
+        faults_armed,
+    })
+}
+
+/// Enqueues every segment of the chain: rearm edges on table reuse, the
+/// serial barrier, the segment's faults, its program, and its comm-done
+/// events.
+fn enqueue_chain(
+    world: &mut Cluster,
+    sim: &mut ClusterSim,
+    chain: &Chain,
+    instr: &Instrumentation,
+    streams: &StreamCtx,
+    log: &EventLog,
+) -> Vec<ChainSegment> {
+    let plans = chain.plans;
+    let max_groups = plans
+        .iter()
+        .map(|p| p.group_tile_counts().len())
+        .max()
+        .unwrap_or(0);
+    // Two table sets sized for the widest segment: a reset clears every
+    // slot, so a narrower segment simply leaves the tail slots untouched.
+    let table_sets: [Vec<usize>; 2] = std::array::from_fn(|_| {
+        world
+            .devices
+            .iter_mut()
+            .map(|dev| dev.create_counter(max_groups))
+            .collect()
+    });
+    let mut activations: Option<Vec<BufferId>> = None;
+    let mut segments: Vec<ChainSegment> = Vec::with_capacity(plans.len());
+    for (i, plan) in plans.iter().enumerate() {
+        let parity = i % 2;
+        let Some(tables) = table_sets.get(parity) else {
+            continue;
+        };
+        // Reuse: reset each rank's table on the compute stream, ordered
+        // after the previous user's comm stream drained its waits, and
+        // hold the comm stream until the reset lands. Without this rearm
+        // the table still holds the previous user's saturated counts, so
+        // this segment's wait is satisfied the moment the comm stream
+        // reaches it and the collective reads tiles the GEMM has not
+        // signaled — exactly what `drop_rearm` injects for the sanitizer
+        // self-test.
+        let prev_user = i.checked_sub(2).and_then(|j| segments.get(j));
+        let ready = match prev_user {
+            Some(prev) if chain.drop_rearm != Some(i) => {
+                Some(rearm(world, sim, streams, &prev.comm_done, tables))
+            }
+            _ => None,
+        };
+        if let Some(prev) = segments.last().filter(|_| chain.serial) {
+            // Full barrier: no GEMM wave of segment `i` may issue until
+            // segment `i - 1`'s collectives drained.
+            for (d, (&ev, &compute)) in prev.comm_done.iter().zip(&streams.compute).enumerate() {
+                enqueue(world, sim, d, compute, Box::new(WaitEvent(ev)));
+            }
+        }
+        if let Some(fp) = chain.resilient.and_then(|(faults, _)| faults.get(i)) {
+            // Between the rearm (reset) and the program: the arming
+            // callback quarantines leftover budget on the inherited
+            // table, then arms this segment's own faults.
+            enqueue_segment_faults(world, sim, streams, i, fp, tables, log);
+        }
+        let mutation = instr.mutation.filter(|_| i == chain.mutate_segment);
+        let handles = plan.enqueue_program_on(
+            world,
+            sim,
+            chain.inputs.and_then(|inp| inp.get(i)),
+            chain.epilogues.get(i).copied().flatten(),
+            streams,
+            activations.as_deref(),
+            mutation,
+            tables,
+        );
+        // Nothing waits on the last segment's comm-done; it is recorded
+        // only under the watchdog, whose recovery re-records every
+        // segment's comm-side events.
+        let comm_done = if i + 1 < plans.len() || chain.resilient.is_some() {
+            record_per_rank(world, sim, &streams.comm)
+        } else {
+            Vec::new()
+        };
+        activations = handles.epilogue_bufs.iter().copied().collect();
+        segments.push(ChainSegment::new(plan, handles, parity, ready, comm_done));
+    }
+    segments
+}
+
+/// The rearm edges of one table reuse; returns the per-rank
+/// rearm-ready events the comm streams now wait on.
+fn rearm(
+    world: &mut Cluster,
+    sim: &mut ClusterSim,
+    streams: &StreamCtx,
+    prev_done: &[GpuEventId],
+    tables: &[usize],
+) -> Vec<GpuEventId> {
+    let readies: Vec<GpuEventId> = world.devices.iter_mut().map(|d| d.create_event()).collect();
+    let per_rank = streams
+        .compute
+        .iter()
+        .zip(&streams.comm)
+        .zip(prev_done.iter().zip(tables))
+        .zip(&readies);
+    for (d, (((&compute, &comm), (&prev, &table)), &ready)) in per_rank.enumerate() {
+        enqueue(world, sim, d, compute, Box::new(WaitEvent(prev)));
+        enqueue(world, sim, d, compute, Box::new(ResetCounter { table }));
+        enqueue(world, sim, d, compute, Box::new(RecordEvent(ready)));
+        enqueue(world, sim, d, comm, Box::new(WaitEvent(ready)));
+    }
+    readies
+}
+
+/// Creates one event per rank and records it on that rank's stream.
+fn record_per_rank(
+    world: &mut Cluster,
+    sim: &mut ClusterSim,
+    streams: &[gpu_sim::stream::StreamId],
+) -> Vec<GpuEventId> {
+    let events: Vec<GpuEventId> = world.devices.iter_mut().map(|d| d.create_event()).collect();
+    for (d, (&ev, &stream)) in events.iter().zip(streams).enumerate() {
+        enqueue(world, sim, d, stream, Box::new(RecordEvent(ev)));
+    }
+    events
+}
 
 /// One chain segment (a pipeline layer or a sequenced batch) with the
 /// retained handles recovery needs: the comm-side event ids to re-record
 /// and the rearm gate to respect when re-enqueuing downstream.
-pub(crate) struct ChainSegment {
-    pub(crate) handles: ProgramHandles,
+struct ChainSegment {
+    handles: ProgramHandles,
     /// Table parity the segment inherited (`segment % 2`).
-    pub(crate) parity: usize,
+    parity: usize,
     /// Per-rank rearm-ready events of this segment's own table rearm
     /// (`None` for the first two segments, which get fresh tables).
-    pub(crate) ready: Option<Vec<GpuEventId>>,
+    ready: Option<Vec<GpuEventId>>,
     /// Per-rank end-of-segment comm-done events (the cross-batch /
     /// cross-layer edges later segments wait on).
-    pub(crate) comm_done: Vec<GpuEventId>,
+    comm_done: Vec<GpuEventId>,
     /// Which groups owe a collective (zero-payload groups excluded).
-    pub(crate) expected: Vec<bool>,
+    expected: Vec<bool>,
 }
 
 impl ChainSegment {
-    pub(crate) fn new(
+    fn new(
         plan: &OverlapPlan,
         handles: ProgramHandles,
         parity: usize,
@@ -91,7 +366,7 @@ impl ChainSegment {
 /// Whether every owed collective of the segment completed (and its GEMM
 /// retired). Rank 0 carries the probes; collectives are rendezvous, so
 /// rank 0 completing implies every rank completed.
-pub(crate) fn segment_complete(seg: &ChainSegment) -> bool {
+fn segment_complete(seg: &ChainSegment) -> bool {
     if seg.handles.probes.gemm_done.get().is_none() {
         return false;
     }
@@ -141,10 +416,7 @@ fn chain_end(segments: &[ChainSegment]) -> SimTime {
 
 /// Maps starved waits onto chain positions: the starved rearm edge is
 /// named by the first incomplete segment watching that counter table.
-pub(crate) fn chain_positions(
-    waits: &[StuckWait],
-    segments: &[ChainSegment],
-) -> Vec<ChainPosition> {
+fn chain_positions(waits: &[StuckWait], segments: &[ChainSegment]) -> Vec<ChainPosition> {
     let mut out: Vec<ChainPosition> = Vec::new();
     for w in waits {
         let found = segments.iter().enumerate().find(|(_, s)| {
@@ -164,10 +436,11 @@ pub(crate) fn chain_positions(
     out
 }
 
-/// [`crate::runtime::check_quiescent`] for chains: the `Deadlock` error
-/// additionally names each starved wait's chain position (segment,
-/// parity, inherited table) — which rearm edge it starved.
-pub(crate) fn check_quiescent_chain(
+/// Turns a drained-but-wedged simulation into a
+/// [`FlashOverlapError::Deadlock`] carrying the counter context of every
+/// starved wait and its chain position (segment, parity, inherited
+/// table) — which rearm edge it starved.
+fn check_quiescent_chain(
     world: &Cluster,
     segments: &[ChainSegment],
 ) -> Result<(), FlashOverlapError> {
@@ -183,7 +456,7 @@ pub(crate) fn check_quiescent_chain(
 }
 
 /// Validates one fault plan per chain segment against its plan's shape.
-pub(crate) fn validate_chain_faults(
+fn validate_chain_faults(
     plans: &[&OverlapPlan],
     faults: &[FaultPlan],
 ) -> Result<(), FlashOverlapError> {
@@ -206,7 +479,7 @@ pub(crate) fn validate_chain_faults(
 /// the program starts: link degradation/stalls and straggler SMs exist
 /// for the whole chain. Returns the total number of faults armed across
 /// all segments (including the per-segment ones armed later).
-pub(crate) fn arm_cluster_faults(
+fn arm_cluster_faults(
     world: &mut Cluster,
     sim: &ClusterSim,
     faults: &[FaultPlan],
@@ -281,7 +554,7 @@ fn fault_device(fault: &Fault) -> gpu_sim::DeviceId {
 /// callback first applies the table-quarantine rule: any fault budget
 /// the previous same-parity segment left armed is disarmed before this
 /// segment's faults go in.
-pub(crate) fn enqueue_segment_faults(
+fn enqueue_segment_faults(
     world: &mut Cluster,
     sim: &mut ClusterSim,
     streams: &StreamCtx,
@@ -395,13 +668,20 @@ struct SegState {
     /// Whether the segment's comm program was re-enqueued behind an
     /// upstream recovery.
     reissued: bool,
-    degraded: Option<String>,
+    /// Why the segment degraded, and the groups that had completed when
+    /// it was first marked degraded.
+    degraded: Option<(String, Vec<usize>)>,
 }
 
-/// Result of driving a chain to completion under the watchdog.
-pub(crate) struct ChainRun {
-    pub(crate) end: SimTime,
-    pub(crate) outcomes: Vec<ResilientOutcome>,
+impl SegState {
+    /// Marks the segment degraded; the first cause wins, and the groups
+    /// completed at that moment are snapshotted — later recovery
+    /// re-issues do not count as completed before abandonment.
+    fn degrade(&mut self, seg: Option<&ChainSegment>, cause: impl FnOnce() -> String) {
+        if self.degraded.is_none() {
+            self.degraded = Some((cause(), seg.map(completed_groups).unwrap_or_default()));
+        }
+    }
 }
 
 /// Drives an already-enqueued chain to termination under the chain
@@ -409,13 +689,14 @@ pub(crate) struct ChainRun {
 /// discrimination (drained queue + starved waits vs slow progress), and
 /// the escalation ladder — extensions, tail recovery at the frontier
 /// segment with downstream re-enqueue, bulk fallback / degraded marking.
-/// Every chain terminates with one accountable outcome per segment.
+/// Every chain terminates with one accountable outcome per segment;
+/// returns the chain's end with those outcomes.
 ///
 /// # Errors
 ///
 /// Returns [`FlashOverlapError::Simulation`] on engine failure only —
 /// wedges never escape as errors.
-pub(crate) fn drive_chain(
+fn drive_chain(
     world: &mut Cluster,
     sim: &mut ClusterSim,
     plans: &[&OverlapPlan],
@@ -423,7 +704,7 @@ pub(crate) fn drive_chain(
     streams: &StreamCtx,
     watchdog: &WatchdogConfig,
     log: &EventLog,
-) -> Result<ChainRun, FlashOverlapError> {
+) -> Result<(SimTime, Vec<ResilientOutcome>), FlashOverlapError> {
     // Per-segment budget: the predictor's expected latency times the
     // configured multiplier, plus the launch-skew window.
     let budgets: Vec<SimDuration> = plans
@@ -445,9 +726,12 @@ pub(crate) fn drive_chain(
     loop {
         rounds += 1;
         if rounds > max_rounds {
-            if let Some(slot) = frontier(segments).and_then(|f| state.get_mut(f)) {
-                slot.degraded
-                    .get_or_insert(format!("chain watchdog gave up after {rounds} rounds"));
+            if let Some(f) = frontier(segments) {
+                if let Some(slot) = state.get_mut(f) {
+                    slot.degrade(segments.get(f), || {
+                        format!("chain watchdog gave up after {rounds} rounds")
+                    });
+                }
             }
             break;
         }
@@ -456,6 +740,7 @@ pub(crate) fn drive_chain(
             let Some(f) = frontier(segments) else {
                 break; // Every segment completed; streams drained.
             };
+            let seg = segments.get(f);
             // True wedge: the event queue drained with segment `f`'s
             // collectives still owed.
             let error = match check_quiescent_chain(world, segments) {
@@ -465,31 +750,25 @@ pub(crate) fn drive_chain(
                     // unreachable for well-formed chains; terminate
                     // accountably instead of spinning.
                     if let Some(slot) = state.get_mut(f) {
-                        slot.degraded
-                            .get_or_insert("chain stalled without a diagnosable wedge".into());
+                        slot.degrade(seg, || "chain stalled without a diagnosable wedge".into());
                     }
                     break;
                 }
             };
-            let wedged_twice = state.get(f).is_some_and(|s| s.wedges >= 1);
-            let gemm_retired = segments
-                .get(f)
-                .is_some_and(|s| s.handles.probes.gemm_done.get().is_some());
+            let gemm_retired = seg.is_some_and(|s| s.handles.probes.gemm_done.get().is_some());
             if let Some(slot) = state.get_mut(f) {
                 slot.wedges += 1;
-                if wedged_twice {
+                if slot.wedges > 1 {
                     // Even recovery wedged (recovery collectives wait on
                     // nothing but already-recorded state, so this should
                     // be unreachable). Give up without hanging.
-                    slot.degraded
-                        .get_or_insert(format!("recovery wedged: {error}"));
+                    slot.degrade(seg, || format!("recovery wedged: {error}"));
                     break;
                 }
                 if !gemm_retired {
                     // Re-issuing collectives before the GEMM retired
                     // would read incomplete tiles; defensively degrade.
-                    slot.degraded
-                        .get_or_insert(format!("wedged before GEMM retirement: {error}"));
+                    slot.degrade(seg, || format!("wedged before GEMM retirement: {error}"));
                     break;
                 }
             }
@@ -502,7 +781,9 @@ pub(crate) fn drive_chain(
             };
             world.notify_runtime_event(&fired);
             log.borrow_mut().push(fired);
-            recover_chain(world, sim, plans, segments, f, streams, log, &mut state);
+            recover_chain(
+                world, sim, plans, segments, f, &error, streams, log, &mut state,
+            );
             deadline_frontier = f;
             deadline = sim.now() + budget_of(f);
         } else {
@@ -513,49 +794,47 @@ pub(crate) fn drive_chain(
             // in-flight collective cannot be abandoned without
             // double-applying its data.
             let f = frontier(segments).unwrap_or(segments.len().saturating_sub(1));
+            let pending = sim.pending();
             if f != deadline_frontier {
                 deadline_frontier = f;
-            } else if state
-                .get(f)
-                .is_some_and(|s| s.retries < watchdog.max_retries)
-            {
-                if let Some(slot) = state.get_mut(f) {
+            } else if let Some(slot) = state.get_mut(f) {
+                let event = if slot.retries < watchdog.max_retries {
                     slot.retries += 1;
-                    let fired = RuntimeEvent {
+                    Some(RuntimeEvent {
                         at: sim.now(),
                         device: 0,
                         kind: RuntimeEventKind::WatchdogFired,
                         group: None,
                         detail: format!(
-                            "segment {f}: deadline passed with {} events in flight; \
+                            "segment {f}: deadline passed with {pending} events in flight; \
                              extension {}/{}",
-                            sim.pending(),
-                            slot.retries,
-                            watchdog.max_retries
+                            slot.retries, watchdog.max_retries
                         ),
-                    };
-                    world.notify_runtime_event(&fired);
-                    log.borrow_mut().push(fired);
-                }
-            } else if state.get(f).is_some_and(|s| s.degraded.is_none()) {
-                if let Some(slot) = state.get_mut(f) {
-                    slot.degraded = Some(format!(
-                        "watchdog deadline exceeded after {} extensions",
-                        watchdog.max_retries
-                    ));
-                }
-                let fallback = RuntimeEvent {
-                    at: sim.now(),
-                    device: 0,
-                    kind: RuntimeEventKind::DegradedFallback,
-                    group: None,
-                    detail: format!(
-                        "segment {f} marked degraded; completing without abandoning \
-                         in-flight work"
-                    ),
+                    })
+                } else if slot.degraded.is_none() {
+                    slot.degrade(segments.get(f), || {
+                        format!(
+                            "watchdog deadline exceeded after {} extensions",
+                            watchdog.max_retries
+                        )
+                    });
+                    Some(RuntimeEvent {
+                        at: sim.now(),
+                        device: 0,
+                        kind: RuntimeEventKind::DegradedFallback,
+                        group: None,
+                        detail: format!(
+                            "segment {f} marked degraded; completing without abandoning \
+                             in-flight work"
+                        ),
+                    })
+                } else {
+                    None
                 };
-                world.notify_runtime_event(&fallback);
-                log.borrow_mut().push(fallback);
+                if let Some(event) = event {
+                    world.notify_runtime_event(&event);
+                    log.borrow_mut().push(event);
+                }
             }
             deadline = sim.now() + budget_of(f);
         }
@@ -565,43 +844,41 @@ pub(crate) fn drive_chain(
     // drained earlier, so the chain's end is the last probed completion
     // time — keeping fault-free resilient runs timing-identical to
     // plain execution.
-    let end = chain_end(segments);
     let outcomes = segments
         .iter()
-        .zip(&state)
+        .zip(state)
         .map(|(seg, st)| {
-            let recovered_groups = completed_groups(seg);
-            if let Some(cause) = &st.degraded {
+            if let Some((cause, recovered_groups)) = st.degraded {
                 ResilientOutcome::Degraded {
-                    cause: cause.clone(),
+                    cause,
                     recovered_groups,
                 }
             } else if !segment_complete(seg) {
                 ResilientOutcome::Degraded {
                     cause: "chain terminated before this segment completed".into(),
-                    recovered_groups,
+                    recovered_groups: completed_groups(seg),
                 }
             } else if !st.tail.is_empty() || st.reissued {
                 ResilientOutcome::Recovered {
                     retries: st.retries,
-                    tail_groups: st.tail.clone(),
+                    tail_groups: st.tail,
                 }
             } else {
                 ResilientOutcome::Clean
             }
         })
         .collect();
-    Ok(ChainRun { end, outcomes })
+    Ok((chain_end(segments), outcomes))
 }
 
 /// Breaks a wedge at frontier segment `f`: aborts the starved
 /// communication state, re-issues `f`'s incomplete groups (tail when the
-/// overlap partially succeeded, bulk otherwise — which degrades `f`),
-/// re-records `f`'s comm-side events with the same ids so parked compute
-/// streams wake into their rearm edges, then re-enqueues every later
-/// segment's communication program behind its rearm-ready gate. This
-/// completes the rearm protocol for the whole chain: downstream parity
-/// stays sound.
+/// overlap partially succeeded, bulk otherwise — which degrades `f`
+/// with the wedge diagnostic `error` as its cause), re-records `f`'s
+/// comm-side events with the same ids so parked compute streams wake
+/// into their rearm edges, then re-enqueues every later segment's
+/// communication program behind its rearm-ready gate. This completes the
+/// rearm protocol for the whole chain: downstream parity stays sound.
 #[allow(clippy::too_many_arguments)]
 fn recover_chain(
     world: &mut Cluster,
@@ -609,6 +886,7 @@ fn recover_chain(
     plans: &[&OverlapPlan],
     segments: &[ChainSegment],
     f: usize,
+    error: &FlashOverlapError,
     streams: &StreamCtx,
     log: &EventLog,
     state: &mut [SegState],
@@ -645,8 +923,7 @@ fn recover_chain(
     //    it produced nothing.
     if let (Some(seg), Some(plan), Some(slot)) = (segments.get(f), plans.get(f), state.get_mut(f)) {
         let role = if completed_groups(seg).is_empty() {
-            slot.degraded
-                .get_or_insert("overlap abandoned: no group completed before the wedge".into());
+            slot.degrade(Some(seg), || format!("overlap abandoned: {error}"));
             CollectiveRole::Bulk
         } else {
             CollectiveRole::Tail

@@ -61,7 +61,8 @@ pub enum FlashOverlapError {
         /// Every starved signal wait, with its counter context.
         waits: Vec<gpu_sim::StuckWait>,
         /// Chain positions of the starved waits (one per wait that maps
-        /// to a chain segment; empty for single-shot execution).
+        /// to an incomplete chain segment; a single-shot run is segment
+        /// 0 of a one-segment chain).
         chain: Vec<ChainPosition>,
     },
     /// Functional inputs are inconsistent with the plan (wrong matrix

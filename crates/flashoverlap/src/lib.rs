@@ -51,7 +51,7 @@ pub use pipeline::{LayerSpec, Pipeline, PipelineExecOptions, PipelineExecOutcome
 pub use predictor::{LatencyPredictor, OfflineProfile};
 pub use resilience::{
     run_chaos, CampaignResult, ChaosConfig, ChaosReport, Fault, FaultPlan, ResilientOutcome,
-    ResilientReport, WatchdogConfig,
+    WatchdogConfig,
 };
 pub use runtime::{
     CommPattern, ExecOptions, ExecOutcome, FunctionalInputs, FunctionalReport, Instrumentation,

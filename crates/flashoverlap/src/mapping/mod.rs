@@ -94,6 +94,37 @@ impl GroupLayout {
         }
     }
 
+    /// Counts the tiles of every `silent` group (one that schedules no
+    /// wait) into the next group that waits, so that wait also
+    /// guarantees them. Folded groups keep their slot but signal nothing.
+    /// Merged groups are consecutive wave ranges, so
+    /// [`GroupLayout::group_tiles`] stays a contiguous slice of the
+    /// packed order. A trailing silent group has no later wait and stays
+    /// as it is.
+    pub(crate) fn fold_silent_groups(&mut self, silent: impl Fn(usize) -> bool) {
+        let mut target: Vec<u32> = (0..self.num_groups() as u32).collect();
+        let mut next: Option<u32> = None;
+        for (g, slot) in target.iter_mut().enumerate().rev() {
+            if !silent(g) {
+                next = Some(g as u32);
+            } else if let Some(t) = next {
+                *slot = t;
+            }
+        }
+        self.group_tile_counts.iter_mut().for_each(|c| *c = 0);
+        for group in &mut self.group_of_tile {
+            // Index proofs: group ids are < num_groups, the length of
+            // both `target` and `group_tile_counts`.
+            *group = *target
+                .get(*group as usize)
+                .expect("group ids are < num_groups");
+            *self
+                .group_tile_counts
+                .get_mut(*group as usize)
+                .expect("group ids are < num_groups") += 1;
+        }
+    }
+
     /// Number of groups.
     pub fn num_groups(&self) -> usize {
         self.group_tile_counts.len()

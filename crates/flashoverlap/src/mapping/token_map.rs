@@ -84,7 +84,7 @@ impl TokenMapping {
             }
         }
 
-        let layout = GroupLayout::new(schedule, partition);
+        let mut layout = GroupLayout::new(schedule, partition);
         let num_groups = layout.num_groups();
 
         // A row's band completes when the slowest tile covering it
@@ -229,6 +229,16 @@ impl TokenMapping {
                 }
             })
             .collect();
+
+        // A group that completes no row band sends nothing and schedules
+        // no wait, yet its tiles land in later groups' pools: without a
+        // wait covering them, the next group could read a row whose
+        // earlier tiles are still in flight.
+        layout.fold_silent_groups(|g| {
+            group_plans
+                .get(g)
+                .is_some_and(|p| p.len.iter().flatten().all(|&l| l == 0))
+        });
 
         // Logical order on the receive side: (src asc, original row asc).
         let mut recv_row_gather = Vec::with_capacity(n_ranks);

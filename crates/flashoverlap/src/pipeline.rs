@@ -9,22 +9,16 @@
 //! compose exactly as they would on a device, and in functional mode
 //! real activations flow layer to layer.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use gpu_sim::elementwise::ElementwiseOp;
 use gpu_sim::gemm::GemmDims;
-use gpu_sim::{ClusterSim, RuntimeEvent};
-use sim::{Sim, SimDuration};
+use gpu_sim::RuntimeEvent;
+use sim::SimDuration;
 use tensor::Matrix;
 
-use crate::chain::{
-    arm_cluster_faults, check_quiescent_chain, drive_chain, enqueue_segment_faults,
-    validate_chain_faults, ChainSegment, EventLog,
-};
+use crate::chain::{execute_chain, Chain};
 use crate::error::FlashOverlapError;
 use crate::resilience::{FaultPlan, ResilientOutcome, WatchdogConfig};
-use crate::runtime::{CommPattern, FunctionalInputs, OverlapPlan, RunReport, StreamCtx};
+use crate::runtime::{CommPattern, FunctionalInputs, OverlapPlan, RunReport};
 use crate::system::SystemSpec;
 use crate::tuner::predictive_search;
 
@@ -272,7 +266,9 @@ impl Pipeline {
 
     /// Runs the whole pipeline with the given options — the single
     /// execute entry point, mirroring [`OverlapPlan::execute_with`].
-    /// Default options give plain timing mode; combine
+    /// Each layer is one segment of a chain whose data edge feeds the
+    /// layer's fused epilogue output to the next layer's GEMM. Default
+    /// options give plain timing mode; combine
     /// [`PipelineExecOptions::instrument`] and
     /// [`PipelineExecOptions::functional`] freely.
     ///
@@ -294,20 +290,6 @@ impl Pipeline {
                 ),
             });
         }
-        let n = self.system.n_gpus;
-        let default_instr = crate::runtime::Instrumentation::default();
-        let instr = options.instrument.unwrap_or(&default_instr);
-        if let Some((faults, _)) = options.resilient {
-            let plan_refs: Vec<&OverlapPlan> = self.plans.iter().collect();
-            validate_chain_faults(&plan_refs, faults)?;
-            if instr.probe.is_some() || instr.mutation.is_some() {
-                return Err(FlashOverlapError::BadInputs {
-                    reason: "resilient pipelines inject faults through FaultPlan, \
-                             not probes or signal mutations"
-                        .into(),
-                });
-            }
-        }
         let inputs: Option<Vec<FunctionalInputs>> = match options.functional {
             Some((first_a, weights)) => {
                 if weights.len() != self.plans.len() {
@@ -319,218 +301,48 @@ impl Pipeline {
                         ),
                     });
                 }
-                let inputs: Vec<FunctionalInputs> = (0..self.plans.len())
-                    .map(|l| FunctionalInputs {
-                        a: if l == 0 {
-                            first_a.to_vec()
-                        } else {
-                            // Placeholder with the right shape; the runtime
-                            // reads activations from the previous layer's
-                            // buffer.
-                            vec![
-                                Matrix::zeros(
-                                    self.plans[l].dims.m as usize,
-                                    self.plans[l].dims.k as usize
-                                );
-                                n
-                            ]
-                        },
-                        b: weights[l].clone(),
-                    })
-                    .collect();
-                for (l, inp) in inputs.iter().enumerate() {
-                    self.plans[l].check_inputs_pub(inp)?;
-                }
-                Some(inputs)
+                let n = self.system.n_gpus;
+                Some(
+                    self.plans
+                        .iter()
+                        .zip(weights)
+                        .enumerate()
+                        .map(|(l, (plan, b))| FunctionalInputs {
+                            a: if l == 0 {
+                                first_a.to_vec()
+                            } else {
+                                // Placeholder with the right shape; the
+                                // chain reads activations from the previous
+                                // layer's epilogue buffer.
+                                vec![Matrix::zeros(plan.dims.m as usize, plan.dims.k as usize); n]
+                            },
+                            b: b.clone(),
+                        })
+                        .collect(),
+                )
             }
             None => None,
         };
-        let mut world = self.system.build_cluster(inputs.is_some());
-        if let Some(monitor) = &instr.monitor {
-            world.set_monitor(std::rc::Rc::clone(monitor));
-        }
-        let mut sim: ClusterSim = Sim::new();
-        if let Some(probe) = &instr.probe {
-            sim.set_probe(std::rc::Rc::clone(probe));
-        }
-        // Cluster-level faults (degraded links, stalls, stragglers) exist
-        // before the chain starts, whichever layer's plan armed them.
-        let log: EventLog = Rc::new(RefCell::new(Vec::new()));
-        let faults_armed = match options.resilient {
-            Some((faults, _)) => arm_cluster_faults(&mut world, &sim, faults, &log),
-            None => 0,
-        };
-        let streams = StreamCtx::create(&mut world, n);
-        let segments = self.enqueue_all(
-            &mut world,
-            &mut sim,
-            &streams,
-            inputs.as_deref(),
-            instr.mutation.map(|m| (options.mutate_layer, m)),
-            options.resilient.map(|(faults, _)| faults),
-            &log,
-        );
-        let (end, outcomes) = if let Some((_, watchdog)) = options.resilient {
-            let plan_refs: Vec<&OverlapPlan> = self.plans.iter().collect();
-            let run = drive_chain(
-                &mut world, &mut sim, &plan_refs, &segments, &streams, watchdog, &log,
-            )?;
-            (run.end, run.outcomes)
-        } else {
-            let end = sim.run(&mut world)?;
-            let instrumented =
-                instr.monitor.is_some() || instr.probe.is_some() || instr.mutation.is_some();
-            if !instrumented {
-                check_quiescent_chain(&world, &segments)?;
-            }
-            (end, vec![ResilientOutcome::Clean; self.plans.len()])
-        };
-        let last_handles = &segments.last().expect("at least one layer").handles;
-        let outputs = inputs.is_some().then(|| {
-            let last = self.plans.len() - 1;
-            match &self.epilogues[last] {
-                Some(_) => (0..n)
-                    .map(|d| {
-                        let (rows, cols) = self.plans[last].logical_shape(d);
-                        let buf = last_handles.epilogue_bufs[d].expect("epilogue requested");
-                        Matrix::from_vec(rows, cols, world.devices[d].mem.snapshot(buf))
-                    })
-                    .collect(),
-                None => self.plans[last].extract_outputs(&world, last_handles),
-            }
-        });
+        let plans: Vec<&OverlapPlan> = self.plans.iter().collect();
+        let mut chain = execute_chain(&Chain {
+            plans: &plans,
+            epilogues: self.epilogues.iter().map(Option::as_ref).collect(),
+            inputs: inputs.as_deref(),
+            instrument: options.instrument,
+            mutate_segment: options.mutate_layer,
+            resilient: options.resilient,
+            ..Chain::default()
+        })?;
         Ok(PipelineExecOutcome {
             report: PipelineReport {
-                total: end - sim::SimTime::ZERO,
-                layers: segments
-                    .iter()
-                    .map(|s| s.handles.probes_snapshot().into_report())
-                    .collect(),
+                total: chain.total,
+                layers: chain.reports,
             },
-            outputs,
-            outcomes,
-            events: Rc::try_unwrap(log).map_or_else(|rc| rc.borrow().clone(), RefCell::into_inner),
-            faults_armed,
+            outputs: chain.outputs.as_mut().and_then(Vec::pop),
+            outcomes: chain.outcomes,
+            events: chain.events,
+            faults_armed: chain.faults_armed,
         })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn enqueue_all(
-        &self,
-        world: &mut gpu_sim::Cluster,
-        sim: &mut ClusterSim,
-        streams: &StreamCtx,
-        inputs: Option<&[FunctionalInputs]>,
-        mutation: Option<(usize, crate::runtime::SignalMutation)>,
-        faults: Option<&[FaultPlan]>,
-        log: &EventLog,
-    ) -> Vec<ChainSegment> {
-        use gpu_sim::stream::{enqueue, RecordEvent, ResetCounter, WaitEvent};
-
-        let n = self.system.n_gpus;
-        let mut segments: Vec<ChainSegment> = Vec::with_capacity(self.plans.len());
-        let mut prev_outputs: Option<Vec<gpu_sim::memory::BufferId>> = None;
-        // Counting tables are allocated once, sized for the widest layer,
-        // and ping-ponged between two sets across layers (steady-state
-        // double buffering): layer `l`'s signals must not land in a table
-        // whose waits layer `l - 1` still consumes.
-        let max_groups = self
-            .plans
-            .iter()
-            .map(|p| p.group_tile_counts().len())
-            .max()
-            .unwrap_or(0);
-        let table_sets: [Vec<usize>; 2] = std::array::from_fn(|_| {
-            (0..n)
-                .map(|d| world.devices[d].create_counter(max_groups))
-                .collect()
-        });
-        // Per set: comm-done events of the layer that last used it.
-        let mut last_use: [Option<Vec<gpu_sim::GpuEventId>>; 2] = [None, None];
-        for (l, plan) in self.plans.iter().enumerate() {
-            let parity = l % 2;
-            let mut ready_events: Option<Vec<gpu_sim::GpuEventId>> = None;
-            if let Some(events) = last_use[parity].take() {
-                // Reuse: reset the tables on the compute stream, ordered
-                // after the previous user's comm stream drained its waits.
-                let mut readies = Vec::with_capacity(n);
-                for d in 0..n {
-                    enqueue(
-                        world,
-                        sim,
-                        d,
-                        streams.compute[d],
-                        Box::new(WaitEvent(events[d])),
-                    );
-                    enqueue(
-                        world,
-                        sim,
-                        d,
-                        streams.compute[d],
-                        Box::new(ResetCounter {
-                            table: table_sets[parity][d],
-                        }),
-                    );
-                    // The comm stream must not consult the table before the
-                    // reset lands: a stale (pre-reset) count would satisfy
-                    // the new layer's wait and release its collective
-                    // before any tile is written. (SimSan flags exactly
-                    // this as use-before-signal when the edge is missing.)
-                    let ready = world.devices[d].create_event();
-                    readies.push(ready);
-                    enqueue(
-                        world,
-                        sim,
-                        d,
-                        streams.compute[d],
-                        Box::new(RecordEvent(ready)),
-                    );
-                    enqueue(world, sim, d, streams.comm[d], Box::new(WaitEvent(ready)));
-                }
-                ready_events = Some(readies);
-            }
-            if let Some(faults) = faults {
-                // Between the rearm (reset) and the program: the arming
-                // callback quarantines leftover budget on the inherited
-                // table, then arms this layer's own faults.
-                if let Some(fp) = faults.get(l) {
-                    enqueue_segment_faults(world, sim, streams, l, fp, &table_sets[parity], log);
-                }
-            }
-            let layer_inputs = inputs.map(|i| &i[l]);
-            let layer_mutation = mutation.and_then(|(target, m)| (target == l).then_some(m));
-            let handles = plan.enqueue_program_on(
-                world,
-                sim,
-                layer_inputs,
-                self.epilogues[l].as_ref(),
-                streams,
-                prev_outputs.as_deref(),
-                layer_mutation,
-                Some(&table_sets[parity]),
-            );
-            let events: Vec<gpu_sim::GpuEventId> = (0..n)
-                .map(|d| {
-                    let ev = world.devices[d].create_event();
-                    enqueue(world, sim, d, streams.comm[d], Box::new(RecordEvent(ev)));
-                    ev
-                })
-                .collect();
-            last_use[parity] = Some(events.clone());
-            prev_outputs = self.epilogues[l].as_ref().map(|_| {
-                (0..n)
-                    .map(|d| handles.epilogue_bufs[d].expect("epilogue requested"))
-                    .collect()
-            });
-            segments.push(ChainSegment::new(
-                plan,
-                handles,
-                parity,
-                ready_events,
-                events,
-            ));
-        }
-        segments
     }
 }
 

@@ -67,7 +67,8 @@ impl OfflineProfile {
         // reflects the hierarchical schedule (inter-tier bandwidth on the
         // leader phase) and `predictive_search` tunes node-spanning groups
         // differently from single-node ones.
-        let max_bytes = dims.out_elems() * BYTES_PER_ELEM;
+        // A one-element output still spans a two-point curve.
+        let max_bytes = (dims.out_elems() * BYTES_PER_ELEM).max(2 * BYTES_PER_ELEM);
         let min_bytes = (config.tile.elems() * BYTES_PER_ELEM)
             .min(max_bytes / 2)
             .max(2);

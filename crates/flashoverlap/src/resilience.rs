@@ -14,24 +14,28 @@
 //!    degrade or stall ([`gpu_sim::CommFault`],
 //!    [`interconnect::FabricSpec::degraded`]), and ranks can lose SMs or
 //!    start late.
-//! 2. **Watchdog** — [`crate::ExecOptions::resilient`] execution derives a
-//!    deadline from the latency predictor's expected time times
+//! 2. **Watchdog** — resilient execution
+//!    ([`crate::ExecOptions::resilient`], and per segment
+//!    [`crate::SequenceOptions::resilient`] /
+//!    [`crate::PipelineExecOptions::resilient`]) runs through the one
+//!    chain executor, which derives each segment's deadline from the
+//!    latency predictor's expected time times
 //!    [`WatchdogConfig::deadline_multiplier`] and steps the simulation
 //!    against it. On expiry it escalates: deadline extensions while work
 //!    is still flowing, then a *tail recovery* (abort the starved
 //!    communicator state, re-issue the missing groups as tail
-//!    collectives gated on GEMM completion), then a *bulk degraded
-//!    fallback*. Every execution terminates with either a bit-exact
-//!    result or a structured [`ResilientOutcome::Degraded`] report —
-//!    never a hang.
+//!    collectives once the GEMM retired), or a *bulk degraded fallback*
+//!    when no group completed. Every execution terminates with either a
+//!    bit-exact result or a structured [`ResilientOutcome::Degraded`]
+//!    report — never a hang.
 //! 3. **Campaigns** — [`run_chaos`] executes seeded fault campaigns and
 //!    compares each functional output against the fault-free reference.
 //!
 //! A key semantic choice mirrors the real failure mode: a dropped
 //! increment loses only the *signal* — the epilogue's tile write is
 //! unaffected, exactly as when a real epilogue's signaling atomic is
-//! lost. Recovery collectives run only after the GEMM completes, so they
-//! read complete data and degraded-mode results stay bit-exact.
+//! lost. Recovery collectives are issued only after the GEMM retired, so
+//! they read complete data and degraded-mode results stay bit-exact.
 //!
 //! Like the other fault hot paths (`gpu_sim::counter`), this module opts
 //! in to the indexing lint: fault arming and recovery must not panic on
@@ -44,7 +48,7 @@ use gpu_sim::gemm::GemmDims;
 use sim::{DetRng, SimDuration};
 
 use crate::error::FlashOverlapError;
-use crate::runtime::{CommPattern, FunctionalInputs, OverlapPlan, RunReport};
+use crate::runtime::{CommPattern, FunctionalInputs, OverlapPlan};
 use crate::system::SystemSpec;
 
 /// One injected fault. Ranks and groups refer to the plan the fault runs
@@ -323,27 +327,6 @@ impl ResilientOutcome {
             ResilientOutcome::Recovered { .. } => "recovered",
             ResilientOutcome::Degraded { .. } => "degraded",
         }
-    }
-}
-
-/// Results of one resilient execution.
-#[derive(Debug, Clone)]
-pub struct ResilientReport {
-    /// Timing (identical probe machinery to a plain run).
-    pub report: RunReport,
-    /// How the run terminated.
-    pub outcome: ResilientOutcome,
-    /// Fault and recovery timeline: every armed fault, watchdog firing,
-    /// tail recovery, and degraded fallback, in order.
-    pub events: Vec<gpu_sim::RuntimeEvent>,
-    /// Number of faults the plan armed.
-    pub faults_armed: usize,
-}
-
-impl ResilientReport {
-    /// Events of one kind, for assertions over the recovery timeline.
-    pub fn events_of(&self, kind: gpu_sim::RuntimeEventKind) -> Vec<&gpu_sim::RuntimeEvent> {
-        self.events.iter().filter(|e| e.kind == kind).collect()
     }
 }
 

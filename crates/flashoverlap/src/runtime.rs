@@ -13,29 +13,33 @@
 //! finished, while later waves keep computing. The collective is a plain
 //! library call over the group's contiguous packed region — exactly the
 //! NCCL-call structure of the real system.
+//!
+//! This module builds plans and enqueues one plan's program; running it
+//! is the chain executor's job (`chain.rs`). [`OverlapPlan::execute_with`]
+//! lowers every mode to a chain: one segment, or `n` copies of the plan
+//! in iteration mode.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use collectives::{CollectiveRole, CollectiveSpec, Communicator, Primitive, Region};
+use collectives::{CollectiveSpec, Communicator, Primitive, Region};
 use gpu_sim::arch::RemapGranularity;
 use gpu_sim::elementwise::{ElementwiseKernel, ElementwiseOp, Gather};
 use gpu_sim::gemm::{CounterHook, EpilogueWriter, GemmConfig, GemmDims, GemmKernel};
 use gpu_sim::memory::BufferId;
 use gpu_sim::monitor::ClusterMonitor;
-use gpu_sim::stream::{
-    abort_counter_waits, enqueue, Callback, RecordEvent, WaitCounter, WaitEvent,
-};
+use gpu_sim::stream::{enqueue, Callback, RecordEvent, WaitCounter, WaitEvent};
 use gpu_sim::wave::WaveSchedule;
-use gpu_sim::{Cluster, ClusterSim, IncrementFault, RuntimeEvent, RuntimeEventKind};
-use sim::{EngineProbe, Sim, SimDuration, SimTime};
+use gpu_sim::{Cluster, ClusterSim, RuntimeEvent};
+use sim::{EngineProbe, SimDuration, SimTime};
 use tensor::Matrix;
 
+use crate::chain::{execute_chain, Chain};
 use crate::error::FlashOverlapError;
 use crate::mapping::{SubtileMapping, TileMapping, TokenMapping};
 use crate::partition::WavePartition;
 use crate::predictor::LatencyPredictor;
-use crate::resilience::{Fault, FaultPlan, ResilientOutcome, ResilientReport, WatchdogConfig};
+use crate::resilience::{FaultPlan, ResilientOutcome, WatchdogConfig};
 use crate::system::SystemSpec;
 use crate::writers::{PackedTileWriter, SubtilePackedWriter, TokenPoolWriter};
 
@@ -471,8 +475,8 @@ impl OverlapPlan {
     }
 
     /// Executes the plan with the modes selected in `options` — the
-    /// single runtime entry point, which replaced the former `execute*`
-    /// method matrix.
+    /// single runtime entry point. Every mode lowers to one chain: a
+    /// single segment, or `n` copies of the plan in iteration mode.
     ///
     /// Mode semantics:
     ///
@@ -484,13 +488,13 @@ impl OverlapPlan {
     /// - [`ExecOptions::resilient`] composes with
     ///   [`ExecOptions::functional`], [`ExecOptions::trace`], a monitor
     ///   hook, and [`ExecOptions::iterations`] (the fault plan arms at
-    ///   the final, steady-state iteration and the whole chain runs
-    ///   under the chain watchdog), but rejects epilogues, probes, and
-    ///   mutations (faults are the resilient path's corruption
-    ///   vocabulary).
+    ///   the final, steady-state iteration), but rejects epilogues,
+    ///   probes, and mutations (faults are the resilient path's
+    ///   corruption vocabulary).
     /// - [`ExecOptions::iterations`] is timing-only: it composes with
     ///   instrumentation (the mutation applies to the final iteration)
-    ///   but rejects functional, epilogue, and trace requests.
+    ///   but rejects functional, epilogue, and trace requests. The
+    ///   reported outcome is the most severe across iterations.
     ///
     /// # Errors
     ///
@@ -500,236 +504,76 @@ impl OverlapPlan {
     /// uninstrumented schedule wedges; and
     /// [`FlashOverlapError::Simulation`] on engine failure.
     pub fn execute_with(&self, options: &ExecOptions) -> Result<ExecOutcome, FlashOverlapError> {
-        if let Some((faults, watchdog)) = options.resilient {
-            return self.run_resilient_with(options, faults, watchdog);
-        }
-        if let Some(iterations) = options.iterations {
-            if options.functional.is_some() || options.epilogue.is_some() || options.trace {
+        if let Some(op) = options.epilogue {
+            if options.resilient.is_some() {
                 return Err(FlashOverlapError::BadInputs {
-                    reason: "iteration mode is timing-only: \
-                             drop .functional()/.epilogue()/.trace()"
-                        .into(),
+                    reason: "resilient mode does not support a fused epilogue".into(),
                 });
             }
-            let default_instr = Instrumentation::default();
-            let steady =
-                self.run_iterations(iterations, options.instrument.unwrap_or(&default_instr))?;
-            return Ok(ExecOutcome {
-                report: RunReport {
+            self.validate_epilogue(op)?;
+        }
+        if options.iterations.is_some()
+            && (options.functional.is_some() || options.epilogue.is_some() || options.trace)
+        {
+            return Err(FlashOverlapError::BadInputs {
+                reason: "iteration mode is timing-only: \
+                         drop .functional()/.epilogue()/.trace()"
+                    .into(),
+            });
+        }
+        let copies = options.iterations.unwrap_or(1);
+        let plans = vec![self; copies];
+        let faults: Option<Vec<FaultPlan>> = options.resilient.map(|(faults, _)| {
+            let mut chain_faults = vec![FaultPlan::none(); copies];
+            if let Some(last) = chain_faults.last_mut() {
+                last.clone_from(faults);
+            }
+            chain_faults
+        });
+        let mut chain = execute_chain(&Chain {
+            plans: &plans,
+            epilogues: vec![options.epilogue],
+            inputs: options.functional.map(std::slice::from_ref),
+            trace: options.trace,
+            instrument: options.instrument,
+            mutate_segment: copies.saturating_sub(1),
+            resilient: faults
+                .as_deref()
+                .zip(options.resilient.map(|(_, watchdog)| watchdog)),
+            ..Chain::default()
+        })?;
+        let outcome = chain
+            .outcomes
+            .iter()
+            .max_by_key(|o| match o {
+                ResilientOutcome::Clean => 0,
+                ResilientOutcome::Recovered { .. } => 1,
+                ResilientOutcome::Degraded { .. } => 2,
+            })
+            .cloned()
+            .unwrap_or(ResilientOutcome::Clean);
+        let (report, steady_state) = match options.iterations {
+            Some(n) => {
+                let steady = SimDuration::from_nanos(chain.total.as_nanos() / n as u64);
+                let report = RunReport {
                     latency: steady,
                     gemm_done: SimDuration::ZERO,
                     group_comm_done: Vec::new(),
                     epilogue_done: None,
-                },
-                spans: Vec::new(),
-                outputs: None,
-                outcome: ResilientOutcome::Clean,
-                events: Vec::new(),
-                faults_armed: 0,
-                steady_state: Some(steady),
-            });
-        }
-        self.run_single(options)
-    }
-
-    /// The resilient arm of [`OverlapPlan::execute_with`].
-    fn run_resilient_with(
-        &self,
-        options: &ExecOptions,
-        faults: &FaultPlan,
-        watchdog: &WatchdogConfig,
-    ) -> Result<ExecOutcome, FlashOverlapError> {
-        if options.epilogue.is_some() {
-            return Err(FlashOverlapError::BadInputs {
-                reason: "resilient mode does not support a fused epilogue".into(),
-            });
-        }
-        if options
-            .instrument
-            .is_some_and(|i| i.probe.is_some() || i.mutation.is_some())
-        {
-            return Err(FlashOverlapError::BadInputs {
-                reason: "resilient mode supports only a monitor hook; \
-                         use a FaultPlan to corrupt signaling"
-                    .into(),
-            });
-        }
-        if let Some(iterations) = options.iterations {
-            return self.run_resilient_iterations(options, iterations, faults, watchdog);
-        }
-        if let Some(inputs) = options.functional {
-            self.check_inputs(inputs)?;
-        }
-        let monitor = options.instrument.and_then(|i| i.monitor.clone());
-        let (resilient, outputs, spans) =
-            self.run_resilient(options.functional, faults, watchdog, options.trace, monitor)?;
-        Ok(ExecOutcome {
-            report: resilient.report,
-            spans,
-            outputs,
-            outcome: resilient.outcome,
-            events: resilient.events,
-            faults_armed: resilient.faults_armed,
-            steady_state: None,
-        })
-    }
-
-    /// Resilient iteration mode: `n` back-to-back instances on one
-    /// stream pair under the chain watchdog. The fault plan arms at the
-    /// final iteration — counting-table reuse has reached steady state
-    /// by then, so an injected wedge exercises the inherited-table
-    /// recovery path rather than a fresh-table special case. The
-    /// reported outcome is the most severe across iterations.
-    fn run_resilient_iterations(
-        &self,
-        options: &ExecOptions,
-        iterations: usize,
-        faults: &FaultPlan,
-        watchdog: &WatchdogConfig,
-    ) -> Result<ExecOutcome, FlashOverlapError> {
-        if options.functional.is_some() || options.trace {
-            return Err(FlashOverlapError::BadInputs {
-                reason: "iteration mode is timing-only: drop .functional()/.trace()".into(),
-            });
-        }
-        let Some(last) = iterations.checked_sub(1) else {
-            return Err(FlashOverlapError::BadInputs {
-                reason: "iteration count must be positive".into(),
-            });
-        };
-        let mut chain_faults = vec![FaultPlan::none(); iterations];
-        chain_faults[last] = faults.clone();
-        let plans = vec![self; iterations];
-        let mut seq_options =
-            crate::sequence::SequenceOptions::new().resilient(&chain_faults, watchdog);
-        if let Some(instr) = options.instrument {
-            seq_options = seq_options.instrument(instr);
-        }
-        let seq = crate::sequence::execute_sequence(&plans, &seq_options)?;
-        let severity = |o: &ResilientOutcome| match o {
-            ResilientOutcome::Clean => 0,
-            ResilientOutcome::Recovered { .. } => 1,
-            ResilientOutcome::Degraded { .. } => 2,
-        };
-        let outcome = seq
-            .outcomes
-            .iter()
-            .max_by_key(|o| severity(o))
-            .cloned()
-            .unwrap_or(ResilientOutcome::Clean);
-        let steady = SimDuration::from_nanos(seq.total.as_nanos() / iterations as u64);
-        Ok(ExecOutcome {
-            report: RunReport {
-                latency: steady,
-                gemm_done: SimDuration::ZERO,
-                group_comm_done: Vec::new(),
-                epilogue_done: None,
-            },
-            spans: Vec::new(),
-            outputs: None,
-            outcome,
-            events: seq.events,
-            faults_armed: seq.faults_armed,
-            steady_state: Some(steady),
-        })
-    }
-
-    /// The single-run arm of [`OverlapPlan::execute_with`] (every mode
-    /// except resilient and iteration).
-    fn run_single(&self, options: &ExecOptions) -> Result<ExecOutcome, FlashOverlapError> {
-        if let Some(inputs) = options.functional {
-            self.check_inputs(inputs)?;
-        }
-        if let Some(op) = options.epilogue {
-            self.check_epilogue(op)?;
-        }
-        let default_instr = Instrumentation::default();
-        let instr = options.instrument.unwrap_or(&default_instr);
-        let mut world = self.system.build_cluster(options.functional.is_some());
-        if options.trace {
-            world.enable_op_spans();
-        }
-        if let Some(monitor) = &instr.monitor {
-            world.set_monitor(Rc::clone(monitor));
-        }
-        let mut sim: ClusterSim = Sim::new();
-        if let Some(probe) = &instr.probe {
-            sim.set_probe(Rc::clone(probe));
-        }
-        let streams = StreamCtx::create(&mut world, self.system.n_gpus);
-        let handles = self.enqueue_program_on(
-            &mut world,
-            &mut sim,
-            options.functional,
-            options.epilogue,
-            &streams,
-            None,
-            instr.mutation,
-            None,
-        );
-        sim.run(&mut world)?;
-        let instrumented =
-            instr.monitor.is_some() || instr.probe.is_some() || instr.mutation.is_some();
-        if !instrumented {
-            check_quiescent(&world)?;
-        }
-        let spans = if options.trace {
-            world.op_spans.take().unwrap_or_default()
-        } else {
-            Vec::new()
-        };
-        let outputs = match (options.functional, options.epilogue) {
-            (Some(_), Some(_)) => {
-                // The fused kernel produced the logical result in the
-                // epilogue buffers (not host-side post-processing).
-                let n = self.system.n_gpus;
-                Some(
-                    (0..n)
-                        .map(|d| {
-                            let (rows, cols) = self.logical_shape(d);
-                            let buf = handles.epilogue_bufs[d].expect("epilogue requested");
-                            let data = world.devices[d].mem.snapshot(buf);
-                            Matrix::from_vec(rows, cols, data)
-                        })
-                        .collect(),
-                )
+                };
+                (report, Some(steady))
             }
-            (Some(_), None) => Some(self.extract_outputs(&world, &handles)),
-            _ => None,
+            None => (chain.reports.swap_remove(0), None),
         };
         Ok(ExecOutcome {
-            report: handles.probes.into_report(),
-            spans,
-            outputs,
-            outcome: ResilientOutcome::Clean,
-            events: Vec::new(),
-            faults_armed: 0,
-            steady_state: None,
+            report,
+            spans: chain.spans,
+            outputs: chain.outputs.and_then(|mut o| o.pop()),
+            outcome,
+            events: chain.events,
+            faults_armed: chain.faults_armed,
+            steady_state,
         })
-    }
-
-    fn run_iterations(
-        &self,
-        iterations: usize,
-        instr: &Instrumentation,
-    ) -> Result<SimDuration, FlashOverlapError> {
-        if iterations == 0 {
-            return Err(FlashOverlapError::BadInputs {
-                reason: "need at least one iteration".into(),
-            });
-        }
-        // Steady state is this plan repeated back to back on one stream
-        // pair — exactly a homogeneous pipelined sequence. The mutation
-        // (if any) lands on the final iteration, after counting-table
-        // reuse reached steady state.
-        let plans = vec![self; iterations];
-        let outcome = crate::sequence::execute_sequence(
-            &plans,
-            &crate::sequence::SequenceOptions::new().instrument(instr),
-        )?;
-        Ok(SimDuration::from_nanos(
-            outcome.total.as_nanos() / iterations as u64,
-        ))
     }
 
     /// Validates an epilogue operator against this plan's logical output
@@ -740,20 +584,6 @@ impl OverlapPlan {
     /// Returns [`FlashOverlapError::BadInputs`] on parameter-length
     /// mismatch.
     pub fn validate_epilogue(&self, op: &ElementwiseOp) -> Result<(), FlashOverlapError> {
-        self.check_epilogue(op)
-    }
-
-    /// Validates functional inputs against this plan's shapes (also used
-    /// by [`crate::pipeline`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlashOverlapError::BadInputs`] on shape mismatch.
-    pub fn check_inputs_pub(&self, inputs: &FunctionalInputs) -> Result<(), FlashOverlapError> {
-        self.check_inputs(inputs)
-    }
-
-    fn check_epilogue(&self, op: &ElementwiseOp) -> Result<(), FlashOverlapError> {
         let (_, cols) = self.logical_shape(0);
         let len = match op {
             ElementwiseOp::BiasAdd(bias) => bias.len(),
@@ -794,7 +624,8 @@ impl OverlapPlan {
         }
     }
 
-    fn check_inputs(&self, inputs: &FunctionalInputs) -> Result<(), FlashOverlapError> {
+    /// Validates functional inputs against this plan's shapes.
+    pub(crate) fn check_inputs(&self, inputs: &FunctionalInputs) -> Result<(), FlashOverlapError> {
         let n = self.system.n_gpus;
         if inputs.a.len() != n || inputs.b.len() != n {
             return Err(FlashOverlapError::BadInputs {
@@ -824,12 +655,14 @@ impl OverlapPlan {
         Ok(())
     }
 
-    /// Enqueues the overlap program on caller-provided streams, optionally
-    /// reading activations from existing per-rank buffers instead of
-    /// allocating them (how pipelines chain layers).
+    /// Enqueues the overlap program on caller-provided streams and
+    /// counting tables, optionally reading activations from existing
+    /// per-rank buffers instead of allocating them (how pipelines chain
+    /// layers). The caller owns the tables: it reset them and guarantees
+    /// they have at least one slot per group.
     #[expect(
         clippy::too_many_arguments,
-        reason = "internal plumbing shared by execute/pipeline/mutation paths"
+        reason = "per-segment plumbing of the chain executor"
     )]
     pub(crate) fn enqueue_program_on(
         &self,
@@ -840,7 +673,7 @@ impl OverlapPlan {
         streams: &StreamCtx,
         a_override: Option<&[BufferId]>,
         mutation: Option<SignalMutation>,
-        tables_override: Option<&[usize]>,
+        tables: &[usize],
     ) -> ProgramHandles {
         let n = self.system.n_gpus;
         let comm = Communicator::with_topology(
@@ -855,7 +688,7 @@ impl OverlapPlan {
 
         let compute_streams = &streams.compute;
         let comm_streams = &streams.comm;
-        let mut tables = Vec::with_capacity(n);
+        let tables = tables.to_vec();
         let mut packed_bufs = Vec::with_capacity(n);
         let mut recv_bufs = Vec::with_capacity(n);
         let mut a_bufs = Vec::with_capacity(n);
@@ -863,12 +696,6 @@ impl OverlapPlan {
         for d in 0..n {
             let writer = self.writer_for(d);
             let dev = &mut world.devices[d];
-            tables.push(match tables_override {
-                // Reused (serving-loop) tables: the caller reset them and
-                // guarantees they have at least `num_groups` slots.
-                Some(t) => t[d],
-                None => dev.create_counter(num_groups),
-            });
             a_bufs.push(match (a_override, inputs) {
                 (Some(bufs), _) => bufs[d],
                 (None, Some(inp)) => dev.mem.alloc_init(inp.a[d].as_slice()),
@@ -1177,8 +1004,22 @@ impl OverlapPlan {
         }
     }
 
+    /// Per-rank logical outputs of a finished program: the fused
+    /// epilogue's buffers when it has one (the remap happened in the
+    /// kernel, not host-side), otherwise the remapped receive data.
     pub(crate) fn extract_outputs(&self, world: &Cluster, handles: &ProgramHandles) -> Vec<Matrix> {
         let n = self.system.n_gpus;
+        let fused: Option<Vec<BufferId>> = handles.epilogue_bufs.iter().copied().collect();
+        if let Some(bufs) = fused {
+            return bufs
+                .iter()
+                .enumerate()
+                .map(|(d, &buf)| {
+                    let (rows, cols) = self.logical_shape(d);
+                    Matrix::from_vec(rows, cols, world.devices[d].mem.snapshot(buf))
+                })
+                .collect();
+        }
         match &self.mapping {
             PlanMapping::Tile(m) => {
                 let gather = m.element_gather();
@@ -1274,13 +1115,8 @@ impl OverlapPlan {
     }
 }
 
-/// What one resilient run yields internally: the report, the functional
-/// outputs (when inputs were supplied), and the recorded spans (when
-/// tracing was on).
-type ResilientRun = (ResilientReport, Option<Vec<Matrix>>, Vec<gpu_sim::OpSpan>);
-
-/// Watchdog and degraded-mode execution (see [`crate::resilience`] for
-/// the fault and outcome vocabulary).
+/// Watchdog calibration (see [`crate::resilience`] for the fault and
+/// outcome vocabulary).
 impl OverlapPlan {
     /// The predictor's expected operator latency for this plan — the
     /// base the watchdog deadline is derived from.
@@ -1306,378 +1142,6 @@ impl OverlapPlan {
         (predictor.profile().total_waves == self.partition.total_waves())
             .then(|| predictor.predict_group_completions(&self.partition))
     }
-
-    fn run_resilient(
-        &self,
-        inputs: Option<&FunctionalInputs>,
-        faults: &FaultPlan,
-        watchdog: &WatchdogConfig,
-        spans: bool,
-        monitor: Option<Rc<dyn ClusterMonitor>>,
-    ) -> Result<ResilientRun, FlashOverlapError> {
-        let n = self.system.n_gpus;
-        let num_groups = self.group_tile_counts().len();
-        faults.validate(n, num_groups)?;
-
-        let mut world = self.system.build_cluster(inputs.is_some());
-        if spans {
-            world.enable_op_spans();
-        }
-        if let Some(m) = monitor {
-            world.set_monitor(m);
-        }
-        let mut sim: ClusterSim = Sim::new();
-        let mut events: Vec<RuntimeEvent> = Vec::new();
-
-        // Cluster-level faults exist before the program starts.
-        for fault in &faults.faults {
-            match *fault {
-                Fault::LinkDegradation { slowdown } => {
-                    let prior = world.comm_fault.slowdown.max(1.0);
-                    world.comm_fault.slowdown = prior * slowdown.max(1.0);
-                }
-                Fault::InterLinkDegradation { slowdown } => {
-                    let prior = world.comm_fault.inter_slowdown.max(1.0);
-                    world.comm_fault.inter_slowdown = prior * slowdown.max(1.0);
-                }
-                Fault::LinkStall { stall, count } => {
-                    world.comm_fault.stall = world.comm_fault.stall.max(stall);
-                    world.comm_fault.stall_count += count;
-                }
-                Fault::StragglerSms { rank, sms } => {
-                    // Holding communication SMs shrinks the rank's wave
-                    // width for the whole run (never released).
-                    world.devices[rank].occupy_comm_sms(sms);
-                }
-                _ => {}
-            }
-            let event = RuntimeEvent {
-                at: sim.now(),
-                device: fault_device(fault),
-                kind: RuntimeEventKind::FaultInjected,
-                group: fault_group(fault),
-                detail: format!("armed: {fault}"),
-            };
-            world.notify_runtime_event(&event);
-            events.push(event);
-        }
-
-        let streams = StreamCtx::create(&mut world, n);
-        // Straggler ranks launch their whole program late, beyond the
-        // modelled host skew.
-        for fault in &faults.faults {
-            if let Fault::SlowRank { rank, delay } = *fault {
-                for stream in [streams.compute[rank], streams.comm[rank]] {
-                    enqueue(
-                        &mut world,
-                        &mut sim,
-                        rank,
-                        stream,
-                        Box::new(gpu_sim::stream::Delay(delay)),
-                    );
-                }
-            }
-        }
-        let handles = self.enqueue_program_on(
-            &mut world, &mut sim, inputs, None, &streams, None, None, None,
-        );
-        // Counting-table faults arm once the tables exist.
-        for fault in &faults.faults {
-            match *fault {
-                Fault::DroppedIncrement { rank, group, count } => {
-                    world.devices[rank]
-                        .counter_mut(handles.tables[rank])
-                        .arm_fault(group, IncrementFault::Dropped, count);
-                }
-                Fault::DelayedIncrement {
-                    rank,
-                    group,
-                    count,
-                    delay,
-                } => {
-                    world.devices[rank]
-                        .counter_mut(handles.tables[rank])
-                        .arm_fault(group, IncrementFault::Delayed(delay), count);
-                }
-                _ => {}
-            }
-        }
-
-        // The watchdog ladder. `base` is the per-step budget: expected
-        // latency times the configured multiplier (plus the launch-skew
-        // window, which the predictor does not model).
-        let base = self
-            .expected_latency()
-            .mul_f64(watchdog.deadline_multiplier.max(1.0))
-            + SimDuration::from_nanos(self.system.launch_skew_ns.max(1));
-        let mut deadline = SimTime::ZERO + base;
-        let mut retries = 0u32;
-        let mut rung = 0u32; // 0 = overlap, 1 = tail issued, 2 = bulk issued
-        let mut tail_groups: Vec<usize> = Vec::new();
-        let mut degraded_cause: Option<String> = None;
-        let mut recovered_groups: Vec<usize> = Vec::new();
-
-        loop {
-            sim.run_until(&mut world, deadline)?;
-            if sim.pending() == 0 {
-                let Err(error) = check_quiescent(&world) else {
-                    break; // Streams drained: the program completed.
-                };
-                // True wedge: the event queue drained with streams still
-                // busy. `error` names every blocked rank, counter group,
-                // reached count, and unmet threshold.
-                if rung >= 2 {
-                    // Even the bulk fallback wedged (recovery collectives
-                    // wait on nothing but GEMM completion, so this should
-                    // be unreachable). Give up without hanging.
-                    degraded_cause = Some(format!("recovery wedged: {error}"));
-                    break;
-                }
-                let done = completed_groups(&handles);
-                let fired = RuntimeEvent {
-                    at: sim.now(),
-                    device: 0,
-                    kind: RuntimeEventKind::WatchdogFired,
-                    group: None,
-                    detail: format!("wedge detected: {error}"),
-                };
-                world.notify_runtime_event(&fired);
-                events.push(fired);
-                // Late release with per-group tail collectives while part
-                // of the plan survived; bulk fallback when the overlap
-                // produced nothing or already failed once.
-                let role = if rung == 0 && !done.is_empty() {
-                    CollectiveRole::Tail
-                } else {
-                    CollectiveRole::Bulk
-                };
-                if matches!(role, CollectiveRole::Bulk) && degraded_cause.is_none() {
-                    degraded_cause = Some(format!("overlap abandoned: {error}"));
-                    recovered_groups = done;
-                }
-                let issued = self.issue_recovery(
-                    &mut world,
-                    &mut sim,
-                    &handles,
-                    &streams,
-                    role,
-                    &mut events,
-                );
-                if matches!(role, CollectiveRole::Tail) {
-                    tail_groups = issued;
-                    rung = 1;
-                } else {
-                    rung = 2;
-                }
-                deadline = sim.now() + base;
-            } else {
-                // Deadline passed with events still flowing: the run is
-                // slow (degraded link, straggler), not stuck. Extend
-                // within budget, then mark it degraded but keep driving
-                // to completion — an in-flight collective cannot be
-                // abandoned without double-applying its data.
-                if retries < watchdog.max_retries {
-                    retries += 1;
-                    let fired = RuntimeEvent {
-                        at: sim.now(),
-                        device: 0,
-                        kind: RuntimeEventKind::WatchdogFired,
-                        group: None,
-                        detail: format!(
-                            "deadline passed with {} events in flight; extension {retries}/{}",
-                            sim.pending(),
-                            watchdog.max_retries
-                        ),
-                    };
-                    world.notify_runtime_event(&fired);
-                    events.push(fired);
-                } else if degraded_cause.is_none() {
-                    degraded_cause = Some(format!(
-                        "watchdog deadline exceeded after {} extensions",
-                        watchdog.max_retries
-                    ));
-                    recovered_groups = completed_groups(&handles);
-                    let fallback = RuntimeEvent {
-                        at: sim.now(),
-                        device: 0,
-                        kind: RuntimeEventKind::DegradedFallback,
-                        group: None,
-                        detail: "run marked degraded; completing without abandoning in-flight work"
-                            .into(),
-                    };
-                    world.notify_runtime_event(&fallback);
-                    events.push(fallback);
-                }
-                deadline = sim.now() + base;
-            }
-        }
-
-        let outcome = if let Some(cause) = degraded_cause {
-            ResilientOutcome::Degraded {
-                cause,
-                recovered_groups,
-            }
-        } else if rung == 1 {
-            ResilientOutcome::Recovered {
-                retries,
-                tail_groups,
-            }
-        } else {
-            ResilientOutcome::Clean
-        };
-        let spans_out = if spans {
-            world.op_spans.take().unwrap_or_default()
-        } else {
-            Vec::new()
-        };
-        let outputs = inputs.map(|_| self.extract_outputs(&world, &handles));
-        let report = ResilientReport {
-            report: handles.probes_snapshot().into_report(),
-            outcome,
-            events,
-            faults_armed: faults.faults.len(),
-        };
-        Ok((report, outputs, spans_out))
-    }
-
-    /// One rung of the recovery ladder: abort the starved communication
-    /// state and re-issue every incomplete group as a `role` collective
-    /// gated on GEMM completion.
-    fn issue_recovery(
-        &self,
-        world: &mut Cluster,
-        sim: &mut ClusterSim,
-        handles: &ProgramHandles,
-        streams: &StreamCtx,
-        role: CollectiveRole,
-        events: &mut Vec<RuntimeEvent>,
-    ) -> Vec<usize> {
-        let n = self.system.n_gpus;
-        // 1. Drop queued communication work — the stale waits and
-        //    collectives of the groups about to be re-issued. Queued
-        //    kernels have no completion token yet, so this is safe.
-        for d in 0..n {
-            world.abort_stream_queue(d, streams.comm[d]);
-        }
-        // 2. Release ranks parked inside the communicator rendezvous
-        //    without moving data (the `ncclCommAbort` analog); their
-        //    streams then go idle against the cleared queues.
-        handles.comm.abort_pending(world, sim);
-        // 3. Revoke starved signal waits the same way.
-        for d in 0..n {
-            abort_counter_waits(world, sim, d, handles.tables[d]);
-        }
-        // 4. Gate recovery on GEMM completion: the main loop writes every
-        //    tile regardless of lost signals, so once the GEMM retires
-        //    the packed buffers hold exactly the data the original
-        //    collectives would have read — recovery stays bit-exact.
-        for d in 0..n {
-            let done = world.devices[d].create_event();
-            enqueue(
-                world,
-                sim,
-                d,
-                streams.compute[d],
-                Box::new(RecordEvent(done)),
-            );
-            enqueue(world, sim, d, streams.comm[d], Box::new(WaitEvent(done)));
-        }
-        // 5. Re-issue every group whose collective never completed.
-        let completed: Vec<bool> = handles
-            .probes
-            .group_done
-            .borrow()
-            .iter()
-            .map(Option::is_some)
-            .collect();
-        let (kind, what) = match role {
-            CollectiveRole::Tail => (RuntimeEventKind::TailRecovery, "tail"),
-            _ => (RuntimeEventKind::DegradedFallback, "bulk"),
-        };
-        let mut issued = Vec::new();
-        for (g, done) in completed.iter().enumerate() {
-            if *done {
-                continue;
-            }
-            let Some(spec) = self.group_spec(g, &handles.packed_bufs, &handles.recv_bufs) else {
-                continue; // Zero-payload group: nothing was ever owed.
-            };
-            let kernels = handles.comm.kernels_with_role(spec, Some(g), role);
-            for (d, kernel) in kernels.into_iter().enumerate() {
-                enqueue(world, sim, d, streams.comm[d], Box::new(kernel));
-                if d == 0 {
-                    let slot = handles.probes.group_done.clone();
-                    enqueue(
-                        world,
-                        sim,
-                        0,
-                        streams.comm[0],
-                        Box::new(Callback(Box::new(move |_, s| {
-                            slot.borrow_mut()[g] = Some(s.now());
-                        }))),
-                    );
-                }
-            }
-            let event = RuntimeEvent {
-                at: sim.now(),
-                device: 0,
-                kind,
-                group: Some(g),
-                detail: format!("group {g} re-issued as {what} collective"),
-            };
-            world.notify_runtime_event(&event);
-            events.push(event);
-            issued.push(g);
-        }
-        issued
-    }
-}
-
-/// Groups whose collectives have completed (overlap or recovery).
-fn completed_groups(handles: &ProgramHandles) -> Vec<usize> {
-    handles
-        .probes
-        .group_done
-        .borrow()
-        .iter()
-        .enumerate()
-        .filter_map(|(g, t)| t.map(|_| g))
-        .collect()
-}
-
-/// The rank a fault targets (the lead rank for cluster-wide faults).
-fn fault_device(fault: &Fault) -> gpu_sim::DeviceId {
-    match *fault {
-        Fault::DroppedIncrement { rank, .. }
-        | Fault::DelayedIncrement { rank, .. }
-        | Fault::StragglerSms { rank, .. }
-        | Fault::SlowRank { rank, .. } => rank,
-        Fault::LinkDegradation { .. }
-        | Fault::InterLinkDegradation { .. }
-        | Fault::LinkStall { .. } => 0,
-    }
-}
-
-/// The wave group a fault targets, when it has one.
-fn fault_group(fault: &Fault) -> Option<usize> {
-    match *fault {
-        Fault::DroppedIncrement { group, .. } | Fault::DelayedIncrement { group, .. } => {
-            Some(group)
-        }
-        _ => None,
-    }
-}
-
-/// Turns a drained-but-wedged simulation into a diagnosable error
-/// carrying the full counter context of every starved signal wait.
-pub(crate) fn check_quiescent(world: &Cluster) -> Result<(), FlashOverlapError> {
-    world
-        .check_quiescent()
-        .map_err(|streams| FlashOverlapError::Deadlock {
-            waits: world.stuck_waits(),
-            streams,
-            chain: Vec::new(),
-        })
 }
 
 /// Per-rank compute/communication stream pair a program runs on.
@@ -1717,15 +1181,6 @@ pub(crate) struct ProgramHandles {
     pub(crate) tables: Vec<usize>,
 }
 
-impl ProgramHandles {
-    /// A shared handle to this program's probes (the underlying cells are
-    /// `Rc`, so the snapshot observes the same simulation writes).
-    pub(crate) fn probes_snapshot(&self) -> Probes {
-        self.probes.clone()
-    }
-}
-
-#[derive(Clone)]
 pub(crate) struct Probes {
     pub(crate) gemm_done: Rc<Cell<Option<SimTime>>>,
     pub(crate) group_done: Rc<RefCell<Vec<Option<SimTime>>>>,
@@ -1741,7 +1196,7 @@ impl Probes {
         }
     }
 
-    pub(crate) fn into_report(self) -> RunReport {
+    pub(crate) fn report(&self) -> RunReport {
         let gemm_done = self
             .gemm_done
             .get()
@@ -1768,6 +1223,8 @@ impl Probes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resilience::Fault;
+    use gpu_sim::RuntimeEventKind;
     use tensor::{allclose, gemm};
 
     fn small_system(n: usize) -> SystemSpec {
@@ -2211,6 +1668,66 @@ mod tests {
                     let diff = (out[(i, c)] - per_rank_out[src][(row as usize, c)]).abs();
                     assert!(diff < 1e-2, "dest {d} token {i} col {c}");
                 }
+            }
+        }
+    }
+
+    fn all_to_all_routing(m: usize, ranks: usize, seed: u64) -> Vec<Vec<usize>> {
+        let mut rng = sim::DetRng::new(seed);
+        (0..ranks)
+            .map(|_| {
+                (0..m)
+                    .map(|_| rng.next_below(ranks as u64) as usize)
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn zero_payload_group_tiles_are_guaranteed_by_the_next_wait() {
+        // A row band is wider than one wave, so wave 0 completes no band:
+        // group 0 sends nothing and schedules no wait. Its tiles must be
+        // counted into group 1's wait, or group 1 reads rows whose first
+        // tiles nothing guarantees (a tile race planverify rejects).
+        let dims = GemmDims::new(128, 512, 32);
+        let system = small_system(2);
+        let config = GemmConfig::choose(dims, &system.arch);
+        let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+        let pattern = CommPattern::AllToAll {
+            routing: all_to_all_routing(128, 2, 31),
+        };
+        let plan = OverlapPlan::new(
+            dims,
+            pattern.clone(),
+            system.clone(),
+            WavePartition::per_wave(waves),
+        )
+        .unwrap();
+        assert_eq!(plan.group_send_region(0, 0), None, "group 0 is silent");
+        assert_eq!(plan.group_tile_counts()[0], 0, "its tiles count later");
+        plan.check_static().unwrap();
+        let inputs = FunctionalInputs::random(dims, 2, 8);
+        let single = OverlapPlan::new(dims, pattern, system, WavePartition::single(waves)).unwrap();
+        let expected = exec_functional(&single, &inputs).outputs;
+        let outputs = exec_functional(&plan, &inputs).outputs;
+        assert_eq!(outputs.len(), expected.len());
+        for (d, (out, exp)) in outputs.iter().zip(&expected).enumerate() {
+            assert_eq!(out.as_slice(), exp.as_slice(), "rank {d}");
+        }
+    }
+
+    #[test]
+    fn tuned_all_to_all_plans_pass_static_verification() {
+        // Tuned partitions of these shapes start with a silent group.
+        for (n, k) in [(16384, 4096), (16384, 6144)] {
+            for gpus in [2, 4] {
+                let dims = GemmDims::new(2048, n, k);
+                let pattern = CommPattern::AllToAll {
+                    routing: all_to_all_routing(2048, gpus, 5),
+                };
+                let plan = OverlapPlan::tuned(dims, pattern, SystemSpec::rtx4090(gpus))
+                    .unwrap_or_else(|e| panic!("2048x{n}x{k} on {gpus}: {e}"));
+                assert!(exec(&plan).latency > SimDuration::ZERO);
             }
         }
     }

@@ -5,16 +5,12 @@
 //! A serving replica closes batches one after another; running them in
 //! separate simulations (or with a full barrier between them) leaves the
 //! GEMM-tail/collective-tail overlap window on the table. [`execute_sequence`]
-//! enqueues every batch on the *same* per-rank compute/communication
-//! stream pair: the compute stream is in order, so batch `k + 1`'s GEMM
-//! starts right after batch `k`'s GEMM retires — while batch `k`'s tail
-//! collectives still drain on the communication stream. Counting tables
-//! are allocated once, sized for the widest batch, and ping-ponged
-//! between two sets (the serving loop's double buffering); every reuse
-//! enqueues the cross-batch happens-before edges
-//! (wait-previous-comm → reset → ready → comm-wait) in the signal
-//! vocabulary SimSan already understands, so the sanitizer verifies the
-//! pipelined schedule exactly like a single-operator one.
+//! lowers the batches to one chain segment each (see the chain executor
+//! in `chain.rs`): the compute stream is in order, so batch `k + 1`'s
+//! GEMM starts right after batch `k`'s GEMM retires — while batch `k`'s
+//! tail collectives still drain on the communication stream — and the
+//! ping-ponged counting tables are rearmed with cross-batch
+//! happens-before edges SimSan verifies like any other signal edge.
 //!
 //! [`SequenceOptions::serial`] switches to the non-pipelined reference
 //! schedule (a full barrier between batches), and
@@ -22,21 +18,14 @@
 //! batch's table rearm — the mutation self-test a correct sanitizer
 //! must flag as use-before-signal.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use gpu_sim::stream::{enqueue, RecordEvent, ResetCounter, WaitEvent};
-use gpu_sim::{ClusterSim, GpuEventId, RuntimeEvent};
-use sim::{Sim, SimDuration, SimTime};
+use gpu_sim::RuntimeEvent;
+use sim::SimDuration;
 use tensor::Matrix;
 
-use crate::chain::{
-    arm_cluster_faults, check_quiescent_chain, drive_chain, enqueue_segment_faults, ChainSegment,
-    EventLog,
-};
+use crate::chain::{execute_chain, Chain};
 use crate::error::FlashOverlapError;
 use crate::resilience::{FaultPlan, ResilientOutcome, WatchdogConfig};
-use crate::runtime::{FunctionalInputs, Instrumentation, OverlapPlan, RunReport, StreamCtx};
+use crate::runtime::{FunctionalInputs, Instrumentation, OverlapPlan, RunReport};
 
 /// Options for [`execute_sequence`].
 #[derive(Debug, Default)]
@@ -45,7 +34,6 @@ pub struct SequenceOptions<'a> {
     instrument: Option<&'a Instrumentation>,
     trace: bool,
     functional: Option<&'a [FunctionalInputs]>,
-    mutation_batch: Option<usize>,
     drop_cross_batch_edge: Option<usize>,
     resilient: Option<(&'a [FaultPlan], &'a WatchdogConfig)>,
 }
@@ -65,9 +53,8 @@ impl<'a> SequenceOptions<'a> {
     }
 
     /// Attaches observation hooks. A seeded
-    /// [`crate::runtime::SignalMutation`] applies to the batch selected
-    /// by [`SequenceOptions::mutation_batch`] (default: the last batch,
-    /// after counting-table reuse reached steady state).
+    /// [`crate::runtime::SignalMutation`] applies to the last batch,
+    /// after counting-table reuse reached steady state.
     pub fn instrument(mut self, instr: &'a Instrumentation) -> Self {
         self.instrument = Some(instr);
         self
@@ -84,12 +71,6 @@ impl<'a> SequenceOptions<'a> {
     /// land in [`SequenceOutcome::outputs`].
     pub fn functional(mut self, inputs: &'a [FunctionalInputs]) -> Self {
         self.functional = Some(inputs);
-        self
-    }
-
-    /// Selects the batch a seeded mutation applies to.
-    pub fn mutation_batch(mut self, batch: usize) -> Self {
-        self.mutation_batch = Some(batch);
         self
     }
 
@@ -159,247 +140,23 @@ pub fn execute_sequence(
     plans: &[&OverlapPlan],
     options: &SequenceOptions,
 ) -> Result<SequenceOutcome, FlashOverlapError> {
-    let Some(first) = plans.first() else {
+    if options.resilient.is_some() && options.drop_cross_batch_edge.is_some() {
         return Err(FlashOverlapError::BadInputs {
-            reason: "sequence needs at least one plan".into(),
+            reason: "drop_cross_batch_edge is a sanitizer self-test, \
+                     incompatible with resilient execution"
+                .into(),
         });
-    };
-    let n = first.system.n_gpus;
-    for (i, plan) in plans.iter().enumerate() {
-        if plan.system.n_gpus != n {
-            return Err(FlashOverlapError::BadInputs {
-                reason: format!(
-                    "plan {i} targets {} ranks but the sequence runs on {n}",
-                    plan.system.n_gpus
-                ),
-            });
-        }
     }
-    if let Some(inputs) = options.functional {
-        if inputs.len() != plans.len() {
-            return Err(FlashOverlapError::BadInputs {
-                reason: format!("{} input sets for {} plans", inputs.len(), plans.len()),
-            });
-        }
-        for (plan, inp) in plans.iter().zip(inputs) {
-            plan.check_inputs_pub(inp)?;
-        }
-    }
-    let default_instr = Instrumentation::default();
-    let instr = options.instrument.unwrap_or(&default_instr);
-    if let Some((faults, _)) = options.resilient {
-        crate::chain::validate_chain_faults(plans, faults)?;
-        if instr.probe.is_some() || instr.mutation.is_some() {
-            return Err(FlashOverlapError::BadInputs {
-                reason: "resilient sequences inject faults through FaultPlan, \
-                         not probes or signal mutations"
-                    .into(),
-            });
-        }
-        if options.drop_cross_batch_edge.is_some() {
-            return Err(FlashOverlapError::BadInputs {
-                reason: "drop_cross_batch_edge is a sanitizer self-test, \
-                         incompatible with resilient execution"
-                    .into(),
-            });
-        }
-    }
-
-    let mut world = first.system.build_cluster(options.functional.is_some());
-    if options.trace {
-        world.enable_op_spans();
-    }
-    if let Some(monitor) = &instr.monitor {
-        world.set_monitor(Rc::clone(monitor));
-    }
-    let mut sim: ClusterSim = Sim::new();
-    if let Some(probe) = &instr.probe {
-        sim.set_probe(Rc::clone(probe));
-    }
-    // Cluster-level faults (degraded links, stalls, stragglers) exist
-    // before the chain starts, whichever batch's plan armed them.
-    let log: EventLog = Rc::new(RefCell::new(Vec::new()));
-    let faults_armed = match options.resilient {
-        Some((faults, _)) => arm_cluster_faults(&mut world, &sim, faults, &log),
-        None => 0,
-    };
-    let streams = StreamCtx::create(&mut world, n);
-    // Tables sized for the widest batch: a reset clears every slot, so a
-    // narrower batch simply leaves the tail slots untouched.
-    let max_groups = plans
-        .iter()
-        .map(|p| p.group_tile_counts().len())
-        .max()
-        .unwrap_or(0);
-    let table_sets: [Vec<usize>; 2] = std::array::from_fn(|_| {
-        (0..n)
-            .map(|d| world.devices[d].create_counter(max_groups))
-            .collect()
-    });
-    // Per set: the comm-done events of the batch that last used it.
-    let mut last_use: [Option<Vec<GpuEventId>>; 2] = [None, None];
-    // The previous batch's comm-done events (the serial-mode barrier).
-    let mut prev_comm: Option<Vec<GpuEventId>> = None;
-    let mutation_batch = options.mutation_batch.unwrap_or(plans.len() - 1);
-
-    let mut segments: Vec<ChainSegment> = Vec::with_capacity(plans.len());
-    for (i, plan) in plans.iter().enumerate() {
-        let parity = i % 2;
-        let mut ready_events: Option<Vec<GpuEventId>> = None;
-        if let Some(events) = last_use[parity].take() {
-            // Reuse: reset each rank's table on the compute stream,
-            // ordered after the previous user's comm stream drained its
-            // waits, and hold the comm stream until the reset lands.
-            // Without this rearm the table still holds the previous
-            // user's saturated counts, so this batch's wait is satisfied
-            // the moment the comm stream reaches it and the collective
-            // reads tiles the GEMM has not signaled — which is exactly
-            // what `drop_cross_batch_edge` injects for the sanitizer
-            // self-test.
-            if options.drop_cross_batch_edge != Some(i) {
-                let mut readies = Vec::with_capacity(n);
-                for d in 0..n {
-                    enqueue(
-                        &mut world,
-                        &mut sim,
-                        d,
-                        streams.compute[d],
-                        Box::new(WaitEvent(events[d])),
-                    );
-                    enqueue(
-                        &mut world,
-                        &mut sim,
-                        d,
-                        streams.compute[d],
-                        Box::new(ResetCounter {
-                            table: table_sets[parity][d],
-                        }),
-                    );
-                    let ready = world.devices[d].create_event();
-                    readies.push(ready);
-                    enqueue(
-                        &mut world,
-                        &mut sim,
-                        d,
-                        streams.compute[d],
-                        Box::new(RecordEvent(ready)),
-                    );
-                    enqueue(
-                        &mut world,
-                        &mut sim,
-                        d,
-                        streams.comm[d],
-                        Box::new(WaitEvent(ready)),
-                    );
-                }
-                ready_events = Some(readies);
-            }
-        }
-        if options.serial {
-            if let Some(events) = &prev_comm {
-                // Full barrier: no GEMM wave of batch `i` may issue
-                // until batch `i - 1`'s collectives drained.
-                for (d, &ev) in events.iter().enumerate() {
-                    enqueue(
-                        &mut world,
-                        &mut sim,
-                        d,
-                        streams.compute[d],
-                        Box::new(WaitEvent(ev)),
-                    );
-                }
-            }
-        }
-        if let Some((faults, _)) = options.resilient {
-            // Between the rearm (reset) and the program: the arming
-            // callback quarantines leftover budget on the inherited
-            // table, then arms this batch's own faults.
-            enqueue_segment_faults(
-                &mut world,
-                &mut sim,
-                &streams,
-                i,
-                &faults[i],
-                &table_sets[parity],
-                &log,
-            );
-        }
-        let mutation = if i == mutation_batch {
-            instr.mutation
-        } else {
-            None
-        };
-        let handles = plan.enqueue_program_on(
-            &mut world,
-            &mut sim,
-            options.functional.map(|f| &f[i]),
-            None,
-            &streams,
-            None,
-            mutation,
-            Some(&table_sets[parity]),
-        );
-        let events: Vec<GpuEventId> = (0..n)
-            .map(|d| {
-                let ev = world.devices[d].create_event();
-                enqueue(
-                    &mut world,
-                    &mut sim,
-                    d,
-                    streams.comm[d],
-                    Box::new(RecordEvent(ev)),
-                );
-                ev
-            })
-            .collect();
-        last_use[parity] = Some(events.clone());
-        prev_comm = Some(events.clone());
-        segments.push(ChainSegment::new(
-            plan,
-            handles,
-            parity,
-            ready_events,
-            events,
-        ));
-    }
-
-    let (end, outcomes) = if let Some((_, watchdog)) = options.resilient {
-        let run = drive_chain(
-            &mut world, &mut sim, plans, &segments, &streams, watchdog, &log,
-        )?;
-        (run.end, run.outcomes)
-    } else {
-        let end = sim.run(&mut world)?;
-        let instrumented =
-            instr.monitor.is_some() || instr.probe.is_some() || instr.mutation.is_some();
-        if !instrumented && options.drop_cross_batch_edge.is_none() {
-            check_quiescent_chain(&world, &segments)?;
-        }
-        (end, vec![ResilientOutcome::Clean; plans.len()])
-    };
-    let spans = if options.trace {
-        world.op_spans.take().unwrap_or_default()
-    } else {
-        Vec::new()
-    };
-    let outputs = options.functional.map(|_| {
-        plans
-            .iter()
-            .zip(&segments)
-            .map(|(plan, seg)| plan.extract_outputs(&world, &seg.handles))
-            .collect()
-    });
-    Ok(SequenceOutcome {
-        total: end - SimTime::ZERO,
-        reports: segments
-            .iter()
-            .map(|s| s.handles.probes_snapshot().into_report())
-            .collect(),
-        spans,
-        outputs,
-        outcomes,
-        events: Rc::try_unwrap(log).map_or_else(|rc| rc.borrow().clone(), RefCell::into_inner),
-        faults_armed,
+    execute_chain(&Chain {
+        plans,
+        inputs: options.functional,
+        serial: options.serial,
+        trace: options.trace,
+        instrument: options.instrument,
+        mutate_segment: plans.len().saturating_sub(1),
+        drop_rearm: options.drop_cross_batch_edge,
+        resilient: options.resilient,
+        ..Chain::default()
     })
 }
 
@@ -607,6 +364,60 @@ mod tests {
             .events
             .iter()
             .any(|e| e.detail.contains("re-issued as tail collective")));
+    }
+
+    #[test]
+    fn batch_losing_its_first_signal_degrades_with_no_recovered_groups() {
+        use crate::resilience::{Fault, FaultPlan, ResilientOutcome, WatchdogConfig};
+        let system = small_system(2);
+        let dims = [
+            GemmDims::new(256, 256, 64),
+            GemmDims::new(512, 256, 64),
+            GemmDims::new(256, 256, 64),
+        ];
+        let plans: Vec<OverlapPlan> = dims.iter().map(|&d| plan_for(d, &system)).collect();
+        let refs: Vec<&OverlapPlan> = plans.iter().collect();
+        let inputs: Vec<FunctionalInputs> = dims
+            .iter()
+            .enumerate()
+            .map(|(i, &d)| FunctionalInputs::random(d, 2, 500 + i as u64))
+            .collect();
+        // Batch 1's group 0 never signals: no group completes before the
+        // wedge, so the ladder goes straight to the bulk fallback. The
+        // bulk re-issue then completes every group, but none of them
+        // completed before the overlap was abandoned.
+        let mut faults = vec![FaultPlan::none(); plans.len()];
+        faults[1] = FaultPlan::single(Fault::DroppedIncrement {
+            rank: 0,
+            group: 0,
+            count: 64,
+        });
+        let watchdog = WatchdogConfig::default();
+        let outcome = execute_sequence(
+            &refs,
+            &SequenceOptions::new()
+                .functional(&inputs)
+                .resilient(&faults, &watchdog),
+        )
+        .unwrap();
+        match &outcome.outcomes[1] {
+            ResilientOutcome::Degraded {
+                cause,
+                recovered_groups,
+            } => {
+                assert!(cause.starts_with("overlap abandoned: deadlock"), "{cause}");
+                assert!(cause.contains("group 0"), "cause names the wedge: {cause}");
+                assert!(recovered_groups.is_empty(), "{recovered_groups:?}");
+            }
+            other => panic!("expected degraded fallback, got {other:?}"),
+        }
+        let clean = execute_sequence(&refs, &SequenceOptions::new().functional(&inputs)).unwrap();
+        let (wedged_out, clean_out) = (outcome.outputs.unwrap(), clean.outputs.unwrap());
+        for b in 0..3 {
+            for d in 0..2 {
+                assert_eq!(wedged_out[b][d].as_slice(), clean_out[b][d].as_slice());
+            }
+        }
     }
 
     #[test]

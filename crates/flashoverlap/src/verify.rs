@@ -217,7 +217,7 @@ pub fn violation_line(v: &Violation) -> String {
 pub enum RuntimeSeam {
     /// Drive via [`SignalMutation`] (`ExecOptions::instrument`,
     /// `PipelineExecOptions::mutate_layer`, or
-    /// `SequenceOptions::mutation_batch`).
+    /// `SequenceOptions::instrument`, which targets the last batch).
     Signal(SignalMutation),
     /// Drive via the resilient runtime's fault injection.
     Fault(Fault),
