@@ -92,7 +92,9 @@ EOF
 
 echo "== serve smoke (seeded continuous batching, full accounting, warm cache) =="
 # Two identical seeded runs: the byte-compare is the determinism gate,
-# the timeout is the no-silent-hang gate.
+# the timeout is the no-silent-hang gate. The accounting identities are
+# checked in Rust (ServeReport::check): serve exits nonzero on a
+# violation.
 timeout 300 cargo run -q -p flashoverlap-cli --bin flashoverlap -- serve \
   --requests 120 --seed 7 --chaos --metrics-out "$tmp/serve.json" > /dev/null
 timeout 300 cargo run -q -p flashoverlap-cli --bin flashoverlap -- serve \
@@ -104,15 +106,9 @@ import json, sys
 with open(sys.argv[1]) as f:
     serve = json.load(f)
 reqs = serve["requests"]
-assert reqs["completed"] + reqs["shed"] == serve["offered"], reqs
-assert reqs["clean"] + reqs["recovered"] + reqs["degraded"] == reqs["completed"], reqs
 assert serve["plan_cache"]["hit_rate"] > 0, "token buckets must drive plan reuse"
-assert serve["plan_cache"]["hits"] + serve["plan_cache"]["misses"] \
-    == serve["batches"]["executed"], "every batch takes exactly one cache lookup"
 dispositions = {r["disposition"] for r in serve["per_request"]}
 assert dispositions <= {"clean", "recovered", "degraded", "shed"}, dispositions
-assert len(serve["per_request"]) == serve["offered"], "every request accounted"
-assert serve["latency"]["p50_ns"] <= serve["latency"]["p99_ns"], serve["latency"]
 print(f"serve smoke: ok (hit rate {serve['plan_cache']['hit_rate']:.2f}, "
       f"{reqs['recovered']} recovered, {reqs['degraded']} degraded, "
       f"{reqs['shed']} shed)")
@@ -133,18 +129,6 @@ import json, sys
 with open(sys.argv[1]) as f:
     affinity = json.load(f)
 assert affinity["replicas"] == 4 and affinity["router"] == "shape-affinity", affinity
-per = affinity["per_replica"]
-assert len(per) == 4, "one stats row per replica"
-assert sum(r["batches"] for r in per) == affinity["batches"]["executed"], \
-    "per-replica batches must sum to the total"
-assert sum(r["requests"] for r in per) == affinity["requests"]["completed"], \
-    "per-replica requests must sum to completed"
-assert sum(r["cache"]["hits"] for r in per) == affinity["plan_cache"]["hits"], \
-    "per-replica cache hits must sum to the total"
-assert sum(r["cache"]["misses"] for r in per) == affinity["plan_cache"]["misses"], \
-    "per-replica cache misses must sum to the total"
-for r in per:
-    assert 0.0 <= r["utilization"] <= 1.0, r
 with open(sys.argv[2]) as f:
     rr = json.load(f)
 assert affinity["plan_cache"]["hit_rate"] >= rr["plan_cache"]["hit_rate"], \
@@ -182,25 +166,18 @@ with open(sys.argv[1]) as f:
     wedge = json.load(f)
 assert wedge["chaos"] is True and wedge["wedge_replica"] == 2, wedge
 reqs = wedge["requests"]
-assert reqs["completed"] + reqs["shed"] == wedge["offered"], reqs
-assert reqs["clean"] + reqs["recovered"] + reqs["degraded"] == reqs["completed"], reqs
 res = wedge["resilience"]
 per = wedge["per_replica"]
 assert per[2]["quarantined"] is True, "the wedged replica must end quarantined"
 assert res["replicas_quarantined"] >= 1, res
 assert res["replicas_quarantined"] < wedge["replicas"], \
     "the last healthy replica must never be pulled from service"
-assert res["replicas_quarantined"] == sum(r["quarantined"] for r in per), res
 assert res["batches_rerouted"] > 0, "quarantine must re-route the stranded queue"
 rerouted = [b for b in wedge["per_batch"] if b["routing"] == "re-routed"]
 assert rerouted, "re-routed batches must be stamped in the batch records"
 assert len(rerouted) <= res["batches_rerouted"], "records cannot exceed hops"
 assert all(b["replica"] != 2 for b in rerouted), \
     "a re-routed batch landed back on the wedged replica"
-assert sum(r["batches"] for r in per) == wedge["batches"]["executed"], \
-    "per-replica batches must still sum to the total under quarantine"
-assert sum(r["requests"] for r in per) == reqs["completed"], \
-    "per-replica requests must still sum to completed under quarantine"
 print(f"chaos-sequence gate: ok ({res['replicas_quarantined']} quarantined, "
       f"{res['batches_rerouted']} re-route hops, {res['quarantine_shed']} shed, "
       f"{reqs['recovered']} recovered, {reqs['degraded']} degraded)")
@@ -253,16 +230,7 @@ with open(sys.argv[1]) as f:
 with open(sys.argv[2]) as f:
     rr = json.load(f)
 assert loc["nodes"] == 2 and loc["router"] == "locality", loc["router"]
-per_node = loc["per_node"]
-assert len(per_node) == 2, "one stats row per node"
-assert sum(n["replicas"] for n in per_node) == loc["replicas"], per_node
-assert sum(n["batches"] for n in per_node) == loc["batches"]["executed"], \
-    "per-node batches must sum to the total"
-assert sum(n["requests"] for n in per_node) == loc["requests"]["completed"], \
-    "per-node requests must sum to completed"
-assert sum(n["tokens"] for n in per_node) \
-    == sum(r["tokens"] for r in loc["per_replica"]), \
-    "per-node tokens must agree with the replica rows they fold"
+assert len(loc["per_node"]) == 2, "one stats row per node"
 for r in loc["per_replica"]:
     assert r["node"] == r["id"] % loc["nodes"], r
 ib = loc["cross_node"]["inter_bytes"]
@@ -283,7 +251,10 @@ EOF
 
 echo "== bench gate (BENCH_serve.json byte-stable, attribution identity exact) =="
 # Two identical seeded runs byte-compare; the committed artifact at the
-# repo root must match what the pinned command regenerates today.
+# repo root must match what the pinned command regenerates today. bench
+# exits nonzero when the report breaks an accounting identity
+# (ServeReport::check: attribution tiles the makespan, percentiles
+# ordered).
 timeout 300 cargo run -q -p flashoverlap-cli --bin flashoverlap -- bench \
   --requests 120 --seed 7 --metrics-out "$tmp/bench.json" > /dev/null
 timeout 300 cargo run -q -p flashoverlap-cli --bin flashoverlap -- bench \
@@ -299,34 +270,23 @@ with open(sys.argv[1]) as f:
     bench = json.load(f)
 assert bench["kind"] == "flashoverlap-bench-serve", bench.get("kind")
 attr = bench["attribution"]
-assert attr["identity_holds"] is True, attr
-assert sum(attr["categories"].values()) == bench["makespan_ns"], \
-    "every nanosecond of the makespan must land in exactly one category"
-assert all(0.0 <= s <= 1.0 for s in attr["shares"].values()), attr["shares"]
-assert abs(sum(attr["shares"].values()) - 1.0) < 1e-9, attr["shares"]
-sched = bench["scheduling"]
-for wait in ("form_wait", "queue_wait"):
-    p = sched[wait]
-    assert p is None or p["p50_ns"] <= p["p95_ns"] <= p["p99_ns"], (wait, p)
 assert bench["drift_rows"] > 0, "predictor-drift table must be populated"
 print(f"bench gate: ok (makespan {bench['makespan_ns']/1e6:.2f} ms virtual, "
       f"idle share {attr['shares']['idle']:.3f})")
 EOF
 
-echo "== parallel gate (sealed engines: byte-identical for any --parallel, wall-clock tracked) =="
+echo "== parallel gate (sealed engines: byte-identical for any --parallel) =="
 # The deterministic-merge contract: the same seeded bench must write a
 # byte-identical artifact under --parallel 4, under an odd thread count
 # (engines share threads via i mod threads), and with the serial
-# engine. Wall-clock goes to the trend artifact — tracked, not gated:
-# wall ordering is host-dependent, and perfbench measures it
-# (engine.serial_wall_s / engine.parallel_wall_s).
+# engine. Wall-clock is not gated here: wall ordering is host-dependent,
+# and perfbench measures it (engine.serial_wall_s /
+# engine.parallel_wall_s).
 par_scenario=(--requests 200 --rate 400 --gpus 8 --replicas 4 --seed 7)
 timeout 300 cargo run -q -p flashoverlap-cli --bin flashoverlap -- bench \
-  "${par_scenario[@]}" --metrics-out "$tmp/par-serial.json" \
-  --wallclock-out "$tmp/wc-serial.json" > /dev/null
+  "${par_scenario[@]}" --metrics-out "$tmp/par-serial.json" > /dev/null
 timeout 300 cargo run -q -p flashoverlap-cli --bin flashoverlap -- bench \
-  "${par_scenario[@]}" --parallel 4 --metrics-out "$tmp/par-4.json" \
-  --wallclock-out "$tmp/wc-4.json" > /dev/null
+  "${par_scenario[@]}" --parallel 4 --metrics-out "$tmp/par-4.json" > /dev/null
 timeout 300 cargo run -q -p flashoverlap-cli --bin flashoverlap -- bench \
   "${par_scenario[@]}" --parallel 3 --metrics-out "$tmp/par-3.json" > /dev/null
 cmp "$tmp/par-serial.json" "$tmp/par-4.json" \
@@ -341,28 +301,6 @@ timeout 300 cargo run -q -p flashoverlap-cli --bin flashoverlap -- serve \
   --parallel 4 --metrics-out "$tmp/wedge-par.json" > /dev/null
 cmp "$tmp/wedge.json" "$tmp/wedge-par.json" \
   || { echo "parallel gate: wedged chaos serve diverged under --parallel 4"; exit 1; }
-python3 - "$tmp/wc-serial.json" "$tmp/wc-4.json" BENCH_wallclock.json <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    serial = json.load(f)
-with open(sys.argv[2]) as f:
-    par = json.load(f)
-for trend in (serial, par):
-    assert trend["kind"] == "flashoverlap-bench-wallclock", trend.get("kind")
-    assert trend["events"] == serial["events"], "same scenario, same event count"
-    assert trend["wall_s"] > 0 and trend["events_per_sec"] > 0, trend
-assert serial["mode"] == "serial" and serial["threads"] == 1, serial
-assert par["mode"] == "parallel" and par["threads"] == 4, par
-# The committed trend artifact: scenario pinned, wall values free to
-# drift (they are host-dependent; review diffs track them).
-with open(sys.argv[3]) as f:
-    committed = json.load(f)
-assert committed["kind"] == "flashoverlap-bench-wallclock", committed.get("kind")
-for key in ("seed", "requests", "gpus", "replicas", "mode", "threads"):
-    assert committed[key] == par[key], \
-        f"committed BENCH_wallclock.json pins a different scenario ({key})"
-print(f"parallel gate: ok (byte-identical at 1/3/4 threads incl. wedged chaos; "
-      f"serial {serial['wall_s']:.3f}s vs parallel {par['wall_s']:.3f}s, not gated)")
-EOF
+echo "parallel gate: ok (byte-identical at 1/3/4 threads incl. wedged chaos)"
 
 echo "ci: all gates passed"

@@ -2,7 +2,7 @@
 //! harness.
 
 use flashoverlap::runtime::{CommPattern, Instrumentation};
-use flashoverlap::{FlashOverlapError, OverlapPlan, SystemSpec};
+use flashoverlap::{FlashOverlapError, OverlapPlan, SequenceOptions, SystemSpec};
 use gpu_sim::gemm::GemmDims;
 use gpu_sim::OpSpan;
 use sim::SimDuration;
@@ -86,10 +86,7 @@ pub fn measure(
         Method::Flux => run_flux(dims, pattern.primitive(), system),
         Method::FlashOverlap => {
             let plan = OverlapPlan::tuned(dims, pattern.clone(), system.clone())?;
-            Ok(plan
-                .execute_with(&flashoverlap::ExecOptions::new())?
-                .report
-                .latency)
+            Ok(plan.execute_with(&SequenceOptions::new())?.reports[0].latency)
         }
     }
 }
@@ -150,12 +147,10 @@ pub fn measure_traced(
         }),
         Method::FlashOverlap => {
             let plan = OverlapPlan::tuned(dims, pattern.clone(), system.clone())?;
-            let out =
-                plan.execute_with(&flashoverlap::ExecOptions::new().instrument(instr).trace())?;
-            let (report, spans) = (out.report, out.spans);
+            let out = plan.execute_with(&SequenceOptions::new().instrument(instr).trace())?;
             Ok(MethodProfile {
-                latency: report.latency,
-                spans: Some(spans),
+                latency: out.reports[0].latency,
+                spans: Some(out.spans),
             })
         }
     }

@@ -116,7 +116,7 @@ fn bench_simulated_run(c: &mut Criterion) {
     c.bench_function("runtime/execute_overlap_plan", |b| {
         b.iter(|| {
             black_box(
-                plan.execute_with(&flashoverlap::ExecOptions::new())
+                plan.execute_with(&flashoverlap::SequenceOptions::new())
                     .expect("execute"),
             )
         })
@@ -200,7 +200,7 @@ fn bench_pipeline(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 pipeline
-                    .execute_with(&flashoverlap::PipelineExecOptions::new())
+                    .execute_with(&flashoverlap::SequenceOptions::new())
                     .expect("run"),
             )
         })

@@ -38,9 +38,9 @@ fn main() {
             let plan =
                 OverlapPlan::tuned(dims, CommPattern::AllReduce, system.clone()).expect("plan");
             let fo = plan
-                .execute_with(&flashoverlap::ExecOptions::new())
+                .execute_with(&flashoverlap::SequenceOptions::new())
                 .expect("run")
-                .report
+                .reports[0]
                 .latency;
             rows.push(vec![
                 algorithm.to_string(),

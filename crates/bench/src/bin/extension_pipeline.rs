@@ -11,7 +11,7 @@ use std::rc::Rc;
 
 use flashoverlap::pipeline::{LayerSpec, Pipeline};
 use flashoverlap::runtime::CommPattern;
-use flashoverlap::{OverlapPlan, SystemSpec, WavePartition};
+use flashoverlap::{OverlapPlan, SequenceOptions, SystemSpec, WavePartition};
 use gpu_sim::elementwise::ElementwiseOp;
 use gpu_sim::gemm::GemmDims;
 use workloads::models::{tp_layer_shapes, LLAMA2_70B};
@@ -70,14 +70,14 @@ fn serial_pipeline(system: &SystemSpec, layers: &[LayerSpec]) -> u64 {
             WavePartition::single(waves),
         )
         .expect("plan");
-        let report = plan
-            .execute_with(
-                &flashoverlap::ExecOptions::new()
-                    .epilogue(layer.epilogue.as_ref().expect("epilogue")),
-            )
-            .expect("run")
-            .report;
-        total += report.epilogue_done.expect("epilogue").as_nanos();
+        // A single layer with its fused epilogue is a one-layer pipeline.
+        let single = Pipeline::with_plans(system.clone(), vec![plan], vec![layer.epilogue.clone()])
+            .expect("layer");
+        let outcome = single.execute_with(&SequenceOptions::new()).expect("run");
+        total += outcome.reports[0]
+            .epilogue_done
+            .expect("epilogue")
+            .as_nanos();
     }
     total
 }
@@ -90,10 +90,7 @@ fn main() {
             let layers = block_layers(tokens, tp);
             let serial_ns = serial_pipeline(&system, &layers);
             let pipeline = Pipeline::tuned(system.clone(), layers).expect("pipeline");
-            let report = pipeline
-                .execute_with(&flashoverlap::PipelineExecOptions::new())
-                .expect("run")
-                .report;
+            let report = pipeline.execute_with(&SequenceOptions::new()).expect("run");
             println!(
                 "  {tokens:>5} tokens: overlapped {:.3} ms vs sequential {:.3} ms  ({:.3}x end to end)",
                 report.total.as_millis_f64(),

@@ -55,9 +55,9 @@ fn main() {
             let plan = OverlapPlan::new(*dims, CommPattern::AllReduce, system, partition.clone())
                 .expect("plan");
             let actual = plan
-                .execute_with(&flashoverlap::ExecOptions::new())
+                .execute_with(&flashoverlap::SequenceOptions::new())
                 .expect("execute")
-                .report
+                .reports[0]
                 .latency;
             let err = (actual.as_nanos() as f64 - predicted.as_nanos() as f64).abs()
                 / actual.as_nanos() as f64;

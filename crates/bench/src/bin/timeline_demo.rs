@@ -32,10 +32,10 @@ fn main() {
             partition.clone(),
         )
         .expect("plan");
-        let out = plan
-            .execute_with(&flashoverlap::ExecOptions::new().trace())
+        let mut out = plan
+            .execute_with(&flashoverlap::SequenceOptions::new().trace())
             .expect("run");
-        let (report, spans) = (out.report, out.spans);
+        let (report, spans) = (out.reports.remove(0), out.spans);
         let rank0: Vec<gpu_sim::OpSpan> = spans
             .into_iter()
             .filter(|s| s.device == 0 && s.name != "callback")

@@ -105,9 +105,6 @@ pub struct OutputArgs {
     pub trace_out: Option<String>,
     /// `--metrics-out`: machine-readable metrics report JSON.
     pub metrics_out: Option<String>,
-    /// `--wallclock-out`: bench host wall-clock trend artifact
-    /// (`BENCH_wallclock.json` schema — tracked, never byte-gated).
-    pub wallclock_out: Option<String>,
 }
 
 impl OutputArgs {
@@ -117,7 +114,6 @@ impl OutputArgs {
         match flag {
             "--trace-out" => self.trace_out = Some(parse_path(flag, it.next())?),
             "--metrics-out" => self.metrics_out = Some(parse_path(flag, it.next())?),
-            "--wallclock-out" => self.wallclock_out = Some(parse_path(flag, it.next())?),
             _ => return Ok(false),
         }
         Ok(true)
@@ -215,8 +211,7 @@ pub struct Cli {
     pub seed: u64,
     /// Collective algorithm.
     pub algorithm: Algorithm,
-    /// Artifact output paths (`--trace-out`, `--metrics-out`,
-    /// `--wallclock-out`).
+    /// Artifact output paths (`--trace-out`, `--metrics-out`).
     pub output: OutputArgs,
     /// Run under the SimSan happens-before sanitizer (run/timeline).
     pub sanitize: bool,
@@ -335,9 +330,6 @@ options:
                           thread count; only host wall-clock changes.
                           validate (serve only) runs both engine pools and
                           fails unless the reports diff byte-equal
-  --wallclock-out <path>  bench: also write the host wall-clock trend
-                          artifact (wall seconds, events/sec, exec mode,
-                          threads); tracked run-to-run, never byte-gated
   -h, --help              this text
 
 verify proves the tuned (or --partition) plan's signal/wait schedule
@@ -371,8 +363,8 @@ bench serves a seeded trace like serve and writes BENCH_serve.json
 (default; override with --metrics-out): virtual-time metrics only —
 throughput, latency percentiles, wait percentiles, attribution shares —
 so the file is byte-identical for a fixed seed and any --parallel
-setting, while host wall-clock (monotonic-clock deltas) and events/sec
-go to stdout — and to --wallclock-out — for regression eyeballing.
+setting, while host wall-clock (a monotonic-clock delta) goes to stdout
+only.
 ";
 
 fn parse_u32(flag: &str, value: Option<&String>) -> Result<u32, CliError> {
@@ -902,22 +894,6 @@ mod tests {
         assert!(err.message.contains("serial"));
         assert!(
             Cli::parse(&argv("serve --parallel"))
-                .unwrap_err()
-                .show_usage
-        );
-    }
-
-    #[test]
-    fn wallclock_out_parses() {
-        let cli = Cli::parse(&argv("bench --wallclock-out w.json")).unwrap();
-        assert_eq!(cli.output.wallclock_out.as_deref(), Some("w.json"));
-        assert!(Cli::parse(&argv("bench"))
-            .unwrap()
-            .output
-            .wallclock_out
-            .is_none());
-        assert!(
-            Cli::parse(&argv("bench --wallclock-out"))
                 .unwrap_err()
                 .show_usage
         );

@@ -5,7 +5,7 @@ use bench::{pattern_for, render_timeline, system_for};
 use flashoverlap::{
     model_of_chain, model_of_plan, nonoverlap_latency, predictive_search, run_chaos, runtime_seam,
     theoretical_latency, ChaosConfig, ChaosReport, Instrumentation, LatencyPredictor, OverlapPlan,
-    ResilientOutcome, RunReport, RuntimeSeam, SignalMutation,
+    ResilientOutcome, RunReport, RuntimeSeam, SequenceOptions, SignalMutation,
 };
 use gpu_sim::gemm::GemmDims;
 use planverify::{caveats, conformance_matrix, ExecPath, Mutation, MutationKind, VerifyReport};
@@ -70,9 +70,10 @@ fn sanitized_run(cli: &Cli, plan: &OverlapPlan) -> Result<(RunReport, String), C
         mutation: cli.mutation,
     };
     let report = plan
-        .execute_with(&flashoverlap::ExecOptions::new().instrument(&instr))
+        .execute_with(&SequenceOptions::new().instrument(&instr))
         .map_err(|e| CliError::runtime(format!("simulation failed: {e}")))?
-        .report;
+        .reports
+        .remove(0);
     let mut text = String::new();
     if let Some(mutation) = cli.mutation {
         text.push_str(&format!("mutation : {mutation:?}\n"));
@@ -248,6 +249,14 @@ fn effective_threads(exec: serving::ExecMode, replicas: usize) -> (&'static str,
     }
 }
 
+/// Fails the command when a serve report breaks an accounting identity
+/// (see [`serving::ServeReport::check`]).
+fn check_accounting(report: &serving::ServeReport) -> Result<(), CliError> {
+    report
+        .check()
+        .map_err(|e| CliError::runtime(format!("serve accounting violated: {e}")))
+}
+
 /// Runs the `serve` command: a seeded continuous-batching trace through
 /// the tuned-plan cache across one or more replicas, with optional
 /// chaos, baseline, scaling, and plan-cache persistence arms.
@@ -265,6 +274,7 @@ fn execute_serve(cli: &Cli) -> Result<String, CliError> {
         let threads = cli.replicas.max(2);
         let (report, matched) = serving::validate_parallel(&config, threads)
             .map_err(|e| CliError::runtime(format!("serve failed: {e}")))?;
+        check_accounting(&report)?;
         if !matched {
             return Err(CliError::runtime(format!(
                 "parallel({threads}) ServeReport diverged from serial — \
@@ -278,16 +288,22 @@ fn execute_serve(cli: &Cli) -> Result<String, CliError> {
     } else if cli.scaling {
         let scaling = serving::serve_scaling(&config)
             .map_err(|e| CliError::runtime(format!("serve scaling failed: {e}")))?;
+        for report in [&scaling.multi, &scaling.single, &scaling.unpipelined] {
+            check_accounting(report)?;
+        }
         let traced = scaling.multi.clone();
         (scaling.summary(), scaling.to_json(), traced)
     } else if cli.baseline {
         let cmp = serving::serve_comparison(&config)
             .map_err(|e| CliError::runtime(format!("serve comparison failed: {e}")))?;
+        check_accounting(&cmp.tuned)?;
+        check_accounting(&cmp.baseline)?;
         let traced = cmp.tuned.clone();
         (cmp.summary(), cmp.to_json(), traced)
     } else {
         let (report, snapshot) = serving::serve_exporting(&config)
             .map_err(|e| CliError::runtime(format!("serve failed: {e}")))?;
+        check_accounting(&report)?;
         exported = Some(snapshot);
         let json = report.to_json();
         (report.summary(), json, report)
@@ -338,12 +354,12 @@ fn attributed_run(
 > {
     let telemetry = telemetry::Telemetry::new();
     let instr = telemetry.instrumentation();
-    let out = plan
-        .execute_with(&flashoverlap::ExecOptions::new().instrument(&instr).trace())
+    let mut out = plan
+        .execute_with(&SequenceOptions::new().instrument(&instr).trace())
         .map_err(|e| CliError::runtime(format!("simulation failed: {e}")))?;
     let record = telemetry.take_record();
     let attribution = telemetry::attribute(&out.spans, &record);
-    Ok((out.spans, record, attribution, out.report))
+    Ok((out.spans, record, attribution, out.reports.remove(0)))
 }
 
 /// One arm of the analyze comparison as JSON.
@@ -466,8 +482,8 @@ fn bench_wait_json(p: &Option<telemetry::Percentiles>) -> Value {
 
 /// Runs the `bench` command: the serve regression benchmark. The JSON
 /// artifact carries only virtual-time metrics (byte-stable for a fixed
-/// seed — the CI gate byte-compares two runs); host wall-clock and
-/// events/sec go to stdout only.
+/// seed — the CI gate byte-compares two runs); host wall-clock goes to
+/// stdout only.
 fn execute_bench(cli: &Cli) -> Result<String, CliError> {
     if cli.parallel == ParallelArg::Validate {
         return Err(CliError::usage(
@@ -482,6 +498,7 @@ fn execute_bench(cli: &Cli) -> Result<String, CliError> {
     let report = serving::serve(&config)
         .map_err(|e| CliError::runtime(format!("bench serve failed: {e}")))?;
     let wall = started.elapsed();
+    check_accounting(&report)?;
 
     let doc = Value::obj(vec![
         ("kind", Value::str("flashoverlap-bench-serve")),
@@ -552,8 +569,6 @@ fn execute_bench(cli: &Cli) -> Result<String, CliError> {
 
     // Host-side figures stay out of the artifact: they vary run to run
     // and would break the byte-compare gate.
-    let events = report.offered + report.batches;
-    let secs = wall.as_secs_f64().max(1e-9);
     let mut out = String::new();
     out.push_str(&format!(
         "bench    : {} requests, seed {}, {} x{} ({} replicas{})\n",
@@ -585,33 +600,11 @@ fn execute_bench(cli: &Cli) -> Result<String, CliError> {
         ));
     }
     out.push_str(&format!(
-        "host     : {secs:.3} s wall-clock (monotonic), {:.0} events/s, \
-         {mode} x{threads} thread{} ({events} events: requests + batches)\n",
-        events as f64 / secs,
+        "host     : {:.3} s wall-clock (monotonic), {mode} x{threads} thread{}\n",
+        wall.as_secs_f64(),
         if threads == 1 { "" } else { "s" },
     ));
     out.push_str(&format!("bench report written to {path}\n"));
-    if let Some(wallclock_path) = &cli.output.wallclock_out {
-        // The wall-clock trend artifact is intentionally separate from
-        // the virtual-time report: it varies run to run, so it is
-        // tracked for trends, never byte-gated.
-        let trend = Value::obj(vec![
-            ("kind", Value::str("flashoverlap-bench-wallclock")),
-            ("seed", Value::num(report.seed as f64)),
-            ("requests", Value::num(report.offered as f64)),
-            ("gpus", Value::num(report.gpus as f64)),
-            ("replicas", Value::num(report.replicas as f64)),
-            ("chaos", Value::Bool(report.chaos)),
-            ("mode", Value::str(mode)),
-            ("threads", Value::num(threads as f64)),
-            ("wall_s", Value::num(secs)),
-            ("events", Value::num(events as f64)),
-            ("events_per_sec", Value::num(events as f64 / secs)),
-        ]);
-        std::fs::write(wallclock_path, trend.to_json_pretty())
-            .map_err(|e| CliError::runtime(format!("writing {wallclock_path}: {e}")))?;
-        out.push_str(&format!("wall-clock trend written to {wallclock_path}\n"));
-    }
     Ok(out)
 }
 
@@ -991,9 +984,10 @@ pub fn execute(cli: &Cli) -> Result<String, CliError> {
                 (report, Some(text))
             } else {
                 let report = plan
-                    .execute_with(&flashoverlap::ExecOptions::new())
+                    .execute_with(&SequenceOptions::new())
                     .map_err(|e| CliError::runtime(format!("simulation failed: {e}")))?
-                    .report;
+                    .reports
+                    .remove(0);
                 (report, None)
             };
             let base = nonoverlap_latency(dims, cli.primitive, &system);
@@ -1035,10 +1029,10 @@ pub fn execute(cli: &Cli) -> Result<String, CliError> {
             }
         }
         Command::Timeline => {
-            let out_traced = plan
-                .execute_with(&flashoverlap::ExecOptions::new().trace())
+            let mut out_traced = plan
+                .execute_with(&SequenceOptions::new().trace())
                 .map_err(|e| CliError::runtime(format!("simulation failed: {e}")))?;
-            let (report, spans) = (out_traced.report, out_traced.spans);
+            let (report, spans) = (out_traced.reports.remove(0), out_traced.spans);
             // The ASCII view shows rank 0 (all ranks render identically),
             // but the exported trace covers every device.
             let rank0: Vec<gpu_sim::OpSpan> = spans
@@ -1360,6 +1354,48 @@ mod tests {
     }
 
     #[test]
+    fn malformed_plan_cache_snapshots_are_typed_errors() {
+        let entry = |fields: &str| {
+            format!(
+                r#"{{"kind": "flashoverlap-plan-cache", "system_fp": "0", "entries": [{{{fields}}}]}}"#
+            )
+        };
+        let probes = [
+            (
+                "empty-groups",
+                entry(r#""m": 256, "n": 2048, "k": 704, "primitive": "AllReduce", "groups": []"#),
+                "entry 0: bad inputs: partition needs at least one group",
+            ),
+            (
+                "zero-m",
+                entry(r#""m": 0, "n": 2048, "k": 704, "primitive": "AllReduce", "groups": [1]"#),
+                "entry 0: GEMM dimensions must be positive",
+            ),
+            (
+                "deep",
+                "[".repeat(200_000),
+                "nesting deeper than 128 levels at byte 129",
+            ),
+            ("empty", String::new(), "unexpected end of input at byte 0"),
+        ];
+        for (name, text, expected) in probes {
+            let path = temp_path(&format!("snapshot-{name}.json"));
+            std::fs::write(&path, text).unwrap();
+            let err = execute_argv(&argv(&format!(
+                "serve --requests 4 --plan-cache-in {}",
+                path.display()
+            )))
+            .unwrap_err();
+            assert!(!err.show_usage, "{name}: {}", err.message);
+            assert_eq!(
+                err.message,
+                format!("parsing {}: {expected}", path.display()),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
     fn profile_emits_summary_trace_and_metrics() {
         let trace = temp_path("profile-trace.json");
         let metrics = temp_path("profile-metrics.json");
@@ -1663,10 +1699,9 @@ mod tests {
     }
 
     #[test]
-    fn bench_parallel_matches_serial_artifact_and_writes_wallclock_trend() {
+    fn bench_parallel_matches_serial_artifact() {
         let serial = temp_path("bench-serial.json");
         let parallel = temp_path("bench-parallel.json");
-        let trend = temp_path("bench-wallclock.json");
         let out = execute_argv(&argv(&format!(
             "bench --requests 60 --seed 7 --replicas 4 --rate 2400 --metrics-out {}",
             serial.display()
@@ -1674,34 +1709,15 @@ mod tests {
         .unwrap();
         assert!(out.contains("serial x1 thread"), "{out}");
         let out = execute_argv(&argv(&format!(
-            "bench --requests 60 --seed 7 --replicas 4 --rate 2400 --parallel 4 \
-             --metrics-out {} --wallclock-out {}",
-            parallel.display(),
-            trend.display()
+            "bench --requests 60 --seed 7 --replicas 4 --rate 2400 --parallel 4 --metrics-out {}",
+            parallel.display()
         )))
         .unwrap();
         assert!(out.contains("parallel x4 threads"), "{out}");
-        assert!(out.contains("wall-clock trend written to"), "{out}");
         assert_eq!(
             std::fs::read_to_string(&serial).unwrap(),
             std::fs::read_to_string(&parallel).unwrap(),
             "the virtual-time artifact must not depend on --parallel"
-        );
-        let doc = telemetry::json::parse(&std::fs::read_to_string(&trend).unwrap()).unwrap();
-        assert_eq!(
-            doc.get("kind").and_then(|v| v.as_str()),
-            Some("flashoverlap-bench-wallclock")
-        );
-        assert_eq!(doc.get("mode").and_then(|v| v.as_str()), Some("parallel"));
-        assert_eq!(
-            doc.get("threads").and_then(telemetry::json::Value::as_f64),
-            Some(4.0)
-        );
-        assert!(
-            doc.get("wall_s")
-                .and_then(telemetry::json::Value::as_f64)
-                .unwrap()
-                > 0.0
         );
     }
 

@@ -2,10 +2,11 @@
 //! enqueues program segments and drives the simulator.
 //!
 //! Every execution is a chain of segments on one per-rank
-//! compute/communication stream pair. A single
-//! [`OverlapPlan::execute_with`] run is a one-segment chain (iteration
-//! mode is `n` copies of the plan), a [`crate::pipeline::Pipeline`] is
-//! one segment per layer, and [`crate::sequence::execute_sequence`] is
+//! compute/communication stream pair, configured by one
+//! [`SequenceOptions`] and reported by one [`SequenceOutcome`]. A single
+//! [`OverlapPlan::execute_with`] run is a one-segment chain, a
+//! [`crate::pipeline::Pipeline`] is one segment per layer carrying the
+//! layer's fused epilogue, and [`crate::sequence::execute_sequence`] is
 //! one segment per batch. The chain shape supplies what differs:
 //!
 //! - **Table ping-pong.** Counting tables are allocated once, sized for
@@ -15,13 +16,18 @@
 //!   segment's waits never see its predecessor's saturated counts.
 //! - **Data edge.** A segment whose predecessor has a fused epilogue
 //!   reads its activations from that epilogue's output (pipelines).
-//! - **Serial barrier.** [`Chain::serial`] holds each segment's GEMM
-//!   until the previous segment's collectives drained (the non-pipelined
-//!   reference schedule of a sequence).
+//! - **Serial barrier.** [`SequenceOptions::serial`] holds each
+//!   segment's GEMM until the previous segment's collectives drained
+//!   (the non-pipelined reference schedule).
 //!
-//! Under [`Chain::resilient`] the chain runs under the watchdog with
-//! one [`FaultPlan`] per segment, and two rules keep the ping-pong
-//! sound:
+//! The option rules live here, once, for every chain shape: a mutation
+//! must target an existing segment, and resilient execution rejects
+//! probes, signal mutations and the dropped-rearm self-test (faults are
+//! its corruption vocabulary).
+//!
+//! Under [`SequenceOptions::resilient`] the chain runs under the
+//! watchdog with one [`FaultPlan`] per segment, and two rules keep the
+//! ping-pong sound:
 //!
 //! - **Table quarantine.** Before a segment's first increment can land,
 //!   a compute-stream callback disarms whatever fault budget the
@@ -60,51 +66,32 @@ use sim::{Sim, SimDuration, SimTime};
 
 use crate::error::{ChainPosition, FlashOverlapError};
 use crate::resilience::{Fault, FaultPlan, ResilientOutcome, WatchdogConfig};
-use crate::runtime::{FunctionalInputs, Instrumentation, OverlapPlan, ProgramHandles, StreamCtx};
-use crate::sequence::SequenceOutcome;
+use crate::runtime::{Instrumentation, OverlapPlan, ProgramHandles, StreamCtx};
+use crate::sequence::{SequenceOptions, SequenceOutcome};
 
 /// Shared fault/recovery timeline: segment-arming callbacks append from
 /// inside the simulation, the watchdog appends from outside.
 type EventLog = Rc<RefCell<Vec<RuntimeEvent>>>;
 
-/// A chain to execute: one plan per segment plus the chain-wide modes.
-#[derive(Default)]
-pub(crate) struct Chain<'a> {
-    /// Segment `i` runs plan `i`. All plans must target the same rank
-    /// count; the cluster is built from the first plan's system.
-    pub(crate) plans: &'a [&'a OverlapPlan],
-    /// Fused epilogue of segment `i` (missing entries mean none). A
-    /// segment after an epilogue consumes its output as activations.
-    pub(crate) epilogues: Vec<Option<&'a ElementwiseOp>>,
-    /// Functional mode: `inputs[i]` feeds segment `i`.
-    pub(crate) inputs: Option<&'a [FunctionalInputs]>,
-    /// Full barrier between segments.
-    pub(crate) serial: bool,
-    /// Record per-stream operation spans.
-    pub(crate) trace: bool,
-    /// Observation hooks; a seeded mutation applies to `mutate_segment`.
-    pub(crate) instrument: Option<&'a Instrumentation>,
-    /// The segment a seeded [`crate::runtime::SignalMutation`] targets.
-    pub(crate) mutate_segment: usize,
-    /// Skip this segment's table rearm (the sanitizer self-test of
-    /// [`crate::sequence::SequenceOptions::drop_cross_batch_edge`]).
-    pub(crate) drop_rearm: Option<usize>,
-    /// Run under the watchdog with `faults[i]` armed at segment `i`.
-    pub(crate) resilient: Option<(&'a [FaultPlan], &'a WatchdogConfig)>,
-}
-
-/// Executes `chain` in one simulation and reports per segment.
+/// Executes the chain `plans` in one simulation and reports per segment.
+/// Segment `i` runs `plans[i]` followed by the fused epilogue
+/// `epilogues[i]` (missing entries mean none); a segment after an
+/// epilogue consumes its output as activations. The cluster is built
+/// from the first plan's system.
 ///
 /// # Errors
 ///
 /// Returns [`FlashOverlapError::BadInputs`] on an empty chain, mismatched
-/// rank counts, malformed functional inputs, or fault plans that do not
-/// fit their segments (or come with probes/mutations);
-/// [`FlashOverlapError::Deadlock`] when an uninstrumented, non-resilient
-/// schedule wedges; and [`FlashOverlapError::Simulation`] on engine
-/// failure.
-pub(crate) fn execute_chain(chain: &Chain) -> Result<SequenceOutcome, FlashOverlapError> {
-    let plans = chain.plans;
+/// rank counts, malformed functional inputs, an out-of-range mutation
+/// segment, or fault plans that do not fit their segments (or come with
+/// probes, mutations or a dropped rearm); [`FlashOverlapError::Deadlock`]
+/// when an uninstrumented, non-resilient schedule wedges; and
+/// [`FlashOverlapError::Simulation`] on engine failure.
+pub(crate) fn execute_chain(
+    plans: &[&OverlapPlan],
+    epilogues: &[Option<ElementwiseOp>],
+    options: &SequenceOptions,
+) -> Result<SequenceOutcome, FlashOverlapError> {
     let Some(first) = plans.first() else {
         return Err(FlashOverlapError::BadInputs {
             reason: "a chain needs at least one segment".into(),
@@ -121,19 +108,20 @@ pub(crate) fn execute_chain(chain: &Chain) -> Result<SequenceOutcome, FlashOverl
             });
         }
     }
-    if let Some(inputs) = chain.inputs {
+    if let Some(inputs) = options.functional {
         if inputs.len() != plans.len() {
             return Err(FlashOverlapError::BadInputs {
                 reason: format!("{} input sets for {} segments", inputs.len(), plans.len()),
             });
         }
-        for (plan, inp) in plans.iter().zip(inputs) {
-            plan.check_inputs(inp)?;
+        for (i, (plan, inp)) in plans.iter().zip(inputs).enumerate() {
+            let fed = i > 0 && epilogues.get(i - 1).is_some_and(Option::is_some);
+            plan.check_inputs(inp, !fed)?;
         }
     }
     let default_instr = Instrumentation::default();
-    let instr = chain.instrument.unwrap_or(&default_instr);
-    if let Some((faults, _)) = chain.resilient {
+    let instr = options.instrument.unwrap_or(&default_instr);
+    if let Some((faults, _)) = options.resilient {
         validate_chain_faults(plans, faults)?;
         if instr.probe.is_some() || instr.mutation.is_some() {
             return Err(FlashOverlapError::BadInputs {
@@ -142,10 +130,17 @@ pub(crate) fn execute_chain(chain: &Chain) -> Result<SequenceOutcome, FlashOverl
                     .into(),
             });
         }
+        if options.drop_cross_batch_edge.is_some() {
+            return Err(FlashOverlapError::BadInputs {
+                reason: "drop_cross_batch_edge is a sanitizer self-test, \
+                         incompatible with resilient execution"
+                    .into(),
+            });
+        }
     }
 
-    let mut world = first.system.build_cluster(chain.inputs.is_some());
-    if chain.trace {
+    let mut world = first.system.build_cluster(options.functional.is_some());
+    if options.trace {
         world.enable_op_spans();
     }
     if let Some(monitor) = &instr.monitor {
@@ -158,14 +153,16 @@ pub(crate) fn execute_chain(chain: &Chain) -> Result<SequenceOutcome, FlashOverl
     // Cluster-level faults (degraded links, stalls, stragglers) exist
     // before the chain starts, whichever segment's plan armed them.
     let log: EventLog = Rc::new(RefCell::new(Vec::new()));
-    let faults_armed = match chain.resilient {
+    let faults_armed = match options.resilient {
         Some((faults, _)) => arm_cluster_faults(&mut world, &sim, faults, &log),
         None => 0,
     };
     let streams = StreamCtx::create(&mut world, n);
-    let segments = enqueue_chain(&mut world, &mut sim, chain, instr, &streams, &log);
+    let segments = enqueue_chain(
+        &mut world, &mut sim, plans, epilogues, options, &streams, &log,
+    );
 
-    let (end, outcomes) = if let Some((_, watchdog)) = chain.resilient {
+    let (end, outcomes) = if let Some((_, watchdog)) = options.resilient {
         drive_chain(
             &mut world, &mut sim, plans, &segments, &streams, watchdog, &log,
         )?
@@ -173,17 +170,17 @@ pub(crate) fn execute_chain(chain: &Chain) -> Result<SequenceOutcome, FlashOverl
         let end = sim.run(&mut world)?;
         let instrumented =
             instr.monitor.is_some() || instr.probe.is_some() || instr.mutation.is_some();
-        if !instrumented && chain.drop_rearm.is_none() {
+        if !instrumented && options.drop_cross_batch_edge.is_none() {
             check_quiescent_chain(&world, &segments)?;
         }
         (end, vec![ResilientOutcome::Clean; plans.len()])
     };
-    let spans = if chain.trace {
+    let spans = if options.trace {
         world.op_spans.take().unwrap_or_default()
     } else {
         Vec::new()
     };
-    let outputs = chain.inputs.map(|_| {
+    let outputs = options.functional.map(|_| {
         plans
             .iter()
             .zip(&segments)
@@ -207,12 +204,12 @@ pub(crate) fn execute_chain(chain: &Chain) -> Result<SequenceOutcome, FlashOverl
 fn enqueue_chain(
     world: &mut Cluster,
     sim: &mut ClusterSim,
-    chain: &Chain,
-    instr: &Instrumentation,
+    plans: &[&OverlapPlan],
+    epilogues: &[Option<ElementwiseOp>],
+    options: &SequenceOptions,
     streams: &StreamCtx,
     log: &EventLog,
 ) -> Vec<ChainSegment> {
-    let plans = chain.plans;
     let max_groups = plans
         .iter()
         .map(|p| p.group_tile_counts().len())
@@ -240,34 +237,37 @@ fn enqueue_chain(
         // the table still holds the previous user's saturated counts, so
         // this segment's wait is satisfied the moment the comm stream
         // reaches it and the collective reads tiles the GEMM has not
-        // signaled — exactly what `drop_rearm` injects for the sanitizer
-        // self-test.
+        // signaled — exactly what `drop_cross_batch_edge` injects for the
+        // sanitizer self-test.
         let prev_user = i.checked_sub(2).and_then(|j| segments.get(j));
         let ready = match prev_user {
-            Some(prev) if chain.drop_rearm != Some(i) => {
+            Some(prev) if options.drop_cross_batch_edge != Some(i) => {
                 Some(rearm(world, sim, streams, &prev.comm_done, tables))
             }
             _ => None,
         };
-        if let Some(prev) = segments.last().filter(|_| chain.serial) {
+        if let Some(prev) = segments.last().filter(|_| options.serial) {
             // Full barrier: no GEMM wave of segment `i` may issue until
             // segment `i - 1`'s collectives drained.
             for (d, (&ev, &compute)) in prev.comm_done.iter().zip(&streams.compute).enumerate() {
                 enqueue(world, sim, d, compute, Box::new(WaitEvent(ev)));
             }
         }
-        if let Some(fp) = chain.resilient.and_then(|(faults, _)| faults.get(i)) {
+        if let Some(fp) = options.resilient.and_then(|(faults, _)| faults.get(i)) {
             // Between the rearm (reset) and the program: the arming
             // callback quarantines leftover budget on the inherited
             // table, then arms this segment's own faults.
             enqueue_segment_faults(world, sim, streams, i, fp, tables, log);
         }
-        let mutation = instr.mutation.filter(|_| i == chain.mutate_segment);
+        let mutation = options
+            .instrument
+            .and_then(|instr| instr.mutation)
+            .filter(|_| i + 1 == plans.len());
         let handles = plan.enqueue_program_on(
             world,
             sim,
-            chain.inputs.and_then(|inp| inp.get(i)),
-            chain.epilogues.get(i).copied().flatten(),
+            options.functional.and_then(|inp| inp.get(i)),
+            epilogues.get(i).and_then(Option::as_ref),
             streams,
             activations.as_deref(),
             mutation,
@@ -276,7 +276,7 @@ fn enqueue_chain(
         // Nothing waits on the last segment's comm-done; it is recorded
         // only under the watchdog, whose recovery re-records every
         // segment's comm-side events.
-        let comm_done = if i + 1 < plans.len() || chain.resilient.is_some() {
+        let comm_done = if i + 1 < plans.len() || options.resilient.is_some() {
             record_per_rank(world, sim, &streams.comm)
         } else {
             Vec::new()

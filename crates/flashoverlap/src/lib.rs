@@ -47,15 +47,14 @@ pub mod writers;
 
 pub use error::{ChainPosition, FlashOverlapError};
 pub use partition::WavePartition;
-pub use pipeline::{LayerSpec, Pipeline, PipelineExecOptions, PipelineExecOutcome, PipelineReport};
+pub use pipeline::{LayerSpec, Pipeline};
 pub use predictor::{LatencyPredictor, OfflineProfile};
 pub use resilience::{
     run_chaos, CampaignResult, ChaosConfig, ChaosReport, Fault, FaultPlan, ResilientOutcome,
     WatchdogConfig,
 };
 pub use runtime::{
-    CommPattern, ExecOptions, ExecOutcome, FunctionalInputs, FunctionalReport, Instrumentation,
-    OverlapPlan, RunReport, SignalMutation,
+    CommPattern, FunctionalInputs, Instrumentation, OverlapPlan, RunReport, SignalMutation,
 };
 pub use sequence::{execute_sequence, SequenceOptions, SequenceOutcome};
 pub use system::SystemSpec;

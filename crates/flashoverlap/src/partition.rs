@@ -34,11 +34,29 @@ impl WavePartition {
     ///
     /// # Panics
     ///
-    /// Panics if `sizes` is empty or contains zero.
+    /// Panics if `sizes` is empty or contains zero (see
+    /// [`WavePartition::try_new`]).
     pub fn new(sizes: Vec<u32>) -> Self {
-        assert!(!sizes.is_empty(), "partition needs at least one group");
-        assert!(sizes.iter().all(|&s| s > 0), "group sizes must be positive");
-        WavePartition { sizes }
+        Self::try_new(sizes).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a partition from untrusted group sizes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlashOverlapError::BadInputs`] if `sizes` is empty or
+    /// contains zero.
+    pub fn try_new(sizes: Vec<u32>) -> Result<Self, FlashOverlapError> {
+        let reason = if sizes.is_empty() {
+            "partition needs at least one group"
+        } else if sizes.contains(&0) {
+            "group sizes must be positive"
+        } else {
+            return Ok(WavePartition { sizes });
+        };
+        Err(FlashOverlapError::BadInputs {
+            reason: reason.into(),
+        })
     }
 
     /// The baseline partition of §4.1.1: one wave per group (the most
@@ -257,6 +275,20 @@ fn structured_partitions(waves: u32, s1_max: u32, sp_max: u32) -> Vec<WavePartit
 #[allow(clippy::indexing_slicing)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn try_new_rejects_empty_and_zero_sized_groups() {
+        for sizes in [vec![], vec![2, 0, 1]] {
+            assert!(matches!(
+                WavePartition::try_new(sizes),
+                Err(FlashOverlapError::BadInputs { .. })
+            ));
+        }
+        assert_eq!(
+            WavePartition::try_new(vec![1, 2]).unwrap(),
+            WavePartition::new(vec![1, 2])
+        );
+    }
 
     #[test]
     fn partition_accessors() {

@@ -11,14 +11,11 @@
 
 use gpu_sim::elementwise::ElementwiseOp;
 use gpu_sim::gemm::GemmDims;
-use gpu_sim::RuntimeEvent;
-use sim::SimDuration;
-use tensor::Matrix;
 
-use crate::chain::{execute_chain, Chain};
+use crate::chain::execute_chain;
 use crate::error::FlashOverlapError;
-use crate::resilience::{FaultPlan, ResilientOutcome, WatchdogConfig};
-use crate::runtime::{CommPattern, FunctionalInputs, OverlapPlan, RunReport};
+use crate::runtime::{CommPattern, OverlapPlan};
+use crate::sequence::{SequenceOptions, SequenceOutcome};
 use crate::system::SystemSpec;
 use crate::tuner::predictive_search;
 
@@ -56,8 +53,8 @@ pub struct LayerSpec {
 ///         LayerSpec { dims, pattern: CommPattern::AllReduce, epilogue: None },
 ///     ],
 /// )?;
-/// let outcome = pipeline.execute_with(&flashoverlap::PipelineExecOptions::new())?;
-/// assert_eq!(outcome.report.layers.len(), 2);
+/// let outcome = pipeline.execute_with(&flashoverlap::SequenceOptions::new())?;
+/// assert_eq!(outcome.reports.len(), 2);
 /// # Ok::<(), flashoverlap::FlashOverlapError>(())
 /// ```
 #[derive(Debug)]
@@ -66,92 +63,6 @@ pub struct Pipeline {
     pub system: SystemSpec,
     plans: Vec<OverlapPlan>,
     epilogues: Vec<Option<ElementwiseOp>>,
-}
-
-/// Timing results of a pipeline execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipelineReport {
-    /// End-to-end simulated time.
-    pub total: SimDuration,
-    /// Per-layer operator reports (latencies are absolute simulation
-    /// times, monotone across layers).
-    pub layers: Vec<RunReport>,
-}
-
-/// Options for [`Pipeline::execute_with`] — the pipeline mirror of
-/// [`crate::runtime::ExecOptions`]. Default options run the whole
-/// pipeline in timing mode.
-#[derive(Debug, Default)]
-pub struct PipelineExecOptions<'a> {
-    instrument: Option<&'a crate::runtime::Instrumentation>,
-    mutate_layer: usize,
-    functional: Option<(&'a [Matrix], &'a [Vec<Matrix>])>,
-    resilient: Option<(&'a [FaultPlan], &'a WatchdogConfig)>,
-}
-
-impl<'a> PipelineExecOptions<'a> {
-    /// Plain timing-mode options.
-    pub fn new() -> Self {
-        PipelineExecOptions::default()
-    }
-
-    /// Attaches observation hooks — the sanitizer entry point for the
-    /// multi-layer path. A seeded [`crate::runtime::SignalMutation`]
-    /// applies to the layer selected by
-    /// [`PipelineExecOptions::mutate_layer`], and a wedge it causes is
-    /// left for the attached probe to report at drain time, not an
-    /// error.
-    pub fn instrument(mut self, instr: &'a crate::runtime::Instrumentation) -> Self {
-        self.instrument = Some(instr);
-        self
-    }
-
-    /// Selects the layer a seeded mutation applies to (default: 0).
-    pub fn mutate_layer(mut self, layer: usize) -> Self {
-        self.mutate_layer = layer;
-        self
-    }
-
-    /// Functional mode: layer 0 consumes `first_a`; every later layer
-    /// consumes the previous layer's fused epilogue output;
-    /// `weights[l]` is layer `l`'s per-rank `K x N` operand set.
-    pub fn functional(mut self, first_a: &'a [Matrix], weights: &'a [Vec<Matrix>]) -> Self {
-        self.functional = Some((first_a, weights));
-        self
-    }
-
-    /// Runs the pipeline under the chain watchdog with deterministic
-    /// fault injection: `faults[l]` arms at layer `l`'s position in the
-    /// stream order (the table-quarantine rule disarms whatever budget
-    /// the previous same-parity layer left on the inherited table), and
-    /// a wedge at layer `k` is broken by the escalation ladder without
-    /// poisoning the double-buffered tables layer `k + 1` inherits. One
-    /// [`ResilientOutcome`] per layer lands in
-    /// [`PipelineExecOutcome::outcomes`]. Incompatible with
-    /// probe/mutation instrumentation.
-    pub fn resilient(mut self, faults: &'a [FaultPlan], watchdog: &'a WatchdogConfig) -> Self {
-        self.resilient = Some((faults, watchdog));
-        self
-    }
-}
-
-/// Unified results of [`Pipeline::execute_with`].
-#[derive(Debug, Clone)]
-pub struct PipelineExecOutcome {
-    /// Per-layer timing.
-    pub report: PipelineReport,
-    /// Per-rank logical outputs of the final layer (functional mode
-    /// only).
-    pub outputs: Option<Vec<Matrix>>,
-    /// Per-layer termination outcome. All `Clean` on non-resilient runs;
-    /// under [`PipelineExecOptions::resilient`], layer `k` wedging ends
-    /// it `Recovered`/`Degraded` while later layers report how they rode
-    /// out the recovery.
-    pub outcomes: Vec<ResilientOutcome>,
-    /// Fault/recovery timeline of a resilient run (empty otherwise).
-    pub events: Vec<RuntimeEvent>,
-    /// Total faults armed across all layers of a resilient run.
-    pub faults_armed: usize,
 }
 
 impl Pipeline {
@@ -254,109 +165,59 @@ impl Pipeline {
         })
     }
 
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.plans.len()
-    }
-
     /// The tuned per-layer plans.
     pub fn plans(&self) -> &[OverlapPlan] {
         &self.plans
     }
 
-    /// Runs the whole pipeline with the given options — the single
-    /// execute entry point, mirroring [`OverlapPlan::execute_with`].
-    /// Each layer is one segment of a chain whose data edge feeds the
-    /// layer's fused epilogue output to the next layer's GEMM. Default
-    /// options give plain timing mode; combine
-    /// [`PipelineExecOptions::instrument`] and
-    /// [`PipelineExecOptions::functional`] freely.
+    /// Runs the whole pipeline as one chain — one segment per layer,
+    /// each layer's fused epilogue output feeding the next layer's GEMM
+    /// — with the modes selected in `options` (see [`SequenceOptions`]).
+    /// In functional mode `inputs[0].a` holds the first layer's
+    /// activations and `inputs[l].b` layer `l`'s weights; later layers'
+    /// `a` may be empty.
     ///
     /// # Errors
     ///
     /// Returns [`FlashOverlapError::BadInputs`] on an out-of-range
-    /// mutation layer or malformed functional inputs, and
-    /// [`FlashOverlapError::Simulation`] on engine failure.
+    /// mutation segment, malformed functional inputs or invalid option
+    /// combinations, and [`FlashOverlapError::Simulation`] on engine
+    /// failure.
     pub fn execute_with(
         &self,
-        options: &PipelineExecOptions,
-    ) -> Result<PipelineExecOutcome, FlashOverlapError> {
-        if options.mutate_layer >= self.plans.len() {
-            return Err(FlashOverlapError::BadInputs {
-                reason: format!(
-                    "mutation targets layer {} of a {}-layer pipeline",
-                    options.mutate_layer,
-                    self.plans.len()
-                ),
-            });
-        }
-        let inputs: Option<Vec<FunctionalInputs>> = match options.functional {
-            Some((first_a, weights)) => {
-                if weights.len() != self.plans.len() {
-                    return Err(FlashOverlapError::BadInputs {
-                        reason: format!(
-                            "{} weight sets for {} layers",
-                            weights.len(),
-                            self.plans.len()
-                        ),
-                    });
-                }
-                let n = self.system.n_gpus;
-                Some(
-                    self.plans
-                        .iter()
-                        .zip(weights)
-                        .enumerate()
-                        .map(|(l, (plan, b))| FunctionalInputs {
-                            a: if l == 0 {
-                                first_a.to_vec()
-                            } else {
-                                // Placeholder with the right shape; the
-                                // chain reads activations from the previous
-                                // layer's epilogue buffer.
-                                vec![Matrix::zeros(plan.dims.m as usize, plan.dims.k as usize); n]
-                            },
-                            b: b.clone(),
-                        })
-                        .collect(),
-                )
-            }
-            None => None,
-        };
+        options: &SequenceOptions,
+    ) -> Result<SequenceOutcome, FlashOverlapError> {
         let plans: Vec<&OverlapPlan> = self.plans.iter().collect();
-        let mut chain = execute_chain(&Chain {
-            plans: &plans,
-            epilogues: self.epilogues.iter().map(Option::as_ref).collect(),
-            inputs: inputs.as_deref(),
-            instrument: options.instrument,
-            mutate_segment: options.mutate_layer,
-            resilient: options.resilient,
-            ..Chain::default()
-        })?;
-        Ok(PipelineExecOutcome {
-            report: PipelineReport {
-                total: chain.total,
-                layers: chain.reports,
-            },
-            outputs: chain.outputs.as_mut().and_then(Vec::pop),
-            outcomes: chain.outcomes,
-            events: chain.events,
-            faults_armed: chain.faults_armed,
-        })
+        execute_chain(&plans, &self.epilogues, options)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::FunctionalInputs;
     use std::rc::Rc;
-    use tensor::{allclose, gemm, rmsnorm};
+    use tensor::{allclose, gemm, rmsnorm, Matrix};
 
     fn small_system(n: usize) -> SystemSpec {
         let mut spec = SystemSpec::rtx4090(n);
         spec.arch.sm_count = 8;
         spec.comm_sms = 2;
         spec
+    }
+
+    /// Per-layer functional inputs: layer 0 reads `first_a`; later
+    /// layers read their predecessor's epilogue output, so their `a` is
+    /// empty.
+    fn layer_inputs(first_a: &[Matrix], weights: &[Vec<Matrix>]) -> Vec<FunctionalInputs> {
+        weights
+            .iter()
+            .enumerate()
+            .map(|(l, b)| FunctionalInputs {
+                a: if l == 0 { first_a.to_vec() } else { Vec::new() },
+                b: b.clone(),
+            })
+            .collect()
     }
 
     fn rms_op(cols: usize) -> ElementwiseOp {
@@ -396,25 +257,21 @@ mod tests {
             (0..2).map(|_| Matrix::random(64, 128, &mut rng)).collect(),
             (0..2).map(|_| Matrix::random(128, 64, &mut rng)).collect(),
         ];
+        let inputs = layer_inputs(&first_a, &weights);
         let result = pipeline
-            .execute_with(&PipelineExecOptions::new().functional(&first_a, &weights))
+            .execute_with(&SequenceOptions::new().functional(&inputs))
             .unwrap();
 
         // Reference: layer 1 reduce + rmsnorm, then layer 2 reduce.
         let h1 = gemm(&first_a[0], &weights[0][0]).add(&gemm(&first_a[1], &weights[0][1]));
         let act = rmsnorm(&h1, &vec![1.0; 128], 1e-6);
         let h2 = gemm(&act, &weights[1][0]).add(&gemm(&act, &weights[1][1]));
-        for (d, out) in result
-            .outputs
-            .as_deref()
-            .unwrap_or_default()
-            .iter()
-            .enumerate()
-        {
+        let outputs = result.outputs.as_ref().unwrap();
+        for (d, out) in outputs[1].iter().enumerate() {
             assert!(allclose(out, &h2, 5e-2), "rank {d}");
         }
-        assert_eq!(result.report.layers.len(), 2);
-        assert!(result.report.total >= result.report.layers[1].latency);
+        assert_eq!(result.reports.len(), 2);
+        assert!(result.total >= result.reports[1].latency);
     }
 
     #[test]
@@ -442,15 +299,12 @@ mod tests {
             ],
         )
         .unwrap();
-        let report = pipeline
-            .execute_with(&PipelineExecOptions::new())
-            .unwrap()
-            .report;
-        assert_eq!(report.layers.len(), 3);
-        for pair in report.layers.windows(2) {
+        let outcome = pipeline.execute_with(&SequenceOptions::new()).unwrap();
+        assert_eq!(outcome.reports.len(), 3);
+        for pair in outcome.reports.windows(2) {
             assert!(pair[0].latency < pair[1].latency, "layers run in order");
         }
-        assert!(report.total >= report.layers[2].latency);
+        assert!(outcome.total >= outcome.reports[2].latency);
     }
 
     #[test]
@@ -511,9 +365,7 @@ mod tests {
         .unwrap()
     }
 
-    fn three_layer_resilient_fixture(
-        system: &SystemSpec,
-    ) -> (Pipeline, Vec<Matrix>, Vec<Vec<Matrix>>) {
+    fn three_layer_resilient_fixture(system: &SystemSpec) -> (Pipeline, Vec<FunctionalInputs>) {
         let dims = [
             GemmDims::new(1024, 128, 64),
             GemmDims::new(1024, 64, 128),
@@ -536,25 +388,25 @@ mod tests {
                     .collect()
             })
             .collect();
-        (pipeline, first_a, weights)
+        (pipeline, layer_inputs(&first_a, &weights))
     }
 
     #[test]
     fn resilient_fault_free_pipeline_is_clean_and_bit_exact() {
         use crate::resilience::{FaultPlan, WatchdogConfig};
         let system = small_system(2);
-        let (pipeline, first_a, weights) = three_layer_resilient_fixture(&system);
+        let (pipeline, inputs) = three_layer_resilient_fixture(&system);
         let faults = vec![FaultPlan::none(); 3];
         let watchdog = WatchdogConfig::default();
         let resilient = pipeline
             .execute_with(
-                &PipelineExecOptions::new()
-                    .functional(&first_a, &weights)
+                &SequenceOptions::new()
+                    .functional(&inputs)
                     .resilient(&faults, &watchdog),
             )
             .unwrap();
         let plain = pipeline
-            .execute_with(&PipelineExecOptions::new().functional(&first_a, &weights))
+            .execute_with(&SequenceOptions::new().functional(&inputs))
             .unwrap();
         assert_eq!(resilient.outcomes.len(), 3);
         assert!(
@@ -564,13 +416,13 @@ mod tests {
         );
         assert_eq!(resilient.faults_armed, 0);
         assert_eq!(
-            resilient.report.total, plain.report.total,
+            resilient.total, plain.total,
             "fault-free watchdog is timing-neutral"
         );
         let res_out = resilient.outputs.unwrap();
         let plain_out = plain.outputs.unwrap();
         for d in 0..2 {
-            assert_eq!(res_out[d].as_slice(), plain_out[d].as_slice());
+            assert_eq!(res_out[2][d].as_slice(), plain_out[2][d].as_slice());
         }
     }
 
@@ -578,7 +430,7 @@ mod tests {
     fn wedged_layer_recovers_and_downstream_layers_stay_bit_exact() {
         use crate::resilience::{Fault, FaultPlan, ResilientOutcome, WatchdogConfig};
         let system = small_system(2);
-        let (pipeline, first_a, weights) = three_layer_resilient_fixture(&system);
+        let (pipeline, inputs) = three_layer_resilient_fixture(&system);
         // Starve layer 1's last group: its wait wedges mid-pipeline, the
         // watchdog breaks the wedge via the tail rung (earlier groups
         // complete), and layer 2 — whose activations flow through the
@@ -594,8 +446,8 @@ mod tests {
         let watchdog = WatchdogConfig::default();
         let outcome = pipeline
             .execute_with(
-                &PipelineExecOptions::new()
-                    .functional(&first_a, &weights)
+                &SequenceOptions::new()
+                    .functional(&inputs)
                     .resilient(&faults, &watchdog),
             )
             .unwrap();
@@ -609,14 +461,14 @@ mod tests {
             assert_ne!(o.label(), "degraded", "layer {l}: {o:?}");
         }
         let fault_free = pipeline
-            .execute_with(&PipelineExecOptions::new().functional(&first_a, &weights))
+            .execute_with(&SequenceOptions::new().functional(&inputs))
             .unwrap();
         let wedged_out = outcome.outputs.unwrap();
         let clean_out = fault_free.outputs.unwrap();
         for d in 0..2 {
             assert_eq!(
-                wedged_out[d].as_slice(),
-                clean_out[d].as_slice(),
+                wedged_out[2][d].as_slice(),
+                clean_out[2][d].as_slice(),
                 "rank {d} diverged after mid-pipeline recovery"
             );
         }
@@ -631,14 +483,72 @@ mod tests {
     }
 
     #[test]
+    fn wedged_single_layer_with_epilogue_recovers_bit_exact() {
+        // A one-layer pipeline is a single plan with a fused epilogue:
+        // a wedge before the epilogue must be broken, re-record the
+        // epilogue gate, and leave the normalized output bit-exact.
+        use crate::resilience::{Fault, FaultPlan, ResilientOutcome, WatchdogConfig};
+        let system = small_system(2);
+        let dims = GemmDims::new(1024, 128, 64);
+        let plan = per_wave_plan(dims, &system);
+        let last_group = plan.group_tile_counts().len() - 1;
+        assert!(last_group >= 1, "test needs a multi-group plan");
+        let pipeline = Pipeline::with_plans(system, vec![plan], vec![Some(rms_op(128))]).unwrap();
+        let inputs = vec![FunctionalInputs::random(dims, 2, 23)];
+        let faults = vec![FaultPlan::single(Fault::DroppedIncrement {
+            rank: 0,
+            group: last_group,
+            count: 64,
+        })];
+        let watchdog = WatchdogConfig::default();
+        let wedged = pipeline
+            .execute_with(
+                &SequenceOptions::new()
+                    .functional(&inputs)
+                    .resilient(&faults, &watchdog),
+            )
+            .unwrap();
+        assert!(
+            matches!(wedged.outcomes[0], ResilientOutcome::Recovered { .. }),
+            "{:?}",
+            wedged.outcomes
+        );
+        assert!(wedged.reports[0].epilogue_done.is_some(), "epilogue ran");
+        let clean = pipeline
+            .execute_with(&SequenceOptions::new().functional(&inputs))
+            .unwrap();
+        let (wedged_out, clean_out) = (wedged.outputs.unwrap(), clean.outputs.unwrap());
+        for d in 0..2 {
+            assert_eq!(wedged_out[0][d].as_slice(), clean_out[0][d].as_slice());
+        }
+    }
+
+    #[test]
+    fn activations_are_checked_only_where_a_layer_reads_them() {
+        let system = small_system(2);
+        let (pipeline, mut inputs) = three_layer_resilient_fixture(&system);
+        // Later layers read their predecessor's epilogue: `a` is unused.
+        inputs[1].a = vec![Matrix::zeros(1, 1); 2];
+        assert!(pipeline
+            .execute_with(&SequenceOptions::new().functional(&inputs))
+            .is_ok());
+        // The first layer reads `a`: an empty set is malformed.
+        inputs[0].a.clear();
+        assert!(matches!(
+            pipeline.execute_with(&SequenceOptions::new().functional(&inputs)),
+            Err(FlashOverlapError::BadInputs { .. })
+        ));
+    }
+
+    #[test]
     fn resilient_rejects_mutations_and_mismatched_fault_plans() {
         use crate::resilience::{FaultPlan, WatchdogConfig};
         let system = small_system(2);
-        let (pipeline, _, _) = three_layer_resilient_fixture(&system);
+        let (pipeline, _) = three_layer_resilient_fixture(&system);
         let watchdog = WatchdogConfig::default();
         let two = vec![FaultPlan::none(); 2];
         assert!(matches!(
-            pipeline.execute_with(&PipelineExecOptions::new().resilient(&two, &watchdog)),
+            pipeline.execute_with(&SequenceOptions::new().resilient(&two, &watchdog)),
             Err(FlashOverlapError::BadInputs { .. })
         ));
         let three = vec![FaultPlan::none(); 3];
@@ -648,7 +558,7 @@ mod tests {
         };
         assert!(matches!(
             pipeline.execute_with(
-                &PipelineExecOptions::new()
+                &SequenceOptions::new()
                     .resilient(&three, &watchdog)
                     .instrument(&instr)
             ),

@@ -15,10 +15,9 @@
 //!    [`interconnect::FabricSpec::degraded`]), and ranks can lose SMs or
 //!    start late.
 //! 2. **Watchdog** — resilient execution
-//!    ([`crate::ExecOptions::resilient`], and per segment
-//!    [`crate::SequenceOptions::resilient`] /
-//!    [`crate::PipelineExecOptions::resilient`]) runs through the one
-//!    chain executor, which derives each segment's deadline from the
+//!    ([`crate::SequenceOptions::resilient`], one fault plan per chain
+//!    segment, for a single plan, a pipeline or a sequence) runs
+//!    through the one chain executor, which derives each segment's deadline from the
 //!    latency predictor's expected time times
 //!    [`WatchdogConfig::deadline_multiplier`] and steps the simulation
 //!    against it. On expiry it escalates: deadline extensions while work
@@ -49,6 +48,7 @@ use sim::{DetRng, SimDuration};
 
 use crate::error::FlashOverlapError;
 use crate::runtime::{CommPattern, FunctionalInputs, OverlapPlan};
+use crate::sequence::SequenceOptions;
 use crate::system::SystemSpec;
 
 /// One injected fault. Ranks and groups refer to the plan the fault runs
@@ -475,19 +475,23 @@ pub fn run_chaos(config: &ChaosConfig) -> Result<ChaosReport, FlashOverlapError>
     let num_groups = plan.group_tile_counts().len();
 
     let inputs = FunctionalInputs::random(config.dims, config.gpus, config.seed);
-    let reference = plan.execute_with(&crate::runtime::ExecOptions::new().functional(&inputs))?;
-    let reference_outputs = reference.outputs.unwrap_or_default();
+    let inputs = [inputs];
+    let mut reference = plan.execute_with(&SequenceOptions::new().functional(&inputs))?;
+    let reference_outputs = reference
+        .outputs
+        .and_then(|mut o| o.pop())
+        .unwrap_or_default();
 
     let mut results = Vec::with_capacity(config.campaigns);
     for i in 0..config.campaigns {
         let seed = config.seed + i as u64;
         let faults = FaultPlan::random(seed, config.gpus, num_groups);
-        let run = plan.execute_with(
-            &crate::runtime::ExecOptions::new()
+        let mut run = plan.execute_with(
+            &SequenceOptions::new()
                 .functional(&inputs)
-                .resilient(&faults, &config.watchdog),
+                .resilient(std::slice::from_ref(&faults), &config.watchdog),
         )?;
-        let run_outputs = run.outputs.unwrap_or_default();
+        let run_outputs = run.outputs.and_then(|mut o| o.pop()).unwrap_or_default();
         let bit_exact = run_outputs.len() == reference_outputs.len()
             && run_outputs
                 .iter()
@@ -496,15 +500,15 @@ pub fn run_chaos(config: &ChaosConfig) -> Result<ChaosReport, FlashOverlapError>
         results.push(CampaignResult {
             seed,
             faults: faults.faults.len(),
-            outcome: run.outcome,
+            outcome: run.outcomes.swap_remove(0),
             bit_exact,
-            latency_ns: run.report.latency.as_nanos(),
+            latency_ns: run.reports.swap_remove(0).latency.as_nanos(),
             events: run.events.len(),
         });
     }
     Ok(ChaosReport {
         config: config.clone(),
-        reference_latency_ns: reference.report.latency.as_nanos(),
+        reference_latency_ns: reference.reports.swap_remove(0).latency.as_nanos(),
         results,
     })
 }

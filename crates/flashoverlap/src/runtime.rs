@@ -16,8 +16,8 @@
 //!
 //! This module builds plans and enqueues one plan's program; running it
 //! is the chain executor's job (`chain.rs`). [`OverlapPlan::execute_with`]
-//! lowers every mode to a chain: one segment, or `n` copies of the plan
-//! in iteration mode.
+//! lowers to a one-segment chain. A steady-state measurement is
+//! `n` copies of the plan in [`crate::execute_sequence`], total over `n`.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -30,16 +30,16 @@ use gpu_sim::memory::BufferId;
 use gpu_sim::monitor::ClusterMonitor;
 use gpu_sim::stream::{enqueue, Callback, RecordEvent, WaitCounter, WaitEvent};
 use gpu_sim::wave::WaveSchedule;
-use gpu_sim::{Cluster, ClusterSim, RuntimeEvent};
+use gpu_sim::{Cluster, ClusterSim};
 use sim::{EngineProbe, SimDuration, SimTime};
 use tensor::Matrix;
 
-use crate::chain::{execute_chain, Chain};
+use crate::chain::execute_chain;
 use crate::error::FlashOverlapError;
 use crate::mapping::{SubtileMapping, TileMapping, TokenMapping};
 use crate::partition::WavePartition;
 use crate::predictor::LatencyPredictor;
-use crate::resilience::{FaultPlan, ResilientOutcome, WatchdogConfig};
+use crate::sequence::{SequenceOptions, SequenceOutcome};
 use crate::system::SystemSpec;
 use crate::writers::{PackedTileWriter, SubtilePackedWriter, TokenPoolWriter};
 
@@ -89,7 +89,7 @@ enum PlanMapping {
 /// # Examples
 ///
 /// ```
-/// use flashoverlap::{ExecOptions, OverlapPlan, SystemSpec};
+/// use flashoverlap::{OverlapPlan, SequenceOptions, SystemSpec};
 /// use flashoverlap::runtime::CommPattern;
 /// use gpu_sim::gemm::GemmDims;
 ///
@@ -97,7 +97,8 @@ enum PlanMapping {
 /// let system = SystemSpec::rtx4090(4);
 /// let dims = GemmDims::new(4096, 8192, 8192);
 /// let plan = OverlapPlan::tuned(dims, CommPattern::AllReduce, system)?;
-/// let report = plan.execute_with(&ExecOptions::new())?.report;
+/// let outcome = plan.execute_with(&SequenceOptions::new())?;
+/// let report = &outcome.reports[0];
 /// assert!(report.gemm_done <= report.latency);
 /// # Ok::<(), flashoverlap::FlashOverlapError>(())
 /// ```
@@ -193,7 +194,7 @@ impl SignalMutation {
 }
 
 /// Observation hooks and fault injection for an instrumented run (see
-/// [`ExecOptions::instrument`]). The `simsan` crate provides
+/// [`SequenceOptions::instrument`]). The `simsan` crate provides
 /// monitor/probe implementations; this crate stays policy-free.
 #[derive(Default)]
 pub struct Instrumentation {
@@ -235,122 +236,6 @@ impl FunctionalInputs {
             .map(|_| Matrix::random(dims.k as usize, dims.n as usize, &mut rng))
             .collect();
         FunctionalInputs { a, b }
-    }
-}
-
-/// Results of a functional (data-carrying) run.
-#[derive(Debug, Clone)]
-pub struct FunctionalReport {
-    /// Timing (identical machinery to a timing-mode run).
-    pub report: RunReport,
-    /// Per-rank logical outputs after the post-communication remap: the
-    /// full reduced `M x N` matrix for AllReduce, the rank's `M/n x N`
-    /// row slice (rows `r % n == rank`, ascending) for ReduceScatter, and
-    /// the received tokens (source-major, row-ascending) for All-to-All.
-    pub outputs: Vec<Matrix>,
-}
-
-/// Options for [`OverlapPlan::execute_with`]: one builder covering every
-/// execution mode the runtime supports — timing, instrumented, traced,
-/// functional, fused-epilogue, steady-state iteration, and resilient —
-/// replacing the former `execute*` method matrix.
-///
-/// Modes compose where the composition is meaningful and are rejected
-/// with [`FlashOverlapError::BadInputs`] where it is not (see
-/// [`OverlapPlan::execute_with`]).
-#[derive(Debug, Default)]
-pub struct ExecOptions<'a> {
-    instrument: Option<&'a Instrumentation>,
-    trace: bool,
-    epilogue: Option<&'a ElementwiseOp>,
-    functional: Option<&'a FunctionalInputs>,
-    resilient: Option<(&'a FaultPlan, &'a WatchdogConfig)>,
-    iterations: Option<usize>,
-}
-
-impl<'a> ExecOptions<'a> {
-    /// Plain timing-mode options (the former `execute`).
-    pub fn new() -> Self {
-        ExecOptions::default()
-    }
-
-    /// Attaches observation hooks and the optional seeded signal
-    /// mutation. An instrumented run skips the quiescence check: a
-    /// wedge a seeded [`SignalMutation`] causes is left for the attached
-    /// probe to report at drain time rather than turned into an error.
-    pub fn instrument(mut self, instr: &'a Instrumentation) -> Self {
-        self.instrument = Some(instr);
-        self
-    }
-
-    /// Records per-stream operation spans (timeline / Perfetto export)
-    /// into [`ExecOutcome::spans`].
-    pub fn trace(mut self) -> Self {
-        self.trace = true;
-        self
-    }
-
-    /// Fuses `op` into a post-communication epilogue kernel (Fig. 6),
-    /// paying the granularity-dependent remap cost of Table 4.
-    pub fn epilogue(mut self, op: &'a ElementwiseOp) -> Self {
-        self.epilogue = Some(op);
-        self
-    }
-
-    /// Runs functionally on real data; per-rank post-remap outputs land
-    /// in [`ExecOutcome::outputs`].
-    pub fn functional(mut self, inputs: &'a FunctionalInputs) -> Self {
-        self.functional = Some(inputs);
-        self
-    }
-
-    /// Runs under the watchdog with `faults` armed: a wedge is broken by
-    /// the escalation ladder and reported as a structured
-    /// [`ResilientOutcome`] instead of hanging.
-    pub fn resilient(mut self, faults: &'a FaultPlan, watchdog: &'a WatchdogConfig) -> Self {
-        self.resilient = Some((faults, watchdog));
-        self
-    }
-
-    /// Runs `n` back-to-back instances of the plan in one simulation
-    /// (kernel launches queued on the same streams, as a serving loop
-    /// would) and reports the steady-state average latency in
-    /// [`ExecOutcome::steady_state`].
-    pub fn iterations(mut self, n: usize) -> Self {
-        self.iterations = Some(n);
-        self
-    }
-}
-
-/// Unified result of [`OverlapPlan::execute_with`]. Fields a mode does
-/// not produce hold their neutral value: empty `spans`/`events`, `None`
-/// `outputs`/`steady_state`, [`ResilientOutcome::Clean`], zero
-/// `faults_armed`.
-#[derive(Debug, Clone)]
-pub struct ExecOutcome {
-    /// Timing of the run (in iteration mode, `latency` holds the
-    /// steady-state average and the per-group fields are empty).
-    pub report: RunReport,
-    /// Recorded per-stream spans when [`ExecOptions::trace`] was set.
-    pub spans: Vec<gpu_sim::OpSpan>,
-    /// Per-rank logical outputs when [`ExecOptions::functional`] was
-    /// set.
-    pub outputs: Option<Vec<Matrix>>,
-    /// How the run terminated (`Clean` outside resilient mode).
-    pub outcome: ResilientOutcome,
-    /// Watchdog/fault events recorded in resilient mode.
-    pub events: Vec<RuntimeEvent>,
-    /// Faults armed in resilient mode.
-    pub faults_armed: usize,
-    /// Steady-state average latency when [`ExecOptions::iterations`] was
-    /// set.
-    pub steady_state: Option<SimDuration>,
-}
-
-impl ExecOutcome {
-    /// Events of one kind from the resilient event log.
-    pub fn events_of(&self, kind: gpu_sim::RuntimeEventKind) -> Vec<&RuntimeEvent> {
-        self.events.iter().filter(|e| e.kind == kind).collect()
     }
 }
 
@@ -474,106 +359,22 @@ impl OverlapPlan {
         }
     }
 
-    /// Executes the plan with the modes selected in `options` — the
-    /// single runtime entry point. Every mode lowers to one chain: a
-    /// single segment, or `n` copies of the plan in iteration mode.
-    ///
-    /// Mode semantics:
-    ///
-    /// - Uninstrumented, non-resilient runs verify stream quiescence and
-    ///   turn a wedged schedule into [`FlashOverlapError::Deadlock`].
-    ///   Instrumented runs skip that check: a wedge a seeded
-    ///   [`SignalMutation`] causes is left for the attached probe to
-    ///   report at drain time (lost-signal/deadlock findings).
-    /// - [`ExecOptions::resilient`] composes with
-    ///   [`ExecOptions::functional`], [`ExecOptions::trace`], a monitor
-    ///   hook, and [`ExecOptions::iterations`] (the fault plan arms at
-    ///   the final, steady-state iteration), but rejects epilogues,
-    ///   probes, and mutations (faults are the resilient path's
-    ///   corruption vocabulary).
-    /// - [`ExecOptions::iterations`] is timing-only: it composes with
-    ///   instrumentation (the mutation applies to the final iteration)
-    ///   but rejects functional, epilogue, and trace requests. The
-    ///   reported outcome is the most severe across iterations.
+    /// Executes the plan as a one-segment chain with the modes selected
+    /// in `options` — timing, instrumented, traced, functional or
+    /// resilient (see [`SequenceOptions`]). A fused epilogue is a
+    /// one-layer [`crate::Pipeline`].
     ///
     /// # Errors
     ///
     /// Returns [`FlashOverlapError::BadInputs`] on malformed inputs,
-    /// invalid mode combinations, out-of-range fault targets, or zero
-    /// iterations; [`FlashOverlapError::Deadlock`] when an
-    /// uninstrumented schedule wedges; and
-    /// [`FlashOverlapError::Simulation`] on engine failure.
-    pub fn execute_with(&self, options: &ExecOptions) -> Result<ExecOutcome, FlashOverlapError> {
-        if let Some(op) = options.epilogue {
-            if options.resilient.is_some() {
-                return Err(FlashOverlapError::BadInputs {
-                    reason: "resilient mode does not support a fused epilogue".into(),
-                });
-            }
-            self.validate_epilogue(op)?;
-        }
-        if options.iterations.is_some()
-            && (options.functional.is_some() || options.epilogue.is_some() || options.trace)
-        {
-            return Err(FlashOverlapError::BadInputs {
-                reason: "iteration mode is timing-only: \
-                         drop .functional()/.epilogue()/.trace()"
-                    .into(),
-            });
-        }
-        let copies = options.iterations.unwrap_or(1);
-        let plans = vec![self; copies];
-        let faults: Option<Vec<FaultPlan>> = options.resilient.map(|(faults, _)| {
-            let mut chain_faults = vec![FaultPlan::none(); copies];
-            if let Some(last) = chain_faults.last_mut() {
-                last.clone_from(faults);
-            }
-            chain_faults
-        });
-        let mut chain = execute_chain(&Chain {
-            plans: &plans,
-            epilogues: vec![options.epilogue],
-            inputs: options.functional.map(std::slice::from_ref),
-            trace: options.trace,
-            instrument: options.instrument,
-            mutate_segment: copies.saturating_sub(1),
-            resilient: faults
-                .as_deref()
-                .zip(options.resilient.map(|(_, watchdog)| watchdog)),
-            ..Chain::default()
-        })?;
-        let outcome = chain
-            .outcomes
-            .iter()
-            .max_by_key(|o| match o {
-                ResilientOutcome::Clean => 0,
-                ResilientOutcome::Recovered { .. } => 1,
-                ResilientOutcome::Degraded { .. } => 2,
-            })
-            .cloned()
-            .unwrap_or(ResilientOutcome::Clean);
-        let (report, steady_state) = match options.iterations {
-            Some(n) => {
-                let steady = SimDuration::from_nanos(chain.total.as_nanos() / n as u64);
-                let report = RunReport {
-                    latency: steady,
-                    gemm_done: SimDuration::ZERO,
-                    group_comm_done: Vec::new(),
-                    epilogue_done: None,
-                };
-                (report, Some(steady))
-            }
-            None => (chain.reports.swap_remove(0), None),
-        };
-        Ok(ExecOutcome {
-            report,
-            spans: chain.spans,
-            outputs: chain.outputs.and_then(|mut o| o.pop()),
-            outcome,
-            events: chain.events,
-            faults_armed: chain.faults_armed,
-            steady_state,
-        })
+    /// invalid option combinations or out-of-range fault targets;
+    /// [`FlashOverlapError::Deadlock`] when an uninstrumented schedule
+    /// wedges; and [`FlashOverlapError::Simulation`] on engine failure.
+    pub fn execute_with(
+        &self,
+        options: &SequenceOptions,
+    ) -> Result<SequenceOutcome, FlashOverlapError> {
+        execute_chain(&[self], &[], options)
     }
 
     /// Validates an epilogue operator against this plan's logical output
@@ -624,10 +425,16 @@ impl OverlapPlan {
         }
     }
 
-    /// Validates functional inputs against this plan's shapes.
-    pub(crate) fn check_inputs(&self, inputs: &FunctionalInputs) -> Result<(), FlashOverlapError> {
+    /// Validates functional inputs against this plan's shapes. The `A`
+    /// operands are checked only when the segment `reads_a` (a segment
+    /// fed by its predecessor's epilogue ignores them).
+    pub(crate) fn check_inputs(
+        &self,
+        inputs: &FunctionalInputs,
+        reads_a: bool,
+    ) -> Result<(), FlashOverlapError> {
         let n = self.system.n_gpus;
-        if inputs.a.len() != n || inputs.b.len() != n {
+        if (reads_a && inputs.a.len() != n) || inputs.b.len() != n {
             return Err(FlashOverlapError::BadInputs {
                 reason: format!(
                     "expected {n} A and B operands, got {} and {}",
@@ -637,8 +444,9 @@ impl OverlapPlan {
             });
         }
         for r in 0..n {
-            if inputs.a[r].rows() != self.dims.m as usize
-                || inputs.a[r].cols() != self.dims.k as usize
+            if reads_a
+                && (inputs.a[r].rows() != self.dims.m as usize
+                    || inputs.a[r].cols() != self.dims.k as usize)
             {
                 return Err(FlashOverlapError::BadInputs {
                     reason: format!("rank {r} A operand is not {}x{}", self.dims.m, self.dims.k),
@@ -1105,14 +913,6 @@ impl OverlapPlan {
             _ => None,
         }
     }
-
-    /// The subtile mapping, when the pattern is ReduceScatter.
-    pub fn subtile_mapping(&self) -> Option<&SubtileMapping> {
-        match &self.mapping {
-            PlanMapping::Subtile(m) => Some(m),
-            _ => None,
-        }
-    }
 }
 
 /// Watchdog calibration (see [`crate::resilience`] for the fault and
@@ -1223,7 +1023,9 @@ impl Probes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resilience::Fault;
+    use crate::pipeline::Pipeline;
+    use crate::resilience::{Fault, FaultPlan, ResilientOutcome, WatchdogConfig};
+    use crate::sequence::execute_sequence;
     use gpu_sim::RuntimeEventKind;
     use tensor::{allclose, gemm};
 
@@ -1246,17 +1048,23 @@ mod tests {
     }
 
     fn exec(plan: &OverlapPlan) -> RunReport {
-        plan.execute_with(&ExecOptions::new()).unwrap().report
+        plan.execute_with(&SequenceOptions::new())
+            .unwrap()
+            .reports
+            .remove(0)
     }
 
-    fn exec_functional(plan: &OverlapPlan, inputs: &FunctionalInputs) -> FunctionalReport {
-        let out = plan
-            .execute_with(&ExecOptions::new().functional(inputs))
+    /// The per-rank outputs of a one-segment functional run.
+    fn outputs(outcome: &SequenceOutcome) -> &[Matrix] {
+        &outcome.outputs.as_ref().expect("functional outputs")[0]
+    }
+
+    fn exec_functional(plan: &OverlapPlan, inputs: &FunctionalInputs) -> (RunReport, Vec<Matrix>) {
+        let mut out = plan
+            .execute_with(&SequenceOptions::new().functional(std::slice::from_ref(inputs)))
             .unwrap();
-        FunctionalReport {
-            report: out.report,
-            outputs: out.outputs.expect("functional outputs"),
-        }
+        let outputs = outputs(&out).to_vec();
+        (out.reports.remove(0), outputs)
     }
 
     #[test]
@@ -1269,12 +1077,12 @@ mod tests {
         let partition = WavePartition::per_wave(waves);
         let plan = OverlapPlan::new(dims, CommPattern::AllReduce, system, partition).unwrap();
         let inputs = FunctionalInputs::random(dims, 2, 77);
-        let result = exec_functional(&plan, &inputs);
+        let (report, outputs) = exec_functional(&plan, &inputs);
         let expected = reduced_reference(&inputs);
-        for (d, out) in result.outputs.iter().enumerate() {
+        for (d, out) in outputs.iter().enumerate() {
             assert!(allclose(out, &expected, 1e-2), "rank {d} output mismatch");
         }
-        assert!(result.report.latency > SimDuration::ZERO);
+        assert!(report.latency > SimDuration::ZERO);
     }
 
     fn all_reduce_plan(dims: GemmDims, n: usize) -> OverlapPlan {
@@ -1312,13 +1120,12 @@ mod tests {
         let plan = all_reduce_plan(GemmDims::new(256, 256, 64), 2);
         let clean = exec(&plan);
         let resilient = plan
-            .execute_with(&ExecOptions::new().resilient(
-                &crate::resilience::FaultPlan::none(),
-                &WatchdogConfig::default(),
-            ))
+            .execute_with(
+                &SequenceOptions::new().resilient(&[FaultPlan::none()], &WatchdogConfig::default()),
+            )
             .unwrap();
-        assert!(resilient.outcome.is_clean(), "{:?}", resilient.outcome);
-        assert_eq!(resilient.report.latency, clean.latency);
+        assert!(resilient.outcomes[0].is_clean(), "{:?}", resilient.outcomes);
+        assert_eq!(resilient.reports[0].latency, clean.latency);
         assert_eq!(resilient.faults_armed, 0);
         assert!(resilient.events.is_empty());
     }
@@ -1334,20 +1141,20 @@ mod tests {
         // Rank 0 loses one signal of group 1: its wait never satisfies, the
         // overlap wedges after group 0, and the watchdog must late-release
         // the remaining groups as tail collectives.
-        let faults = crate::resilience::FaultPlan::single(Fault::DroppedIncrement {
+        let faults = [FaultPlan::single(Fault::DroppedIncrement {
             rank: 0,
             group: 1,
             count: 1,
-        });
-        let inputs = FunctionalInputs::random(dims, 2, 21);
+        })];
+        let inputs = [FunctionalInputs::random(dims, 2, 21)];
         let result = plan
             .execute_with(
-                &ExecOptions::new()
+                &SequenceOptions::new()
                     .functional(&inputs)
                     .resilient(&faults, &WatchdogConfig::default()),
             )
             .unwrap();
-        match &result.outcome {
+        match &result.outcomes[0] {
             ResilientOutcome::Recovered { tail_groups, .. } => {
                 assert!(
                     tail_groups.contains(&1),
@@ -1366,14 +1173,8 @@ mod tests {
         );
         // The lost signal cost only the signal, never the tile data: the
         // recovered run stays bit-exact.
-        let expected = reduced_reference(&inputs);
-        for (d, out) in result
-            .outputs
-            .as_deref()
-            .unwrap_or_default()
-            .iter()
-            .enumerate()
-        {
+        let expected = reduced_reference(&inputs[0]);
+        for (d, out) in outputs(&result).iter().enumerate() {
             assert!(allclose(out, &expected, 1e-2), "rank {d} output mismatch");
         }
     }
@@ -1385,20 +1186,20 @@ mod tests {
         // Group 0 never signals on rank 0, so the overlap completes nothing
         // before wedging: the ladder skips straight to the bulk fallback and
         // reports a structured degradation instead of hanging.
-        let faults = crate::resilience::FaultPlan::single(Fault::DroppedIncrement {
+        let faults = [FaultPlan::single(Fault::DroppedIncrement {
             rank: 0,
             group: 0,
             count: 1,
-        });
-        let inputs = FunctionalInputs::random(dims, 2, 22);
+        })];
+        let inputs = [FunctionalInputs::random(dims, 2, 22)];
         let result = plan
             .execute_with(
-                &ExecOptions::new()
+                &SequenceOptions::new()
                     .functional(&inputs)
                     .resilient(&faults, &WatchdogConfig::default()),
             )
             .unwrap();
-        match &result.outcome {
+        match &result.outcomes[0] {
             ResilientOutcome::Degraded {
                 cause,
                 recovered_groups,
@@ -1412,14 +1213,8 @@ mod tests {
         assert!(!result
             .events_of(RuntimeEventKind::DegradedFallback)
             .is_empty());
-        let expected = reduced_reference(&inputs);
-        for (d, out) in result
-            .outputs
-            .as_deref()
-            .unwrap_or_default()
-            .iter()
-            .enumerate()
-        {
+        let expected = reduced_reference(&inputs[0]);
+        for (d, out) in outputs(&result).iter().enumerate() {
             assert!(allclose(out, &expected, 1e-2), "rank {d} output mismatch");
         }
     }
@@ -1429,15 +1224,15 @@ mod tests {
         let plan = all_reduce_plan(GemmDims::new(256, 256, 64), 2);
         // A 3x-degraded link makes the run slow, not stuck: the watchdog may
         // extend the deadline but must never abort in-flight collectives.
-        let faults = crate::resilience::FaultPlan::single(Fault::LinkDegradation { slowdown: 3.0 });
+        let faults = [FaultPlan::single(Fault::LinkDegradation { slowdown: 3.0 })];
         let report = plan
-            .execute_with(&ExecOptions::new().resilient(&faults, &WatchdogConfig::default()))
+            .execute_with(&SequenceOptions::new().resilient(&faults, &WatchdogConfig::default()))
             .unwrap();
         assert!(
-            !report.outcome.is_degraded() || !report.events.is_empty(),
+            !report.outcomes[0].is_degraded() || !report.events.is_empty(),
             "a degraded verdict needs an event trail"
         );
-        assert!(report.report.latency > SimDuration::ZERO);
+        assert!(report.reports[0].latency > SimDuration::ZERO);
         assert!(
             report.events_of(RuntimeEventKind::TailRecovery).is_empty(),
             "no recovery collectives for a merely slow link"
@@ -1465,17 +1260,9 @@ mod tests {
         let dims = GemmDims::new(256, 256, 64);
         let plan = two_node_plan(dims, 4);
         let inputs = FunctionalInputs::random(dims, 4, 77);
-        let result = plan
-            .execute_with(&ExecOptions::new().functional(&inputs))
-            .unwrap();
+        let (_, outputs) = exec_functional(&plan, &inputs);
         let expected = reduced_reference(&inputs);
-        for (d, out) in result
-            .outputs
-            .as_deref()
-            .unwrap_or_default()
-            .iter()
-            .enumerate()
-        {
+        for (d, out) in outputs.iter().enumerate() {
             assert!(allclose(out, &expected, 1e-2), "rank {d} output mismatch");
         }
     }
@@ -1483,37 +1270,26 @@ mod tests {
     #[test]
     fn inter_link_fault_spares_single_node_plans() {
         let dims = GemmDims::new(256, 256, 64);
-        let fault =
-            crate::resilience::FaultPlan::single(Fault::InterLinkDegradation { slowdown: 4.0 });
-        let none = crate::resilience::FaultPlan::none();
+        let fault = [FaultPlan::single(Fault::InterLinkDegradation {
+            slowdown: 4.0,
+        })];
+        let none = [FaultPlan::none()];
         let watchdog = WatchdogConfig::default();
+        let latency = |plan: &OverlapPlan, faults: &[FaultPlan]| {
+            plan.execute_with(&SequenceOptions::new().resilient(faults, &watchdog))
+                .unwrap()
+                .reports[0]
+                .latency
+        };
         // Single-node plan: the fault arms but no collective spans nodes,
         // so timing is identical to the fault-free resilient run.
         let plan = all_reduce_plan(dims, 2);
-        let clean = plan
-            .execute_with(&ExecOptions::new().resilient(&none, &watchdog))
-            .unwrap()
-            .report
-            .latency;
-        let faulted = plan
-            .execute_with(&ExecOptions::new().resilient(&fault, &watchdog))
-            .unwrap()
-            .report
-            .latency;
+        let (clean, faulted) = (latency(&plan, &none), latency(&plan, &fault));
         assert_eq!(clean, faulted, "inter fault must not touch a single node");
         // Two-node plan: every hierarchical leader phase crosses the
         // degraded tier, so the run slows down.
         let plan = two_node_plan(dims, 4);
-        let clean = plan
-            .execute_with(&ExecOptions::new().resilient(&none, &watchdog))
-            .unwrap()
-            .report
-            .latency;
-        let faulted = plan
-            .execute_with(&ExecOptions::new().resilient(&fault, &watchdog))
-            .unwrap()
-            .report
-            .latency;
+        let (clean, faulted) = (latency(&plan, &none), latency(&plan, &fault));
         assert!(
             faulted > clean,
             "node-spanning plan must feel the inter-link fault \
@@ -1525,68 +1301,66 @@ mod tests {
     fn straggler_rank_terminates_with_verdict() {
         let dims = GemmDims::new(256, 256, 64);
         let plan = all_reduce_plan(dims, 2);
-        let faults = crate::resilience::FaultPlan::single(Fault::SlowRank {
+        let faults = [FaultPlan::single(Fault::SlowRank {
             rank: 1,
             delay: SimDuration::from_micros(400),
-        });
-        let inputs = FunctionalInputs::random(dims, 2, 23);
+        })];
+        let inputs = [FunctionalInputs::random(dims, 2, 23)];
         let result = plan
             .execute_with(
-                &ExecOptions::new()
+                &SequenceOptions::new()
                     .functional(&inputs)
                     .resilient(&faults, &WatchdogConfig::default()),
             )
             .unwrap();
         // Whatever the verdict, the run terminated and the data is right.
-        let expected = reduced_reference(&inputs);
-        for (d, out) in result
-            .outputs
-            .as_deref()
-            .unwrap_or_default()
-            .iter()
-            .enumerate()
-        {
+        let expected = reduced_reference(&inputs[0]);
+        for (d, out) in outputs(&result).iter().enumerate() {
             assert!(allclose(out, &expected, 1e-2), "rank {d} output mismatch");
         }
     }
 
     #[test]
     fn resilient_iterations_run_the_chain_watchdog() {
+        // Back-to-back iterations are `n` copies of the plan in one
+        // sequence.
         let plan = all_reduce_plan(GemmDims::new(256, 256, 64), 2);
-        // Fault-free: the chain watchdog is timing-neutral, so the
-        // steady-state average matches plain iteration mode exactly.
-        let plain = plan
-            .execute_with(&ExecOptions::new().iterations(4))
-            .unwrap();
-        let clean = plan
-            .execute_with(&ExecOptions::new().iterations(4).resilient(
-                &crate::resilience::FaultPlan::none(),
-                &WatchdogConfig::default(),
-            ))
-            .unwrap();
-        assert!(clean.outcome.is_clean(), "{:?}", clean.outcome);
-        assert_eq!(clean.steady_state, plain.steady_state);
+        let iterations = [&plan; 4];
+        let watchdog = WatchdogConfig::default();
+        // Fault-free: the chain watchdog is timing-neutral.
+        let plain = execute_sequence(&iterations, &SequenceOptions::new()).unwrap();
+        let none = vec![FaultPlan::none(); 4];
+        let clean = execute_sequence(
+            &iterations,
+            &SequenceOptions::new().resilient(&none, &watchdog),
+        )
+        .unwrap();
+        assert!(
+            clean.outcomes.iter().all(ResilientOutcome::is_clean),
+            "{:?}",
+            clean.outcomes
+        );
+        assert_eq!(clean.total, plain.total);
         assert_eq!(clean.faults_armed, 0);
-        // The fault plan arms at the final iteration — its counting
-        // table is inherited from two iterations earlier, so the wedge
-        // exercises the chain (inherited-table) recovery path.
-        let faults = crate::resilience::FaultPlan::single(Fault::DroppedIncrement {
+        // A fault armed at the final iteration: its counting table is
+        // inherited from two iterations earlier, so the wedge exercises
+        // the chain (inherited-table) recovery path.
+        let mut faults = none.clone();
+        faults[3] = FaultPlan::single(Fault::DroppedIncrement {
             rank: 0,
             group: 1,
             count: 64,
         });
-        let wedged = plan
-            .execute_with(
-                &ExecOptions::new()
-                    .iterations(4)
-                    .resilient(&faults, &WatchdogConfig::default()),
-            )
-            .unwrap();
+        let wedged = execute_sequence(
+            &iterations,
+            &SequenceOptions::new().resilient(&faults, &watchdog),
+        )
+        .unwrap();
         assert_eq!(wedged.faults_armed, 1);
         assert!(
-            matches!(wedged.outcome, ResilientOutcome::Recovered { .. }),
+            matches!(wedged.outcomes[3], ResilientOutcome::Recovered { .. }),
             "{:?}",
-            wedged.outcome
+            wedged.outcomes
         );
         assert!(
             wedged
@@ -1596,14 +1370,7 @@ mod tests {
             "the wedge names the final iteration: {:?}",
             wedged.events
         );
-        assert!(wedged.steady_state.unwrap() > plain.steady_state.unwrap());
-        assert!(matches!(
-            plan.execute_with(&ExecOptions::new().iterations(0).resilient(
-                &crate::resilience::FaultPlan::none(),
-                &WatchdogConfig::default(),
-            )),
-            Err(FlashOverlapError::BadInputs { .. })
-        ));
+        assert!(wedged.total > plain.total);
     }
 
     #[test]
@@ -1622,9 +1389,9 @@ mod tests {
             .unwrap()
         };
         let inputs = FunctionalInputs::random(dims, 2, 5);
-        let result = exec_functional(&plan, &inputs);
+        let (_, outputs) = exec_functional(&plan, &inputs);
         let expected = reduced_reference(&inputs);
-        for (k, out) in result.outputs.iter().enumerate() {
+        for (k, out) in outputs.iter().enumerate() {
             assert_eq!(out.rows(), 128);
             for i in 0..out.rows() {
                 let global = k + i * 2;
@@ -1657,10 +1424,9 @@ mod tests {
         };
         let inputs = FunctionalInputs::random(dims, 2, 5);
         let per_rank_out: Vec<Matrix> = (0..2).map(|r| gemm(&inputs.a[r], &inputs.b[r])).collect();
-        let result = exec_functional(&plan, &inputs);
+        let (_, outputs) = exec_functional(&plan, &inputs);
         let mapping = plan.token_mapping().unwrap();
-        for d in 0..2 {
-            let out = &result.outputs[d];
+        for (d, out) in outputs.iter().enumerate() {
             let expected_rows = &mapping.recv_expected[d];
             assert_eq!(out.rows(), expected_rows.len());
             for (i, &(src, row)) in expected_rows.iter().enumerate() {
@@ -1708,8 +1474,8 @@ mod tests {
         plan.check_static().unwrap();
         let inputs = FunctionalInputs::random(dims, 2, 8);
         let single = OverlapPlan::new(dims, pattern, system, WavePartition::single(waves)).unwrap();
-        let expected = exec_functional(&single, &inputs).outputs;
-        let outputs = exec_functional(&plan, &inputs).outputs;
+        let (_, expected) = exec_functional(&single, &inputs);
+        let (_, outputs) = exec_functional(&plan, &inputs);
         assert_eq!(outputs.len(), expected.len());
         for (d, (out, exp)) in outputs.iter().zip(&expected).enumerate() {
             assert_eq!(out.as_slice(), exp.as_slice(), "rank {d}");
@@ -1755,9 +1521,9 @@ mod tests {
                 partition.clone(),
             )
             .unwrap();
-            let result = exec_functional(&plan, &inputs);
+            let (_, outputs) = exec_functional(&plan, &inputs);
             assert!(
-                allclose(&result.outputs[0], &expected, 1e-2),
+                allclose(&outputs[0], &expected, 1e-2),
                 "partition {partition}"
             );
         }
@@ -1778,20 +1544,16 @@ mod tests {
             system.clone(),
             WavePartition::single(waves),
         )
-        .unwrap()
-        .execute_with(&ExecOptions::new())
-        .map(|o| o.report)
         .unwrap();
+        let serial = exec(&serial);
         let overlapped = OverlapPlan::new(
             dims,
             CommPattern::AllReduce,
             system,
             WavePartition::new(vec![2; waves as usize / 2]),
         )
-        .unwrap()
-        .execute_with(&ExecOptions::new())
-        .map(|o| o.report)
         .unwrap();
+        let overlapped = exec(&overlapped);
         assert!(
             overlapped.latency < serial.latency,
             "overlap {} not faster than serial {}",
@@ -1835,9 +1597,9 @@ mod tests {
         )
         .unwrap();
         let inputs = FunctionalInputs::random(dims, 2, 17);
-        let result = exec_functional(&plan, &inputs);
+        let (_, outputs) = exec_functional(&plan, &inputs);
         let shards: Vec<Matrix> = (0..2).map(|r| gemm(&inputs.a[r], &inputs.b[r])).collect();
-        for (d, out) in result.outputs.iter().enumerate() {
+        for (d, out) in outputs.iter().enumerate() {
             assert_eq!((out.rows(), out.cols()), (256, 256));
             for r in 0..256usize {
                 for c in 0..256usize {
@@ -1852,21 +1614,18 @@ mod tests {
     #[test]
     fn launch_skew_delays_but_never_breaks_runs() {
         let dims = GemmDims::new(2048, 4096, 4096);
-        let clean = OverlapPlan::tuned(dims, CommPattern::AllReduce, SystemSpec::rtx4090(4))
-            .unwrap()
-            .execute_with(&ExecOptions::new())
-            .unwrap()
-            .report
-            .latency;
-        let skewed = OverlapPlan::tuned(
-            dims,
-            CommPattern::AllReduce,
-            SystemSpec::rtx4090(4).with_launch_skew_ns(200_000),
+        let clean = exec(
+            &OverlapPlan::tuned(dims, CommPattern::AllReduce, SystemSpec::rtx4090(4)).unwrap(),
         )
-        .unwrap()
-        .execute_with(&ExecOptions::new())
-        .unwrap()
-        .report
+        .latency;
+        let skewed = exec(
+            &OverlapPlan::tuned(
+                dims,
+                CommPattern::AllReduce,
+                SystemSpec::rtx4090(4).with_launch_skew_ns(200_000),
+            )
+            .unwrap(),
+        )
         .latency;
         assert!(skewed > clean, "skew must cost time");
         assert!(
@@ -1891,19 +1650,15 @@ mod tests {
         let system = SystemSpec::rtx4090(4);
         let plan = OverlapPlan::tuned(dims, CommPattern::AllReduce, system).unwrap();
         let single = exec(&plan).latency;
-        let steady = plan
-            .execute_with(&ExecOptions::new().iterations(8))
+        // The steady state of `n` back-to-back iterations: one sequence
+        // of `n` copies, total over `n`.
+        let total = execute_sequence(&[&plan; 8], &SequenceOptions::new())
             .unwrap()
-            .steady_state
-            .expect("iteration mode sets steady_state");
-        let ratio = steady.as_nanos() as f64 / single.as_nanos() as f64;
+            .total;
+        let ratio = total.as_nanos() as f64 / 8.0 / single.as_nanos() as f64;
         // Back-pressure can stretch or slightly compress iterations, but
         // the steady state stays near the single-shot latency.
         assert!((0.8..1.3).contains(&ratio), "ratio {ratio}");
-        assert!(matches!(
-            plan.execute_with(&ExecOptions::new().iterations(0)),
-            Err(FlashOverlapError::BadInputs { .. })
-        ));
     }
 
     #[test]
@@ -1928,19 +1683,18 @@ mod tests {
             weight: std::rc::Rc::new(weight.clone()),
             eps: 1e-6,
         };
-        let out = plan
-            .execute_with(&ExecOptions::new().functional(&inputs).epilogue(&op))
-            .unwrap();
-        let result = FunctionalReport {
-            report: out.report,
-            outputs: out.outputs.expect("functional outputs"),
-        };
+        // A fused epilogue is a one-layer pipeline.
+        let layer = Pipeline::with_plans(plan.system.clone(), vec![plan], vec![Some(op)]).unwrap();
         let expected = rmsnorm(&reduced_reference(&inputs), &weight, 1e-6);
-        for (d, out) in result.outputs.iter().enumerate() {
+        let result = layer
+            .execute_with(&SequenceOptions::new().functional(&[inputs]))
+            .unwrap();
+        for (d, out) in outputs(&result).iter().enumerate() {
             assert!(allclose(out, &expected, 2e-2), "rank {d}");
         }
-        let done = result.report.epilogue_done.expect("epilogue probe");
-        assert!(done > result.report.latency, "epilogue runs after comm");
+        let report = &result.reports[0];
+        let done = report.epilogue_done.expect("epilogue probe");
+        assert!(done > report.latency, "epilogue runs after comm");
     }
 
     #[test]
@@ -1949,21 +1703,24 @@ mod tests {
 
         let dims = GemmDims::new(4096, 8192, 8192);
         let system = SystemSpec::rtx4090(4);
-        let plan = OverlapPlan::tuned(dims, CommPattern::AllReduce, system).unwrap();
+        let plan = OverlapPlan::tuned(dims, CommPattern::AllReduce, system.clone()).unwrap();
         let plain = exec(&plan);
         assert!(plain.epilogue_done.is_none());
-        let fused = plan
-            .execute_with(&ExecOptions::new().epilogue(&ElementwiseOp::Relu))
-            .unwrap()
-            .report;
-        let done = fused.epilogue_done.expect("epilogue requested");
-        assert!(done > fused.latency);
         // The epilogue adds roughly one memory-bound kernel, not more.
-        let extra = done - fused.latency;
         let bound = plan
             .system
             .arch
             .elementwise_time(dims.out_elems() * 4, Some(plan.remap_granularity()));
+        let layer =
+            Pipeline::with_plans(system, vec![plan], vec![Some(ElementwiseOp::Relu)]).unwrap();
+        let fused = layer
+            .execute_with(&SequenceOptions::new())
+            .unwrap()
+            .reports
+            .remove(0);
+        let done = fused.epilogue_done.expect("epilogue requested");
+        assert!(done > fused.latency);
+        let extra = done - fused.latency;
         assert!(extra <= bound.mul_f64(1.2), "epilogue too slow: {extra}");
     }
 
@@ -1973,13 +1730,13 @@ mod tests {
 
         let dims = GemmDims::new(256, 256, 64);
         let system = small_system(2);
-        let plan = OverlapPlan::tuned(dims, CommPattern::AllReduce, system).unwrap();
+        let plan = OverlapPlan::tuned(dims, CommPattern::AllReduce, system.clone()).unwrap();
         let bad = ElementwiseOp::RmsNorm {
             weight: std::rc::Rc::new(vec![1.0; 8]),
             eps: 1e-6,
         };
         assert!(matches!(
-            plan.execute_with(&ExecOptions::new().epilogue(&bad)),
+            Pipeline::with_plans(system, vec![plan], vec![Some(bad)]),
             Err(FlashOverlapError::BadInputs { .. })
         ));
     }
@@ -2013,9 +1770,9 @@ mod tests {
             WavePartition::single(waves),
         )
         .unwrap();
-        let bad = FunctionalInputs::random(GemmDims::new(128, 256, 64), 2, 1);
+        let bad = [FunctionalInputs::random(GemmDims::new(128, 256, 64), 2, 1)];
         assert!(matches!(
-            plan.execute_with(&ExecOptions::new().functional(&bad)),
+            plan.execute_with(&SequenceOptions::new().functional(&bad)),
             Err(FlashOverlapError::BadInputs { .. })
         ));
     }

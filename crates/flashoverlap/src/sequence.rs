@@ -17,35 +17,43 @@
 //! [`SequenceOptions::drop_cross_batch_edge`] deliberately skips one
 //! batch's table rearm — the mutation self-test a correct sanitizer
 //! must flag as use-before-signal.
+//!
+//! [`SequenceOptions`] and [`SequenceOutcome`] are the options and
+//! results of every execution, not only of sequences: a single
+//! [`OverlapPlan`] is a one-segment chain and a [`crate::Pipeline`] is a
+//! chain whose segments carry the layers' fused epilogues.
 
 use gpu_sim::RuntimeEvent;
 use sim::SimDuration;
 use tensor::Matrix;
 
-use crate::chain::{execute_chain, Chain};
+use crate::chain::execute_chain;
 use crate::error::FlashOverlapError;
 use crate::resilience::{FaultPlan, ResilientOutcome, WatchdogConfig};
 use crate::runtime::{FunctionalInputs, Instrumentation, OverlapPlan, RunReport};
 
-/// Options for [`execute_sequence`].
+/// Options for every execution: [`execute_sequence`],
+/// [`OverlapPlan::execute_with`] (a one-segment chain) and
+/// [`crate::Pipeline::execute_with`] (one segment per layer). Default
+/// options run a pipelined, timing-only chain.
 #[derive(Debug, Default)]
 pub struct SequenceOptions<'a> {
-    serial: bool,
-    instrument: Option<&'a Instrumentation>,
-    trace: bool,
-    functional: Option<&'a [FunctionalInputs]>,
-    drop_cross_batch_edge: Option<usize>,
-    resilient: Option<(&'a [FaultPlan], &'a WatchdogConfig)>,
+    pub(crate) serial: bool,
+    pub(crate) instrument: Option<&'a Instrumentation>,
+    pub(crate) trace: bool,
+    pub(crate) functional: Option<&'a [FunctionalInputs]>,
+    pub(crate) drop_cross_batch_edge: Option<usize>,
+    pub(crate) resilient: Option<(&'a [FaultPlan], &'a WatchdogConfig)>,
 }
 
 impl<'a> SequenceOptions<'a> {
-    /// Pipelined (default) options.
+    /// Pipelined, timing-only options.
     pub fn new() -> Self {
         SequenceOptions::default()
     }
 
-    /// Full barrier between batches: batch `k + 1`'s GEMM waits for
-    /// batch `k`'s collectives to drain. The reference schedule —
+    /// Full barrier between segments: segment `k + 1`'s GEMM waits for
+    /// segment `k`'s collectives to drain. The reference schedule —
     /// functionally bit-identical to the pipelined one, only slower.
     pub fn serial(mut self) -> Self {
         self.serial = true;
@@ -53,8 +61,11 @@ impl<'a> SequenceOptions<'a> {
     }
 
     /// Attaches observation hooks. A seeded
-    /// [`crate::runtime::SignalMutation`] applies to the last batch,
-    /// after counting-table reuse reached steady state.
+    /// [`crate::runtime::SignalMutation`] applies to the last segment
+    /// (after counting-table reuse reached steady state), and an
+    /// instrumented run
+    /// skips the quiescence check: a wedge the mutation causes is left
+    /// for the attached probe to report at drain time, not an error.
     pub fn instrument(mut self, instr: &'a Instrumentation) -> Self {
         self.instrument = Some(instr);
         self
@@ -67,33 +78,35 @@ impl<'a> SequenceOptions<'a> {
         self
     }
 
-    /// Functional mode: `inputs[i]` feeds plan `i`; per-batch outputs
-    /// land in [`SequenceOutcome::outputs`].
+    /// Functional mode: `inputs[i]` feeds segment `i`; per-segment
+    /// outputs land in [`SequenceOutcome::outputs`]. A segment fed by
+    /// its predecessor's fused epilogue (a pipeline layer after the
+    /// first) reads only `inputs[i].b`; its `a` may be empty.
     pub fn functional(mut self, inputs: &'a [FunctionalInputs]) -> Self {
         self.functional = Some(inputs);
         self
     }
 
-    /// Deliberately skips batch `batch`'s counting-table rearm (the
+    /// Deliberately skips segment `segment`'s counting-table rearm (the
     /// wait-previous-comm → reset → ready edges on table reuse). The
-    /// table then still holds the saturated counts of the batch that
-    /// used it two slots earlier, so this batch's waits are satisfied
+    /// table then still holds the saturated counts of the segment that
+    /// used it two slots earlier, so this segment's waits are satisfied
     /// by *stale* signals and its collectives read tiles the GEMM has
     /// not yet produced: the cross-batch use-before-signal bug class a
-    /// correct sanitizer must flag. Only meaningful for `batch >= 2`
+    /// correct sanitizer must flag. Only meaningful for `segment >= 2`
     /// (the first reuse of a table set); otherwise a no-op.
-    pub fn drop_cross_batch_edge(mut self, batch: usize) -> Self {
-        self.drop_cross_batch_edge = Some(batch);
+    pub fn drop_cross_batch_edge(mut self, segment: usize) -> Self {
+        self.drop_cross_batch_edge = Some(segment);
         self
     }
 
     /// Runs the whole chain under the chain watchdog with deterministic
-    /// fault injection: `faults[i]` arms at batch `i`'s position in the
-    /// stream order (the table-quarantine rule disarms whatever budget
-    /// the previous same-parity batch left on the inherited table), and
-    /// a wedge at batch `k` is broken by the escalation ladder without
-    /// poisoning the double-buffered tables batch `k + 1` inherits. One
-    /// [`ResilientOutcome`] per batch lands in
+    /// fault injection: `faults[i]` arms at segment `i`'s position in
+    /// the stream order (the table-quarantine rule disarms whatever
+    /// budget the previous same-parity segment left on the inherited
+    /// table), and a wedge at segment `k` is broken by the escalation
+    /// ladder without poisoning the double-buffered tables segment
+    /// `k + 1` inherits. One [`ResilientOutcome`] per segment lands in
     /// [`SequenceOutcome::outcomes`]. Incompatible with probe/mutation
     /// instrumentation and [`SequenceOptions::drop_cross_batch_edge`].
     pub fn resilient(mut self, faults: &'a [FaultPlan], watchdog: &'a WatchdogConfig) -> Self {
@@ -102,27 +115,38 @@ impl<'a> SequenceOptions<'a> {
     }
 }
 
-/// Results of [`execute_sequence`].
+/// Results of every execution (see [`SequenceOptions`]); a single plan
+/// reports one segment.
 #[derive(Debug, Clone)]
 pub struct SequenceOutcome {
-    /// Launch of batch 0 to the last batch's completion.
+    /// Launch of segment 0 to the last segment's completion.
     pub total: SimDuration,
-    /// Per-batch reports. Times are absolute simulation times, monotone
-    /// in batch order (batch `i`'s `latency` is its completion time).
+    /// Per-segment reports. Times are absolute simulation times,
+    /// monotone in segment order (segment `i`'s `latency` is its
+    /// completion time).
     pub reports: Vec<RunReport>,
     /// Recorded per-stream spans when tracing was requested.
     pub spans: Vec<gpu_sim::OpSpan>,
-    /// Per-batch per-rank logical outputs in functional mode.
+    /// Per-segment per-rank logical outputs in functional mode: the
+    /// fused epilogue's output when the segment has one, otherwise the
+    /// remapped receive data.
     pub outputs: Option<Vec<Vec<Matrix>>>,
-    /// Per-batch termination outcome. All `Clean` on non-resilient runs;
-    /// under [`SequenceOptions::resilient`], batch `k` wedging ends it
-    /// `Recovered`/`Degraded` while later batches report how they rode
-    /// out the recovery.
+    /// Per-segment termination outcome. All `Clean` on non-resilient
+    /// runs; under [`SequenceOptions::resilient`], segment `k` wedging
+    /// ends it `Recovered`/`Degraded` while later segments report how
+    /// they rode out the recovery.
     pub outcomes: Vec<ResilientOutcome>,
     /// Fault/recovery timeline of a resilient run (empty otherwise).
     pub events: Vec<RuntimeEvent>,
-    /// Total faults armed across all batches of a resilient run.
+    /// Total faults armed across all segments of a resilient run.
     pub faults_armed: usize,
+}
+
+impl SequenceOutcome {
+    /// Events of one kind from the resilient event log.
+    pub fn events_of(&self, kind: gpu_sim::RuntimeEventKind) -> Vec<&RuntimeEvent> {
+        self.events.iter().filter(|e| e.kind == kind).collect()
+    }
 }
 
 /// Executes `plans` back to back on one simulated cluster — batch `i`
@@ -133,31 +157,15 @@ pub struct SequenceOutcome {
 /// # Errors
 ///
 /// Returns [`FlashOverlapError::BadInputs`] on an empty sequence,
-/// mismatched rank counts, or malformed functional inputs;
-/// [`FlashOverlapError::Deadlock`] when an uninstrumented schedule
-/// wedges; and [`FlashOverlapError::Simulation`] on engine failure.
+/// mismatched rank counts, malformed functional inputs or invalid
+/// option combinations; [`FlashOverlapError::Deadlock`] when an
+/// uninstrumented schedule wedges; and [`FlashOverlapError::Simulation`]
+/// on engine failure.
 pub fn execute_sequence(
     plans: &[&OverlapPlan],
     options: &SequenceOptions,
 ) -> Result<SequenceOutcome, FlashOverlapError> {
-    if options.resilient.is_some() && options.drop_cross_batch_edge.is_some() {
-        return Err(FlashOverlapError::BadInputs {
-            reason: "drop_cross_batch_edge is a sanitizer self-test, \
-                     incompatible with resilient execution"
-                .into(),
-        });
-    }
-    execute_chain(&Chain {
-        plans,
-        inputs: options.functional,
-        serial: options.serial,
-        trace: options.trace,
-        instrument: options.instrument,
-        mutate_segment: plans.len().saturating_sub(1),
-        drop_rearm: options.drop_cross_batch_edge,
-        resilient: options.resilient,
-        ..Chain::default()
-    })
+    execute_chain(plans, &[], options)
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@ use crate::partition::{
 };
 use crate::predictor::LatencyPredictor;
 use crate::runtime::{CommPattern, OverlapPlan};
+use crate::sequence::SequenceOptions;
 use crate::system::SystemSpec;
 
 /// First-group size bound `S_1` used for evaluation (§4.1.4).
@@ -105,11 +106,9 @@ pub fn exhaustive_search(
         // Prove the candidate's signal/wait schedule safe before spending
         // a simulated execution on it.
         plan.check_static()?;
-        let report = plan
-            .execute_with(&crate::runtime::ExecOptions::new())?
-            .report;
-        if best.as_ref().is_none_or(|(b, _)| report.latency < *b) {
-            best = Some((report.latency, partition));
+        let latency = plan.execute_with(&SequenceOptions::new())?.reports[0].latency;
+        if best.as_ref().is_none_or(|(b, _)| latency < *b) {
+            best = Some((latency, partition));
         }
     }
     let (latency, partition) = best.expect("at least one partition exists");
@@ -133,10 +132,7 @@ pub fn measure_partition(
 ) -> Result<SimDuration, FlashOverlapError> {
     let plan = OverlapPlan::new(dims, pattern.clone(), system.clone(), partition)?;
     plan.check_static()?;
-    Ok(plan
-        .execute_with(&crate::runtime::ExecOptions::new())?
-        .report
-        .latency)
+    Ok(plan.execute_with(&SequenceOptions::new())?.reports[0].latency)
 }
 
 impl OverlapPlan {
@@ -185,11 +181,7 @@ mod tests {
         let dims = GemmDims::new(8192, 8192, 16384);
         let system = SystemSpec::rtx4090(4);
         let tuned = OverlapPlan::tuned(dims, CommPattern::AllReduce, system.clone()).unwrap();
-        let tuned_latency = tuned
-            .execute_with(&crate::runtime::ExecOptions::new())
-            .unwrap()
-            .report
-            .latency;
+        let tuned_latency = tuned.execute_with(&SequenceOptions::new()).unwrap().reports[0].latency;
         let serial = measure_partition(
             dims,
             &CommPattern::AllReduce,

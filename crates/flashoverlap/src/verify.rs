@@ -5,24 +5,31 @@
 //! Everything the verifier checks is a property of plan data — the wave
 //! partition, the reordering mapping, the counting-table thresholds —
 //! so the lowering never touches the simulator: per rank it emits the
-//! tile write footprints straight from the plan's [`EpilogueWriter`]
+//! tile write footprints straight from the plan's
+//! [`EpilogueWriter`](gpu_sim::gemm::EpilogueWriter)
 //! spans, and per wave group the wait threshold (the group's tile
 //! count), the scheduled increments, and the packed-buffer region the
 //! group's collective reads. Chained executions (`Pipeline` layers,
 //! `execute_sequence` batches) lower to one segment each, carrying the
 //! ping-pong counting-table parity and the presence of the rearm chain,
-//! exactly as the executors enqueue them.
+//! exactly as the chain executor enqueues them.
 //!
 //! The [`runtime_seam`] mapping is the other half of the conformance
 //! story: the `planverify` mutation registry is the single enumeration
-//! of schedule corruptions, and this module says which runtime knob —
-//! [`SignalMutation`], a [`Fault`], or
+//! of schedule corruptions, and this module says which
+//! [`SequenceOptions`] knob — a [`SignalMutation`] through
+//! [`SequenceOptions::instrument`] (on the chain's last segment), a
+//! [`Fault`] through
+//! [`SequenceOptions::resilient`], or
 //! [`SequenceOptions::drop_cross_batch_edge`] — drives each one on each
 //! execute path (or that none exists, keeping the coverage gap
-//! explicit).
+//! explicit). Every path takes the same options; the path only fixes
+//! the chain's shape.
 //!
-//! [`SequenceOptions::drop_cross_batch_edge`]:
-//! crate::sequence::SequenceOptions::drop_cross_batch_edge
+//! [`SequenceOptions`]: crate::SequenceOptions
+//! [`SequenceOptions::instrument`]: crate::SequenceOptions::instrument
+//! [`SequenceOptions::resilient`]: crate::SequenceOptions::resilient
+//! [`SequenceOptions::drop_cross_batch_edge`]: crate::SequenceOptions::drop_cross_batch_edge
 
 use planverify::{
     ExecPath, GroupModel, Interval, Mutation, RankModel, ScheduleModel, Segment, TileWrite,
@@ -158,7 +165,8 @@ impl OverlapPlan {
 
 impl Pipeline {
     /// Statically verifies the whole layer chain, including the
-    /// counting-table ping-pong and rearm edges `execute_with` enqueues.
+    /// counting-table ping-pong and rearm edges the chain executor
+    /// enqueues.
     pub fn verify(&self) -> VerifyReport {
         let plans: Vec<&OverlapPlan> = self.plans().iter().collect();
         planverify::verify(&model_of_chain(&plans, "layer"))
@@ -215,13 +223,13 @@ pub fn violation_line(v: &Violation) -> String {
 /// `planverify` registry.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RuntimeSeam {
-    /// Drive via [`SignalMutation`] (`ExecOptions::instrument`,
-    /// `PipelineExecOptions::mutate_layer`, or
-    /// `SequenceOptions::instrument`, which targets the last batch).
+    /// Drive via `SequenceOptions::instrument` with this
+    /// [`SignalMutation`], which applies to the chain's last segment.
     Signal(SignalMutation),
-    /// Drive via the resilient runtime's fault injection.
+    /// Drive via `SequenceOptions::resilient` with this fault in the
+    /// targeted segment's [`crate::FaultPlan`].
     Fault(Fault),
-    /// Drive via `SequenceOptions::drop_cross_batch_edge(batch)`.
+    /// Drive via `SequenceOptions::drop_cross_batch_edge`.
     SequenceEdge,
     /// No runtime knob reaches this path; only the static verifier
     /// covers the cell. The string says why.
@@ -247,9 +255,8 @@ pub fn runtime_seam(mutation: &Mutation, path: ExecPath) -> RuntimeSeam {
             RuntimeSeam::Signal(SignalMutation::RaiseThreshold { rank, group })
         }
         (Mutation::DropIncrements { rank, group, count }, _) => {
-            // Every path: single-shot via `ExecOptions::resilient`,
-            // chains via `SequenceOptions::resilient` /
-            // `PipelineExecOptions::resilient` (per-segment FaultPlans).
+            // Every path via `SequenceOptions::resilient`, one
+            // FaultPlan per chain segment.
             RuntimeSeam::Fault(Fault::DroppedIncrement { rank, group, count })
         }
         (Mutation::DelayIncrements { rank, group, count }, _) => {
@@ -266,7 +273,8 @@ pub fn runtime_seam(mutation: &Mutation, path: ExecPath) -> RuntimeSeam {
         ),
         (Mutation::DropRearm, ExecPath::Sequence) => RuntimeSeam::SequenceEdge,
         (Mutation::DropRearm, ExecPath::Pipeline) => RuntimeSeam::StaticOnly(
-            "Pipeline::execute_with exposes no edge-deletion knob; the seam is static-only",
+            "reachable via SequenceOptions::drop_cross_batch_edge on Pipeline::execute_with, \
+             not exercised by the conformance suite",
         ),
         (Mutation::DropRearm, ExecPath::Single) => {
             RuntimeSeam::Nothing("single-shot executions never reuse a counting table")

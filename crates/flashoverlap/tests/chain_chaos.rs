@@ -5,7 +5,7 @@
 //! recovery re-issues collectives over complete tiles, so even a
 //! degraded segment never ships corrupt numerics.
 
-use flashoverlap::pipeline::{Pipeline, PipelineExecOptions};
+use flashoverlap::pipeline::Pipeline;
 use flashoverlap::resilience::{FaultPlan, WatchdogConfig};
 use flashoverlap::runtime::{CommPattern, FunctionalInputs};
 use flashoverlap::{execute_sequence, OverlapPlan, SequenceOptions, SystemSpec, WavePartition};
@@ -49,7 +49,7 @@ fn rms_op(cols: usize) -> ElementwiseOp {
 
 /// The three-layer chainable pipeline used across the resilience suite:
 /// each layer's logical output is the next layer's activation shape.
-fn chaos_pipeline(system: &SystemSpec) -> (Pipeline, Vec<Matrix>, Vec<Vec<Matrix>>) {
+fn chaos_pipeline(system: &SystemSpec) -> (Pipeline, Vec<FunctionalInputs>) {
     let dims = [
         GemmDims::new(1024, 128, 64),
         GemmDims::new(1024, 64, 128),
@@ -64,15 +64,19 @@ fn chaos_pipeline(system: &SystemSpec) -> (Pipeline, Vec<Matrix>, Vec<Vec<Matrix
     .expect("chainable layers");
     let mut rng = sim::DetRng::new(17);
     let first_a: Vec<Matrix> = (0..2).map(|_| Matrix::random(1024, 64, &mut rng)).collect();
-    let weights: Vec<Vec<Matrix>> = dims
+    // Layer 0 reads `first_a`; later layers read the previous layer's
+    // epilogue output and take only their weights.
+    let inputs = dims
         .iter()
-        .map(|d| {
-            (0..2)
+        .enumerate()
+        .map(|(l, d)| FunctionalInputs {
+            a: if l == 0 { first_a.clone() } else { Vec::new() },
+            b: (0..2)
                 .map(|_| Matrix::random(d.k as usize, d.n as usize, &mut rng))
-                .collect()
+                .collect(),
         })
         .collect();
-    (pipeline, first_a, weights)
+    (pipeline, inputs)
 }
 
 proptest! {
@@ -182,11 +186,11 @@ proptest! {
     #[test]
     fn seeded_chaos_pipelines_terminate_accountably(seed in any::<u64>()) {
         let system = small_system(2);
-        let (pipeline, first_a, weights) = chaos_pipeline(&system);
+        let (pipeline, inputs) = chaos_pipeline(&system);
         let reference = pipeline
-            .execute_with(&PipelineExecOptions::new().functional(&first_a, &weights))
+            .execute_with(&SequenceOptions::new().functional(&inputs))
             .expect("fault-free pipeline");
-        let reference_outputs = reference.outputs.unwrap_or_default();
+        let reference_outputs = reference.outputs.and_then(|mut o| o.pop()).unwrap_or_default();
 
         let faults: Vec<FaultPlan> = pipeline
             .plans()
@@ -195,8 +199,8 @@ proptest! {
             .map(|(l, p)| FaultPlan::random(salt(seed, l), 2, p.partition.num_groups()))
             .collect();
         let watchdog = WatchdogConfig::default();
-        let opts = PipelineExecOptions::new()
-            .functional(&first_a, &weights)
+        let opts = SequenceOptions::new()
+            .functional(&inputs)
             .resilient(&faults, &watchdog);
         let run = pipeline.execute_with(&opts).expect("chaos pipeline terminates");
 
@@ -210,7 +214,7 @@ proptest! {
             );
         }
         prop_assert!(run.faults_armed >= 1, "random plans must arm something");
-        let run_outputs = run.outputs.clone().unwrap_or_default();
+        let run_outputs = run.outputs.clone().and_then(|mut o| o.pop()).unwrap_or_default();
         prop_assert_eq!(run_outputs.len(), reference_outputs.len());
         for (d, (g, w)) in run_outputs.iter().zip(reference_outputs.iter()).enumerate() {
             prop_assert!(

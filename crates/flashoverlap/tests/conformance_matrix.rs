@@ -20,9 +20,8 @@
 use flashoverlap::resilience::{FaultPlan, WatchdogConfig};
 use flashoverlap::runtime::CommPattern;
 use flashoverlap::{
-    execute_sequence, model_of_chain, model_of_plan, runtime_seam, ExecOptions, Instrumentation,
-    OverlapPlan, PipelineExecOptions, ResilientOutcome, RuntimeSeam, SequenceOptions,
-    SignalMutation, SystemSpec, WavePartition,
+    execute_sequence, model_of_chain, model_of_plan, runtime_seam, Instrumentation, OverlapPlan,
+    ResilientOutcome, RuntimeSeam, SequenceOptions, SignalMutation, SystemSpec, WavePartition,
 };
 use gpu_sim::gemm::GemmDims;
 use gpu_sim::RuntimeEventKind;
@@ -117,7 +116,7 @@ fn run_sanitized(plan: &OverlapPlan, mutation: Option<SignalMutation>) -> Saniti
         probe: Some(sanitizer.probe()),
         mutation,
     };
-    plan.execute_with(&ExecOptions::new().instrument(&instr))
+    plan.execute_with(&SequenceOptions::new().instrument(&instr))
         .expect("simulation runs");
     sanitizer
 }
@@ -133,6 +132,8 @@ fn sanitized_sequence(
         probe: Some(sanitizer.probe()),
         mutation,
     };
+    // A seeded mutation targets the last batch, after counting-table
+    // reuse reached steady state.
     let options = options.instrument(&instr);
     execute_sequence(plans, &options).expect("sequence runs");
     sanitizer
@@ -283,11 +284,7 @@ fn signal_seams_are_caught_on_every_path() {
             mutation: Some(mutation),
         };
         pipeline
-            .execute_with(
-                &PipelineExecOptions::new()
-                    .instrument(&instr)
-                    .mutate_layer(2),
-            )
+            .execute_with(&SequenceOptions::new().instrument(&instr))
             .expect("pipeline runs");
         assert!(
             !sanitizer.is_clean(),
@@ -362,13 +359,14 @@ fn fault_seams_escalate_the_watchdog_single_shot() {
     };
     let result = plan
         .execute_with(
-            &ExecOptions::new().resilient(&FaultPlan::single(fault), &WatchdogConfig::default()),
+            &SequenceOptions::new()
+                .resilient(&[FaultPlan::single(fault)], &WatchdogConfig::default()),
         )
         .expect("resilient run terminates");
     assert!(
-        !matches!(result.outcome, ResilientOutcome::Clean),
+        !matches!(result.outcomes[0], ResilientOutcome::Clean),
         "dropped increment must escalate, got {:?}",
-        result.outcome
+        result.outcomes
     );
     assert!(
         !result.events_of(RuntimeEventKind::WatchdogFired).is_empty(),
@@ -397,14 +395,14 @@ fn fault_seams_escalate_the_watchdog_single_shot() {
         ..WatchdogConfig::default()
     };
     let clean = plan
-        .execute_with(&ExecOptions::new().resilient(&FaultPlan::default(), &tight))
+        .execute_with(&SequenceOptions::new().resilient(&[FaultPlan::default()], &tight))
         .expect("clean run terminates");
     assert!(
         clean.events_of(RuntimeEventKind::WatchdogFired).is_empty(),
         "control: the tightened deadline must not fire without the fault"
     );
     let result = plan
-        .execute_with(&ExecOptions::new().resilient(&FaultPlan::single(fault), &tight))
+        .execute_with(&SequenceOptions::new().resilient(&[FaultPlan::single(fault)], &tight))
         .expect("resilient run terminates");
     assert!(
         !result.events_of(RuntimeEventKind::FaultInjected).is_empty(),
@@ -582,7 +580,7 @@ fn fault_seams_escalate_the_chain_watchdog_on_the_pipeline_path() {
     let mut faults = vec![FaultPlan::none(); 3];
     faults[1] = FaultPlan::single(fault);
     let outcome = pipeline
-        .execute_with(&PipelineExecOptions::new().resilient(&faults, &WatchdogConfig::default()))
+        .execute_with(&SequenceOptions::new().resilient(&faults, &WatchdogConfig::default()))
         .expect("resilient pipeline terminates");
     assert!(
         !matches!(outcome.outcomes[1], ResilientOutcome::Clean),
@@ -605,7 +603,7 @@ fn fault_seams_escalate_the_chain_watchdog_on_the_pipeline_path() {
     };
     let none = vec![FaultPlan::none(); 3];
     let clean = pipeline
-        .execute_with(&PipelineExecOptions::new().resilient(&none, &tight))
+        .execute_with(&SequenceOptions::new().resilient(&none, &tight))
         .expect("clean pipeline terminates");
     assert!(
         !clean
@@ -625,7 +623,7 @@ fn fault_seams_escalate_the_chain_watchdog_on_the_pipeline_path() {
     let mut faults = vec![FaultPlan::none(); 3];
     faults[1] = FaultPlan::single(fault);
     let delayed = pipeline
-        .execute_with(&PipelineExecOptions::new().resilient(&faults, &tight))
+        .execute_with(&SequenceOptions::new().resilient(&faults, &tight))
         .expect("delayed pipeline terminates");
     assert!(
         delayed

@@ -1,12 +1,13 @@
-//! Builder-equivalence coverage for the unified `execute_with` entry
-//! point on [`OverlapPlan`] and [`Pipeline`].
+//! Builder-equivalence coverage for the one option builder,
+//! [`SequenceOptions`], on every execute entry point: a single
+//! [`OverlapPlan`], a [`Pipeline`] and [`execute_sequence`].
 //!
-//! The per-mode `execute*` shims are gone; these tests pin the option
-//! builder's composition rules instead: each mode combination must
-//! produce the same report whether the options are chained in one
-//! expression or built up piecewise, trace/instrument toggles must not
-//! perturb timing, and equivalent functional/resilient configurations
-//! must agree with their timing-only counterparts.
+//! These tests pin the builder's composition rules: each mode
+//! combination must produce the same report whether the options are
+//! chained in one order or another, trace/instrument toggles must not
+//! perturb timing, equivalent functional/resilient configurations must
+//! agree with their timing-only counterparts, and the chain executor's
+//! option rules hold on a single plan as on a chain.
 
 #![allow(clippy::unwrap_used)]
 
@@ -14,8 +15,8 @@ use std::rc::Rc;
 
 use flashoverlap::runtime::CommPattern;
 use flashoverlap::{
-    ExecOptions, FaultPlan, FunctionalInputs, Instrumentation, LayerSpec, OverlapPlan, Pipeline,
-    PipelineExecOptions, SystemSpec, WatchdogConfig,
+    execute_sequence, FaultPlan, FlashOverlapError, FunctionalInputs, Instrumentation, LayerSpec,
+    OverlapPlan, Pipeline, SequenceOptions, SignalMutation, SystemSpec, WatchdogConfig,
 };
 use gpu_sim::elementwise::ElementwiseOp;
 use gpu_sim::gemm::GemmDims;
@@ -37,16 +38,22 @@ fn plan() -> OverlapPlan {
     .unwrap()
 }
 
+/// `plan` with a fused `op` epilogue: a one-layer pipeline.
+fn fused(op: ElementwiseOp) -> Pipeline {
+    let plan = plan();
+    Pipeline::with_plans(plan.system.clone(), vec![plan], vec![Some(op)]).unwrap()
+}
+
 #[test]
 fn observation_options_do_not_perturb_timing() {
     // Attaching instrumentation and/or span tracing is observation
     // only: every combination must report the identical schedule.
     let plan = plan();
-    let baseline = plan.execute_with(&ExecOptions::new()).unwrap();
+    let baseline = plan.execute_with(&SequenceOptions::new()).unwrap();
     let instr = Instrumentation::default();
 
-    let traced = plan.execute_with(&ExecOptions::new().trace()).unwrap();
-    assert_eq!(traced.report, baseline.report);
+    let traced = plan.execute_with(&SequenceOptions::new().trace()).unwrap();
+    assert_eq!(traced.reports, baseline.reports);
     assert!(!traced.spans.is_empty(), "trace() records spans");
     assert!(
         baseline.spans.is_empty(),
@@ -54,51 +61,51 @@ fn observation_options_do_not_perturb_timing() {
     );
 
     let instrumented = plan
-        .execute_with(&ExecOptions::new().instrument(&instr))
+        .execute_with(&SequenceOptions::new().instrument(&instr))
         .unwrap();
-    assert_eq!(instrumented.report, baseline.report);
+    assert_eq!(instrumented.reports, baseline.reports);
 
     let both = plan
-        .execute_with(&ExecOptions::new().instrument(&instr).trace())
+        .execute_with(&SequenceOptions::new().instrument(&instr).trace())
         .unwrap();
-    assert_eq!(both.report, baseline.report);
+    assert_eq!(both.reports, baseline.reports);
     assert_eq!(both.spans, traced.spans);
 }
 
 #[test]
 fn builder_order_is_immaterial() {
     // The builder only fills fields; chaining order must not matter.
-    let plan = plan();
-    let inputs = FunctionalInputs::random(plan.dims, 2, 42);
-    let op = ElementwiseOp::Relu;
-    let a = plan
-        .execute_with(&ExecOptions::new().functional(&inputs).epilogue(&op))
+    let layer = fused(ElementwiseOp::Relu);
+    let inputs = [FunctionalInputs::random(layer.plans()[0].dims, 2, 42)];
+    let a = layer
+        .execute_with(&SequenceOptions::new().functional(&inputs).trace())
         .unwrap();
-    let b = plan
-        .execute_with(&ExecOptions::new().epilogue(&op).functional(&inputs))
+    let b = layer
+        .execute_with(&SequenceOptions::new().trace().functional(&inputs))
         .unwrap();
-    assert_eq!(a.report, b.report);
+    assert_eq!(a.reports, b.reports);
     assert_eq!(a.outputs, b.outputs);
+    assert_eq!(a.spans, b.spans);
 }
 
 #[test]
 fn functional_and_epilogue_modes_compose() {
     let plan = plan();
-    let inputs = FunctionalInputs::random(plan.dims, 2, 42);
-    let op = ElementwiseOp::Relu;
+    let inputs = [FunctionalInputs::random(plan.dims, 2, 42)];
 
     let functional = plan
-        .execute_with(&ExecOptions::new().functional(&inputs))
+        .execute_with(&SequenceOptions::new().functional(&inputs))
         .unwrap();
-    let outputs = functional.outputs.as_ref().unwrap();
+    let outputs = &functional.outputs.as_ref().unwrap()[0];
     assert_eq!(outputs.len(), 2, "one logical output per rank");
 
     // The fused epilogue applies the op to the functional output: Relu
     // of the plain output must equal the fused run's output.
-    let fused = plan
-        .execute_with(&ExecOptions::new().functional(&inputs).epilogue(&op))
+    let layer = fused(ElementwiseOp::Relu);
+    let fused = layer
+        .execute_with(&SequenceOptions::new().functional(&inputs))
         .unwrap();
-    let fused_outputs = fused.outputs.as_ref().unwrap();
+    let fused_outputs = &fused.outputs.as_ref().unwrap()[0];
     for (plain, fused) in outputs.iter().zip(fused_outputs) {
         let expected: Vec<f32> = plain.as_slice().iter().map(|&v| v.max(0.0)).collect();
         assert_eq!(fused.as_slice(), &expected[..]);
@@ -106,47 +113,46 @@ fn functional_and_epilogue_modes_compose() {
 
     // Epilogue-only runs stay timing-only (no outputs) but still pay
     // the fused kernel, so their report is self-consistent.
-    let epilogue_only = plan
-        .execute_with(&ExecOptions::new().epilogue(&op))
-        .unwrap();
+    let epilogue_only = layer.execute_with(&SequenceOptions::new()).unwrap();
     assert!(epilogue_only.outputs.is_none());
-    assert_eq!(epilogue_only.report, fused.report);
+    assert_eq!(epilogue_only.reports, fused.reports);
 }
 
 #[test]
 fn iteration_mode_reports_steady_state() {
+    // Back-to-back iterations are `n` copies of the plan in one
+    // sequence; the steady state is the total over `n`.
     let plan = plan();
+    let iterations = [&plan; 3];
     let instr = Instrumentation::default();
-    let steady = plan
-        .execute_with(&ExecOptions::new().iterations(3))
+    let steady = execute_sequence(&iterations, &SequenceOptions::new())
         .unwrap()
-        .steady_state
-        .unwrap();
-    let instrumented = plan
-        .execute_with(&ExecOptions::new().iterations(3).instrument(&instr))
+        .total
+        / 3;
+    let instrumented = execute_sequence(&iterations, &SequenceOptions::new().instrument(&instr))
         .unwrap()
-        .steady_state
-        .unwrap();
+        .total
+        / 3;
     assert_eq!(steady, instrumented);
     // Steady-state per-iteration latency never exceeds a cold single
     // run (pipelining can only help).
-    let single = plan.execute_with(&ExecOptions::new()).unwrap();
-    assert!(steady <= single.report.latency);
+    let single = plan.execute_with(&SequenceOptions::new()).unwrap();
+    assert!(steady <= single.reports[0].latency);
 }
 
 #[test]
 fn resilient_mode_composes_with_functional_and_trace() {
     let plan = plan();
-    let faults = FaultPlan::random(9, 2, plan.partition.num_groups());
+    let faults = [FaultPlan::random(9, 2, plan.partition.num_groups())];
     let watchdog = WatchdogConfig::default();
-    let inputs = FunctionalInputs::random(plan.dims, 2, 43);
+    let inputs = [FunctionalInputs::random(plan.dims, 2, 43)];
 
     let timing = plan
-        .execute_with(&ExecOptions::new().resilient(&faults, &watchdog))
+        .execute_with(&SequenceOptions::new().resilient(&faults, &watchdog))
         .unwrap();
     let functional = plan
         .execute_with(
-            &ExecOptions::new()
+            &SequenceOptions::new()
                 .functional(&inputs)
                 .resilient(&faults, &watchdog),
         )
@@ -154,32 +160,41 @@ fn resilient_mode_composes_with_functional_and_trace() {
     // The fault plan and watchdog policy are deterministic, so the
     // timing-only and data-carrying runs reach the same outcome with
     // the same injected-fault count.
-    assert_eq!(timing.outcome, functional.outcome);
+    assert_eq!(timing.outcomes, functional.outcomes);
     assert_eq!(timing.faults_armed, functional.faults_armed);
     assert!(functional.outputs.is_some());
 
     let traced = plan
-        .execute_with(&ExecOptions::new().resilient(&faults, &watchdog).trace())
+        .execute_with(&SequenceOptions::new().resilient(&faults, &watchdog).trace())
         .unwrap();
-    assert_eq!(traced.outcome, timing.outcome);
+    assert_eq!(traced.outcomes, timing.outcomes);
     assert!(!traced.spans.is_empty(), "resilient trace records spans");
 }
 
 #[test]
 fn invalid_mode_combinations_are_rejected() {
+    // The chain executor's rules apply to a single plan exactly as to a
+    // chain: they are refused, never silently dropped.
     let plan = plan();
-    let op = ElementwiseOp::Relu;
-    // iterations is timing-only: epilogue and trace must be refused
-    // rather than silently dropped.
-    assert!(plan
-        .execute_with(&ExecOptions::new().iterations(2).epilogue(&op))
-        .is_err());
-    assert!(plan
-        .execute_with(&ExecOptions::new().iterations(2).trace())
-        .is_err());
-    assert!(plan
-        .execute_with(&ExecOptions::new().iterations(0))
-        .is_err());
+    let rejected = |options: &SequenceOptions| {
+        matches!(
+            plan.execute_with(options),
+            Err(FlashOverlapError::BadInputs { .. })
+        )
+    };
+    // Resilient runs inject faults only through their fault plans.
+    let faults = [FaultPlan::none()];
+    let watchdog = WatchdogConfig::default();
+    let resilient = || SequenceOptions::new().resilient(&faults, &watchdog);
+    assert!(rejected(&resilient().drop_cross_batch_edge(0)));
+    let instr = Instrumentation {
+        mutation: Some(SignalMutation::DropWait { rank: 0, group: 0 }),
+        ..Instrumentation::default()
+    };
+    assert!(rejected(&resilient().instrument(&instr)));
+    // One fault plan per segment.
+    let two = [FaultPlan::none(), FaultPlan::none()];
+    assert!(rejected(&SequenceOptions::new().resilient(&two, &watchdog)));
 }
 
 fn pipeline() -> Pipeline {
@@ -207,30 +222,36 @@ fn pipeline() -> Pipeline {
 #[test]
 fn pipeline_options_mirror_plan_options() {
     let pipeline = pipeline();
-    let baseline = pipeline.execute_with(&PipelineExecOptions::new()).unwrap();
+    let baseline = pipeline.execute_with(&SequenceOptions::new()).unwrap();
 
     let instr = Instrumentation::default();
     let instrumented = pipeline
-        .execute_with(
-            &PipelineExecOptions::new()
-                .instrument(&instr)
-                .mutate_layer(0),
-        )
+        .execute_with(&SequenceOptions::new().instrument(&instr))
         .unwrap();
-    assert_eq!(instrumented.report, baseline.report);
+    assert_eq!(instrumented.reports, baseline.reports);
 
+    // Layer 1 reads layer 0's epilogue output: its `a` stays empty.
     let mut rng = sim::DetRng::new(5);
-    let first_a: Vec<Matrix> = (0..2).map(|_| Matrix::random(256, 64, &mut rng)).collect();
-    let weights: Vec<Vec<Matrix>> = vec![
-        (0..2).map(|_| Matrix::random(64, 128, &mut rng)).collect(),
-        (0..2).map(|_| Matrix::random(128, 64, &mut rng)).collect(),
+    let inputs = [
+        FunctionalInputs {
+            a: (0..2).map(|_| Matrix::random(256, 64, &mut rng)).collect(),
+            b: (0..2).map(|_| Matrix::random(64, 128, &mut rng)).collect(),
+        },
+        FunctionalInputs {
+            a: Vec::new(),
+            b: (0..2).map(|_| Matrix::random(128, 64, &mut rng)).collect(),
+        },
     ];
     let functional = pipeline
-        .execute_with(&PipelineExecOptions::new().functional(&first_a, &weights))
+        .execute_with(&SequenceOptions::new().functional(&inputs))
         .unwrap();
-    assert_eq!(functional.report, baseline.report);
+    assert_eq!(functional.reports, baseline.reports);
     assert_eq!(
-        functional.outputs.as_ref().map(Vec::len),
+        functional
+            .outputs
+            .as_ref()
+            .and_then(|o| o.last())
+            .map(Vec::len),
         Some(2),
         "one final-layer output per rank"
     );

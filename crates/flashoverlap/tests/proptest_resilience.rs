@@ -5,7 +5,7 @@
 
 use flashoverlap::resilience::{FaultPlan, ResilientOutcome, WatchdogConfig};
 use flashoverlap::runtime::{CommPattern, FunctionalInputs};
-use flashoverlap::{ExecOptions, OverlapPlan, SystemSpec, WavePartition};
+use flashoverlap::{OverlapPlan, SequenceOptions, SystemSpec, WavePartition};
 use gpu_sim::gemm::{GemmConfig, GemmDims};
 use proptest::prelude::*;
 
@@ -40,29 +40,29 @@ proptest! {
     ) {
         let plan = plan_for(m, n, 64, gpus);
         let num_groups = plan.partition.num_groups();
-        let inputs = FunctionalInputs::random(plan.dims, gpus, seed ^ 0x9e37);
+        let inputs = [FunctionalInputs::random(plan.dims, gpus, seed ^ 0x9e37)];
         let reference = plan
-            .execute_with(&ExecOptions::new().functional(&inputs))
+            .execute_with(&SequenceOptions::new().functional(&inputs))
             .expect("reference run");
-        let reference_outputs = reference.outputs.unwrap_or_default();
-        let faults = FaultPlan::random(seed, gpus, num_groups);
-        prop_assert!(!faults.is_empty());
+        let reference_outputs = reference.outputs.and_then(|mut o| o.pop()).unwrap_or_default();
+        let faults = [FaultPlan::random(seed, gpus, num_groups)];
+        prop_assert!(!faults[0].is_empty());
 
         let run = plan
             .execute_with(
-                &ExecOptions::new()
+                &SequenceOptions::new()
                     .functional(&inputs)
                     .resilient(&faults, &WatchdogConfig::default()),
             )
             .expect("resilient run terminates");
 
-        let run_outputs = run.outputs.clone().unwrap_or_default();
+        let run_outputs = run.outputs.clone().and_then(|mut o| o.pop()).unwrap_or_default();
         let bit_exact = run_outputs.len() == reference_outputs.len()
             && run_outputs
                 .iter()
                 .zip(reference_outputs.iter())
                 .all(|(a, b)| a.as_slice() == b.as_slice());
-        match &run.outcome {
+        match &run.outcomes[0] {
             ResilientOutcome::Clean => prop_assert!(bit_exact, "clean run must be bit-exact"),
             ResilientOutcome::Recovered { tail_groups, .. } => {
                 prop_assert!(bit_exact, "recovered run must be bit-exact");
@@ -80,15 +80,13 @@ proptest! {
     #[test]
     fn fault_campaigns_are_replayable(seed in any::<u64>()) {
         let plan = plan_for(256, 256, 64, 2);
-        let faults = FaultPlan::random(seed, 2, plan.partition.num_groups());
-        let a = plan
-            .execute_with(&ExecOptions::new().resilient(&faults, &WatchdogConfig::default()))
-            .expect("first run");
-        let b = plan
-            .execute_with(&ExecOptions::new().resilient(&faults, &WatchdogConfig::default()))
-            .expect("second run");
-        prop_assert_eq!(&a.outcome, &b.outcome);
-        prop_assert_eq!(a.report.latency, b.report.latency);
+        let faults = [FaultPlan::random(seed, 2, plan.partition.num_groups())];
+        let watchdog = WatchdogConfig::default();
+        let options = SequenceOptions::new().resilient(&faults, &watchdog);
+        let a = plan.execute_with(&options).expect("first run");
+        let b = plan.execute_with(&options).expect("second run");
+        prop_assert_eq!(&a.outcomes, &b.outcomes);
+        prop_assert_eq!(a.reports[0].latency, b.reports[0].latency);
         prop_assert_eq!(a.events.len(), b.events.len());
     }
 }

@@ -16,7 +16,7 @@
 
 use flashoverlap::runtime::CommPattern;
 use flashoverlap::{
-    model_of_chain, verify_sequence, ExecOptions, Instrumentation, OverlapPlan, SignalMutation,
+    model_of_chain, verify_sequence, Instrumentation, OverlapPlan, SequenceOptions, SignalMutation,
     SystemSpec, WavePartition,
 };
 use gpu_sim::gemm::GemmDims;
@@ -70,7 +70,7 @@ fn run_sanitized(plan: &OverlapPlan, mutation: Option<SignalMutation>) -> Saniti
         probe: Some(sanitizer.probe()),
         mutation,
     };
-    plan.execute_with(&ExecOptions::new().instrument(&instr))
+    plan.execute_with(&SequenceOptions::new().instrument(&instr))
         .expect("simulation runs");
     sanitizer
 }

@@ -11,7 +11,7 @@
 
 use flashoverlap::runtime::CommPattern;
 use flashoverlap::{
-    ExecOptions, Instrumentation, OverlapPlan, PipelineExecOptions, SignalMutation, SystemSpec,
+    execute_sequence, Instrumentation, OverlapPlan, SequenceOptions, SignalMutation, SystemSpec,
     WavePartition,
 };
 use gpu_sim::gemm::GemmDims;
@@ -76,7 +76,7 @@ fn run_sanitized(plan: &OverlapPlan, mutation: Option<SignalMutation>) -> Saniti
         probe: Some(sanitizer.probe()),
         mutation,
     };
-    plan.execute_with(&ExecOptions::new().instrument(&instr))
+    plan.execute_with(&SequenceOptions::new().instrument(&instr))
         .expect("simulation runs");
     sanitizer
 }
@@ -260,7 +260,7 @@ fn multi_layer_pipeline_is_race_free_under_simsan() {
         mutation: None,
     };
     pipeline
-        .execute_with(&PipelineExecOptions::new().instrument(&instr))
+        .execute_with(&SequenceOptions::new().instrument(&instr))
         .expect("pipeline runs");
     assert!(sanitizer.is_clean(), "{}", sanitizer.summary());
     assert!(sanitizer.accesses_checked() > 0, "monitor saw no accesses");
@@ -279,11 +279,7 @@ fn late_layer_mutation_is_caught_through_table_reuse() {
         mutation: Some(SignalMutation::DropWait { rank: 0, group: 0 }),
     };
     pipeline
-        .execute_with(
-            &PipelineExecOptions::new()
-                .instrument(&instr)
-                .mutate_layer(2),
-        )
+        .execute_with(&SequenceOptions::new().instrument(&instr))
         .expect("pipeline runs");
     assert!(
         !sanitizer.is_clean(),
@@ -301,8 +297,8 @@ fn steady_state_iterations_are_race_free_under_simsan() {
         probe: Some(sanitizer.probe()),
         mutation: None,
     };
-    p.execute_with(&ExecOptions::new().iterations(5).instrument(&instr))
-        .expect("iterations run");
+    // Back-to-back iterations: five copies of the plan in one sequence.
+    execute_sequence(&[&p; 5], &SequenceOptions::new().instrument(&instr)).expect("iterations run");
     assert!(sanitizer.is_clean(), "{}", sanitizer.summary());
     assert!(sanitizer.accesses_checked() > 0, "monitor saw no accesses");
 }
@@ -316,7 +312,8 @@ fn final_iteration_mutation_is_caught_after_reuse() {
         probe: Some(sanitizer.probe()),
         mutation: Some(SignalMutation::DropWait { rank: 0, group: 0 }),
     };
-    p.execute_with(&ExecOptions::new().iterations(4).instrument(&instr))
+    let iterations = [&p; 4];
+    execute_sequence(&iterations, &SequenceOptions::new().instrument(&instr))
         .expect("iterations run");
     assert!(
         !sanitizer.is_clean(),
@@ -332,7 +329,7 @@ fn final_iteration_mutation_is_caught_after_reuse() {
         probe: Some(sanitizer.probe()),
         mutation: Some(SignalMutation::RaiseThreshold { rank: 1, group: 1 }),
     };
-    p.execute_with(&ExecOptions::new().iterations(4).instrument(&instr))
+    execute_sequence(&iterations, &SequenceOptions::new().instrument(&instr))
         .expect("iterations run");
     let reports = sanitizer.reports();
     assert!(

@@ -86,6 +86,8 @@ fn sanitized_sequence(
         probe: Some(sanitizer.probe()),
         mutation,
     };
+    // A seeded mutation targets the last batch, after counting-table
+    // reuse reached steady state.
     let options = options.instrument(&instr);
     execute_sequence(plans, &options).expect("sequence runs");
     sanitizer

@@ -245,15 +245,6 @@ impl Cluster {
         &self.devices[id]
     }
 
-    /// Mutable access to a device.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn device_mut(&mut self, id: DeviceId) -> &mut Device {
-        &mut self.devices[id]
-    }
-
     /// Turns on per-tile completion tracing.
     pub fn enable_tile_trace(&mut self) {
         self.tile_trace = Some(Trace::new());

@@ -41,10 +41,22 @@ impl GemmDims {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero.
+    /// Panics if any dimension is zero (see [`GemmDims::try_new`]).
     pub const fn new(m: u32, n: u32, k: u32) -> Self {
-        assert!(m > 0 && n > 0 && k > 0, "GEMM dimensions must be positive");
-        GemmDims { m, n, k }
+        match Self::try_new(m, n, k) {
+            Some(dims) => dims,
+            None => panic!("GEMM dimensions must be positive"),
+        }
+    }
+
+    /// Creates the dimension triple from untrusted values; `None` if any
+    /// dimension is zero.
+    pub const fn try_new(m: u32, n: u32, k: u32) -> Option<Self> {
+        if m > 0 && n > 0 && k > 0 {
+            Some(GemmDims { m, n, k })
+        } else {
+            None
+        }
     }
 
     /// Output elements (`M * N`).
@@ -540,6 +552,17 @@ mod tests {
         let expected = gemm(&a, &b);
         assert!(allclose(&out, &expected, 1e-3), "GEMM output wrong");
         (out, end - sim::SimTime::ZERO)
+    }
+
+    #[test]
+    fn try_new_rejects_zero_dimensions() {
+        assert_eq!(GemmDims::try_new(0, 64, 64), None);
+        assert_eq!(GemmDims::try_new(64, 0, 64), None);
+        assert_eq!(GemmDims::try_new(64, 64, 0), None);
+        assert_eq!(
+            GemmDims::try_new(64, 32, 16),
+            Some(GemmDims::new(64, 32, 16))
+        );
     }
 
     #[test]

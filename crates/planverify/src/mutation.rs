@@ -347,7 +347,8 @@ fn dynamic(kind: MutationKind, path: ExecPath) -> DynamicCoverage {
             DynamicCoverage::Conditional("sequence-edge-observability")
         }
         (MutationKind::DropRearm, ExecPath::Pipeline) => DynamicCoverage::None(
-            "Pipeline::execute_with exposes no edge-deletion knob; the seam is static-only",
+            "reachable via SequenceOptions::drop_cross_batch_edge on Pipeline::execute_with, \
+             not exercised by the conformance suite",
         ),
         (MutationKind::DropRearm, ExecPath::Single) => {
             DynamicCoverage::None("no rearm chain exists single-shot")

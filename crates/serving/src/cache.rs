@@ -296,7 +296,7 @@ impl PlanCache {
                 entry.dims,
                 pattern,
                 system.clone(),
-                WavePartition::new(entry.groups.clone()),
+                WavePartition::try_new(entry.groups.clone())?,
             )?;
             let context = format!(
                 "snapshot entry {}x{}x{} {}",
@@ -502,11 +502,15 @@ impl CacheSnapshot {
                 .iter()
                 .map(|g| {
                     g.as_f64()
-                        .filter(|&f| f.fract() == 0.0 && f >= 1.0 && f <= f64::from(u32::MAX))
+                        .filter(|&f| f.fract() == 0.0 && f >= 0.0 && f <= f64::from(u32::MAX))
                         .map(|f| f as u32)
                         .ok_or_else(|| format!("entry {i}: bad group size"))
                 })
                 .collect::<Result<Vec<u32>, String>>()?;
+            let partition =
+                WavePartition::try_new(groups).map_err(|e| format!("entry {i}: {e}"))?;
+            let dims = GemmDims::try_new(field("m")?, field("n")?, field("k")?)
+                .ok_or_else(|| format!("entry {i}: GEMM dimensions must be positive"))?;
             // Optional (absent in pre-verification snapshots): per-group
             // wait thresholds, cross-checked against the rebuilt plan at
             // preload time.
@@ -526,9 +530,9 @@ impl CacheSnapshot {
                 ),
             };
             entries.push(PlanEntry {
-                dims: GemmDims::new(field("m")?, field("n")?, field("k")?),
+                dims,
                 primitive,
-                groups,
+                groups: partition.sizes().to_vec(),
                 thresholds,
             });
         }
@@ -643,6 +647,44 @@ mod tests {
         legacy_entries[0].thresholds = None;
         let mut legacy = PlanCache::new(4);
         assert_eq!(legacy.preload(&sys, &legacy_entries).unwrap(), 1);
+    }
+
+    #[test]
+    fn snapshot_rejects_empty_partitions_and_zero_dimensions() {
+        let doc = |entry: &str| {
+            format!(
+                r#"{{"kind": "flashoverlap-plan-cache", "system_fp": "1", "entries": [{entry}]}}"#
+            )
+        };
+        let err = CacheSnapshot::from_json(&doc(
+            r#"{"m": 256, "n": 2048, "k": 704, "primitive": "AllReduce", "groups": []}"#,
+        ))
+        .unwrap_err();
+        assert_eq!(
+            err,
+            "entry 0: bad inputs: partition needs at least one group"
+        );
+        let err = CacheSnapshot::from_json(&doc(
+            r#"{"m": 256, "n": 2048, "k": 704, "primitive": "AllReduce", "groups": [1, 0]}"#,
+        ))
+        .unwrap_err();
+        assert_eq!(err, "entry 0: bad inputs: group sizes must be positive");
+        let err = CacheSnapshot::from_json(&doc(
+            r#"{"m": 0, "n": 2048, "k": 704, "primitive": "AllReduce", "groups": [1]}"#,
+        ))
+        .unwrap_err();
+        assert_eq!(err, "entry 0: GEMM dimensions must be positive");
+        // Programmatic entries reach the same rule at preload time.
+        let entry = PlanEntry {
+            dims: GemmDims::new(256, 2048, 704),
+            primitive: Primitive::AllReduce,
+            groups: Vec::new(),
+            thresholds: None,
+        };
+        assert!(matches!(
+            PlanCache::new(4).preload(&system(), &[entry]),
+            Err(FlashOverlapError::BadInputs { .. })
+        ));
     }
 
     #[test]

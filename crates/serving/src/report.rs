@@ -122,7 +122,7 @@ pub struct BatchRecord {
 }
 
 /// Per-replica accounting over a serve run. Sums across replicas equal
-/// the run totals (the CI smoke gate checks this invariant).
+/// the run totals ([`ServeReport::check`] checks this invariant).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicaStats {
     /// Replica index.
@@ -154,7 +154,7 @@ pub struct ReplicaStats {
 /// Per-node rollup of replica accounting on a multi-node deployment.
 /// Each row sums the node's replicas; summing the rows reproduces the
 /// run totals, so requests/tokens/busy time roll up node → replica →
-/// total exactly (the CI topology gate checks this identity).
+/// total exactly ([`ServeReport::check`] checks this identity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NodeStats {
     /// Node index.
@@ -325,6 +325,143 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
+    /// Checks the report's accounting identities — the one place they
+    /// are stated:
+    ///
+    /// - every offered request is completed or shed, every completed one
+    ///   is clean, recovered or degraded, and has a per-request row;
+    /// - every executed batch took exactly one plan-cache lookup and has
+    ///   a per-batch row;
+    /// - the per-replica and per-node rows sum to the run totals
+    ///   (quarantined replicas included), and every replica's
+    ///   utilization lies in `[0, 1]`;
+    /// - the attribution categories sum exactly to the makespan (so the
+    ///   shares sum to 1);
+    /// - every percentile triple is ordered `p50 <= p95 <= p99`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated identity.
+    pub fn check(&self) -> Result<(), String> {
+        let equal = |what: &str, got: u64, want: u64| {
+            if got == want {
+                Ok(())
+            } else {
+                Err(format!("{what}: {got} != {want}"))
+            }
+        };
+        equal(
+            "completed + shed vs offered",
+            self.completed + self.shed,
+            self.offered,
+        )?;
+        equal(
+            "clean + recovered + degraded vs completed",
+            self.clean + self.recovered + self.degraded,
+            self.completed,
+        )?;
+        equal(
+            "per-request rows vs offered",
+            self.records.len() as u64,
+            self.offered,
+        )?;
+        equal(
+            "cache hits + misses vs executed batches",
+            self.cache.hits + self.cache.misses,
+            self.batches,
+        )?;
+        equal(
+            "per-batch rows vs executed batches",
+            self.batch_records.len() as u64,
+            self.batches,
+        )?;
+
+        let replicas = &self.replica_stats;
+        let replica_sum = |f: fn(&ReplicaStats) -> u64| replicas.iter().map(f).sum::<u64>();
+        equal(
+            "replica rows vs replicas",
+            replicas.len() as u64,
+            self.replicas as u64,
+        )?;
+        equal(
+            "per-replica batches",
+            replica_sum(|r| r.batches),
+            self.batches,
+        )?;
+        equal(
+            "per-replica requests",
+            replica_sum(|r| r.requests),
+            self.completed,
+        )?;
+        equal(
+            "per-replica cache hits",
+            replica_sum(|r| r.cache.hits),
+            self.cache.hits,
+        )?;
+        equal(
+            "per-replica cache misses",
+            replica_sum(|r| r.cache.misses),
+            self.cache.misses,
+        )?;
+        equal(
+            "quarantined replica rows",
+            replica_sum(|r| u64::from(r.quarantined)),
+            self.replicas_quarantined,
+        )?;
+        if let Some(r) = replicas
+            .iter()
+            .find(|r| !(0.0..=1.0).contains(&r.utilization))
+        {
+            return Err(format!(
+                "replica {} utilization {} outside [0, 1]",
+                r.id, r.utilization
+            ));
+        }
+        let node_sum = |f: fn(&NodeStats) -> u64| self.node_stats.iter().map(f).sum::<u64>();
+        equal(
+            "per-node replicas",
+            node_sum(|n| n.replicas),
+            self.replicas as u64,
+        )?;
+        equal("per-node batches", node_sum(|n| n.batches), self.batches)?;
+        equal(
+            "per-node requests",
+            node_sum(|n| n.requests),
+            self.completed,
+        )?;
+        equal(
+            "per-node tokens",
+            node_sum(|n| n.tokens),
+            replica_sum(|r| r.tokens),
+        )?;
+        equal(
+            "per-node busy time",
+            node_sum(|n| n.busy_ns),
+            replica_sum(|r| r.busy_ns),
+        )?;
+
+        equal(
+            "attribution categories vs makespan",
+            self.attribution.sum(),
+            self.makespan_ns,
+        )?;
+        for (what, p) in [
+            ("latency", &self.latency),
+            ("form wait", &self.form_wait),
+            ("queue wait", &self.queue_wait),
+        ] {
+            if let Some(p) = p {
+                if !(p.p50 <= p.p95 && p.p95 <= p.p99) {
+                    return Err(format!(
+                        "{what} percentiles out of order: p50 {} p95 {} p99 {}",
+                        p.p50, p.p95, p.p99
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Serializes to the vendored JSON model. Deterministic: field
     /// order is fixed and no map iteration is involved.
     pub fn to_json(&self) -> Value {

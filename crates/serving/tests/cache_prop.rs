@@ -39,12 +39,17 @@ proptest! {
             cold.partition.clone(),
             "cached partition must match a cold tune"
         );
-        let opts = flashoverlap::ExecOptions::new();
+        let opts = flashoverlap::SequenceOptions::new();
         let warm_report = cached
             .execute_with(&opts)
             .expect("cached plan executes")
-            .report;
-        let cold_report = cold.execute_with(&opts).expect("cold plan executes").report;
+            .reports
+            .remove(0);
+        let cold_report = cold
+            .execute_with(&opts)
+            .expect("cold plan executes")
+            .reports
+            .remove(0);
         prop_assert_eq!(warm_report.latency, cold_report.latency);
         prop_assert_eq!(warm_report.gemm_done, cold_report.gemm_done);
         prop_assert_eq!(warm_report.group_comm_done, cold_report.group_comm_done);

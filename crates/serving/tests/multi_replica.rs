@@ -39,27 +39,12 @@ fn per_replica_accounting_sums_to_totals() {
     let config = overload_config();
     let report = serve(&config).unwrap();
     assert_eq!(report.replicas, 4);
-    assert_eq!(report.replica_stats.len(), 4);
-
-    let batches: u64 = report.replica_stats.iter().map(|r| r.batches).sum();
-    assert_eq!(batches, report.batches);
-    let requests: u64 = report.replica_stats.iter().map(|r| r.requests).sum();
-    assert_eq!(requests, report.completed);
-    let hits: u64 = report.replica_stats.iter().map(|r| r.cache.hits).sum();
-    let misses: u64 = report.replica_stats.iter().map(|r| r.cache.misses).sum();
-    assert_eq!((hits, misses), (report.cache.hits, report.cache.misses));
+    report.check().unwrap();
 
     for b in &report.batch_records {
         assert!(b.replica < report.replicas, "batch on unknown replica");
         assert!(!b.routing.is_empty());
         assert!(b.chain_len >= 1);
-    }
-    for r in &report.replica_stats {
-        assert!(
-            (0.0..=1.0).contains(&r.utilization),
-            "utilization out of range: {}",
-            r.utilization
-        );
     }
     // Work actually spread: no replica ran everything.
     assert!(

@@ -17,10 +17,9 @@ fn base_config(seed: u64, requests: usize) -> ServeConfig {
 }
 
 fn render(config: &ServeConfig) -> String {
-    serve(config)
-        .expect("serve terminates")
-        .to_json()
-        .to_json_pretty()
+    let report = serve(config).expect("serve terminates");
+    report.check().unwrap();
+    report.to_json().to_json_pretty()
 }
 
 /// Byte-compare a config under serial vs parallel execution.
@@ -83,6 +82,7 @@ fn validate_parallel_reports_a_match() {
     let (report, matched) = validate_parallel(&config, 2).unwrap();
     assert!(matched, "validation mode must diff the engines as equal");
     assert_eq!(report.offered, 40);
+    report.check().unwrap();
 }
 
 proptest! {
@@ -120,6 +120,7 @@ proptest! {
         let serial = serve(&config).expect("serial serve terminates");
         config.exec = ExecMode::Parallel(threads);
         let parallel = serve(&config).expect("parallel serve terminates");
+        prop_assert_eq!(serial.check(), Ok(()));
         prop_assert_eq!(
             serial.to_json().to_json_pretty(),
             parallel.to_json().to_json_pretty(),

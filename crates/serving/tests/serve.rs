@@ -40,12 +40,7 @@ fn every_request_is_accounted_and_the_cache_warms() {
     let cfg = config(7, 100);
     let report = serve(&cfg).expect("serve run");
     assert_eq!(report.offered, 100);
-    assert_eq!(report.completed + report.shed, report.offered);
-    assert_eq!(
-        report.clean + report.recovered + report.degraded,
-        report.completed
-    );
-    assert_eq!(report.records.len(), 100);
+    report.check().unwrap();
     // Records are in id order and every completed one has a latency.
     for (i, r) in report.records.iter().enumerate() {
         assert_eq!(r.id, i as u64);
@@ -58,7 +53,6 @@ fn every_request_is_accounted_and_the_cache_warms() {
         report.cache
     );
     assert!(report.batches > 0);
-    assert_eq!(report.cache.hits + report.cache.misses, report.batches);
     assert!(report.distinct_shapes <= report.cache.misses);
     assert!(report.latency.is_some());
 }
@@ -69,13 +63,7 @@ fn attribution_waits_and_drift_are_internally_consistent() {
     let report = serve(&cfg).expect("serve run");
 
     // Serve-level critical path tiles the makespan exactly.
-    assert_eq!(
-        report.attribution.sum(),
-        report.makespan_ns,
-        "attribution identity must hold: {:?} vs makespan {}",
-        report.attribution,
-        report.makespan_ns
-    );
+    report.check().unwrap();
 
     // Per-batch clips sum to the batch's execution window, and close ≤
     // dispatch for every batch.
@@ -150,7 +138,7 @@ fn bursty_overload_sheds_and_still_accounts_everyone() {
     };
     cfg.queue_capacity = 8;
     let report = serve(&cfg).expect("serve run");
-    assert_eq!(report.completed + report.shed, report.offered);
+    report.check().unwrap();
     assert!(
         report.shed > 0,
         "a 500k-rps burst against an 8-deep queue must shed"
@@ -164,12 +152,7 @@ fn chaos_serve_terminates_with_full_accounting() {
     cfg.chaos = true;
     let report = serve(&cfg).expect("chaos serve must terminate");
     assert!(report.chaos);
-    assert_eq!(report.completed + report.shed, report.offered);
-    assert_eq!(
-        report.clean + report.recovered + report.degraded,
-        report.completed,
-        "every completed request carries a resilient outcome"
-    );
+    report.check().unwrap();
     // With 1-3 faults armed per batch, at least one batch should need
     // recovery or degrade across 50 requests; all outcomes must be
     // legal labels either way.

@@ -38,7 +38,7 @@ fn chains_still_form_under_chaos() {
     config.process = ArrivalProcess::Poisson { rate_rps: 2400.0 };
     let report = serve(&config).unwrap();
     assert!(report.chaos);
-    assert_eq!(report.completed + report.shed, report.offered);
+    report.check().unwrap();
     let longest = report
         .batch_records
         .iter()
@@ -57,11 +57,8 @@ fn wedged_replica_is_quarantined_and_its_queue_rerouted() {
     let report = serve(&config).expect("a wedged replica must not abort the run");
 
     assert_eq!(report.wedge_replica, Some(2));
-    assert_eq!(report.completed + report.shed, report.offered);
-    assert_eq!(
-        report.clean + report.recovered + report.degraded,
-        report.completed
-    );
+    // Sum identities hold with a quarantined replica in the mix.
+    report.check().unwrap();
 
     // The wedged replica ends the run quarantined, and at least one
     // healthy replica survives to absorb its queue.
@@ -72,12 +69,6 @@ fn wedged_replica_is_quarantined_and_its_queue_rerouted() {
         (report.replicas_quarantined as usize) < report.replicas,
         "the last healthy replica is never pulled from service"
     );
-    let flagged = report
-        .replica_stats
-        .iter()
-        .filter(|r| r.quarantined)
-        .count() as u64;
-    assert_eq!(flagged, report.replicas_quarantined);
 
     // Its queued batches moved rather than died: re-routes happened and
     // every re-routed batch ran on a non-quarantined-at-dispatch
@@ -98,12 +89,6 @@ fn wedged_replica_is_quarantined_and_its_queue_rerouted() {
     for b in &rerouted {
         assert_ne!(b.replica, 2, "re-routed batch landed on the wedged replica");
     }
-
-    // Sum identities hold with a quarantined replica in the mix.
-    let batches: u64 = report.replica_stats.iter().map(|r| r.batches).sum();
-    assert_eq!(batches, report.batches);
-    let requests: u64 = report.replica_stats.iter().map(|r| r.requests).sum();
-    assert_eq!(requests, report.completed);
 }
 
 #[test]
@@ -152,14 +137,7 @@ fn zero_batch_replicas_report_zeroed_stats_and_identities_hold() {
         assert_eq!(r.utilization, 0.0);
         assert!(!r.quarantined);
     }
-
-    let batches: u64 = report.replica_stats.iter().map(|r| r.batches).sum();
-    assert_eq!(batches, report.batches);
-    let requests: u64 = report.replica_stats.iter().map(|r| r.requests).sum();
-    assert_eq!(requests, report.completed);
-    let hits: u64 = report.replica_stats.iter().map(|r| r.cache.hits).sum();
-    let misses: u64 = report.replica_stats.iter().map(|r| r.cache.misses).sum();
-    assert_eq!((hits, misses), (report.cache.hits, report.cache.misses));
+    report.check().unwrap();
 }
 
 proptest! {
@@ -178,16 +156,11 @@ proptest! {
         config.replicas = replicas;
         let a = serve(&config).expect("chaos serve terminates");
         prop_assert_eq!(a.offered, 40);
-        prop_assert_eq!(a.completed + a.shed, a.offered);
-        prop_assert_eq!(a.clean + a.recovered + a.degraded, a.completed);
+        prop_assert_eq!(a.check(), Ok(()));
         prop_assert!(
             (a.replicas_quarantined as usize) < replicas.max(2),
             "quarantine must never empty the replica set"
         );
-        let flagged = a.replica_stats.iter().filter(|r| r.quarantined).count() as u64;
-        prop_assert_eq!(flagged, a.replicas_quarantined);
-        let requests: u64 = a.replica_stats.iter().map(|r| r.requests).sum();
-        prop_assert_eq!(requests, a.completed);
 
         let b = serve(&config).expect("chaos serve replays");
         prop_assert_eq!(

@@ -39,23 +39,10 @@ fn node_accounting_rolls_up_exactly() {
     let report = serve(&two_node_config()).unwrap();
     assert_eq!(report.nodes, 2);
     assert_eq!(report.node_stats.len(), 2);
-
-    // Node rows sum to the run totals...
-    let replicas: u64 = report.node_stats.iter().map(|n| n.replicas).sum();
-    assert_eq!(replicas, report.replicas as u64);
-    let batches: u64 = report.node_stats.iter().map(|n| n.batches).sum();
-    assert_eq!(batches, report.batches);
-    let requests: u64 = report.node_stats.iter().map(|n| n.requests).sum();
-    assert_eq!(requests, report.completed);
-    // ...and agree with the replica rows they fold (tokens and busy
-    // time have no independent run total, so the replica sum is the
-    // reference).
-    let node_tokens: u64 = report.node_stats.iter().map(|n| n.tokens).sum();
-    let replica_tokens: u64 = report.replica_stats.iter().map(|r| r.tokens).sum();
-    assert_eq!(node_tokens, replica_tokens);
-    let node_busy: u64 = report.node_stats.iter().map(|n| n.busy_ns).sum();
-    let replica_busy: u64 = report.replica_stats.iter().map(|r| r.busy_ns).sum();
-    assert_eq!(node_busy, replica_busy);
+    // Node rows sum to the run totals and agree with the replica rows
+    // they fold; the serve-level attribution identity survives
+    // migration charges.
+    report.check().unwrap();
 
     // Placement is replica id modulo node count, consistently stamped.
     for r in &report.replica_stats {
@@ -64,8 +51,6 @@ fn node_accounting_rolls_up_exactly() {
     for b in &report.batch_records {
         assert_eq!(b.node, b.replica % report.nodes);
     }
-    // The serve-level attribution identity survives migration charges.
-    assert_eq!(report.attribution.sum(), report.makespan_ns);
 }
 
 #[test]

@@ -102,12 +102,6 @@ impl SimDuration {
         SimDuration((secs * 1e9).round() as u64)
     }
 
-    /// Creates a duration from fractional microseconds (clamped like
-    /// [`SimDuration::from_secs_f64`]).
-    pub fn from_micros_f64(us: f64) -> Self {
-        Self::from_secs_f64(us / 1e6)
-    }
-
     /// Returns the duration in nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0

@@ -191,6 +191,7 @@ pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -201,14 +202,38 @@ pub fn parse(text: &str) -> Result<Value, String> {
     Ok(v)
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the limit bounds its stack use on hostile input;
+/// every document the exporters emit nests a handful of levels deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
+    }
+
+    /// The error for input that ends where more was required.
+    fn end_of_input(&self) -> String {
+        format!("unexpected end of input at byte {}", self.pos)
+    }
+
+    /// Opens one array/object level, refusing to nest past [`MAX_DEPTH`].
+    fn descend(&mut self) -> Result<(), String> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        Ok(())
     }
 
     fn skip_ws(&mut self) {
@@ -218,11 +243,13 @@ impl Parser<'_> {
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
+        match self.peek() {
+            Some(got) if got == b => {
+                self.pos += 1;
+                Ok(())
+            }
+            Some(_) => Err(format!("expected '{}' at byte {}", b as char, self.pos)),
+            None => Err(self.end_of_input()),
         }
     }
 
@@ -245,16 +272,22 @@ impl Parser<'_> {
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!("unexpected {:?} at byte {}", other, self.pos)),
+            Some(other) => Err(format!(
+                "unexpected {:?} at byte {}",
+                other as char, self.pos
+            )),
+            None => Err(self.end_of_input()),
         }
     }
 
     fn array(&mut self) -> Result<Value, String> {
         self.expect(b'[')?;
+        self.descend()?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Value::Arr(items));
         }
         loop {
@@ -265,19 +298,23 @@ impl Parser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Value::Arr(items));
                 }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+                Some(_) => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+                None => return Err(self.end_of_input()),
             }
         }
     }
 
     fn object(&mut self) -> Result<Value, String> {
         self.expect(b'{')?;
+        self.descend()?;
         let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Value::Obj(pairs));
         }
         loop {
@@ -293,9 +330,11 @@ impl Parser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Value::Obj(pairs));
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                Some(_) => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                None => return Err(self.end_of_input()),
             }
         }
     }
@@ -305,7 +344,7 @@ impl Parser<'_> {
         let mut out = String::new();
         loop {
             match self.peek() {
-                None => return Err("unterminated string".into()),
+                None => return Err(self.end_of_input()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
@@ -419,5 +458,44 @@ mod tests {
         for bad in ["{", "[1,]", "nul", "\"abc", "{\"a\" 1}", "1 2"] {
             assert!(parse(bad).is_err(), "{bad} should fail");
         }
+    }
+
+    #[test]
+    fn empty_and_truncated_input_report_end_of_input() {
+        for (text, at) in [
+            ("", 0),
+            ("   ", 3),
+            ("{\"a\": [1, 2", 11),
+            ("[1, {\"k\"", 8),
+            ("{\"ab", 4),
+            ("[", 1),
+        ] {
+            assert_eq!(
+                parse(text).unwrap_err(),
+                format!("unexpected end of input at byte {at}"),
+                "{text:?}"
+            );
+        }
+        assert_eq!(parse("[x]").unwrap_err(), "unexpected 'x' at byte 1");
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_overflowing_the_stack() {
+        let hostile = "[".repeat(200_000);
+        let err = parse(&hostile).unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                MAX_DEPTH + 1
+            )
+        );
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).unwrap_err().starts_with("nesting deeper"));
+        // The limit itself parses, and closing a level frees it again.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
+        let siblings = format!("[{}]", vec!["[[]]"; 2 * MAX_DEPTH].join(","));
+        assert!(parse(&siblings).is_ok());
     }
 }

@@ -5,7 +5,7 @@
 //! the paper's argument, stated as an attribution inequality.
 
 use flashoverlap::runtime::CommPattern;
-use flashoverlap::{ExecOptions, OverlapPlan, SystemSpec, WavePartition};
+use flashoverlap::{OverlapPlan, SequenceOptions, SystemSpec, WavePartition};
 use gpu_sim::gemm::GemmDims;
 use telemetry::attribution::{attribute, Attribution, Category};
 use telemetry::Telemetry;
@@ -14,13 +14,13 @@ fn run_attributed(plan: &OverlapPlan) -> Attribution {
     let telemetry = Telemetry::new();
     let instr = telemetry.instrumentation();
     let out = plan
-        .execute_with(&ExecOptions::new().instrument(&instr).trace())
+        .execute_with(&SequenceOptions::new().instrument(&instr).trace())
         .expect("instrumented run");
     let record = telemetry.take_record();
     let a = attribute(&out.spans, &record);
     assert_eq!(
         a.makespan_ns,
-        out.report.latency.as_nanos(),
+        out.reports[0].latency.as_nanos(),
         "attribution makespan must equal the measured latency"
     );
     a

@@ -5,7 +5,9 @@
 
 use flashoverlap::resilience::{Fault, FaultPlan, ResilientOutcome, WatchdogConfig};
 use flashoverlap::runtime::CommPattern;
-use flashoverlap::{ExecOptions, Instrumentation, OverlapPlan, SystemSpec, WavePartition};
+use flashoverlap::{
+    Instrumentation, OverlapPlan, SequenceOptions, SequenceOutcome, SystemSpec, WavePartition,
+};
 use gpu_sim::gemm::{GemmConfig, GemmDims};
 use gpu_sim::RuntimeEventKind;
 use telemetry::json::{self, Value};
@@ -28,12 +30,13 @@ fn small_plan() -> OverlapPlan {
     .expect("valid plan")
 }
 
-fn lost_signal_faults() -> FaultPlan {
-    FaultPlan::single(Fault::DroppedIncrement {
+/// The one-segment fault plans of a run that loses one group-1 signal.
+fn lost_signal_faults() -> [FaultPlan; 1] {
+    [FaultPlan::single(Fault::DroppedIncrement {
         rank: 0,
         group: 1,
         count: 1,
-    })
+    })]
 }
 
 #[test]
@@ -47,7 +50,7 @@ fn dropped_increment_recovery_is_visible_in_the_trace() {
     };
     let report = plan
         .execute_with(
-            &ExecOptions::new()
+            &SequenceOptions::new()
                 .instrument(&instr)
                 .trace()
                 .resilient(&lost_signal_faults(), &WatchdogConfig::default()),
@@ -56,7 +59,7 @@ fn dropped_increment_recovery_is_visible_in_the_trace() {
     let spans = &report.spans;
 
     // The run recovered through the tail path, and says so.
-    match &report.outcome {
+    match &report.outcomes[0] {
         ResilientOutcome::Recovered { tail_groups, .. } => {
             assert!(tail_groups.contains(&1), "{tail_groups:?}");
         }
@@ -114,17 +117,17 @@ fn recovery_timeline_is_deterministic() {
     let plan = small_plan();
     let watchdog = WatchdogConfig::default();
     let run = || {
-        plan.execute_with(&ExecOptions::new().resilient(&lost_signal_faults(), &watchdog))
+        plan.execute_with(&SequenceOptions::new().resilient(&lost_signal_faults(), &watchdog))
             .expect("resilient run")
     };
     let (a, b) = (run(), run());
-    assert_eq!(a.outcome, b.outcome);
-    let timeline = |r: &flashoverlap::ExecOutcome| -> Vec<(u64, RuntimeEventKind, Option<usize>)> {
+    assert_eq!(a.outcomes, b.outcomes);
+    let timeline = |r: &SequenceOutcome| -> Vec<(u64, RuntimeEventKind, Option<usize>)> {
         r.events
             .iter()
             .map(|e| ((e.at - sim::SimTime::ZERO).as_nanos(), e.kind, e.group))
             .collect()
     };
     assert_eq!(timeline(&a), timeline(&b));
-    assert_eq!(a.report.latency, b.report.latency);
+    assert_eq!(a.reports[0].latency, b.reports[0].latency);
 }

@@ -96,11 +96,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrows row `r` as a slice.
     ///
     /// # Panics

@@ -12,7 +12,7 @@
 //! token delivery functionally, and reports latencies.
 
 use flashoverlap::runtime::CommPattern;
-use flashoverlap::{FunctionalInputs, OverlapPlan, SystemSpec};
+use flashoverlap::{FunctionalInputs, OverlapPlan, SequenceOptions, SystemSpec};
 use gpu_sim::gemm::GemmDims;
 use tensor::gemm;
 use workloads::routing::{balanced_routing, load_histogram, skewed_routing};
@@ -45,9 +45,10 @@ fn main() {
         let base = baselines::run_nonoverlap(dims, &pattern, &system).expect("baseline");
         let plan = OverlapPlan::tuned(dims, pattern, system.clone()).expect("plan");
         let report = plan
-            .execute_with(&flashoverlap::ExecOptions::new())
+            .execute_with(&SequenceOptions::new())
             .expect("run")
-            .report;
+            .reports
+            .remove(0);
         println!(
             "   partition {} | non-overlap {base} | FlashOverlap {} ({:.3}x)\n",
             plan.partition,
@@ -70,9 +71,9 @@ fn main() {
     .expect("small plan");
     let inputs = FunctionalInputs::random(small, n_gpus, 3);
     let result = plan
-        .execute_with(&flashoverlap::ExecOptions::new().functional(&inputs))
+        .execute_with(&SequenceOptions::new().functional(std::slice::from_ref(&inputs)))
         .expect("functional");
-    let outputs = result.outputs.expect("functional outputs");
+    let outputs = &result.outputs.expect("functional outputs")[0];
     let expert_out: Vec<_> = (0..n_gpus)
         .map(|r| gemm(&inputs.a[r], &inputs.b[r]))
         .collect();

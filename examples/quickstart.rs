@@ -12,7 +12,7 @@
 //!    verified numerics.
 
 use flashoverlap::runtime::CommPattern;
-use flashoverlap::{FunctionalInputs, OverlapPlan, SystemSpec};
+use flashoverlap::{FunctionalInputs, OverlapPlan, SequenceOptions, SystemSpec};
 use gpu_sim::gemm::GemmDims;
 use tensor::{allclose, gemm};
 
@@ -35,9 +35,10 @@ fn main() {
 
     // Measure the overlapped operator.
     let report = plan
-        .execute_with(&flashoverlap::ExecOptions::new())
+        .execute_with(&SequenceOptions::new())
         .expect("simulation")
-        .report;
+        .reports
+        .remove(0);
     let baseline =
         baselines::run_nonoverlap(dims, &CommPattern::AllReduce, &system).expect("baseline");
     println!("FlashOverlap : {}", report.latency);
@@ -55,9 +56,9 @@ fn main() {
         .expect("small plan");
     let inputs = FunctionalInputs::random(small, 4, 7);
     let result = plan
-        .execute_with(&flashoverlap::ExecOptions::new().functional(&inputs))
+        .execute_with(&SequenceOptions::new().functional(std::slice::from_ref(&inputs)))
         .expect("functional run");
-    let outputs = result.outputs.expect("functional outputs");
+    let outputs = &result.outputs.expect("functional outputs")[0];
     let mut expected = gemm(&inputs.a[0], &inputs.b[0]);
     for r in 1..4 {
         expected = expected.add(&gemm(&inputs.a[r], &inputs.b[r]));

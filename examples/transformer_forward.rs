@@ -14,7 +14,7 @@ use std::rc::Rc;
 
 use flashoverlap::pipeline::{LayerSpec, Pipeline};
 use flashoverlap::runtime::CommPattern;
-use flashoverlap::SystemSpec;
+use flashoverlap::{FunctionalInputs, SequenceOptions, SystemSpec};
 use gpu_sim::elementwise::ElementwiseOp;
 use gpu_sim::gemm::GemmDims;
 use sim::DetRng;
@@ -67,13 +67,27 @@ fn main() {
         })
         .collect();
 
+    // Layer 0 reads `first_a`; every later layer reads the previous
+    // layer's fused epilogue output, so it needs only its weights.
+    let inputs: Vec<FunctionalInputs> = weights
+        .iter()
+        .enumerate()
+        .map(|(l, b)| FunctionalInputs {
+            a: if l == 0 { first_a.clone() } else { Vec::new() },
+            b: b.clone(),
+        })
+        .collect();
     let out = pipeline
-        .execute_with(&flashoverlap::PipelineExecOptions::new().functional(&first_a, &weights))
+        .execute_with(&SequenceOptions::new().functional(&inputs))
         .expect("functional run");
-    let outputs = out.outputs.expect("functional outputs");
+    let outputs = out
+        .outputs
+        .as_ref()
+        .and_then(|o| o.last())
+        .expect("functional outputs");
     println!(
         "end-to-end simulated time: {} ({} layers overlapped back to back)",
-        out.report.total, layers
+        out.total, layers
     );
 
     // Reference forward pass on the host.

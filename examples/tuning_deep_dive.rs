@@ -40,9 +40,9 @@ fn main() {
             let predicted = predictor.predict(&p).as_nanos();
             let actual = OverlapPlan::new(dims, CommPattern::AllReduce, system.clone(), p.clone())
                 .expect("plan")
-                .execute_with(&flashoverlap::ExecOptions::new())
+                .execute_with(&flashoverlap::SequenceOptions::new())
                 .expect("run")
-                .report
+                .reports[0]
                 .latency
                 .as_nanos();
             (p, predicted, actual)

@@ -4,20 +4,17 @@
 //! against the plain oracle on the real (paper) system specs.
 
 use flashoverlap::runtime::CommPattern;
-use flashoverlap::{
-    ExecOptions, FunctionalInputs, FunctionalReport, OverlapPlan, SystemSpec, WavePartition,
-};
+use flashoverlap::{FunctionalInputs, OverlapPlan, SequenceOptions, SystemSpec, WavePartition};
 use gpu_sim::gemm::{GemmConfig, GemmDims};
 use tensor::{allclose, gemm, rmsnorm, Matrix};
 
-fn run_functional(plan: &OverlapPlan, inputs: &FunctionalInputs) -> FunctionalReport {
-    let out = plan
-        .execute_with(&ExecOptions::new().functional(inputs))
-        .expect("functional execution");
-    FunctionalReport {
-        report: out.report,
-        outputs: out.outputs.expect("functional outputs"),
-    }
+/// Per-rank logical outputs of a functional single-plan run.
+fn run_functional(plan: &OverlapPlan, inputs: &FunctionalInputs) -> Vec<Matrix> {
+    plan.execute_with(&SequenceOptions::new().functional(std::slice::from_ref(inputs)))
+        .expect("functional execution")
+        .outputs
+        .and_then(|mut o| o.pop())
+        .expect("functional outputs")
 }
 
 fn reduced_reference(inputs: &FunctionalInputs) -> Matrix {
@@ -39,9 +36,9 @@ fn all_reduce_pipeline_on_rtx4090_system() {
     let system = SystemSpec::rtx4090(4);
     let plan = OverlapPlan::tuned(dims, CommPattern::AllReduce, system).unwrap();
     let inputs = FunctionalInputs::random(dims, 4, 11);
-    let result = run_functional(&plan, &inputs);
+    let outputs = run_functional(&plan, &inputs);
     let expected = reduced_reference(&inputs);
-    for (rank, out) in result.outputs.iter().enumerate() {
+    for (rank, out) in outputs.iter().enumerate() {
         assert!(allclose(out, &expected, 2e-2), "rank {rank}");
     }
 }
@@ -52,10 +49,10 @@ fn all_reduce_pipeline_on_a800_system() {
     let system = SystemSpec::a800(2);
     let plan = OverlapPlan::tuned(dims, CommPattern::AllReduce, system).unwrap();
     let inputs = FunctionalInputs::random(dims, 2, 12);
-    let result = run_functional(&plan, &inputs);
+    let outputs = run_functional(&plan, &inputs);
     let expected = reduced_reference(&inputs);
-    assert!(allclose(&result.outputs[0], &expected, 2e-2));
-    assert!(allclose(&result.outputs[1], &expected, 2e-2));
+    assert!(allclose(&outputs[0], &expected, 2e-2));
+    assert!(allclose(&outputs[1], &expected, 2e-2));
 }
 
 #[test]
@@ -64,9 +61,9 @@ fn reduce_scatter_pipeline_delivers_interleaved_rows() {
     let system = SystemSpec::rtx4090(4);
     let plan = OverlapPlan::tuned(dims, CommPattern::ReduceScatter, system).unwrap();
     let inputs = FunctionalInputs::random(dims, 4, 13);
-    let result = run_functional(&plan, &inputs);
+    let outputs = run_functional(&plan, &inputs);
     let expected = reduced_reference(&inputs);
-    for (rank, out) in result.outputs.iter().enumerate() {
+    for (rank, out) in outputs.iter().enumerate() {
         assert_eq!(out.rows(), 256, "each rank holds M/n rows");
         for i in 0..out.rows() {
             let global = rank + i * 4;
@@ -93,11 +90,10 @@ fn all_to_all_pipeline_routes_every_token() {
     .unwrap();
     let inputs = FunctionalInputs::random(dims, 4, 14);
     let per_rank: Vec<Matrix> = (0..4).map(|r| gemm(&inputs.a[r], &inputs.b[r])).collect();
-    let result = run_functional(&plan, &inputs);
+    let outputs = run_functional(&plan, &inputs);
     let mapping = plan.token_mapping().unwrap();
     let mut total_tokens = 0;
-    for dest in 0..4 {
-        let out = &result.outputs[dest];
+    for (dest, out) in outputs.iter().enumerate() {
         total_tokens += out.rows();
         for (i, &(src, row)) in mapping.recv_expected[dest].iter().enumerate() {
             for c in 0..out.cols() {
@@ -124,7 +120,7 @@ fn fused_rmsnorm_remap_restores_logical_order() {
     let system = SystemSpec::rtx4090(2);
     let plan = OverlapPlan::tuned(dims, CommPattern::AllReduce, system.clone()).unwrap();
     let inputs = FunctionalInputs::random(dims, 2, 31);
-    let result = run_functional(&plan, &inputs);
+    let outputs = run_functional(&plan, &inputs);
     let expected = reduced_reference(&inputs);
 
     // Re-pack the verified output through the mapping and run the fused
@@ -133,7 +129,7 @@ fn fused_rmsnorm_remap_restores_logical_order() {
     let mut packed = vec![0.0f32; mapping.total_elems];
     for r in 0..dims.m {
         for c in 0..dims.n {
-            packed[mapping.packed_index(r, c)] = result.outputs[0][(r as usize, c as usize)];
+            packed[mapping.packed_index(r, c)] = outputs[0][(r as usize, c as usize)];
         }
     }
     let gather = Rc::new(mapping.element_gather());
@@ -197,9 +193,9 @@ fn every_partition_of_a_shape_gives_identical_numerics() {
             WavePartition::new(sizes),
         )
         .unwrap();
-        let result = run_functional(&plan, &inputs);
+        let outputs = run_functional(&plan, &inputs);
         assert!(
-            allclose(&result.outputs[0], &expected, 2e-2),
+            allclose(&outputs[0], &expected, 2e-2),
             "partition {} changed numerics",
             plan.partition
         );
@@ -213,8 +209,8 @@ fn all_gather_pipeline_on_real_system() {
     let plan = OverlapPlan::tuned(dims, CommPattern::AllGather, system).unwrap();
     let inputs = FunctionalInputs::random(dims, 4, 51);
     let shards: Vec<Matrix> = (0..4).map(|r| gemm(&inputs.a[r], &inputs.b[r])).collect();
-    let result = run_functional(&plan, &inputs);
-    for (rank, out) in result.outputs.iter().enumerate() {
+    let outputs = run_functional(&plan, &inputs);
+    for (rank, out) in outputs.iter().enumerate() {
         assert_eq!((out.rows(), out.cols()), (512, 1024));
         for r in 0..512usize {
             for c in 0..1024usize {
@@ -253,13 +249,10 @@ fn pipeline_composes_layers_on_real_system() {
         ],
     )
     .unwrap();
-    let report = pipeline
-        .execute_with(&flashoverlap::PipelineExecOptions::new())
-        .unwrap()
-        .report;
-    assert_eq!(report.layers.len(), 2);
-    assert!(report.layers[0].latency < report.layers[1].latency);
-    assert!(report.total >= report.layers[1].epilogue_done.unwrap());
+    let outcome = pipeline.execute_with(&SequenceOptions::new()).unwrap();
+    assert_eq!(outcome.reports.len(), 2);
+    assert!(outcome.reports[0].latency < outcome.reports[1].latency);
+    assert!(outcome.total >= outcome.reports[1].epilogue_done.unwrap());
 }
 
 #[test]
@@ -267,11 +260,14 @@ fn timing_and_functional_modes_agree_on_latency() {
     let dims = GemmDims::new(1024, 1024, 128);
     let system = SystemSpec::rtx4090(2);
     let plan = OverlapPlan::tuned(dims, CommPattern::AllReduce, system).unwrap();
-    let timing = plan.execute_with(&ExecOptions::new()).unwrap().report;
-    let functional = run_functional(&plan, &FunctionalInputs::random(dims, 2, 5));
+    let timing = plan.execute_with(&SequenceOptions::new()).unwrap();
+    let inputs = [FunctionalInputs::random(dims, 2, 5)];
+    let functional = plan
+        .execute_with(&SequenceOptions::new().functional(&inputs))
+        .unwrap();
     assert_eq!(
-        timing.latency.as_nanos(),
-        functional.report.latency.as_nanos(),
+        timing.reports[0].latency.as_nanos(),
+        functional.reports[0].latency.as_nanos(),
         "data must never affect time"
     );
 }

@@ -20,9 +20,10 @@ fn tile_wise_overlapping() {
         "balanced shape must tune to a multi-group partition"
     );
     let report = plan
-        .execute_with(&flashoverlap::ExecOptions::new())
+        .execute_with(&flashoverlap::SequenceOptions::new())
         .unwrap()
-        .report;
+        .reports
+        .remove(0);
     let first_comm = report.group_comm_done[0];
     assert!(
         first_comm < report.gemm_done,
@@ -51,9 +52,10 @@ fn interference_free_computation() {
     )
     .unwrap();
     let report = plan
-        .execute_with(&flashoverlap::ExecOptions::new())
+        .execute_with(&flashoverlap::SequenceOptions::new())
         .unwrap()
-        .report;
+        .reports
+        .remove(0);
     // Uncontended runtime waves are full-width.
     let (_, plain) = gemm_estimate(dims, &plan.config, system.arch.sm_count, &system.arch);
     let ratio = report.gemm_done.as_nanos() as f64 / plain.as_nanos() as f64;
@@ -80,9 +82,10 @@ fn contention_bounded_computation() {
     )
     .unwrap();
     let report = plan
-        .execute_with(&flashoverlap::ExecOptions::new())
+        .execute_with(&flashoverlap::SequenceOptions::new())
         .unwrap()
-        .report;
+        .reports
+        .remove(0);
     let (_, plain) = gemm_estimate(dims, &plan.config, system.arch.sm_count, &system.arch);
     let (_, contended) = gemm_estimate(dims, &plan.config, system.compute_sms(), &system.arch);
     let measured = report.gemm_done.as_nanos() as f64;
@@ -112,9 +115,10 @@ fn communication_agnosticism() {
     ] {
         let plan = OverlapPlan::tuned(dims, pattern, system.clone()).unwrap();
         let report = plan
-            .execute_with(&flashoverlap::ExecOptions::new())
+            .execute_with(&flashoverlap::SequenceOptions::new())
             .unwrap()
-            .report;
+            .reports
+            .remove(0);
         assert!(report.latency > sim::SimDuration::ZERO);
     }
 }

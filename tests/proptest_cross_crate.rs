@@ -3,8 +3,8 @@
 
 use flashoverlap::runtime::CommPattern;
 use flashoverlap::{
-    nonoverlap_latency, theoretical_latency, ExecOptions, FunctionalInputs, LatencyPredictor,
-    OverlapPlan, RunReport, SystemSpec, WavePartition,
+    nonoverlap_latency, theoretical_latency, FunctionalInputs, LatencyPredictor, OverlapPlan,
+    RunReport, SequenceOptions, SystemSpec, WavePartition,
 };
 use gpu_sim::gemm::{GemmConfig, GemmDims};
 use proptest::prelude::*;
@@ -17,7 +17,10 @@ fn arb_dims() -> impl Strategy<Value = GemmDims> {
 }
 
 fn run(plan: &OverlapPlan) -> RunReport {
-    plan.execute_with(&ExecOptions::new()).expect("run").report
+    plan.execute_with(&SequenceOptions::new())
+        .expect("run")
+        .reports
+        .remove(0)
 }
 
 fn waves_for(dims: GemmDims, system: &SystemSpec) -> u32 {
@@ -84,9 +87,9 @@ proptest! {
         let plan = OverlapPlan::new(dims, CommPattern::AllReduce, system, partition)
             .expect("plan");
         let result = plan
-            .execute_with(&ExecOptions::new().functional(&inputs))
+            .execute_with(&SequenceOptions::new().functional(std::slice::from_ref(&inputs)))
             .expect("run");
-        let outputs = result.outputs.expect("functional outputs");
+        let outputs = &result.outputs.expect("functional outputs")[0];
         prop_assert!(allclose(&outputs[0], &expected, 2e-2));
         prop_assert!(allclose(&outputs[1], &expected, 2e-2));
     }
