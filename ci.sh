@@ -184,6 +184,9 @@ print(f"chaos-sequence gate: ok ({res['replicas_quarantined']} quarantined, "
 EOF
 
 echo "== analyze gate (critical-path attribution, tuned vs per-wave signaling) =="
+# analyze exits nonzero when an arm's attribution does not tile its
+# makespan exactly (which also bounds every share to [0, 1]); this gate
+# checks only the scenario claim.
 cargo run -q -p flashoverlap-cli --bin flashoverlap -- analyze \
   -m 2048 -n 4096 -k 4096 --gpus 2 --platform a800 \
   --metrics-out "$tmp/analyze.json" > /dev/null
@@ -192,12 +195,6 @@ import json, sys
 with open(sys.argv[1]) as f:
     analyze = json.load(f)
 assert analyze["kind"] == "flashoverlap-analyze", analyze.get("kind")
-for arm in ("tuned", "per_wave"):
-    attr = analyze[arm]["attribution"]
-    cats = attr["categories"]
-    assert sum(cats.values()) == attr["makespan_ns"], \
-        f"{arm}: attribution must sum exactly to the makespan"
-    assert all(0.0 <= s <= 1.0 for s in attr["shares"].values()), attr["shares"]
 tuned = analyze["tuned"]["attribution"]["categories"]["signal_wait_ns"]
 per_wave = analyze["per_wave"]["attribution"]["categories"]["signal_wait_ns"]
 assert tuned < per_wave, \

@@ -17,6 +17,7 @@ use gpu_sim::swizzle::Swizzle;
 use gpu_sim::tile::{TileGrid, TileShape};
 use gpu_sim::wave::WaveSchedule;
 use sim::{Sim, SimDuration};
+use telemetry::{Telemetry, TelemetryRecord};
 
 fn bench_event_engine(c: &mut Criterion) {
     c.bench_function("sim/10k_events", |b| {
@@ -131,6 +132,30 @@ fn bench_simulated_run(c: &mut Criterion) {
     });
 }
 
+/// The per-chain cost serving pays: one traced, telemetry-monitored
+/// execution of a serve-shaped plan (a 2048-token Llama-3-8B batch,
+/// tensor-parallel over 4 GPUs, tuned AllReduce plan), recycling one
+/// record's buffers across runs as the replica engine does.
+fn bench_serve_instrumented(c: &mut Criterion) {
+    let system = SystemSpec::rtx4090(4);
+    let dims = GemmDims::new(2048, 4096, 14336 / 4);
+    let partition = predictive_search(dims, Primitive::AllReduce, &system).partition;
+    let plan = OverlapPlan::new(dims, CommPattern::AllReduce, system, partition).expect("plan");
+    let mut scratch = TelemetryRecord::default();
+    c.bench_function("runtime/execute_serve_instrumented", |b| {
+        b.iter(|| {
+            let telemetry = Telemetry::recycling(std::mem::take(&mut scratch));
+            let instr = telemetry.instrumentation();
+            let options = flashoverlap::SequenceOptions::new()
+                .trace()
+                .instrument(&instr);
+            let outcome = plan.execute_with(&options).expect("execute");
+            scratch = telemetry.take_record();
+            black_box((outcome.total, scratch.increments.len()))
+        })
+    });
+}
+
 fn bench_collective_cost(c: &mut Criterion) {
     let fabric = interconnect::FabricSpec::rtx4090_pcie();
     c.bench_function("collectives/cost_model_eval", |b| {
@@ -219,6 +244,6 @@ criterion_group! {
     config = config();
     targets = bench_event_engine, bench_mapping_build, bench_token_mapping,
               bench_predictor, bench_search, bench_simulated_run,
-              bench_collective_cost, bench_pipeline
+              bench_serve_instrumented, bench_collective_cost, bench_pipeline
 }
 criterion_main!(benches);

@@ -566,7 +566,7 @@ impl Kernel for CollectiveKernel {
 
         // This rank's contribution is read from arrival on; report it now
         // so a send region still being produced shows up as a race.
-        if let Some(monitor) = world.monitor.clone() {
+        if let Some(monitor) = world.monitor.as_deref().filter(|m| m.observes_accesses()) {
             for (buffer, range) in self.spec.send_ranges(self.rank) {
                 monitor.on_access(&Access {
                     device: ctx.device,
@@ -675,7 +675,7 @@ impl Kernel for CollectiveKernel {
             let comm = self.comm.clone();
             let spec = self.spec.clone();
             sim.schedule_at(finish_at, move |w, s| {
-                if let Some(monitor) = w.monitor.clone() {
+                if let Some(monitor) = w.monitor.as_deref().filter(|m| m.observes_accesses()) {
                     for (rank, &(device, stream)) in participants.iter().enumerate() {
                         for (buffer, range) in spec.recv_ranges(rank) {
                             monitor.on_access(&Access {

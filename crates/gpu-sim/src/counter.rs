@@ -78,7 +78,8 @@ impl CounterTable {
     }
 
     /// Increments `group` by `by` and returns the waiters whose thresholds
-    /// are now satisfied (in registration order).
+    /// are now satisfied, in the order `by` unit increments would release
+    /// them: by threshold, ties in registration order.
     ///
     /// # Panics
     ///
@@ -88,7 +89,13 @@ impl CounterTable {
         *slot += by;
         let count = *slot;
         let pending = self.waiters.get_mut(group).expect("group out of range");
-        pending.extract_if(.., |w| w.threshold <= count).collect()
+        let mut released: Vec<Waiter> = pending.extract_if(.., |w| w.threshold <= count).collect();
+        // A parked threshold always exceeds the count it was parked at, so
+        // the unit step that releases a waiter is the one reaching its
+        // threshold; the stable sort keeps registration order within a
+        // step.
+        released.sort_by_key(|w| w.threshold);
+        released
     }
 
     /// Registers a waiter for `group` reaching `threshold`.
@@ -308,6 +315,37 @@ mod tests {
     fn arming_fault_out_of_range_panics() {
         let mut t = CounterTable::new(1);
         t.arm_fault(3, IncrementFault::Dropped, 1);
+    }
+
+    /// `(threshold, stream)` of the waiters `increment` releases, in
+    /// release order.
+    fn released(t: &mut CounterTable, group: usize, by: u32) -> Vec<(u32, usize)> {
+        t.increment(group, by)
+            .iter()
+            .map(|w| (w.threshold, w.completion.stream()))
+            .collect()
+    }
+
+    #[test]
+    fn bulk_increment_releases_in_unit_increment_order() {
+        // Waiters parked out of threshold order, with a tie at 3; each
+        // waiter's stream id is its registration index.
+        let parked = [5, 2, 3, 7, 3, 4];
+        let mut bulk = CounterTable::new(1);
+        let mut unit = CounterTable::new(1);
+        for (i, &threshold) in parked.iter().enumerate() {
+            assert!(bulk
+                .register(0, threshold, Completion::for_test(0, i))
+                .is_none());
+            assert!(unit
+                .register(0, threshold, Completion::for_test(0, i))
+                .is_none());
+        }
+        let expected: Vec<(u32, usize)> = (0..5).flat_map(|_| released(&mut unit, 0, 1)).collect();
+        assert_eq!(expected, [(2, 1), (3, 2), (3, 4), (4, 5), (5, 0)]);
+        assert_eq!(released(&mut bulk, 0, 5), expected);
+        assert_eq!(bulk.count(0), unit.count(0));
+        assert_eq!(bulk.parked_waiters().count(), 1, "threshold 7 stays parked");
     }
 
     #[test]

@@ -156,7 +156,7 @@ impl ElementwiseKernel {
 
 impl Kernel for ElementwiseKernel {
     fn launch(self: Box<Self>, ctx: LaunchCtx, world: &mut Cluster, sim: &mut ClusterSim) {
-        if let Some(monitor) = world.monitor.clone() {
+        if let Some(monitor) = world.monitor.as_deref().filter(|m| m.observes_accesses()) {
             use crate::monitor::{Access, AccessKind, AccessScope};
             for range in self.read_spans() {
                 monitor.on_access(&Access {

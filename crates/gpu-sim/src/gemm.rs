@@ -19,7 +19,7 @@ use crate::arch::GpuArch;
 use crate::cluster::{Cluster, SpanMeta, TileCompletion};
 use crate::device::DeviceId;
 use crate::memory::BufferId;
-use crate::stream::{Completion, Kernel, LaunchCtx};
+use crate::stream::{Completion, Kernel, LaunchCtx, StreamId};
 use crate::swizzle::Swizzle;
 use crate::tile::{TileGrid, TileShape};
 use crate::wave::wave_count;
@@ -343,14 +343,14 @@ fn start_wave(run: GemmRun, world: &mut Cluster, sim: &mut ClusterSim) {
 fn finish_wave(mut run: GemmRun, count: usize, world: &mut Cluster, sim: &mut ClusterSim) {
     world.devices[run.device].release_compute_sms(count as u32);
     world.notify_sm_occupancy(sim.now(), run.device);
-    let wave_tiles: Vec<u32> = run.issue[run.next..run.next + count].to_vec();
+    let wave_tiles = &run.issue[run.next..run.next + count];
 
     // Access monitoring: report each tile's epilogue writes at the wave
     // boundary (emitted in timing mode too — the sanitizer tracks ranges,
     // not values).
-    if let Some(monitor) = world.monitor.as_deref() {
+    if let Some(monitor) = world.monitor.as_deref().filter(|m| m.observes_accesses()) {
         let stream = run.completion.stream();
-        for &t in &wave_tiles {
+        for &t in wave_tiles {
             for range in run.writer.write_spans(&run.grid, t) {
                 monitor.on_access(&crate::monitor::Access {
                     device: run.device,
@@ -368,7 +368,7 @@ fn finish_wave(mut run: GemmRun, count: usize, world: &mut Cluster, sim: &mut Cl
     // Functional epilogue: compute each tile's block and write it through
     // the epilogue writer.
     if world.functional {
-        for &t in &wave_tiles {
+        for &t in wave_tiles {
             let block = {
                 let mem = &world.devices[run.device].mem;
                 compute_tile_block(mem.data(run.a), mem.data(run.b), run.dims, &run.grid, t)
@@ -412,65 +412,9 @@ fn finish_wave(mut run: GemmRun, count: usize, world: &mut Cluster, sim: &mut Cl
         }
     }
 
-    // Epilogue signaling: bump the counting table per finished tile and
-    // wake any satisfied signaling kernels (with their polling delay).
-    if let Some(hook) = run.counter.clone() {
-        let monitor = world.monitor.clone();
+    if let Some(hook) = &run.counter {
         let stream = run.completion.stream();
-        let device = run.device;
-        let table_idx = hook.table;
-        let mut woken = Vec::new();
-        for &t in &wave_tiles {
-            let group = hook.group_of_tile[t as usize] as usize;
-            // Fault injection: an armed fault can drop or delay this
-            // increment (the tile's data write above is unaffected — only
-            // the signal misbehaves, as when a real epilogue's atomic is
-            // lost or lands late across an incoherent interconnect).
-            let fault = world.devices[device].counters[table_idx].take_increment_fault(group);
-            match fault {
-                Some(crate::counter::IncrementFault::Dropped) => {
-                    world.notify_runtime_event(&crate::monitor::RuntimeEvent {
-                        at: sim.now(),
-                        device,
-                        kind: crate::monitor::RuntimeEventKind::FaultInjected,
-                        group: Some(group),
-                        detail: format!("dropped counter increment (tile {t})"),
-                    });
-                    continue;
-                }
-                Some(crate::counter::IncrementFault::Delayed(by)) => {
-                    world.notify_runtime_event(&crate::monitor::RuntimeEvent {
-                        at: sim.now(),
-                        device,
-                        kind: crate::monitor::RuntimeEventKind::FaultInjected,
-                        group: Some(group),
-                        detail: format!("delayed counter increment by {by:?} (tile {t})"),
-                    });
-                    sim.schedule_in(by, move |w, s| {
-                        if let Some(monitor) = w.monitor.as_deref() {
-                            monitor.on_counter_increment(
-                                s.now(),
-                                device,
-                                stream,
-                                table_idx,
-                                group,
-                                1,
-                            );
-                        }
-                        let late = w.devices[device].counters[table_idx].increment(group, 1);
-                        crate::stream::wake_counter_waiters(w, s, device, table_idx, late);
-                    });
-                    continue;
-                }
-                None => {}
-            }
-            if let Some(monitor) = monitor.as_deref() {
-                monitor.on_counter_increment(sim.now(), device, stream, table_idx, group, 1);
-            }
-            let table = &mut world.devices[device].counters[table_idx];
-            woken.extend(table.increment(group, 1));
-        }
-        crate::stream::wake_counter_waiters(world, sim, device, table_idx, woken);
+        signal_wave(world, sim, run.device, stream, hook, wave_tiles);
     }
 
     run.next += count;
@@ -492,6 +436,82 @@ fn finish_wave(mut run: GemmRun, count: usize, world: &mut Cluster, sim: &mut Cl
     } else {
         start_wave(run, world, sim);
     }
+}
+
+/// Epilogue signaling for one wave (§3.2.4): each run of consecutive
+/// tiles that share a group bumps the group's counting-table slot once,
+/// then every satisfied signaling kernel wakes (with its polling delay).
+///
+/// Fault injection: while a fault is armed on the run's group, the run's
+/// leading tiles take it one at a time and are dropped or delayed (the
+/// tiles' data writes are unaffected — only the signal misbehaves, as
+/// when a real epilogue's atomic is lost or lands late across an
+/// incoherent interconnect). The rest of the run lands as one increment.
+fn signal_wave(
+    world: &mut Cluster,
+    sim: &mut ClusterSim,
+    device: DeviceId,
+    stream: StreamId,
+    hook: &CounterHook,
+    wave_tiles: &[u32],
+) {
+    use crate::counter::IncrementFault;
+    use crate::monitor::{RuntimeEvent, RuntimeEventKind};
+
+    let table_idx = hook.table;
+    let group_of = |t: u32| hook.group_of_tile[t as usize] as usize;
+    let mut woken = Vec::new();
+    let mut rest = wave_tiles;
+    while let Some(&first) = rest.first() {
+        let group = group_of(first);
+        let len = rest
+            .iter()
+            .position(|&t| group_of(t) != group)
+            .unwrap_or(rest.len());
+        let (tiles, tail) = rest.split_at(len);
+        rest = tail;
+
+        let mut faulted = 0;
+        while let Some(&t) = tiles.get(faulted) {
+            let table = &mut world.devices[device].counters[table_idx];
+            let Some(fault) = table.take_increment_fault(group) else {
+                break;
+            };
+            faulted += 1;
+            let detail = match fault {
+                IncrementFault::Dropped => format!("dropped counter increment (tile {t})"),
+                IncrementFault::Delayed(by) => {
+                    format!("delayed counter increment by {by:?} (tile {t})")
+                }
+            };
+            world.notify_runtime_event(&RuntimeEvent {
+                at: sim.now(),
+                device,
+                kind: RuntimeEventKind::FaultInjected,
+                group: Some(group),
+                detail,
+            });
+            if let IncrementFault::Delayed(by) = fault {
+                sim.schedule_in(by, move |w, s| {
+                    if let Some(monitor) = w.monitor.as_deref() {
+                        monitor.on_counter_increment(s.now(), device, stream, table_idx, group, 1);
+                    }
+                    let late = w.devices[device].counters[table_idx].increment(group, 1);
+                    crate::stream::wake_counter_waiters(w, s, device, table_idx, late);
+                });
+            }
+        }
+
+        let landed = (tiles.len() - faulted) as u32;
+        if landed > 0 {
+            if let Some(monitor) = world.monitor.as_deref() {
+                monitor.on_counter_increments(sim.now(), device, stream, table_idx, group, landed);
+            }
+            let table = &mut world.devices[device].counters[table_idx];
+            woken.extend(table.increment(group, landed));
+        }
+    }
+    crate::stream::wake_counter_waiters(world, sim, device, table_idx, woken);
 }
 
 /// Computes the output block of tile `t`: `A[rows, :] x B[:, cols]`.
@@ -818,6 +838,132 @@ mod tests {
             end >= clean_end + SimDuration::from_micros(50).as_nanos(),
             "delayed increment should push the drain time: {end} vs {clean_end}"
         );
+    }
+
+    /// What a monitor that keeps the default `on_counter_increments` sees
+    /// of the epilogue signal path.
+    #[derive(Default)]
+    struct SignalLog {
+        increments: std::cell::RefCell<Vec<(usize, u32)>>,
+        satisfied: std::cell::RefCell<Vec<(usize, u32)>>,
+        faults: std::cell::RefCell<Vec<String>>,
+    }
+
+    impl crate::monitor::ClusterMonitor for SignalLog {
+        fn on_counter_increment(
+            &self,
+            _at: sim::SimTime,
+            _device: DeviceId,
+            _stream: StreamId,
+            _table: usize,
+            group: usize,
+            by: u32,
+        ) {
+            self.increments.borrow_mut().push((group, by));
+        }
+
+        fn on_counter_satisfied(
+            &self,
+            _at: sim::SimTime,
+            _device: DeviceId,
+            _stream: StreamId,
+            _table: usize,
+            group: usize,
+            threshold: u32,
+        ) {
+            self.satisfied.borrow_mut().push((group, threshold));
+        }
+
+        fn on_runtime_event(&self, event: &crate::monitor::RuntimeEvent) {
+            self.faults.borrow_mut().push(event.detail.clone());
+        }
+    }
+
+    /// Runs one 16-tile wave whose first 10 issued tiles belong to group 0
+    /// and the last 6 to group 1, with `fault` armed on group 0 for 3
+    /// increments. Waits on group 0 (thresholds 9, 7, 5) and group 1
+    /// (threshold 6) are parked before the wave finishes. Returns the
+    /// signal log, the issue order and the final counts.
+    fn faulted_wave(fault: crate::counter::IncrementFault) -> (SignalLog, Vec<u32>, [u32; 2]) {
+        let dims = GemmDims::new(64, 64, 16);
+        let config = GemmConfig {
+            tile: TileShape::new(16, 16),
+            swizzle: Swizzle::Strip { width: 2 },
+        };
+        let grid = config.grid(dims);
+        let issue = config.swizzle.issue_order(&grid);
+        let mut groups = vec![0; grid.num_tiles() as usize];
+        for (i, &t) in issue.iter().enumerate() {
+            groups[t as usize] = u32::from(i >= 10);
+        }
+        let mut world = Cluster::new(1, GpuArch::rtx4090(), false, 3);
+        let log = Rc::new(SignalLog::default());
+        world.set_monitor(log.clone());
+        let mut sim: ClusterSim = Sim::new();
+        let dev = &mut world.devices[0];
+        let (a, b, out) = (dev.mem.alloc(1), dev.mem.alloc(1), dev.mem.alloc(1));
+        let table = dev.create_counter(2);
+        dev.counters[table].arm_fault(0, fault, 3);
+        let gemm_stream = dev.create_stream();
+        for (group, threshold) in [(0, 9), (0, 7), (0, 5), (1, 6)] {
+            let s = world.devices[0].create_stream();
+            let wait = crate::stream::WaitCounter {
+                table,
+                group,
+                threshold,
+            };
+            enqueue(&mut world, &mut sim, 0, s, Box::new(wait));
+        }
+        let arch = world.devices[0].arch.clone();
+        let mut kernel = GemmKernel::plain(a, b, out, dims, &arch);
+        kernel.config = config;
+        kernel.counter = Some(CounterHook {
+            table,
+            group_of_tile: Rc::new(groups),
+        });
+        enqueue(&mut world, &mut sim, 0, gemm_stream, Box::new(kernel));
+        let _ = sim.run(&mut world);
+        let counts = [0, 1].map(|g| world.devices[0].counter(table).count(g));
+        drop(world);
+        let log = Rc::into_inner(log).expect("the cluster released its monitor");
+        (log, issue, counts)
+    }
+
+    #[test]
+    fn dropped_fault_takes_only_the_leading_tiles_of_a_group_run() {
+        let (log, issue, counts) = faulted_wave(crate::counter::IncrementFault::Dropped);
+        let expected: Vec<String> = issue[..3]
+            .iter()
+            .map(|t| format!("dropped counter increment (tile {t})"))
+            .collect();
+        assert_eq!(*log.faults.borrow(), expected);
+        // Per tile: 7 of group 0's 10 increments land, all of group 1's.
+        assert_eq!(counts, [7, 6]);
+        let mut unit = vec![(0, 1); 7];
+        unit.extend([(1, 1); 6]);
+        assert_eq!(*log.increments.borrow(), unit, "one unit callback per tile");
+        // Unit increments release thresholds 5 and 7 of group 0 (in
+        // threshold order), then group 1's; threshold 9 starves.
+        assert_eq!(*log.satisfied.borrow(), [(0, 5), (0, 7), (1, 6)]);
+    }
+
+    #[test]
+    fn delayed_fault_takes_only_the_leading_tiles_of_a_group_run() {
+        let delay = SimDuration::from_micros(50);
+        let (log, issue, counts) = faulted_wave(crate::counter::IncrementFault::Delayed(delay));
+        let expected: Vec<String> = issue[..3]
+            .iter()
+            .map(|t| format!("delayed counter increment by {delay:?} (tile {t})"))
+            .collect();
+        assert_eq!(*log.faults.borrow(), expected);
+        assert_eq!(counts, [10, 6], "delayed increments still land");
+        // 7 + 6 unit increments at the wave boundary, the 3 delayed ones
+        // later; the second late increment releases threshold 9.
+        let mut unit = vec![(0, 1); 7];
+        unit.extend([(1, 1); 6]);
+        unit.extend([(0, 1); 3]);
+        assert_eq!(*log.increments.borrow(), unit);
+        assert_eq!(*log.satisfied.borrow(), [(0, 5), (0, 7), (1, 6), (0, 9)]);
     }
 
     #[test]

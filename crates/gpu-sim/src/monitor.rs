@@ -6,8 +6,16 @@
 //! increments and satisfied signal waits (§3.2.4/§5), event record/wait
 //! pairs, collective send/recv accesses, and collective rendezvous points.
 //! The `simsan` crate builds its vector-clock happens-before checker on
-//! these callbacks; the hooks themselves are policy-free and cost nothing
-//! when no monitor is attached.
+//! these callbacks; the hooks themselves are policy-free.
+//!
+//! Two hooks keep an attached monitor cheap on the epilogue hot path. A
+//! monitor that ignores memory accesses says so through
+//! [`ClusterMonitor::observes_accesses`], and emitters then skip building
+//! ranges and [`Access`] values altogether. The GEMM epilogue reports a
+//! wave's same-group tile increments in one
+//! [`ClusterMonitor::on_counter_increments`] call; its default replays them
+//! as unit [`ClusterMonitor::on_counter_increment`] calls, so a monitor
+//! that does not override it sees exactly one callback per tile.
 //!
 //! All callbacks take `&self`: monitors keep interior-mutable state and are
 //! shared through `Rc`, like the event probes of [`sim::EngineProbe`].
@@ -131,6 +139,13 @@ pub struct RuntimeEvent {
 /// when the increment releases it, not when it was enqueued); `at` carries
 /// that time so monitors need no access to the engine clock.
 pub trait ClusterMonitor {
+    /// Whether this monitor consumes [`ClusterMonitor::on_access`].
+    /// Emitters check it before building access ranges, so a monitor
+    /// that returns `false` never pays for them.
+    fn observes_accesses(&self) -> bool {
+        true
+    }
+
     /// A buffer range was read or written.
     fn on_access(&self, _access: &Access) {}
 
@@ -144,6 +159,24 @@ pub trait ClusterMonitor {
         _group: usize,
         _by: u32,
     ) {
+    }
+
+    /// `tiles` finished tiles of one wave each incremented `group` by one,
+    /// at the same instant and in one uninterrupted run. The default
+    /// reports them as `tiles` unit [`ClusterMonitor::on_counter_increment`]
+    /// calls.
+    fn on_counter_increments(
+        &self,
+        at: SimTime,
+        device: DeviceId,
+        stream: StreamId,
+        table: usize,
+        group: usize,
+        tiles: u32,
+    ) {
+        for _ in 0..tiles {
+            self.on_counter_increment(at, device, stream, table, group, 1);
+        }
     }
 
     /// A signal wait on a counting-table slot was satisfied.

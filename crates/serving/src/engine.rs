@@ -8,9 +8,9 @@
 //! serve loop never touches any of that state directly: it talks to the
 //! engine exclusively through typed [`EngineCommand`] /
 //! [`EngineReply`] messages carrying deterministic sequence numbers,
-//! which makes the thread boundary auditable and the replica state
-//! `Send`-free by construction — the worker (holding `Rc`-based plans)
-//! is built *inside* its thread; only plain data crosses.
+//! which makes the thread boundary auditable: commands and replies are
+//! plain data, and a worker moves between threads only as a whole,
+//! between two of its commands.
 //!
 //! Determinism argument (the reason `--parallel N` is byte-identical to
 //! serial for every `N`): a chain's result is a pure function of the
@@ -22,9 +22,8 @@
 //! (`start_ns`) and replies (`free_ns`); threads only decide *when*
 //! the answer is computed, never *what* it is.
 
-use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc;
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use flashoverlap::{
@@ -170,8 +169,8 @@ pub struct EngineFinal {
 }
 
 /// The worker behind one [`ReplicaEngine`]: owns the plan cache and the
-/// chain executor. `Rc`-based internals make it deliberately `!Send` —
-/// it is constructed on whichever thread runs it and never moves.
+/// chain executor. Its `Rc`-based plan cache makes it `!Send`; the pool
+/// moves it between threads only inside a [`MovableWorker`].
 struct EngineWorker {
     config: ServeConfig,
     replica_idx: usize,
@@ -476,75 +475,182 @@ impl EngineWorker {
 
 /// The loop-facing handle to one sealed replica engine.
 ///
-/// Serial engines execute commands inline at `send` time and queue the
-/// reply; parallel engines forward commands to a worker thread and
-/// `recv` blocks until the reply lands. Either way the observable
-/// protocol is identical: per-replica FIFO commands, per-replica
-/// replies, sequence numbers pinning the global merge order.
+/// `send` queues a command and never blocks; `recv` returns the
+/// engine's next reply. Whichever thread reaches a queued command first
+/// runs it: a pool thread that picked it up, or the serve loop itself,
+/// which runs a command no pool thread has started rather than wait for
+/// one to wake. Either way the observable protocol is identical:
+/// per-replica FIFO commands, per-replica replies, sequence numbers
+/// pinning the global merge order.
 pub struct ReplicaEngine {
-    inner: EngineInner,
+    pool: Arc<Shared>,
+    engine: usize,
 }
 
 impl std::fmt::Debug for ReplicaEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            EngineInner::Serial { .. } => f.write_str("ReplicaEngine(serial)"),
-            EngineInner::Parallel { engine, .. } => write!(f, "ReplicaEngine(parallel #{engine})"),
+        write!(f, "ReplicaEngine(#{})", self.engine)
+    }
+}
+
+/// State shared by the serve loop and the pool threads.
+struct Shared {
+    state: Mutex<PoolState>,
+    /// Pool threads started; with none, nobody waits on the condvars.
+    pool_threads: usize,
+    /// Signalled when a command becomes runnable or the pool closes.
+    work: Condvar,
+    /// Signalled when a pool thread finishes (or panics in) a command.
+    done: Condvar,
+}
+
+struct PoolState {
+    slots: Vec<EngineSlot>,
+    /// Engines with queued commands and no thread running one of them,
+    /// oldest first.
+    runnable: VecDeque<usize>,
+    closed: bool,
+}
+
+struct EngineSlot {
+    /// The worker; `None` while a pool thread runs one of its commands.
+    worker: Option<MovableWorker>,
+    commands: VecDeque<EngineCommand>,
+    replies: VecDeque<EngineReply>,
+    /// A pool thread's panic while running this engine, re-raised on the
+    /// serve-loop thread by the next `recv`.
+    panicked: Option<Box<dyn std::any::Any + Send>>,
+}
+
+/// An [`EngineWorker`] moved between the serve loop and the pool
+/// threads as a whole.
+struct MovableWorker(EngineWorker);
+
+// SAFETY: of `EngineWorker`'s fields, `config` (`ServeConfig`), the
+// counters, `chain_log` and `scratch` (`TelemetryRecord`) are `Send`;
+// `cache` is not, only because it holds `Rc<OverlapPlan>`s, and the plans
+// hold `Rc` mappings. Every `Rc` pointing into those allocations is owned
+// by the worker itself: `execute_chain` drops the clones it makes before
+// it returns, replies carry plain data (see
+// `assert_boundary_types_are_send`), workers are built from a cloned
+// config and share no plan, and nothing in the simulator keeps
+// thread-local or global handles. So moving a `MovableWorker` moves every
+// handle to its allocations together, and the pool's mutex orders the
+// moves, so no two threads ever touch one reference count.
+unsafe impl Send for MovableWorker {}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        // The lock is never held while a command runs, so a panic cannot
+        // poison it.
+        self.state.lock().expect("engine pool lock poisoned")
+    }
+
+    /// Wakes a pool thread for a newly runnable engine.
+    fn wake_one(&self) {
+        if self.pool_threads > 0 {
+            self.work.notify_one();
         }
     }
 }
 
-enum EngineInner {
-    Serial {
-        worker: Box<RefCell<EngineWorker>>,
-        replies: RefCell<VecDeque<EngineReply>>,
-    },
-    Parallel {
-        engine: usize,
-        commands: mpsc::Sender<(usize, EngineCommand)>,
-        replies: mpsc::Receiver<EngineReply>,
-    },
+impl PoolState {
+    /// Takes engine `idx`'s worker and its oldest command if no thread is
+    /// running it, and drops it from the runnable list.
+    fn take_command(&mut self, idx: usize) -> Option<(MovableWorker, EngineCommand)> {
+        let slot = self.slots.get_mut(idx)?;
+        if slot.commands.is_empty() {
+            return None;
+        }
+        let worker = slot.worker.take()?;
+        let cmd = slot.commands.pop_front()?;
+        self.runnable.retain(|&i| i != idx);
+        Some((worker, cmd))
+    }
+
+    /// Returns engine `idx`'s worker with the reply to the command it
+    /// took, and makes the engine runnable again if more commands wait.
+    /// Returns whether it did.
+    fn put_back(&mut self, idx: usize, worker: MovableWorker, reply: EngineReply) -> bool {
+        let Some(slot) = self.slots.get_mut(idx) else {
+            return false;
+        };
+        slot.worker = Some(worker);
+        slot.replies.push_back(reply);
+        let more = !slot.commands.is_empty();
+        if more {
+            self.runnable.push_back(idx);
+        }
+        more
+    }
 }
 
 impl ReplicaEngine {
     /// Submits a command to the engine. Never blocks.
     pub fn send(&self, cmd: EngineCommand) {
-        match &self.inner {
-            EngineInner::Serial { worker, replies } => {
-                let reply = worker.borrow_mut().handle(cmd);
-                replies.borrow_mut().push_back(reply);
-            }
-            EngineInner::Parallel {
-                engine, commands, ..
-            } => {
-                // A send can only fail if the worker thread died, which a
-                // worker panic causes; the paired recv surfaces it.
-                let _ = commands.send((*engine, cmd));
-            }
+        let mut state = self.pool.lock();
+        let Some(slot) = state.slots.get_mut(self.engine) else {
+            return;
+        };
+        slot.commands.push_back(cmd);
+        if slot.worker.is_some() && slot.commands.len() == 1 {
+            state.runnable.push_back(self.engine);
+            drop(state);
+            self.pool.wake_one();
         }
     }
 
-    /// Receives the next reply, blocking until the engine produces it.
-    /// Replies come back in command order (per-replica FIFO).
+    /// Receives the next reply, running the engine's oldest command on
+    /// this thread when no pool thread has started it, and otherwise
+    /// blocking until the thread running it finishes. Replies come back
+    /// in command order (per-replica FIFO).
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic a pool thread hit while running this engine,
+    /// and panics when no command is outstanding.
     pub fn recv(&self) -> EngineReply {
-        match &self.inner {
-            EngineInner::Serial { replies, .. } => replies
-                .borrow_mut()
-                .pop_front()
-                .expect("serial engine recv without a pending command"),
-            EngineInner::Parallel { replies, .. } => replies
-                .recv()
-                .expect("replica engine thread terminated unexpectedly"),
+        let mut state = self.pool.lock();
+        loop {
+            let Some(slot) = state.slots.get_mut(self.engine) else {
+                panic!("engine {} is not in its pool", self.engine);
+            };
+            if let Some(reply) = slot.replies.pop_front() {
+                return reply;
+            }
+            if let Some(payload) = slot.panicked.take() {
+                drop(state);
+                std::panic::resume_unwind(payload);
+            }
+            assert!(
+                slot.worker.is_none() || !slot.commands.is_empty(),
+                "replica engine recv without a pending command"
+            );
+            if let Some((mut worker, cmd)) = state.take_command(self.engine) {
+                drop(state);
+                let reply = worker.0.handle(cmd);
+                state = self.pool.lock();
+                if state.put_back(self.engine, worker, reply) {
+                    self.pool.wake_one();
+                }
+            } else {
+                state = self
+                    .pool
+                    .done
+                    .wait(state)
+                    .expect("engine pool lock poisoned");
+            }
         }
     }
 }
 
-/// All replica engines of one serve run, plus the worker threads that
-/// back them in parallel mode. Dropping the pool closes the command
-/// channels and joins the threads.
+/// All replica engines of one serve run, plus the pool threads that run
+/// their commands in parallel mode. Dropping the pool closes it and
+/// joins the threads.
 pub struct EnginePool {
     /// One engine per replica, indexed like the replicas.
     pub engines: Vec<ReplicaEngine>,
+    shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -560,135 +666,115 @@ impl std::fmt::Debug for EnginePool {
 impl EnginePool {
     /// Builds the engines for `config.replicas` replicas.
     ///
-    /// Serial mode constructs every worker inline (surfacing preload
-    /// errors immediately, like the pre-engine loop). Parallel mode
-    /// spawns `min(threads, replicas)` worker threads, assigns engine
-    /// `i` to thread `i % threads`, and constructs each worker *on* its
-    /// thread — worker state never crosses the boundary; construction
-    /// errors surface on the engine's first reply.
+    /// Serial mode starts no thread: every command runs on the serve-loop
+    /// thread when the loop receives its reply. Parallel mode also starts
+    /// `min(threads, replicas) - 1` pool threads, so the loop thread is
+    /// one of `min(threads, replicas)`; any of them runs any engine's
+    /// next command, one command per engine at a time.
     ///
     /// # Errors
     ///
-    /// Returns any serial-mode worker construction error (e.g. a
-    /// malformed preload snapshot).
+    /// Returns any worker construction error (e.g. a malformed preload
+    /// snapshot).
     pub fn new(config: &ServeConfig, tuned: bool) -> Result<EnginePool, FlashOverlapError> {
-        match config.exec {
-            ExecMode::Serial => {
-                let engines = (0..config.replicas)
-                    .map(|idx| {
-                        Ok(ReplicaEngine {
-                            inner: EngineInner::Serial {
-                                worker: Box::new(RefCell::new(EngineWorker::new(
-                                    config.clone(),
-                                    tuned,
-                                    idx,
-                                )?)),
-                                replies: RefCell::new(VecDeque::new()),
-                            },
-                        })
-                    })
-                    .collect::<Result<Vec<_>, FlashOverlapError>>()?;
-                Ok(EnginePool {
-                    engines,
-                    threads: Vec::new(),
+        let slots = (0..config.replicas)
+            .map(|idx| {
+                Ok(EngineSlot {
+                    worker: Some(MovableWorker(EngineWorker::new(
+                        config.clone(),
+                        tuned,
+                        idx,
+                    )?)),
+                    commands: VecDeque::new(),
+                    replies: VecDeque::new(),
+                    panicked: None,
                 })
-            }
-            ExecMode::Parallel(threads) => {
-                let thread_count = threads.clamp(1, config.replicas.max(1));
-                let mut reply_txs: Vec<Option<mpsc::Sender<EngineReply>>> = Vec::new();
-                let mut engines_by_thread: Vec<Vec<(usize, mpsc::Sender<EngineReply>)>> =
-                    (0..thread_count).map(|_| Vec::new()).collect();
-                let mut reply_rxs = Vec::new();
-                for idx in 0..config.replicas {
-                    let (tx, rx) = mpsc::channel();
-                    engines_by_thread[idx % thread_count].push((idx, tx.clone()));
-                    reply_txs.push(Some(tx));
-                    reply_rxs.push(rx);
-                }
-                let mut cmd_txs = Vec::new();
-                let mut threads_out = Vec::new();
-                for assigned in engines_by_thread {
-                    let (cmd_tx, cmd_rx) = mpsc::channel::<(usize, EngineCommand)>();
-                    cmd_txs.push(cmd_tx);
-                    let config = config.clone();
-                    threads_out.push(std::thread::spawn(move || {
-                        engine_thread(&config, tuned, assigned, &cmd_rx);
-                    }));
-                }
-                let engines = reply_rxs
-                    .into_iter()
-                    .enumerate()
-                    .map(|(idx, rx)| ReplicaEngine {
-                        inner: EngineInner::Parallel {
-                            engine: idx,
-                            commands: cmd_txs[idx % thread_count].clone(),
-                            replies: rx,
-                        },
-                    })
-                    .collect();
-                Ok(EnginePool {
-                    engines,
-                    threads: threads_out,
-                })
-            }
-        }
+            })
+            .collect::<Result<Vec<_>, FlashOverlapError>>()?;
+        let pool_threads = match config.exec {
+            ExecMode::Serial => 0,
+            ExecMode::Parallel(threads) => threads.clamp(1, config.replicas.max(1)) - 1,
+        };
+        let shared = Arc::new(Shared {
+            state: Mutex::new(PoolState {
+                slots,
+                runnable: VecDeque::new(),
+                closed: false,
+            }),
+            pool_threads,
+            work: Condvar::new(),
+            done: Condvar::new(),
+        });
+        let threads = (0..pool_threads)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || pool_thread(&shared))
+            })
+            .collect();
+        let engines = (0..config.replicas)
+            .map(|engine| ReplicaEngine {
+                pool: Arc::clone(&shared),
+                engine,
+            })
+            .collect();
+        Ok(EnginePool {
+            engines,
+            shared,
+            threads,
+        })
     }
 }
 
 impl Drop for EnginePool {
     fn drop(&mut self) {
-        // Dropping the engines drops the command senders, which drains
-        // and exits the worker threads.
-        self.engines.clear();
+        self.shared.lock().closed = true;
+        self.shared.work.notify_all();
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-/// Worker-thread main: build the assigned workers locally (so their
-/// `Rc`-based plan caches never cross threads), then serve commands in
-/// arrival order until the loop drops the channel.
-fn engine_thread(
-    config: &ServeConfig,
-    tuned: bool,
-    assigned: Vec<(usize, mpsc::Sender<EngineReply>)>,
-    commands: &mpsc::Receiver<(usize, EngineCommand)>,
-) {
-    let mut workers: HashMap<
-        usize,
-        (
-            mpsc::Sender<EngineReply>,
-            Result<EngineWorker, FlashOverlapError>,
-        ),
-    > = assigned
-        .into_iter()
-        .map(|(idx, tx)| (idx, (tx, EngineWorker::new(config.clone(), tuned, idx))))
-        .collect();
-    while let Ok((idx, cmd)) = commands.recv() {
-        let Some((tx, worker)) = workers.get_mut(&idx) else {
+/// Pool-thread main: run the oldest runnable engine's next command
+/// until the pool closes.
+fn pool_thread(shared: &Shared) {
+    let mut state = shared.lock();
+    loop {
+        if state.closed {
+            return;
+        }
+        let taken = state
+            .runnable
+            .front()
+            .copied()
+            .and_then(|idx| Some((idx, state.take_command(idx)?)));
+        let Some((idx, (mut worker, cmd))) = taken else {
+            state = shared.work.wait(state).expect("engine pool lock poisoned");
             continue;
         };
-        let reply = match worker {
-            Ok(w) => w.handle(cmd),
-            // Construction failed; every command answers with the error.
-            Err(e) => match cmd {
-                EngineCommand::ExecuteChain { seq, .. } => EngineReply::Chain {
-                    seq,
-                    result: Err(e.clone()),
-                },
-                EngineCommand::Finalize { seq } => EngineReply::Final {
-                    seq,
-                    result: Err(e.clone()),
-                },
-            },
-        };
-        let _ = tx.send(reply);
+        drop(state);
+        let result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.0.handle(cmd)));
+        state = shared.lock();
+        match result {
+            // An engine runnable again is this thread's to pick up on its
+            // next turn.
+            Ok(reply) => {
+                state.put_back(idx, worker, reply);
+            }
+            Err(payload) => {
+                if let Some(slot) = state.slots.get_mut(idx) {
+                    slot.panicked = Some(payload);
+                }
+            }
+        }
+        shared.done.notify_all();
     }
 }
 
 // Everything that crosses the thread boundary must be Send; the worker
-// itself (Rc-based plan cache) deliberately is not and never moves.
+// itself (Rc-based plan cache) is not, and crosses only as a
+// `MovableWorker`.
 #[allow(dead_code)]
 fn assert_boundary_types_are_send() {
     fn is_send<T: Send>() {}
@@ -697,4 +783,51 @@ fn assert_boundary_types_are_send() {
     is_send::<EngineReply>();
     is_send::<ChainEffects>();
     is_send::<EngineFinal>();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flashoverlap::SystemSpec;
+
+    /// Two queued chains and a finalize per engine come back in command
+    /// order whether the loop or a pool thread runs them. (An empty chain
+    /// is an execution error, which is all this protocol test needs.)
+    #[test]
+    fn replies_come_back_in_command_order_on_any_thread() {
+        for exec in [ExecMode::Serial, ExecMode::Parallel(3)] {
+            let mut config = ServeConfig::new(SystemSpec::rtx4090(2));
+            config.replicas = 4;
+            config.exec = exec;
+            let pool = EnginePool::new(&config, true).expect("engines build");
+            for engine in &pool.engines {
+                for seq in 0..2 {
+                    engine.send(EngineCommand::ExecuteChain {
+                        seq,
+                        start_ns: 0,
+                        chain: Vec::new(),
+                    });
+                }
+                engine.send(EngineCommand::Finalize { seq: 2 });
+            }
+            for engine in pool.engines.iter().rev() {
+                for want in 0..2 {
+                    match engine.recv() {
+                        EngineReply::Chain { seq, result } => {
+                            assert_eq!(seq, want, "{exec:?}");
+                            assert!(result.is_err(), "{exec:?}: empty chain must fail");
+                        }
+                        EngineReply::Final { .. } => panic!("{exec:?}: finalize overtook a chain"),
+                    }
+                }
+                match engine.recv() {
+                    EngineReply::Final { seq, result } => {
+                        assert_eq!(seq, 2, "{exec:?}");
+                        assert_eq!(result.expect("finalize succeeds").chains, 0, "{exec:?}");
+                    }
+                    EngineReply::Chain { seq, .. } => panic!("{exec:?}: extra chain reply {seq}"),
+                }
+            }
+        }
+    }
 }

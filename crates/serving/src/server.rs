@@ -19,8 +19,8 @@
 //! emerges from the interaction of the arrival rate and the simulated
 //! operator throughput — backpressure is real, not modelled.
 //!
-//! With [`ServeConfig::exec`] set to [`ExecMode::Parallel`], the
-//! engines run on worker threads and the loop forces an outstanding
+//! With [`ServeConfig::exec`] set to [`ExecMode::Parallel`], worker
+//! threads run the engines' chains and the loop forces an outstanding
 //! chain's reply only at the points where a scheduling decision reads
 //! its result (dispatch eligibility, clock advance, load-aware
 //! routing). Every chain carries a dispatch sequence number and its
@@ -69,10 +69,11 @@ pub enum ExecMode {
     /// Every engine executes inline on the serve-loop thread — the
     /// reference engine.
     Serial,
-    /// Engines are spread over up to this many worker threads (clamped
-    /// to the replica count; `Parallel(0)` and `Parallel(1)` still use
-    /// one worker thread). Byte-identical to [`ExecMode::Serial`] for
-    /// any thread count.
+    /// Engines run on up to this many threads, the serve-loop thread
+    /// included (clamped to the replica count, so `Parallel(0)` and
+    /// `Parallel(1)` start no worker thread). The loop thread runs any
+    /// command it needs that no worker has started. Byte-identical to
+    /// [`ExecMode::Serial`] for any thread count.
     Parallel(usize),
 }
 

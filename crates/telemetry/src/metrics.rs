@@ -5,6 +5,8 @@
 //! ([`TelemetryRecord`]) and the per-stream operation spans, so they can
 //! be unit-tested on synthetic inputs.
 
+use std::borrow::Cow;
+
 use gpu_sim::{DeviceId, OpSpan, SpanMeta, StreamId};
 use sim::{SimDuration, SimTime};
 
@@ -47,19 +49,22 @@ pub struct SignalSummary {
 /// collectives. Returns `None` if the run had no signal waits (baselines
 /// synchronize with events, not counters).
 pub fn signal_summary(record: &TelemetryRecord, spans: &[OpSpan]) -> Option<SignalSummary> {
+    // The recorder appends increments in simulated-time order; a
+    // hand-built record may not, and is sorted into a copy first.
+    let mut increments = Cow::Borrowed(record.increments.as_slice());
+    if !increments.is_sorted_by_key(|inc| inc.at) {
+        increments.to_mut().sort_by_key(|inc| inc.at);
+    }
     let mut samples = Vec::with_capacity(record.satisfied.len());
     for ws in &record.satisfied {
-        let last_increment = record
-            .increments
+        // The releasing increment is the latest one on the wait's slot at
+        // or before the release.
+        let upto = increments.partition_point(|inc| inc.at <= ws.at);
+        let last_increment = increments[..upto]
             .iter()
-            .filter(|inc| {
-                inc.device == ws.device
-                    && inc.table == ws.table
-                    && inc.group == ws.group
-                    && inc.at <= ws.at
-            })
-            .map(|inc| inc.at)
-            .max();
+            .rev()
+            .find(|inc| inc.device == ws.device && inc.table == ws.table && inc.group == ws.group)
+            .map(|inc| inc.at);
         let collective_start = spans
             .iter()
             .filter(|s| {

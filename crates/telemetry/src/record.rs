@@ -127,6 +127,10 @@ struct Inner {
 }
 
 impl ClusterMonitor for Inner {
+    fn observes_accesses(&self) -> bool {
+        false
+    }
+
     fn on_counter_increment(
         &self,
         at: SimTime,
@@ -144,6 +148,29 @@ impl ClusterMonitor for Inner {
             group,
             by,
         });
+    }
+
+    fn on_counter_increments(
+        &self,
+        at: SimTime,
+        device: DeviceId,
+        stream: StreamId,
+        table: usize,
+        group: usize,
+        tiles: u32,
+    ) {
+        let row = IncrementEvent {
+            at,
+            device,
+            stream,
+            table,
+            group,
+            by: 1,
+        };
+        self.state
+            .borrow_mut()
+            .increments
+            .extend(std::iter::repeat_n(row, tiles as usize));
     }
 
     fn on_counter_satisfied(
@@ -280,5 +307,24 @@ impl Telemetry {
     /// session.
     pub fn take_record(&self) -> TelemetryRecord {
         self.inner.state.take()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bulk_increments_record_the_rows_of_unit_increments() {
+        let (bulk, unit) = (Telemetry::new(), Telemetry::new());
+        let at = SimTime::from_nanos(250);
+        bulk.monitor().on_counter_increments(at, 1, 2, 3, 4, 5);
+        bulk.monitor().on_counter_increments(at, 1, 2, 3, 0, 0);
+        for _ in 0..5 {
+            unit.monitor().on_counter_increment(at, 1, 2, 3, 4, 1);
+        }
+        let rows = bulk.take_record().increments;
+        assert_eq!(rows.len(), 5);
+        assert_eq!(rows, unit.take_record().increments);
     }
 }

@@ -1,10 +1,13 @@
 //! Property-based tests for the telemetry metrics and the vendored JSON
 //! codec.
 
+use gpu_sim::{OpSpan, SpanMeta};
 use proptest::prelude::*;
-use sim::SimDuration;
+use sim::{SimDuration, SimTime};
 use telemetry::json::{self, Value};
-use telemetry::overlap_efficiency;
+use telemetry::metrics::{SignalSample, SignalSummary};
+use telemetry::record::{IncrementEvent, WaitSatisfied};
+use telemetry::{overlap_efficiency, signal_summary, TelemetryRecord};
 
 /// Characters the string generator draws from — ASCII, the JSON escape
 /// set, control characters, and multi-byte UTF-8 (incl. non-BMP).
@@ -36,6 +39,62 @@ fn build_value(words: &mut std::slice::Iter<'_, u64>, depth: u32) -> Value {
                 .collect(),
         ),
     }
+}
+
+/// The reference join for [`signal_summary`]: for every released wait, a
+/// full scan for the latest increment on its slot and the earliest
+/// group-tagged collective after it (O(S x I)).
+fn naive_signal_summary(record: &TelemetryRecord, spans: &[OpSpan]) -> Option<SignalSummary> {
+    let mut samples = Vec::new();
+    for ws in &record.satisfied {
+        let last_increment = record
+            .increments
+            .iter()
+            .filter(|inc| {
+                inc.device == ws.device
+                    && inc.table == ws.table
+                    && inc.group == ws.group
+                    && inc.at <= ws.at
+            })
+            .map(|inc| inc.at)
+            .max();
+        let collective_start = spans
+            .iter()
+            .filter(|s| {
+                s.device == ws.device
+                    && s.stream == ws.stream
+                    && s.start >= ws.at
+                    && matches!(s.meta, SpanMeta::Collective { group: Some(g), .. } if g == ws.group)
+            })
+            .map(|s| s.start)
+            .min();
+        let increment_to_release_ns = last_increment.map_or(0, |inc| (ws.at - inc).as_nanos());
+        let release_to_collective_ns =
+            collective_start.map_or(0, |start| (start - ws.at).as_nanos());
+        samples.push(SignalSample {
+            device: ws.device,
+            group: ws.group,
+            increment_to_release_ns,
+            release_to_collective_ns,
+            total_ns: increment_to_release_ns + release_to_collective_ns,
+        });
+    }
+    if samples.is_empty() {
+        return None;
+    }
+    samples.sort_by_key(|s| (s.device, s.group));
+    let n = samples.len() as f64;
+    Some(SignalSummary {
+        mean_total_ns: samples.iter().map(|s| s.total_ns as f64).sum::<f64>() / n,
+        min_total_ns: samples.iter().map(|s| s.total_ns).min().unwrap_or(0),
+        max_total_ns: samples.iter().map(|s| s.total_ns).max().unwrap_or(0),
+        mean_release_to_collective_ns: samples
+            .iter()
+            .map(|s| s.release_to_collective_ns as f64)
+            .sum::<f64>()
+            / n,
+        samples,
+    })
 }
 
 proptest! {
@@ -95,5 +154,66 @@ proptest! {
         prop_assert!(eff(theory_ns + fast) >= eff(theory_ns + slow));
         prop_assert!((eff(theory_ns) - 1.0).abs() < 1e-12);
         prop_assert!(eff(theory_ns + headroom).abs() < 1e-12);
+    }
+
+    /// The indexed signal join equals the naive full-scan join on any
+    /// record, whether its increments arrive in time order (as the
+    /// recorder appends them) or out of it (hand-built records).
+    #[test]
+    fn signal_summary_matches_naive_join(
+        increments in prop::collection::vec((0u64..400, 0usize..2, 0usize..2, 0usize..3), 0..40),
+        satisfied in prop::collection::vec(
+            (0u64..400, 0usize..2, 0usize..2, 0usize..2, 0usize..3),
+            0..12,
+        ),
+        spans in prop::collection::vec((0usize..2, 0usize..2, 0u64..500, 0usize..4), 0..8),
+        time_ordered in any::<bool>(),
+    ) {
+        let mut increments: Vec<IncrementEvent> = increments
+            .iter()
+            .map(|&(at, device, table, group)| IncrementEvent {
+                at: SimTime::from_nanos(at),
+                device,
+                stream: 0,
+                table,
+                group,
+                by: 1,
+            })
+            .collect();
+        if time_ordered {
+            increments.sort_by_key(|inc| inc.at);
+        }
+        let satisfied = satisfied
+            .iter()
+            .map(|&(at, device, stream, table, group)| WaitSatisfied {
+                at: SimTime::from_nanos(at),
+                device,
+                stream,
+                table,
+                group,
+                threshold: 1,
+            })
+            .collect();
+        let record = TelemetryRecord {
+            increments,
+            satisfied,
+            ..TelemetryRecord::default()
+        };
+        let spans: Vec<OpSpan> = spans
+            .iter()
+            .map(|&(device, stream, start, group)| OpSpan {
+                device,
+                stream,
+                name: "collective",
+                // Group 3 stands for an untagged collective.
+                meta: SpanMeta::Collective { bytes: 0, group: (group < 3).then_some(group) },
+                start: SimTime::from_nanos(start),
+                end: SimTime::from_nanos(start + 10),
+            })
+            .collect();
+        prop_assert_eq!(
+            signal_summary(&record, &spans),
+            naive_signal_summary(&record, &spans)
+        );
     }
 }
