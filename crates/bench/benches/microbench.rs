@@ -232,6 +232,25 @@ fn bench_pipeline(c: &mut Criterion) {
     });
 }
 
+/// The static check a plan-cache miss pays before a plan is served:
+/// lowering into a schedule model plus the region proof, on the
+/// serve-shaped AllReduce plan (whole-tile writer shared by all four
+/// ranks) and a ReduceScatter plan (per-destination subtile writer).
+fn bench_check_static(c: &mut Criterion) {
+    let system = SystemSpec::rtx4090(4);
+    let dims = GemmDims::new(2048, 4096, 14336 / 4);
+    let all_reduce =
+        OverlapPlan::tuned(dims, CommPattern::AllReduce, system.clone()).expect("plan");
+    c.bench_function("planverify/check_static_serve_shape", |b| {
+        b.iter(|| black_box(&all_reduce).check_static().expect("clean"))
+    });
+    let reduce_scatter =
+        OverlapPlan::tuned(dims, CommPattern::ReduceScatter, system).expect("plan");
+    c.bench_function("planverify/check_static_reduce_scatter", |b| {
+        b.iter(|| black_box(&reduce_scatter).check_static().expect("clean"))
+    });
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -244,6 +263,7 @@ criterion_group! {
     config = config();
     targets = bench_event_engine, bench_mapping_build, bench_token_mapping,
               bench_predictor, bench_search, bench_simulated_run,
-              bench_serve_instrumented, bench_collective_cost, bench_pipeline
+              bench_serve_instrumented, bench_collective_cost, bench_pipeline,
+              bench_check_static
 }
 criterion_main!(benches);

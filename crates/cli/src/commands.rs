@@ -747,7 +747,6 @@ fn execute_verify(
             RuntimeSeam::Signal(_) => "signal-mutation",
             RuntimeSeam::Fault(_) => "fault-injection",
             RuntimeSeam::SequenceEdge => "sequence-edge",
-            RuntimeSeam::StaticOnly(_) => "static-only",
             RuntimeSeam::Nothing(_) => "none",
         };
         cells.push(Value::obj(vec![

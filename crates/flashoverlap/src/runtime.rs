@@ -36,7 +36,7 @@ use tensor::Matrix;
 
 use crate::chain::execute_chain;
 use crate::error::FlashOverlapError;
-use crate::mapping::{SubtileMapping, TileMapping, TokenMapping};
+use crate::mapping::{GroupLayout, SubtileMapping, TileMapping, TokenMapping};
 use crate::partition::WavePartition;
 use crate::predictor::LatencyPredictor;
 use crate::sequence::{SequenceOptions, SequenceOutcome};
@@ -566,7 +566,7 @@ impl OverlapPlan {
                 writer: self.writer_for(d),
                 counter: Some(CounterHook {
                     table: tables[d],
-                    group_of_tile: Rc::new(self.group_of_tile().to_vec()),
+                    group_of_tile: Rc::new(self.layout().group_of_tile.clone()),
                 }),
             };
             enqueue(world, sim, d, compute_streams[d], Box::new(kernel));
@@ -726,11 +726,18 @@ impl OverlapPlan {
         }
     }
 
-    pub(crate) fn group_of_tile(&self) -> &[u32] {
+    /// Whether ranks' epilogues write different footprints: token pools
+    /// follow each rank's routing, every other mapping packs identically
+    /// on every rank.
+    pub(crate) fn writes_per_rank(&self) -> bool {
+        matches!(self.mapping, PlanMapping::Token(_))
+    }
+
+    pub(crate) fn layout(&self) -> &GroupLayout {
         match &self.mapping {
-            PlanMapping::Tile(m) | PlanMapping::Gather(m) => &m.layout.group_of_tile,
-            PlanMapping::Subtile(m) => &m.layout.group_of_tile,
-            PlanMapping::Token(m) => &m.layout.group_of_tile,
+            PlanMapping::Tile(m) | PlanMapping::Gather(m) => &m.layout,
+            PlanMapping::Subtile(m) => &m.layout,
+            PlanMapping::Token(m) => &m.layout,
         }
     }
 

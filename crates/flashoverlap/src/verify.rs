@@ -4,12 +4,13 @@
 //!
 //! Everything the verifier checks is a property of plan data — the wave
 //! partition, the reordering mapping, the counting-table thresholds —
-//! so the lowering never touches the simulator: per rank it emits the
-//! tile write footprints straight from the plan's
+//! so the lowering never touches the simulator: per distinct epilogue
+//! writer (one shared by all ranks, or one per rank for token pools) it
+//! emits the tile write footprints straight from the plan's
 //! [`EpilogueWriter`](gpu_sim::gemm::EpilogueWriter)
-//! spans, and per wave group the wait threshold (the group's tile
-//! count), the scheduled increments, and the packed-buffer region the
-//! group's collective reads. Chained executions (`Pipeline` layers,
+//! spans, and per rank and wave group the wait threshold (the group's
+//! tile count), the scheduled increments, and the packed-buffer region
+//! the group's collective reads. Chained executions (`Pipeline` layers,
 //! `execute_sequence` batches) lower to one segment each, carrying the
 //! ping-pong counting-table parity and the presence of the rearm chain,
 //! exactly as the chain executor enqueues them.
@@ -32,8 +33,8 @@
 //! [`SequenceOptions::drop_cross_batch_edge`]: crate::SequenceOptions::drop_cross_batch_edge
 
 use planverify::{
-    ExecPath, GroupModel, Interval, Mutation, RankModel, ScheduleModel, Segment, TileWrite,
-    VerifyReport, Violation,
+    ExecPath, GroupModel, Interval, Mutation, RankModel, ScheduleModel, Segment, VerifyReport,
+    Violation, Writer,
 };
 use sim::SimDuration;
 
@@ -82,31 +83,50 @@ pub fn model_of_chain(plans: &[&OverlapPlan], label: &str) -> ScheduleModel {
 }
 
 fn segment_of(plan: &OverlapPlan, label: String, table: usize, rearmed: bool) -> Segment {
+    let n = plan.system.n_gpus;
+    // Lowered once per distinct writer: ranks that pack identically
+    // share writer 0.
+    let per_rank = plan.writes_per_rank();
+    let writers = (0..if per_rank { n } else { 1 })
+        .map(|rank| writer_of(plan, rank))
+        .collect();
     Segment {
         label,
         table,
         rearmed,
-        ranks: (0..plan.system.n_gpus)
-            .map(|rank| rank_model(plan, rank))
+        writers,
+        ranks: (0..n)
+            .map(|rank| rank_model(plan, rank, if per_rank { rank } else { 0 }))
             .collect(),
     }
 }
 
-fn rank_model(plan: &OverlapPlan, rank: usize) -> RankModel {
+/// Lowers `rank`'s epilogue write footprints into one flat writer,
+/// tiles in packed order so the arena follows the buffer.
+fn writer_of(plan: &OverlapPlan, rank: usize) -> Writer {
     let grid = plan.config.grid(plan.dims);
-    let writer = plan.writer_for(rank);
-    let group_of_tile = plan.group_of_tile().to_vec();
-    let tile_writes = (0..grid.num_tiles())
-        .map(|t| TileWrite {
-            tile: t,
-            group: group_of_tile.get(t as usize).copied().unwrap_or(0) as usize,
-            intervals: writer
-                .write_spans(&grid, t)
-                .into_iter()
-                .map(|r| Interval::new(r.start, r.end - r.start))
-                .collect(),
-        })
-        .collect();
+    let epilogue = plan.writer_for(rank);
+    let layout = plan.layout();
+    let mut writer = Writer {
+        tiles: Vec::with_capacity(layout.reorder_order.len()),
+        intervals: Vec::with_capacity(layout.reorder_order.len()),
+    };
+    let mut spans = Vec::new();
+    for &t in &layout.reorder_order {
+        spans.clear();
+        epilogue.write_spans(&grid, t, &mut spans);
+        writer.push_tile(
+            t,
+            layout.group_of_tile.get(t as usize).copied().unwrap_or(0) as usize,
+            spans
+                .iter()
+                .map(|r| Interval::new(r.start, r.end - r.start)),
+        );
+    }
+    writer
+}
+
+fn rank_model(plan: &OverlapPlan, rank: usize, writer: usize) -> RankModel {
     let counts = plan.group_tile_counts();
     let groups = (0..counts.len())
         .map(|g| {
@@ -126,7 +146,7 @@ fn rank_model(plan: &OverlapPlan, rank: usize) -> RankModel {
         .collect();
     RankModel {
         rank,
-        tile_writes,
+        writer,
         groups,
     }
 }
@@ -146,7 +166,11 @@ impl OverlapPlan {
     /// [`FlashOverlapError::BadInputs`] describing the first proven
     /// violation.
     pub fn check_static(&self) -> Result<(), FlashOverlapError> {
-        check_report(&self.verify(), &plan_context(self))
+        let report = self.verify();
+        if report.is_clean() {
+            return Ok(());
+        }
+        check_report(&report, &plan_context(self))
     }
 
     /// Per-group wait thresholds as the runtime enqueues them: the
@@ -231,9 +255,6 @@ pub enum RuntimeSeam {
     Fault(Fault),
     /// Drive via `SequenceOptions::drop_cross_batch_edge`.
     SequenceEdge,
-    /// No runtime knob reaches this path; only the static verifier
-    /// covers the cell. The string says why.
-    StaticOnly(&'static str),
     /// Nothing to drive: the mutation is benign or meaningless here.
     Nothing(&'static str),
 }
@@ -271,11 +292,7 @@ pub fn runtime_seam(mutation: &Mutation, path: ExecPath) -> RuntimeSeam {
             "increments commute; the simulator's issue order is already one \
                                   of the permutations the totals-only model proves equivalent",
         ),
-        (Mutation::DropRearm, ExecPath::Sequence) => RuntimeSeam::SequenceEdge,
-        (Mutation::DropRearm, ExecPath::Pipeline) => RuntimeSeam::StaticOnly(
-            "reachable via SequenceOptions::drop_cross_batch_edge on Pipeline::execute_with, \
-             not exercised by the conformance suite",
-        ),
+        (Mutation::DropRearm, ExecPath::Sequence | ExecPath::Pipeline) => RuntimeSeam::SequenceEdge,
         (Mutation::DropRearm, ExecPath::Single) => {
             RuntimeSeam::Nothing("single-shot executions never reuse a counting table")
         }
@@ -344,6 +361,104 @@ mod tests {
         assert!(report.is_clean(), "{:?}", report.violations);
     }
 
+    /// An All-to-All pattern where rank `r` sends token `i` to
+    /// `(7i + 3r) mod tp`: every rank routes differently.
+    fn routed_differently(tp: usize, tokens: usize) -> CommPattern {
+        CommPattern::AllToAll {
+            routing: (0..tp)
+                .map(|r| (0..tokens).map(|i| (i * 7 + r * 3) % tp).collect())
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn token_plans_lower_a_writer_per_rank_and_the_rest_share_one() {
+        let dims = GemmDims::new(2048, 4096, 3584);
+        for tp in [2, 4] {
+            let system = SystemSpec::rtx4090(tp);
+            let a2a =
+                OverlapPlan::tuned(dims, routed_differently(tp, 2048), system.clone()).unwrap();
+            let model = model_of_plan(&a2a);
+            let seg = &model.segments[0];
+            assert_eq!(
+                seg.writers.len(),
+                tp,
+                "token pools follow each rank's routing"
+            );
+            let named: Vec<usize> = seg.ranks.iter().map(|r| r.writer).collect();
+            assert_eq!(named, (0..tp).collect::<Vec<_>>());
+            assert!(
+                seg.writers.windows(2).all(|w| w[0] != w[1]),
+                "ranks route differently, so their footprints must differ"
+            );
+            for pattern in [
+                CommPattern::AllReduce,
+                CommPattern::ReduceScatter,
+                CommPattern::AllGather,
+            ] {
+                let p = OverlapPlan::tuned(dims, pattern, system.clone()).unwrap();
+                let model = model_of_plan(&p);
+                let seg = &model.segments[0];
+                assert_eq!(seg.writers.len(), 1, "{:?}", p.primitive());
+                assert!(seg.ranks.iter().all(|r| r.writer == 0));
+                assert_eq!(
+                    seg.writers[0].tiles.len(),
+                    p.config.grid(dims).num_tiles() as usize
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn verify_stats_are_pinned_per_pattern_tp_and_node_count() {
+        // (tp, nodes, pattern, tiles, reads, waits, node_checks) as the
+        // per-tile lowering counted them: `tiles` sums over ranks, shared
+        // writer or not.
+        let expected = [
+            (2, 1, "allreduce", 512, 4, 4, 0),
+            (2, 1, "reducescatter", 512, 4, 4, 0),
+            (2, 1, "allgather", 512, 4, 4, 0),
+            (2, 1, "alltoall", 512, 4, 4, 0),
+            (2, 2, "allreduce", 512, 4, 4, 2),
+            (2, 2, "reducescatter", 512, 4, 4, 2),
+            (2, 2, "allgather", 512, 4, 4, 2),
+            (2, 2, "alltoall", 512, 4, 4, 2),
+            (4, 1, "allreduce", 1024, 4, 4, 0),
+            (4, 1, "reducescatter", 1024, 8, 8, 0),
+            (4, 1, "allgather", 1024, 8, 8, 0),
+            (4, 1, "alltoall", 1024, 8, 8, 0),
+            (4, 2, "allreduce", 1024, 8, 8, 2),
+            (4, 2, "reducescatter", 1024, 8, 8, 2),
+            (4, 2, "allgather", 1024, 8, 8, 2),
+            (4, 2, "alltoall", 1024, 8, 8, 2),
+        ];
+        let dims = GemmDims::new(2048, 4096, 3584);
+        for (tp, nodes, name, tiles, reads, waits, node_checks) in expected {
+            let pattern = match name {
+                "allreduce" => CommPattern::AllReduce,
+                "reducescatter" => CommPattern::ReduceScatter,
+                "allgather" => CommPattern::AllGather,
+                _ => routed_differently(tp, 2048),
+            };
+            let mut system = SystemSpec::rtx4090(tp);
+            if nodes > 1 {
+                system = system.with_nodes(nodes);
+            }
+            let report = OverlapPlan::tuned(dims, pattern, system).unwrap().verify();
+            assert!(
+                report.is_clean(),
+                "{name} tp {tp} nodes {nodes}: {:?}",
+                report.violations
+            );
+            let s = report.stats;
+            assert_eq!(
+                (s.tiles, s.reads, s.waits, s.node_checks),
+                (tiles, reads, waits, node_checks),
+                "{name} at TP {tp} on {nodes} node(s)"
+            );
+        }
+    }
+
     #[test]
     fn mutated_model_fails_statically_with_named_target() {
         let p = plan(CommPattern::AllReduce);
@@ -410,7 +525,7 @@ mod tests {
                     cell.path
                 ),
                 _ => assert!(
-                    matches!(seam, RuntimeSeam::StaticOnly(_) | RuntimeSeam::Nothing(_)),
+                    matches!(seam, RuntimeSeam::Nothing(_)),
                     "({}, {}) claims no dynamic coverage but has seam {seam:?}",
                     cell.mutation,
                     cell.path

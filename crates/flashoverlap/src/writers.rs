@@ -6,6 +6,7 @@
 //! no main-loop change, and (since the mapping table is tiny) essentially
 //! no extra memory traffic.
 
+use std::ops::Range;
 use std::rc::Rc;
 
 use gpu_sim::gemm::EpilogueWriter;
@@ -36,13 +37,13 @@ impl EpilogueWriter for PackedTileWriter {
         self.mapping.total_elems
     }
 
-    fn write_spans(&self, grid: &TileGrid, t: u32) -> Vec<std::ops::Range<usize>> {
+    fn write_spans(&self, grid: &TileGrid, t: u32, spans: &mut Vec<Range<usize>>) {
         // Whole tiles pack contiguously at their reordered base.
         let base = self.mapping.tile_base(t);
         let rows = grid.rows_of(t);
         let cols = grid.cols_of(t);
         let elems = (rows.end - rows.start) as usize * (cols.end - cols.start) as usize;
-        std::iter::once(base..base + elems).collect()
+        spans.push(base..base + elems);
     }
 }
 
@@ -75,20 +76,15 @@ impl EpilogueWriter for SubtilePackedWriter {
         self.mapping.total_send_elems
     }
 
-    fn write_spans(&self, grid: &TileGrid, t: u32) -> Vec<std::ops::Range<usize>> {
-        let rows = grid.rows_of(t);
-        let cols = grid.cols_of(t);
-        let width = (cols.end - cols.start) as usize;
-        let n = self.mapping.n_ranks;
-        rows.enumerate()
-            .map(|(br, _)| {
-                let dest = br % n;
-                let row_in_subtile = br / n;
-                let dst =
-                    self.mapping.subtile_send_offset[t as usize][dest] + row_in_subtile * width;
-                dst..dst + width
-            })
-            .collect()
+    fn write_spans(&self, grid: &TileGrid, t: u32, spans: &mut Vec<Range<usize>>) {
+        // Each destination's rows land back to back in its subtile slot,
+        // so the tile writes one contiguous span per destination.
+        let subtile = grid.tile_elems(t) as usize / self.mapping.n_ranks;
+        spans.extend(
+            self.mapping.subtile_send_offset[t as usize]
+                .iter()
+                .map(|&dst| dst..dst + subtile),
+        );
     }
 }
 
@@ -118,16 +114,15 @@ impl EpilogueWriter for TokenPoolWriter {
         self.mapping.send_pool_elems
     }
 
-    fn write_spans(&self, grid: &TileGrid, t: u32) -> Vec<std::ops::Range<usize>> {
+    fn write_spans(&self, grid: &TileGrid, t: u32, spans: &mut Vec<Range<usize>>) {
         let rows = grid.rows_of(t);
         let cols = grid.cols_of(t);
         let width = (cols.end - cols.start) as usize;
         let offsets = &self.mapping.token_offset[self.rank];
-        rows.map(|r| {
+        spans.extend(rows.map(|r| {
             let dst = offsets[r as usize] + cols.start as usize;
             dst..dst + width
-        })
-        .collect()
+        }));
     }
 }
 
@@ -264,8 +259,13 @@ mod tests {
                     .filter(|(_, x)| !x.is_nan())
                     .map(|(i, _)| i)
                     .collect();
-                let mut spanned: Vec<usize> =
-                    writer.write_spans(&grid, t).into_iter().flatten().collect();
+                // An empty span already in the buffer: write_spans must
+                // append after it, not clear it.
+                let earlier = 0..0;
+                let mut spans = vec![earlier.clone()];
+                writer.write_spans(&grid, t, &mut spans);
+                assert_eq!(spans.first(), Some(&earlier), "spans append, never clear");
+                let mut spanned: Vec<usize> = spans.into_iter().flatten().collect();
                 spanned.sort_unstable();
                 assert_eq!(written, spanned, "tile {t}");
             }

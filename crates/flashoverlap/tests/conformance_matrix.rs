@@ -691,6 +691,71 @@ fn sequence_edge_seam_is_caught_when_compute_bound() {
     );
 }
 
+/// A three-layer pipeline of compute-bound per-wave layers: layer 2, the
+/// first to reuse a counting table, runs a deep reduction, so its GEMM
+/// is still writing when the comm stream reaches its waits.
+fn compute_bound_pipeline() -> flashoverlap::Pipeline {
+    use gpu_sim::elementwise::ElementwiseOp;
+    use std::rc::Rc;
+
+    let rms = |cols: usize| ElementwiseOp::RmsNorm {
+        weight: Rc::new(vec![1.0; cols]),
+        eps: 1e-6,
+    };
+    flashoverlap::Pipeline::with_plans(
+        nvlink_system(),
+        vec![
+            plan_on(nvlink_system(), GemmDims::new(384, 4096, 64)),
+            plan_on(nvlink_system(), GemmDims::new(384, 512, 4096)),
+            plan_on(nvlink_system(), GemmDims::new(384, 512, 512)),
+        ],
+        vec![Some(rms(4096)), Some(rms(512)), None],
+    )
+    .expect("valid pipeline")
+}
+
+#[test]
+fn pipeline_edge_seam_is_caught_when_compute_bound() {
+    assert!(matches!(
+        runtime_seam(&Mutation::DropRearm, ExecPath::Pipeline),
+        RuntimeSeam::SequenceEdge
+    ));
+    let pipeline = compute_bound_pipeline();
+    let run = |options: SequenceOptions<'_>| {
+        let sanitizer = Sanitizer::new();
+        let instr = Instrumentation {
+            monitor: Some(sanitizer.monitor()),
+            probe: Some(sanitizer.probe()),
+            mutation: None,
+        };
+        pipeline
+            .execute_with(&options.instrument(&instr))
+            .expect("pipeline runs");
+        sanitizer
+    };
+    // Control: the same chain with its rearm in place is clean.
+    let control = run(SequenceOptions::new());
+    assert!(control.is_clean(), "{}", control.summary());
+    // Dropping layer 2's rearm lets layer 0's stale counts release its
+    // collectives before its tiles are signaled.
+    let s = run(SequenceOptions::new().drop_cross_batch_edge(2));
+    assert!(
+        s.reports()
+            .iter()
+            .any(|f| matches!(f, Finding::UseBeforeSignal { .. })),
+        "dropped pipeline rearm went undetected: {}",
+        s.summary()
+    );
+    // planverify flags the same missing reset from plan data.
+    let plans: Vec<&OverlapPlan> = pipeline.plans().iter().collect();
+    let mut model = model_of_chain(&plans, "layer");
+    model.apply(&Mutation::DropRearm, 2);
+    assert!(
+        verify(&model).count_of("stale-rearm") > 0,
+        "planverify must flag the dropped pipeline rearm"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // 3. Caveats: each registered observability condition, as a schedule.
 // ---------------------------------------------------------------------------
@@ -786,7 +851,11 @@ fn zero_payload_group_caveat_is_a_no_op_for_both_layers() {
                 g.increments = 0;
                 g.reads.clear();
             }
-            rank.tile_writes.retain(|tw| tw.group != 1);
+        }
+        for writer in &mut seg.writers {
+            for tile in writer.tiles.iter_mut().filter(|tw| tw.group == 1) {
+                tile.intervals = 0..0;
+            }
         }
     }
     assert!(

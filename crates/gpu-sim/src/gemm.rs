@@ -157,18 +157,19 @@ pub trait EpilogueWriter {
         grid.m() as usize * grid.n() as usize
     }
 
-    /// The output ranges tile `t` writes, for access monitors. The default
-    /// matches the address-order layout (one span per tile row); reordered
-    /// writers override this to report their packed destinations.
-    fn write_spans(&self, grid: &TileGrid, t: u32) -> Vec<std::ops::Range<usize>> {
+    /// Appends the output ranges tile `t` writes to `spans`, for access
+    /// monitors and the static verifier. Callers own the buffer, so one
+    /// allocation serves every tile. The default matches the
+    /// address-order layout (one span per tile row); reordered writers
+    /// override this to report their packed destinations.
+    fn write_spans(&self, grid: &TileGrid, t: u32, spans: &mut Vec<std::ops::Range<usize>>) {
         let rows = grid.rows_of(t);
         let cols = grid.cols_of(t);
         let n = grid.n() as usize;
-        rows.map(|r| {
+        spans.extend(rows.map(|r| {
             let base = r as usize * n;
             base + cols.start as usize..base + cols.end as usize
-        })
-        .collect()
+        }));
     }
 }
 
@@ -350,8 +351,10 @@ fn finish_wave(mut run: GemmRun, count: usize, world: &mut Cluster, sim: &mut Cl
     // not values).
     if let Some(monitor) = world.monitor.as_deref().filter(|m| m.observes_accesses()) {
         let stream = run.completion.stream();
+        let mut spans = Vec::new();
         for &t in wave_tiles {
-            for range in run.writer.write_spans(&run.grid, t) {
+            run.writer.write_spans(&run.grid, t, &mut spans);
+            for range in spans.drain(..) {
                 monitor.on_access(&crate::monitor::Access {
                     device: run.device,
                     stream,

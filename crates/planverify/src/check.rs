@@ -12,16 +12,32 @@
 //! - **Rearm integrity**: a segment that reuses a counting table without
 //!   the rearm chain leaves stale counts behind; any stale count lets the
 //!   new wait release before this segment's tiles are written.
-//! - **Tile-granular races and coverage**: each group's collective reads
-//!   only element intervals whose writing tiles are *guaranteed complete*
-//!   at release — the tile's group must be at or before the read's group
-//!   on the serial comm stream, with a fully-counted wait. Reads of
-//!   never-written elements are reported as coverage gaps.
+//! - **Races and coverage, a region proof with failures named per
+//!   tile**: each group's collective reads only element intervals whose
+//!   writing tiles are *guaranteed complete* at release — the tile's
+//!   group must be at or before the read's group on the serial comm
+//!   stream, with a fully-counted wait. Reads of never-written elements
+//!   are reported as coverage gaps.
+//!
+//! The race and coverage proof runs per region, not per tile. Each
+//! distinct writer's non-empty intervals are sorted once and merged into
+//! runs: maximal stretches of one group whose union is contiguous.
+//! Because the reordering packs each wave group's tiles into one
+//! contiguous region (§3.3), a clean plan has about one run per group,
+//! and a read is answered by a binary search plus a scan of the runs it
+//! intersects — `O((T + R) log T)` for `T` tiles and `R` reads instead of
+//! `O(T · R)`. A run is racy exactly when one of its tiles is (all share
+//! its group), and the runs' union is the tiles' union, so the region
+//! proof is exact. Only when a read fails are its racing runs mapped
+//! back to their tiles, so [`Violation::TileRace`] lists name the same
+//! tiles, in the same address order, a per-tile scan would.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
-use crate::model::{RankModel, ScheduleModel, Segment};
+use crate::model::{Interval, RankModel, ScheduleModel, Segment, Writer};
+use crate::shadow::ranges_overlap;
 
 /// Upper bound on reported violations: one corrupt wait can implicate
 /// every tile of its group, so reporting is truncated (deterministically,
@@ -288,17 +304,21 @@ pub fn verify(model: &ScheduleModel) -> VerifyReport {
             }
         }
     }
+    let empty = Regions::default();
     for (si, seg) in model.segments.iter().enumerate() {
+        // One region index per distinct writer, shared by every rank
+        // that names it.
+        let regions: Vec<Regions> = seg.writers.iter().map(Regions::of).collect();
         for rm in &seg.ranks {
             let slot = residual.entry((seg.table, rm.rank)).or_default();
             if seg.rearmed {
                 slot.clear();
             }
-            let stale_counts = slot.clone();
-            check_rank(si, seg, rm, &stale_counts, &mut violations, &mut stats);
+            let written = regions.get(rm.writer).unwrap_or(&empty);
+            stats.tiles += written.tiles;
+            check_rank(si, seg, rm, written, slot, &mut violations, &mut stats);
             // Deposit this segment's increments for the table's next user.
             for gm in &rm.groups {
-                let slot = residual.entry((seg.table, rm.rank)).or_default();
                 if slot.len() <= gm.group {
                     slot.resize(gm.group + 1, 0);
                 }
@@ -315,15 +335,124 @@ pub fn verify(model: &ScheduleModel) -> VerifyReport {
     VerifyReport { violations, stats }
 }
 
+/// One non-empty tile interval, tagged with its tile and group.
+#[derive(Debug, Clone, Copy)]
+struct Piece {
+    start: usize,
+    end: usize,
+    tile: u32,
+    group: usize,
+}
+
+/// A maximal stretch of address-sorted pieces of one group whose union
+/// is contiguous: `[start, end)`.
+#[derive(Debug, Clone)]
+struct Run {
+    start: usize,
+    end: usize,
+    group: usize,
+    pieces: Range<usize>,
+}
+
+/// One writer's footprint as group runs sorted by start — the region
+/// view every read is proven against.
+#[derive(Debug, Default)]
+struct Regions {
+    /// Tiles in the writer, written or not.
+    tiles: usize,
+    pieces: Vec<Piece>,
+    runs: Vec<Run>,
+    /// `reach[i]` is the largest end among `runs[..=i]`: monotone even
+    /// when runs overlap, so binary search finds the first run that can
+    /// reach a read.
+    reach: Vec<usize>,
+}
+
+impl Regions {
+    fn of(writer: &Writer) -> Regions {
+        let mut pieces: Vec<Piece> = Vec::with_capacity(writer.intervals.len());
+        for tw in &writer.tiles {
+            pieces.extend(
+                writer
+                    .intervals_of(tw)
+                    .iter()
+                    .filter(|iv| iv.len > 0)
+                    .map(|iv| Piece {
+                        start: iv.start,
+                        end: iv.end(),
+                        tile: tw.tile,
+                        group: tw.group,
+                    }),
+            );
+        }
+        pieces.sort_unstable_by_key(|p| (p.start, p.tile));
+        let mut runs: Vec<Run> = Vec::new();
+        for (i, p) in pieces.iter().enumerate() {
+            match runs.last_mut() {
+                Some(run) if run.group == p.group && p.start <= run.end => {
+                    run.end = run.end.max(p.end);
+                    run.pieces.end = i + 1;
+                }
+                _ => runs.push(Run {
+                    start: p.start,
+                    end: p.end,
+                    group: p.group,
+                    pieces: i..i + 1,
+                }),
+            }
+        }
+        let reach = runs
+            .iter()
+            .scan(0, |max, run| {
+                *max = run.end.max(*max);
+                Some(*max)
+            })
+            .collect();
+        Regions {
+            tiles: writer.tiles.len(),
+            pieces,
+            runs,
+            reach,
+        }
+    }
+
+    /// The runs intersecting `read`, in start order.
+    fn overlapping(&self, read: &Interval) -> impl Iterator<Item = &Run> {
+        let first = self.reach.partition_point(|&end| end <= read.start);
+        let (start, end) = (read.start, read.end());
+        self.runs
+            .get(first..)
+            .unwrap_or(&[])
+            .iter()
+            .take_while(move |run| run.start < end)
+            .filter(move |run| run.end > start)
+    }
+
+    /// The `(tile, group)` of every piece of `run` that intersects
+    /// `read`.
+    fn tiles_touching<'a>(
+        &'a self,
+        run: &Run,
+        read: &'a Interval,
+    ) -> impl Iterator<Item = (u32, usize)> + 'a {
+        self.pieces
+            .get(run.pieces.clone())
+            .unwrap_or(&[])
+            .iter()
+            .filter(move |p| ranges_overlap(p.start, p.end, read.start, read.end()))
+            .map(|p| (p.tile, p.group))
+    }
+}
+
 fn check_rank(
     si: usize,
     seg: &Segment,
     rm: &RankModel,
+    regions: &Regions,
     stale_counts: &[u32],
     violations: &mut Vec<Violation>,
     stats: &mut VerifyStats,
 ) {
-    stats.tiles += rm.tile_writes.len();
     // Groups whose waits guarantee, at release, that every one of their
     // scheduled tiles has been written (full threshold, clean slot).
     let mut guaranteed: Vec<bool> = Vec::new();
@@ -340,9 +469,9 @@ fn check_rank(
     let mut blocked = false;
     for gm in &rm.groups {
         let stale = stale_counts.get(gm.group).copied().unwrap_or(0);
-        // A wait-level violation is the root cause; the per-tile race pass
-        // would only re-report its symptoms, so it is skipped for the
-        // group once one is recorded.
+        // A wait-level violation is the root cause; the race pass would
+        // only re-report its symptoms, so it is skipped for the group
+        // once one is recorded.
         let mut wait_flagged = false;
         if let Some(threshold) = gm.wait {
             stats.waits += 1;
@@ -381,55 +510,51 @@ fn check_rank(
         if blocked || wait_flagged {
             continue;
         }
+        // A run is safe when its group is guaranteed complete at this
+        // release: at or before this group on the serial comm stream,
+        // with a fully-counted wait.
+        let safe = |g: usize| g <= gm.group && guaranteed.get(g).copied().unwrap_or(false);
         for read in &gm.reads {
             if read.len == 0 {
                 continue;
             }
             stats.reads += 1;
-            // Race pass: every tile whose footprint intersects the read
-            // must be guaranteed complete when the wait releases — its
-            // group at or before this one on the serial comm stream, with
-            // a fully-counted wait.
-            let mut covering: Vec<(usize, usize)> = Vec::new();
-            for tw in &rm.tile_writes {
-                let mut touches = false;
-                for iv in &tw.intervals {
-                    if iv.overlaps(read) {
-                        touches = true;
-                        let s = iv.start.max(read.start);
-                        let e = iv.end().min(read.end());
-                        covering.push((s, e));
-                    }
+            // One pass over the intersecting runs proves both properties:
+            // every run is safe (race freedom) and the runs leave no hole
+            // in the read (coverage; the first gap is reported).
+            let mut racy = false;
+            let mut cursor = read.start;
+            let mut gap: Option<(usize, usize)> = None;
+            for run in regions.overlapping(read) {
+                racy |= !safe(run.group);
+                let s = run.start.max(read.start);
+                if gap.is_none() && s > cursor {
+                    gap = Some((cursor, s - cursor));
                 }
-                if !touches {
-                    continue;
-                }
-                let safe =
-                    tw.group <= gm.group && guaranteed.get(tw.group).copied().unwrap_or(false);
-                if !safe {
+                cursor = cursor.max(run.end.min(read.end()));
+            }
+            if gap.is_none() && cursor < read.end() {
+                gap = Some((cursor, read.end() - cursor));
+            }
+            if racy {
+                // Failing path only: name every racing tile once, in
+                // address (tile id) order.
+                let mut tiles: Vec<(u32, usize)> = regions
+                    .overlapping(read)
+                    .filter(|run| !safe(run.group))
+                    .flat_map(|run| regions.tiles_touching(run, read))
+                    .collect();
+                tiles.sort_unstable();
+                tiles.dedup();
+                for (tile, tile_group) in tiles {
                     violations.push(Violation::TileRace {
                         segment: si,
                         rank: rm.rank,
                         group: gm.group,
-                        tile: tw.tile,
-                        tile_group: tw.group,
+                        tile,
+                        tile_group,
                     });
                 }
-            }
-            // Coverage pass: the read must be fully covered by scheduled
-            // writes; report the first gap per read.
-            covering.sort_unstable();
-            let mut cursor = read.start;
-            let mut gap: Option<(usize, usize)> = None;
-            for (s, e) in covering {
-                if s > cursor {
-                    gap = Some((cursor, s - cursor));
-                    break;
-                }
-                cursor = cursor.max(e);
-            }
-            if gap.is_none() && cursor < read.end() {
-                gap = Some((cursor, read.end() - cursor));
             }
             if let Some((start, len)) = gap {
                 violations.push(Violation::UncoveredRead {
@@ -448,20 +573,17 @@ fn check_rank(
 #[allow(clippy::indexing_slicing)]
 mod tests {
     use super::*;
-    use crate::model::{GroupModel, Interval, RankModel, ScheduleModel, Segment, TileWrite};
+    use crate::model::{GroupModel, Interval, RankModel, ScheduleModel, Segment, Writer};
     use crate::mutation::Mutation;
 
     /// Two groups, two tiles each, one rank; group regions [0, 32) and
     /// [32, 64).
     fn model(segments: usize, rearm_from_second: bool) -> ScheduleModel {
         let mk_segment = |i: usize| {
-            let tile_writes = (0..4u32)
-                .map(|t| TileWrite {
-                    tile: t,
-                    group: (t / 2) as usize,
-                    intervals: vec![Interval::new(t as usize * 16, 16)],
-                })
-                .collect();
+            let mut writer = Writer::default();
+            for t in 0..4 {
+                writer.push_tile(t, t as usize / 2, [Interval::new(t as usize * 16, 16)]);
+            }
             let groups = (0..2)
                 .map(|g| GroupModel {
                     group: g,
@@ -474,9 +596,10 @@ mod tests {
                 label: format!("batch {i}"),
                 table: i % 2,
                 rearmed: i >= 2 && rearm_from_second,
+                writers: vec![writer],
                 ranks: vec![RankModel {
                     rank: 0,
-                    tile_writes,
+                    writer: 0,
                     groups,
                 }],
             }
@@ -593,9 +716,15 @@ mod tests {
     fn cross_group_write_into_a_read_region_races() {
         let mut m = model(1, true);
         // Tile 3 (group 1) also scribbles into group 0's region.
-        m.segments[0].ranks[0].tile_writes[3]
-            .intervals
-            .push(Interval::new(8, 4));
+        let mut writer = Writer::default();
+        for t in 0..4 {
+            let mut intervals = vec![Interval::new(t as usize * 16, 16)];
+            if t == 3 {
+                intervals.push(Interval::new(8, 4));
+            }
+            writer.push_tile(t, t as usize / 2, intervals);
+        }
+        m.segments[0].writers[0] = writer;
         let report = verify(&m);
         assert!(report.violations.iter().any(|v| matches!(
             v,
@@ -612,7 +741,7 @@ mod tests {
     fn uncovered_read_is_reported_with_the_gap() {
         let mut m = model(1, true);
         // Group 1's second tile never writes its half.
-        m.segments[0].ranks[0].tile_writes[3].intervals.clear();
+        m.segments[0].writers[0].tiles[3].intervals = 0..0;
         let report = verify(&m);
         assert!(report.violations.iter().any(|v| matches!(
             v,
@@ -686,15 +815,12 @@ mod tests {
     fn reporting_truncates_deterministically() {
         let mut m = model(1, true);
         // One huge group with hundreds of tiles and no wait.
-        let tiles: Vec<TileWrite> = (0..(VIOLATION_CAP as u32 + 50))
-            .map(|t| TileWrite {
-                tile: t,
-                group: 0,
-                intervals: vec![Interval::new(t as usize * 4, 4)],
-            })
-            .collect();
-        let total = tiles.len() * 4;
-        m.segments[0].ranks[0].tile_writes = tiles;
+        let mut writer = Writer::default();
+        for t in 0..VIOLATION_CAP as u32 + 50 {
+            writer.push_tile(t, 0, [Interval::new(t as usize * 4, 4)]);
+        }
+        let total = writer.tiles.len() * 4;
+        m.segments[0].writers[0] = writer;
         m.segments[0].ranks[0].groups = vec![GroupModel {
             group: 0,
             wait: None,

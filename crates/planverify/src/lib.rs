@@ -19,10 +19,13 @@
 //!    construction for linear chains, so the deadlock class reduces to
 //!    unreachable thresholds plus *missing rearm edges* — a reused table
 //!    whose stale counts satisfy the next user's wait early.
-//! 3. **Tile-granular race freedom**: per-tile element-interval conflict
-//!    sets between reordered GEMM writes and the collective reads each
-//!    wait guards, at the mapping's true granularity (whole slots,
-//!    per-destination subtiles, per-token row slices).
+//! 3. **Race freedom and coverage, a region proof with failures named
+//!    per tile**: the collective reads each wait guards are checked
+//!    against the reordered GEMM writes at the mapping's true
+//!    granularity (whole slots, per-destination subtiles, per-token row
+//!    slices). The proof runs over each writer's merged same-group runs —
+//!    the contiguous group regions the reordering produces — and only a
+//!    failing read is mapped back to the tiles that race.
 //!
 //! The [`shadow`] module is the conflict predicate shared with SimSan's
 //! dynamic checker, and [`mutation`] is the unified registry behind the
@@ -43,7 +46,7 @@ pub mod mutation;
 pub mod shadow;
 
 pub use check::{verify, VerifyReport, VerifyStats, Violation};
-pub use model::{GroupModel, Interval, RankModel, ScheduleModel, Segment, TileWrite};
+pub use model::{GroupModel, Interval, RankModel, ScheduleModel, Segment, TileWrite, Writer};
 pub use mutation::{
     caveats, conformance_matrix, Caveat, DynamicCoverage, ExecPath, Expectation, MatrixCell,
     Mutation, MutationKind,

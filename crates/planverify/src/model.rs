@@ -5,7 +5,10 @@
 //! per wave group, the wait threshold guarding the group's collective,
 //! the counting-table increments scheduled for it, the element intervals
 //! the collective reads, and the per-tile write footprints of the
-//! reordered GEMM epilogue. Chained executions (`Pipeline` layers,
+//! reordered GEMM epilogue. Footprints live once per distinct epilogue
+//! [`Writer`] in a flat interval arena, and each rank names its writer:
+//! whole-tile and subtile mappings write identically on every rank, so
+//! one writer serves them all. Chained executions (`Pipeline` layers,
 //! `execute_sequence` batches) become one [`Segment`] each, carrying the
 //! counting-table set they use (ping-pong parity) and whether the rearm
 //! chain — wait on the previous user's comm-done, reset, ready-event —
@@ -17,6 +20,8 @@
 //! ReorderIncrements`] permutes what the model does not represent;
 //! [`Mutation::DelayIncrements`] shifts a clock the model does not have)
 //! — which is exactly the claim the conformance matrix documents.
+
+use std::ops::Range;
 
 use crate::mutation::Mutation;
 use crate::shadow;
@@ -53,16 +58,56 @@ impl Interval {
     }
 }
 
-/// The packed-buffer write footprint of one reordered GEMM tile.
-#[derive(Debug, Clone)]
+/// The packed-buffer write footprint of one reordered GEMM tile: its
+/// wave group and its intervals, a range into the owning [`Writer`]'s
+/// arena.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TileWrite {
-    /// Address-order tile index.
+    /// Address-order tile index (unique within its writer).
     pub tile: u32,
     /// The wave group whose counting-table slot this tile increments.
     pub group: usize,
-    /// Element intervals the tile's epilogue writes (one for whole-tile
-    /// mappings, one per destination subtile or token row otherwise).
+    /// The tile's element intervals in [`Writer::intervals`] (one for
+    /// whole-tile mappings, one per destination subtile or token row
+    /// otherwise).
+    pub intervals: Range<usize>,
+}
+
+/// The write footprints of every tile of one GEMM epilogue, flat: one
+/// [`TileWrite`] per tile and one shared interval arena. Tiles may come
+/// in any order; the lowering pushes them in packed order, so the arena
+/// follows the buffer and sorting it is nearly free. Ranks whose
+/// epilogues write identically share one writer.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Writer {
+    /// Per-tile footprints.
+    pub tiles: Vec<TileWrite>,
+    /// The interval arena every tile's range points into.
     pub intervals: Vec<Interval>,
+}
+
+impl Writer {
+    /// Appends tile `tile`, writing `intervals` on behalf of `group`.
+    pub fn push_tile(
+        &mut self,
+        tile: u32,
+        group: usize,
+        intervals: impl IntoIterator<Item = Interval>,
+    ) {
+        let start = self.intervals.len();
+        self.intervals.extend(intervals);
+        self.tiles.push(TileWrite {
+            tile,
+            group,
+            intervals: start..self.intervals.len(),
+        });
+    }
+
+    /// The intervals of `tile` (empty for an out-of-range tile or
+    /// range).
+    pub fn intervals_of(&self, tile: &TileWrite) -> &[Interval] {
+        self.intervals.get(tile.intervals.clone()).unwrap_or(&[])
+    }
 }
 
 /// One wave group's signaling contract on one rank.
@@ -87,8 +132,10 @@ pub struct GroupModel {
 pub struct RankModel {
     /// Rank (device) id.
     pub rank: usize,
-    /// Write footprints of every tile of the GEMM.
-    pub tile_writes: Vec<TileWrite>,
+    /// Index of this rank's GEMM epilogue in [`Segment::writers`]. An
+    /// index with no writer behind it models an epilogue that writes
+    /// nothing.
+    pub writer: usize,
     /// Per-group contracts, ascending by group id.
     pub groups: Vec<GroupModel>,
 }
@@ -106,6 +153,9 @@ pub struct Segment {
     /// `ResetCounter` → ready-event → comm-stream wait) is present. Only
     /// meaningful when the table was used by an earlier segment.
     pub rearmed: bool,
+    /// The segment's distinct GEMM epilogue writers: one when every rank
+    /// writes the same footprint, one per rank otherwise.
+    pub writers: Vec<Writer>,
     /// Per-rank schedules.
     pub ranks: Vec<RankModel>,
 }
@@ -191,18 +241,9 @@ mod tests {
 
     /// A minimal clean two-group, one-rank, one-segment model.
     pub(crate) fn tiny_model() -> ScheduleModel {
-        let tile_writes = vec![
-            TileWrite {
-                tile: 0,
-                group: 0,
-                intervals: vec![Interval::new(0, 16)],
-            },
-            TileWrite {
-                tile: 1,
-                group: 1,
-                intervals: vec![Interval::new(16, 16)],
-            },
-        ];
+        let mut writer = Writer::default();
+        writer.push_tile(0, 0, [Interval::new(0, 16)]);
+        writer.push_tile(1, 1, [Interval::new(16, 16)]);
         let groups = vec![
             GroupModel {
                 group: 0,
@@ -224,9 +265,10 @@ mod tests {
                 label: "plan".into(),
                 table: 0,
                 rearmed: false,
+                writers: vec![writer],
                 ranks: vec![RankModel {
                     rank: 0,
-                    tile_writes,
+                    writer: 0,
                     groups,
                 }],
             }],

@@ -20,7 +20,7 @@
 /// Whether two half-open element ranges `[a_start, a_end)` and
 /// `[b_start, b_end)` intersect. Empty ranges intersect nothing.
 pub fn ranges_overlap(a_start: usize, a_end: usize, b_start: usize, b_end: usize) -> bool {
-    a_start < b_end && b_start < a_end
+    a_start < a_end && b_start < b_end && a_start < b_end && b_start < a_end
 }
 
 /// Whether two accesses may touch the same memory, given each access's
@@ -57,6 +57,11 @@ mod tests {
         assert!(!ranges_overlap(4, 8, 0, 4));
         assert!(ranges_overlap(0, 5, 4, 8));
         assert!(!ranges_overlap(0, 0, 0, 8), "empty range hits nothing");
+        assert!(
+            !ranges_overlap(5, 5, 0, 8),
+            "an empty range strictly inside another still hits nothing"
+        );
+        assert!(!ranges_overlap(0, 8, 5, 5));
     }
 
     #[test]

@@ -1,0 +1,490 @@
+//! Differential test of the region checker against a per-tile oracle.
+//!
+//! [`planverify::verify`] proves race freedom and coverage over each
+//! writer's merged same-group runs and names tiles only on the failing
+//! path. The oracle below is the straightforward per-tile checker: for
+//! every read it scans every tile of the rank's writer. Both must return
+//! the same violations in the same order and the same stats, on random
+//! models (cross-group, overlapping and empty intervals, coverage holes,
+//! multi-segment stale and rearm chains, reports past
+//! [`VIOLATION_CAP`]) and on registry-mutated ones.
+
+use std::collections::HashMap;
+
+use planverify::check::VIOLATION_CAP;
+use planverify::{
+    verify, GroupModel, Interval, Mutation, RankModel, ScheduleModel, Segment, VerifyReport,
+    VerifyStats, Violation, Writer,
+};
+use proptest::prelude::*;
+
+// ---------------------------------------------------------------------------
+// The per-tile oracle.
+// ---------------------------------------------------------------------------
+
+fn oracle(model: &ScheduleModel) -> VerifyReport {
+    let mut violations = Vec::new();
+    let mut stats = VerifyStats {
+        segments: model.segments.len(),
+        ..VerifyStats::default()
+    };
+    let mut residual: HashMap<(usize, usize), Vec<u32>> = HashMap::new();
+    if !model.node_of.is_empty() {
+        let nodes = model.node_of.iter().max().map_or(0, |m| m + 1);
+        for (si, seg) in model.segments.iter().enumerate() {
+            let mut present = vec![false; nodes];
+            for rm in &seg.ranks {
+                if let Some(&node) = model.node_of.get(rm.rank) {
+                    present[node] = true;
+                }
+            }
+            stats.node_checks += nodes;
+            for (node, covered) in present.iter().enumerate() {
+                if !covered {
+                    violations.push(Violation::MissingNodeLeader {
+                        segment: si,
+                        node,
+                        nodes,
+                    });
+                }
+            }
+        }
+    }
+    let empty = Writer::default();
+    for (si, seg) in model.segments.iter().enumerate() {
+        for rm in &seg.ranks {
+            let slot = residual.entry((seg.table, rm.rank)).or_default();
+            if seg.rearmed {
+                slot.clear();
+            }
+            let writer = seg.writers.get(rm.writer).unwrap_or(&empty);
+            oracle_rank(si, seg, rm, writer, slot, &mut violations, &mut stats);
+            for gm in &rm.groups {
+                if slot.len() <= gm.group {
+                    slot.resize(gm.group + 1, 0);
+                }
+                slot[gm.group] += gm.increments;
+            }
+        }
+    }
+    if violations.len() > VIOLATION_CAP {
+        violations.truncate(VIOLATION_CAP);
+        stats.truncated = true;
+    }
+    VerifyReport { violations, stats }
+}
+
+fn oracle_rank(
+    si: usize,
+    seg: &Segment,
+    rm: &RankModel,
+    writer: &Writer,
+    stale_counts: &[u32],
+    violations: &mut Vec<Violation>,
+    stats: &mut VerifyStats,
+) {
+    stats.tiles += writer.tiles.len();
+    let mut guaranteed: Vec<bool> = Vec::new();
+    let mut blocked = false;
+    for gm in &rm.groups {
+        let stale = stale_counts.get(gm.group).copied().unwrap_or(0);
+        let mut wait_flagged = false;
+        if let Some(threshold) = gm.wait {
+            stats.waits += 1;
+            if threshold > stale + gm.increments {
+                violations.push(Violation::UnreachableThreshold {
+                    segment: si,
+                    rank: rm.rank,
+                    table: seg.table,
+                    group: gm.group,
+                    threshold,
+                    available: stale + gm.increments,
+                });
+                blocked = true;
+            } else if stale > 0 && !gm.reads.is_empty() {
+                violations.push(Violation::StaleRearm {
+                    segment: si,
+                    rank: rm.rank,
+                    table: seg.table,
+                    group: gm.group,
+                    stale,
+                });
+                wait_flagged = true;
+            } else if threshold < gm.increments && !gm.reads.is_empty() {
+                violations.push(Violation::EarlyRelease {
+                    segment: si,
+                    rank: rm.rank,
+                    group: gm.group,
+                    threshold,
+                    scheduled: gm.increments,
+                });
+                wait_flagged = true;
+            } else if threshold >= gm.increments && stale == 0 {
+                if guaranteed.len() <= gm.group {
+                    guaranteed.resize(gm.group + 1, false);
+                }
+                guaranteed[gm.group] = true;
+            }
+        }
+        if blocked || wait_flagged {
+            continue;
+        }
+        for read in &gm.reads {
+            if read.len == 0 {
+                continue;
+            }
+            stats.reads += 1;
+            let mut covering: Vec<(usize, usize)> = Vec::new();
+            // Tiles in address order, whatever order the writer holds.
+            let mut tiles: Vec<_> = writer.tiles.iter().collect();
+            tiles.sort_by_key(|tw| tw.tile);
+            for tw in tiles {
+                let mut touches = false;
+                for iv in writer.intervals_of(tw) {
+                    if iv.overlaps(read) {
+                        touches = true;
+                        covering.push((iv.start.max(read.start), iv.end().min(read.end())));
+                    }
+                }
+                let safe =
+                    tw.group <= gm.group && guaranteed.get(tw.group).copied().unwrap_or(false);
+                if touches && !safe {
+                    violations.push(Violation::TileRace {
+                        segment: si,
+                        rank: rm.rank,
+                        group: gm.group,
+                        tile: tw.tile,
+                        tile_group: tw.group,
+                    });
+                }
+            }
+            covering.sort_unstable();
+            let mut cursor = read.start;
+            let mut gap: Option<(usize, usize)> = None;
+            for (s, e) in covering {
+                if s > cursor {
+                    gap = Some((cursor, s - cursor));
+                    break;
+                }
+                cursor = cursor.max(e);
+            }
+            if gap.is_none() && cursor < read.end() {
+                gap = Some((cursor, read.end() - cursor));
+            }
+            if let Some((start, len)) = gap {
+                violations.push(Violation::UncoveredRead {
+                    segment: si,
+                    rank: rm.rank,
+                    group: gm.group,
+                    start,
+                    len,
+                });
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Random models.
+// ---------------------------------------------------------------------------
+
+/// SplitMix64: the generator behind every random model, seeded per case.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n` (`n > 0`).
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn chance(&mut self, percent: usize) -> bool {
+        self.below(100) < percent
+    }
+}
+
+/// A packed, reordered-looking writer: `groups` contiguous group regions
+/// of `tile_len`-element tiles, then perturbed with cross-group
+/// scribbles, overlaps, empty intervals and dropped tiles.
+fn random_writer(rng: &mut Rng, groups: usize, tiles_per_group: usize, tile_len: usize) -> Writer {
+    let mut writer = Writer::default();
+    let tiles = groups * tiles_per_group;
+    let span = tiles * tile_len;
+    // Address-order tiles land at a shuffled packed slot, like the
+    // reordering's wave-order packing. The writer holds them in packed
+    // order (as the lowering does) or in address order.
+    let mut slots: Vec<usize> = (0..tiles).collect();
+    for i in (1..slots.len()).rev() {
+        slots.swap(i, rng.below(i + 1));
+    }
+    let mut order: Vec<usize> = (0..tiles).collect();
+    if rng.chance(50) {
+        order.sort_by_key(|&t| slots[t]);
+    }
+    for tile in order {
+        let slot = slots[tile];
+        let group = slot / tiles_per_group;
+        let base = slot * tile_len;
+        let mut intervals = Vec::new();
+        if rng.chance(5) {
+            // A hole: this tile writes nothing.
+        } else if rng.chance(30) {
+            // Sub-tile pieces (subtile rows, token rows), possibly gappy.
+            let pieces = 1 + rng.below(3);
+            let piece = tile_len.div_ceil(pieces);
+            for p in 0..pieces {
+                let start = base + p * piece;
+                let len = piece.min(base + tile_len - start.min(base + tile_len));
+                if !rng.chance(10) {
+                    intervals.push(Interval::new(start, len));
+                }
+            }
+        } else {
+            intervals.push(Interval::new(base, tile_len));
+        }
+        if rng.chance(8) {
+            // Cross-group or overlapping scribble anywhere in the buffer.
+            intervals.push(Interval::new(rng.below(span + 4), rng.below(tile_len * 2)));
+        }
+        if rng.chance(5) {
+            intervals.push(Interval::new(rng.below(span + 1), 0));
+        }
+        let group = if rng.chance(3) {
+            rng.below(groups + 1)
+        } else {
+            group
+        };
+        writer.push_tile(tile as u32, group, intervals);
+    }
+    writer
+}
+
+fn random_read(rng: &mut Rng, group: usize, tiles_per_group: usize, tile_len: usize) -> Interval {
+    let region = tiles_per_group * tile_len;
+    let start = group * region;
+    match rng.below(10) {
+        // Mostly the group's own region, as lowered plans read.
+        0..=5 => Interval::new(start, region),
+        6 => Interval::new(start + rng.below(region), rng.below(region + 1)),
+        7 => Interval::new(rng.below(start + region + 1), rng.below(2 * region + 1)),
+        8 => Interval::new(start, 0),
+        _ => Interval::new(start + region / 2, region),
+    }
+}
+
+fn random_segment(rng: &mut Rng, index: usize, n_ranks: usize) -> Segment {
+    let groups = 1 + rng.below(4);
+    let tiles_per_group = 1 + rng.below(5);
+    let tile_len = 1 + rng.below(8);
+    let n_writers = if rng.chance(50) { 1 } else { n_ranks };
+    let writers = (0..n_writers)
+        .map(|_| random_writer(rng, groups, tiles_per_group, tile_len))
+        .collect();
+    let ranks = (0..n_ranks)
+        .map(|rank| {
+            let groups = (0..groups)
+                .map(|g| {
+                    let increments = tiles_per_group as u32;
+                    let wait = match rng.below(12) {
+                        0 => None,
+                        1 => Some(increments.saturating_sub(1)),
+                        2 => Some(increments + 1),
+                        _ => Some(increments),
+                    };
+                    let reads = (0..rng.below(3))
+                        .map(|_| random_read(rng, g, tiles_per_group, tile_len))
+                        .collect();
+                    GroupModel {
+                        group: g,
+                        wait,
+                        increments: if rng.chance(5) { 0 } else { increments },
+                        reads,
+                    }
+                })
+                .collect();
+            RankModel {
+                rank,
+                writer: if n_writers == 1 { 0 } else { rank },
+                groups,
+            }
+        })
+        .collect();
+    Segment {
+        label: format!("batch {index}"),
+        table: if rng.chance(85) {
+            index % 2
+        } else {
+            rng.below(2)
+        },
+        rearmed: if rng.chance(85) {
+            index >= 2
+        } else {
+            rng.chance(50)
+        },
+        writers,
+        ranks,
+    }
+}
+
+fn random_model(seed: u64) -> ScheduleModel {
+    let mut rng = Rng(seed);
+    let n_ranks = 1 + rng.below(3);
+    let segments = (0..1 + rng.below(4))
+        .map(|i| random_segment(&mut rng, i, n_ranks))
+        .collect();
+    let node_of = match rng.below(4) {
+        0 => (0..n_ranks).map(|r| r % 2).collect(),
+        1 => (0..n_ranks + 1).map(|r| r % 2).collect(),
+        _ => Vec::new(),
+    };
+    ScheduleModel {
+        n_ranks,
+        node_of,
+        segments,
+    }
+}
+
+fn random_mutation(rng: &mut Rng, model: &ScheduleModel) -> (Mutation, usize) {
+    let segment = rng.below(model.segments.len());
+    let seg = &model.segments[segment];
+    let rank = rng.below(seg.ranks.len());
+    let group = seg.ranks[rank].groups[rng.below(seg.ranks[rank].groups.len())].group;
+    let count = 1 + rng.below(3) as u32;
+    let mutation = match rng.below(6) {
+        0 => Mutation::DropWait { rank, group },
+        1 => Mutation::RaiseThreshold { rank, group },
+        2 => Mutation::DropIncrements { rank, group, count },
+        3 => Mutation::DelayIncrements { rank, group, count },
+        4 => Mutation::ReorderIncrements { rank },
+        _ => Mutation::DropRearm,
+    };
+    (mutation, segment)
+}
+
+fn assert_agree(seed: u64, model: &ScheduleModel) -> Result<(), TestCaseError> {
+    let region = verify(model);
+    let tile = oracle(model);
+    prop_assert_eq!(
+        &region.violations,
+        &tile.violations,
+        "seed {seed}:\n region: {:?}\n oracle: {:?}",
+        region.violations,
+        tile.violations
+    );
+    prop_assert_eq!(
+        region.stats,
+        tile.stats,
+        "seed {seed}: region {:?} vs oracle {:?}",
+        region.stats,
+        tile.stats
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Random models: the region proof and the per-tile scan agree.
+    #[test]
+    fn region_checker_matches_the_per_tile_oracle(seed in any::<u64>()) {
+        assert_agree(seed, &random_model(seed))?;
+    }
+
+    /// Registry-mutated models: one to three mutations on a random
+    /// model, then the same agreement.
+    #[test]
+    fn region_checker_matches_the_oracle_on_mutated_models(seed in any::<u64>()) {
+        let mut model = random_model(seed);
+        let mut rng = Rng(seed ^ 0x5EED);
+        for _ in 0..1 + rng.below(3) {
+            let (mutation, segment) = random_mutation(&mut rng, &model);
+            model.apply(&mutation, segment);
+        }
+        assert_agree(seed, &model)?;
+    }
+}
+
+#[test]
+fn region_checker_matches_the_oracle_past_the_violation_cap() {
+    // Waitless groups race every tile they read: enough tiles, ranks and
+    // segments to overflow the cap, plus scribbles and holes so the
+    // truncated prefix mixes races with coverage gaps.
+    for seed in 0..16u64 {
+        let mut rng = Rng(seed);
+        let mut model = random_model(seed);
+        for seg in &mut model.segments {
+            let groups = seg.ranks[0].groups.len();
+            seg.writers = (0..seg.writers.len())
+                .map(|_| random_writer(&mut rng, groups, 40, 4))
+                .collect();
+            for rm in &mut seg.ranks {
+                for gm in &mut rm.groups {
+                    gm.wait = None;
+                    gm.increments = 40;
+                    gm.reads = vec![random_read(&mut rng, gm.group, 40, 4)];
+                }
+            }
+        }
+        let region = verify(&model);
+        let tile = oracle(&model);
+        assert_eq!(region.violations, tile.violations, "seed {seed}");
+        assert_eq!(region.stats, tile.stats, "seed {seed}");
+    }
+    // At least one fixture really is truncated.
+    let mut model = random_model(1);
+    let mut writer = Writer::default();
+    for t in 0..VIOLATION_CAP + 40 {
+        writer.push_tile(t as u32, 0, [Interval::new(t * 2, 2)]);
+    }
+    model.segments.truncate(1);
+    model.node_of.clear();
+    model.segments[0].writers = vec![writer];
+    for rm in &mut model.segments[0].ranks {
+        rm.writer = 0;
+        rm.groups = vec![GroupModel {
+            group: 0,
+            wait: None,
+            increments: 0,
+            reads: vec![Interval::new(0, (VIOLATION_CAP + 40) * 2)],
+        }];
+    }
+    let region = verify(&model);
+    assert!(region.stats.truncated);
+    assert_eq!(region.violations, oracle(&model).violations);
+}
+
+#[test]
+fn the_random_models_exercise_every_violation_class() {
+    // Guard against a generator that silently stops reaching a class:
+    // the differential tests above would then prove nothing about it.
+    let mut seen: HashMap<&'static str, usize> = HashMap::new();
+    let mut clean = 0;
+    for seed in 0..512u64 {
+        let report = verify(&random_model(seed));
+        clean += usize::from(report.is_clean());
+        for v in &report.violations {
+            *seen.entry(v.label()).or_default() += 1;
+        }
+    }
+    for label in [
+        "unreachable-threshold",
+        "early-release",
+        "stale-rearm",
+        "tile-race",
+        "missing-node-leader",
+        "uncovered-read",
+    ] {
+        assert!(
+            seen.contains_key(label),
+            "no random model reached {label}: {seen:?}"
+        );
+    }
+    assert!(clean > 0, "no random model verified clean");
+}
