@@ -13,6 +13,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== perfbench self-test (replay checks against the served report) =="
+# perfbench is a separate package, outside the workspace. Its traced
+# replay re-runs each chain's signal join and attribution and checks the
+# counts against what serve reported, so a telemetry change that breaks
+# them fails here rather than in the benchmark.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== profile smoke (trace + metrics JSON round-trip) =="
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT

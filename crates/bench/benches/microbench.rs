@@ -156,6 +156,39 @@ fn bench_serve_instrumented(c: &mut Criterion) {
     });
 }
 
+/// The per-chain telemetry cost serving pays after a chain runs: the
+/// signal-latency join and the critical-path attribution over the record
+/// of a 4-batch pipelined chain of serve-shaped plans (Llama-3-8B MLP
+/// batches tensor-parallel over 4 GPUs, tuned AllReduce plans), the
+/// shape of the overloaded serve loop's chains.
+fn bench_summarize_chain(c: &mut Criterion) {
+    let system = SystemSpec::rtx4090(4);
+    let plans: Vec<OverlapPlan> = [4096, 2048, 3072, 1024]
+        .into_iter()
+        .map(|tokens| {
+            let dims = GemmDims::new(tokens, 4096, 14336 / 4);
+            OverlapPlan::tuned(dims, CommPattern::AllReduce, system.clone()).expect("plan")
+        })
+        .collect();
+    let plan_refs: Vec<&OverlapPlan> = plans.iter().collect();
+    let telemetry = Telemetry::new();
+    let instr = telemetry.instrumentation();
+    let options = flashoverlap::SequenceOptions::new()
+        .trace()
+        .instrument(&instr);
+    let outcome = flashoverlap::execute_sequence(&plan_refs, &options).expect("chain");
+    let record = telemetry.take_record();
+    let total_ns = outcome.total.as_nanos();
+    c.bench_function("telemetry/summarize_pipelined_chain", |b| {
+        b.iter(|| {
+            let summary = telemetry::signal_summary(black_box(&record), &outcome.spans);
+            let attribution =
+                telemetry::attribute_makespan(&outcome.spans, black_box(&record), total_ns);
+            black_box((summary, attribution))
+        })
+    });
+}
+
 fn bench_collective_cost(c: &mut Criterion) {
     let fabric = interconnect::FabricSpec::rtx4090_pcie();
     c.bench_function("collectives/cost_model_eval", |b| {
@@ -263,7 +296,7 @@ criterion_group! {
     config = config();
     targets = bench_event_engine, bench_mapping_build, bench_token_mapping,
               bench_predictor, bench_search, bench_simulated_run,
-              bench_serve_instrumented, bench_collective_cost, bench_pipeline,
-              bench_check_static
+              bench_serve_instrumented, bench_summarize_chain, bench_collective_cost,
+              bench_pipeline, bench_check_static
 }
 criterion_main!(benches);

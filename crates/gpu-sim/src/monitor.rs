@@ -15,7 +15,9 @@
 //! wave's same-group tile increments in one
 //! [`ClusterMonitor::on_counter_increments`] call; its default replays them
 //! as unit [`ClusterMonitor::on_counter_increment`] calls, so a monitor
-//! that does not override it sees exactly one callback per tile.
+//! that does not override it (SimSan) sees exactly one callback per tile.
+//! The telemetry recorder overrides it and keeps the whole run as one
+//! `by: tiles` row.
 //!
 //! All callbacks take `&self`: monitors keep interior-mutable state and are
 //! shared through `Rc`, like the event probes of [`sim::EngineProbe`].

@@ -12,8 +12,9 @@
 //! - a `wait_counter` span charges [`Category::SignalWait`] only for
 //!   the time after the *releasing increment* (joined through the
 //!   [`crate::record::IncrementEvent`] → [`crate::record::WaitSatisfied`]
-//!   edge), then hops to the incrementing stream — the compute stream
-//!   that actually gated progress;
+//!   edge by [`crate::record::IncrementIndex`]), then hops to the
+//!   incrementing stream — the compute stream that actually gated
+//!   progress;
 //! - a `wait_event` span hops through the recorded GPU event to the
 //!   recording stream; any residue (poll quantum, rearm chain) charges
 //!   [`Category::RearmStall`];
@@ -27,7 +28,7 @@ use gpu_sim::{DeviceId, OpSpan, StreamId};
 use sim::SimTime;
 
 use crate::json::Value;
-use crate::record::TelemetryRecord;
+use crate::record::{IncrementIndex, TelemetryRecord};
 
 /// Exclusive time categories of the critical path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -313,6 +314,11 @@ struct Node {
     name: &'static str,
     start: u64,
     end: u64,
+    /// Position among the walked spans: the last tie-break everywhere.
+    idx: usize,
+    /// The earliest start of this node and every node after it in
+    /// `(device, stream, end, start, idx)` order.
+    min_start: u64,
 }
 
 fn ns(t: SimTime) -> u64 {
@@ -337,17 +343,32 @@ pub fn attribute_makespan(
     // records) occupy no stream time and only stall the walk; the
     // record-event edges they represent are joined through
     // `record.gpu_events` instead.
-    let nodes: Vec<Node> = spans
-        .iter()
-        .filter(|s| s.end > s.start && s.name != "callback")
-        .map(|s| Node {
-            device: s.device,
-            stream: s.stream,
-            name: s.name,
-            start: ns(s.start),
-            end: ns(s.end),
-        })
-        .collect();
+    let mut nodes = Vec::with_capacity(spans.len());
+    nodes.extend(
+        spans
+            .iter()
+            .filter(|s| s.end > s.start && s.name != "callback")
+            .enumerate()
+            .map(|(idx, s)| Node {
+                device: s.device,
+                stream: s.stream,
+                name: s.name,
+                start: ns(s.start),
+                end: ns(s.end),
+                idx,
+                min_start: 0,
+            }),
+    );
+    // One sort by (device, stream, end, start, idx) answers both stream
+    // lookups below: `pred` is a binary search, `containing` a short
+    // forward scan from it that stops once `min_start` passes the
+    // instant (no later node can contain it).
+    nodes.sort_unstable_by_key(|n| (n.device, n.stream, n.end, n.start, n.idx));
+    let mut min_start = u64::MAX;
+    for n in nodes.iter_mut().rev() {
+        min_start = min_start.min(n.start);
+        n.min_start = min_start;
+    }
 
     let mut segments: Vec<Segment> = Vec::new();
     let mut totals = AttributionTotals::default();
@@ -370,27 +391,36 @@ pub fn attribute_makespan(
         }
     };
 
-    // Latest node on (device, stream) fully before the cursor.
+    // Position of the first node on (device, stream) ending after `t`.
+    let first_after = |device: DeviceId, stream: StreamId, t: u64| -> usize {
+        nodes.partition_point(|n| (n.device, n.stream, n.end) <= (device, stream, t))
+    };
+    // Latest node on (device, stream) fully before the cursor: the
+    // greatest (end, start, idx) with end <= cursor (and so start <
+    // cursor, since every node has end > start).
+    let before = |device: DeviceId, stream: StreamId, k: usize| -> Option<usize> {
+        let k = k.checked_sub(1)?;
+        let n = nodes.get(k)?;
+        (n.device == device && n.stream == stream).then_some(k)
+    };
     let pred = |device: DeviceId, stream: StreamId, cursor: u64| -> Option<usize> {
-        nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| {
-                n.device == device && n.stream == stream && n.end <= cursor && n.start < cursor
-            })
-            .max_by_key(|(i, n)| (n.end, n.start, *i))
-            .map(|(i, _)| i)
+        before(device, stream, first_after(device, stream, cursor))
     };
-    // Node on (device, stream) containing `t`, else the latest before it.
+    // Node on (device, stream) containing `t` (greatest (start, idx)
+    // with start <= t < end), else the latest before it.
     let containing = |device: DeviceId, stream: StreamId, t: u64| -> Option<usize> {
+        let first = first_after(device, stream, t);
         nodes
             .iter()
             .enumerate()
-            .filter(|(_, n)| n.device == device && n.stream == stream && n.start <= t && t < n.end)
-            .max_by_key(|(i, n)| (n.start, *i))
-            .map(|(i, _)| i)
-            .or_else(|| pred(device, stream, t))
+            .skip(first)
+            .take_while(|(_, n)| n.min_start <= t && n.device == device && n.stream == stream)
+            .filter(|(_, n)| n.start <= t)
+            .max_by_key(|(_, n)| (n.start, n.idx))
+            .map(|(k, _)| k)
+            .or_else(|| before(device, stream, first))
     };
+    let increments = IncrementIndex::new(record);
 
     let mut cursor = makespan_ns;
     // Start from the globally last-finishing op at or before the makespan.
@@ -398,16 +428,23 @@ pub fn attribute_makespan(
         .iter()
         .enumerate()
         .filter(|(_, n)| n.end <= cursor && n.start < cursor)
-        .max_by_key(|(i, n)| (n.end, std::cmp::Reverse(n.device), n.start, *i))
+        .max_by_key(|(_, n)| (n.end, std::cmp::Reverse(n.device), n.start, n.idx))
         .map(|(i, _)| i);
 
     let guard = nodes.len() * 4 + 16;
+    // Hops at one instant can cycle on a hand-built record (two waits,
+    // each released by an increment on the other's stream). The walk's
+    // state is (cursor, node), so more steps without the cursor moving
+    // than there are nodes means it has.
+    let (mut stalled, mut last_cursor) = (0, cursor);
     while cursor > 0 {
         let Some(idx) = cur else {
             push(&mut segments, &mut totals, 0, cursor, Category::Idle, None);
             break;
         };
-        if segments.len() > guard {
+        stalled = if cursor < last_cursor { 0 } else { stalled + 1 };
+        last_cursor = cursor;
+        if segments.len() > guard || stalled > nodes.len() {
             push(&mut segments, &mut totals, 0, cursor, Category::Idle, None);
             break;
         }
@@ -439,18 +476,7 @@ pub fn attribute_makespan(
                             && ns(w.at) <= cursor
                     })
                     .max_by_key(|w| w.at);
-                let inc = release.and_then(|rel| {
-                    record
-                        .increments
-                        .iter()
-                        .filter(|i| {
-                            i.device == rel.device
-                                && i.table == rel.table
-                                && i.group == rel.group
-                                && i.at <= rel.at
-                        })
-                        .max_by_key(|i| i.at)
-                });
+                let inc = release.and_then(|rel| increments.releasing_increment(rel));
                 match inc {
                     Some(inc) if ns(inc.at) >= node.start => {
                         // Parked wait: the stream stalled from the
@@ -696,6 +722,27 @@ mod tests {
         // Launch-skew gap before the gemm is idle.
         assert_eq!(a.total_ns(Category::Idle), 10);
         assert_eq!(a.segments[0].category, Category::Idle);
+    }
+
+    #[test]
+    fn waits_releasing_each_other_at_one_instant_terminate() {
+        // A hand-built record no simulator run produces: each wait is
+        // released at 50 by an increment on the other wait's stream, so
+        // the hops cycle between them without moving the cursor. The walk
+        // gives up on the stall and charges the rest as idle.
+        let spans = vec![
+            span(0, 1, "wait_counter", 0, 50),
+            span(0, 0, "wait_counter", 40, 60),
+        ];
+        let record = TelemetryRecord {
+            increments: vec![inc(0, 0, 0, 50), inc(0, 1, 1, 50)],
+            satisfied: vec![sat(0, 1, 0, 50), sat(0, 0, 1, 50)],
+            ..TelemetryRecord::default()
+        };
+        let a = attribute(&spans, &record);
+        assert!(a.identity_holds(), "{a:?}");
+        assert_eq!(a.total_ns(Category::SignalWait), 10);
+        assert_eq!(a.total_ns(Category::Idle), 50);
     }
 
     #[test]

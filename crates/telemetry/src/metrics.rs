@@ -5,12 +5,10 @@
 //! ([`TelemetryRecord`]) and the per-stream operation spans, so they can
 //! be unit-tested on synthetic inputs.
 
-use std::borrow::Cow;
-
 use gpu_sim::{DeviceId, OpSpan, SpanMeta, StreamId};
 use sim::{SimDuration, SimTime};
 
-use crate::record::TelemetryRecord;
+use crate::record::{IncrementIndex, TelemetryRecord, WaitSatisfied};
 
 /// One group's measured signaling path on one rank: last counting-table
 /// increment → wait released → collective kernel launched.
@@ -45,50 +43,63 @@ pub struct SignalSummary {
     pub mean_release_to_collective_ns: f64,
 }
 
+/// Group-tagged collective launches sorted by `(device, stream, group,
+/// start)`: answers "when did the released group's collective start" by
+/// binary search.
+#[derive(Debug)]
+pub(crate) struct CollectiveStarts(Vec<(DeviceId, StreamId, usize, SimTime)>);
+
+impl CollectiveStarts {
+    pub(crate) fn new(spans: &[OpSpan]) -> Self {
+        let mut starts = Vec::with_capacity(spans.len());
+        starts.extend(spans.iter().filter_map(|s| match s.meta {
+            SpanMeta::Collective {
+                group: Some(group), ..
+            } => Some((s.device, s.stream, group, s.start)),
+            _ => None,
+        }));
+        starts.sort_unstable();
+        CollectiveStarts(starts)
+    }
+
+    /// The earliest start of `wait`'s group collective on the waiting
+    /// stream at or after the release.
+    pub(crate) fn after(&self, wait: &WaitSatisfied) -> Option<SimTime> {
+        let key = (wait.device, wait.stream, wait.group, wait.at);
+        let first = self.0.partition_point(|&entry| entry < key);
+        let &(device, stream, group, start) = self.0.get(first)?;
+        ((device, stream, group) == (wait.device, wait.stream, wait.group)).then_some(start)
+    }
+}
+
 /// Joins released waits to their releasing increments and the launched
 /// collectives. Returns `None` if the run had no signal waits (baselines
 /// synchronize with events, not counters).
 pub fn signal_summary(record: &TelemetryRecord, spans: &[OpSpan]) -> Option<SignalSummary> {
-    // The recorder appends increments in simulated-time order; a
-    // hand-built record may not, and is sorted into a copy first.
-    let mut increments = Cow::Borrowed(record.increments.as_slice());
-    if !increments.is_sorted_by_key(|inc| inc.at) {
-        increments.to_mut().sort_by_key(|inc| inc.at);
-    }
-    let mut samples = Vec::with_capacity(record.satisfied.len());
-    for ws in &record.satisfied {
-        // The releasing increment is the latest one on the wait's slot at
-        // or before the release.
-        let upto = increments.partition_point(|inc| inc.at <= ws.at);
-        let last_increment = increments[..upto]
-            .iter()
-            .rev()
-            .find(|inc| inc.device == ws.device && inc.table == ws.table && inc.group == ws.group)
-            .map(|inc| inc.at);
-        let collective_start = spans
-            .iter()
-            .filter(|s| {
-                s.device == ws.device
-                    && s.stream == ws.stream
-                    && s.start >= ws.at
-                    && matches!(s.meta, SpanMeta::Collective { group: Some(g), .. } if g == ws.group)
-            })
-            .map(|s| s.start)
-            .min();
-        let increment_to_release_ns = last_increment.map_or(0, |inc| (ws.at - inc).as_nanos());
-        let release_to_collective_ns =
-            collective_start.map_or(0, |start| (start - ws.at).as_nanos());
-        samples.push(SignalSample {
-            device: ws.device,
-            group: ws.group,
-            increment_to_release_ns,
-            release_to_collective_ns,
-            total_ns: increment_to_release_ns + release_to_collective_ns,
-        });
-    }
-    if samples.is_empty() {
+    if record.satisfied.is_empty() {
         return None;
     }
+    let increments = IncrementIndex::new(record);
+    let collectives = CollectiveStarts::new(spans);
+    let mut samples: Vec<SignalSample> = record
+        .satisfied
+        .iter()
+        .map(|ws| {
+            let increment_to_release_ns = increments
+                .releasing_increment(ws)
+                .map_or(0, |inc| (ws.at - inc.at).as_nanos());
+            let release_to_collective_ns = collectives
+                .after(ws)
+                .map_or(0, |start| (start - ws.at).as_nanos());
+            SignalSample {
+                device: ws.device,
+                group: ws.group,
+                increment_to_release_ns,
+                release_to_collective_ns,
+                total_ns: increment_to_release_ns + release_to_collective_ns,
+            }
+        })
+        .collect();
     samples.sort_by_key(|s| (s.device, s.group));
     let n = samples.len() as f64;
     Some(SignalSummary {

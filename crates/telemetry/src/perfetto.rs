@@ -21,7 +21,8 @@ use sim::SimTime;
 
 use crate::attribution::Attribution;
 use crate::json::Value;
-use crate::record::TelemetryRecord;
+use crate::metrics::CollectiveStarts;
+use crate::record::{IncrementIndex, TelemetryRecord};
 
 fn us(t: SimTime) -> f64 {
     (t - SimTime::ZERO).as_nanos() as f64 / 1e3
@@ -182,31 +183,13 @@ pub fn trace_with_attribution(
 /// compute stream) to the group's collective slice on the communication
 /// stream.
 fn flow_events(record: &TelemetryRecord, spans: &[OpSpan], events: &mut Vec<Value>) {
+    let increments = IncrementIndex::new(record);
+    let collectives = CollectiveStarts::new(spans);
     for (i, ws) in record.satisfied.iter().enumerate() {
-        let Some(inc) = record
-            .increments
-            .iter()
-            .filter(|inc| {
-                inc.device == ws.device
-                    && inc.table == ws.table
-                    && inc.group == ws.group
-                    && inc.at <= ws.at
-            })
-            .max_by_key(|inc| inc.at)
-        else {
+        let Some(inc) = increments.releasing_increment(ws) else {
             continue;
         };
-        let Some(start) = spans
-            .iter()
-            .filter(|s| {
-                s.device == ws.device
-                    && s.stream == ws.stream
-                    && s.start >= ws.at
-                    && matches!(s.meta, SpanMeta::Collective { group: Some(g), .. } if g == ws.group)
-            })
-            .map(|s| s.start)
-            .min()
-        else {
+        let Some(start) = collectives.after(ws) else {
             continue;
         };
         let id = (i + 1) as f64;
@@ -255,33 +238,29 @@ fn instant_events(record: &TelemetryRecord, events: &mut Vec<Value>) {
 /// Counter tracks: counting-table running totals, per-link achieved
 /// bandwidth, and SM occupancy.
 fn counter_events(record: &TelemetryRecord, events: &mut Vec<Value>) {
-    // Counting tables: one track per (device, table, group), stepping to
-    // the running total at each increment.
+    // Counting tables: one track per (device, table, group), stepping
+    // once per landed tile to the running total (a group run's row of
+    // `by` tiles draws `by` steps at one instant).
     let mut totals: Vec<((usize, usize, usize), u64)> = Vec::new();
     for inc in &record.increments {
         let key = (inc.device, inc.table, inc.group);
-        let total = match totals.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, t)) => {
-                *t += inc.by as u64;
-                *t
-            }
-            None => {
-                totals.push((key, inc.by as u64));
-                inc.by as u64
-            }
-        };
-        let mut e = event(
-            "C",
-            &format!("counter t{} g{}", inc.table, inc.group),
-            inc.device,
-            0,
-            us(inc.at),
-        );
-        e.push((
-            "args",
-            Value::obj(vec![("count", Value::num(total as f64))]),
-        ));
-        events.push(Value::obj(e));
+        let slot = totals
+            .iter()
+            .position(|(k, _)| *k == key)
+            .unwrap_or_else(|| {
+                totals.push((key, 0));
+                totals.len() - 1
+            });
+        let name = format!("counter t{} g{}", inc.table, inc.group);
+        for _ in 0..inc.by {
+            totals[slot].1 += 1;
+            let mut e = event("C", &name, inc.device, 0, us(inc.at));
+            e.push((
+                "args",
+                Value::obj(vec![("count", Value::num(totals[slot].1 as f64))]),
+            ));
+            events.push(Value::obj(e));
+        }
     }
 
     // Link bandwidth: per directed link, sum the rates of transfers

@@ -4,6 +4,7 @@
 //! intervals, and SM-occupancy changes — for the metrics and exporters
 //! in this crate to derive from.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -13,7 +14,8 @@ use gpu_sim::stream::GpuEventId;
 use gpu_sim::{Cluster, DeviceId, StreamId};
 use sim::{EngineProbe, SimTime};
 
-/// One counting-table increment, as the GEMM epilogue fired it.
+/// One counting-table increment, as the GEMM epilogue fired it: a whole
+/// same-group run of a wave's tiles lands as one row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IncrementEvent {
     /// When the increment landed.
@@ -26,7 +28,7 @@ pub struct IncrementEvent {
     pub table: usize,
     /// Wave group slot.
     pub group: usize,
-    /// Increment amount.
+    /// Tiles landed in this group run (the increment amount).
     pub by: u32,
 }
 
@@ -121,6 +123,42 @@ impl TelemetryRecord {
     }
 }
 
+/// A record's increment rows in time order, answering "which increment
+/// released this wait" by a binary search and a short walk back. Every
+/// consumer of that join (signal latency, critical-path attribution, the
+/// Perfetto flow arrows) asks it here.
+#[derive(Debug)]
+pub struct IncrementIndex<'a> {
+    /// The rows sorted by time, ties in record order. The recorder
+    /// appends in simulated-time order, so this borrows the record; a
+    /// hand-built record out of time order is sorted into a copy.
+    by_time: Cow<'a, [IncrementEvent]>,
+}
+
+impl<'a> IncrementIndex<'a> {
+    /// Indexes `record`'s increments (in any order).
+    pub fn new(record: &'a TelemetryRecord) -> Self {
+        let mut by_time = Cow::Borrowed(record.increments.as_slice());
+        if !by_time.is_sorted_by_key(|inc| inc.at) {
+            // Stable: rows at one instant keep record order.
+            by_time.to_mut().sort_by_key(|inc| inc.at);
+        }
+        IncrementIndex { by_time }
+    }
+
+    /// The increment that released `wait`: the latest row on the wait's
+    /// `(device, table, group)` slot at or before the release, and of
+    /// rows at that same instant the last in record order.
+    pub fn releasing_increment(&self, wait: &WaitSatisfied) -> Option<&IncrementEvent> {
+        let upto = self.by_time.partition_point(|inc| inc.at <= wait.at);
+        // Walk back from the release to the slot's latest row: the
+        // releasing increment usually lands just before its release.
+        self.by_time[..upto].iter().rev().find(|inc| {
+            inc.device == wait.device && inc.table == wait.table && inc.group == wait.group
+        })
+    }
+}
+
 #[derive(Default)]
 struct Inner {
     state: RefCell<TelemetryRecord>,
@@ -159,18 +197,9 @@ impl ClusterMonitor for Inner {
         group: usize,
         tiles: u32,
     ) {
-        let row = IncrementEvent {
-            at,
-            device,
-            stream,
-            table,
-            group,
-            by: 1,
-        };
-        self.state
-            .borrow_mut()
-            .increments
-            .extend(std::iter::repeat_n(row, tiles as usize));
+        if tiles > 0 {
+            self.on_counter_increment(at, device, stream, table, group, tiles);
+        }
     }
 
     fn on_counter_satisfied(
@@ -315,7 +344,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bulk_increments_record_the_rows_of_unit_increments() {
+    fn a_group_run_records_one_bulk_row_that_traces_as_unit_steps() {
         let (bulk, unit) = (Telemetry::new(), Telemetry::new());
         let at = SimTime::from_nanos(250);
         bulk.monitor().on_counter_increments(at, 1, 2, 3, 4, 5);
@@ -323,8 +352,69 @@ mod tests {
         for _ in 0..5 {
             unit.monitor().on_counter_increment(at, 1, 2, 3, 4, 1);
         }
-        let rows = bulk.take_record().increments;
-        assert_eq!(rows.len(), 5);
-        assert_eq!(rows, unit.take_record().increments);
+        let (bulk, unit) = (bulk.take_record(), unit.take_record());
+        let row = IncrementEvent {
+            at,
+            device: 1,
+            stream: 2,
+            table: 3,
+            group: 4,
+            by: 5,
+        };
+        assert_eq!(
+            bulk.increments,
+            vec![row],
+            "one row per run, none for k = 0"
+        );
+        assert_eq!(
+            crate::perfetto::trace(&[], Some(&bulk)),
+            crate::perfetto::trace(&[], Some(&unit)),
+            "the counter track steps once per tile"
+        );
+    }
+
+    #[test]
+    fn releasing_increment_takes_the_latest_row_on_the_slot() {
+        let inc = |at, stream, group| IncrementEvent {
+            at: SimTime::from_nanos(at),
+            device: 0,
+            stream,
+            table: 0,
+            group,
+            by: 1,
+        };
+        let wait = |at, group| WaitSatisfied {
+            at: SimTime::from_nanos(at),
+            device: 0,
+            stream: 9,
+            table: 0,
+            group,
+            threshold: 1,
+        };
+        let record = TelemetryRecord {
+            // Out of time order; rows 1 and 3 tie at 200 on group 0.
+            increments: vec![
+                inc(300, 0, 0),
+                inc(200, 1, 0),
+                inc(100, 0, 1),
+                inc(200, 2, 0),
+            ],
+            ..TelemetryRecord::default()
+        };
+        let index = IncrementIndex::new(&record);
+        assert_eq!(
+            index.releasing_increment(&wait(250, 0)),
+            Some(&record.increments[3])
+        );
+        assert_eq!(
+            index.releasing_increment(&wait(300, 0)),
+            Some(&record.increments[0])
+        );
+        assert_eq!(index.releasing_increment(&wait(150, 0)), None);
+        assert_eq!(
+            index.releasing_increment(&wait(999, 1)),
+            Some(&record.increments[2])
+        );
+        assert_eq!(index.releasing_increment(&wait(999, 2)), None);
     }
 }

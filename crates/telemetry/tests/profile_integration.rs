@@ -5,7 +5,10 @@ use flashoverlap::runtime::CommPattern;
 use flashoverlap::SystemSpec;
 use gpu_sim::gemm::GemmDims;
 use telemetry::json::{self, Value};
+use telemetry::perfetto;
 use telemetry::profile::profile;
+use telemetry::record::IncrementEvent;
+use telemetry::TelemetryRecord;
 
 fn nvlink_profile() -> telemetry::Profile {
     let dims = GemmDims::new(2048, 4096, 4096);
@@ -162,6 +165,37 @@ fn trace_has_all_devices_flows_and_counters() {
         && e.get("name")
             .and_then(Value::as_str)
             .is_some_and(|n| n.starts_with("link d"))));
+}
+
+/// The record keeps a wave's same-group run as one `by: k` increment row,
+/// but the trace must not show it: splitting every bulk row of a real
+/// FlashOverlap run into `k` unit rows writes byte-identical trace JSON
+/// (counter steps, flow arrows and the attribution track alike).
+#[test]
+fn bulk_increment_rows_trace_like_unit_rows() {
+    let p = nvlink_profile();
+    let run = p.flashoverlap_run().expect("FlashOverlap ran");
+    let spans = run.spans.as_ref().expect("spans");
+    let bulk = run.record.as_ref().expect("record");
+    assert!(
+        bulk.increments.iter().any(|inc| inc.by > 1),
+        "a real run lands whole group runs in one row"
+    );
+    let mut unit = bulk.clone();
+    unit.increments = bulk
+        .increments
+        .iter()
+        .flat_map(|inc| std::iter::repeat_n(IncrementEvent { by: 1, ..*inc }, inc.by as usize))
+        .collect();
+    let trace = |record: &TelemetryRecord| {
+        let attribution = telemetry::attribute(spans, record);
+        perfetto::trace_with_attribution(spans, Some(record), &attribution).to_json()
+    };
+    assert_eq!(trace(bulk), trace(&unit));
+    assert_eq!(
+        perfetto::trace_string(spans, Some(bulk)),
+        perfetto::trace_string(spans, Some(&unit))
+    );
 }
 
 /// The golden fixed-seed report: two independent profiling sessions of
