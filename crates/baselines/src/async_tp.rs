@@ -78,6 +78,7 @@ pub fn run_async_tp_traced(
     let chunk_rows = dims.m / chunks;
     let chunk_dims = GemmDims::new(chunk_rows, dims.n, dims.k);
     let config = GemmConfig::choose(chunk_dims, &system.arch);
+    let issue = config.issue_order(chunk_dims);
     let chunk_elems = (chunk_rows * dims.n) as usize;
 
     let mut world = system.build_cluster(false);
@@ -117,6 +118,7 @@ pub fn run_async_tp_traced(
                 out: out_bufs[d],
                 dims: chunk_dims,
                 config,
+                issue: Rc::clone(&issue),
                 writer: Rc::new(AddressOrderWriter),
                 counter: None,
             };

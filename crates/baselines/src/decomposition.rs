@@ -84,6 +84,7 @@ pub fn run_decomposition_traced(
     // Each chunk GEMM is configured for its own (smaller) shape, exactly
     // as separate cuBLAS calls would be.
     let config = GemmConfig::choose(chunk_dims, &system.arch);
+    let issue = config.issue_order(chunk_dims);
     let chunk_elems = (chunk_rows * dims.n) as usize;
 
     let mut compute = Vec::with_capacity(n);
@@ -120,6 +121,7 @@ pub fn run_decomposition_traced(
                 out: out_bufs[d],
                 dims: chunk_dims,
                 config,
+                issue: Rc::clone(&issue),
                 writer: Rc::new(AddressOrderWriter),
                 counter: None,
             };

@@ -70,6 +70,7 @@ pub fn run_microbatch(
     );
     let mb_dims = GemmDims::new(mb_rows, dims.n, dims.k);
     let config = GemmConfig::choose(mb_dims, &system.arch);
+    let issue = config.issue_order(mb_dims);
     let mb_elems = (mb_rows * dims.n) as usize;
 
     // One compute + one comm stream per (device, micro-batch): the
@@ -95,6 +96,7 @@ pub fn run_microbatch(
                 out,
                 dims: mb_dims,
                 config,
+                issue: Rc::clone(&issue),
                 writer: Rc::new(AddressOrderWriter),
                 counter: None,
             };

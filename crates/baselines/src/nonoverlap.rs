@@ -53,6 +53,7 @@ pub fn run_nonoverlap_traced(
         system.algorithm,
     );
     let config = GemmConfig::choose(dims, &system.arch);
+    let issue = config.issue_order(dims);
 
     let out_elems = dims.out_elems() as usize;
     let recv_len = match pattern {
@@ -107,6 +108,7 @@ pub fn run_nonoverlap_traced(
             out,
             dims,
             config,
+            issue: Rc::clone(&issue),
             writer: Rc::new(gpu_sim::gemm::AddressOrderWriter),
             counter: None,
         };

@@ -37,8 +37,7 @@ fn main() {
     let b = dev.mem.alloc(1);
     let out = dev.mem.alloc(1);
     let stream = dev.create_stream();
-    let mut kernel = GemmKernel::plain(a, b, out, dims, &arch);
-    kernel.config = config;
+    let kernel = GemmKernel::with_config(a, b, out, dims, config);
     enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
     sim.run(&mut world).expect("simulation");
 

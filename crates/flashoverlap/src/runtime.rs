@@ -19,7 +19,7 @@
 //! lowers to a one-segment chain. A steady-state measurement is
 //! `n` copies of the plan in [`crate::execute_sequence`], total over `n`.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 
 use collectives::{CollectiveSpec, Communicator, Primitive, Region};
@@ -83,8 +83,48 @@ enum PlanMapping {
     Gather(Rc<TileMapping>),
 }
 
+impl PlanMapping {
+    fn layout(&self) -> &GroupLayout {
+        match self {
+            PlanMapping::Tile(m) | PlanMapping::Gather(m) => &m.layout,
+            PlanMapping::Subtile(m) => &m.layout,
+            PlanMapping::Token(m) => &m.layout,
+        }
+    }
+
+    /// One epilogue writer per rank; ranks share one writer unless the
+    /// mapping packs per rank (token pools follow each rank's routing).
+    fn writers(&self, n_ranks: usize) -> Vec<Rc<dyn EpilogueWriter>> {
+        let shared: Rc<dyn EpilogueWriter> = match self {
+            PlanMapping::Tile(m) | PlanMapping::Gather(m) => {
+                Rc::new(PackedTileWriter { mapping: m.clone() })
+            }
+            PlanMapping::Subtile(m) => Rc::new(SubtilePackedWriter { mapping: m.clone() }),
+            PlanMapping::Token(m) => {
+                return (0..n_ranks)
+                    .map(|rank| {
+                        Rc::new(TokenPoolWriter {
+                            mapping: m.clone(),
+                            rank,
+                        }) as Rc<dyn EpilogueWriter>
+                    })
+                    .collect()
+            }
+        };
+        vec![shared; n_ranks]
+    }
+}
+
 /// A fully resolved overlap execution plan: shape, system, GEMM
 /// configuration, wave partition, and reordering mapping.
+///
+/// Everything a launch reads that depends only on the plan — the GEMM
+/// issue order, the tile→group map, the per-rank epilogue writers and
+/// the latency predictor behind [`OverlapPlan::expected_latency`] — is
+/// derived once, in [`OverlapPlan::new`] (the predictor on first use),
+/// and shared by `Rc` with every launch. A plan is therefore never
+/// mutated after `new`: changing a public field would leave those
+/// derived fields stale. Build a new plan instead.
 ///
 /// # Examples
 ///
@@ -116,6 +156,15 @@ pub struct OverlapPlan {
     pub partition: WavePartition,
     pattern: CommPattern,
     mapping: PlanMapping,
+    /// `config.issue_order(dims)`, handed to every GEMM launch.
+    issue: Rc<[u32]>,
+    /// The layout's tile→group map, shared by every counter hook.
+    group_of_tile: Rc<[u32]>,
+    /// Epilogue writer per rank (one shared writer unless the mapping
+    /// packs per rank).
+    writers: Vec<Rc<dyn EpilogueWriter>>,
+    /// The watchdog and drift predictor, built on first use.
+    predictor: OnceCell<LatencyPredictor>,
 }
 
 impl std::fmt::Debug for OverlapPlan {
@@ -264,7 +313,7 @@ impl OverlapPlan {
             config.swizzle = gpu_sim::swizzle::Swizzle::StripRows { height: 1 };
         }
         let grid = config.grid(dims);
-        let issue = config.swizzle.issue_order(&grid);
+        let issue = config.issue_order(dims);
         let schedule = WaveSchedule::new(&issue, system.compute_sms());
         partition.check_covers(schedule.num_waves())?;
         let mapping = match &pattern {
@@ -305,6 +354,8 @@ impl OverlapPlan {
                 PlanMapping::Gather(Rc::new(TileMapping::build(grid, &schedule, &partition)))
             }
         };
+        let group_of_tile = mapping.layout().group_of_tile.as_slice().into();
+        let writers = mapping.writers(system.n_gpus);
         Ok(OverlapPlan {
             system,
             dims,
@@ -313,7 +364,23 @@ impl OverlapPlan {
             partition,
             pattern,
             mapping,
+            issue,
+            group_of_tile,
+            writers,
+            predictor: OnceCell::new(),
         })
+    }
+
+    /// The GEMM tile issue order every launch of this plan uses
+    /// (`config.issue_order(dims)`, derived once in [`OverlapPlan::new`]).
+    pub fn issue_order(&self) -> &Rc<[u32]> {
+        &self.issue
+    }
+
+    /// The tile→group map every launch's counter hook shares (the
+    /// layout's `group_of_tile`, copied once in [`OverlapPlan::new`]).
+    pub fn group_of_tile(&self) -> &Rc<[u32]> {
+        &self.group_of_tile
     }
 
     /// The number of planned waves `T`.
@@ -333,11 +400,7 @@ impl OverlapPlan {
 
     /// Per-group tile counts (the signaling thresholds).
     pub fn group_tile_counts(&self) -> &[u32] {
-        match &self.mapping {
-            PlanMapping::Tile(m) | PlanMapping::Gather(m) => &m.layout.group_tile_counts,
-            PlanMapping::Subtile(m) => &m.layout.group_tile_counts,
-            PlanMapping::Token(m) => &m.layout.group_tile_counts,
-        }
+        &self.layout().group_tile_counts
     }
 
     /// Per-group communicated element counts (per rank; the max across
@@ -563,10 +626,11 @@ impl OverlapPlan {
                 out: packed_bufs[d],
                 dims: self.dims,
                 config: self.config,
+                issue: Rc::clone(&self.issue),
                 writer: self.writer_for(d),
                 counter: Some(CounterHook {
                     table: tables[d],
-                    group_of_tile: Rc::new(self.layout().group_of_tile.clone()),
+                    group_of_tile: Rc::clone(&self.group_of_tile),
                 }),
             };
             enqueue(world, sim, d, compute_streams[d], Box::new(kernel));
@@ -714,16 +778,7 @@ impl OverlapPlan {
     }
 
     pub(crate) fn writer_for(&self, rank: usize) -> Rc<dyn EpilogueWriter> {
-        match &self.mapping {
-            PlanMapping::Tile(m) | PlanMapping::Gather(m) => {
-                Rc::new(PackedTileWriter { mapping: m.clone() })
-            }
-            PlanMapping::Subtile(m) => Rc::new(SubtilePackedWriter { mapping: m.clone() }),
-            PlanMapping::Token(m) => Rc::new(TokenPoolWriter {
-                mapping: m.clone(),
-                rank,
-            }),
-        }
+        Rc::clone(&self.writers[rank])
     }
 
     /// Whether ranks' epilogues write different footprints: token pools
@@ -733,12 +788,10 @@ impl OverlapPlan {
         matches!(self.mapping, PlanMapping::Token(_))
     }
 
-    pub(crate) fn layout(&self) -> &GroupLayout {
-        match &self.mapping {
-            PlanMapping::Tile(m) | PlanMapping::Gather(m) => &m.layout,
-            PlanMapping::Subtile(m) => &m.layout,
-            PlanMapping::Token(m) => &m.layout,
-        }
+    /// The wave-group layout: groups, per-group tile counts and the
+    /// tile→group map.
+    pub fn layout(&self) -> &GroupLayout {
+        self.mapping.layout()
     }
 
     pub(crate) fn group_spec(
@@ -928,7 +981,7 @@ impl OverlapPlan {
     /// The predictor's expected operator latency for this plan — the
     /// base the watchdog deadline is derived from.
     pub fn expected_latency(&self) -> SimDuration {
-        let predictor = LatencyPredictor::build(self.dims, self.primitive(), &self.system);
+        let predictor = self.predictor();
         if predictor.profile().total_waves == self.partition.total_waves() {
             predictor.predict(&self.partition)
         } else {
@@ -945,9 +998,16 @@ impl OverlapPlan {
     /// wave count diverges from the profiled estimate (swizzle
     /// overrides), where per-group predictions are undefined.
     pub fn predicted_group_completions(&self) -> Option<Vec<SimDuration>> {
-        let predictor = LatencyPredictor::build(self.dims, self.primitive(), &self.system);
+        let predictor = self.predictor();
         (predictor.profile().total_waves == self.partition.total_waves())
             .then(|| predictor.predict_group_completions(&self.partition))
+    }
+
+    /// The latency predictor for this plan's shape, primitive and
+    /// system, built on first use and kept for the plan's lifetime.
+    fn predictor(&self) -> &LatencyPredictor {
+        self.predictor
+            .get_or_init(|| LatencyPredictor::build(self.dims, self.primitive(), &self.system))
     }
 }
 

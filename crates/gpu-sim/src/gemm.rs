@@ -118,6 +118,13 @@ impl GemmConfig {
     pub fn grid(&self, dims: GemmDims) -> TileGrid {
         TileGrid::new(dims.m, dims.n, self.tile)
     }
+
+    /// The order the swizzle issues this configuration's tiles for
+    /// `dims` — the [`GemmKernel::issue`] a kernel of this configuration
+    /// must carry. Derive it once per shape and share the `Rc`.
+    pub fn issue_order(&self, dims: GemmDims) -> Rc<[u32]> {
+        self.swizzle.issue_order(&self.grid(dims)).into()
+    }
 }
 
 /// Duration of one tile's main loop (== one wave) at depth `k`.
@@ -197,7 +204,7 @@ pub struct CounterHook {
     /// Counting table index on the launching device.
     pub table: usize,
     /// Group id per address-order tile index.
-    pub group_of_tile: Rc<Vec<u32>>,
+    pub group_of_tile: Rc<[u32]>,
 }
 
 /// A tiled GEMM stream kernel.
@@ -216,6 +223,10 @@ pub struct GemmKernel {
     pub dims: GemmDims,
     /// Kernel configuration.
     pub config: GemmConfig,
+    /// Tile issue order: `config.issue_order(dims)`, derived once by
+    /// whoever builds the kernel (a plan, a baseline) and shared across
+    /// every launch of that shape.
+    pub issue: Rc<[u32]>,
     /// Epilogue tile writer.
     pub writer: Rc<dyn EpilogueWriter>,
     /// Optional epilogue counting-table hook.
@@ -239,12 +250,25 @@ impl GemmKernel {
     /// Convenience constructor with the default address-order epilogue and
     /// auto-chosen configuration.
     pub fn plain(a: BufferId, b: BufferId, out: BufferId, dims: GemmDims, arch: &GpuArch) -> Self {
+        Self::with_config(a, b, out, dims, GemmConfig::choose(dims, arch))
+    }
+
+    /// An address-order kernel of an explicit configuration, with the
+    /// issue order derived from it.
+    pub fn with_config(
+        a: BufferId,
+        b: BufferId,
+        out: BufferId,
+        dims: GemmDims,
+        config: GemmConfig,
+    ) -> Self {
         GemmKernel {
             a,
             b,
             out,
             dims,
-            config: GemmConfig::choose(dims, arch),
+            config,
+            issue: config.issue_order(dims),
             writer: Rc::new(AddressOrderWriter),
             counter: None,
         }
@@ -259,7 +283,7 @@ struct GemmRun {
     dims: GemmDims,
     grid: TileGrid,
     tile_dur: SimDuration,
-    issue: Vec<u32>,
+    issue: Rc<[u32]>,
     next: usize,
     wave_idx: u32,
     writer: Rc<dyn EpilogueWriter>,
@@ -271,6 +295,11 @@ impl Kernel for GemmKernel {
     fn launch(self: Box<Self>, ctx: LaunchCtx, world: &mut Cluster, sim: &mut ClusterSim) {
         let arch = world.devices[ctx.device].arch.clone();
         let grid = self.config.grid(self.dims);
+        debug_assert_eq!(
+            self.issue.len(),
+            grid.num_tiles() as usize,
+            "issue order does not cover the kernel's tile grid"
+        );
         // Per-launch execution noise (positive only): clocks never beat
         // the model.
         let noise = 1.0
@@ -285,7 +314,7 @@ impl Kernel for GemmKernel {
             dims: self.dims,
             grid,
             tile_dur: tile_duration(self.dims.k, self.config.tile, &arch).mul_f64(noise),
-            issue: self.config.swizzle.issue_order(&grid),
+            issue: self.issue,
             next: 0,
             wave_idx: 0,
             writer: self.writer,
@@ -561,10 +590,8 @@ mod tests {
         let b_id = dev.mem.alloc_init(b.as_slice());
         let out_id = dev.mem.alloc((dims.m * dims.n) as usize);
         let stream = dev.create_stream();
-        let mut kernel = GemmKernel::plain(a_id, b_id, out_id, dims, &world.devices[0].arch);
-        if let Some(c) = config {
-            kernel.config = c;
-        }
+        let config = config.unwrap_or_else(|| GemmConfig::choose(dims, &world.devices[0].arch));
+        let kernel = GemmKernel::with_config(a_id, b_id, out_id, dims, config);
         enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
         let end = sim.run(&mut world).unwrap();
         let out = Matrix::from_vec(
@@ -754,12 +781,10 @@ mod tests {
         // Even tiles to group 0, odd tiles to group 1.
         let grid = config.grid(dims);
         let groups: Vec<u32> = (0..grid.num_tiles()).map(|t| t % 2).collect();
-        let arch = world.devices[0].arch.clone();
-        let mut kernel = GemmKernel::plain(a_id, b_id, out, dims, &arch);
-        kernel.config = config;
+        let mut kernel = GemmKernel::with_config(a_id, b_id, out, dims, config);
         kernel.counter = Some(CounterHook {
             table,
-            group_of_tile: Rc::new(groups),
+            group_of_tile: groups.into(),
         });
         enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
         sim.run(&mut world).unwrap();
@@ -786,12 +811,10 @@ mod tests {
         dev.counters[table].arm_fault(1, crate::counter::IncrementFault::Dropped, 3);
         let grid = config.grid(dims);
         let groups: Vec<u32> = (0..grid.num_tiles()).map(|t| t % 2).collect();
-        let arch = world.devices[0].arch.clone();
-        let mut kernel = GemmKernel::plain(a_id, b_id, out, dims, &arch);
-        kernel.config = config;
+        let mut kernel = GemmKernel::with_config(a_id, b_id, out, dims, config);
         kernel.counter = Some(CounterHook {
             table,
-            group_of_tile: Rc::new(groups),
+            group_of_tile: groups.into(),
         });
         enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
         sim.run(&mut world).unwrap();
@@ -823,12 +846,10 @@ mod tests {
             );
             let grid = config.grid(dims);
             let groups: Vec<u32> = (0..grid.num_tiles()).map(|_| 0).collect();
-            let arch = world.devices[0].arch.clone();
-            let mut kernel = GemmKernel::plain(a_id, b_id, out, dims, &arch);
-            kernel.config = config;
+            let mut kernel = GemmKernel::with_config(a_id, b_id, out, dims, config);
             kernel.counter = Some(CounterHook {
                 table,
-                group_of_tile: Rc::new(groups),
+                group_of_tile: groups.into(),
             });
             enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
             let end = sim.run(&mut world).unwrap();
@@ -917,12 +938,10 @@ mod tests {
             };
             enqueue(&mut world, &mut sim, 0, s, Box::new(wait));
         }
-        let arch = world.devices[0].arch.clone();
-        let mut kernel = GemmKernel::plain(a, b, out, dims, &arch);
-        kernel.config = config;
+        let mut kernel = GemmKernel::with_config(a, b, out, dims, config);
         kernel.counter = Some(CounterHook {
             table,
-            group_of_tile: Rc::new(groups),
+            group_of_tile: groups.into(),
         });
         enqueue(&mut world, &mut sim, 0, gemm_stream, Box::new(kernel));
         let _ = sim.run(&mut world);
@@ -970,6 +989,27 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "issue order does not cover")]
+    fn launch_rejects_an_issue_order_of_another_grid() {
+        let dims = GemmDims::new(64, 64, 16);
+        let config = GemmConfig {
+            tile: TileShape::new(16, 16),
+            swizzle: Swizzle::Strip { width: 2 },
+        };
+        let (mut world, mut sim) = (Cluster::new(1, GpuArch::rtx4090(), false, 3), Sim::new());
+        let dev = &mut world.devices[0];
+        let (a, b, out) = (dev.mem.alloc(1), dev.mem.alloc(1), dev.mem.alloc(1));
+        let stream = dev.create_stream();
+        let mut kernel = GemmKernel::with_config(a, b, out, dims, config);
+        // Retiling after construction leaves a 16-tile order on a
+        // 4-tile grid.
+        kernel.config.tile = TileShape::new(32, 32);
+        enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
+        let _ = sim.run(&mut world);
+    }
+
+    #[test]
     fn tile_trace_records_waves() {
         let dims = GemmDims::new(64, 64, 16);
         let mut world = Cluster::new(1, GpuArch::rtx4090(), false, 3);
@@ -980,13 +1020,11 @@ mod tests {
         let b = dev.mem.alloc(1);
         let out = dev.mem.alloc(1);
         let stream = dev.create_stream();
-        let arch = world.devices[0].arch.clone();
         let config = GemmConfig {
             tile: TileShape::new(16, 16),
             swizzle: Swizzle::Strip { width: 2 },
         };
-        let mut kernel = GemmKernel::plain(a, b, out, dims, &arch);
-        kernel.config = config;
+        let kernel = GemmKernel::with_config(a, b, out, dims, config);
         enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
         sim.run(&mut world).unwrap();
         let trace = world.tile_trace.as_ref().unwrap();
@@ -1014,8 +1052,7 @@ mod tests {
             let b = dev.mem.alloc(1);
             let out = dev.mem.alloc(1);
             let stream = dev.create_stream();
-            let mut kernel = GemmKernel::plain(a, b, out, dims, &arch);
-            kernel.config = config;
+            let kernel = GemmKernel::with_config(a, b, out, dims, config);
             enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
             noisy_durations.push(sim.run(&mut world).unwrap().as_nanos());
         }

@@ -336,13 +336,13 @@ impl EngineWorker {
             .map(|r| r.latency.as_nanos())
             .collect();
         let outcomes: Vec<&'static str> = outcome.outcomes.iter().map(|o| o.label()).collect();
-        let group_dones: Vec<Vec<sim::SimDuration>> = outcome
-            .reports
-            .iter()
-            .map(|r| r.group_comm_done.clone())
-            .collect();
         let total_ns = outcome.total.as_nanos();
         let spans = outcome.spans;
+        let leader_group_done = outcome
+            .reports
+            .into_iter()
+            .next()
+            .map(|r| r.group_comm_done);
         let record = telemetry.take_record();
         if let Some(sig) = signal_summary(&record, &spans) {
             effects.signal_weighted_sum = sig.mean_total_ns * sig.samples.len() as f64;
@@ -359,14 +359,11 @@ impl EngineWorker {
         // pipelined batches' measured completions include comm-stream
         // queueing behind the previous batch's tail and would bias the
         // comparison.
-        if let (Some(p), Some(measured)) = (plans.first(), group_dones.first()) {
-            if let Some(predicted) = p.0.predicted_group_completions() {
-                let dims = chain
-                    .first()
-                    .expect("chain is non-empty")
-                    .batch
-                    .gemm_dims(tp);
-                effects.drift = Some((dims, predicted, measured.clone()));
+        if let ([leader, ..], [(plan, _), ..], Some(measured)) =
+            (chain.as_slice(), plans.as_slice(), leader_group_done)
+        {
+            if let Some(predicted) = plan.predicted_group_completions() {
+                effects.drift = Some((leader.batch.gemm_dims(tp), predicted, measured));
             }
         }
 
