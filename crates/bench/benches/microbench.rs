@@ -11,7 +11,10 @@ use std::hint::black_box;
 use collectives::Primitive;
 use flashoverlap::partition::candidate_partitions;
 use flashoverlap::runtime::CommPattern;
-use flashoverlap::{predictive_search, LatencyPredictor, OverlapPlan, SystemSpec, WavePartition};
+use flashoverlap::{
+    execute_sequence_in, predictive_search, ChainWorld, LatencyPredictor, OverlapPlan, SystemSpec,
+    WavePartition,
+};
 use gpu_sim::gemm::{GemmConfig, GemmDims};
 use gpu_sim::swizzle::Swizzle;
 use gpu_sim::tile::{TileGrid, TileShape};
@@ -135,7 +138,10 @@ fn bench_simulated_run(c: &mut Criterion) {
 /// The per-chain cost serving pays: one traced, telemetry-monitored
 /// execution of a serve-shaped plan (a 2048-token Llama-3-8B batch,
 /// tensor-parallel over 4 GPUs, tuned AllReduce plan), recycling one
-/// record's buffers across runs as the replica engine does.
+/// record's buffers across runs as the replica engine does — first in a
+/// fresh simulation world per run, then (`execute_serve_chain_reused`)
+/// through one reused [`ChainWorld`] that also recycles the span buffer,
+/// as a replica engine runs its chains.
 fn bench_serve_instrumented(c: &mut Criterion) {
     let system = SystemSpec::rtx4090(4);
     let dims = GemmDims::new(2048, 4096, 14336 / 4);
@@ -152,6 +158,21 @@ fn bench_serve_instrumented(c: &mut Criterion) {
             let outcome = plan.execute_with(&options).expect("execute");
             scratch = telemetry.take_record();
             black_box((outcome.total, scratch.increments.len()))
+        })
+    });
+    let mut world = ChainWorld::new();
+    c.bench_function("runtime/execute_serve_chain_reused", |b| {
+        b.iter(|| {
+            let telemetry = Telemetry::recycling(std::mem::take(&mut scratch));
+            let instr = telemetry.instrumentation();
+            let options = flashoverlap::SequenceOptions::new()
+                .trace()
+                .instrument(&instr);
+            let outcome = execute_sequence_in(&mut world, &[&plan], &options).expect("execute");
+            scratch = telemetry.take_record();
+            let total = outcome.total;
+            world.recycle_spans(outcome.spans);
+            black_box((total, scratch.increments.len()))
         })
     });
 }

@@ -13,6 +13,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::expect_used))]
 
 pub mod args;
 pub mod commands;

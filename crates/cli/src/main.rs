@@ -1,5 +1,7 @@
 //! The `flashoverlap` command-line tool.
 
+#![cfg_attr(not(test), warn(clippy::expect_used))]
+
 use flashoverlap_cli::args::USAGE;
 
 fn main() {

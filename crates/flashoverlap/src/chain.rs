@@ -62,22 +62,23 @@ use gpu_sim::stream::{
 use gpu_sim::{
     Cluster, ClusterSim, GpuEventId, IncrementFault, RuntimeEvent, RuntimeEventKind, StuckWait,
 };
-use sim::{Sim, SimDuration, SimTime};
+use sim::{SimDuration, SimTime};
 
 use crate::error::{ChainPosition, FlashOverlapError};
 use crate::resilience::{Fault, FaultPlan, ResilientOutcome, WatchdogConfig};
 use crate::runtime::{Instrumentation, OverlapPlan, ProgramHandles, StreamCtx};
 use crate::sequence::{SequenceOptions, SequenceOutcome};
+use crate::world::ChainWorld;
 
 /// Shared fault/recovery timeline: segment-arming callbacks append from
 /// inside the simulation, the watchdog appends from outside.
 type EventLog = Rc<RefCell<Vec<RuntimeEvent>>>;
 
-/// Executes the chain `plans` in one simulation and reports per segment.
-/// Segment `i` runs `plans[i]` followed by the fused epilogue
-/// `epilogues[i]` (missing entries mean none); a segment after an
-/// epilogue consumes its output as activations. The cluster is built
-/// from the first plan's system.
+/// Executes the chain `plans` in one simulation, in a fresh world, and
+/// reports per segment. Segment `i` runs `plans[i]` followed by the
+/// fused epilogue `epilogues[i]` (missing entries mean none); a segment
+/// after an epilogue consumes its output as activations. The cluster is
+/// built from the first plan's system.
 ///
 /// # Errors
 ///
@@ -88,6 +89,33 @@ type EventLog = Rc<RefCell<Vec<RuntimeEvent>>>;
 /// when an uninstrumented, non-resilient schedule wedges; and
 /// [`FlashOverlapError::Simulation`] on engine failure.
 pub(crate) fn execute_chain(
+    plans: &[&OverlapPlan],
+    epilogues: &[Option<ElementwiseOp>],
+    options: &SequenceOptions,
+) -> Result<SequenceOutcome, FlashOverlapError> {
+    run_chain(&mut ChainWorld::new(), plans, epilogues, options)
+}
+
+/// [`execute_chain`] in a reused `world`: the world is reset to the
+/// state a fresh one would have before the chain, and cleared after it —
+/// on success and on error alike.
+///
+/// # Errors
+///
+/// As [`execute_chain`].
+pub(crate) fn execute_chain_in(
+    world: &mut ChainWorld,
+    plans: &[&OverlapPlan],
+    epilogues: &[Option<ElementwiseOp>],
+    options: &SequenceOptions,
+) -> Result<SequenceOutcome, FlashOverlapError> {
+    let outcome = run_chain(world, plans, epilogues, options);
+    world.clear();
+    outcome
+}
+
+fn run_chain(
+    chain_world: &mut ChainWorld,
     plans: &[&OverlapPlan],
     epilogues: &[Option<ElementwiseOp>],
     options: &SequenceOptions,
@@ -139,14 +167,11 @@ pub(crate) fn execute_chain(
         }
     }
 
-    let mut world = first.system.build_cluster(options.functional.is_some());
-    if options.trace {
-        world.enable_op_spans();
-    }
+    let (world, sim) =
+        chain_world.prepare(&first.system, options.functional.is_some(), options.trace);
     if let Some(monitor) = &instr.monitor {
         world.set_monitor(Rc::clone(monitor));
     }
-    let mut sim: ClusterSim = Sim::new();
     if let Some(probe) = &instr.probe {
         sim.set_probe(Rc::clone(probe));
     }
@@ -154,24 +179,20 @@ pub(crate) fn execute_chain(
     // before the chain starts, whichever segment's plan armed them.
     let log: EventLog = Rc::new(RefCell::new(Vec::new()));
     let faults_armed = match options.resilient {
-        Some((faults, _)) => arm_cluster_faults(&mut world, &sim, faults, &log),
+        Some((faults, _)) => arm_cluster_faults(world, sim, faults, &log),
         None => 0,
     };
-    let streams = StreamCtx::create(&mut world, n);
-    let segments = enqueue_chain(
-        &mut world, &mut sim, plans, epilogues, options, &streams, &log,
-    );
+    let streams = StreamCtx::create(world, n);
+    let segments = enqueue_chain(world, sim, plans, epilogues, options, &streams, &log);
 
     let (end, outcomes) = if let Some((_, watchdog)) = options.resilient {
-        drive_chain(
-            &mut world, &mut sim, plans, &segments, &streams, watchdog, &log,
-        )?
+        drive_chain(world, sim, plans, &segments, &streams, watchdog, &log)?
     } else {
-        let end = sim.run(&mut world)?;
+        let end = sim.run(world)?;
         let instrumented =
             instr.monitor.is_some() || instr.probe.is_some() || instr.mutation.is_some();
         if !instrumented && options.drop_cross_batch_edge.is_none() {
-            check_quiescent_chain(&world, &segments)?;
+            check_quiescent_chain(world, &segments)?;
         }
         (end, vec![ResilientOutcome::Clean; plans.len()])
     };
@@ -184,7 +205,7 @@ pub(crate) fn execute_chain(
         plans
             .iter()
             .zip(&segments)
-            .map(|(plan, seg)| plan.extract_outputs(&world, &seg.handles))
+            .map(|(plan, seg)| plan.extract_outputs(world, &seg.handles))
             .collect()
     });
     Ok(SequenceOutcome {

@@ -43,6 +43,7 @@ pub mod system;
 pub mod theory;
 pub mod tuner;
 pub mod verify;
+mod world;
 pub mod writers;
 
 pub use error::{ChainPosition, FlashOverlapError};
@@ -56,7 +57,7 @@ pub use resilience::{
 pub use runtime::{
     CommPattern, FunctionalInputs, Instrumentation, OverlapPlan, RunReport, SignalMutation,
 };
-pub use sequence::{execute_sequence, SequenceOptions, SequenceOutcome};
+pub use sequence::{execute_sequence, execute_sequence_in, SequenceOptions, SequenceOutcome};
 pub use system::SystemSpec;
 pub use theory::{nonoverlap_latency, theoretical_latency, theoretical_speedup};
 pub use tuner::{
@@ -65,3 +66,4 @@ pub use tuner::{
 pub use verify::{
     model_of_chain, model_of_plan, reject_if_invalid, runtime_seam, verify_sequence, RuntimeSeam,
 };
+pub use world::ChainWorld;

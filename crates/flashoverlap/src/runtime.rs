@@ -25,7 +25,9 @@ use std::rc::Rc;
 use collectives::{CollectiveSpec, Communicator, Primitive, Region};
 use gpu_sim::arch::RemapGranularity;
 use gpu_sim::elementwise::{ElementwiseKernel, ElementwiseOp, Gather};
-use gpu_sim::gemm::{CounterHook, EpilogueWriter, GemmConfig, GemmDims, GemmKernel};
+use gpu_sim::gemm::{
+    group_runs, CounterHook, EpilogueWriter, GemmConfig, GemmDims, GemmKernel, GroupRun,
+};
 use gpu_sim::memory::BufferId;
 use gpu_sim::monitor::ClusterMonitor;
 use gpu_sim::stream::{enqueue, Callback, RecordEvent, WaitCounter, WaitEvent};
@@ -119,9 +121,10 @@ impl PlanMapping {
 /// configuration, wave partition, and reordering mapping.
 ///
 /// Everything a launch reads that depends only on the plan — the GEMM
-/// issue order, the tile→group map, the per-rank epilogue writers and
-/// the latency predictor behind [`OverlapPlan::expected_latency`] — is
-/// derived once, in [`OverlapPlan::new`] (the predictor on first use),
+/// issue order, its same-group runs, the per-rank epilogue writers and
+/// the latency predictor behind [`OverlapPlan::expected_latency`] and
+/// [`OverlapPlan::predicted_group_completions`] — is derived once, in
+/// [`OverlapPlan::new`] (the predictor and its predictions on first use),
 /// and shared by `Rc` with every launch. A plan is therefore never
 /// mutated after `new`: changing a public field would leave those
 /// derived fields stale. Build a new plan instead.
@@ -158,13 +161,17 @@ pub struct OverlapPlan {
     mapping: PlanMapping,
     /// `config.issue_order(dims)`, handed to every GEMM launch.
     issue: Rc<[u32]>,
-    /// The layout's tile→group map, shared by every counter hook.
-    group_of_tile: Rc<[u32]>,
+    /// The maximal same-group runs of `issue`, shared by every counter
+    /// hook.
+    group_runs: Rc<[GroupRun]>,
     /// Epilogue writer per rank (one shared writer unless the mapping
     /// packs per rank).
     writers: Vec<Rc<dyn EpilogueWriter>>,
     /// The watchdog and drift predictor, built on first use.
     predictor: OnceCell<LatencyPredictor>,
+    /// The predictor's per-group completions (serve drift), computed on
+    /// first use.
+    predicted_completions: OnceCell<Option<Vec<SimDuration>>>,
 }
 
 impl std::fmt::Debug for OverlapPlan {
@@ -354,7 +361,7 @@ impl OverlapPlan {
                 PlanMapping::Gather(Rc::new(TileMapping::build(grid, &schedule, &partition)))
             }
         };
-        let group_of_tile = mapping.layout().group_of_tile.as_slice().into();
+        let group_runs = group_runs(&issue, &mapping.layout().group_of_tile);
         let writers = mapping.writers(system.n_gpus);
         Ok(OverlapPlan {
             system,
@@ -365,9 +372,10 @@ impl OverlapPlan {
             pattern,
             mapping,
             issue,
-            group_of_tile,
+            group_runs,
             writers,
             predictor: OnceCell::new(),
+            predicted_completions: OnceCell::new(),
         })
     }
 
@@ -377,10 +385,11 @@ impl OverlapPlan {
         &self.issue
     }
 
-    /// The tile→group map every launch's counter hook shares (the
-    /// layout's `group_of_tile`, copied once in [`OverlapPlan::new`]).
-    pub fn group_of_tile(&self) -> &Rc<[u32]> {
-        &self.group_of_tile
+    /// The maximal same-group runs of the issue order under the
+    /// layout's tile→group map, which every launch's counter hook shares
+    /// (derived once in [`OverlapPlan::new`]).
+    pub fn group_runs(&self) -> &Rc<[GroupRun]> {
+        &self.group_runs
     }
 
     /// The number of planned waves `T`.
@@ -628,10 +637,7 @@ impl OverlapPlan {
                 config: self.config,
                 issue: Rc::clone(&self.issue),
                 writer: self.writer_for(d),
-                counter: Some(CounterHook {
-                    table: tables[d],
-                    group_of_tile: Rc::clone(&self.group_of_tile),
-                }),
+                counter: Some(CounterHook::new(tables[d], Rc::clone(&self.group_runs))),
             };
             enqueue(world, sim, d, compute_streams[d], Box::new(kernel));
             if d == 0 {
@@ -996,11 +1002,16 @@ impl OverlapPlan {
     /// [`RunReport::group_comm_done`] values are compared against for
     /// measured-vs-predicted drift reporting. `None` when the planned
     /// wave count diverges from the profiled estimate (swizzle
-    /// overrides), where per-group predictions are undefined.
-    pub fn predicted_group_completions(&self) -> Option<Vec<SimDuration>> {
-        let predictor = self.predictor();
-        (predictor.profile().total_waves == self.partition.total_waves())
-            .then(|| predictor.predict_group_completions(&self.partition))
+    /// overrides), where per-group predictions are undefined. Computed
+    /// on first use and kept for the plan's lifetime.
+    pub fn predicted_group_completions(&self) -> Option<&[SimDuration]> {
+        self.predicted_completions
+            .get_or_init(|| {
+                let predictor = self.predictor();
+                (predictor.profile().total_waves == self.partition.total_waves())
+                    .then(|| predictor.predict_group_completions(&self.partition))
+            })
+            .as_deref()
     }
 
     /// The latency predictor for this plan's shape, primitive and

@@ -27,10 +27,11 @@ use gpu_sim::RuntimeEvent;
 use sim::SimDuration;
 use tensor::Matrix;
 
-use crate::chain::execute_chain;
+use crate::chain::{execute_chain, execute_chain_in};
 use crate::error::FlashOverlapError;
 use crate::resilience::{FaultPlan, ResilientOutcome, WatchdogConfig};
 use crate::runtime::{FunctionalInputs, Instrumentation, OverlapPlan, RunReport};
+use crate::world::ChainWorld;
 
 /// Options for every execution: [`execute_sequence`],
 /// [`OverlapPlan::execute_with`] (a one-segment chain) and
@@ -166,6 +167,24 @@ pub fn execute_sequence(
     options: &SequenceOptions,
 ) -> Result<SequenceOutcome, FlashOverlapError> {
     execute_chain(plans, &[], options)
+}
+
+/// [`execute_sequence`] in a reused [`ChainWorld`]: the world is reset
+/// to exactly the state a fresh run starts from, so the outcome is
+/// identical to `execute_sequence`'s, and it is cleared again when the
+/// sequence ends (also on error). A serving replica runs every chain in
+/// one world instead of building a cluster per chain; hand the outcome's
+/// spans back with [`ChainWorld::recycle_spans`] once read.
+///
+/// # Errors
+///
+/// As [`execute_sequence`].
+pub fn execute_sequence_in(
+    world: &mut ChainWorld,
+    plans: &[&OverlapPlan],
+    options: &SequenceOptions,
+) -> Result<SequenceOutcome, FlashOverlapError> {
+    execute_chain_in(world, plans, &[], options)
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Plan reuse is stateless.
 //!
 //! A cached plan derives its launch data once — the GEMM issue order,
-//! the tile→group map, the epilogue writers and the latency predictor —
+//! its same-group runs, the epilogue writers and the latency predictor —
 //! and every launch shares it. These tests pin that sharing down for
 //! every communication pattern: the cached data equals what a fresh
 //! derivation gives, and running one plan many times (alone or as every
@@ -17,7 +17,7 @@ use flashoverlap::{
     execute_sequence, FunctionalInputs, LatencyPredictor, OverlapPlan, SequenceOptions,
     SequenceOutcome, SystemSpec,
 };
-use gpu_sim::gemm::GemmDims;
+use gpu_sim::gemm::{group_runs, GemmDims};
 use gpu_sim::swizzle::Swizzle;
 
 const RANKS: usize = 2;
@@ -86,9 +86,9 @@ fn cached_launch_data_equals_a_fresh_derivation() {
             "{name}: issue order"
         );
         assert_eq!(
-            **plan.group_of_tile(),
-            *plan.layout().group_of_tile,
-            "{name}: group map"
+            **plan.group_runs(),
+            *group_runs(plan.issue_order(), &plan.layout().group_of_tile),
+            "{name}: group runs"
         );
     }
 }
@@ -108,7 +108,7 @@ fn one_plan_run_repeatedly_matches_fresh_plans() {
         }
         // No launch keeps the plan's shared data alive after its run.
         assert_eq!(Rc::strong_count(plan.issue_order()), 1, "{name}");
-        assert_eq!(Rc::strong_count(plan.group_of_tile()), 1, "{name}");
+        assert_eq!(Rc::strong_count(plan.group_runs()), 1, "{name}");
 
         let chain_inputs = [
             FunctionalInputs::random(plan.dims, RANKS, 12),
@@ -138,7 +138,11 @@ fn memoized_predictions_equal_a_fresh_predictor() {
         // Twice: the first call builds the predictor, the second reuses it.
         for _ in 0..2 {
             assert_eq!(plan.expected_latency(), latency, "{name}");
-            assert_eq!(plan.predicted_group_completions(), completions, "{name}");
+            assert_eq!(
+                plan.predicted_group_completions(),
+                completions.as_deref(),
+                "{name}"
+            );
         }
     }
 }

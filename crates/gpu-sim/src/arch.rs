@@ -20,7 +20,7 @@ pub enum RemapGranularity {
 /// takes, how big kernel-launch and signal-poll latencies are, and how much
 /// a fused remap degrades an element-wise kernel. The two presets are
 /// calibrated to the evaluation platforms.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuArch {
     /// Marketing name, e.g. "RTX4090".
     pub name: &'static str,

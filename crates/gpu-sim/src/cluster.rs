@@ -172,6 +172,10 @@ pub struct Cluster {
     /// never interprets it, but telemetry and serving read it to label
     /// devices and place replicas.
     pub node_of: Vec<usize>,
+    /// Waiters released by counter increments and not yet woken: the
+    /// epilogue appends to it and `wake_counter_waiters` drains it, so the
+    /// signal path reuses one buffer.
+    pub(crate) released: Vec<crate::counter::Waiter>,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -196,11 +200,11 @@ impl Cluster {
     /// Panics if `n` is zero.
     pub fn new(n: usize, arch: GpuArch, functional: bool, seed: u64) -> Self {
         assert!(n > 0, "cluster needs at least one device");
-        let root = DetRng::new(seed);
+        // `reset` forks each device's RNG from `seed`.
         let devices = (0..n)
-            .map(|id| Device::new(id, arch.clone(), functional, root.fork(id as u64 + 1)))
+            .map(|id| Device::new(id, arch.clone(), functional, DetRng::new(seed)))
             .collect();
-        Cluster {
+        let mut cluster = Cluster {
             devices,
             functional,
             tile_trace: None,
@@ -209,7 +213,43 @@ impl Cluster {
             monitor: None,
             comm_fault: CommFault::default(),
             node_of: vec![0; n],
+            released: Vec::new(),
+        };
+        cluster.reset(functional, seed);
+        cluster
+    }
+
+    /// Returns the cluster to the run state [`Cluster::new`] gives for
+    /// `seed`: device RNGs re-forked from it, no buffer, stream, event or
+    /// counting table on any device (ids restart at 0), empty SM
+    /// ledgers, no comm fault, no monitor and no trace or span
+    /// recording. Queued kernels and parked waits are dropped unrun. What
+    /// the cluster was built with stays: its devices and their
+    /// architecture, the noise spec and the node map. Allocations are
+    /// kept for reuse. Every field is named here, so a new field does not
+    /// compile until its reset is decided.
+    pub fn reset(&mut self, functional: bool, seed: u64) {
+        let Cluster {
+            devices,
+            functional: mode,
+            tile_trace,
+            noise: _,
+            op_spans,
+            monitor,
+            comm_fault,
+            node_of: _,
+            released,
+        } = self;
+        let root = DetRng::new(seed);
+        for (id, device) in devices.iter_mut().enumerate() {
+            device.reset(functional, root.fork(id as u64 + 1));
         }
+        *mode = functional;
+        *tile_trace = None;
+        *op_spans = None;
+        *monitor = None;
+        *comm_fault = CommFault::default();
+        released.clear();
     }
 
     /// Records the device → node placement (one entry per device).
@@ -379,6 +419,48 @@ mod tests {
     }
 
     #[test]
+    fn reset_matches_a_fresh_cluster() {
+        use crate::stream::{enqueue, WaitCounter};
+        let mut c = Cluster::new(2, GpuArch::a800(), false, 7);
+        let mut sim: crate::ClusterSim = sim::Sim::new();
+        c.enable_op_spans();
+        c.enable_tile_trace();
+        c.comm_fault.stall_count = 3;
+        c.devices[0].occupy_comm_sms(20);
+        let s = c.devices[1].create_stream();
+        let table = c.devices[1].create_counter(1);
+        c.devices[1].mem.alloc(4);
+        enqueue(
+            &mut c,
+            &mut sim,
+            1,
+            s,
+            Box::new(WaitCounter {
+                table,
+                group: 0,
+                threshold: 1,
+            }),
+        );
+        c.devices[0].rng.next_u64();
+        c.reset(true, 7);
+        let mut fresh = Cluster::new(2, GpuArch::a800(), true, 7);
+        assert!(c.functional);
+        assert!(c.op_spans.is_none() && c.tile_trace.is_none() && c.monitor.is_none());
+        assert_eq!(c.comm_fault, CommFault::default());
+        assert!(c.stuck_waits().is_empty(), "parked waits are dropped");
+        for (d, f) in c.devices.iter_mut().zip(&mut fresh.devices) {
+            assert_eq!(d.rng.next_u64(), f.rng.next_u64(), "rng re-forked");
+            assert_eq!(d.comm_sms(), 0);
+            assert_eq!(d.mem.num_buffers(), 0);
+            assert_eq!(d.create_stream(), 0);
+            assert_eq!(d.create_counter(1), 0);
+        }
+        c.reset(false, 8);
+        let mut other = Cluster::new(2, GpuArch::a800(), false, 8);
+        assert_eq!(c.devices[1].rng.next_u64(), other.devices[1].rng.next_u64());
+    }
+
+    #[test]
     fn trace_disabled_by_default() {
         let mut c = Cluster::new(1, GpuArch::rtx4090(), false, 1);
         assert!(c.tile_trace.is_none());
@@ -399,7 +481,7 @@ mod tests {
         let mut sim: crate::ClusterSim = sim::Sim::new();
         let s = c.devices[1].create_stream();
         let table = c.devices[1].create_counter(3);
-        c.devices[1].counters[table].increment(2, 4);
+        crate::stream::increment_counter(&mut c, 1, table, 2, 4);
         enqueue(
             &mut c,
             &mut sim,

@@ -6,7 +6,8 @@
 //! then lets the corresponding communication proceed. Here the "atomic add"
 //! is an ordinary add inside a single-threaded simulation, and a waiting
 //! signaling kernel is represented by a registered [`Waiter`] that the
-//! increment returns once its threshold is met.
+//! increment releases (into the caller's buffer) once its threshold is
+//! met.
 //!
 //! This module sits on the per-tile signaling hot path, so unchecked
 //! indexing is opted out in favour of explicit bounds handling.
@@ -56,11 +57,28 @@ pub struct CounterTable {
 impl CounterTable {
     /// Creates a table with `groups` zero-initialized slots.
     pub fn new(groups: usize) -> Self {
-        CounterTable {
-            counts: vec![0; groups],
-            waiters: (0..groups).map(|_| Vec::new()).collect(),
-            faults: Vec::new(),
-        }
+        let mut table = CounterTable::default();
+        table.reinit(groups);
+        table
+    }
+
+    /// Returns the table to the state [`CounterTable::new`] gives for
+    /// `groups` slots — zero counts, no parked waiter, no armed fault —
+    /// keeping its slot vectors' allocations, the per-slot waiter lists
+    /// included (a reused simulation world recycles its tables this way).
+    /// Parked waiters are dropped.
+    pub(crate) fn reinit(&mut self, groups: usize) {
+        let CounterTable {
+            counts,
+            waiters,
+            faults,
+        } = self;
+        counts.clear();
+        counts.resize(groups, 0);
+        waiters.truncate(groups);
+        waiters.iter_mut().for_each(Vec::clear);
+        waiters.resize_with(groups, Vec::new);
+        faults.clear();
     }
 
     /// Number of groups.
@@ -77,25 +95,29 @@ impl CounterTable {
         self.counts.get(group).copied().expect("group out of range")
     }
 
-    /// Increments `group` by `by` and returns the waiters whose thresholds
-    /// are now satisfied, in the order `by` unit increments would release
-    /// them: by threshold, ties in registration order.
+    /// Increments `group` by `by` and appends the waiters whose
+    /// thresholds are now satisfied to `released`, in the order `by` unit
+    /// increments would release them: by threshold, ties in registration
+    /// order. The caller owns `released` so the epilogue hot path reuses
+    /// one buffer instead of allocating per increment.
     ///
     /// # Panics
     ///
     /// Panics if `group` is out of range.
-    pub fn increment(&mut self, group: usize, by: u32) -> Vec<Waiter> {
+    pub fn increment(&mut self, group: usize, by: u32, released: &mut Vec<Waiter>) {
         let slot = self.counts.get_mut(group).expect("group out of range");
         *slot += by;
         let count = *slot;
         let pending = self.waiters.get_mut(group).expect("group out of range");
-        let mut released: Vec<Waiter> = pending.extract_if(.., |w| w.threshold <= count).collect();
+        let start = released.len();
+        released.extend(pending.extract_if(.., |w| w.threshold <= count));
         // A parked threshold always exceeds the count it was parked at, so
         // the unit step that releases a waiter is the one reaching its
         // threshold; the stable sort keeps registration order within a
         // step.
-        released.sort_by_key(|w| w.threshold);
-        released
+        if let Some(new) = released.get_mut(start..) {
+            new.sort_by_key(|w| w.threshold);
+        }
     }
 
     /// Registers a waiter for `group` reaching `threshold`.
@@ -205,11 +227,18 @@ mod tests {
         Completion::for_test(0, 0)
     }
 
+    /// The waiters one increment releases.
+    fn bump(t: &mut CounterTable, group: usize, by: u32) -> Vec<Waiter> {
+        let mut released = Vec::new();
+        t.increment(group, by, &mut released);
+        released
+    }
+
     #[test]
     fn counts_accumulate() {
         let mut t = CounterTable::new(3);
-        t.increment(1, 2);
-        t.increment(1, 3);
+        bump(&mut t, 1, 2);
+        bump(&mut t, 1, 3);
         assert_eq!(t.count(0), 0);
         assert_eq!(t.count(1), 5);
     }
@@ -218,8 +247,8 @@ mod tests {
     fn waiter_wakes_exactly_at_threshold() {
         let mut t = CounterTable::new(1);
         assert!(t.register(0, 4, completion()).is_none());
-        assert!(t.increment(0, 3).is_empty());
-        let woken = t.increment(0, 1);
+        assert!(bump(&mut t, 0, 3).is_empty());
+        let woken = bump(&mut t, 0, 1);
         assert_eq!(woken.len(), 1);
         assert_eq!(woken[0].threshold, 4);
     }
@@ -227,7 +256,7 @@ mod tests {
     #[test]
     fn already_met_threshold_returns_completion() {
         let mut t = CounterTable::new(1);
-        t.increment(0, 10);
+        bump(&mut t, 0, 10);
         assert!(t.register(0, 4, completion()).is_some());
     }
 
@@ -236,9 +265,9 @@ mod tests {
         let mut t = CounterTable::new(1);
         assert!(t.register(0, 2, completion()).is_none());
         assert!(t.register(0, 5, completion()).is_none());
-        let woken = t.increment(0, 2);
+        let woken = bump(&mut t, 0, 2);
         assert_eq!(woken.len(), 1);
-        let woken = t.increment(0, 3);
+        let woken = bump(&mut t, 0, 3);
         assert_eq!(woken.len(), 1);
         assert_eq!(woken[0].threshold, 5);
     }
@@ -247,14 +276,14 @@ mod tests {
     fn overshoot_wakes_waiter() {
         let mut t = CounterTable::new(1);
         assert!(t.register(0, 3, completion()).is_none());
-        let woken = t.increment(0, 7);
+        let woken = bump(&mut t, 0, 7);
         assert_eq!(woken.len(), 1);
     }
 
     #[test]
     fn reset_zeroes_counts() {
         let mut t = CounterTable::new(2);
-        t.increment(0, 5);
+        bump(&mut t, 0, 5);
         t.reset();
         assert_eq!(t.count(0), 0);
     }
@@ -320,7 +349,7 @@ mod tests {
     /// `(threshold, stream)` of the waiters `increment` releases, in
     /// release order.
     fn released(t: &mut CounterTable, group: usize, by: u32) -> Vec<(u32, usize)> {
-        t.increment(group, by)
+        bump(t, group, by)
             .iter()
             .map(|w| (w.threshold, w.completion.stream()))
             .collect()
@@ -349,6 +378,36 @@ mod tests {
     }
 
     #[test]
+    fn increment_appends_after_earlier_releases() {
+        let mut t = CounterTable::new(2);
+        assert!(t.register(0, 2, Completion::for_test(0, 0)).is_none());
+        assert!(t.register(1, 3, Completion::for_test(0, 1)).is_none());
+        assert!(t.register(1, 1, Completion::for_test(0, 2)).is_none());
+        let mut released = Vec::new();
+        t.increment(0, 2, &mut released);
+        t.increment(1, 3, &mut released);
+        let order: Vec<(usize, u32)> = released.iter().map(|w| (w.group, w.threshold)).collect();
+        // Each increment sorts only what it released.
+        assert_eq!(order, [(0, 2), (1, 1), (1, 3)]);
+    }
+
+    #[test]
+    fn reinit_matches_a_fresh_table() {
+        let mut t = CounterTable::new(3);
+        bump(&mut t, 2, 4);
+        assert!(t.register(1, 9, completion()).is_none());
+        t.arm_fault(0, IncrementFault::Dropped, 2);
+        t.reinit(2);
+        assert_eq!(t.num_groups(), 2);
+        assert_eq!((t.count(0), t.count(1)), (0, 0));
+        assert_eq!(t.parked_waiters().count(), 0);
+        assert_eq!(t.take_increment_fault(0), None);
+        t.reinit(4);
+        assert_eq!(t.num_groups(), 4);
+        assert_eq!(t.count(3), 0);
+    }
+
+    #[test]
     fn fig4_scenario() {
         // Fig. 4: three groups of |G| = 2, 4, 2 tiles. Waves finish tiles
         // in bundles; each group's comm triggers exactly when its count
@@ -358,12 +417,12 @@ mod tests {
         assert!(t.register(1, 4, completion()).is_none());
         assert!(t.register(2, 2, completion()).is_none());
         // Wave 1 finishes 2 tiles of G1.
-        assert_eq!(t.increment(0, 2).len(), 1);
+        assert_eq!(bump(&mut t, 0, 2).len(), 1);
         // Wave 2 finishes 2 tiles of G2: not enough yet.
-        assert_eq!(t.increment(1, 2).len(), 0);
+        assert_eq!(bump(&mut t, 1, 2).len(), 0);
         // Wave 3 finishes 2 more tiles of G2: triggers.
-        assert_eq!(t.increment(1, 2).len(), 1);
+        assert_eq!(bump(&mut t, 1, 2).len(), 1);
         // Wave 4 finishes G3.
-        assert_eq!(t.increment(2, 2).len(), 1);
+        assert_eq!(bump(&mut t, 2, 2).len(), 1);
     }
 }

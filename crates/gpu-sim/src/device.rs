@@ -27,6 +27,11 @@ pub struct Device {
     compute_sms: u32,
     /// Deterministic per-device randomness (tile jitter, poll phase).
     pub rng: DetRng,
+    /// Streams and counting tables freed by [`Device::reset`], emptied,
+    /// handed out again by `create_stream` / `create_counter` so a reused
+    /// device keeps their queue and slot allocations.
+    spare_streams: Vec<Stream>,
+    spare_counters: Vec<CounterTable>,
 }
 
 impl Device {
@@ -38,7 +43,7 @@ impl Device {
 
     /// Creates a device.
     pub fn new(id: DeviceId, arch: GpuArch, functional: bool, rng: DetRng) -> Self {
-        Device {
+        let mut device = Device {
             id,
             arch,
             mem: Memory::new(functional),
@@ -47,13 +52,53 @@ impl Device {
             counters: Vec::new(),
             comm_sms: 0,
             compute_sms: 0,
-            rng,
-        }
+            rng: rng.clone(),
+            spare_streams: Vec::new(),
+            spare_counters: Vec::new(),
+        };
+        device.reset(functional, rng);
+        device
+    }
+
+    /// Returns the device to the state [`Device::new`] gives with `rng`:
+    /// no buffer, stream, event or counting table (ids restart at 0),
+    /// empty SM ledgers. Queued kernels and parked waits are dropped
+    /// unrun. Streams, tables and the buffer table keep their
+    /// allocations for reuse. Every field is named here, so a new field
+    /// does not compile until its reset is decided.
+    pub(crate) fn reset(&mut self, functional: bool, rng: DetRng) {
+        let Device {
+            id: _,
+            arch: _,
+            mem,
+            streams,
+            events,
+            counters,
+            comm_sms,
+            compute_sms,
+            rng: device_rng,
+            spare_streams,
+            spare_counters,
+        } = self;
+        mem.reset(functional);
+        spare_streams.extend(streams.drain(..).map(|mut stream| {
+            stream.clear();
+            stream
+        }));
+        events.clear();
+        spare_counters.extend(counters.drain(..).map(|mut table| {
+            table.reinit(table.num_groups());
+            table
+        }));
+        *comm_sms = 0;
+        *compute_sms = 0;
+        *device_rng = rng;
     }
 
     /// Creates a new stream and returns its id.
     pub fn create_stream(&mut self) -> StreamId {
-        self.streams.push(Stream::default());
+        let stream = self.spare_streams.pop().unwrap_or_default();
+        self.streams.push(stream);
         self.streams.len() - 1
     }
 
@@ -65,7 +110,9 @@ impl Device {
 
     /// Creates a counting table with `groups` slots and returns its index.
     pub fn create_counter(&mut self, groups: usize) -> usize {
-        self.counters.push(CounterTable::new(groups));
+        let mut table = self.spare_counters.pop().unwrap_or_default();
+        table.reinit(groups);
+        self.counters.push(table);
         self.counters.len() - 1
     }
 
@@ -188,6 +235,38 @@ mod tests {
         assert_eq!(d.create_event(), 0);
         assert_eq!(d.create_counter(4), 0);
         assert_eq!(d.counter(0).num_groups(), 4);
+    }
+
+    #[test]
+    fn reset_restarts_ids_and_ledgers() {
+        let mut d = device();
+        let s = d.create_stream();
+        d.create_stream();
+        d.create_event();
+        let t = d.create_counter(4);
+        d.counter_mut(t)
+            .arm_fault(1, crate::counter::IncrementFault::Dropped, 1);
+        d.mem.alloc(8);
+        d.occupy_comm_sms(16);
+        d.occupy_compute_sms(3);
+        d.streams[s]
+            .queue
+            .push_back(Box::new(crate::stream::Delay(SimDuration::from_nanos(5))));
+        d.streams[s].busy = true;
+        d.reset(true, DetRng::new(1));
+        let mut fresh = Device::new(0, GpuArch::rtx4090(), true, DetRng::new(1));
+        assert_eq!((d.comm_sms(), d.compute_sms()), (0, 0));
+        assert_eq!(d.mem.num_buffers(), 0);
+        assert!(d.mem.functional());
+        assert_eq!(d.counter_tables().count(), 0);
+        assert_eq!(d.rng.next_u64(), fresh.rng.next_u64());
+        assert_eq!(d.create_stream(), 0);
+        assert_eq!(d.create_event(), 0);
+        assert_eq!(d.create_counter(2), 0);
+        assert_eq!(d.counter(0).num_groups(), 2);
+        assert_eq!(d.counter_mut(0).take_increment_fault(1), None);
+        assert!(d.streams.iter().all(|s| s.queue.is_empty() && !s.busy));
+        assert_eq!(fresh.create_stream(), 0);
     }
 
     #[test]

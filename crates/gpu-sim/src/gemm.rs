@@ -10,6 +10,7 @@
 //! ([`CounterHook`]) without touching the main loop, mirroring the EVT
 //! epilogue integration of §5.
 
+use std::ops::Range;
 use std::rc::Rc;
 
 use sim::SimDuration;
@@ -197,14 +198,53 @@ impl EpilogueWriter for AddressOrderWriter {
     }
 }
 
-/// Epilogue counting-table hook: tile `t` increments slot
-/// `group_of_tile[t]` of `table` when it completes.
+/// One maximal run of consecutive issue positions whose tiles share a
+/// signal group: positions `[previous run's end, end)` of the kernel's
+/// issue order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GroupRun {
+    /// One past the run's last issue position.
+    pub end: u32,
+    /// The group every tile of the run belongs to.
+    pub group: u32,
+}
+
+/// The maximal same-group runs of the issue order `issue`, where tile `t`
+/// belongs to group `group_of_tile[t]`. Derive them once per plan: a
+/// wave signals by clipping them, never by looking tiles up.
+///
+/// # Panics
+///
+/// Panics if a tile of `issue` has no entry in `group_of_tile`.
+pub fn group_runs(issue: &[u32], group_of_tile: &[u32]) -> Rc<[GroupRun]> {
+    let mut runs: Vec<GroupRun> = Vec::new();
+    for (pos, &t) in issue.iter().enumerate() {
+        let group = group_of_tile[t as usize];
+        let end = pos as u32 + 1;
+        match runs.last_mut() {
+            Some(run) if run.group == group => run.end = end,
+            _ => runs.push(GroupRun { end, group }),
+        }
+    }
+    runs.into()
+}
+
+/// Epilogue counting-table hook: each finished tile increments its
+/// group's slot of `table`, one increment per same-group run of a wave.
 #[derive(Debug, Clone)]
 pub struct CounterHook {
     /// Counting table index on the launching device.
     pub table: usize,
-    /// Group id per address-order tile index.
-    pub group_of_tile: Rc<[u32]>,
+    /// The kernel's issue order as same-group runs ([`group_runs`]).
+    runs: Rc<[GroupRun]>,
+}
+
+impl CounterHook {
+    /// A hook signaling `table` along `runs`, the [`group_runs`] of the
+    /// issue order of the kernel it is attached to.
+    pub fn new(table: usize, runs: Rc<[GroupRun]>) -> Self {
+        CounterHook { table, runs }
+    }
 }
 
 /// A tiled GEMM stream kernel.
@@ -288,6 +328,8 @@ struct GemmRun {
     wave_idx: u32,
     writer: Rc<dyn EpilogueWriter>,
     counter: Option<CounterHook>,
+    /// The counter hook's first run not yet fully signaled (monotone).
+    run_cursor: usize,
     completion: Completion,
 }
 
@@ -299,6 +341,14 @@ impl Kernel for GemmKernel {
             self.issue.len(),
             grid.num_tiles() as usize,
             "issue order does not cover the kernel's tile grid"
+        );
+        debug_assert!(
+            self.counter.as_ref().is_none_or(|hook| hook
+                .runs
+                .last()
+                .map_or(0, |run| run.end as usize)
+                == self.issue.len()),
+            "counter hook runs do not cover the issue order"
         );
         // Per-launch execution noise (positive only): clocks never beat
         // the model.
@@ -319,6 +369,7 @@ impl Kernel for GemmKernel {
             wave_idx: 0,
             writer: self.writer,
             counter: self.counter,
+            run_cursor: 0,
             completion: ctx.completion,
         };
         if world.functional {
@@ -446,7 +497,8 @@ fn finish_wave(mut run: GemmRun, count: usize, world: &mut Cluster, sim: &mut Cl
 
     if let Some(hook) = &run.counter {
         let stream = run.completion.stream();
-        signal_wave(world, sim, run.device, stream, hook, wave_tiles);
+        let runs = clipped_runs(&hook.runs, &mut run.run_cursor, run.next..run.next + count);
+        signal_wave(world, sim, run.device, stream, hook.table, &run.issue, runs);
     }
 
     run.next += count;
@@ -470,9 +522,36 @@ fn finish_wave(mut run: GemmRun, count: usize, world: &mut Cluster, sim: &mut Cl
     }
 }
 
+/// The same-group runs of the issue positions `wave`, as `(group,
+/// positions)`: `runs` clipped to the window, starting at `*cursor`,
+/// which advances past every run the window finishes. Waves cover the
+/// issue order left to right, so each wave costs O(runs it touches).
+fn clipped_runs<'a>(
+    runs: &'a [GroupRun],
+    cursor: &'a mut usize,
+    wave: Range<usize>,
+) -> impl Iterator<Item = (usize, Range<usize>)> + 'a {
+    let mut start = wave.start;
+    std::iter::from_fn(move || {
+        if start >= wave.end {
+            return None;
+        }
+        let run = runs.get(*cursor)?;
+        let run_end = run.end as usize;
+        if run_end <= wave.end {
+            *cursor += 1;
+        }
+        let end = run_end.min(wave.end);
+        let positions = start..end;
+        start = end;
+        Some((run.group as usize, positions))
+    })
+}
+
 /// Epilogue signaling for one wave (§3.2.4): each run of consecutive
-/// tiles that share a group bumps the group's counting-table slot once,
-/// then every satisfied signaling kernel wakes (with its polling delay).
+/// tiles that share a group (`runs`, as `(group, issue positions)`)
+/// bumps the group's counting-table slot once, then every satisfied
+/// signaling kernel wakes (with its polling delay).
 ///
 /// Fault injection: while a fault is armed on the run's group, the run's
 /// leading tiles take it one at a time and are dropped or delayed (the
@@ -484,27 +563,17 @@ fn signal_wave(
     sim: &mut ClusterSim,
     device: DeviceId,
     stream: StreamId,
-    hook: &CounterHook,
-    wave_tiles: &[u32],
+    table_idx: usize,
+    issue: &[u32],
+    runs: impl Iterator<Item = (usize, Range<usize>)>,
 ) {
     use crate::counter::IncrementFault;
     use crate::monitor::{RuntimeEvent, RuntimeEventKind};
+    use crate::stream::{increment_counter, wake_counter_waiters};
 
-    let table_idx = hook.table;
-    let group_of = |t: u32| hook.group_of_tile[t as usize] as usize;
-    let mut woken = Vec::new();
-    let mut rest = wave_tiles;
-    while let Some(&first) = rest.first() {
-        let group = group_of(first);
-        let len = rest
-            .iter()
-            .position(|&t| group_of(t) != group)
-            .unwrap_or(rest.len());
-        let (tiles, tail) = rest.split_at(len);
-        rest = tail;
-
+    for (group, positions) in runs {
         let mut faulted = 0;
-        while let Some(&t) = tiles.get(faulted) {
+        for &t in issue.get(positions.clone()).unwrap_or_default() {
             let table = &mut world.devices[device].counters[table_idx];
             let Some(fault) = table.take_increment_fault(group) else {
                 break;
@@ -528,22 +597,21 @@ fn signal_wave(
                     if let Some(monitor) = w.monitor.as_deref() {
                         monitor.on_counter_increment(s.now(), device, stream, table_idx, group, 1);
                     }
-                    let late = w.devices[device].counters[table_idx].increment(group, 1);
-                    crate::stream::wake_counter_waiters(w, s, device, table_idx, late);
+                    increment_counter(w, device, table_idx, group, 1);
+                    wake_counter_waiters(w, s, device, table_idx);
                 });
             }
         }
 
-        let landed = (tiles.len() - faulted) as u32;
+        let landed = (positions.len() - faulted) as u32;
         if landed > 0 {
             if let Some(monitor) = world.monitor.as_deref() {
                 monitor.on_counter_increments(sim.now(), device, stream, table_idx, group, landed);
             }
-            let table = &mut world.devices[device].counters[table_idx];
-            woken.extend(table.increment(group, landed));
+            increment_counter(world, device, table_idx, group, landed);
         }
     }
-    crate::stream::wake_counter_waiters(world, sim, device, table_idx, woken);
+    wake_counter_waiters(world, sim, device, table_idx);
 }
 
 /// Computes the output block of tile `t`: `A[rows, :] x B[:, cols]`.
@@ -573,6 +641,7 @@ mod tests {
     use super::*;
     use crate::cluster::Cluster;
     use crate::stream::{enqueue, Callback, Delay};
+    use proptest::prelude::*;
     use sim::{DetRng, Sim};
     use tensor::{allclose, gemm};
 
@@ -782,10 +851,7 @@ mod tests {
         let grid = config.grid(dims);
         let groups: Vec<u32> = (0..grid.num_tiles()).map(|t| t % 2).collect();
         let mut kernel = GemmKernel::with_config(a_id, b_id, out, dims, config);
-        kernel.counter = Some(CounterHook {
-            table,
-            group_of_tile: groups.into(),
-        });
+        kernel.counter = Some(CounterHook::new(table, group_runs(&kernel.issue, &groups)));
         enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
         sim.run(&mut world).unwrap();
         let total = grid.num_tiles();
@@ -812,10 +878,7 @@ mod tests {
         let grid = config.grid(dims);
         let groups: Vec<u32> = (0..grid.num_tiles()).map(|t| t % 2).collect();
         let mut kernel = GemmKernel::with_config(a_id, b_id, out, dims, config);
-        kernel.counter = Some(CounterHook {
-            table,
-            group_of_tile: groups.into(),
-        });
+        kernel.counter = Some(CounterHook::new(table, group_runs(&kernel.issue, &groups)));
         enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
         sim.run(&mut world).unwrap();
         let total = grid.num_tiles();
@@ -847,10 +910,7 @@ mod tests {
             let grid = config.grid(dims);
             let groups: Vec<u32> = (0..grid.num_tiles()).map(|_| 0).collect();
             let mut kernel = GemmKernel::with_config(a_id, b_id, out, dims, config);
-            kernel.counter = Some(CounterHook {
-                table,
-                group_of_tile: groups.into(),
-            });
+            kernel.counter = Some(CounterHook::new(table, group_runs(&kernel.issue, &groups)));
             enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
             let end = sim.run(&mut world).unwrap();
             (world.devices[0].counter(table).count(0), end.as_nanos())
@@ -939,10 +999,7 @@ mod tests {
             enqueue(&mut world, &mut sim, 0, s, Box::new(wait));
         }
         let mut kernel = GemmKernel::with_config(a, b, out, dims, config);
-        kernel.counter = Some(CounterHook {
-            table,
-            group_of_tile: groups.into(),
-        });
+        kernel.counter = Some(CounterHook::new(table, group_runs(&kernel.issue, &groups)));
         enqueue(&mut world, &mut sim, 0, gemm_stream, Box::new(kernel));
         let _ = sim.run(&mut world);
         let counts = [0, 1].map(|g| world.devices[0].counter(table).count(g));
@@ -986,6 +1043,239 @@ mod tests {
         unit.extend([(0, 1); 3]);
         assert_eq!(*log.increments.borrow(), unit);
         assert_eq!(*log.satisfied.borrow(), [(0, 5), (0, 7), (1, 6), (0, 9)]);
+    }
+
+    /// The per-tile reference for group-run signaling: scans the wave's
+    /// issue positions through the tile→group map and cuts a run where
+    /// the group changes, as `(group, positions)`.
+    fn scanned_runs(
+        issue: &[u32],
+        group_of_tile: &[u32],
+        wave: Range<usize>,
+    ) -> Vec<(usize, Range<usize>)> {
+        let mut runs: Vec<(usize, Range<usize>)> = Vec::new();
+        for pos in wave {
+            let group = group_of_tile[issue[pos] as usize] as usize;
+            match runs.last_mut() {
+                Some((g, positions)) if *g == group => positions.end = pos + 1,
+                _ => runs.push((group, pos..pos + 1)),
+            }
+        }
+        runs
+    }
+
+    /// Everything the signal path reports, in order.
+    #[derive(Default)]
+    struct RunLog {
+        /// `(group, by, delayed)` per counter increment callback.
+        increments: std::cell::RefCell<Vec<(usize, u32, bool)>>,
+        /// `(stream, group, threshold)` per released wait.
+        satisfied: std::cell::RefCell<Vec<(StreamId, usize, u32)>>,
+        details: std::cell::RefCell<Vec<String>>,
+    }
+
+    impl crate::monitor::ClusterMonitor for RunLog {
+        fn on_counter_increment(
+            &self,
+            _at: sim::SimTime,
+            _device: DeviceId,
+            _stream: StreamId,
+            _table: usize,
+            group: usize,
+            by: u32,
+        ) {
+            self.increments.borrow_mut().push((group, by, true));
+        }
+
+        fn on_counter_increments(
+            &self,
+            _at: sim::SimTime,
+            _device: DeviceId,
+            _stream: StreamId,
+            _table: usize,
+            group: usize,
+            tiles: u32,
+        ) {
+            self.increments.borrow_mut().push((group, tiles, false));
+        }
+
+        fn on_counter_satisfied(
+            &self,
+            _at: sim::SimTime,
+            _device: DeviceId,
+            stream: StreamId,
+            _table: usize,
+            group: usize,
+            threshold: u32,
+        ) {
+            self.satisfied.borrow_mut().push((stream, group, threshold));
+        }
+
+        fn on_runtime_event(&self, event: &crate::monitor::RuntimeEvent) {
+            self.details.borrow_mut().push(event.detail.clone());
+        }
+    }
+
+    /// A seeded permutation of `0..n`.
+    fn shuffled(n: usize, seed: u64) -> Vec<u32> {
+        let mut rng = DetRng::new(seed);
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        for i in (1..n).rev() {
+            let j = (rng.next_u64() % (i as u64 + 1)) as usize;
+            order.swap(i, j);
+        }
+        order
+    }
+
+    /// Splits `0..tiles` into consecutive waves of the given widths
+    /// (cycled), the last one clipped.
+    fn waves_of(tiles: usize, widths: &[usize]) -> Vec<Range<usize>> {
+        let mut waves = Vec::new();
+        let mut start = 0;
+        for &w in widths.iter().cycle() {
+            if start >= tiles {
+                break;
+            }
+            let end = (start + w.max(1)).min(tiles);
+            waves.push(start..end);
+            start = end;
+        }
+        waves
+    }
+
+    /// One armed-fault scenario for [`signal_through`].
+    struct Scenario {
+        issue: Rc<[u32]>,
+        group_of_tile: Rc<[u32]>,
+        groups: usize,
+        waves: Vec<Range<usize>>,
+        faults: Vec<(usize, crate::counter::IncrementFault, u32)>,
+        waits: Vec<(usize, u32)>,
+    }
+
+    /// Signals the scenario's waves at 1 µs intervals on a one-device
+    /// cluster with the scenario's waits parked and faults armed —
+    /// through the group-run path (`runs`) or the per-tile scan — and
+    /// returns what the monitor saw plus the final counts.
+    fn signal_through(sc: &Scenario, runs: bool) -> (RunLog, Vec<u32>) {
+        let mut world = Cluster::new(1, GpuArch::rtx4090(), false, 5);
+        let log = Rc::new(RunLog::default());
+        world.set_monitor(log.clone());
+        let mut sim: ClusterSim = Sim::new();
+        let table = world.devices[0].create_counter(sc.groups);
+        for &(group, kind, count) in &sc.faults {
+            world.devices[0].counters[table].arm_fault(group, kind, count);
+        }
+        for &(group, threshold) in &sc.waits {
+            let s = world.devices[0].create_stream();
+            let wait = crate::stream::WaitCounter {
+                table,
+                group,
+                threshold,
+            };
+            enqueue(&mut world, &mut sim, 0, s, Box::new(wait));
+        }
+        let gemm_stream = world.devices[0].create_stream();
+        let group_runs = group_runs(&sc.issue, &sc.group_of_tile);
+        let cursor = Rc::new(std::cell::Cell::new(0));
+        for (i, wave) in sc.waves.iter().cloned().enumerate() {
+            let (issue, map) = (sc.issue.clone(), sc.group_of_tile.clone());
+            let (group_runs, cursor) = (group_runs.clone(), cursor.clone());
+            sim.schedule_at(sim::SimTime::from_nanos(1_000 * i as u64), move |w, s| {
+                if runs {
+                    let mut at = cursor.get();
+                    let clipped = clipped_runs(&group_runs, &mut at, wave);
+                    signal_wave(w, s, 0, gemm_stream, table, &issue, clipped);
+                    cursor.set(at);
+                } else {
+                    let scanned = scanned_runs(&issue, &map, wave);
+                    signal_wave(w, s, 0, gemm_stream, table, &issue, scanned.into_iter());
+                }
+            });
+        }
+        let _ = sim.run(&mut world);
+        let counts = (0..sc.groups)
+            .map(|g| world.devices[0].counter(table).count(g))
+            .collect();
+        drop(world);
+        let log = Rc::into_inner(log).expect("the cluster released its monitor");
+        (log, counts)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Clipping the plan's group runs to each wave gives exactly the
+        /// runs a per-tile scan of the wave finds, in order, for random
+        /// issue orders, group maps and contended wave widths — and with
+        /// dropped and delayed faults armed, the same increments, fault
+        /// details and released-waiter order.
+        #[test]
+        fn clipped_group_runs_match_a_per_tile_scan(
+            tiles in 1usize..80,
+            groups in 1usize..6,
+            seed in any::<u64>(),
+            blocky in any::<bool>(),
+            noise in prop::collection::vec(0u32..6, 80),
+            widths in prop::collection::vec(1usize..24, 1..6),
+            drop_fault in (0usize..6, 0u32..5),
+            delay_fault in (0usize..6, 0u32..5),
+            waits in prop::collection::vec((0usize..6, 1u32..40), 0..6),
+        ) {
+            let issue: Rc<[u32]> = shuffled(tiles, seed).into();
+            // Blocky maps group issue positions like real plans (waves
+            // in order, a few strays); the rest are uniformly random.
+            let mut map = vec![0u32; tiles];
+            for (pos, &t) in issue.iter().enumerate() {
+                let block = (pos * groups / tiles) as u32;
+                map[t as usize] = if blocky && noise[pos] != 0 { block } else { noise[pos] % groups as u32 };
+            }
+            let group_of_tile: Rc<[u32]> = map.into();
+            let waves = waves_of(tiles, &widths);
+
+            let runs = group_runs(&issue, &group_of_tile);
+            let mut cursor = 0;
+            for wave in &waves {
+                let clipped: Vec<_> = clipped_runs(&runs, &mut cursor, wave.clone()).collect();
+                prop_assert_eq!(clipped, scanned_runs(&issue, &group_of_tile, wave.clone()));
+            }
+            prop_assert_eq!(cursor, runs.len(), "every run consumed");
+
+            use crate::counter::IncrementFault;
+            let sc = Scenario {
+                issue,
+                group_of_tile,
+                groups,
+                waves,
+                faults: vec![
+                    (drop_fault.0 % groups, IncrementFault::Dropped, drop_fault.1),
+                    (
+                        delay_fault.0 % groups,
+                        IncrementFault::Delayed(SimDuration::from_nanos(1_500)),
+                        delay_fault.1,
+                    ),
+                ],
+                waits: waits.iter().map(|&(g, th)| (g % groups, th)).collect(),
+            };
+            let (got, got_counts) = signal_through(&sc, true);
+            let (want, want_counts) = signal_through(&sc, false);
+            prop_assert_eq!(got.increments.into_inner(), want.increments.into_inner());
+            prop_assert_eq!(got.details.into_inner(), want.details.into_inner());
+            prop_assert_eq!(got.satisfied.into_inner(), want.satisfied.into_inner());
+            prop_assert_eq!(got_counts, want_counts);
+        }
+    }
+
+    #[test]
+    fn group_runs_are_maximal_and_cover_the_issue_order() {
+        let runs = group_runs(&[3, 0, 2, 1, 4], &[1, 0, 1, 1, 0]);
+        // Issue positions 0..3 hold tiles 3, 0, 2 (all group 1), and
+        // positions 3..5 hold tiles 1, 4 (group 0).
+        assert_eq!(
+            *runs,
+            [GroupRun { end: 3, group: 1 }, GroupRun { end: 5, group: 0 }]
+        );
+        assert!(group_runs(&[], &[]).is_empty());
     }
 
     #[test]

@@ -30,6 +30,17 @@ impl Memory {
         }
     }
 
+    /// Frees every buffer and switches to `functional` mode: buffer ids
+    /// restart at 0, and the buffer table keeps its allocation.
+    pub(crate) fn reset(&mut self, functional: bool) {
+        let Memory {
+            buffers,
+            functional: mode,
+        } = self;
+        buffers.clear();
+        *mode = functional;
+    }
+
     /// Whether buffers carry real data.
     pub fn functional(&self) -> bool {
         self.functional
@@ -187,6 +198,18 @@ mod tests {
         mem.alloc(10);
         mem.alloc(32);
         assert_eq!(mem.elems_allocated(), 42);
+    }
+
+    #[test]
+    fn reset_frees_buffers_and_restarts_ids() {
+        let mut mem = Memory::new(false);
+        mem.alloc(10);
+        mem.alloc(3);
+        mem.reset(true);
+        assert!(mem.functional());
+        assert_eq!(mem.num_buffers(), 0);
+        assert_eq!(mem.alloc(2), 0);
+        assert_eq!(mem.data(0), &[0.0, 0.0]);
     }
 
     #[test]

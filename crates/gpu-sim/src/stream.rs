@@ -118,6 +118,21 @@ pub struct Stream {
     pub(crate) current: Option<(&'static str, SpanMeta, SimTime)>,
 }
 
+impl Stream {
+    /// Drops every queued kernel unrun and marks the stream idle,
+    /// keeping the queue's allocation.
+    pub(crate) fn clear(&mut self) {
+        let Stream {
+            queue,
+            busy,
+            current,
+        } = self;
+        queue.clear();
+        *busy = false;
+        *current = None;
+    }
+}
+
 impl std::fmt::Debug for Stream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Stream")
@@ -368,16 +383,31 @@ pub fn abort_counter_waits(
     revoked
 }
 
-/// Wakes counter waiters returned by an increment: each parked signaling
-/// kernel observes the counter after its polling delay.
+/// Increments `(device, table)`'s `group` slot by `by` and queues the
+/// waiters it releases in the cluster's release buffer, for
+/// [`wake_counter_waiters`] to wake.
+pub(crate) fn increment_counter(
+    world: &mut Cluster,
+    device: DeviceId,
+    table: usize,
+    group: usize,
+    by: u32,
+) {
+    world.devices[device].counters[table].increment(group, by, &mut world.released);
+}
+
+/// Wakes the waiters queued in the cluster's release buffer by
+/// [`increment_counter`], in release order: each parked signaling kernel
+/// observes the counter after its polling delay. The buffer is drained
+/// and keeps its allocation.
 pub(crate) fn wake_counter_waiters(
     world: &mut Cluster,
     sim: &mut ClusterSim,
     device: DeviceId,
     table: usize,
-    waiters: Vec<crate::counter::Waiter>,
 ) {
-    for waiter in waiters {
+    let mut released = std::mem::take(&mut world.released);
+    for waiter in released.drain(..) {
         if let Some(monitor) = world.monitor.as_deref() {
             // The parked wait synchronizes now, at the releasing increment.
             monitor.on_counter_satisfied(
@@ -393,6 +423,7 @@ pub(crate) fn wake_counter_waiters(
         let completion = waiter.completion;
         sim.schedule_in(poll, move |w, s| completion.finish(w, s));
     }
+    world.released = released;
 }
 
 #[cfg(test)]
@@ -529,8 +560,8 @@ mod tests {
             0,
             s0,
             Box::new(Callback(Box::new(move |w, s| {
-                let woken = w.devices[0].counters[table].increment(0, 4);
-                wake_counter_waiters(w, s, 0, table, woken);
+                increment_counter(w, 0, table, 0, 4);
+                wake_counter_waiters(w, s, 0, table);
             }))),
         );
         let end = sim.run(&mut world).unwrap();

@@ -1,9 +1,9 @@
 //! The sealed per-replica execution engine.
 //!
 //! A [`ReplicaEngine`] owns everything one replica group needs to run a
-//! chain of batches — the simulated cluster (constructed per execution
-//! by [`flashoverlap::execute_sequence`]), the tuned-plan
-//! [`PlanCache`], the telemetry monitor/probe wiring, and the chain
+//! chain of batches — the simulation world (one [`ChainWorld`], reset
+//! for every chain by [`flashoverlap::execute_sequence_in`]), the
+//! tuned-plan [`PlanCache`], the telemetry monitor/probe wiring, and the chain
 //! assembly (per-batch fault plans, sequence options, pipelining). The
 //! serve loop never touches any of that state directly: it talks to the
 //! engine exclusively through typed [`EngineCommand`] /
@@ -27,8 +27,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use flashoverlap::{
-    execute_sequence, CommPattern, Fault, FaultPlan, FlashOverlapError, Instrumentation,
-    OverlapPlan, SequenceOptions, WatchdogConfig,
+    execute_sequence_in, ChainWorld, CommPattern, Fault, FaultPlan, FlashOverlapError,
+    Instrumentation, OverlapPlan, SequenceOptions, WatchdogConfig,
 };
 use telemetry::attribution::{attribute_makespan, AttributionTotals, Category};
 use telemetry::{signal_summary, Telemetry, TelemetryRecord};
@@ -169,8 +169,9 @@ pub struct EngineFinal {
 }
 
 /// The worker behind one [`ReplicaEngine`]: owns the plan cache and the
-/// chain executor. Its `Rc`-based plan cache makes it `!Send`; the pool
-/// moves it between threads only inside a [`MovableWorker`].
+/// simulation world its chains run in. Its `Rc`-based plan cache (and
+/// the world's kernel and event types) make it `!Send`; the pool moves
+/// it between threads only inside a [`MovableWorker`].
 struct EngineWorker {
     config: ServeConfig,
     replica_idx: usize,
@@ -186,6 +187,9 @@ struct EngineWorker {
     /// record's capacity and hands it back after harvest, so the
     /// per-event vectors stop re-growing from zero on every chain.
     scratch: TelemetryRecord,
+    /// The simulation world every chain of this replica runs in: built
+    /// once, reset per chain, holding only allocations between chains.
+    world: ChainWorld,
 }
 
 impl EngineWorker {
@@ -216,6 +220,7 @@ impl EngineWorker {
             busy_ns: 0,
             chain_log: Vec::new(),
             scratch: TelemetryRecord::default(),
+            world: ChainWorld::new(),
         })
     }
 
@@ -259,6 +264,7 @@ impl EngineWorker {
             busy_ns,
             chain_log,
             scratch,
+            world,
         } = self;
         let config: &ServeConfig = config;
         let replica_idx = *replica_idx;
@@ -329,7 +335,7 @@ impl EngineWorker {
             options = options.serial();
         }
         let plan_refs: Vec<&OverlapPlan> = plans.iter().map(|(p, _)| p.as_ref()).collect();
-        let outcome = execute_sequence(&plan_refs, &options)?;
+        let outcome = execute_sequence_in(world, &plan_refs, &options)?;
         let completions: Vec<u64> = outcome
             .reports
             .iter()
@@ -351,9 +357,10 @@ impl EngineWorker {
         // Critical-path attribution of the whole chain; per-batch shares are
         // clipped out of it below.
         let attribution = attribute_makespan(&spans, &record, total_ns);
-        // Done reading the record — hand its buffers back for the next
-        // chain's recorder (recycling clears them on reuse).
+        // Done reading the record and the spans — hand their buffers back
+        // for the next chain (recycling clears them on reuse).
         *scratch = record;
+        world.recycle_spans(spans);
 
         // Predictor drift: sample only the chain-leading batch — later
         // pipelined batches' measured completions include comm-stream
@@ -363,7 +370,7 @@ impl EngineWorker {
             (chain.as_slice(), plans.as_slice(), leader_group_done)
         {
             if let Some(predicted) = plan.predicted_group_completions() {
-                effects.drift = Some((leader.batch.gemm_dims(tp), predicted, measured));
+                effects.drift = Some((leader.batch.gemm_dims(tp), predicted.to_vec(), measured));
             }
         }
 
@@ -531,12 +538,20 @@ struct MovableWorker(EngineWorker);
 // it returns, replies carry plain data (see
 // `assert_boundary_types_are_send`), workers are built from a cloned
 // config and share no plan, and nothing in the simulator keeps
-// thread-local or global handles. So moving a `MovableWorker` moves every
-// handle to its allocations together, and the pool's mutex orders the
-// moves, so no two threads ever touch one reference count.
+// thread-local or global handles. `world` (`ChainWorld`) is not `Send`
+// only for the types its cluster and engine can hold while a chain runs
+// (boxed kernels and events, the monitor and probe `Rc`s); between
+// chains it holds none of them — `execute_sequence_in` clears it on
+// every exit — only plain allocations. So moving a `MovableWorker`
+// moves every handle to its allocations together, and the pool's mutex
+// orders the moves, so no two threads ever touch one reference count.
 unsafe impl Send for MovableWorker {}
 
 impl Shared {
+    #[cfg_attr(
+        not(test),
+        expect(clippy::expect_used, reason = "pool is deleted by ROADMAP item 3")
+    )]
     fn lock(&self) -> MutexGuard<'_, PoolState> {
         // The lock is never held while a command runs, so a panic cannot
         // poison it.
@@ -606,6 +621,10 @@ impl ReplicaEngine {
     ///
     /// Re-raises a panic a pool thread hit while running this engine,
     /// and panics when no command is outstanding.
+    #[cfg_attr(
+        not(test),
+        expect(clippy::expect_used, reason = "pool is deleted by ROADMAP item 3")
+    )]
     pub fn recv(&self) -> EngineReply {
         let mut state = self.pool.lock();
         loop {
@@ -734,6 +753,10 @@ impl Drop for EnginePool {
 
 /// Pool-thread main: run the oldest runnable engine's next command
 /// until the pool closes.
+#[cfg_attr(
+    not(test),
+    expect(clippy::expect_used, reason = "pool is deleted by ROADMAP item 3")
+)]
 fn pool_thread(shared: &Shared) {
     let mut state = shared.lock();
     loop {

@@ -34,6 +34,7 @@
 //! [`OverlapPlan`]: flashoverlap::OverlapPlan
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::expect_used))]
 
 pub mod batch;
 pub mod cache;

@@ -740,17 +740,13 @@ impl ServeReport {
             }
             out.push('\n');
         }
-        if !self.drift.is_empty() {
-            let worst = self
-                .drift
-                .iter()
-                .max_by(|a, b| {
-                    a.drift()
-                        .abs()
-                        .partial_cmp(&b.drift().abs())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .expect("non-empty drift");
+        let worst = self.drift.iter().max_by(|a, b| {
+            a.drift()
+                .abs()
+                .partial_cmp(&b.drift().abs())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        if let Some(worst) = worst {
             out.push_str(&format!(
                 "  predictor drift: {} rows, worst {:+.1}% at {}x{}x{} group {}\n",
                 self.drift.len(),

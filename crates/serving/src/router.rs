@@ -157,6 +157,13 @@ impl Router {
     ///
     /// Panics if `loads` is empty — the server validates `replicas >= 1`
     /// at startup, so an empty snapshot is a caller bug.
+    #[cfg_attr(
+        not(test),
+        expect(
+            clippy::expect_used,
+            reason = "documented panic: an empty load snapshot is a caller bug"
+        )
+    )]
     pub fn route(&mut self, dims: GemmDims, loads: &[ReplicaLoad]) -> RouteDecision {
         assert!(!loads.is_empty(), "router needs at least one replica");
         let eligible = vec![true; loads.len()];

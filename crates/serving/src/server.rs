@@ -747,8 +747,9 @@ fn serve_run(
             if !ready {
                 break;
             }
-            let batch = form_batch(&mut queue, &config.batch, batch_id)
-                .expect("queue is non-empty when a batch closes");
+            let Some(batch) = form_batch(&mut queue, &config.batch, batch_id) else {
+                break;
+            };
             batch_id += 1;
             let dims = batch.gemm_dims(tp);
             shapes.insert(dims);

@@ -133,14 +133,38 @@ impl<W> Sim<W> {
 
     /// Creates an empty simulator at t = 0.
     pub fn new() -> Self {
-        Sim {
+        let mut sim = Sim {
             now: SimTime::ZERO,
             queue: BinaryHeap::new(),
             next_seq: 0,
             processed: 0,
-            event_budget: Self::DEFAULT_EVENT_BUDGET,
+            event_budget: 0,
             probe: None,
-        }
+        };
+        sim.reset();
+        sim
+    }
+
+    /// Returns the simulator to the state [`Sim::new`] gives — t = 0,
+    /// sequence 0, nothing processed, the default event budget, no probe
+    /// and an empty queue — while keeping the queue's allocation. Pending
+    /// events are dropped unrun. Every field is named here, so a new
+    /// field does not compile until its reset is decided.
+    pub fn reset(&mut self) {
+        let Sim {
+            now,
+            queue,
+            next_seq,
+            processed,
+            event_budget,
+            probe,
+        } = self;
+        *now = SimTime::ZERO;
+        queue.clear();
+        *next_seq = 0;
+        *processed = 0;
+        *event_budget = Self::DEFAULT_EVENT_BUDGET;
+        *probe = None;
     }
 
     /// Overrides the runaway-event budget (see [`SimError`]).
@@ -279,6 +303,31 @@ impl<W> Sim<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reset_matches_a_fresh_simulator() {
+        let mut sim: Sim<Vec<u64>> = Sim::new().with_event_budget(3);
+        sim.set_probe(Rc::new(NoProbe));
+        sim.schedule_at(SimTime::from_nanos(4), |w, _| w.push(4));
+        sim.schedule_at(SimTime::from_nanos(9), |w, _| w.push(9));
+        let mut world = Vec::new();
+        sim.run_until(&mut world, SimTime::from_nanos(5)).unwrap();
+        sim.reset();
+        assert_eq!(sim.now(), SimTime::ZERO);
+        assert_eq!(sim.pending(), 0, "queued events are dropped");
+        assert_eq!(sim.events_processed(), 0);
+        assert!(sim.probe.is_none());
+        assert_eq!(sim.event_budget, Sim::<Vec<u64>>::DEFAULT_EVENT_BUDGET);
+        // Sequence numbers restart: same-time events stay FIFO from 0.
+        sim.schedule_now(|w, _| w.push(1));
+        sim.schedule_now(|w, _| w.push(2));
+        assert_eq!(sim.next_seq, 2);
+        sim.run(&mut world).unwrap();
+        assert_eq!(world, vec![4, 1, 2]);
+    }
+
+    struct NoProbe;
+    impl EngineProbe<Vec<u64>> for NoProbe {}
 
     #[test]
     fn events_fire_in_time_order() {

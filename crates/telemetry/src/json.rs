@@ -9,6 +9,8 @@
 //! insertion order, numbers are `f64`, non-finite numbers serialize as
 //! `null`.
 
+#![cfg_attr(not(test), warn(clippy::expect_used))]
+
 use std::fmt::Write as _;
 
 /// A JSON value.
