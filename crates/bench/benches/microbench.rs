@@ -19,8 +19,10 @@ use gpu_sim::gemm::{GemmConfig, GemmDims};
 use gpu_sim::swizzle::Swizzle;
 use gpu_sim::tile::{TileGrid, TileShape};
 use gpu_sim::wave::WaveSchedule;
+use serving::PlanCache;
 use sim::{Sim, SimDuration};
 use telemetry::{Telemetry, TelemetryRecord};
+use workloads::models;
 
 fn bench_event_engine(c: &mut Criterion) {
     c.bench_function("sim/10k_events", |b| {
@@ -102,6 +104,40 @@ fn bench_search(c: &mut Criterion) {
     });
     c.bench_function("tuner/candidate_enumeration_t12", |b| {
         b.iter(|| black_box(candidate_partitions(black_box(12), 2, 4)))
+    });
+}
+
+/// What a serve replica pays per plan-cache miss: a fresh `PlanCache`
+/// tunes, builds and statically verifies a plan for each of twelve
+/// churn-mix shapes (the three churn models at four padded token counts,
+/// tensor-parallel over 4 GPUs), and reads each plan's predicted group
+/// completions as the chain leader's drift sample does.
+fn bench_plan_cache_miss(c: &mut Criterion) {
+    let system = SystemSpec::rtx4090(4);
+    let shapes: Vec<GemmDims> = [
+        models::LLAMA3_8B,
+        models::LLAMA2_70B,
+        models::DEEPSEEK_MOE_EXPERT,
+    ]
+    .into_iter()
+    .flat_map(|model| {
+        [64, 256, 1024, 2048]
+            .into_iter()
+            .map(move |tokens| GemmDims::new(tokens, model.hidden, model.intermediate / 4))
+    })
+    .collect();
+    c.bench_function("tuner/plan_cache_miss", |b| {
+        b.iter(|| {
+            let mut cache = PlanCache::new(shapes.len());
+            for &dims in &shapes {
+                let (plan, hit) = cache
+                    .get_or_tune(black_box(dims), &CommPattern::AllReduce, &system)
+                    .expect("plan");
+                debug_assert!(!hit);
+                black_box(plan.predicted_group_completions());
+            }
+            black_box(cache.stats())
+        })
     });
 }
 
@@ -316,7 +352,7 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_event_engine, bench_mapping_build, bench_token_mapping,
-              bench_predictor, bench_search, bench_simulated_run,
+              bench_predictor, bench_search, bench_plan_cache_miss, bench_simulated_run,
               bench_serve_instrumented, bench_summarize_chain, bench_collective_cost,
               bench_pipeline, bench_check_static
 }

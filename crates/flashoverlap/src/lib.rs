@@ -61,7 +61,8 @@ pub use sequence::{execute_sequence, execute_sequence_in, SequenceOptions, Seque
 pub use system::SystemSpec;
 pub use theory::{nonoverlap_latency, theoretical_latency, theoretical_speedup};
 pub use tuner::{
-    exhaustive_search, measure_partition, predictive_search, predictive_search_with, TuneOutcome,
+    exhaustive_search, measure_partition, predictive_search, predictive_search_with, tune_plan,
+    TuneOutcome,
 };
 pub use verify::{
     model_of_chain, model_of_plan, reject_if_invalid, runtime_seam, verify_sequence, RuntimeSeam,

@@ -65,27 +65,43 @@ impl GroupLayout {
             "partition/schedule wave mismatch"
         );
         let num_tiles = schedule.num_tiles() as usize;
-        let mut group_of_tile = vec![0u32; num_tiles];
-        let mut reorder_order = Vec::with_capacity(num_tiles);
-        let mut group_tile_counts = vec![0u32; partition.num_groups()];
-        for w in 0..schedule.num_waves() {
-            let g = partition.group_of_wave(w);
-            let mut wave_tiles: Vec<u32> = schedule.wave(w).to_vec();
-            wave_tiles.sort_unstable();
-            for &t in &wave_tiles {
-                // Index proofs: the schedule's waves partition exactly the
-                // tiles 0..num_tiles (WaveSchedule invariant), so t is in
-                // range; group_of_wave returns < num_groups for any wave
-                // the partition covers, and the assert above pins the
-                // partition to this schedule.
-                *group_of_tile
-                    .get_mut(t as usize)
-                    .expect("schedule tile ids are < num_tiles") = g as u32;
-                *group_tile_counts
-                    .get_mut(g)
-                    .expect("group_of_wave returns < num_groups") += 1;
+        // Per wave: its group, and the packed slot its next tile takes
+        // (the prefix sums of the wave widths). Per group: its waves'
+        // tile total.
+        let mut wave_group = Vec::with_capacity(schedule.num_waves() as usize);
+        let mut next_slot = Vec::with_capacity(schedule.num_waves() as usize);
+        let mut group_tile_counts = Vec::with_capacity(partition.num_groups());
+        let mut waves = schedule.waves().iter();
+        let mut packed = 0usize;
+        for (g, &size) in partition.sizes().iter().enumerate() {
+            let mut count = 0u32;
+            for wave in waves.by_ref().take(size as usize) {
+                wave_group.push(g as u32);
+                next_slot.push(packed);
+                packed += wave.len();
+                count += wave.len() as u32;
             }
-            reorder_order.extend(wave_tiles);
+            group_tile_counts.push(count);
+        }
+        // One counting pass in ascending tile id: each wave's tiles land
+        // in its slot range already sorted, with no per-wave sort.
+        let mut group_of_tile = Vec::with_capacity(num_tiles);
+        let mut reorder_order = vec![0u32; num_tiles];
+        for t in 0..num_tiles as u32 {
+            // Index proofs: the assert above pins the partition to the
+            // schedule's waves, so every wave has a group and a slot
+            // cursor; each wave's cursor starts at its prefix sum and
+            // advances once per tile of the wave (WaveSchedule
+            // invariant), so it stays below num_tiles.
+            let w = schedule.wave_of(t) as usize;
+            let slot = next_slot
+                .get_mut(w)
+                .expect("the partition covers every wave");
+            *reorder_order
+                .get_mut(*slot)
+                .expect("a wave's slots stay within its packed range") = t;
+            *slot += 1;
+            group_of_tile.push(*wave_group.get(w).expect("the partition covers every wave"));
         }
         GroupLayout {
             group_of_tile,
@@ -166,6 +182,7 @@ mod tests {
     use super::*;
     use gpu_sim::swizzle::Swizzle;
     use gpu_sim::tile::{TileGrid, TileShape};
+    use proptest::prelude::*;
 
     fn schedule() -> WaveSchedule {
         // 2x4 grid of tiles, swizzle width 2, 2 tiles per wave => 4 waves
@@ -214,6 +231,60 @@ mod tests {
         for t in 0..s.num_tiles() {
             let expected = p.group_of_wave(s.wave_of(t)) as u32;
             assert_eq!(layout.group_of_tile[t as usize], expected);
+        }
+    }
+
+    /// The per-wave copy-and-sort construction the counting pass
+    /// replaced, kept as the oracle.
+    fn sorted_waves_layout(schedule: &WaveSchedule, partition: &WavePartition) -> GroupLayout {
+        let mut group_of_tile = vec![0u32; schedule.num_tiles() as usize];
+        let mut reorder_order = Vec::new();
+        let mut group_tile_counts = vec![0u32; partition.num_groups()];
+        for w in 0..schedule.num_waves() {
+            let g = partition.group_of_wave(w);
+            let mut wave_tiles = schedule.wave(w).to_vec();
+            wave_tiles.sort_unstable();
+            for &t in &wave_tiles {
+                group_of_tile[t as usize] = g as u32;
+                group_tile_counts[g] += 1;
+            }
+            reorder_order.extend(wave_tiles);
+        }
+        GroupLayout {
+            group_of_tile,
+            reorder_order,
+            group_tile_counts,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random tile orders, wave widths and partitions: the
+        /// counting pass equals the copy-and-sort reference.
+        #[test]
+        fn layout_equals_the_per_wave_sort(
+            seed in any::<u64>(),
+            tiles in 1u32..300,
+            concurrency in 1u32..40,
+        ) {
+            let mut rng = sim::DetRng::new(seed);
+            let mut order: Vec<u32> = (0..tiles).collect();
+            rng.shuffle(&mut order);
+            let schedule = WaveSchedule::new(&order, concurrency);
+            let mut sizes = Vec::new();
+            let mut left = schedule.num_waves();
+            while left > 0 {
+                let size = rng.range_inclusive(1, u64::from(left)) as u32;
+                sizes.push(size);
+                left -= size;
+            }
+            let partition = WavePartition::new(sizes);
+            let layout = GroupLayout::new(&schedule, &partition);
+            let expected = sorted_waves_layout(&schedule, &partition);
+            prop_assert_eq!(&layout.group_of_tile, &expected.group_of_tile);
+            prop_assert_eq!(&layout.reorder_order, &expected.reorder_order);
+            prop_assert_eq!(&layout.group_tile_counts, &expected.group_tile_counts);
         }
     }
 

@@ -5,8 +5,9 @@
 //! of `T` waves into ordered groups. A partition is represented by its
 //! group sizes, e.g. `(1, 2, 2)` for communicating after waves 1, 3, 5.
 //!
-//! `wave_range`/`group_of_wave` run per tile-group inside the planner and
-//! predictor loops, so unchecked indexing is opted out here.
+//! `group_of_wave` runs per tile band inside the token-mapping planner,
+//! and the tuner enumerates candidates here, so unchecked indexing is
+//! opted out.
 #![warn(clippy::indexing_slicing)]
 
 use crate::error::FlashOverlapError;
@@ -194,23 +195,49 @@ pub fn all_partitions(waves: u32) -> Vec<WavePartition> {
 /// evaluates moderate `T`.
 pub fn candidate_partitions(waves: u32, s1_max: u32, sp_max: u32) -> Vec<WavePartition> {
     assert!(waves > 0, "need at least one wave");
-    if waves == 1 {
-        return vec![WavePartition::new(vec![1])];
-    }
     if waves <= EXHAUSTIVE_WAVE_LIMIT {
-        return all_partitions(waves)
-            .into_iter()
-            .filter(|p| {
-                let sizes = p.sizes();
-                // The single-group (no-overlap) fallback always stays; the
-                // S1/SP bounds prune everything else.
-                sizes.len() == 1
-                    || (sizes.first().is_some_and(|&s| s <= s1_max)
-                        && sizes.last().is_some_and(|&s| s <= sp_max))
-            })
-            .collect();
+        return bounded_partitions(waves, s1_max, sp_max);
     }
     structured_partitions(waves, s1_max, sp_max)
+}
+
+/// Every partition of `waves` whose first group has at most `s1_max`
+/// waves and whose last group at most `sp_max`, plus the single group
+/// (the no-overlap fallback always stays), in the order
+/// [`all_partitions`] lists them: lexicographic by group sizes. The
+/// tuner's argmin breaks ties by this order. Only survivors are built.
+fn bounded_partitions(waves: u32, s1_max: u32, sp_max: u32) -> Vec<WavePartition> {
+    /// Appends every bounded completion of `current` by `remaining`
+    /// waves, in lexicographic order: the closing group, the largest
+    /// size, comes last.
+    fn complete(remaining: u32, sp_max: u32, current: &mut Vec<u32>, out: &mut Vec<WavePartition>) {
+        for size in 1..remaining {
+            current.push(size);
+            complete(remaining - size, sp_max, current, out);
+            current.pop();
+        }
+        if remaining <= sp_max {
+            current.push(remaining);
+            out.push(WavePartition {
+                sizes: current.clone(),
+            });
+            current.pop();
+        }
+    }
+    let mut out = Vec::new();
+    let mut current = Vec::with_capacity(waves as usize);
+    // With `sp_max == 0` no multi-group partition survives; skip the walk.
+    if sp_max > 0 {
+        for first in 1..=s1_max.min(waves - 1) {
+            current.push(first);
+            complete(waves - first, sp_max, &mut current, &mut out);
+            current.pop();
+        }
+    }
+    // The single group's first size is `waves`, the largest, so it sorts
+    // last.
+    out.push(WavePartition::single(waves));
+    out
 }
 
 fn structured_partitions(waves: u32, s1_max: u32, sp_max: u32) -> Vec<WavePartition> {
@@ -363,6 +390,35 @@ mod tests {
         }
         // Pruning really removes candidates.
         assert!(cands.len() < all_partitions(10).len());
+    }
+
+    #[test]
+    fn bounded_candidates_equal_the_filtered_full_space_in_order() {
+        // The reference: the full design space, then the S1/SP filter.
+        // The tuner breaks argmin ties by candidate order, so the order
+        // must match too.
+        for waves in 1..=EXHAUSTIVE_WAVE_LIMIT {
+            let all = all_partitions(waves);
+            for s1 in 0..=5 {
+                for sp in 0..=5 {
+                    let expected: Vec<WavePartition> = all
+                        .iter()
+                        .filter(|p| {
+                            let sizes = p.sizes();
+                            sizes.len() == 1
+                                || (sizes.first().is_some_and(|&s| s <= s1)
+                                    && sizes.last().is_some_and(|&s| s <= sp))
+                        })
+                        .cloned()
+                        .collect();
+                    assert_eq!(
+                        candidate_partitions(waves, s1, sp),
+                        expected,
+                        "T={waves} S1={s1} SP={sp}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

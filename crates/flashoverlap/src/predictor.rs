@@ -163,8 +163,8 @@ impl LatencyPredictor {
     ///
     /// Panics if the partition does not cover the profiled wave count.
     pub fn predict(&self, partition: &WavePartition) -> SimDuration {
-        let (time, completions) = self.walk(partition);
-        let comm_done = completions.last().copied().unwrap_or(0.0);
+        let mut comm_done = 0.0f64;
+        let time = self.walk(partition, |done| comm_done = done);
         SimDuration::from_nanos(comm_done.max(time) as u64)
     }
 
@@ -177,14 +177,18 @@ impl LatencyPredictor {
     ///
     /// Panics if the partition does not cover the profiled wave count.
     pub fn predict_group_completions(&self, partition: &WavePartition) -> Vec<SimDuration> {
-        let (_, completions) = self.walk(partition);
+        let mut completions = Vec::with_capacity(partition.num_groups());
+        self.walk(partition, |done| {
+            completions.push(SimDuration::from_nanos(done as u64));
+        });
         completions
-            .into_iter()
-            .map(|ns| SimDuration::from_nanos(ns as u64))
-            .collect()
     }
 
-    fn walk(&self, partition: &WavePartition) -> (f64, Vec<f64>) {
+    /// Walks the GEMM wave by wave, calling `on_group` with each group's
+    /// collective completion time as it is scheduled, and returns when
+    /// the GEMM finishes. Allocates nothing: each group's threshold and
+    /// payload are derived when the walk reaches it.
+    fn walk(&self, partition: &WavePartition, mut on_group: impl FnMut(f64)) -> f64 {
         assert_eq!(
             partition.total_waves(),
             self.profile.total_waves,
@@ -192,18 +196,17 @@ impl LatencyPredictor {
         );
         let per_wave_ns =
             self.profile.gemm_duration.as_nanos() as f64 / self.profile.total_waves as f64;
-        // Per-group signaling thresholds (tiles) and payloads (bytes),
-        // cumulative.
-        let mut thresholds = Vec::with_capacity(partition.num_groups());
-        let mut payloads = Vec::with_capacity(partition.num_groups());
+        // The next group's cumulative signaling threshold (tiles) and
+        // payload (ns), advanced by a running wave cursor.
+        let mut groups = partition.sizes().iter();
+        let mut group_start = 0u32;
         let mut acc_tiles = 0u64;
-        for g in 0..partition.num_groups() {
-            let range = partition.wave_range(g);
-            acc_tiles += (range.start..range.end)
-                .map(|w| self.profile.wave_tiles(w) as u64)
-                .sum::<u64>();
-            thresholds.push(acc_tiles);
-            let bytes = self.profile.group_bytes(range.start, range.end);
+        let mut next_group = |size: u32| {
+            let range = group_start..group_start + size;
+            group_start = range.end;
+            let tiles: u64 = range.map(|w| self.profile.wave_tiles(w) as u64).sum();
+            acc_tiles += tiles;
+            let bytes = tiles * self.profile.tile_elems * BYTES_PER_ELEM;
             let mut comm = self.profile.curve.interpolate(bytes).as_nanos() as f64;
             if self.profile.primitive == Primitive::AllToAll {
                 // Dynamic routing makes per-group All-to-All traffic
@@ -213,8 +216,9 @@ impl LatencyPredictor {
                 // margin to avoid over-fragmenting.
                 comm *= ALL_TO_ALL_IMBALANCE_MARGIN;
             }
-            payloads.push(comm);
-        }
+            (acc_tiles, comm)
+        };
+        let mut pending = groups.next().map(|&size| next_group(size));
 
         // Walk the GEMM wave by wave, exactly like the runtime: each wave
         // takes one tile-time; its width is the full SM count unless a
@@ -229,8 +233,6 @@ impl LatencyPredictor {
         // group signals after the previous calls drained.
         let mut comm_busy_from = f64::INFINITY;
         let mut comm_free = 0.0f64;
-        let mut next_group = 0usize;
-        let mut completions = Vec::with_capacity(payloads.len());
         while tiles_done < total_tiles {
             // A wave dispatches the moment the previous one retires —
             // before a just-signalled collective can grab its SMs — so it
@@ -243,19 +245,22 @@ impl LatencyPredictor {
             };
             tiles_done += width as u64;
             time += per_wave_ns;
-            while next_group < thresholds.len() && tiles_done >= thresholds[next_group] {
+            while let Some((threshold, payload)) = pending {
+                if tiles_done < threshold {
+                    break;
+                }
                 if comm_free <= time {
                     comm_busy_from = time;
-                    comm_free = time + payloads[next_group];
+                    comm_free = time + payload;
                 } else {
-                    comm_free += payloads[next_group];
+                    comm_free += payload;
                 }
-                completions.push(comm_free);
-                next_group += 1;
+                on_group(comm_free);
+                pending = groups.next().map(|&size| next_group(size));
             }
         }
-        debug_assert_eq!(next_group, thresholds.len(), "every group signalled");
-        (time, completions)
+        debug_assert!(pending.is_none(), "every group signalled");
+        time
     }
 
     /// Predicted latency of the non-overlapped execution (single group).
@@ -267,6 +272,7 @@ impl LatencyPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn predictor() -> LatencyPredictor {
         // K chosen so computation and communication are roughly balanced
@@ -369,6 +375,114 @@ mod tests {
             assert!(pair[0] <= pair[1], "completions must not go backwards");
         }
         assert_eq!(*completions.last().unwrap(), p.predict(&partition));
+    }
+
+    /// The walk before it went allocation-free: thresholds and payloads
+    /// for every group up front, then the wave loop. Kept as the oracle.
+    fn walk_with_tables(p: &OfflineProfile, partition: &WavePartition) -> (f64, Vec<f64>) {
+        let per_wave_ns = p.gemm_duration.as_nanos() as f64 / p.total_waves as f64;
+        let mut thresholds = Vec::new();
+        let mut payloads = Vec::new();
+        let mut acc_tiles = 0u64;
+        for g in 0..partition.num_groups() {
+            let range = partition.wave_range(g);
+            acc_tiles += range.clone().map(|w| p.wave_tiles(w) as u64).sum::<u64>();
+            thresholds.push(acc_tiles);
+            let mut comm = p
+                .curve
+                .interpolate(p.group_bytes(range.start, range.end))
+                .as_nanos() as f64;
+            if p.primitive == Primitive::AllToAll {
+                comm *= ALL_TO_ALL_IMBALANCE_MARGIN;
+            }
+            payloads.push(comm);
+        }
+        let (mut time, mut tiles_done) = (0.0f64, 0u64);
+        let (mut comm_busy_from, mut comm_free) = (f64::INFINITY, 0.0f64);
+        let mut completions = Vec::new();
+        while tiles_done < p.total_tiles as u64 {
+            let width = if comm_busy_from < time && time < comm_free {
+                p.wave_width
+            } else {
+                p.full_wave_width
+            };
+            tiles_done += width as u64;
+            time += per_wave_ns;
+            while completions.len() < thresholds.len()
+                && tiles_done >= thresholds[completions.len()]
+            {
+                let payload = payloads[completions.len()];
+                if comm_free <= time {
+                    comm_busy_from = time;
+                    comm_free = time + payload;
+                } else {
+                    comm_free += payload;
+                }
+                completions.push(comm_free);
+            }
+        }
+        (time, completions)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random shapes, both topology tiers, every primitive and random
+        /// partitions: the allocation-free walk is bit-equal to the
+        /// tabled one, and so are `predict` and
+        /// `predict_group_completions`.
+        #[test]
+        fn walk_is_bit_equal_to_the_tabled_walk(
+            seed in any::<u64>(),
+            m in 1u32..6000,
+            n in 1u32..9000,
+            k in 1u32..20000,
+            system in prop::sample::select(vec![0usize, 1, 2]),
+            primitive in prop::sample::select(vec![
+                Primitive::AllReduce,
+                Primitive::ReduceScatter,
+                Primitive::AllToAll,
+                Primitive::AllGather,
+            ]),
+        ) {
+            let system = match system {
+                0 => SystemSpec::rtx4090(4),
+                1 => SystemSpec::a800(8),
+                _ => SystemSpec::a800(8).with_nodes(2),
+            };
+            let p = LatencyPredictor::build(GemmDims::new(m, n, k), primitive, &system);
+            let waves = p.profile().total_waves;
+            let mut rng = sim::DetRng::new(seed);
+            let mut candidates = vec![WavePartition::single(waves), WavePartition::per_wave(waves)];
+            for _ in 0..4 {
+                let mut sizes = Vec::new();
+                let mut left = waves;
+                while left > 0 {
+                    let size = rng.range_inclusive(1, u64::from(left.min(6))) as u32;
+                    sizes.push(size);
+                    left -= size;
+                }
+                candidates.push(WavePartition::new(sizes));
+            }
+            for partition in &candidates {
+                let (time, completions) = walk_with_tables(p.profile(), partition);
+                let mut walked = Vec::new();
+                let walked_time = p.walk(partition, |done| walked.push(done));
+                prop_assert_eq!(walked_time.to_bits(), time.to_bits());
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&walked), bits(&completions));
+                let comm_done = completions.last().copied().unwrap_or(0.0);
+                prop_assert_eq!(
+                    p.predict(partition),
+                    SimDuration::from_nanos(comm_done.max(time) as u64)
+                );
+                let expected: Vec<SimDuration> = completions
+                    .iter()
+                    .map(|&ns| SimDuration::from_nanos(ns as u64))
+                    .collect();
+                prop_assert_eq!(p.predict_group_completions(partition), expected);
+            }
+        }
     }
 
     #[test]

@@ -124,7 +124,8 @@ impl PlanMapping {
 /// issue order, its same-group runs, the per-rank epilogue writers and
 /// the latency predictor behind [`OverlapPlan::expected_latency`] and
 /// [`OverlapPlan::predicted_group_completions`] — is derived once, in
-/// [`OverlapPlan::new`] (the predictor and its predictions on first use),
+/// [`OverlapPlan::new`] (the predictor and its predictions on first use,
+/// unless the search that tuned the plan hands its predictor over),
 /// and shared by `Rc` with every launch. A plan is therefore never
 /// mutated after `new`: changing a public field would leave those
 /// derived fields stale. Build a new plan instead.
@@ -308,6 +309,25 @@ impl OverlapPlan {
         system: SystemSpec,
         partition: WavePartition,
     ) -> Result<Self, FlashOverlapError> {
+        Self::build(dims, pattern, system, partition, None)
+    }
+
+    /// [`OverlapPlan::new`], keeping `predictor` when a search already
+    /// built it for this shape, primitive and system, instead of
+    /// building it again on first use.
+    pub(crate) fn build(
+        dims: GemmDims,
+        pattern: CommPattern,
+        system: SystemSpec,
+        partition: WavePartition,
+        predictor: Option<LatencyPredictor>,
+    ) -> Result<Self, FlashOverlapError> {
+        debug_assert!(
+            predictor.as_ref().is_none_or(
+                |p| p.profile().dims == dims && p.profile().primitive == pattern.primitive()
+            ),
+            "the predictor was built for another shape or primitive"
+        );
         let mut config = GemmConfig::choose(dims, &system.arch);
         if matches!(pattern, CommPattern::AllToAll { .. }) {
             // Token pools fill when a row *band* completes (every tile
@@ -374,7 +394,7 @@ impl OverlapPlan {
             issue,
             group_runs,
             writers,
-            predictor: OnceCell::new(),
+            predictor: predictor.map_or_else(OnceCell::new, OnceCell::from),
             predicted_completions: OnceCell::new(),
         })
     }
@@ -1015,10 +1035,18 @@ impl OverlapPlan {
     }
 
     /// The latency predictor for this plan's shape, primitive and
-    /// system, built on first use and kept for the plan's lifetime.
+    /// system, built on first use (or handed over by the search that
+    /// tuned the plan) and kept for the plan's lifetime.
     fn predictor(&self) -> &LatencyPredictor {
         self.predictor
             .get_or_init(|| LatencyPredictor::build(self.dims, self.primitive(), &self.system))
+    }
+
+    /// Whether the predictor exists yet, so tests can tell a handed-over
+    /// predictor from one built on first use.
+    #[cfg(test)]
+    pub(crate) fn predictor_is_built(&self) -> bool {
+        self.predictor.get().is_some()
     }
 }
 

@@ -46,7 +46,16 @@ pub fn predictive_search_with(
     s1_max: u32,
     sp_max: u32,
 ) -> TuneOutcome {
-    let predictor = LatencyPredictor::build(dims, primitive, system);
+    search(
+        &LatencyPredictor::build(dims, primitive, system),
+        s1_max,
+        sp_max,
+    )
+}
+
+/// Scores the pruned candidate set over one offline profile and returns
+/// the argmin; the first candidate wins ties.
+fn search(predictor: &LatencyPredictor, s1_max: u32, sp_max: u32) -> TuneOutcome {
     let waves = predictor.profile().total_waves;
     let candidates = candidate_partitions(waves, s1_max, sp_max);
     let mut best: Option<(SimDuration, WavePartition)> = None;
@@ -63,6 +72,27 @@ pub fn predictive_search_with(
         latency,
         evaluated,
     }
+}
+
+/// Tunes and builds the plan for `(dims, pattern, system)` from one
+/// offline profile: predictive search scores it, and the plan keeps it
+/// as the predictor behind [`OverlapPlan::expected_latency`] and
+/// [`OverlapPlan::predicted_group_completions`]. Returns the plan, not
+/// yet statically checked, and the number of candidates evaluated. This
+/// is the plan-cache miss path, shared by [`OverlapPlan::tuned`].
+///
+/// # Errors
+///
+/// Propagates plan construction errors.
+pub fn tune_plan(
+    dims: GemmDims,
+    pattern: CommPattern,
+    system: SystemSpec,
+) -> Result<(OverlapPlan, usize), FlashOverlapError> {
+    let predictor = LatencyPredictor::build(dims, pattern.primitive(), &system);
+    let outcome = search(&predictor, DEFAULT_S1, DEFAULT_SP);
+    let plan = OverlapPlan::build(dims, pattern, system, outcome.partition, Some(predictor))?;
+    Ok((plan, outcome.evaluated))
 }
 
 /// The exhaustive oracle: *executes* every partition of the full
@@ -147,8 +177,7 @@ impl OverlapPlan {
         pattern: CommPattern,
         system: SystemSpec,
     ) -> Result<OverlapPlan, FlashOverlapError> {
-        let outcome = predictive_search(dims, pattern.primitive(), &system);
-        let plan = OverlapPlan::new(dims, pattern, system, outcome.partition)?;
+        let (plan, _) = tune_plan(dims, pattern, system)?;
         // The searched partition is only scored analytically; prove its
         // signal/wait schedule safe before handing it out for execution.
         plan.check_static()?;
@@ -174,6 +203,40 @@ mod tests {
         )
         .unwrap();
         assert_eq!(plan.partition.total_waves(), plan.total_waves());
+    }
+
+    #[test]
+    fn a_tuned_plan_keeps_the_profile_its_search_built() {
+        // One offline profile per miss: the plan comes back with the
+        // search's predictor, so its predictions need no second build,
+        // and they equal a plan built afresh on the same partition.
+        let system = SystemSpec::rtx4090(4);
+        let routing = vec![(0..2048).map(|r| r % 4).collect(); 4];
+        for (dims, pattern) in [
+            (GemmDims::new(2048, 4096, 3584), CommPattern::AllReduce),
+            (GemmDims::new(4096, 8192, 8192), CommPattern::ReduceScatter),
+            (
+                GemmDims::new(2048, 4096, 2048),
+                CommPattern::AllToAll { routing },
+            ),
+        ] {
+            let (searched, evaluated) = tune_plan(dims, pattern.clone(), system.clone()).unwrap();
+            let tuned = OverlapPlan::tuned(dims, pattern.clone(), system.clone()).unwrap();
+            let outcome = predictive_search(dims, pattern.primitive(), &system);
+            assert_eq!(evaluated, outcome.evaluated);
+            let fresh =
+                OverlapPlan::new(dims, pattern, system.clone(), outcome.partition.clone()).unwrap();
+            assert!(!fresh.predictor_is_built());
+            for plan in [&searched, &tuned] {
+                assert!(plan.predictor_is_built(), "{dims:?}");
+                assert_eq!(plan.partition, outcome.partition);
+                assert_eq!(plan.expected_latency(), fresh.expected_latency());
+                assert_eq!(
+                    plan.predicted_group_completions(),
+                    fresh.predicted_group_completions()
+                );
+            }
+        }
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //! [`SequenceOptions::drop_cross_batch_edge`]: crate::SequenceOptions::drop_cross_batch_edge
 
 use planverify::{
-    ExecPath, GroupModel, Interval, Mutation, RankModel, ScheduleModel, Segment, VerifyReport,
-    Violation, Writer,
+    ExecPath, GroupModel, Interval, Mutation, RankModel, ScheduleModel, Segment, TileWrite,
+    VerifyReport, Violation, Writer,
 };
 use sim::SimDuration;
 
@@ -102,28 +102,39 @@ fn segment_of(plan: &OverlapPlan, label: String, table: usize, rearmed: bool) ->
 }
 
 /// Lowers `rank`'s epilogue write footprints into one flat writer,
-/// tiles in packed order so the arena follows the buffer.
+/// tiles in packed order so the arena follows the buffer. The epilogue
+/// reports every footprint in one call.
 fn writer_of(plan: &OverlapPlan, rank: usize) -> Writer {
     let grid = plan.config.grid(plan.dims);
-    let epilogue = plan.writer_for(rank);
     let layout = plan.layout();
-    let mut writer = Writer {
-        tiles: Vec::with_capacity(layout.reorder_order.len()),
-        intervals: Vec::with_capacity(layout.reorder_order.len()),
-    };
-    let mut spans = Vec::new();
-    for &t in &layout.reorder_order {
-        spans.clear();
-        epilogue.write_spans(&grid, t, &mut spans);
-        writer.push_tile(
-            t,
-            layout.group_of_tile.get(t as usize).copied().unwrap_or(0) as usize,
-            spans
-                .iter()
-                .map(|r| Interval::new(r.start, r.end - r.start)),
-        );
-    }
-    writer
+    let order = &layout.reorder_order;
+    let mut spans = Vec::with_capacity(order.len());
+    let mut ends = Vec::with_capacity(order.len());
+    plan.writer_for(rank)
+        .footprints(&grid, order, &mut spans, &mut ends);
+    let mut start = 0;
+    let tiles = order
+        .iter()
+        .zip(&ends)
+        .map(|(&tile, &end)| {
+            let intervals = start..end;
+            start = end;
+            TileWrite {
+                tile,
+                group: layout
+                    .group_of_tile
+                    .get(tile as usize)
+                    .copied()
+                    .unwrap_or(0) as usize,
+                intervals,
+            }
+        })
+        .collect();
+    let intervals = spans
+        .iter()
+        .map(|r| Interval::new(r.start, r.end - r.start))
+        .collect();
+    Writer { tiles, intervals }
 }
 
 fn rank_model(plan: &OverlapPlan, rank: usize, writer: usize) -> RankModel {

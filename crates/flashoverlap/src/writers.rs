@@ -45,6 +45,31 @@ impl EpilogueWriter for PackedTileWriter {
         let elems = (rows.end - rows.start) as usize * (cols.end - cols.start) as usize;
         spans.push(base..base + elems);
     }
+
+    fn footprints(
+        &self,
+        grid: &TileGrid,
+        tiles: &[u32],
+        spans: &mut Vec<Range<usize>>,
+        ends: &mut Vec<usize>,
+    ) {
+        // A tile fills its packed slot: from its offset to the next
+        // slot's.
+        let m = &*self.mapping;
+        debug_assert_eq!(grid, m.grid());
+        spans.reserve(tiles.len());
+        ends.reserve(tiles.len());
+        for &t in tiles {
+            let slot = m.slot_of_tile[t as usize] as usize;
+            let end = m
+                .slot_offset
+                .get(slot + 1)
+                .copied()
+                .unwrap_or(m.total_elems);
+            spans.push(m.slot_offset[slot]..end);
+            ends.push(spans.len());
+        }
+    }
 }
 
 /// Packs row-interleaved subtiles per destination rank (ReduceScatter
@@ -268,6 +293,64 @@ mod tests {
                 let mut spanned: Vec<usize> = spans.into_iter().flatten().collect();
                 spanned.sort_unstable();
                 assert_eq!(written, spanned, "tile {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn batch_footprints_equal_per_tile_write_spans() {
+        // Every writer kind, on a ragged grid, for tile lists in packed,
+        // address and shuffled order: the one-call footprints append the
+        // spans and tile ends a write_spans loop would.
+        for (m, n, seed) in [(64, 32, 5), (40, 72, 6), (48, 80, 7)] {
+            let (grid, schedule) = grid_and_schedule(m, n);
+            let mut rng = DetRng::new(seed);
+            let partition = WavePartition::new(vec![1; schedule.num_waves() as usize]);
+            let routing: Vec<Vec<usize>> = (0..2)
+                .map(|_| (0..m).map(|_| rng.next_below(2) as usize).collect())
+                .collect();
+            let tiles = Rc::new(TileMapping::build(grid, &schedule, &partition));
+            let mut writers: Vec<Box<dyn EpilogueWriter>> = vec![
+                Box::new(gpu_sim::gemm::AddressOrderWriter),
+                Box::new(PackedTileWriter {
+                    mapping: tiles.clone(),
+                }),
+                Box::new(TokenPoolWriter {
+                    mapping: Rc::new(
+                        TokenMapping::build(grid, &schedule, &partition, &routing).unwrap(),
+                    ),
+                    rank: 1,
+                }),
+            ];
+            if m % 16 == 0 {
+                writers.push(Box::new(SubtilePackedWriter {
+                    mapping: Rc::new(
+                        SubtileMapping::build(grid, &schedule, &partition, 4).unwrap(),
+                    ),
+                }));
+            }
+            let mut shuffled: Vec<u32> = (0..grid.num_tiles()).collect();
+            rng.shuffle(&mut shuffled);
+            let orders = [
+                tiles.layout.reorder_order.clone(),
+                (0..grid.num_tiles()).collect(),
+                shuffled,
+                Vec::new(),
+            ];
+            for writer in &writers {
+                for order in &orders {
+                    // Both append after what the buffers already hold.
+                    let earlier = 3..9;
+                    let (mut spans, mut ends) = (vec![earlier.clone()], vec![1]);
+                    writer.footprints(&grid, order, &mut spans, &mut ends);
+                    let (mut expected_spans, mut expected_ends) = (vec![earlier], vec![1]);
+                    for &t in order {
+                        writer.write_spans(&grid, t, &mut expected_spans);
+                        expected_ends.push(expected_spans.len());
+                    }
+                    assert_eq!(spans, expected_spans, "{m}x{n}");
+                    assert_eq!(ends, expected_ends, "{m}x{n}");
+                }
             }
         }
     }

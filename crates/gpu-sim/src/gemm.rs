@@ -179,6 +179,24 @@ pub trait EpilogueWriter {
             base + cols.start as usize..base + cols.end as usize
         }));
     }
+
+    /// The footprints of many tiles in one call, for the static
+    /// verifier's lowering: appends [`EpilogueWriter::write_spans`] of
+    /// each tile of `tiles` in turn to `spans`, and after each tile
+    /// pushes `spans.len()` to `ends`. The default loops over
+    /// `write_spans`; writers that can answer from a table override it.
+    fn footprints(
+        &self,
+        grid: &TileGrid,
+        tiles: &[u32],
+        spans: &mut Vec<std::ops::Range<usize>>,
+        ends: &mut Vec<usize>,
+    ) {
+        for &t in tiles {
+            self.write_spans(grid, t, spans);
+            ends.push(spans.len());
+        }
+    }
 }
 
 /// The default epilogue: writes each tile at its natural matrix position,

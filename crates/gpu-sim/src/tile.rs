@@ -147,10 +147,18 @@ impl TileGrid {
     }
 
     /// Actual element count of tile `t` (smaller for edge tiles).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is out of range.
     pub fn tile_elems(&self, t: u32) -> u64 {
-        let rows = self.rows_of(t);
-        let cols = self.cols_of(t);
-        (rows.end - rows.start) as u64 * (cols.end - cols.start) as u64
+        assert!(t < self.num_tiles(), "tile {t} out of range");
+        // One division: mapping builders size every tile with this.
+        let row = t / self.tiles_n;
+        let col = t - row * self.tiles_n;
+        let rows = self.tile.m.min(self.m - row * self.tile.m);
+        let cols = self.tile.n.min(self.n - col * self.tile.n);
+        rows as u64 * cols as u64
     }
 }
 
@@ -201,6 +209,25 @@ mod tests {
     fn tile_row_out_of_range_panics() {
         let g = TileGrid::new(128, 128, TileShape::new(128, 128));
         let _ = g.tile_row(1);
+    }
+
+    #[test]
+    fn tile_elems_matches_the_row_and_column_ranges() {
+        for (m, n, tm, tn) in [(300, 200, 128, 128), (512, 1024, 128, 256), (7, 33, 4, 8)] {
+            let g = TileGrid::new(m, n, TileShape::new(tm, tn));
+            for t in 0..g.num_tiles() {
+                let (rows, cols) = (g.rows_of(t), g.cols_of(t));
+                let expected = (rows.end - rows.start) as u64 * (cols.end - cols.start) as u64;
+                assert_eq!(g.tile_elems(t), expected, "{m}x{n} tile {t}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn tile_elems_out_of_range_panics() {
+        let g = TileGrid::new(128, 128, TileShape::new(128, 128));
+        let _ = g.tile_elems(1);
     }
 
     #[test]

@@ -20,8 +20,10 @@
 //!   are reported as coverage gaps.
 //!
 //! The race and coverage proof runs per region, not per tile. Each
-//! distinct writer's non-empty intervals are sorted once and merged into
-//! runs: maximal stretches of one group whose union is contiguous.
+//! distinct writer's non-empty intervals are merged into runs: maximal
+//! stretches of one group whose union is contiguous. A writer whose
+//! intervals already come in address order, as the plan lowering emits
+//! them, is merged in one pass; any other is sorted first.
 //! Because the reordering packs each wave group's tiles into one
 //! contiguous region (§3.3), a clean plan has about one run per group,
 //! and a read is answered by a binary search plus a scan of the runs it
@@ -32,6 +34,7 @@
 //! back to their tiles, so [`Violation::TileRace`] lists name the same
 //! tiles, in the same address order, a per-tile scan would.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
@@ -357,10 +360,16 @@ struct Run {
 /// One writer's footprint as group runs sorted by start — the region
 /// view every read is proven against.
 #[derive(Debug, Default)]
-struct Regions {
+struct Regions<'w> {
     /// Tiles in the writer, written or not.
     tiles: usize,
-    pieces: Vec<Piece>,
+    /// The writer, when its pieces already come in `(start, tile)`
+    /// order: the piece list is then built only if a failing read must
+    /// name its tiles.
+    in_order: Option<&'w Writer>,
+    /// Non-empty intervals sorted by `(start, tile)`; `Run::pieces`
+    /// indexes them.
+    pieces: OnceCell<Vec<Piece>>,
     runs: Vec<Run>,
     /// `reach[i]` is the largest end among `runs[..=i]`: monotone even
     /// when runs overlap, so binary search finds the first run that can
@@ -368,39 +377,63 @@ struct Regions {
     reach: Vec<usize>,
 }
 
-impl Regions {
-    fn of(writer: &Writer) -> Regions {
-        let mut pieces: Vec<Piece> = Vec::with_capacity(writer.intervals.len());
-        for tw in &writer.tiles {
-            pieces.extend(
-                writer
-                    .intervals_of(tw)
-                    .iter()
-                    .filter(|iv| iv.len > 0)
-                    .map(|iv| Piece {
-                        start: iv.start,
-                        end: iv.end(),
-                        tile: tw.tile,
-                        group: tw.group,
-                    }),
-            );
+/// The non-empty intervals of `writer`, tile by tile in arena order.
+fn pieces_of(writer: &Writer) -> impl Iterator<Item = Piece> + '_ {
+    writer.tiles.iter().flat_map(move |tw| {
+        writer
+            .intervals_of(tw)
+            .iter()
+            .filter(|iv| iv.len > 0)
+            .map(move |iv| Piece {
+                start: iv.start,
+                end: iv.end(),
+                tile: tw.tile,
+                group: tw.group,
+            })
+    })
+}
+
+/// Merges pieces sorted by `(start, tile)` into same-group runs. `None`
+/// as soon as a piece comes out of that order.
+fn merge_runs(pieces: impl Iterator<Item = Piece>) -> Option<Vec<Run>> {
+    let mut runs: Vec<Run> = Vec::new();
+    let mut last_key = (0, 0);
+    for (i, p) in pieces.enumerate() {
+        if (p.start, p.tile) < last_key {
+            return None;
         }
-        pieces.sort_unstable_by_key(|p| (p.start, p.tile));
-        let mut runs: Vec<Run> = Vec::new();
-        for (i, p) in pieces.iter().enumerate() {
-            match runs.last_mut() {
-                Some(run) if run.group == p.group && p.start <= run.end => {
-                    run.end = run.end.max(p.end);
-                    run.pieces.end = i + 1;
-                }
-                _ => runs.push(Run {
-                    start: p.start,
-                    end: p.end,
-                    group: p.group,
-                    pieces: i..i + 1,
-                }),
+        last_key = (p.start, p.tile);
+        match runs.last_mut() {
+            Some(run) if run.group == p.group && p.start <= run.end => {
+                run.end = run.end.max(p.end);
+                run.pieces.end = i + 1;
             }
+            _ => runs.push(Run {
+                start: p.start,
+                end: p.end,
+                group: p.group,
+                pieces: i..i + 1,
+            }),
         }
+    }
+    Some(runs)
+}
+
+impl<'w> Regions<'w> {
+    /// One merging pass when the writer's pieces are already in address
+    /// order (the lowering packs tiles that way); otherwise the pieces
+    /// are collected and sorted first.
+    fn of(writer: &'w Writer) -> Regions<'w> {
+        let (in_order, pieces, runs) = match merge_runs(pieces_of(writer)) {
+            Some(runs) => (Some(writer), OnceCell::new(), runs),
+            None => {
+                let mut pieces = Vec::with_capacity(writer.intervals.len());
+                pieces.extend(pieces_of(writer));
+                pieces.sort_unstable_by_key(|p| (p.start, p.tile));
+                let runs = merge_runs(pieces.iter().copied()).expect("the pieces are sorted");
+                (None, OnceCell::from(pieces), runs)
+            }
+        };
         let reach = runs
             .iter()
             .scan(0, |max, run| {
@@ -410,10 +443,23 @@ impl Regions {
             .collect();
         Regions {
             tiles: writer.tiles.len(),
+            in_order,
             pieces,
             runs,
             reach,
         }
+    }
+
+    /// The sorted piece list, built on first use for an in-order writer.
+    fn pieces(&self) -> &[Piece] {
+        self.pieces.get_or_init(|| {
+            let mut pieces = Vec::new();
+            if let Some(writer) = self.in_order {
+                pieces.reserve(writer.intervals.len());
+                pieces.extend(pieces_of(writer));
+            }
+            pieces
+        })
     }
 
     /// The runs intersecting `read`, in start order.
@@ -435,7 +481,7 @@ impl Regions {
         run: &Run,
         read: &'a Interval,
     ) -> impl Iterator<Item = (u32, usize)> + 'a {
-        self.pieces
+        self.pieces()
             .get(run.pieces.clone())
             .unwrap_or(&[])
             .iter()

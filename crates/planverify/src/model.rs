@@ -76,8 +76,8 @@ pub struct TileWrite {
 /// The write footprints of every tile of one GEMM epilogue, flat: one
 /// [`TileWrite`] per tile and one shared interval arena. Tiles may come
 /// in any order; the lowering pushes them in packed order, so the arena
-/// follows the buffer and sorting it is nearly free. Ranks whose
-/// epilogues write identically share one writer.
+/// follows the buffer and the checker merges it without sorting. Ranks
+/// whose epilogues write identically share one writer.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Writer {
     /// Per-tile footprints.

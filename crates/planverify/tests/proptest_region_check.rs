@@ -7,7 +7,9 @@
 //! the same violations in the same order and the same stats, on random
 //! models (cross-group, overlapping and empty intervals, coverage holes,
 //! multi-segment stale and rearm chains, reports past
-//! [`VIOLATION_CAP`]) and on registry-mutated ones.
+//! [`VIOLATION_CAP`]), on models whose writers are all in address order
+//! (the checker's one-pass path, naming tiles lazily on failing reads),
+//! and on registry-mutated ones.
 
 use std::collections::HashMap;
 
@@ -266,6 +268,72 @@ fn random_writer(rng: &mut Rng, groups: usize, tiles_per_group: usize, tile_len:
     writer
 }
 
+/// A writer whose non-empty intervals come in `(start, tile)` order, as
+/// the plan lowering emits them: tiles in packed order, each writing
+/// its slot whole or as ascending sub-tile pieces. It may still leave
+/// holes, name a tile's group wrongly, or read empty, so reads against
+/// it fail in every way without scribbles putting it out of order.
+fn in_order_writer(
+    rng: &mut Rng,
+    groups: usize,
+    tiles_per_group: usize,
+    tile_len: usize,
+) -> Writer {
+    let tiles = groups * tiles_per_group;
+    let mut tile_of_slot: Vec<usize> = (0..tiles).collect();
+    for i in (1..tile_of_slot.len()).rev() {
+        tile_of_slot.swap(i, rng.below(i + 1));
+    }
+    let mut writer = Writer::default();
+    for (slot, &tile) in tile_of_slot.iter().enumerate() {
+        let base = slot * tile_len;
+        let mut intervals = Vec::new();
+        if rng.chance(5) {
+            // A hole: this tile writes nothing.
+        } else if rng.chance(30) {
+            let pieces = 1 + rng.below(3);
+            let piece = tile_len.div_ceil(pieces);
+            for p in 0..pieces {
+                let start = (base + p * piece).min(base + tile_len);
+                let len = piece.min(base + tile_len - start);
+                if !rng.chance(10) {
+                    intervals.push(Interval::new(start, len));
+                }
+            }
+        } else {
+            intervals.push(Interval::new(base, tile_len));
+        }
+        if rng.chance(5) {
+            intervals.push(Interval::new(base + tile_len, 0));
+        }
+        let group = if rng.chance(3) {
+            rng.below(groups + 1)
+        } else {
+            slot / tiles_per_group
+        };
+        writer.push_tile(tile as u32, group, intervals);
+    }
+    writer
+}
+
+/// Whether `writer`'s non-empty intervals come in `(start, tile)` order.
+fn is_in_order(writer: &Writer) -> bool {
+    let keys: Vec<(usize, u32)> = writer
+        .tiles
+        .iter()
+        .flat_map(|tw| {
+            writer
+                .intervals_of(tw)
+                .iter()
+                .filter(|iv| iv.len > 0)
+                .map(move |iv| (iv.start, tw.tile))
+        })
+        .collect();
+    keys.windows(2).all(|pair| pair[0] <= pair[1])
+}
+
+type MakeWriter = fn(&mut Rng, usize, usize, usize) -> Writer;
+
 fn random_read(rng: &mut Rng, group: usize, tiles_per_group: usize, tile_len: usize) -> Interval {
     let region = tiles_per_group * tile_len;
     let start = group * region;
@@ -279,13 +347,13 @@ fn random_read(rng: &mut Rng, group: usize, tiles_per_group: usize, tile_len: us
     }
 }
 
-fn random_segment(rng: &mut Rng, index: usize, n_ranks: usize) -> Segment {
+fn random_segment(rng: &mut Rng, index: usize, n_ranks: usize, writer: MakeWriter) -> Segment {
     let groups = 1 + rng.below(4);
     let tiles_per_group = 1 + rng.below(5);
     let tile_len = 1 + rng.below(8);
     let n_writers = if rng.chance(50) { 1 } else { n_ranks };
     let writers = (0..n_writers)
-        .map(|_| random_writer(rng, groups, tiles_per_group, tile_len))
+        .map(|_| writer(rng, groups, tiles_per_group, tile_len))
         .collect();
     let ranks = (0..n_ranks)
         .map(|rank| {
@@ -334,10 +402,19 @@ fn random_segment(rng: &mut Rng, index: usize, n_ranks: usize) -> Segment {
 }
 
 fn random_model(seed: u64) -> ScheduleModel {
+    model_with(seed, random_writer)
+}
+
+/// A random model whose writers are all in address order.
+fn in_order_model(seed: u64) -> ScheduleModel {
+    model_with(seed, in_order_writer)
+}
+
+fn model_with(seed: u64, writer: MakeWriter) -> ScheduleModel {
     let mut rng = Rng(seed);
     let n_ranks = 1 + rng.below(3);
     let segments = (0..1 + rng.below(4))
-        .map(|i| random_segment(&mut rng, i, n_ranks))
+        .map(|i| random_segment(&mut rng, i, n_ranks, writer))
         .collect();
     let node_of = match rng.below(4) {
         0 => (0..n_ranks).map(|r| r % 2).collect(),
@@ -395,6 +472,23 @@ proptest! {
     #[test]
     fn region_checker_matches_the_per_tile_oracle(seed in any::<u64>()) {
         assert_agree(seed, &random_model(seed))?;
+    }
+
+    /// In-order writers, which the checker merges in one pass and names
+    /// tiles of only on a failing read: the same agreement.
+    #[test]
+    fn region_checker_matches_the_oracle_on_in_order_writers(seed in any::<u64>()) {
+        let mut model = in_order_model(seed);
+        for seg in &model.segments {
+            for writer in &seg.writers {
+                prop_assert!(is_in_order(writer), "seed {seed}: writer out of order");
+            }
+        }
+        assert_agree(seed, &model)?;
+        let mut rng = Rng(seed ^ 0x0D0E);
+        let (mutation, segment) = random_mutation(&mut rng, &model);
+        model.apply(&mutation, segment);
+        assert_agree(seed, &model)?;
     }
 
     /// Registry-mutated models: one to three mutations on a random
@@ -464,10 +558,16 @@ fn region_checker_matches_the_oracle_past_the_violation_cap() {
 fn the_random_models_exercise_every_violation_class() {
     // Guard against a generator that silently stops reaching a class:
     // the differential tests above would then prove nothing about it.
+    for model in [random_model as fn(u64) -> ScheduleModel, in_order_model] {
+        assert_every_class_reached(model);
+    }
+}
+
+fn assert_every_class_reached(model: fn(u64) -> ScheduleModel) {
     let mut seen: HashMap<&'static str, usize> = HashMap::new();
     let mut clean = 0;
     for seed in 0..512u64 {
-        let report = verify(&random_model(seed));
+        let report = verify(&model(seed));
         clean += usize::from(report.is_clean());
         for v in &report.violations {
             *seen.entry(v.label()).or_default() += 1;

@@ -18,7 +18,7 @@ use std::rc::Rc;
 
 use collectives::Primitive;
 use flashoverlap::{
-    predictive_search, CommPattern, FlashOverlapError, OverlapPlan, SystemSpec, WavePartition,
+    tune_plan, CommPattern, FlashOverlapError, OverlapPlan, SystemSpec, WavePartition,
 };
 use gpu_sim::gemm::{GemmConfig, GemmDims};
 
@@ -199,18 +199,20 @@ impl PlanCache {
             return Ok((Rc::clone(&entry.plan), true));
         }
         self.stats.misses += 1;
-        let partition = if self.tuned {
-            let outcome = predictive_search(dims, key.primitive, system);
-            self.stats.tune_evaluated += outcome.evaluated as u64;
-            outcome.partition
+        let plan = if self.tuned {
+            // One offline profile serves the search and the plan's
+            // predictor.
+            let (plan, evaluated) = tune_plan(dims, pattern.clone(), system.clone())?;
+            self.stats.tune_evaluated += evaluated as u64;
+            plan
         } else {
             // Non-overlap baseline: one group spanning every wave of the
             // schedule the plan will choose for this shape.
             let config = GemmConfig::choose(dims, &system.arch);
             let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
-            WavePartition::single(waves.max(1))
+            let partition = WavePartition::single(waves.max(1));
+            OverlapPlan::new(dims, pattern.clone(), system.clone(), partition)?
         };
-        let plan = OverlapPlan::new(dims, pattern.clone(), system.clone(), partition)?;
         // Never cache a schedule the static verifier cannot prove safe:
         // a corrupt plan served from the cache would poison every batch
         // that hits the same shape.
@@ -544,6 +546,7 @@ impl CacheSnapshot {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use flashoverlap::predictive_search;
 
     fn system() -> SystemSpec {
         SystemSpec::rtx4090(2)
@@ -566,6 +569,34 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 1, 0));
         assert!(stats.tune_evaluated > 0, "miss must run predictive search");
         assert!((cache.stats().hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_miss_tunes_with_one_profile_and_predicts_like_a_fresh_plan() {
+        // The miss goes through `tune_plan`, which hands the search's
+        // predictor to the plan; its predictions and search count must
+        // equal a separate search and a plan built afresh from it.
+        let sys = system();
+        for dims in [
+            GemmDims::new(256, 2048, 704),
+            GemmDims::new(2048, 4096, 3584),
+        ] {
+            let mut cache = PlanCache::new(8);
+            let (plan, _) = cache
+                .get_or_tune(dims, &CommPattern::AllReduce, &sys)
+                .unwrap();
+            let outcome = predictive_search(dims, Primitive::AllReduce, &sys);
+            assert_eq!(cache.stats().tune_evaluated, outcome.evaluated as u64);
+            let fresh =
+                OverlapPlan::new(dims, CommPattern::AllReduce, sys.clone(), outcome.partition)
+                    .unwrap();
+            assert_eq!(plan.partition, fresh.partition);
+            assert_eq!(plan.expected_latency(), fresh.expected_latency());
+            assert_eq!(
+                plan.predicted_group_completions(),
+                fresh.predicted_group_completions()
+            );
+        }
     }
 
     #[test]

@@ -1055,18 +1055,12 @@ fn serve_attribution(
             _ => merged.push((lo, hi)),
         }
     }
-    let charge_gap = |totals: &mut AttributionTotals, lo: u64, hi: u64| {
+    let mut forming = FormingCover::new(&merged);
+    let mut charge_gap = |totals: &mut AttributionTotals, lo: u64, hi: u64| {
         if hi <= lo {
             return;
         }
-        let mut queue_wait = 0u64;
-        for &(ilo, ihi) in &merged {
-            let o_lo = ilo.max(lo);
-            let o_hi = ihi.min(hi);
-            if o_hi > o_lo {
-                queue_wait += o_hi - o_lo;
-            }
-        }
+        let queue_wait = forming.overlap(lo, hi);
         totals.add(Category::QueueWait, queue_wait);
         totals.add(Category::Idle, (hi - lo) - queue_wait);
     };
@@ -1081,6 +1075,37 @@ fn serve_attribution(
     }
     charge_gap(&mut totals, cursor, makespan_ns);
     totals
+}
+
+/// How much of each idle gap the merged batch-forming intervals cover,
+/// for gaps asked in start order. The bottleneck's gaps arrive that way:
+/// each opens where the latest-starting chain before it ends, at or
+/// after the previous gap's close. So one cursor over the sorted,
+/// disjoint intervals answers every gap, in O(gaps + intervals) total.
+struct FormingCover<'a> {
+    merged: &'a [(u64, u64)],
+    /// The first interval that can still meet a later gap.
+    next: usize,
+}
+
+impl<'a> FormingCover<'a> {
+    fn new(merged: &'a [(u64, u64)]) -> Self {
+        FormingCover { merged, next: 0 }
+    }
+
+    /// The length of `[lo, hi)` covered by the intervals. `lo` must be at
+    /// or after the previous call's `hi`.
+    fn overlap(&mut self, lo: u64, hi: u64) -> u64 {
+        let rest = self.merged.get(self.next..).unwrap_or(&[]);
+        self.next += rest.iter().take_while(|&&(_, ihi)| ihi <= lo).count();
+        self.merged
+            .get(self.next..)
+            .unwrap_or(&[])
+            .iter()
+            .take_while(|&&(ilo, _)| ilo < hi)
+            .map(|&(ilo, ihi)| ihi.min(hi).saturating_sub(ilo.max(lo)))
+            .sum()
+    }
 }
 
 fn build_report(
@@ -1269,6 +1294,43 @@ fn build_report(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random gaps in start order and random sorted, disjoint
+        /// intervals: the cursor charges each gap exactly what scanning
+        /// every interval for every gap charges.
+        #[test]
+        fn forming_cover_equals_the_double_loop(seed in any::<u64>()) {
+            let mut rng = sim::DetRng::new(seed);
+            let mut merged = Vec::new();
+            let mut at = 0u64;
+            for _ in 0..rng.next_below(12) {
+                let lo = at + rng.next_below(20);
+                let hi = lo + 1 + rng.next_below(20);
+                merged.push((lo, hi));
+                at = hi + rng.next_below(3);
+            }
+            let mut gaps = Vec::new();
+            let mut at = 0u64;
+            for _ in 0..rng.next_below(12) {
+                let lo = at + rng.next_below(15);
+                let hi = lo + rng.next_below(25);
+                gaps.push((lo, hi));
+                at = hi;
+            }
+            let mut cover = FormingCover::new(&merged);
+            for &(lo, hi) in &gaps {
+                let expected: u64 = merged
+                    .iter()
+                    .map(|&(ilo, ihi)| ihi.min(hi).saturating_sub(ilo.max(lo)))
+                    .sum();
+                prop_assert_eq!(cover.overlap(lo, hi), expected, "gap {}..{} of {:?}", lo, hi, merged);
+            }
+        }
+    }
 
     #[test]
     fn wedged_replica_blames_the_deepest_queue_tie_lowest_id() {
