@@ -19,7 +19,7 @@ use gpu_sim::gemm::{GemmConfig, GemmDims};
 use gpu_sim::swizzle::Swizzle;
 use gpu_sim::tile::{TileGrid, TileShape};
 use gpu_sim::wave::WaveSchedule;
-use serving::PlanCache;
+use serving::{PlanCache, RouterPolicy, ServeConfig};
 use sim::{Sim, SimDuration};
 use telemetry::{Telemetry, TelemetryRecord};
 use workloads::models;
@@ -213,6 +213,21 @@ fn bench_serve_instrumented(c: &mut Criterion) {
     });
 }
 
+/// One whole serve call at `serve_steady`'s shape: 500 Poisson requests
+/// at 500 rps of the default mix over four 4-GPU RTX 4090 replicas
+/// behind shape affinity, serial engine. Plan tuning, chain execution,
+/// telemetry, attribution and accounting all count.
+fn bench_serve_steady(c: &mut Criterion) {
+    let mut config = ServeConfig::new(SystemSpec::rtx4090(4));
+    config.replicas = 4;
+    config.requests = 500;
+    config.seed = 3;
+    config.router = RouterPolicy::ShapeAffinity;
+    c.bench_function("serving/serve_steady_500", |b| {
+        b.iter(|| serving::serve(black_box(&config)).expect("serve").completed)
+    });
+}
+
 /// The per-chain telemetry cost serving pays after a chain runs: the
 /// signal-latency join and the critical-path attribution over the record
 /// of a 4-batch pipelined chain of serve-shaped plans (Llama-3-8B MLP
@@ -353,7 +368,8 @@ criterion_group! {
     config = config();
     targets = bench_event_engine, bench_mapping_build, bench_token_mapping,
               bench_predictor, bench_search, bench_plan_cache_miss, bench_simulated_run,
-              bench_serve_instrumented, bench_summarize_chain, bench_collective_cost,
+              bench_serve_instrumented, bench_serve_steady, bench_summarize_chain,
+              bench_collective_cost,
               bench_pipeline, bench_check_static
 }
 criterion_main!(benches);

@@ -192,6 +192,22 @@ impl PlanCache {
             primitive: pattern.primitive(),
             system_fp: system_fingerprint(system),
         };
+        self.get_or_tune_keyed(key, pattern, system)
+    }
+
+    /// [`PlanCache::get_or_tune`] under a key the caller already built,
+    /// for callers whose system never changes: they fingerprint it once
+    /// instead of on every lookup. `key.primitive` must be
+    /// `pattern.primitive()` and `key.system_fp` must be
+    /// [`system_fingerprint`]`(system)`.
+    pub fn get_or_tune_keyed(
+        &mut self,
+        key: PlanKey,
+        pattern: &CommPattern,
+        system: &SystemSpec,
+    ) -> Result<(Rc<OverlapPlan>, bool), FlashOverlapError> {
+        debug_assert_eq!(key.primitive, pattern.primitive());
+        let dims = key.dims;
         self.tick += 1;
         if let Some(entry) = self.entries.get_mut(&key) {
             entry.last_used = self.tick;
@@ -569,6 +585,25 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 1, 0));
         assert!(stats.tune_evaluated > 0, "miss must run predictive search");
         assert!((cache.stats().hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn keyed_lookup_shares_entries_with_get_or_tune() {
+        let mut cache = PlanCache::new(8);
+        let dims = GemmDims::new(256, 2048, 704);
+        let sys = system();
+        let (a, _) = cache
+            .get_or_tune(dims, &CommPattern::AllReduce, &sys)
+            .unwrap();
+        let key = PlanKey {
+            dims,
+            primitive: Primitive::AllReduce,
+            system_fp: system_fingerprint(&sys),
+        };
+        let (b, hit) = cache
+            .get_or_tune_keyed(key, &CommPattern::AllReduce, &sys)
+            .unwrap();
+        assert!(hit && Rc::ptr_eq(&a, &b));
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! the answer is computed, never *what* it is.
 
 use std::collections::VecDeque;
+use std::rc::{Rc, Weak};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
@@ -30,11 +31,12 @@ use flashoverlap::{
     execute_sequence_in, ChainWorld, CommPattern, Fault, FaultPlan, FlashOverlapError,
     Instrumentation, OverlapPlan, SequenceOptions, WatchdogConfig,
 };
-use telemetry::attribution::{attribute_makespan, AttributionTotals, Category};
+use sim::SimDuration;
+use telemetry::attribution::{attribute_makespan, Attribution, AttributionTotals, Category};
 use telemetry::{signal_summary, Telemetry, TelemetryRecord};
 
 use crate::batch::Batch;
-use crate::cache::{system_fingerprint, CacheStats, PlanCache, PlanEntry};
+use crate::cache::{system_fingerprint, CacheStats, PlanCache, PlanEntry, PlanKey};
 use crate::report::{BatchRecord, Disposition, RequestRecord};
 use crate::server::{fault_seed, ExecMode, ServeConfig};
 
@@ -166,6 +168,8 @@ pub struct EngineFinal {
     pub(crate) cache_stats: CacheStats,
     /// Exported tuned-plan entries (the `--plan-cache-out` payload).
     pub(crate) entries: Vec<PlanEntry>,
+    /// Chains replayed from the engine's chain memo instead of simulated.
+    pub(crate) memo_hits: u64,
 }
 
 /// The worker behind one [`ReplicaEngine`]: owns the plan cache and the
@@ -176,7 +180,11 @@ struct EngineWorker {
     config: ServeConfig,
     replica_idx: usize,
     tp: u32,
+    /// [`system_fingerprint`] of `config.system`, computed once: the
+    /// worker's system never changes, so every plan-cache key shares it.
+    system_fp: u64,
     cache: PlanCache,
+    memo: ChainMemo,
     batches: u64,
     requests: u64,
     tokens: u64,
@@ -192,11 +200,119 @@ struct EngineWorker {
     world: ChainWorld,
 }
 
+/// The virtual-time result of simulating one chain: everything the
+/// accounting reads after the simulation. It depends on nothing but the
+/// chain's plans (see [`ChainMemo`]).
+struct ChainRun {
+    /// Per-segment completion, ns after launch.
+    completions: Vec<u64>,
+    /// Per-segment outcome labels.
+    outcomes: Vec<&'static str>,
+    /// Launch to the last segment's completion.
+    total_ns: u64,
+    /// Signal-latency delta, `(mean_total_ns * samples, samples)`, as the
+    /// f64 the accounting adds.
+    signal: (f64, u64),
+    /// Critical-path attribution of the whole chain; per-batch shares are
+    /// clipped out of it.
+    attribution: Attribution,
+    /// The leading segment's measured group completions (drift sample).
+    leader_group_done: Option<Vec<SimDuration>>,
+}
+
+/// A replica's memo of simulated chains, keyed by the identity of the
+/// chain's cached plans.
+///
+/// Sound because every chain starts from the same state: the world is
+/// reset to exactly what [`SystemSpec::build_cluster`] gives, with the
+/// same device RNG forks, and the worker's system, pipelining and
+/// instrumentation never change. So a non-chaos chain's [`ChainRun`] is
+/// a pure function of its plans, and a repeated plan sequence replays
+/// its stored run instead of simulating again. Chaos chains draw fault
+/// plans per batch id and always execute; errors are never stored.
+///
+/// Keys hold [`Weak`] plans: the memo never keeps an evicted plan alive,
+/// and a live `Weak` pins its allocation, so a pointer match is the same
+/// plan — never a re-tuned replacement under the same [`PlanKey`].
+/// Entries whose plans died are dropped. Bounded by the plan-cache
+/// capacity, least recently used out first (unique ticks).
+///
+/// [`SystemSpec::build_cluster`]: flashoverlap::SystemSpec::build_cluster
+/// [`PlanKey`]: crate::cache::PlanKey
+struct ChainMemo {
+    entries: Vec<MemoEntry>,
+    /// Most entries held; 0 turns the memo off.
+    capacity: usize,
+    tick: u64,
+    /// Chains replayed from an entry.
+    hits: u64,
+}
+
+struct MemoEntry {
+    plans: Vec<Weak<OverlapPlan>>,
+    run: ChainRun,
+    last_used: u64,
+}
+
+impl ChainMemo {
+    fn new(capacity: usize) -> Self {
+        ChainMemo {
+            entries: Vec::new(),
+            capacity,
+            tick: 0,
+            hits: 0,
+        }
+    }
+
+    /// The stored run for `plans`, or `simulate`'s fresh run, stored
+    /// first. An error is returned and not stored.
+    fn run_or_simulate(
+        &mut self,
+        plans: &[(Rc<OverlapPlan>, bool)],
+        simulate: impl FnOnce() -> Result<ChainRun, FlashOverlapError>,
+    ) -> Result<&ChainRun, FlashOverlapError> {
+        self.tick += 1;
+        self.entries
+            .retain(|e| e.plans.iter().all(|w| w.strong_count() > 0));
+        let found = self.entries.iter().position(|e| {
+            e.plans.len() == plans.len()
+                && e.plans
+                    .iter()
+                    .zip(plans)
+                    .all(|(w, (p, _))| w.upgrade().is_some_and(|w| Rc::ptr_eq(&w, p)))
+        });
+        let idx = match found {
+            Some(idx) => {
+                self.hits += 1;
+                self.entries[idx].last_used = self.tick;
+                idx
+            }
+            None => {
+                let entry = MemoEntry {
+                    plans: plans.iter().map(|(p, _)| Rc::downgrade(p)).collect(),
+                    run: simulate()?,
+                    last_used: self.tick,
+                };
+                if self.entries.len() >= self.capacity {
+                    let lru = self.entries.iter().enumerate();
+                    if let Some((lru, _)) = lru.min_by_key(|(_, e)| e.last_used) {
+                        self.entries.swap_remove(lru);
+                    }
+                }
+                self.entries.push(entry);
+                self.entries.len() - 1
+            }
+        };
+        Ok(&self.entries[idx].run)
+    }
+}
+
 impl EngineWorker {
     fn new(
         config: ServeConfig,
         tuned: bool,
         replica_idx: usize,
+        memo: bool,
     ) -> Result<Self, FlashOverlapError> {
         let mut cache = if tuned {
             PlanCache::new(config.cache_capacity)
@@ -208,11 +324,18 @@ impl EngineWorker {
             cache.preload(&config.system, &snapshot.entries)?;
         }
         let tp = config.system.n_gpus as u32;
+        let memo_capacity = if memo {
+            config.cache_capacity.max(1)
+        } else {
+            0
+        };
         Ok(EngineWorker {
-            config,
             replica_idx,
             tp,
+            system_fp: system_fingerprint(&config.system),
             cache,
+            memo: ChainMemo::new(memo_capacity),
+            config,
             batches: 0,
             requests: 0,
             tokens: 0,
@@ -241,22 +364,25 @@ impl EngineWorker {
         }
     }
 
-    /// Executes one chain of batches starting at `start_ns`, recording
-    /// per-request and per-batch effects. The virtual-time math is
-    /// identical to the pre-engine serve loop's inline `run_chain` —
-    /// byte-compatibility of the report depends on it.
+    /// Executes one chain of batches starting at `start_ns`: resolves its
+    /// plans, takes its [`ChainRun`] from the memo or simulates it, and
+    /// accounts it. The virtual-time math is identical to the pre-engine
+    /// serve loop's inline `run_chain` — byte-compatibility of the report
+    /// depends on it.
     fn execute_chain(
         &mut self,
         start_ns: u64,
         chain: Vec<PendingBatch>,
     ) -> Result<ChainResult, FlashOverlapError> {
-        // Split the borrow: the cache is mutated while the config is
-        // read, and the lifetime counters bump batch by batch.
+        // Split the borrow: the cache and memo are mutated while the
+        // config is read, and the lifetime counters bump batch by batch.
         let EngineWorker {
             config,
             replica_idx,
             tp,
+            system_fp,
             cache,
+            memo,
             batches,
             requests,
             tokens,
@@ -269,12 +395,45 @@ impl EngineWorker {
         let config: &ServeConfig = config;
         let replica_idx = *replica_idx;
         let tp = *tp;
-        let mut effects = ChainEffects::default();
 
         let pattern = CommPattern::AllReduce;
-        let mut plans: Vec<(std::rc::Rc<OverlapPlan>, bool)> = Vec::with_capacity(chain.len());
+        let mut plans: Vec<(Rc<OverlapPlan>, bool)> = Vec::with_capacity(chain.len());
         for p in &chain {
-            plans.push(cache.get_or_tune(p.batch.gemm_dims(tp), &pattern, &config.system)?);
+            let key = PlanKey {
+                dims: p.batch.gemm_dims(tp),
+                primitive: pattern.primitive(),
+                system_fp: *system_fp,
+            };
+            plans.push(cache.get_or_tune_keyed(key, &pattern, &config.system)?);
+        }
+        let mut simulate = || simulate_chain(config, replica_idx, &chain, &plans, scratch, world);
+        let fresh;
+        let run = if config.chaos || memo.capacity == 0 {
+            fresh = simulate()?;
+            &fresh
+        } else {
+            memo.run_or_simulate(&plans, simulate)?
+        };
+
+        let mut effects = ChainEffects {
+            signal_weighted_sum: run.signal.0,
+            signal_samples: run.signal.1,
+            ..ChainEffects::default()
+        };
+        // Predictor drift: sample only the chain-leading batch — later
+        // pipelined batches' measured completions include comm-stream
+        // queueing behind the previous batch's tail and would bias the
+        // comparison.
+        if let ([leader, ..], [(plan, _), ..], Some(measured)) =
+            (chain.as_slice(), plans.as_slice(), &run.leader_group_done)
+        {
+            if let Some(predicted) = plan.predicted_group_completions() {
+                effects.drift = Some((
+                    leader.batch.gemm_dims(tp),
+                    predicted.to_vec(),
+                    measured.clone(),
+                ));
+            }
         }
 
         let chain_len = chain.len() as u64;
@@ -283,102 +442,11 @@ impl EngineWorker {
         // crossed the inter-node fabric. Zero on single-node runs, so the
         // pre-topology timeline is reproduced exactly.
         let mig_ns: u64 = chain.iter().map(|p| p.migration_ns).sum();
-        let telemetry = Telemetry::recycling(std::mem::take(scratch));
-        // Per-batch deterministic fault plans. The wedge-replica override
-        // replaces the leading batch's draw with an unrecoverable
-        // dropped-signal wedge (group 0 starves, so no group completes and
-        // recovery can only abandon the overlap — deterministically
-        // degraded).
-        let chaos_faults: Vec<FaultPlan> = if config.chaos {
-            chain
-                .iter()
-                .zip(&plans)
-                .enumerate()
-                .map(|(i, (p, (plan, _)))| {
-                    if i == 0 && config.wedge_replica == Some(replica_idx) {
-                        FaultPlan::single(Fault::DroppedIncrement {
-                            rank: 0,
-                            group: 0,
-                            count: u32::MAX,
-                        })
-                    } else {
-                        FaultPlan::random(
-                            fault_seed(config.seed, p.batch.id),
-                            config.system.n_gpus,
-                            plan.partition.num_groups(),
-                        )
-                    }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let watchdog = WatchdogConfig::default();
-        // Resilient sequences reject probe instrumentation, so chaos chains
-        // run monitor-only (spans still flow; tail/bulk recovery collectives
-        // land in the `recovery` attribution category).
-        let monitor_instr = Instrumentation {
-            monitor: Some(telemetry.monitor()),
-            probe: None,
-            mutation: None,
-        };
-        let probe_instr = telemetry.instrumentation();
-        let mut options = SequenceOptions::new().trace();
-        options = if config.chaos {
-            options
-                .instrument(&monitor_instr)
-                .resilient(&chaos_faults, &watchdog)
-        } else {
-            options.instrument(&probe_instr)
-        };
-        if !config.pipelined {
-            options = options.serial();
-        }
-        let plan_refs: Vec<&OverlapPlan> = plans.iter().map(|(p, _)| p.as_ref()).collect();
-        let outcome = execute_sequence_in(world, &plan_refs, &options)?;
-        let completions: Vec<u64> = outcome
-            .reports
-            .iter()
-            .map(|r| r.latency.as_nanos())
-            .collect();
-        let outcomes: Vec<&'static str> = outcome.outcomes.iter().map(|o| o.label()).collect();
-        let total_ns = outcome.total.as_nanos();
-        let spans = outcome.spans;
-        let leader_group_done = outcome
-            .reports
-            .into_iter()
-            .next()
-            .map(|r| r.group_comm_done);
-        let record = telemetry.take_record();
-        if let Some(sig) = signal_summary(&record, &spans) {
-            effects.signal_weighted_sum = sig.mean_total_ns * sig.samples.len() as f64;
-            effects.signal_samples = sig.samples.len() as u64;
-        }
-        // Critical-path attribution of the whole chain; per-batch shares are
-        // clipped out of it below.
-        let attribution = attribute_makespan(&spans, &record, total_ns);
-        // Done reading the record and the spans — hand their buffers back
-        // for the next chain (recycling clears them on reuse).
-        *scratch = record;
-        world.recycle_spans(spans);
-
-        // Predictor drift: sample only the chain-leading batch — later
-        // pipelined batches' measured completions include comm-stream
-        // queueing behind the previous batch's tail and would bias the
-        // comparison.
-        if let ([leader, ..], [(plan, _), ..], Some(measured)) =
-            (chain.as_slice(), plans.as_slice(), leader_group_done)
-        {
-            if let Some(predicted) = plan.predicted_group_completions() {
-                effects.drift = Some((leader.batch.gemm_dims(tp), predicted.to_vec(), measured));
-            }
-        }
-
         let mut prev_done = 0u64;
-        for ((pending, (_, cache_hit)), (done_ns, outcome)) in chain
+        for ((pending, (_, cache_hit)), (done_ns, &outcome)) in chain
             .iter()
             .zip(&plans)
-            .zip(completions.iter().zip(&outcomes))
+            .zip(run.completions.iter().zip(&run.outcomes))
         {
             let batch = &pending.batch;
             let end_ns = start_ns.saturating_add(mig_ns).saturating_add(*done_ns);
@@ -439,31 +507,29 @@ impl EngineWorker {
                 chain_len,
                 close_ns: pending.close_ns,
                 queue_wait_ns: queue_wait,
-                attribution: Some(attribution.clip_window(prev_done, window_end)),
+                attribution: Some(run.attribution.clip_window(prev_done, window_end)),
             });
             *batches += 1;
             *requests += batch.requests.len() as u64;
             *tokens += u64::from(batch.tokens);
             prev_done = window_end;
         }
-        *busy_ns += mig_ns + total_ns;
+        *busy_ns += mig_ns + run.total_ns;
         *chains += 1;
         // The chain window spans migration + execution; migration is
         // inter-node traffic, so it lands in the collective-transfer
         // category and the serve-level attribution identity still holds.
-        let mut chain_totals = attribution.totals;
+        let mut chain_totals = run.attribution.totals;
         chain_totals.add(Category::CollectiveTransfer, mig_ns);
-        chain_log.push((start_ns, mig_ns.saturating_add(total_ns), chain_totals));
-        let any_degraded = outcomes.contains(&"degraded");
+        chain_log.push((start_ns, mig_ns.saturating_add(run.total_ns), chain_totals));
         Ok(ChainResult {
-            free_ns: start_ns.saturating_add(mig_ns).saturating_add(total_ns),
-            degraded: any_degraded,
+            free_ns: start_ns.saturating_add(mig_ns).saturating_add(run.total_ns),
+            degraded: run.outcomes.contains(&"degraded"),
             effects,
         })
     }
 
     fn finalize(&mut self) -> EngineFinal {
-        let fp = system_fingerprint(&self.config.system);
         EngineFinal {
             batches: self.batches,
             requests: self.requests,
@@ -472,9 +538,108 @@ impl EngineWorker {
             busy_ns: self.busy_ns,
             chain_log: std::mem::take(&mut self.chain_log),
             cache_stats: self.cache.stats(),
-            entries: self.cache.export_entries(fp),
+            entries: self.cache.export_entries(self.system_fp),
+            memo_hits: self.memo.hits,
         }
     }
+}
+
+/// Simulates one chain in the replica's world and reduces the outcome
+/// to its [`ChainRun`].
+fn simulate_chain(
+    config: &ServeConfig,
+    replica_idx: usize,
+    chain: &[PendingBatch],
+    plans: &[(Rc<OverlapPlan>, bool)],
+    scratch: &mut TelemetryRecord,
+    world: &mut ChainWorld,
+) -> Result<ChainRun, FlashOverlapError> {
+    let telemetry = Telemetry::recycling(std::mem::take(scratch));
+    // Per-batch deterministic fault plans. The wedge-replica override
+    // replaces the leading batch's draw with an unrecoverable
+    // dropped-signal wedge (group 0 starves, so no group completes and
+    // recovery can only abandon the overlap — deterministically
+    // degraded).
+    let chaos_faults: Vec<FaultPlan> = if config.chaos {
+        chain
+            .iter()
+            .zip(plans)
+            .enumerate()
+            .map(|(i, (p, (plan, _)))| {
+                if i == 0 && config.wedge_replica == Some(replica_idx) {
+                    FaultPlan::single(Fault::DroppedIncrement {
+                        rank: 0,
+                        group: 0,
+                        count: u32::MAX,
+                    })
+                } else {
+                    FaultPlan::random(
+                        fault_seed(config.seed, p.batch.id),
+                        config.system.n_gpus,
+                        plan.partition.num_groups(),
+                    )
+                }
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let watchdog = WatchdogConfig::default();
+    // Resilient sequences reject probe instrumentation, so chaos chains
+    // run monitor-only (spans still flow; tail/bulk recovery collectives
+    // land in the `recovery` attribution category).
+    let monitor_instr = Instrumentation {
+        monitor: Some(telemetry.monitor()),
+        probe: None,
+        mutation: None,
+    };
+    let probe_instr = telemetry.instrumentation();
+    let mut options = SequenceOptions::new().trace();
+    options = if config.chaos {
+        options
+            .instrument(&monitor_instr)
+            .resilient(&chaos_faults, &watchdog)
+    } else {
+        options.instrument(&probe_instr)
+    };
+    if !config.pipelined {
+        options = options.serial();
+    }
+    let plan_refs: Vec<&OverlapPlan> = plans.iter().map(|(p, _)| p.as_ref()).collect();
+    let outcome = execute_sequence_in(world, &plan_refs, &options)?;
+    let completions = outcome
+        .reports
+        .iter()
+        .map(|r| r.latency.as_nanos())
+        .collect();
+    let outcomes = outcome.outcomes.iter().map(|o| o.label()).collect();
+    let total_ns = outcome.total.as_nanos();
+    let spans = outcome.spans;
+    let leader_group_done = outcome
+        .reports
+        .into_iter()
+        .next()
+        .map(|r| r.group_comm_done);
+    let record = telemetry.take_record();
+    let signal = signal_summary(&record, &spans).map_or((0.0, 0), |sig| {
+        (
+            sig.mean_total_ns * sig.samples.len() as f64,
+            sig.samples.len() as u64,
+        )
+    });
+    let attribution = attribute_makespan(&spans, &record, total_ns);
+    // Done reading the record and the spans — hand their buffers back for
+    // the next chain (recycling clears them on reuse).
+    *scratch = record;
+    world.recycle_spans(spans);
+    Ok(ChainRun {
+        completions,
+        outcomes,
+        total_ns,
+        signal,
+        attribution,
+        leader_group_done,
+    })
 }
 
 /// The loop-facing handle to one sealed replica engine.
@@ -533,12 +698,13 @@ struct MovableWorker(EngineWorker);
 // SAFETY: of `EngineWorker`'s fields, `config` (`ServeConfig`), the
 // counters, `chain_log` and `scratch` (`TelemetryRecord`) are `Send`;
 // `cache` is not, only because it holds `Rc<OverlapPlan>`s, and the plans
-// hold `Rc` mappings. Every `Rc` pointing into those allocations is owned
-// by the worker itself: `execute_chain` drops the clones it makes before
-// it returns, replies carry plain data (see
-// `assert_boundary_types_are_send`), workers are built from a cloned
-// config and share no plan, and nothing in the simulator keeps
-// thread-local or global handles. `world` (`ChainWorld`) is not `Send`
+// hold `Rc` mappings; `memo` is not, only because it holds `Weak`s to
+// those same plans. Every `Rc` and `Weak` pointing into those
+// allocations is owned by the worker itself (the cache and the memo):
+// `execute_chain` drops the clones it makes before it returns, replies
+// carry plain data (see `assert_boundary_types_are_send`), workers are
+// built from a cloned config and share no plan, and nothing in the
+// simulator keeps thread-local or global handles. `world` (`ChainWorld`) is not `Send`
 // only for the types its cluster and engine can hold while a chain runs
 // (boxed kernels and events, the monitor and probe `Rc`s); between
 // chains it holds none of them — `execute_sequence_in` clears it on
@@ -693,6 +859,17 @@ impl EnginePool {
     /// Returns any worker construction error (e.g. a malformed preload
     /// snapshot).
     pub fn new(config: &ServeConfig, tuned: bool) -> Result<EnginePool, FlashOverlapError> {
+        EnginePool::build(config, tuned, true)
+    }
+
+    /// [`EnginePool::new`], with each engine's chain memo on or off. The
+    /// memo never changes a result, so only the memo's own tests turn it
+    /// off.
+    pub(crate) fn build(
+        config: &ServeConfig,
+        tuned: bool,
+        memo: bool,
+    ) -> Result<EnginePool, FlashOverlapError> {
         let slots = (0..config.replicas)
             .map(|idx| {
                 Ok(EngineSlot {
@@ -700,6 +877,7 @@ impl EnginePool {
                         config.clone(),
                         tuned,
                         idx,
+                        memo,
                     )?)),
                     commands: VecDeque::new(),
                     replies: VecDeque::new(),
@@ -808,7 +986,154 @@ fn assert_boundary_types_are_send() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::Batch;
+    use crate::cache::CacheSnapshot;
+    use crate::router::RouterPolicy;
+    use crate::server::serve_run;
+    use crate::traffic::ArrivalProcess;
     use flashoverlap::SystemSpec;
+
+    /// Serves `config` with and without the chain memo, asserts the
+    /// rendered reports and plan snapshots are byte-equal, and returns
+    /// the memo's hits.
+    fn memo_hits_without_changing_the_report(config: &ServeConfig, tuned: bool) -> u64 {
+        let with = serve_run(config, tuned, true).expect("serves with the memo");
+        let without = serve_run(config, tuned, false).expect("serves without the memo");
+        assert_eq!(without.memo_hits, 0, "the memo was off");
+        assert_eq!(
+            with.report.to_json().to_json_pretty(),
+            without.report.to_json().to_json_pretty(),
+            "the chain memo changed the report"
+        );
+        assert_eq!(with.snapshot, without.snapshot);
+        with.memo_hits
+    }
+
+    /// Four replicas behind shape affinity, loaded enough that chains
+    /// form and shapes repeat per replica.
+    fn affinity_config() -> ServeConfig {
+        let mut config = ServeConfig::new(SystemSpec::rtx4090(2));
+        config.process = ArrivalProcess::Poisson { rate_rps: 2400.0 };
+        config.requests = 160;
+        config.replicas = 4;
+        config.router = RouterPolicy::ShapeAffinity;
+        config.seed = 7;
+        config
+    }
+
+    #[test]
+    fn chain_memo_replays_repeated_chains_byte_identically() {
+        let affinity = affinity_config();
+        assert!(
+            memo_hits_without_changing_the_report(&affinity, true) > 0,
+            "repeated affinity chains must hit the memo"
+        );
+        let parallel = ServeConfig {
+            exec: ExecMode::Parallel(2),
+            ..affinity.clone()
+        };
+        memo_hits_without_changing_the_report(&parallel, true);
+        let serial_rr = ServeConfig {
+            router: RouterPolicy::RoundRobin,
+            pipelined: false,
+            replicas: 2,
+            seed: 5,
+            ..affinity.clone()
+        };
+        memo_hits_without_changing_the_report(&serial_rr, true);
+        let mut two_node = ServeConfig::new(SystemSpec::rtx4090(2).with_nodes(2));
+        two_node.process = ArrivalProcess::Poisson { rate_rps: 2400.0 };
+        two_node.requests = 160;
+        two_node.replicas = 4;
+        two_node.nodes = 2;
+        two_node.router = RouterPolicy::Locality;
+        two_node.seed = 11;
+        memo_hits_without_changing_the_report(&two_node, true);
+        // The untuned baseline cache.
+        memo_hits_without_changing_the_report(&ServeConfig::new(SystemSpec::rtx4090(2)), false);
+    }
+
+    #[test]
+    fn chaos_chains_bypass_the_chain_memo() {
+        let mut config = affinity_config();
+        config.chaos = true;
+        config.wedge_replica = Some(2);
+        config.process = ArrivalProcess::Poisson { rate_rps: 12_000.0 };
+        config.requests = 120;
+        assert_eq!(memo_hits_without_changing_the_report(&config, true), 0);
+    }
+
+    /// A preloaded plan and its re-tuned replacement share a `PlanKey`
+    /// but not a partition; at capacity 2 the preload is evicted and
+    /// re-tuned, and a chain under the new plan must not replay the old
+    /// plan's run.
+    #[test]
+    fn chain_memo_tells_a_retuned_plan_from_its_evicted_preload() {
+        let mut config = ServeConfig::new(SystemSpec::rtx4090(2));
+        config.requests = 200;
+        config.seed = 3;
+        let tuned = serve_run(&config, true, true).expect("serves").snapshot;
+        let entries: Vec<PlanEntry> = tuned
+            .entries
+            .into_iter()
+            .filter_map(|mut e| {
+                // Any other partition of the same waves.
+                e.groups = match e.groups.as_slice() {
+                    [a, b, rest @ ..] => [&[a + b], rest].concat(),
+                    [n] if *n > 1 => vec![1, n - 1],
+                    _ => return None,
+                };
+                e.thresholds = None;
+                Some(e)
+            })
+            .collect();
+        assert!(!entries.is_empty());
+        for capacity in [1, 2] {
+            let mut trap = config.clone();
+            trap.cache_capacity = capacity;
+            trap.preload = Some(CacheSnapshot {
+                system_fp: system_fingerprint(&trap.system),
+                entries: entries.clone(),
+            });
+            let run = serve_run(&trap, true, true).expect("serves");
+            let stats = run.report.cache;
+            assert!(stats.preloaded > 0 && stats.evictions > 0, "{stats:?}");
+            memo_hits_without_changing_the_report(&trap, true);
+        }
+    }
+
+    #[test]
+    fn chain_memo_keeps_no_evicted_plan_alive() {
+        let mut config = ServeConfig::new(SystemSpec::rtx4090(2));
+        config.cache_capacity = 1;
+        let mut worker = EngineWorker::new(config, true, 0, true).expect("worker builds");
+        let mut held: Vec<Weak<OverlapPlan>> = Vec::new();
+        for (id, tokens) in [512u32, 1024, 512, 1024, 512].into_iter().enumerate() {
+            let pending = PendingBatch {
+                batch: Batch {
+                    id: id as u64,
+                    model: workloads::models::LLAMA3_8B,
+                    requests: Vec::new(),
+                    tokens,
+                    padded_tokens: tokens,
+                },
+                routing: "test",
+                close_ns: 0,
+                migration_ns: 0,
+            };
+            worker.execute_chain(0, vec![pending]).expect("chain runs");
+            assert!(worker.memo.entries.len() <= 1, "memo exceeds capacity");
+            held.extend(worker.memo.entries.iter().flat_map(|e| e.plans.clone()));
+        }
+        let (last, evicted) = held.split_last().expect("plans held");
+        assert_eq!(last.strong_count(), 1, "only the cache holds the live plan");
+        assert!(
+            evicted.iter().all(|w| w.upgrade().is_none()),
+            "an evicted plan is still alive"
+        );
+        assert_eq!(worker.cache.stats().evictions, 4);
+        assert_eq!(worker.memo.hits, 0, "every re-tuned plan is a new key");
+    }
 
     /// Two queued chains and a finalize per engine come back in command
     /// order whether the loop or a pool thread runs them. (An empty chain

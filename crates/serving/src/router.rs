@@ -151,26 +151,6 @@ impl Router {
         self.policy
     }
 
-    /// Routes a batch with GEMM shape `dims` given per-replica `loads`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loads` is empty — the server validates `replicas >= 1`
-    /// at startup, so an empty snapshot is a caller bug.
-    #[cfg_attr(
-        not(test),
-        expect(
-            clippy::expect_used,
-            reason = "documented panic: an empty load snapshot is a caller bug"
-        )
-    )]
-    pub fn route(&mut self, dims: GemmDims, loads: &[ReplicaLoad]) -> RouteDecision {
-        assert!(!loads.is_empty(), "router needs at least one replica");
-        let eligible = vec![true; loads.len()];
-        self.route_among(dims, loads, &eligible)
-            .expect("every replica is eligible")
-    }
-
     /// Routes among the replicas whose `eligible` flag is set —
     /// quarantined replicas stay in `loads` (indices are stable replica
     /// ids) but are never chosen. Returns `None` when no replica is
@@ -307,12 +287,19 @@ mod tests {
         vec![ReplicaLoad::default(); n]
     }
 
+    /// Routes with every replica eligible.
+    fn route_all(router: &mut Router, dims: GemmDims, loads: &[ReplicaLoad]) -> RouteDecision {
+        router
+            .route_among(dims, loads, &vec![true; loads.len()])
+            .unwrap()
+    }
+
     #[test]
     fn round_robin_cycles_through_replicas() {
         let mut router = Router::new(RouterPolicy::RoundRobin);
         let loads = idle(3);
         let picks: Vec<usize> = (0..6)
-            .map(|_| router.route(dims(256), &loads).replica)
+            .map(|_| route_all(&mut router, dims(256), &loads).replica)
             .collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
@@ -337,31 +324,31 @@ mod tests {
                 node: 0,
             },
         ];
-        let d = router.route(dims(256), &loads);
+        let d = route_all(&mut router, dims(256), &loads);
         assert_eq!((d.replica, d.reason), (2, "least-loaded"));
     }
 
     #[test]
     fn least_loaded_breaks_full_ties_by_lowest_id() {
         let mut router = Router::new(RouterPolicy::LeastLoaded);
-        assert_eq!(router.route(dims(256), &idle(4)).replica, 0);
+        assert_eq!(route_all(&mut router, dims(256), &idle(4)).replica, 0);
     }
 
     #[test]
     fn shape_affinity_steers_repeats_to_the_same_replica() {
         let mut router = Router::new(RouterPolicy::ShapeAffinity);
         let mut loads = idle(3);
-        let first = router.route(dims(256), &loads);
+        let first = route_all(&mut router, dims(256), &loads);
         assert_eq!(first.reason, "affinity-new");
         // Pile load onto the affine replica; repeats must stick anyway.
         if let Some(l) = loads.get_mut(first.replica) {
             l.queued_tokens = 10_000;
         }
-        let second = router.route(dims(256), &loads);
+        let second = route_all(&mut router, dims(256), &loads);
         assert_eq!(second.replica, first.replica);
         assert_eq!(second.reason, "affinity-hit");
         // A new shape avoids the loaded replica.
-        let other = router.route(dims(512), &loads);
+        let other = route_all(&mut router, dims(512), &loads);
         assert_ne!(other.replica, first.replica);
         assert_eq!(other.reason, "affinity-new");
     }
@@ -386,14 +373,14 @@ mod tests {
     fn affinity_rehomes_when_the_affine_replica_is_quarantined() {
         let mut router = Router::new(RouterPolicy::ShapeAffinity);
         let loads = idle(3);
-        let first = router.route(dims(256), &loads);
+        let first = route_all(&mut router, dims(256), &loads);
         assert_eq!((first.replica, first.reason), (0, "affinity-new"));
         let mut eligible = vec![true; 3];
         *eligible.get_mut(first.replica).unwrap() = false;
         let moved = router.route_among(dims(256), &loads, &eligible).unwrap();
         assert_eq!((moved.replica, moved.reason), (1, "affinity-new"));
         // The re-homed affinity sticks on later fully-eligible routes.
-        let repeat = router.route(dims(256), &loads);
+        let repeat = route_all(&mut router, dims(256), &loads);
         assert_eq!((repeat.replica, repeat.reason), (1, "affinity-hit"));
     }
 
@@ -423,7 +410,7 @@ mod tests {
         let loads = two_node_loads();
         let d = dims(256);
         let home = home_node(d, 2);
-        let decision = router.route(d, &loads);
+        let decision = route_all(&mut router, d, &loads);
         assert_eq!(decision.reason, "locality-local");
         assert_eq!(
             loads.get(decision.replica).unwrap().node,
@@ -431,7 +418,7 @@ mod tests {
             "local decision must land on the home node"
         );
         // Repeats keep landing locally (stateless w.r.t. history).
-        assert_eq!(router.route(d, &loads).reason, "locality-local");
+        assert_eq!(route_all(&mut router, d, &loads).reason, "locality-local");
     }
 
     #[test]
@@ -444,7 +431,7 @@ mod tests {
         for l in loads.iter_mut().filter(|l| l.node == home) {
             l.queued_tokens = SPILL_SLACK_TOKENS;
         }
-        let stay = router.route(d, &loads);
+        let stay = route_all(&mut router, d, &loads);
         assert_eq!(stay.reason, "locality-local");
         // Past double-remote + slack: spills to the other node.
         for l in loads.iter_mut().filter(|l| l.node == home) {
@@ -453,7 +440,7 @@ mod tests {
         for l in loads.iter_mut().filter(|l| l.node != home) {
             l.queued_tokens = 0;
         }
-        let spill = router.route(d, &loads);
+        let spill = route_all(&mut router, d, &loads);
         assert_eq!(spill.reason, "locality-spill");
         assert_ne!(loads.get(spill.replica).unwrap().node, home);
     }
@@ -475,7 +462,7 @@ mod tests {
         let mut router = Router::new(RouterPolicy::Locality);
         let mut loads = idle(3);
         loads.get_mut(0).unwrap().queued_tokens = 512;
-        let decision = router.route(dims(256), &loads);
+        let decision = route_all(&mut router, dims(256), &loads);
         assert_eq!((decision.replica, decision.reason), (1, "locality-local"));
     }
 

@@ -353,7 +353,7 @@ fn quarantine_replica(
 /// including [`ServeConfig::exec`] thread counts, which only change
 /// wall-clock.
 pub fn serve(config: &ServeConfig) -> Result<ServeReport, FlashOverlapError> {
-    Ok(serve_run(config, true)?.0)
+    Ok(serve_run(config, true, true)?.report)
 }
 
 /// [`serve`], additionally returning the merged tuned-plan snapshot
@@ -361,13 +361,14 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, FlashOverlapError> {
 pub fn serve_exporting(
     config: &ServeConfig,
 ) -> Result<(ServeReport, CacheSnapshot), FlashOverlapError> {
-    serve_run(config, true)
+    let run = serve_run(config, true, true)?;
+    Ok((run.report, run.snapshot))
 }
 
 /// Runs the same loop with untuned single-group (non-overlap) plans —
 /// the baseline arm of [`serve_comparison`].
 pub fn serve_baseline(config: &ServeConfig) -> Result<ServeReport, FlashOverlapError> {
-    Ok(serve_run(config, false)?.0)
+    Ok(serve_run(config, false, true)?.report)
 }
 
 /// Serves the identical seeded traffic through both the tuned and the
@@ -622,16 +623,32 @@ impl Accounting {
     }
 }
 
-fn serve_run(
+/// What one run of the serve loop produced.
+pub(crate) struct ServeRun {
+    pub(crate) report: ServeReport,
+    /// The merged tuned-plan snapshot of every replica's cache.
+    pub(crate) snapshot: CacheSnapshot,
+    /// Chains the engines replayed from their chain memos.
+    #[cfg_attr(
+        not(test),
+        expect(dead_code, reason = "only the chain-memo tests read it")
+    )]
+    pub(crate) memo_hits: u64,
+}
+
+/// The serve loop. `tuned` picks tuned or baseline plans; `memo` turns
+/// the engines' chain memos on, which never changes the report.
+pub(crate) fn serve_run(
     config: &ServeConfig,
     tuned: bool,
-) -> Result<(ServeReport, CacheSnapshot), FlashOverlapError> {
+    memo: bool,
+) -> Result<ServeRun, FlashOverlapError> {
     config.validate()?;
     let tp = config.system.n_gpus as u32;
     let arrivals = generate(&config.mix, config.process, config.requests, config.seed);
     let offered_span_ns = arrivals.last().map_or(0, |r| r.arrival_ns);
 
-    let pool = EnginePool::new(config, tuned)?;
+    let pool = EnginePool::build(config, tuned, memo)?;
     let mut slots: Vec<ReplicaSlot> = (0..config.replicas).map(|_| ReplicaSlot::new()).collect();
     let mut router = Router::new(config.router);
 
@@ -1014,7 +1031,11 @@ fn serve_run(
         shapes.len() as u64,
         &views,
     );
-    Ok((report, snapshot))
+    Ok(ServeRun {
+        report,
+        snapshot,
+        memo_hits: views.iter().map(|r| r.fin.memo_hits).sum(),
+    })
 }
 
 /// Serve-level critical-path attribution: the bottleneck replica's

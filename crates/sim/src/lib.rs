@@ -35,6 +35,6 @@ pub mod trace;
 
 pub use engine::{EngineProbe, Sim, SimError};
 pub use rng::DetRng;
-pub use stats::{Cdf, Summary};
+pub use stats::Cdf;
 pub use time::{SimDuration, SimTime};
 pub use trace::Trace;

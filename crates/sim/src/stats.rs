@@ -1,112 +1,4 @@
-//! Summary statistics and empirical CDFs for evaluation output.
-
-use std::fmt;
-
-/// Streaming summary statistics (count / mean / variance / extrema) over a
-/// sequence of `f64` samples, using Welford's online algorithm.
-///
-/// # Examples
-///
-/// ```
-/// use sim::Summary;
-///
-/// let s: Summary = [1.0, 2.0, 3.0].into_iter().collect();
-/// assert_eq!(s.count(), 3);
-/// assert!((s.mean() - 2.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Summary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds a sample.
-    pub fn add(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples added.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean; zero when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance; zero when fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample; `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample; `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-}
-
-impl FromIterator<f64> for Summary {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut s = Summary::new();
-        for x in iter {
-            s.add(x);
-        }
-        s
-    }
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.4} std={:.4} min={:.4} max={:.4}",
-            self.count,
-            self.mean(),
-            self.std_dev(),
-            self.min().unwrap_or(f64::NAN),
-            self.max().unwrap_or(f64::NAN)
-        )
-    }
-}
+//! Empirical CDFs for evaluation output.
 
 /// An empirical cumulative distribution function over collected samples.
 ///
@@ -217,46 +109,6 @@ impl FromIterator<f64> for Cdf {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_mean_and_variance() {
-        let s: Summary = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-            .into_iter()
-            .collect();
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn summary_empty_is_safe() {
-        let s = Summary::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn summary_single_sample() {
-        let mut s = Summary::new();
-        s.add(3.5);
-        assert_eq!(s.mean(), 3.5);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), Some(3.5));
-    }
-
-    #[test]
-    fn summary_display_contains_fields() {
-        let s: Summary = [1.0, 2.0].into_iter().collect();
-        let text = format!("{s}");
-        assert!(text.contains("n=2"));
-        assert!(text.contains("mean=1.5"));
-    }
 
     #[test]
     fn cdf_quantiles() {
