@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== rustdoc (broken or private intra-doc links are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
+
 echo "== perfbench self-test (replay checks against the served report) =="
 # perfbench is a separate package, outside the workspace. Its traced
 # replay re-runs each chain's signal join and attribution and checks the

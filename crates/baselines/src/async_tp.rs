@@ -9,11 +9,11 @@
 
 use std::rc::Rc;
 
-use collectives::P2pCopy;
+use collectives::p2p_copy;
 use flashoverlap::runtime::{CommPattern, Instrumentation};
 use flashoverlap::{FlashOverlapError, SystemSpec};
 use gpu_sim::gemm::{AddressOrderWriter, GemmConfig, GemmDims, GemmKernel};
-use gpu_sim::stream::{enqueue, RecordEvent, WaitEvent};
+use gpu_sim::stream::{enqueue, Op};
 use gpu_sim::{ClusterSim, OpSpan};
 use sim::{Sim, SimDuration, SimTime};
 
@@ -122,13 +122,13 @@ pub fn run_async_tp_traced(
                 writer: Rc::new(AddressOrderWriter),
                 counter: None,
             };
-            enqueue(&mut world, &mut sim, d, compute[d], Box::new(kernel));
+            enqueue(&mut world, &mut sim, d, compute[d], Op::Gemm(kernel));
             enqueue(
                 &mut world,
                 &mut sim,
                 d,
                 compute[d],
-                Box::new(RecordEvent(events[d])),
+                Op::RecordEvent(events[d]),
             );
         }
         // Each rank pushes its partial chunk to the chunk's owner; the
@@ -144,7 +144,7 @@ pub fn run_async_tp_traced(
                 &mut sim,
                 d,
                 comm_streams[d],
-                Box::new(WaitEvent(events[d])),
+                Op::WaitEvent(events[d]),
             );
             if d != owner {
                 enqueue(
@@ -152,16 +152,13 @@ pub fn run_async_tp_traced(
                     &mut sim,
                     d,
                     comm_streams[d],
-                    Box::new(P2pCopy {
-                        fabric: system.fabric.clone(),
-                        src_buf: out_bufs[d],
-                        src_off: chunk_off,
-                        dst_dev: owner,
-                        dst_buf: stage_bufs[owner],
-                        dst_off: chunk_off,
-                        count: chunk_elems,
-                        sm_footprint: P2P_SM_FOOTPRINT,
-                    }),
+                    p2p_copy(
+                        &system.fabric,
+                        (out_bufs[d], chunk_off),
+                        (owner, stage_bufs[owner], chunk_off),
+                        chunk_elems,
+                        P2P_SM_FOOTPRINT,
+                    ),
                 );
             }
             if gather_back && d == owner {
@@ -175,16 +172,13 @@ pub fn run_async_tp_traced(
                         &mut sim,
                         d,
                         comm_streams[d],
-                        Box::new(P2pCopy {
-                            fabric: system.fabric.clone(),
-                            src_buf: out_bufs[d],
-                            src_off: chunk_off,
-                            dst_dev: peer,
-                            dst_buf: out_bufs[peer],
-                            dst_off: chunk_off,
-                            count: chunk_elems,
-                            sm_footprint: P2P_SM_FOOTPRINT,
-                        }),
+                        p2p_copy(
+                            &system.fabric,
+                            (out_bufs[d], chunk_off),
+                            (peer, out_bufs[peer], chunk_off),
+                            chunk_elems,
+                            P2P_SM_FOOTPRINT,
+                        ),
                     );
                 }
             }

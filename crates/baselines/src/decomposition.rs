@@ -14,7 +14,7 @@ use collectives::{A2aPlan, CollectiveSpec, Communicator, Region};
 use flashoverlap::runtime::{CommPattern, Instrumentation};
 use flashoverlap::{FlashOverlapError, SystemSpec};
 use gpu_sim::gemm::{AddressOrderWriter, GemmConfig, GemmDims, GemmKernel};
-use gpu_sim::stream::{enqueue, RecordEvent, WaitEvent};
+use gpu_sim::stream::{enqueue, Op};
 use gpu_sim::{ClusterSim, OpSpan};
 use sim::{Sim, SimDuration, SimTime};
 
@@ -79,7 +79,8 @@ pub fn run_decomposition_traced(
         system.fabric.clone(),
         system.comm_sms,
         system.algorithm,
-    );
+    )
+    .open(&mut world);
     let chunk_dims = GemmDims::new(chunk_rows, dims.n, dims.k);
     // Each chunk GEMM is configured for its own (smaller) shape, exactly
     // as separate cuBLAS calls would be.
@@ -125,13 +126,13 @@ pub fn run_decomposition_traced(
                 writer: Rc::new(AddressOrderWriter),
                 counter: None,
             };
-            enqueue(&mut world, &mut sim, d, compute[d], Box::new(kernel));
+            enqueue(&mut world, &mut sim, d, compute[d], Op::Gemm(kernel));
             enqueue(
                 &mut world,
                 &mut sim,
                 d,
                 compute[d],
-                Box::new(RecordEvent(events[d])),
+                Op::RecordEvent(events[d]),
             );
         }
         let spec = match pattern {
@@ -165,15 +166,15 @@ pub fn run_decomposition_traced(
                     .collect(),
             },
         };
-        for (d, kernel) in comm.kernels(spec).into_iter().enumerate() {
+        for (d, kernel) in comm.ops(spec).enumerate() {
             enqueue(
                 &mut world,
                 &mut sim,
                 d,
                 comm_streams[d],
-                Box::new(WaitEvent(events[d])),
+                Op::WaitEvent(events[d]),
             );
-            enqueue(&mut world, &mut sim, d, comm_streams[d], Box::new(kernel));
+            enqueue(&mut world, &mut sim, d, comm_streams[d], kernel);
         }
     }
     let end = sim.run(&mut world)?;

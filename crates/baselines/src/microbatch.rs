@@ -16,7 +16,7 @@ use collectives::{CollectiveSpec, Communicator, Region};
 use flashoverlap::runtime::CommPattern;
 use flashoverlap::{FlashOverlapError, SystemSpec};
 use gpu_sim::gemm::{AddressOrderWriter, GemmConfig, GemmDims, GemmKernel};
-use gpu_sim::stream::{enqueue, RecordEvent, WaitEvent};
+use gpu_sim::stream::{enqueue, Op};
 use gpu_sim::ClusterSim;
 use sim::{Sim, SimDuration, SimTime};
 
@@ -67,7 +67,8 @@ pub fn run_microbatch(
         system.fabric.clone(),
         system.comm_sms,
         system.algorithm,
-    );
+    )
+    .open(&mut world);
     let mb_dims = GemmDims::new(mb_rows, dims.n, dims.k);
     let config = GemmConfig::choose(mb_dims, &system.arch);
     let issue = config.issue_order(mb_dims);
@@ -100,14 +101,8 @@ pub fn run_microbatch(
                 writer: Rc::new(AddressOrderWriter),
                 counter: None,
             };
-            enqueue(&mut world, &mut sim, d, compute, Box::new(kernel));
-            enqueue(
-                &mut world,
-                &mut sim,
-                d,
-                compute,
-                Box::new(RecordEvent(events[d])),
-            );
+            enqueue(&mut world, &mut sim, d, compute, Op::Gemm(kernel));
+            enqueue(&mut world, &mut sim, d, compute, Op::RecordEvent(events[d]));
         }
         let spec = match pattern {
             CommPattern::AllReduce => CollectiveSpec::AllReduce {
@@ -125,15 +120,15 @@ pub fn run_microbatch(
             },
             _ => unreachable!("validated above"),
         };
-        for (d, kernel) in comm.kernels(spec).into_iter().enumerate() {
+        for (d, kernel) in comm.ops(spec).enumerate() {
             enqueue(
                 &mut world,
                 &mut sim,
                 d,
                 comm_streams[d],
-                Box::new(WaitEvent(events[d])),
+                Op::WaitEvent(events[d]),
             );
-            enqueue(&mut world, &mut sim, d, comm_streams[d], Box::new(kernel));
+            enqueue(&mut world, &mut sim, d, comm_streams[d], kernel);
         }
         let _ = mb;
     }

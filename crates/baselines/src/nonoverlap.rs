@@ -6,7 +6,7 @@ use collectives::{A2aPlan, CollectiveSpec, Communicator, Region};
 use flashoverlap::runtime::{CommPattern, Instrumentation};
 use flashoverlap::{FlashOverlapError, SystemSpec};
 use gpu_sim::gemm::{GemmConfig, GemmDims, GemmKernel};
-use gpu_sim::stream::{enqueue, RecordEvent, WaitEvent};
+use gpu_sim::stream::{enqueue, Op};
 use gpu_sim::{ClusterSim, OpSpan};
 use sim::{Sim, SimDuration, SimTime};
 
@@ -51,7 +51,8 @@ pub fn run_nonoverlap_traced(
         system.fabric.clone(),
         system.comm_sms,
         system.algorithm,
-    );
+    )
+    .open(&mut world);
     let config = GemmConfig::choose(dims, &system.arch);
     let issue = config.issue_order(dims);
 
@@ -79,20 +80,8 @@ pub fn run_nonoverlap_traced(
                     .rng
                     .uniform(0.0, system.launch_skew_ns as f64) as u64,
             );
-            enqueue(
-                &mut world,
-                &mut sim,
-                d,
-                compute[d],
-                Box::new(gpu_sim::stream::Delay(delay)),
-            );
-            enqueue(
-                &mut world,
-                &mut sim,
-                d,
-                comm_streams[d],
-                Box::new(gpu_sim::stream::Delay(delay)),
-            );
+            enqueue(&mut world, &mut sim, d, compute[d], Op::Delay(delay));
+            enqueue(&mut world, &mut sim, d, comm_streams[d], Op::Delay(delay));
         }
     }
     for d in 0..n {
@@ -112,13 +101,13 @@ pub fn run_nonoverlap_traced(
             writer: Rc::new(gpu_sim::gemm::AddressOrderWriter),
             counter: None,
         };
-        enqueue(&mut world, &mut sim, d, compute[d], Box::new(kernel));
+        enqueue(&mut world, &mut sim, d, compute[d], Op::Gemm(kernel));
         enqueue(
             &mut world,
             &mut sim,
             d,
             compute[d],
-            Box::new(RecordEvent(events[d])),
+            Op::RecordEvent(events[d]),
         );
     }
 
@@ -160,15 +149,15 @@ pub fn run_nonoverlap_traced(
                 .collect(),
         },
     };
-    for (d, kernel) in comm.kernels(spec).into_iter().enumerate() {
+    for (d, kernel) in comm.ops(spec).enumerate() {
         enqueue(
             &mut world,
             &mut sim,
             d,
             comm_streams[d],
-            Box::new(WaitEvent(events[d])),
+            Op::WaitEvent(events[d]),
         );
-        enqueue(&mut world, &mut sim, d, comm_streams[d], Box::new(kernel));
+        enqueue(&mut world, &mut sim, d, comm_streams[d], kernel);
     }
     let end = sim.run(&mut world)?;
     let spans = world.op_spans.take().unwrap_or_default();

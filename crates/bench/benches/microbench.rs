@@ -20,17 +20,28 @@ use gpu_sim::swizzle::Swizzle;
 use gpu_sim::tile::{TileGrid, TileShape};
 use gpu_sim::wave::WaveSchedule;
 use serving::{PlanCache, RouterPolicy, ServeConfig};
-use sim::{Sim, SimDuration};
+use sim::{Event, Sim, SimDuration};
 use telemetry::{Telemetry, TelemetryRecord};
 use workloads::models;
+
+/// The event engine's own cost: a one-variant event that bumps a
+/// counter, so the heap and dispatch are all that is measured.
+struct Bump;
+
+impl Event for Bump {
+    type World = u64;
+    fn fire(self, world: &mut u64, _sim: &mut Sim<Bump>) {
+        *world += 1;
+    }
+}
 
 fn bench_event_engine(c: &mut Criterion) {
     c.bench_function("sim/10k_events", |b| {
         b.iter_batched(
             || {
-                let mut sim: Sim<u64> = Sim::new();
+                let mut sim: Sim<Bump> = Sim::new();
                 for i in 0..10_000u64 {
-                    sim.schedule_at(sim::SimTime::from_nanos(i * 7 % 5000), |w, _| *w += 1);
+                    sim.schedule_at(sim::SimTime::from_nanos(i * 7 % 5000), Bump);
                 }
                 sim
             },
@@ -228,20 +239,49 @@ fn bench_serve_steady(c: &mut Criterion) {
     });
 }
 
-/// The per-chain telemetry cost serving pays after a chain runs: the
-/// signal-latency join and the critical-path attribution over the record
-/// of a 4-batch pipelined chain of serve-shaped plans (Llama-3-8B MLP
-/// batches tensor-parallel over 4 GPUs, tuned AllReduce plans), the
-/// shape of the overloaded serve loop's chains.
-fn bench_summarize_chain(c: &mut Criterion) {
+/// A 4-batch pipelined chain of serve-shaped plans (Llama-3-8B MLP
+/// batches tensor-parallel over 4 GPUs, tuned AllReduce plans), the shape
+/// of the overloaded serve loop's chains.
+fn serve_mix_chain() -> Vec<OverlapPlan> {
     let system = SystemSpec::rtx4090(4);
-    let plans: Vec<OverlapPlan> = [4096, 2048, 3072, 1024]
+    [4096, 2048, 3072, 1024]
         .into_iter()
         .map(|tokens| {
             let dims = GemmDims::new(tokens, 4096, 14336 / 4);
             OverlapPlan::tuned(dims, CommPattern::AllReduce, system.clone()).expect("plan")
         })
-        .collect();
+        .collect()
+}
+
+/// The serve-mix chain run the way a replica engine runs its chains:
+/// through one reused [`ChainWorld`], telemetry-instrumented and traced,
+/// recycling the record's and the span buffer's allocations.
+fn bench_pipelined_chain_reused(c: &mut Criterion) {
+    let plans = serve_mix_chain();
+    let plan_refs: Vec<&OverlapPlan> = plans.iter().collect();
+    let mut scratch = TelemetryRecord::default();
+    let mut world = ChainWorld::new();
+    c.bench_function("runtime/execute_pipelined_chain_reused", |b| {
+        b.iter(|| {
+            let telemetry = Telemetry::recycling(std::mem::take(&mut scratch));
+            let instr = telemetry.instrumentation();
+            let options = flashoverlap::SequenceOptions::new()
+                .trace()
+                .instrument(&instr);
+            let outcome = execute_sequence_in(&mut world, &plan_refs, &options).expect("chain");
+            scratch = telemetry.take_record();
+            let total = outcome.total;
+            world.recycle_spans(outcome.spans);
+            black_box((total, scratch.increments.len()))
+        })
+    });
+}
+
+/// The per-chain telemetry cost serving pays after a chain runs: the
+/// signal-latency join and the critical-path attribution over the record
+/// of the serve-mix chain.
+fn bench_summarize_chain(c: &mut Criterion) {
+    let plans = serve_mix_chain();
     let plan_refs: Vec<&OverlapPlan> = plans.iter().collect();
     let telemetry = Telemetry::new();
     let instr = telemetry.instrumentation();
@@ -368,7 +408,8 @@ criterion_group! {
     config = config();
     targets = bench_event_engine, bench_mapping_build, bench_token_mapping,
               bench_predictor, bench_search, bench_plan_cache_miss, bench_simulated_run,
-              bench_serve_instrumented, bench_serve_steady, bench_summarize_chain,
+              bench_serve_instrumented, bench_pipelined_chain_reused, bench_serve_steady,
+              bench_summarize_chain,
               bench_collective_cost,
               bench_pipeline, bench_check_static
 }

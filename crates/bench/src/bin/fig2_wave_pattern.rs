@@ -8,7 +8,7 @@
 
 use gpu_sim::arch::GpuArch;
 use gpu_sim::gemm::{GemmConfig, GemmDims, GemmKernel};
-use gpu_sim::stream::enqueue;
+use gpu_sim::stream::{enqueue, Op};
 use gpu_sim::{Cluster, ClusterSim};
 use sim::Sim;
 
@@ -38,7 +38,7 @@ fn main() {
     let out = dev.mem.alloc(1);
     let stream = dev.create_stream();
     let kernel = GemmKernel::with_config(a, b, out, dims, config);
-    enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
+    enqueue(&mut world, &mut sim, 0, stream, Op::Gemm(kernel));
     sim.run(&mut world).expect("simulation");
 
     let trace = world.tile_trace.as_ref().expect("trace enabled");

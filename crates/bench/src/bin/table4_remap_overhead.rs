@@ -8,7 +8,7 @@
 
 use gpu_sim::arch::{GpuArch, RemapGranularity};
 use gpu_sim::elementwise::{ElementwiseKernel, ElementwiseOp, Gather};
-use gpu_sim::stream::enqueue;
+use gpu_sim::stream::{enqueue, Op};
 use gpu_sim::{Cluster, ClusterSim};
 use sim::Sim;
 use std::rc::Rc;
@@ -35,7 +35,7 @@ fn rmsnorm_latency_ns(arch: &GpuArch, remap: Option<RemapGranularity>) -> u64 {
         gather: Gather::None,
         remap_cost: remap,
     };
-    enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
+    enqueue(&mut world, &mut sim, 0, stream, Op::Elementwise(kernel));
     sim.run(&mut world).expect("run").as_nanos()
 }
 

@@ -43,9 +43,26 @@ impl fmt::Display for CliError {
 
 impl Error for CliError {}
 
-/// The selected subcommand.
+/// The selected subcommand: one that builds a plan from `-m/-n/-k`
+/// first, or one that draws its own workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Command {
+    /// A command on one tuned (or `--partition`ed) plan.
+    Plan(PlanCommand),
+    /// Run a seeded fault-injection campaign sweep through the watchdog
+    /// runtime and verify every verdict against the fault-free reference.
+    Chaos,
+    /// Serve a seeded request trace through the continuous-batching
+    /// scheduler with the tuned-plan cache and print the SLO report.
+    Serve,
+    /// Run the serve regression benchmark and write `BENCH_serve.json`
+    /// (virtual-time metrics only, byte-stable for a fixed seed).
+    Bench,
+}
+
+/// A command on one plan built from `-m/-n/-k` (see [`Command::Plan`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanCommand {
     /// Tune the wave partition and print it with the predicted latency.
     Tune,
     /// Simulate one overlapped run and print the report.
@@ -57,12 +74,6 @@ pub enum Command {
     /// Profile every method with telemetry attached: Perfetto trace,
     /// signal-latency / link-utilization metrics, overlap efficiency.
     Profile,
-    /// Run a seeded fault-injection campaign sweep through the watchdog
-    /// runtime and verify every verdict against the fault-free reference.
-    Chaos,
-    /// Serve a seeded request trace through the continuous-batching
-    /// scheduler with the tuned-plan cache and print the SLO report.
-    Serve,
     /// Statically verify the plan's signal/wait schedule and print the
     /// mutation conformance matrix, without running the simulator.
     Verify,
@@ -70,9 +81,6 @@ pub enum Command {
     /// exclusive category (compute, transfer, signal-wait, ...) and
     /// compare the tuned plan against the naive per-wave baseline.
     Analyze,
-    /// Run the serve regression benchmark and write `BENCH_serve.json`
-    /// (virtual-time metrics only, byte-stable for a fixed seed).
-    Bench,
 }
 
 /// Arrival process selector for the `serve` command (rates attach in
@@ -425,15 +433,15 @@ impl Cli {
     pub fn parse(argv: &[String]) -> Result<Cli, CliError> {
         let mut it = argv.iter().peekable();
         let command = match it.next().map(String::as_str) {
-            Some("tune") => Command::Tune,
-            Some("run") => Command::Run,
-            Some("compare") => Command::Compare,
-            Some("timeline") => Command::Timeline,
-            Some("profile") => Command::Profile,
+            Some("tune") => Command::Plan(PlanCommand::Tune),
+            Some("run") => Command::Plan(PlanCommand::Run),
+            Some("compare") => Command::Plan(PlanCommand::Compare),
+            Some("timeline") => Command::Plan(PlanCommand::Timeline),
+            Some("profile") => Command::Plan(PlanCommand::Profile),
             Some("chaos") => Command::Chaos,
             Some("serve") => Command::Serve,
-            Some("verify") => Command::Verify,
-            Some("analyze") => Command::Analyze,
+            Some("verify") => Command::Plan(PlanCommand::Verify),
+            Some("analyze") => Command::Plan(PlanCommand::Analyze),
             Some("bench") => Command::Bench,
             Some("-h") | Some("--help") | None => {
                 return Err(CliError::usage("".to_string()));
@@ -449,10 +457,10 @@ impl Cli {
         // Chaos sweeps default to the miniature two-rank campaign system
         // (matching `ChaosConfig::default`) so 50-campaign runs stay fast;
         // serve does the same so hundred-request traces stay fast.
-        let mut gpus = if matches!(command, Command::Chaos | Command::Serve | Command::Bench) {
-            2
-        } else {
+        let mut gpus = if matches!(command, Command::Plan(_)) {
             4
+        } else {
+            2
         };
         let mut platform = GpuKind::Rtx4090;
         let mut partition = None;
@@ -614,16 +622,16 @@ impl Cli {
                 other => return Err(CliError::usage(format!("unknown flag: {other}"))),
             }
         }
-        // Chaos has a sensible built-in workload (the default campaign
-        // shape) and serve draws shapes from the traffic mix; every other
-        // command needs explicit dimensions.
-        let (m, n, k) = if matches!(command, Command::Chaos | Command::Serve | Command::Bench) {
-            (m.unwrap_or(384), n.unwrap_or(512), k.unwrap_or(64))
-        } else {
+        // Plan commands need explicit dimensions. Chaos has a sensible
+        // built-in workload (the default campaign shape) and serve draws
+        // shapes from the traffic mix.
+        let (m, n, k) = if matches!(command, Command::Plan(_)) {
             let (Some(m), Some(n), Some(k)) = (m, n, k) else {
                 return Err(CliError::usage("-m, -n, and -k are required"));
             };
             (m, n, k)
+        } else {
+            (m.unwrap_or(384), n.unwrap_or(512), k.unwrap_or(64))
         };
         if gpus < 2 {
             return Err(CliError::usage("--gpus must be at least 2"));
@@ -676,7 +684,7 @@ mod tests {
              --partition 1,2,3 --seed 42",
         ))
         .unwrap();
-        assert_eq!(cli.command, Command::Run);
+        assert_eq!(cli.command, Command::Plan(PlanCommand::Run));
         assert_eq!((cli.m, cli.n, cli.k), (4096, 8192, 2048));
         assert_eq!(cli.primitive, Primitive::ReduceScatter);
         assert_eq!(cli.gpus, 8);
@@ -751,7 +759,7 @@ mod tests {
             "profile -m 4096 -n 4096 -k 4096 --trace-out t.json --metrics-out m.json",
         ))
         .unwrap();
-        assert_eq!(cli.command, Command::Profile);
+        assert_eq!(cli.command, Command::Plan(PlanCommand::Profile));
         assert_eq!(cli.output.trace_out.as_deref(), Some("t.json"));
         assert_eq!(cli.output.metrics_out.as_deref(), Some("m.json"));
         let cli = Cli::parse(&argv("run -m 64 -n 64 -k 64 --metrics-out m.json")).unwrap();
@@ -928,7 +936,7 @@ mod tests {
     #[test]
     fn verify_command_parses() {
         let cli = Cli::parse(&argv("verify -m 512 -n 1024 -k 512 --gpus 2")).unwrap();
-        assert_eq!(cli.command, Command::Verify);
+        assert_eq!(cli.command, Command::Plan(PlanCommand::Verify));
         assert_eq!((cli.m, cli.n, cli.k), (512, 1024, 512));
         assert_eq!(cli.gpus, 2);
         // Verify checks a concrete plan; the shape is required like run's.
@@ -942,7 +950,7 @@ mod tests {
              --metrics-out a.json --trace-out t.json",
         ))
         .unwrap();
-        assert_eq!(cli.command, Command::Analyze);
+        assert_eq!(cli.command, Command::Plan(PlanCommand::Analyze));
         assert_eq!((cli.m, cli.n, cli.k), (2048, 4096, 4096));
         assert_eq!(cli.gpus, 2);
         assert_eq!(cli.output.metrics_out.as_deref(), Some("a.json"));

@@ -14,7 +14,7 @@ use telemetry::json::Value;
 
 use flashoverlap::runtime::CommPattern;
 
-use crate::args::{Cli, CliError, Command, ParallelArg, ServeArrival};
+use crate::args::{Cli, CliError, Command, ParallelArg, PlanCommand, ServeArrival};
 
 /// Profiles every method on the workload and writes the metrics report
 /// (and, for the `profile` command, the Perfetto trace). Returns the
@@ -28,7 +28,7 @@ fn profiled_report(
     let profile = telemetry::profile(dims, pattern, system)
         .map_err(|e| CliError::runtime(format!("profiling failed: {e}")))?;
     let mut out = profile.report.summary();
-    if cli.command == Command::Profile {
+    if cli.command == Command::Plan(PlanCommand::Profile) {
         if let Some(path) = &cli.output.trace_out {
             let trace = profile.trace_string().ok_or_else(|| {
                 CliError::runtime("FlashOverlap run failed; no trace to write".to_owned())
@@ -924,20 +924,19 @@ fn execute_verify(
 ///
 /// Returns [`CliError`] on infeasible workloads or simulation failures.
 pub fn execute(cli: &Cli) -> Result<String, CliError> {
-    if cli.command == Command::Chaos {
-        // Chaos builds its own miniature campaign system; the shared
-        // plan-construction preamble below does not apply.
-        return execute_chaos(cli);
-    }
-    if cli.command == Command::Serve {
+    match cli.command {
+        Command::Plan(command) => execute_plan(cli, command),
+        // Chaos builds its own miniature campaign system.
+        Command::Chaos => execute_chaos(cli),
         // Serve draws its GEMM shapes from the traffic mix, not -m/-n/-k.
-        return execute_serve(cli);
+        Command::Serve => execute_serve(cli),
+        // Bench is a serve run with a byte-stable artifact.
+        Command::Bench => execute_bench(cli),
     }
-    if cli.command == Command::Bench {
-        // Bench is a serve run with a byte-stable artifact; like serve,
-        // it draws shapes from the traffic mix.
-        return execute_bench(cli);
-    }
+}
+
+/// Builds the plan `-m/-n/-k` ask for and runs `command` on it.
+fn execute_plan(cli: &Cli, command: PlanCommand) -> Result<String, CliError> {
     let dims = GemmDims::new(cli.m, cli.n, cli.k);
     let system = system_for(cli.platform, cli.gpus).with_algorithm(cli.algorithm);
     let pattern = pattern_for(cli.primitive, dims, cli.gpus, cli.seed);
@@ -962,8 +961,8 @@ pub fn execute(cli: &Cli) -> Result<String, CliError> {
         plan.partition
     ));
 
-    match cli.command {
-        Command::Tune => {
+    match command {
+        PlanCommand::Tune => {
             let outcome = predictive_search(dims, cli.primitive, &system);
             let predictor = LatencyPredictor::build(dims, cli.primitive, &system);
             out.push_str(&format!(
@@ -977,7 +976,7 @@ pub fn execute(cli: &Cli) -> Result<String, CliError> {
                 predictor.predict_serial().as_nanos() as f64 / outcome.latency.as_nanos() as f64
             ));
         }
-        Command::Run => {
+        PlanCommand::Run => {
             let (report, sanitizer_text) = if cli.sanitize {
                 let (report, text) = sanitized_run(cli, &plan)?;
                 (report, Some(text))
@@ -1007,7 +1006,7 @@ pub fn execute(cli: &Cli) -> Result<String, CliError> {
                 out.push_str(&profiled_report(cli, dims, &pattern, &system)?);
             }
         }
-        Command::Compare => {
+        PlanCommand::Compare => {
             let base = measure(Method::NonOverlap, dims, &pattern, &system)
                 .map_err(|e| CliError::runtime(format!("baseline failed: {e}")))?;
             out.push_str("method comparison (speedup over non-overlap):\n");
@@ -1027,7 +1026,7 @@ pub fn execute(cli: &Cli) -> Result<String, CliError> {
                 out.push_str(&profiled_report(cli, dims, &pattern, &system)?);
             }
         }
-        Command::Timeline => {
+        PlanCommand::Timeline => {
             let mut out_traced = plan
                 .execute_with(&SequenceOptions::new().trace())
                 .map_err(|e| CliError::runtime(format!("simulation failed: {e}")))?;
@@ -1054,19 +1053,15 @@ pub fn execute(cli: &Cli) -> Result<String, CliError> {
                 out.push_str(&text);
             }
         }
-        Command::Profile => {
+        PlanCommand::Profile => {
             out.push_str(&profiled_report(cli, dims, &pattern, &system)?);
         }
-        Command::Verify => {
+        PlanCommand::Verify => {
             out.push_str(&execute_verify(cli, &plan, &pattern, &system)?);
         }
-        Command::Analyze => {
+        PlanCommand::Analyze => {
             out.push_str(&execute_analyze(cli, &plan, &pattern, &system)?);
         }
-        // Dispatched before the plan preamble above.
-        Command::Chaos => unreachable!("chaos is handled by execute_chaos"),
-        Command::Serve => unreachable!("serve is handled by execute_serve"),
-        Command::Bench => unreachable!("bench is handled by execute_bench"),
     }
     Ok(out)
 }

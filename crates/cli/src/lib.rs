@@ -18,7 +18,7 @@
 pub mod args;
 pub mod commands;
 
-pub use args::{Cli, CliError, Command};
+pub use args::{Cli, CliError, Command, PlanCommand};
 
 /// Parses arguments and executes the selected command, returning the
 /// text to print.

@@ -1,26 +1,26 @@
-//! Communicators and collective stream kernels.
+//! Communicators and collective calls.
 //!
 //! The data/shape/cost semantics of each collective kind live in their own
-//! submodules ([`all_reduce`], [`reduce_scatter`], [`all_gather`],
-//! [`all_to_all`]); [`CollectiveSpec`] is a thin dispatcher over them, and
-//! this module keeps only the kind-independent machinery: rendezvous,
-//! serialization, SM occupancy, and monitor emission.
+//! private submodules (`all_reduce`, `reduce_scatter`, `all_gather`,
+//! `all_to_all`); [`CollectiveSpec`] is a thin dispatcher over them. A
+//! [`Communicator`] turns a spec into per-rank stream ops; the
+//! kind-independent machinery they run on — rendezvous, serialization,
+//! SM occupancy, monitor emission — is [`gpu_sim::collective`].
 
 mod all_gather;
 mod all_reduce;
 mod all_to_all;
 mod reduce_scatter;
 
-use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cell::Cell;
 use std::ops::Range;
 use std::rc::Rc;
 
-use gpu_sim::cluster::{Cluster, SpanMeta};
+use gpu_sim::cluster::Cluster;
+use gpu_sim::collective::{CollectiveCall, CollectiveOp, CollectiveRole};
 use gpu_sim::device::DeviceId;
 use gpu_sim::memory::BufferId;
-use gpu_sim::monitor::{Access, AccessKind, AccessScope, LinkTransfer};
-use gpu_sim::stream::{Completion, Kernel, LaunchCtx, StreamId};
+use gpu_sim::stream::Op;
 use gpu_sim::ClusterSim;
 use interconnect::FabricSpec;
 use sim::SimDuration;
@@ -251,21 +251,6 @@ impl CollectiveSpec {
     }
 }
 
-struct Pending {
-    completions: Vec<Option<Completion>>,
-    arrived: usize,
-}
-
-#[derive(Default)]
-struct CommState {
-    next_call: u64,
-    pending: HashMap<u64, Pending>,
-    /// When the communicator's in-flight work drains: operations on one
-    /// communicator serialize (as in NCCL), even when issued from
-    /// different streams — they share the same ring resources.
-    busy_until: Option<sim::SimTime>,
-}
-
 struct CommInner {
     ranks: Vec<DeviceId>,
     /// The communicator's own rank space mapped onto nodes and tiers;
@@ -274,19 +259,20 @@ struct CommInner {
     topology: Topology,
     sm_footprint: u32,
     algorithm: Algorithm,
-    state: RefCell<CommState>,
 }
 
 /// A communicator over a fixed set of device ranks, mirroring
-/// `ncclComm_t`: it knows its fabric, occupies a constant number of SMs
-/// per in-flight collective (§4.2.1), serializes its operations like a
-/// real NCCL communicator, and matches the per-rank calls of one
-/// collective by call id.
+/// `ncclComm_t`'s configuration: it knows its fabric, occupies a constant
+/// number of SMs per in-flight collective (§4.2.1), and prices calls. It
+/// holds no run state and is cheap to clone, so it is built once (per
+/// plan, per baseline run) and [opened](Communicator::open) on the world
+/// each run uses.
 ///
 /// # Examples
 ///
 /// ```
 /// use collectives::{CollectiveSpec, Communicator, Region};
+/// use gpu_sim::{Cluster, GpuArch};
 /// use interconnect::FabricSpec;
 ///
 /// let comm = Communicator::new(vec![0, 1], FabricSpec::a800_nvlink(), 20);
@@ -295,8 +281,9 @@ struct CommInner {
 /// };
 /// // Cost model query (no simulation needed):
 /// assert!(comm.duration_of(&spec).as_nanos() > 0);
-/// // Per-rank kernels to enqueue on each rank's stream:
-/// assert_eq!(comm.kernels(spec).len(), 2);
+/// // Per-rank ops to enqueue on each rank's stream:
+/// let mut world = Cluster::new(2, GpuArch::a800(), false, 1);
+/// assert_eq!(comm.open(&mut world).ops(spec).count(), 2);
 /// ```
 #[derive(Clone)]
 pub struct Communicator {
@@ -369,7 +356,6 @@ impl Communicator {
                 topology,
                 sm_footprint,
                 algorithm,
-                state: RefCell::new(CommState::default()),
             }),
         }
     }
@@ -405,94 +391,16 @@ impl Communicator {
         self.inner.sm_footprint
     }
 
-    /// Creates the per-rank kernels of one collective call. The returned
-    /// kernels (rank order) must each be enqueued on their own rank's
-    /// stream; the collective completes on all ranks simultaneously once
-    /// every rank has reached it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec is inconsistent with the communicator size.
-    pub fn kernels(&self, spec: CollectiveSpec) -> Vec<CollectiveKernel> {
-        self.kernels_tagged(spec, None)
-    }
-
-    /// Like [`Communicator::kernels`], but tags every kernel with the
-    /// signal group it serves, so span metadata and trace flow events can
-    /// tie the collective back to its counting-table slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec is inconsistent with the communicator size.
-    pub fn kernels_tagged(
-        &self,
-        spec: CollectiveSpec,
-        group: Option<usize>,
-    ) -> Vec<CollectiveKernel> {
-        self.kernels_with_role(spec, group, CollectiveRole::Overlap)
-    }
-
-    /// Like [`Communicator::kernels_tagged`], with an explicit
-    /// [`CollectiveRole`] so recovery collectives are distinguishable in
-    /// traces ("tail-collective" / "bulk-collective" spans).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec is inconsistent with the communicator size.
-    pub fn kernels_with_role(
-        &self,
-        spec: CollectiveSpec,
-        group: Option<usize>,
-        role: CollectiveRole,
-    ) -> Vec<CollectiveKernel> {
-        spec.validate(self.size());
-        let call = {
-            let mut st = self.inner.state.borrow_mut();
-            let id = st.next_call;
-            st.next_call += 1;
-            id
-        };
-        let spec = Rc::new(spec);
-        (0..self.size())
-            .map(|rank| CollectiveKernel {
-                comm: self.clone(),
-                call,
-                rank,
-                group,
-                role,
-                spec: spec.clone(),
-            })
-            .collect()
-    }
-
-    /// Aborts every pending (not yet fully rendezvoused) collective call:
-    /// the arrived ranks release their SMs and their stream completions
-    /// fire without any data moving — the `ncclCommAbort` analog the
-    /// watchdog escalates through when a peer rank can never arrive.
-    /// Returns the number of aborted calls.
-    ///
-    /// In-flight collectives (already rendezvoused and transferring) are
-    /// not affected; they complete normally.
-    pub fn abort_pending(&self, world: &mut Cluster, sim: &mut ClusterSim) -> usize {
-        let pending: Vec<Pending> = {
-            let mut st = self.inner.state.borrow_mut();
-            let calls: Vec<u64> = st.pending.keys().copied().collect();
-            calls
-                .into_iter()
-                .filter_map(|c| st.pending.remove(&c))
-                .collect()
-        };
-        let aborted = pending.len();
-        let footprint = self.inner.sm_footprint;
-        for call in pending {
-            for completion in call.completions.into_iter().flatten() {
-                let device = completion.device();
-                world.devices[device].release_comm_sms(footprint);
-                world.notify_sm_occupancy(sim.now(), device);
-                sim.schedule_now(move |w, s| completion.finish(w, s));
-            }
+    /// Opens an instance of the communicator on `world`
+    /// (`ncclCommInitRank`): its calls rendezvous among themselves and
+    /// serialize behind each other, as on one NCCL communicator, and
+    /// never with another instance's.
+    pub fn open(&self, world: &mut Cluster) -> CommScope {
+        CommScope {
+            comm: self.clone(),
+            scope: world.open_comm_scope(),
+            next_call: Cell::new(0),
         }
-        aborted
     }
 
     /// Predicted duration of `spec` on this communicator (used by cost
@@ -514,210 +422,116 @@ impl std::fmt::Debug for Communicator {
     }
 }
 
-/// Why a collective was issued: as part of the planned overlap schedule,
-/// or by the watchdog's recovery ladder. The role only changes the span
-/// name, so traces show recovery collectives distinctly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CollectiveRole {
-    /// A planned, signal-gated overlap collective.
-    #[default]
-    Overlap,
-    /// A tail collective re-issued by the watchdog for a starved group.
-    Tail,
-    /// A bulk non-overlapped collective issued in degraded mode.
-    Bulk,
-}
-
-/// One rank's half of a collective call (returned by
-/// [`Communicator::kernels`]).
-pub struct CollectiveKernel {
+/// A [`Communicator`] opened on a cluster: it numbers its calls and
+/// builds their per-rank ops.
+#[derive(Debug)]
+pub struct CommScope {
     comm: Communicator,
-    call: u64,
-    rank: usize,
-    /// Signal group this collective serves (overlap runtime only).
-    group: Option<usize>,
-    /// Planned-overlap vs. recovery issue reason (span naming).
-    role: CollectiveRole,
-    spec: Rc<CollectiveSpec>,
+    scope: usize,
+    next_call: Cell<u64>,
 }
 
-impl std::fmt::Debug for CollectiveKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CollectiveKernel")
-            .field("call", &self.call)
-            .field("rank", &self.rank)
-            .field("group", &self.group)
-            .finish_non_exhaustive()
+impl CommScope {
+    /// The per-rank ops of one collective call, in rank order. Each must
+    /// be enqueued on its own rank's stream; the collective completes on
+    /// all ranks simultaneously once every rank has reached it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec is inconsistent with the communicator size.
+    pub fn ops(&self, spec: CollectiveSpec) -> impl Iterator<Item = Op> {
+        self.ops_with_role(spec, None, CollectiveRole::Overlap)
+    }
+
+    /// Like [`CommScope::ops`], but tags every op with the signal group
+    /// it serves, so span metadata and trace flow events can tie the
+    /// collective back to its counting-table slot, and with a
+    /// [`CollectiveRole`] so recovery collectives are distinguishable in
+    /// traces ("tail-collective" / "bulk-collective" spans).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec is inconsistent with the communicator size.
+    pub fn ops_with_role(
+        &self,
+        spec: CollectiveSpec,
+        group: Option<usize>,
+        role: CollectiveRole,
+    ) -> impl Iterator<Item = Op> {
+        spec.validate(self.comm.size());
+        let id = self.next_call.get();
+        self.next_call.set(id + 1);
+        let scope = self.scope;
+        let call: Rc<dyn CollectiveCall> = Rc::new(Call {
+            comm: self.comm.clone(),
+            spec,
+        });
+        (0..self.comm.size()).map(move |rank| {
+            Op::Collective(CollectiveOp {
+                call: Rc::clone(&call),
+                scope,
+                id,
+                rank,
+                group,
+                role,
+            })
+        })
+    }
+
+    /// Aborts every pending (not yet fully rendezvoused) call of this
+    /// instance: the arrived ranks release their SMs and their stream
+    /// completions fire without any data moving — the `ncclCommAbort`
+    /// analog the watchdog escalates through when a peer rank can never
+    /// arrive. Returns the number of aborted calls. In-flight collectives
+    /// (already rendezvoused and transferring) complete normally.
+    pub fn abort_pending(&self, world: &mut Cluster, sim: &mut ClusterSim) -> usize {
+        world.abort_comm_scope(sim, self.scope)
     }
 }
 
-impl Kernel for CollectiveKernel {
-    fn launch(self: Box<Self>, ctx: LaunchCtx, world: &mut Cluster, sim: &mut ClusterSim) {
-        let inner = &self.comm.inner;
-        let n = inner.ranks.len();
-        assert_eq!(
-            inner.ranks[self.rank], ctx.device,
-            "collective kernel launched on the wrong device"
-        );
-        // The NCCL kernel occupies its SMs from local launch: it spins
-        // waiting for peers, contending with compute the whole time.
-        world.devices[ctx.device].occupy_comm_sms(inner.sm_footprint);
-        world.notify_sm_occupancy(sim.now(), ctx.device);
+/// One call: a spec on a communicator.
+#[derive(Debug)]
+struct Call {
+    comm: Communicator,
+    spec: CollectiveSpec,
+}
 
-        // This rank's contribution is read from arrival on; report it now
-        // so a send region still being produced shows up as a race.
-        if let Some(monitor) = world.monitor.as_deref().filter(|m| m.observes_accesses()) {
-            for (buffer, range) in self.spec.send_ranges(self.rank) {
-                monitor.on_access(&Access {
-                    device: ctx.device,
-                    stream: ctx.stream,
-                    buffer,
-                    range,
-                    kind: AccessKind::Read,
-                    scope: AccessScope::CollectiveSend,
-                    tile: None,
-                });
-            }
-        }
-
-        let all_arrived = {
-            let mut st = inner.state.borrow_mut();
-            let pending = st.pending.entry(self.call).or_insert_with(|| Pending {
-                completions: (0..n).map(|_| None).collect(),
-                arrived: 0,
-            });
-            assert!(
-                pending.completions[self.rank].is_none(),
-                "rank {} reached collective call {} twice",
-                self.rank,
-                self.call
-            );
-            pending.completions[self.rank] = Some(ctx.completion);
-            pending.arrived += 1;
-            pending.arrived == n
-        };
-
-        if all_arrived {
-            let pending = inner
-                .state
-                .borrow_mut()
-                .pending
-                .remove(&self.call)
-                .expect("pending entry exists");
-            // All ranks synchronize with each other at the rendezvous.
-            let participants: Vec<(DeviceId, StreamId)> = pending
-                .completions
-                .iter()
-                .map(|c| {
-                    let c = c.as_ref().expect("all ranks arrived");
-                    (c.device(), c.stream())
-                })
-                .collect();
-            if let Some(monitor) = world.monitor.clone() {
-                monitor.on_rendezvous(sim.now(), &participants);
-            }
-            // Positive per-call noise models protocol and congestion
-            // non-idealities on real fabrics.
-            let lead = inner.ranks[0];
-            let noise = 1.0
-                + world.devices[lead]
-                    .rng
-                    .uniform(0.0, world.noise.comm_frac.max(0.0));
-            // Injected fabric faults: a persistent bandwidth-degradation
-            // multiplier, plus a transient per-collective stall while the
-            // stall budget lasts. Inter-tier degradation only bites when
-            // this communicator's collective actually crosses nodes.
-            let crosses_nodes = inner.topology.spans_nodes();
-            let mut slowdown = world.comm_fault.slowdown_factor();
-            if crosses_nodes {
-                slowdown *= world.comm_fault.inter_slowdown_factor();
-            }
-            let stall = world.comm_fault.take_stall().unwrap_or(SimDuration::ZERO);
-            if stall.as_nanos() > 0 {
-                world.notify_runtime_event(&gpu_sim::monitor::RuntimeEvent {
-                    at: sim.now(),
-                    device: lead,
-                    kind: gpu_sim::monitor::RuntimeEventKind::FaultInjected,
-                    group: self.group,
-                    detail: format!(
-                        "link stall of {stall:?} before collective call {}",
-                        self.call
-                    ),
-                });
-            }
-            let duration = self
-                .spec
-                .duration(&inner.topology, n, inner.algorithm)
-                .mul_f64(noise * slowdown)
-                + stall;
-            // Serialize behind earlier collectives on this communicator:
-            // they share the same fabric rings.
-            let start = {
-                let mut st = inner.state.borrow_mut();
-                let start = st.busy_until.map_or(sim.now(), |t| t.max(sim.now()));
-                st.busy_until = Some(start + duration);
-                start
-            };
-            let finish_at = start + duration;
-            // The wire is busy for the whole [start, finish_at) window;
-            // report each link's share for utilization timelines.
-            if let Some(monitor) = world.monitor.clone() {
-                for (src, dst, bytes) in self.spec.link_loads_tiered(&inner.topology) {
-                    monitor.on_link_transfer(&LinkTransfer {
-                        src: inner.ranks[src],
-                        dst: inner.ranks[dst],
-                        bytes,
-                        start,
-                        end: finish_at,
-                    });
-                }
-            }
-            let comm = self.comm.clone();
-            let spec = self.spec.clone();
-            sim.schedule_at(finish_at, move |w, s| {
-                if let Some(monitor) = w.monitor.as_deref().filter(|m| m.observes_accesses()) {
-                    for (rank, &(device, stream)) in participants.iter().enumerate() {
-                        for (buffer, range) in spec.recv_ranges(rank) {
-                            monitor.on_access(&Access {
-                                device,
-                                stream,
-                                buffer,
-                                range,
-                                kind: AccessKind::Write,
-                                scope: AccessScope::CollectiveRecv,
-                                tile: None,
-                            });
-                        }
-                    }
-                }
-                if w.functional {
-                    spec.apply_data(w, comm.ranks(), comm.topology());
-                }
-                let footprint = comm.sm_footprint();
-                for (rank, completion) in pending.completions.into_iter().enumerate() {
-                    let device = comm.ranks()[rank];
-                    w.devices[device].release_comm_sms(footprint);
-                    w.notify_sm_occupancy(s.now(), device);
-                    let completion = completion.expect("all ranks arrived");
-                    s.schedule_now(move |w, s| completion.finish(w, s));
-                }
-            });
-        }
+impl CollectiveCall for Call {
+    fn ranks(&self) -> &[DeviceId] {
+        self.comm.ranks()
     }
 
-    fn name(&self) -> &'static str {
-        match self.role {
-            CollectiveRole::Overlap => "collective",
-            CollectiveRole::Tail => "tail-collective",
-            CollectiveRole::Bulk => "bulk-collective",
-        }
+    fn sm_footprint(&self) -> u32 {
+        self.comm.sm_footprint()
     }
 
-    fn span_meta(&self) -> SpanMeta {
-        SpanMeta::Collective {
-            bytes: self.spec.payload_bytes(),
-            group: self.group,
-        }
+    fn crosses_nodes(&self) -> bool {
+        self.comm.topology().spans_nodes()
+    }
+
+    fn duration(&self) -> SimDuration {
+        self.comm.duration_of(&self.spec)
+    }
+
+    fn payload_bytes(&self) -> u64 {
+        self.spec.payload_bytes()
+    }
+
+    fn send_ranges(&self, rank: usize) -> Vec<(BufferId, Range<usize>)> {
+        self.spec.send_ranges(rank)
+    }
+
+    fn recv_ranges(&self, rank: usize) -> Vec<(BufferId, Range<usize>)> {
+        self.spec.recv_ranges(rank)
+    }
+
+    fn link_loads(&self) -> Vec<(usize, usize, u64)> {
+        self.spec.link_loads_tiered(self.comm.topology())
+    }
+
+    fn apply_data(&self, world: &mut Cluster) {
+        self.spec
+            .apply_data(world, self.comm.ranks(), self.comm.topology());
     }
 }
 
@@ -727,7 +541,7 @@ mod tests {
     use crate::cost::collective_duration;
     use crate::BYTES_PER_ELEM;
     use gpu_sim::arch::GpuArch;
-    use gpu_sim::stream::{enqueue, Delay};
+    use gpu_sim::stream::enqueue;
     use sim::Sim;
 
     fn cluster(n: usize) -> (Cluster, ClusterSim) {
@@ -760,13 +574,13 @@ mod tests {
             regions.push(Region::new(buf, 0, 8));
         }
         for (d, kernel) in comm
-            .kernels(CollectiveSpec::AllReduce {
+            .open(&mut world)
+            .ops(CollectiveSpec::AllReduce {
                 regions: regions.clone(),
             })
-            .into_iter()
             .enumerate()
         {
-            enqueue(&mut world, &mut sim, d, streams[d], Box::new(kernel));
+            enqueue(&mut world, &mut sim, d, streams[d], kernel);
         }
         sim.run(&mut world).unwrap();
         for (d, region) in regions.iter().enumerate() {
@@ -793,14 +607,14 @@ mod tests {
             recv.push(Region::new(rbuf, 0, 4));
         }
         for (d, kernel) in comm
-            .kernels(CollectiveSpec::ReduceScatter {
+            .open(&mut world)
+            .ops(CollectiveSpec::ReduceScatter {
                 send,
                 recv: recv.clone(),
             })
-            .into_iter()
             .enumerate()
         {
-            enqueue(&mut world, &mut sim, d, streams[d], Box::new(kernel));
+            enqueue(&mut world, &mut sim, d, streams[d], kernel);
         }
         sim.run(&mut world).unwrap();
         // Reduced buffer is 3*i; rank 0 gets elements 0..4, rank 1 gets 4..8.
@@ -828,14 +642,14 @@ mod tests {
             recv.push(Region::new(rbuf, 0, 6));
         }
         for (d, kernel) in comm
-            .kernels(CollectiveSpec::AllGather {
+            .open(&mut world)
+            .ops(CollectiveSpec::AllGather {
                 send,
                 recv: recv.clone(),
             })
-            .into_iter()
             .enumerate()
         {
-            enqueue(&mut world, &mut sim, d, streams[d], Box::new(kernel));
+            enqueue(&mut world, &mut sim, d, streams[d], kernel);
         }
         sim.run(&mut world).unwrap();
         for (d, region) in recv.iter().enumerate() {
@@ -867,8 +681,8 @@ mod tests {
             recv: vec![r0, r1],
             plan,
         };
-        for (d, kernel) in comm.kernels(spec).into_iter().enumerate() {
-            enqueue(&mut world, &mut sim, d, streams[d], Box::new(kernel));
+        for (d, kernel) in comm.open(&mut world).ops(spec).enumerate() {
+            enqueue(&mut world, &mut sim, d, streams[d], kernel);
         }
         sim.run(&mut world).unwrap();
         assert_eq!(world.devices[0].mem.snapshot(r0), vec![10.0, 11.0, 20.0]);
@@ -889,20 +703,19 @@ mod tests {
             regions: regions.clone(),
         };
         let expected_comm = comm.duration_of(&spec);
-        let kernels = comm.kernels(spec);
-        let mut iter = kernels.into_iter();
-        let k0 = iter.next().unwrap();
-        let k1 = iter.next().unwrap();
+        let mut ops = comm.open(&mut world).ops(spec);
+        let k0 = ops.next().unwrap();
+        let k1 = ops.next().unwrap();
         // Rank 1 is delayed by 1 ms before reaching the collective.
-        enqueue(&mut world, &mut sim, 0, streams[0], Box::new(k0));
+        enqueue(&mut world, &mut sim, 0, streams[0], k0);
         enqueue(
             &mut world,
             &mut sim,
             1,
             streams[1],
-            Box::new(Delay(SimDuration::from_millis(1))),
+            Op::Delay(SimDuration::from_millis(1)),
         );
-        enqueue(&mut world, &mut sim, 1, streams[1], Box::new(k1));
+        enqueue(&mut world, &mut sim, 1, streams[1], k1);
         let end = sim.run(&mut world).unwrap();
         let expected = SimDuration::from_millis(1) + expected_comm;
         assert_eq!(end.as_nanos(), expected.as_nanos());
@@ -918,9 +731,11 @@ mod tests {
             let buf = world.devices[d].mem.alloc(1 << 20);
             regions.push(Region::new(buf, 0, 1 << 20));
         }
-        let kernels = comm.kernels(CollectiveSpec::AllReduce { regions });
-        for (d, kernel) in kernels.into_iter().enumerate() {
-            enqueue(&mut world, &mut sim, d, streams[d], Box::new(kernel));
+        let kernels = comm
+            .open(&mut world)
+            .ops(CollectiveSpec::AllReduce { regions });
+        for (d, kernel) in kernels.enumerate() {
+            enqueue(&mut world, &mut sim, d, streams[d], kernel);
         }
         // Mid-flight, both devices hold the footprint.
         sim.run_until(&mut world, sim::SimTime::from_nanos(100_000))
@@ -952,11 +767,12 @@ mod tests {
             regions: all_regions[0].clone(),
         };
         let one = comm.duration_of(&spec0);
+        let comm = comm.open(&mut world);
         for regions in all_regions {
             let spec = CollectiveSpec::AllReduce { regions };
-            for (d, kernel) in comm.kernels(spec).into_iter().enumerate() {
+            for (d, kernel) in comm.ops(spec).enumerate() {
                 let stream = world.devices[d].create_stream();
-                enqueue(&mut world, &mut sim, d, stream, Box::new(kernel));
+                enqueue(&mut world, &mut sim, d, stream, kernel);
             }
         }
         let end = sim.run(&mut world).unwrap();
@@ -982,9 +798,9 @@ mod tests {
             }
             let spec = CollectiveSpec::AllReduce { regions };
             durations.push(comm.duration_of(&spec));
-            for (r, kernel) in comm.kernels(spec).into_iter().enumerate() {
+            for (r, kernel) in comm.open(&mut world).ops(spec).enumerate() {
                 let stream = world.devices[pair[r]].create_stream();
-                enqueue(&mut world, &mut sim, pair[r], stream, Box::new(kernel));
+                enqueue(&mut world, &mut sim, pair[r], stream, kernel);
             }
         }
         let end = sim.run(&mut world).unwrap();
@@ -1013,8 +829,8 @@ mod tests {
                 regions.push(Region::new(buf, 0, 1 << 20));
             }
             let spec = CollectiveSpec::AllReduce { regions };
-            for (d, kernel) in comm.kernels(spec).into_iter().enumerate() {
-                enqueue(&mut world, &mut sim, d, streams[d], Box::new(kernel));
+            for (d, kernel) in comm.open(&mut world).ops(spec).enumerate() {
+                enqueue(&mut world, &mut sim, d, streams[d], kernel);
             }
             sim.run(&mut world).unwrap().as_nanos()
         };
@@ -1038,13 +854,14 @@ mod tests {
             let buf = world.devices[d].mem.alloc(16);
             regions.push(Region::new(buf, 0, 16));
         }
-        let kernels = comm.kernels(CollectiveSpec::AllReduce { regions });
-        // Only rank 0's kernel is ever enqueued: rank 1 never arrives, so
-        // the call parks forever (the hang the watchdog must break).
-        let mut iter = kernels.into_iter();
-        let k0 = iter.next().unwrap();
-        drop(iter);
-        enqueue(&mut world, &mut sim, 0, streams[0], Box::new(k0));
+        let comm = comm.open(&mut world);
+        // Only rank 0's op is ever enqueued: rank 1 never arrives, so the
+        // call parks forever (the hang the watchdog must break).
+        let k0 = comm
+            .ops(CollectiveSpec::AllReduce { regions })
+            .next()
+            .unwrap();
+        enqueue(&mut world, &mut sim, 0, streams[0], k0);
         sim.run(&mut world).unwrap();
         assert!(world.check_quiescent().is_err(), "rank 0 is wedged");
         assert_eq!(world.devices[0].comm_sms(), 16);
@@ -1066,13 +883,13 @@ mod tests {
             let buf = world.devices[d].mem.alloc(16);
             regions.push(Region::new(buf, 0, 16));
         }
-        let kernels = comm.kernels_with_role(
+        let kernels = comm.open(&mut world).ops_with_role(
             CollectiveSpec::AllReduce { regions },
             Some(3),
             CollectiveRole::Tail,
         );
-        for (d, kernel) in kernels.into_iter().enumerate() {
-            enqueue(&mut world, &mut sim, d, streams[d], Box::new(kernel));
+        for (d, kernel) in kernels.enumerate() {
+            enqueue(&mut world, &mut sim, d, streams[d], kernel);
         }
         sim.run(&mut world).unwrap();
         let spans = world.op_spans.as_ref().unwrap();
@@ -1100,9 +917,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "equal counts")]
     fn mismatched_allreduce_counts_panic() {
-        let (world, _) = cluster(2);
+        let (mut world, _) = cluster(2);
         let comm = comm(&world);
-        let _ = comm.kernels(CollectiveSpec::AllReduce {
+        let _ = comm.open(&mut world).ops(CollectiveSpec::AllReduce {
             regions: vec![Region::new(0, 0, 4), Region::new(0, 0, 8)],
         });
     }
@@ -1159,13 +976,13 @@ mod tests {
             regions.push(Region::new(buf, 0, 8));
         }
         for (d, kernel) in comm
-            .kernels(CollectiveSpec::AllReduce {
+            .open(&mut world)
+            .ops(CollectiveSpec::AllReduce {
                 regions: regions.clone(),
             })
-            .into_iter()
             .enumerate()
         {
-            enqueue(&mut world, &mut sim, d, streams[d], Box::new(kernel));
+            enqueue(&mut world, &mut sim, d, streams[d], kernel);
         }
         sim.run(&mut world).unwrap();
         for (d, region) in regions.iter().enumerate() {
@@ -1194,8 +1011,8 @@ mod tests {
                 regions.push(Region::new(buf, 0, 1 << 20));
             }
             let spec = CollectiveSpec::AllReduce { regions };
-            for (d, kernel) in comm.kernels(spec).into_iter().enumerate() {
-                enqueue(&mut world, &mut sim, d, streams[d], Box::new(kernel));
+            for (d, kernel) in comm.open(&mut world).ops(spec).enumerate() {
+                enqueue(&mut world, &mut sim, d, streams[d], kernel);
             }
             sim.run(&mut world).unwrap().as_nanos()
         };

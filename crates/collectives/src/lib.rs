@@ -16,10 +16,11 @@ pub mod cost;
 pub mod hierarchical;
 pub mod p2p;
 
-pub use comm::{A2aPlan, CollectiveKernel, CollectiveRole, CollectiveSpec, Communicator, Region};
+pub use comm::{A2aPlan, CollectiveSpec, CommScope, Communicator, Region};
 pub use cost::{all_to_all_duration, collective_duration_with, Algorithm};
 pub use cost::{collective_duration, Primitive, BYTES_PER_ELEM};
+pub use gpu_sim::collective::CollectiveRole;
 pub use hierarchical::{
     flat_tiered_duration, inter_bytes_flat, inter_bytes_hierarchical, tiered_duration,
 };
-pub use p2p::P2pCopy;
+pub use p2p::p2p_copy;

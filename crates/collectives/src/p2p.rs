@@ -1,92 +1,47 @@
 //! One-sided point-to-point copies (NVLink peer writes / `ncclSend`+`Recv`
 //! fused into a put), used by the decomposition baselines.
 
-use gpu_sim::cluster::{Cluster, SpanMeta};
+use gpu_sim::collective::P2pOp;
 use gpu_sim::device::DeviceId;
 use gpu_sim::memory::BufferId;
-use gpu_sim::monitor::LinkTransfer;
-use gpu_sim::stream::{Kernel, LaunchCtx};
-use gpu_sim::ClusterSim;
+use gpu_sim::stream::Op;
 use interconnect::FabricSpec;
 
 use crate::cost::BYTES_PER_ELEM;
 
-/// A one-sided copy of `count` elements from this device's buffer into a
-/// peer's buffer, enqueued on the *source* rank's stream. The destination
-/// does not participate (peer-to-peer put semantics); callers needing
-/// arrival ordering should follow up with events.
-#[derive(Debug)]
-pub struct P2pCopy {
-    /// Fabric the copy crosses.
-    pub fabric: FabricSpec,
-    /// Source buffer (on the launching device).
-    pub src_buf: BufferId,
-    /// Source element offset.
-    pub src_off: usize,
-    /// Destination device.
-    pub dst_dev: DeviceId,
-    /// Destination buffer.
-    pub dst_buf: BufferId,
-    /// Destination element offset.
-    pub dst_off: usize,
-    /// Element count.
-    pub count: usize,
-    /// SMs held on the source device while the copy is in flight.
-    pub sm_footprint: u32,
-}
-
-impl Kernel for P2pCopy {
-    fn launch(self: Box<Self>, ctx: LaunchCtx, world: &mut Cluster, sim: &mut ClusterSim) {
-        assert!(
-            self.fabric.peer_to_peer,
-            "P2pCopy requires a peer-to-peer capable fabric"
-        );
-        let src_dev = ctx.device;
-        world.devices[src_dev].occupy_comm_sms(self.sm_footprint);
-        world.notify_sm_occupancy(sim.now(), src_dev);
-        let noise = 1.0
-            + world.devices[src_dev]
-                .rng
-                .uniform(0.0, world.noise.comm_frac.max(0.0));
-        let duration = self
-            .fabric
-            .p2p
-            .transfer_time(self.count as u64 * BYTES_PER_ELEM)
-            .mul_f64(noise);
-        if let Some(monitor) = world.monitor.clone() {
-            monitor.on_link_transfer(&LinkTransfer {
-                src: src_dev,
-                dst: self.dst_dev,
-                bytes: self.count as u64 * BYTES_PER_ELEM,
-                start: sim.now(),
-                end: sim.now() + duration,
-            });
-        }
-        sim.schedule_in(duration, move |w, s| {
-            if w.functional {
-                let payload: Vec<f32> = {
-                    let data = w.devices[src_dev].mem.data(self.src_buf);
-                    data[self.src_off..self.src_off + self.count].to_vec()
-                };
-                let data = w.devices[self.dst_dev].mem.data_mut(self.dst_buf);
-                data[self.dst_off..self.dst_off + self.count].copy_from_slice(&payload);
-            }
-            w.devices[src_dev].release_comm_sms(self.sm_footprint);
-            w.notify_sm_occupancy(s.now(), src_dev);
-            ctx.completion.finish(w, s);
-        });
-    }
-
-    fn name(&self) -> &'static str {
-        "p2p_copy"
-    }
-
-    fn span_meta(&self) -> SpanMeta {
-        SpanMeta::Collective {
-            bytes: self.count as u64 * BYTES_PER_ELEM,
-            group: None,
-        }
-    }
+/// The stream op of a one-sided copy of `count` elements from offset
+/// `src.1` of buffer `src.0` on the launching (*source*) rank into
+/// buffer `dst.1` at offset `dst.2` on device `dst.0`, priced on
+/// `fabric` and holding `sm_footprint` SMs while in flight. The
+/// destination does not participate (peer-to-peer put semantics);
+/// callers needing arrival ordering should follow up with events.
+///
+/// # Panics
+///
+/// Panics if the fabric is not peer-to-peer capable.
+pub fn p2p_copy(
+    fabric: &FabricSpec,
+    src: (BufferId, usize),
+    dst: (DeviceId, BufferId, usize),
+    count: usize,
+    sm_footprint: u32,
+) -> Op {
+    assert!(
+        fabric.peer_to_peer,
+        "p2p_copy requires a peer-to-peer capable fabric"
+    );
+    let bytes = count as u64 * BYTES_PER_ELEM;
+    Op::P2p(P2pOp {
+        src_buf: src.0,
+        src_off: src.1,
+        dst_dev: dst.0,
+        dst_buf: dst.1,
+        dst_off: dst.2,
+        count,
+        sm_footprint,
+        bytes,
+        duration: fabric.p2p.transfer_time(bytes),
+    })
 }
 
 #[cfg(test)]
@@ -94,6 +49,7 @@ mod tests {
     use super::*;
     use gpu_sim::arch::GpuArch;
     use gpu_sim::stream::enqueue;
+    use gpu_sim::{Cluster, ClusterSim};
     use sim::Sim;
 
     #[test]
@@ -108,16 +64,7 @@ mod tests {
             &mut sim,
             0,
             s,
-            Box::new(P2pCopy {
-                fabric: FabricSpec::a800_nvlink(),
-                src_buf: src,
-                src_off: 1,
-                dst_dev: 1,
-                dst_buf: dst,
-                dst_off: 2,
-                count: 2,
-                sm_footprint: 8,
-            }),
+            p2p_copy(&FabricSpec::a800_nvlink(), (src, 1), (1, dst, 2), 2, 8),
         );
         let end = sim.run(&mut world).unwrap();
         assert_eq!(world.devices[1].mem.snapshot(dst), vec![0.0, 0.0, 2.0, 3.0]);
@@ -140,16 +87,7 @@ mod tests {
             &mut sim,
             0,
             s,
-            Box::new(P2pCopy {
-                fabric: FabricSpec::rtx4090_pcie(),
-                src_buf: b,
-                src_off: 0,
-                dst_dev: 1,
-                dst_buf: b,
-                dst_off: 0,
-                count: 4,
-                sm_footprint: 8,
-            }),
+            p2p_copy(&FabricSpec::rtx4090_pcie(), (b, 0), (1, b, 0), 4, 8),
         );
         sim.run(&mut world).unwrap();
     }

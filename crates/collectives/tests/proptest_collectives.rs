@@ -40,8 +40,8 @@ fn run_collective_on(
     let comm = Communicator::with_topology((0..n).collect(), topo, 16, Algorithm::Ring);
     let streams: Vec<usize> = (0..n).map(|d| world.devices[d].create_stream()).collect();
     let spec = spec_of(&mut world);
-    for (d, kernel) in comm.kernels(spec).into_iter().enumerate() {
-        enqueue(&mut world, &mut sim, d, streams[d], Box::new(kernel));
+    for (d, op) in comm.open(&mut world).ops(spec).enumerate() {
+        enqueue(&mut world, &mut sim, d, streams[d], op);
     }
     sim.run(&mut world).expect("collective run");
     world

@@ -30,7 +30,7 @@
 //! ping-pong sound:
 //!
 //! - **Table quarantine.** Before a segment's first increment can land,
-//!   a compute-stream callback disarms whatever fault budget the
+//!   a compute-stream arming op disarms whatever fault budget the
 //!   previous same-parity segment left on the inherited table
 //!   ([`gpu_sim::CounterTable::disarm_faults`]) and only then arms the
 //!   segment's own faults. A fault armed for segment `k` can therefore
@@ -49,18 +49,15 @@
 //! segment re-bases the deadline without consuming a retry.
 #![warn(clippy::indexing_slicing)]
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use collectives::CollectiveRole;
 use gpu_sim::elementwise::ElementwiseOp;
 use gpu_sim::memory::BufferId;
-use gpu_sim::stream::{
-    abort_counter_waits, enqueue, Callback, Delay, RecordEvent, ResetCounter, WaitCounter,
-    WaitEvent,
-};
+use gpu_sim::stream::{abort_counter_waits, enqueue, Op};
 use gpu_sim::{
-    Cluster, ClusterSim, GpuEventId, IncrementFault, RuntimeEvent, RuntimeEventKind, StuckWait,
+    Cluster, ClusterSim, FaultArming, GpuEventId, IncrementFault, RuntimeEvent, RuntimeEventKind,
+    StuckWait,
 };
 use sim::{SimDuration, SimTime};
 
@@ -69,10 +66,6 @@ use crate::resilience::{Fault, FaultPlan, ResilientOutcome, WatchdogConfig};
 use crate::runtime::{Instrumentation, OverlapPlan, ProgramHandles, StreamCtx};
 use crate::sequence::{SequenceOptions, SequenceOutcome};
 use crate::world::ChainWorld;
-
-/// Shared fault/recovery timeline: segment-arming callbacks append from
-/// inside the simulation, the watchdog appends from outside.
-type EventLog = Rc<RefCell<Vec<RuntimeEvent>>>;
 
 /// Executes the chain `plans` in one simulation, in a fresh world, and
 /// reports per segment. Segment `i` runs `plans[i]` followed by the
@@ -176,17 +169,18 @@ fn run_chain(
         sim.set_probe(Rc::clone(probe));
     }
     // Cluster-level faults (degraded links, stalls, stragglers) exist
-    // before the chain starts, whichever segment's plan armed them.
-    let log: EventLog = Rc::new(RefCell::new(Vec::new()));
+    // before the chain starts, whichever segment's plan armed them. The
+    // fault/recovery timeline is the cluster's runtime log: arming ops
+    // append from inside the simulation, the watchdog from outside.
     let faults_armed = match options.resilient {
-        Some((faults, _)) => arm_cluster_faults(world, sim, faults, &log),
+        Some((faults, _)) => arm_cluster_faults(world, sim, faults),
         None => 0,
     };
     let streams = StreamCtx::create(world, n);
-    let segments = enqueue_chain(world, sim, plans, epilogues, options, &streams, &log);
+    let segments = enqueue_chain(world, sim, plans, epilogues, options, &streams);
 
     let (end, outcomes) = if let Some((_, watchdog)) = options.resilient {
-        drive_chain(world, sim, plans, &segments, &streams, watchdog, &log)?
+        drive_chain(world, sim, plans, &segments, &streams, watchdog)?
     } else {
         let end = sim.run(world)?;
         let instrumented =
@@ -210,11 +204,14 @@ fn run_chain(
     });
     Ok(SequenceOutcome {
         total: end - SimTime::ZERO,
-        reports: segments.iter().map(|s| s.handles.probes.report()).collect(),
+        reports: segments
+            .iter()
+            .map(|s| s.handles.probes.report(world))
+            .collect(),
         spans,
         outputs,
         outcomes,
-        events: Rc::try_unwrap(log).map_or_else(|rc| rc.borrow().clone(), RefCell::into_inner),
+        events: world.runtime_log.drain(..).collect(),
         faults_armed,
     })
 }
@@ -229,7 +226,6 @@ fn enqueue_chain(
     epilogues: &[Option<ElementwiseOp>],
     options: &SequenceOptions,
     streams: &StreamCtx,
-    log: &EventLog,
 ) -> Vec<ChainSegment> {
     let max_groups = plans
         .iter()
@@ -271,14 +267,14 @@ fn enqueue_chain(
             // Full barrier: no GEMM wave of segment `i` may issue until
             // segment `i - 1`'s collectives drained.
             for (d, (&ev, &compute)) in prev.comm_done.iter().zip(&streams.compute).enumerate() {
-                enqueue(world, sim, d, compute, Box::new(WaitEvent(ev)));
+                enqueue(world, sim, d, compute, Op::WaitEvent(ev));
             }
         }
         if let Some(fp) = options.resilient.and_then(|(faults, _)| faults.get(i)) {
-            // Between the rearm (reset) and the program: the arming
-            // callback quarantines leftover budget on the inherited
-            // table, then arms this segment's own faults.
-            enqueue_segment_faults(world, sim, streams, i, fp, tables, log);
+            // Between the rearm (reset) and the program: the arming op
+            // quarantines leftover budget on the inherited table, then
+            // arms this segment's own faults.
+            enqueue_segment_faults(world, sim, streams, i, fp, tables);
         }
         let mutation = options
             .instrument
@@ -325,10 +321,10 @@ fn rearm(
         .zip(prev_done.iter().zip(tables))
         .zip(&readies);
     for (d, (((&compute, &comm), (&prev, &table)), &ready)) in per_rank.enumerate() {
-        enqueue(world, sim, d, compute, Box::new(WaitEvent(prev)));
-        enqueue(world, sim, d, compute, Box::new(ResetCounter { table }));
-        enqueue(world, sim, d, compute, Box::new(RecordEvent(ready)));
-        enqueue(world, sim, d, comm, Box::new(WaitEvent(ready)));
+        enqueue(world, sim, d, compute, Op::WaitEvent(prev));
+        enqueue(world, sim, d, compute, Op::ResetCounter { table });
+        enqueue(world, sim, d, compute, Op::RecordEvent(ready));
+        enqueue(world, sim, d, comm, Op::WaitEvent(ready));
     }
     readies
 }
@@ -341,7 +337,7 @@ fn record_per_rank(
 ) -> Vec<GpuEventId> {
     let events: Vec<GpuEventId> = world.devices.iter_mut().map(|d| d.create_event()).collect();
     for (d, (&ev, &stream)) in events.iter().zip(streams).enumerate() {
-        enqueue(world, sim, d, stream, Box::new(RecordEvent(ev)));
+        enqueue(world, sim, d, stream, Op::RecordEvent(ev));
     }
     events
 }
@@ -387,48 +383,44 @@ impl ChainSegment {
 /// Whether every owed collective of the segment completed (and its GEMM
 /// retired). Rank 0 carries the probes; collectives are rendezvous, so
 /// rank 0 completing implies every rank completed.
-fn segment_complete(seg: &ChainSegment) -> bool {
-    if seg.handles.probes.gemm_done.get().is_none() {
-        return false;
-    }
-    let done = seg.handles.probes.group_done.borrow();
-    seg.expected
-        .iter()
-        .enumerate()
-        .all(|(g, &exp)| !exp || done.get(g).is_some_and(Option::is_some))
+fn segment_complete(world: &Cluster, seg: &ChainSegment) -> bool {
+    let probes = &seg.handles.probes;
+    probes.gemm_done(world).is_some()
+        && probes
+            .group_done(world)
+            .zip(&seg.expected)
+            .all(|(done, &exp)| !exp || done.is_some())
 }
 
 /// Groups of the segment whose collectives completed (overlap or
 /// recovery).
-fn completed_groups(seg: &ChainSegment) -> Vec<usize> {
+fn completed_groups(world: &Cluster, seg: &ChainSegment) -> Vec<usize> {
     seg.handles
         .probes
-        .group_done
-        .borrow()
-        .iter()
+        .group_done(world)
         .enumerate()
         .filter_map(|(g, t)| t.map(|_| g))
         .collect()
 }
 
 /// The first incomplete segment — where the watchdog aims its deadline.
-fn frontier(segments: &[ChainSegment]) -> Option<usize> {
-    segments.iter().position(|s| !segment_complete(s))
+fn frontier(world: &Cluster, segments: &[ChainSegment]) -> Option<usize> {
+    segments.iter().position(|s| !segment_complete(world, s))
 }
 
 /// The last probed completion time across the chain — the chain's end,
 /// independent of where `run_until` happened to park the clock.
-fn chain_end(segments: &[ChainSegment]) -> SimTime {
+fn chain_end(world: &Cluster, segments: &[ChainSegment]) -> SimTime {
     let mut end = SimTime::ZERO;
     for seg in segments {
         let probes = &seg.handles.probes;
-        if let Some(t) = probes.gemm_done.get() {
+        if let Some(t) = probes.gemm_done(world) {
             end = end.max(t);
         }
-        for t in probes.group_done.borrow().iter().flatten() {
-            end = end.max(*t);
+        for t in probes.group_done(world).flatten() {
+            end = end.max(t);
         }
-        if let Some(t) = probes.epilogue_done.get() {
+        if let Some(t) = probes.epilogue_done(world) {
             end = end.max(t);
         }
     }
@@ -437,11 +429,15 @@ fn chain_end(segments: &[ChainSegment]) -> SimTime {
 
 /// Maps starved waits onto chain positions: the starved rearm edge is
 /// named by the first incomplete segment watching that counter table.
-fn chain_positions(waits: &[StuckWait], segments: &[ChainSegment]) -> Vec<ChainPosition> {
+fn chain_positions(
+    world: &Cluster,
+    waits: &[StuckWait],
+    segments: &[ChainSegment],
+) -> Vec<ChainPosition> {
     let mut out: Vec<ChainPosition> = Vec::new();
     for w in waits {
         let found = segments.iter().enumerate().find(|(_, s)| {
-            s.handles.tables.get(w.device).copied() == Some(w.table) && !segment_complete(s)
+            s.handles.tables.get(w.device).copied() == Some(w.table) && !segment_complete(world, s)
         });
         if let Some((segment, seg)) = found {
             let pos = ChainPosition {
@@ -467,7 +463,7 @@ fn check_quiescent_chain(
 ) -> Result<(), FlashOverlapError> {
     world.check_quiescent().map_err(|streams| {
         let waits = world.stuck_waits();
-        let chain = chain_positions(&waits, segments);
+        let chain = chain_positions(world, &waits, segments);
         FlashOverlapError::Deadlock {
             streams,
             waits,
@@ -500,12 +496,7 @@ fn validate_chain_faults(
 /// the program starts: link degradation/stalls and straggler SMs exist
 /// for the whole chain. Returns the total number of faults armed across
 /// all segments (including the per-segment ones armed later).
-fn arm_cluster_faults(
-    world: &mut Cluster,
-    sim: &ClusterSim,
-    faults: &[FaultPlan],
-    log: &EventLog,
-) -> usize {
+fn arm_cluster_faults(world: &mut Cluster, sim: &ClusterSim, faults: &[FaultPlan]) -> usize {
     let mut armed = 0;
     for (segment, fp) in faults.iter().enumerate() {
         for fault in &fp.faults {
@@ -536,15 +527,13 @@ fn arm_cluster_faults(
                 | Fault::DroppedIncrement { .. }
                 | Fault::DelayedIncrement { .. } => continue,
             }
-            let event = RuntimeEvent {
+            world.log_runtime_event(RuntimeEvent {
                 at: sim.now(),
                 device: fault_device(fault),
                 kind: RuntimeEventKind::FaultInjected,
                 group: None,
                 detail: format!("segment {segment}: armed: {fault}"),
-            };
-            world.notify_runtime_event(&event);
-            log.borrow_mut().push(event);
+            });
         }
     }
     armed
@@ -565,15 +554,15 @@ fn fault_device(fault: &Fault) -> gpu_sim::DeviceId {
 
 /// Enqueues segment `segment`'s stream-positioned faults. Must be called
 /// after the segment's table-rearm block and before its program is
-/// enqueued, so the arming callback lands between the inherited table's
-/// reset and the segment's first increment.
+/// enqueued, so the arming op lands between the inherited table's reset
+/// and the segment's first increment.
 ///
 /// Slow-rank faults become `Delay` ops at the segment's launch position.
-/// Counter faults arm from a per-rank *compute-stream callback* — each
-/// rank's compute stream passes its own rearm independently (launch
-/// skew), so arming from rank 0 could race another rank's reset. The
-/// callback first applies the table-quarantine rule: any fault budget
-/// the previous same-parity segment left armed is disarmed before this
+/// Counter faults arm from a per-rank *compute-stream* [`Op::ArmFaults`]
+/// — each rank's compute stream passes its own rearm independently
+/// (launch skew), so arming from rank 0 could race another rank's reset.
+/// The op first applies the table-quarantine rule: any fault budget the
+/// previous same-parity segment left armed is disarmed before this
 /// segment's faults go in.
 fn enqueue_segment_faults(
     world: &mut Cluster,
@@ -582,7 +571,6 @@ fn enqueue_segment_faults(
     segment: usize,
     faults: &FaultPlan,
     table_set: &[usize],
-    log: &EventLog,
 ) {
     for fault in &faults.faults {
         if let Fault::SlowRank { rank, delay } = *fault {
@@ -591,17 +579,15 @@ fn enqueue_segment_faults(
                 continue;
             };
             for stream in [compute, comm] {
-                enqueue(world, sim, rank, stream, Box::new(Delay(delay)));
+                enqueue(world, sim, rank, stream, Op::Delay(delay));
             }
-            let event = RuntimeEvent {
+            world.log_runtime_event(RuntimeEvent {
                 at: sim.now(),
                 device: rank,
                 kind: RuntimeEventKind::FaultInjected,
                 group: None,
                 detail: format!("segment {segment}: armed: {fault}"),
-            };
-            world.notify_runtime_event(&event);
-            log.borrow_mut().push(event);
+            });
         }
     }
     let n = streams.compute.len();
@@ -625,55 +611,19 @@ fn enqueue_segment_faults(
             })
             .collect();
         // Fresh tables (segments 0 and 1) hold no leftover budget; skip
-        // the callback entirely when there is also nothing to arm.
+        // the op entirely when there is also nothing to arm.
         if segment < 2 && rank_faults.is_empty() {
             continue;
         }
         let (Some(&table), Some(&compute)) = (table_set.get(d), streams.compute.get(d)) else {
             continue;
         };
-        let log = Rc::clone(log);
-        enqueue(
-            world,
-            sim,
-            d,
-            compute,
-            Box::new(Callback(Box::new(move |world, s| {
-                let cleared = world
-                    .devices
-                    .get_mut(d)
-                    .map(|dev| dev.counter_mut(table).disarm_faults())
-                    .unwrap_or(0);
-                if cleared > 0 {
-                    let event = RuntimeEvent {
-                        at: s.now(),
-                        device: d,
-                        kind: RuntimeEventKind::FaultQuarantined,
-                        group: None,
-                        detail: format!(
-                            "segment {segment}: quarantined {cleared} leftover armed fault(s) \
-                             on inherited table {table}"
-                        ),
-                    };
-                    world.notify_runtime_event(&event);
-                    log.borrow_mut().push(event);
-                }
-                for (group, kind, count, desc) in rank_faults {
-                    if let Some(dev) = world.devices.get_mut(d) {
-                        dev.counter_mut(table).arm_fault(group, kind, count);
-                    }
-                    let event = RuntimeEvent {
-                        at: s.now(),
-                        device: d,
-                        kind: RuntimeEventKind::FaultInjected,
-                        group: Some(group),
-                        detail: format!("segment {segment}: armed: {desc}"),
-                    };
-                    world.notify_runtime_event(&event);
-                    log.borrow_mut().push(event);
-                }
-            }))),
-        );
+        let arming = FaultArming {
+            table,
+            label: format!("segment {segment}"),
+            faults: rank_faults,
+        };
+        enqueue(world, sim, d, compute, Op::ArmFaults(arming));
     }
 }
 
@@ -698,9 +648,15 @@ impl SegState {
     /// Marks the segment degraded; the first cause wins, and the groups
     /// completed at that moment are snapshotted — later recovery
     /// re-issues do not count as completed before abandonment.
-    fn degrade(&mut self, seg: Option<&ChainSegment>, cause: impl FnOnce() -> String) {
+    fn degrade(
+        &mut self,
+        world: &Cluster,
+        seg: Option<&ChainSegment>,
+        cause: impl FnOnce() -> String,
+    ) {
         if self.degraded.is_none() {
-            self.degraded = Some((cause(), seg.map(completed_groups).unwrap_or_default()));
+            let completed = seg.map(|s| completed_groups(world, s)).unwrap_or_default();
+            self.degraded = Some((cause(), completed));
         }
     }
 }
@@ -724,7 +680,6 @@ fn drive_chain(
     segments: &[ChainSegment],
     streams: &StreamCtx,
     watchdog: &WatchdogConfig,
-    log: &EventLog,
 ) -> Result<(SimTime, Vec<ResilientOutcome>), FlashOverlapError> {
     // Per-segment budget: the predictor's expected latency times the
     // configured multiplier, plus the launch-skew window.
@@ -747,9 +702,9 @@ fn drive_chain(
     loop {
         rounds += 1;
         if rounds > max_rounds {
-            if let Some(f) = frontier(segments) {
+            if let Some(f) = frontier(world, segments) {
                 if let Some(slot) = state.get_mut(f) {
-                    slot.degrade(segments.get(f), || {
+                    slot.degrade(world, segments.get(f), || {
                         format!("chain watchdog gave up after {rounds} rounds")
                     });
                 }
@@ -758,7 +713,7 @@ fn drive_chain(
         }
         sim.run_until(world, deadline)?;
         if sim.pending() == 0 {
-            let Some(f) = frontier(segments) else {
+            let Some(f) = frontier(world, segments) else {
                 break; // Every segment completed; streams drained.
             };
             let seg = segments.get(f);
@@ -771,40 +726,38 @@ fn drive_chain(
                     // unreachable for well-formed chains; terminate
                     // accountably instead of spinning.
                     if let Some(slot) = state.get_mut(f) {
-                        slot.degrade(seg, || "chain stalled without a diagnosable wedge".into());
+                        let cause = || "chain stalled without a diagnosable wedge".into();
+                        slot.degrade(world, seg, cause);
                     }
                     break;
                 }
             };
-            let gemm_retired = seg.is_some_and(|s| s.handles.probes.gemm_done.get().is_some());
+            let gemm_retired = seg.is_some_and(|s| s.handles.probes.gemm_done(world).is_some());
             if let Some(slot) = state.get_mut(f) {
                 slot.wedges += 1;
                 if slot.wedges > 1 {
                     // Even recovery wedged (recovery collectives wait on
                     // nothing but already-recorded state, so this should
                     // be unreachable). Give up without hanging.
-                    slot.degrade(seg, || format!("recovery wedged: {error}"));
+                    slot.degrade(world, seg, || format!("recovery wedged: {error}"));
                     break;
                 }
                 if !gemm_retired {
                     // Re-issuing collectives before the GEMM retired
                     // would read incomplete tiles; defensively degrade.
-                    slot.degrade(seg, || format!("wedged before GEMM retirement: {error}"));
+                    let cause = || format!("wedged before GEMM retirement: {error}");
+                    slot.degrade(world, seg, cause);
                     break;
                 }
             }
-            let fired = RuntimeEvent {
+            world.log_runtime_event(RuntimeEvent {
                 at: sim.now(),
                 device: 0,
                 kind: RuntimeEventKind::WatchdogFired,
                 group: None,
                 detail: format!("segment {f} wedge detected: {error}"),
-            };
-            world.notify_runtime_event(&fired);
-            log.borrow_mut().push(fired);
-            recover_chain(
-                world, sim, plans, segments, f, &error, streams, log, &mut state,
-            );
+            });
+            recover_chain(world, sim, plans, segments, f, &error, streams, &mut state);
             deadline_frontier = f;
             deadline = sim.now() + budget_of(f);
         } else {
@@ -814,7 +767,7 @@ fn drive_chain(
             // the frontier segment degraded but keep driving — an
             // in-flight collective cannot be abandoned without
             // double-applying its data.
-            let f = frontier(segments).unwrap_or(segments.len().saturating_sub(1));
+            let f = frontier(world, segments).unwrap_or(segments.len().saturating_sub(1));
             let pending = sim.pending();
             if f != deadline_frontier {
                 deadline_frontier = f;
@@ -833,7 +786,7 @@ fn drive_chain(
                         ),
                     })
                 } else if slot.degraded.is_none() {
-                    slot.degrade(segments.get(f), || {
+                    slot.degrade(world, segments.get(f), || {
                         format!(
                             "watchdog deadline exceeded after {} extensions",
                             watchdog.max_retries
@@ -853,8 +806,7 @@ fn drive_chain(
                     None
                 };
                 if let Some(event) = event {
-                    world.notify_runtime_event(&event);
-                    log.borrow_mut().push(event);
+                    world.log_runtime_event(event);
                 }
             }
             deadline = sim.now() + budget_of(f);
@@ -874,10 +826,10 @@ fn drive_chain(
                     cause,
                     recovered_groups,
                 }
-            } else if !segment_complete(seg) {
+            } else if !segment_complete(world, seg) {
                 ResilientOutcome::Degraded {
                     cause: "chain terminated before this segment completed".into(),
-                    recovered_groups: completed_groups(seg),
+                    recovered_groups: completed_groups(world, seg),
                 }
             } else if !st.tail.is_empty() || st.reissued {
                 ResilientOutcome::Recovered {
@@ -889,7 +841,7 @@ fn drive_chain(
             }
         })
         .collect();
-    Ok((chain_end(segments), outcomes))
+    Ok((chain_end(world, segments), outcomes))
 }
 
 /// Breaks a wedge at frontier segment `f`: aborts the starved
@@ -909,7 +861,6 @@ fn recover_chain(
     f: usize,
     error: &FlashOverlapError,
     streams: &StreamCtx,
-    log: &EventLog,
     state: &mut [SegState],
 ) {
     let n = streams.comm.len();
@@ -943,13 +894,13 @@ fn recover_chain(
     //    part of the overlap survived; bulk (degrading the segment) when
     //    it produced nothing.
     if let (Some(seg), Some(plan), Some(slot)) = (segments.get(f), plans.get(f), state.get_mut(f)) {
-        let role = if completed_groups(seg).is_empty() {
-            slot.degrade(Some(seg), || format!("overlap abandoned: {error}"));
+        let role = if completed_groups(world, seg).is_empty() {
+            slot.degrade(world, Some(seg), || format!("overlap abandoned: {error}"));
             CollectiveRole::Bulk
         } else {
             CollectiveRole::Tail
         };
-        let issued = reissue_groups(world, sim, plan, seg, streams, f, role, true, log);
+        let issued = reissue_groups(world, sim, plan, seg, streams, f, role, true);
         slot.tail.extend(issued);
         rerecord_segment_events(world, sim, streams, seg);
     }
@@ -967,7 +918,7 @@ fn recover_chain(
                 let Some(&stream) = streams.comm.get(d) else {
                     continue;
                 };
-                enqueue(world, sim, d, stream, Box::new(WaitEvent(ev)));
+                enqueue(world, sim, d, stream, Op::WaitEvent(ev));
             }
         }
         let issued = reissue_groups(
@@ -979,22 +930,19 @@ fn recover_chain(
             j,
             CollectiveRole::Tail,
             false,
-            log,
         );
         rerecord_segment_events(world, sim, streams, seg);
         if let Some(slot) = state.get_mut(j) {
             slot.reissued = true;
             slot.tail = issued;
         }
-        let event = RuntimeEvent {
+        world.log_runtime_event(RuntimeEvent {
             at: sim.now(),
             device: 0,
             kind: RuntimeEventKind::TailRecovery,
             group: None,
             detail: format!("segment {j}: comm program re-enqueued behind segment {f} recovery"),
-        };
-        world.notify_runtime_event(&event);
-        log.borrow_mut().push(event);
+        });
     }
 }
 
@@ -1015,15 +963,12 @@ fn reissue_groups(
     segment: usize,
     role: CollectiveRole,
     ungated: bool,
-    log: &EventLog,
 ) -> Vec<usize> {
     let completed: Vec<bool> = seg
         .handles
         .probes
-        .group_done
-        .borrow()
-        .iter()
-        .map(Option::is_some)
+        .group_done(world)
+        .map(|t| t.is_some())
         .collect();
     let thresholds = plan.group_tile_counts();
     let (kind, what) = match role {
@@ -1046,50 +991,33 @@ fn reissue_groups(
                 else {
                     continue;
                 };
-                enqueue(
-                    world,
-                    sim,
-                    d,
-                    stream,
-                    Box::new(WaitCounter {
-                        table,
-                        group: g,
-                        threshold,
-                    }),
-                );
+                let wait = Op::WaitCounter {
+                    table,
+                    group: g,
+                    threshold,
+                };
+                enqueue(world, sim, d, stream, wait);
             }
         }
-        let kernels = seg.handles.comm.kernels_with_role(spec, Some(g), role);
-        for (d, kernel) in kernels.into_iter().enumerate() {
+        let ops = seg.handles.comm.ops_with_role(spec, Some(g), role);
+        for (d, op) in ops.enumerate() {
             let Some(&stream) = streams.comm.get(d) else {
                 continue;
             };
-            enqueue(world, sim, d, stream, Box::new(kernel));
+            enqueue(world, sim, d, stream, op);
             if d == 0 {
-                let slot = seg.handles.probes.group_done.clone();
-                enqueue(
-                    world,
-                    sim,
-                    0,
-                    stream,
-                    Box::new(Callback(Box::new(move |_, s| {
-                        if let Some(cell) = slot.borrow_mut().get_mut(g) {
-                            *cell = Some(s.now());
-                        }
-                    }))),
-                );
+                let stamp = Op::Stamp(seg.handles.probes.group_slot(g));
+                enqueue(world, sim, 0, stream, stamp);
             }
         }
         if ungated {
-            let event = RuntimeEvent {
+            world.log_runtime_event(RuntimeEvent {
                 at: sim.now(),
                 device: 0,
                 kind,
                 group: Some(g),
                 detail: format!("segment {segment}: group {g} re-issued as {what} collective"),
-            };
-            world.notify_runtime_event(&event);
-            log.borrow_mut().push(event);
+            });
         }
         issued.push(g);
     }
@@ -1112,12 +1040,12 @@ fn rerecord_segment_events(
         let Some(&stream) = streams.comm.get(d) else {
             continue;
         };
-        enqueue(world, sim, d, stream, Box::new(RecordEvent(gate)));
+        enqueue(world, sim, d, stream, Op::RecordEvent(gate));
     }
     for (d, &ev) in seg.comm_done.iter().enumerate() {
         let Some(&stream) = streams.comm.get(d) else {
             continue;
         };
-        enqueue(world, sim, d, stream, Box::new(RecordEvent(ev)));
+        enqueue(world, sim, d, stream, Op::RecordEvent(ev));
     }
 }

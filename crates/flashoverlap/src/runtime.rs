@@ -5,7 +5,7 @@
 //! - a single GEMM kernel on the *compute stream*, with the
 //!   pre-communication reordering packed into its epilogue and a counting
 //!   table hook;
-//! - per wave group, a signaling kernel ([`gpu_sim::stream::WaitCounter`])
+//! - per wave group, a signaling kernel ([`gpu_sim::Op::WaitCounter`])
 //!   followed by one collective call on the *communication stream*.
 //!
 //! The GEMM main loop is never interrupted; communication of group `G_i`
@@ -19,10 +19,10 @@
 //! lowers to a one-segment chain. A steady-state measurement is
 //! `n` copies of the plan in [`crate::execute_sequence`], total over `n`.
 
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::OnceCell;
 use std::rc::Rc;
 
-use collectives::{CollectiveSpec, Communicator, Primitive, Region};
+use collectives::{CollectiveRole, CollectiveSpec, CommScope, Communicator, Primitive, Region};
 use gpu_sim::arch::RemapGranularity;
 use gpu_sim::elementwise::{ElementwiseKernel, ElementwiseOp, Gather};
 use gpu_sim::gemm::{
@@ -30,7 +30,7 @@ use gpu_sim::gemm::{
 };
 use gpu_sim::memory::BufferId;
 use gpu_sim::monitor::ClusterMonitor;
-use gpu_sim::stream::{enqueue, Callback, RecordEvent, WaitCounter, WaitEvent};
+use gpu_sim::stream::{enqueue, Op};
 use gpu_sim::wave::WaveSchedule;
 use gpu_sim::{Cluster, ClusterSim};
 use sim::{EngineProbe, SimDuration, SimTime};
@@ -168,6 +168,8 @@ pub struct OverlapPlan {
     /// Epilogue writer per rank (one shared writer unless the mapping
     /// packs per rank).
     writers: Vec<Rc<dyn EpilogueWriter>>,
+    /// The communicator every launch opens on its world.
+    comm: Communicator,
     /// The watchdog and drift predictor, built on first use.
     predictor: OnceCell<LatencyPredictor>,
     /// The predictor's per-group completions (serve drift), computed on
@@ -383,6 +385,12 @@ impl OverlapPlan {
         };
         let group_runs = group_runs(&issue, &mapping.layout().group_of_tile);
         let writers = mapping.writers(system.n_gpus);
+        let comm = Communicator::with_topology(
+            (0..system.n_gpus).collect(),
+            system.topology.clone(),
+            system.comm_sms,
+            system.algorithm,
+        );
         Ok(OverlapPlan {
             system,
             dims,
@@ -394,6 +402,7 @@ impl OverlapPlan {
             issue,
             group_runs,
             writers,
+            comm,
             predictor: predictor.map_or_else(OnceCell::new, OnceCell::from),
             predicted_completions: OnceCell::new(),
         })
@@ -576,12 +585,7 @@ impl OverlapPlan {
         tables: &[usize],
     ) -> ProgramHandles {
         let n = self.system.n_gpus;
-        let comm = Communicator::with_topology(
-            (0..n).collect(),
-            self.system.topology.clone(),
-            self.system.comm_sms,
-            self.system.algorithm,
-        );
+        let comm = self.comm.open(world);
         let counts = self.group_tile_counts().to_vec();
         let num_groups = counts.len();
         let grid = self.config.grid(self.dims);
@@ -617,7 +621,7 @@ impl OverlapPlan {
             });
         }
 
-        let probes = Probes::new(num_groups);
+        let probes = Probes::new(world, num_groups);
 
         // Host-process launch skew: each rank's whole program starts a
         // random delay late (both its streams — the host thread submits
@@ -630,20 +634,8 @@ impl OverlapPlan {
                         dev.rng.uniform(0.0, self.system.launch_skew_ns as f64) as u64,
                     )
                 };
-                enqueue(
-                    world,
-                    sim,
-                    d,
-                    compute_streams[d],
-                    Box::new(gpu_sim::stream::Delay(delay)),
-                );
-                enqueue(
-                    world,
-                    sim,
-                    d,
-                    comm_streams[d],
-                    Box::new(gpu_sim::stream::Delay(delay)),
-                );
+                enqueue(world, sim, d, compute_streams[d], Op::Delay(delay));
+                enqueue(world, sim, d, comm_streams[d], Op::Delay(delay));
             }
         }
 
@@ -659,18 +651,10 @@ impl OverlapPlan {
                 writer: self.writer_for(d),
                 counter: Some(CounterHook::new(tables[d], Rc::clone(&self.group_runs))),
             };
-            enqueue(world, sim, d, compute_streams[d], Box::new(kernel));
+            enqueue(world, sim, d, compute_streams[d], Op::Gemm(kernel));
             if d == 0 {
-                let gemm_done = probes.gemm_done.clone();
-                enqueue(
-                    world,
-                    sim,
-                    0,
-                    compute_streams[0],
-                    Box::new(Callback(Box::new(move |_, s| {
-                        gemm_done.set(Some(s.now()));
-                    }))),
-                );
+                let stamp = Op::Stamp(probes.gemm_slot());
+                enqueue(world, sim, 0, compute_streams[0], stamp);
             }
         }
 
@@ -683,35 +667,22 @@ impl OverlapPlan {
                 // wait for or send.
                 continue;
             };
-            let kernels = comm.kernels_tagged(spec, Some(g));
-            for (d, kernel) in kernels.into_iter().enumerate() {
+            let ops = comm.ops_with_role(spec, Some(g), CollectiveRole::Overlap);
+            for (d, op) in ops.enumerate() {
                 // A seeded mutation may drop or corrupt this rank's wait
                 // (sanitizer self-tests); `None` skips the wait entirely.
                 if let Some(threshold) = SignalMutation::threshold_for(mutation, d, g, counts[g]) {
-                    enqueue(
-                        world,
-                        sim,
-                        d,
-                        comm_streams[d],
-                        Box::new(WaitCounter {
-                            table: tables[d],
-                            group: g,
-                            threshold,
-                        }),
-                    );
+                    let wait = Op::WaitCounter {
+                        table: tables[d],
+                        group: g,
+                        threshold,
+                    };
+                    enqueue(world, sim, d, comm_streams[d], wait);
                 }
-                enqueue(world, sim, d, comm_streams[d], Box::new(kernel));
+                enqueue(world, sim, d, comm_streams[d], op);
                 if d == 0 {
-                    let slot = probes.group_done.clone();
-                    enqueue(
-                        world,
-                        sim,
-                        0,
-                        comm_streams[0],
-                        Box::new(Callback(Box::new(move |_, s| {
-                            slot.borrow_mut()[g] = Some(s.now());
-                        }))),
-                    );
+                    let stamp = Op::Stamp(probes.group_slot(g));
+                    enqueue(world, sim, 0, comm_streams[0], stamp);
                 }
             }
         }
@@ -727,20 +698,8 @@ impl OverlapPlan {
                 let (rows, cols) = self.logical_shape(d);
                 let comm_done = world.devices[d].create_event();
                 epilogue_gates.push(comm_done);
-                enqueue(
-                    world,
-                    sim,
-                    d,
-                    comm_streams[d],
-                    Box::new(RecordEvent(comm_done)),
-                );
-                enqueue(
-                    world,
-                    sim,
-                    d,
-                    compute_streams[d],
-                    Box::new(WaitEvent(comm_done)),
-                );
+                enqueue(world, sim, d, comm_streams[d], Op::RecordEvent(comm_done));
+                enqueue(world, sim, d, compute_streams[d], Op::WaitEvent(comm_done));
                 if rows == 0 {
                     // Nothing received (possible for All-to-All): still
                     // allocate an empty logical buffer.
@@ -763,18 +722,10 @@ impl OverlapPlan {
                     gather,
                     remap_cost: Some(granularity),
                 };
-                enqueue(world, sim, d, compute_streams[d], Box::new(kernel));
+                enqueue(world, sim, d, compute_streams[d], Op::Elementwise(kernel));
                 if d == 0 {
-                    let slot = probes.epilogue_done.clone();
-                    enqueue(
-                        world,
-                        sim,
-                        0,
-                        compute_streams[0],
-                        Box::new(Callback(Box::new(move |_, s| {
-                            slot.set(Some(s.now()));
-                        }))),
-                    );
+                    let stamp = Op::Stamp(probes.epilogue_slot());
+                    enqueue(world, sim, 0, compute_streams[0], stamp);
                 }
             }
         }
@@ -1078,39 +1029,68 @@ pub(crate) struct ProgramHandles {
     /// when the program has none). Chain recovery re-records them so a
     /// compute stream parked on a wedged layer's epilogue wakes up.
     pub(crate) epilogue_gates: Vec<gpu_sim::GpuEventId>,
-    /// The communicator the program's collective kernels rendezvous
+    /// The communicator instance the program's collectives rendezvous
     /// through — the recovery runtime aborts its pending state, exactly
     /// like `ncclCommAbort` on the real library's communicator handle.
-    pub(crate) comm: Communicator,
+    pub(crate) comm: CommScope,
     /// Per-rank counting-table indices (fault arming and wait revocation
     /// need them after enqueue).
     pub(crate) tables: Vec<usize>,
 }
 
+/// The stamp slots rank 0's probe ops write (see
+/// [`Cluster::new_stamps`]): GEMM retirement, epilogue completion, then
+/// one per group's collective.
 pub(crate) struct Probes {
-    pub(crate) gemm_done: Rc<Cell<Option<SimTime>>>,
-    pub(crate) group_done: Rc<RefCell<Vec<Option<SimTime>>>>,
-    pub(crate) epilogue_done: Rc<Cell<Option<SimTime>>>,
+    first: usize,
+    groups: usize,
 }
 
 impl Probes {
-    fn new(groups: usize) -> Self {
+    fn new(world: &mut Cluster, groups: usize) -> Self {
         Probes {
-            gemm_done: Rc::new(Cell::new(None)),
-            group_done: Rc::new(RefCell::new(vec![None; groups])),
-            epilogue_done: Rc::new(Cell::new(None)),
+            first: world.new_stamps(groups + 2),
+            groups,
         }
     }
 
-    pub(crate) fn report(&self) -> RunReport {
+    fn gemm_slot(&self) -> usize {
+        self.first
+    }
+
+    fn epilogue_slot(&self) -> usize {
+        self.first + 1
+    }
+
+    pub(crate) fn group_slot(&self, g: usize) -> usize {
+        self.first + 2 + g
+    }
+
+    /// When the GEMM retired, if it did.
+    pub(crate) fn gemm_done(&self, world: &Cluster) -> Option<SimTime> {
+        world.stamp(self.gemm_slot())
+    }
+
+    /// When the fused epilogue finished, if there is one and it did.
+    pub(crate) fn epilogue_done(&self, world: &Cluster) -> Option<SimTime> {
+        world.stamp(self.epilogue_slot())
+    }
+
+    /// When each group's collective finished, by group.
+    pub(crate) fn group_done<'a>(
+        &self,
+        world: &'a Cluster,
+    ) -> impl Iterator<Item = Option<SimTime>> + 'a {
+        let first = self.group_slot(0);
+        (first..first + self.groups).map(|slot| world.stamp(slot))
+    }
+
+    pub(crate) fn report(&self, world: &Cluster) -> RunReport {
         let gemm_done = self
-            .gemm_done
-            .get()
+            .gemm_done(world)
             .map_or(SimDuration::ZERO, |t| t - SimTime::ZERO);
         let group_comm_done: Vec<SimDuration> = self
-            .group_done
-            .borrow()
-            .iter()
+            .group_done(world)
             .map(|t| t.map_or(SimDuration::ZERO, |t| t - SimTime::ZERO))
             .collect();
         let latency = group_comm_done
@@ -1121,7 +1101,7 @@ impl Probes {
             latency,
             gemm_done,
             group_comm_done,
-            epilogue_done: self.epilogue_done.get().map(|t| t - SimTime::ZERO),
+            epilogue_done: self.epilogue_done(world).map(|t| t - SimTime::ZERO),
         }
     }
 }

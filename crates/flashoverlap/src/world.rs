@@ -89,6 +89,21 @@ impl ChainWorld {
         self.sim.reset();
     }
 
+    /// The capacity of each buffer the world keeps between chains, by
+    /// name — the event heap, the span buffer and the cluster's queues
+    /// and slabs ([`Cluster::retained_capacities`]) — so a test can check
+    /// that warm chains neither drop nor grow them.
+    pub fn retained_capacities(&self) -> Vec<(&'static str, usize)> {
+        let mut capacities = vec![
+            ("event heap", self.sim.capacity()),
+            ("spans", self.spans.capacity()),
+        ];
+        if let Some((cluster, _)) = &self.cluster {
+            capacities.extend(cluster.retained_capacities());
+        }
+        capacities
+    }
+
     /// Hands a chain's [`crate::SequenceOutcome::spans`] back once read,
     /// so the next traced chain records into its allocation.
     pub fn recycle_spans(&mut self, mut spans: Vec<OpSpan>) {

@@ -286,3 +286,57 @@ fn a_world_rebuilds_for_another_system_and_resets_otherwise() {
         world.recycle_spans(got.spans);
     }
 }
+
+/// A warm world reruns a chain identically and allocates no more: three
+/// runs of one pipelined, traced, telemetry-instrumented 4-segment chain
+/// through one world give identical outcomes, spans and records, and
+/// after the first run the event heap, the stream queues and the op
+/// slabs the chain uses keep their capacity: not dropped, not grown.
+#[test]
+fn warm_world_reruns_a_chain_without_growing() {
+    let system = small_system(4);
+    let plans: Vec<OverlapPlan> = [256, 384, 256, 384]
+        .into_iter()
+        .map(|rows| {
+            let dims = GemmDims::new(rows, 256, 32);
+            OverlapPlan::tuned(dims, CommPattern::AllReduce, system.clone()).unwrap()
+        })
+        .collect();
+    let plans: Vec<&OverlapPlan> = plans.iter().collect();
+    let mut world = ChainWorld::new();
+    // One run: its outcome, telemetry record and the world's buffer
+    // capacities after it.
+    let run = |world: &mut ChainWorld| {
+        let telemetry = Telemetry::new();
+        let instr = telemetry.instrumentation();
+        let options = SequenceOptions::new().trace().instrument(&instr);
+        let outcome = execute_sequence_in(world, &plans, &options).unwrap();
+        drop(instr);
+        let record = format!("{:?}", telemetry.take_record());
+        world.recycle_spans(outcome.spans.clone());
+        (outcome, record, world.retained_capacities())
+    };
+    let used = [
+        "event heap",
+        "stream queues",
+        "gemm slab",
+        "collective slab",
+        "comm scopes",
+        "participants",
+        "stamps",
+    ];
+    let (want, want_record, want_capacity) = run(&mut world);
+    assert!(!want.spans.is_empty() && !want_record.is_empty());
+    for (name, cap) in &want_capacity {
+        assert!(!used.contains(name) || *cap > 0, "{name} dropped");
+    }
+    for i in 1..3 {
+        let (outcome, record, capacity) = run(&mut world);
+        same_outcome(&Ok(outcome), &Ok(want.clone())).unwrap();
+        assert_eq!(record, want_record, "run {i}: record");
+        assert_eq!(
+            capacity, want_capacity,
+            "run {i}: the world's buffers changed"
+        );
+    }
+}

@@ -2,11 +2,80 @@
 
 use std::rc::Rc;
 
-use sim::{DetRng, Trace};
+use sim::{DetRng, SimTime, Trace};
 
 use crate::arch::GpuArch;
+use crate::collective::{InFlight, P2pOp, Scope};
+use crate::counter::IncrementFault;
 use crate::device::{Device, DeviceId};
-use crate::monitor::ClusterMonitor;
+use crate::elementwise::ElementwiseKernel;
+use crate::gemm::GemmRun;
+use crate::monitor::{ClusterMonitor, RuntimeEvent, RuntimeEventKind};
+use crate::stream::Completion;
+
+/// Storage for the state of in-flight ops, indexed by the slots
+/// [`crate::stream::Event`]s carry; freed slots are reused and clearing
+/// keeps the allocations.
+pub(crate) struct Slab<T> {
+    slots: Vec<Option<T>>,
+    free: Vec<usize>,
+}
+
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> Slab<T> {
+    /// Stores `value` and returns its slot.
+    pub(crate) fn insert(&mut self, value: T) -> usize {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(value);
+                slot
+            }
+            None => {
+                self.slots.push(Some(value));
+                self.slots.len() - 1
+            }
+        }
+    }
+
+    /// Removes and returns the value in `slot`, freeing the slot; every
+    /// event takes its state once.
+    pub(crate) fn take(&mut self, slot: usize) -> T {
+        let value = self.slots[slot].take().expect("slab slot taken twice");
+        self.free.push(slot);
+        value
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+    }
+
+    pub(crate) fn capacity(&self) -> usize {
+        self.slots.capacity()
+    }
+}
+
+/// Counter faults an [`crate::stream::Op::ArmFaults`] arms on one
+/// counting table of its device. The op first disarms whatever fault
+/// budget the table still holds (quarantine), then arms `faults`,
+/// logging each step as a runtime event.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FaultArming {
+    /// Counting table index on the op's device.
+    pub table: usize,
+    /// Prefix of the logged details, e.g. `"segment 3"`.
+    pub label: String,
+    /// Faults to arm as `(group, fault, count, description)`.
+    pub faults: Vec<(usize, IncrementFault, u32, String)>,
+}
 
 /// One tile's completion record (Fig. 2 raw data).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,9 +88,9 @@ pub struct TileCompletion {
     pub wave: u32,
 }
 
-/// Structured metadata a kernel attaches to its [`OpSpan`] at the source
-/// (via [`crate::stream::Kernel::span_meta`]), so trace exporters never
-/// reverse-engineer kernel names.
+/// Structured metadata an op attaches to its [`OpSpan`] at the source
+/// (via [`crate::stream::Op::span_meta`]), so trace exporters never
+/// reverse-engineer op names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpanMeta {
     /// No metadata (control ops, delays, callbacks).
@@ -51,7 +120,7 @@ pub struct OpSpan {
     pub device: DeviceId,
     /// Stream the op occupied.
     pub stream: usize,
-    /// Kernel name (from [`crate::stream::Kernel::name`]).
+    /// Op name (from [`crate::stream::Op::name`]).
     pub name: &'static str,
     /// Source-attached kernel metadata.
     pub meta: SpanMeta,
@@ -148,8 +217,8 @@ impl std::fmt::Display for StuckWait {
 
 /// The simulation world: a homogeneous multi-GPU server.
 ///
-/// `Cluster` is the `W` type of [`sim::Sim`]; every kernel and collective
-/// in the reproduction executes as events against it.
+/// `Cluster` is the world of [`crate::stream::Event`]; every kernel and
+/// collective in the reproduction executes as events against it.
 pub struct Cluster {
     /// The devices, indexed by rank.
     pub devices: Vec<Device>,
@@ -176,6 +245,25 @@ pub struct Cluster {
     /// epilogue appends to it and `wake_counter_waiters` drains it, so the
     /// signal path reuses one buffer.
     pub(crate) released: Vec<crate::counter::Waiter>,
+    /// In-flight GEMMs (wave cursor, buffers, completion).
+    pub(crate) gemms: Slab<GemmRun>,
+    /// In-flight element-wise kernels.
+    pub(crate) elementwise: Slab<(ElementwiseKernel, Completion)>,
+    /// Rendezvoused collectives waiting for their finish event.
+    pub(crate) collectives: Slab<InFlight>,
+    /// In-flight peer copies.
+    pub(crate) p2p: Slab<(P2pOp, Completion)>,
+    /// Communicator rendezvous and serialization scopes; the first
+    /// `scopes_open` are in use, the rest keep their allocations.
+    pub(crate) scopes: Vec<Scope>,
+    pub(crate) scopes_open: usize,
+    /// Rendezvous participants of the call completing now (reused).
+    pub(crate) participants: Vec<(DeviceId, usize)>,
+    /// Times written by [`crate::stream::Op::Stamp`] ops.
+    pub(crate) stamps: Vec<Option<SimTime>>,
+    /// The runtime-event log the fault armings append to; runtimes add
+    /// their own entries with [`Cluster::log_runtime_event`].
+    pub runtime_log: Vec<RuntimeEvent>,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -214,6 +302,15 @@ impl Cluster {
             comm_fault: CommFault::default(),
             node_of: vec![0; n],
             released: Vec::new(),
+            gemms: Slab::default(),
+            elementwise: Slab::default(),
+            collectives: Slab::default(),
+            p2p: Slab::default(),
+            scopes: Vec::new(),
+            scopes_open: 0,
+            participants: Vec::new(),
+            stamps: Vec::new(),
+            runtime_log: Vec::new(),
         };
         cluster.reset(functional, seed);
         cluster
@@ -223,11 +320,12 @@ impl Cluster {
     /// `seed`: device RNGs re-forked from it, no buffer, stream, event or
     /// counting table on any device (ids restart at 0), empty SM
     /// ledgers, no comm fault, no monitor and no trace or span
-    /// recording. Queued kernels and parked waits are dropped unrun. What
-    /// the cluster was built with stays: its devices and their
-    /// architecture, the noise spec and the node map. Allocations are
-    /// kept for reuse. Every field is named here, so a new field does not
-    /// compile until its reset is decided.
+    /// recording; no in-flight op state, open communicator scope, stamp
+    /// or logged runtime event. Queued ops and parked waits
+    /// are dropped unrun. What the cluster was built with stays: its
+    /// devices and their architecture, the noise spec and the node map.
+    /// Allocations are kept for reuse. Every field is named here, so a
+    /// new field does not compile until its reset is decided.
     pub fn reset(&mut self, functional: bool, seed: u64) {
         let Cluster {
             devices,
@@ -239,6 +337,15 @@ impl Cluster {
             comm_fault,
             node_of: _,
             released,
+            gemms,
+            elementwise,
+            collectives,
+            p2p,
+            scopes,
+            scopes_open,
+            participants,
+            stamps,
+            runtime_log,
         } = self;
         let root = DetRng::new(seed);
         for (id, device) in devices.iter_mut().enumerate() {
@@ -250,6 +357,97 @@ impl Cluster {
         *monitor = None;
         *comm_fault = CommFault::default();
         released.clear();
+        gemms.clear();
+        elementwise.clear();
+        collectives.clear();
+        p2p.clear();
+        for scope in scopes.iter_mut() {
+            scope.clear();
+        }
+        *scopes_open = 0;
+        participants.clear();
+        stamps.clear();
+        runtime_log.clear();
+    }
+
+    /// The capacity of each buffer the cluster keeps across resets, by
+    /// name, so tests can check that a warm world neither drops nor
+    /// grows them.
+    pub fn retained_capacities(&self) -> [(&'static str, usize); 9] {
+        let streams = self
+            .devices
+            .iter()
+            .flat_map(|d| d.streams.iter().chain(&d.spare_streams));
+        [
+            ("stream queues", streams.map(|s| s.queue.capacity()).sum()),
+            ("gemm slab", self.gemms.capacity()),
+            ("elementwise slab", self.elementwise.capacity()),
+            ("collective slab", self.collectives.capacity()),
+            ("p2p slab", self.p2p.capacity()),
+            ("comm scopes", self.scopes.capacity()),
+            ("participants", self.participants.capacity()),
+            ("stamps", self.stamps.capacity()),
+            ("runtime log", self.runtime_log.capacity()),
+        ]
+    }
+
+    /// Allocates `n` consecutive stamp slots, all unset, and returns the
+    /// first; an [`crate::stream::Op::Stamp`] sets one to its launch
+    /// time.
+    pub fn new_stamps(&mut self, n: usize) -> usize {
+        let first = self.stamps.len();
+        self.stamps.resize(first + n, None);
+        first
+    }
+
+    /// The time stamp slot `slot` was set, if it was.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot was never allocated.
+    pub fn stamp(&self, slot: usize) -> Option<SimTime> {
+        self.stamps[slot]
+    }
+
+    /// Applies `arming` on `device` at `now`.
+    pub(crate) fn arm_faults(&mut self, arming: FaultArming, device: DeviceId, now: SimTime) {
+        let FaultArming {
+            table,
+            label,
+            faults,
+        } = arming;
+        let cleared = self.devices[device].counter_mut(table).disarm_faults();
+        if cleared > 0 {
+            self.log_runtime_event(RuntimeEvent {
+                at: now,
+                device,
+                kind: RuntimeEventKind::FaultQuarantined,
+                group: None,
+                detail: format!(
+                    "{label}: quarantined {cleared} leftover armed fault(s) \
+                     on inherited table {table}"
+                ),
+            });
+        }
+        for (group, kind, count, desc) in faults {
+            self.devices[device]
+                .counter_mut(table)
+                .arm_fault(group, kind, count);
+            self.log_runtime_event(RuntimeEvent {
+                at: now,
+                device,
+                kind: RuntimeEventKind::FaultInjected,
+                group: Some(group),
+                detail: format!("{label}: armed: {desc}"),
+            });
+        }
+    }
+
+    /// Reports `event` to the monitor, if one is attached, and appends it
+    /// to [`Cluster::runtime_log`].
+    pub fn log_runtime_event(&mut self, event: RuntimeEvent) {
+        self.notify_runtime_event(&event);
+        self.runtime_log.push(event);
     }
 
     /// Records the device → node placement (one entry per device).
@@ -420,7 +618,7 @@ mod tests {
 
     #[test]
     fn reset_matches_a_fresh_cluster() {
-        use crate::stream::{enqueue, WaitCounter};
+        use crate::stream::{enqueue, Op};
         let mut c = Cluster::new(2, GpuArch::a800(), false, 7);
         let mut sim: crate::ClusterSim = sim::Sim::new();
         c.enable_op_spans();
@@ -435,11 +633,11 @@ mod tests {
             &mut sim,
             1,
             s,
-            Box::new(WaitCounter {
+            Op::WaitCounter {
                 table,
                 group: 0,
                 threshold: 1,
-            }),
+            },
         );
         c.devices[0].rng.next_u64();
         c.reset(true, 7);
@@ -476,7 +674,7 @@ mod tests {
 
     #[test]
     fn stuck_wait_diagnostic_names_rank_group_count_threshold() {
-        use crate::stream::{enqueue, WaitCounter};
+        use crate::stream::{enqueue, Op};
         let mut c = Cluster::new(2, GpuArch::rtx4090(), false, 1);
         let mut sim: crate::ClusterSim = sim::Sim::new();
         let s = c.devices[1].create_stream();
@@ -487,11 +685,11 @@ mod tests {
             &mut sim,
             1,
             s,
-            Box::new(WaitCounter {
+            Op::WaitCounter {
                 table,
                 group: 2,
                 threshold: 9,
-            }),
+            },
         );
         sim.run(&mut c).unwrap();
         let waits = c.stuck_waits();
@@ -519,18 +717,18 @@ mod tests {
 
     #[test]
     fn abort_stream_queue_discards_queued_work_only() {
-        use crate::stream::{enqueue, Delay, WaitEvent};
+        use crate::stream::{enqueue, Op};
         let mut c = Cluster::new(1, GpuArch::rtx4090(), false, 1);
         let mut sim: crate::ClusterSim = sim::Sim::new();
         let s = c.devices[0].create_stream();
         let ev = c.devices[0].create_event();
-        enqueue(&mut c, &mut sim, 0, s, Box::new(WaitEvent(ev)));
+        enqueue(&mut c, &mut sim, 0, s, Op::WaitEvent(ev));
         enqueue(
             &mut c,
             &mut sim,
             0,
             s,
-            Box::new(Delay(sim::SimDuration::from_nanos(5))),
+            Op::Delay(sim::SimDuration::from_nanos(5)),
         );
         sim.run(&mut c).unwrap();
         // The wait is in flight (wedged); only the delay is queued.
@@ -555,7 +753,7 @@ mod tests {
 
     #[test]
     fn quiescence_detects_wedged_streams() {
-        use crate::stream::{enqueue, WaitEvent};
+        use crate::stream::{enqueue, Op};
         let mut c = Cluster::new(1, GpuArch::rtx4090(), false, 1);
         let mut sim: crate::ClusterSim = sim::Sim::new();
         let s = c.devices[0].create_stream();
@@ -563,7 +761,7 @@ mod tests {
         assert!(c.check_quiescent().is_ok());
         // Wait on an event nobody ever records: the queue drains with the
         // stream wedged.
-        enqueue(&mut c, &mut sim, 0, s, Box::new(WaitEvent(ev)));
+        enqueue(&mut c, &mut sim, 0, s, Op::WaitEvent(ev));
         sim.run(&mut c).unwrap();
         let stuck = c.check_quiescent().unwrap_err();
         assert_eq!(stuck.len(), 1);

@@ -30,7 +30,7 @@ pub struct Device {
     /// Streams and counting tables freed by [`Device::reset`], emptied,
     /// handed out again by `create_stream` / `create_counter` so a reused
     /// device keeps their queue and slot allocations.
-    spare_streams: Vec<Stream>,
+    pub(crate) spare_streams: Vec<Stream>,
     spare_counters: Vec<CounterTable>,
 }
 
@@ -251,7 +251,7 @@ mod tests {
         d.occupy_compute_sms(3);
         d.streams[s]
             .queue
-            .push_back(Box::new(crate::stream::Delay(SimDuration::from_nanos(5))));
+            .push_back(crate::stream::Op::Delay(SimDuration::from_nanos(5)));
         d.streams[s].busy = true;
         d.reset(true, DetRng::new(1));
         let mut fresh = Device::new(0, GpuArch::rtx4090(), true, DetRng::new(1));

@@ -16,7 +16,7 @@ use tensor::Matrix;
 use crate::arch::RemapGranularity;
 use crate::cluster::Cluster;
 use crate::memory::BufferId;
-use crate::stream::{Kernel, LaunchCtx};
+use crate::stream::{Completion, Event};
 use crate::ClusterSim;
 
 /// The element-wise operation to apply.
@@ -154,61 +154,68 @@ impl ElementwiseKernel {
     }
 }
 
-impl Kernel for ElementwiseKernel {
-    fn launch(self: Box<Self>, ctx: LaunchCtx, world: &mut Cluster, sim: &mut ClusterSim) {
-        if let Some(monitor) = world.monitor.as_deref().filter(|m| m.observes_accesses()) {
-            use crate::monitor::{Access, AccessKind, AccessScope};
-            for range in self.read_spans() {
-                monitor.on_access(&Access {
-                    device: ctx.device,
-                    stream: ctx.stream,
-                    buffer: self.input,
-                    range,
-                    kind: AccessKind::Read,
-                    scope: AccessScope::RemapRead,
-                    tile: None,
-                });
-            }
+/// Starts `kernel`: its reads and writes are reported at launch and
+/// land when the bandwidth-bound duration has passed.
+pub(crate) fn launch(
+    kernel: ElementwiseKernel,
+    completion: Completion,
+    world: &mut Cluster,
+    sim: &mut ClusterSim,
+) {
+    let (device, stream) = (completion.device(), completion.stream());
+    if let Some(monitor) = world.monitor.as_deref().filter(|m| m.observes_accesses()) {
+        use crate::monitor::{Access, AccessKind, AccessScope};
+        for range in kernel.read_spans() {
             monitor.on_access(&Access {
-                device: ctx.device,
-                stream: ctx.stream,
-                buffer: self.output,
-                range: 0..self.rows * self.cols,
-                kind: AccessKind::Write,
-                scope: AccessScope::ElementwiseWrite,
+                device,
+                stream,
+                buffer: kernel.input,
+                range,
+                kind: AccessKind::Read,
+                scope: AccessScope::RemapRead,
                 tile: None,
             });
         }
-        // Read + write one fp16 element each per position.
-        let bytes_moved = (self.rows * self.cols) as u64 * 2 * 2;
-        let duration = world.devices[ctx.device]
-            .arch
-            .elementwise_time(bytes_moved, self.remap_cost);
-        sim.schedule_in(duration, move |w, s| {
-            if w.functional {
-                let out = {
-                    let mem = &w.devices[ctx.device].mem;
-                    let input = self.gathered_input(mem.data(self.input));
-                    self.apply(&input)
-                };
-                let mem = &mut w.devices[ctx.device].mem;
-                let dst = mem.data_mut(self.output);
-                dst[..out.len()].copy_from_slice(out.as_slice());
-            }
-            ctx.completion.finish(w, s);
+        monitor.on_access(&Access {
+            device,
+            stream,
+            buffer: kernel.output,
+            range: 0..kernel.rows * kernel.cols,
+            kind: AccessKind::Write,
+            scope: AccessScope::ElementwiseWrite,
+            tile: None,
         });
     }
+    // Read + write one fp16 element each per position.
+    let bytes_moved = (kernel.rows * kernel.cols) as u64 * 2 * 2;
+    let duration = world.devices[device]
+        .arch
+        .elementwise_time(bytes_moved, kernel.remap_cost);
+    let slot = world.elementwise.insert((kernel, completion));
+    sim.schedule_in(duration, Event::ElementwiseDone(slot));
+}
 
-    fn name(&self) -> &'static str {
-        "elementwise"
+/// Lands the element-wise kernel in slab slot `slot`.
+pub(crate) fn finish(slot: usize, world: &mut Cluster, sim: &mut ClusterSim) {
+    let (kernel, completion) = world.elementwise.take(slot);
+    if world.functional {
+        let out = {
+            let mem = &world.devices[completion.device()].mem;
+            let input = kernel.gathered_input(mem.data(kernel.input));
+            kernel.apply(&input)
+        };
+        let mem = &mut world.devices[completion.device()].mem;
+        let dst = mem.data_mut(kernel.output);
+        dst[..out.len()].copy_from_slice(out.as_slice());
     }
+    completion.finish(world, sim);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arch::GpuArch;
-    use crate::stream::enqueue;
+    use crate::stream::{enqueue, Op};
     use sim::{DetRng, Sim};
     use tensor::{allclose, rmsnorm};
 
@@ -224,7 +231,7 @@ mod tests {
             output,
             ..kernel
         };
-        enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
+        enqueue(&mut world, &mut sim, 0, stream, Op::Elementwise(kernel));
         let end = sim.run(&mut world).unwrap();
         (world.devices[0].mem.snapshot(output), end.as_nanos())
     }
@@ -310,9 +317,9 @@ mod tests {
         };
         let mut remapped = plain.clone();
         remapped.remap_cost = Some(RemapGranularity::Token);
-        enqueue(&mut world, &mut sim, 0, stream, Box::new(plain));
+        enqueue(&mut world, &mut sim, 0, stream, Op::Elementwise(plain));
         let t_plain = sim.run(&mut world).unwrap().as_nanos();
-        enqueue(&mut world, &mut sim, 0, stream, Box::new(remapped));
+        enqueue(&mut world, &mut sim, 0, stream, Op::Elementwise(remapped));
         let t_remapped = sim.run(&mut world).unwrap().as_nanos() - t_plain;
         let overhead = t_remapped as f64 / t_plain as f64 - 1.0;
         assert!(

@@ -20,7 +20,7 @@ use crate::arch::GpuArch;
 use crate::cluster::{Cluster, SpanMeta, TileCompletion};
 use crate::device::DeviceId;
 use crate::memory::BufferId;
-use crate::stream::{Completion, Kernel, LaunchCtx, StreamId};
+use crate::stream::{Completion, Event, StreamId};
 use crate::swizzle::Swizzle;
 use crate::tile::{TileGrid, TileShape};
 use crate::wave::wave_count;
@@ -333,7 +333,8 @@ impl GemmKernel {
     }
 }
 
-struct GemmRun {
+/// A launched GEMM's state between waves, in the cluster's GEMM slab.
+pub(crate) struct GemmRun {
     device: DeviceId,
     a: BufferId,
     b: BufferId,
@@ -351,81 +352,80 @@ struct GemmRun {
     completion: Completion,
 }
 
-impl Kernel for GemmKernel {
-    fn launch(self: Box<Self>, ctx: LaunchCtx, world: &mut Cluster, sim: &mut ClusterSim) {
-        let arch = world.devices[ctx.device].arch.clone();
-        let grid = self.config.grid(self.dims);
-        debug_assert_eq!(
-            self.issue.len(),
-            grid.num_tiles() as usize,
-            "issue order does not cover the kernel's tile grid"
+/// Starts `kernel`: after the launch latency its first wave issues.
+pub(crate) fn launch(
+    kernel: GemmKernel,
+    completion: Completion,
+    world: &mut Cluster,
+    sim: &mut ClusterSim,
+) {
+    let device = completion.device();
+    let grid = kernel.config.grid(kernel.dims);
+    debug_assert_eq!(
+        kernel.issue.len(),
+        grid.num_tiles() as usize,
+        "issue order does not cover the kernel's tile grid"
+    );
+    debug_assert!(
+        kernel.counter.as_ref().is_none_or(|hook| hook
+            .runs
+            .last()
+            .map_or(0, |run| run.end as usize)
+            == kernel.issue.len()),
+        "counter hook runs do not cover the issue order"
+    );
+    // Per-launch execution noise (positive only): clocks never beat
+    // the model.
+    let noise = 1.0
+        + world.devices[device]
+            .rng
+            .uniform(0.0, world.noise.gemm_frac.max(0.0));
+    let arch = &world.devices[device].arch;
+    let tile_dur = tile_duration(kernel.dims.k, kernel.config.tile, arch).mul_f64(noise);
+    let launch = arch.kernel_launch();
+    if world.functional {
+        let mem = &world.devices[device].mem;
+        assert_eq!(
+            mem.len_of(kernel.a),
+            (kernel.dims.m * kernel.dims.k) as usize,
+            "A buffer length mismatch"
         );
-        debug_assert!(
-            self.counter.as_ref().is_none_or(|hook| hook
-                .runs
-                .last()
-                .map_or(0, |run| run.end as usize)
-                == self.issue.len()),
-            "counter hook runs do not cover the issue order"
+        assert_eq!(
+            mem.len_of(kernel.b),
+            (kernel.dims.k * kernel.dims.n) as usize,
+            "B buffer length mismatch"
         );
-        // Per-launch execution noise (positive only): clocks never beat
-        // the model.
-        let noise = 1.0
-            + world.devices[ctx.device]
-                .rng
-                .uniform(0.0, world.noise.gemm_frac.max(0.0));
-        let run = GemmRun {
-            device: ctx.device,
-            a: self.a,
-            b: self.b,
-            out: self.out,
-            dims: self.dims,
-            grid,
-            tile_dur: tile_duration(self.dims.k, self.config.tile, &arch).mul_f64(noise),
-            issue: self.issue,
-            next: 0,
-            wave_idx: 0,
-            writer: self.writer,
-            counter: self.counter,
-            run_cursor: 0,
-            completion: ctx.completion,
-        };
-        if world.functional {
-            let mem = &world.devices[ctx.device].mem;
-            assert_eq!(
-                mem.len_of(self.a),
-                (self.dims.m * self.dims.k) as usize,
-                "A buffer length mismatch"
-            );
-            assert_eq!(
-                mem.len_of(self.b),
-                (self.dims.k * self.dims.n) as usize,
-                "B buffer length mismatch"
-            );
-            assert!(
-                mem.len_of(self.out) >= run.writer.out_len(&run.grid),
-                "output buffer too small for epilogue writer"
-            );
-        }
-        let launch = world.devices[ctx.device].arch.kernel_launch();
-        sim.schedule_in(launch, move |w, s| start_wave(run, w, s));
+        assert!(
+            mem.len_of(kernel.out) >= kernel.writer.out_len(&grid),
+            "output buffer too small for epilogue writer"
+        );
     }
-
-    fn name(&self) -> &'static str {
-        "gemm"
-    }
-
-    fn span_meta(&self) -> SpanMeta {
-        // The realized (contended) wave count is unknown at launch; the
-        // retire path overwrites `waves` with the runtime value.
-        SpanMeta::Gemm {
-            tiles: self.config.grid(self.dims).num_tiles(),
-            waves: 0,
-        }
-    }
+    let run = world.gemms.insert(GemmRun {
+        device,
+        a: kernel.a,
+        b: kernel.b,
+        out: kernel.out,
+        dims: kernel.dims,
+        grid,
+        tile_dur,
+        issue: kernel.issue,
+        next: 0,
+        wave_idx: 0,
+        writer: kernel.writer,
+        counter: kernel.counter,
+        run_cursor: 0,
+        completion,
+    });
+    sim.schedule_in(launch, Event::WaveStart(run));
 }
 
-fn start_wave(run: GemmRun, world: &mut Cluster, sim: &mut ClusterSim) {
+/// Issues the next wave of the GEMM in slab slot `slot`.
+pub(crate) fn start_wave(slot: usize, world: &mut Cluster, sim: &mut ClusterSim) {
+    let run = world.gemms.take(slot);
+    issue_wave(run, world, sim);
+}
+
+fn issue_wave(run: GemmRun, world: &mut Cluster, sim: &mut ClusterSim) {
     // SM availability is sampled at wave start: communication kernels and
     // other compute kernels that arrived since the previous wave shrink
     // this wave. The wave holds its SMs until it retires, so concurrent
@@ -436,10 +436,13 @@ fn start_wave(run: GemmRun, world: &mut Cluster, sim: &mut ClusterSim) {
     device.occupy_compute_sms(count as u32);
     world.notify_sm_occupancy(sim.now(), run.device);
     let dur = run.tile_dur;
-    sim.schedule_in(dur, move |w, s| finish_wave(run, count, w, s));
+    let run = world.gemms.insert(run);
+    sim.schedule_in(dur, Event::WaveFinish { run, count });
 }
 
-fn finish_wave(mut run: GemmRun, count: usize, world: &mut Cluster, sim: &mut ClusterSim) {
+/// Retires a wave of `count` tiles of the GEMM in slab slot `slot`.
+pub(crate) fn finish_wave(slot: usize, count: usize, world: &mut Cluster, sim: &mut ClusterSim) {
+    let mut run = world.gemms.take(slot);
     world.devices[run.device].release_compute_sms(count as u32);
     world.notify_sm_occupancy(sim.now(), run.device);
     let wave_tiles = &run.issue[run.next..run.next + count];
@@ -536,7 +539,7 @@ fn finish_wave(mut run: GemmRun, count: usize, world: &mut Cluster, sim: &mut Cl
         }
         run.completion.finish(world, sim);
     } else {
-        start_wave(run, world, sim);
+        issue_wave(run, world, sim);
     }
 }
 
@@ -611,13 +614,13 @@ fn signal_wave(
                 detail,
             });
             if let IncrementFault::Delayed(by) = fault {
-                sim.schedule_in(by, move |w, s| {
-                    if let Some(monitor) = w.monitor.as_deref() {
-                        monitor.on_counter_increment(s.now(), device, stream, table_idx, group, 1);
-                    }
-                    increment_counter(w, device, table_idx, group, 1);
-                    wake_counter_waiters(w, s, device, table_idx);
-                });
+                let landing = Event::DelayedIncrement {
+                    device: device as u32,
+                    stream: stream as u32,
+                    table: table_idx as u32,
+                    group: group as u32,
+                };
+                sim.schedule_in(by, landing);
             }
         }
 
@@ -658,7 +661,7 @@ fn compute_tile_block(a: &[f32], b: &[f32], dims: GemmDims, grid: &TileGrid, t: 
 mod tests {
     use super::*;
     use crate::cluster::Cluster;
-    use crate::stream::{enqueue, Callback, Delay};
+    use crate::stream::{enqueue, Op};
     use proptest::prelude::*;
     use sim::{DetRng, Sim};
     use tensor::{allclose, gemm};
@@ -679,7 +682,7 @@ mod tests {
         let stream = dev.create_stream();
         let config = config.unwrap_or_else(|| GemmConfig::choose(dims, &world.devices[0].arch));
         let kernel = GemmKernel::with_config(a_id, b_id, out_id, dims, config);
-        enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
+        enqueue(&mut world, &mut sim, 0, stream, Op::Gemm(kernel));
         let end = sim.run(&mut world).unwrap();
         let out = Matrix::from_vec(
             dims.m as usize,
@@ -744,7 +747,7 @@ mod tests {
         let arch = world.devices[0].arch.clone();
         let kernel = GemmKernel::plain(a, b, out, dims, &arch);
         let config = kernel.config;
-        enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
+        enqueue(&mut world, &mut sim, 0, stream, Op::Gemm(kernel));
         let end = sim.run(&mut world).unwrap();
         let (waves, est) = gemm_estimate(dims, &config, arch.sm_count, &arch);
         assert_eq!(waves, 4, "paper example: 512 tiles / 128 SMs");
@@ -766,7 +769,7 @@ mod tests {
             let stream = dev.create_stream();
             let arch = world.devices[0].arch.clone();
             let kernel = GemmKernel::plain(a, b, out, dims, &arch);
-            enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
+            enqueue(&mut world, &mut sim, 0, stream, Op::Gemm(kernel));
             durations.push(sim.run(&mut world).unwrap().as_nanos());
         }
         assert!(
@@ -793,23 +796,26 @@ mod tests {
         let s0 = dev.create_stream();
         let s1 = dev.create_stream();
         let kernel = GemmKernel::plain(a, b, out, dims, &arch);
-        enqueue(&mut world, &mut sim, 0, s0, Box::new(kernel));
-        // Steal half the SMs at 60% of the clean duration.
-        enqueue(
-            &mut world,
-            &mut sim,
-            0,
-            s1,
-            Box::new(Delay(clean.mul_f64(0.6))),
-        );
-        enqueue(
-            &mut world,
-            &mut sim,
-            0,
-            s1,
-            Box::new(Callback(Box::new(|w, _| w.devices[0].occupy_comm_sms(64)))),
-        );
-        let end = sim.run(&mut world).unwrap();
+        let gemm_done = world.new_stamps(1);
+        enqueue(&mut world, &mut sim, 0, s0, Op::Gemm(kernel));
+        enqueue(&mut world, &mut sim, 0, s0, Op::Stamp(gemm_done));
+        // Steal half the SMs from 60% of the clean duration on, with a
+        // peer copy outlasting the GEMM.
+        enqueue(&mut world, &mut sim, 0, s1, Op::Delay(clean.mul_f64(0.6)));
+        let steal = crate::collective::P2pOp {
+            src_buf: out,
+            src_off: 0,
+            dst_dev: 0,
+            dst_buf: out,
+            dst_off: 0,
+            count: 0,
+            sm_footprint: 64,
+            bytes: 0,
+            duration: clean * 4,
+        };
+        enqueue(&mut world, &mut sim, 0, s1, Op::P2p(steal));
+        sim.run(&mut world).unwrap();
+        let end = world.stamp(gemm_done).expect("the GEMM retired");
         let stretched = end - sim::SimTime::ZERO;
         assert!(stretched > clean, "late contention should stretch the tail");
         assert!(
@@ -834,7 +840,7 @@ mod tests {
                 let out = dev.mem.alloc(1);
                 let stream = dev.create_stream();
                 let kernel = GemmKernel::plain(a, b, out, dims, &arch);
-                enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
+                enqueue(&mut world, &mut sim, 0, stream, Op::Gemm(kernel));
             }
             sim.run(&mut world).unwrap().as_nanos()
         };
@@ -870,7 +876,7 @@ mod tests {
         let groups: Vec<u32> = (0..grid.num_tiles()).map(|t| t % 2).collect();
         let mut kernel = GemmKernel::with_config(a_id, b_id, out, dims, config);
         kernel.counter = Some(CounterHook::new(table, group_runs(&kernel.issue, &groups)));
-        enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
+        enqueue(&mut world, &mut sim, 0, stream, Op::Gemm(kernel));
         sim.run(&mut world).unwrap();
         let total = grid.num_tiles();
         assert_eq!(world.devices[0].counter(table).count(0), total / 2);
@@ -897,7 +903,7 @@ mod tests {
         let groups: Vec<u32> = (0..grid.num_tiles()).map(|t| t % 2).collect();
         let mut kernel = GemmKernel::with_config(a_id, b_id, out, dims, config);
         kernel.counter = Some(CounterHook::new(table, group_runs(&kernel.issue, &groups)));
-        enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
+        enqueue(&mut world, &mut sim, 0, stream, Op::Gemm(kernel));
         sim.run(&mut world).unwrap();
         let total = grid.num_tiles();
         assert_eq!(world.devices[0].counter(table).count(0), total / 2);
@@ -929,7 +935,7 @@ mod tests {
             let groups: Vec<u32> = (0..grid.num_tiles()).map(|_| 0).collect();
             let mut kernel = GemmKernel::with_config(a_id, b_id, out, dims, config);
             kernel.counter = Some(CounterHook::new(table, group_runs(&kernel.issue, &groups)));
-            enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
+            enqueue(&mut world, &mut sim, 0, stream, Op::Gemm(kernel));
             let end = sim.run(&mut world).unwrap();
             (world.devices[0].counter(table).count(0), end.as_nanos())
         };
@@ -1009,16 +1015,16 @@ mod tests {
         let gemm_stream = dev.create_stream();
         for (group, threshold) in [(0, 9), (0, 7), (0, 5), (1, 6)] {
             let s = world.devices[0].create_stream();
-            let wait = crate::stream::WaitCounter {
+            let wait = Op::WaitCounter {
                 table,
                 group,
                 threshold,
             };
-            enqueue(&mut world, &mut sim, 0, s, Box::new(wait));
+            enqueue(&mut world, &mut sim, 0, s, wait);
         }
         let mut kernel = GemmKernel::with_config(a, b, out, dims, config);
         kernel.counter = Some(CounterHook::new(table, group_runs(&kernel.issue, &groups)));
-        enqueue(&mut world, &mut sim, 0, gemm_stream, Box::new(kernel));
+        enqueue(&mut world, &mut sim, 0, gemm_stream, Op::Gemm(kernel));
         let _ = sim.run(&mut world);
         let counts = [0, 1].map(|g| world.devices[0].counter(table).count(g));
         drop(world);
@@ -1186,30 +1192,27 @@ mod tests {
         }
         for &(group, threshold) in &sc.waits {
             let s = world.devices[0].create_stream();
-            let wait = crate::stream::WaitCounter {
+            let wait = Op::WaitCounter {
                 table,
                 group,
                 threshold,
             };
-            enqueue(&mut world, &mut sim, 0, s, Box::new(wait));
+            enqueue(&mut world, &mut sim, 0, s, wait);
         }
         let gemm_stream = world.devices[0].create_stream();
         let group_runs = group_runs(&sc.issue, &sc.group_of_tile);
-        let cursor = Rc::new(std::cell::Cell::new(0));
+        let mut cursor = 0;
         for (i, wave) in sc.waves.iter().cloned().enumerate() {
-            let (issue, map) = (sc.issue.clone(), sc.group_of_tile.clone());
-            let (group_runs, cursor) = (group_runs.clone(), cursor.clone());
-            sim.schedule_at(sim::SimTime::from_nanos(1_000 * i as u64), move |w, s| {
-                if runs {
-                    let mut at = cursor.get();
-                    let clipped = clipped_runs(&group_runs, &mut at, wave);
-                    signal_wave(w, s, 0, gemm_stream, table, &issue, clipped);
-                    cursor.set(at);
-                } else {
-                    let scanned = scanned_runs(&issue, &map, wave);
-                    signal_wave(w, s, 0, gemm_stream, table, &issue, scanned.into_iter());
-                }
-            });
+            sim.run_until(&mut world, sim::SimTime::from_nanos(1_000 * i as u64))
+                .unwrap();
+            let (w, s) = (&mut world, &mut sim);
+            if runs {
+                let clipped = clipped_runs(&group_runs, &mut cursor, wave);
+                signal_wave(w, s, 0, gemm_stream, table, &sc.issue, clipped);
+            } else {
+                let scanned = scanned_runs(&sc.issue, &sc.group_of_tile, wave);
+                signal_wave(w, s, 0, gemm_stream, table, &sc.issue, scanned.into_iter());
+            }
         }
         let _ = sim.run(&mut world);
         let counts = (0..sc.groups)
@@ -1313,7 +1316,7 @@ mod tests {
         // Retiling after construction leaves a 16-tile order on a
         // 4-tile grid.
         kernel.config.tile = TileShape::new(32, 32);
-        enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
+        enqueue(&mut world, &mut sim, 0, stream, Op::Gemm(kernel));
         let _ = sim.run(&mut world);
     }
 
@@ -1333,7 +1336,7 @@ mod tests {
             swizzle: Swizzle::Strip { width: 2 },
         };
         let kernel = GemmKernel::with_config(a, b, out, dims, config);
-        enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
+        enqueue(&mut world, &mut sim, 0, stream, Op::Gemm(kernel));
         sim.run(&mut world).unwrap();
         let trace = world.tile_trace.as_ref().unwrap();
         // 16 tiles on 128 SMs: a single wave.
@@ -1361,7 +1364,7 @@ mod tests {
             let out = dev.mem.alloc(1);
             let stream = dev.create_stream();
             let kernel = GemmKernel::with_config(a, b, out, dims, config);
-            enqueue(&mut world, &mut sim, 0, stream, Box::new(kernel));
+            enqueue(&mut world, &mut sim, 0, stream, Op::Gemm(kernel));
             noisy_durations.push(sim.run(&mut world).unwrap().as_nanos());
         }
         for &d in &noisy_durations {

@@ -18,6 +18,7 @@
 
 pub mod arch;
 pub mod cluster;
+pub mod collective;
 pub mod counter;
 pub mod device;
 pub mod elementwise;
@@ -30,16 +31,17 @@ pub mod tile;
 pub mod wave;
 
 pub use arch::GpuArch;
-pub use cluster::{Cluster, CommFault, OpSpan, SpanMeta, StuckWait, TileCompletion};
+pub use cluster::{Cluster, CommFault, FaultArming, OpSpan, SpanMeta, StuckWait, TileCompletion};
+pub use collective::{CollectiveCall, CollectiveOp, CollectiveRole, P2pOp};
 pub use counter::IncrementFault;
 pub use device::{Device, DeviceId};
 pub use memory::BufferId;
 pub use monitor::{
     Access, AccessKind, AccessScope, ClusterMonitor, LinkTransfer, RuntimeEvent, RuntimeEventKind,
 };
-pub use stream::{Completion, GpuEventId, Kernel, LaunchCtx, StreamId};
+pub use stream::{Completion, Event, GpuEventId, Op, StreamId};
 pub use tile::{TileGrid, TileShape};
 pub use wave::WaveSchedule;
 
-/// The simulator type specialized to a GPU cluster world.
-pub type ClusterSim = sim::Sim<Cluster>;
+/// The simulator type specialized to a GPU cluster world and its events.
+pub type ClusterSim = sim::Sim<Event>;

@@ -1,19 +1,32 @@
-//! CUDA-like streams, events, and the kernel launch protocol.
+//! CUDA-like streams, events, and the closed sets of stream ops and
+//! simulator events.
 //!
-//! A stream executes its enqueued kernels strictly in order, one at a time.
-//! A kernel receives a [`Completion`] token at launch and must fire it
+//! A stream executes its enqueued [`Op`]s strictly in order, one at a
+//! time. An op receives a [`Completion`] token at launch and fires it
 //! exactly once when its work (as modelled in simulated time) is done; the
-//! stream then advances to the next kernel. Cross-stream ordering uses
-//! [`RecordEvent`]/[`WaitEvent`] pairs, mirroring `cudaEventRecord` /
-//! `cudaStreamWaitEvent` — the mechanism FlashOverlap's two-stream runtime
-//! (§5) is built on.
+//! stream then advances to the next op. Cross-stream ordering uses
+//! [`Op::RecordEvent`]/[`Op::WaitEvent`] pairs, mirroring `cudaEventRecord`
+//! / `cudaStreamWaitEvent` — the mechanism FlashOverlap's two-stream
+//! runtime (§5) is built on.
+//!
+//! The runtime needs only a few fixed primitives (GEMM waves whose
+//! epilogue bumps a counting table, a signaling kernel that waits on it,
+//! the collective it releases), so both sets are closed enums: ops are
+//! stored by value in the stream queues, and every simulator event is an
+//! [`Event`] of a few words whose larger state — a GEMM's wave cursor, a
+//! collective's rendezvous — lives in slabs the [`Cluster`] owns and
+//! resets with their capacity kept. A warm world enqueues and runs a
+//! chain without allocating an op or an event.
 
 use std::collections::VecDeque;
 
 use sim::{SimDuration, SimTime};
 
-use crate::cluster::{Cluster, SpanMeta};
+use crate::cluster::{Cluster, FaultArming, SpanMeta};
+use crate::collective::{CollectiveOp, CollectiveRole, P2pOp};
 use crate::device::DeviceId;
+use crate::elementwise::ElementwiseKernel;
+use crate::gemm::GemmKernel;
 use crate::ClusterSim;
 
 /// Identifies a stream on a device.
@@ -22,38 +35,246 @@ pub type StreamId = usize;
 /// Identifies a recordable event on a device.
 pub type GpuEventId = usize;
 
-/// A stream operation: anything launchable on a stream.
-///
-/// Implementations model their duration by scheduling simulator events and
-/// must eventually call [`Completion::finish`] exactly once.
-pub trait Kernel {
-    /// Starts the operation. `ctx.completion` must be fired when done.
-    fn launch(self: Box<Self>, ctx: LaunchCtx, world: &mut Cluster, sim: &mut ClusterSim);
+/// A stream operation: the closed set of things a stream can run.
+#[derive(Debug)]
+pub enum Op {
+    /// A tiled GEMM kernel.
+    Gemm(GemmKernel),
+    /// An element-wise kernel, optionally gathering through a remap.
+    Elementwise(ElementwiseKernel),
+    /// The signaling kernel (§5): blocks the stream until a
+    /// counting-table slot reaches its threshold, modelling the polling
+    /// quantum of the real spin-waiting kernel.
+    WaitCounter {
+        /// Counting table index on the device.
+        table: usize,
+        /// Group slot to watch.
+        group: usize,
+        /// Count to wait for (the group's tile count).
+        threshold: u32,
+    },
+    /// Records an event: all prior work on the stream is done when it
+    /// fires, releasing any [`Op::WaitEvent`] waiters.
+    RecordEvent(GpuEventId),
+    /// Blocks the stream until the event has been recorded (on this
+    /// device).
+    WaitEvent(GpuEventId),
+    /// Resets a counting table for reuse (zero duration): every group
+    /// count returns to zero (steady-state double buffering). The caller
+    /// must order the reset after the previous user's waits through an
+    /// event edge; resetting under a parked waiter panics.
+    ResetCounter {
+        /// Counting table index on the device.
+        table: usize,
+    },
+    /// Occupies the stream for a fixed duration (launch skew, slow
+    /// ranks, tests).
+    Delay(SimDuration),
+    /// Writes the clock into a stamp slot of the cluster (zero
+    /// duration): how a runtime learns when the work ahead of it on the
+    /// stream finished. See [`Cluster::new_stamps`].
+    Stamp(usize),
+    /// Arms counter faults on a table of the device (zero duration).
+    ArmFaults(FaultArming),
+    /// One rank's half of a collective call.
+    Collective(CollectiveOp),
+    /// A one-sided peer-to-peer copy.
+    P2p(P2pOp),
+}
 
-    /// Human-readable kernel name for traces and errors.
-    fn name(&self) -> &'static str {
-        "kernel"
+impl Op {
+    /// Op name for traces and errors.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Op::Gemm(_) => "gemm",
+            Op::Elementwise(_) => "elementwise",
+            Op::WaitCounter { .. } => "wait_counter",
+            Op::RecordEvent(_) => "record_event",
+            Op::WaitEvent(_) => "wait_event",
+            Op::ResetCounter { .. } => "reset_counter",
+            Op::Delay(_) => "delay",
+            Op::Stamp(_) | Op::ArmFaults(_) => "callback",
+            Op::Collective(op) => match op.role {
+                CollectiveRole::Overlap => "collective",
+                CollectiveRole::Tail => "tail-collective",
+                CollectiveRole::Bulk => "bulk-collective",
+            },
+            Op::P2p(_) => "p2p_copy",
+        }
     }
 
-    /// Structured metadata recorded on the kernel's [`OpSpan`]
-    /// (bytes/group for collectives, tiles/waves for GEMMs). Control ops
-    /// keep the default [`SpanMeta::None`].
+    /// Structured metadata recorded on the op's [`OpSpan`]
+    /// (bytes/group for collectives, tiles/waves for GEMMs); control ops
+    /// record [`SpanMeta::None`].
     ///
     /// [`OpSpan`]: crate::cluster::OpSpan
-    fn span_meta(&self) -> SpanMeta {
-        SpanMeta::None
+    pub fn span_meta(&self) -> SpanMeta {
+        match self {
+            // The realized (contended) wave count is unknown at launch;
+            // the retire path overwrites `waves` with the runtime value.
+            Op::Gemm(kernel) => SpanMeta::Gemm {
+                tiles: kernel.config.grid(kernel.dims).num_tiles(),
+                waves: 0,
+            },
+            Op::Collective(op) => SpanMeta::Collective {
+                bytes: op.call.payload_bytes(),
+                group: op.group,
+            },
+            Op::P2p(op) => SpanMeta::Collective {
+                bytes: op.bytes,
+                group: None,
+            },
+            _ => SpanMeta::None,
+        }
+    }
+
+    /// Starts the op; `completion` is fired when it is done.
+    fn launch(self, completion: Completion, world: &mut Cluster, sim: &mut ClusterSim) {
+        let (device, stream) = (completion.device, completion.stream);
+        match self {
+            Op::Gemm(kernel) => crate::gemm::launch(kernel, completion, world, sim),
+            Op::Elementwise(kernel) => {
+                crate::elementwise::launch(kernel, completion, world, sim);
+            }
+            Op::WaitCounter {
+                table,
+                group,
+                threshold,
+            } => {
+                let dev = &mut world.devices[device];
+                let poll = dev.signal_poll_delay();
+                // `None`: parked; the incrementing wave will wake it (the
+                // wake path adds the polling delay).
+                if let Some(completion) = dev.counters[table].register(group, threshold, completion)
+                {
+                    // Already satisfied; still pay one polling quantum.
+                    if let Some(monitor) = world.monitor.as_deref() {
+                        monitor.on_counter_satisfied(
+                            sim.now(),
+                            device,
+                            stream,
+                            table,
+                            group,
+                            threshold,
+                        );
+                    }
+                    sim.schedule_in(poll, Event::Complete(completion));
+                }
+            }
+            Op::RecordEvent(ev) => {
+                let event = &mut world.devices[device].events[ev];
+                event.recorded = Some(sim.now());
+                let waiters = std::mem::take(&mut event.waiters);
+                if let Some(monitor) = world.monitor.as_deref() {
+                    monitor.on_event_record(sim.now(), device, stream, ev);
+                    // Parked waiters synchronize now, at record time.
+                    for waiter in &waiters {
+                        monitor.on_event_wait(sim.now(), waiter.device, waiter.stream, ev);
+                    }
+                }
+                for waiter in waiters {
+                    // Wake on a fresh event so each waiter's stream
+                    // advances after the current call stack unwinds.
+                    sim.schedule_now(Event::Complete(waiter));
+                }
+                completion.finish(world, sim);
+            }
+            Op::WaitEvent(ev) => {
+                let event = &mut world.devices[device].events[ev];
+                if event.recorded.is_some() {
+                    if let Some(monitor) = world.monitor.as_deref() {
+                        monitor.on_event_wait(sim.now(), device, stream, ev);
+                    }
+                    completion.finish(world, sim);
+                } else {
+                    event.waiters.push(completion);
+                }
+            }
+            Op::ResetCounter { table } => {
+                world.devices[device].counters[table].reset();
+                if let Some(monitor) = world.monitor.as_deref() {
+                    monitor.on_counter_reset(sim.now(), device, stream, table);
+                }
+                completion.finish(world, sim);
+            }
+            Op::Delay(d) => sim.schedule_in(d, Event::Complete(completion)),
+            Op::Stamp(slot) => {
+                world.stamps[slot] = Some(sim.now());
+                completion.finish(world, sim);
+            }
+            Op::ArmFaults(arming) => {
+                world.arm_faults(arming, device, sim.now());
+                completion.finish(world, sim);
+            }
+            Op::Collective(op) => crate::collective::launch(op, completion, world, sim),
+            Op::P2p(op) => crate::collective::launch_p2p(op, completion, world, sim),
+        }
     }
 }
 
-/// Launch context handed to a kernel.
+/// A simulator event: the closed set of things that happen in a
+/// [`Cluster`]. Each carries a few words; larger state lives in the
+/// cluster's slabs, indexed by the `usize` slots.
 #[derive(Debug)]
-pub struct LaunchCtx {
-    /// Device the kernel launched on.
-    pub device: DeviceId,
-    /// Stream the kernel occupies.
-    pub stream: StreamId,
-    /// Completion token; firing it frees the stream.
-    pub completion: Completion,
+pub enum Event {
+    /// A stream op finishes: its stream advances.
+    Complete(Completion),
+    /// A GEMM (slot of the cluster's GEMM slab) issues its next wave.
+    WaveStart(usize),
+    /// A GEMM's wave of `count` tiles retires.
+    #[allow(missing_docs)]
+    WaveFinish { run: usize, count: usize },
+    /// A delayed epilogue increment of one tile lands on `(device,
+    /// table)`'s `group` slot, signaled from the GEMM's `stream`.
+    #[allow(missing_docs)]
+    DelayedIncrement {
+        device: u32,
+        stream: u32,
+        table: u32,
+        group: u32,
+    },
+    /// An element-wise kernel (slot of the cluster's slab) finishes.
+    ElementwiseDone(usize),
+    /// A rendezvoused collective (slot of the cluster's slab) finishes on
+    /// every rank.
+    CollectiveFinish(usize),
+    /// A peer copy (slot of the cluster's slab) lands.
+    P2pFinish(usize),
+}
+
+impl sim::Event for Event {
+    type World = Cluster;
+
+    fn fire(self, world: &mut Cluster, sim: &mut ClusterSim) {
+        match self {
+            Event::Complete(completion) => completion.finish(world, sim),
+            Event::WaveStart(run) => crate::gemm::start_wave(run, world, sim),
+            Event::WaveFinish { run, count } => crate::gemm::finish_wave(run, count, world, sim),
+            Event::DelayedIncrement {
+                device,
+                stream,
+                table,
+                group,
+            } => {
+                let (device, table, group) = (device as usize, table as usize, group as usize);
+                if let Some(monitor) = world.monitor.as_deref() {
+                    monitor.on_counter_increment(
+                        sim.now(),
+                        device,
+                        stream as usize,
+                        table,
+                        group,
+                        1,
+                    );
+                }
+                increment_counter(world, device, table, group, 1);
+                wake_counter_waiters(world, sim, device, table);
+            }
+            Event::ElementwiseDone(slot) => crate::elementwise::finish(slot, world, sim),
+            Event::CollectiveFinish(slot) => crate::collective::finish(slot, world, sim),
+            Event::P2pFinish(slot) => crate::collective::finish_p2p(slot, world, sim),
+        }
+    }
 }
 
 /// A one-shot token that marks a stream operation finished.
@@ -68,12 +289,9 @@ pub struct Completion {
 }
 
 impl Completion {
-    pub(crate) fn new(device: DeviceId, stream: StreamId) -> Self {
-        Completion { device, stream }
-    }
-
     /// Creates a detached token for unit tests of waiter plumbing.
-    pub fn for_test(device: DeviceId, stream: StreamId) -> Self {
+    #[cfg(test)]
+    pub(crate) fn for_test(device: DeviceId, stream: StreamId) -> Self {
         Completion { device, stream }
     }
 
@@ -108,10 +326,10 @@ impl Completion {
     }
 }
 
-/// An in-order queue of kernels on one device.
-#[derive(Default)]
+/// An in-order queue of ops on one device.
+#[derive(Debug, Default)]
 pub struct Stream {
-    pub(crate) queue: VecDeque<Box<dyn Kernel>>,
+    pub(crate) queue: VecDeque<Op>,
     pub(crate) busy: bool,
     /// Name, metadata, and start time of the in-flight op (span recording
     /// only).
@@ -119,8 +337,8 @@ pub struct Stream {
 }
 
 impl Stream {
-    /// Drops every queued kernel unrun and marks the stream idle,
-    /// keeping the queue's allocation.
+    /// Drops every queued op unrun and marks the stream idle, keeping
+    /// the queue's allocation.
     pub(crate) fn clear(&mut self) {
         let Stream {
             queue,
@@ -133,15 +351,6 @@ impl Stream {
     }
 }
 
-impl std::fmt::Debug for Stream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Stream")
-            .field("queued", &self.queue.len())
-            .field("busy", &self.busy)
-            .finish()
-    }
-}
-
 /// A recordable synchronization event (cudaEvent analogue).
 #[derive(Debug, Default)]
 pub struct GpuEvent {
@@ -149,7 +358,7 @@ pub struct GpuEvent {
     pub(crate) waiters: Vec<Completion>,
 }
 
-/// Enqueues `kernel` on `(device, stream)` and starts it if the stream is
+/// Enqueues `op` on `(device, stream)` and starts it if the stream is
 /// idle.
 ///
 /// # Panics
@@ -160,15 +369,13 @@ pub fn enqueue(
     sim: &mut ClusterSim,
     device: DeviceId,
     stream: StreamId,
-    kernel: Box<dyn Kernel>,
+    op: Op,
 ) {
-    world.devices[device].streams[stream]
-        .queue
-        .push_back(kernel);
+    world.devices[device].streams[stream].queue.push_back(op);
     advance_stream(world, sim, device, stream);
 }
 
-/// Starts the next queued kernel if the stream is idle.
+/// Starts the next queued op if the stream is idle.
 pub(crate) fn advance_stream(
     world: &mut Cluster,
     sim: &mut ClusterSim,
@@ -179,182 +386,15 @@ pub(crate) fn advance_stream(
     if st.busy {
         return;
     }
-    let Some(kernel) = st.queue.pop_front() else {
+    let Some(op) = st.queue.pop_front() else {
         return;
     };
     st.busy = true;
     if world.op_spans.is_some() {
         world.devices[device].streams[stream].current =
-            Some((kernel.name(), kernel.span_meta(), sim.now()));
+            Some((op.name(), op.span_meta(), sim.now()));
     }
-    let ctx = LaunchCtx {
-        device,
-        stream,
-        completion: Completion::new(device, stream),
-    };
-    kernel.launch(ctx, world, sim);
-}
-
-/// A kernel that occupies its stream for a fixed duration (tests, and
-/// simple cost-model kernels).
-#[derive(Debug, Clone, Copy)]
-pub struct Delay(pub SimDuration);
-
-impl Kernel for Delay {
-    fn launch(self: Box<Self>, ctx: LaunchCtx, _world: &mut Cluster, sim: &mut ClusterSim) {
-        sim.schedule_in(self.0, move |w, s| ctx.completion.finish(w, s));
-    }
-
-    fn name(&self) -> &'static str {
-        "delay"
-    }
-}
-
-/// Records an event on the stream: all prior work on the stream is done
-/// when it fires, releasing any [`WaitEvent`] waiters.
-#[derive(Debug, Clone, Copy)]
-pub struct RecordEvent(pub GpuEventId);
-
-impl Kernel for RecordEvent {
-    fn launch(self: Box<Self>, ctx: LaunchCtx, world: &mut Cluster, sim: &mut ClusterSim) {
-        let ev = &mut world.devices[ctx.device].events[self.0];
-        ev.recorded = Some(sim.now());
-        let waiters = std::mem::take(&mut ev.waiters);
-        if let Some(monitor) = world.monitor.as_deref() {
-            monitor.on_event_record(sim.now(), ctx.device, ctx.stream, self.0);
-            // Parked waiters synchronize now, at record time.
-            for completion in &waiters {
-                monitor.on_event_wait(sim.now(), completion.device(), completion.stream(), self.0);
-            }
-        }
-        for completion in waiters {
-            // Wake on a fresh event so each waiter's stream advances after
-            // the current call stack unwinds.
-            sim.schedule_now(move |w, s| completion.finish(w, s));
-        }
-        ctx.completion.finish(world, sim);
-    }
-
-    fn name(&self) -> &'static str {
-        "record_event"
-    }
-}
-
-/// Blocks the stream until the event has been recorded (on this device).
-#[derive(Debug, Clone, Copy)]
-pub struct WaitEvent(pub GpuEventId);
-
-impl Kernel for WaitEvent {
-    fn launch(self: Box<Self>, ctx: LaunchCtx, world: &mut Cluster, sim: &mut ClusterSim) {
-        let ev = &mut world.devices[ctx.device].events[self.0];
-        if ev.recorded.is_some() {
-            if let Some(monitor) = world.monitor.as_deref() {
-                monitor.on_event_wait(sim.now(), ctx.device, ctx.stream, self.0);
-            }
-            ctx.completion.finish(world, sim);
-        } else {
-            ev.waiters.push(ctx.completion);
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "wait_event"
-    }
-}
-
-/// The signaling kernel (§5): blocks the stream until a counting-table slot
-/// reaches its threshold, modelling the polling quantum of the real
-/// spin-waiting kernel.
-#[derive(Debug, Clone, Copy)]
-pub struct WaitCounter {
-    /// Counting table index on the device.
-    pub table: usize,
-    /// Group slot to watch.
-    pub group: usize,
-    /// Count to wait for (the group's tile count).
-    pub threshold: u32,
-}
-
-impl Kernel for WaitCounter {
-    fn launch(self: Box<Self>, ctx: LaunchCtx, world: &mut Cluster, sim: &mut ClusterSim) {
-        let device = ctx.device;
-        let dev = &mut world.devices[device];
-        let poll = dev.signal_poll_delay();
-        match dev.counters[self.table].register(self.group, self.threshold, ctx.completion) {
-            Some(completion) => {
-                // Already satisfied; still pay one polling quantum.
-                if let Some(monitor) = world.monitor.as_deref() {
-                    monitor.on_counter_satisfied(
-                        sim.now(),
-                        device,
-                        completion.stream(),
-                        self.table,
-                        self.group,
-                        self.threshold,
-                    );
-                }
-                sim.schedule_in(poll, move |w, s| completion.finish(w, s));
-            }
-            None => {
-                // Parked; the incrementing wave will wake it (the wake path
-                // adds the polling delay).
-            }
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "wait_counter"
-    }
-}
-
-/// The closure type a [`Callback`] stream op runs.
-pub type CallbackFn = Box<dyn FnOnce(&mut Cluster, &mut ClusterSim)>;
-
-/// Runs an arbitrary closure as a zero-duration stream op (timestamping,
-/// test hooks).
-pub struct Callback(pub CallbackFn);
-
-impl std::fmt::Debug for Callback {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Callback(..)")
-    }
-}
-
-impl Kernel for Callback {
-    fn launch(self: Box<Self>, ctx: LaunchCtx, world: &mut Cluster, sim: &mut ClusterSim) {
-        (self.0)(world, sim);
-        ctx.completion.finish(world, sim);
-    }
-
-    fn name(&self) -> &'static str {
-        "callback"
-    }
-}
-
-/// Resets a counting table for reuse as a zero-duration stream op: every
-/// group count returns to zero (steady-state double buffering — a serving
-/// loop allocates tables once and ping-pongs between two sets instead of
-/// allocating per iteration). The caller must order the reset after the
-/// previous user's waits through an event edge; resetting under a parked
-/// waiter panics.
-#[derive(Debug, Clone, Copy)]
-pub struct ResetCounter {
-    /// Counting table index on the device.
-    pub table: usize,
-}
-
-impl Kernel for ResetCounter {
-    fn launch(self: Box<Self>, ctx: LaunchCtx, world: &mut Cluster, sim: &mut ClusterSim) {
-        world.devices[ctx.device].counters[self.table].reset();
-        if let Some(monitor) = world.monitor.as_deref() {
-            monitor.on_counter_reset(sim.now(), ctx.device, ctx.stream, self.table);
-        }
-        ctx.completion.finish(world, sim);
-    }
-
-    fn name(&self) -> &'static str {
-        "reset_counter"
-    }
+    op.launch(Completion { device, stream }, world, sim);
 }
 
 /// Revokes every signal wait parked on `(device, table)` and finishes
@@ -377,8 +417,7 @@ pub fn abort_counter_waits(
     let waiters = world.devices[device].counters[table].take_parked();
     let revoked = waiters.len();
     for waiter in waiters {
-        let completion = waiter.completion;
-        sim.schedule_now(move |w, s| completion.finish(w, s));
+        sim.schedule_now(Event::Complete(waiter.completion));
     }
     revoked
 }
@@ -420,8 +459,7 @@ pub(crate) fn wake_counter_waiters(
             );
         }
         let poll = world.devices[device].signal_poll_delay();
-        let completion = waiter.completion;
-        sim.schedule_in(poll, move |w, s| completion.finish(w, s));
+        sim.schedule_in(poll, Event::Complete(waiter.completion));
     }
     world.released = released;
 }
@@ -447,14 +485,14 @@ mod tests {
             &mut sim,
             0,
             s,
-            Box::new(Delay(SimDuration::from_nanos(100))),
+            Op::Delay(SimDuration::from_nanos(100)),
         );
         enqueue(
             &mut world,
             &mut sim,
             0,
             s,
-            Box::new(Delay(SimDuration::from_nanos(50))),
+            Op::Delay(SimDuration::from_nanos(50)),
         );
         let end = sim.run(&mut world).unwrap();
         assert_eq!(end.as_nanos(), 150);
@@ -470,14 +508,14 @@ mod tests {
             &mut sim,
             0,
             s0,
-            Box::new(Delay(SimDuration::from_nanos(100))),
+            Op::Delay(SimDuration::from_nanos(100)),
         );
         enqueue(
             &mut world,
             &mut sim,
             0,
             s1,
-            Box::new(Delay(SimDuration::from_nanos(100))),
+            Op::Delay(SimDuration::from_nanos(100)),
         );
         let end = sim.run(&mut world).unwrap();
         assert_eq!(end.as_nanos(), 100, "streams should overlap");
@@ -494,16 +532,16 @@ mod tests {
             &mut sim,
             0,
             s0,
-            Box::new(Delay(SimDuration::from_nanos(100))),
+            Op::Delay(SimDuration::from_nanos(100)),
         );
-        enqueue(&mut world, &mut sim, 0, s0, Box::new(RecordEvent(ev)));
-        enqueue(&mut world, &mut sim, 0, s1, Box::new(WaitEvent(ev)));
+        enqueue(&mut world, &mut sim, 0, s0, Op::RecordEvent(ev));
+        enqueue(&mut world, &mut sim, 0, s1, Op::WaitEvent(ev));
         enqueue(
             &mut world,
             &mut sim,
             0,
             s1,
-            Box::new(Delay(SimDuration::from_nanos(30))),
+            Op::Delay(SimDuration::from_nanos(30)),
         );
         let end = sim.run(&mut world).unwrap();
         assert_eq!(end.as_nanos(), 130);
@@ -515,15 +553,15 @@ mod tests {
         let s0 = world.devices[0].create_stream();
         let s1 = world.devices[0].create_stream();
         let ev = world.devices[0].create_event();
-        enqueue(&mut world, &mut sim, 0, s0, Box::new(RecordEvent(ev)));
+        enqueue(&mut world, &mut sim, 0, s0, Op::RecordEvent(ev));
         sim.run(&mut world).unwrap();
-        enqueue(&mut world, &mut sim, 0, s1, Box::new(WaitEvent(ev)));
+        enqueue(&mut world, &mut sim, 0, s1, Op::WaitEvent(ev));
         enqueue(
             &mut world,
             &mut sim,
             0,
             s1,
-            Box::new(Delay(SimDuration::from_nanos(10))),
+            Op::Delay(SimDuration::from_nanos(10)),
         );
         let end = sim.run(&mut world).unwrap();
         assert_eq!(end.as_nanos(), 10);
@@ -535,35 +573,25 @@ mod tests {
         let s0 = world.devices[0].create_stream();
         let s1 = world.devices[0].create_stream();
         let table = world.devices[0].create_counter(1);
-        // Stream 1 waits for the counter; stream 0 bumps it at t = 500.
+        // Stream 1 waits for the counter; an increment lands at t = 500.
         enqueue(
             &mut world,
             &mut sim,
             0,
             s1,
-            Box::new(WaitCounter {
+            Op::WaitCounter {
                 table,
                 group: 0,
-                threshold: 4,
-            }),
+                threshold: 1,
+            },
         );
-        enqueue(
-            &mut world,
-            &mut sim,
-            0,
-            s0,
-            Box::new(Delay(SimDuration::from_nanos(500))),
-        );
-        enqueue(
-            &mut world,
-            &mut sim,
-            0,
-            s0,
-            Box::new(Callback(Box::new(move |w, s| {
-                increment_counter(w, 0, table, 0, 4);
-                wake_counter_waiters(w, s, 0, table);
-            }))),
-        );
+        let increment = Event::DelayedIncrement {
+            device: 0,
+            stream: s0 as u32,
+            table: table as u32,
+            group: 0,
+        };
+        sim.schedule_at(SimTime::from_nanos(500), increment);
         let end = sim.run(&mut world).unwrap();
         assert!(
             end.as_nanos() >= 500,
@@ -585,14 +613,14 @@ mod tests {
             &mut sim,
             0,
             s,
-            Box::new(Delay(SimDuration::from_nanos(40))),
+            Op::Delay(SimDuration::from_nanos(40)),
         );
         enqueue(
             &mut world,
             &mut sim,
             0,
             s,
-            Box::new(Delay(SimDuration::from_nanos(60))),
+            Op::Delay(SimDuration::from_nanos(60)),
         );
         sim.run(&mut world).unwrap();
         let spans = world.op_spans.as_ref().unwrap();
@@ -605,28 +633,20 @@ mod tests {
     }
 
     #[test]
-    fn callback_observes_time() {
+    fn stamp_observes_time() {
         let (mut world, mut sim) = one_device();
         let s = world.devices[0].create_stream();
+        let slot = world.new_stamps(1);
         enqueue(
             &mut world,
             &mut sim,
             0,
             s,
-            Box::new(Delay(SimDuration::from_nanos(77))),
+            Op::Delay(SimDuration::from_nanos(77)),
         );
-        let seen = std::rc::Rc::new(std::cell::Cell::new(0u64));
-        let seen2 = seen.clone();
-        enqueue(
-            &mut world,
-            &mut sim,
-            0,
-            s,
-            Box::new(Callback(Box::new(move |_, s| {
-                seen2.set(s.now().as_nanos());
-            }))),
-        );
+        enqueue(&mut world, &mut sim, 0, s, Op::Stamp(slot));
+        assert_eq!(world.stamp(slot), None);
         sim.run(&mut world).unwrap();
-        assert_eq!(seen.get(), 77);
+        assert_eq!(world.stamp(slot), Some(SimTime::from_nanos(77)));
     }
 }

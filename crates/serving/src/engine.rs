@@ -174,7 +174,7 @@ pub struct EngineFinal {
 
 /// The worker behind one [`ReplicaEngine`]: owns the plan cache and the
 /// simulation world its chains run in. Its `Rc`-based plan cache (and
-/// the world's kernel and event types) make it `!Send`; the pool moves
+/// the world's op and event types) make it `!Send`; the pool moves
 /// it between threads only inside a [`MovableWorker`].
 struct EngineWorker {
     config: ServeConfig,
@@ -699,18 +699,23 @@ struct MovableWorker(EngineWorker);
 // counters, `chain_log` and `scratch` (`TelemetryRecord`) are `Send`;
 // `cache` is not, only because it holds `Rc<OverlapPlan>`s, and the plans
 // hold `Rc` mappings; `memo` is not, only because it holds `Weak`s to
-// those same plans. Every `Rc` and `Weak` pointing into those
-// allocations is owned by the worker itself (the cache and the memo):
-// `execute_chain` drops the clones it makes before it returns, replies
-// carry plain data (see `assert_boundary_types_are_send`), workers are
-// built from a cloned config and share no plan, and nothing in the
-// simulator keeps thread-local or global handles. `world` (`ChainWorld`) is not `Send`
-// only for the types its cluster and engine can hold while a chain runs
-// (boxed kernels and events, the monitor and probe `Rc`s); between
-// chains it holds none of them — `execute_sequence_in` clears it on
-// every exit — only plain allocations. So moving a `MovableWorker`
-// moves every handle to its allocations together, and the pool's mutex
-// orders the moves, so no two threads ever touch one reference count.
+// those same plans (and their communicators). Every `Rc` and `Weak`
+// pointing into those allocations is owned by the worker itself (the
+// cache and the memo): `execute_chain` drops the clones it makes before
+// it returns, replies carry plain data (see
+// `assert_boundary_types_are_send`), workers are built from a cloned
+// config and share no plan, and nothing in the simulator keeps
+// thread-local or global handles. `world` (`ChainWorld`) is not `Send`
+// only for what its cluster and engine hold while a chain runs: queued
+// ops and events, the op slabs' in-flight states (GEMM runs with the
+// plan's issue order, writer and group runs; element-wise kernels;
+// collective calls with their communicator) and the monitor and probe
+// `Rc`s. Between chains it holds none of them — `execute_sequence_in`
+// clears it on every exit, and `Cluster::reset` empties every slab,
+// communicator scope, stamp and log — only plain allocations. So moving
+// a `MovableWorker` moves every handle to its allocations together, and
+// the pool's mutex orders the moves, so no two threads ever touch one
+// reference count.
 unsafe impl Send for MovableWorker {}
 
 impl Shared {

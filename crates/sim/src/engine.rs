@@ -8,8 +8,20 @@ use std::rc::Rc;
 
 use crate::time::{SimDuration, SimTime};
 
-/// An event callback: runs against the world and may schedule more events.
-type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Sim<W>)>;
+/// A closed set of things that can happen in a world, defined by that
+/// world's crate: one enum whose variants carry the few words of state
+/// an event needs, with the rest in slabs the world owns.
+///
+/// The engine stores events by value in its heap and hands each back to
+/// [`Event::fire`] when the clock reaches it, so dispatch is one `match`
+/// and scheduling allocates nothing once the heap has grown.
+pub trait Event: Sized {
+    /// The world the events run against.
+    type World;
+
+    /// Runs the event against the world; it may schedule more events.
+    fn fire(self, world: &mut Self::World, sim: &mut Sim<Self>);
+}
 
 /// An observer attached to the driver with [`Sim::set_probe`].
 ///
@@ -51,27 +63,27 @@ impl fmt::Display for SimError {
 
 impl Error for SimError {}
 
-struct Queued<W> {
+struct Queued<E> {
     at: SimTime,
     seq: u64,
-    run: EventFn<W>,
+    event: E,
 }
 
-impl<W> PartialEq for Queued<W> {
+impl<E> PartialEq for Queued<E> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
 
-impl<W> Eq for Queued<W> {}
+impl<E> Eq for Queued<E> {}
 
-impl<W> PartialOrd for Queued<W> {
+impl<E> PartialOrd for Queued<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<W> Ord for Queued<W> {
+impl<E> Ord for Queued<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; reverse so the earliest (time, seq)
         // pops first. Same-time events fire in insertion (FIFO) order.
@@ -79,37 +91,51 @@ impl<W> Ord for Queued<W> {
     }
 }
 
-/// A discrete-event simulator over a caller-provided world type `W`.
+/// A discrete-event simulator over a closed event type `E`.
 ///
 /// The simulator owns the clock and the pending-event queue; the world (GPU
 /// cluster state, buffers, counters, ...) is owned by the caller and passed
-/// into [`Sim::run`]. Events are `FnOnce` closures so they can move captured
-/// state (completion tokens, buffers) exactly once.
+/// into [`Sim::run`]. Events fire in `(time, insertion sequence)` order,
+/// so same-time events fire first in, first out.
 ///
 /// # Examples
 ///
 /// ```
-/// use sim::{Sim, SimDuration, SimTime};
+/// use sim::{Event, Sim, SimTime};
 ///
-/// let mut sim: Sim<u32> = Sim::new();
-/// sim.schedule_at(SimTime::from_nanos(42), |w, s| {
-///     *w += 1;
-///     assert_eq!(s.now(), SimTime::from_nanos(42));
-/// });
+/// /// The world's whole event vocabulary.
+/// enum Tick {
+///     Add(u32),
+/// }
+///
+/// impl Event for Tick {
+///     type World = u32;
+///     fn fire(self, world: &mut u32, sim: &mut Sim<Tick>) {
+///         match self {
+///             Tick::Add(n) => {
+///                 *world += n;
+///                 assert_eq!(sim.now(), SimTime::from_nanos(42));
+///             }
+///         }
+///     }
+/// }
+///
+/// let mut sim: Sim<Tick> = Sim::new();
+/// sim.schedule_at(SimTime::from_nanos(42), Tick::Add(1));
 /// let mut world = 0;
 /// let end = sim.run(&mut world).unwrap();
 /// assert_eq!((world, end), (1, SimTime::from_nanos(42)));
 /// ```
-pub struct Sim<W> {
+pub struct Sim<E: Event> {
     now: SimTime,
-    queue: BinaryHeap<Queued<W>>,
+    queue: BinaryHeap<Queued<E>>,
     next_seq: u64,
     processed: u64,
     event_budget: u64,
-    probe: Option<Rc<dyn EngineProbe<W>>>,
+    probe: Option<Rc<dyn EngineProbe<E::World>>>,
 }
 
-impl<W> fmt::Debug for Sim<W> {
+impl<E: Event> fmt::Debug for Sim<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Sim")
             .field("now", &self.now)
@@ -121,13 +147,13 @@ impl<W> fmt::Debug for Sim<W> {
     }
 }
 
-impl<W> Default for Sim<W> {
+impl<E: Event> Default for Sim<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<W> Sim<W> {
+impl<E: Event> Sim<E> {
     /// Default maximum number of events a single `run` may process.
     pub const DEFAULT_EVENT_BUDGET: u64 = 500_000_000;
 
@@ -174,7 +200,7 @@ impl<W> Sim<W> {
     }
 
     /// Attaches an observer called after every event and at queue drain.
-    pub fn set_probe(&mut self, probe: Rc<dyn EngineProbe<W>>) {
+    pub fn set_probe(&mut self, probe: Rc<dyn EngineProbe<E::World>>) {
         self.probe = Some(probe);
     }
 
@@ -193,15 +219,17 @@ impl<W> Sim<W> {
         self.queue.len()
     }
 
+    /// Returns how many events the queue holds without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.queue.capacity()
+    }
+
     /// Schedules `event` to fire at absolute time `at`.
     ///
     /// # Panics
     ///
     /// Panics if `at` is in the past; events cannot rewrite history.
-    pub fn schedule_at<F>(&mut self, at: SimTime, event: F)
-    where
-        F: FnOnce(&mut W, &mut Sim<W>) + 'static,
-    {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule event in the past: at={:?} now={:?}",
@@ -210,41 +238,31 @@ impl<W> Sim<W> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(Queued {
-            at,
-            seq,
-            run: Box::new(event),
-        });
+        self.queue.push(Queued { at, seq, event });
     }
 
     /// Schedules `event` to fire `delay` after the current time.
-    pub fn schedule_in<F>(&mut self, delay: SimDuration, event: F)
-    where
-        F: FnOnce(&mut W, &mut Sim<W>) + 'static,
-    {
+    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
         self.schedule_at(self.now + delay, event);
     }
 
     /// Schedules `event` to fire at the current time, after all events
     /// already queued for the current time.
-    pub fn schedule_now<F>(&mut self, event: F)
-    where
-        F: FnOnce(&mut W, &mut Sim<W>) + 'static,
-    {
+    pub fn schedule_now(&mut self, event: E) {
         self.schedule_at(self.now, event);
     }
 
     /// Pops and runs a single event, advancing the clock to it.
     ///
     /// Returns `false` if the queue was empty.
-    pub fn step(&mut self, world: &mut W) -> bool {
+    pub fn step(&mut self, world: &mut E::World) -> bool {
         let Some(ev) = self.queue.pop() else {
             return false;
         };
         debug_assert!(ev.at >= self.now, "event queue went backwards");
         self.now = ev.at;
         self.processed += 1;
-        (ev.run)(world, self);
+        ev.event.fire(world, self);
         // Borrow, don't clone: this runs once per event, and the Rc
         // refcount bounce shows up in the serve hot path.
         if let Some(probe) = self.probe.as_deref() {
@@ -259,7 +277,7 @@ impl<W> Sim<W> {
     ///
     /// Returns [`SimError::EventBudgetExhausted`] if more events fire than
     /// the configured budget allows, which indicates a runaway event loop.
-    pub fn run(&mut self, world: &mut W) -> Result<SimTime, SimError> {
+    pub fn run(&mut self, world: &mut E::World) -> Result<SimTime, SimError> {
         while self.step(world) {
             if self.processed > self.event_budget {
                 return Err(SimError::EventBudgetExhausted {
@@ -279,7 +297,11 @@ impl<W> Sim<W> {
     /// # Errors
     ///
     /// Returns [`SimError::EventBudgetExhausted`] like [`Sim::run`].
-    pub fn run_until(&mut self, world: &mut W, deadline: SimTime) -> Result<SimTime, SimError> {
+    pub fn run_until(
+        &mut self,
+        world: &mut E::World,
+        deadline: SimTime,
+    ) -> Result<SimTime, SimError> {
         loop {
             match self.queue.peek() {
                 Some(ev) if ev.at <= deadline => {
@@ -304,23 +326,59 @@ impl<W> Sim<W> {
 mod tests {
     use super::*;
 
+    /// The test world's event vocabulary; the world is the log of pushed
+    /// values.
+    enum Ev {
+        /// Pushes a value.
+        Push(u64),
+        /// Pushes `value`, then schedules `Push(next)` `delay` ns later.
+        PushThen { value: u64, delay: u64, next: u64 },
+        /// Pushes a value and reschedules itself 1 ns later, forever.
+        Tick,
+        /// Schedules a no-op at an absolute time.
+        ScheduleAt(u64),
+    }
+
+    impl Event for Ev {
+        type World = Vec<u64>;
+
+        fn fire(self, world: &mut Vec<u64>, sim: &mut Sim<Ev>) {
+            match self {
+                Ev::Push(v) => world.push(v),
+                Ev::PushThen { value, delay, next } => {
+                    world.push(value);
+                    sim.schedule_in(SimDuration::from_nanos(delay), Ev::Push(next));
+                }
+                Ev::Tick => {
+                    world.push(0);
+                    sim.schedule_in(SimDuration::from_nanos(1), Ev::Tick);
+                }
+                Ev::ScheduleAt(t) => sim.schedule_at(SimTime::from_nanos(t), Ev::Push(t)),
+            }
+        }
+    }
+
+    fn at(t: u64) -> SimTime {
+        SimTime::from_nanos(t)
+    }
+
     #[test]
     fn reset_matches_a_fresh_simulator() {
-        let mut sim: Sim<Vec<u64>> = Sim::new().with_event_budget(3);
+        let mut sim: Sim<Ev> = Sim::new().with_event_budget(3);
         sim.set_probe(Rc::new(NoProbe));
-        sim.schedule_at(SimTime::from_nanos(4), |w, _| w.push(4));
-        sim.schedule_at(SimTime::from_nanos(9), |w, _| w.push(9));
+        sim.schedule_at(at(4), Ev::Push(4));
+        sim.schedule_at(at(9), Ev::Push(9));
         let mut world = Vec::new();
-        sim.run_until(&mut world, SimTime::from_nanos(5)).unwrap();
+        sim.run_until(&mut world, at(5)).unwrap();
         sim.reset();
         assert_eq!(sim.now(), SimTime::ZERO);
         assert_eq!(sim.pending(), 0, "queued events are dropped");
         assert_eq!(sim.events_processed(), 0);
         assert!(sim.probe.is_none());
-        assert_eq!(sim.event_budget, Sim::<Vec<u64>>::DEFAULT_EVENT_BUDGET);
+        assert_eq!(sim.event_budget, Sim::<Ev>::DEFAULT_EVENT_BUDGET);
         // Sequence numbers restart: same-time events stay FIFO from 0.
-        sim.schedule_now(|w, _| w.push(1));
-        sim.schedule_now(|w, _| w.push(2));
+        sim.schedule_now(Ev::Push(1));
+        sim.schedule_now(Ev::Push(2));
         assert_eq!(sim.next_seq, 2);
         sim.run(&mut world).unwrap();
         assert_eq!(world, vec![4, 1, 2]);
@@ -331,21 +389,21 @@ mod tests {
 
     #[test]
     fn events_fire_in_time_order() {
-        let mut sim: Sim<Vec<u64>> = Sim::new();
-        sim.schedule_at(SimTime::from_nanos(30), |w, _| w.push(30));
-        sim.schedule_at(SimTime::from_nanos(10), |w, _| w.push(10));
-        sim.schedule_at(SimTime::from_nanos(20), |w, _| w.push(20));
+        let mut sim: Sim<Ev> = Sim::new();
+        for t in [30, 10, 20] {
+            sim.schedule_at(at(t), Ev::Push(t));
+        }
         let mut world = Vec::new();
         let end = sim.run(&mut world).unwrap();
         assert_eq!(world, vec![10, 20, 30]);
-        assert_eq!(end, SimTime::from_nanos(30));
+        assert_eq!(end, at(30));
     }
 
     #[test]
     fn same_time_events_fire_fifo() {
-        let mut sim: Sim<Vec<u64>> = Sim::new();
+        let mut sim: Sim<Ev> = Sim::new();
         for i in 0..16 {
-            sim.schedule_at(SimTime::from_nanos(5), move |w, _| w.push(i));
+            sim.schedule_at(at(5), Ev::Push(i));
         }
         let mut world = Vec::new();
         sim.run(&mut world).unwrap();
@@ -354,25 +412,29 @@ mod tests {
 
     #[test]
     fn events_can_schedule_events() {
-        let mut sim: Sim<Vec<u64>> = Sim::new();
-        sim.schedule_at(SimTime::from_nanos(1), |w, s| {
-            w.push(1);
-            s.schedule_in(SimDuration::from_nanos(4), |w, _| w.push(2));
-        });
+        let mut sim: Sim<Ev> = Sim::new();
+        let push_then = Ev::PushThen {
+            value: 1,
+            delay: 4,
+            next: 2,
+        };
+        sim.schedule_at(at(1), push_then);
         let mut world = Vec::new();
         let end = sim.run(&mut world).unwrap();
         assert_eq!(world, vec![1, 2]);
-        assert_eq!(end, SimTime::from_nanos(5));
+        assert_eq!(end, at(5));
     }
 
     #[test]
     fn schedule_now_runs_after_current_time_events() {
-        let mut sim: Sim<Vec<u64>> = Sim::new();
-        sim.schedule_at(SimTime::from_nanos(5), |w, s| {
-            w.push(1);
-            s.schedule_now(|w, _| w.push(3));
-        });
-        sim.schedule_at(SimTime::from_nanos(5), |w, _| w.push(2));
+        let mut sim: Sim<Ev> = Sim::new();
+        let push_then = Ev::PushThen {
+            value: 1,
+            delay: 0,
+            next: 3,
+        };
+        sim.schedule_at(at(5), push_then);
+        sim.schedule_at(at(5), Ev::Push(2));
         let mut world = Vec::new();
         sim.run(&mut world).unwrap();
         assert_eq!(world, vec![1, 2, 3]);
@@ -380,13 +442,13 @@ mod tests {
 
     #[test]
     fn run_until_stops_at_deadline() {
-        let mut sim: Sim<Vec<u64>> = Sim::new();
-        sim.schedule_at(SimTime::from_nanos(10), |w, _| w.push(10));
-        sim.schedule_at(SimTime::from_nanos(20), |w, _| w.push(20));
+        let mut sim: Sim<Ev> = Sim::new();
+        sim.schedule_at(at(10), Ev::Push(10));
+        sim.schedule_at(at(20), Ev::Push(20));
         let mut world = Vec::new();
-        let t = sim.run_until(&mut world, SimTime::from_nanos(15)).unwrap();
+        let t = sim.run_until(&mut world, at(15)).unwrap();
         assert_eq!(world, vec![10]);
-        assert_eq!(t, SimTime::from_nanos(15));
+        assert_eq!(t, at(15));
         assert_eq!(sim.pending(), 1);
         sim.run(&mut world).unwrap();
         assert_eq!(world, vec![10, 20]);
@@ -394,14 +456,9 @@ mod tests {
 
     #[test]
     fn runaway_loop_hits_budget() {
-        fn tick(w: &mut u64, s: &mut Sim<u64>) {
-            *w += 1;
-            s.schedule_in(SimDuration::from_nanos(1), tick);
-        }
-        let mut sim: Sim<u64> = Sim::new().with_event_budget(1000);
-        sim.schedule_now(tick);
-        let mut world = 0;
-        let err = sim.run(&mut world).unwrap_err();
+        let mut sim: Sim<Ev> = Sim::new().with_event_budget(1000);
+        sim.schedule_now(Ev::Tick);
+        let err = sim.run(&mut Vec::new()).unwrap_err();
         assert!(matches!(err, SimError::EventBudgetExhausted { .. }));
         assert!(format!("{err}").contains("budget"));
     }
@@ -409,11 +466,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot schedule event in the past")]
     fn scheduling_in_the_past_panics() {
-        let mut sim: Sim<()> = Sim::new();
-        sim.schedule_at(SimTime::from_nanos(10), |_, s| {
-            s.schedule_at(SimTime::from_nanos(5), |_, _| {});
-        });
-        sim.run(&mut ()).unwrap();
+        let mut sim: Sim<Ev> = Sim::new();
+        sim.schedule_at(at(10), Ev::ScheduleAt(5));
+        sim.run(&mut Vec::new()).unwrap();
     }
 
     #[test]
@@ -425,35 +480,35 @@ mod tests {
             after: RefCell<Vec<u64>>,
             drains: RefCell<u32>,
         }
-        impl EngineProbe<u32> for Recorder {
-            fn after_event(&self, now: SimTime, world: &mut u32) {
+        impl EngineProbe<Vec<u64>> for Recorder {
+            fn after_event(&self, now: SimTime, world: &mut Vec<u64>) {
                 self.after.borrow_mut().push(now.as_nanos());
-                *world += 1;
+                world.push(100);
             }
-            fn on_drain(&self, _now: SimTime, _world: &mut u32) {
+            fn on_drain(&self, _now: SimTime, _world: &mut Vec<u64>) {
                 *self.drains.borrow_mut() += 1;
             }
         }
 
         let probe = Rc::new(Recorder::default());
-        let mut sim: Sim<u32> = Sim::new();
+        let mut sim: Sim<Ev> = Sim::new();
         sim.set_probe(probe.clone());
-        sim.schedule_at(SimTime::from_nanos(3), |_, _| {});
-        sim.schedule_at(SimTime::from_nanos(7), |_, _| {});
-        let mut world = 0u32;
+        sim.schedule_at(at(3), Ev::Push(3));
+        sim.schedule_at(at(7), Ev::Push(7));
+        let mut world = Vec::new();
         sim.run(&mut world).unwrap();
         assert_eq!(*probe.after.borrow(), vec![3, 7]);
         assert_eq!(*probe.drains.borrow(), 1);
-        assert_eq!(world, 2);
+        assert_eq!(world, vec![3, 100, 7, 100]);
     }
 
     #[test]
     fn processed_and_pending_counters() {
-        let mut sim: Sim<()> = Sim::new();
-        sim.schedule_at(SimTime::from_nanos(1), |_, _| {});
-        sim.schedule_at(SimTime::from_nanos(2), |_, _| {});
+        let mut sim: Sim<Ev> = Sim::new();
+        sim.schedule_at(at(1), Ev::Push(1));
+        sim.schedule_at(at(2), Ev::Push(2));
         assert_eq!(sim.pending(), 2);
-        sim.run(&mut ()).unwrap();
+        sim.run(&mut Vec::new()).unwrap();
         assert_eq!(sim.events_processed(), 2);
         assert_eq!(sim.pending(), 0);
     }

@@ -6,22 +6,33 @@
 //! minimal:
 //!
 //! - Time is a nanosecond-resolution monotonic counter ([`SimTime`]).
-//! - Events are boxed `FnOnce(&mut W, &mut Sim<W>)` closures ordered by
-//!   `(time, insertion sequence)`, so same-time events fire in FIFO order
-//!   and every run is exactly reproducible.
+//! - Events are a closed enum the world defines ([`Event`]), stored by
+//!   value in one heap ordered by `(time, insertion sequence)`, so
+//!   same-time events fire in FIFO order, every run is exactly
+//!   reproducible, and scheduling allocates nothing once the heap has
+//!   grown.
 //! - Randomness comes from [`rng::DetRng`], a small splitmix64/xoshiro
 //!   generator owned by the caller, never from global state.
 //!
 //! # Examples
 //!
 //! ```
-//! use sim::{Sim, SimDuration};
+//! use sim::{Event, Sim, SimDuration};
 //!
-//! let mut sim: Sim<Vec<u32>> = Sim::new();
-//! sim.schedule_in(SimDuration::from_nanos(10), |world, _| world.push(1));
-//! sim.schedule_in(SimDuration::from_nanos(5), |world, _| world.push(2));
+//! struct Push(u32);
+//!
+//! impl Event for Push {
+//!     type World = Vec<u32>;
+//!     fn fire(self, world: &mut Vec<u32>, _sim: &mut Sim<Push>) {
+//!         world.push(self.0);
+//!     }
+//! }
+//!
+//! let mut sim: Sim<Push> = Sim::new();
+//! sim.schedule_in(SimDuration::from_nanos(10), Push(1));
+//! sim.schedule_in(SimDuration::from_nanos(5), Push(2));
 //! let mut world = Vec::new();
-//! sim.run(&mut world);
+//! sim.run(&mut world).unwrap();
 //! assert_eq!(world, vec![2, 1]);
 //! ```
 
@@ -33,7 +44,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use engine::{EngineProbe, Sim, SimError};
+pub use engine::{EngineProbe, Event, Sim, SimError};
 pub use rng::DetRng;
 pub use stats::Cdf;
 pub use time::{SimDuration, SimTime};

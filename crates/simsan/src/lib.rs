@@ -1010,7 +1010,7 @@ mod tests {
     #[test]
     fn drain_reports_lost_signal_and_deadlock() {
         use gpu_sim::arch::GpuArch;
-        use gpu_sim::stream::{enqueue, WaitCounter};
+        use gpu_sim::stream::{enqueue, Op};
         use gpu_sim::ClusterSim;
 
         let s = Sanitizer::new();
@@ -1027,11 +1027,11 @@ mod tests {
             &mut sim,
             0,
             stream,
-            Box::new(WaitCounter {
+            Op::WaitCounter {
                 table,
                 group: 0,
                 threshold: 3,
-            }),
+            },
         );
         sim.run(&mut world).unwrap();
         let kinds: Vec<&str> = s.reports().iter().map(Finding::kind).collect();

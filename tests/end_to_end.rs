@@ -146,7 +146,7 @@ fn fused_rmsnorm_remap_restores_logical_order() {
         &mut sim,
         0,
         stream,
-        Box::new(ElementwiseKernel {
+        gpu_sim::Op::Elementwise(ElementwiseKernel {
             input,
             output,
             rows: dims.m as usize,
