@@ -152,6 +152,38 @@ fn bench_plan_cache_miss(c: &mut Criterion) {
     });
 }
 
+/// [`bench_plan_cache_miss`] on churn's own shapes: token counts padded
+/// to the 16-token bucket rather than 64-token multiples, so most grids
+/// end in partial edge tiles and most tuned plans are a single group.
+fn bench_plan_cache_miss_churn(c: &mut Criterion) {
+    let system = SystemSpec::rtx4090(4);
+    let shapes: Vec<GemmDims> = [
+        (models::LLAMA3_8B, [208, 720, 1520, 3008]),
+        (models::LLAMA2_70B, [144, 496, 1008, 2000]),
+        (models::DEEPSEEK_MOE_EXPERT, [48, 272, 592, 1008]),
+    ]
+    .into_iter()
+    .flat_map(|(model, tokens)| {
+        tokens
+            .into_iter()
+            .map(move |t: u32| GemmDims::new(t, model.hidden, model.intermediate / 4))
+    })
+    .collect();
+    c.bench_function("tuner/plan_cache_miss_churn", |b| {
+        b.iter(|| {
+            let mut cache = PlanCache::new(shapes.len());
+            for &dims in &shapes {
+                let (plan, hit) = cache
+                    .get_or_tune(black_box(dims), &CommPattern::AllReduce, &system)
+                    .expect("plan");
+                debug_assert!(!hit);
+                black_box(plan.predicted_group_completions());
+            }
+            black_box(cache.stats())
+        })
+    });
+}
+
 fn bench_simulated_run(c: &mut Criterion) {
     let system = SystemSpec::rtx4090(4);
     let dims = GemmDims::new(4096, 8192, 8192);
@@ -407,7 +439,8 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_event_engine, bench_mapping_build, bench_token_mapping,
-              bench_predictor, bench_search, bench_plan_cache_miss, bench_simulated_run,
+              bench_predictor, bench_search, bench_plan_cache_miss,
+              bench_plan_cache_miss_churn, bench_simulated_run,
               bench_serve_instrumented, bench_pipelined_chain_reused, bench_serve_steady,
               bench_summarize_chain,
               bench_collective_cost,

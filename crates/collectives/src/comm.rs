@@ -346,10 +346,15 @@ impl Communicator {
             topology.n_gpus(),
             ranks.len()
         );
-        let mut sorted = ranks.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), ranks.len(), "duplicate ranks in communicator");
+        // A pairwise scan: rank counts are GPU counts, and it needs no
+        // sorted copy.
+        assert!(
+            ranks
+                .iter()
+                .enumerate()
+                .all(|(i, rank)| !ranks[..i].contains(rank)),
+            "duplicate ranks in communicator"
+        );
         Communicator {
             inner: Rc::new(CommInner {
                 ranks,
@@ -928,6 +933,18 @@ mod tests {
     #[should_panic(expected = "at least two ranks")]
     fn single_rank_communicator_panics() {
         let _ = Communicator::new(vec![0], FabricSpec::rtx4090_pcie(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate ranks")]
+    fn duplicate_ranks_panic() {
+        let _ = Communicator::new(vec![2, 0, 2], FabricSpec::rtx4090_pcie(), 16);
+    }
+
+    #[test]
+    fn unordered_distinct_ranks_are_accepted() {
+        let comm = Communicator::new(vec![2, 0, 1], FabricSpec::rtx4090_pcie(), 16);
+        assert_eq!(comm.ranks(), &[2, 0, 1]);
     }
 
     fn two_node_comm(world: &Cluster) -> Communicator {

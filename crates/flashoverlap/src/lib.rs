@@ -32,6 +32,8 @@
 mod chain;
 pub mod error;
 pub mod mapping;
+#[cfg(test)]
+mod miss_oracle;
 pub mod notation;
 pub mod partition;
 pub mod pipeline;

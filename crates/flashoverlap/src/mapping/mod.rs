@@ -32,6 +32,9 @@ pub use subtile_map::SubtileMapping;
 pub use tile_map::TileMapping;
 pub use token_map::TokenMapping;
 
+use std::rc::Rc;
+
+use gpu_sim::gemm::GroupRun;
 use gpu_sim::wave::WaveSchedule;
 
 use crate::partition::WavePartition;
@@ -59,55 +62,35 @@ impl GroupLayout {
     /// Panics if the partition does not cover the schedule's waves; use
     /// [`WavePartition::check_covers`] first for a recoverable error.
     pub fn new(schedule: &WaveSchedule, partition: &WavePartition) -> Self {
-        assert_eq!(
-            partition.total_waves(),
-            schedule.num_waves(),
-            "partition/schedule wave mismatch"
-        );
-        let num_tiles = schedule.num_tiles() as usize;
-        // Per wave: its group, and the packed slot its next tile takes
-        // (the prefix sums of the wave widths). Per group: its waves'
-        // tile total.
-        let mut wave_group = Vec::with_capacity(schedule.num_waves() as usize);
-        let mut next_slot = Vec::with_capacity(schedule.num_waves() as usize);
-        let mut group_tile_counts = Vec::with_capacity(partition.num_groups());
-        let mut waves = schedule.waves().iter();
-        let mut packed = 0usize;
-        for (g, &size) in partition.sizes().iter().enumerate() {
-            let mut count = 0u32;
-            for wave in waves.by_ref().take(size as usize) {
-                wave_group.push(g as u32);
-                next_slot.push(packed);
-                packed += wave.len();
-                count += wave.len() as u32;
-            }
-            group_tile_counts.push(count);
-        }
-        // One counting pass in ascending tile id: each wave's tiles land
-        // in its slot range already sorted, with no per-wave sort.
-        let mut group_of_tile = Vec::with_capacity(num_tiles);
-        let mut reorder_order = vec![0u32; num_tiles];
-        for t in 0..num_tiles as u32 {
-            // Index proofs: the assert above pins the partition to the
-            // schedule's waves, so every wave has a group and a slot
-            // cursor; each wave's cursor starts at its prefix sum and
-            // advances once per tile of the wave (WaveSchedule
-            // invariant), so it stays below num_tiles.
-            let w = schedule.wave_of(t) as usize;
-            let slot = next_slot
-                .get_mut(w)
-                .expect("the partition covers every wave");
-            *reorder_order
-                .get_mut(*slot)
-                .expect("a wave's slots stay within its packed range") = t;
-            *slot += 1;
-            group_of_tile.push(*wave_group.get(w).expect("the partition covers every wave"));
-        }
-        GroupLayout {
-            group_of_tile,
-            reorder_order,
-            group_tile_counts,
-        }
+        let mut packer = Packer::new(schedule, partition);
+        (0..schedule.num_tiles()).for_each(|t| {
+            packer.place(t);
+        });
+        packer.finish()
+    }
+
+    /// The maximal same-group runs of the issue order the layout was
+    /// built from — what [`gpu_sim::gemm::group_runs`] derives by
+    /// scanning the order tile by tile, read off the group tile counts
+    /// instead: groups are consecutive waves, waves are consecutive
+    /// chunks of the issue order, and a folded group's tiles join the
+    /// next signaling group, so every group that keeps tiles is one run.
+    pub(crate) fn issue_runs(&self) -> Rc<[GroupRun]> {
+        let runs = self.group_tile_counts.iter().filter(|&&c| c > 0).count();
+        let mut signaling = self
+            .group_tile_counts
+            .iter()
+            .zip(0u32..)
+            .filter(|&(&count, _)| count > 0);
+        let mut end = 0u32;
+        // Exact size: the `Rc` is the runs' only allocation.
+        (0..runs)
+            .map(|_| {
+                let (&count, group) = signaling.next().expect("counted above");
+                end += count;
+                GroupRun { end, group }
+            })
+            .collect()
     }
 
     /// Counts the tiles of every `silent` group (one that schedules no
@@ -173,6 +156,92 @@ impl GroupLayout {
             .expect("group tile counts sum to the packed tile count")
             .iter()
             .copied()
+    }
+}
+
+/// Builds a [`GroupLayout`] one tile at a time: every tile of the
+/// schedule, in ascending id, takes the next free slot of its wave's
+/// packed range — a counting pass, so each wave's tiles land already
+/// sorted, with no per-wave sort. A mapping builder drives the pass and
+/// extends it with its own per-tile tables.
+pub(crate) struct Packer<'s> {
+    schedule: &'s WaveSchedule,
+    /// Per wave: its group, and the packed slot its next tile takes.
+    waves: Vec<(u32, usize)>,
+    group_of_tile: Vec<u32>,
+    reorder_order: Vec<u32>,
+    group_tile_counts: Vec<u32>,
+}
+
+impl<'s> Packer<'s> {
+    /// A packer for `schedule` grouped by `partition`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the partition does not cover the schedule's waves.
+    pub(crate) fn new(schedule: &'s WaveSchedule, partition: &WavePartition) -> Self {
+        assert_eq!(
+            partition.total_waves(),
+            schedule.num_waves(),
+            "partition/schedule wave mismatch"
+        );
+        // A wave's first slot is the prefix sum of the wave widths; a
+        // group's tile count is its waves' total.
+        let mut waves = Vec::with_capacity(schedule.num_waves() as usize);
+        let mut group_tile_counts = Vec::with_capacity(partition.num_groups());
+        let mut widths = schedule.waves().map(<[u32]>::len);
+        let mut packed = 0usize;
+        for (g, &size) in partition.sizes().iter().enumerate() {
+            let mut count = 0u32;
+            for width in widths.by_ref().take(size as usize) {
+                waves.push((g as u32, packed));
+                packed += width;
+                count += width as u32;
+            }
+            group_tile_counts.push(count);
+        }
+        let num_tiles = schedule.num_tiles() as usize;
+        Packer {
+            schedule,
+            waves,
+            group_of_tile: vec![0; num_tiles],
+            reorder_order: vec![0; num_tiles],
+            group_tile_counts,
+        }
+    }
+
+    /// Packs tile `t` and returns its slot. Tiles must come in ascending
+    /// id, each once.
+    pub(crate) fn place(&mut self, t: u32) -> usize {
+        // Index proofs: `new` pins the partition to the schedule's
+        // waves, so every wave has a group and a slot cursor; each
+        // wave's cursor starts at its prefix sum and advances once per
+        // tile of the wave (WaveSchedule invariant), so it stays below
+        // num_tiles; t is a tile of the schedule.
+        let (group, slot) = self
+            .waves
+            .get_mut(self.schedule.wave_of(t) as usize)
+            .expect("the partition covers every wave");
+        let placed = *slot;
+        *slot += 1;
+        *self
+            .reorder_order
+            .get_mut(placed)
+            .expect("a wave's slots stay within its packed range") = t;
+        *self
+            .group_of_tile
+            .get_mut(t as usize)
+            .expect("t is a tile of the schedule") = *group;
+        placed
+    }
+
+    /// The layout, once every tile is placed.
+    pub(crate) fn finish(self) -> GroupLayout {
+        GroupLayout {
+            group_of_tile: self.group_of_tile,
+            reorder_order: self.reorder_order,
+            group_tile_counts: self.group_tile_counts,
+        }
     }
 }
 

@@ -8,7 +8,7 @@
 use gpu_sim::tile::TileGrid;
 use gpu_sim::wave::WaveSchedule;
 
-use crate::mapping::GroupLayout;
+use crate::mapping::{GroupLayout, Packer};
 use crate::partition::WavePartition;
 
 /// The tile-level mapping table: packed slot per tile, element offsets,
@@ -37,44 +37,46 @@ impl TileMapping {
     ///
     /// Panics if the partition does not cover the schedule.
     pub fn build(grid: TileGrid, schedule: &WaveSchedule, partition: &WavePartition) -> Self {
-        let layout = GroupLayout::new(schedule, partition);
         let num_tiles = grid.num_tiles() as usize;
         let mut slot_of_tile = vec![0u32; num_tiles];
-        let mut slot_offset = Vec::with_capacity(num_tiles);
+        // Each slot's element count first, then prefix-summed in place
+        // into its offset.
+        let mut slot_offset = vec![0usize; num_tiles];
+        // One pass: the packer takes tiles in ascending id, the order the
+        // grid sizes them in.
+        let mut packer = Packer::new(schedule, partition);
+        grid.tile_elems_in_order()
+            .zip(0u32..)
+            .for_each(|(elems, t)| {
+                let slot = packer.place(t);
+                // Index proofs: the packer places every tile of the grid
+                // once (t < num_tiles) at a slot of the packed order
+                // (slot < num_tiles).
+                *slot_of_tile
+                    .get_mut(t as usize)
+                    .expect("the packer places in-grid tiles") = slot as u32;
+                *slot_offset
+                    .get_mut(slot)
+                    .expect("packed slots stay below num_tiles") = elems as usize;
+            });
+        let layout = packer.finish();
         let mut acc = 0usize;
-        for (slot, &t) in layout.reorder_order.iter().enumerate() {
-            // Index proof: reorder_order is a permutation of
-            // 0..num_tiles (GroupLayout invariant), so t indexes
-            // slot_of_tile.
-            *slot_of_tile
-                .get_mut(t as usize)
-                .expect("reorder_order permutes 0..num_tiles") = slot as u32;
-            slot_offset.push(acc);
-            acc += grid.tile_elems(t) as usize;
+        for offset in &mut slot_offset {
+            let elems = *offset;
+            *offset = acc;
+            acc += elems;
         }
         // Group regions: consecutive slot runs.
         let mut group_regions = Vec::with_capacity(layout.num_groups());
         let mut slot = 0usize;
-        for g in 0..layout.num_groups() {
-            let tiles = *layout
-                .group_tile_counts
-                .get(g)
-                .expect("g ranges over num_groups") as usize;
+        for &tiles in &layout.group_tile_counts {
             // Index proofs: slot walks the prefix sums of
             // group_tile_counts, which total num_tiles, so slot <
             // num_tiles here and end_slot <= num_tiles (the == case is
             // handled without indexing).
-            let start = *slot_offset
-                .get(slot)
-                .expect("slot stays below the packed tile count");
-            let end_slot = slot + tiles;
-            let end = if end_slot == num_tiles {
-                acc
-            } else {
-                *slot_offset
-                    .get(end_slot)
-                    .expect("non-final group ends below the packed tile count")
-            };
+            let start = slot_offset.get(slot).copied().unwrap_or(acc);
+            let end_slot = slot + tiles as usize;
+            let end = slot_offset.get(end_slot).copied().unwrap_or(acc);
             group_regions.push((start, end - start));
             slot = end_slot;
         }

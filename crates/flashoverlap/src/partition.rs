@@ -194,50 +194,75 @@ pub fn all_partitions(waves: u32) -> Vec<WavePartition> {
 /// large GEMMs and is an engineering extension over the paper, which only
 /// evaluates moderate `T`.
 pub fn candidate_partitions(waves: u32, s1_max: u32, sp_max: u32) -> Vec<WavePartition> {
+    let mut out = Vec::new();
+    for_each_candidate(waves, s1_max, sp_max, |sizes| {
+        out.push(WavePartition {
+            sizes: sizes.to_vec(),
+        });
+    });
+    out
+}
+
+/// Calls `visit` with the group sizes of every [`candidate_partitions`]
+/// candidate, in the same order. Within [`EXHAUSTIVE_WAVE_LIMIT`] the
+/// candidates are enumerated into one stack buffer, so scoring them as
+/// they come allocates nothing.
+///
+/// # Panics
+///
+/// Panics if `waves` is zero.
+pub fn for_each_candidate(waves: u32, s1_max: u32, sp_max: u32, mut visit: impl FnMut(&[u32])) {
     assert!(waves > 0, "need at least one wave");
     if waves <= EXHAUSTIVE_WAVE_LIMIT {
-        return bounded_partitions(waves, s1_max, sp_max);
+        bounded_partitions(waves, s1_max, sp_max, &mut visit);
+    } else {
+        for p in structured_partitions(waves, s1_max, sp_max) {
+            visit(p.sizes());
+        }
     }
-    structured_partitions(waves, s1_max, sp_max)
 }
 
 /// Every partition of `waves` whose first group has at most `s1_max`
 /// waves and whose last group at most `sp_max`, plus the single group
 /// (the no-overlap fallback always stays), in the order
 /// [`all_partitions`] lists them: lexicographic by group sizes. The
-/// tuner's argmin breaks ties by this order. Only survivors are built.
-fn bounded_partitions(waves: u32, s1_max: u32, sp_max: u32) -> Vec<WavePartition> {
-    /// Appends every bounded completion of `current` by `remaining`
-    /// waves, in lexicographic order: the closing group, the largest
-    /// size, comes last.
-    fn complete(remaining: u32, sp_max: u32, current: &mut Vec<u32>, out: &mut Vec<WavePartition>) {
+/// tuner's argmin breaks ties by this order. Only survivors are visited.
+fn bounded_partitions(waves: u32, s1_max: u32, sp_max: u32, visit: &mut dyn FnMut(&[u32])) {
+    /// Visits every bounded completion of `sizes[..depth]` by
+    /// `remaining` waves, in lexicographic order: the closing group, the
+    /// largest size, comes last. A partition of `T` waves has at most
+    /// `T` groups, so `depth < T <= sizes.len()` at every push.
+    fn complete(
+        remaining: u32,
+        sp_max: u32,
+        sizes: &mut [u32; EXHAUSTIVE_WAVE_LIMIT as usize],
+        depth: usize,
+        visit: &mut dyn FnMut(&[u32]),
+    ) {
         for size in 1..remaining {
-            current.push(size);
-            complete(remaining - size, sp_max, current, out);
-            current.pop();
+            if let Some(slot) = sizes.get_mut(depth) {
+                *slot = size;
+                complete(remaining - size, sp_max, sizes, depth + 1, visit);
+            }
         }
         if remaining <= sp_max {
-            current.push(remaining);
-            out.push(WavePartition {
-                sizes: current.clone(),
-            });
-            current.pop();
+            if let Some(slot) = sizes.get_mut(depth) {
+                *slot = remaining;
+                visit(sizes.get(..=depth).unwrap_or_default());
+            }
         }
     }
-    let mut out = Vec::new();
-    let mut current = Vec::with_capacity(waves as usize);
+    let mut sizes = [0u32; EXHAUSTIVE_WAVE_LIMIT as usize];
     // With `sp_max == 0` no multi-group partition survives; skip the walk.
     if sp_max > 0 {
         for first in 1..=s1_max.min(waves - 1) {
-            current.push(first);
-            complete(waves - first, sp_max, &mut current, &mut out);
-            current.pop();
+            sizes[0] = first;
+            complete(waves - first, sp_max, &mut sizes, 1, visit);
         }
     }
     // The single group's first size is `waves`, the largest, so it sorts
     // last.
-    out.push(WavePartition::single(waves));
-    out
+    visit(&[waves]);
 }
 
 fn structured_partitions(waves: u32, s1_max: u32, sp_max: u32) -> Vec<WavePartition> {

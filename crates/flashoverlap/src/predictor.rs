@@ -15,10 +15,13 @@
 //! collective starts only after its waves computed *and* the previous
 //! collective drained the stream.
 
-use collectives::{tiered_duration, Primitive, BYTES_PER_ELEM};
+use std::cell::Cell;
+
+use collectives::{tiered_duration, Algorithm, Primitive, BYTES_PER_ELEM};
 use gpu_sim::gemm::{gemm_estimate, GemmConfig, GemmDims};
-use interconnect::{log_spaced_sizes, SampledCurve};
+use interconnect::{LogSpacing, SampledCurve};
 use sim::SimDuration;
+use topology::Topology;
 
 use crate::partition::WavePartition;
 use crate::system::SystemSpec;
@@ -37,7 +40,7 @@ pub struct OfflineProfile {
     /// GEMM duration under contention-adjusted SMs.
     pub gemm_duration: SimDuration,
     /// Sampled communication latency curve.
-    pub curve: SampledCurve,
+    pub curve: CommCurve,
     /// Tiles per full wave under communication contention.
     pub wave_width: u32,
     /// Tiles per full wave with every SM available (before the first
@@ -72,18 +75,14 @@ impl OfflineProfile {
         let min_bytes = (config.tile.elems() * BYTES_PER_ELEM)
             .min(max_bytes / 2)
             .max(2);
-        let sizes = log_spaced_sizes(min_bytes, max_bytes, Self::CURVE_POINTS);
-        let curve = SampledCurve::from_points(
-            sizes
-                .into_iter()
-                .map(|bytes| {
-                    (
-                        bytes,
-                        tiered_duration(primitive, bytes, &system.topology, system.algorithm),
-                    )
-                })
-                .collect(),
-        );
+        let curve = CommCurve {
+            spacing: LogSpacing::new(min_bytes, max_bytes, Self::CURVE_POINTS),
+            primitive,
+            topology: system.topology.clone(),
+            algorithm: system.algorithm,
+            sizes: std::array::from_fn(|_| Cell::new(UNSAMPLED)),
+            nanos: std::array::from_fn(|_| Cell::new(UNSAMPLED)),
+        };
 
         OfflineProfile {
             dims,
@@ -109,6 +108,102 @@ impl OfflineProfile {
     pub fn group_bytes(&self, start: u32, end: u32) -> u64 {
         let tiles: u64 = (start..end).map(|w| self.wave_tiles(w) as u64).sum();
         tiles * self.tile_elems * BYTES_PER_ELEM
+    }
+}
+
+/// Marks a [`CommCurve`] size or duration not computed yet.
+const UNSAMPLED: u64 = u64::MAX;
+
+/// The offline stage's communication latency curve (Fig. 8): the
+/// primitive's duration sampled at [`OfflineProfile::CURVE_POINTS`]
+/// log-spaced sizes and interpolated in between.
+///
+/// A point is sampled the first time an interpolation needs it: a
+/// search touches a handful of group sizes, so it samples a handful of
+/// points, not the whole grid. Every interpolation equals the one over
+/// the fully sampled curve ([`CommCurve::sampled`]).
+#[derive(Debug, Clone)]
+pub struct CommCurve {
+    spacing: LogSpacing,
+    primitive: Primitive,
+    topology: Topology,
+    algorithm: Algorithm,
+    /// Size `i` of the spacing, once computed.
+    sizes: [Cell<u64>; OfflineProfile::CURVE_POINTS],
+    /// Duration in nanoseconds at size `i`, once sampled.
+    nanos: [Cell<u64>; OfflineProfile::CURVE_POINTS],
+}
+
+impl CommCurve {
+    /// Size `i` of the sampling grid.
+    fn size(&self, i: usize) -> u64 {
+        let cell = &self.sizes[i];
+        if cell.get() == UNSAMPLED {
+            cell.set(self.spacing.size(i));
+        }
+        cell.get()
+    }
+
+    /// Duration in nanoseconds at size `i`.
+    fn nanos(&self, i: usize) -> u64 {
+        let cell = &self.nanos[i];
+        if cell.get() == UNSAMPLED {
+            let bytes = self.size(i);
+            cell.set(
+                tiered_duration(self.primitive, bytes, &self.topology, self.algorithm).as_nanos(),
+            );
+        }
+        cell.get()
+    }
+
+    /// Interpolated duration for a transfer of `bytes`: exactly
+    /// [`SampledCurve::interpolate`] over [`CommCurve::sampled`].
+    pub fn interpolate(&self, bytes: u64) -> SimDuration {
+        let n = self.spacing.count();
+        let last = n - 1;
+        // Sizes never decrease, so the sizes at most `bytes` are a
+        // prefix of length `p`.
+        let (mut lo, mut hi) = (0, n);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.size(mid) <= bytes {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let p = lo;
+        // The segment of the deduplicated curve around `bytes`, clamped
+        // to the first or last one beyond the sampled range.
+        let (i0, i1) = if p == 0 {
+            let first = self.size(0);
+            match (1..n).find(|&i| self.size(i) != first) {
+                Some(i1) => (0, i1),
+                None => return SimDuration::from_nanos(self.nanos(0)),
+            }
+        } else if p == n {
+            let top = self.size(last);
+            match (0..last).rev().find(|&i| self.size(i) != top) {
+                Some(i0) => (i0, last),
+                None => return SimDuration::from_nanos(self.nanos(0)),
+            }
+        } else {
+            (p - 1, p)
+        };
+        let (x0, y0) = (self.size(i0), self.nanos(i0));
+        let (x1, y1) = (self.size(i1), self.nanos(i1));
+        let t = (bytes as f64 - x0 as f64) / (x1 as f64 - x0 as f64);
+        let ns = y0 as f64 + t * (y1 as f64 - y0 as f64);
+        SimDuration::from_secs_f64((ns / 1e9).max(0.0))
+    }
+
+    /// The fully sampled curve: every point of the grid.
+    pub fn sampled(&self) -> SampledCurve {
+        SampledCurve::from_points(
+            (0..self.spacing.count())
+                .map(|i| (self.size(i), SimDuration::from_nanos(self.nanos(i))))
+                .collect(),
+        )
     }
 }
 
@@ -163,8 +258,15 @@ impl LatencyPredictor {
     ///
     /// Panics if the partition does not cover the profiled wave count.
     pub fn predict(&self, partition: &WavePartition) -> SimDuration {
+        self.predict_sizes(partition.sizes())
+    }
+
+    /// [`LatencyPredictor::predict`] of the partition with group sizes
+    /// `sizes`, for a search that scores candidates without building
+    /// each one's [`WavePartition`].
+    pub(crate) fn predict_sizes(&self, sizes: &[u32]) -> SimDuration {
         let mut comm_done = 0.0f64;
-        let time = self.walk(partition, |done| comm_done = done);
+        let time = self.walk(sizes, |done| comm_done = done);
         SimDuration::from_nanos(comm_done.max(time) as u64)
     }
 
@@ -178,19 +280,43 @@ impl LatencyPredictor {
     /// Panics if the partition does not cover the profiled wave count.
     pub fn predict_group_completions(&self, partition: &WavePartition) -> Vec<SimDuration> {
         let mut completions = Vec::with_capacity(partition.num_groups());
-        self.walk(partition, |done| {
+        self.walk(partition.sizes(), |done| {
             completions.push(SimDuration::from_nanos(done as u64));
         });
         completions
+    }
+
+    /// Tiles in waves `0..waves`: every wave but a partial tail is full.
+    fn tiles_through(&self, waves: u32) -> u64 {
+        (u64::from(waves) * u64::from(self.profile.wave_width))
+            .min(u64::from(self.profile.total_tiles))
+    }
+
+    /// The collective duration (ns) of the group of waves
+    /// `start..start + size`.
+    fn group_payload(&self, start: u32, size: u32) -> f64 {
+        let tiles = self.tiles_through(start + size) - self.tiles_through(start);
+        let bytes = tiles * self.profile.tile_elems * BYTES_PER_ELEM;
+        let comm = self.profile.curve.interpolate(bytes).as_nanos() as f64;
+        if self.profile.primitive == Primitive::AllToAll {
+            // Dynamic routing makes per-group All-to-All traffic
+            // uneven across ranks, and the slowest rank bounds the
+            // exchange (Sec. 2.3: "inherent workload imbalance").
+            // The curve models balanced traffic, so scoring adds a
+            // margin to avoid over-fragmenting.
+            comm * ALL_TO_ALL_IMBALANCE_MARGIN
+        } else {
+            comm
+        }
     }
 
     /// Walks the GEMM wave by wave, calling `on_group` with each group's
     /// collective completion time as it is scheduled, and returns when
     /// the GEMM finishes. Allocates nothing: each group's threshold and
     /// payload are derived when the walk reaches it.
-    fn walk(&self, partition: &WavePartition, mut on_group: impl FnMut(f64)) -> f64 {
+    fn walk(&self, sizes: &[u32], mut on_group: impl FnMut(f64)) -> f64 {
         assert_eq!(
-            partition.total_waves(),
+            sizes.iter().sum::<u32>(),
             self.profile.total_waves,
             "partition does not match profiled wave count"
         );
@@ -198,25 +324,15 @@ impl LatencyPredictor {
             self.profile.gemm_duration.as_nanos() as f64 / self.profile.total_waves as f64;
         // The next group's cumulative signaling threshold (tiles) and
         // payload (ns), advanced by a running wave cursor.
-        let mut groups = partition.sizes().iter();
+        let mut groups = sizes.iter();
         let mut group_start = 0u32;
-        let mut acc_tiles = 0u64;
         let mut next_group = |size: u32| {
-            let range = group_start..group_start + size;
-            group_start = range.end;
-            let tiles: u64 = range.map(|w| self.profile.wave_tiles(w) as u64).sum();
-            acc_tiles += tiles;
-            let bytes = tiles * self.profile.tile_elems * BYTES_PER_ELEM;
-            let mut comm = self.profile.curve.interpolate(bytes).as_nanos() as f64;
-            if self.profile.primitive == Primitive::AllToAll {
-                // Dynamic routing makes per-group All-to-All traffic
-                // uneven across ranks, and the slowest rank bounds the
-                // exchange (Sec. 2.3: "inherent workload imbalance").
-                // The curve models balanced traffic, so scoring adds a
-                // margin to avoid over-fragmenting.
-                comm *= ALL_TO_ALL_IMBALANCE_MARGIN;
-            }
-            (acc_tiles, comm)
+            let start = group_start;
+            group_start += size;
+            (
+                self.tiles_through(group_start),
+                self.group_payload(start, size),
+            )
         };
         let mut pending = groups.next().map(|&size| next_group(size));
 
@@ -267,6 +383,60 @@ impl LatencyPredictor {
     pub fn predict_serial(&self) -> SimDuration {
         self.predict(&WavePartition::single(self.profile.total_waves))
     }
+}
+
+/// The predictor walk the plain way, kept as the oracle: thresholds
+/// and payloads of every group up front, summed wave by wave and
+/// interpolated on the fully sampled curve, then the wave loop. Returns
+/// when the GEMM finishes and each group's collective completion.
+#[cfg(test)]
+pub(crate) fn tabled_walk(p: &OfflineProfile, sizes: &[u32]) -> (f64, Vec<f64>) {
+    let curve = p.curve.sampled();
+    let per_wave_ns = p.gemm_duration.as_nanos() as f64 / p.total_waves as f64;
+    let mut thresholds = Vec::new();
+    let mut payloads = Vec::new();
+    let (mut start, mut acc_tiles) = (0u32, 0u64);
+    for &size in sizes {
+        let tiles: u64 = (start..start + size)
+            .map(|w| u64::from(p.wave_tiles(w)))
+            .sum();
+        acc_tiles += tiles;
+        thresholds.push(acc_tiles);
+        let mut comm = curve
+            .interpolate(p.group_bytes(start, start + size))
+            .as_nanos() as f64;
+        if p.primitive == Primitive::AllToAll {
+            comm *= ALL_TO_ALL_IMBALANCE_MARGIN;
+        }
+        payloads.push(comm);
+        start += size;
+    }
+    let (mut time, mut tiles_done) = (0.0f64, 0u64);
+    let (mut comm_busy_from, mut comm_free) = (f64::INFINITY, 0.0f64);
+    let mut completions = Vec::new();
+    while tiles_done < u64::from(p.total_tiles) {
+        let width = if comm_busy_from < time && time < comm_free {
+            p.wave_width
+        } else {
+            p.full_wave_width
+        };
+        tiles_done += u64::from(width);
+        time += per_wave_ns;
+        while let Some(&threshold) = thresholds.get(completions.len()) {
+            if tiles_done < threshold {
+                break;
+            }
+            let payload = payloads.get(completions.len()).copied().unwrap_or(0.0);
+            if comm_free <= time {
+                comm_busy_from = time;
+                comm_free = time + payload;
+            } else {
+                comm_free += payload;
+            }
+            completions.push(comm_free);
+        }
+    }
+    (time, completions)
 }
 
 #[cfg(test)]
@@ -377,60 +547,13 @@ mod tests {
         assert_eq!(*completions.last().unwrap(), p.predict(&partition));
     }
 
-    /// The walk before it went allocation-free: thresholds and payloads
-    /// for every group up front, then the wave loop. Kept as the oracle.
-    fn walk_with_tables(p: &OfflineProfile, partition: &WavePartition) -> (f64, Vec<f64>) {
-        let per_wave_ns = p.gemm_duration.as_nanos() as f64 / p.total_waves as f64;
-        let mut thresholds = Vec::new();
-        let mut payloads = Vec::new();
-        let mut acc_tiles = 0u64;
-        for g in 0..partition.num_groups() {
-            let range = partition.wave_range(g);
-            acc_tiles += range.clone().map(|w| p.wave_tiles(w) as u64).sum::<u64>();
-            thresholds.push(acc_tiles);
-            let mut comm = p
-                .curve
-                .interpolate(p.group_bytes(range.start, range.end))
-                .as_nanos() as f64;
-            if p.primitive == Primitive::AllToAll {
-                comm *= ALL_TO_ALL_IMBALANCE_MARGIN;
-            }
-            payloads.push(comm);
-        }
-        let (mut time, mut tiles_done) = (0.0f64, 0u64);
-        let (mut comm_busy_from, mut comm_free) = (f64::INFINITY, 0.0f64);
-        let mut completions = Vec::new();
-        while tiles_done < p.total_tiles as u64 {
-            let width = if comm_busy_from < time && time < comm_free {
-                p.wave_width
-            } else {
-                p.full_wave_width
-            };
-            tiles_done += width as u64;
-            time += per_wave_ns;
-            while completions.len() < thresholds.len()
-                && tiles_done >= thresholds[completions.len()]
-            {
-                let payload = payloads[completions.len()];
-                if comm_free <= time {
-                    comm_busy_from = time;
-                    comm_free = time + payload;
-                } else {
-                    comm_free += payload;
-                }
-                completions.push(comm_free);
-            }
-        }
-        (time, completions)
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// Random shapes, both topology tiers, every primitive and random
-        /// partitions: the allocation-free walk is bit-equal to the
-        /// tabled one, and so are `predict` and
-        /// `predict_group_completions`.
+        /// partitions: the allocation-free walk over the on-demand curve
+        /// is bit-equal to the tabled one over the fully sampled curve,
+        /// and so are `predict` and `predict_group_completions`.
         #[test]
         fn walk_is_bit_equal_to_the_tabled_walk(
             seed in any::<u64>(),
@@ -465,9 +588,9 @@ mod tests {
                 candidates.push(WavePartition::new(sizes));
             }
             for partition in &candidates {
-                let (time, completions) = walk_with_tables(p.profile(), partition);
+                let (time, completions) = tabled_walk(p.profile(), partition.sizes());
                 let mut walked = Vec::new();
-                let walked_time = p.walk(partition, |done| walked.push(done));
+                let walked_time = p.walk(partition.sizes(), |done| walked.push(done));
                 prop_assert_eq!(walked_time.to_bits(), time.to_bits());
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 prop_assert_eq!(bits(&walked), bits(&completions));
@@ -483,6 +606,76 @@ mod tests {
                 prop_assert_eq!(p.predict_group_completions(partition), expected);
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random shapes on every topology tier and primitive, queried
+        /// below, inside and beyond the sampled range in random order:
+        /// the on-demand curve interpolates exactly like the eagerly
+        /// sampled one the offline stage used to build.
+        #[test]
+        fn on_demand_curve_equals_the_eagerly_sampled_curve(
+            seed in any::<u64>(),
+            m in 1u32..6000,
+            n in 1u32..9000,
+            system in prop::sample::select(vec![0usize, 1, 2]),
+            primitive in prop::sample::select(vec![
+                Primitive::AllReduce,
+                Primitive::ReduceScatter,
+                Primitive::AllToAll,
+                Primitive::AllGather,
+            ]),
+        ) {
+            let system = match system {
+                0 => SystemSpec::rtx4090(4),
+                1 => SystemSpec::a800(8),
+                _ => SystemSpec::a800(8).with_nodes(2),
+            };
+            let dims = GemmDims::new(m, n, 1024);
+            let profile = OfflineProfile::build(dims, primitive, &system);
+            let max_bytes = (dims.out_elems() * BYTES_PER_ELEM).max(2 * BYTES_PER_ELEM);
+            let min_bytes = (profile.config.tile.elems() * BYTES_PER_ELEM)
+                .min(max_bytes / 2)
+                .max(2);
+            let eager = SampledCurve::from_points(
+                interconnect::log_spaced_sizes(min_bytes, max_bytes, OfflineProfile::CURVE_POINTS)
+                    .into_iter()
+                    .map(|b| (b, tiered_duration(primitive, b, &system.topology, system.algorithm)))
+                    .collect(),
+            );
+            let mut rng = sim::DetRng::new(seed);
+            for _ in 0..24 {
+                let bytes = match rng.next_below(4) {
+                    0 => rng.next_below(min_bytes + 1),
+                    1 => max_bytes + rng.next_below(max_bytes),
+                    _ => min_bytes + rng.next_below(max_bytes - min_bytes + 1),
+                };
+                prop_assert_eq!(profile.curve.interpolate(bytes), eager.interpolate(bytes), "{} bytes", bytes);
+            }
+            let sampled: Vec<_> = profile.curve.sampled().points().collect();
+            prop_assert_eq!(sampled, eager.points().collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_search_samples_only_the_points_it_reaches() {
+        let p = predictor();
+        let waves = p.profile().total_waves;
+        let _ = p.predict(&WavePartition::per_wave(waves));
+        let sampled = p
+            .profile()
+            .curve
+            .nanos
+            .iter()
+            .filter(|c| c.get() != UNSAMPLED)
+            .count();
+        assert!(
+            (2..OfflineProfile::CURVE_POINTS / 2).contains(&sampled),
+            "{sampled} of {} points sampled",
+            OfflineProfile::CURVE_POINTS
+        );
     }
 
     #[test]

@@ -25,9 +25,7 @@ use std::rc::Rc;
 use collectives::{CollectiveRole, CollectiveSpec, CommScope, Communicator, Primitive, Region};
 use gpu_sim::arch::RemapGranularity;
 use gpu_sim::elementwise::{ElementwiseKernel, ElementwiseOp, Gather};
-use gpu_sim::gemm::{
-    group_runs, CounterHook, EpilogueWriter, GemmConfig, GemmDims, GemmKernel, GroupRun,
-};
+use gpu_sim::gemm::{CounterHook, EpilogueWriter, GemmConfig, GemmDims, GemmKernel, GroupRun};
 use gpu_sim::memory::BufferId;
 use gpu_sim::monitor::ClusterMonitor;
 use gpu_sim::stream::{enqueue, Op};
@@ -94,27 +92,36 @@ impl PlanMapping {
         }
     }
 
-    /// One epilogue writer per rank; ranks share one writer unless the
-    /// mapping packs per rank (token pools follow each rank's routing).
-    fn writers(&self, n_ranks: usize) -> Vec<Rc<dyn EpilogueWriter>> {
-        let shared: Rc<dyn EpilogueWriter> = match self {
+    /// The epilogue writers: one shared by every rank unless the mapping
+    /// packs per rank (token pools follow each rank's routing).
+    fn writers(&self, n_ranks: usize) -> Writers {
+        Writers::Shared(match self {
             PlanMapping::Tile(m) | PlanMapping::Gather(m) => {
                 Rc::new(PackedTileWriter { mapping: m.clone() })
             }
             PlanMapping::Subtile(m) => Rc::new(SubtilePackedWriter { mapping: m.clone() }),
             PlanMapping::Token(m) => {
-                return (0..n_ranks)
-                    .map(|rank| {
-                        Rc::new(TokenPoolWriter {
-                            mapping: m.clone(),
-                            rank,
-                        }) as Rc<dyn EpilogueWriter>
-                    })
-                    .collect()
+                return Writers::PerRank(
+                    (0..n_ranks)
+                        .map(|rank| {
+                            Rc::new(TokenPoolWriter {
+                                mapping: m.clone(),
+                                rank,
+                            }) as Rc<dyn EpilogueWriter>
+                        })
+                        .collect(),
+                )
             }
-        };
-        vec![shared; n_ranks]
+        })
     }
+}
+
+/// A plan's epilogue writers.
+enum Writers {
+    /// One writer every rank packs with.
+    Shared(Rc<dyn EpilogueWriter>),
+    /// One writer per rank.
+    PerRank(Vec<Rc<dyn EpilogueWriter>>),
 }
 
 /// A fully resolved overlap execution plan: shape, system, GEMM
@@ -160,14 +167,12 @@ pub struct OverlapPlan {
     pub partition: WavePartition,
     pattern: CommPattern,
     mapping: PlanMapping,
-    /// `config.issue_order(dims)`, handed to every GEMM launch.
-    issue: Rc<[u32]>,
-    /// The maximal same-group runs of `issue`, shared by every counter
-    /// hook.
+    /// The maximal same-group runs of the issue order, shared by every
+    /// counter hook.
     group_runs: Rc<[GroupRun]>,
-    /// Epilogue writer per rank (one shared writer unless the mapping
-    /// packs per rank).
-    writers: Vec<Rc<dyn EpilogueWriter>>,
+    /// The epilogue writers (one shared writer unless the mapping packs
+    /// per rank).
+    writers: Writers,
     /// The communicator every launch opens on its world.
     comm: Communicator,
     /// The watchdog and drift predictor, built on first use.
@@ -342,8 +347,9 @@ impl OverlapPlan {
             config.swizzle = gpu_sim::swizzle::Swizzle::StripRows { height: 1 };
         }
         let grid = config.grid(dims);
-        let issue = config.issue_order(dims);
-        let schedule = WaveSchedule::new(&issue, system.compute_sms());
+        // The schedule's waves are slices of the order every launch
+        // carries.
+        let schedule = WaveSchedule::over(config.issue_order(dims), system.compute_sms());
         partition.check_covers(schedule.num_waves())?;
         let mapping = match &pattern {
             CommPattern::AllReduce => {
@@ -383,7 +389,7 @@ impl OverlapPlan {
                 PlanMapping::Gather(Rc::new(TileMapping::build(grid, &schedule, &partition)))
             }
         };
-        let group_runs = group_runs(&issue, &mapping.layout().group_of_tile);
+        let group_runs = mapping.layout().issue_runs();
         let writers = mapping.writers(system.n_gpus);
         let comm = Communicator::with_topology(
             (0..system.n_gpus).collect(),
@@ -399,7 +405,6 @@ impl OverlapPlan {
             partition,
             pattern,
             mapping,
-            issue,
             group_runs,
             writers,
             comm,
@@ -411,7 +416,7 @@ impl OverlapPlan {
     /// The GEMM tile issue order every launch of this plan uses
     /// (`config.issue_order(dims)`, derived once in [`OverlapPlan::new`]).
     pub fn issue_order(&self) -> &Rc<[u32]> {
-        &self.issue
+        self.schedule.issue_order()
     }
 
     /// The maximal same-group runs of the issue order under the
@@ -647,7 +652,7 @@ impl OverlapPlan {
                 out: packed_bufs[d],
                 dims: self.dims,
                 config: self.config,
-                issue: Rc::clone(&self.issue),
+                issue: Rc::clone(self.issue_order()),
                 writer: self.writer_for(d),
                 counter: Some(CounterHook::new(tables[d], Rc::clone(&self.group_runs))),
             };
@@ -755,14 +760,17 @@ impl OverlapPlan {
     }
 
     pub(crate) fn writer_for(&self, rank: usize) -> Rc<dyn EpilogueWriter> {
-        Rc::clone(&self.writers[rank])
+        match &self.writers {
+            Writers::Shared(writer) => Rc::clone(writer),
+            Writers::PerRank(writers) => Rc::clone(&writers[rank]),
+        }
     }
 
     /// Whether ranks' epilogues write different footprints: token pools
     /// follow each rank's routing, every other mapping packs identically
     /// on every rank.
     pub(crate) fn writes_per_rank(&self) -> bool {
-        matches!(self.mapping, PlanMapping::Token(_))
+        matches!(self.writers, Writers::PerRank(_))
     }
 
     /// The wave-group layout: groups, per-group tile counts and the

@@ -6,9 +6,7 @@ use gpu_sim::gemm::GemmDims;
 use sim::SimDuration;
 
 use crate::error::FlashOverlapError;
-use crate::partition::{
-    all_partitions, candidate_partitions, WavePartition, EXHAUSTIVE_WAVE_LIMIT,
-};
+use crate::partition::{all_partitions, for_each_candidate, WavePartition, EXHAUSTIVE_WAVE_LIMIT};
 use crate::predictor::LatencyPredictor;
 use crate::runtime::{CommPattern, OverlapPlan};
 use crate::sequence::SequenceOptions;
@@ -54,22 +52,25 @@ pub fn predictive_search_with(
 }
 
 /// Scores the pruned candidate set over one offline profile and returns
-/// the argmin; the first candidate wins ties.
+/// the argmin; the first candidate wins ties. Candidates are scored as
+/// they are enumerated, so only the winner's sizes are ever copied out.
 fn search(predictor: &LatencyPredictor, s1_max: u32, sp_max: u32) -> TuneOutcome {
     let waves = predictor.profile().total_waves;
-    let candidates = candidate_partitions(waves, s1_max, sp_max);
-    let mut best: Option<(SimDuration, WavePartition)> = None;
-    let evaluated = candidates.len();
-    for partition in candidates {
-        let predicted = predictor.predict(&partition);
-        if best.as_ref().is_none_or(|(b, _)| predicted < *b) {
-            best = Some((predicted, partition));
+    let mut best: Option<SimDuration> = None;
+    let mut best_sizes = Vec::new();
+    let mut evaluated = 0;
+    for_each_candidate(waves, s1_max, sp_max, |sizes| {
+        evaluated += 1;
+        let predicted = predictor.predict_sizes(sizes);
+        if best.is_none_or(|b| predicted < b) {
+            best = Some(predicted);
+            best_sizes.clear();
+            best_sizes.extend_from_slice(sizes);
         }
-    }
-    let (latency, partition) = best.expect("candidate set is never empty");
+    });
     TuneOutcome {
-        partition,
-        latency,
+        partition: WavePartition::new(best_sizes),
+        latency: best.expect("candidate set is never empty"),
         evaluated,
     }
 }

@@ -32,9 +32,13 @@
 //! [`SequenceOptions::resilient`]: crate::SequenceOptions::resilient
 //! [`SequenceOptions::drop_cross_batch_edge`]: crate::SequenceOptions::drop_cross_batch_edge
 
+use std::borrow::Cow;
+use std::ops::Range;
+
+use gpu_sim::gemm::FootprintSink;
 use planverify::{
-    ExecPath, GroupModel, Interval, Mutation, RankModel, ScheduleModel, Segment, TileWrite,
-    VerifyReport, Violation, Writer,
+    ExecPath, Interval, Mutation, ScheduleModel, Segment, TileWrite, VerifyReport, Violation,
+    Writer,
 };
 use sim::SimDuration;
 
@@ -49,7 +53,7 @@ pub fn model_of_plan(plan: &OverlapPlan) -> ScheduleModel {
     ScheduleModel {
         n_ranks: plan.system.n_gpus,
         node_of: node_map_of(plan),
-        segments: vec![segment_of(plan, "plan".to_string(), 0, false)],
+        segments: vec![segment_of(plan, "plan".into(), 0, false)],
     }
 }
 
@@ -77,88 +81,126 @@ pub fn model_of_chain(plans: &[&OverlapPlan], label: &str) -> ScheduleModel {
         segments: plans
             .iter()
             .enumerate()
-            .map(|(i, p)| segment_of(p, format!("{label} {i}"), i % 2, i >= 2))
+            .map(|(i, p)| segment_of(p, format!("{label} {i}").into(), i % 2, i >= 2))
             .collect(),
     }
 }
 
-fn segment_of(plan: &OverlapPlan, label: String, table: usize, rearmed: bool) -> Segment {
+/// Lowers one plan's segment. Ranks that pack identically share writer
+/// 0, and since every non-token mapping also gives each group the same
+/// send region on every rank, those ranks share one contract range too.
+fn segment_of(
+    plan: &OverlapPlan,
+    label: Cow<'static, str>,
+    table: usize,
+    rearmed: bool,
+) -> Segment {
     let n = plan.system.n_gpus;
-    // Lowered once per distinct writer: ranks that pack identically
-    // share writer 0.
     let per_rank = plan.writes_per_rank();
-    let writers = (0..if per_rank { n } else { 1 })
+    let mut segment = Segment::new(label, table, rearmed);
+    segment.writers = (0..if per_rank { n } else { 1 })
         .map(|rank| writer_of(plan, rank))
         .collect();
-    Segment {
-        label,
-        table,
-        rearmed,
-        writers,
-        ranks: (0..n)
-            .map(|rank| rank_model(plan, rank, if per_rank { rank } else { 0 }))
-            .collect(),
+    let mut shared: Option<Range<usize>> = None;
+    for rank in 0..n {
+        let contracts = match &shared {
+            Some(contracts) => contracts.clone(),
+            None => push_contracts(plan, rank, &mut segment),
+        };
+        if !per_rank {
+            shared = Some(contracts.clone());
+        }
+        segment.push_rank(rank, if per_rank { rank } else { 0 }, contracts);
     }
+    segment
+}
+
+/// Pushes `rank`'s per-group contracts — the wait threshold (the group's
+/// tile count), the scheduled increments and the packed region the
+/// group's collective reads — and returns their range.
+fn push_contracts(plan: &OverlapPlan, rank: usize, segment: &mut Segment) -> Range<usize> {
+    let start = segment.groups.len();
+    for (g, &count) in plan.group_tile_counts().iter().enumerate() {
+        let region = plan.group_send_region(g, rank);
+        segment.push_group(
+            g,
+            // A group with no collective schedules no wait either.
+            region.map(|_| count),
+            count,
+            region
+                .filter(|&(_, len)| len > 0)
+                .map(|(start, len)| Interval::new(start, len)),
+        );
+    }
+    start..segment.groups.len()
 }
 
 /// Lowers `rank`'s epilogue write footprints into one flat writer,
 /// tiles in packed order so the arena follows the buffer. The epilogue
-/// reports every footprint in one call.
+/// hands every footprint straight to the writer being built.
 fn writer_of(plan: &OverlapPlan, rank: usize) -> Writer {
     let grid = plan.config.grid(plan.dims);
     let layout = plan.layout();
     let order = &layout.reorder_order;
-    let mut spans = Vec::with_capacity(order.len());
-    let mut ends = Vec::with_capacity(order.len());
+    let mut lowering = Lowering {
+        writer: Writer {
+            tiles: Vec::with_capacity(order.len()),
+            intervals: Vec::with_capacity(order.len()),
+        },
+        group_of_tile: &layout.group_of_tile,
+        start: 0,
+    };
     plan.writer_for(rank)
-        .footprints(&grid, order, &mut spans, &mut ends);
-    let mut start = 0;
-    let tiles = order
-        .iter()
-        .zip(&ends)
-        .map(|(&tile, &end)| {
-            let intervals = start..end;
-            start = end;
-            TileWrite {
-                tile,
-                group: layout
-                    .group_of_tile
-                    .get(tile as usize)
-                    .copied()
-                    .unwrap_or(0) as usize,
-                intervals,
-            }
-        })
-        .collect();
-    let intervals = spans
-        .iter()
-        .map(|r| Interval::new(r.start, r.end - r.start))
-        .collect();
-    Writer { tiles, intervals }
+        .footprints(&grid, order, &mut lowering);
+    lowering.writer
 }
 
-fn rank_model(plan: &OverlapPlan, rank: usize, writer: usize) -> RankModel {
-    let counts = plan.group_tile_counts();
-    let groups = (0..counts.len())
-        .map(|g| {
-            let region = plan.group_send_region(g, rank);
-            GroupModel {
-                group: g,
-                // A group with no collective schedules no wait either.
-                wait: region.map(|_| counts.get(g).copied().unwrap_or(0)),
-                increments: counts.get(g).copied().unwrap_or(0),
-                reads: region
-                    .filter(|&(_, len)| len > 0)
-                    .map(|(start, len)| Interval::new(start, len))
-                    .into_iter()
-                    .collect(),
-            }
-        })
-        .collect();
-    RankModel {
-        rank,
-        writer,
-        groups,
+/// The [`FootprintSink`] the lowering builds a [`Writer`] with: spans
+/// become the arena's intervals, and each finished tile takes the
+/// intervals since the previous one, tagged with its group.
+struct Lowering<'a> {
+    writer: Writer,
+    group_of_tile: &'a [u32],
+    /// Arena index of the current tile's first interval.
+    start: usize,
+}
+
+impl FootprintSink for Lowering<'_> {
+    fn span(&mut self, span: Range<usize>) {
+        self.writer
+            .intervals
+            .push(Interval::new(span.start, span.end - span.start));
+    }
+
+    fn end_tile(&mut self, tile: u32) {
+        let end = self.writer.intervals.len();
+        self.writer.tiles.push(TileWrite {
+            tile,
+            group: self.group_of_tile.get(tile as usize).copied().unwrap_or(0) as usize,
+            intervals: self.start..end,
+        });
+        self.start = end;
+    }
+
+    fn slots(&mut self, tiles: &[u32], offsets: &[usize], end: usize) {
+        // One interval per tile, appended in bulk.
+        let first = self.writer.intervals.len();
+        let ends = offsets.iter().skip(1).chain(std::iter::once(&end));
+        self.writer.intervals.extend(
+            offsets
+                .iter()
+                .zip(ends)
+                .map(|(&start, &end)| Interval::new(start, end - start)),
+        );
+        let group_of_tile = self.group_of_tile;
+        self.writer
+            .tiles
+            .extend(tiles.iter().zip(first..).map(|(&tile, i)| TileWrite {
+                tile,
+                group: group_of_tile.get(tile as usize).copied().unwrap_or(0) as usize,
+                intervals: i..i + 1,
+            }));
+        self.start = self.writer.intervals.len();
     }
 }
 
@@ -189,8 +231,7 @@ impl OverlapPlan {
     /// (zero communicated payload). Persisted with plan-cache snapshots
     /// so preloading can cross-check the rebuilt schedule.
     pub fn wait_thresholds(&self) -> Vec<Option<u32>> {
-        let counts = self.group_tile_counts().to_vec();
-        counts
+        self.group_tile_counts()
             .iter()
             .enumerate()
             .map(|(g, &c)| self.group_send_region(g, 0).map(|_| c))

@@ -9,7 +9,7 @@
 use std::ops::Range;
 use std::rc::Rc;
 
-use gpu_sim::gemm::EpilogueWriter;
+use gpu_sim::gemm::{EpilogueWriter, FootprintSink};
 use gpu_sim::tile::TileGrid;
 use tensor::Matrix;
 
@@ -46,19 +46,16 @@ impl EpilogueWriter for PackedTileWriter {
         spans.push(base..base + elems);
     }
 
-    fn footprints(
-        &self,
-        grid: &TileGrid,
-        tiles: &[u32],
-        spans: &mut Vec<Range<usize>>,
-        ends: &mut Vec<usize>,
-    ) {
+    fn footprints(&self, grid: &TileGrid, tiles: &[u32], sink: &mut dyn FootprintSink) {
         // A tile fills its packed slot: from its offset to the next
         // slot's.
         let m = &*self.mapping;
         debug_assert_eq!(grid, m.grid());
-        spans.reserve(tiles.len());
-        ends.reserve(tiles.len());
+        if tiles == m.layout.reorder_order.as_slice() {
+            // The whole packed order: slot `i` is `tiles[i]`'s.
+            sink.slots(tiles, &m.slot_offset, m.total_elems);
+            return;
+        }
         for &t in tiles {
             let slot = m.slot_of_tile[t as usize] as usize;
             let end = m
@@ -66,8 +63,8 @@ impl EpilogueWriter for PackedTileWriter {
                 .get(slot + 1)
                 .copied()
                 .unwrap_or(m.total_elems);
-            spans.push(m.slot_offset[slot]..end);
-            ends.push(spans.len());
+            sink.span(m.slot_offset[slot]..end);
+            sink.end_tile(t);
         }
     }
 }
@@ -297,11 +294,29 @@ mod tests {
         }
     }
 
+    /// Every span a sink receives, and after each tile the tile and the
+    /// span count so far.
+    #[derive(Debug, Default, PartialEq)]
+    struct Collected {
+        spans: Vec<Range<usize>>,
+        ends: Vec<(u32, usize)>,
+    }
+
+    impl FootprintSink for Collected {
+        fn span(&mut self, span: Range<usize>) {
+            self.spans.push(span);
+        }
+
+        fn end_tile(&mut self, tile: u32) {
+            self.ends.push((tile, self.spans.len()));
+        }
+    }
+
     #[test]
     fn batch_footprints_equal_per_tile_write_spans() {
         // Every writer kind, on a ragged grid, for tile lists in packed,
-        // address and shuffled order: the one-call footprints append the
-        // spans and tile ends a write_spans loop would.
+        // address and shuffled order: the one-call footprints hand the
+        // sink the spans and tile ends a write_spans loop would.
         for (m, n, seed) in [(64, 32, 5), (40, 72, 6), (48, 80, 7)] {
             let (grid, schedule) = grid_and_schedule(m, n);
             let mut rng = DetRng::new(seed);
@@ -339,17 +354,14 @@ mod tests {
             ];
             for writer in &writers {
                 for order in &orders {
-                    // Both append after what the buffers already hold.
-                    let earlier = 3..9;
-                    let (mut spans, mut ends) = (vec![earlier.clone()], vec![1]);
-                    writer.footprints(&grid, order, &mut spans, &mut ends);
-                    let (mut expected_spans, mut expected_ends) = (vec![earlier], vec![1]);
+                    let mut footprints = Collected::default();
+                    writer.footprints(&grid, order, &mut footprints);
+                    let mut expected = Collected::default();
                     for &t in order {
-                        writer.write_spans(&grid, t, &mut expected_spans);
-                        expected_ends.push(expected_spans.len());
+                        writer.write_spans(&grid, t, &mut expected.spans);
+                        expected.ends.push((t, expected.spans.len()));
                     }
-                    assert_eq!(spans, expected_spans, "{m}x{n}");
-                    assert_eq!(ends, expected_ends, "{m}x{n}");
+                    assert_eq!(footprints, expected, "{m}x{n}");
                 }
             }
         }

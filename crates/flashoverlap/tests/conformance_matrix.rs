@@ -845,11 +845,11 @@ fn zero_payload_group_caveat_is_a_no_op_for_both_layers() {
     let plan = observable_plan();
     let mut model = model_of_plan(&plan);
     for seg in &mut model.segments {
-        for rank in &mut seg.ranks {
-            if let Some(g) = rank.groups.iter_mut().find(|g| g.group == 1) {
+        for rank in 0..seg.ranks.len() {
+            if let Some(g) = seg.groups_mut(rank).iter_mut().find(|g| g.group == 1) {
                 g.wait = None;
                 g.increments = 0;
-                g.reads.clear();
+                g.reads = 0..0;
             }
         }
         for writer in &mut seg.writers {

@@ -124,7 +124,12 @@ impl GemmConfig {
     /// `dims` — the [`GemmKernel::issue`] a kernel of this configuration
     /// must carry. Derive it once per shape and share the `Rc`.
     pub fn issue_order(&self, dims: GemmDims) -> Rc<[u32]> {
-        self.swizzle.issue_order(&self.grid(dims)).into()
+        let grid = self.grid(dims);
+        // Sized up front, so the `Rc` is the order's only allocation.
+        let mut order: Rc<[u32]> = std::iter::repeat_n(0, grid.num_tiles() as usize).collect();
+        let slots = Rc::get_mut(&mut order).expect("a fresh Rc has no other owner");
+        self.swizzle.fill_issue_order(&grid, slots);
+        order
     }
 }
 
@@ -181,20 +186,40 @@ pub trait EpilogueWriter {
     }
 
     /// The footprints of many tiles in one call, for the static
-    /// verifier's lowering: appends [`EpilogueWriter::write_spans`] of
-    /// each tile of `tiles` in turn to `spans`, and after each tile
-    /// pushes `spans.len()` to `ends`. The default loops over
-    /// `write_spans`; writers that can answer from a table override it.
-    fn footprints(
-        &self,
-        grid: &TileGrid,
-        tiles: &[u32],
-        spans: &mut Vec<std::ops::Range<usize>>,
-        ends: &mut Vec<usize>,
-    ) {
+    /// verifier's lowering: hands `sink` the
+    /// [`EpilogueWriter::write_spans`] of each tile of `tiles` in turn,
+    /// closing each tile with [`FootprintSink::end_tile`]. The default
+    /// loops over `write_spans` through one buffer; writers that can
+    /// answer from a table override it and buffer nothing.
+    fn footprints(&self, grid: &TileGrid, tiles: &[u32], sink: &mut dyn FootprintSink) {
+        let mut spans = Vec::new();
         for &t in tiles {
-            self.write_spans(grid, t, spans);
-            ends.push(spans.len());
+            self.write_spans(grid, t, &mut spans);
+            spans.drain(..).for_each(|span| sink.span(span));
+            sink.end_tile(t);
+        }
+    }
+}
+
+/// Receives the tile footprints of [`EpilogueWriter::footprints`]: the
+/// spans of one tile, then that tile's [`FootprintSink::end_tile`].
+pub trait FootprintSink {
+    /// One output range the current tile writes.
+    fn span(&mut self, span: std::ops::Range<usize>);
+
+    /// Tile `tile`'s spans are complete.
+    fn end_tile(&mut self, tile: u32);
+
+    /// Many tiles at once, each writing one whole slot of a packed
+    /// buffer: `tiles[i]` writes `offsets[i]..offsets[i + 1]`, the last
+    /// tile up to `end`. The default hands each span and tile end over
+    /// in turn; a sink that stores footprints flat can take the run in
+    /// bulk.
+    fn slots(&mut self, tiles: &[u32], offsets: &[usize], end: usize) {
+        let ends = offsets.iter().skip(1).chain(std::iter::once(&end));
+        for ((&tile, &start), &end) in tiles.iter().zip(offsets).zip(ends) {
+            self.span(start..end);
+            self.end_tile(tile);
         }
     }
 }

@@ -40,37 +40,53 @@ impl Swizzle {
     ///
     /// Panics if a strip width of zero is configured.
     pub fn issue_order(&self, grid: &TileGrid) -> Vec<u32> {
+        let mut order = vec![0; grid.num_tiles() as usize];
+        self.fill_issue_order(grid, &mut order);
+        order
+    }
+
+    /// Writes [`Swizzle::issue_order`] into `out`, so callers that keep
+    /// the order elsewhere (a shared `Rc<[u32]>`) build it in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not hold exactly one slot per tile, or if a
+    /// strip width of zero is configured.
+    pub fn fill_issue_order(&self, grid: &TileGrid, out: &mut [u32]) {
+        assert_eq!(
+            out.len(),
+            grid.num_tiles() as usize,
+            "issue order needs one slot per tile"
+        );
+        let mut slots = out.iter_mut();
+        let mut issue = |t: u32| *slots.next().expect("one slot per tile") = t;
         match *self {
-            Swizzle::Identity => (0..grid.num_tiles()).collect(),
+            Swizzle::Identity => (0..grid.num_tiles()).for_each(issue),
             Swizzle::Strip { width } => {
                 assert!(width > 0, "strip width must be positive");
-                let mut order = Vec::with_capacity(grid.num_tiles() as usize);
                 let mut strip_start = 0;
                 while strip_start < grid.tiles_n() {
                     let strip_end = (strip_start + width).min(grid.tiles_n());
                     for row in 0..grid.tiles_m() {
                         for col in strip_start..strip_end {
-                            order.push(grid.tile_at(row, col));
+                            issue(grid.tile_at(row, col));
                         }
                     }
                     strip_start = strip_end;
                 }
-                order
             }
             Swizzle::StripRows { height } => {
                 assert!(height > 0, "strip height must be positive");
-                let mut order = Vec::with_capacity(grid.num_tiles() as usize);
                 let mut strip_start = 0;
                 while strip_start < grid.tiles_m() {
                     let strip_end = (strip_start + height).min(grid.tiles_m());
                     for col in 0..grid.tiles_n() {
                         for row in strip_start..strip_end {
-                            order.push(grid.tile_at(row, col));
+                            issue(grid.tile_at(row, col));
                         }
                     }
                     strip_start = strip_end;
                 }
-                order
             }
         }
     }

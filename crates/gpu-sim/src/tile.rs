@@ -160,6 +160,21 @@ impl TileGrid {
         let cols = self.tile.n.min(self.n - col * self.tile.n);
         rows as u64 * cols as u64
     }
+
+    /// [`TileGrid::tile_elems`] of every tile, in address order, sized
+    /// from the grid's interior and edge extents: only the last row and
+    /// column of tiles can be partial, so no tile needs a division.
+    pub fn tile_elems_in_order(&self) -> impl Iterator<Item = u64> {
+        let (tile, tiles_m, tiles_n) = (self.tile, self.tiles_m, self.tiles_n);
+        let edge_rows = self.m - (tiles_m - 1) * tile.m;
+        let edge_cols = self.n - (tiles_n - 1) * tile.n;
+        (0..tiles_m).flat_map(move |row| {
+            let rows = u64::from(if row + 1 < tiles_m { tile.m } else { edge_rows });
+            (0..tiles_n).map(move |col| {
+                rows * u64::from(if col + 1 < tiles_n { tile.n } else { edge_cols })
+            })
+        })
+    }
 }
 
 #[cfg(test)]
@@ -220,6 +235,22 @@ mod tests {
                 let expected = (rows.end - rows.start) as u64 * (cols.end - cols.start) as u64;
                 assert_eq!(g.tile_elems(t), expected, "{m}x{n} tile {t}");
             }
+        }
+    }
+
+    #[test]
+    fn tile_elems_in_order_matches_tile_elems() {
+        for (m, n, tm, tn) in [
+            (300, 200, 128, 128),
+            (512, 1024, 128, 256),
+            (7, 33, 4, 8),
+            (64, 64, 128, 128),
+            (16, 4096, 128, 256),
+        ] {
+            let g = TileGrid::new(m, n, TileShape::new(tm, tn));
+            let expected: Vec<u64> = (0..g.num_tiles()).map(|t| g.tile_elems(t)).collect();
+            let sized: Vec<u64> = g.tile_elems_in_order().collect();
+            assert_eq!(sized, expected, "{m}x{n} in {tm}x{tn} tiles");
         }
     }
 

@@ -12,10 +12,15 @@
 //! invariants written down at each access.
 #![warn(clippy::indexing_slicing)]
 
-/// The planned assignment of tiles to waves.
+use std::rc::Rc;
+
+/// The planned assignment of tiles to waves: the issue order, cut into
+/// chunks of the wave width. Waves are slices of the shared order, not
+/// copies of it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WaveSchedule {
-    waves: Vec<Vec<u32>>,
+    issue: Rc<[u32]>,
+    width: usize,
     wave_of_tile: Vec<u32>,
 }
 
@@ -24,38 +29,50 @@ impl WaveSchedule {
     ///
     /// # Panics
     ///
+    /// Panics like [`WaveSchedule::over`].
+    pub fn new(issue_order: &[u32], concurrency: u32) -> Self {
+        Self::over(Rc::from(issue_order), concurrency)
+    }
+
+    /// [`WaveSchedule::new`] over an issue order the caller shares (a
+    /// plan's GEMM launches carry the same `Rc`), without copying it.
+    ///
+    /// # Panics
+    ///
     /// Panics if `concurrency` is zero, `issue_order` is empty, or the
     /// order names a tile index `>= issue_order.len()` (valid orders are
     /// permutations of `0..len`, as produced by
     /// [`crate::swizzle::Swizzle::issue_order`]).
-    pub fn new(issue_order: &[u32], concurrency: u32) -> Self {
+    pub fn over(issue_order: Rc<[u32]>, concurrency: u32) -> Self {
         assert!(concurrency > 0, "concurrency must be positive");
         assert!(!issue_order.is_empty(), "empty issue order");
+        let width = (concurrency as usize).min(issue_order.len());
         let mut wave_of_tile = vec![0u32; issue_order.len()];
-        let waves: Vec<Vec<u32>> = issue_order
-            .chunks(concurrency as usize)
-            .enumerate()
-            .map(|(w, chunk)| {
-                for &t in chunk {
-                    // In bounds for permutations (t < len); a malformed
-                    // order is a caller bug surfaced here.
-                    let slot = wave_of_tile
-                        .get_mut(t as usize)
-                        .expect("issue order names a tile outside 0..len");
-                    *slot = w as u32;
-                }
-                chunk.to_vec()
-            })
-            .collect();
+        for (w, chunk) in issue_order.chunks(width).enumerate() {
+            for &t in chunk {
+                // In bounds for permutations (t < len); a malformed
+                // order is a caller bug surfaced here.
+                let slot = wave_of_tile
+                    .get_mut(t as usize)
+                    .expect("issue order names a tile outside 0..len");
+                *slot = w as u32;
+            }
+        }
         WaveSchedule {
-            waves,
+            issue: issue_order,
+            width,
             wave_of_tile,
         }
     }
 
+    /// The issue order the waves are cut from.
+    pub fn issue_order(&self) -> &Rc<[u32]> {
+        &self.issue
+    }
+
     /// Number of waves `T`.
     pub fn num_waves(&self) -> u32 {
-        self.waves.len() as u32
+        self.issue.len().div_ceil(self.width) as u32
     }
 
     /// Tiles of wave `w`, in issue order.
@@ -64,12 +81,12 @@ impl WaveSchedule {
     ///
     /// Panics if `w` is out of range.
     pub fn wave(&self, w: u32) -> &[u32] {
-        self.waves.get(w as usize).expect("wave out of range")
+        self.waves().nth(w as usize).expect("wave out of range")
     }
 
-    /// All waves.
-    pub fn waves(&self) -> &[Vec<u32>] {
-        &self.waves
+    /// All waves, in issue order.
+    pub fn waves(&self) -> std::slice::Chunks<'_, u32> {
+        self.issue.chunks(self.width)
     }
 
     /// The wave that tile `t` (address-order index) belongs to.
@@ -91,12 +108,7 @@ impl WaveSchedule {
 
     /// Full-wave width (tiles per non-tail wave).
     pub fn wave_width(&self) -> u32 {
-        // The constructor rejects empty issue orders, so at least one
-        // wave always exists.
-        self.waves
-            .first()
-            .map(Vec::len)
-            .expect("constructor guarantees >= 1 wave") as u32
+        self.width as u32
     }
 }
 
@@ -151,9 +163,26 @@ mod tests {
     fn waves_partition_all_tiles() {
         let order: Vec<u32> = (0..37).rev().collect();
         let ws = WaveSchedule::new(&order, 8);
-        let total: usize = ws.waves().iter().map(Vec::len).sum();
+        let total: usize = ws.waves().map(<[u32]>::len).sum();
         assert_eq!(total, 37);
         assert_eq!(ws.num_tiles(), 37);
+    }
+
+    #[test]
+    fn a_shared_order_is_not_copied() {
+        let order: Rc<[u32]> = (0..10).rev().collect();
+        let ws = WaveSchedule::over(Rc::clone(&order), 4);
+        assert!(Rc::ptr_eq(ws.issue_order(), &order));
+        assert_eq!(ws, WaveSchedule::new(&order, 4));
+        let waves: Vec<&[u32]> = ws.waves().collect();
+        assert_eq!(waves, [&[9, 8, 7, 6][..], &[5, 4, 3, 2], &[1, 0]]);
+    }
+
+    #[test]
+    fn a_wide_wave_holds_every_tile() {
+        let ws = WaveSchedule::new(&[2, 0, 1], 8);
+        assert_eq!((ws.num_waves(), ws.wave_width()), (1, 3));
+        assert_eq!(ws.wave(0), &[2, 0, 1]);
     }
 
     #[test]

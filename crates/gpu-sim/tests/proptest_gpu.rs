@@ -31,7 +31,7 @@ proptest! {
     fn wave_schedule_partitions(tiles in 1u32..2000, conc in 1u32..256) {
         let order: Vec<u32> = (0..tiles).collect();
         let ws = WaveSchedule::new(&order, conc);
-        let total: usize = ws.waves().iter().map(Vec::len).sum();
+        let total: usize = ws.waves().map(<[u32]>::len).sum();
         prop_assert_eq!(total as u32, tiles);
         prop_assert_eq!(ws.num_waves(), tiles.div_ceil(conc));
         for w in 0..ws.num_waves() {

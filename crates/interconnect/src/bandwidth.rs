@@ -177,21 +177,52 @@ impl SampledCurve {
 ///
 /// Panics if `count < 2` or the range is empty/inverted.
 pub fn log_spaced_sizes(min_bytes: u64, max_bytes: u64, count: usize) -> Vec<u64> {
-    assert!(count >= 2, "need at least two sample sizes");
-    assert!(
-        0 < min_bytes && min_bytes < max_bytes,
-        "invalid size range {min_bytes}..{max_bytes}"
-    );
-    let lo = (min_bytes as f64).ln();
-    let hi = (max_bytes as f64).ln();
-    let mut sizes: Vec<u64> = (0..count)
-        .map(|i| {
-            let t = i as f64 / (count - 1) as f64;
-            (lo + t * (hi - lo)).exp().round() as u64
-        })
-        .collect();
+    let spacing = LogSpacing::new(min_bytes, max_bytes, count);
+    let mut sizes: Vec<u64> = (0..count).map(|i| spacing.size(i)).collect();
     sizes.dedup();
     sizes
+}
+
+/// The sampling grid of [`log_spaced_sizes`] before deduplication, one
+/// size at a time: a curve that samples on demand computes only the
+/// sizes its queries reach.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LogSpacing {
+    lo: f64,
+    hi: f64,
+    count: usize,
+}
+
+impl LogSpacing {
+    /// `count` sizes from `min_bytes` to `max_bytes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count < 2` or the range is empty or starts at zero.
+    pub fn new(min_bytes: u64, max_bytes: u64, count: usize) -> Self {
+        assert!(count >= 2, "need at least two sample sizes");
+        assert!(
+            0 < min_bytes && min_bytes < max_bytes,
+            "invalid size range {min_bytes}..{max_bytes}"
+        );
+        LogSpacing {
+            lo: (min_bytes as f64).ln(),
+            hi: (max_bytes as f64).ln(),
+            count,
+        }
+    }
+
+    /// Number of sizes.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// Size `i`, rounded to whole bytes (non-decreasing in `i`; rounding
+    /// may repeat a size on a narrow range).
+    pub fn size(&self, i: usize) -> u64 {
+        let t = i as f64 / (self.count - 1) as f64;
+        (self.lo + t * (self.hi - self.lo)).exp().round() as u64
+    }
 }
 
 #[cfg(test)]

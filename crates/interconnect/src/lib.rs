@@ -14,5 +14,5 @@
 pub mod bandwidth;
 pub mod topology;
 
-pub use bandwidth::{log_spaced_sizes, BandwidthModel, SampledCurve};
+pub use bandwidth::{log_spaced_sizes, BandwidthModel, LogSpacing, SampledCurve};
 pub use topology::{FabricSpec, LinkKind};

@@ -279,7 +279,7 @@ pub fn verify(model: &ScheduleModel) -> VerifyReport {
     };
     // Residual per-(table, rank) slot counts left by earlier segments:
     // waits never consume counts, only the rearm chain's reset clears
-    // them.
+    // them. Only segments with a successor deposit.
     let mut residual: HashMap<(usize, usize), Vec<u32>> = HashMap::new();
     // Node-coverage pass (hierarchical models only): every node must
     // field at least one rank in every segment, or the leader phase of
@@ -308,25 +308,40 @@ pub fn verify(model: &ScheduleModel) -> VerifyReport {
         }
     }
     let empty = Regions::default();
+    let mut guaranteed = Vec::new();
     for (si, seg) in model.segments.iter().enumerate() {
         // One region index per distinct writer, shared by every rank
         // that names it.
         let regions: Vec<Regions> = seg.writers.iter().map(Regions::of).collect();
         for rm in &seg.ranks {
-            let slot = residual.entry((seg.table, rm.rank)).or_default();
+            let key = (seg.table, rm.rank);
             if seg.rearmed {
-                slot.clear();
+                residual.remove(&key);
             }
+            let stale = residual.get(&key).map_or(&[][..], Vec::as_slice);
             let written = regions.get(rm.writer).unwrap_or(&empty);
             stats.tiles += written.tiles;
-            check_rank(si, seg, rm, written, slot, &mut violations, &mut stats);
-            // Deposit this segment's increments for the table's next user.
-            for gm in &rm.groups {
-                if slot.len() <= gm.group {
-                    slot.resize(gm.group + 1, 0);
-                }
-                if let Some(c) = slot.get_mut(gm.group) {
-                    *c += gm.increments;
+            check_rank(
+                si,
+                seg,
+                rm,
+                written,
+                stale,
+                &mut guaranteed,
+                &mut violations,
+                &mut stats,
+            );
+            if si + 1 < model.segments.len() {
+                // Deposit this segment's increments for the table's next
+                // user.
+                let slot = residual.entry(key).or_default();
+                for gm in seg.groups_of(rm) {
+                    if slot.len() <= gm.group {
+                        slot.resize(gm.group + 1, 0);
+                    }
+                    if let Some(c) = slot.get_mut(gm.group) {
+                        *c += gm.increments;
+                    }
                 }
             }
         }
@@ -353,6 +368,10 @@ struct Piece {
 struct Run {
     start: usize,
     end: usize,
+    /// The largest end among this run and every run before it: monotone
+    /// even when runs overlap, so binary search finds the first run that
+    /// can reach a read.
+    reach: usize,
     group: usize,
     pieces: Range<usize>,
 }
@@ -371,10 +390,6 @@ struct Regions<'w> {
     /// indexes them.
     pieces: OnceCell<Vec<Piece>>,
     runs: Vec<Run>,
-    /// `reach[i]` is the largest end among `runs[..=i]`: monotone even
-    /// when runs overlap, so binary search finds the first run that can
-    /// reach a read.
-    reach: Vec<usize>,
 }
 
 /// The non-empty intervals of `writer`, tile by tile in arena order.
@@ -411,6 +426,7 @@ fn merge_runs(pieces: impl Iterator<Item = Piece>) -> Option<Vec<Run>> {
             _ => runs.push(Run {
                 start: p.start,
                 end: p.end,
+                reach: 0,
                 group: p.group,
                 pieces: i..i + 1,
             }),
@@ -424,7 +440,7 @@ impl<'w> Regions<'w> {
     /// order (the lowering packs tiles that way); otherwise the pieces
     /// are collected and sorted first.
     fn of(writer: &'w Writer) -> Regions<'w> {
-        let (in_order, pieces, runs) = match merge_runs(pieces_of(writer)) {
+        let (in_order, pieces, mut runs) = match merge_runs(pieces_of(writer)) {
             Some(runs) => (Some(writer), OnceCell::new(), runs),
             None => {
                 let mut pieces = Vec::with_capacity(writer.intervals.len());
@@ -434,19 +450,16 @@ impl<'w> Regions<'w> {
                 (None, OnceCell::from(pieces), runs)
             }
         };
-        let reach = runs
-            .iter()
-            .scan(0, |max, run| {
-                *max = run.end.max(*max);
-                Some(*max)
-            })
-            .collect();
+        let mut reach = 0;
+        for run in &mut runs {
+            reach = reach.max(run.end);
+            run.reach = reach;
+        }
         Regions {
             tiles: writer.tiles.len(),
             in_order,
             pieces,
             runs,
-            reach,
         }
     }
 
@@ -464,7 +477,7 @@ impl<'w> Regions<'w> {
 
     /// The runs intersecting `read`, in start order.
     fn overlapping(&self, read: &Interval) -> impl Iterator<Item = &Run> {
-        let first = self.reach.partition_point(|&end| end <= read.start);
+        let first = self.runs.partition_point(|run| run.reach <= read.start);
         let (start, end) = (read.start, read.end());
         self.runs
             .get(first..)
@@ -490,18 +503,21 @@ impl<'w> Regions<'w> {
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn check_rank(
     si: usize,
     seg: &Segment,
     rm: &RankModel,
     regions: &Regions,
     stale_counts: &[u32],
+    guaranteed: &mut Vec<bool>,
     violations: &mut Vec<Violation>,
     stats: &mut VerifyStats,
 ) {
     // Groups whose waits guarantee, at release, that every one of their
-    // scheduled tiles has been written (full threshold, clean slot).
-    let mut guaranteed: Vec<bool> = Vec::new();
+    // scheduled tiles has been written (full threshold, clean slot). The
+    // buffer is the caller's, reused rank after rank.
+    guaranteed.clear();
     let mark = |v: &mut Vec<bool>, g: usize, val: bool| {
         if v.len() <= g {
             v.resize(g + 1, false);
@@ -513,7 +529,8 @@ fn check_rank(
     // Once one wait is unreachable, the serial comm stream never reaches
     // later groups: their reads cannot race because they never execute.
     let mut blocked = false;
-    for gm in &rm.groups {
+    for gm in seg.groups_of(rm) {
+        let reads = seg.reads_of(gm);
         let stale = stale_counts.get(gm.group).copied().unwrap_or(0);
         // A wait-level violation is the root cause; the race pass would
         // only re-report its symptoms, so it is skipped for the group
@@ -531,7 +548,7 @@ fn check_rank(
                     available: stale + gm.increments,
                 });
                 blocked = true;
-            } else if stale > 0 && !gm.reads.is_empty() {
+            } else if stale > 0 && !reads.is_empty() {
                 violations.push(Violation::StaleRearm {
                     segment: si,
                     rank: rm.rank,
@@ -540,7 +557,7 @@ fn check_rank(
                     stale,
                 });
                 wait_flagged = true;
-            } else if threshold < gm.increments && !gm.reads.is_empty() {
+            } else if threshold < gm.increments && !reads.is_empty() {
                 violations.push(Violation::EarlyRelease {
                     segment: si,
                     rank: rm.rank,
@@ -550,7 +567,7 @@ fn check_rank(
                 });
                 wait_flagged = true;
             } else if threshold >= gm.increments && stale == 0 {
-                mark(&mut guaranteed, gm.group, true);
+                mark(guaranteed, gm.group, true);
             }
         }
         if blocked || wait_flagged {
@@ -560,7 +577,7 @@ fn check_rank(
         // release: at or before this group on the serial comm stream,
         // with a fully-counted wait.
         let safe = |g: usize| g <= gm.group && guaranteed.get(g).copied().unwrap_or(false);
-        for read in &gm.reads {
+        for read in reads {
             if read.len == 0 {
                 continue;
             }
@@ -619,36 +636,25 @@ fn check_rank(
 #[allow(clippy::indexing_slicing)]
 mod tests {
     use super::*;
-    use crate::model::{GroupModel, Interval, RankModel, ScheduleModel, Segment, Writer};
+    use crate::model::{Interval, ScheduleModel, Segment, Writer};
     use crate::mutation::Mutation;
 
     /// Two groups, two tiles each, one rank; group regions [0, 32) and
     /// [32, 64).
     fn model(segments: usize, rearm_from_second: bool) -> ScheduleModel {
         let mk_segment = |i: usize| {
+            let mut segment =
+                Segment::new(format!("batch {i}"), i % 2, i >= 2 && rearm_from_second);
             let mut writer = Writer::default();
             for t in 0..4 {
                 writer.push_tile(t, t as usize / 2, [Interval::new(t as usize * 16, 16)]);
             }
-            let groups = (0..2)
-                .map(|g| GroupModel {
-                    group: g,
-                    wait: Some(2),
-                    increments: 2,
-                    reads: vec![Interval::new(g * 32, 32)],
-                })
-                .collect();
-            Segment {
-                label: format!("batch {i}"),
-                table: i % 2,
-                rearmed: i >= 2 && rearm_from_second,
-                writers: vec![writer],
-                ranks: vec![RankModel {
-                    rank: 0,
-                    writer: 0,
-                    groups,
-                }],
+            segment.writers.push(writer);
+            for g in 0..2 {
+                segment.push_group(g, Some(2), 2, [Interval::new(g * 32, 32)]);
             }
+            segment.push_rank(0, 0, 0..2);
+            segment
         };
         ScheduleModel {
             n_ranks: 1,
@@ -727,7 +733,7 @@ mod tests {
     #[test]
     fn lowered_threshold_is_an_early_release() {
         let mut m = model(1, true);
-        m.segments[0].ranks[0].groups[1].wait = Some(1);
+        m.segments[0].groups_mut(0)[1].wait = Some(1);
         let report = verify(&m);
         assert_eq!(report.count_of("early-release"), 1);
     }
@@ -803,8 +809,8 @@ mod tests {
     #[test]
     fn zero_payload_group_skips_wait_and_reads() {
         let mut m = model(1, true);
-        m.segments[0].ranks[0].groups[1].wait = None;
-        m.segments[0].ranks[0].groups[1].reads.clear();
+        m.segments[0].groups_mut(0)[1].wait = None;
+        m.segments[0].groups_mut(0)[1].reads = 0..0;
         // Tiles of a zero-payload group still increment the counter; with
         // no wait and no reads there is nothing to violate.
         let report = verify(&m);
@@ -857,6 +863,74 @@ mod tests {
         assert_eq!(report.stats.node_checks, 0);
     }
 
+    /// `model(1, true)` over `ranks` ranks that all share rank 0's
+    /// writer and contract range.
+    fn symmetric_model(ranks: usize) -> ScheduleModel {
+        let mut m = model(1, true);
+        m.n_ranks = ranks;
+        for rank in 1..ranks {
+            m.segments[0].push_rank(rank, 0, 0..2);
+        }
+        m
+    }
+
+    #[test]
+    fn ranks_sharing_a_contract_get_one_verdict_each() {
+        // A dropped wait on a contract every rank shares races on every
+        // rank, reported once per rank under its own id, with the
+        // stats of four separate checks.
+        let mut m = symmetric_model(4);
+        m.segments[0].groups[1].wait = None;
+        let report = verify(&m);
+        let ranks: Vec<usize> = report
+            .violations
+            .iter()
+            .map(|v| match v {
+                Violation::TileRace { rank, tile, .. } => rank * 10 + *tile as usize,
+                v => panic!("wrong class: {v:?}"),
+            })
+            .collect();
+        assert_eq!(ranks, [2, 3, 12, 13, 22, 23, 32, 33]);
+        assert_eq!(report.stats.tiles, 16);
+        assert_eq!(report.stats.waits, 4);
+        assert_eq!(report.stats.reads, 8);
+    }
+
+    #[test]
+    fn a_shared_contract_equals_per_rank_copies() {
+        // The same model with every rank's contracts copied out (no
+        // sharing) verifies identically, clean or mutated, across a
+        // rearmed chain with stale slots.
+        for mutation in [
+            None,
+            Some(Mutation::DropWait { rank: 2, group: 0 }),
+            Some(Mutation::RaiseThreshold { rank: 0, group: 1 }),
+            Some(Mutation::DropRearm),
+        ] {
+            let mut shared = model(4, true);
+            shared.n_ranks = 3;
+            for seg in &mut shared.segments {
+                for rank in 1..3 {
+                    seg.push_rank(rank, 0, 0..2);
+                }
+            }
+            let mut copied = shared.clone();
+            for seg in &mut copied.segments {
+                for rank in 0..3 {
+                    let _ = seg.groups_mut(rank);
+                }
+            }
+            assert!(copied.segments[0].ranks[1].groups != copied.segments[0].ranks[2].groups);
+            if let Some(mutation) = mutation {
+                shared.apply(&mutation, 2);
+                copied.apply(&mutation, 2);
+            }
+            let (a, b) = (verify(&shared), verify(&copied));
+            assert_eq!(a.violations, b.violations, "{mutation:?}");
+            assert_eq!(a.stats, b.stats, "{mutation:?}");
+        }
+    }
+
     #[test]
     fn reporting_truncates_deterministically() {
         let mut m = model(1, true);
@@ -866,13 +940,16 @@ mod tests {
             writer.push_tile(t, 0, [Interval::new(t as usize * 4, 4)]);
         }
         let total = writer.tiles.len() * 4;
-        m.segments[0].writers[0] = writer;
-        m.segments[0].ranks[0].groups = vec![GroupModel {
-            group: 0,
-            wait: None,
-            increments: VIOLATION_CAP as u32 + 50,
-            reads: vec![Interval::new(0, total)],
-        }];
+        let seg = &mut m.segments[0];
+        seg.writers[0] = writer;
+        let start = seg.groups.len();
+        seg.push_group(
+            0,
+            None,
+            VIOLATION_CAP as u32 + 50,
+            [Interval::new(0, total)],
+        );
+        seg.ranks[0].groups = start..seg.groups.len();
         let a = verify(&m);
         let b = verify(&m);
         assert!(a.stats.truncated);

@@ -21,6 +21,7 @@
 //! [`Mutation::DelayIncrements`] shifts a clock the model does not have)
 //! — which is exactly the claim the conformance matrix documents.
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use crate::mutation::Mutation;
@@ -111,7 +112,7 @@ impl Writer {
 }
 
 /// One wave group's signaling contract on one rank.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupModel {
     /// Group id (ascending within a rank — comm-stream issue order).
     pub group: usize,
@@ -123,12 +124,12 @@ pub struct GroupModel {
     /// segment (one per tile of the group).
     pub increments: u32,
     /// Element intervals the group's collective reads from the packed
-    /// buffer once the wait releases.
-    pub reads: Vec<Interval>,
+    /// buffer once the wait releases: a range into [`Segment::reads`].
+    pub reads: Range<usize>,
 }
 
 /// One rank's schedule within a segment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankModel {
     /// Rank (device) id.
     pub rank: usize,
@@ -136,16 +137,22 @@ pub struct RankModel {
     /// index with no writer behind it models an epilogue that writes
     /// nothing.
     pub writer: usize,
-    /// Per-group contracts, ascending by group id.
-    pub groups: Vec<GroupModel>,
+    /// Per-group contracts, ascending by group id: a range into
+    /// [`Segment::groups`]. Ranks whose contracts are equal by
+    /// construction share one range.
+    pub groups: Range<usize>,
 }
 
 /// One chained execution unit — the whole plan for a single-shot
 /// execution, a layer of a `Pipeline`, or a batch of `execute_sequence`.
+///
+/// Contracts and reads live in two flat arenas per segment, like a
+/// writer's intervals: ranks name ranges of [`Segment::groups`], and
+/// groups name ranges of [`Segment::reads`].
 #[derive(Debug, Clone)]
 pub struct Segment {
     /// Human-readable position ("plan", "layer 2", "batch 5").
-    pub label: String,
+    pub label: Cow<'static, str>,
     /// Counting-table set the segment signals through (ping-pong parity
     /// for chains; always 0 single-shot).
     pub table: usize,
@@ -158,6 +165,98 @@ pub struct Segment {
     pub writers: Vec<Writer>,
     /// Per-rank schedules.
     pub ranks: Vec<RankModel>,
+    /// The group-contract arena every [`RankModel::groups`] points into.
+    pub groups: Vec<GroupModel>,
+    /// The read-interval arena every [`GroupModel::reads`] points into.
+    pub reads: Vec<Interval>,
+}
+
+impl Segment {
+    /// An empty segment: no writers, ranks, contracts or reads.
+    pub fn new(label: impl Into<Cow<'static, str>>, table: usize, rearmed: bool) -> Segment {
+        Segment {
+            label: label.into(),
+            table,
+            rearmed,
+            writers: Vec::new(),
+            ranks: Vec::new(),
+            groups: Vec::new(),
+            reads: Vec::new(),
+        }
+    }
+
+    /// Appends one group contract reading `reads` to the arena. A rank
+    /// takes the contracts pushed for it with [`Segment::push_rank`].
+    pub fn push_group(
+        &mut self,
+        group: usize,
+        wait: Option<u32>,
+        increments: u32,
+        reads: impl IntoIterator<Item = Interval>,
+    ) {
+        let reads = self.push_reads(reads);
+        self.groups.push(GroupModel {
+            group,
+            wait,
+            increments,
+            reads,
+        });
+    }
+
+    /// Appends `reads` to the read arena and returns their range.
+    pub fn push_reads(&mut self, reads: impl IntoIterator<Item = Interval>) -> Range<usize> {
+        let start = self.reads.len();
+        self.reads.extend(reads);
+        start..self.reads.len()
+    }
+
+    /// Adds `rank`, whose epilogue is writer `writer` and whose
+    /// contracts are `groups` of the arena.
+    pub fn push_rank(&mut self, rank: usize, writer: usize, groups: Range<usize>) {
+        self.ranks.push(RankModel {
+            rank,
+            writer,
+            groups,
+        });
+    }
+
+    /// The contracts of `rank` (empty for an out-of-range range).
+    pub fn groups_of(&self, rank: &RankModel) -> &[GroupModel] {
+        self.groups.get(rank.groups.clone()).unwrap_or(&[])
+    }
+
+    /// The reads of `group` (empty for an out-of-range range).
+    pub fn reads_of(&self, group: &GroupModel) -> &[Interval] {
+        self.reads.get(group.reads.clone()).unwrap_or(&[])
+    }
+
+    /// The contracts of the rank at index `rank`, for editing. A range
+    /// another rank shares is copied to the end of the arena first, so
+    /// the edit stays with this rank.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segment has no rank at index `rank`.
+    pub fn groups_mut(&mut self, rank: usize) -> &mut [GroupModel] {
+        let mut range = self
+            .ranks
+            .get(rank)
+            .expect("the segment has this rank")
+            .groups
+            .clone();
+        let shared = self.ranks.iter().enumerate().any(|(i, other)| {
+            i != rank && other.groups.start < range.end && range.start < other.groups.end
+        });
+        if shared {
+            let start = self.groups.len();
+            self.groups.extend_from_within(range);
+            range = start..self.groups.len();
+            if let Some(owner) = self.ranks.get_mut(rank) {
+                owner.groups = range.clone();
+            }
+        }
+        self.groups.get_mut(range).unwrap_or(&mut [])
+    }
 }
 
 /// The full symbolic model of one (possibly chained) overlapped
@@ -220,10 +319,7 @@ impl ScheduleModel {
     }
 
     fn group_slot(seg: &mut Segment, rank: usize, group: usize) -> &mut GroupModel {
-        seg.ranks
-            .get_mut(rank)
-            .expect("mutation targets an existing rank")
-            .groups
+        seg.groups_mut(rank)
             .iter_mut()
             .find(|g| g.group == group)
             .expect("mutation targets an existing group")
@@ -241,37 +337,18 @@ mod tests {
 
     /// A minimal clean two-group, one-rank, one-segment model.
     pub(crate) fn tiny_model() -> ScheduleModel {
+        let mut segment = Segment::new("plan", 0, false);
         let mut writer = Writer::default();
         writer.push_tile(0, 0, [Interval::new(0, 16)]);
         writer.push_tile(1, 1, [Interval::new(16, 16)]);
-        let groups = vec![
-            GroupModel {
-                group: 0,
-                wait: Some(1),
-                increments: 1,
-                reads: vec![Interval::new(0, 16)],
-            },
-            GroupModel {
-                group: 1,
-                wait: Some(1),
-                increments: 1,
-                reads: vec![Interval::new(16, 16)],
-            },
-        ];
+        segment.writers.push(writer);
+        segment.push_group(0, Some(1), 1, [Interval::new(0, 16)]);
+        segment.push_group(1, Some(1), 1, [Interval::new(16, 16)]);
+        segment.push_rank(0, 0, 0..2);
         ScheduleModel {
             n_ranks: 1,
             node_of: Vec::new(),
-            segments: vec![Segment {
-                label: "plan".into(),
-                table: 0,
-                rearmed: false,
-                writers: vec![writer],
-                ranks: vec![RankModel {
-                    rank: 0,
-                    writer: 0,
-                    groups,
-                }],
-            }],
+            segments: vec![segment],
         }
     }
 
@@ -280,15 +357,17 @@ mod tests {
         let mut m = tiny_model();
         m.apply(&Mutation::DropWait { rank: 0, group: 1 }, 0);
         let seg = &m.segments[0];
-        assert_eq!(seg.ranks[0].groups[1].wait, None);
-        assert_eq!(seg.ranks[0].groups[0].wait, Some(1), "other group intact");
+        let groups = seg.groups_of(&seg.ranks[0]);
+        assert_eq!(groups[1].wait, None);
+        assert_eq!(groups[0].wait, Some(1), "other group intact");
     }
 
     #[test]
     fn apply_raise_threshold_inflates_like_the_runtime() {
         let mut m = tiny_model();
         m.apply(&Mutation::RaiseThreshold { rank: 0, group: 0 }, 0);
-        assert_eq!(m.segments[0].ranks[0].groups[0].wait, Some(1 + RAISE_DELTA));
+        let seg = &m.segments[0];
+        assert_eq!(seg.groups_of(&seg.ranks[0])[0].wait, Some(1 + RAISE_DELTA));
     }
 
     #[test]
@@ -310,6 +389,29 @@ mod tests {
         // future fields), but the mutation contract is "unchanged".
         assert_eq!(format!("{clean:?}"), format!("{delayed:?}"));
         assert_eq!(format!("{clean:?}"), format!("{reordered:?}"));
+    }
+
+    #[test]
+    fn a_mutation_of_a_shared_contract_stays_with_its_rank() {
+        // Two ranks share one contract range; raising rank 1's threshold
+        // copies the range for rank 1 and leaves rank 0 as it was.
+        let mut m = tiny_model();
+        m.n_ranks = 2;
+        m.segments[0].push_rank(1, 0, 0..2);
+        m.apply(&Mutation::RaiseThreshold { rank: 1, group: 1 }, 0);
+        let seg = &m.segments[0];
+        let waits = |rank: usize| -> Vec<Option<u32>> {
+            seg.groups_of(&seg.ranks[rank])
+                .iter()
+                .map(|g| g.wait)
+                .collect()
+        };
+        assert_eq!(waits(0), [Some(1), Some(1)]);
+        assert_eq!(waits(1), [Some(1), Some(1 + RAISE_DELTA)]);
+        assert_eq!(seg.ranks[0].groups, 0..2);
+        assert_eq!(seg.ranks[1].groups, 2..4);
+        // Reads stay shared: the copy names the same arena ranges.
+        assert_eq!(seg.groups[3].reads, seg.groups[1].reads);
     }
 
     #[test]

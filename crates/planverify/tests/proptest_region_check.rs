@@ -9,14 +9,15 @@
 //! multi-segment stale and rearm chains, reports past
 //! [`VIOLATION_CAP`]), on models whose writers are all in address order
 //! (the checker's one-pass path, naming tiles lazily on failing reads),
-//! and on registry-mutated ones.
+//! and on registry-mutated ones. Some random segments let every rank
+//! share one contract range, as symmetric plans lower.
 
 use std::collections::HashMap;
 
 use planverify::check::VIOLATION_CAP;
 use planverify::{
-    verify, GroupModel, Interval, Mutation, RankModel, ScheduleModel, Segment, VerifyReport,
-    VerifyStats, Violation, Writer,
+    verify, Interval, Mutation, RankModel, ScheduleModel, Segment, VerifyReport, VerifyStats,
+    Violation, Writer,
 };
 use proptest::prelude::*;
 
@@ -61,7 +62,7 @@ fn oracle(model: &ScheduleModel) -> VerifyReport {
             }
             let writer = seg.writers.get(rm.writer).unwrap_or(&empty);
             oracle_rank(si, seg, rm, writer, slot, &mut violations, &mut stats);
-            for gm in &rm.groups {
+            for gm in seg.groups_of(rm) {
                 if slot.len() <= gm.group {
                     slot.resize(gm.group + 1, 0);
                 }
@@ -88,7 +89,8 @@ fn oracle_rank(
     stats.tiles += writer.tiles.len();
     let mut guaranteed: Vec<bool> = Vec::new();
     let mut blocked = false;
-    for gm in &rm.groups {
+    for gm in seg.groups_of(rm) {
+        let reads = seg.reads_of(gm);
         let stale = stale_counts.get(gm.group).copied().unwrap_or(0);
         let mut wait_flagged = false;
         if let Some(threshold) = gm.wait {
@@ -103,7 +105,7 @@ fn oracle_rank(
                     available: stale + gm.increments,
                 });
                 blocked = true;
-            } else if stale > 0 && !gm.reads.is_empty() {
+            } else if stale > 0 && !reads.is_empty() {
                 violations.push(Violation::StaleRearm {
                     segment: si,
                     rank: rm.rank,
@@ -112,7 +114,7 @@ fn oracle_rank(
                     stale,
                 });
                 wait_flagged = true;
-            } else if threshold < gm.increments && !gm.reads.is_empty() {
+            } else if threshold < gm.increments && !reads.is_empty() {
                 violations.push(Violation::EarlyRelease {
                     segment: si,
                     rank: rm.rank,
@@ -131,7 +133,7 @@ fn oracle_rank(
         if blocked || wait_flagged {
             continue;
         }
-        for read in &gm.reads {
+        for read in reads {
             if read.len == 0 {
                 continue;
             }
@@ -352,53 +354,47 @@ fn random_segment(rng: &mut Rng, index: usize, n_ranks: usize, writer: MakeWrite
     let tiles_per_group = 1 + rng.below(5);
     let tile_len = 1 + rng.below(8);
     let n_writers = if rng.chance(50) { 1 } else { n_ranks };
-    let writers = (0..n_writers)
+    let table = if rng.chance(85) {
+        index % 2
+    } else {
+        rng.below(2)
+    };
+    let rearmed = if rng.chance(85) {
+        index >= 2
+    } else {
+        rng.chance(50)
+    };
+    let mut segment = Segment::new(format!("batch {index}"), table, rearmed);
+    segment.writers = (0..n_writers)
         .map(|_| writer(rng, groups, tiles_per_group, tile_len))
         .collect();
-    let ranks = (0..n_ranks)
-        .map(|rank| {
-            let groups = (0..groups)
-                .map(|g| {
-                    let increments = tiles_per_group as u32;
-                    let wait = match rng.below(12) {
-                        0 => None,
-                        1 => Some(increments.saturating_sub(1)),
-                        2 => Some(increments + 1),
-                        _ => Some(increments),
-                    };
-                    let reads = (0..rng.below(3))
-                        .map(|_| random_read(rng, g, tiles_per_group, tile_len))
-                        .collect();
-                    GroupModel {
-                        group: g,
-                        wait,
-                        increments: if rng.chance(5) { 0 } else { increments },
-                        reads,
-                    }
-                })
+    // Ranks with one writer may share one contract range, as symmetric
+    // plans lower.
+    let shared = n_writers == 1 && rng.chance(30);
+    for rank in 0..n_ranks {
+        if shared && rank > 0 {
+            segment.push_rank(rank, 0, 0..groups);
+            continue;
+        }
+        let start = segment.groups.len();
+        for g in 0..groups {
+            let increments = tiles_per_group as u32;
+            let wait = match rng.below(12) {
+                0 => None,
+                1 => Some(increments.saturating_sub(1)),
+                2 => Some(increments + 1),
+                _ => Some(increments),
+            };
+            let reads: Vec<Interval> = (0..rng.below(3))
+                .map(|_| random_read(rng, g, tiles_per_group, tile_len))
                 .collect();
-            RankModel {
-                rank,
-                writer: if n_writers == 1 { 0 } else { rank },
-                groups,
-            }
-        })
-        .collect();
-    Segment {
-        label: format!("batch {index}"),
-        table: if rng.chance(85) {
-            index % 2
-        } else {
-            rng.below(2)
-        },
-        rearmed: if rng.chance(85) {
-            index >= 2
-        } else {
-            rng.chance(50)
-        },
-        writers,
-        ranks,
+            let increments = if rng.chance(5) { 0 } else { increments };
+            segment.push_group(g, wait, increments, reads);
+        }
+        let writer = if n_writers == 1 { 0 } else { rank };
+        segment.push_rank(rank, writer, start..segment.groups.len());
     }
+    segment
 }
 
 fn random_model(seed: u64) -> ScheduleModel {
@@ -432,7 +428,8 @@ fn random_mutation(rng: &mut Rng, model: &ScheduleModel) -> (Mutation, usize) {
     let segment = rng.below(model.segments.len());
     let seg = &model.segments[segment];
     let rank = rng.below(seg.ranks.len());
-    let group = seg.ranks[rank].groups[rng.below(seg.ranks[rank].groups.len())].group;
+    let groups = seg.groups_of(&seg.ranks[rank]);
+    let group = groups[rng.below(groups.len())].group;
     let count = 1 + rng.below(3) as u32;
     let mutation = match rng.below(6) {
         0 => Mutation::DropWait { rank, group },
@@ -514,16 +511,17 @@ fn region_checker_matches_the_oracle_past_the_violation_cap() {
         let mut rng = Rng(seed);
         let mut model = random_model(seed);
         for seg in &mut model.segments {
-            let groups = seg.ranks[0].groups.len();
+            let groups = seg.groups_of(&seg.ranks[0]).len();
             seg.writers = (0..seg.writers.len())
                 .map(|_| random_writer(&mut rng, groups, 40, 4))
                 .collect();
-            for rm in &mut seg.ranks {
-                for gm in &mut rm.groups {
-                    gm.wait = None;
-                    gm.increments = 40;
-                    gm.reads = vec![random_read(&mut rng, gm.group, 40, 4)];
-                }
+            for gi in 0..seg.groups.len() {
+                let read = random_read(&mut rng, seg.groups[gi].group, 40, 4);
+                let reads = seg.push_reads([read]);
+                let gm = &mut seg.groups[gi];
+                gm.wait = None;
+                gm.increments = 40;
+                gm.reads = reads;
             }
         }
         let region = verify(&model);
@@ -539,15 +537,13 @@ fn region_checker_matches_the_oracle_past_the_violation_cap() {
     }
     model.segments.truncate(1);
     model.node_of.clear();
-    model.segments[0].writers = vec![writer];
-    for rm in &mut model.segments[0].ranks {
+    let seg = &mut model.segments[0];
+    seg.writers = vec![writer];
+    let start = seg.groups.len();
+    seg.push_group(0, None, 0, [Interval::new(0, (VIOLATION_CAP + 40) * 2)]);
+    for rm in &mut seg.ranks {
         rm.writer = 0;
-        rm.groups = vec![GroupModel {
-            group: 0,
-            wait: None,
-            increments: 0,
-            reads: vec![Interval::new(0, (VIOLATION_CAP + 40) * 2)],
-        }];
+        rm.groups = start..start + 1;
     }
     let region = verify(&model);
     assert!(region.stats.truncated);

@@ -398,7 +398,7 @@ pub struct CacheSnapshot {
     pub entries: Vec<PlanEntry>,
 }
 
-fn primitive_label(p: Primitive) -> &'static str {
+pub(crate) fn primitive_label(p: Primitive) -> &'static str {
     match p {
         Primitive::AllReduce => "AllReduce",
         Primitive::ReduceScatter => "ReduceScatter",

@@ -71,11 +71,14 @@ pub enum EngineCommand {
         /// The batches, in dispatch-queue order.
         chain: Vec<PendingBatch>,
     },
-    /// Flush the engine: return lifetime stats, the chain log, and the
-    /// cache snapshot entries. Terminal — sent exactly once.
+    /// Flush the engine: return lifetime stats, the chain log, and, when
+    /// `export` is set, the cache snapshot entries. Terminal — sent
+    /// exactly once.
     Finalize {
         /// Global sequence number (after every chain's).
         seq: u64,
+        /// Whether to export the cache's tuned plans.
+        export: bool,
     },
 }
 
@@ -166,7 +169,8 @@ pub struct EngineFinal {
     pub(crate) chain_log: Vec<(u64, u64, AttributionTotals)>,
     /// Plan-cache hit/miss/eviction counters.
     pub(crate) cache_stats: CacheStats,
-    /// Exported tuned-plan entries (the `--plan-cache-out` payload).
+    /// Exported tuned-plan entries (the `--plan-cache-out` payload);
+    /// empty unless the finalize asked for them.
     pub(crate) entries: Vec<PlanEntry>,
     /// Chains replayed from the engine's chain memo instead of simulated.
     pub(crate) memo_hits: u64,
@@ -357,9 +361,9 @@ impl EngineWorker {
                 seq,
                 result: self.execute_chain(start_ns, chain),
             },
-            EngineCommand::Finalize { seq } => EngineReply::Final {
+            EngineCommand::Finalize { seq, export } => EngineReply::Final {
                 seq,
-                result: Ok(self.finalize()),
+                result: Ok(self.finalize(export)),
             },
         }
     }
@@ -529,7 +533,7 @@ impl EngineWorker {
         })
     }
 
-    fn finalize(&mut self) -> EngineFinal {
+    fn finalize(&mut self, export: bool) -> EngineFinal {
         EngineFinal {
             batches: self.batches,
             requests: self.requests,
@@ -538,7 +542,11 @@ impl EngineWorker {
             busy_ns: self.busy_ns,
             chain_log: std::mem::take(&mut self.chain_log),
             cache_stats: self.cache.stats(),
-            entries: self.cache.export_entries(self.system_fp),
+            entries: if export {
+                self.cache.export_entries(self.system_fp)
+            } else {
+                Vec::new()
+            },
             memo_hits: self.memo.hits,
         }
     }
@@ -721,7 +729,7 @@ unsafe impl Send for MovableWorker {}
 impl Shared {
     #[cfg_attr(
         not(test),
-        expect(clippy::expect_used, reason = "pool is deleted by ROADMAP item 3")
+        expect(clippy::expect_used, reason = "pool is deleted by ROADMAP item 1")
     )]
     fn lock(&self) -> MutexGuard<'_, PoolState> {
         // The lock is never held while a command runs, so a panic cannot
@@ -794,7 +802,7 @@ impl ReplicaEngine {
     /// and panics when no command is outstanding.
     #[cfg_attr(
         not(test),
-        expect(clippy::expect_used, reason = "pool is deleted by ROADMAP item 3")
+        expect(clippy::expect_used, reason = "pool is deleted by ROADMAP item 1")
     )]
     pub fn recv(&self) -> EngineReply {
         let mut state = self.pool.lock();
@@ -938,7 +946,7 @@ impl Drop for EnginePool {
 /// until the pool closes.
 #[cfg_attr(
     not(test),
-    expect(clippy::expect_used, reason = "pool is deleted by ROADMAP item 3")
+    expect(clippy::expect_used, reason = "pool is deleted by ROADMAP item 1")
 )]
 fn pool_thread(shared: &Shared) {
     let mut state = shared.lock();
@@ -1002,8 +1010,8 @@ mod tests {
     /// rendered reports and plan snapshots are byte-equal, and returns
     /// the memo's hits.
     fn memo_hits_without_changing_the_report(config: &ServeConfig, tuned: bool) -> u64 {
-        let with = serve_run(config, tuned, true).expect("serves with the memo");
-        let without = serve_run(config, tuned, false).expect("serves without the memo");
+        let with = serve_run(config, tuned, true, false).expect("serves with the memo");
+        let without = serve_run(config, tuned, false, false).expect("serves without the memo");
         assert_eq!(without.memo_hits, 0, "the memo was off");
         assert_eq!(
             with.report.to_json().to_json_pretty(),
@@ -1077,7 +1085,9 @@ mod tests {
         let mut config = ServeConfig::new(SystemSpec::rtx4090(2));
         config.requests = 200;
         config.seed = 3;
-        let tuned = serve_run(&config, true, true).expect("serves").snapshot;
+        let tuned = serve_run(&config, true, true, true)
+            .expect("serves")
+            .snapshot;
         let entries: Vec<PlanEntry> = tuned
             .entries
             .into_iter()
@@ -1100,7 +1110,7 @@ mod tests {
                 system_fp: system_fingerprint(&trap.system),
                 entries: entries.clone(),
             });
-            let run = serve_run(&trap, true, true).expect("serves");
+            let run = serve_run(&trap, true, true, false).expect("serves");
             let stats = run.report.cache;
             assert!(stats.preloaded > 0 && stats.evictions > 0, "{stats:?}");
             memo_hits_without_changing_the_report(&trap, true);
@@ -1158,7 +1168,10 @@ mod tests {
                         chain: Vec::new(),
                     });
                 }
-                engine.send(EngineCommand::Finalize { seq: 2 });
+                engine.send(EngineCommand::Finalize {
+                    seq: 2,
+                    export: true,
+                });
             }
             for engine in pool.engines.iter().rev() {
                 for want in 0..2 {

@@ -52,7 +52,7 @@ use telemetry::percentiles;
 use workloads::ServeMix;
 
 use crate::batch::{form_batch, BatchConfig};
-use crate::cache::{system_fingerprint, CacheSnapshot, CacheStats, PlanEntry};
+use crate::cache::{primitive_label, system_fingerprint, CacheSnapshot, CacheStats, PlanEntry};
 use crate::engine::{
     ChainEffects, EngineCommand, EngineFinal, EnginePool, EngineReply, PendingBatch, ReplicaEngine,
 };
@@ -353,7 +353,7 @@ fn quarantine_replica(
 /// including [`ServeConfig::exec`] thread counts, which only change
 /// wall-clock.
 pub fn serve(config: &ServeConfig) -> Result<ServeReport, FlashOverlapError> {
-    Ok(serve_run(config, true, true)?.report)
+    Ok(serve_run(config, true, true, false)?.report)
 }
 
 /// [`serve`], additionally returning the merged tuned-plan snapshot
@@ -361,14 +361,14 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, FlashOverlapError> {
 pub fn serve_exporting(
     config: &ServeConfig,
 ) -> Result<(ServeReport, CacheSnapshot), FlashOverlapError> {
-    let run = serve_run(config, true, true)?;
+    let run = serve_run(config, true, true, true)?;
     Ok((run.report, run.snapshot))
 }
 
 /// Runs the same loop with untuned single-group (non-overlap) plans —
 /// the baseline arm of [`serve_comparison`].
 pub fn serve_baseline(config: &ServeConfig) -> Result<ServeReport, FlashOverlapError> {
-    Ok(serve_run(config, false, true)?.report)
+    Ok(serve_run(config, false, true, false)?.report)
 }
 
 /// Serves the identical seeded traffic through both the tuned and the
@@ -626,7 +626,8 @@ impl Accounting {
 /// What one run of the serve loop produced.
 pub(crate) struct ServeRun {
     pub(crate) report: ServeReport,
-    /// The merged tuned-plan snapshot of every replica's cache.
+    /// The merged tuned-plan snapshot of every replica's cache; no
+    /// entries unless the run exports them.
     pub(crate) snapshot: CacheSnapshot,
     /// Chains the engines replayed from their chain memos.
     #[cfg_attr(
@@ -637,11 +638,13 @@ pub(crate) struct ServeRun {
 }
 
 /// The serve loop. `tuned` picks tuned or baseline plans; `memo` turns
-/// the engines' chain memos on, which never changes the report.
+/// the engines' chain memos on, which never changes the report; `export`
+/// has the engines export their tuned plans into [`ServeRun::snapshot`].
 pub(crate) fn serve_run(
     config: &ServeConfig,
     tuned: bool,
     memo: bool,
+    export: bool,
 ) -> Result<ServeRun, FlashOverlapError> {
     config.validate()?;
     let tp = config.system.n_gpus as u32;
@@ -977,7 +980,10 @@ pub(crate) fn serve_run(
     // chains are drained, so the next reply on each channel is the
     // finalize result.
     for engine in &pool.engines {
-        engine.send(EngineCommand::Finalize { seq: next_seq });
+        engine.send(EngineCommand::Finalize {
+            seq: next_seq,
+            export,
+        });
         next_seq += 1;
     }
     let mut views: Vec<ReplicaView> = Vec::with_capacity(slots.len());
@@ -1010,15 +1016,16 @@ pub(crate) fn serve_run(
     );
     let makespan_ns = views.iter().map(|r| r.free_ns).max().unwrap_or(0);
 
-    let fp = system_fingerprint(&config.system);
+    // Engines export entries only when asked, so a run that does not
+    // export merges nothing.
     let mut entries: Vec<PlanEntry> = views
-        .iter()
-        .flat_map(|r| r.fin.entries.iter().cloned())
+        .iter_mut()
+        .flat_map(|r| std::mem::take(&mut r.fin.entries))
         .collect();
-    entries.sort_by_key(|e| (e.dims.m, e.dims.n, e.dims.k, format!("{}", e.primitive)));
+    entries.sort_by_key(|e| (e.dims.m, e.dims.n, e.dims.k, primitive_label(e.primitive)));
     entries.dedup_by_key(|e| (e.dims, e.primitive));
     let snapshot = CacheSnapshot {
-        system_fp: fp,
+        system_fp: system_fingerprint(&config.system),
         entries,
     };
 

@@ -180,7 +180,12 @@ impl AttributionTotals {
         Value::Obj(
             Category::ALL
                 .iter()
-                .map(|c| (format!("{}_ns", c.key()), Value::num(self.get(*c) as f64)))
+                .map(|c| {
+                    (
+                        format!("{}_ns", c.key()).into(),
+                        Value::num(self.get(*c) as f64),
+                    )
+                })
                 .collect(),
         )
     }
@@ -197,7 +202,7 @@ impl AttributionTotals {
                     } else {
                         self.get(*c) as f64 / makespan_ns as f64
                     };
-                    (c.key().to_owned(), Value::num(share))
+                    (c.key().into(), Value::num(share))
                 })
                 .collect(),
         )

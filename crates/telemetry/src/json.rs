@@ -11,6 +11,7 @@
 
 #![cfg_attr(not(test), warn(clippy::expect_used))]
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON value.
@@ -26,14 +27,21 @@ pub enum Value {
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object; insertion order is preserved on write.
-    Obj(Vec<(String, Value)>),
+    /// An object; insertion order is preserved on write. Keys are
+    /// borrowed when they are literals, so a rendered report does not
+    /// allocate a string per field.
+    Obj(Vec<(Cow<'static, str>, Value)>),
 }
 
 impl Value {
     /// Builds an object from key/value pairs.
-    pub fn obj(pairs: Vec<(&str, Value)>) -> Value {
-        Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+    pub fn obj(pairs: Vec<(&'static str, Value)>) -> Value {
+        Value::Obj(
+            pairs
+                .into_iter()
+                .map(|(k, v)| (Cow::Borrowed(k), v))
+                .collect(),
+        )
     }
 
     /// A string value.
@@ -326,7 +334,7 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_ws();
             let v = self.value()?;
-            pairs.push((key, v));
+            pairs.push((key.into(), v));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,

@@ -38,7 +38,7 @@ fn build_value(words: &mut std::slice::Iter<'_, u64>, depth: u32) -> Value {
         4 => Value::Arr((0..w % 5).map(|_| build_value(words, depth - 1)).collect()),
         _ => Value::Obj(
             (0..w % 5)
-                .map(|i| (format!("k{i}"), build_value(words, depth - 1)))
+                .map(|i| (format!("k{i}").into(), build_value(words, depth - 1)))
                 .collect(),
         ),
     }
