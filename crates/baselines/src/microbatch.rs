@@ -133,7 +133,8 @@ pub fn run_microbatch(
         let _ = mb;
     }
     let end = sim.run(&mut world)?;
-    world.check_quiescent().map_err(|stuck| {
+    world.check_quiescent().map_err(|wedge| {
+        let stuck: Vec<String> = wedge.streams.iter().map(ToString::to_string).collect();
         FlashOverlapError::Simulation(format!("deadlock: {}", stuck.join("; ")))
     })?;
     Ok(end - SimTime::ZERO)

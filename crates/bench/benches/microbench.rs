@@ -4,6 +4,9 @@
 //! construction, predictor evaluation, predictive search, simulated runs)
 //! — the costs that determine whether real-time tuning (§4.1.2) is
 //! feasible. The figure/table reproductions live in `src/bin/`.
+//!
+//! `cargo bench -p bench --bench microbench -- <filter>` runs only the
+//! benchmarks whose name contains `<filter>` (e.g. `runtime/`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -12,8 +15,8 @@ use collectives::Primitive;
 use flashoverlap::partition::candidate_partitions;
 use flashoverlap::runtime::CommPattern;
 use flashoverlap::{
-    execute_sequence_in, predictive_search, ChainWorld, LatencyPredictor, OverlapPlan, SystemSpec,
-    WavePartition,
+    execute_sequence_in, predictive_search, ChainWorld, Fault, FaultPlan, LatencyPredictor,
+    OverlapPlan, SystemSpec, WatchdogConfig, WavePartition,
 };
 use gpu_sim::gemm::{GemmConfig, GemmDims};
 use gpu_sim::swizzle::Swizzle;
@@ -309,6 +312,77 @@ fn bench_pipelined_chain_reused(c: &mut Criterion) {
     });
 }
 
+/// A 4-segment resilient chain of miniature per-wave plans, run the way
+/// a chaos serve replica runs its chains (one reused world, monitor-only
+/// telemetry, traced): segment 0 arms a delayed-signal budget that
+/// segment 2 quarantines, segment 1 loses a signal and recovers through
+/// a tail re-issue, segment 2 stalls on the link, segment 3 starves and
+/// degrades to bulk collectives.
+fn bench_resilient_chain_reused(c: &mut Criterion) {
+    let plan = |m| {
+        let dims = GemmDims::new(m, 256, 64);
+        let mut system = SystemSpec::rtx4090(2);
+        system.arch.sm_count = 8;
+        system.comm_sms = 2;
+        let config = GemmConfig::choose(dims, &system.arch);
+        let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+        OverlapPlan::new(
+            dims,
+            CommPattern::AllReduce,
+            system,
+            WavePartition::per_wave(waves),
+        )
+        .expect("plan")
+    };
+    let plans = [plan(384), plan(256), plan(384), plan(256)];
+    let plan_refs: Vec<&OverlapPlan> = plans.iter().collect();
+    let faults = [
+        FaultPlan::single(Fault::DelayedIncrement {
+            rank: 0,
+            group: 0,
+            count: 1000,
+            delay: SimDuration::from_micros(20),
+        }),
+        FaultPlan::single(Fault::DroppedIncrement {
+            rank: 1,
+            group: 1,
+            count: 1,
+        }),
+        FaultPlan::single(Fault::LinkStall {
+            stall: SimDuration::from_micros(50),
+            count: 2,
+        }),
+        FaultPlan::single(Fault::DroppedIncrement {
+            rank: 0,
+            group: 0,
+            count: u32::MAX,
+        }),
+    ];
+    let watchdog = WatchdogConfig::default();
+    let mut scratch = TelemetryRecord::default();
+    let mut world = ChainWorld::new();
+    c.bench_function("runtime/execute_resilient_chain_reused", |b| {
+        b.iter(|| {
+            let telemetry = Telemetry::recycling(std::mem::take(&mut scratch));
+            let instr = flashoverlap::Instrumentation {
+                monitor: Some(telemetry.monitor()),
+                probe: None,
+                mutation: None,
+            };
+            let options = flashoverlap::SequenceOptions::new()
+                .trace()
+                .instrument(&instr)
+                .resilient(&faults, &watchdog);
+            let outcome = execute_sequence_in(&mut world, &plan_refs, &options).expect("chain");
+            drop(instr);
+            scratch = telemetry.take_record();
+            let total = outcome.total;
+            world.recycle_spans(outcome.spans);
+            black_box((total, outcome.outcomes.len(), scratch.runtime_events.len()))
+        })
+    });
+}
+
 /// The per-chain telemetry cost serving pays after a chain runs: the
 /// signal-latency join and the critical-path attribution over the record
 /// of the serve-mix chain.
@@ -441,7 +515,8 @@ criterion_group! {
     targets = bench_event_engine, bench_mapping_build, bench_token_mapping,
               bench_predictor, bench_search, bench_plan_cache_miss,
               bench_plan_cache_miss_churn, bench_simulated_run,
-              bench_serve_instrumented, bench_pipelined_chain_reused, bench_serve_steady,
+              bench_serve_instrumented, bench_pipelined_chain_reused,
+              bench_resilient_chain_reused, bench_serve_steady,
               bench_summarize_chain,
               bench_collective_cost,
               bench_pipeline, bench_check_static

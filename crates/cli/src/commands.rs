@@ -92,7 +92,7 @@ fn chaos_json(report: &ChaosReport) -> Value {
         .iter()
         .map(|r| {
             let cause = match &r.outcome {
-                ResilientOutcome::Degraded { cause, .. } => Value::str(cause.clone()),
+                ResilientOutcome::Degraded { cause, .. } => Value::str(cause.to_string()),
                 _ => Value::Null,
             };
             Value::obj(vec![

@@ -5,6 +5,11 @@
 //! supports the `criterion_group!`/`criterion_main!` macros, timed
 //! `iter`/`iter_batched` loops, and prints a mean-per-iteration summary
 //! line per benchmark. No statistics, plots, or saved baselines.
+//!
+//! Like upstream, a benchmark binary takes a positional name filter
+//! (`cargo bench --bench microbench -- <filter>`): only benchmarks whose
+//! name contains the filter run, so one benchmark can be timed in a
+//! process of its own instead of on the heap every earlier one left.
 
 use std::time::{Duration, Instant};
 
@@ -58,6 +63,7 @@ pub struct Criterion {
     sample_size: usize,
     measurement_time: Duration,
     warm_up_time: Duration,
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
@@ -66,6 +72,7 @@ impl Default for Criterion {
             sample_size: 10,
             measurement_time: Duration::from_secs(1),
             warm_up_time: Duration::from_millis(200),
+            filter: None,
         }
     }
 }
@@ -92,8 +99,33 @@ impl Criterion {
         self
     }
 
-    /// Runs one benchmark and prints its mean time per iteration.
+    /// Runs only benchmarks whose name contains `filter`.
+    #[must_use]
+    pub fn with_filter(mut self, filter: impl Into<String>) -> Criterion {
+        self.filter = Some(filter.into());
+        self
+    }
+
+    /// Applies the binary's command line: the first argument that is not
+    /// a flag (`cargo bench` passes `--bench`) is the name filter.
+    #[must_use]
+    pub fn configure_from_args(self) -> Criterion {
+        match filter_of(std::env::args().skip(1)) {
+            Some(filter) => self.with_filter(filter),
+            None => self,
+        }
+    }
+
+    /// Runs one benchmark and prints its mean time per iteration; a
+    /// benchmark the filter excludes does not run.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
+        if self
+            .filter
+            .as_ref()
+            .is_some_and(|filter| !name.contains(filter.as_str()))
+        {
+            return self;
+        }
         // Warm-up pass: one short run to populate caches and let the
         // routine calibrate how long a single iteration takes.
         let mut b = Bencher {
@@ -124,13 +156,19 @@ impl Criterion {
     }
 }
 
+/// The name filter among benchmark-binary arguments: the first one that
+/// is not a flag.
+fn filter_of(args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter().find(|arg| !arg.starts_with('-'))
+}
+
 /// Declares a group of benchmark targets, mirroring upstream's
 /// `name = ..; config = ..; targets = ..` grammar.
 #[macro_export]
 macro_rules! criterion_group {
     (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion = $config;
+            let mut criterion = $config.configure_from_args();
             $($target(&mut criterion);)+
         }
     };
@@ -166,6 +204,35 @@ mod tests {
             .measurement_time(Duration::from_millis(2))
             .bench_function("noop", |b| b.iter(|| calls += 1));
         assert!(calls > 0);
+    }
+
+    #[test]
+    fn the_filter_skips_benchmarks_whose_name_lacks_it() {
+        let mut ran = Vec::new();
+        let mut criterion = Criterion::default()
+            .sample_size(1)
+            .warm_up_time(Duration::from_millis(1))
+            .measurement_time(Duration::from_millis(1))
+            .with_filter("chain");
+        for name in ["runtime/execute_chain", "tuner/search", "chain_reused"] {
+            criterion.bench_function(name, |b| {
+                ran.push(name);
+                b.iter(|| ());
+            });
+        }
+        ran.dedup();
+        assert_eq!(ran, ["runtime/execute_chain", "chain_reused"]);
+    }
+
+    #[test]
+    fn the_filter_is_the_first_argument_that_is_not_a_flag() {
+        let args = |a: &[&str]| a.iter().map(ToString::to_string).collect::<Vec<_>>();
+        assert_eq!(filter_of(args(&["--bench"])), None);
+        assert_eq!(
+            filter_of(args(&["--bench", "runtime/", "extra"])),
+            Some("runtime/".into())
+        );
+        assert_eq!(filter_of(args(&[])), None);
     }
 
     #[test]

@@ -50,19 +50,20 @@
 #![warn(clippy::indexing_slicing)]
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use collectives::CollectiveRole;
 use gpu_sim::elementwise::ElementwiseOp;
 use gpu_sim::memory::BufferId;
 use gpu_sim::stream::{abort_counter_waits, enqueue, Op};
 use gpu_sim::{
-    Cluster, ClusterSim, FaultArming, GpuEventId, IncrementFault, RuntimeEvent, RuntimeEventKind,
-    StuckWait,
+    Cluster, ClusterSim, Diagnosis, FaultArming, GpuEventId, RuntimeDetail, RuntimeEvent,
+    RuntimeEventKind, StuckWait, Wedge,
 };
 use sim::{SimDuration, SimTime};
 
 use crate::error::{ChainPosition, FlashOverlapError};
-use crate::resilience::{Fault, FaultPlan, ResilientOutcome, WatchdogConfig};
+use crate::resilience::{DegradeCause, Fault, FaultPlan, ResilientOutcome, WatchdogConfig};
 use crate::runtime::{Instrumentation, OverlapPlan, ProgramHandles, StreamCtx};
 use crate::sequence::{SequenceOptions, SequenceOutcome};
 use crate::world::ChainWorld;
@@ -461,8 +462,7 @@ fn check_quiescent_chain(
     world: &Cluster,
     segments: &[ChainSegment],
 ) -> Result<(), FlashOverlapError> {
-    world.check_quiescent().map_err(|streams| {
-        let waits = world.stuck_waits();
+    world.check_quiescent().map_err(|Wedge { streams, waits }| {
         let chain = chain_positions(world, &waits, segments);
         FlashOverlapError::Deadlock {
             streams,
@@ -532,7 +532,10 @@ fn arm_cluster_faults(world: &mut Cluster, sim: &ClusterSim, faults: &[FaultPlan
                 device: fault_device(fault),
                 kind: RuntimeEventKind::FaultInjected,
                 group: None,
-                detail: format!("segment {segment}: armed: {fault}"),
+                detail: RuntimeDetail::FaultArmed {
+                    segment,
+                    fault: *fault,
+                },
             });
         }
     }
@@ -586,29 +589,23 @@ fn enqueue_segment_faults(
                 device: rank,
                 kind: RuntimeEventKind::FaultInjected,
                 group: None,
-                detail: format!("segment {segment}: armed: {fault}"),
+                detail: RuntimeDetail::FaultArmed {
+                    segment,
+                    fault: *fault,
+                },
             });
         }
     }
     let n = streams.compute.len();
     for d in 0..n {
-        let rank_faults: Vec<(usize, IncrementFault, u32, String)> = faults
+        let rank_faults: Vec<Fault> = faults
             .faults
             .iter()
-            .filter_map(|f| match *f {
-                Fault::DroppedIncrement { rank, group, count } if rank == d => {
-                    Some((group, IncrementFault::Dropped, count, f.to_string()))
-                }
-                Fault::DelayedIncrement {
-                    rank,
-                    group,
-                    count,
-                    delay,
-                } if rank == d => {
-                    Some((group, IncrementFault::Delayed(delay), count, f.to_string()))
-                }
-                _ => None,
+            .filter(|f| {
+                matches!(**f, Fault::DroppedIncrement { rank, .. }
+                    | Fault::DelayedIncrement { rank, .. } if rank == d)
             })
+            .copied()
             .collect();
         // Fresh tables (segments 0 and 1) hold no leftover budget; skip
         // the op entirely when there is also nothing to arm.
@@ -620,7 +617,7 @@ fn enqueue_segment_faults(
         };
         let arming = FaultArming {
             table,
-            label: format!("segment {segment}"),
+            segment,
             faults: rank_faults,
         };
         enqueue(world, sim, d, compute, Op::ArmFaults(arming));
@@ -641,22 +638,17 @@ struct SegState {
     reissued: bool,
     /// Why the segment degraded, and the groups that had completed when
     /// it was first marked degraded.
-    degraded: Option<(String, Vec<usize>)>,
+    degraded: Option<(DegradeCause, Vec<usize>)>,
 }
 
 impl SegState {
     /// Marks the segment degraded; the first cause wins, and the groups
     /// completed at that moment are snapshotted — later recovery
     /// re-issues do not count as completed before abandonment.
-    fn degrade(
-        &mut self,
-        world: &Cluster,
-        seg: Option<&ChainSegment>,
-        cause: impl FnOnce() -> String,
-    ) {
+    fn degrade(&mut self, world: &Cluster, seg: Option<&ChainSegment>, cause: DegradeCause) {
         if self.degraded.is_none() {
             let completed = seg.map(|s| completed_groups(world, s)).unwrap_or_default();
-            self.degraded = Some((cause(), completed));
+            self.degraded = Some((cause, completed));
         }
     }
 }
@@ -683,15 +675,13 @@ fn drive_chain(
 ) -> Result<(SimTime, Vec<ResilientOutcome>), FlashOverlapError> {
     // Per-segment budget: the predictor's expected latency times the
     // configured multiplier, plus the launch-skew window.
-    let budgets: Vec<SimDuration> = plans
-        .iter()
-        .map(|p| {
+    let budget_of = |f: usize| {
+        plans.get(f).map_or(SimDuration::ZERO, |p| {
             p.expected_latency()
                 .mul_f64(watchdog.deadline_multiplier.max(1.0))
                 + SimDuration::from_nanos(p.system.launch_skew_ns.max(1))
         })
-        .collect();
-    let budget_of = |f: usize| budgets.get(f).copied().unwrap_or_default();
+    };
     let mut state: Vec<SegState> = segments.iter().map(|_| SegState::default()).collect();
     let mut deadline = SimTime::ZERO + budget_of(0);
     let mut deadline_frontier = 0usize;
@@ -704,9 +694,11 @@ fn drive_chain(
         if rounds > max_rounds {
             if let Some(f) = frontier(world, segments) {
                 if let Some(slot) = state.get_mut(f) {
-                    slot.degrade(world, segments.get(f), || {
-                        format!("chain watchdog gave up after {rounds} rounds")
-                    });
+                    slot.degrade(
+                        world,
+                        segments.get(f),
+                        DegradeCause::WatchdogGaveUp { rounds },
+                    );
                 }
             }
             break;
@@ -720,14 +712,13 @@ fn drive_chain(
             // True wedge: the event queue drained with segment `f`'s
             // collectives still owed.
             let error = match check_quiescent_chain(world, segments) {
-                Err(e) => e,
+                Err(e) => Arc::new(e),
                 Ok(()) => {
                     // Streams drained yet a segment is incomplete —
                     // unreachable for well-formed chains; terminate
                     // accountably instead of spinning.
                     if let Some(slot) = state.get_mut(f) {
-                        let cause = || "chain stalled without a diagnosable wedge".into();
-                        slot.degrade(world, seg, cause);
+                        slot.degrade(world, seg, DegradeCause::Stalled);
                     }
                     break;
                 }
@@ -739,13 +730,13 @@ fn drive_chain(
                     // Even recovery wedged (recovery collectives wait on
                     // nothing but already-recorded state, so this should
                     // be unreachable). Give up without hanging.
-                    slot.degrade(world, seg, || format!("recovery wedged: {error}"));
+                    slot.degrade(world, seg, DegradeCause::RecoveryWedged(error));
                     break;
                 }
                 if !gemm_retired {
                     // Re-issuing collectives before the GEMM retired
                     // would read incomplete tiles; defensively degrade.
-                    let cause = || format!("wedged before GEMM retirement: {error}");
+                    let cause = DegradeCause::WedgedBeforeGemmRetired(error);
                     slot.degrade(world, seg, cause);
                     break;
                 }
@@ -755,7 +746,10 @@ fn drive_chain(
                 device: 0,
                 kind: RuntimeEventKind::WatchdogFired,
                 group: None,
-                detail: format!("segment {f} wedge detected: {error}"),
+                detail: RuntimeDetail::WedgeDetected {
+                    segment: f,
+                    diagnosis: Diagnosis(Arc::clone(&error) as _),
+                },
             });
             recover_chain(world, sim, plans, segments, f, &error, streams, &mut state);
             deadline_frontier = f;
@@ -779,28 +773,24 @@ fn drive_chain(
                         device: 0,
                         kind: RuntimeEventKind::WatchdogFired,
                         group: None,
-                        detail: format!(
-                            "segment {f}: deadline passed with {pending} events in flight; \
-                             extension {}/{}",
-                            slot.retries, watchdog.max_retries
-                        ),
+                        detail: RuntimeDetail::Extension {
+                            segment: f,
+                            pending,
+                            retry: slot.retries,
+                            max: watchdog.max_retries,
+                        },
                     })
                 } else if slot.degraded.is_none() {
-                    slot.degrade(world, segments.get(f), || {
-                        format!(
-                            "watchdog deadline exceeded after {} extensions",
-                            watchdog.max_retries
-                        )
-                    });
+                    let cause = DegradeCause::DeadlineExceeded {
+                        extensions: watchdog.max_retries,
+                    };
+                    slot.degrade(world, segments.get(f), cause);
                     Some(RuntimeEvent {
                         at: sim.now(),
                         device: 0,
                         kind: RuntimeEventKind::DegradedFallback,
                         group: None,
-                        detail: format!(
-                            "segment {f} marked degraded; completing without abandoning \
-                             in-flight work"
-                        ),
+                        detail: RuntimeDetail::DegradedFallback { segment: f },
                     })
                 } else {
                     None
@@ -828,7 +818,7 @@ fn drive_chain(
                 }
             } else if !segment_complete(world, seg) {
                 ResilientOutcome::Degraded {
-                    cause: "chain terminated before this segment completed".into(),
+                    cause: DegradeCause::Terminated,
                     recovered_groups: completed_groups(world, seg),
                 }
             } else if !st.tail.is_empty() || st.reissued {
@@ -859,7 +849,7 @@ fn recover_chain(
     plans: &[&OverlapPlan],
     segments: &[ChainSegment],
     f: usize,
-    error: &FlashOverlapError,
+    error: &Arc<FlashOverlapError>,
     streams: &StreamCtx,
     state: &mut [SegState],
 ) {
@@ -895,7 +885,8 @@ fn recover_chain(
     //    it produced nothing.
     if let (Some(seg), Some(plan), Some(slot)) = (segments.get(f), plans.get(f), state.get_mut(f)) {
         let role = if completed_groups(world, seg).is_empty() {
-            slot.degrade(world, Some(seg), || format!("overlap abandoned: {error}"));
+            let cause = DegradeCause::OverlapAbandoned(Arc::clone(error));
+            slot.degrade(world, Some(seg), cause);
             CollectiveRole::Bulk
         } else {
             CollectiveRole::Tail
@@ -941,7 +932,10 @@ fn recover_chain(
             device: 0,
             kind: RuntimeEventKind::TailRecovery,
             group: None,
-            detail: format!("segment {j}: comm program re-enqueued behind segment {f} recovery"),
+            detail: RuntimeDetail::CommReenqueued {
+                segment: j,
+                behind: f,
+            },
         });
     }
 }
@@ -971,9 +965,11 @@ fn reissue_groups(
         .map(|t| t.is_some())
         .collect();
     let thresholds = plan.group_tile_counts();
-    let (kind, what) = match role {
-        CollectiveRole::Tail => (RuntimeEventKind::TailRecovery, "tail"),
-        _ => (RuntimeEventKind::DegradedFallback, "bulk"),
+    let tail = matches!(role, CollectiveRole::Tail);
+    let kind = if tail {
+        RuntimeEventKind::TailRecovery
+    } else {
+        RuntimeEventKind::DegradedFallback
     };
     let mut issued = Vec::new();
     for (g, done) in completed.iter().enumerate() {
@@ -1016,7 +1012,11 @@ fn reissue_groups(
                 device: 0,
                 kind,
                 group: Some(g),
-                detail: format!("segment {segment}: group {g} re-issued as {what} collective"),
+                detail: RuntimeDetail::GroupReissued {
+                    segment,
+                    group: g,
+                    tail,
+                },
             });
         }
         issued.push(g);

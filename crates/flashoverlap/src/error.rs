@@ -53,11 +53,11 @@ pub enum FlashOverlapError {
     /// is wedged. `waits` carries the precise signal-starvation context —
     /// blocked rank, counter group, reached count, unmet threshold — when
     /// the wedge is a starved signal wait (the lost-signal bug class);
-    /// `streams` has one line per wedged stream either way.
+    /// `streams` has one record per wedged stream either way.
     Deadlock {
-        /// One diagnostic line per wedged stream (device, stream, op in
-        /// flight, queued depth).
-        streams: Vec<String>,
+        /// One record per wedged stream (device, stream, op in flight,
+        /// queued depth, the starved wait parked on it).
+        streams: Vec<gpu_sim::WedgedStream>,
         /// Every starved signal wait, with its counter context.
         waits: Vec<gpu_sim::StuckWait>,
         /// Chain positions of the starved waits (one per wait that maps
@@ -92,7 +92,13 @@ impl fmt::Display for FlashOverlapError {
                 waits,
                 chain,
             } => {
-                write!(f, "deadlock: streams never drained — {}", streams.join("; "))?;
+                f.write_str("deadlock: streams never drained — ")?;
+                for (i, stream) in streams.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str("; ")?;
+                    }
+                    write!(f, "{stream}")?;
+                }
                 for wait in waits {
                     write!(f, "; {wait}")?;
                 }
@@ -136,7 +142,14 @@ mod tests {
     #[test]
     fn deadlock_names_the_starved_wait() {
         let e = FlashOverlapError::Deadlock {
-            streams: vec!["device 1 stream 1: 1 in flight, 2 queued (wait-counter)".into()],
+            streams: vec![gpu_sim::WedgedStream {
+                device: 1,
+                stream: 1,
+                in_flight: true,
+                queued: 2,
+                op: "wait-counter",
+                wait: None,
+            }],
             waits: vec![gpu_sim::StuckWait {
                 device: 1,
                 stream: 1,
@@ -156,7 +169,14 @@ mod tests {
     #[test]
     fn deadlock_names_the_chain_position() {
         let e = FlashOverlapError::Deadlock {
-            streams: vec!["device 0 stream 1: 0 in flight, 1 queued (wait-counter)".into()],
+            streams: vec![gpu_sim::WedgedStream {
+                device: 0,
+                stream: 1,
+                in_flight: false,
+                queued: 1,
+                op: "wait-counter",
+                wait: None,
+            }],
             waits: vec![gpu_sim::StuckWait {
                 device: 0,
                 stream: 1,

@@ -53,8 +53,8 @@ pub use partition::WavePartition;
 pub use pipeline::{LayerSpec, Pipeline};
 pub use predictor::{LatencyPredictor, OfflineProfile};
 pub use resilience::{
-    run_chaos, CampaignResult, ChaosConfig, ChaosReport, Fault, FaultPlan, ResilientOutcome,
-    WatchdogConfig,
+    run_chaos, CampaignResult, ChaosConfig, ChaosReport, DegradeCause, Fault, FaultPlan,
+    ResilientOutcome, WatchdogConfig,
 };
 pub use runtime::{
     CommPattern, FunctionalInputs, Instrumentation, OverlapPlan, RunReport, SignalMutation,

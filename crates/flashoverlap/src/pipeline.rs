@@ -475,11 +475,11 @@ mod tests {
         assert!(outcome
             .events
             .iter()
-            .any(|e| e.detail.contains("segment 1 wedge detected")));
-        assert!(outcome
-            .events
-            .iter()
-            .any(|e| e.detail.contains("re-issued as tail collective")));
+            .any(|e| e.detail.to_string().contains("segment 1 wedge detected")));
+        assert!(outcome.events.iter().any(|e| e
+            .detail
+            .to_string()
+            .contains("re-issued as tail collective")));
     }
 
     #[test]

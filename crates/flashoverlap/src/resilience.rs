@@ -30,6 +30,16 @@
 //! 3. **Campaigns** — [`run_chaos`] executes seeded fault campaigns and
 //!    compares each functional output against the fault-free reference.
 //!
+//! Diagnostics are data until read. The fault vocabulary ([`Fault`])
+//! lives with the simulator's runtime-event log, whose records
+//! ([`gpu_sim::RuntimeDetail`]) hold the armed fault, the tile or the
+//! segment rather than a sentence; a wedge is the
+//! [`FlashOverlapError::Deadlock`] value itself, with structured
+//! per-stream records, shared by reference count between the watchdog's
+//! event and the [`DegradeCause`] it leads to. Text is written only by
+//! `Display`, so serving, which reads only [`ResilientOutcome::label`],
+//! formats nothing.
+//!
 //! A key semantic choice mirrors the real failure mode: a dropped
 //! increment loses only the *signal* — the epilogue's tile write is
 //! unaffected, exactly as when a real epilogue's signaling atomic is
@@ -42,6 +52,7 @@
 #![warn(clippy::indexing_slicing)]
 
 use std::fmt;
+use std::sync::Arc;
 
 use gpu_sim::gemm::GemmDims;
 use sim::{DetRng, SimDuration};
@@ -51,110 +62,11 @@ use crate::runtime::{CommPattern, FunctionalInputs, OverlapPlan};
 use crate::sequence::SequenceOptions;
 use crate::system::SystemSpec;
 
-/// One injected fault. Ranks and groups refer to the plan the fault runs
-/// against; [`FaultPlan::validate`] rejects out-of-range targets before
-/// anything is armed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Fault {
-    /// `count` of `rank`'s counting-table increments for `group` are
-    /// dropped: the signal is lost but the tile data is written — the
-    /// lost-signal bug class that wedges the group's wait.
-    DroppedIncrement {
-        /// Rank whose increments are dropped.
-        rank: usize,
-        /// Target wave group.
-        group: usize,
-        /// How many increments to drop.
-        count: u32,
-    },
-    /// `count` of `rank`'s increments for `group` land `delay` late
-    /// (slow signal propagation; stretches the overlap, never wedges it).
-    DelayedIncrement {
-        /// Rank whose increments are delayed.
-        rank: usize,
-        /// Target wave group.
-        group: usize,
-        /// How many increments to delay.
-        count: u32,
-        /// Signal delay.
-        delay: SimDuration,
-    },
-    /// Every collective call runs `slowdown` times longer — a
-    /// persistently underdelivering link (values below 1 are clamped up).
-    LinkDegradation {
-        /// Duration multiplier applied at every rendezvous.
-        slowdown: f64,
-    },
-    /// Collectives that *cross a node boundary* run `slowdown` times
-    /// longer; single-node collectives are untouched — a congested or
-    /// flapping inter-node (InfiniBand-tier) link. On a single-node
-    /// topology this fault is armed but never felt.
-    InterLinkDegradation {
-        /// Duration multiplier applied only at node-spanning rendezvous.
-        slowdown: f64,
-    },
-    /// The next `count` collective calls stall for `stall` before
-    /// starting (transient link congestion or retransmit bursts).
-    LinkStall {
-        /// Extra delay per affected call.
-        stall: SimDuration,
-        /// How many calls the stall applies to.
-        count: u32,
-    },
-    /// `rank` permanently loses `sms` SMs to a rogue persistent kernel,
-    /// shrinking its wave width — the straggler-SM class.
-    StragglerSms {
-        /// The straggling rank.
-        rank: usize,
-        /// SMs lost for the whole run.
-        sms: u32,
-    },
-    /// `rank`'s entire program starts `delay` late (straggler rank /
-    /// host-process hiccup, beyond the modelled launch skew).
-    SlowRank {
-        /// The late rank.
-        rank: usize,
-        /// Extra launch delay on both of the rank's streams.
-        delay: SimDuration,
-    },
-}
-
-impl fmt::Display for Fault {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            Fault::DroppedIncrement { rank, group, count } => {
-                write!(f, "drop {count} increments of group {group} on rank {rank}")
-            }
-            Fault::DelayedIncrement {
-                rank,
-                group,
-                count,
-                delay,
-            } => write!(
-                f,
-                "delay {count} increments of group {group} on rank {rank} by {delay}"
-            ),
-            Fault::LinkDegradation { slowdown } => {
-                write!(f, "degrade links: {slowdown:.2}x slower collectives")
-            }
-            Fault::InterLinkDegradation { slowdown } => {
-                write!(
-                    f,
-                    "degrade inter-node links: {slowdown:.2}x slower node-spanning collectives"
-                )
-            }
-            Fault::LinkStall { stall, count } => {
-                write!(f, "stall next {count} collective calls by {stall}")
-            }
-            Fault::StragglerSms { rank, sms } => {
-                write!(f, "rank {rank} loses {sms} SMs for the whole run")
-            }
-            Fault::SlowRank { rank, delay } => {
-                write!(f, "rank {rank} launches {delay} late")
-            }
-        }
-    }
-}
+/// One injected fault. The vocabulary lives with the simulator's
+/// runtime-event log, which names the faults it arms; ranks and groups
+/// refer to the plan the fault runs against, and [`FaultPlan::validate`]
+/// rejects out-of-range targets before anything is armed.
+pub use gpu_sim::Fault;
 
 /// A deterministic set of faults injected into one execution. Seeded
 /// construction ([`FaultPlan::random`]) uses only [`sim::DetRng`] — no
@@ -301,12 +213,67 @@ pub enum ResilientOutcome {
     /// The overlap plan was abandoned: the remaining output completed
     /// (when possible) via bulk non-overlapped collectives.
     Degraded {
-        /// Why the run degraded (never empty).
-        cause: String,
+        /// Why the run degraded.
+        cause: DegradeCause,
         /// Groups that completed before the plan was abandoned, via
         /// overlap or tail recovery.
         recovered_groups: Vec<usize>,
     },
+}
+
+/// Why a chain segment degraded. A wedge diagnosis is kept as the
+/// error value the watchdog built, shared with its wedge-detected event;
+/// the sentence is written only when the cause is formatted.
+#[derive(Debug, Clone, PartialEq)]
+pub enum DegradeCause {
+    /// The watchdog hit its round limit with the segment still open.
+    WatchdogGaveUp {
+        /// Rounds driven.
+        rounds: u32,
+    },
+    /// Streams drained while the segment was incomplete, with no wedge
+    /// to diagnose.
+    Stalled,
+    /// The segment wedged again after its recovery.
+    RecoveryWedged(Arc<FlashOverlapError>),
+    /// The segment wedged before its GEMM retired, so its groups could
+    /// not be re-issued safely.
+    WedgedBeforeGemmRetired(Arc<FlashOverlapError>),
+    /// No group had completed when the segment wedged, so its overlap was
+    /// abandoned for bulk collectives.
+    OverlapAbandoned(Arc<FlashOverlapError>),
+    /// The segment was still slow after every deadline extension.
+    DeadlineExceeded {
+        /// Extensions granted.
+        extensions: u32,
+    },
+    /// The chain ended before the segment completed.
+    Terminated,
+}
+
+impl fmt::Display for DegradeCause {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DegradeCause::WatchdogGaveUp { rounds } => {
+                write!(f, "chain watchdog gave up after {rounds} rounds")
+            }
+            DegradeCause::Stalled => f.write_str("chain stalled without a diagnosable wedge"),
+            DegradeCause::RecoveryWedged(error) => write!(f, "recovery wedged: {error}"),
+            DegradeCause::WedgedBeforeGemmRetired(error) => {
+                write!(f, "wedged before GEMM retirement: {error}")
+            }
+            DegradeCause::OverlapAbandoned(error) => write!(f, "overlap abandoned: {error}"),
+            DegradeCause::DeadlineExceeded { extensions } => {
+                write!(
+                    f,
+                    "watchdog deadline exceeded after {extensions} extensions"
+                )
+            }
+            DegradeCause::Terminated => {
+                f.write_str("chain terminated before this segment completed")
+            }
+        }
+    }
 }
 
 impl ResilientOutcome {
@@ -423,16 +390,13 @@ impl ChaosReport {
             .count()
     }
 
-    /// Campaigns that are neither bit-exact nor flagged degraded with a
-    /// cause — the invariant violations. Must be zero.
+    /// Campaigns that are neither bit-exact nor flagged degraded (a
+    /// degraded outcome always carries its [`DegradeCause`]) — the
+    /// invariant violations. Must be zero.
     pub fn violations(&self) -> usize {
         self.results
             .iter()
-            .filter(|r| {
-                !r.bit_exact
-                    && !matches!(&r.outcome, ResilientOutcome::Degraded { cause, .. }
-                                 if !cause.is_empty())
-            })
+            .filter(|r| !r.bit_exact && !r.outcome.is_degraded())
             .count()
     }
 }

@@ -1298,6 +1298,7 @@ mod tests {
                 cause,
                 recovered_groups,
             } => {
+                let cause = cause.to_string();
                 assert!(!cause.is_empty());
                 assert!(cause.contains("group 0"), "cause names the wedge: {cause}");
                 assert!(recovered_groups.is_empty(), "{recovered_groups:?}");
@@ -1460,7 +1461,7 @@ mod tests {
             wedged
                 .events
                 .iter()
-                .any(|e| e.detail.contains("segment 3 wedge detected")),
+                .any(|e| e.detail.to_string().contains("segment 3 wedge detected")),
             "the wedge names the final iteration: {:?}",
             wedged.events
         );

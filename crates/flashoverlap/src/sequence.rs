@@ -386,11 +386,11 @@ mod tests {
         assert!(outcome
             .events
             .iter()
-            .any(|e| e.detail.contains("segment 1 wedge detected")));
-        assert!(outcome
-            .events
-            .iter()
-            .any(|e| e.detail.contains("re-issued as tail collective")));
+            .any(|e| e.detail.to_string().contains("segment 1 wedge detected")));
+        assert!(outcome.events.iter().any(|e| e
+            .detail
+            .to_string()
+            .contains("re-issued as tail collective")));
     }
 
     #[test]
@@ -432,6 +432,7 @@ mod tests {
                 cause,
                 recovered_groups,
             } => {
+                let cause = cause.to_string();
                 assert!(cause.starts_with("overlap abandoned: deadlock"), "{cause}");
                 assert!(cause.contains("group 0"), "cause names the wedge: {cause}");
                 assert!(recovered_groups.is_empty(), "{recovered_groups:?}");

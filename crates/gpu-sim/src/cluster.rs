@@ -10,7 +10,7 @@ use crate::counter::IncrementFault;
 use crate::device::{Device, DeviceId};
 use crate::elementwise::ElementwiseKernel;
 use crate::gemm::GemmRun;
-use crate::monitor::{ClusterMonitor, RuntimeEvent, RuntimeEventKind};
+use crate::monitor::{ClusterMonitor, Fault, RuntimeDetail, RuntimeEvent, RuntimeEventKind};
 use crate::stream::Completion;
 
 /// Storage for the state of in-flight ops, indexed by the slots
@@ -66,15 +66,17 @@ impl<T> Slab<T> {
 /// Counter faults an [`crate::stream::Op::ArmFaults`] arms on one
 /// counting table of its device. The op first disarms whatever fault
 /// budget the table still holds (quarantine), then arms `faults`,
-/// logging each step as a runtime event.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// logging each step as a runtime event of chain segment `segment`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultArming {
     /// Counting table index on the op's device.
     pub table: usize,
-    /// Prefix of the logged details, e.g. `"segment 3"`.
-    pub label: String,
-    /// Faults to arm as `(group, fault, count, description)`.
-    pub faults: Vec<(usize, IncrementFault, u32, String)>,
+    /// The chain segment the faults belong to.
+    pub segment: usize,
+    /// The faults to arm. Only counter faults
+    /// ([`Fault::DroppedIncrement`], [`Fault::DelayedIncrement`]) arm on a
+    /// table; any other kind is ignored.
+    pub faults: Vec<Fault>,
 }
 
 /// One tile's completion record (Fig. 2 raw data).
@@ -213,6 +215,53 @@ impl std::fmt::Display for StuckWait {
             self.device, self.stream, self.table, self.group, self.count, self.threshold
         )
     }
+}
+
+/// One stream that still held work when the event queue drained.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WedgedStream {
+    /// The stream's device.
+    pub device: DeviceId,
+    /// The stream.
+    pub stream: usize,
+    /// Whether an op was in flight on it.
+    pub in_flight: bool,
+    /// Ops still queued behind it.
+    pub queued: usize,
+    /// Name of the op in flight (`"queued work"` when none had started).
+    pub op: &'static str,
+    /// The starved signal wait parked on this stream, if the wedge is
+    /// one (the first such wait when there are several).
+    pub wait: Option<StuckWait>,
+}
+
+impl std::fmt::Display for WedgedStream {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "device {} stream {}: {} in flight, {} queued ({})",
+            self.device,
+            self.stream,
+            u32::from(self.in_flight),
+            self.queued,
+            self.op
+        )?;
+        if let Some(wait) = &self.wait {
+            write!(f, " — {wait}")?;
+        }
+        Ok(())
+    }
+}
+
+/// Why a drained simulation is not quiescent: every stream that still
+/// holds work, and every signal wait still parked (in
+/// [`Cluster::stuck_waits`] order).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Wedge {
+    /// The wedged streams, by device then stream.
+    pub streams: Vec<WedgedStream>,
+    /// The starved signal waits.
+    pub waits: Vec<StuckWait>,
 }
 
 /// The simulation world: a homogeneous multi-GPU server.
@@ -413,7 +462,7 @@ impl Cluster {
     pub(crate) fn arm_faults(&mut self, arming: FaultArming, device: DeviceId, now: SimTime) {
         let FaultArming {
             table,
-            label,
+            segment,
             faults,
         } = arming;
         let cleared = self.devices[device].counter_mut(table).disarm_faults();
@@ -423,13 +472,26 @@ impl Cluster {
                 device,
                 kind: RuntimeEventKind::FaultQuarantined,
                 group: None,
-                detail: format!(
-                    "{label}: quarantined {cleared} leftover armed fault(s) \
-                     on inherited table {table}"
-                ),
+                detail: RuntimeDetail::FaultQuarantined {
+                    segment,
+                    cleared,
+                    table,
+                },
             });
         }
-        for (group, kind, count, desc) in faults {
+        for fault in faults {
+            let (group, kind, count) = match fault {
+                Fault::DroppedIncrement { group, count, .. } => {
+                    (group, IncrementFault::Dropped, count)
+                }
+                Fault::DelayedIncrement {
+                    group,
+                    count,
+                    delay,
+                    ..
+                } => (group, IncrementFault::Delayed(delay), count),
+                _ => continue,
+            };
             self.devices[device]
                 .counter_mut(table)
                 .arm_fault(group, kind, count);
@@ -438,7 +500,7 @@ impl Cluster {
                 device,
                 kind: RuntimeEventKind::FaultInjected,
                 group: Some(group),
-                detail: format!("{label}: armed: {desc}"),
+                detail: RuntimeDetail::FaultArmed { segment, fault },
             });
         }
     }
@@ -537,40 +599,38 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns one line per wedged stream, naming the in-flight op — and,
-    /// when the wedge is a starved signal wait, the blocked rank, counter
-    /// group, reached count, and unmet threshold.
-    pub fn check_quiescent(&self) -> Result<(), Vec<String>> {
-        let stuck_waits = self.stuck_waits();
-        let mut stuck = Vec::new();
+    /// Returns the [`Wedge`]: one record per wedged stream, naming the
+    /// in-flight op and, when the wedge is a starved signal wait, the
+    /// blocked rank, counter group, reached count, and unmet threshold;
+    /// and every parked wait. The waits are gathered only when some
+    /// stream is wedged.
+    pub fn check_quiescent(&self) -> Result<(), Wedge> {
+        fn wedged(s: &crate::stream::Stream) -> bool {
+            s.busy || !s.queue.is_empty()
+        }
+        if !self.devices.iter().any(|d| d.streams.iter().any(wedged)) {
+            return Ok(());
+        }
+        let waits = self.stuck_waits();
+        let mut streams = Vec::new();
         for device in &self.devices {
             for (sid, stream) in device.streams.iter().enumerate() {
-                if stream.busy || !stream.queue.is_empty() {
-                    let what = stream
-                        .current
-                        .map(|(name, _, _)| name)
-                        .unwrap_or("queued work");
-                    let mut line = format!(
-                        "device {} stream {sid}: {} in flight, {} queued ({what})",
-                        device.id,
-                        u32::from(stream.busy),
-                        stream.queue.len(),
-                    );
-                    if let Some(wait) = stuck_waits
-                        .iter()
-                        .find(|w| w.device == device.id && w.stream == sid)
-                    {
-                        line = format!("{line} — {wait}");
-                    }
-                    stuck.push(line);
+                if wedged(stream) {
+                    streams.push(WedgedStream {
+                        device: device.id,
+                        stream: sid,
+                        in_flight: stream.busy,
+                        queued: stream.queue.len(),
+                        op: stream.current.map_or("queued work", |(name, _, _)| name),
+                        wait: waits
+                            .iter()
+                            .find(|w| w.device == device.id && w.stream == sid)
+                            .copied(),
+                    });
                 }
             }
         }
-        if stuck.is_empty() {
-            Ok(())
-        } else {
-            Err(stuck)
-        }
+        Err(Wedge { streams, waits })
     }
 
     /// Drops every not-yet-launched kernel queued on `(device, stream)`
@@ -704,7 +764,9 @@ mod tests {
                 threshold: 9,
             }]
         );
-        let stuck = c.check_quiescent().unwrap_err();
+        let wedge = c.check_quiescent().unwrap_err();
+        assert_eq!(wedge.waits, waits, "the wedge carries the same waits");
+        let stuck: Vec<String> = wedge.streams.iter().map(ToString::to_string).collect();
         assert_eq!(stuck.len(), 1);
         assert!(
             stuck[0].contains("rank 1")
@@ -763,7 +825,8 @@ mod tests {
         // stream wedged.
         enqueue(&mut c, &mut sim, 0, s, Op::WaitEvent(ev));
         sim.run(&mut c).unwrap();
-        let stuck = c.check_quiescent().unwrap_err();
+        let wedge = c.check_quiescent().unwrap_err();
+        let stuck: Vec<String> = wedge.streams.iter().map(ToString::to_string).collect();
         assert_eq!(stuck.len(), 1);
         assert!(stuck[0].contains("device 0 stream 0"), "{stuck:?}");
     }

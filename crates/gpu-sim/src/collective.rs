@@ -266,7 +266,7 @@ pub(crate) fn launch(
             device: lead,
             kind: crate::monitor::RuntimeEventKind::FaultInjected,
             group: op.group,
-            detail: format!("link stall of {stall:?} before collective call {}", op.id),
+            detail: crate::monitor::RuntimeDetail::LinkStall { stall, call: op.id },
         });
     }
     let duration = call.duration().mul_f64(noise * slowdown) + stall;

@@ -614,7 +614,7 @@ fn signal_wave(
     runs: impl Iterator<Item = (usize, Range<usize>)>,
 ) {
     use crate::counter::IncrementFault;
-    use crate::monitor::{RuntimeEvent, RuntimeEventKind};
+    use crate::monitor::{RuntimeDetail, RuntimeEvent, RuntimeEventKind};
     use crate::stream::{increment_counter, wake_counter_waiters};
 
     for (group, positions) in runs {
@@ -626,10 +626,8 @@ fn signal_wave(
             };
             faulted += 1;
             let detail = match fault {
-                IncrementFault::Dropped => format!("dropped counter increment (tile {t})"),
-                IncrementFault::Delayed(by) => {
-                    format!("delayed counter increment by {by:?} (tile {t})")
-                }
+                IncrementFault::Dropped => RuntimeDetail::IncrementDropped { tile: t },
+                IncrementFault::Delayed(by) => RuntimeDetail::IncrementDelayed { tile: t, by },
             };
             world.notify_runtime_event(&RuntimeEvent {
                 at: sim.now(),
@@ -1008,7 +1006,7 @@ mod tests {
         }
 
         fn on_runtime_event(&self, event: &crate::monitor::RuntimeEvent) {
-            self.faults.borrow_mut().push(event.detail.clone());
+            self.faults.borrow_mut().push(event.detail.to_string());
         }
     }
 
@@ -1161,7 +1159,7 @@ mod tests {
         }
 
         fn on_runtime_event(&self, event: &crate::monitor::RuntimeEvent) {
-            self.details.borrow_mut().push(event.detail.clone());
+            self.details.borrow_mut().push(event.detail.to_string());
         }
     }
 

@@ -31,13 +31,17 @@ pub mod tile;
 pub mod wave;
 
 pub use arch::GpuArch;
-pub use cluster::{Cluster, CommFault, FaultArming, OpSpan, SpanMeta, StuckWait, TileCompletion};
+pub use cluster::{
+    Cluster, CommFault, FaultArming, OpSpan, SpanMeta, StuckWait, TileCompletion, Wedge,
+    WedgedStream,
+};
 pub use collective::{CollectiveCall, CollectiveOp, CollectiveRole, P2pOp};
 pub use counter::IncrementFault;
 pub use device::{Device, DeviceId};
 pub use memory::BufferId;
 pub use monitor::{
-    Access, AccessKind, AccessScope, ClusterMonitor, LinkTransfer, RuntimeEvent, RuntimeEventKind,
+    Access, AccessKind, AccessScope, ClusterMonitor, Diagnosis, Fault, LinkTransfer, RuntimeDetail,
+    RuntimeEvent, RuntimeEventKind,
 };
 pub use stream::{Completion, Event, GpuEventId, Op, StreamId};
 pub use tile::{TileGrid, TileShape};

@@ -274,7 +274,7 @@ fn wedged_replica(pending_batches: &[usize]) -> Option<usize> {
 /// `shed`, and the batch id survives on their records).
 fn shed_pending(p: &PendingBatch, acct: &mut Accounting) {
     for r in &p.batch.requests {
-        acct.records.push(RequestRecord {
+        acct.place(RequestRecord {
             id: r.id,
             model: r.model.name,
             tokens: r.tokens,
@@ -547,7 +547,12 @@ type DriftCell = (u64, f64, f64);
 /// Mutable accounting threaded through chain execution.
 #[derive(Default)]
 struct Accounting {
-    records: Vec<RequestRecord>,
+    /// Request records, each in the slot of its id. Ids are the dense
+    /// arrival indices `0..n`, so the records come out in id order
+    /// without a sort.
+    records: Vec<Option<RequestRecord>>,
+    /// Records placed so far.
+    placed: usize,
     batch_records: Vec<BatchRecord>,
     signal_weighted_sum: f64,
     signal_samples: u64,
@@ -571,6 +576,30 @@ struct Accounting {
 }
 
 impl Accounting {
+    /// An empty ledger for `requests` arrivals.
+    fn new(requests: usize) -> Self {
+        Accounting {
+            records: std::iter::repeat_with(|| None).take(requests).collect(),
+            ..Accounting::default()
+        }
+    }
+
+    /// Files `record` in its id's slot.
+    fn place(&mut self, record: RequestRecord) {
+        let slot = usize::try_from(record.id)
+            .ok()
+            .and_then(|id| self.records.get_mut(id));
+        debug_assert!(
+            slot.as_ref().is_some_and(|s| s.is_none()),
+            "request {} is not a fresh arrival id",
+            record.id
+        );
+        if let Some(slot) = slot {
+            *slot = Some(record);
+            self.placed += 1;
+        }
+    }
+
     /// Applies one executed chain's effects. Callers apply chains in
     /// dispatch-sequence order: the f64 accumulation order and the
     /// batch-record order are part of the byte-identical report
@@ -587,7 +616,9 @@ impl Accounting {
             inter_bytes_flat,
             drift,
         } = eff;
-        self.records.extend(records);
+        for record in records {
+            self.place(record);
+        }
         self.batch_records.extend(batch_records);
         self.signal_weighted_sum += signal_weighted_sum;
         self.signal_samples += signal_samples;
@@ -662,10 +693,7 @@ pub(crate) fn serve_run(
     // Global dispatch sequence: assigned at ExecuteChain send time,
     // echoed on the reply, and the order chain effects merge in.
     let mut next_seq = 0u64;
-    let mut acct = Accounting {
-        records: Vec::with_capacity(arrivals.len()),
-        ..Accounting::default()
-    };
+    let mut acct = Accounting::new(arrivals.len());
     let mut completed: Vec<(u64, ChainEffects)> = Vec::new();
     let mut failures: Vec<(u64, FlashOverlapError)> = Vec::new();
     let mut shapes = std::collections::HashSet::new();
@@ -724,7 +752,7 @@ pub(crate) fn serve_run(
             return Err(FlashOverlapError::Simulation(format!(
                 "serve loop failed to converge after {max_iterations} iterations \
                  ({} requests unresolved{blame})",
-                arrivals.len() - acct.records.len()
+                arrivals.len() - acct.placed
             )));
         }
 
@@ -735,7 +763,7 @@ pub(crate) fn serve_run(
                 break;
             }
             if queue.len() >= config.queue_capacity {
-                acct.records.push(RequestRecord {
+                acct.place(RequestRecord {
                     id: r.id,
                     model: r.model.name,
                     tokens: r.tokens,
@@ -1008,12 +1036,7 @@ pub(crate) fn serve_run(
         acct.absorb_chain(eff);
     }
 
-    acct.records.sort_by_key(|r| r.id);
-    debug_assert_eq!(
-        acct.records.len(),
-        arrivals.len(),
-        "every request accounted for"
-    );
+    debug_assert_eq!(acct.placed, arrivals.len(), "every request accounted for");
     let makespan_ns = views.iter().map(|r| r.free_ns).max().unwrap_or(0);
 
     // Engines export entries only when asked, so a run that does not
@@ -1147,6 +1170,7 @@ fn build_report(
 ) -> ServeReport {
     let Accounting {
         records,
+        placed: _,
         batch_records,
         signal_weighted_sum,
         signal_samples,
@@ -1158,6 +1182,13 @@ fn build_report(
         inter_bytes_flat,
         drift,
     } = acct;
+    // Every slot is filled once the run converged. `filter_map` (unlike
+    // `flatten`) collects in place, into the slots' own buffer.
+    #[expect(
+        clippy::filter_map_identity,
+        reason = "filter_map collects in place; flatten copies into a new buffer"
+    )]
+    let records: Vec<RequestRecord> = records.into_iter().filter_map(|r| r).collect();
     let attribution = serve_attribution(makespan_ns, replicas, &records);
     let form_waits: Vec<u64> = records.iter().filter_map(|r| r.form_wait_ns).collect();
     let queue_waits: Vec<u64> = records.iter().filter_map(|r| r.queue_wait_ns).collect();

@@ -511,9 +511,11 @@ impl EngineProbe<Cluster> for Inner {
                 }
             }
         }
-        if let Err(stuck) = world.check_quiescent() {
-            for detail in stuck {
-                st.report(Finding::Deadlock { detail });
+        if let Err(wedge) = world.check_quiescent() {
+            for stream in wedge.streams {
+                st.report(Finding::Deadlock {
+                    detail: stream.to_string(),
+                });
             }
         }
     }

@@ -95,6 +95,21 @@ impl Category {
         }
     }
 
+    /// JSON object key of the category's nanosecond total
+    /// (`"<key>_ns"`).
+    pub fn ns_key(self) -> &'static str {
+        match self {
+            Category::GemmCompute => "gemm_compute_ns",
+            Category::CollectiveTransfer => "collective_transfer_ns",
+            Category::SignalWait => "signal_wait_ns",
+            Category::RearmStall => "rearm_stall_ns",
+            Category::Tuner => "tuner_ns",
+            Category::Recovery => "recovery_ns",
+            Category::QueueWait => "queue_wait_ns",
+            Category::Idle => "idle_ns",
+        }
+    }
+
     fn index(self) -> usize {
         match self {
             Category::GemmCompute => 0,
@@ -180,12 +195,7 @@ impl AttributionTotals {
         Value::Obj(
             Category::ALL
                 .iter()
-                .map(|c| {
-                    (
-                        format!("{}_ns", c.key()).into(),
-                        Value::num(self.get(*c) as f64),
-                    )
-                })
+                .map(|c| (c.ns_key().into(), Value::num(self.get(*c) as f64)))
                 .collect(),
         )
     }
@@ -630,6 +640,13 @@ mod tests {
             table: 0,
             group,
             threshold: 1,
+        }
+    }
+
+    #[test]
+    fn ns_keys_are_the_keys_with_an_ns_suffix() {
+        for c in Category::ALL {
+            assert_eq!(c.ns_key(), format!("{}_ns", c.key()));
         }
     }
 

@@ -224,7 +224,7 @@ fn instant_events(record: &TelemetryRecord, events: &mut Vec<Value>) {
         e.push((
             "args",
             Value::obj(vec![
-                ("detail", Value::str(ev.detail.clone())),
+                ("detail", Value::str(ev.detail.to_string())),
                 (
                     "group",
                     ev.group.map_or(Value::Null, |g| Value::num(g as f64)),

@@ -6,6 +6,7 @@
 
 use std::borrow::Cow;
 use std::cell::RefCell;
+use std::ops::Range;
 use std::rc::Rc;
 
 use flashoverlap::runtime::Instrumentation;
@@ -55,8 +56,10 @@ pub struct WaitSatisfied {
 pub struct RendezvousEvent {
     /// When the last participant arrived.
     pub at: SimTime,
-    /// The participating (device, stream) pairs.
-    pub participants: Vec<(DeviceId, StreamId)>,
+    /// Where the participating (device, stream) pairs sit in the record's
+    /// participant arena (read them with
+    /// [`TelemetryRecord::participants`]).
+    pub participants: Range<usize>,
 }
 
 /// A point sample of one device's SM allocation (totals *after* the
@@ -82,6 +85,9 @@ pub struct TelemetryRecord {
     pub satisfied: Vec<WaitSatisfied>,
     /// Collective rendezvous points.
     pub rendezvous: Vec<RendezvousEvent>,
+    /// Every rendezvous' participants, back to back: one arena instead
+    /// of a list per collective.
+    pub rendezvous_participants: Vec<(DeviceId, StreamId)>,
     /// Per-link transfer intervals (`end` may lie in the future of the
     /// emission time: transfers are recorded when scheduled).
     pub transfers: Vec<LinkTransfer>,
@@ -106,6 +112,7 @@ impl TelemetryRecord {
             increments,
             satisfied,
             rendezvous,
+            rendezvous_participants,
             transfers,
             occupancy,
             gpu_events,
@@ -115,11 +122,22 @@ impl TelemetryRecord {
         increments.clear();
         satisfied.clear();
         rendezvous.clear();
+        rendezvous_participants.clear();
         transfers.clear();
         occupancy.clear();
         gpu_events.clear();
         runtime_events.clear();
         *drained_at = None;
+    }
+
+    /// The participating (device, stream) pairs of `event`, one of this
+    /// record's rendezvous.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `event` is not from this record.
+    pub fn participants(&self, event: &RendezvousEvent) -> &[(DeviceId, StreamId)] {
+        &self.rendezvous_participants[event.participants.clone()]
     }
 }
 
@@ -236,9 +254,15 @@ impl ClusterMonitor for Inner {
     }
 
     fn on_rendezvous(&self, at: SimTime, participants: &[(DeviceId, StreamId)]) {
-        self.state.borrow_mut().rendezvous.push(RendezvousEvent {
+        let mut state = self.state.borrow_mut();
+        let start = state.rendezvous_participants.len();
+        state
+            .rendezvous_participants
+            .extend_from_slice(participants);
+        let end = state.rendezvous_participants.len();
+        state.rendezvous.push(RendezvousEvent {
             at,
-            participants: participants.to_vec(),
+            participants: start..end,
         });
     }
 
@@ -256,6 +280,8 @@ impl ClusterMonitor for Inner {
     }
 
     fn on_runtime_event(&self, event: &gpu_sim::RuntimeEvent) {
+        // Structured, so the clone copies numbers (and at most bumps a
+        // wedge diagnosis' reference count); nothing is formatted.
         self.state.borrow_mut().runtime_events.push(event.clone());
     }
 }
@@ -370,6 +396,33 @@ mod tests {
             crate::perfetto::trace(&[], Some(&bulk)),
             crate::perfetto::trace(&[], Some(&unit)),
             "the counter track steps once per tile"
+        );
+    }
+
+    #[test]
+    fn rendezvous_participants_share_one_arena() {
+        let telemetry = Telemetry::new();
+        let monitor = telemetry.monitor();
+        monitor.on_rendezvous(SimTime::from_nanos(5), &[(0, 1), (1, 1)]);
+        monitor.on_rendezvous(SimTime::from_nanos(9), &[]);
+        monitor.on_rendezvous(SimTime::from_nanos(9), &[(2, 0), (3, 0), (1, 2)]);
+        let mut record = telemetry.take_record();
+        assert_eq!(record.rendezvous.len(), 3);
+        let lists: Vec<&[(DeviceId, StreamId)]> = record
+            .rendezvous
+            .iter()
+            .map(|r| record.participants(r))
+            .collect();
+        assert_eq!(
+            lists,
+            [&[(0, 1), (1, 1)][..], &[], &[(2, 0), (3, 0), (1, 2)]]
+        );
+        assert_eq!(record.rendezvous_participants.len(), 5);
+        record.clear();
+        assert!(record.rendezvous.is_empty() && record.rendezvous_participants.is_empty());
+        assert!(
+            record.rendezvous_participants.capacity() >= 5,
+            "clear keeps the arena"
         );
     }
 
