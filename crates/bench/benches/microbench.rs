@@ -24,7 +24,7 @@ use gpu_sim::tile::{TileGrid, TileShape};
 use gpu_sim::wave::WaveSchedule;
 use serving::{PlanCache, RouterPolicy, ServeConfig};
 use sim::{Event, Sim, SimDuration};
-use telemetry::{Telemetry, TelemetryRecord};
+use telemetry::{ChainIndex, Telemetry, TelemetryRecord};
 use workloads::models;
 
 /// The event engine's own cost: a one-variant event that bumps a
@@ -383,26 +383,32 @@ fn bench_resilient_chain_reused(c: &mut Criterion) {
     });
 }
 
-/// The per-chain telemetry cost serving pays after a chain runs: the
-/// signal-latency join and the critical-path attribution over the record
-/// of the serve-mix chain.
+/// The per-chain telemetry cost serving pays after a chain runs, the way
+/// a replica engine pays it: one reused [`ChainIndex`] re-indexes the
+/// serve-mix chain's record and spans, folds the signal-latency samples
+/// and attributes the critical path.
 fn bench_summarize_chain(c: &mut Criterion) {
     let plans = serve_mix_chain();
     let plan_refs: Vec<&OverlapPlan> = plans.iter().collect();
     let telemetry = Telemetry::new();
-    let instr = telemetry.instrumentation();
+    let instr = flashoverlap::Instrumentation {
+        monitor: Some(telemetry.monitor()),
+        probe: None,
+        mutation: None,
+    };
     let options = flashoverlap::SequenceOptions::new()
         .trace()
         .instrument(&instr);
     let outcome = flashoverlap::execute_sequence(&plan_refs, &options).expect("chain");
     let record = telemetry.take_record();
     let total_ns = outcome.total.as_nanos();
+    let mut index = ChainIndex::new();
     c.bench_function("telemetry/summarize_pipelined_chain", |b| {
         b.iter(|| {
-            let summary = telemetry::signal_summary(black_box(&record), &outcome.spans);
-            let attribution =
-                telemetry::attribute_makespan(&outcome.spans, black_box(&record), total_ns);
-            black_box((summary, attribution))
+            index.rebuild(black_box(&record), &outcome.spans);
+            let signal = index.signal_sum();
+            let attribution = index.attribute(total_ns);
+            black_box((signal, attribution))
         })
     });
 }

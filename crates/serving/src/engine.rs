@@ -3,8 +3,9 @@
 //! A [`ReplicaEngine`] owns everything one replica group needs to run a
 //! chain of batches — the simulation world (one [`ChainWorld`], reset
 //! for every chain by [`flashoverlap::execute_sequence_in`]), the
-//! tuned-plan [`PlanCache`], the telemetry monitor/probe wiring, and the chain
-//! assembly (per-batch fault plans, sequence options, pipelining). The
+//! tuned-plan [`PlanCache`], the telemetry monitor wiring and the chain
+//! analyses' [`ChainIndex`], and the chain assembly (per-batch fault
+//! plans, sequence options, pipelining). The
 //! serve loop never touches any of that state directly: it talks to the
 //! engine exclusively through typed [`EngineCommand`] /
 //! [`EngineReply`] messages carrying deterministic sequence numbers,
@@ -32,8 +33,8 @@ use flashoverlap::{
     Instrumentation, OverlapPlan, SequenceOptions, WatchdogConfig,
 };
 use sim::SimDuration;
-use telemetry::attribution::{attribute_makespan, Attribution, AttributionTotals, Category};
-use telemetry::{signal_summary, Telemetry, TelemetryRecord};
+use telemetry::attribution::{Attribution, AttributionTotals, Category};
+use telemetry::{ChainIndex, Telemetry, TelemetryRecord};
 
 use crate::batch::Batch;
 use crate::cache::{system_fingerprint, CacheStats, PlanCache, PlanEntry, PlanKey};
@@ -199,6 +200,9 @@ struct EngineWorker {
     /// record's capacity and hands it back after harvest, so the
     /// per-event vectors stop re-growing from zero on every chain.
     scratch: TelemetryRecord,
+    /// The chain analyses' index, rebuilt for each simulated chain into
+    /// the buffers the last one grew.
+    index: ChainIndex,
     /// The simulation world every chain of this replica runs in: built
     /// once, reset per chain, holding only allocations between chains.
     world: ChainWorld,
@@ -347,6 +351,7 @@ impl EngineWorker {
             busy_ns: 0,
             chain_log: Vec::new(),
             scratch: TelemetryRecord::default(),
+            index: ChainIndex::new(),
             world: ChainWorld::new(),
         })
     }
@@ -394,6 +399,7 @@ impl EngineWorker {
             busy_ns,
             chain_log,
             scratch,
+            index,
             world,
         } = self;
         let config: &ServeConfig = config;
@@ -410,7 +416,8 @@ impl EngineWorker {
             };
             plans.push(cache.get_or_tune_keyed(key, &pattern, &config.system)?);
         }
-        let mut simulate = || simulate_chain(config, replica_idx, &chain, &plans, scratch, world);
+        let mut simulate =
+            || simulate_chain(config, replica_idx, &chain, &plans, scratch, index, world);
         let fresh;
         let run = if config.chaos || memo.capacity == 0 {
             fresh = simulate()?;
@@ -560,6 +567,7 @@ fn simulate_chain(
     chain: &[PendingBatch],
     plans: &[(Rc<OverlapPlan>, bool)],
     scratch: &mut TelemetryRecord,
+    index: &mut ChainIndex,
     world: &mut ChainWorld,
 ) -> Result<ChainRun, FlashOverlapError> {
     let telemetry = Telemetry::recycling(std::mem::take(scratch));
@@ -593,23 +601,19 @@ fn simulate_chain(
         Vec::new()
     };
     let watchdog = WatchdogConfig::default();
-    // Resilient sequences reject probe instrumentation, so chaos chains
-    // run monitor-only (spans still flow; tail/bulk recovery collectives
-    // land in the `recovery` attribution category).
-    let monitor_instr = Instrumentation {
+    // Monitor only: the analyses read the record and the spans, nothing
+    // the engine probe records (and resilient sequences reject probes).
+    // Tail/bulk recovery collectives land in the `recovery` attribution
+    // category.
+    let instr = Instrumentation {
         monitor: Some(telemetry.monitor()),
         probe: None,
         mutation: None,
     };
-    let probe_instr = telemetry.instrumentation();
-    let mut options = SequenceOptions::new().trace();
-    options = if config.chaos {
-        options
-            .instrument(&monitor_instr)
-            .resilient(&chaos_faults, &watchdog)
-    } else {
-        options.instrument(&probe_instr)
-    };
+    let mut options = SequenceOptions::new().trace().instrument(&instr);
+    if config.chaos {
+        options = options.resilient(&chaos_faults, &watchdog);
+    }
     if !config.pipelined {
         options = options.serial();
     }
@@ -629,13 +633,9 @@ fn simulate_chain(
         .next()
         .map(|r| r.group_comm_done);
     let record = telemetry.take_record();
-    let signal = signal_summary(&record, &spans).map_or((0.0, 0), |sig| {
-        (
-            sig.mean_total_ns * sig.samples.len() as f64,
-            sig.samples.len() as u64,
-        )
-    });
-    let attribution = attribute_makespan(&spans, &record, total_ns);
+    index.rebuild(&record, &spans);
+    let signal = index.signal_sum();
+    let attribution = index.attribute(total_ns);
     // Done reading the record and the spans — hand their buffers back for
     // the next chain (recycling clears them on reuse).
     *scratch = record;
@@ -704,7 +704,9 @@ struct EngineSlot {
 struct MovableWorker(EngineWorker);
 
 // SAFETY: of `EngineWorker`'s fields, `config` (`ServeConfig`), the
-// counters, `chain_log` and `scratch` (`TelemetryRecord`) are `Send`;
+// counters, `chain_log`, `scratch` (`TelemetryRecord`) and `index`
+// (`ChainIndex`: plain rows, `&'static str` op names and segments
+// between chains) are `Send`;
 // `cache` is not, only because it holds `Rc<OverlapPlan>`s, and the plans
 // hold `Rc` mappings; `memo` is not, only because it holds `Weak`s to
 // those same plans (and their communicators). Every `Rc` and `Weak`
@@ -717,8 +719,8 @@ struct MovableWorker(EngineWorker);
 // only for what its cluster and engine hold while a chain runs: queued
 // ops and events, the op slabs' in-flight states (GEMM runs with the
 // plan's issue order, writer and group runs; element-wise kernels;
-// collective calls with their communicator) and the monitor and probe
-// `Rc`s. Between chains it holds none of them — `execute_sequence_in`
+// collective calls with their communicator) and the telemetry monitor's
+// `Rc`. Between chains it holds none of them — `execute_sequence_in`
 // clears it on every exit, and `Cluster::reset` empties every slab,
 // communicator scope, stamp and log — only plain allocations. So moving
 // a `MovableWorker` moves every handle to its allocations together, and

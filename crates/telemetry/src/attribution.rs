@@ -12,13 +12,16 @@
 //! - a `wait_counter` span charges [`Category::SignalWait`] only for
 //!   the time after the *releasing increment* (joined through the
 //!   [`crate::record::IncrementEvent`] → [`crate::record::WaitSatisfied`]
-//!   edge by [`crate::record::IncrementIndex`]), then hops to the
+//!   edge), then hops to the
 //!   incrementing stream — the compute stream that actually gated
 //!   progress;
 //! - a `wait_event` span hops through the recorded GPU event to the
 //!   recording stream; any residue (poll quantum, rearm chain) charges
 //!   [`Category::RearmStall`];
 //! - gaps with no predecessor charge [`Category::Idle`].
+//!
+//! Every lookup the walk makes is a binary search in one bucket of the
+//! chain's [`ChainIndex`].
 //!
 //! Because consecutive emissions tile `[0, makespan]` without overlap,
 //! the per-category totals sum *exactly* to the makespan — the
@@ -27,8 +30,9 @@
 use gpu_sim::{DeviceId, OpSpan, StreamId};
 use sim::SimTime;
 
+use crate::index::{with_chain_index, ChainIndex, Node};
 use crate::json::Value;
-use crate::record::{IncrementIndex, TelemetryRecord};
+use crate::record::TelemetryRecord;
 
 /// Exclusive time categories of the critical path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -321,21 +325,6 @@ impl Attribution {
     }
 }
 
-/// A span reduced to nanosecond bounds for the walk.
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    device: DeviceId,
-    stream: StreamId,
-    name: &'static str,
-    start: u64,
-    end: u64,
-    /// Position among the walked spans: the last tie-break everywhere.
-    idx: usize,
-    /// The earliest start of this node and every node after it in
-    /// `(device, stream, end, start, idx)` order.
-    min_start: u64,
-}
-
 fn ns(t: SimTime) -> u64 {
     t.as_nanos()
 }
@@ -348,44 +337,27 @@ pub fn attribute(spans: &[OpSpan], record: &TelemetryRecord) -> Attribution {
 
 /// Attributes a run against an explicit makespan (e.g. a chain's total
 /// latency when the caller pads the timeline); time past the last span
-/// charges [`Category::Idle`].
+/// charges [`Category::Idle`]. Runs on this thread's shared
+/// [`ChainIndex`]; a caller analysing chains as it simulates them keeps
+/// its own and calls [`ChainIndex::attribute`].
 pub fn attribute_makespan(
     spans: &[OpSpan],
     record: &TelemetryRecord,
     makespan_ns: u64,
 ) -> Attribution {
-    // Zero-length ops (callbacks, counter resets, immediate event
-    // records) occupy no stream time and only stall the walk; the
-    // record-event edges they represent are joined through
-    // `record.gpu_events` instead.
-    let mut nodes = Vec::with_capacity(spans.len());
-    nodes.extend(
-        spans
-            .iter()
-            .filter(|s| s.end > s.start && s.name != "callback")
-            .enumerate()
-            .map(|(idx, s)| Node {
-                device: s.device,
-                stream: s.stream,
-                name: s.name,
-                start: ns(s.start),
-                end: ns(s.end),
-                idx,
-                min_start: 0,
-            }),
-    );
-    // One sort by (device, stream, end, start, idx) answers both stream
-    // lookups below: `pred` is a binary search, `containing` a short
-    // forward scan from it that stops once `min_start` passes the
-    // instant (no later node can contain it).
-    nodes.sort_unstable_by_key(|n| (n.device, n.stream, n.end, n.start, n.idx));
-    let mut min_start = u64::MAX;
-    for n in nodes.iter_mut().rev() {
-        min_start = min_start.min(n.start);
-        n.min_start = min_start;
-    }
+    with_chain_index(record, spans, |index| index.attribute(makespan_ns))
+}
 
-    let mut segments: Vec<Segment> = Vec::new();
+/// The backward walk over an indexed chain. `segments` is scratch: the
+/// walk emits latest first into it, and the returned [`Attribution`]
+/// copies them out in one exact-size allocation.
+pub(crate) fn walk(
+    index: &ChainIndex,
+    segments: &mut Vec<Segment>,
+    makespan_ns: u64,
+) -> Attribution {
+    let node_count = index.node_count();
+    segments.clear();
     let mut totals = AttributionTotals::default();
     let push = |segments: &mut Vec<Segment>,
                 totals: &mut AttributionTotals,
@@ -406,67 +378,31 @@ pub fn attribute_makespan(
         }
     };
 
-    // Position of the first node on (device, stream) ending after `t`.
-    let first_after = |device: DeviceId, stream: StreamId, t: u64| -> usize {
-        nodes.partition_point(|n| (n.device, n.stream, n.end) <= (device, stream, t))
-    };
-    // Latest node on (device, stream) fully before the cursor: the
-    // greatest (end, start, idx) with end <= cursor (and so start <
-    // cursor, since every node has end > start).
-    let before = |device: DeviceId, stream: StreamId, k: usize| -> Option<usize> {
-        let k = k.checked_sub(1)?;
-        let n = nodes.get(k)?;
-        (n.device == device && n.stream == stream).then_some(k)
-    };
-    let pred = |device: DeviceId, stream: StreamId, cursor: u64| -> Option<usize> {
-        before(device, stream, first_after(device, stream, cursor))
-    };
-    // Node on (device, stream) containing `t` (greatest (start, idx)
-    // with start <= t < end), else the latest before it.
-    let containing = |device: DeviceId, stream: StreamId, t: u64| -> Option<usize> {
-        let first = first_after(device, stream, t);
-        nodes
-            .iter()
-            .enumerate()
-            .skip(first)
-            .take_while(|(_, n)| n.min_start <= t && n.device == device && n.stream == stream)
-            .filter(|(_, n)| n.start <= t)
-            .max_by_key(|(_, n)| (n.start, n.idx))
-            .map(|(k, _)| k)
-            .or_else(|| before(device, stream, first))
-    };
-    let increments = IncrementIndex::new(record);
-
     let mut cursor = makespan_ns;
     // Start from the globally last-finishing op at or before the makespan.
-    let mut cur = nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| n.end <= cursor && n.start < cursor)
-        .max_by_key(|(_, n)| (n.end, std::cmp::Reverse(n.device), n.start, n.idx))
-        .map(|(i, _)| i);
+    let mut cur = index.last_ending(cursor);
 
-    let guard = nodes.len() * 4 + 16;
+    let guard = node_count * 4 + 16;
     // Hops at one instant can cycle on a hand-built record (two waits,
     // each released by an increment on the other's stream). The walk's
     // state is (cursor, node), so more steps without the cursor moving
     // than there are nodes means it has.
     let (mut stalled, mut last_cursor) = (0, cursor);
     while cursor > 0 {
-        let Some(idx) = cur else {
-            push(&mut segments, &mut totals, 0, cursor, Category::Idle, None);
+        let Some(at) = cur else {
+            push(segments, &mut totals, 0, cursor, Category::Idle, None);
             break;
         };
         stalled = if cursor < last_cursor { 0 } else { stalled + 1 };
         last_cursor = cursor;
-        if segments.len() > guard || stalled > nodes.len() {
-            push(&mut segments, &mut totals, 0, cursor, Category::Idle, None);
+        if segments.len() > guard || stalled > node_count {
+            push(segments, &mut totals, 0, cursor, Category::Idle, None);
             break;
         }
-        let node = nodes[idx];
+        let node = index.node(at);
         if node.end < cursor {
             push(
-                &mut segments,
+                segments,
                 &mut totals,
                 node.end,
                 cursor,
@@ -481,24 +417,16 @@ pub fn attribute_makespan(
                 // WaitSatisfied on this stream inside the span, then the
                 // latest increment on that (device, table, group) at or
                 // before the release.
-                let release = record
-                    .satisfied
-                    .iter()
-                    .filter(|w| {
-                        w.device == node.device
-                            && w.stream == node.stream
-                            && ns(w.at) >= node.start
-                            && ns(w.at) <= cursor
-                    })
-                    .max_by_key(|w| w.at);
-                let inc = release.and_then(|rel| increments.releasing_increment(rel));
+                let inc = index
+                    .release_within(&node, cursor)
+                    .and_then(|rel| index.releasing_increment(rel));
                 match inc {
                     Some(inc) if ns(inc.at) >= node.start => {
                         // Parked wait: the stream stalled from the
                         // releasing increment to the (polled) release.
                         let hop = ns(inc.at).min(cursor);
                         push(
-                            &mut segments,
+                            segments,
                             &mut totals,
                             hop,
                             cursor,
@@ -506,13 +434,13 @@ pub fn attribute_makespan(
                             Some(&node),
                         );
                         cursor = hop;
-                        cur = containing(inc.device, inc.stream, cursor);
+                        cur = index.containing(inc.device, inc.stream, cursor);
                     }
                     _ => {
                         // Pre-satisfied at registration (or no record):
                         // only the poll quantum is on the path.
                         push(
-                            &mut segments,
+                            segments,
                             &mut totals,
                             node.start,
                             cursor,
@@ -520,37 +448,22 @@ pub fn attribute_makespan(
                             Some(&node),
                         );
                         cursor = node.start;
-                        cur = pred(node.device, node.stream, cursor);
+                        cur = index.pred(node.device, node.stream, cursor);
                     }
                 }
             }
             "wait_event" => {
                 // Join through the GPU event to the recording stream.
-                let wait = record
-                    .gpu_events
-                    .iter()
-                    .filter(|(at, d, s, _, is_wait)| {
-                        *is_wait
-                            && *d == node.device
-                            && *s == node.stream
-                            && ns(*at) >= node.start
-                            && ns(*at) <= cursor
-                    })
-                    .max_by_key(|(at, _, _, _, _)| *at);
-                let rec = wait.and_then(|(wat, _, _, ev, _)| {
-                    record
-                        .gpu_events
-                        .iter()
-                        .filter(|(at, _, _, e, is_wait)| !*is_wait && e == ev && at <= wat)
-                        .max_by_key(|(at, _, _, _, _)| *at)
-                });
+                let rec = index
+                    .event_wait_within(&node, cursor)
+                    .and_then(|(wat, event)| index.event_record(event, wat));
                 match rec {
-                    Some((rat, rd, rs, _, _)) if ns(*rat) <= cursor => {
+                    Some((rat, rd, rs)) if ns(rat) <= cursor => {
                         // The recording stream gated progress; anything
                         // after the record is rearm machinery.
-                        let hop = ns(*rat);
+                        let hop = ns(rat);
                         push(
-                            &mut segments,
+                            segments,
                             &mut totals,
                             hop,
                             cursor,
@@ -558,11 +471,11 @@ pub fn attribute_makespan(
                             Some(&node),
                         );
                         cursor = hop;
-                        cur = containing(*rd, *rs, cursor);
+                        cur = index.containing(rd, rs, cursor);
                     }
                     _ => {
                         push(
-                            &mut segments,
+                            segments,
                             &mut totals,
                             node.start,
                             cursor,
@@ -570,14 +483,14 @@ pub fn attribute_makespan(
                             Some(&node),
                         );
                         cursor = node.start;
-                        cur = pred(node.device, node.stream, cursor);
+                        cur = index.pred(node.device, node.stream, cursor);
                     }
                 }
             }
             _ => {
                 let start = node.start.min(cursor);
                 push(
-                    &mut segments,
+                    segments,
                     &mut totals,
                     start,
                     cursor,
@@ -585,15 +498,14 @@ pub fn attribute_makespan(
                     Some(&node),
                 );
                 cursor = start;
-                cur = pred(node.device, node.stream, cursor);
+                cur = index.pred(node.device, node.stream, cursor);
             }
         }
     }
 
-    segments.reverse();
     Attribution {
         makespan_ns,
-        segments,
+        segments: segments.iter().rev().copied().collect(),
         totals,
     }
 }
@@ -812,6 +724,37 @@ mod tests {
         assert_eq!(a.total_ns(Category::GemmCompute), 60);
         assert_eq!(a.total_ns(Category::CollectiveTransfer), 30);
         assert_eq!(a.total_ns(Category::RearmStall), 0);
+    }
+
+    #[test]
+    fn wait_event_join_ignores_the_device() {
+        // Event ids are per device: ranks 0 and 1 both record their own
+        // event 7 at 60, and rank 0's comm stream waits on it. The join
+        // matches the record row by event id alone and takes the last row
+        // at the latest instant, so the walk hops to rank 1's compute
+        // stream, not rank 0's own. This states today's tie-break; see
+        // the FOUND line on the `wait_event` join in CHANGES.md. A
+        // device-aware join flips the hop to `Some(0)`.
+        let spans = vec![
+            span(0, 0, "gemm", 0, 60),
+            span(1, 0, "gemm", 0, 60),
+            span(0, 1, "wait_event", 50, 60),
+            span(0, 1, "collective", 60, 90),
+        ];
+        let record = TelemetryRecord {
+            gpu_events: vec![
+                (SimTime::from_nanos(60), 0, 0, 7, false),
+                (SimTime::from_nanos(60), 1, 0, 7, false),
+                (SimTime::from_nanos(60), 0, 1, 7, true),
+            ],
+            ..TelemetryRecord::default()
+        };
+        let a = attribute(&spans, &record);
+        assert!(a.identity_holds(), "{a:?}");
+        assert_eq!(a.total_ns(Category::GemmCompute), 60);
+        let gemm = a.segments[0];
+        assert_eq!((gemm.op, gemm.stream), ("gemm", Some(0)));
+        assert_eq!(gemm.device, Some(1), "hops to another rank's record");
     }
 
     #[test]

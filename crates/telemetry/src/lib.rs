@@ -16,6 +16,13 @@
 //! - **overlap efficiency** — where the measured latency lands between
 //!   the non-overlap reference and the perfect-overlap bound of §6.3.
 //!
+//! Every join those analyses make — the signal latency above, the
+//! critical-path [`attribution`], the Perfetto flow arrows — is answered
+//! by one [`index::ChainIndex`], rebuilt per chain by linear counting
+//! sorts into buffers it keeps; a caller analysing many chains (a serve
+//! replica) keeps one index and re-indexes each chain without
+//! allocating.
+//!
 //! Two exporters: [`perfetto`] writes Chrome trace-event JSON covering
 //! all devices (with signal-flow arrows and counter tracks), and
 //! [`profile::MetricsReport`] serializes the derived metrics. JSON is
@@ -25,8 +32,11 @@
 #![warn(missing_docs)]
 
 pub mod attribution;
+pub mod index;
 pub mod json;
 pub mod metrics;
+#[cfg(test)]
+mod oracle;
 pub mod perfetto;
 pub mod profile;
 pub mod record;
@@ -34,6 +44,7 @@ pub mod record;
 pub use attribution::{
     attribute, attribute_makespan, Attribution, AttributionTotals, Category, Segment,
 };
+pub use index::ChainIndex;
 pub use metrics::{
     link_stats, occupancy_stats, overlap_efficiency, percentile, percentiles, signal_summary,
     stream_stats, LinkPeaks, LinkStats, OccupancyStats, Percentiles, SignalSample, SignalSummary,

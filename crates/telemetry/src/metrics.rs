@@ -5,10 +5,11 @@
 //! ([`TelemetryRecord`]) and the per-stream operation spans, so they can
 //! be unit-tested on synthetic inputs.
 
-use gpu_sim::{DeviceId, OpSpan, SpanMeta, StreamId};
+use gpu_sim::{DeviceId, OpSpan, StreamId};
 use sim::{SimDuration, SimTime};
 
-use crate::record::{IncrementIndex, TelemetryRecord, WaitSatisfied};
+use crate::index::with_signal_index;
+use crate::record::TelemetryRecord;
 
 /// One group's measured signaling path on one rank: last counting-table
 /// increment → wait released → collective kernel launched.
@@ -43,63 +44,18 @@ pub struct SignalSummary {
     pub mean_release_to_collective_ns: f64,
 }
 
-/// Group-tagged collective launches sorted by `(device, stream, group,
-/// start)`: answers "when did the released group's collective start" by
-/// binary search.
-#[derive(Debug)]
-pub(crate) struct CollectiveStarts(Vec<(DeviceId, StreamId, usize, SimTime)>);
-
-impl CollectiveStarts {
-    pub(crate) fn new(spans: &[OpSpan]) -> Self {
-        let mut starts = Vec::with_capacity(spans.len());
-        starts.extend(spans.iter().filter_map(|s| match s.meta {
-            SpanMeta::Collective {
-                group: Some(group), ..
-            } => Some((s.device, s.stream, group, s.start)),
-            _ => None,
-        }));
-        starts.sort_unstable();
-        CollectiveStarts(starts)
-    }
-
-    /// The earliest start of `wait`'s group collective on the waiting
-    /// stream at or after the release.
-    pub(crate) fn after(&self, wait: &WaitSatisfied) -> Option<SimTime> {
-        let key = (wait.device, wait.stream, wait.group, wait.at);
-        let first = self.0.partition_point(|&entry| entry < key);
-        let &(device, stream, group, start) = self.0.get(first)?;
-        ((device, stream, group) == (wait.device, wait.stream, wait.group)).then_some(start)
-    }
-}
-
 /// Joins released waits to their releasing increments and the launched
-/// collectives. Returns `None` if the run had no signal waits (baselines
-/// synchronize with events, not counters).
+/// collectives through this thread's shared
+/// [`ChainIndex`](crate::ChainIndex). Returns `None` if the run had no
+/// signal waits (baselines synchronize with events, not counters). A
+/// caller that needs no sample list keeps its own index and reads
+/// [`ChainIndex::signal_sum`](crate::ChainIndex::signal_sum).
 pub fn signal_summary(record: &TelemetryRecord, spans: &[OpSpan]) -> Option<SignalSummary> {
     if record.satisfied.is_empty() {
         return None;
     }
-    let increments = IncrementIndex::new(record);
-    let collectives = CollectiveStarts::new(spans);
-    let mut samples: Vec<SignalSample> = record
-        .satisfied
-        .iter()
-        .map(|ws| {
-            let increment_to_release_ns = increments
-                .releasing_increment(ws)
-                .map_or(0, |inc| (ws.at - inc.at).as_nanos());
-            let release_to_collective_ns = collectives
-                .after(ws)
-                .map_or(0, |start| (start - ws.at).as_nanos());
-            SignalSample {
-                device: ws.device,
-                group: ws.group,
-                increment_to_release_ns,
-                release_to_collective_ns,
-                total_ns: increment_to_release_ns + release_to_collective_ns,
-            }
-        })
-        .collect();
+    let mut samples: Vec<SignalSample> =
+        with_signal_index(record, spans, |index| index.signal_samples().collect());
     samples.sort_by_key(|s| (s.device, s.group));
     let n = samples.len() as f64;
     Some(SignalSummary {
@@ -466,6 +422,7 @@ mod tests {
     use super::*;
     use crate::record::{IncrementEvent, WaitSatisfied};
     use gpu_sim::monitor::LinkTransfer;
+    use gpu_sim::SpanMeta;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)

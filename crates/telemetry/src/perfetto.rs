@@ -20,9 +20,9 @@ use gpu_sim::{OpSpan, RuntimeEventKind, SpanMeta};
 use sim::SimTime;
 
 use crate::attribution::Attribution;
+use crate::index::with_signal_index;
 use crate::json::Value;
-use crate::metrics::CollectiveStarts;
-use crate::record::{IncrementIndex, TelemetryRecord};
+use crate::record::TelemetryRecord;
 
 fn us(t: SimTime) -> f64 {
     (t - SimTime::ZERO).as_nanos() as f64 / 1e3
@@ -183,27 +183,27 @@ pub fn trace_with_attribution(
 /// compute stream) to the group's collective slice on the communication
 /// stream.
 fn flow_events(record: &TelemetryRecord, spans: &[OpSpan], events: &mut Vec<Value>) {
-    let increments = IncrementIndex::new(record);
-    let collectives = CollectiveStarts::new(spans);
-    for (i, ws) in record.satisfied.iter().enumerate() {
-        let Some(inc) = increments.releasing_increment(ws) else {
-            continue;
-        };
-        let Some(start) = collectives.after(ws) else {
-            continue;
-        };
-        let id = (i + 1) as f64;
-        let mut s = event("s", "signal", inc.device, inc.stream, us(inc.at));
-        s.push(("cat", Value::str("signal")));
-        s.push(("id", Value::num(id)));
-        events.push(Value::obj(s));
-        let mut f = event("f", "signal", ws.device, ws.stream, us(start));
-        f.push(("cat", Value::str("signal")));
-        f.push(("id", Value::num(id)));
-        // Bind to the enclosing (collective) slice that begins here.
-        f.push(("bp", Value::str("e")));
-        events.push(Value::obj(f));
-    }
+    with_signal_index(record, spans, |index| {
+        for (i, ws) in record.satisfied.iter().enumerate() {
+            let Some(inc) = index.releasing_increment(ws) else {
+                continue;
+            };
+            let Some(start) = index.collective_after(ws) else {
+                continue;
+            };
+            let id = (i + 1) as f64;
+            let mut s = event("s", "signal", inc.device, inc.stream, us(inc.at));
+            s.push(("cat", Value::str("signal")));
+            s.push(("id", Value::num(id)));
+            events.push(Value::obj(s));
+            let mut f = event("f", "signal", ws.device, ws.stream, us(start));
+            f.push(("cat", Value::str("signal")));
+            f.push(("id", Value::num(id)));
+            // Bind to the enclosing (collective) slice that begins here.
+            f.push(("bp", Value::str("e")));
+            events.push(Value::obj(f));
+        }
+    });
 }
 
 /// Instant markers (`ph: "i"`, process scope) for fault-injection and

@@ -4,7 +4,6 @@
 //! intervals, and SM-occupancy changes — for the metrics and exporters
 //! in this crate to derive from.
 
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::ops::Range;
 use std::rc::Rc;
@@ -138,42 +137,6 @@ impl TelemetryRecord {
     /// Panics if `event` is not from this record.
     pub fn participants(&self, event: &RendezvousEvent) -> &[(DeviceId, StreamId)] {
         &self.rendezvous_participants[event.participants.clone()]
-    }
-}
-
-/// A record's increment rows in time order, answering "which increment
-/// released this wait" by a binary search and a short walk back. Every
-/// consumer of that join (signal latency, critical-path attribution, the
-/// Perfetto flow arrows) asks it here.
-#[derive(Debug)]
-pub struct IncrementIndex<'a> {
-    /// The rows sorted by time, ties in record order. The recorder
-    /// appends in simulated-time order, so this borrows the record; a
-    /// hand-built record out of time order is sorted into a copy.
-    by_time: Cow<'a, [IncrementEvent]>,
-}
-
-impl<'a> IncrementIndex<'a> {
-    /// Indexes `record`'s increments (in any order).
-    pub fn new(record: &'a TelemetryRecord) -> Self {
-        let mut by_time = Cow::Borrowed(record.increments.as_slice());
-        if !by_time.is_sorted_by_key(|inc| inc.at) {
-            // Stable: rows at one instant keep record order.
-            by_time.to_mut().sort_by_key(|inc| inc.at);
-        }
-        IncrementIndex { by_time }
-    }
-
-    /// The increment that released `wait`: the latest row on the wait's
-    /// `(device, table, group)` slot at or before the release, and of
-    /// rows at that same instant the last in record order.
-    pub fn releasing_increment(&self, wait: &WaitSatisfied) -> Option<&IncrementEvent> {
-        let upto = self.by_time.partition_point(|inc| inc.at <= wait.at);
-        // Walk back from the release to the slot's latest row: the
-        // releasing increment usually lands just before its release.
-        self.by_time[..upto].iter().rev().find(|inc| {
-            inc.device == wait.device && inc.table == wait.table && inc.group == wait.group
-        })
     }
 }
 
@@ -424,50 +387,5 @@ mod tests {
             record.rendezvous_participants.capacity() >= 5,
             "clear keeps the arena"
         );
-    }
-
-    #[test]
-    fn releasing_increment_takes_the_latest_row_on_the_slot() {
-        let inc = |at, stream, group| IncrementEvent {
-            at: SimTime::from_nanos(at),
-            device: 0,
-            stream,
-            table: 0,
-            group,
-            by: 1,
-        };
-        let wait = |at, group| WaitSatisfied {
-            at: SimTime::from_nanos(at),
-            device: 0,
-            stream: 9,
-            table: 0,
-            group,
-            threshold: 1,
-        };
-        let record = TelemetryRecord {
-            // Out of time order; rows 1 and 3 tie at 200 on group 0.
-            increments: vec![
-                inc(300, 0, 0),
-                inc(200, 1, 0),
-                inc(100, 0, 1),
-                inc(200, 2, 0),
-            ],
-            ..TelemetryRecord::default()
-        };
-        let index = IncrementIndex::new(&record);
-        assert_eq!(
-            index.releasing_increment(&wait(250, 0)),
-            Some(&record.increments[3])
-        );
-        assert_eq!(
-            index.releasing_increment(&wait(300, 0)),
-            Some(&record.increments[0])
-        );
-        assert_eq!(index.releasing_increment(&wait(150, 0)), None);
-        assert_eq!(
-            index.releasing_increment(&wait(999, 1)),
-            Some(&record.increments[2])
-        );
-        assert_eq!(index.releasing_increment(&wait(999, 2)), None);
     }
 }
