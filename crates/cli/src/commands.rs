@@ -482,8 +482,8 @@ fn bench_wait_json(p: &Option<telemetry::Percentiles>) -> Value {
 
 /// Runs the `bench` command: the serve regression benchmark. The JSON
 /// artifact carries only virtual-time metrics (byte-stable for a fixed
-/// seed — the CI gate byte-compares two runs); host wall-clock goes to
-/// stdout only.
+/// seed — ci.sh byte-compares a fresh run with the committed
+/// `BENCH_serve.json`); host wall-clock goes to stdout only.
 fn execute_bench(cli: &Cli) -> Result<String, CliError> {
     if cli.parallel == ParallelArg::Validate {
         return Err(CliError::usage(
@@ -1202,25 +1202,35 @@ mod tests {
     fn serve_reports_and_writes_deterministic_metrics() {
         let metrics_a = temp_path("serve-a.json");
         let metrics_b = temp_path("serve-b.json");
-        let cmd = |path: &std::path::Path| {
-            format!(
-                "serve --requests 40 --seed 3 --metrics-out {}",
-                path.display()
-            )
-        };
-        let out = execute_argv(&argv(&cmd(&metrics_a))).unwrap();
-        assert!(out.contains("serve: 40 offered"));
-        assert!(out.contains("plan cache hit rate"));
-        assert!(out.contains("goodput"));
-        execute_argv(&argv(&cmd(&metrics_b))).unwrap();
-        let a = std::fs::read_to_string(&metrics_a).unwrap();
-        let b = std::fs::read_to_string(&metrics_b).unwrap();
-        assert_eq!(a, b, "same seed must write byte-identical metrics");
-        let json = telemetry::json::parse(&a).unwrap();
-        assert_eq!(
-            json.get("kind").and_then(|v| v.as_str()),
-            Some("flashoverlap-serve")
-        );
+        for (flags, offered) in [
+            ("--requests 40 --seed 3", 40),
+            ("--chaos --requests 120 --seed 7", 120),
+        ] {
+            let cmd =
+                |path: &std::path::Path| format!("serve {flags} --metrics-out {}", path.display());
+            let out = execute_argv(&argv(&cmd(&metrics_a))).unwrap();
+            assert!(out.contains(&format!("serve: {offered} offered")), "{out}");
+            assert!(out.contains("plan cache hit rate"));
+            assert!(out.contains("goodput"));
+            execute_argv(&argv(&cmd(&metrics_b))).unwrap();
+            let a = std::fs::read_to_string(&metrics_a).unwrap();
+            let b = std::fs::read_to_string(&metrics_b).unwrap();
+            assert_eq!(a, b, "{flags}: same seed must write byte-identical metrics");
+            let json = telemetry::json::parse(&a).unwrap();
+            assert_eq!(
+                json.get("kind").and_then(|v| v.as_str()),
+                Some("flashoverlap-serve")
+            );
+            let hit_rate = json
+                .get("plan_cache")
+                .and_then(|c| c.get("hit_rate"))
+                .and_then(|v| v.as_f64())
+                .unwrap();
+            assert!(
+                hit_rate > 0.0,
+                "{flags}: token buckets must drive plan reuse"
+            );
+        }
     }
 
     #[test]
@@ -1391,37 +1401,63 @@ mod tests {
 
     #[test]
     fn profile_emits_summary_trace_and_metrics() {
+        use telemetry::json::Value;
         let trace = temp_path("profile-trace.json");
         let metrics = temp_path("profile-metrics.json");
-        let out = execute_argv(&argv(&format!(
-            "profile -m 2048 -n 4096 -k 4096 --gpus 2 --platform a800 \
-             --trace-out {} --metrics-out {}",
-            trace.display(),
-            metrics.display()
-        )))
-        .unwrap();
-        assert!(out.contains("overlap-eff"), "{out}");
-        assert!(out.contains("FlashOverlap"), "{out}");
-        assert!(out.contains("signal latency"), "{out}");
-        assert!(out.contains("link d0->d1"), "{out}");
-        // Both artifacts must be valid JSON with the expected shape.
-        let trace_doc = telemetry::json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
-        let events = trace_doc.get("traceEvents").unwrap().as_arr().unwrap();
-        for device in [0.0, 1.0] {
-            assert!(
-                events.iter().any(|e| {
-                    e.get("ph").and_then(telemetry::json::Value::as_str) == Some("X")
-                        && e.get("pid").and_then(telemetry::json::Value::as_f64) == Some(device)
-                }),
-                "trace covers device {device}"
+        for dims in ["-m 2048 -n 4096 -k 4096", "-m 1024 -n 2048 -k 2048"] {
+            let out = execute_argv(&argv(&format!(
+                "profile {dims} --gpus 2 --platform a800 --trace-out {} --metrics-out {}",
+                trace.display(),
+                metrics.display()
+            )))
+            .unwrap();
+            assert!(out.contains("overlap-eff"), "{out}");
+            assert!(out.contains("FlashOverlap"), "{out}");
+            assert!(out.contains("signal latency"), "{out}");
+            assert!(out.contains("link d0->d1"), "{out}");
+            // Both artifacts must be valid JSON with the expected shape.
+            let trace_doc =
+                telemetry::json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+            let events = trace_doc.get("traceEvents").unwrap().as_arr().unwrap();
+            let has_phase = |ph: &str| {
+                events
+                    .iter()
+                    .any(|e| e.get("ph").and_then(Value::as_str) == Some(ph))
+            };
+            let devices: std::collections::BTreeSet<i64> = events
+                .iter()
+                .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
+                .filter_map(|e| e.get("pid").and_then(Value::as_f64))
+                .map(|p| p as i64)
+                .collect();
+            assert_eq!(
+                devices.into_iter().collect::<Vec<_>>(),
+                vec![0, 1],
+                "{dims}"
             );
+            assert!(has_phase("s"), "{dims}: missing signal flow events");
+            assert!(has_phase("C"), "{dims}: missing counter tracks");
+            let metrics_doc =
+                telemetry::json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+            let methods = metrics_doc.get("methods").unwrap().as_arr().unwrap();
+            assert_eq!(methods.len(), 5, "{dims}");
+            for m in methods {
+                let eff = m.get("overlap_efficiency").unwrap();
+                assert!(
+                    eff.as_f64()
+                        .map_or(*eff == Value::Null, |e| (0.0..=1.0).contains(&e)),
+                    "{dims}: overlap efficiency {eff:?}"
+                );
+            }
+            let samples = metrics_doc
+                .get("signal_latency")
+                .and_then(|s| s.get("samples"))
+                .and_then(Value::as_f64)
+                .unwrap();
+            assert!(samples > 0.0, "{dims}: no signal-latency samples");
+            let links = metrics_doc.get("links").unwrap().as_arr().unwrap();
+            assert!(!links.is_empty(), "{dims}: no link stats");
         }
-        let metrics_doc =
-            telemetry::json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
-        assert_eq!(
-            metrics_doc.get("methods").unwrap().as_arr().unwrap().len(),
-            5
-        );
     }
 
     #[test]
@@ -1467,26 +1503,45 @@ mod tests {
 
     #[test]
     fn chaos_sweep_reports_verdicts_and_metrics() {
+        use telemetry::json::Value;
         let metrics = temp_path("chaos-metrics.json");
         let out = execute_argv(&argv(&format!(
-            "chaos --seed 7 --campaigns 5 --metrics-out {}",
+            "chaos --seed 7 --campaigns 20 --metrics-out {}",
             metrics.display()
         )))
         .unwrap();
-        assert!(out.contains("chaos    : 5 campaigns, base seed 7"), "{out}");
+        assert!(
+            out.contains("chaos    : 20 campaigns, base seed 7"),
+            "{out}"
+        );
         assert!(out.contains("verdicts"), "{out}");
         assert!(out.contains("hangs    : 0"), "{out}");
         assert!(out.contains("violations: 0"), "{out}");
         let doc = telemetry::json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
-        assert_eq!(
-            doc.get("violations")
-                .and_then(telemetry::json::Value::as_f64),
-            Some(0.0)
-        );
-        assert_eq!(
-            doc.get("results").unwrap().as_arr().unwrap().len(),
-            5,
-            "one entry per campaign"
+        assert_eq!(doc.get("campaigns").and_then(Value::as_f64), Some(20.0));
+        assert_eq!(doc.get("hangs").and_then(Value::as_f64), Some(0.0));
+        assert_eq!(doc.get("violations").and_then(Value::as_f64), Some(0.0));
+        let results = doc.get("results").unwrap().as_arr().unwrap();
+        assert_eq!(results.len(), 20, "one entry per campaign");
+        let outcome = |r: &Value| {
+            r.get("outcome")
+                .and_then(Value::as_str)
+                .unwrap()
+                .to_string()
+        };
+        for r in results {
+            let faults = r.get("faults").and_then(Value::as_f64).unwrap();
+            assert!(faults >= 1.0, "every campaign injects a fault: {r:?}");
+            let bit_exact = r.get("bit_exact").and_then(Value::as_bool).unwrap();
+            let cause = r.get("cause").and_then(Value::as_str).unwrap_or("");
+            assert!(
+                bit_exact || (outcome(r) == "degraded" && !cause.is_empty()),
+                "bit-exact or degraded with a cause: {r:?}"
+            );
+        }
+        assert!(
+            results.iter().any(|r| outcome(r) == "recovered"),
+            "the sweep must exercise the tail-recovery path"
         );
     }
 
@@ -1641,11 +1696,17 @@ mod tests {
 
     #[test]
     fn bench_writes_byte_stable_artifact_with_exact_attribution() {
+        for requests in [60, 120] {
+            bench_artifact_is_byte_stable_with_exact_attribution(requests);
+        }
+    }
+
+    fn bench_artifact_is_byte_stable_with_exact_attribution(requests: usize) {
         let bench_a = temp_path("bench-a.json");
         let bench_b = temp_path("bench-b.json");
         let cmd = |path: &std::path::Path| {
             format!(
-                "bench --requests 60 --seed 7 --metrics-out {}",
+                "bench --requests {requests} --seed 7 --metrics-out {}",
                 path.display()
             )
         };
@@ -1672,8 +1733,7 @@ mod tests {
             Some(true),
             "serve attribution must tile the makespan exactly"
         );
-        // Category nanoseconds sum to the makespan — the identity the CI
-        // gate re-checks from the committed artifact.
+        // Category nanoseconds sum to the makespan.
         let attribution = doc.get("attribution").unwrap();
         let makespan = attribution
             .get("makespan_ns")
@@ -1690,6 +1750,8 @@ mod tests {
             })
             .sum();
         assert_eq!(total, makespan);
+        let drift_rows = doc.get("drift_rows").and_then(|v| v.as_f64()).unwrap();
+        assert!(drift_rows > 0.0, "predictor-drift table must be populated");
     }
 
     #[test]

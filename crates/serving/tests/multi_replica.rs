@@ -5,7 +5,8 @@
 
 use flashoverlap::SystemSpec;
 use serving::{
-    serve, serve_exporting, serve_scaling, ArrivalProcess, CacheSnapshot, RouterPolicy, ServeConfig,
+    serve, serve_exporting, serve_scaling, ArrivalProcess, CacheSnapshot, RouterPolicy,
+    ServeConfig, ServeReport,
 };
 use workloads::{MixEntry, ServeMix};
 
@@ -95,14 +96,20 @@ fn repeat_heavy_mix() -> ServeMix {
     ])
 }
 
-#[test]
-fn shape_affinity_beats_round_robin_on_repeat_heavy_mix() {
-    let mut config = overload_config();
-    config.mix = repeat_heavy_mix();
+/// The shape-affinity and round-robin reports for one config.
+fn affinity_and_round_robin(mut config: ServeConfig) -> (ServeReport, ServeReport) {
     config.router = RouterPolicy::ShapeAffinity;
     let affinity = serve(&config).unwrap();
+    assert_eq!((affinity.replicas, affinity.router), (4, "shape-affinity"));
     config.router = RouterPolicy::RoundRobin;
-    let round_robin = serve(&config).unwrap();
+    (affinity, serve(&config).unwrap())
+}
+
+#[test]
+fn shape_affinity_beats_round_robin_on_cache_hit_rate() {
+    let mut config = overload_config();
+    config.mix = repeat_heavy_mix();
+    let (affinity, round_robin) = affinity_and_round_robin(config);
     assert!(
         affinity.cache.hit_rate() > round_robin.cache.hit_rate(),
         "shape affinity {:.3} must beat round-robin {:.3} on cache hit rate",
@@ -111,6 +118,18 @@ fn shape_affinity_beats_round_robin_on_repeat_heavy_mix() {
     );
     // Affinity tunes each shape once; round-robin re-tunes per replica.
     assert!(affinity.cache.misses < round_robin.cache.misses);
+
+    // The default mix, as `serve --requests 120 --rate 2400 --seed 7
+    // --replicas 4` runs it: affinity must not lose.
+    let mut config = overload_config();
+    config.requests = 120;
+    let (affinity, round_robin) = affinity_and_round_robin(config);
+    assert!(
+        affinity.cache.hit_rate() >= round_robin.cache.hit_rate(),
+        "default mix: shape affinity {:.3} lost to round-robin {:.3}",
+        affinity.cache.hit_rate(),
+        round_robin.cache.hit_rate()
+    );
 }
 
 #[test]

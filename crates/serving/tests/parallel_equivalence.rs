@@ -49,6 +49,15 @@ fn four_replicas_match_across_thread_counts() {
     for threads in [1, 2, 4, 7] {
         assert_equivalent(&config, threads);
     }
+    // `bench --requests 200 --rate 400 --gpus 8 --replicas 4 --seed 7`,
+    // at an even and an odd thread count (engines share threads).
+    let mut config = base_config(7, 200);
+    config.system = SystemSpec::rtx4090(8);
+    config.replicas = 4;
+    config.process = ArrivalProcess::Poisson { rate_rps: 400.0 };
+    for threads in [3, 4] {
+        assert_equivalent(&config, threads);
+    }
 }
 
 #[test]
@@ -64,10 +73,11 @@ fn load_aware_router_matches_under_threading() {
 
 #[test]
 fn wedged_chaos_run_matches_under_threading() {
-    // The ci.sh wedge scenario: chaos fault plans, a deterministic
-    // wedge on replica 2, quarantine, and re-routing — the eager-force
-    // path must land every decision at the serial engine's instant.
-    let mut config = base_config(7, 120);
+    // The wedge scenario `serve_chaos.rs` gates on (200 requests):
+    // chaos fault plans, a deterministic wedge on replica 2, quarantine,
+    // and re-routing — the eager-force path must land every decision at
+    // the serial engine's instant.
+    let mut config = base_config(7, 200);
     config.replicas = 4;
     config.chaos = true;
     config.wedge_replica = Some(2);

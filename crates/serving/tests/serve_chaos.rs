@@ -18,9 +18,12 @@ fn chaos_config(seed: u64, requests: usize) -> ServeConfig {
     config
 }
 
-/// The reproducible wedge scenario ci.sh gates on: four replicas, the
-/// third forced to wedge on its first chaos chain, arrivals fast enough
-/// that its queue holds batches worth re-routing at quarantine time.
+/// The reproducible wedge scenario, `serve --chaos --replicas 4
+/// --wedge-replica 2 --rate 12000 --requests 200 --seed 7`: four
+/// replicas, the third forced to wedge on its first chaos chain,
+/// arrivals fast enough that its queue holds batches worth re-routing
+/// at quarantine time. Gated here and, under threads, by
+/// `parallel_equivalence.rs`'s `wedged_chaos_run_matches_under_threading`.
 fn wedge_config() -> ServeConfig {
     let mut config = chaos_config(7, 200);
     config.replicas = 4;
@@ -56,6 +59,7 @@ fn wedged_replica_is_quarantined_and_its_queue_rerouted() {
     let config = wedge_config();
     let report = serve(&config).expect("a wedged replica must not abort the run");
 
+    assert!(report.chaos);
     assert_eq!(report.wedge_replica, Some(2));
     // Sum identities hold with a quarantined replica in the mix.
     report.check().unwrap();

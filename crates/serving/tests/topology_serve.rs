@@ -22,34 +22,47 @@ fn two_node_config() -> ServeConfig {
     config
 }
 
+/// `serve --requests 120 --rate 2400 --seed 11 --gpus 4 --nodes 2
+/// --replicas 4 --router locality`: two GPUs per node, so a TP group's
+/// collectives have an intra-node phase.
+fn four_gpu_config() -> ServeConfig {
+    let mut config = two_node_config();
+    config.system = SystemSpec::rtx4090(4).with_nodes(2);
+    config.requests = 120;
+    config
+}
+
 #[test]
 fn two_node_serve_is_byte_identical() {
-    let config = two_node_config();
-    let a = serve(&config).unwrap();
-    let b = serve(&config).unwrap();
-    assert_eq!(
-        a.to_json().to_json(),
-        b.to_json().to_json(),
-        "same seed must produce a byte-identical two-node report"
-    );
+    for config in [two_node_config(), four_gpu_config()] {
+        let a = serve(&config).unwrap();
+        let b = serve(&config).unwrap();
+        assert_eq!(
+            a.to_json().to_json(),
+            b.to_json().to_json(),
+            "same seed must produce a byte-identical two-node report"
+        );
+    }
 }
 
 #[test]
 fn node_accounting_rolls_up_exactly() {
-    let report = serve(&two_node_config()).unwrap();
-    assert_eq!(report.nodes, 2);
-    assert_eq!(report.node_stats.len(), 2);
-    // Node rows sum to the run totals and agree with the replica rows
-    // they fold; the serve-level attribution identity survives
-    // migration charges.
-    report.check().unwrap();
+    for config in [two_node_config(), four_gpu_config()] {
+        let report = serve(&config).unwrap();
+        assert_eq!((report.nodes, report.router), (2, "locality"));
+        assert_eq!(report.node_stats.len(), 2);
+        // Node rows sum to the run totals and agree with the replica rows
+        // they fold; the serve-level attribution identity survives
+        // migration charges.
+        report.check().unwrap();
 
-    // Placement is replica id modulo node count, consistently stamped.
-    for r in &report.replica_stats {
-        assert_eq!(r.node, r.id % report.nodes);
-    }
-    for b in &report.batch_records {
-        assert_eq!(b.node, b.replica % report.nodes);
+        // Placement is replica id modulo node count, consistently stamped.
+        for r in &report.replica_stats {
+            assert_eq!(r.node, r.id % report.nodes);
+        }
+        for b in &report.batch_records {
+            assert_eq!(b.node, b.replica % report.nodes);
+        }
     }
 }
 
@@ -99,35 +112,52 @@ fn migration_is_charged_exactly_off_home_node() {
 fn hierarchical_collectives_cross_fewer_bytes_than_flat() {
     // Strict savings need multi-GPU nodes: with one GPU per node there
     // is no intra-node phase and the leader ring *is* the flat ring.
-    let mut config = two_node_config();
-    config.system = SystemSpec::rtx4090(4).with_nodes(2);
-    let report = serve(&config).unwrap();
-    assert!(
-        report.inter_bytes_hierarchical > 0,
-        "a node-spanning TP group must cross nodes"
-    );
-    assert!(
-        report.inter_bytes_hierarchical < report.inter_bytes_flat,
-        "hierarchical ({}) must move fewer inter-node bytes than flat ({})",
-        report.inter_bytes_hierarchical,
-        report.inter_bytes_flat,
-    );
+    for requests in [160, 120] {
+        let config = ServeConfig {
+            requests,
+            ..four_gpu_config()
+        };
+        let report = serve(&config).unwrap();
+        assert!(
+            report.inter_bytes_hierarchical > 0,
+            "a node-spanning TP group must cross nodes"
+        );
+        assert!(
+            report.inter_bytes_hierarchical < report.inter_bytes_flat,
+            "hierarchical ({}) must move fewer inter-node bytes than flat ({})",
+            report.inter_bytes_hierarchical,
+            report.inter_bytes_flat,
+        );
+    }
 }
 
 #[test]
 fn locality_crosses_nodes_less_than_round_robin() {
-    let locality = serve(&two_node_config()).unwrap();
-    let mut rr_config = two_node_config();
-    rr_config.router = RouterPolicy::RoundRobin;
-    let round_robin = serve(&rr_config).unwrap();
-    assert_eq!(locality.offered, round_robin.offered, "identical traffic");
-    assert!(
-        locality.cross_node_batches < round_robin.cross_node_batches,
-        "locality ({}) must cross nodes less than round-robin ({})",
-        locality.cross_node_batches,
-        round_robin.cross_node_batches,
-    );
-    assert!(locality.migration_ns < round_robin.migration_ns);
+    for config in [two_node_config(), four_gpu_config()] {
+        let locality = serve(&config).unwrap();
+        let round_robin = serve(&ServeConfig {
+            router: RouterPolicy::RoundRobin,
+            ..config
+        })
+        .unwrap();
+        assert_eq!(locality.offered, round_robin.offered, "identical traffic");
+        assert!(
+            locality.cross_node_batches < round_robin.cross_node_batches,
+            "locality ({}) must cross nodes less than round-robin ({})",
+            locality.cross_node_batches,
+            round_robin.cross_node_batches,
+        );
+        // The spill rate too: the routers may execute different batch
+        // counts.
+        let spill = |r: &serving::ServeReport| r.cross_node_batches as f64 / r.batches as f64;
+        assert!(
+            spill(&locality) < spill(&round_robin),
+            "locality spill rate {:.3} must be below round-robin's {:.3}",
+            spill(&locality),
+            spill(&round_robin),
+        );
+        assert!(locality.migration_ns < round_robin.migration_ns);
+    }
 }
 
 #[test]
