@@ -456,9 +456,9 @@ pub(crate) fn walk(
                 // Join through the GPU event to the recording stream.
                 let rec = index
                     .event_wait_within(&node, cursor)
-                    .and_then(|(wat, event)| index.event_record(event, wat));
+                    .and_then(|(wat, event)| index.event_record(node.device, event, wat));
                 match rec {
-                    Some((rat, rd, rs)) if ns(rat) <= cursor => {
+                    Some((rat, rs)) if ns(rat) <= cursor => {
                         // The recording stream gated progress; anything
                         // after the record is rearm machinery.
                         let hop = ns(rat);
@@ -471,7 +471,7 @@ pub(crate) fn walk(
                             Some(&node),
                         );
                         cursor = hop;
-                        cur = index.containing(rd, rs, cursor);
+                        cur = index.containing(node.device, rs, cursor);
                     }
                     _ => {
                         push(
@@ -727,14 +727,12 @@ mod tests {
     }
 
     #[test]
-    fn wait_event_join_ignores_the_device() {
+    fn wait_event_join_stays_on_the_waiting_device() {
         // Event ids are per device: ranks 0 and 1 both record their own
-        // event 7 at 60, and rank 0's comm stream waits on it. The join
-        // matches the record row by event id alone and takes the last row
-        // at the latest instant, so the walk hops to rank 1's compute
-        // stream, not rank 0's own. This states today's tie-break; see
-        // the FOUND line on the `wait_event` join in CHANGES.md. A
-        // device-aware join flips the hop to `Some(0)`.
+        // event 7 at 60, and rank 0's comm stream waits on it. Rank 1's
+        // record is the last row at that instant, but the join keys
+        // records by (device, event), so the walk hops to rank 0's own
+        // compute stream.
         let spans = vec![
             span(0, 0, "gemm", 0, 60),
             span(1, 0, "gemm", 0, 60),
@@ -754,7 +752,7 @@ mod tests {
         assert_eq!(a.total_ns(Category::GemmCompute), 60);
         let gemm = a.segments[0];
         assert_eq!((gemm.op, gemm.stream), ("gemm", Some(0)));
-        assert_eq!(gemm.device, Some(1), "hops to another rank's record");
+        assert_eq!(gemm.device, Some(0), "hops to the waiting rank's record");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! - spans by (device, stream), each stream in (end, start) order;
 //! - released waits and event waits by (device, stream), by time;
-//! - event records by event id, by time;
+//! - event records by (device, event id), by time;
 //! - increments by (device, table, group), by time;
 //! - group-tagged collectives by (device, stream, group), by start.
 //!
@@ -295,8 +295,8 @@ pub struct ChainIndex {
     waits: Table<2, WaitSatisfied>,
     /// Event waits `(at, event)` by (device, stream), by time.
     event_waits: Table<2, (SimTime, GpuEventId)>,
-    /// Event records `(at, device, stream)` by event id, by time.
-    event_records: Table<1, (SimTime, DeviceId, StreamId)>,
+    /// Event records `(at, stream)` by (device, event id), by time.
+    event_records: Table<2, (SimTime, StreamId)>,
     /// The attribution walk's segments, latest first.
     segments: Vec<Segment>,
 }
@@ -361,9 +361,9 @@ impl ChainIndex {
                 events
                     .iter()
                     .filter(|e| !e.4)
-                    .map(|&(at, device, stream, event, _)| ([event], (at, device, stream)))
+                    .map(|&(at, device, stream, event, _)| ([device, event], (at, stream)))
             },
-            |&(at, _, _)| at,
+            |&(at, _)| at,
         );
     }
 
@@ -540,17 +540,17 @@ impl ChainIndex {
         latest_within(waits, |&(at, _)| at, node.start, cursor).copied()
     }
 
-    /// The latest record `(at, device, stream)` of `event` at or before
-    /// `at`, on any device: event ids are per device, so this can be
-    /// another rank's record of the same id (see the FOUND line on the
-    /// `wait_event` join in CHANGES.md).
+    /// The latest record `(at, stream)` of `device`'s `event` at or
+    /// before `at`. Event ids are per device, so another rank's record
+    /// of the same id never matches.
     pub(crate) fn event_record(
         &self,
+        device: DeviceId,
         event: GpuEventId,
         at: SimTime,
-    ) -> Option<(SimTime, DeviceId, StreamId)> {
-        let records = self.event_records.bucket([event]);
-        records[..records.partition_point(|&(rat, _, _)| rat <= at)]
+    ) -> Option<(SimTime, StreamId)> {
+        let records = self.event_records.bucket([device, event]);
+        records[..records.partition_point(|&(rat, _)| rat <= at)]
             .last()
             .copied()
     }

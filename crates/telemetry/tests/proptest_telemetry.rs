@@ -302,11 +302,13 @@ fn naive_attribute_makespan(
                             && ns(*at) <= cursor
                     })
                     .max_by_key(|(at, _, _, _, _)| *at);
-                let rec = wait.and_then(|(wat, _, _, ev, _)| {
+                let rec = wait.and_then(|(wat, wd, _, ev, _)| {
                     record
                         .gpu_events
                         .iter()
-                        .filter(|(at, _, _, e, is_wait)| !*is_wait && e == ev && at <= wat)
+                        .filter(|(at, d, _, e, is_wait)| {
+                            !*is_wait && d == wd && e == ev && at <= wat
+                        })
                         .max_by_key(|(at, _, _, _, _)| *at)
                 });
                 match rec {
