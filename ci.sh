@@ -14,9 +14,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tests =="
 # Build first, so the timeout below bounds only the run. The timeout is
-# the no-silent-hang gate: serve, chaos and the parallel engines must
-# terminate under their watchdogs. The run takes about 195 s on a
-# 2-core host; 900 s leaves more than 4x, so only a hang trips it.
+# the no-silent-hang gate: serve and chaos must terminate under their
+# watchdogs. The run takes about 160 s on a 2-core host; 900 s leaves
+# more than 5x, so only a hang trips it.
 cargo test -q --workspace --no-run
 timeout 900 cargo test -q --workspace
 

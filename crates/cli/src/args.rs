@@ -150,52 +150,6 @@ impl PlanCacheArgs {
     }
 }
 
-/// Replica-engine execution mode (`--parallel`, serve/bench). The
-/// virtual-time report is byte-identical across every setting; only
-/// host wall-clock changes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ParallelArg {
-    /// Run every replica engine inline on the serve loop's thread.
-    #[default]
-    Serial,
-    /// Run the replica engines on this many worker threads.
-    Threads(usize),
-    /// Run both the serial and parallel engine pools and diff the
-    /// reports byte-for-byte (serve only).
-    Validate,
-}
-
-impl ParallelArg {
-    /// Consumes `--parallel <n|serial|validate>` if present; returns
-    /// whether it did.
-    fn accept(&mut self, flag: &str, it: &mut ArgIter<'_>) -> Result<bool, CliError> {
-        if flag != "--parallel" {
-            return Ok(false);
-        }
-        let v = it
-            .next()
-            .ok_or_else(|| CliError::usage("missing value for --parallel"))?;
-        *self = match v.to_lowercase().as_str() {
-            "serial" => ParallelArg::Serial,
-            "validate" => ParallelArg::Validate,
-            n => {
-                let threads: usize = n.parse().map_err(|_| {
-                    CliError::usage(format!(
-                        "--parallel expects a thread count, `serial`, or `validate` (got {v})"
-                    ))
-                })?;
-                if threads == 0 {
-                    return Err(CliError::usage(
-                        "--parallel thread count must be at least 1",
-                    ));
-                }
-                ParallelArg::Threads(threads)
-            }
-        };
-        Ok(true)
-    }
-}
-
 /// Parsed command-line options.
 #[derive(Debug, Clone)]
 pub struct Cli {
@@ -261,8 +215,6 @@ pub struct Cli {
     pub scaling: bool,
     /// Tuned-plan-cache snapshot persistence (`serve`).
     pub plan_cache: PlanCacheArgs,
-    /// Replica-engine execution mode (`serve`/`bench`).
-    pub parallel: ParallelArg,
 }
 
 /// The usage text printed on `--help` or parse errors.
@@ -331,13 +283,6 @@ options:
                           (keyed by the system fingerprint) after serving
   --plan-cache-in <path>  serve: preload every replica's plan cache from a
                           snapshot; a fingerprint mismatch is an error
-  --parallel <n|serial|validate>
-                          serve/bench: run the replica engines on n worker
-                          threads instead of inline (default: serial).
-                          virtual-time results are byte-identical for any
-                          thread count; only host wall-clock changes.
-                          validate (serve only) runs both engine pools and
-                          fails unless the reports diff byte-equal
   -h, --help              this text
 
 verify proves the tuned (or --partition) plan's signal/wait schedule
@@ -370,9 +315,8 @@ path highlighted as its own track.
 bench serves a seeded trace like serve and writes BENCH_serve.json
 (default; override with --metrics-out): virtual-time metrics only —
 throughput, latency percentiles, wait percentiles, attribution shares —
-so the file is byte-identical for a fixed seed and any --parallel
-setting, while host wall-clock (a monotonic-clock delta) goes to stdout
-only.
+so the file is byte-identical for a fixed seed, while host wall-clock
+(a monotonic-clock delta) goes to stdout only.
 ";
 
 fn parse_u32(flag: &str, value: Option<&String>) -> Result<u32, CliError> {
@@ -483,14 +427,10 @@ impl Cli {
         let mut no_pipeline = false;
         let mut scaling = false;
         let mut plan_cache = PlanCacheArgs::default();
-        let mut parallel = ParallelArg::default();
         while let Some(flag) = it.next() {
             // Shared flag groups first (the hand-rolled equivalent of a
             // flattened sub-struct); singleton flags fall through.
-            if output.accept(flag, &mut it)?
-                || plan_cache.accept(flag, &mut it)?
-                || parallel.accept(flag, &mut it)?
-            {
+            if output.accept(flag, &mut it)? || plan_cache.accept(flag, &mut it)? {
                 continue;
             }
             match flag.as_str() {
@@ -664,7 +604,6 @@ impl Cli {
             no_pipeline,
             scaling,
             plan_cache,
-            parallel,
         })
     }
 }
@@ -717,6 +656,11 @@ mod tests {
                 .unwrap_err()
                 .show_usage
         );
+        // Removed with the threaded engine pool: a flag like any other
+        // unknown one.
+        let err = Cli::parse(&argv("serve --replicas 4 --parallel 4")).unwrap_err();
+        assert!(err.show_usage);
+        assert_eq!(err.message, "unknown flag: --parallel");
     }
 
     #[test]
@@ -878,33 +822,6 @@ mod tests {
         let err = Cli::parse(&argv("serve --router hash")).unwrap_err();
         assert!(err.show_usage);
         assert!(err.message.contains("shape-affinity"));
-    }
-
-    #[test]
-    fn parallel_flag_parses() {
-        assert_eq!(
-            Cli::parse(&argv("serve")).unwrap().parallel,
-            ParallelArg::Serial
-        );
-        let cli = Cli::parse(&argv("serve --replicas 4 --parallel 4")).unwrap();
-        assert_eq!(cli.parallel, ParallelArg::Threads(4));
-        let cli = Cli::parse(&argv("bench --parallel serial")).unwrap();
-        assert_eq!(cli.parallel, ParallelArg::Serial);
-        let cli = Cli::parse(&argv("serve --parallel validate")).unwrap();
-        assert_eq!(cli.parallel, ParallelArg::Validate);
-        assert!(
-            Cli::parse(&argv("serve --parallel 0"))
-                .unwrap_err()
-                .show_usage
-        );
-        let err = Cli::parse(&argv("serve --parallel sometimes")).unwrap_err();
-        assert!(err.show_usage);
-        assert!(err.message.contains("serial"));
-        assert!(
-            Cli::parse(&argv("serve --parallel"))
-                .unwrap_err()
-                .show_usage
-        );
     }
 
     #[test]

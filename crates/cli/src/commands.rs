@@ -14,7 +14,7 @@ use telemetry::json::Value;
 
 use flashoverlap::runtime::CommPattern;
 
-use crate::args::{Cli, CliError, Command, ParallelArg, PlanCommand, ServeArrival};
+use crate::args::{Cli, CliError, Command, PlanCommand, ServeArrival};
 
 /// Profiles every method on the workload and writes the metrics report
 /// (and, for the `profile` command, the Perfetto trace). Returns the
@@ -224,12 +224,6 @@ fn serve_config(cli: &Cli) -> Result<serving::ServeConfig, CliError> {
             mean_phase_ms: 5.0,
         },
     };
-    config.exec = match cli.parallel {
-        // Validate drives both engine pools itself; the base config
-        // stays serial so its report is the reference.
-        ParallelArg::Serial | ParallelArg::Validate => serving::ExecMode::Serial,
-        ParallelArg::Threads(threads) => serving::ExecMode::Parallel(threads),
-    };
     if let Some(path) = &cli.plan_cache.load {
         let text = std::fs::read_to_string(path)
             .map_err(|e| CliError::runtime(format!("reading {path}: {e}")))?;
@@ -238,15 +232,6 @@ fn serve_config(cli: &Cli) -> Result<serving::ServeConfig, CliError> {
         config.preload = Some(snapshot);
     }
     Ok(config)
-}
-
-/// The worker-thread count a [`serving::ExecMode`] actually uses (the
-/// engine pool never spawns more threads than replicas).
-fn effective_threads(exec: serving::ExecMode, replicas: usize) -> (&'static str, usize) {
-    match exec {
-        serving::ExecMode::Serial => ("serial", 1),
-        serving::ExecMode::Parallel(threads) => ("parallel", threads.clamp(1, replicas.max(1))),
-    }
 }
 
 /// Fails the command when a serve report breaks an accounting identity
@@ -263,29 +248,7 @@ fn check_accounting(report: &serving::ServeReport) -> Result<(), CliError> {
 fn execute_serve(cli: &Cli) -> Result<String, CliError> {
     let config = serve_config(cli)?;
     let mut exported = None;
-    let (mut out, json, traced) = if cli.parallel == ParallelArg::Validate {
-        if cli.scaling || cli.baseline {
-            return Err(CliError::usage(
-                "--parallel validate cannot combine with --scaling or --baseline",
-            ));
-        }
-        // Cross-check the two engine pools: at least two threads so the
-        // parallel arm really runs workers, capped at the replica count.
-        let threads = cli.replicas.max(2);
-        let (report, matched) = serving::validate_parallel(&config, threads)
-            .map_err(|e| CliError::runtime(format!("serve failed: {e}")))?;
-        check_accounting(&report)?;
-        if !matched {
-            return Err(CliError::runtime(format!(
-                "parallel({threads}) ServeReport diverged from serial — \
-                 deterministic-merge bug; re-run with --parallel serial to unblock"
-            )));
-        }
-        let mut s = format!("validate : serial and parallel({threads}) reports byte-identical\n");
-        let json = report.to_json();
-        s.push_str(&report.summary());
-        (s, json, report)
-    } else if cli.scaling {
+    let (mut out, json, traced) = if cli.scaling {
         let scaling = serving::serve_scaling(&config)
             .map_err(|e| CliError::runtime(format!("serve scaling failed: {e}")))?;
         for report in [&scaling.multi, &scaling.single, &scaling.unpipelined] {
@@ -485,13 +448,7 @@ fn bench_wait_json(p: &Option<telemetry::Percentiles>) -> Value {
 /// seed — ci.sh byte-compares a fresh run with the committed
 /// `BENCH_serve.json`); host wall-clock goes to stdout only.
 fn execute_bench(cli: &Cli) -> Result<String, CliError> {
-    if cli.parallel == ParallelArg::Validate {
-        return Err(CliError::usage(
-            "--parallel validate is a serve mode; bench takes a thread count or `serial`",
-        ));
-    }
     let config = serve_config(cli)?;
-    let (mode, threads) = effective_threads(config.exec, config.replicas);
     // Instant is the host's monotonic clock, so the delta is immune to
     // wall-time adjustments mid-run.
     let started = std::time::Instant::now();
@@ -600,9 +557,8 @@ fn execute_bench(cli: &Cli) -> Result<String, CliError> {
         ));
     }
     out.push_str(&format!(
-        "host     : {:.3} s wall-clock (monotonic), {mode} x{threads} thread{}\n",
-        wall.as_secs_f64(),
-        if threads == 1 { "" } else { "s" },
+        "host     : {:.3} s wall-clock (monotonic)\n",
+        wall.as_secs_f64()
     ));
     out.push_str(&format!("bench report written to {path}\n"));
     Ok(out)
@@ -1696,20 +1652,20 @@ mod tests {
 
     #[test]
     fn bench_writes_byte_stable_artifact_with_exact_attribution() {
-        for requests in [60, 120] {
-            bench_artifact_is_byte_stable_with_exact_attribution(requests);
+        // The pinned scenario, a smaller one, and four 8-GPU replicas.
+        for args in [
+            "--requests 60 --seed 7",
+            "--requests 120 --seed 7",
+            "--requests 200 --rate 400 --gpus 8 --replicas 4 --seed 7",
+        ] {
+            bench_artifact_is_byte_stable_with_exact_attribution(args);
         }
     }
 
-    fn bench_artifact_is_byte_stable_with_exact_attribution(requests: usize) {
+    fn bench_artifact_is_byte_stable_with_exact_attribution(args: &str) {
         let bench_a = temp_path("bench-a.json");
         let bench_b = temp_path("bench-b.json");
-        let cmd = |path: &std::path::Path| {
-            format!(
-                "bench --requests {requests} --seed 7 --metrics-out {}",
-                path.display()
-            )
-        };
+        let cmd = |path: &std::path::Path| format!("bench {args} --metrics-out {}", path.display());
         let out = execute_argv(&argv(&cmd(&bench_a))).unwrap();
         assert!(out.contains("wall-clock"), "{out}");
         assert!(out.contains("bench report written to"), "{out}");
@@ -1752,41 +1708,5 @@ mod tests {
         assert_eq!(total, makespan);
         let drift_rows = doc.get("drift_rows").and_then(|v| v.as_f64()).unwrap();
         assert!(drift_rows > 0.0, "predictor-drift table must be populated");
-    }
-
-    #[test]
-    fn bench_parallel_matches_serial_artifact() {
-        let serial = temp_path("bench-serial.json");
-        let parallel = temp_path("bench-parallel.json");
-        let out = execute_argv(&argv(&format!(
-            "bench --requests 60 --seed 7 --replicas 4 --rate 2400 --metrics-out {}",
-            serial.display()
-        )))
-        .unwrap();
-        assert!(out.contains("serial x1 thread"), "{out}");
-        let out = execute_argv(&argv(&format!(
-            "bench --requests 60 --seed 7 --replicas 4 --rate 2400 --parallel 4 --metrics-out {}",
-            parallel.display()
-        )))
-        .unwrap();
-        assert!(out.contains("parallel x4 threads"), "{out}");
-        assert_eq!(
-            std::fs::read_to_string(&serial).unwrap(),
-            std::fs::read_to_string(&parallel).unwrap(),
-            "the virtual-time artifact must not depend on --parallel"
-        );
-    }
-
-    #[test]
-    fn serve_validate_mode_diffs_the_engines() {
-        let out = execute_argv(&argv(
-            "serve --requests 40 --replicas 2 --parallel validate",
-        ))
-        .unwrap();
-        assert!(out.contains("byte-identical"), "{out}");
-        let err = execute_argv(&argv("serve --scaling --parallel validate")).unwrap_err();
-        assert!(err.show_usage, "{}", err.message);
-        let err = execute_argv(&argv("bench --parallel validate")).unwrap_err();
-        assert!(err.show_usage, "{}", err.message);
     }
 }

@@ -12,6 +12,11 @@
 //! and bounded with LRU eviction. Recency is a monotonic tick (no wall
 //! clock), and ticks are unique, so eviction order is deterministic
 //! regardless of `HashMap` iteration order.
+//!
+//! Each serve replica has its own cache. Tuning is a pure function of the
+//! key, so a replica's miss first adopts the plan a sibling replica's
+//! cache tuned for the same key, and tunes only when no sibling holds one.
+//! The counters stay per replica: an adopted plan is still a miss here.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -75,12 +80,14 @@ pub fn system_fingerprint(system: &SystemSpec) -> u64 {
 pub struct CacheStats {
     /// Lookups served from the cache.
     pub hits: u64,
-    /// Lookups that tuned and built a fresh plan.
+    /// Lookups that missed this cache; each plan was tuned here or
+    /// adopted from a sibling replica's cache.
     pub misses: u64,
     /// Plans evicted to stay within capacity.
     pub evictions: u64,
-    /// Total partitions evaluated by predictive search across all
-    /// misses (the online tuning work the cache amortizes).
+    /// Partitions predictive search evaluated for this cache's misses,
+    /// tuned here or adopted from a sibling (which adds the count its own
+    /// tuning would have): the online tuning work the cache amortizes.
     pub tune_evaluated: u64,
     /// Plans seeded from a persisted snapshot before the run.
     pub preloaded: u64,
@@ -112,13 +119,20 @@ impl CacheStats {
     }
 }
 
+#[derive(Clone)]
 struct Entry {
     plan: Rc<OverlapPlan>,
     last_used: u64,
+    /// Partitions the search evaluated to build `plan` on a miss (0 for
+    /// an untuned plan). `None` for a preloaded plan, which a sibling must
+    /// not adopt: its snapshot partition need not be the one a miss tunes.
+    tune_evaluated: Option<u64>,
 }
 
-/// Bounded LRU cache of tuned [`OverlapPlan`]s.
+/// Bounded LRU cache of tuned [`OverlapPlan`]s. A clone shares the
+/// plans.
 // Debug by hand: `OverlapPlan` itself is not Debug.
+#[derive(Clone)]
 pub struct PlanCache {
     entries: HashMap<PlanKey, Entry>,
     capacity: usize,
@@ -128,6 +142,8 @@ pub struct PlanCache {
     /// (single group) instead of tuning — the serve-vs-baseline
     /// comparison runs the identical loop with only this bit flipped.
     tuned: bool,
+    /// Plans this cache tuned (or built untuned) itself on a miss.
+    tunes: u64,
 }
 
 impl std::fmt::Debug for PlanCache {
@@ -138,6 +154,7 @@ impl std::fmt::Debug for PlanCache {
             .field("tick", &self.tick)
             .field("stats", &self.stats)
             .field("tuned", &self.tuned)
+            .field("tunes", &self.tunes)
             .finish()
     }
 }
@@ -151,6 +168,7 @@ impl PlanCache {
             tick: 0,
             stats: CacheStats::default(),
             tuned: true,
+            tunes: 0,
         }
     }
 
@@ -166,6 +184,11 @@ impl PlanCache {
     /// Counters so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
+    }
+
+    /// Plans this cache tuned (or built untuned) itself, not adopted.
+    pub(crate) fn tunes(&self) -> u64 {
+        self.tunes
     }
 
     /// Plans currently resident.
@@ -192,22 +215,27 @@ impl PlanCache {
             primitive: pattern.primitive(),
             system_fp: system_fingerprint(system),
         };
-        self.get_or_tune_keyed(key, pattern, system)
+        self.get_or_adopt(key, pattern, system, [])
     }
 
-    /// [`PlanCache::get_or_tune`] under a key the caller already built,
-    /// for callers whose system never changes: they fingerprint it once
-    /// instead of on every lookup. `key.primitive` must be
-    /// `pattern.primitive()` and `key.system_fp` must be
-    /// [`system_fingerprint`]`(system)`.
-    pub fn get_or_tune_keyed(
+    /// [`PlanCache::get_or_tune`] under a key the caller already built
+    /// (callers whose system never changes fingerprint it once), except
+    /// that a miss first adopts the plan the first of `siblings` holding
+    /// one tuned for `key`, and tunes only when none does. The miss is
+    /// counted either way, and adds the adopted plan's search count to
+    /// `tune_evaluated`. Preloaded plans are never adopted.
+    ///
+    /// `key.primitive` must be `pattern.primitive()`, `key.system_fp`
+    /// must be [`system_fingerprint`]`(system)`, and `siblings` must be
+    /// tuned (or untuned) like this cache.
+    pub(crate) fn get_or_adopt<'s>(
         &mut self,
         key: PlanKey,
         pattern: &CommPattern,
         system: &SystemSpec,
+        siblings: impl IntoIterator<Item = &'s PlanCache>,
     ) -> Result<(Rc<OverlapPlan>, bool), FlashOverlapError> {
         debug_assert_eq!(key.primitive, pattern.primitive());
-        let dims = key.dims;
         self.tick += 1;
         if let Some(entry) = self.entries.get_mut(&key) {
             entry.last_used = self.tick;
@@ -215,25 +243,19 @@ impl PlanCache {
             return Ok((Rc::clone(&entry.plan), true));
         }
         self.stats.misses += 1;
-        let plan = if self.tuned {
-            // One offline profile serves the search and the plan's
-            // predictor.
-            let (plan, evaluated) = tune_plan(dims, pattern.clone(), system.clone())?;
-            self.stats.tune_evaluated += evaluated as u64;
-            plan
-        } else {
-            // Non-overlap baseline: one group spanning every wave of the
-            // schedule the plan will choose for this shape.
-            let config = GemmConfig::choose(dims, &system.arch);
-            let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
-            let partition = WavePartition::single(waves.max(1));
-            OverlapPlan::new(dims, pattern.clone(), system.clone(), partition)?
+        let adopted = siblings.into_iter().find_map(|s| {
+            let entry = s.entries.get(&key)?;
+            Some((Rc::clone(&entry.plan), entry.tune_evaluated?))
+        });
+        let (plan, evaluated) = match adopted {
+            Some(adopted) => adopted,
+            None => {
+                let (plan, evaluated) = self.build(key.dims, pattern, system)?;
+                self.tunes += 1;
+                (Rc::new(plan), evaluated)
+            }
         };
-        // Never cache a schedule the static verifier cannot prove safe:
-        // a corrupt plan served from the cache would poison every batch
-        // that hits the same shape.
-        plan.check_static()?;
-        let plan = Rc::new(plan);
+        self.stats.tune_evaluated += evaluated;
         if self.entries.len() >= self.capacity {
             self.evict_lru();
         }
@@ -242,9 +264,39 @@ impl PlanCache {
             Entry {
                 plan: Rc::clone(&plan),
                 last_used: self.tick,
+                tune_evaluated: Some(evaluated),
             },
         );
         Ok((plan, false))
+    }
+
+    /// Tunes (or, untuned, builds) and statically checks the plan for
+    /// `dims`, returning it with the partitions the search evaluated.
+    fn build(
+        &self,
+        dims: GemmDims,
+        pattern: &CommPattern,
+        system: &SystemSpec,
+    ) -> Result<(OverlapPlan, u64), FlashOverlapError> {
+        let (plan, evaluated) = if self.tuned {
+            // One offline profile serves the search and the plan's
+            // predictor.
+            let (plan, evaluated) = tune_plan(dims, pattern.clone(), system.clone())?;
+            (plan, evaluated as u64)
+        } else {
+            // Non-overlap baseline: one group spanning every wave of the
+            // schedule the plan will choose for this shape.
+            let config = GemmConfig::choose(dims, &system.arch);
+            let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+            let partition = WavePartition::single(waves.max(1));
+            let plan = OverlapPlan::new(dims, pattern.clone(), system.clone(), partition)?;
+            (plan, 0)
+        };
+        // Never cache a schedule the static verifier cannot prove safe:
+        // a corrupt plan served from the cache would poison every batch
+        // that hits the same shape.
+        plan.check_static()?;
+        Ok((plan, evaluated))
     }
 
     /// Removes the least-recently-used entry. Ticks are unique, so the
@@ -358,6 +410,7 @@ impl PlanCache {
                 Entry {
                     plan,
                     last_used: self.tick,
+                    tune_evaluated: None,
                 },
             );
             self.stats.preloaded += 1;
@@ -601,7 +654,7 @@ mod tests {
             system_fp: system_fingerprint(&sys),
         };
         let (b, hit) = cache
-            .get_or_tune_keyed(key, &CommPattern::AllReduce, &sys)
+            .get_or_adopt(key, &CommPattern::AllReduce, &sys, [])
             .unwrap();
         assert!(hit && Rc::ptr_eq(&a, &b));
     }
@@ -778,6 +831,45 @@ mod tests {
         truncated[0].thresholds.as_mut().unwrap().pop();
         let err = fresh.preload(&sys, &truncated).unwrap_err();
         assert!(err.to_string().contains("thresholds"), "{err}");
+    }
+
+    #[test]
+    fn a_miss_adopts_a_siblings_tuned_plan_but_never_its_preload() {
+        let sys = system();
+        let fp = system_fingerprint(&sys);
+        let dims = GemmDims::new(2048, 4096, 3584);
+        let key = PlanKey {
+            dims,
+            primitive: Primitive::AllReduce,
+            system_fp: fp,
+        };
+        let pattern = CommPattern::AllReduce;
+        let mut tuner = PlanCache::new(4);
+        let (tuned, _) = tuner.get_or_tune(dims, &pattern, &sys).unwrap();
+        let tuner_stats = tuner.stats();
+        let mut adopter = PlanCache::new(4);
+        let (adopted, hit) = adopter.get_or_adopt(key, &pattern, &sys, [&tuner]).unwrap();
+        assert!(!hit && Rc::ptr_eq(&tuned, &adopted));
+        assert_eq!(adopter.stats(), tuner_stats, "the same logical miss");
+        assert_eq!(tuner.stats(), tuner_stats, "the sibling is only read");
+        assert_eq!((tuner.tunes(), adopter.tunes()), (1, 0));
+
+        // A preload of another partition is not what a miss tunes.
+        let mut entries = tuner.export_entries(fp);
+        entries[0].groups = match entries[0].groups.as_slice() {
+            [a, b, rest @ ..] => [&[a + b], rest].concat(),
+            [n] => vec![1, n - 1],
+            [] => unreachable!("a plan has a group"),
+        };
+        entries[0].thresholds = None;
+        let mut preloaded = PlanCache::new(4);
+        assert_eq!(preloaded.preload(&sys, &entries).unwrap(), 1);
+        let mut fresh = PlanCache::new(4);
+        let (plan, _) = fresh
+            .get_or_adopt(key, &pattern, &sys, [&preloaded])
+            .unwrap();
+        assert_eq!(plan.partition, tuned.partition);
+        assert_eq!(fresh.tunes(), 1);
     }
 
     #[test]

@@ -1,32 +1,20 @@
-//! The sealed per-replica execution engine.
+//! The per-replica execution engine.
 //!
 //! A [`ReplicaEngine`] owns everything one replica group needs to run a
 //! chain of batches — the simulation world (one [`ChainWorld`], reset
 //! for every chain by [`flashoverlap::execute_sequence_in`]), the
-//! tuned-plan [`PlanCache`], the telemetry monitor wiring and the chain
-//! analyses' [`ChainIndex`], and the chain assembly (per-batch fault
-//! plans, sequence options, pipelining). The
-//! serve loop never touches any of that state directly: it talks to the
-//! engine exclusively through typed [`EngineCommand`] /
-//! [`EngineReply`] messages carrying deterministic sequence numbers,
-//! which makes the thread boundary auditable: commands and replies are
-//! plain data, and a worker moves between threads only as a whole,
-//! between two of its commands.
+//! tuned-plan [`PlanCache`], the chain memo, the telemetry wiring and
+//! the chain analyses' [`ChainIndex`], and the chain assembly (per-batch
+//! fault plans, sequence options, pipelining). The serve loop owns one
+//! engine per replica and runs each chain, on the calling thread, when it
+//! dispatches it ([`run_chain`]), so every chain's accounting lands in
+//! dispatch order.
 //!
-//! Determinism argument (the reason `--parallel N` is byte-identical to
-//! serial for every `N`): a chain's result is a pure function of the
-//! engine's command history — the per-replica command stream is FIFO,
-//! replies are matched per replica, and the loop applies every chain's
-//! accounting effects in global dispatch-sequence order (see
-//! [`ChainEffects`]), so no wall-clock interleaving can reorder
-//! anything observable. Virtual time lives in the commands
-//! (`start_ns`) and replies (`free_ns`); threads only decide *when*
-//! the answer is computed, never *what* it is.
+//! A replica's plan-cache miss first adopts the plan a sibling replica
+//! tuned for the same key, so while some replica still holds a shape's
+//! plan, the run tunes that shape once.
 
-use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 
 use flashoverlap::{
     execute_sequence_in, ChainWorld, CommPattern, Fault, FaultPlan, FlashOverlapError,
@@ -39,123 +27,37 @@ use telemetry::{ChainIndex, Telemetry, TelemetryRecord};
 use crate::batch::Batch;
 use crate::cache::{system_fingerprint, CacheStats, PlanCache, PlanEntry, PlanKey};
 use crate::report::{BatchRecord, Disposition, RequestRecord};
-use crate::server::{fault_seed, ExecMode, ServeConfig};
+use crate::server::{fault_seed, Accounting, ServeConfig};
 
-/// A closed batch sitting in a replica's dispatch queue (and, once
-/// dispatched, travelling to the engine inside a chain command).
+/// A closed batch sitting in a replica's dispatch queue.
 #[derive(Debug, Clone)]
-pub struct PendingBatch {
+pub(crate) struct PendingBatch {
     /// The closed batch.
-    pub batch: Batch,
+    pub(crate) batch: Batch,
     /// Routing label stamped onto the batch record.
-    pub routing: &'static str,
+    pub(crate) routing: &'static str,
     /// When the batch closed and was routed — the start of its
     /// dispatch-queue wait.
-    pub close_ns: u64,
+    pub(crate) close_ns: u64,
     /// Inter-node migration charged before execution (computed at
     /// routing time; zero for home-node or single-node placements).
-    pub migration_ns: u64,
+    pub(crate) migration_ns: u64,
 }
 
-/// A command sent from the serve loop to one replica engine. Sequence
-/// numbers are assigned by the loop in global dispatch order and echoed
-/// on the reply, pinning the deterministic merge.
+/// What one executed chain tells the serve loop's scheduler.
 #[derive(Debug)]
-pub enum EngineCommand {
-    /// Execute `chain` as one (pipelined) simulation starting at
-    /// `start_ns` virtual time.
-    ExecuteChain {
-        /// Global dispatch sequence number.
-        seq: u64,
-        /// Virtual time the chain launches.
-        start_ns: u64,
-        /// The batches, in dispatch-queue order.
-        chain: Vec<PendingBatch>,
-    },
-    /// Flush the engine: return lifetime stats, the chain log, and, when
-    /// `export` is set, the cache snapshot entries. Terminal — sent
-    /// exactly once.
-    Finalize {
-        /// Global sequence number (after every chain's).
-        seq: u64,
-        /// Whether to export the cache's tuned plans.
-        export: bool,
-    },
-}
-
-/// A reply from a replica engine, matched to its command by `seq`.
-#[derive(Debug)]
-pub enum EngineReply {
-    /// Result of an [`EngineCommand::ExecuteChain`].
-    Chain {
-        /// Echo of the command's sequence number.
-        seq: u64,
-        /// The chain's timing and accounting effects, or the execution
-        /// error.
-        result: Result<ChainResult, FlashOverlapError>,
-    },
-    /// Result of an [`EngineCommand::Finalize`].
-    Final {
-        /// Echo of the command's sequence number.
-        seq: u64,
-        /// The engine's lifetime totals, or the construction error that
-        /// prevented the engine from ever serving.
-        result: Result<EngineFinal, FlashOverlapError>,
-    },
-}
-
-/// What one executed chain did: the new replica-idle time plus every
-/// accounting side effect, packaged so the loop can apply effects in
-/// global dispatch-sequence order regardless of which thread finished
-/// first.
-#[derive(Debug)]
-pub struct ChainResult {
+pub(crate) struct ChainResult {
     /// Virtual time the chain drains (the replica's next idle instant).
-    pub free_ns: u64,
+    pub(crate) free_ns: u64,
     /// Whether any batch in the chain came back degraded (the caller's
     /// quarantine signal; only possible under chaos).
-    pub degraded: bool,
-    /// The chain's accounting effects.
-    pub effects: ChainEffects,
+    pub(crate) degraded: bool,
 }
 
-/// The accounting side effects of one executed chain, replayed into the
-/// run's [`Accounting`](crate::server) strictly in dispatch-sequence
-/// order — f64 accumulation order and batch-record order are part of
-/// the byte-identical report contract.
-#[derive(Debug, Default)]
-pub struct ChainEffects {
-    /// Per-request completion records.
-    pub(crate) records: Vec<RequestRecord>,
-    /// Per-batch execution records, in chain order.
-    pub(crate) batch_records: Vec<BatchRecord>,
-    /// Signal-latency weighted sum delta (`mean * samples`).
-    pub(crate) signal_weighted_sum: f64,
-    /// Signal sample count delta.
-    pub(crate) signal_samples: u64,
-    /// Batches executed off their home node.
-    pub(crate) cross_node_batches: u64,
-    /// Inter-node migration charged to those batches.
-    pub(crate) migration_ns: u64,
-    /// Inter-node bytes the hierarchical schedule moved.
-    pub(crate) inter_bytes_hierarchical: u64,
-    /// Inter-node bytes the flat ring would have moved.
-    pub(crate) inter_bytes_flat: u64,
-    /// Predictor-drift sample from the chain-leading batch:
-    /// `(dims, predicted, measured)` group completions.
-    #[allow(clippy::type_complexity)]
-    pub(crate) drift: Option<(
-        gpu_sim::gemm::GemmDims,
-        Vec<sim::SimDuration>,
-        Vec<sim::SimDuration>,
-    )>,
-}
-
-/// The engine's lifetime totals, returned by
-/// [`EngineCommand::Finalize`]: everything the report builder needs
-/// from inside the sealed boundary.
+/// An engine's lifetime totals, returned by [`ReplicaEngine::finish`]:
+/// everything the report builder needs from it.
 #[derive(Debug)]
-pub struct EngineFinal {
+pub(crate) struct EngineFinal {
     /// Batches executed.
     pub(crate) batches: u64,
     /// Requests completed.
@@ -171,22 +73,23 @@ pub struct EngineFinal {
     /// Plan-cache hit/miss/eviction counters.
     pub(crate) cache_stats: CacheStats,
     /// Exported tuned-plan entries (the `--plan-cache-out` payload);
-    /// empty unless the finalize asked for them.
+    /// empty unless the finish asked for them.
     pub(crate) entries: Vec<PlanEntry>,
     /// Chains replayed from the engine's chain memo instead of simulated.
     pub(crate) memo_hits: u64,
+    /// Plans the engine's cache tuned (or built untuned) itself instead
+    /// of adopting them from a sibling.
+    pub(crate) tunes: u64,
 }
 
-/// The worker behind one [`ReplicaEngine`]: owns the plan cache and the
-/// simulation world its chains run in. Its `Rc`-based plan cache (and
-/// the world's op and event types) make it `!Send`; the pool moves
-/// it between threads only inside a [`MovableWorker`].
-struct EngineWorker {
-    config: ServeConfig,
+/// One replica's engine: its plan cache, chain memo and the simulation
+/// world its chains run in, plus its lifetime counters.
+pub(crate) struct ReplicaEngine<'a> {
+    config: &'a ServeConfig,
     replica_idx: usize,
     tp: u32,
     /// [`system_fingerprint`] of `config.system`, computed once: the
-    /// worker's system never changes, so every plan-cache key shares it.
+    /// engine's system never changes, so every plan-cache key shares it.
     system_fp: u64,
     cache: PlanCache,
     memo: ChainMemo,
@@ -233,7 +136,7 @@ struct ChainRun {
 ///
 /// Sound because every chain starts from the same state: the world is
 /// reset to exactly what [`SystemSpec::build_cluster`] gives, with the
-/// same device RNG forks, and the worker's system, pipelining and
+/// same device RNG forks, and the engine's system, pipelining and
 /// instrumentation never change. So a non-chaos chain's [`ChainRun`] is
 /// a pure function of its plans, and a repeated plan sequence replays
 /// its stored run instead of simulating again. Chaos chains draw fault
@@ -242,11 +145,14 @@ struct ChainRun {
 /// Keys hold [`Weak`] plans: the memo never keeps an evicted plan alive,
 /// and a live `Weak` pins its allocation, so a pointer match is the same
 /// plan — never a re-tuned replacement under the same [`PlanKey`].
-/// Entries whose plans died are dropped. Bounded by the plan-cache
-/// capacity, least recently used out first (unique ticks).
+/// Entries whose plans died are dropped. A plan adopted from a sibling
+/// replica has one identity across the replicas that hold it: a sibling
+/// may keep it alive after this replica evicts it, and a later miss here
+/// may adopt it again. A match is then still the same plan, so a replay
+/// is still exact. Bounded by the plan-cache capacity, least recently
+/// used out first (unique ticks).
 ///
 /// [`SystemSpec::build_cluster`]: flashoverlap::SystemSpec::build_cluster
-/// [`PlanKey`]: crate::cache::PlanKey
 struct ChainMemo {
     entries: Vec<MemoEntry>,
     /// Most entries held; 0 turns the memo off.
@@ -315,35 +221,43 @@ impl ChainMemo {
     }
 }
 
-impl EngineWorker {
-    fn new(
-        config: ServeConfig,
-        tuned: bool,
-        replica_idx: usize,
-        memo: bool,
-    ) -> Result<Self, FlashOverlapError> {
-        let mut cache = if tuned {
-            PlanCache::new(config.cache_capacity)
-        } else {
-            PlanCache::new_untuned(config.cache_capacity)
-        };
-        if let Some(snapshot) = &config.preload {
-            // Fingerprint compatibility was validated up front.
-            cache.preload(&config.system, &snapshot.entries)?;
-        }
-        let tp = config.system.n_gpus as u32;
-        let memo_capacity = if memo {
-            config.cache_capacity.max(1)
-        } else {
-            0
-        };
-        Ok(EngineWorker {
-            replica_idx,
-            tp,
-            system_fp: system_fingerprint(&config.system),
-            cache,
-            memo: ChainMemo::new(memo_capacity),
+/// Builds one engine per replica of `config`, each with its chain memo on
+/// or off (the memo never changes a result, so only its own tests turn it
+/// off). A `--plan-cache-in` snapshot is built and verified once, into the
+/// first cache; every replica starts from a copy of that cache, sharing
+/// its plans and counting the same preloads.
+///
+/// # Errors
+///
+/// Returns the preload's error (e.g. a malformed snapshot entry).
+pub(crate) fn build_engines(
+    config: &ServeConfig,
+    tuned: bool,
+    memo: bool,
+) -> Result<Vec<ReplicaEngine<'_>>, FlashOverlapError> {
+    let mut cache = if tuned {
+        PlanCache::new(config.cache_capacity)
+    } else {
+        PlanCache::new_untuned(config.cache_capacity)
+    };
+    if let Some(snapshot) = &config.preload {
+        // Fingerprint compatibility was validated up front.
+        cache.preload(&config.system, &snapshot.entries)?;
+    }
+    let memo_capacity = if memo {
+        config.cache_capacity.max(1)
+    } else {
+        0
+    };
+    let system_fp = system_fingerprint(&config.system);
+    Ok((0..config.replicas)
+        .map(|replica_idx| ReplicaEngine {
             config,
+            replica_idx,
+            tp: config.system.n_gpus as u32,
+            system_fp,
+            cache: cache.clone(),
+            memo: ChainMemo::new(memo_capacity),
             batches: 0,
             requests: 0,
             tokens: 0,
@@ -354,38 +268,48 @@ impl EngineWorker {
             index: ChainIndex::new(),
             world: ChainWorld::new(),
         })
-    }
+        .collect())
+}
 
-    fn handle(&mut self, cmd: EngineCommand) -> EngineReply {
-        match cmd {
-            EngineCommand::ExecuteChain {
-                seq,
-                start_ns,
-                chain,
-            } => EngineReply::Chain {
-                seq,
-                result: self.execute_chain(start_ns, chain),
-            },
-            EngineCommand::Finalize { seq, export } => EngineReply::Final {
-                seq,
-                result: Ok(self.finalize(export)),
-            },
-        }
-    }
+/// Runs `chain` on engine `idx` from `start_ns` and accounts it into
+/// `acct`. With `adopt` set, a plan-cache miss first takes the plan one of
+/// the other engines' caches tuned for the same key (the lowest replica
+/// id holding one wins), and tunes only when none does.
+///
+/// Adoption never changes the report: tuning is a pure function of the
+/// key, so an adopted plan equals the one the miss would have tuned, and
+/// the miss is counted exactly as before (see [`PlanCache`]).
+pub(crate) fn run_chain(
+    engines: &mut [ReplicaEngine<'_>],
+    idx: usize,
+    adopt: bool,
+    start_ns: u64,
+    chain: &[PendingBatch],
+    acct: &mut Accounting,
+) -> Result<ChainResult, FlashOverlapError> {
+    let Some((before, [engine, after @ ..])) = engines.split_at_mut_checked(idx) else {
+        return Err(FlashOverlapError::BadInputs {
+            reason: format!("no replica engine {idx}"),
+        });
+    };
+    let siblings: [&[ReplicaEngine<'_>]; 2] = if adopt { [before, after] } else { [&[], &[]] };
+    engine.execute_chain(start_ns, chain, siblings, acct)
+}
 
+impl<'a> ReplicaEngine<'a> {
     /// Executes one chain of batches starting at `start_ns`: resolves its
-    /// plans, takes its [`ChainRun`] from the memo or simulates it, and
-    /// accounts it. The virtual-time math is identical to the pre-engine
-    /// serve loop's inline `run_chain` — byte-compatibility of the report
-    /// depends on it.
+    /// plans (adopting misses from `siblings`' caches), takes its
+    /// [`ChainRun`] from the memo or simulates it, and accounts it.
     fn execute_chain(
         &mut self,
         start_ns: u64,
-        chain: Vec<PendingBatch>,
+        chain: &[PendingBatch],
+        siblings: [&[ReplicaEngine<'a>]; 2],
+        acct: &mut Accounting,
     ) -> Result<ChainResult, FlashOverlapError> {
         // Split the borrow: the cache and memo are mutated while the
         // config is read, and the lifetime counters bump batch by batch.
-        let EngineWorker {
+        let ReplicaEngine {
             config,
             replica_idx,
             tp,
@@ -408,16 +332,17 @@ impl EngineWorker {
 
         let pattern = CommPattern::AllReduce;
         let mut plans: Vec<(Rc<OverlapPlan>, bool)> = Vec::with_capacity(chain.len());
-        for p in &chain {
+        for p in chain {
             let key = PlanKey {
                 dims: p.batch.gemm_dims(tp),
                 primitive: pattern.primitive(),
                 system_fp: *system_fp,
             };
-            plans.push(cache.get_or_tune_keyed(key, &pattern, &config.system)?);
+            let siblings = siblings.iter().flat_map(|s| s.iter()).map(|e| &e.cache);
+            plans.push(cache.get_or_adopt(key, &pattern, &config.system, siblings)?);
         }
         let mut simulate =
-            || simulate_chain(config, replica_idx, &chain, &plans, scratch, index, world);
+            || simulate_chain(config, replica_idx, chain, &plans, scratch, index, world);
         let fresh;
         let run = if config.chaos || memo.capacity == 0 {
             fresh = simulate()?;
@@ -426,24 +351,17 @@ impl EngineWorker {
             memo.run_or_simulate(&plans, simulate)?
         };
 
-        let mut effects = ChainEffects {
-            signal_weighted_sum: run.signal.0,
-            signal_samples: run.signal.1,
-            ..ChainEffects::default()
-        };
+        acct.signal_weighted_sum += run.signal.0;
+        acct.signal_samples += run.signal.1;
         // Predictor drift: sample only the chain-leading batch — later
         // pipelined batches' measured completions include comm-stream
         // queueing behind the previous batch's tail and would bias the
         // comparison.
         if let ([leader, ..], [(plan, _), ..], Some(measured)) =
-            (chain.as_slice(), plans.as_slice(), &run.leader_group_done)
+            (chain, plans.as_slice(), &run.leader_group_done)
         {
             if let Some(predicted) = plan.predicted_group_completions() {
-                effects.drift = Some((
-                    leader.batch.gemm_dims(tp),
-                    predicted.to_vec(),
-                    measured.clone(),
-                ));
+                acct.absorb_drift(leader.batch.gemm_dims(tp), predicted, measured);
             }
         }
 
@@ -469,7 +387,7 @@ impl EngineWorker {
             let disposition = Disposition::from_outcome_label(outcome);
             let queue_wait = start_ns.saturating_sub(pending.close_ns);
             for r in &batch.requests {
-                effects.records.push(RequestRecord {
+                acct.place(RequestRecord {
                     id: r.id,
                     model: r.model.name,
                     tokens: r.tokens,
@@ -482,8 +400,8 @@ impl EngineWorker {
                 });
             }
             if pending.migration_ns > 0 {
-                effects.cross_node_batches += 1;
-                effects.migration_ns += pending.migration_ns;
+                acct.cross_node_batches += 1;
+                acct.migration_ns += pending.migration_ns;
             }
             if config.nodes > 1 {
                 // Byte accounting for the batch's tensor-parallel AllReduce
@@ -493,15 +411,15 @@ impl EngineWorker {
                 let dims = batch.gemm_dims(tp);
                 let payload = u64::from(dims.m) * u64::from(dims.n) * collectives::BYTES_PER_ELEM;
                 let topo = &config.system.topology;
-                effects.inter_bytes_hierarchical += collectives::inter_bytes_hierarchical(
+                acct.inter_bytes_hierarchical += collectives::inter_bytes_hierarchical(
                     collectives::Primitive::AllReduce,
                     payload,
                     topo,
                 );
-                effects.inter_bytes_flat +=
+                acct.inter_bytes_flat +=
                     collectives::inter_bytes_flat(collectives::Primitive::AllReduce, payload, topo);
             }
-            effects.batch_records.push(BatchRecord {
+            acct.batch_records.push(BatchRecord {
                 id: batch.id,
                 model: batch.model.name,
                 requests: batch.requests.len() as u64,
@@ -536,18 +454,18 @@ impl EngineWorker {
         Ok(ChainResult {
             free_ns: start_ns.saturating_add(mig_ns).saturating_add(run.total_ns),
             degraded: run.outcomes.contains(&"degraded"),
-            effects,
         })
     }
 
-    fn finalize(&mut self, export: bool) -> EngineFinal {
+    /// The engine's lifetime totals, with its cache's tuned plans when
+    /// `export` is set.
+    pub(crate) fn finish(self, export: bool) -> EngineFinal {
         EngineFinal {
             batches: self.batches,
             requests: self.requests,
             tokens: self.tokens,
             chains: self.chains,
             busy_ns: self.busy_ns,
-            chain_log: std::mem::take(&mut self.chain_log),
             cache_stats: self.cache.stats(),
             entries: if export {
                 self.cache.export_entries(self.system_fp)
@@ -555,6 +473,8 @@ impl EngineWorker {
                 Vec::new()
             },
             memo_hits: self.memo.hits,
+            tunes: self.cache.tunes(),
+            chain_log: self.chain_log,
         }
     }
 }
@@ -650,370 +570,31 @@ fn simulate_chain(
     })
 }
 
-/// The loop-facing handle to one sealed replica engine.
-///
-/// `send` queues a command and never blocks; `recv` returns the
-/// engine's next reply. Whichever thread reaches a queued command first
-/// runs it: a pool thread that picked it up, or the serve loop itself,
-/// which runs a command no pool thread has started rather than wait for
-/// one to wake. Either way the observable protocol is identical:
-/// per-replica FIFO commands, per-replica replies, sequence numbers
-/// pinning the global merge order.
-pub struct ReplicaEngine {
-    pool: Arc<Shared>,
-    engine: usize,
-}
-
-impl std::fmt::Debug for ReplicaEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ReplicaEngine(#{})", self.engine)
-    }
-}
-
-/// State shared by the serve loop and the pool threads.
-struct Shared {
-    state: Mutex<PoolState>,
-    /// Pool threads started; with none, nobody waits on the condvars.
-    pool_threads: usize,
-    /// Signalled when a command becomes runnable or the pool closes.
-    work: Condvar,
-    /// Signalled when a pool thread finishes (or panics in) a command.
-    done: Condvar,
-}
-
-struct PoolState {
-    slots: Vec<EngineSlot>,
-    /// Engines with queued commands and no thread running one of them,
-    /// oldest first.
-    runnable: VecDeque<usize>,
-    closed: bool,
-}
-
-struct EngineSlot {
-    /// The worker; `None` while a pool thread runs one of its commands.
-    worker: Option<MovableWorker>,
-    commands: VecDeque<EngineCommand>,
-    replies: VecDeque<EngineReply>,
-    /// A pool thread's panic while running this engine, re-raised on the
-    /// serve-loop thread by the next `recv`.
-    panicked: Option<Box<dyn std::any::Any + Send>>,
-}
-
-/// An [`EngineWorker`] moved between the serve loop and the pool
-/// threads as a whole.
-struct MovableWorker(EngineWorker);
-
-// SAFETY: of `EngineWorker`'s fields, `config` (`ServeConfig`), the
-// counters, `chain_log`, `scratch` (`TelemetryRecord`) and `index`
-// (`ChainIndex`: plain rows, `&'static str` op names and segments
-// between chains) are `Send`;
-// `cache` is not, only because it holds `Rc<OverlapPlan>`s, and the plans
-// hold `Rc` mappings; `memo` is not, only because it holds `Weak`s to
-// those same plans (and their communicators). Every `Rc` and `Weak`
-// pointing into those allocations is owned by the worker itself (the
-// cache and the memo): `execute_chain` drops the clones it makes before
-// it returns, replies carry plain data (see
-// `assert_boundary_types_are_send`), workers are built from a cloned
-// config and share no plan, and nothing in the simulator keeps
-// thread-local or global handles. `world` (`ChainWorld`) is not `Send`
-// only for what its cluster and engine hold while a chain runs: queued
-// ops and events, the op slabs' in-flight states (GEMM runs with the
-// plan's issue order, writer and group runs; element-wise kernels;
-// collective calls with their communicator) and the telemetry monitor's
-// `Rc`. Between chains it holds none of them — `execute_sequence_in`
-// clears it on every exit, and `Cluster::reset` empties every slab,
-// communicator scope, stamp and log — only plain allocations. So moving
-// a `MovableWorker` moves every handle to its allocations together, and
-// the pool's mutex orders the moves, so no two threads ever touch one
-// reference count.
-unsafe impl Send for MovableWorker {}
-
-impl Shared {
-    #[cfg_attr(
-        not(test),
-        expect(clippy::expect_used, reason = "pool is deleted by ROADMAP item 1")
-    )]
-    fn lock(&self) -> MutexGuard<'_, PoolState> {
-        // The lock is never held while a command runs, so a panic cannot
-        // poison it.
-        self.state.lock().expect("engine pool lock poisoned")
-    }
-
-    /// Wakes a pool thread for a newly runnable engine.
-    fn wake_one(&self) {
-        if self.pool_threads > 0 {
-            self.work.notify_one();
-        }
-    }
-}
-
-impl PoolState {
-    /// Takes engine `idx`'s worker and its oldest command if no thread is
-    /// running it, and drops it from the runnable list.
-    fn take_command(&mut self, idx: usize) -> Option<(MovableWorker, EngineCommand)> {
-        let slot = self.slots.get_mut(idx)?;
-        if slot.commands.is_empty() {
-            return None;
-        }
-        let worker = slot.worker.take()?;
-        let cmd = slot.commands.pop_front()?;
-        self.runnable.retain(|&i| i != idx);
-        Some((worker, cmd))
-    }
-
-    /// Returns engine `idx`'s worker with the reply to the command it
-    /// took, and makes the engine runnable again if more commands wait.
-    /// Returns whether it did.
-    fn put_back(&mut self, idx: usize, worker: MovableWorker, reply: EngineReply) -> bool {
-        let Some(slot) = self.slots.get_mut(idx) else {
-            return false;
-        };
-        slot.worker = Some(worker);
-        slot.replies.push_back(reply);
-        let more = !slot.commands.is_empty();
-        if more {
-            self.runnable.push_back(idx);
-        }
-        more
-    }
-}
-
-impl ReplicaEngine {
-    /// Submits a command to the engine. Never blocks.
-    pub fn send(&self, cmd: EngineCommand) {
-        let mut state = self.pool.lock();
-        let Some(slot) = state.slots.get_mut(self.engine) else {
-            return;
-        };
-        slot.commands.push_back(cmd);
-        if slot.worker.is_some() && slot.commands.len() == 1 {
-            state.runnable.push_back(self.engine);
-            drop(state);
-            self.pool.wake_one();
-        }
-    }
-
-    /// Receives the next reply, running the engine's oldest command on
-    /// this thread when no pool thread has started it, and otherwise
-    /// blocking until the thread running it finishes. Replies come back
-    /// in command order (per-replica FIFO).
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a panic a pool thread hit while running this engine,
-    /// and panics when no command is outstanding.
-    #[cfg_attr(
-        not(test),
-        expect(clippy::expect_used, reason = "pool is deleted by ROADMAP item 1")
-    )]
-    pub fn recv(&self) -> EngineReply {
-        let mut state = self.pool.lock();
-        loop {
-            let Some(slot) = state.slots.get_mut(self.engine) else {
-                panic!("engine {} is not in its pool", self.engine);
-            };
-            if let Some(reply) = slot.replies.pop_front() {
-                return reply;
-            }
-            if let Some(payload) = slot.panicked.take() {
-                drop(state);
-                std::panic::resume_unwind(payload);
-            }
-            assert!(
-                slot.worker.is_none() || !slot.commands.is_empty(),
-                "replica engine recv without a pending command"
-            );
-            if let Some((mut worker, cmd)) = state.take_command(self.engine) {
-                drop(state);
-                let reply = worker.0.handle(cmd);
-                state = self.pool.lock();
-                if state.put_back(self.engine, worker, reply) {
-                    self.pool.wake_one();
-                }
-            } else {
-                state = self
-                    .pool
-                    .done
-                    .wait(state)
-                    .expect("engine pool lock poisoned");
-            }
-        }
-    }
-}
-
-/// All replica engines of one serve run, plus the pool threads that run
-/// their commands in parallel mode. Dropping the pool closes it and
-/// joins the threads.
-pub struct EnginePool {
-    /// One engine per replica, indexed like the replicas.
-    pub engines: Vec<ReplicaEngine>,
-    shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for EnginePool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EnginePool")
-            .field("engines", &self.engines.len())
-            .field("threads", &self.threads.len())
-            .finish()
-    }
-}
-
-impl EnginePool {
-    /// Builds the engines for `config.replicas` replicas.
-    ///
-    /// Serial mode starts no thread: every command runs on the serve-loop
-    /// thread when the loop receives its reply. Parallel mode also starts
-    /// `min(threads, replicas) - 1` pool threads, so the loop thread is
-    /// one of `min(threads, replicas)`; any of them runs any engine's
-    /// next command, one command per engine at a time.
-    ///
-    /// # Errors
-    ///
-    /// Returns any worker construction error (e.g. a malformed preload
-    /// snapshot).
-    pub fn new(config: &ServeConfig, tuned: bool) -> Result<EnginePool, FlashOverlapError> {
-        EnginePool::build(config, tuned, true)
-    }
-
-    /// [`EnginePool::new`], with each engine's chain memo on or off. The
-    /// memo never changes a result, so only the memo's own tests turn it
-    /// off.
-    pub(crate) fn build(
-        config: &ServeConfig,
-        tuned: bool,
-        memo: bool,
-    ) -> Result<EnginePool, FlashOverlapError> {
-        let slots = (0..config.replicas)
-            .map(|idx| {
-                Ok(EngineSlot {
-                    worker: Some(MovableWorker(EngineWorker::new(
-                        config.clone(),
-                        tuned,
-                        idx,
-                        memo,
-                    )?)),
-                    commands: VecDeque::new(),
-                    replies: VecDeque::new(),
-                    panicked: None,
-                })
-            })
-            .collect::<Result<Vec<_>, FlashOverlapError>>()?;
-        let pool_threads = match config.exec {
-            ExecMode::Serial => 0,
-            ExecMode::Parallel(threads) => threads.clamp(1, config.replicas.max(1)) - 1,
-        };
-        let shared = Arc::new(Shared {
-            state: Mutex::new(PoolState {
-                slots,
-                runnable: VecDeque::new(),
-                closed: false,
-            }),
-            pool_threads,
-            work: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let threads = (0..pool_threads)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || pool_thread(&shared))
-            })
-            .collect();
-        let engines = (0..config.replicas)
-            .map(|engine| ReplicaEngine {
-                pool: Arc::clone(&shared),
-                engine,
-            })
-            .collect();
-        Ok(EnginePool {
-            engines,
-            shared,
-            threads,
-        })
-    }
-}
-
-impl Drop for EnginePool {
-    fn drop(&mut self) {
-        self.shared.lock().closed = true;
-        self.shared.work.notify_all();
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Pool-thread main: run the oldest runnable engine's next command
-/// until the pool closes.
-#[cfg_attr(
-    not(test),
-    expect(clippy::expect_used, reason = "pool is deleted by ROADMAP item 1")
-)]
-fn pool_thread(shared: &Shared) {
-    let mut state = shared.lock();
-    loop {
-        if state.closed {
-            return;
-        }
-        let taken = state
-            .runnable
-            .front()
-            .copied()
-            .and_then(|idx| Some((idx, state.take_command(idx)?)));
-        let Some((idx, (mut worker, cmd))) = taken else {
-            state = shared.work.wait(state).expect("engine pool lock poisoned");
-            continue;
-        };
-        drop(state);
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.0.handle(cmd)));
-        state = shared.lock();
-        match result {
-            // An engine runnable again is this thread's to pick up on its
-            // next turn.
-            Ok(reply) => {
-                state.put_back(idx, worker, reply);
-            }
-            Err(payload) => {
-                if let Some(slot) = state.slots.get_mut(idx) {
-                    slot.panicked = Some(payload);
-                }
-            }
-        }
-        shared.done.notify_all();
-    }
-}
-
-// Everything that crosses the thread boundary must be Send; the worker
-// itself (Rc-based plan cache) is not, and crosses only as a
-// `MovableWorker`.
-#[allow(dead_code)]
-fn assert_boundary_types_are_send() {
-    fn is_send<T: Send>() {}
-    is_send::<ServeConfig>();
-    is_send::<EngineCommand>();
-    is_send::<EngineReply>();
-    is_send::<ChainEffects>();
-    is_send::<EngineFinal>();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::Batch;
+    use crate::batch::{Batch, BatchConfig};
     use crate::cache::CacheSnapshot;
     use crate::router::RouterPolicy;
-    use crate::server::serve_run;
+    use crate::server::{serve_run, RunOptions, ServeRun};
     use crate::traffic::ArrivalProcess;
     use flashoverlap::SystemSpec;
+    use workloads::{models, MixEntry, ServeMix};
 
     /// Serves `config` with and without the chain memo, asserts the
     /// rendered reports and plan snapshots are byte-equal, and returns
     /// the memo's hits.
     fn memo_hits_without_changing_the_report(config: &ServeConfig, tuned: bool) -> u64 {
-        let with = serve_run(config, tuned, true, false).expect("serves with the memo");
-        let without = serve_run(config, tuned, false, false).expect("serves without the memo");
+        let opts = RunOptions::new(tuned, true);
+        let with = serve_run(config, opts).expect("serves with the memo");
+        let without = serve_run(
+            config,
+            RunOptions {
+                memo: false,
+                ..opts
+            },
+        )
+        .expect("serves without the memo");
         assert_eq!(without.memo_hits, 0, "the memo was off");
         assert_eq!(
             with.report.to_json().to_json_pretty(),
@@ -1036,6 +617,18 @@ mod tests {
         config
     }
 
+    /// Four replicas on two nodes behind the locality router.
+    fn two_node_config() -> ServeConfig {
+        let mut config = ServeConfig::new(SystemSpec::rtx4090(2).with_nodes(2));
+        config.process = ArrivalProcess::Poisson { rate_rps: 2400.0 };
+        config.requests = 160;
+        config.replicas = 4;
+        config.nodes = 2;
+        config.router = RouterPolicy::Locality;
+        config.seed = 11;
+        config
+    }
+
     #[test]
     fn chain_memo_replays_repeated_chains_byte_identically() {
         let affinity = affinity_config();
@@ -1043,11 +636,6 @@ mod tests {
             memo_hits_without_changing_the_report(&affinity, true) > 0,
             "repeated affinity chains must hit the memo"
         );
-        let parallel = ServeConfig {
-            exec: ExecMode::Parallel(2),
-            ..affinity.clone()
-        };
-        memo_hits_without_changing_the_report(&parallel, true);
         let serial_rr = ServeConfig {
             router: RouterPolicy::RoundRobin,
             pipelined: false,
@@ -1056,14 +644,7 @@ mod tests {
             ..affinity.clone()
         };
         memo_hits_without_changing_the_report(&serial_rr, true);
-        let mut two_node = ServeConfig::new(SystemSpec::rtx4090(2).with_nodes(2));
-        two_node.process = ArrivalProcess::Poisson { rate_rps: 2400.0 };
-        two_node.requests = 160;
-        two_node.replicas = 4;
-        two_node.nodes = 2;
-        two_node.router = RouterPolicy::Locality;
-        two_node.seed = 11;
-        memo_hits_without_changing_the_report(&two_node, true);
+        memo_hits_without_changing_the_report(&two_node_config(), true);
         // The untuned baseline cache.
         memo_hits_without_changing_the_report(&ServeConfig::new(SystemSpec::rtx4090(2)), false);
     }
@@ -1078,16 +659,11 @@ mod tests {
         assert_eq!(memo_hits_without_changing_the_report(&config, true), 0);
     }
 
-    /// A preloaded plan and its re-tuned replacement share a `PlanKey`
-    /// but not a partition; at capacity 2 the preload is evicted and
-    /// re-tuned, and a chain under the new plan must not replay the old
-    /// plan's run.
-    #[test]
-    fn chain_memo_tells_a_retuned_plan_from_its_evicted_preload() {
-        let mut config = ServeConfig::new(SystemSpec::rtx4090(2));
-        config.requests = 200;
-        config.seed = 3;
-        let tuned = serve_run(&config, true, true, true)
+    /// The plans `config` tunes, each with its waves split into another
+    /// partition than the tuned one: a snapshot whose preloads a re-tune
+    /// replaces with different plans under the same keys.
+    fn other_partitions(config: &ServeConfig) -> Vec<PlanEntry> {
+        let tuned = serve_run(config, RunOptions::new(true, true))
             .expect("serves")
             .snapshot;
         let entries: Vec<PlanEntry> = tuned
@@ -1105,6 +681,19 @@ mod tests {
             })
             .collect();
         assert!(!entries.is_empty());
+        entries
+    }
+
+    /// A preloaded plan and its re-tuned replacement share a `PlanKey`
+    /// but not a partition; at capacity 2 the preload is evicted and
+    /// re-tuned, and a chain under the new plan must not replay the old
+    /// plan's run.
+    #[test]
+    fn chain_memo_tells_a_retuned_plan_from_its_evicted_preload() {
+        let mut config = ServeConfig::new(SystemSpec::rtx4090(2));
+        config.requests = 200;
+        config.seed = 3;
+        let entries = other_partitions(&config);
         for capacity in [1, 2] {
             let mut trap = config.clone();
             trap.cache_capacity = capacity;
@@ -1112,7 +701,7 @@ mod tests {
                 system_fp: system_fingerprint(&trap.system),
                 entries: entries.clone(),
             });
-            let run = serve_run(&trap, true, true, false).expect("serves");
+            let run = serve_run(&trap, RunOptions::new(true, false)).expect("serves");
             let stats = run.report.cache;
             assert!(stats.preloaded > 0 && stats.evictions > 0, "{stats:?}");
             memo_hits_without_changing_the_report(&trap, true);
@@ -1123,7 +712,8 @@ mod tests {
     fn chain_memo_keeps_no_evicted_plan_alive() {
         let mut config = ServeConfig::new(SystemSpec::rtx4090(2));
         config.cache_capacity = 1;
-        let mut worker = EngineWorker::new(config, true, 0, true).expect("worker builds");
+        let mut engines = build_engines(&config, true, true).expect("engine builds");
+        let mut acct = Accounting::new(0);
         let mut held: Vec<Weak<OverlapPlan>> = Vec::new();
         for (id, tokens) in [512u32, 1024, 512, 1024, 512].into_iter().enumerate() {
             let pending = PendingBatch {
@@ -1138,9 +728,10 @@ mod tests {
                 close_ns: 0,
                 migration_ns: 0,
             };
-            worker.execute_chain(0, vec![pending]).expect("chain runs");
-            assert!(worker.memo.entries.len() <= 1, "memo exceeds capacity");
-            held.extend(worker.memo.entries.iter().flat_map(|e| e.plans.clone()));
+            run_chain(&mut engines, 0, true, 0, &[pending], &mut acct).expect("chain runs");
+            let memo = &engines[0].memo;
+            assert!(memo.entries.len() <= 1, "memo exceeds capacity");
+            held.extend(memo.entries.iter().flat_map(|e| e.plans.clone()));
         }
         let (last, evicted) = held.split_last().expect("plans held");
         assert_eq!(last.strong_count(), 1, "only the cache holds the live plan");
@@ -1148,51 +739,136 @@ mod tests {
             evicted.iter().all(|w| w.upgrade().is_none()),
             "an evicted plan is still alive"
         );
-        assert_eq!(worker.cache.stats().evictions, 4);
-        assert_eq!(worker.memo.hits, 0, "every re-tuned plan is a new key");
+        assert_eq!(engines[0].cache.stats().evictions, 4);
+        assert_eq!(engines[0].memo.hits, 0, "every re-tuned plan is a new key");
     }
 
-    /// Two queued chains and a finalize per engine come back in command
-    /// order whether the loop or a pool thread runs them. (An empty chain
-    /// is an execution error, which is all this protocol test needs.)
+    /// Serves `config` with and without sibling plan adoption, asserts the
+    /// rendered reports and plan snapshots are byte-equal, and returns
+    /// the run with adoption. Without it, every miss tunes.
+    fn adopting_without_changing_the_report(config: &ServeConfig, tuned: bool) -> ServeRun {
+        let opts = RunOptions::new(tuned, true);
+        let with = serve_run(config, opts).expect("serves with adoption");
+        let without = serve_run(
+            config,
+            RunOptions {
+                adopt: false,
+                ..opts
+            },
+        )
+        .expect("serves without adoption");
+        assert_eq!(without.tunes, without.report.cache.misses);
+        assert_eq!(
+            with.report.to_json().to_json_pretty(),
+            without.report.to_json().to_json_pretty(),
+            "sibling adoption changed the report"
+        );
+        assert_eq!(with.snapshot, without.snapshot);
+        with
+    }
+
     #[test]
-    fn replies_come_back_in_command_order_on_any_thread() {
-        for exec in [ExecMode::Serial, ExecMode::Parallel(3)] {
-            let mut config = ServeConfig::new(SystemSpec::rtx4090(2));
-            config.replicas = 4;
-            config.exec = exec;
-            let pool = EnginePool::new(&config, true).expect("engines build");
-            for engine in &pool.engines {
-                for seq in 0..2 {
-                    engine.send(EngineCommand::ExecuteChain {
-                        seq,
-                        start_ns: 0,
-                        chain: Vec::new(),
-                    });
-                }
-                engine.send(EngineCommand::Finalize {
-                    seq: 2,
-                    export: true,
-                });
-            }
-            for engine in pool.engines.iter().rev() {
-                for want in 0..2 {
-                    match engine.recv() {
-                        EngineReply::Chain { seq, result } => {
-                            assert_eq!(seq, want, "{exec:?}");
-                            assert!(result.is_err(), "{exec:?}: empty chain must fail");
-                        }
-                        EngineReply::Final { .. } => panic!("{exec:?}: finalize overtook a chain"),
-                    }
-                }
-                match engine.recv() {
-                    EngineReply::Final { seq, result } => {
-                        assert_eq!(seq, 2, "{exec:?}");
-                        assert_eq!(result.expect("finalize succeeds").chains, 0, "{exec:?}");
-                    }
-                    EngineReply::Chain { seq, .. } => panic!("{exec:?}: extra chain reply {seq}"),
-                }
-            }
+    fn four_replicas_tune_each_shape_once() {
+        let mut config = affinity_config();
+        config.router = RouterPolicy::LeastLoaded;
+        let run = adopting_without_changing_the_report(&config, true);
+        let report = &run.report;
+        assert_eq!(report.cache.evictions, 0);
+        assert_eq!(run.tunes, report.distinct_shapes);
+        assert!(
+            report.cache.misses > report.distinct_shapes,
+            "replicas must miss on each other's shapes: {:?}",
+            report.cache
+        );
+    }
+
+    #[test]
+    fn sibling_adoption_never_changes_the_report() {
+        for router in [
+            RouterPolicy::RoundRobin,
+            RouterPolicy::LeastLoaded,
+            RouterPolicy::ShapeAffinity,
+        ] {
+            let config = ServeConfig {
+                router,
+                ..affinity_config()
+            };
+            adopting_without_changing_the_report(&config, true);
         }
+        adopting_without_changing_the_report(&two_node_config(), true);
+        // The untuned baseline cache.
+        adopting_without_changing_the_report(&affinity_config(), false);
+
+        // Chaos, with replica 2 wedged and its queue re-routed.
+        let mut chaos = affinity_config();
+        chaos.chaos = true;
+        chaos.wedge_replica = Some(2);
+        chaos.process = ArrivalProcess::Poisson { rate_rps: 12_000.0 };
+        chaos.requests = 200;
+        let run = adopting_without_changing_the_report(&chaos, true);
+        assert!(run.report.replicas_quarantined > 0);
+
+        // Churn: three models, a fine token bucket and small caches, so
+        // plans are evicted while siblings still hold them.
+        let mut churn = affinity_config();
+        churn.router = RouterPolicy::RoundRobin;
+        churn.requests = 300;
+        churn.cache_capacity = 4;
+        churn.batch = BatchConfig {
+            token_bucket: 16,
+            ..BatchConfig::default()
+        };
+        churn.mix = ServeMix::new(vec![
+            MixEntry {
+                model: models::LLAMA3_8B,
+                weight: 2,
+                min_tokens: 64,
+                max_tokens: 4096,
+            },
+            MixEntry {
+                model: models::LLAMA2_70B,
+                weight: 1,
+                min_tokens: 64,
+                max_tokens: 2048,
+            },
+        ]);
+        let run = adopting_without_changing_the_report(&churn, true);
+        assert!(run.report.cache.evictions > 0, "{:?}", run.report.cache);
+        assert!(
+            run.tunes < run.report.cache.misses,
+            "{:?}",
+            run.report.cache
+        );
+    }
+
+    /// Preloaded plans are shared by every replica but never adopted: a
+    /// replica that evicted one re-tunes its key, while a sibling may
+    /// still hold the preload under it.
+    #[test]
+    fn preloads_are_built_once_and_never_adopted() {
+        let mut config = affinity_config();
+        config.router = RouterPolicy::RoundRobin;
+        let snapshot = serve_run(&config, RunOptions::new(true, true))
+            .expect("serves")
+            .snapshot;
+        let mut warm = config.clone();
+        warm.preload = Some(snapshot);
+        let run = adopting_without_changing_the_report(&warm, true);
+        let cache = run.report.cache;
+        assert_eq!(cache.misses, 0, "{cache:?}");
+        let per_replica = run.snapshot.entries.len().min(warm.cache_capacity);
+        assert_eq!(cache.preloaded, 4 * per_replica as u64);
+
+        // Four plans per cache: replicas evict preloads while siblings
+        // still hold them under the keys they miss.
+        let mut trap = config.clone();
+        trap.cache_capacity = 4;
+        trap.preload = Some(CacheSnapshot {
+            system_fp: system_fingerprint(&trap.system),
+            entries: other_partitions(&config),
+        });
+        let run = adopting_without_changing_the_report(&trap, true);
+        let cache = run.report.cache;
+        assert!(cache.preloaded > 0 && cache.evictions > 0, "{cache:?}");
     }
 }

@@ -12,9 +12,10 @@
 //! - [`batch`] — continuous batching with a token budget, a max-wait
 //!   deadline, and token-bucket shape quantization;
 //! - [`cache`] — a bounded LRU of tuned [`OverlapPlan`]s keyed by
-//!   `(shape, primitive, system fingerprint)`, running the paper's
-//!   predictive search (§4.1.4) online on each miss, with snapshot
-//!   export/preload for warm restarts;
+//!   `(shape, primitive, system fingerprint)`, one per replica, running
+//!   the paper's predictive search (§4.1.4) online on each miss that no
+//!   sibling replica's cache can serve, with snapshot export/preload for
+//!   warm restarts;
 //! - [`router`] — batch routing across N independent replica groups
 //!   (round-robin, least-loaded, shape-affinity — which steers each
 //!   bucketed shape to a home replica to keep its plan cache hot — or
@@ -38,7 +39,7 @@
 
 pub mod batch;
 pub mod cache;
-pub mod engine;
+mod engine;
 pub mod report;
 pub mod router;
 pub mod server;
@@ -47,17 +48,13 @@ pub mod traffic;
 
 pub use batch::{form_batch, Batch, BatchConfig};
 pub use cache::{system_fingerprint, CacheSnapshot, CacheStats, PlanCache, PlanEntry, PlanKey};
-pub use engine::{
-    ChainResult, EngineCommand, EnginePool, EngineReply, PendingBatch, ReplicaEngine,
-};
 pub use report::{
     BatchRecord, ComparisonReport, Disposition, DriftRow, NodeStats, ReplicaStats, RequestRecord,
     ScalingReport, ServeReport,
 };
 pub use router::{home_node, ReplicaLoad, RouteDecision, Router, RouterPolicy};
 pub use server::{
-    serve, serve_baseline, serve_comparison, serve_exporting, serve_scaling, validate_parallel,
-    ExecMode, ServeConfig,
+    serve, serve_baseline, serve_comparison, serve_exporting, serve_scaling, ExecMode, ServeConfig,
 };
 pub use trace::{serve_trace, serve_trace_string};
 pub use traffic::{generate, ArrivalProcess, Request};

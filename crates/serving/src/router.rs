@@ -62,16 +62,6 @@ impl RouterPolicy {
         }
     }
 
-    /// Whether routing decisions read the per-replica load values
-    /// (queued tokens / busy time). Round-robin is load-blind — its
-    /// rotor only counts replicas and checks eligibility — which lets
-    /// the parallel serve loop route batches without synchronizing on
-    /// in-flight chains. Every other policy compares loads, so the loop
-    /// must force outstanding chains before snapshotting them.
-    pub fn reads_loads(&self) -> bool {
-        !matches!(self, RouterPolicy::RoundRobin)
-    }
-
     /// Parses a CLI-style label (the inverse of [`RouterPolicy::label`]).
     pub fn parse(s: &str) -> Option<RouterPolicy> {
         match s {

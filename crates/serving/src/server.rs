@@ -7,9 +7,9 @@
 //! control), close into batches under a token-budget/max-wait policy
 //! ([`crate::batch`]), and are routed ([`crate::router`]) to one of
 //! [`ServeConfig::replicas`] independent tensor-parallel groups, each
-//! sealed behind a [`crate::engine::ReplicaEngine`] that owns the
-//! replica's [`PlanCache`](crate::cache::PlanCache), telemetry wiring,
-//! and chain executor. An idle replica drains its dispatch queue in
+//! run by an engine that owns the replica's
+//! [`PlanCache`](crate::cache::PlanCache), telemetry wiring, and chain
+//! executor. An idle replica drains its dispatch queue in
 //! *chains* of up to [`ServeConfig::chain`] batches executed through
 //! one simulation ([`flashoverlap::execute_sequence`]): with
 //! [`ServeConfig::pipelined`] set, batch *k+1*'s GEMM waves run while
@@ -17,17 +17,9 @@
 //! carrying the cross-batch happens-before edges. Executed chain
 //! latency advances the replica's virtual timeline, so queueing delay
 //! emerges from the interaction of the arrival rate and the simulated
-//! operator throughput — backpressure is real, not modelled.
-//!
-//! With [`ServeConfig::exec`] set to [`ExecMode::Parallel`], worker
-//! threads run the engines' chains and the loop forces an outstanding
-//! chain's reply only at the points where a scheduling decision reads
-//! its result (dispatch eligibility, clock advance, load-aware
-//! routing). Every chain carries a dispatch sequence number and its
-//! accounting effects are merged in sequence order, so the report is
-//! byte-identical to [`ExecMode::Serial`] for any thread count — the
-//! gpucachesim-style deterministic-parallel contract. See DESIGN.md's
-//! "Parallel simulation" section for the determinism argument.
+//! operator throughput — backpressure is real, not modelled. The loop
+//! runs each chain, on the calling thread, when it dispatches it, so
+//! every scheduling decision reads exact replica state.
 //!
 //! With [`ServeConfig::chaos`] set, chains still form and still
 //! pipeline: each batch carries its own deterministic per-batch
@@ -40,9 +32,7 @@
 //! back degraded marks its replica *wedged*: the replica is
 //! quarantined, its queued batches are deterministically re-routed to
 //! healthy replicas (or shed, with full accounting, when none remain),
-//! and the run completes instead of aborting. Chaos dispatches are
-//! forced eagerly — the quarantine/re-route decision must land at the
-//! exact virtual instant the serial engine would make it.
+//! and the run completes instead of aborting.
 
 use std::collections::VecDeque;
 
@@ -53,9 +43,7 @@ use workloads::ServeMix;
 
 use crate::batch::{form_batch, BatchConfig};
 use crate::cache::{primitive_label, system_fingerprint, CacheSnapshot, CacheStats, PlanEntry};
-use crate::engine::{
-    ChainEffects, EngineCommand, EngineFinal, EnginePool, EngineReply, PendingBatch, ReplicaEngine,
-};
+use crate::engine::{build_engines, run_chain, EngineFinal, PendingBatch};
 use crate::report::{
     BatchRecord, ComparisonReport, Disposition, DriftRow, NodeStats, ReplicaStats, RequestRecord,
     ScalingReport, ServeReport,
@@ -63,17 +51,16 @@ use crate::report::{
 use crate::router::{home_node, ReplicaLoad, Router, RouterPolicy};
 use crate::traffic::{generate, ArrivalProcess, Request};
 
-/// How the serve loop runs its replica engines.
+/// How the serve loop runs its replica engines. Both variants run every
+/// engine on the calling thread; nothing reads the choice. The type stays
+/// only because the benchmark package sets it, and leaves with the
+/// benchmark change that ROADMAP item 1 names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Every engine executes inline on the serve-loop thread — the
-    /// reference engine.
+    /// Every engine runs on the calling thread.
     Serial,
-    /// Engines run on up to this many threads, the serve-loop thread
-    /// included (clamped to the replica count, so `Parallel(0)` and
-    /// `Parallel(1)` start no worker thread). The loop thread runs any
-    /// command it needs that no worker has started. Byte-identical to
-    /// [`ExecMode::Serial`] for any thread count.
+    /// Every engine runs on the calling thread; the thread count is
+    /// ignored.
     Parallel(usize),
 }
 
@@ -125,11 +112,8 @@ pub struct ServeConfig {
     /// Tuned plans to seed every replica's cache with before the run.
     /// The snapshot's fingerprint must match [`ServeConfig::system`].
     pub preload: Option<CacheSnapshot>,
-    /// Replica-engine execution mode. [`ExecMode::Parallel`] runs the
-    /// engines on worker threads with a sequence-numbered deterministic
-    /// merge — same config, bit-identical report, any thread count.
-    /// Virtual-time results never depend on this knob; only wall-clock
-    /// does.
+    /// Ignored: both [`ExecMode`]s run every engine on the calling
+    /// thread.
     pub exec: ExecMode,
 }
 
@@ -293,9 +277,7 @@ fn shed_pending(p: &PendingBatch, acct: &mut Accounting) {
 /// dispatch queue, and deterministically re-routes each queued batch to
 /// a healthy replica (or sheds it, fully accounted, when none remain).
 /// The caller guarantees another healthy replica exists — the last
-/// replica in service is never quarantined — and that no chain is in
-/// flight anywhere if the router reads loads (chaos dispatches are
-/// forced eagerly; the stall path forces everything first).
+/// replica in service is never quarantined.
 fn quarantine_replica(
     slots: &mut [ReplicaSlot],
     idx: usize,
@@ -349,11 +331,9 @@ fn quarantine_replica(
 }
 
 /// Runs the serving loop to completion and returns the report. Fully
-/// deterministic in the config: same config, bit-identical report —
-/// including [`ServeConfig::exec`] thread counts, which only change
-/// wall-clock.
+/// deterministic in the config: same config, bit-identical report.
 pub fn serve(config: &ServeConfig) -> Result<ServeReport, FlashOverlapError> {
-    Ok(serve_run(config, true, true, false)?.report)
+    Ok(serve_run(config, RunOptions::new(true, false))?.report)
 }
 
 /// [`serve`], additionally returning the merged tuned-plan snapshot
@@ -361,14 +341,14 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, FlashOverlapError> {
 pub fn serve_exporting(
     config: &ServeConfig,
 ) -> Result<(ServeReport, CacheSnapshot), FlashOverlapError> {
-    let run = serve_run(config, true, true, true)?;
+    let run = serve_run(config, RunOptions::new(true, true))?;
     Ok((run.report, run.snapshot))
 }
 
 /// Runs the same loop with untuned single-group (non-overlap) plans —
 /// the baseline arm of [`serve_comparison`].
 pub fn serve_baseline(config: &ServeConfig) -> Result<ServeReport, FlashOverlapError> {
-    Ok(serve_run(config, false, true, false)?.report)
+    Ok(serve_run(config, RunOptions::new(false, false))?.report)
 }
 
 /// Serves the identical seeded traffic through both the tuned and the
@@ -400,39 +380,13 @@ pub fn serve_scaling(config: &ServeConfig) -> Result<ScalingReport, FlashOverlap
     })
 }
 
-/// Runs the serial and parallel engines over the same config and diffs
-/// the rendered reports byte-for-byte — the validation mode from the
-/// gpucachesim playbook. Returns the serial report plus whether the
-/// parallel run (on `threads` worker threads) reproduced it exactly.
-pub fn validate_parallel(
-    config: &ServeConfig,
-    threads: usize,
-) -> Result<(ServeReport, bool), FlashOverlapError> {
-    let serial = serve(&ServeConfig {
-        exec: ExecMode::Serial,
-        ..config.clone()
-    })?;
-    let parallel = serve(&ServeConfig {
-        exec: ExecMode::Parallel(threads),
-        ..config.clone()
-    })?;
-    let matched = serial.to_json().to_json_pretty() == parallel.to_json().to_json_pretty();
-    Ok((serial, matched))
-}
-
-/// The serve loop's mirror of one replica. The dispatch queue stays
-/// loop-side — routing reads queue depth synchronously — while all
-/// execution state lives behind the sealed engine. `free_ns` is the
-/// *last known* drain time: stale while a chain is in flight, and
-/// refreshed by [`force_chain`] exactly at the scheduling points that
-/// read it.
+/// The serve loop's side of one replica: its dispatch queue, drain time
+/// and service state. The replica's engine runs its chains.
 struct ReplicaSlot {
     /// Closed batches routed here, waiting for the replica to go idle.
     pending: VecDeque<PendingBatch>,
-    /// Virtual time the last known chain drains (<= now means idle).
+    /// Virtual time the replica's last chain drains (<= now means idle).
     free_ns: u64,
-    /// Whether an `ExecuteChain` reply is still outstanding.
-    in_flight: bool,
     /// Set when the replica is pulled from service: a chaos chain came
     /// back degraded (wedged under fault injection) or the serve loop
     /// blamed it for a stall. A quarantined replica receives no new
@@ -445,7 +399,6 @@ impl ReplicaSlot {
         ReplicaSlot {
             pending: VecDeque::new(),
             free_ns: 0,
-            in_flight: false,
             quarantined: None,
         }
     }
@@ -458,81 +411,8 @@ impl ReplicaSlot {
     }
 }
 
-/// Blocks on replica `idx`'s outstanding chain reply (no-op when none
-/// is outstanding), folding the result into the mirror and the
-/// sequence-ordered effect merge. Returns the chain's degraded flag.
-/// Execution errors land in `failures` instead of propagating, so the
-/// caller can drain every engine and then surface the lowest-sequence
-/// error — the one the serial engine would have hit first.
-fn force_chain(
-    engines: &[ReplicaEngine],
-    slots: &mut [ReplicaSlot],
-    completed: &mut Vec<(u64, ChainEffects)>,
-    failures: &mut Vec<(u64, FlashOverlapError)>,
-    idx: usize,
-) -> bool {
-    let Some(slot) = slots.get_mut(idx) else {
-        return false;
-    };
-    if !slot.in_flight {
-        return false;
-    }
-    slot.in_flight = false;
-    let Some(engine) = engines.get(idx) else {
-        return false;
-    };
-    match engine.recv() {
-        EngineReply::Chain { seq, result } => match result {
-            Ok(res) => {
-                slot.free_ns = res.free_ns;
-                completed.push((seq, res.effects));
-                res.degraded
-            }
-            Err(e) => {
-                failures.push((seq, e));
-                false
-            }
-        },
-        EngineReply::Final { .. } => {
-            unreachable!("finalize reply received while a chain was outstanding")
-        }
-    }
-}
-
-/// Forces every outstanding chain. Lazily forced chains are always
-/// clean (only chaos chains degrade, and chaos dispatches are forced
-/// eagerly at dispatch time), so the degraded flag is asserted away.
-fn force_all(
-    engines: &[ReplicaEngine],
-    slots: &mut [ReplicaSlot],
-    completed: &mut Vec<(u64, ChainEffects)>,
-    failures: &mut Vec<(u64, FlashOverlapError)>,
-) {
-    for idx in 0..slots.len() {
-        let degraded = force_chain(engines, slots, completed, failures, idx);
-        debug_assert!(!degraded, "lazily forced chain came back degraded");
-    }
-}
-
-/// Drains every outstanding chain and takes the lowest-sequence failure
-/// — the error the serial engine would have returned first. `None` when
-/// every chain so far succeeded.
-fn first_failure(
-    engines: &[ReplicaEngine],
-    slots: &mut [ReplicaSlot],
-    completed: &mut Vec<(u64, ChainEffects)>,
-    failures: &mut Vec<(u64, FlashOverlapError)>,
-) -> Option<FlashOverlapError> {
-    if failures.is_empty() {
-        return None;
-    }
-    force_all(engines, slots, completed, failures);
-    failures.sort_by_key(|&(seq, _)| seq);
-    failures.drain(..).next().map(|(_, e)| e)
-}
-
-/// A replica's end-of-run state: the loop-side mirror joined with the
-/// engine's finalize reply.
+/// A replica's end-of-run state: the loop's slot joined with the
+/// engine's totals.
 struct ReplicaView {
     free_ns: u64,
     quarantined: Option<&'static str>,
@@ -546,30 +426,30 @@ type DriftCell = (u64, f64, f64);
 
 /// Mutable accounting threaded through chain execution.
 #[derive(Default)]
-struct Accounting {
+pub(crate) struct Accounting {
     /// Request records, each in the slot of its id. Ids are the dense
     /// arrival indices `0..n`, so the records come out in id order
     /// without a sort.
     records: Vec<Option<RequestRecord>>,
     /// Records placed so far.
     placed: usize,
-    batch_records: Vec<BatchRecord>,
-    signal_weighted_sum: f64,
-    signal_samples: u64,
+    pub(crate) batch_records: Vec<BatchRecord>,
+    pub(crate) signal_weighted_sum: f64,
+    pub(crate) signal_samples: u64,
     /// Batches moved off a quarantined replica's dispatch queue.
     batches_rerouted: u64,
     /// Requests shed because their batch had no healthy replica left.
     quarantine_shed: u64,
     /// Batches executed off their home node (multi-node deployments).
-    cross_node_batches: u64,
+    pub(crate) cross_node_batches: u64,
     /// Total inter-node migration charged to cross-node batches.
-    migration_ns: u64,
+    pub(crate) migration_ns: u64,
     /// Inter-node bytes the hierarchical schedule moved for the run's
     /// tensor-parallel AllReduces (multi-node deployments).
-    inter_bytes_hierarchical: u64,
+    pub(crate) inter_bytes_hierarchical: u64,
     /// Inter-node bytes the flat rank-order ring would have moved for
     /// the same AllReduces.
-    inter_bytes_flat: u64,
+    pub(crate) inter_bytes_flat: u64,
     /// Drift accumulator; BTreeMap so the report rows come out in
     /// deterministic shape-major order.
     drift: std::collections::BTreeMap<DriftKey, DriftCell>,
@@ -577,7 +457,7 @@ struct Accounting {
 
 impl Accounting {
     /// An empty ledger for `requests` arrivals.
-    fn new(requests: usize) -> Self {
+    pub(crate) fn new(requests: usize) -> Self {
         Accounting {
             records: std::iter::repeat_with(|| None).take(requests).collect(),
             ..Accounting::default()
@@ -585,7 +465,7 @@ impl Accounting {
     }
 
     /// Files `record` in its id's slot.
-    fn place(&mut self, record: RequestRecord) {
+    pub(crate) fn place(&mut self, record: RequestRecord) {
         let slot = usize::try_from(record.id)
             .ok()
             .and_then(|id| self.records.get_mut(id));
@@ -600,40 +480,9 @@ impl Accounting {
         }
     }
 
-    /// Applies one executed chain's effects. Callers apply chains in
-    /// dispatch-sequence order: the f64 accumulation order and the
-    /// batch-record order are part of the byte-identical report
-    /// contract.
-    fn absorb_chain(&mut self, eff: ChainEffects) {
-        let ChainEffects {
-            records,
-            batch_records,
-            signal_weighted_sum,
-            signal_samples,
-            cross_node_batches,
-            migration_ns,
-            inter_bytes_hierarchical,
-            inter_bytes_flat,
-            drift,
-        } = eff;
-        for record in records {
-            self.place(record);
-        }
-        self.batch_records.extend(batch_records);
-        self.signal_weighted_sum += signal_weighted_sum;
-        self.signal_samples += signal_samples;
-        self.cross_node_batches += cross_node_batches;
-        self.migration_ns += migration_ns;
-        self.inter_bytes_hierarchical += inter_bytes_hierarchical;
-        self.inter_bytes_flat += inter_bytes_flat;
-        if let Some((dims, predicted, measured)) = drift {
-            self.absorb_drift(dims, &predicted, &measured);
-        }
-    }
-
     /// Folds one batch's measured group completions against the plan's
     /// [`LatencyPredictor`](flashoverlap::LatencyPredictor) predictions.
-    fn absorb_drift(
+    pub(crate) fn absorb_drift(
         &mut self,
         dims: gpu_sim::gemm::GemmDims,
         predicted: &[sim::SimDuration],
@@ -666,23 +515,53 @@ pub(crate) struct ServeRun {
         expect(dead_code, reason = "only the chain-memo tests read it")
     )]
     pub(crate) memo_hits: u64,
+    /// Plans the engines tuned themselves rather than adopting them from
+    /// a sibling replica.
+    #[cfg_attr(
+        not(test),
+        expect(dead_code, reason = "only the adoption tests read it")
+    )]
+    pub(crate) tunes: u64,
 }
 
-/// The serve loop. `tuned` picks tuned or baseline plans; `memo` turns
-/// the engines' chain memos on, which never changes the report; `export`
-/// has the engines export their tuned plans into [`ServeRun::snapshot`].
+/// How one run of the serve loop is set up.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunOptions {
+    /// Tuned plans, or the untuned baseline's.
+    pub(crate) tuned: bool,
+    /// Export the engines' tuned plans into [`ServeRun::snapshot`].
+    pub(crate) export: bool,
+    /// The engines' chain memos. Never changes the report; only the
+    /// memo's tests turn it off.
+    pub(crate) memo: bool,
+    /// Plan-cache misses adopt sibling replicas' plans. Never changes the
+    /// report; only the adoption tests turn it off.
+    pub(crate) adopt: bool,
+}
+
+impl RunOptions {
+    /// A run with the memo and adoption on.
+    pub(crate) fn new(tuned: bool, export: bool) -> Self {
+        RunOptions {
+            tuned,
+            export,
+            memo: true,
+            adopt: true,
+        }
+    }
+}
+
+/// The serve loop.
 pub(crate) fn serve_run(
     config: &ServeConfig,
-    tuned: bool,
-    memo: bool,
-    export: bool,
+    opts: RunOptions,
 ) -> Result<ServeRun, FlashOverlapError> {
     config.validate()?;
     let tp = config.system.n_gpus as u32;
     let arrivals = generate(&config.mix, config.process, config.requests, config.seed);
     let offered_span_ns = arrivals.last().map_or(0, |r| r.arrival_ns);
 
-    let pool = EnginePool::build(config, tuned, memo)?;
+    let mut engines = build_engines(config, opts.tuned, opts.memo)?;
     let mut slots: Vec<ReplicaSlot> = (0..config.replicas).map(|_| ReplicaSlot::new()).collect();
     let mut router = Router::new(config.router);
 
@@ -690,13 +569,10 @@ pub(crate) fn serve_run(
     let mut next_arrival = 0usize;
     let mut now_ns = 0u64;
     let mut batch_id = 0u64;
-    // Global dispatch sequence: assigned at ExecuteChain send time,
-    // echoed on the reply, and the order chain effects merge in.
-    let mut next_seq = 0u64;
     let mut acct = Accounting::new(arrivals.len());
-    let mut completed: Vec<(u64, ChainEffects)> = Vec::new();
-    let mut failures: Vec<(u64, FlashOverlapError)> = Vec::new();
     let mut shapes = std::collections::HashSet::new();
+    // The chain being dispatched, in a buffer reused across chains.
+    let mut chain: Vec<PendingBatch> = Vec::new();
 
     // Loop guard: each iteration either admits, dispatches, or advances
     // the clock to a strictly later event, so this bound is generous.
@@ -706,14 +582,6 @@ pub(crate) fn serve_run(
     loop {
         iterations += 1;
         if iterations > max_iterations {
-            // Drain in-flight chains so the accounting below matches
-            // what the serial engine had executed by this point.
-            force_all(&pool.engines, &mut slots, &mut completed, &mut failures);
-            if let Some(err) =
-                first_failure(&pool.engines, &mut slots, &mut completed, &mut failures)
-            {
-                return Err(err);
-            }
             let pending: Vec<usize> = slots.iter().map(|s| s.pending.len()).collect();
             // Survive the wedge when possible: quarantine the blamed
             // replica and re-route its queue instead of aborting. Each
@@ -743,12 +611,6 @@ pub(crate) fn serve_run(
                 ),
                 None => String::new(),
             };
-            // Fold executed chains in so the unresolved-request count
-            // matches the serial engine's.
-            completed.sort_by_key(|&(seq, _)| seq);
-            for (_, eff) in completed.drain(..) {
-                acct.absorb_chain(eff);
-            }
             return Err(FlashOverlapError::Simulation(format!(
                 "serve loop failed to converge after {max_iterations} iterations \
                  ({} requests unresolved{blame})",
@@ -801,18 +663,6 @@ pub(crate) fn serve_run(
             batch_id += 1;
             let dims = batch.gemm_dims(tp);
             shapes.insert(dims);
-            // A load-aware router compares busy times, so outstanding
-            // chains must land before the snapshot. Round-robin is
-            // load-blind and keeps routing while chains are in flight —
-            // the free-running fast path.
-            if config.router.reads_loads() {
-                force_all(&pool.engines, &mut slots, &mut completed, &mut failures);
-                if let Some(err) =
-                    first_failure(&pool.engines, &mut slots, &mut completed, &mut failures)
-                {
-                    return Err(err);
-                }
-            }
             let eligible: Vec<bool> = slots.iter().map(|s| s.quarantined.is_none()).collect();
             let loads: Vec<ReplicaLoad> = slots
                 .iter()
@@ -856,79 +706,23 @@ pub(crate) fn serve_run(
         // chains form under chaos too; each batch just carries its own
         // fault plan into the resilient sequence.
         for idx in 0..slots.len() {
-            if slots
-                .get(idx)
-                .is_none_or(|s| s.quarantined.is_some() || s.pending.is_empty())
-            {
+            let Some(slot) = slots.get_mut(idx) else {
+                continue;
+            };
+            if slot.quarantined.is_some() || slot.pending.is_empty() || slot.free_ns > now_ns {
                 continue;
             }
-            // The dispatch decision reads this replica's drain time, so
-            // an outstanding chain must land first. (Under chaos every
-            // dispatch is forced eagerly below, so nothing is ever
-            // outstanding here.)
-            if slots.get(idx).is_some_and(|s| s.in_flight) {
-                let degraded = force_chain(
-                    &pool.engines,
-                    &mut slots,
-                    &mut completed,
-                    &mut failures,
-                    idx,
-                );
-                debug_assert!(!degraded, "lazily forced chain came back degraded");
-                if let Some(err) =
-                    first_failure(&pool.engines, &mut slots, &mut completed, &mut failures)
-                {
-                    return Err(err);
-                }
-            }
-            if slots.get(idx).is_none_or(|s| s.free_ns > now_ns) {
-                continue;
-            }
-            let chain: Vec<PendingBatch> = match slots.get_mut(idx) {
-                Some(slot) => {
-                    let take = slot.pending.len().min(config.chain);
-                    slot.pending.drain(..take).collect()
-                }
-                None => continue,
-            };
-            if let Some(engine) = pool.engines.get(idx) {
-                engine.send(EngineCommand::ExecuteChain {
-                    seq: next_seq,
-                    start_ns: now_ns,
-                    chain,
-                });
-            }
-            next_seq += 1;
-            if let Some(slot) = slots.get_mut(idx) {
-                slot.in_flight = true;
-            }
-            // Chaos chains are forced eagerly: the degrade → quarantine
-            // → re-route decision must happen at the exact virtual
-            // instant the serial engine makes it, before any later
-            // routing or dispatch can observe different state.
-            let degraded = if config.chaos {
-                let d = force_chain(
-                    &pool.engines,
-                    &mut slots,
-                    &mut completed,
-                    &mut failures,
-                    idx,
-                );
-                if let Some(err) =
-                    first_failure(&pool.engines, &mut slots, &mut completed, &mut failures)
-                {
-                    return Err(err);
-                }
-                d
-            } else {
-                false
-            };
+            let take = slot.pending.len().min(config.chain);
+            chain.clear();
+            chain.extend(slot.pending.drain(..take));
+            let done = run_chain(&mut engines, idx, opts.adopt, now_ns, &chain, &mut acct)?;
+            slot.free_ns = done.free_ns;
             // A degraded chain marks the replica wedged. Quarantine it
             // and re-route its queue — unless it is the last replica in
             // service, which keeps limping rather than shedding all
             // remaining traffic.
             let healthy = slots.iter().filter(|s| s.quarantined.is_none()).count();
-            if degraded && healthy > 1 {
+            if done.degraded && healthy > 1 {
                 quarantine_replica(
                     &mut slots,
                     idx,
@@ -942,8 +736,6 @@ pub(crate) fn serve_run(
         }
 
         // Termination: every request admitted, batched, and executed.
-        // In-flight chains don't block termination — their effects are
-        // already determined; the post-loop drain collects them.
         if next_arrival >= arrivals.len()
             && queue.is_empty()
             && slots.iter().all(|s| s.pending.is_empty())
@@ -953,30 +745,7 @@ pub(crate) fn serve_run(
 
         // Advance the clock to the next event: an arrival, the head
         // request's batching deadline, or a busy replica with queued
-        // work going idle. A replica's drain time only matters when it
-        // still has queued work, so only those chains are forced — a
-        // replica executing with an empty queue keeps running
-        // concurrently with the loop.
-        for idx in 0..slots.len() {
-            if slots
-                .get(idx)
-                .is_some_and(|s| !s.pending.is_empty() && s.in_flight)
-            {
-                let degraded = force_chain(
-                    &pool.engines,
-                    &mut slots,
-                    &mut completed,
-                    &mut failures,
-                    idx,
-                );
-                debug_assert!(!degraded, "lazily forced chain came back degraded");
-                if let Some(err) =
-                    first_failure(&pool.engines, &mut slots, &mut completed, &mut failures)
-                {
-                    return Err(err);
-                }
-            }
-        }
+        // work going idle.
         let mut next_event = arrivals.get(next_arrival).map(|r| r.arrival_ns);
         if let Some(head) = queue.first() {
             let deadline = head.arrival_ns.saturating_add(config.batch.max_wait_ns);
@@ -996,45 +765,15 @@ pub(crate) fn serve_run(
         }
     }
 
-    // Drain every outstanding chain — the makespan needs final drain
-    // times — then surface any execution error the lazy schedule had
-    // not yet observed.
-    force_all(&pool.engines, &mut slots, &mut completed, &mut failures);
-    if let Some(err) = first_failure(&pool.engines, &mut slots, &mut completed, &mut failures) {
-        return Err(err);
-    }
-
-    // Finalize every engine. Commands are FIFO per engine and all
-    // chains are drained, so the next reply on each channel is the
-    // finalize result.
-    for engine in &pool.engines {
-        engine.send(EngineCommand::Finalize {
-            seq: next_seq,
-            export,
-        });
-        next_seq += 1;
-    }
-    let mut views: Vec<ReplicaView> = Vec::with_capacity(slots.len());
-    for (slot, engine) in slots.iter().zip(&pool.engines) {
-        match engine.recv() {
-            EngineReply::Final { result, .. } => views.push(ReplicaView {
-                free_ns: slot.free_ns,
-                quarantined: slot.quarantined,
-                fin: result?,
-            }),
-            EngineReply::Chain { .. } => {
-                unreachable!("chain reply after every chain was drained")
-            }
-        }
-    }
-
-    // The deterministic merge: apply every chain's accounting effects
-    // in dispatch-sequence order — exactly the order the serial engine
-    // produced them in, whatever thread computed them.
-    completed.sort_by_key(|&(seq, _)| seq);
-    for (_, eff) in completed.drain(..) {
-        acct.absorb_chain(eff);
-    }
+    let mut views: Vec<ReplicaView> = slots
+        .iter()
+        .zip(engines)
+        .map(|(slot, engine)| ReplicaView {
+            free_ns: slot.free_ns,
+            quarantined: slot.quarantined,
+            fin: engine.finish(opts.export),
+        })
+        .collect();
 
     debug_assert_eq!(acct.placed, arrivals.len(), "every request accounted for");
     let makespan_ns = views.iter().map(|r| r.free_ns).max().unwrap_or(0);
@@ -1054,7 +793,7 @@ pub(crate) fn serve_run(
 
     let report = build_report(
         config,
-        tuned,
+        opts.tuned,
         makespan_ns,
         offered_span_ns,
         acct,
@@ -1065,6 +804,7 @@ pub(crate) fn serve_run(
         report,
         snapshot,
         memo_hits: views.iter().map(|r| r.fin.memo_hits).sum(),
+        tunes: views.iter().map(|r| r.fin.tunes).sum(),
     })
 }
 
@@ -1422,16 +1162,5 @@ mod tests {
             msg.contains("00000000deadbeef"),
             "error must name the stale fingerprint: {msg}"
         );
-    }
-
-    #[test]
-    fn parallel_mode_rejects_bad_configs_like_serial() {
-        let mut config = ServeConfig::new(SystemSpec::rtx4090(2));
-        config.replicas = 0;
-        config.exec = ExecMode::Parallel(4);
-        assert!(matches!(
-            serve(&config),
-            Err(FlashOverlapError::BadInputs { .. })
-        ));
     }
 }

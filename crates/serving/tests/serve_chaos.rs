@@ -22,8 +22,7 @@ fn chaos_config(seed: u64, requests: usize) -> ServeConfig {
 /// --wedge-replica 2 --rate 12000 --requests 200 --seed 7`: four
 /// replicas, the third forced to wedge on its first chaos chain,
 /// arrivals fast enough that its queue holds batches worth re-routing
-/// at quarantine time. Gated here and, under threads, by
-/// `parallel_equivalence.rs`'s `wedged_chaos_run_matches_under_threading`.
+/// at quarantine time.
 fn wedge_config() -> ServeConfig {
     let mut config = chaos_config(7, 200);
     config.replicas = 4;
