@@ -1,310 +1,256 @@
-//! VanillaDecomposition: row-chunked cuBLAS + NCCL pipelining (§6.1.3).
-//!
-//! The output is decomposed into `C` row chunks. Chunk `i`'s GEMM runs on
-//! the compute stream; once it finishes (event), its collective runs on
-//! the communication stream, overlapping chunk `i+1`'s GEMM. This is the
-//! strongest baseline that, like FlashOverlap, needs neither kernel
-//! fusion nor peer-to-peer access — but it fragments the GEMM (wave
-//! quantization waste per chunk, §1) and cannot overlap at tile
-//! granularity.
+//! The decomposition-style baselines (§6.1.3, §2.4.3): NonOverlap,
+//! VanillaDecomposition, Async-TP and micro-batch, each the crate's one
+//! chunked program with its own chunk count, stream layout and chunk
+//! communication (see the crate docs).
 
-use std::rc::Rc;
-
-use collectives::{A2aPlan, CollectiveSpec, Communicator, Region};
-use flashoverlap::runtime::{CommPattern, Instrumentation};
+use flashoverlap::runtime::CommPattern;
 use flashoverlap::{FlashOverlapError, SystemSpec};
-use gpu_sim::gemm::{AddressOrderWriter, GemmConfig, GemmDims, GemmKernel};
-use gpu_sim::stream::{enqueue, Op};
-use gpu_sim::{ClusterSim, OpSpan};
-use sim::{Sim, SimDuration, SimTime};
+use gpu_sim::gemm::GemmDims;
+use sim::SimDuration;
+
+use crate::program::{fastest, ChunkComm, Chunked};
 
 /// Chunk counts tried by [`run_decomposition_tuned`].
 pub const CHUNK_CANDIDATES: [u32; 4] = [2, 4, 6, 8];
 
-/// Runs the decomposition baseline with `chunks` row chunks and returns
-/// the simulated latency.
+/// NonOverlap: the program at one chunk, so the collective waits for the
+/// whole GEMM (cuBLAS then NCCL, synchronized by an event).
+pub(crate) fn nonoverlap<'a>(
+    dims: GemmDims,
+    pattern: &'a CommPattern,
+    system: &'a SystemSpec,
+) -> Result<Chunked<'a>, FlashOverlapError> {
+    Chunked::new(dims, system, 1, ChunkComm::Collective(pattern))
+}
+
+/// VanillaDecomposition at `chunks` chunks on one stream pair per rank:
+/// chunk `i`'s collective overlaps chunk `i+1`'s GEMM. It needs neither
+/// kernel fusion nor peer-to-peer access, but fragments the GEMM
+/// (wave-quantization waste per chunk, §1) and cannot overlap at tile
+/// granularity.
+pub(crate) fn decomposition<'a>(
+    dims: GemmDims,
+    pattern: &'a CommPattern,
+    system: &'a SystemSpec,
+    chunks: u32,
+) -> Result<Chunked<'a>, FlashOverlapError> {
+    Chunked::new(dims, system, chunks, ChunkComm::Collective(pattern))?.whole_row_scatter()
+}
+
+/// VanillaDecomposition at the fastest chunk count in
+/// [`CHUNK_CANDIDATES`] (a small grid search, as a practitioner would
+/// tune it), with that count's latency.
+pub(crate) fn tuned_decomposition(
+    dims: GemmDims,
+    pattern: &CommPattern,
+    system: &SystemSpec,
+) -> Result<(u32, SimDuration), FlashOverlapError> {
+    let latency = |chunks| run_decomposition(dims, pattern, system, chunks);
+    fastest(&CHUNK_CANDIDATES, latency)
+}
+
+/// Async-TP (PyTorch's async tensor parallelism): one chunk per rank,
+/// moved by direct NVLink peer copies instead of collective calls. It
+/// avoids NCCL launch overheads but needs "an NVLink connection between
+/// all GPU pairs", so it refuses the PCIe server; All-to-All and
+/// AllGather are out of its scope.
+pub(crate) fn async_tp<'a>(
+    dims: GemmDims,
+    pattern: &CommPattern,
+    system: &'a SystemSpec,
+) -> Result<Chunked<'a>, FlashOverlapError> {
+    let gather_back = match pattern {
+        CommPattern::AllReduce => true,
+        CommPattern::ReduceScatter => false,
+        CommPattern::AllToAll { .. } | CommPattern::AllGather => {
+            return Err(FlashOverlapError::IncompatibleShape {
+                reason: "Async-TP implements only AllReduce and ReduceScatter here".into(),
+            });
+        }
+    };
+    let ring = ChunkComm::PeerRing { gather_back };
+    Chunked::new(dims, system, system.n_gpus as u32, ring)
+}
+
+/// Runs NonOverlap — `GEMM; collective`, sequentially — and returns the
+/// simulated latency.
 ///
 /// # Errors
 ///
-/// Returns [`FlashOverlapError::IncompatibleShape`] if `M` does not split
-/// into `chunks` equal chunks compatible with the primitive, and
+/// Returns [`FlashOverlapError::IncompatibleShape`] on fewer than two
+/// GPUs or a ReduceScatter output that does not divide across the ranks,
+/// [`FlashOverlapError::BadInputs`] on malformed All-to-All routing, and
 /// propagates simulation failures.
+pub fn run_nonoverlap(
+    dims: GemmDims,
+    pattern: &CommPattern,
+    system: &SystemSpec,
+) -> Result<SimDuration, FlashOverlapError> {
+    nonoverlap(dims, pattern, system)?.latency()
+}
+
+/// Runs VanillaDecomposition with `chunks` row chunks and returns the
+/// simulated latency.
+///
+/// # Errors
+///
+/// As [`run_nonoverlap`], and [`FlashOverlapError::IncompatibleShape`]
+/// if `M` does not split into `chunks` chunks whose rows a ReduceScatter
+/// can divide across the ranks.
 pub fn run_decomposition(
     dims: GemmDims,
     pattern: &CommPattern,
     system: &SystemSpec,
     chunks: u32,
 ) -> Result<SimDuration, FlashOverlapError> {
-    run_decomposition_traced(dims, pattern, system, chunks, &Instrumentation::default())
-        .map(|(l, _)| l)
+    decomposition(dims, pattern, system, chunks)?.latency()
 }
 
-/// [`run_decomposition`] with observation hooks attached and per-stream
-/// operation spans recorded — the profiling entry point.
+/// Runs VanillaDecomposition at every chunk count in
+/// [`CHUNK_CANDIDATES`] and returns the best latency.
 ///
 /// # Errors
 ///
-/// Same as [`run_decomposition`].
-pub fn run_decomposition_traced(
-    dims: GemmDims,
-    pattern: &CommPattern,
-    system: &SystemSpec,
-    chunks: u32,
-    instr: &Instrumentation,
-) -> Result<(SimDuration, Vec<OpSpan>), FlashOverlapError> {
-    let n = system.n_gpus;
-    if chunks == 0 || !dims.m.is_multiple_of(chunks) {
-        return Err(FlashOverlapError::IncompatibleShape {
-            reason: format!("M = {} does not split into {chunks} chunks", dims.m),
-        });
-    }
-    let chunk_rows = dims.m / chunks;
-    if matches!(pattern, CommPattern::ReduceScatter) && !(chunk_rows as usize).is_multiple_of(n) {
-        return Err(FlashOverlapError::IncompatibleShape {
-            reason: format!("chunk rows {chunk_rows} do not divide {n} ranks"),
-        });
-    }
-
-    let mut world = system.build_cluster(false);
-    world.enable_op_spans();
-    if let Some(monitor) = &instr.monitor {
-        world.set_monitor(Rc::clone(monitor));
-    }
-    let mut sim: ClusterSim = Sim::new();
-    if let Some(probe) = &instr.probe {
-        sim.set_probe(Rc::clone(probe));
-    }
-    let comm = Communicator::with_algorithm(
-        (0..n).collect(),
-        system.fabric.clone(),
-        system.comm_sms,
-        system.algorithm,
-    )
-    .open(&mut world);
-    let chunk_dims = GemmDims::new(chunk_rows, dims.n, dims.k);
-    // Each chunk GEMM is configured for its own (smaller) shape, exactly
-    // as separate cuBLAS calls would be.
-    let config = GemmConfig::choose(chunk_dims, &system.arch);
-    let issue = config.issue_order(chunk_dims);
-    let chunk_elems = (chunk_rows * dims.n) as usize;
-
-    let mut compute = Vec::with_capacity(n);
-    let mut comm_streams = Vec::with_capacity(n);
-    let mut a_bufs = Vec::with_capacity(n);
-    let mut b_bufs = Vec::with_capacity(n);
-    let mut out_bufs = Vec::with_capacity(n);
-    let mut recv_bufs = Vec::with_capacity(n);
-    let recv_len = match pattern {
-        CommPattern::AllGather => dims.out_elems() as usize * n,
-        _ => dims.out_elems() as usize,
-    };
-    for d in 0..n {
-        let dev = &mut world.devices[d];
-        compute.push(dev.create_stream());
-        comm_streams.push(dev.create_stream());
-        a_bufs.push(dev.mem.alloc((chunk_rows * dims.k) as usize));
-        b_bufs.push(dev.mem.alloc((dims.k * dims.n) as usize));
-        out_bufs.push(dev.mem.alloc(dims.out_elems() as usize));
-        recv_bufs.push(dev.mem.alloc(recv_len));
-    }
-
-    for c in 0..chunks {
-        // Per-chunk completion events (one per rank).
-        let mut events = Vec::with_capacity(n);
-        for d in 0..n {
-            events.push(world.devices[d].create_event());
-        }
-        let chunk_off = (c * chunk_rows * dims.n) as usize;
-        for d in 0..n {
-            let kernel = GemmKernel {
-                a: a_bufs[d],
-                b: b_bufs[d],
-                out: out_bufs[d],
-                dims: chunk_dims,
-                config,
-                issue: Rc::clone(&issue),
-                writer: Rc::new(AddressOrderWriter),
-                counter: None,
-            };
-            enqueue(&mut world, &mut sim, d, compute[d], Op::Gemm(kernel));
-            enqueue(
-                &mut world,
-                &mut sim,
-                d,
-                compute[d],
-                Op::RecordEvent(events[d]),
-            );
-        }
-        let spec = match pattern {
-            CommPattern::AllReduce => CollectiveSpec::AllReduce {
-                regions: (0..n)
-                    .map(|d| Region::new(out_bufs[d], chunk_off, chunk_elems))
-                    .collect(),
-            },
-            CommPattern::ReduceScatter => CollectiveSpec::ReduceScatter {
-                send: (0..n)
-                    .map(|d| Region::new(out_bufs[d], chunk_off, chunk_elems))
-                    .collect(),
-                recv: (0..n)
-                    .map(|d| Region::new(recv_bufs[d], chunk_off / n, chunk_elems / n))
-                    .collect(),
-            },
-            CommPattern::AllToAll { routing } => {
-                let plan = chunk_a2a_plan(dims, routing, n, c * chunk_rows, chunk_rows)?;
-                CollectiveSpec::AllToAllV {
-                    send: out_bufs.clone(),
-                    recv: recv_bufs.clone(),
-                    plan: Rc::new(plan),
-                }
-            }
-            CommPattern::AllGather => CollectiveSpec::AllGather {
-                send: (0..n)
-                    .map(|d| Region::new(out_bufs[d], chunk_off, chunk_elems))
-                    .collect(),
-                recv: (0..n)
-                    .map(|d| Region::new(recv_bufs[d], chunk_off * n, chunk_elems * n))
-                    .collect(),
-            },
-        };
-        for (d, kernel) in comm.ops(spec).enumerate() {
-            enqueue(
-                &mut world,
-                &mut sim,
-                d,
-                comm_streams[d],
-                Op::WaitEvent(events[d]),
-            );
-            enqueue(&mut world, &mut sim, d, comm_streams[d], kernel);
-        }
-    }
-    let end = sim.run(&mut world)?;
-    let spans = world.op_spans.take().unwrap_or_default();
-    Ok((end - SimTime::ZERO, spans))
-}
-
-/// Runs the decomposition baseline at every chunk count in
-/// [`CHUNK_CANDIDATES`] that divides the shape, returning the best
-/// latency (a small grid search, as a practitioner would tune it).
-///
-/// # Errors
-///
-/// Returns the first error if *no* candidate is feasible.
+/// Returns the first candidate's error if *no* candidate is feasible.
 pub fn run_decomposition_tuned(
     dims: GemmDims,
     pattern: &CommPattern,
     system: &SystemSpec,
 ) -> Result<SimDuration, FlashOverlapError> {
-    let mut best: Option<SimDuration> = None;
-    let mut first_err = None;
-    for &chunks in &CHUNK_CANDIDATES {
-        match run_decomposition(dims, pattern, system, chunks) {
-            Ok(latency) => {
-                if best.is_none_or(|b| latency < b) {
-                    best = Some(latency);
-                }
-            }
-            Err(e) => {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-    }
-    best.ok_or_else(|| {
-        first_err.unwrap_or(FlashOverlapError::IncompatibleShape {
-            reason: "no feasible chunk count".into(),
-        })
-    })
+    tuned_decomposition(dims, pattern, system).map(|(_, latency)| latency)
 }
 
-/// Tunes the chunk count with plain (unobserved) runs, then re-runs the
-/// winner with observation hooks attached, so the recorded telemetry
-/// covers exactly one run of the configuration a practitioner would
-/// deploy.
+/// Runs the Async-TP-like peer-copy pipeline (AllReduce as a
+/// ReduceScatter leg plus a gather back, or ReduceScatter alone) and
+/// returns the simulated latency.
 ///
 /// # Errors
 ///
-/// Returns the first error if *no* candidate is feasible.
-pub fn run_decomposition_tuned_traced(
+/// Returns [`FlashOverlapError::IncompatibleShape`] on a fabric without
+/// peer-to-peer access, on fewer than two GPUs, on All-to-All or
+/// AllGather, or on `M` not splitting into one chunk per rank.
+pub fn run_async_tp(
     dims: GemmDims,
     pattern: &CommPattern,
     system: &SystemSpec,
-    instr: &Instrumentation,
-) -> Result<(SimDuration, Vec<OpSpan>), FlashOverlapError> {
-    let mut best: Option<(u32, SimDuration)> = None;
-    let mut first_err = None;
-    for &chunks in &CHUNK_CANDIDATES {
-        match run_decomposition(dims, pattern, system, chunks) {
-            Ok(latency) => {
-                if best.is_none_or(|(_, b)| latency < b) {
-                    best = Some((chunks, latency));
-                }
-            }
-            Err(e) => {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-    }
-    let Some((chunks, _)) = best else {
-        return Err(first_err.unwrap_or(FlashOverlapError::IncompatibleShape {
-            reason: "no feasible chunk count".into(),
-        }));
-    };
-    run_decomposition_traced(dims, pattern, system, chunks, instr)
+) -> Result<SimDuration, FlashOverlapError> {
+    async_tp(dims, pattern, system)?.latency()
 }
 
-/// All-to-All plan for the rows `[row0, row0 + rows)` of a chunk.
-fn chunk_a2a_plan(
+/// Runs micro-batch co-execution — the multi-dataflow family (Wang et
+/// al., DeepSeek-V3, Lancet, FasterMoE) the paper surveys but does not
+/// evaluate — on AllReduce or ReduceScatter and returns the makespan:
+/// `micro_batches` chunks, each on its own stream pair, whose GEMMs
+/// contend for SMs whenever their waves overlap.
+///
+/// # Errors
+///
+/// As [`run_decomposition`], and [`FlashOverlapError::IncompatibleShape`]
+/// on All-to-All or AllGather.
+pub fn run_microbatch(
     dims: GemmDims,
-    routing: &[Vec<usize>],
-    n: usize,
-    row0: u32,
-    rows: u32,
-) -> Result<A2aPlan, FlashOverlapError> {
-    if routing.len() != n {
-        return Err(FlashOverlapError::BadInputs {
-            reason: format!("{} routing tables for {} ranks", routing.len(), n),
+    pattern: &CommPattern,
+    system: &SystemSpec,
+    micro_batches: u32,
+) -> Result<SimDuration, FlashOverlapError> {
+    if !matches!(pattern, CommPattern::AllReduce | CommPattern::ReduceScatter) {
+        return Err(FlashOverlapError::IncompatibleShape {
+            reason: "micro-batch baseline implements AllReduce and ReduceScatter".into(),
         });
     }
-    let n_cols = dims.n as usize;
-    let range = row0 as usize..(row0 + rows) as usize;
-    let mut send_off = vec![vec![0usize; n]; n];
-    let mut len = vec![vec![0usize; n]; n];
-    for (src, table) in routing.iter().enumerate() {
-        if table.len() != dims.m as usize || table.iter().any(|&d| d >= n) {
-            return Err(FlashOverlapError::BadInputs {
-                reason: format!("bad routing table for rank {src}"),
-            });
-        }
-        let mut acc = range.start * n_cols;
-        for dest in 0..n {
-            send_off[src][dest] = acc;
-            let count = table[range.clone()].iter().filter(|&&d| d == dest).count();
-            len[src][dest] = count * n_cols;
-            acc += count * n_cols;
-        }
-    }
-    let mut recv_off = vec![vec![0usize; n]; n];
-    for dest in 0..n {
-        let mut acc = range.start * n_cols;
-        for src in 0..n {
-            recv_off[dest][src] = acc;
-            acc += len[src][dest];
-        }
-    }
-    Ok(A2aPlan {
-        send_off,
-        len,
-        recv_off,
-    })
+    let program = decomposition(dims, pattern, system, micro_batches)?;
+    program.own_streams().latency()
+}
+
+/// Best micro-batch makespan over 2 and 4 micro-batches (as a
+/// practitioner would tune).
+///
+/// # Errors
+///
+/// Returns the first candidate's error if no candidate is feasible.
+pub fn run_microbatch_tuned(
+    dims: GemmDims,
+    pattern: &CommPattern,
+    system: &SystemSpec,
+) -> Result<SimDuration, FlashOverlapError> {
+    let latency = |micro_batches| run_microbatch(dims, pattern, system, micro_batches);
+    fastest(&[2, 4], latency).map(|(_, latency)| latency)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nonoverlap::run_nonoverlap;
+    use collectives::{collective_duration, Primitive, BYTES_PER_ELEM};
+    use gpu_sim::gemm::{gemm_estimate, GemmConfig};
+
+    /// Noise bound: measured latencies sit within the model plus the
+    /// evaluation noise fractions.
+    fn within_noise(measured: sim::SimDuration, expected: sim::SimDuration) -> bool {
+        let m = measured.as_nanos() as f64;
+        let e = expected.as_nanos() as f64;
+        m >= e * 0.999 && m <= e * 1.08
+    }
+
+    #[test]
+    fn latency_is_gemm_plus_comm() {
+        let dims = GemmDims::new(4096, 8192, 4096);
+        let system = SystemSpec::rtx4090(4);
+        let measured = run_nonoverlap(dims, &CommPattern::AllReduce, &system).unwrap();
+        let config = GemmConfig::choose(dims, &system.arch);
+        let (_, gemm) = gemm_estimate(dims, &config, system.arch.sm_count, &system.arch);
+        let comm = collective_duration(
+            Primitive::AllReduce,
+            dims.out_elems() * BYTES_PER_ELEM,
+            4,
+            &system.fabric,
+        );
+        let expected = gemm + comm;
+        assert!(
+            within_noise(measured, expected),
+            "measured {measured} vs expected {expected}"
+        );
+    }
+
+    #[test]
+    fn matches_analytic_nonoverlap_model() {
+        let dims = GemmDims::new(2048, 4096, 8192);
+        let system = SystemSpec::a800(2);
+        let measured = run_nonoverlap(dims, &CommPattern::AllReduce, &system).unwrap();
+        let analytic = flashoverlap::nonoverlap_latency(dims, Primitive::AllReduce, &system);
+        assert!(
+            within_noise(measured, analytic),
+            "measured {measured} vs analytic {analytic}"
+        );
+    }
+
+    #[test]
+    fn reduce_scatter_is_cheaper_than_all_reduce() {
+        let dims = GemmDims::new(4096, 4096, 4096);
+        let system = SystemSpec::rtx4090(4);
+        let ar = run_nonoverlap(dims, &CommPattern::AllReduce, &system).unwrap();
+        let rs = run_nonoverlap(dims, &CommPattern::ReduceScatter, &system).unwrap();
+        assert!(rs < ar);
+    }
+
+    #[test]
+    fn all_to_all_runs_with_balanced_routing() {
+        let dims = GemmDims::new(1024, 4096, 2048);
+        let system = SystemSpec::rtx4090(4);
+        let routing: Vec<Vec<usize>> = (0..4).map(|_| (0..1024).map(|r| r % 4).collect()).collect();
+        let latency = run_nonoverlap(dims, &CommPattern::AllToAll { routing }, &system).unwrap();
+        assert!(latency > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn bad_routing_is_rejected() {
+        let dims = GemmDims::new(64, 64, 64);
+        let system = SystemSpec::rtx4090(2);
+        let routing = vec![vec![0usize; 64], vec![9usize; 64]];
+        assert!(matches!(
+            run_nonoverlap(dims, &CommPattern::AllToAll { routing }, &system),
+            Err(FlashOverlapError::BadInputs { .. })
+        ));
+    }
 
     #[test]
     fn decomposition_beats_nonoverlap_on_balanced_shapes() {
@@ -366,6 +312,93 @@ mod tests {
             .collect();
         let latency =
             run_decomposition(dims, &CommPattern::AllToAll { routing }, &system, 4).unwrap();
+        assert!(latency > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn refuses_pcie_fabric() {
+        let dims = GemmDims::new(4096, 4096, 4096);
+        let system = SystemSpec::rtx4090(4);
+        assert!(matches!(
+            run_async_tp(dims, &CommPattern::AllReduce, &system),
+            Err(FlashOverlapError::IncompatibleShape { .. })
+        ));
+    }
+
+    #[test]
+    fn refuses_all_to_all() {
+        let dims = GemmDims::new(4096, 4096, 4096);
+        let system = SystemSpec::a800(2);
+        let routing = vec![vec![0usize; 4096]; 2];
+        assert!(matches!(
+            run_async_tp(dims, &CommPattern::AllToAll { routing }, &system),
+            Err(FlashOverlapError::IncompatibleShape { .. })
+        ));
+    }
+
+    #[test]
+    fn overlaps_on_nvlink_balanced_shapes() {
+        let dims = GemmDims::new(8192, 8192, 2048);
+        let system = SystemSpec::a800(4);
+        let base = run_nonoverlap(dims, &CommPattern::AllReduce, &system).unwrap();
+        let async_tp = run_async_tp(dims, &CommPattern::AllReduce, &system).unwrap();
+        assert!(async_tp < base, "async-tp {async_tp} vs base {base}");
+    }
+
+    #[test]
+    fn reduce_scatter_leg_is_cheaper_than_full_allreduce() {
+        // Communication-heavy shape so the broadcast leg is exposed.
+        let dims = GemmDims::new(8192, 8192, 512);
+        let system = SystemSpec::a800(2);
+        let ar = run_async_tp(dims, &CommPattern::AllReduce, &system).unwrap();
+        let rs = run_async_tp(dims, &CommPattern::ReduceScatter, &system).unwrap();
+        assert!(rs < ar);
+    }
+
+    #[test]
+    fn microbatching_overlaps_dataflows() {
+        let dims = GemmDims::new(4096, 8192, 16384);
+        let system = SystemSpec::rtx4090(4);
+        let base = run_nonoverlap(dims, &CommPattern::AllReduce, &system).unwrap();
+        let mb = run_microbatch_tuned(dims, &CommPattern::AllReduce, &system).unwrap();
+        assert!(mb < base, "micro-batching {mb} vs sequential {base}");
+    }
+
+    #[test]
+    fn single_microbatch_equals_nonoverlap_roughly() {
+        let dims = GemmDims::new(4096, 4096, 4096);
+        let system = SystemSpec::rtx4090(2);
+        let one = run_microbatch(dims, &CommPattern::AllReduce, &system, 1).unwrap();
+        let base = run_nonoverlap(dims, &CommPattern::AllReduce, &system).unwrap();
+        let ratio = one.as_nanos() as f64 / base.as_nanos() as f64;
+        assert!((0.95..1.1).contains(&ratio), "ratio {ratio}");
+    }
+
+    #[test]
+    fn rejects_all_to_all_and_indivisible_shapes() {
+        let system = SystemSpec::rtx4090(2);
+        let routing = vec![vec![0usize; 4096]; 2];
+        assert!(run_microbatch(
+            GemmDims::new(4096, 4096, 4096),
+            &CommPattern::AllToAll { routing },
+            &system,
+            2
+        )
+        .is_err());
+        assert!(run_microbatch(
+            GemmDims::new(1000, 4096, 4096),
+            &CommPattern::AllReduce,
+            &system,
+            3
+        )
+        .is_err());
+    }
+
+    #[test]
+    fn reduce_scatter_microbatching_runs() {
+        let dims = GemmDims::new(4096, 4096, 8192);
+        let system = SystemSpec::rtx4090(4);
+        let latency = run_microbatch(dims, &CommPattern::ReduceScatter, &system, 2).unwrap();
         assert!(latency > SimDuration::ZERO);
     }
 }

@@ -77,7 +77,7 @@ pub fn run_flux(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nonoverlap::run_nonoverlap;
+    use crate::decomposition::run_nonoverlap;
     use flashoverlap::runtime::CommPattern;
 
     #[test]

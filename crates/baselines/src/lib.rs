@@ -1,36 +1,39 @@
 //! Baseline implementations the paper compares against (§6.1.3).
 //!
-//! - [`nonoverlap`]: sequential cuBLAS-then-NCCL execution — the
-//!   normalization baseline of every Fig. 9 plot.
-//! - [`decomposition`]: *VanillaDecomposition* — the output is split into
-//!   row chunks, chunk `k+1`'s GEMM overlaps chunk `k`'s collective
-//!   (cuBLAS + NCCL + events, no peer-to-peer requirement).
-//! - [`async_tp`]: an Async-TP-like ring-pipelined decomposition using
-//!   peer-to-peer copies (NVLink-only, like the PyTorch implementation).
-//! - [`flux`]: a FLUX-like fusion model — tile-level overlap inside one
-//!   kernel, paying a GEMM interference penalty and requiring
-//!   peer-to-peer access.
-//! - [`microbatch`]: multi-dataflow scheduling (§2.4.3) — micro-batch
-//!   co-execution on independent stream pairs, sharing SMs.
+//! Every simulated baseline runs one chunked program: build the cluster
+//! with the caller's instrumentation, open the communicator and apply
+//! launch skew, open per-rank streams and buffers, then for each row
+//! chunk run its GEMM, record an event, make the communication stream
+//! wait on it, and run the chunk's communication. The baselines in
+//! [`decomposition`] vary only its three inputs:
+//!
+//! | baseline | chunks | stream pairs per rank | chunk communication |
+//! |---|---|---|---|
+//! | NonOverlap | 1 | one | the collective |
+//! | VanillaDecomposition | tuned over [`decomposition::CHUNK_CANDIDATES`] | one | the collective |
+//! | Async-TP (NVLink only) | one per rank | one | a ring of peer-to-peer copies |
+//! | micro-batch (§2.4.3) | tuned over 2 and 4 | one per chunk | the collective |
+//!
+//! NonOverlap is the normalization baseline of every Fig. 9 plot. [`flux`]
+//! is analytic: a FLUX-like fusion model — tile-level overlap inside one
+//! kernel, paying a GEMM interference penalty and requiring peer-to-peer
+//! access. [`method`] dispatches over the methods Fig. 9 compares.
 //!
 //! All baselines run against the same simulated substrate as FlashOverlap
 //! so the comparison is apples-to-apples: same GEMM timing model, same
 //! fabric, same per-call overheads.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::expect_used))]
 
-pub mod async_tp;
 pub mod decomposition;
 pub mod flux;
 pub mod method;
-pub mod microbatch;
-pub mod nonoverlap;
+mod program;
 
-pub use async_tp::{run_async_tp, run_async_tp_traced};
 pub use decomposition::{
-    run_decomposition, run_decomposition_tuned, run_decomposition_tuned_traced,
+    run_async_tp, run_decomposition, run_decomposition_tuned, run_microbatch, run_microbatch_tuned,
+    run_nonoverlap,
 };
 pub use flux::run_flux;
 pub use method::{measure, measure_traced, Method, MethodProfile};
-pub use microbatch::{run_microbatch, run_microbatch_tuned};
-pub use nonoverlap::{run_nonoverlap, run_nonoverlap_traced};

@@ -7,10 +7,9 @@ use gpu_sim::gemm::GemmDims;
 use gpu_sim::OpSpan;
 use sim::SimDuration;
 
-use crate::async_tp::{run_async_tp, run_async_tp_traced};
-use crate::decomposition::{run_decomposition_tuned, run_decomposition_tuned_traced};
+use crate::decomposition::{self, run_async_tp, run_decomposition_tuned, run_nonoverlap};
 use crate::flux::run_flux;
-use crate::nonoverlap::{run_nonoverlap, run_nonoverlap_traced};
+use crate::program::Chunked;
 
 /// The methods compared in Fig. 9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,15 +40,11 @@ impl Method {
     /// all (FLUX and Async-TP need peer-to-peer; neither does
     /// All-to-All).
     pub fn applicable(&self, pattern: &CommPattern, system: &SystemSpec) -> bool {
+        let tensor_parallel =
+            matches!(pattern, CommPattern::AllReduce | CommPattern::ReduceScatter);
         match self {
             Method::NonOverlap | Method::VanillaDecomposition | Method::FlashOverlap => true,
-            Method::AsyncTp | Method::Flux => {
-                system.fabric.peer_to_peer
-                    && !matches!(
-                        pattern,
-                        CommPattern::AllToAll { .. } | CommPattern::AllGather
-                    )
-            }
+            Method::AsyncTp | Method::Flux => system.fabric.peer_to_peer && tensor_parallel,
         }
     }
 }
@@ -107,7 +102,9 @@ pub struct MethodProfile {
 ///
 /// FLUX is an analytic model — it yields latency only (no spans, and the
 /// hooks never fire). Every other method runs the simulator with
-/// `instr`'s monitor/probe installed.
+/// `instr`'s monitor/probe installed. VanillaDecomposition tunes its chunk
+/// count with plain runs first, so the hooks observe exactly one run of
+/// the configuration a practitioner would deploy.
 ///
 /// # Errors
 ///
@@ -119,41 +116,22 @@ pub fn measure_traced(
     system: &SystemSpec,
     instr: &Instrumentation,
 ) -> Result<MethodProfile, FlashOverlapError> {
-    match method {
-        Method::NonOverlap => {
-            let (latency, spans) = run_nonoverlap_traced(dims, pattern, system, instr)?;
-            Ok(MethodProfile {
-                latency,
-                spans: Some(spans),
-            })
-        }
+    let run = |program: Chunked| program.run(instr).map(|(l, spans)| (l, Some(spans)));
+    let (latency, spans) = match method {
+        Method::NonOverlap => run(decomposition::nonoverlap(dims, pattern, system)?)?,
         Method::VanillaDecomposition => {
-            let (latency, spans) = run_decomposition_tuned_traced(dims, pattern, system, instr)?;
-            Ok(MethodProfile {
-                latency,
-                spans: Some(spans),
-            })
+            let (chunks, _) = decomposition::tuned_decomposition(dims, pattern, system)?;
+            run(decomposition::decomposition(dims, pattern, system, chunks)?)?
         }
-        Method::AsyncTp => {
-            let (latency, spans) = run_async_tp_traced(dims, pattern, system, instr)?;
-            Ok(MethodProfile {
-                latency,
-                spans: Some(spans),
-            })
-        }
-        Method::Flux => Ok(MethodProfile {
-            latency: run_flux(dims, pattern.primitive(), system)?,
-            spans: None,
-        }),
+        Method::AsyncTp => run(decomposition::async_tp(dims, pattern, system)?)?,
+        Method::Flux => (run_flux(dims, pattern.primitive(), system)?, None),
         Method::FlashOverlap => {
             let plan = OverlapPlan::tuned(dims, pattern.clone(), system.clone())?;
             let out = plan.execute_with(&SequenceOptions::new().instrument(instr).trace())?;
-            Ok(MethodProfile {
-                latency: out.reports[0].latency,
-                spans: Some(out.spans),
-            })
+            (out.reports[0].latency, Some(out.spans))
         }
-    }
+    };
+    Ok(MethodProfile { latency, spans })
 }
 
 #[cfg(test)]
@@ -185,6 +163,36 @@ mod tests {
             if method.applicable(&pattern, &system) {
                 let latency = measure(method, dims, &pattern, &system).unwrap();
                 assert!(latency > SimDuration::ZERO, "{method}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_gpu_systems_get_errors_not_panics() {
+        let dims = GemmDims::new(256, 256, 256);
+        let incompatible =
+            |r: &Result<_, _>| matches!(r, Err(FlashOverlapError::IncompatibleShape { .. }));
+        for system in [SystemSpec::rtx4090(1), SystemSpec::a800(1)] {
+            let routing = vec![vec![0; 256]];
+            for pattern in [
+                CommPattern::AllReduce,
+                CommPattern::ReduceScatter,
+                CommPattern::AllGather,
+                CommPattern::AllToAll { routing },
+            ] {
+                let case = format!("{pattern:?} on {}", system.arch.name);
+                for method in Method::ALL {
+                    let plain = measure(method, dims, &pattern, &system);
+                    let traced =
+                        measure_traced(method, dims, &pattern, &system, &Default::default());
+                    // FLUX is analytic: it may price a one-GPU run.
+                    if method != Method::Flux {
+                        assert!(incompatible(&plain), "{method}, {case}: {plain:?}");
+                        assert!(traced.is_err(), "{method}, {case}");
+                    }
+                }
+                let micro = crate::run_microbatch_tuned(dims, &pattern, &system);
+                assert!(incompatible(&micro), "micro-batch, {case}: {micro:?}");
             }
         }
     }

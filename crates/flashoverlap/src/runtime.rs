@@ -308,8 +308,9 @@ impl OverlapPlan {
     ///
     /// # Errors
     ///
-    /// Returns an error if the partition does not cover the planned wave
-    /// count or the shape violates the pattern's reordering constraints.
+    /// Returns an error if the system has fewer than two GPUs, the
+    /// partition does not cover the planned wave count or the shape
+    /// violates the pattern's reordering constraints.
     pub fn new(
         dims: GemmDims,
         pattern: CommPattern,
@@ -335,6 +336,7 @@ impl OverlapPlan {
             ),
             "the predictor was built for another shape or primitive"
         );
+        system.check_group()?;
         let mut config = GemmConfig::choose(dims, &system.arch);
         if matches!(pattern, CommPattern::AllToAll { .. }) {
             // Token pools fill when a row *band* completes (every tile

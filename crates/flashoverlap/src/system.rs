@@ -6,6 +6,8 @@ use gpu_sim::cluster::Cluster;
 use interconnect::FabricSpec;
 use topology::Topology;
 
+use crate::error::FlashOverlapError;
+
 /// A complete description of the simulated multi-GPU server an overlap
 /// plan targets.
 #[derive(Debug, Clone)]
@@ -140,6 +142,22 @@ impl SystemSpec {
             FabricSpec::hdr_infiniband(),
         );
         self.with_topology(topology)
+    }
+
+    /// Checks that the system has the two or more GPUs every collective
+    /// spans.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlashOverlapError::IncompatibleShape`] on fewer than two
+    /// GPUs.
+    pub fn check_group(&self) -> Result<(), FlashOverlapError> {
+        if self.n_gpus < 2 {
+            return Err(FlashOverlapError::IncompatibleShape {
+                reason: format!("a collective needs two or more GPUs, not {}", self.n_gpus),
+            });
+        }
+        Ok(())
     }
 
     /// SMs left to the GEMM while communication is in flight (Alg. 1

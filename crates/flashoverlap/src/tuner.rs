@@ -90,6 +90,7 @@ pub fn tune_plan(
     pattern: CommPattern,
     system: SystemSpec,
 ) -> Result<(OverlapPlan, usize), FlashOverlapError> {
+    system.check_group()?;
     let predictor = LatencyPredictor::build(dims, pattern.primitive(), &system);
     let outcome = search(&predictor, DEFAULT_S1, DEFAULT_SP);
     let plan = OverlapPlan::build(dims, pattern, system, outcome.partition, Some(predictor))?;
@@ -237,6 +238,25 @@ mod tests {
                     fresh.predicted_group_completions()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn one_gpu_plans_are_rejected_before_tuning() {
+        let dims = GemmDims::new(256, 256, 256);
+        let system = SystemSpec::rtx4090(1);
+        let tuned = OverlapPlan::tuned(dims, CommPattern::AllReduce, system.clone());
+        let explicit = OverlapPlan::new(
+            dims,
+            CommPattern::AllReduce,
+            system,
+            WavePartition::new(vec![1]),
+        );
+        for result in [tuned, explicit] {
+            assert!(matches!(
+                result,
+                Err(FlashOverlapError::IncompatibleShape { .. })
+            ));
         }
     }
 
