@@ -15,8 +15,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tests =="
 # Build first, so the timeout below bounds only the run. The timeout is
 # the no-silent-hang gate: serve and chaos must terminate under their
-# watchdogs. The run takes about 160 s on a 2-core host; 900 s leaves
-# more than 5x, so only a hang trips it.
+# watchdogs. The run takes about 20 s on a 2-core host (the dev profile
+# optimizes the crates that do the functional-mode arithmetic, see
+# Cargo.toml); 900 s is far above that, so only a hang trips it.
 cargo test -q --workspace --no-run
 timeout 900 cargo test -q --workspace
 

@@ -44,7 +44,7 @@ fn main() {
     let trace = world.tile_trace.as_ref().expect("trace enabled");
     let mut waves: Vec<(u32, f64, f64, u32, u32)> = Vec::new();
     let mut per_wave: std::collections::BTreeMap<u32, Vec<(f64, u32)>> = Default::default();
-    for (t, rec) in trace.entries() {
+    for (t, rec) in trace {
         per_wave
             .entry(rec.wave)
             .or_default()
@@ -94,7 +94,6 @@ fn main() {
 
     // (b) completion order vs address order: sample a few early tiles.
     let mut by_time: Vec<(f64, u32)> = trace
-        .entries()
         .iter()
         .map(|(t, r)| (t.as_micros_f64(), r.tile))
         .collect();

@@ -431,18 +431,6 @@ fn execute_analyze(
     Ok(out)
 }
 
-/// Percentile triple as JSON for the bench report.
-fn bench_wait_json(p: &Option<telemetry::Percentiles>) -> Value {
-    match p {
-        Some(p) => Value::obj(vec![
-            ("p50_ns", Value::num(p.p50 as f64)),
-            ("p95_ns", Value::num(p.p95 as f64)),
-            ("p99_ns", Value::num(p.p99 as f64)),
-        ]),
-        None => Value::Null,
-    }
-}
-
 /// Runs the `bench` command: the serve regression benchmark. The JSON
 /// artifact carries only virtual-time metrics (byte-stable for a fixed
 /// seed — ci.sh byte-compares a fresh run with the committed
@@ -489,8 +477,8 @@ fn execute_bench(cli: &Cli) -> Result<String, CliError> {
         (
             "scheduling",
             Value::obj(vec![
-                ("form_wait", bench_wait_json(&report.form_wait)),
-                ("queue_wait", bench_wait_json(&report.queue_wait)),
+                ("form_wait", serving::report::wait_json(&report.form_wait)),
+                ("queue_wait", serving::report::wait_json(&report.queue_wait)),
             ]),
         ),
         (

@@ -78,9 +78,9 @@ impl std::fmt::Display for Algorithm {
 
 /// Latency of one collective call under a specific algorithm.
 ///
-/// # Panics
-///
-/// Panics if `n < 2`.
+/// A group of fewer than two ranks has no peer to exchange with, so the
+/// call costs nothing. This is the cost model's one rule for degenerate
+/// groups: a one-GPU system prices its collectives through here.
 pub fn collective_duration_with(
     prim: Primitive,
     bytes: u64,
@@ -88,12 +88,14 @@ pub fn collective_duration_with(
     fabric: &FabricSpec,
     algorithm: Algorithm,
 ) -> SimDuration {
-    assert!(n >= 2, "collective on fewer than 2 ranks");
+    if n < 2 {
+        return SimDuration::ZERO;
+    }
     match algorithm {
-        Algorithm::Ring => collective_duration(prim, bytes, n, fabric),
+        Algorithm::Ring => ring_duration(prim, bytes, n, fabric),
         Algorithm::Direct => direct_duration(prim, bytes, n, fabric),
         Algorithm::Auto => {
-            collective_duration(prim, bytes, n, fabric).min(direct_duration(prim, bytes, n, fabric))
+            ring_duration(prim, bytes, n, fabric).min(direct_duration(prim, bytes, n, fabric))
         }
     }
 }
@@ -118,20 +120,19 @@ fn direct_duration(prim: Primitive, bytes: u64, n: usize, fabric: &FabricSpec) -
     overhead + per_phase * phases
 }
 
-/// Latency of one collective call over `bytes` of per-rank payload on `n`
-/// ranks.
-///
-/// # Panics
-///
-/// Panics if `n < 2` — single-rank "collectives" are degenerate and the
-/// evaluation never uses them.
+/// Latency of one ring collective call over `bytes` of per-rank payload
+/// on `n` ranks (zero below two ranks, see [`collective_duration_with`]).
 pub fn collective_duration(
     prim: Primitive,
     bytes: u64,
     n: usize,
     fabric: &FabricSpec,
 ) -> SimDuration {
-    assert!(n >= 2, "collective on fewer than 2 ranks");
+    collective_duration_with(prim, bytes, n, fabric, Algorithm::Ring)
+}
+
+/// Ring latency on `n >= 2` ranks.
+fn ring_duration(prim: Primitive, bytes: u64, n: usize, fabric: &FabricSpec) -> SimDuration {
     let steps = match prim {
         Primitive::AllReduce => 2 * (n as u64 - 1),
         Primitive::ReduceScatter | Primitive::AllGather => n as u64 - 1,
@@ -148,9 +149,9 @@ pub fn collective_duration(
 /// each destination (the self-slot is ignored).
 ///
 /// On PCIe the egress port serializes the messages; on NVLink the pairwise
-/// links run in parallel and the longest message dominates.
+/// links run in parallel and the longest message dominates. `n` caps the
+/// message count at the `n - 1` peers (at least one message is charged).
 pub fn all_to_all_duration(per_dest_bytes: &[u64], n: usize, fabric: &FabricSpec) -> SimDuration {
-    assert!(n >= 2, "collective on fewer than 2 ranks");
     let overhead = SimDuration::from_nanos(fabric.p2p.call_overhead_ns);
     let messages = per_dest_bytes.len().min(n.saturating_sub(1)).max(1);
     match fabric.kind {
@@ -233,10 +234,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fewer than 2 ranks")]
-    fn single_rank_collective_panics() {
-        let fabric = FabricSpec::rtx4090_pcie();
-        let _ = collective_duration(Primitive::AllReduce, 1024, 1, &fabric);
+    fn fewer_than_two_ranks_cost_nothing() {
+        for fabric in [FabricSpec::rtx4090_pcie(), FabricSpec::a800_nvlink()] {
+            for prim in [
+                Primitive::AllReduce,
+                Primitive::ReduceScatter,
+                Primitive::AllGather,
+                Primitive::AllToAll,
+            ] {
+                for algorithm in [Algorithm::Ring, Algorithm::Direct, Algorithm::Auto] {
+                    for n in [0, 1] {
+                        let t = collective_duration_with(prim, 1024, n, &fabric, algorithm);
+                        assert_eq!(t, SimDuration::ZERO, "{prim} {algorithm} on {n} ranks");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

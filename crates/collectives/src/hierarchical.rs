@@ -38,10 +38,6 @@ fn ring_factor(prim: Primitive) -> u64 {
 /// This is the single cost function the runtime, the latency predictor,
 /// and the tuner all charge, so plans tuned offline match what the
 /// simulated collectives take at runtime.
-///
-/// # Panics
-///
-/// Panics if the topology has fewer than 2 GPUs.
 pub fn tiered_duration(
     prim: Primitive,
     bytes: u64,
@@ -77,10 +73,6 @@ pub fn tiered_duration(
 /// Duration of the *flat* rank-order ring on the same topology: every
 /// step carries an inter-node hop, so the ring runs at inter-fabric
 /// speed. The baseline hierarchical scheduling is measured against.
-///
-/// # Panics
-///
-/// Panics if the topology has fewer than 2 GPUs.
 pub fn flat_tiered_duration(
     prim: Primitive,
     bytes: u64,

@@ -347,8 +347,8 @@ pub struct CampaignResult {
     pub bit_exact: bool,
     /// Operator latency of the run, nanoseconds.
     pub latency_ns: u64,
-    /// Recovery-timeline events recorded (faults, watchdog firings,
-    /// recoveries).
+    /// Recovery-timeline events recorded (faults armed and fired,
+    /// watchdog firings, recoveries).
     pub events: usize,
 }
 

@@ -137,7 +137,9 @@ pub struct SequenceOutcome {
     /// ends it `Recovered`/`Degraded` while later segments report how
     /// they rode out the recovery.
     pub outcomes: Vec<ResilientOutcome>,
-    /// Fault/recovery timeline of a resilient run (empty otherwise).
+    /// Fault/recovery timeline of a resilient run (empty otherwise):
+    /// every fault armed or fired, by the runtime or inside the
+    /// simulator, and every watchdog action, in the order they happened.
     pub events: Vec<RuntimeEvent>,
     /// Total faults armed across all segments of a resilient run.
     pub faults_armed: usize,

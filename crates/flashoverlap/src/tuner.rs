@@ -242,6 +242,36 @@ mod tests {
     }
 
     #[test]
+    fn one_gpu_search_and_theory_price_no_communication() {
+        let dims = GemmDims::new(256, 256, 256);
+        for system in [SystemSpec::rtx4090(1), SystemSpec::a800(1)] {
+            let config = gpu_sim::gemm::GemmConfig::choose(dims, &system.arch);
+            let (_, gemm) =
+                gpu_sim::gemm::gemm_estimate(dims, &config, system.arch.sm_count, &system.arch);
+            for primitive in [
+                Primitive::AllReduce,
+                Primitive::ReduceScatter,
+                Primitive::AllGather,
+                Primitive::AllToAll,
+            ] {
+                let case = format!("{primitive} on {}", system.arch.name);
+                assert_eq!(
+                    crate::theory::nonoverlap_latency(dims, primitive, &system),
+                    gemm,
+                    "{case}"
+                );
+                for outcome in [
+                    predictive_search(dims, primitive, &system),
+                    predictive_search_with(dims, primitive, &system, 1, 1),
+                ] {
+                    assert!(outcome.evaluated >= 1, "{case}");
+                    assert!(outcome.latency > SimDuration::ZERO, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn one_gpu_plans_are_rejected_before_tuning() {
         let dims = GemmDims::new(256, 256, 256);
         let system = SystemSpec::rtx4090(1);

@@ -164,7 +164,7 @@ fn a_warm_resilient_chain_allocates_at_most_the_pinned_count() {
         quarantined,
         "segment 2 quarantines segment 0's leftover budget"
     );
-    assert!(events > 0 && recorded >= events, "{events} {recorded}");
+    assert!(events > 0 && recorded == events, "{events} {recorded}");
     assert!(
         allocations <= PINNED_ALLOCATIONS_PER_CHAIN,
         "a warm resilient chain made {allocations} allocations (pinned: {})",

@@ -2,7 +2,7 @@
 
 use std::rc::Rc;
 
-use sim::{DetRng, SimTime, Trace};
+use sim::{DetRng, SimTime};
 
 use crate::arch::GpuArch;
 use crate::collective::{InFlight, P2pOp, Scope};
@@ -274,8 +274,9 @@ pub struct Cluster {
     /// Whether buffers carry real data (functional mode) or only lengths
     /// (timing mode).
     pub functional: bool,
-    /// Optional per-tile completion trace (enable for Fig. 2).
-    pub tile_trace: Option<Trace<TileCompletion>>,
+    /// Optional per-tile completion trace, in completion order (enable
+    /// for Fig. 2).
+    pub tile_trace: Option<Vec<(SimTime, TileCompletion)>>,
     /// Execution-time noise (off by default).
     pub noise: NoiseSpec,
     /// Optional per-stream operation spans (enable for timeline
@@ -310,8 +311,10 @@ pub struct Cluster {
     pub(crate) participants: Vec<(DeviceId, usize)>,
     /// Times written by [`crate::stream::Op::Stamp`] ops.
     pub(crate) stamps: Vec<Option<SimTime>>,
-    /// The runtime-event log the fault armings append to; runtimes add
-    /// their own entries with [`Cluster::log_runtime_event`].
+    /// Every runtime event of the run, in the order it happened: fault
+    /// armings, faults the simulator fires (dropped and delayed
+    /// increments, link stalls) and a runtime's watchdog actions, each
+    /// appended by [`Cluster::log_runtime_event`].
     pub runtime_log: Vec<RuntimeEvent>,
 }
 
@@ -505,10 +508,13 @@ impl Cluster {
         }
     }
 
-    /// Reports `event` to the monitor, if one is attached, and appends it
-    /// to [`Cluster::runtime_log`].
+    /// Appends `event` to [`Cluster::runtime_log`] and reports it to the
+    /// monitor, if one is attached: the one path every runtime event
+    /// takes.
     pub fn log_runtime_event(&mut self, event: RuntimeEvent) {
-        self.notify_runtime_event(&event);
+        if let Some(monitor) = &self.monitor {
+            monitor.on_runtime_event(&event);
+        }
         self.runtime_log.push(event);
     }
 
@@ -547,7 +553,7 @@ impl Cluster {
 
     /// Turns on per-tile completion tracing.
     pub fn enable_tile_trace(&mut self) {
-        self.tile_trace = Some(Trace::new());
+        self.tile_trace = Some(Vec::new());
     }
 
     /// Turns on per-stream operation span recording.
@@ -646,14 +652,6 @@ impl Cluster {
         let dropped = queue.len();
         queue.clear();
         dropped
-    }
-
-    /// Reports a fault/recovery occurrence to the monitor, if one is
-    /// attached (see [`crate::monitor::RuntimeEvent`]).
-    pub fn notify_runtime_event(&self, event: &crate::monitor::RuntimeEvent) {
-        if let Some(monitor) = &self.monitor {
-            monitor.on_runtime_event(event);
-        }
     }
 }
 

@@ -261,7 +261,7 @@ pub(crate) fn launch(
     }
     let stall = world.comm_fault.take_stall().unwrap_or(SimDuration::ZERO);
     if stall.as_nanos() > 0 {
-        world.notify_runtime_event(&RuntimeEvent {
+        world.log_runtime_event(RuntimeEvent {
             at: sim.now(),
             device: lead,
             kind: crate::monitor::RuntimeEventKind::FaultInjected,

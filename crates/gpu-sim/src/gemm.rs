@@ -511,33 +511,24 @@ pub(crate) fn finish_wave(slot: usize, count: usize, world: &mut Cluster, sim: &
     // Trace: tiles of a wave complete within a small jitter window before
     // the wave boundary (§3.2.3: "typically within 5% of the wave
     // duration").
-    if world.tile_trace.is_some() {
-        let jitter_frac = world.devices[run.device].arch.wave_jitter_frac;
-        let span = run.tile_dur.as_secs_f64() * jitter_frac;
-        let mut records = Vec::with_capacity(wave_tiles.len());
+    if let Some(trace) = world.tile_trace.as_mut() {
+        let device = &mut world.devices[run.device];
+        let span = run.tile_dur.as_secs_f64() * device.arch.wave_jitter_frac;
         for (i, &t) in wave_tiles.iter().enumerate() {
             // The last tile of the wave lands exactly on the boundary.
             let jitter = if i + 1 == wave_tiles.len() {
                 SimDuration::ZERO
             } else {
-                let f = world.devices[run.device].rng.uniform(0.0, span);
-                SimDuration::from_secs_f64(f)
+                SimDuration::from_secs_f64(device.rng.uniform(0.0, span))
             };
             let at = sim.now().duration_since(sim::SimTime::ZERO);
             let at = sim::SimTime::ZERO + at.saturating_sub(jitter);
-            records.push((
-                at,
-                TileCompletion {
-                    device: run.device,
-                    tile: t,
-                    wave: run.wave_idx,
-                },
-            ));
-        }
-        if let Some(trace) = world.tile_trace.as_mut() {
-            for (at, rec) in records {
-                trace.record(at, rec);
-            }
+            let tile = TileCompletion {
+                device: run.device,
+                tile: t,
+                wave: run.wave_idx,
+            };
+            trace.push((at, tile));
         }
     }
 
@@ -629,7 +620,7 @@ fn signal_wave(
                 IncrementFault::Dropped => RuntimeDetail::IncrementDropped { tile: t },
                 IncrementFault::Delayed(by) => RuntimeDetail::IncrementDelayed { tile: t, by },
             };
-            world.notify_runtime_event(&RuntimeEvent {
+            world.log_runtime_event(RuntimeEvent {
                 at: sim.now(),
                 device,
                 kind: RuntimeEventKind::FaultInjected,
@@ -650,7 +641,7 @@ fn signal_wave(
         let landed = (positions.len() - faulted) as u32;
         if landed > 0 {
             if let Some(monitor) = world.monitor.as_deref() {
-                monitor.on_counter_increments(sim.now(), device, stream, table_idx, group, landed);
+                monitor.on_counter_increment(sim.now(), device, stream, table_idx, group, landed);
             }
             increment_counter(world, device, table_idx, group, landed);
         }
@@ -971,11 +962,11 @@ mod tests {
         );
     }
 
-    /// What a monitor that keeps the default `on_counter_increments` sees
-    /// of the epilogue signal path.
+    /// What a monitor sees of the epilogue signal path.
     #[derive(Default)]
     struct SignalLog {
-        increments: std::cell::RefCell<Vec<(usize, u32)>>,
+        /// `(at, group, by)` per counter increment callback.
+        increments: std::cell::RefCell<Vec<(sim::SimTime, usize, u32)>>,
         satisfied: std::cell::RefCell<Vec<(usize, u32)>>,
         faults: std::cell::RefCell<Vec<String>>,
     }
@@ -983,14 +974,14 @@ mod tests {
     impl crate::monitor::ClusterMonitor for SignalLog {
         fn on_counter_increment(
             &self,
-            _at: sim::SimTime,
+            at: sim::SimTime,
             _device: DeviceId,
             _stream: StreamId,
             _table: usize,
             group: usize,
             by: u32,
         ) {
-            self.increments.borrow_mut().push((group, by));
+            self.increments.borrow_mut().push((at, group, by));
         }
 
         fn on_counter_satisfied(
@@ -1050,6 +1041,12 @@ mod tests {
         enqueue(&mut world, &mut sim, 0, gemm_stream, Op::Gemm(kernel));
         let _ = sim.run(&mut world);
         let counts = [0, 1].map(|g| world.devices[0].counter(table).count(g));
+        let logged: Vec<String> = world
+            .runtime_log
+            .iter()
+            .map(|e| e.detail.to_string())
+            .collect();
+        assert_eq!(logged, *log.faults.borrow(), "the monitor sees the log");
         drop(world);
         let log = Rc::into_inner(log).expect("the cluster released its monitor");
         (log, issue, counts)
@@ -1065,11 +1062,12 @@ mod tests {
         assert_eq!(*log.faults.borrow(), expected);
         // Per tile: 7 of group 0's 10 increments land, all of group 1's.
         assert_eq!(counts, [7, 6]);
-        let mut unit = vec![(0, 1); 7];
-        unit.extend([(1, 1); 6]);
-        assert_eq!(*log.increments.borrow(), unit, "one unit callback per tile");
-        // Unit increments release thresholds 5 and 7 of group 0 (in
-        // threshold order), then group 1's; threshold 9 starves.
+        // One callback per group run, carrying the tiles that landed.
+        let increments = log.increments.borrow();
+        let wave_end = increments[0].0;
+        assert_eq!(*increments, [(wave_end, 0, 7), (wave_end, 1, 6)]);
+        // Group 0's run releases thresholds 5 and 7 (in threshold order),
+        // then group 1's; threshold 9 starves.
         assert_eq!(*log.satisfied.borrow(), [(0, 5), (0, 7), (1, 6)]);
     }
 
@@ -1083,12 +1081,21 @@ mod tests {
             .collect();
         assert_eq!(*log.faults.borrow(), expected);
         assert_eq!(counts, [10, 6], "delayed increments still land");
-        // 7 + 6 unit increments at the wave boundary, the 3 delayed ones
-        // later; the second late increment releases threshold 9.
-        let mut unit = vec![(0, 1); 7];
-        unit.extend([(1, 1); 6]);
-        unit.extend([(0, 1); 3]);
-        assert_eq!(*log.increments.borrow(), unit);
+        // The group runs land 7 and 6 at the wave boundary; each delayed
+        // tile lands on its own, `delay` later, and the second of them
+        // releases threshold 9.
+        let increments = log.increments.borrow();
+        let (wave_end, late) = (increments[0].0, increments[0].0 + delay);
+        assert_eq!(
+            *increments,
+            [
+                (wave_end, 0, 7),
+                (wave_end, 1, 6),
+                (late, 0, 1),
+                (late, 0, 1),
+                (late, 0, 1)
+            ]
+        );
         assert_eq!(*log.satisfied.borrow(), [(0, 5), (0, 7), (1, 6), (0, 9)]);
     }
 
@@ -1114,8 +1121,9 @@ mod tests {
     /// Everything the signal path reports, in order.
     #[derive(Default)]
     struct RunLog {
-        /// `(group, by, delayed)` per counter increment callback.
-        increments: std::cell::RefCell<Vec<(usize, u32, bool)>>,
+        /// `(at, group, by)` per counter increment callback: a group
+        /// run's landed tiles, or one delayed tile landing.
+        increments: std::cell::RefCell<Vec<(sim::SimTime, usize, u32)>>,
         /// `(stream, group, threshold)` per released wait.
         satisfied: std::cell::RefCell<Vec<(StreamId, usize, u32)>>,
         details: std::cell::RefCell<Vec<String>>,
@@ -1124,26 +1132,14 @@ mod tests {
     impl crate::monitor::ClusterMonitor for RunLog {
         fn on_counter_increment(
             &self,
-            _at: sim::SimTime,
+            at: sim::SimTime,
             _device: DeviceId,
             _stream: StreamId,
             _table: usize,
             group: usize,
             by: u32,
         ) {
-            self.increments.borrow_mut().push((group, by, true));
-        }
-
-        fn on_counter_increments(
-            &self,
-            _at: sim::SimTime,
-            _device: DeviceId,
-            _stream: StreamId,
-            _table: usize,
-            group: usize,
-            tiles: u32,
-        ) {
-            self.increments.borrow_mut().push((group, tiles, false));
+            self.increments.borrow_mut().push((at, group, by));
         }
 
         fn on_counter_satisfied(
@@ -1364,7 +1360,7 @@ mod tests {
         let trace = world.tile_trace.as_ref().unwrap();
         // 16 tiles on 128 SMs: a single wave.
         assert_eq!(trace.len(), 16);
-        assert!(trace.entries().iter().all(|(_, r)| r.wave == 0));
+        assert!(trace.iter().all(|(_, r)| r.wave == 0));
     }
 
     #[test]

@@ -8,16 +8,14 @@
 //! The `simsan` crate builds its vector-clock happens-before checker on
 //! these callbacks; the hooks themselves are policy-free.
 //!
-//! Two hooks keep an attached monitor cheap on the epilogue hot path. A
+//! Two choices keep an attached monitor cheap on the epilogue hot path. A
 //! monitor that ignores memory accesses says so through
 //! [`ClusterMonitor::observes_accesses`], and emitters then skip building
-//! ranges and [`Access`] values altogether. The GEMM epilogue reports a
-//! wave's same-group tile increments in one
-//! [`ClusterMonitor::on_counter_increments`] call; its default replays them
-//! as unit [`ClusterMonitor::on_counter_increment`] calls, so a monitor
-//! that does not override it (SimSan) sees exactly one callback per tile.
-//! The telemetry recorder overrides it and keeps the whole run as one
-//! `by: tiles` row.
+//! ranges and [`Access`] values altogether. And a counting-table slot
+//! reports one [`ClusterMonitor::on_counter_increment`] per increment
+//! actually applied: the GEMM epilogue's whole same-group run of a wave
+//! lands as one call with `by` = its landed tiles, and a delayed
+//! increment lands later as its own `by = 1` call.
 //!
 //! Fault-injection and watchdog occurrences arrive as [`RuntimeEvent`]s
 //! whose [`RuntimeDetail`] is data, not text: the seam that fires records
@@ -25,7 +23,12 @@
 //! and the sentence is formatted only when something displays the detail
 //! (a trace exporter, a report). Recording one is a copy; a wedge
 //! diagnosis travels as a shared [`Diagnosis`] handle. So a resilient run
-//! whose log nobody reads builds no strings.
+//! whose log nobody reads builds no strings. Every one of them, whether
+//! the simulator fired it (a dropped or delayed increment, a link stall)
+//! or a runtime did (an arming, a watchdog action), goes through
+//! [`Cluster::log_runtime_event`](crate::cluster::Cluster::log_runtime_event):
+//! the cluster's runtime log and [`ClusterMonitor::on_runtime_event`] see
+//! the same events in the same order.
 //!
 //! All callbacks take `&self`: monitors keep interior-mutable state and are
 //! shared through `Rc`, like the event probes of [`sim::EngineProbe`].
@@ -435,7 +438,9 @@ pub trait ClusterMonitor {
     /// A buffer range was read or written.
     fn on_access(&self, _access: &Access) {}
 
-    /// A counting-table slot was incremented (GEMM epilogue, §3.2.4).
+    /// A counting-table slot was incremented by `by` (at least one): one
+    /// same-group run of a wave's finished tiles in the GEMM epilogue
+    /// (§3.2.4), or one delayed increment landing.
     fn on_counter_increment(
         &self,
         _at: SimTime,
@@ -445,24 +450,6 @@ pub trait ClusterMonitor {
         _group: usize,
         _by: u32,
     ) {
-    }
-
-    /// `tiles` finished tiles of one wave each incremented `group` by one,
-    /// at the same instant and in one uninterrupted run. The default
-    /// reports them as `tiles` unit [`ClusterMonitor::on_counter_increment`]
-    /// calls.
-    fn on_counter_increments(
-        &self,
-        at: SimTime,
-        device: DeviceId,
-        stream: StreamId,
-        table: usize,
-        group: usize,
-        tiles: u32,
-    ) {
-        for _ in 0..tiles {
-            self.on_counter_increment(at, device, stream, table, group, 1);
-        }
     }
 
     /// A signal wait on a counting-table slot was satisfied.
@@ -510,7 +497,9 @@ pub trait ClusterMonitor {
     /// the occupancy totals *after* the change took effect at `at`.
     fn on_sm_occupancy(&self, _at: SimTime, _device: DeviceId, _compute_sms: u32, _comm_sms: u32) {}
 
-    /// A fault was injected or the watchdog performed a recovery action.
+    /// A fault was injected or the watchdog performed a recovery action;
+    /// called only by
+    /// [`Cluster::log_runtime_event`](crate::cluster::Cluster::log_runtime_event).
     fn on_runtime_event(&self, _event: &RuntimeEvent) {}
 
     /// A counting table was reset for reuse (steady-state double

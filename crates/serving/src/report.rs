@@ -761,7 +761,9 @@ impl ServeReport {
     }
 }
 
-fn wait_json(p: &Option<Percentiles>) -> Value {
+/// A wait distribution as `{"p50_ns", "p95_ns", "p99_ns"}`, or `null`
+/// when nothing waited.
+pub fn wait_json(p: &Option<Percentiles>) -> Value {
     match p {
         Some(p) => Value::obj(vec![
             ("p50_ns", Value::num(p.p50 as f64)),

@@ -19,18 +19,9 @@
 //! export is deterministic: events are emitted in fixed id order.
 
 use telemetry::json::Value;
+use telemetry::perfetto::event;
 
 use crate::report::{BatchRecord, ServeReport};
-
-fn event(ph: &str, name: &str, pid: usize, tid: usize, ts: f64) -> Vec<(&'static str, Value)> {
-    vec![
-        ("name", Value::str(name)),
-        ("ph", Value::str(ph)),
-        ("pid", Value::num(pid as f64)),
-        ("tid", Value::num(tid as f64)),
-        ("ts", Value::num(ts)),
-    ]
-}
 
 fn named_meta(kind: &str, pid: usize, tid: usize, name: &str) -> Value {
     let mut e = event("M", kind, pid, tid, 0.0);

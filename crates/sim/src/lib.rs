@@ -42,10 +42,8 @@ pub mod engine;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use engine::{EngineProbe, Event, Sim, SimError};
 pub use rng::DetRng;
 pub use stats::Cdf;
 pub use time::{SimDuration, SimTime};
-pub use trace::Trace;

@@ -443,11 +443,15 @@ impl ClusterMonitor for Inner {
         stream: StreamId,
         table: usize,
         group: usize,
-        _by: u32,
+        by: u32,
     ) {
+        // One release per unit increment: a run of `by` tiles orders the
+        // slot exactly as `by` tiles signalling one after another.
         let mut st = self.state.borrow_mut();
         let tid = st.tid(device, stream);
-        st.release_into(tid, VClockKey::Counter((device, table, group)));
+        for _ in 0..by {
+            st.release_into(tid, VClockKey::Counter((device, table, group)));
+        }
     }
 
     fn on_counter_satisfied(
@@ -745,6 +749,20 @@ mod tests {
             None,
         ));
         assert!(s.is_clean(), "{:?}", s.reports());
+    }
+
+    #[test]
+    fn a_run_increment_orders_like_its_unit_increments() {
+        let (run, unit) = (Sanitizer::new(), Sanitizer::new());
+        run.monitor()
+            .on_counter_increment(SimTime::ZERO, 0, 0, 0, 2, 3);
+        for _ in 0..3 {
+            unit.monitor()
+                .on_counter_increment(SimTime::ZERO, 0, 0, 0, 2, 1);
+        }
+        let (run, unit) = (run.inner.state.borrow(), unit.inner.state.borrow());
+        assert_eq!(run.clocks, unit.clocks);
+        assert_eq!(run.counter_labels, unit.counter_labels);
     }
 
     #[test]

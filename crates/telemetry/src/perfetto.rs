@@ -28,7 +28,11 @@ fn us(t: SimTime) -> f64 {
     (t - SimTime::ZERO).as_nanos() as f64 / 1e3
 }
 
-fn event(ph: &str, name: &str, pid: usize, tid: usize, ts: f64) -> Vec<(&'static str, Value)> {
+/// The fields every trace event starts with — `name`, `ph`, `pid`,
+/// `tid` and `ts` (microseconds), in that order — for the caller to
+/// extend with `cat`, `id`, `args` and the like before wrapping it in
+/// [`Value::obj`].
+pub fn event(ph: &str, name: &str, pid: usize, tid: usize, ts: f64) -> Vec<(&'static str, Value)> {
     vec![
         ("name", Value::str(name)),
         ("ph", Value::str(ph)),

@@ -14,8 +14,9 @@ use gpu_sim::stream::GpuEventId;
 use gpu_sim::{Cluster, DeviceId, StreamId};
 use sim::{EngineProbe, SimTime};
 
-/// One counting-table increment, as the GEMM epilogue fired it: a whole
-/// same-group run of a wave's tiles lands as one row.
+/// One counting-table increment, as the simulator reported it: a whole
+/// same-group run of a wave's tiles lands as one row, a delayed tile as
+/// its own `by = 1` row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IncrementEvent {
     /// When the increment landed.
@@ -167,20 +168,6 @@ impl ClusterMonitor for Inner {
             group,
             by,
         });
-    }
-
-    fn on_counter_increments(
-        &self,
-        at: SimTime,
-        device: DeviceId,
-        stream: StreamId,
-        table: usize,
-        group: usize,
-        tiles: u32,
-    ) {
-        if tiles > 0 {
-            self.on_counter_increment(at, device, stream, table, group, tiles);
-        }
     }
 
     fn on_counter_satisfied(
@@ -336,8 +323,7 @@ mod tests {
     fn a_group_run_records_one_bulk_row_that_traces_as_unit_steps() {
         let (bulk, unit) = (Telemetry::new(), Telemetry::new());
         let at = SimTime::from_nanos(250);
-        bulk.monitor().on_counter_increments(at, 1, 2, 3, 4, 5);
-        bulk.monitor().on_counter_increments(at, 1, 2, 3, 0, 0);
+        bulk.monitor().on_counter_increment(at, 1, 2, 3, 4, 5);
         for _ in 0..5 {
             unit.monitor().on_counter_increment(at, 1, 2, 3, 4, 1);
         }
@@ -350,11 +336,7 @@ mod tests {
             group: 4,
             by: 5,
         };
-        assert_eq!(
-            bulk.increments,
-            vec![row],
-            "one row per run, none for k = 0"
-        );
+        assert_eq!(bulk.increments, vec![row], "one row per run");
         assert_eq!(
             crate::perfetto::trace(&[], Some(&bulk)),
             crate::perfetto::trace(&[], Some(&unit)),

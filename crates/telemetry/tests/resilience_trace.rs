@@ -1,21 +1,28 @@
 //! Golden recovery-timeline test: an injected lost signal must
 //! demonstrably recover through the watchdog → tail-collective path, with
 //! the whole timeline — fault, watchdog firing, tail re-issue — visible
-//! in the telemetry record and the exported Perfetto trace.
+//! in the telemetry record and the exported Perfetto trace. A differential
+//! test checks that the run's outcome and the telemetry record hold the
+//! same runtime-event timeline, element for element.
 
 use flashoverlap::resilience::{Fault, FaultPlan, ResilientOutcome, WatchdogConfig};
 use flashoverlap::runtime::CommPattern;
 use flashoverlap::{
-    Instrumentation, OverlapPlan, SequenceOptions, SequenceOutcome, SystemSpec, WavePartition,
+    execute_sequence, Instrumentation, OverlapPlan, SequenceOptions, SequenceOutcome, SystemSpec,
+    WavePartition,
 };
 use gpu_sim::gemm::{GemmConfig, GemmDims};
-use gpu_sim::RuntimeEventKind;
+use gpu_sim::{RuntimeDetail, RuntimeEventKind};
+use sim::SimDuration;
 use telemetry::json::{self, Value};
 use telemetry::perfetto;
 use telemetry::Telemetry;
 
 fn small_plan() -> OverlapPlan {
-    let dims = GemmDims::new(256, 256, 64);
+    plan_of(GemmDims::new(256, 256, 64))
+}
+
+fn plan_of(dims: GemmDims) -> OverlapPlan {
     let mut system = SystemSpec::rtx4090(2);
     system.arch.sm_count = 8;
     system.comm_sms = 2;
@@ -130,4 +137,91 @@ fn recovery_timeline_is_deterministic() {
     };
     assert_eq!(timeline(&a), timeline(&b));
     assert_eq!(a.reports[0].latency, b.reports[0].latency);
+}
+
+/// Runs `plans` as one resilient chain under `faults` with a telemetry
+/// monitor attached, and returns the outcome with the record.
+fn traced_chain(
+    plans: &[OverlapPlan],
+    faults: &[FaultPlan],
+) -> (SequenceOutcome, telemetry::TelemetryRecord) {
+    let telemetry = Telemetry::new();
+    let instr = Instrumentation {
+        monitor: Some(telemetry.monitor()),
+        probe: None,
+        mutation: None,
+    };
+    let refs: Vec<&OverlapPlan> = plans.iter().collect();
+    let outcome = execute_sequence(
+        &refs,
+        &SequenceOptions::new()
+            .instrument(&instr)
+            .resilient(faults, &WatchdogConfig::default()),
+    )
+    .expect("resilient chain terminates");
+    (outcome, telemetry.take_record())
+}
+
+#[test]
+fn outcome_events_are_the_recorded_runtime_events() {
+    // The fixed scenarios: the lost signal above, and a chain whose
+    // segments delay, drop and stall.
+    let chain = [
+        plan_of(GemmDims::new(384, 256, 64)),
+        plan_of(GemmDims::new(256, 256, 64)),
+        plan_of(GemmDims::new(384, 256, 64)),
+    ];
+    let mixed = [
+        FaultPlan::single(Fault::DelayedIncrement {
+            rank: 0,
+            group: 0,
+            count: 2,
+            delay: SimDuration::from_micros(20),
+        }),
+        FaultPlan::single(Fault::DroppedIncrement {
+            rank: 1,
+            group: 1,
+            count: 1,
+        }),
+        FaultPlan::single(Fault::LinkStall {
+            stall: SimDuration::from_micros(50),
+            count: 2,
+        }),
+    ];
+    let mut scenarios = vec![
+        traced_chain(&[small_plan()], &lost_signal_faults()),
+        traced_chain(&chain, &mixed),
+    ];
+    // Seeded random chains of one to four segments.
+    for seed in 0..24u64 {
+        let plans: Vec<OverlapPlan> = (0..1 + seed as usize % 4)
+            .map(|i| plan_of(GemmDims::new(if i % 2 == 0 { 384 } else { 256 }, 256, 64)))
+            .collect();
+        let faults: Vec<FaultPlan> = plans
+            .iter()
+            .enumerate()
+            .map(|(i, p)| FaultPlan::random(seed * 8 + i as u64, 2, p.partition.num_groups()))
+            .collect();
+        scenarios.push(traced_chain(&plans, &faults));
+    }
+
+    for (i, (outcome, record)) in scenarios.iter().enumerate() {
+        assert_eq!(outcome.events, record.runtime_events, "scenario {i}");
+    }
+    // The comparison covers every fault the simulator fires itself.
+    let fired = |kind: fn(&RuntimeDetail) -> bool| {
+        scenarios
+            .iter()
+            .flat_map(|(outcome, _)| &outcome.events)
+            .any(|e| kind(&e.detail))
+    };
+    assert!(fired(|d| matches!(
+        d,
+        RuntimeDetail::IncrementDropped { .. }
+    )));
+    assert!(fired(|d| matches!(
+        d,
+        RuntimeDetail::IncrementDelayed { .. }
+    )));
+    assert!(fired(|d| matches!(d, RuntimeDetail::LinkStall { .. })));
 }
