@@ -4,7 +4,7 @@
 //! communication (see the crate docs).
 
 use flashoverlap::runtime::CommPattern;
-use flashoverlap::{FlashOverlapError, SystemSpec};
+use flashoverlap::{ChainWorld, FlashOverlapError, SystemSpec};
 use gpu_sim::gemm::GemmDims;
 use sim::SimDuration;
 
@@ -45,8 +45,8 @@ pub(crate) fn tuned_decomposition(
     pattern: &CommPattern,
     system: &SystemSpec,
 ) -> Result<(u32, SimDuration), FlashOverlapError> {
-    let latency = |chunks| run_decomposition(dims, pattern, system, chunks);
-    fastest(&CHUNK_CANDIDATES, latency)
+    let program = |chunks| decomposition(dims, pattern, system, chunks);
+    fastest(&CHUNK_CANDIDATES, program)
 }
 
 /// Async-TP (PyTorch's async tensor parallelism): one chunk per rank,
@@ -86,7 +86,7 @@ pub fn run_nonoverlap(
     pattern: &CommPattern,
     system: &SystemSpec,
 ) -> Result<SimDuration, FlashOverlapError> {
-    nonoverlap(dims, pattern, system)?.latency()
+    nonoverlap(dims, pattern, system)?.latency(&mut ChainWorld::new())
 }
 
 /// Runs VanillaDecomposition with `chunks` row chunks and returns the
@@ -103,7 +103,7 @@ pub fn run_decomposition(
     system: &SystemSpec,
     chunks: u32,
 ) -> Result<SimDuration, FlashOverlapError> {
-    decomposition(dims, pattern, system, chunks)?.latency()
+    decomposition(dims, pattern, system, chunks)?.latency(&mut ChainWorld::new())
 }
 
 /// Runs VanillaDecomposition at every chunk count in
@@ -134,7 +134,7 @@ pub fn run_async_tp(
     pattern: &CommPattern,
     system: &SystemSpec,
 ) -> Result<SimDuration, FlashOverlapError> {
-    async_tp(dims, pattern, system)?.latency()
+    async_tp(dims, pattern, system)?.latency(&mut ChainWorld::new())
 }
 
 /// Runs micro-batch co-execution — the multi-dataflow family (Wang et
@@ -153,13 +153,8 @@ pub fn run_microbatch(
     system: &SystemSpec,
     micro_batches: u32,
 ) -> Result<SimDuration, FlashOverlapError> {
-    if !matches!(pattern, CommPattern::AllReduce | CommPattern::ReduceScatter) {
-        return Err(FlashOverlapError::IncompatibleShape {
-            reason: "micro-batch baseline implements AllReduce and ReduceScatter".into(),
-        });
-    }
-    let program = decomposition(dims, pattern, system, micro_batches)?;
-    program.own_streams().latency()
+    let program = decomposition(dims, pattern, system, micro_batches)?.own_streams()?;
+    program.latency(&mut ChainWorld::new())
 }
 
 /// Best micro-batch makespan over 2 and 4 micro-batches (as a
@@ -173,14 +168,16 @@ pub fn run_microbatch_tuned(
     pattern: &CommPattern,
     system: &SystemSpec,
 ) -> Result<SimDuration, FlashOverlapError> {
-    let latency = |micro_batches| run_microbatch(dims, pattern, system, micro_batches);
-    fastest(&[2, 4], latency).map(|(_, latency)| latency)
+    let program =
+        |micro_batches| decomposition(dims, pattern, system, micro_batches)?.own_streams();
+    fastest(&[2, 4], program).map(|(_, latency)| latency)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use collectives::{collective_duration, Primitive, BYTES_PER_ELEM};
+    use flashoverlap::{OverlapPlan, WavePartition};
     use gpu_sim::gemm::{gemm_estimate, GemmConfig};
 
     /// Noise bound: measured latencies sit within the model plus the
@@ -202,7 +199,7 @@ mod tests {
             Primitive::AllReduce,
             dims.out_elems() * BYTES_PER_ELEM,
             4,
-            &system.fabric,
+            system.fabric(),
         );
         let expected = gemm + comm;
         assert!(
@@ -214,13 +211,35 @@ mod tests {
     #[test]
     fn matches_analytic_nonoverlap_model() {
         let dims = GemmDims::new(2048, 4096, 8192);
-        let system = SystemSpec::a800(2);
-        let measured = run_nonoverlap(dims, &CommPattern::AllReduce, &system).unwrap();
-        let analytic = flashoverlap::nonoverlap_latency(dims, Primitive::AllReduce, &system);
-        assert!(
-            within_noise(measured, analytic),
-            "measured {measured} vs analytic {analytic}"
-        );
+        let systems = [
+            SystemSpec::a800(2),
+            SystemSpec::a800(8).with_nodes(2),
+            SystemSpec::rtx4090(4).with_nodes(2),
+        ];
+        for system in systems {
+            let case = format!("{} x{}", system.arch.name, system.n_gpus);
+            let measured = run_nonoverlap(dims, &CommPattern::AllReduce, &system).unwrap();
+            let analytic = flashoverlap::nonoverlap_latency(dims, Primitive::AllReduce, &system);
+            assert!(
+                within_noise(measured, analytic),
+                "{case}: measured {measured} vs analytic {analytic}"
+            );
+            if system.topology.spans_nodes() {
+                // The closed form prices the machine the plan runs on: a
+                // one-group plan, which overlaps nothing, is no faster
+                // and only noise slower.
+                let config = GemmConfig::choose(dims, &system.arch);
+                let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+                let single = WavePartition::single(waves);
+                let plan = OverlapPlan::new(dims, CommPattern::AllReduce, system, single).unwrap();
+                let simulated = plan.execute_with(&Default::default()).unwrap().total;
+                let bounded = analytic <= simulated && within_noise(simulated, analytic);
+                assert!(
+                    bounded,
+                    "{case}: analytic {analytic} vs one group {simulated}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub fn run_flux(
     primitive: Primitive,
     system: &SystemSpec,
 ) -> Result<SimDuration, FlashOverlapError> {
-    if !system.fabric.peer_to_peer {
+    if !system.peer_to_peer() {
         return Err(FlashOverlapError::IncompatibleShape {
             reason: "FLUX requires peer-to-peer access".into(),
         });
@@ -66,7 +66,7 @@ pub fn run_flux(
         _ => (n - 1) * total_bytes / n,
     };
     let burst_bytes = config.tile.elems() * BYTES_PER_ELEM * TILES_PER_BURST;
-    let eff_bw = system.fabric.p2p.effective_gbps(burst_bytes).max(1e-3);
+    let eff_bw = system.fabric().p2p.effective_gbps(burst_bytes).max(1e-3);
     let comm = SimDuration::from_secs_f64(traffic as f64 / (eff_bw * 1e9));
 
     // Pipeline priming: nothing communicates before the first tile exists.

@@ -2,7 +2,7 @@
 //! harness.
 
 use flashoverlap::runtime::{CommPattern, Instrumentation};
-use flashoverlap::{FlashOverlapError, OverlapPlan, SequenceOptions, SystemSpec};
+use flashoverlap::{ChainWorld, FlashOverlapError, OverlapPlan, SequenceOptions, SystemSpec};
 use gpu_sim::gemm::GemmDims;
 use gpu_sim::OpSpan;
 use sim::SimDuration;
@@ -44,7 +44,7 @@ impl Method {
             matches!(pattern, CommPattern::AllReduce | CommPattern::ReduceScatter);
         match self {
             Method::NonOverlap | Method::VanillaDecomposition | Method::FlashOverlap => true,
-            Method::AsyncTp | Method::Flux => system.fabric.peer_to_peer && tensor_parallel,
+            Method::AsyncTp | Method::Flux => system.peer_to_peer() && tensor_parallel,
         }
     }
 }
@@ -81,7 +81,8 @@ pub fn measure(
         Method::Flux => run_flux(dims, pattern.primitive(), system),
         Method::FlashOverlap => {
             let plan = OverlapPlan::tuned(dims, pattern.clone(), system.clone())?;
-            Ok(plan.execute_with(&SequenceOptions::new())?.reports[0].latency)
+            let out = plan.execute_with(&SequenceOptions::new())?;
+            Ok(out.reports.first().map_or(out.total, |r| r.latency))
         }
     }
 }
@@ -116,7 +117,10 @@ pub fn measure_traced(
     system: &SystemSpec,
     instr: &Instrumentation,
 ) -> Result<MethodProfile, FlashOverlapError> {
-    let run = |program: Chunked| program.run(instr).map(|(l, spans)| (l, Some(spans)));
+    let run = |program: Chunked| {
+        let traced = program.run(&mut ChainWorld::new(), instr, true);
+        traced.map(|(latency, spans)| (latency, Some(spans)))
+    };
     let (latency, spans) = match method {
         Method::NonOverlap => run(decomposition::nonoverlap(dims, pattern, system)?)?,
         Method::VanillaDecomposition => {
@@ -128,7 +132,8 @@ pub fn measure_traced(
         Method::FlashOverlap => {
             let plan = OverlapPlan::tuned(dims, pattern.clone(), system.clone())?;
             let out = plan.execute_with(&SequenceOptions::new().instrument(instr).trace())?;
-            (out.reports[0].latency, Some(out.spans))
+            let latency = out.reports.first().map_or(out.total, |r| r.latency);
+            (latency, Some(out.spans))
         }
     };
     Ok(MethodProfile { latency, spans })
@@ -152,6 +157,24 @@ mod tests {
         assert!(!Method::AsyncTp.applicable(&ar, &pcie));
         assert!(Method::Flux.applicable(&ar, &nvlink));
         assert!(!Method::Flux.applicable(&a2a, &nvlink));
+    }
+
+    #[test]
+    fn peer_to_peer_methods_refuse_the_inter_node_tier() {
+        // NVLink inside each node, HDR InfiniBand between them.
+        let dims = GemmDims::new(4096, 8192, 4096);
+        let (flat, two_tier) = (SystemSpec::a800(8), SystemSpec::a800(8).with_nodes(2));
+        for pattern in [CommPattern::AllReduce, CommPattern::ReduceScatter] {
+            for method in [Method::AsyncTp, Method::Flux] {
+                assert!(method.applicable(&pattern, &flat), "{method} on one node");
+                assert!(!method.applicable(&pattern, &two_tier), "{method} on two");
+                let refused = measure(method, dims, &pattern, &two_tier);
+                assert!(
+                    matches!(refused, Err(FlashOverlapError::IncompatibleShape { .. })),
+                    "{method}: {refused:?}"
+                );
+            }
+        }
     }
 
     #[test]

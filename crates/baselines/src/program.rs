@@ -5,17 +5,19 @@
 //! communication stream waits on it and then moves the chunk. A baseline
 //! fixes the chunk count, whether chunks share one stream pair per rank
 //! or each gets its own (micro-batch), and what a chunk communicates.
+//! It runs through the chain executor's [`ChainWorld::run`], on the
+//! overlap plan's [`SystemSpec::communicator`] and launch-skew draw.
 
 use std::ops::Range;
 use std::rc::Rc;
 
-use collectives::{p2p_copy, A2aPlan, CollectiveSpec, CommScope, Communicator, Region};
+use collectives::{p2p_copy, A2aPlan, CollectiveSpec, CommScope, Region};
 use flashoverlap::runtime::{CommPattern, Instrumentation};
-use flashoverlap::{FlashOverlapError, SystemSpec};
+use flashoverlap::{ChainWorld, FlashOverlapError, SystemSpec};
 use gpu_sim::gemm::{AddressOrderWriter, GemmConfig, GemmDims, GemmKernel};
 use gpu_sim::stream::{enqueue, Op};
-use gpu_sim::{BufferId, ClusterSim, OpSpan, Wedge};
-use sim::{Sim, SimDuration, SimTime};
+use gpu_sim::{BufferId, Cluster, ClusterSim, OpSpan, Wedge};
+use sim::{SimDuration, SimTime};
 
 /// SMs a peer-copy kernel occupies (copy engines + a small SM footprint).
 const P2P_SMS: u32 = 8;
@@ -62,8 +64,9 @@ fn incompatible<T>(reason: String) -> Result<T, FlashOverlapError> {
 impl<'a> Chunked<'a> {
     /// Checks that `system` can run `chunks` chunks of `comm` over `dims`:
     /// two or more GPUs, `M` splitting into equal chunks, a ReduceScatter
-    /// chunk dividing across the ranks, and peer-to-peer access for the
-    /// ring. Each failure is [`FlashOverlapError::IncompatibleShape`].
+    /// chunk dividing across the ranks, and peer-to-peer access between
+    /// every pair for the ring. Each failure is
+    /// [`FlashOverlapError::IncompatibleShape`].
     pub(crate) fn new(
         dims: GemmDims,
         system: &'a SystemSpec,
@@ -84,7 +87,7 @@ impl<'a> Chunked<'a> {
                     "output of {elems} elements does not divide {n} ranks"
                 ))
             }
-            ChunkComm::PeerRing { .. } if !system.fabric.peer_to_peer => incompatible(
+            ChunkComm::PeerRing { .. } if !system.peer_to_peer() => incompatible(
                 "Async-TP requires peer-to-peer (NVLink) access between all GPU pairs".into(),
             ),
             _ => Ok(Chunked {
@@ -113,55 +116,63 @@ impl<'a> Chunked<'a> {
     }
 
     /// Gives every chunk its own stream pair per rank: independent
-    /// micro-batch dataflows.
-    pub(crate) fn own_streams(mut self) -> Self {
+    /// micro-batch dataflows, which the micro-batch baseline implements
+    /// for AllReduce and ReduceScatter only.
+    pub(crate) fn own_streams(mut self) -> Result<Self, FlashOverlapError> {
         self.own_streams = true;
-        self
+        match self.comm {
+            ChunkComm::Collective(CommPattern::AllReduce | CommPattern::ReduceScatter) => Ok(self),
+            _ => incompatible("micro-batch baseline implements AllReduce and ReduceScatter".into()),
+        }
     }
 
-    /// [`Chunked::run`] with no hooks attached, keeping the latency.
-    pub(crate) fn latency(&self) -> Result<SimDuration, FlashOverlapError> {
-        self.run(&Instrumentation::default()).map(|(l, _)| l)
+    /// [`Chunked::run`] with no hooks attached and no spans recorded,
+    /// keeping the latency.
+    pub(crate) fn latency(&self, world: &mut ChainWorld) -> Result<SimDuration, FlashOverlapError> {
+        self.run(world, &Instrumentation::default(), false)
+            .map(|(latency, _)| latency)
     }
 
-    /// Runs the program on a fresh cluster with `instr`'s hooks attached
-    /// and returns its latency and per-stream operation spans.
+    /// Runs the program in `world` with `instr`'s hooks attached and
+    /// returns its latency and, with `trace`, its per-stream operation
+    /// spans.
     ///
     /// # Errors
     ///
     /// Returns [`FlashOverlapError::BadInputs`] on malformed All-to-All
-    /// routing, [`FlashOverlapError::Deadlock`] if a stream never drains,
-    /// and propagates simulation failures.
+    /// routing, [`FlashOverlapError::Deadlock`] if a stream never drains
+    /// (hooks attached or not), and propagates simulation failures.
     pub(crate) fn run(
         &self,
+        world: &mut ChainWorld,
         instr: &Instrumentation,
+        trace: bool,
     ) -> Result<(SimDuration, Vec<OpSpan>), FlashOverlapError> {
+        world.run(self.system, false, trace, instr, |cluster, sim| {
+            self.enqueue(cluster, sim)?;
+            let end = sim.run(cluster)?;
+            let deadlock = |Wedge { streams, waits }| {
+                let chain = Vec::new();
+                FlashOverlapError::Deadlock {
+                    streams,
+                    waits,
+                    chain,
+                }
+            };
+            cluster.check_quiescent().map_err(deadlock)?;
+            Ok(end - SimTime::ZERO)
+        })
+    }
+
+    /// Enqueues the whole program on `world`'s devices.
+    fn enqueue(&self, world: &mut Cluster, sim: &mut ClusterSim) -> Result<(), FlashOverlapError> {
         let (dims, system, n) = (self.dims, self.system, self.system.n_gpus);
-        let mut world = system.build_cluster(false);
-        world.enable_op_spans();
-        if let Some(monitor) = &instr.monitor {
-            world.set_monitor(Rc::clone(monitor));
-        }
-        let mut sim: ClusterSim = Sim::new();
-        if let Some(probe) = &instr.probe {
-            sim.set_probe(Rc::clone(probe));
-        }
-        let ranks = (0..n).collect();
-        let comm = Communicator::with_algorithm(
-            ranks,
-            system.fabric.clone(),
-            system.comm_sms,
-            system.algorithm,
-        );
-        let scope = comm.open(&mut world);
+        let scope = system.communicator()?.open(world);
         // Host-process launch skew: each rank starts every stream it
         // launches on a random delay late (its host thread submits all).
-        let skew: Vec<SimDuration> = match system.launch_skew_ns {
-            0 => Vec::new(),
-            max => (world.devices.iter_mut())
-                .map(|dev| SimDuration::from_nanos(dev.rng.uniform(0.0, max as f64) as u64))
-                .collect(),
-        };
+        let skew: Vec<Option<SimDuration>> = (world.devices.iter_mut())
+            .map(|dev| system.launch_skew(dev))
+            .collect();
 
         // Each chunk GEMM is configured for its own shape, exactly as
         // separate cuBLAS calls would be.
@@ -187,20 +198,18 @@ impl<'a> Chunked<'a> {
             // or (micro-batch) per chunk; launch skew delays both.
             if c == 0 || self.own_streams {
                 streams.clear();
-                for d in 0..n {
-                    let dev = &mut world.devices[d];
-                    let pair = [dev.create_stream(), dev.create_stream()];
-                    if let Some(&delay) = skew.get(d) {
-                        for stream in pair {
-                            enqueue(&mut world, &mut sim, d, stream, Op::Delay(delay));
-                        }
+                let pairs = world.devices.iter_mut();
+                streams.extend(pairs.map(|dev| [dev.create_stream(), dev.create_stream()]));
+                for (d, (pair, &delay)) in streams.iter().zip(&skew).enumerate() {
+                    let Some(delay) = delay else { continue };
+                    for &stream in pair {
+                        enqueue(world, sim, d, stream, Op::Delay(delay));
                     }
-                    streams.push(pair);
                 }
             }
             let events: Vec<usize> = world.devices.iter_mut().map(|d| d.create_event()).collect();
-            for (d, (buf, &[compute, _])) in bufs.iter().zip(&streams).enumerate() {
-                let record = Op::RecordEvent(events[d]);
+            let ranks = bufs.iter().zip(&streams).zip(&events);
+            for (d, ((buf, &[compute, _]), &event)) in ranks.enumerate() {
                 let kernel = GemmKernel {
                     a: buf.a,
                     b: buf.b,
@@ -211,28 +220,19 @@ impl<'a> Chunked<'a> {
                     writer: Rc::new(AddressOrderWriter),
                     counter: None,
                 };
-                enqueue(&mut world, &mut sim, d, compute, Op::Gemm(kernel));
-                enqueue(&mut world, &mut sim, d, compute, record);
+                enqueue(world, sim, d, compute, Op::Gemm(kernel));
+                enqueue(world, sim, d, compute, Op::RecordEvent(event));
             }
-            for (d, ops) in self.chunk_ops(c, &bufs, &scope)?.into_iter().enumerate() {
-                let comm = streams[d][1];
-                enqueue(&mut world, &mut sim, d, comm, Op::WaitEvent(events[d]));
+            let chunk_ops = self.chunk_ops(c, &bufs, &scope)?;
+            let ranks = chunk_ops.into_iter().zip(&streams).zip(&events);
+            for (d, ((ops, &[_, comm]), &event)) in ranks.enumerate() {
+                enqueue(world, sim, d, comm, Op::WaitEvent(event));
                 for op in ops {
-                    enqueue(&mut world, &mut sim, d, comm, op);
+                    enqueue(world, sim, d, comm, op);
                 }
             }
         }
-        let end = sim.run(&mut world)?;
-        if let Err(Wedge { streams, waits }) = world.check_quiescent() {
-            let chain = Vec::new();
-            return Err(FlashOverlapError::Deadlock {
-                streams,
-                waits,
-                chain,
-            });
-        }
-        let spans = world.op_spans.take().unwrap_or_default();
-        Ok((end - SimTime::ZERO, spans))
+        Ok(())
     }
 
     /// Chunk `c`'s communication: the ops each rank's communication
@@ -273,15 +273,22 @@ impl<'a> Chunked<'a> {
                 // parallel, so a chunk occupies each comm stream for one
                 // chunk-sized copy (plus the owner's broadcast).
                 let owner = c as usize % n;
-                let fabric = &self.system.fabric;
-                let copy =
-                    |src, to, dst| p2p_copy(fabric, (src, off), (to, dst, off), len, P2P_SMS);
+                let Some(owner_recv) = bufs.get(owner).map(|b| b.recv) else {
+                    return Ok(Vec::new());
+                };
+                let topology = &self.system.topology;
+                let copy = |(from, src): (usize, BufferId), to, dst| {
+                    let link = topology.link(from, to);
+                    p2p_copy(link, (src, off), (to, dst, off), len, P2P_SMS)
+                };
                 let ring = bufs.iter().enumerate().map(|(d, buf)| {
                     if d != owner {
-                        vec![copy(buf.out, owner, bufs[owner].recv)]
+                        vec![copy((d, buf.out), owner, owner_recv)]
                     } else if gather_back {
-                        let peers = (0..n).filter(|&peer| peer != owner);
-                        peers.map(|p| copy(buf.out, p, bufs[p].out)).collect()
+                        let peers = bufs.iter().enumerate().filter(|&(p, _)| p != owner);
+                        peers
+                            .map(|(p, peer)| copy((d, buf.out), p, peer.out))
+                            .collect()
                     } else {
                         Vec::new()
                     }
@@ -293,14 +300,17 @@ impl<'a> Chunked<'a> {
     }
 }
 
-/// The grid search every tuned baseline runs: the fastest candidate and
-/// its latency, the first winning ties, or the first error if no
+/// The grid search every tuned baseline runs: each candidate's program
+/// runs in one shared world, and the fastest candidate wins with its
+/// latency — the first winning ties — or the first error if no
 /// candidate is feasible.
-pub(crate) fn fastest<T: Copy>(
+pub(crate) fn fastest<'a, T: Copy>(
     candidates: &[T],
-    latency: impl Fn(T) -> Result<SimDuration, FlashOverlapError>,
+    program: impl Fn(T) -> Result<Chunked<'a>, FlashOverlapError>,
 ) -> Result<(T, SimDuration), FlashOverlapError> {
+    let mut world = ChainWorld::new();
     let mut first_err = None;
+    let mut latency = |c| program(c).and_then(|p| p.latency(&mut world));
     let feasible = candidates.iter().filter_map(|&c| match latency(c) {
         Ok(l) => Some((c, l)),
         Err(e) => {
@@ -339,23 +349,36 @@ fn chunk_a2a_plan(
         return bad(format!("bad routing table for rank {src}"));
     }
     let (cols, first) = (dims.n as usize, rows.start as usize * dims.n as usize);
+    let rows = rows.start as usize..rows.end as usize;
     let mut len = vec![vec![0; n]; n];
-    for (src, table) in routing.iter().enumerate() {
-        for &dest in &table[rows.start as usize..rows.end as usize] {
-            len[src][dest] += cols;
+    for (row, table) in len.iter_mut().zip(routing) {
+        for &dest in table.get(rows.clone()).unwrap_or_default() {
+            if let Some(l) = row.get_mut(dest) {
+                *l += cols;
+            }
         }
     }
-    // Both sides lay their blocks out back to back from the chunk's start.
-    let (mut send_off, mut recv_off) = (vec![vec![first; n]; n], vec![vec![first; n]; n]);
-    for a in 0..n {
-        for b in 1..n {
-            send_off[a][b] = send_off[a][b - 1] + len[a][b - 1];
-            recv_off[a][b] = recv_off[a][b - 1] + len[b - 1][a];
-        }
-    }
+    // Both sides lay their blocks out back to back from the chunk's start:
+    // a source by destination, a destination by source.
+    let starts = |sizes: &[usize]| -> Vec<usize> {
+        let mut next = first;
+        let start = |&size| {
+            let start = next;
+            next += size;
+            start
+        };
+        sizes.iter().map(start).collect()
+    };
+    let received: Vec<Vec<usize>> = (0..n)
+        .map(|d| {
+            len.iter()
+                .map(|row| row.get(d).copied().unwrap_or(0))
+                .collect()
+        })
+        .collect();
     Ok(A2aPlan {
-        send_off,
+        send_off: len.iter().map(|row| starts(row)).collect(),
+        recv_off: received.iter().map(|row| starts(row)).collect(),
         len,
-        recv_off,
     })
 }

@@ -38,7 +38,7 @@ fn main() {
                 Primitive::AllReduce,
                 count as u64 * BYTES_PER_ELEM,
                 n,
-                &system.fabric,
+                system.fabric(),
             );
             // Without reordering: maximal runs of address-consecutive
             // tiles, each one call.
@@ -55,7 +55,7 @@ fn main() {
                         Primitive::AllReduce,
                         run_elems * BYTES_PER_ELEM,
                         n,
-                        &system.fabric,
+                        system.fabric(),
                     );
                     total_segments += 1;
                     run_start = i;
@@ -63,7 +63,7 @@ fn main() {
             }
         }
         rows.push(vec![
-            format!("{} x{}", system.fabric.name, n),
+            format!("{} x{}", system.fabric().name, n),
             format!("{}x{}x{}", dims.m, dims.n, dims.k),
             plan.partition.to_string(),
             format!("{reordered}"),

@@ -10,7 +10,7 @@ use flashoverlap::SystemSpec;
 use interconnect::log_spaced_sizes;
 
 fn busbw_gbps(prim: Primitive, bytes: u64, n: usize, system: &SystemSpec) -> f64 {
-    let dur = collective_duration(prim, bytes, n, &system.fabric).as_secs_f64();
+    let dur = collective_duration(prim, bytes, n, system.fabric()).as_secs_f64();
     // Bus bandwidth convention (NCCL tests): algorithmic traffic
     // 2(n-1)/n * S for AllReduce, normalized by time.
     let traffic = match prim {
@@ -57,10 +57,10 @@ fn main() {
     // Fragmentation cost: splitting a 64 MiB payload into k calls.
     println!("\nFragmentation penalty (64 MiB AllReduce on 4x RTX4090):");
     let system = SystemSpec::rtx4090(4);
-    let whole = collective_duration(Primitive::AllReduce, 64 << 20, 4, &system.fabric);
+    let whole = collective_duration(Primitive::AllReduce, 64 << 20, 4, system.fabric());
     let mut rows = Vec::new();
     for k in [1u64, 2, 4, 8, 16, 32] {
-        let split = collective_duration(Primitive::AllReduce, (64 << 20) / k, 4, &system.fabric);
+        let split = collective_duration(Primitive::AllReduce, (64 << 20) / k, 4, system.fabric());
         let total = split * k;
         rows.push(vec![
             format!("{k} calls"),

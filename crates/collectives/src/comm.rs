@@ -291,34 +291,15 @@ pub struct Communicator {
 }
 
 impl Communicator {
-    /// Creates a communicator over `ranks` using `fabric`, with each
-    /// in-flight collective holding `sm_footprint` SMs on every rank.
+    /// Creates a single-node Ring communicator over `ranks` on `fabric`,
+    /// each in-flight collective holding `sm_footprint` SMs on every rank.
     ///
     /// # Panics
     ///
     /// Panics if fewer than two ranks are given or ranks repeat.
     pub fn new(ranks: Vec<DeviceId>, fabric: FabricSpec, sm_footprint: u32) -> Self {
-        Self::with_algorithm(ranks, fabric, sm_footprint, Algorithm::Ring)
-    }
-
-    /// Creates a communicator with an explicit collective algorithm.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`Communicator::new`].
-    pub fn with_algorithm(
-        ranks: Vec<DeviceId>,
-        fabric: FabricSpec,
-        sm_footprint: u32,
-        algorithm: Algorithm,
-    ) -> Self {
-        let n = ranks.len();
-        Self::with_topology(
-            ranks,
-            Topology::single_node(fabric, n.max(1)),
-            sm_footprint,
-            algorithm,
-        )
+        let topology = Topology::single_node(fabric, ranks.len().max(1));
+        Self::with_topology(ranks, topology, sm_footprint, Algorithm::Ring)
     }
 
     /// Creates a communicator whose ranks are laid out on a two-tier

@@ -49,7 +49,6 @@
 //! segment re-bases the deadline without consuming a retry.
 #![warn(clippy::indexing_slicing)]
 
-use std::rc::Rc;
 use std::sync::Arc;
 
 use collectives::CollectiveRole;
@@ -68,11 +67,13 @@ use crate::runtime::{Instrumentation, OverlapPlan, ProgramHandles, StreamCtx};
 use crate::sequence::{SequenceOptions, SequenceOutcome};
 use crate::world::ChainWorld;
 
-/// Executes the chain `plans` in one simulation, in a fresh world, and
+/// Executes the chain `plans` in one simulation in `chain_world`, and
 /// reports per segment. Segment `i` runs `plans[i]` followed by the
 /// fused epilogue `epilogues[i]` (missing entries mean none); a segment
-/// after an epilogue consumes its output as activations. The cluster is
-/// built from the first plan's system.
+/// after an epilogue consumes its output as activations. The world is
+/// readied for the first plan's system — the state a fresh one would
+/// have — before the chain, and cleared after it, on success and on
+/// error alike.
 ///
 /// # Errors
 ///
@@ -83,32 +84,6 @@ use crate::world::ChainWorld;
 /// when an uninstrumented, non-resilient schedule wedges; and
 /// [`FlashOverlapError::Simulation`] on engine failure.
 pub(crate) fn execute_chain(
-    plans: &[&OverlapPlan],
-    epilogues: &[Option<ElementwiseOp>],
-    options: &SequenceOptions,
-) -> Result<SequenceOutcome, FlashOverlapError> {
-    run_chain(&mut ChainWorld::new(), plans, epilogues, options)
-}
-
-/// [`execute_chain`] in a reused `world`: the world is reset to the
-/// state a fresh one would have before the chain, and cleared after it —
-/// on success and on error alike.
-///
-/// # Errors
-///
-/// As [`execute_chain`].
-pub(crate) fn execute_chain_in(
-    world: &mut ChainWorld,
-    plans: &[&OverlapPlan],
-    epilogues: &[Option<ElementwiseOp>],
-    options: &SequenceOptions,
-) -> Result<SequenceOutcome, FlashOverlapError> {
-    let outcome = run_chain(world, plans, epilogues, options);
-    world.clear();
-    outcome
-}
-
-fn run_chain(
     chain_world: &mut ChainWorld,
     plans: &[&OverlapPlan],
     epilogues: &[Option<ElementwiseOp>],
@@ -161,60 +136,53 @@ fn run_chain(
         }
     }
 
-    let (world, sim) =
-        chain_world.prepare(&first.system, options.functional.is_some(), options.trace);
-    if let Some(monitor) = &instr.monitor {
-        world.set_monitor(Rc::clone(monitor));
-    }
-    if let Some(probe) = &instr.probe {
-        sim.set_probe(Rc::clone(probe));
-    }
-    // Cluster-level faults (degraded links, stalls, stragglers) exist
-    // before the chain starts, whichever segment's plan armed them. The
-    // fault/recovery timeline is the cluster's runtime log: arming ops
-    // append from inside the simulation, the watchdog from outside.
-    let faults_armed = match options.resilient {
-        Some((faults, _)) => arm_cluster_faults(world, sim, faults),
-        None => 0,
+    let functional = options.functional.is_some();
+    let body = |world: &mut Cluster, sim: &mut ClusterSim| {
+        // Cluster-level faults (degraded links, stalls, stragglers)
+        // exist before the chain starts, whichever segment's plan
+        // armed them. The fault/recovery timeline is the cluster's
+        // runtime log: arming ops append from inside the simulation,
+        // the watchdog from outside.
+        let faults_armed = match options.resilient {
+            Some((faults, _)) => arm_cluster_faults(world, sim, faults),
+            None => 0,
+        };
+        let streams = StreamCtx::create(world, n);
+        let segments = enqueue_chain(world, sim, plans, epilogues, options, &streams);
+        let (end, outcomes) = if let Some((_, watchdog)) = options.resilient {
+            drive_chain(world, sim, plans, &segments, &streams, watchdog)?
+        } else {
+            let end = sim.run(world)?;
+            let instrumented =
+                instr.monitor.is_some() || instr.probe.is_some() || instr.mutation.is_some();
+            if !instrumented && options.drop_cross_batch_edge.is_none() {
+                check_quiescent_chain(world, &segments)?;
+            }
+            (end, vec![ResilientOutcome::Clean; plans.len()])
+        };
+        let outputs = options.functional.map(|_| {
+            plans
+                .iter()
+                .zip(&segments)
+                .map(|(plan, seg)| plan.extract_outputs(world, &seg.handles))
+                .collect()
+        });
+        Ok(SequenceOutcome {
+            total: end - SimTime::ZERO,
+            reports: segments
+                .iter()
+                .map(|s| s.handles.probes.report(world))
+                .collect(),
+            spans: Vec::new(),
+            outputs,
+            outcomes,
+            events: world.runtime_log.drain(..).collect(),
+            faults_armed,
+        })
     };
-    let streams = StreamCtx::create(world, n);
-    let segments = enqueue_chain(world, sim, plans, epilogues, options, &streams);
-
-    let (end, outcomes) = if let Some((_, watchdog)) = options.resilient {
-        drive_chain(world, sim, plans, &segments, &streams, watchdog)?
-    } else {
-        let end = sim.run(world)?;
-        let instrumented =
-            instr.monitor.is_some() || instr.probe.is_some() || instr.mutation.is_some();
-        if !instrumented && options.drop_cross_batch_edge.is_none() {
-            check_quiescent_chain(world, &segments)?;
-        }
-        (end, vec![ResilientOutcome::Clean; plans.len()])
-    };
-    let spans = if options.trace {
-        world.op_spans.take().unwrap_or_default()
-    } else {
-        Vec::new()
-    };
-    let outputs = options.functional.map(|_| {
-        plans
-            .iter()
-            .zip(&segments)
-            .map(|(plan, seg)| plan.extract_outputs(world, &seg.handles))
-            .collect()
-    });
-    Ok(SequenceOutcome {
-        total: end - SimTime::ZERO,
-        reports: segments
-            .iter()
-            .map(|s| s.handles.probes.report(world))
-            .collect(),
-        spans,
-        outputs,
-        outcomes,
-        events: world.runtime_log.drain(..).collect(),
-        faults_armed,
-    })
+    let (outcome, spans) =
+        chain_world.run(&first.system, functional, options.trace, instr, body)?;
+    Ok(SequenceOutcome { spans, ..outcome })
 }
 
 /// Enqueues every segment of the chain: rearm edges on table reuse, the

@@ -18,6 +18,7 @@ use crate::runtime::{CommPattern, OverlapPlan};
 use crate::sequence::{SequenceOptions, SequenceOutcome};
 use crate::system::SystemSpec;
 use crate::tuner::predictive_search;
+use crate::world::ChainWorld;
 
 /// One pipeline stage: a communicated GEMM plus the element-wise
 /// epilogue that feeds the next stage.
@@ -188,7 +189,7 @@ impl Pipeline {
         options: &SequenceOptions,
     ) -> Result<SequenceOutcome, FlashOverlapError> {
         let plans: Vec<&OverlapPlan> = self.plans.iter().collect();
-        execute_chain(&plans, &self.epilogues, options)
+        execute_chain(&mut ChainWorld::new(), &plans, &self.epilogues, options)
     }
 }
 

@@ -41,6 +41,7 @@ use crate::partition::WavePartition;
 use crate::predictor::LatencyPredictor;
 use crate::sequence::{SequenceOptions, SequenceOutcome};
 use crate::system::SystemSpec;
+use crate::world::ChainWorld;
 use crate::writers::{PackedTileWriter, SubtilePackedWriter, TokenPoolWriter};
 
 /// The communication pattern following the GEMM.
@@ -336,7 +337,7 @@ impl OverlapPlan {
             ),
             "the predictor was built for another shape or primitive"
         );
-        system.check_group()?;
+        let comm = system.communicator()?;
         let mut config = GemmConfig::choose(dims, &system.arch);
         if matches!(pattern, CommPattern::AllToAll { .. }) {
             // Token pools fill when a row *band* completes (every tile
@@ -393,12 +394,6 @@ impl OverlapPlan {
         };
         let group_runs = mapping.layout().issue_runs();
         let writers = mapping.writers(system.n_gpus);
-        let comm = Communicator::with_topology(
-            (0..system.n_gpus).collect(),
-            system.topology.clone(),
-            system.comm_sms,
-            system.algorithm,
-        );
         Ok(OverlapPlan {
             system,
             dims,
@@ -482,7 +477,7 @@ impl OverlapPlan {
         &self,
         options: &SequenceOptions,
     ) -> Result<SequenceOutcome, FlashOverlapError> {
-        execute_chain(&[self], &[], options)
+        execute_chain(&mut ChainWorld::new(), &[self], &[], options)
     }
 
     /// Validates an epilogue operator against this plan's logical output
@@ -633,14 +628,8 @@ impl OverlapPlan {
         // Host-process launch skew: each rank's whole program starts a
         // random delay late (both its streams — the host thread submits
         // everything).
-        if self.system.launch_skew_ns > 0 {
-            for d in 0..n {
-                let delay = {
-                    let dev = &mut world.devices[d];
-                    sim::SimDuration::from_nanos(
-                        dev.rng.uniform(0.0, self.system.launch_skew_ns as f64) as u64,
-                    )
-                };
+        for d in 0..n {
+            if let Some(delay) = self.system.launch_skew(&mut world.devices[d]) {
                 enqueue(world, sim, d, compute_streams[d], Op::Delay(delay));
                 enqueue(world, sim, d, comm_streams[d], Op::Delay(delay));
             }

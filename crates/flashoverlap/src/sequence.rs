@@ -27,7 +27,7 @@ use gpu_sim::RuntimeEvent;
 use sim::SimDuration;
 use tensor::Matrix;
 
-use crate::chain::{execute_chain, execute_chain_in};
+use crate::chain::execute_chain;
 use crate::error::FlashOverlapError;
 use crate::resilience::{FaultPlan, ResilientOutcome, WatchdogConfig};
 use crate::runtime::{FunctionalInputs, Instrumentation, OverlapPlan, RunReport};
@@ -168,7 +168,7 @@ pub fn execute_sequence(
     plans: &[&OverlapPlan],
     options: &SequenceOptions,
 ) -> Result<SequenceOutcome, FlashOverlapError> {
-    execute_chain(plans, &[], options)
+    execute_sequence_in(&mut ChainWorld::new(), plans, options)
 }
 
 /// [`execute_sequence`] in a reused [`ChainWorld`]: the world is reset
@@ -186,7 +186,7 @@ pub fn execute_sequence_in(
     plans: &[&OverlapPlan],
     options: &SequenceOptions,
 ) -> Result<SequenceOutcome, FlashOverlapError> {
-    execute_chain_in(world, plans, &[], options)
+    execute_chain(world, plans, &[], options)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! System specifications: which GPUs, how many, over what fabric.
 
-use collectives::Algorithm;
+use collectives::{Algorithm, Communicator};
 use gpu_sim::arch::GpuArch;
 use gpu_sim::cluster::Cluster;
 use interconnect::FabricSpec;
@@ -14,9 +14,6 @@ use crate::error::FlashOverlapError;
 pub struct SystemSpec {
     /// GPU architecture of every device.
     pub arch: GpuArch,
-    /// Inter-GPU fabric (the intra-node tier of [`SystemSpec::topology`];
-    /// kept in sync by the builders).
-    pub fabric: FabricSpec,
     /// How the GPUs are laid out across nodes. Single-node by default;
     /// [`SystemSpec::with_nodes`] splits the group across nodes with an
     /// InfiniBand-class inter tier, which switches collectives to the
@@ -47,7 +44,6 @@ impl SystemSpec {
     pub fn rtx4090(n_gpus: usize) -> Self {
         SystemSpec {
             arch: GpuArch::rtx4090(),
-            fabric: FabricSpec::rtx4090_pcie(),
             topology: Topology::single_node(FabricSpec::rtx4090_pcie(), n_gpus.max(1)),
             n_gpus,
             comm_sms: 16,
@@ -61,7 +57,6 @@ impl SystemSpec {
     pub fn a800(n_gpus: usize) -> Self {
         SystemSpec {
             arch: GpuArch::a800(),
-            fabric: FabricSpec::a800_nvlink(),
             topology: Topology::single_node(FabricSpec::a800_nvlink(), n_gpus.max(1)),
             n_gpus,
             comm_sms: 20,
@@ -96,10 +91,7 @@ impl SystemSpec {
         self
     }
 
-    /// Returns a copy laid out on an explicit two-tier topology. The
-    /// fabric field is re-synced to the topology's intra tier so every
-    /// single-tier consumer (telemetry peaks, Fig. 8 curves) keeps
-    /// reading a coherent value.
+    /// Returns a copy laid out on an explicit two-tier topology.
     ///
     /// # Panics
     ///
@@ -112,7 +104,6 @@ impl SystemSpec {
             topology.n_gpus(),
             self.n_gpus
         );
-        self.fabric = topology.intra.clone();
         self.topology = topology;
         self
     }
@@ -138,10 +129,46 @@ impl SystemSpec {
         let topology = Topology::two_tier(
             nodes,
             self.n_gpus / nodes,
-            self.fabric.clone(),
+            self.fabric().clone(),
             FabricSpec::hdr_infiniband(),
         );
         self.with_topology(topology)
+    }
+
+    /// The fabric inside a node: [`SystemSpec::topology`]'s intra tier.
+    pub fn fabric(&self) -> &FabricSpec {
+        &self.topology.intra
+    }
+
+    /// Whether every GPU pair's link, across nodes too, has peer-to-peer
+    /// access (what Async-TP and FLUX need).
+    pub fn peer_to_peer(&self) -> bool {
+        let (topology, n) = (&self.topology, self.topology.n_gpus());
+        (0..n).all(|a| (0..n).all(|b| topology.link(a, b).peer_to_peer))
+    }
+
+    /// The communicator over all ranks of the topology that the overlap
+    /// plan and every simulated baseline run their collectives on.
+    ///
+    /// # Errors
+    ///
+    /// As [`SystemSpec::check_group`].
+    pub fn communicator(&self) -> Result<Communicator, FlashOverlapError> {
+        self.check_group()?;
+        let (ranks, topology) = ((0..self.n_gpus).collect(), self.topology.clone());
+        Ok(Communicator::with_topology(
+            ranks,
+            topology,
+            self.comm_sms,
+            self.algorithm,
+        ))
+    }
+
+    /// Draws one rank's launch skew from its device RNG: uniform in
+    /// `[0, launch_skew_ns)`, or `None`, without a draw, when it is off.
+    pub fn launch_skew(&self, dev: &mut gpu_sim::Device) -> Option<sim::SimDuration> {
+        let max = self.launch_skew_ns as f64;
+        (max > 0.0).then(|| sim::SimDuration::from_nanos(dev.rng.uniform(0.0, max) as u64))
     }
 
     /// Checks that the system has the two or more GPUs every collective
@@ -198,9 +225,9 @@ mod tests {
     fn presets_expose_paper_platforms() {
         let r = SystemSpec::rtx4090(4);
         assert_eq!(r.n_gpus, 4);
-        assert!(!r.fabric.peer_to_peer);
+        assert!(!r.fabric().peer_to_peer);
         let a = SystemSpec::a800(2);
-        assert!(a.fabric.peer_to_peer);
+        assert!(a.fabric().peer_to_peer);
     }
 
     #[test]
@@ -229,7 +256,6 @@ mod tests {
         let spec = SystemSpec::a800(8).with_nodes(2);
         assert_eq!(spec.topology.nodes, 2);
         assert_eq!(spec.topology.gpus_per_node, 4);
-        assert_eq!(spec.fabric.name, spec.topology.intra.name);
         assert_eq!(spec.topology.inter.name, "HDR-IB");
         let cluster = spec.build_cluster(false);
         assert_eq!(cluster.node_of, vec![0, 0, 0, 0, 1, 1, 1, 1]);

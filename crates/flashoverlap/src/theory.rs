@@ -14,7 +14,7 @@
 //! segmentation, signaling latency, and rendezvous skew, which is exactly
 //! why measured FlashOverlap reaches only 69-98% of this bound.
 
-use collectives::{collective_duration_with, Primitive, BYTES_PER_ELEM};
+use collectives::{tiered_duration, Primitive, BYTES_PER_ELEM};
 use gpu_sim::gemm::{gemm_estimate, GemmConfig, GemmDims};
 use sim::SimDuration;
 
@@ -29,14 +29,7 @@ pub fn nonoverlap_latency(
 ) -> SimDuration {
     let config = GemmConfig::choose(dims, &system.arch);
     let (_, gemm) = gemm_estimate(dims, &config, system.arch.sm_count, &system.arch);
-    let comm = collective_duration_with(
-        primitive,
-        dims.out_elems() * BYTES_PER_ELEM,
-        system.n_gpus,
-        &system.fabric,
-        system.algorithm,
-    );
-    gemm + comm
+    gemm + collective(primitive, dims.out_elems() * BYTES_PER_ELEM, system)
 }
 
 /// The perfect-overlap lower bound on the operator latency.
@@ -49,32 +42,25 @@ pub fn theoretical_latency(
     let grid = config.grid(dims);
     let (waves, gemm) = gemm_estimate(dims, &config, system.arch.sm_count, &system.arch);
     let total_bytes = dims.out_elems() * BYTES_PER_ELEM;
-    let comm_total = collective_duration_with(
-        primitive,
-        total_bytes,
-        system.n_gpus,
-        &system.fabric,
-        system.algorithm,
-    );
+    let comm_total = collective(primitive, total_bytes, system);
     if gemm >= comm_total {
         // Compute-bound: only the last wave's communication peeks out.
         let full_waves_tiles = (waves - 1) * system.arch.sm_count;
         let last_wave_tiles = grid.num_tiles().saturating_sub(full_waves_tiles).max(1);
         let last_wave_bytes = last_wave_tiles as u64 * config.tile.elems() * BYTES_PER_ELEM;
-        let comm_tail = collective_duration_with(
-            primitive,
-            last_wave_bytes.min(total_bytes),
-            system.n_gpus,
-            &system.fabric,
-            system.algorithm,
-        );
-        gemm + comm_tail
+        gemm + collective(primitive, last_wave_bytes.min(total_bytes), system)
     } else {
         // Communication-bound: only the first wave's computation peeks
         // out.
         let first_wave = SimDuration::from_nanos(gemm.as_nanos() / waves as u64);
         first_wave + comm_total
     }
+}
+
+/// One unfragmented collective of `bytes` per rank, priced by the tiered
+/// model the runtime and the predictor charge.
+fn collective(primitive: Primitive, bytes: u64, system: &SystemSpec) -> SimDuration {
+    tiered_duration(primitive, bytes, &system.topology, system.algorithm)
 }
 
 /// The theoretical best-case speedup over the non-overlap reference.
@@ -87,6 +73,7 @@ pub fn theoretical_speedup(dims: GemmDims, primitive: Primitive, system: &System
 #[cfg(test)]
 mod tests {
     use super::*;
+    use collectives::collective_duration_with;
 
     #[test]
     fn theory_is_never_slower_than_nonoverlap() {
@@ -116,7 +103,7 @@ mod tests {
             Primitive::AllReduce,
             dims.out_elems() * BYTES_PER_ELEM,
             4,
-            &system.fabric,
+            system.fabric(),
             system.algorithm,
         );
         let t = theoretical_latency(dims, Primitive::AllReduce, &system);

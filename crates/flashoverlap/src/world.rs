@@ -7,12 +7,18 @@
 //! event engine and the span buffer are built once and reset for every
 //! chain, keeping their allocations.
 
+use std::rc::Rc;
+
 use gpu_sim::{Cluster, ClusterSim, OpSpan};
 
+use crate::error::FlashOverlapError;
+use crate::runtime::Instrumentation;
 use crate::system::SystemSpec;
 
 /// A cluster, an event engine and a span buffer that successive chains
-/// reuse (see [`crate::sequence::execute_sequence_in`]).
+/// reuse (see [`crate::sequence::execute_sequence_in`]). Every
+/// simulation — a chain, or a baseline's chunked program — runs through
+/// [`ChainWorld::run`].
 ///
 /// **Reset contract.** A chain starts from exactly the state
 /// [`SystemSpec::build_cluster`] and [`sim::Sim::new`] give for its
@@ -46,16 +52,28 @@ impl ChainWorld {
         ChainWorld::default()
     }
 
-    /// Readies the world for a chain on `system` — rebuilding the cluster
-    /// if it was built for another system, resetting it when only the
-    /// functional mode changes — and hands out the cluster and engine.
-    /// A traced chain records into the recycled span buffer.
-    pub(crate) fn prepare(
+    /// Runs one simulation on `system` in this world. It readies the
+    /// world — rebuilding the cluster if it was built for another system,
+    /// resetting it when only the functional mode changes — attaches
+    /// `instr`'s monitor and probe, and hands `body` the cluster and
+    /// engine to enqueue on and run: to completion, or in watchdog
+    /// deadline steps. `body` decides when a wedge is an error. Returns
+    /// its result with the spans recorded into the recycled span buffer
+    /// (none unless `trace`), and then drops everything the run left —
+    /// queued events and kernels, parked waits, buffers, the monitor and
+    /// the probe — on success and on error alike.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `body`'s error.
+    pub fn run<R>(
         &mut self,
         system: &SystemSpec,
         functional: bool,
         trace: bool,
-    ) -> (&mut Cluster, &mut ClusterSim) {
+        instr: &Instrumentation,
+        body: impl FnOnce(&mut Cluster, &mut ClusterSim) -> Result<R, FlashOverlapError>,
+    ) -> Result<(R, Vec<OpSpan>), FlashOverlapError> {
         let ChainWorld {
             cluster,
             sim,
@@ -75,18 +93,16 @@ impl ChainWorld {
         if trace {
             cluster.op_spans = Some(std::mem::take(spans));
         }
-        (cluster, sim)
-    }
-
-    /// Drops everything a chain left in the world — queued events and
-    /// kernels, parked waits, buffers, the monitor and the probe — and
-    /// returns the cluster and engine to their reset state.
-    pub(crate) fn clear(&mut self) {
-        if let Some((cluster, seed)) = &mut self.cluster {
-            let functional = cluster.functional;
-            cluster.reset(functional, *seed);
+        if let Some(monitor) = &instr.monitor {
+            cluster.set_monitor(Rc::clone(monitor));
         }
-        self.sim.reset();
+        if let Some(probe) = &instr.probe {
+            sim.set_probe(Rc::clone(probe));
+        }
+        let ran = body(cluster, sim).map(|out| (out, cluster.op_spans.take().unwrap_or_default()));
+        cluster.reset(functional, *seed);
+        sim.reset();
+        ran
     }
 
     /// The capacity of each buffer the world keeps between chains, by
@@ -133,7 +149,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn prepare_gives_what_build_cluster_gives() {
+    fn run_starts_from_what_build_cluster_gives() {
         let flat = SystemSpec::rtx4090(4);
         let systems = [
             flat.clone(),
@@ -148,20 +164,23 @@ mod tests {
         let mut world = ChainWorld::new();
         for (i, system) in systems.iter().enumerate() {
             let functional = i % 2 == 1;
-            let (cluster, sim) = world.prepare(system, functional, false);
-            let mut want = system.build_cluster(functional);
-            assert_eq!(cluster.node_of, want.node_of, "system {i}");
-            assert_eq!(cluster.noise, want.noise, "system {i}");
-            assert_eq!(cluster.functional, functional, "system {i}");
-            assert_eq!(cluster.devices.len(), want.devices.len(), "system {i}");
-            for (got, want) in cluster.devices.iter_mut().zip(&mut want.devices) {
-                assert_eq!(got.arch, want.arch, "system {i}");
-                assert_eq!(got.mem.functional(), functional, "system {i}");
-                assert_eq!(got.rng.next_u64(), want.rng.next_u64(), "system {i}");
-                assert_eq!(got.create_stream(), 0, "system {i}");
-            }
-            assert_eq!((sim.now(), sim.pending()), (sim::SimTime::ZERO, 0));
-            world.clear();
+            let instr = Instrumentation::default();
+            let ran = world.run(system, functional, false, &instr, |cluster, sim| {
+                let mut want = system.build_cluster(functional);
+                assert_eq!(cluster.node_of, want.node_of, "system {i}");
+                assert_eq!(cluster.noise, want.noise, "system {i}");
+                assert_eq!(cluster.functional, functional, "system {i}");
+                assert_eq!(cluster.devices.len(), want.devices.len(), "system {i}");
+                for (got, want) in cluster.devices.iter_mut().zip(&mut want.devices) {
+                    assert_eq!(got.arch, want.arch, "system {i}");
+                    assert_eq!(got.mem.functional(), functional, "system {i}");
+                    assert_eq!(got.rng.next_u64(), want.rng.next_u64(), "system {i}");
+                    assert_eq!(got.create_stream(), 0, "system {i}");
+                }
+                assert_eq!((sim.now(), sim.pending()), (sim::SimTime::ZERO, 0));
+                Ok(())
+            });
+            assert!(ran.is_ok(), "system {i}");
         }
     }
 }

@@ -57,7 +57,7 @@ pub fn system_fingerprint(system: &SystemSpec) -> u64 {
     };
     eat(system.arch.name.as_bytes());
     eat(&system.arch.sm_count.to_le_bytes());
-    eat(system.fabric.name.as_bytes());
+    eat(system.fabric().name.as_bytes());
     eat(&(system.n_gpus as u64).to_le_bytes());
     // Topology layout: a plan tuned for a single node is wrong for a
     // node-spanning group even when every other knob matches.

@@ -253,7 +253,7 @@ fn build_report(
             k: dims.k,
             n_gpus: system.n_gpus,
             pattern: format!("{:?}", pattern.primitive()),
-            fabric: system.fabric.name.to_owned(),
+            fabric: system.fabric().name.to_owned(),
         },
         nonoverlap_us: base.as_nanos() as f64 / 1e3,
         theory_us: theory.as_nanos() as f64 / 1e3,
