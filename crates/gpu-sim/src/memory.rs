@@ -57,13 +57,6 @@ impl Memory {
         self.buffers.len() - 1
     }
 
-    /// Total elements allocated across all buffers (capacity accounting:
-    /// reordered/receive buffers are extra device memory the design
-    /// costs, like the real system's staging buffers).
-    pub fn elems_allocated(&self) -> usize {
-        self.buffers.iter().map(|b| b.len).sum()
-    }
-
     /// Allocates a buffer initialized with `data` (functional mode), or a
     /// length-only buffer (timing mode).
     pub fn alloc_init(&mut self, data: &[f32]) -> BufferId {
@@ -190,14 +183,6 @@ mod tests {
         let mut mem = Memory::new(true);
         let id = mem.alloc(3);
         mem.write(id, &[1.0]);
-    }
-
-    #[test]
-    fn elems_allocated_accounts_every_buffer() {
-        let mut mem = Memory::new(false);
-        mem.alloc(10);
-        mem.alloc(32);
-        assert_eq!(mem.elems_allocated(), 42);
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! The per-replica execution engine.
+//! One serve replica.
 //!
-//! A [`ReplicaEngine`] owns everything one replica group needs to run a
-//! chain of batches — the simulation world (one [`ChainWorld`], reset
-//! for every chain by [`flashoverlap::execute_sequence_in`]), the
-//! tuned-plan [`PlanCache`], the chain memo, the telemetry wiring and
-//! the chain analyses' [`ChainIndex`], and the chain assembly (per-batch
-//! fault plans, sequence options, pipelining). The serve loop owns one
-//! engine per replica and runs each chain, on the calling thread, when it
+//! A [`Replica`] is everything the serve loop knows about one
+//! tensor-parallel replica group: its dispatch queue, the virtual time its
+//! last chain drains, its report row ([`ReplicaStats`], whose counters are
+//! bumped as chains run and whose `quarantined` flag takes it out of
+//! service), its chain log, and what its chains run on — the tuned-plan
+//! [`PlanCache`], the chain memo, the simulation world (one
+//! [`ChainWorld`], reset for every chain by
+//! [`flashoverlap::execute_sequence_in`]), the recycled telemetry buffers
+//! and the chain analyses' [`ChainIndex`]. The serve loop keeps one
+//! `Vec<Replica>` and runs each chain, on the calling thread, when it
 //! dispatches it ([`run_chain`]), so every chain's accounting lands in
 //! dispatch order.
 //!
@@ -14,6 +17,9 @@
 //! tuned for the same key, so while some replica still holds a shape's
 //! plan, the run tunes that shape once.
 
+#![warn(clippy::indexing_slicing)]
+
+use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
 use flashoverlap::{
@@ -25,8 +31,8 @@ use telemetry::attribution::{Attribution, AttributionTotals, Category};
 use telemetry::{ChainIndex, Telemetry, TelemetryRecord};
 
 use crate::batch::Batch;
-use crate::cache::{system_fingerprint, CacheStats, PlanCache, PlanEntry, PlanKey};
-use crate::report::{BatchRecord, Disposition, RequestRecord};
+use crate::cache::{system_fingerprint, CacheStats, PlanCache, PlanKey};
+use crate::report::{BatchRecord, Disposition, ReplicaStats, RequestRecord};
 use crate::server::{fault_seed, Accounting, ServeConfig};
 
 /// A closed batch sitting in a replica's dispatch queue.
@@ -44,61 +50,29 @@ pub(crate) struct PendingBatch {
     pub(crate) migration_ns: u64,
 }
 
-/// What one executed chain tells the serve loop's scheduler.
-#[derive(Debug)]
-pub(crate) struct ChainResult {
-    /// Virtual time the chain drains (the replica's next idle instant).
+/// One replica group of a serve run.
+pub(crate) struct Replica {
+    /// Closed batches routed here, waiting for the replica to go idle.
+    pub(crate) pending: VecDeque<PendingBatch>,
+    /// Virtual time the replica's last chain drains (<= now means idle).
     pub(crate) free_ns: u64,
-    /// Whether any batch in the chain came back degraded (the caller's
-    /// quarantine signal; only possible under chaos).
-    pub(crate) degraded: bool,
-}
-
-/// An engine's lifetime totals, returned by [`ReplicaEngine::finish`]:
-/// everything the report builder needs from it.
-#[derive(Debug)]
-pub(crate) struct EngineFinal {
-    /// Batches executed.
-    pub(crate) batches: u64,
-    /// Requests completed.
-    pub(crate) requests: u64,
-    /// Tokens processed (pre-padding).
-    pub(crate) tokens: u64,
-    /// Chains executed.
-    pub(crate) chains: u64,
-    /// Virtual busy time (migration + execution).
-    pub(crate) busy_ns: u64,
-    /// Executed chains as `(start_ns, total_ns, attribution)`.
+    /// The replica's report row. Each chain bumps its `batches`,
+    /// `requests`, `tokens`, `busy_ns` and `chains`. `quarantined` is set
+    /// when the replica is pulled from service (a chaos chain came back
+    /// degraded, or the serve loop blamed it for a stall): it then
+    /// receives no new batches and never dispatches again. `utilization`
+    /// and `cache` stay unset here: the report fills them in on its copy
+    /// of the row at the end of the run.
+    pub(crate) stats: ReplicaStats,
+    /// Executed chains as `(start_ns, total_ns, attribution)`, in start
+    /// order: a chain dispatches only once the previous one has drained.
     pub(crate) chain_log: Vec<(u64, u64, AttributionTotals)>,
-    /// Plan-cache hit/miss/eviction counters.
-    pub(crate) cache_stats: CacheStats,
-    /// Exported tuned-plan entries (the `--plan-cache-out` payload);
-    /// empty unless the finish asked for them.
-    pub(crate) entries: Vec<PlanEntry>,
-    /// Chains replayed from the engine's chain memo instead of simulated.
-    pub(crate) memo_hits: u64,
-    /// Plans the engine's cache tuned (or built untuned) itself instead
-    /// of adopting them from a sibling.
-    pub(crate) tunes: u64,
-}
-
-/// One replica's engine: its plan cache, chain memo and the simulation
-/// world its chains run in, plus its lifetime counters.
-pub(crate) struct ReplicaEngine<'a> {
-    config: &'a ServeConfig,
-    replica_idx: usize,
-    tp: u32,
-    /// [`system_fingerprint`] of `config.system`, computed once: the
-    /// engine's system never changes, so every plan-cache key shares it.
-    system_fp: u64,
-    cache: PlanCache,
+    /// [`system_fingerprint`] of the run's system, computed once: it
+    /// never changes, so every plan-cache key shares it.
+    pub(crate) system_fp: u64,
+    /// The replica's tuned plans.
+    pub(crate) cache: PlanCache,
     memo: ChainMemo,
-    batches: u64,
-    requests: u64,
-    tokens: u64,
-    chains: u64,
-    busy_ns: u64,
-    chain_log: Vec<(u64, u64, AttributionTotals)>,
     /// Recycled telemetry buffers: each chain's recorder takes this
     /// record's capacity and hands it back after harvest, so the
     /// per-event vectors stop re-growing from zero on every chain.
@@ -136,7 +110,7 @@ struct ChainRun {
 ///
 /// Sound because every chain starts from the same state: the world is
 /// reset to exactly what [`SystemSpec::build_cluster`] gives, with the
-/// same device RNG forks, and the engine's system, pipelining and
+/// same device RNG forks, and the replica's system, pipelining and
 /// instrumentation never change. So a non-chaos chain's [`ChainRun`] is
 /// a pure function of its plans, and a repeated plan sequence replays
 /// its stored run instead of simulating again. Chaos chains draw fault
@@ -198,7 +172,6 @@ impl ChainMemo {
         let idx = match found {
             Some(idx) => {
                 self.hits += 1;
-                self.entries[idx].last_used = self.tick;
                 idx
             }
             None => {
@@ -217,24 +190,28 @@ impl ChainMemo {
                 self.entries.len() - 1
             }
         };
-        Ok(&self.entries[idx].run)
+        let entry = self.entries.get_mut(idx).ok_or_else(|| {
+            FlashOverlapError::Simulation(format!("chain memo has no entry {idx}"))
+        })?;
+        entry.last_used = self.tick;
+        Ok(&entry.run)
     }
 }
 
-/// Builds one engine per replica of `config`, each with its chain memo on
-/// or off (the memo never changes a result, so only its own tests turn it
-/// off). A `--plan-cache-in` snapshot is built and verified once, into the
+/// Builds the replicas of `config`, each with its chain memo on or off
+/// (the memo never changes a result, so only its own tests turn it off).
+/// A `--plan-cache-in` snapshot is built and verified once, into the
 /// first cache; every replica starts from a copy of that cache, sharing
 /// its plans and counting the same preloads.
 ///
 /// # Errors
 ///
 /// Returns the preload's error (e.g. a malformed snapshot entry).
-pub(crate) fn build_engines(
+pub(crate) fn build_replicas(
     config: &ServeConfig,
     tuned: bool,
     memo: bool,
-) -> Result<Vec<ReplicaEngine<'_>>, FlashOverlapError> {
+) -> Result<Vec<Replica>, FlashOverlapError> {
     let mut cache = if tuned {
         PlanCache::new(config.cache_capacity)
     } else {
@@ -251,19 +228,25 @@ pub(crate) fn build_engines(
     };
     let system_fp = system_fingerprint(&config.system);
     Ok((0..config.replicas)
-        .map(|replica_idx| ReplicaEngine {
-            config,
-            replica_idx,
-            tp: config.system.n_gpus as u32,
+        .map(|id| Replica {
+            pending: VecDeque::new(),
+            free_ns: 0,
+            stats: ReplicaStats {
+                id,
+                node: id % config.nodes,
+                batches: 0,
+                requests: 0,
+                tokens: 0,
+                busy_ns: 0,
+                chains: 0,
+                utilization: 0.0,
+                quarantined: false,
+                cache: CacheStats::default(),
+            },
+            chain_log: Vec::new(),
             system_fp,
             cache: cache.clone(),
             memo: ChainMemo::new(memo_capacity),
-            batches: 0,
-            requests: 0,
-            tokens: 0,
-            chains: 0,
-            busy_ns: 0,
-            chain_log: Vec::new(),
             scratch: TelemetryRecord::default(),
             index: ChainIndex::new(),
             world: ChainWorld::new(),
@@ -271,64 +254,77 @@ pub(crate) fn build_engines(
         .collect())
 }
 
-/// Runs `chain` on engine `idx` from `start_ns` and accounts it into
-/// `acct`. With `adopt` set, a plan-cache miss first takes the plan one of
-/// the other engines' caches tuned for the same key (the lowest replica
-/// id holding one wins), and tunes only when none does.
+/// Runs `chain` on replica `idx` from `start_ns`, accounts it into `acct`
+/// and sets the replica's `free_ns` to when it drains. Returns whether any
+/// batch in the chain came back degraded (the caller's quarantine signal;
+/// only possible under chaos).
 ///
-/// Adoption never changes the report: tuning is a pure function of the
-/// key, so an adopted plan equals the one the miss would have tuned, and
-/// the miss is counted exactly as before (see [`PlanCache`]).
+/// With `adopt` set, a plan-cache miss first takes the plan one of the
+/// other replicas' caches tuned for the same key (the lowest replica id
+/// holding one wins), and tunes only when none does. Adoption never
+/// changes the report: tuning is a pure function of the key, so an
+/// adopted plan equals the one the miss would have tuned, and the miss is
+/// counted exactly as before (see [`PlanCache`]).
 pub(crate) fn run_chain(
-    engines: &mut [ReplicaEngine<'_>],
+    replicas: &mut [Replica],
     idx: usize,
+    config: &ServeConfig,
     adopt: bool,
     start_ns: u64,
     chain: &[PendingBatch],
     acct: &mut Accounting,
-) -> Result<ChainResult, FlashOverlapError> {
-    let Some((before, [engine, after @ ..])) = engines.split_at_mut_checked(idx) else {
+) -> Result<bool, FlashOverlapError> {
+    let Some((before, [replica, after @ ..])) = replicas.split_at_mut_checked(idx) else {
         return Err(FlashOverlapError::BadInputs {
-            reason: format!("no replica engine {idx}"),
+            reason: format!("no replica {idx}"),
         });
     };
-    let siblings: [&[ReplicaEngine<'_>]; 2] = if adopt { [before, after] } else { [&[], &[]] };
-    engine.execute_chain(start_ns, chain, siblings, acct)
+    let siblings: [&[Replica]; 2] = if adopt { [before, after] } else { [&[], &[]] };
+    replica.execute_chain(config, start_ns, chain, siblings, acct)
 }
 
-impl<'a> ReplicaEngine<'a> {
+impl Replica {
+    /// Padded tokens waiting in the dispatch queue.
+    pub(crate) fn queued_tokens(&self) -> u64 {
+        self.pending
+            .iter()
+            .map(|p| u64::from(p.batch.padded_tokens))
+            .sum()
+    }
+
+    /// Chains replayed from the chain memo instead of simulated.
+    pub(crate) fn memo_hits(&self) -> u64 {
+        self.memo.hits
+    }
+
     /// Executes one chain of batches starting at `start_ns`: resolves its
     /// plans (adopting misses from `siblings`' caches), takes its
     /// [`ChainRun`] from the memo or simulates it, and accounts it.
     fn execute_chain(
         &mut self,
+        config: &ServeConfig,
         start_ns: u64,
         chain: &[PendingBatch],
-        siblings: [&[ReplicaEngine<'a>]; 2],
+        siblings: [&[Replica]; 2],
         acct: &mut Accounting,
-    ) -> Result<ChainResult, FlashOverlapError> {
+    ) -> Result<bool, FlashOverlapError> {
         // Split the borrow: the cache and memo are mutated while the
-        // config is read, and the lifetime counters bump batch by batch.
-        let ReplicaEngine {
-            config,
-            replica_idx,
-            tp,
+        // world is lent to the simulation, and the report row bumps batch
+        // by batch.
+        let Replica {
+            pending: _,
+            free_ns,
+            stats,
+            chain_log,
             system_fp,
             cache,
             memo,
-            batches,
-            requests,
-            tokens,
-            chains,
-            busy_ns,
-            chain_log,
             scratch,
             index,
             world,
         } = self;
-        let config: &ServeConfig = config;
-        let replica_idx = *replica_idx;
-        let tp = *tp;
+        let replica_idx = stats.id;
+        let tp = config.system.n_gpus as u32;
 
         let pattern = CommPattern::AllReduce;
         let mut plans: Vec<(Rc<OverlapPlan>, bool)> = Vec::with_capacity(chain.len());
@@ -338,7 +334,7 @@ impl<'a> ReplicaEngine<'a> {
                 primitive: pattern.primitive(),
                 system_fp: *system_fp,
             };
-            let siblings = siblings.iter().flat_map(|s| s.iter()).map(|e| &e.cache);
+            let siblings = siblings.iter().flat_map(|s| s.iter()).map(|r| &r.cache);
             plans.push(cache.get_or_adopt(key, &pattern, &config.system, siblings)?);
         }
         let mut simulate =
@@ -430,7 +426,7 @@ impl<'a> ReplicaEngine<'a> {
                 cache_hit: *cache_hit,
                 outcome,
                 replica: replica_idx,
-                node: replica_idx % config.nodes,
+                node: stats.node,
                 migration_ns: pending.migration_ns,
                 routing: pending.routing,
                 chain_len,
@@ -438,44 +434,21 @@ impl<'a> ReplicaEngine<'a> {
                 queue_wait_ns: queue_wait,
                 attribution: Some(run.attribution.clip_window(prev_done, window_end)),
             });
-            *batches += 1;
-            *requests += batch.requests.len() as u64;
-            *tokens += u64::from(batch.tokens);
+            stats.batches += 1;
+            stats.requests += batch.requests.len() as u64;
+            stats.tokens += u64::from(batch.tokens);
             prev_done = window_end;
         }
-        *busy_ns += mig_ns + run.total_ns;
-        *chains += 1;
+        stats.busy_ns += mig_ns + run.total_ns;
+        stats.chains += 1;
         // The chain window spans migration + execution; migration is
         // inter-node traffic, so it lands in the collective-transfer
         // category and the serve-level attribution identity still holds.
         let mut chain_totals = run.attribution.totals;
         chain_totals.add(Category::CollectiveTransfer, mig_ns);
         chain_log.push((start_ns, mig_ns.saturating_add(run.total_ns), chain_totals));
-        Ok(ChainResult {
-            free_ns: start_ns.saturating_add(mig_ns).saturating_add(run.total_ns),
-            degraded: run.outcomes.contains(&"degraded"),
-        })
-    }
-
-    /// The engine's lifetime totals, with its cache's tuned plans when
-    /// `export` is set.
-    pub(crate) fn finish(self, export: bool) -> EngineFinal {
-        EngineFinal {
-            batches: self.batches,
-            requests: self.requests,
-            tokens: self.tokens,
-            chains: self.chains,
-            busy_ns: self.busy_ns,
-            cache_stats: self.cache.stats(),
-            entries: if export {
-                self.cache.export_entries(self.system_fp)
-            } else {
-                Vec::new()
-            },
-            memo_hits: self.memo.hits,
-            tunes: self.cache.tunes(),
-            chain_log: self.chain_log,
-        }
+        *free_ns = start_ns.saturating_add(mig_ns).saturating_add(run.total_ns);
+        Ok(run.outcomes.contains(&"degraded"))
     }
 }
 
@@ -571,10 +544,11 @@ fn simulate_chain(
 }
 
 #[cfg(test)]
+#[allow(clippy::indexing_slicing)]
 mod tests {
     use super::*;
     use crate::batch::{Batch, BatchConfig};
-    use crate::cache::CacheSnapshot;
+    use crate::cache::{CacheSnapshot, PlanEntry};
     use crate::router::RouterPolicy;
     use crate::server::{serve_run, RunOptions, ServeRun};
     use crate::traffic::ArrivalProcess;
@@ -712,7 +686,7 @@ mod tests {
     fn chain_memo_keeps_no_evicted_plan_alive() {
         let mut config = ServeConfig::new(SystemSpec::rtx4090(2));
         config.cache_capacity = 1;
-        let mut engines = build_engines(&config, true, true).expect("engine builds");
+        let mut replicas = build_replicas(&config, true, true).expect("replica builds");
         let mut acct = Accounting::new(0);
         let mut held: Vec<Weak<OverlapPlan>> = Vec::new();
         for (id, tokens) in [512u32, 1024, 512, 1024, 512].into_iter().enumerate() {
@@ -728,8 +702,9 @@ mod tests {
                 close_ns: 0,
                 migration_ns: 0,
             };
-            run_chain(&mut engines, 0, true, 0, &[pending], &mut acct).expect("chain runs");
-            let memo = &engines[0].memo;
+            run_chain(&mut replicas, 0, &config, true, 0, &[pending], &mut acct)
+                .expect("chain runs");
+            let memo = &replicas[0].memo;
             assert!(memo.entries.len() <= 1, "memo exceeds capacity");
             held.extend(memo.entries.iter().flat_map(|e| e.plans.clone()));
         }
@@ -739,8 +714,8 @@ mod tests {
             evicted.iter().all(|w| w.upgrade().is_none()),
             "an evicted plan is still alive"
         );
-        assert_eq!(engines[0].cache.stats().evictions, 4);
-        assert_eq!(engines[0].memo.hits, 0, "every re-tuned plan is a new key");
+        assert_eq!(replicas[0].cache.stats().evictions, 4);
+        assert_eq!(replicas[0].memo.hits, 0, "every re-tuned plan is a new key");
     }
 
     /// Serves `config` with and without sibling plan adoption, asserts the

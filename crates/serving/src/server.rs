@@ -6,10 +6,10 @@
 //! wait in a bounded FIFO (overflow is shed — classic admission
 //! control), close into batches under a token-budget/max-wait policy
 //! ([`crate::batch`]), and are routed ([`crate::router`]) to one of
-//! [`ServeConfig::replicas`] independent tensor-parallel groups, each
-//! run by an engine that owns the replica's
-//! [`PlanCache`](crate::cache::PlanCache), telemetry wiring, and chain
-//! executor. An idle replica drains its dispatch queue in
+//! [`ServeConfig::replicas`] independent tensor-parallel groups. The
+//! loop keeps one `Replica` per group: its dispatch queue, drain time,
+//! report row, [`PlanCache`](crate::cache::PlanCache) and simulation
+//! world. An idle replica drains its dispatch queue in
 //! *chains* of up to [`ServeConfig::chain`] batches executed through
 //! one simulation ([`flashoverlap::execute_sequence`]): with
 //! [`ServeConfig::pipelined`] set, batch *k+1*'s GEMM waves run while
@@ -34,25 +34,26 @@
 //! healthy replicas (or shed, with full accounting, when none remain),
 //! and the run completes instead of aborting.
 
-use std::collections::VecDeque;
+#![warn(clippy::indexing_slicing)]
 
 use flashoverlap::{FlashOverlapError, SystemSpec};
+use gpu_sim::gemm::GemmDims;
 use telemetry::attribution::{AttributionTotals, Category};
 use telemetry::percentiles;
 use workloads::ServeMix;
 
 use crate::batch::{form_batch, BatchConfig};
 use crate::cache::{primitive_label, system_fingerprint, CacheSnapshot, CacheStats, PlanEntry};
-use crate::engine::{build_engines, run_chain, EngineFinal, PendingBatch};
+use crate::engine::{build_replicas, run_chain, PendingBatch, Replica};
 use crate::report::{
     BatchRecord, ComparisonReport, Disposition, DriftRow, NodeStats, ReplicaStats, RequestRecord,
     ScalingReport, ServeReport,
 };
-use crate::router::{home_node, ReplicaLoad, Router, RouterPolicy};
+use crate::router::{home_node, ReplicaLoad, RouteDecision, Router, RouterPolicy};
 use crate::traffic::{generate, ArrivalProcess, Request};
 
-/// How the serve loop runs its replica engines. Both variants run every
-/// engine on the calling thread; nothing reads the choice. The type stays
+/// How the serve loop runs its replicas. Both variants run every
+/// replica on the calling thread; nothing reads the choice. The type stays
 /// only because the benchmark package sets it, and leaves with the
 /// benchmark change that ROADMAP item 1 names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,7 +113,7 @@ pub struct ServeConfig {
     /// Tuned plans to seed every replica's cache with before the run.
     /// The snapshot's fingerprint must match [`ServeConfig::system`].
     pub preload: Option<CacheSnapshot>,
-    /// Ignored: both [`ExecMode`]s run every engine on the calling
+    /// Ignored: both [`ExecMode`]s run every replica on the calling
     /// thread.
     pub exec: ExecMode,
 }
@@ -227,7 +228,7 @@ pub(crate) fn fault_seed(seed: u64, batch_id: u64) -> u64 {
 /// fabric when the chosen replica sits off the batch's home node. Zero
 /// on single-node deployments and for home-node placements, so every
 /// `nodes == 1` run is byte-identical to the pre-topology simulator.
-fn migration_penalty_ns(config: &ServeConfig, dims: gpu_sim::gemm::GemmDims, node: usize) -> u64 {
+fn migration_penalty_ns(config: &ServeConfig, dims: GemmDims, node: usize) -> u64 {
     if config.nodes <= 1 || node == home_node(dims, config.nodes) {
         return 0;
     }
@@ -273,48 +274,57 @@ fn shed_pending(p: &PendingBatch, acct: &mut Accounting) {
     acct.quarantine_shed += p.batch.requests.len() as u64;
 }
 
+/// Routes a batch of `dims` among the in-service replicas, as loaded at
+/// `now_ns`.
+fn route(
+    router: &mut Router,
+    replicas: &[Replica],
+    dims: GemmDims,
+    now_ns: u64,
+) -> Option<RouteDecision> {
+    let eligible: Vec<bool> = replicas.iter().map(|r| !r.stats.quarantined).collect();
+    let loads: Vec<ReplicaLoad> = replicas
+        .iter()
+        .map(|r| ReplicaLoad {
+            queued_tokens: r.queued_tokens(),
+            busy_ns: r.free_ns.saturating_sub(now_ns),
+            node: r.stats.node,
+        })
+        .collect();
+    router.route_among(dims, &loads, &eligible)
+}
+
 /// Pulls replica `idx` from service: marks it quarantined, drains its
 /// dispatch queue, and deterministically re-routes each queued batch to
 /// a healthy replica (or sheds it, fully accounted, when none remain).
 /// The caller guarantees another healthy replica exists — the last
 /// replica in service is never quarantined.
 fn quarantine_replica(
-    slots: &mut [ReplicaSlot],
+    replicas: &mut [Replica],
     idx: usize,
-    reason: &'static str,
     router: &mut Router,
     config: &ServeConfig,
     now_ns: u64,
     acct: &mut Accounting,
 ) {
     let tp = config.system.n_gpus as u32;
-    let Some(slot) = slots.get_mut(idx) else {
+    let Some(replica) = replicas.get_mut(idx) else {
         return;
     };
-    if slot.quarantined.is_some() {
+    if replica.stats.quarantined {
         return;
     }
-    slot.quarantined = Some(reason);
-    let orphans: Vec<PendingBatch> = slot.pending.drain(..).collect();
+    replica.stats.quarantined = true;
+    let orphans: Vec<PendingBatch> = replica.pending.drain(..).collect();
     for p in orphans {
-        let eligible: Vec<bool> = slots.iter().map(|s| s.quarantined.is_none()).collect();
-        let loads: Vec<ReplicaLoad> = slots
-            .iter()
-            .enumerate()
-            .map(|(i, s)| ReplicaLoad {
-                queued_tokens: s.queued_tokens(),
-                busy_ns: s.free_ns.saturating_sub(now_ns),
-                node: i % config.nodes,
-            })
-            .collect();
         let dims = p.batch.gemm_dims(tp);
-        match router.route_among(dims, &loads, &eligible) {
+        match route(router, replicas, dims, now_ns) {
             Some(decision) => {
                 // The new placement may cross a node boundary the old
                 // one did not (or vice versa): re-derive the penalty.
                 let migration_ns =
                     migration_penalty_ns(config, dims, decision.replica % config.nodes);
-                if let Some(target) = slots.get_mut(decision.replica) {
+                if let Some(target) = replicas.get_mut(decision.replica) {
                     target.pending.push_back(PendingBatch {
                         routing: "re-routed",
                         migration_ns,
@@ -378,45 +388,6 @@ pub fn serve_scaling(config: &ServeConfig) -> Result<ScalingReport, FlashOverlap
         single,
         unpipelined,
     })
-}
-
-/// The serve loop's side of one replica: its dispatch queue, drain time
-/// and service state. The replica's engine runs its chains.
-struct ReplicaSlot {
-    /// Closed batches routed here, waiting for the replica to go idle.
-    pending: VecDeque<PendingBatch>,
-    /// Virtual time the replica's last chain drains (<= now means idle).
-    free_ns: u64,
-    /// Set when the replica is pulled from service: a chaos chain came
-    /// back degraded (wedged under fault injection) or the serve loop
-    /// blamed it for a stall. A quarantined replica receives no new
-    /// batches and never dispatches again.
-    quarantined: Option<&'static str>,
-}
-
-impl ReplicaSlot {
-    fn new() -> Self {
-        ReplicaSlot {
-            pending: VecDeque::new(),
-            free_ns: 0,
-            quarantined: None,
-        }
-    }
-
-    fn queued_tokens(&self) -> u64 {
-        self.pending
-            .iter()
-            .map(|p| u64::from(p.batch.padded_tokens))
-            .sum()
-    }
-}
-
-/// A replica's end-of-run state: the loop's slot joined with the
-/// engine's totals.
-struct ReplicaView {
-    free_ns: u64,
-    quarantined: Option<&'static str>,
-    fin: EngineFinal,
 }
 
 /// Drift accumulator key: `(m, n, k, group)`.
@@ -484,7 +455,7 @@ impl Accounting {
     /// [`LatencyPredictor`](flashoverlap::LatencyPredictor) predictions.
     pub(crate) fn absorb_drift(
         &mut self,
-        dims: gpu_sim::gemm::GemmDims,
+        dims: GemmDims,
         predicted: &[sim::SimDuration],
         measured: &[sim::SimDuration],
     ) {
@@ -509,13 +480,13 @@ pub(crate) struct ServeRun {
     /// The merged tuned-plan snapshot of every replica's cache; no
     /// entries unless the run exports them.
     pub(crate) snapshot: CacheSnapshot,
-    /// Chains the engines replayed from their chain memos.
+    /// Chains the replicas replayed from their chain memos.
     #[cfg_attr(
         not(test),
         expect(dead_code, reason = "only the chain-memo tests read it")
     )]
     pub(crate) memo_hits: u64,
-    /// Plans the engines tuned themselves rather than adopting them from
+    /// Plans the replicas tuned themselves rather than adopting them from
     /// a sibling replica.
     #[cfg_attr(
         not(test),
@@ -529,9 +500,9 @@ pub(crate) struct ServeRun {
 pub(crate) struct RunOptions {
     /// Tuned plans, or the untuned baseline's.
     pub(crate) tuned: bool,
-    /// Export the engines' tuned plans into [`ServeRun::snapshot`].
+    /// Export the replicas' tuned plans into [`ServeRun::snapshot`].
     pub(crate) export: bool,
-    /// The engines' chain memos. Never changes the report; only the
+    /// The replicas' chain memos. Never changes the report; only the
     /// memo's tests turn it off.
     pub(crate) memo: bool,
     /// Plan-cache misses adopt sibling replicas' plans. Never changes the
@@ -561,8 +532,7 @@ pub(crate) fn serve_run(
     let arrivals = generate(&config.mix, config.process, config.requests, config.seed);
     let offered_span_ns = arrivals.last().map_or(0, |r| r.arrival_ns);
 
-    let mut engines = build_engines(config, opts.tuned, opts.memo)?;
-    let mut slots: Vec<ReplicaSlot> = (0..config.replicas).map(|_| ReplicaSlot::new()).collect();
+    let mut replicas = build_replicas(config, opts.tuned, opts.memo)?;
     let mut router = Router::new(config.router);
 
     let mut queue: Vec<Request> = Vec::new();
@@ -582,24 +552,16 @@ pub(crate) fn serve_run(
     loop {
         iterations += 1;
         if iterations > max_iterations {
-            let pending: Vec<usize> = slots.iter().map(|s| s.pending.len()).collect();
+            let pending: Vec<usize> = replicas.iter().map(|r| r.pending.len()).collect();
             // Survive the wedge when possible: quarantine the blamed
             // replica and re-route its queue instead of aborting. Each
             // replica can be quarantined at most once and the last
             // healthy replica is never pulled, so the retries are
             // bounded by the replica count.
             if let Some(r) = wedged_replica(&pending) {
-                let healthy = slots.iter().filter(|x| x.quarantined.is_none()).count();
-                if healthy > 1 && slots.get(r).is_some_and(|x| x.quarantined.is_none()) {
-                    quarantine_replica(
-                        &mut slots,
-                        r,
-                        "serve loop stalled on this replica",
-                        &mut router,
-                        config,
-                        now_ns,
-                        &mut acct,
-                    );
+                let healthy = replicas.iter().filter(|x| !x.stats.quarantined).count();
+                if healthy > 1 && replicas.get(r).is_some_and(|x| !x.stats.quarantined) {
+                    quarantine_replica(&mut replicas, r, &mut router, config, now_ns, &mut acct);
                     iterations = 0;
                     continue;
                 }
@@ -663,22 +625,12 @@ pub(crate) fn serve_run(
             batch_id += 1;
             let dims = batch.gemm_dims(tp);
             shapes.insert(dims);
-            let eligible: Vec<bool> = slots.iter().map(|s| s.quarantined.is_none()).collect();
-            let loads: Vec<ReplicaLoad> = slots
-                .iter()
-                .enumerate()
-                .map(|(i, s)| ReplicaLoad {
-                    queued_tokens: s.queued_tokens(),
-                    busy_ns: s.free_ns.saturating_sub(now_ns),
-                    node: i % config.nodes,
-                })
-                .collect();
-            match router.route_among(dims, &loads, &eligible) {
+            match route(&mut router, &replicas, dims, now_ns) {
                 Some(decision) => {
                     let migration_ns =
                         migration_penalty_ns(config, dims, decision.replica % config.nodes);
-                    if let Some(slot) = slots.get_mut(decision.replica) {
-                        slot.pending.push_back(PendingBatch {
+                    if let Some(replica) = replicas.get_mut(decision.replica) {
+                        replica.pending.push_back(PendingBatch {
                             batch,
                             routing: decision.reason,
                             close_ns: now_ns,
@@ -705,40 +657,39 @@ pub(crate) fn serve_run(
         // pending batches as one (pipelined) simulation starting now —
         // chains form under chaos too; each batch just carries its own
         // fault plan into the resilient sequence.
-        for idx in 0..slots.len() {
-            let Some(slot) = slots.get_mut(idx) else {
+        for idx in 0..replicas.len() {
+            let Some(replica) = replicas.get_mut(idx) else {
                 continue;
             };
-            if slot.quarantined.is_some() || slot.pending.is_empty() || slot.free_ns > now_ns {
+            if replica.stats.quarantined || replica.pending.is_empty() || replica.free_ns > now_ns {
                 continue;
             }
-            let take = slot.pending.len().min(config.chain);
+            let take = replica.pending.len().min(config.chain);
             chain.clear();
-            chain.extend(slot.pending.drain(..take));
-            let done = run_chain(&mut engines, idx, opts.adopt, now_ns, &chain, &mut acct)?;
-            slot.free_ns = done.free_ns;
+            chain.extend(replica.pending.drain(..take));
+            let degraded = run_chain(
+                &mut replicas,
+                idx,
+                config,
+                opts.adopt,
+                now_ns,
+                &chain,
+                &mut acct,
+            )?;
             // A degraded chain marks the replica wedged. Quarantine it
             // and re-route its queue — unless it is the last replica in
             // service, which keeps limping rather than shedding all
             // remaining traffic.
-            let healthy = slots.iter().filter(|s| s.quarantined.is_none()).count();
-            if done.degraded && healthy > 1 {
-                quarantine_replica(
-                    &mut slots,
-                    idx,
-                    "wedged: chaos chain came back degraded",
-                    &mut router,
-                    config,
-                    now_ns,
-                    &mut acct,
-                );
+            let healthy = replicas.iter().filter(|r| !r.stats.quarantined).count();
+            if degraded && healthy > 1 {
+                quarantine_replica(&mut replicas, idx, &mut router, config, now_ns, &mut acct);
             }
         }
 
         // Termination: every request admitted, batched, and executed.
         if next_arrival >= arrivals.len()
             && queue.is_empty()
-            && slots.iter().all(|s| s.pending.is_empty())
+            && replicas.iter().all(|r| r.pending.is_empty())
         {
             break;
         }
@@ -751,9 +702,9 @@ pub(crate) fn serve_run(
             let deadline = head.arrival_ns.saturating_add(config.batch.max_wait_ns);
             next_event = Some(next_event.map_or(deadline, |t| t.min(deadline)));
         }
-        for slot in &slots {
-            if !slot.pending.is_empty() {
-                next_event = Some(next_event.map_or(slot.free_ns, |t| t.min(slot.free_ns)));
+        for r in &replicas {
+            if !r.pending.is_empty() {
+                next_event = Some(next_event.map_or(r.free_ns, |t| t.min(r.free_ns)));
             }
         }
         match next_event {
@@ -765,25 +716,17 @@ pub(crate) fn serve_run(
         }
     }
 
-    let mut views: Vec<ReplicaView> = slots
-        .iter()
-        .zip(engines)
-        .map(|(slot, engine)| ReplicaView {
-            free_ns: slot.free_ns,
-            quarantined: slot.quarantined,
-            fin: engine.finish(opts.export),
-        })
-        .collect();
-
     debug_assert_eq!(acct.placed, arrivals.len(), "every request accounted for");
-    let makespan_ns = views.iter().map(|r| r.free_ns).max().unwrap_or(0);
+    let makespan_ns = replicas.iter().map(|r| r.free_ns).max().unwrap_or(0);
 
-    // Engines export entries only when asked, so a run that does not
-    // export merges nothing.
-    let mut entries: Vec<PlanEntry> = views
-        .iter_mut()
-        .flat_map(|r| std::mem::take(&mut r.fin.entries))
-        .collect();
+    let mut entries: Vec<PlanEntry> = if opts.export {
+        replicas
+            .iter()
+            .flat_map(|r| r.cache.export_entries(r.system_fp))
+            .collect()
+    } else {
+        Vec::new()
+    };
     entries.sort_by_key(|e| (e.dims.m, e.dims.n, e.dims.k, primitive_label(e.primitive)));
     entries.dedup_by_key(|e| (e.dims, e.primitive));
     let snapshot = CacheSnapshot {
@@ -798,13 +741,13 @@ pub(crate) fn serve_run(
         offered_span_ns,
         acct,
         shapes.len() as u64,
-        &views,
+        &replicas,
     );
     Ok(ServeRun {
         report,
         snapshot,
-        memo_hits: views.iter().map(|r| r.fin.memo_hits).sum(),
-        tunes: views.iter().map(|r| r.fin.tunes).sum(),
+        memo_hits: replicas.iter().map(Replica::memo_hits).sum(),
+        tunes: replicas.iter().map(|r| r.cache.tunes()).sum(),
     })
 }
 
@@ -817,7 +760,7 @@ pub(crate) fn serve_run(
 /// where the system was truly empty. Totals sum to `makespan_ns`.
 fn serve_attribution(
     makespan_ns: u64,
-    replicas: &[ReplicaView],
+    replicas: &[Replica],
     records: &[RequestRecord],
 ) -> AttributionTotals {
     let mut totals = AttributionTotals::default();
@@ -856,10 +799,9 @@ fn serve_attribution(
         totals.add(Category::Idle, (hi - lo) - queue_wait);
     };
 
-    let mut chains = bottleneck.fin.chain_log.clone();
-    chains.sort_unstable_by_key(|&(start, _, _)| start);
     let mut cursor = 0u64;
-    for (start, total, chain_totals) in &chains {
+    for (start, total, chain_totals) in &bottleneck.chain_log {
+        debug_assert!(cursor <= *start, "chain log out of start order");
         charge_gap(&mut totals, cursor, *start);
         totals.merge(chain_totals);
         cursor = start + total;
@@ -906,7 +848,7 @@ fn build_report(
     offered_span_ns: u64,
     acct: Accounting,
     distinct_shapes: u64,
-    replicas: &[ReplicaView],
+    replicas: &[Replica],
 ) -> ServeReport {
     let Accounting {
         records,
@@ -968,29 +910,21 @@ fn build_report(
     let total_batch_requests: u64 = batch_records.iter().map(|b| b.requests).sum();
     let total_batch_tokens: u64 = batch_records.iter().map(|b| u64::from(b.tokens)).sum();
     let n_batches = batch_records.len() as u64;
-    let cache = replicas.iter().fold(CacheStats::default(), |sum, r| {
-        sum.merge(&r.fin.cache_stats)
-    });
     let replica_stats: Vec<ReplicaStats> = replicas
         .iter()
-        .enumerate()
-        .map(|(id, r)| ReplicaStats {
-            id,
-            node: id % config.nodes,
-            batches: r.fin.batches,
-            requests: r.fin.requests,
-            tokens: r.fin.tokens,
-            busy_ns: r.fin.busy_ns,
-            chains: r.fin.chains,
+        .map(|r| ReplicaStats {
             utilization: if makespan_ns > 0 {
-                r.fin.busy_ns as f64 / makespan_ns as f64
+                r.stats.busy_ns as f64 / makespan_ns as f64
             } else {
                 0.0
             },
-            quarantined: r.quarantined.is_some(),
-            cache: r.fin.cache_stats,
+            cache: r.cache.stats(),
+            ..r.stats
         })
         .collect();
+    let cache = replica_stats
+        .iter()
+        .fold(CacheStats::default(), |sum, r| sum.merge(&r.cache));
     // Node rollup: fold replica rows into their node; summing the node
     // rows reproduces the run totals (node → replica → total identity).
     let mut node_stats: Vec<NodeStats> = (0..config.nodes)
@@ -1023,7 +957,7 @@ fn build_report(
         router: config.router.label(),
         pipelined: config.pipelined,
         wedge_replica: config.wedge_replica,
-        replicas_quarantined: replicas.iter().filter(|r| r.quarantined.is_some()).count() as u64,
+        replicas_quarantined: replica_stats.iter().filter(|r| r.quarantined).count() as u64,
         batches_rerouted,
         quarantine_shed,
         cross_node_batches,

@@ -190,16 +190,6 @@ impl Topology {
         (0..self.nodes).map(|k| k * self.gpus_per_node).collect()
     }
 
-    /// The ranks living on `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn node_ranks(&self, node: usize) -> std::ops::Range<usize> {
-        assert!(node < self.nodes, "node {node} out of range");
-        node * self.gpus_per_node..(node + 1) * self.gpus_per_node
-    }
-
     /// How many edges of the flat rank-order ring cross a node boundary:
     /// zero on a single node, `nodes` otherwise (one exit per node,
     /// including the wrap-around edge).
@@ -235,7 +225,6 @@ mod tests {
         assert!(t.spans_nodes());
         assert_eq!(t.node_map(), vec![0, 0, 0, 0, 1, 1, 1, 1]);
         assert_eq!(t.leaders(), vec![0, 4]);
-        assert_eq!(t.node_ranks(1), 4..8);
         assert_eq!(t.flat_ring_crossings(), 2);
     }
 

@@ -61,12 +61,6 @@ pub fn tp_layer_shapes(model: ModelSpec, tokens: u32, tp: u32) -> Vec<GemmDims> 
     ]
 }
 
-/// The expert-GEMM shape preceding the MoE All-to-All: each expert's down
-/// projection over the tokens routed to this rank.
-pub fn moe_expert_shape(model: ModelSpec, tokens_per_rank: u32) -> GemmDims {
-    GemmDims::new(tokens_per_rank, model.hidden, model.intermediate)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,12 +82,6 @@ mod tests {
         let tp2 = tp_layer_shapes(LLAMA3_8B, 2048, 2);
         let tp4 = tp_layer_shapes(LLAMA3_8B, 2048, 4);
         assert!(tp4[0].flops() < tp2[0].flops());
-    }
-
-    #[test]
-    fn moe_shape_uses_expert_intermediate() {
-        let d = moe_expert_shape(DEEPSEEK_MOE_EXPERT, 1024);
-        assert_eq!((d.m, d.n, d.k), (1024, 2048, 1408));
     }
 
     #[test]
