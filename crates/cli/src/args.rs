@@ -4,7 +4,8 @@ use std::error::Error;
 use std::fmt;
 
 use collectives::{Algorithm, Primitive};
-use flashoverlap::{SignalMutation, WavePartition};
+use flashoverlap::WavePartition;
+use planverify::Mutation;
 use serving::RouterPolicy;
 use workloads::GpuKind;
 
@@ -177,9 +178,9 @@ pub struct Cli {
     pub output: OutputArgs,
     /// Run under the SimSan happens-before sanitizer (run/timeline).
     pub sanitize: bool,
-    /// Seeded signal mutation for sanitizer self-tests (implies
-    /// `--sanitize`).
-    pub mutation: Option<SignalMutation>,
+    /// Seeded wait mutation for sanitizer self-tests (implies
+    /// `--sanitize`): `DropWait` or `RaiseThreshold`.
+    pub mutation: Option<Mutation>,
     /// Number of fault campaigns for the `chaos` command.
     pub campaigns: usize,
     /// Number of requests for the `serve` command.
@@ -550,12 +551,12 @@ impl Cli {
                 "--scaling" => scaling = true,
                 "--drop-signal" => {
                     let (rank, group) = parse_rank_group("--drop-signal", it.next())?;
-                    mutation = Some(SignalMutation::DropWait { rank, group });
+                    mutation = Some(Mutation::DropWait { rank, group });
                     sanitize = true;
                 }
                 "--starve-signal" => {
                     let (rank, group) = parse_rank_group("--starve-signal", it.next())?;
-                    mutation = Some(SignalMutation::RaiseThreshold { rank, group });
+                    mutation = Some(Mutation::RaiseThreshold { rank, group });
                     sanitize = true;
                 }
                 "-h" | "--help" => return Err(CliError::usage("".to_string())),
@@ -722,14 +723,11 @@ mod tests {
         assert!(cli.mutation.is_none());
         let cli = Cli::parse(&argv("timeline -m 64 -n 64 -k 64 --drop-signal 1,2")).unwrap();
         assert!(cli.sanitize, "--drop-signal implies --sanitize");
-        assert_eq!(
-            cli.mutation,
-            Some(SignalMutation::DropWait { rank: 1, group: 2 })
-        );
+        assert_eq!(cli.mutation, Some(Mutation::DropWait { rank: 1, group: 2 }));
         let cli = Cli::parse(&argv("run -m 64 -n 64 -k 64 --starve-signal 0,1")).unwrap();
         assert_eq!(
             cli.mutation,
-            Some(SignalMutation::RaiseThreshold { rank: 0, group: 1 })
+            Some(Mutation::RaiseThreshold { rank: 0, group: 1 })
         );
         assert!(
             Cli::parse(&argv("run -m 1 -n 1 -k 1 --drop-signal nope"))

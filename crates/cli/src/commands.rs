@@ -3,12 +3,12 @@
 use baselines::{measure, Method};
 use bench::{pattern_for, render_timeline, system_for};
 use flashoverlap::{
-    model_of_chain, model_of_plan, nonoverlap_latency, predictive_search, run_chaos, runtime_seam,
+    model_of_chain, nonoverlap_latency, predictive_search, run_chaos, runtime_seam,
     theoretical_latency, ChaosConfig, ChaosReport, Instrumentation, LatencyPredictor, OverlapPlan,
-    ResilientOutcome, RunReport, RuntimeSeam, SequenceOptions, SignalMutation,
+    ResilientOutcome, RunReport, RuntimeSeam, SequenceOptions,
 };
 use gpu_sim::gemm::GemmDims;
-use planverify::{caveats, conformance_matrix, ExecPath, Mutation, MutationKind, VerifyReport};
+use planverify::{caveats, conformance_matrix, ExecPath, MutationKind, VerifyReport};
 use simsan::Sanitizer;
 use telemetry::json::Value;
 
@@ -47,27 +47,14 @@ fn profiled_report(
 }
 
 /// Executes `plan` under the SimSan sanitizer (optionally with the CLI's
-/// seeded signal mutation) and renders the findings.
+/// seeded wait mutation) and renders the findings. The runtime refuses a
+/// mutation aimed outside the plan.
 fn sanitized_run(cli: &Cli, plan: &OverlapPlan) -> Result<(RunReport, String), CliError> {
-    if let Some(mutation) = cli.mutation {
-        // An out-of-range mutation would silently no-op and report a clean
-        // run, which reads like a missed detection.
-        let (SignalMutation::DropWait { rank, group }
-        | SignalMutation::RaiseThreshold { rank, group }) = mutation;
-        let groups = plan.partition.num_groups();
-        let ranks = plan.system.n_gpus;
-        if rank >= ranks || group >= groups {
-            return Err(CliError::runtime(format!(
-                "mutation target rank {rank}, group {group} is outside the plan \
-                 ({ranks} ranks, {groups} groups)"
-            )));
-        }
-    }
     let sanitizer = Sanitizer::new();
     let instr = Instrumentation {
         monitor: Some(sanitizer.monitor()),
         probe: Some(sanitizer.probe()),
-        mutation: cli.mutation,
+        mutation: cli.mutation.map(|m| (0, m)),
     };
     let report = plan
         .execute_with(&SequenceOptions::new().instrument(&instr))
@@ -552,28 +539,6 @@ fn execute_bench(cli: &Cli) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// A concrete registry mutation targeting rank 0, group 0 (count 1 for
-/// the increment arms) — every real plan has that slot, so one sample
-/// per kind drives each matrix cell's static arm.
-fn sample_mutation(kind: MutationKind) -> Mutation {
-    match kind {
-        MutationKind::DropWait => Mutation::DropWait { rank: 0, group: 0 },
-        MutationKind::RaiseThreshold => Mutation::RaiseThreshold { rank: 0, group: 0 },
-        MutationKind::DropIncrements => Mutation::DropIncrements {
-            rank: 0,
-            group: 0,
-            count: 1,
-        },
-        MutationKind::DelayIncrements => Mutation::DelayIncrements {
-            rank: 0,
-            group: 0,
-            count: 1,
-        },
-        MutationKind::ReorderIncrements => Mutation::ReorderIncrements { rank: 0 },
-        MutationKind::DropRearm => Mutation::DropRearm,
-    }
-}
-
 /// Renders a verify report's violations as a JSON array of lines.
 fn violations_json(report: &VerifyReport) -> Value {
     Value::Arr(
@@ -655,25 +620,22 @@ fn execute_verify(
 
     // The conformance matrix, static arm re-proven per cell: single-shot
     // cells mutate the plan's own model; chained cells a four-segment
-    // ping-pong chain. The rearm mutation targets segment 2 — the first
-    // table reuse, where the rearm chain exists to drop.
+    // ping-pong chain. The rearm mutation targets the chain's segment 2 —
+    // the first table reuse, where the rearm chain exists to drop.
     let chain: Vec<&OverlapPlan> = vec![plan; 4];
     let mut cells = Vec::new();
     let mut nonconforming: Vec<String> = Vec::new();
     let mut verdicts: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
     for cell in conformance_matrix() {
-        let mutation = sample_mutation(cell.mutation);
-        let mut model = match cell.path {
-            ExecPath::Single => model_of_plan(plan),
-            ExecPath::Pipeline => model_of_chain(&chain, "layer"),
-            ExecPath::Sequence => model_of_chain(&chain, "batch"),
+        let mutation = cell.mutation.sample();
+        let (mut model, segment) = match (cell.path, cell.mutation) {
+            (ExecPath::Single, _) => (model_of_chain(&[plan]), 0),
+            (ExecPath::Chain, MutationKind::DropRearm) => (model_of_chain(&chain), 2),
+            (ExecPath::Chain, _) => (model_of_chain(&chain), 0),
         };
-        let segment = if cell.mutation == MutationKind::DropRearm {
-            2.min(model.segments.len().saturating_sub(1))
-        } else {
-            0
-        };
-        model.apply(&mutation, segment);
+        model
+            .apply(&mutation, segment)
+            .map_err(|e| CliError::runtime(format!("conformance cell: {e}")))?;
         let mutated = planverify::verify(&model);
         let observed = mutated.violations.first().map_or("clean", |v| v.label());
         let conforms = match cell.expected {
@@ -688,9 +650,8 @@ fn execute_verify(
         }
         *verdicts.entry(cell.expected.label()).or_default() += 1;
         let seam = match runtime_seam(&mutation, cell.path) {
-            RuntimeSeam::Signal(_) => "signal-mutation",
+            RuntimeSeam::Instrument => "instrument",
             RuntimeSeam::Fault(_) => "fault-injection",
-            RuntimeSeam::SequenceEdge => "sequence-edge",
             RuntimeSeam::Nothing(_) => "none",
         };
         cells.push(Value::obj(vec![
@@ -1520,7 +1481,7 @@ mod tests {
             Some(true)
         );
         let matrix = doc.get("matrix").unwrap().as_arr().unwrap();
-        assert_eq!(matrix.len(), 18, "6 mutations x 3 paths");
+        assert_eq!(matrix.len(), 12, "6 mutations x 2 paths");
         assert!(
             matrix
                 .iter()
@@ -1531,7 +1492,7 @@ mod tests {
             .iter()
             .filter(|c| c.get("expected").and_then(|v| v.as_str()) == Some("caught-static"))
             .count();
-        assert_eq!(caught_static, 11);
+        assert_eq!(caught_static, 7);
         assert_eq!(doc.get("caveats").unwrap().as_arr().unwrap().len(), 3);
         assert_eq!(doc.get("methods").unwrap().as_arr().unwrap().len(), 5);
         let mix = doc.get("serve_mix").unwrap().as_arr().unwrap();

@@ -21,9 +21,9 @@
 //!   (the non-pipelined reference schedule).
 //!
 //! The option rules live here, once, for every chain shape: a mutation
-//! must target an existing segment, and resilient execution rejects
-//! probes, signal mutations and the dropped-rearm self-test (faults are
-//! its corruption vocabulary).
+//! must be a wait or rearm kind aimed at an existing segment, rank and
+//! group, and resilient execution takes no probes and no mutations
+//! (faults are its corruption vocabulary).
 //!
 //! Under [`SequenceOptions::resilient`] the chain runs under the
 //! watchdog with one [`FaultPlan`] per segment, and two rules keep the
@@ -59,12 +59,14 @@ use gpu_sim::{
     Cluster, ClusterSim, Diagnosis, FaultArming, GpuEventId, RuntimeDetail, RuntimeEvent,
     RuntimeEventKind, StuckWait, Wedge,
 };
+use planverify::Mutation;
 use sim::{SimDuration, SimTime};
 
 use crate::error::{ChainPosition, FlashOverlapError};
 use crate::resilience::{DegradeCause, Fault, FaultPlan, ResilientOutcome, WatchdogConfig};
 use crate::runtime::{Instrumentation, OverlapPlan, ProgramHandles, StreamCtx};
 use crate::sequence::{SequenceOptions, SequenceOutcome};
+use crate::verify::model_of_chain;
 use crate::world::ChainWorld;
 
 /// Executes the chain `plans` in one simulation in `chain_world`, and
@@ -78,9 +80,9 @@ use crate::world::ChainWorld;
 /// # Errors
 ///
 /// Returns [`FlashOverlapError::BadInputs`] on an empty chain, mismatched
-/// rank counts, malformed functional inputs, an out-of-range mutation
-/// segment, or fault plans that do not fit their segments (or come with
-/// probes, mutations or a dropped rearm); [`FlashOverlapError::Deadlock`]
+/// rank counts, malformed functional inputs, an increment-kind or
+/// off-target mutation, or fault plans that do not fit their segments (or
+/// come with probes or mutations); [`FlashOverlapError::Deadlock`]
 /// when an uninstrumented, non-resilient schedule wedges; and
 /// [`FlashOverlapError::Simulation`] on engine failure.
 pub(crate) fn execute_chain(
@@ -118,19 +120,26 @@ pub(crate) fn execute_chain(
     }
     let default_instr = Instrumentation::default();
     let instr = options.instrument.unwrap_or(&default_instr);
+    if let Some((segment, mutation)) = instr.mutation {
+        // The increment kinds are faults: the resilient runtime arms them.
+        let (Mutation::DropWait { .. } | Mutation::RaiseThreshold { .. } | Mutation::DropRearm) =
+            mutation
+        else {
+            return Err(FlashOverlapError::BadInputs {
+                reason: format!(
+                    "{} is an increment fault: arm it through SequenceOptions::resilient",
+                    mutation.kind()
+                ),
+            });
+        };
+        model_of_chain(plans).check_target(&mutation, segment)?;
+    }
     if let Some((faults, _)) = options.resilient {
         validate_chain_faults(plans, faults)?;
         if instr.probe.is_some() || instr.mutation.is_some() {
             return Err(FlashOverlapError::BadInputs {
                 reason: "resilient execution injects faults through FaultPlan, \
-                         not probes or signal mutations"
-                    .into(),
-            });
-        }
-        if options.drop_cross_batch_edge.is_some() {
-            return Err(FlashOverlapError::BadInputs {
-                reason: "drop_cross_batch_edge is a sanitizer self-test, \
-                         incompatible with resilient execution"
+                         not probes or mutations"
                     .into(),
             });
         }
@@ -155,7 +164,7 @@ pub(crate) fn execute_chain(
             let end = sim.run(world)?;
             let instrumented =
                 instr.monitor.is_some() || instr.probe.is_some() || instr.mutation.is_some();
-            if !instrumented && options.drop_cross_batch_edge.is_none() {
+            if !instrumented {
                 check_quiescent_chain(world, &segments)?;
             }
             (end, vec![ResilientOutcome::Clean; plans.len()])
@@ -210,6 +219,7 @@ fn enqueue_chain(
             .map(|dev| dev.create_counter(max_groups))
             .collect()
     });
+    let seeded = options.instrument.and_then(|instr| instr.mutation);
     let mut activations: Option<Vec<BufferId>> = None;
     let mut segments: Vec<ChainSegment> = Vec::with_capacity(plans.len());
     for (i, plan) in plans.iter().enumerate() {
@@ -217,17 +227,18 @@ fn enqueue_chain(
         let Some(tables) = table_sets.get(parity) else {
             continue;
         };
+        let mutation = seeded.filter(|&(at, _)| at == i).map(|(_, m)| m);
         // Reuse: reset each rank's table on the compute stream, ordered
         // after the previous user's comm stream drained its waits, and
         // hold the comm stream until the reset lands. Without this rearm
         // the table still holds the previous user's saturated counts, so
         // this segment's wait is satisfied the moment the comm stream
         // reaches it and the collective reads tiles the GEMM has not
-        // signaled — exactly what `drop_cross_batch_edge` injects for the
+        // signaled — exactly what `Mutation::DropRearm` injects for the
         // sanitizer self-test.
         let prev_user = i.checked_sub(2).and_then(|j| segments.get(j));
         let ready = match prev_user {
-            Some(prev) if options.drop_cross_batch_edge != Some(i) => {
+            Some(prev) if mutation != Some(Mutation::DropRearm) => {
                 Some(rearm(world, sim, streams, &prev.comm_done, tables))
             }
             _ => None,
@@ -245,10 +256,6 @@ fn enqueue_chain(
             // arms this segment's own faults.
             enqueue_segment_faults(world, sim, streams, i, fp, tables);
         }
-        let mutation = options
-            .instrument
-            .and_then(|instr| instr.mutation)
-            .filter(|_| i + 1 == plans.len());
         let handles = plan.enqueue_program_on(
             world,
             sim,

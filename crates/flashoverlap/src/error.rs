@@ -114,6 +114,14 @@ impl fmt::Display for FlashOverlapError {
 
 impl Error for FlashOverlapError {}
 
+impl From<planverify::OffTarget> for FlashOverlapError {
+    fn from(off: planverify::OffTarget) -> Self {
+        FlashOverlapError::BadInputs {
+            reason: off.to_string(),
+        }
+    }
+}
+
 impl From<sim::SimError> for FlashOverlapError {
     fn from(e: sim::SimError) -> Self {
         FlashOverlapError::Simulation(e.to_string())

@@ -56,9 +56,7 @@ pub use resilience::{
     run_chaos, CampaignResult, ChaosConfig, ChaosReport, DegradeCause, Fault, FaultPlan,
     ResilientOutcome, WatchdogConfig,
 };
-pub use runtime::{
-    CommPattern, FunctionalInputs, Instrumentation, OverlapPlan, RunReport, SignalMutation,
-};
+pub use runtime::{CommPattern, FunctionalInputs, Instrumentation, OverlapPlan, RunReport};
 pub use sequence::{execute_sequence, execute_sequence_in, SequenceOptions, SequenceOutcome};
 pub use system::SystemSpec;
 pub use theory::{nonoverlap_latency, theoretical_latency, theoretical_speedup};
@@ -66,7 +64,5 @@ pub use tuner::{
     exhaustive_search, measure_partition, predictive_search, predictive_search_with, tune_plan,
     TuneOutcome,
 };
-pub use verify::{
-    model_of_chain, model_of_plan, reject_if_invalid, runtime_seam, verify_sequence, RuntimeSeam,
-};
+pub use verify::{model_of_chain, reject_if_invalid, runtime_seam, RuntimeSeam};
 pub use world::ChainWorld;

@@ -20,8 +20,7 @@
 //! The mapping builders run once per plan but their tables are read on
 //! every epilogue write and remap, so unchecked indexing is opted out
 //! across the module; each site carries its index proof in the `expect`
-//! message (ROADMAP: "extend to the mapping builders once their index
-//! proofs are written down").
+//! message.
 #![warn(clippy::indexing_slicing)]
 
 pub mod subtile_map;

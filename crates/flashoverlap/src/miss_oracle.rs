@@ -26,7 +26,7 @@ use crate::predictor::{tabled_walk, OfflineProfile};
 use crate::runtime::{CommPattern, OverlapPlan};
 use crate::system::SystemSpec;
 use crate::tuner::{tune_plan, DEFAULT_S1, DEFAULT_SP};
-use crate::verify::model_of_plan;
+use crate::verify::model_of_chain;
 use crate::WavePartition;
 
 /// Everything a miss produces, built naively.
@@ -262,7 +262,7 @@ proptest! {
 
         // The full verify report, clean and under one random mutation,
         // against the reference's per-rank model.
-        let mut model = model_of_plan(&plan);
+        let mut model = model_of_chain(&[&plan]);
         let mut naive = reference_model(&expected, &plan);
         assert_reports_equal(&plan.verify(), &planverify::verify(&naive), "clean");
         prop_assert!(plan.check_static().is_ok());
@@ -274,8 +274,8 @@ proptest! {
             1 => Mutation::RaiseThreshold { rank, group },
             _ => Mutation::DropIncrements { rank, group, count: 1 },
         };
-        model.apply(&mutation, 0);
-        naive.apply(&mutation, 0);
+        model.apply(&mutation, 0).unwrap();
+        naive.apply(&mutation, 0).unwrap();
         let mutated = planverify::verify(&model);
         prop_assert!(!mutated.is_clean(), "{:?} went unflagged", mutation);
         assert_reports_equal(&mutated, &planverify::verify(&naive), "mutated");

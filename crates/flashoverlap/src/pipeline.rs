@@ -554,7 +554,7 @@ mod tests {
         ));
         let three = vec![FaultPlan::none(); 3];
         let instr = crate::runtime::Instrumentation {
-            mutation: Some(crate::runtime::SignalMutation::DropWait { rank: 0, group: 0 }),
+            mutation: Some((0, planverify::Mutation::DropWait { rank: 0, group: 0 })),
             ..Default::default()
         };
         assert!(matches!(

@@ -31,6 +31,7 @@ use gpu_sim::monitor::ClusterMonitor;
 use gpu_sim::stream::{enqueue, Op};
 use gpu_sim::wave::WaveSchedule;
 use gpu_sim::{Cluster, ClusterSim};
+use planverify::Mutation;
 use sim::{EngineProbe, SimDuration, SimTime};
 use tensor::Matrix;
 
@@ -211,53 +212,6 @@ pub struct RunReport {
     pub epilogue_done: Option<SimDuration>,
 }
 
-/// A deliberate corruption of the signaling protocol, used to self-test
-/// dynamic analysis tools: a correct sanitizer must flag every mutated
-/// run. Mirrors mutation testing of the real system's signal kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SignalMutation {
-    /// Skip `rank`'s signal wait before `group`'s collective, letting the
-    /// communication read tiles the epilogue may not have written yet
-    /// (the use-before-signal bug class).
-    DropWait {
-        /// The rank whose wait is dropped.
-        rank: usize,
-        /// The wave group whose wait is dropped.
-        group: usize,
-    },
-    /// Raise `rank`'s wait threshold for `group` beyond the group's tile
-    /// count, so the signal never arrives and the wait starves (the
-    /// lost-signal / deadlock bug class).
-    RaiseThreshold {
-        /// The rank whose threshold is corrupted.
-        rank: usize,
-        /// The wave group whose threshold is corrupted.
-        group: usize,
-    },
-}
-
-impl SignalMutation {
-    /// The threshold to enqueue for `(rank, group)` given the correct
-    /// `threshold`; `None` means the wait is dropped entirely.
-    fn threshold_for(
-        mutation: Option<SignalMutation>,
-        rank: usize,
-        group: usize,
-        threshold: u32,
-    ) -> Option<u32> {
-        match mutation {
-            Some(SignalMutation::DropWait { rank: r, group: g }) if r == rank && g == group => None,
-            Some(SignalMutation::RaiseThreshold { rank: r, group: g })
-                if r == rank && g == group =>
-            {
-                // Any value above the group's tile count is unreachable.
-                Some(threshold + 1_000_000)
-            }
-            _ => Some(threshold),
-        }
-    }
-}
-
 /// Observation hooks and fault injection for an instrumented run (see
 /// [`SequenceOptions::instrument`]). The `simsan` crate provides
 /// monitor/probe implementations; this crate stays policy-free.
@@ -267,8 +221,9 @@ pub struct Instrumentation {
     pub monitor: Option<Rc<dyn ClusterMonitor>>,
     /// Engine probe to attach to the simulation (drain callbacks).
     pub probe: Option<Rc<dyn EngineProbe<Cluster>>>,
-    /// Optional seeded signal-protocol corruption.
-    pub mutation: Option<SignalMutation>,
+    /// Optional seeded signal-protocol corruption and the chain segment
+    /// it hits: a wait or rearm kind (increment kinds are faults).
+    pub mutation: Option<(usize, Mutation)>,
 }
 
 impl std::fmt::Debug for Instrumentation {
@@ -583,7 +538,7 @@ impl OverlapPlan {
         epilogue: Option<&ElementwiseOp>,
         streams: &StreamCtx,
         a_override: Option<&[BufferId]>,
-        mutation: Option<SignalMutation>,
+        mutation: Option<Mutation>,
         tables: &[usize],
     ) -> ProgramHandles {
         let n = self.system.n_gpus;
@@ -667,7 +622,8 @@ impl OverlapPlan {
             for (d, op) in ops.enumerate() {
                 // A seeded mutation may drop or corrupt this rank's wait
                 // (sanitizer self-tests); `None` skips the wait entirely.
-                if let Some(threshold) = SignalMutation::threshold_for(mutation, d, g, counts[g]) {
+                let wait = Some(counts[g]);
+                if let Some(threshold) = mutation.map_or(wait, |m| m.wait(d, g, wait)) {
                     let wait = Op::WaitCounter {
                         table: tables[d],
                         group: g,

@@ -13,10 +13,7 @@
 //! happens-before edges SimSan verifies like any other signal edge.
 //!
 //! [`SequenceOptions::serial`] switches to the non-pipelined reference
-//! schedule (a full barrier between batches), and
-//! [`SequenceOptions::drop_cross_batch_edge`] deliberately skips one
-//! batch's table rearm — the mutation self-test a correct sanitizer
-//! must flag as use-before-signal.
+//! schedule (a full barrier between batches).
 //!
 //! [`SequenceOptions`] and [`SequenceOutcome`] are the options and
 //! results of every execution, not only of sequences: a single
@@ -43,7 +40,6 @@ pub struct SequenceOptions<'a> {
     pub(crate) instrument: Option<&'a Instrumentation>,
     pub(crate) trace: bool,
     pub(crate) functional: Option<&'a [FunctionalInputs]>,
-    pub(crate) drop_cross_batch_edge: Option<usize>,
     pub(crate) resilient: Option<(&'a [FaultPlan], &'a WatchdogConfig)>,
 }
 
@@ -61,12 +57,10 @@ impl<'a> SequenceOptions<'a> {
         self
     }
 
-    /// Attaches observation hooks. A seeded
-    /// [`crate::runtime::SignalMutation`] applies to the last segment
-    /// (after counting-table reuse reached steady state), and an
-    /// instrumented run
-    /// skips the quiescence check: a wedge the mutation causes is left
-    /// for the attached probe to report at drain time, not an error.
+    /// Attaches observation hooks. A seeded [`Instrumentation::mutation`]
+    /// drops or raises a wait of its segment, or skips its rearm. An
+    /// instrumented run skips the quiescence check: a wedge the mutation
+    /// causes is left for the attached probe to report at drain time.
     pub fn instrument(mut self, instr: &'a Instrumentation) -> Self {
         self.instrument = Some(instr);
         self
@@ -88,19 +82,6 @@ impl<'a> SequenceOptions<'a> {
         self
     }
 
-    /// Deliberately skips segment `segment`'s counting-table rearm (the
-    /// wait-previous-comm → reset → ready edges on table reuse). The
-    /// table then still holds the saturated counts of the segment that
-    /// used it two slots earlier, so this segment's waits are satisfied
-    /// by *stale* signals and its collectives read tiles the GEMM has
-    /// not yet produced: the cross-batch use-before-signal bug class a
-    /// correct sanitizer must flag. Only meaningful for `segment >= 2`
-    /// (the first reuse of a table set); otherwise a no-op.
-    pub fn drop_cross_batch_edge(mut self, segment: usize) -> Self {
-        self.drop_cross_batch_edge = Some(segment);
-        self
-    }
-
     /// Runs the whole chain under the chain watchdog with deterministic
     /// fault injection: `faults[i]` arms at segment `i`'s position in
     /// the stream order (the table-quarantine rule disarms whatever
@@ -109,7 +90,7 @@ impl<'a> SequenceOptions<'a> {
     /// ladder without poisoning the double-buffered tables segment
     /// `k + 1` inherits. One [`ResilientOutcome`] per segment lands in
     /// [`SequenceOutcome::outcomes`]. Incompatible with probe/mutation
-    /// instrumentation and [`SequenceOptions::drop_cross_batch_edge`].
+    /// instrumentation.
     pub fn resilient(mut self, faults: &'a [FaultPlan], watchdog: &'a WatchdogConfig) -> Self {
         self.resilient = Some((faults, watchdog));
         self
@@ -448,29 +429,6 @@ mod tests {
                 assert_eq!(wedged_out[b][d].as_slice(), clean_out[b][d].as_slice());
             }
         }
-    }
-
-    #[test]
-    fn resilient_rejects_edge_drop_and_mismatched_fault_plans() {
-        use crate::resilience::{FaultPlan, WatchdogConfig};
-        let system = small_system(2);
-        let plan = plan_for(GemmDims::new(256, 256, 64), &system);
-        let watchdog = WatchdogConfig::default();
-        let faults = vec![FaultPlan::none()];
-        assert!(matches!(
-            execute_sequence(
-                &[&plan],
-                &SequenceOptions::new()
-                    .resilient(&faults, &watchdog)
-                    .drop_cross_batch_edge(2)
-            ),
-            Err(FlashOverlapError::BadInputs { .. })
-        ));
-        let two = vec![FaultPlan::none(); 2];
-        assert!(matches!(
-            execute_sequence(&[&plan], &SequenceOptions::new().resilient(&two, &watchdog)),
-            Err(FlashOverlapError::BadInputs { .. })
-        ));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The static-verification seam: lowering plans into
-//! [`planverify::ScheduleModel`]s, plus the registry-to-runtime mutation
-//! mapping that deduplicates the suite's three corruption mechanisms.
+//! [`planverify::ScheduleModel`]s, plus the map from each registry
+//! mutation to the way the runtime drives it.
 //!
 //! Everything the verifier checks is a property of plan data — the wave
 //! partition, the reordering mapping, the counting-table thresholds —
@@ -10,27 +10,21 @@
 //! [`EpilogueWriter`](gpu_sim::gemm::EpilogueWriter)
 //! spans, and per rank and wave group the wait threshold (the group's
 //! tile count), the scheduled increments, and the packed-buffer region
-//! the group's collective reads. Chained executions (`Pipeline` layers,
-//! `execute_sequence` batches) lower to one segment each, carrying the
-//! ping-pong counting-table parity and the presence of the rearm chain,
-//! exactly as the chain executor enqueues them.
+//! the group's collective reads. Every execution lowers as the chain it
+//! runs as, one segment per plan, carrying the ping-pong counting-table
+//! parity and the presence of the rearm chain exactly as the chain
+//! executor enqueues them; a single plan is a one-segment chain.
 //!
-//! The [`runtime_seam`] mapping is the other half of the conformance
-//! story: the `planverify` mutation registry is the single enumeration
-//! of schedule corruptions, and this module says which
-//! [`SequenceOptions`] knob — a [`SignalMutation`] through
-//! [`SequenceOptions::instrument`] (on the chain's last segment), a
-//! [`Fault`] through
-//! [`SequenceOptions::resilient`], or
-//! [`SequenceOptions::drop_cross_batch_edge`] — drives each one on each
-//! execute path (or that none exists, keeping the coverage gap
-//! explicit). Every path takes the same options; the path only fixes
-//! the chain's shape.
+//! [`runtime_seam`] is the other half of the conformance story. The
+//! runtime takes a registry [`Mutation`] itself: the wait and rearm
+//! kinds through [`SequenceOptions::instrument`], as the same
+//! segment-and-mutation pair [`ScheduleModel::apply`] takes; the
+//! increment kinds as a [`Fault`] through
+//! [`SequenceOptions::resilient`]. Every path takes the same options;
+//! the path only fixes the chain's shape.
 //!
-//! [`SequenceOptions`]: crate::SequenceOptions
 //! [`SequenceOptions::instrument`]: crate::SequenceOptions::instrument
 //! [`SequenceOptions::resilient`]: crate::SequenceOptions::resilient
-//! [`SequenceOptions::drop_cross_batch_edge`]: crate::SequenceOptions::drop_cross_batch_edge
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -45,17 +39,7 @@ use sim::SimDuration;
 use crate::error::FlashOverlapError;
 use crate::pipeline::Pipeline;
 use crate::resilience::Fault;
-use crate::runtime::{OverlapPlan, SignalMutation};
-
-/// Lowers one plan into a single-segment schedule model (table set 0, no
-/// rearm — single-shot executions never reuse a table).
-pub fn model_of_plan(plan: &OverlapPlan) -> ScheduleModel {
-    ScheduleModel {
-        n_ranks: plan.system.n_gpus,
-        node_of: node_map_of(plan),
-        segments: vec![segment_of(plan, "plan".into(), 0, false)],
-    }
-}
+use crate::runtime::OverlapPlan;
 
 /// The rank→node map lowered into the model — empty for single-node
 /// systems, so the verifier's node-coverage pass only runs on schedules
@@ -68,20 +52,27 @@ fn node_map_of(plan: &OverlapPlan) -> Vec<usize> {
     }
 }
 
-/// Lowers a chained execution — `Pipeline` layers or `execute_sequence`
-/// batches — into one segment per plan, with the executors' table
-/// ping-pong (parity `i % 2`) and rearm chains (present from the first
-/// table reuse, segment 2, onward). `label` names the chain's unit in
-/// reports ("layer", "batch").
-pub fn model_of_chain(plans: &[&OverlapPlan], label: &str) -> ScheduleModel {
+/// Lowers an execution — a single plan, `Pipeline` layers or
+/// `execute_sequence` batches — into one segment per plan, with the
+/// chain executor's table ping-pong (parity `i % 2`) and rearm chains
+/// (present from the first table reuse, segment 2, onward). A lone plan
+/// is the segment "plan"; chained ones are "segment {i}".
+pub fn model_of_chain(plans: &[&OverlapPlan]) -> ScheduleModel {
     let n_ranks = plans.first().map_or(0, |p| p.system.n_gpus);
+    let label = |i: usize| -> Cow<'static, str> {
+        if plans.len() == 1 {
+            "plan".into()
+        } else {
+            format!("segment {i}").into()
+        }
+    };
     ScheduleModel {
         n_ranks,
         node_of: plans.first().map_or_else(Vec::new, |p| node_map_of(p)),
         segments: plans
             .iter()
             .enumerate()
-            .map(|(i, p)| segment_of(p, format!("{label} {i}").into(), i % 2, i >= 2))
+            .map(|(i, p)| segment_of(p, label(i), i % 2, i >= 2))
             .collect(),
     }
 }
@@ -208,7 +199,7 @@ impl OverlapPlan {
     /// Statically verifies this plan's signal/wait schedule: threshold
     /// feasibility, deadlock freedom, and tile-granular race/coverage.
     pub fn verify(&self) -> VerifyReport {
-        planverify::verify(&model_of_plan(self))
+        planverify::verify(&model_of_chain(&[self]))
     }
 
     /// [`OverlapPlan::verify`] as a gate: `Err` on the first violation,
@@ -223,7 +214,7 @@ impl OverlapPlan {
         if report.is_clean() {
             return Ok(());
         }
-        check_report(&report, &plan_context(self))
+        reject_if_invalid(&report, &plan_context(self))
     }
 
     /// Per-group wait thresholds as the runtime enqueues them: the
@@ -245,15 +236,8 @@ impl Pipeline {
     /// enqueues.
     pub fn verify(&self) -> VerifyReport {
         let plans: Vec<&OverlapPlan> = self.plans().iter().collect();
-        planverify::verify(&model_of_chain(&plans, "layer"))
+        planverify::verify(&model_of_chain(&plans))
     }
-}
-
-/// Statically verifies an [`execute_sequence`](crate::execute_sequence)
-/// batch chain (pipelined schedule: ping-ponged tables, rearm chains
-/// from the first reuse).
-pub fn verify_sequence(plans: &[&OverlapPlan]) -> VerifyReport {
-    planverify::verify(&model_of_chain(plans, "batch"))
 }
 
 fn plan_context(plan: &OverlapPlan) -> String {
@@ -266,15 +250,6 @@ fn plan_context(plan: &OverlapPlan) -> String {
     )
 }
 
-fn check_report(report: &VerifyReport, context: &str) -> Result<(), FlashOverlapError> {
-    match report.violations.first() {
-        None => Ok(()),
-        Some(v) => Err(FlashOverlapError::BadInputs {
-            reason: format!("statically invalid schedule for {context}: {v}"),
-        }),
-    }
-}
-
 /// Gates a verify report with a caller-supplied context string (shape,
 /// cache key, file name) — the serving cache and CLI use this to reject
 /// corrupt plans with a message naming where they came from.
@@ -283,7 +258,12 @@ fn check_report(report: &VerifyReport, context: &str) -> Result<(), FlashOverlap
 ///
 /// [`FlashOverlapError::BadInputs`] describing the first violation.
 pub fn reject_if_invalid(report: &VerifyReport, context: &str) -> Result<(), FlashOverlapError> {
-    check_report(report, context)
+    match report.violations.first() {
+        None => Ok(()),
+        Some(v) => Err(FlashOverlapError::BadInputs {
+            reason: format!("statically invalid schedule for {context}: {v}"),
+        }),
+    }
 }
 
 /// Renders one violation compactly for logs/JSON (`label: detail`).
@@ -291,22 +271,16 @@ pub fn violation_line(v: &Violation) -> String {
     format!("{}: {v}", v.label())
 }
 
-/// The runtime knob that drives a registry mutation on a given execute
-/// path — or the reason none exists. This is the single source of truth
-/// deduplicating the suite's historical mutation mechanisms
-/// ([`SignalMutation`], the signal-affecting [`Fault`] arms, and the
-/// sequence executor's dropped cross-batch edge) behind the
-/// `planverify` registry.
+/// How the runtime drives a registry mutation on an execute path, or
+/// why nothing does.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RuntimeSeam {
-    /// Drive via `SequenceOptions::instrument` with this
-    /// [`SignalMutation`], which applies to the chain's last segment.
-    Signal(SignalMutation),
+    /// Drive via `SequenceOptions::instrument`, with the mutation and
+    /// its segment as [`crate::Instrumentation::mutation`].
+    Instrument,
     /// Drive via `SequenceOptions::resilient` with this fault in the
     /// targeted segment's [`crate::FaultPlan`].
     Fault(Fault),
-    /// Drive via `SequenceOptions::drop_cross_batch_edge`.
-    SequenceEdge,
     /// Nothing to drive: the mutation is benign or meaningless here.
     Nothing(&'static str),
 }
@@ -321,12 +295,8 @@ pub const SEAM_DELAY: SimDuration = SimDuration::from_micros(200);
 /// drives it (the dynamic half of the conformance matrix).
 pub fn runtime_seam(mutation: &Mutation, path: ExecPath) -> RuntimeSeam {
     match (*mutation, path) {
-        (Mutation::DropWait { rank, group }, _) => {
-            RuntimeSeam::Signal(SignalMutation::DropWait { rank, group })
-        }
-        (Mutation::RaiseThreshold { rank, group }, _) => {
-            RuntimeSeam::Signal(SignalMutation::RaiseThreshold { rank, group })
-        }
+        (Mutation::DropWait { .. } | Mutation::RaiseThreshold { .. }, _)
+        | (Mutation::DropRearm, ExecPath::Chain) => RuntimeSeam::Instrument,
         (Mutation::DropIncrements { rank, group, count }, _) => {
             // Every path via `SequenceOptions::resilient`, one
             // FaultPlan per chain segment.
@@ -344,7 +314,6 @@ pub fn runtime_seam(mutation: &Mutation, path: ExecPath) -> RuntimeSeam {
             "increments commute; the simulator's issue order is already one \
                                   of the permutations the totals-only model proves equivalent",
         ),
-        (Mutation::DropRearm, ExecPath::Sequence | ExecPath::Pipeline) => RuntimeSeam::SequenceEdge,
         (Mutation::DropRearm, ExecPath::Single) => {
             RuntimeSeam::Nothing("single-shot executions never reuse a counting table")
         }
@@ -358,7 +327,6 @@ mod tests {
     use crate::runtime::CommPattern;
     use crate::system::SystemSpec;
     use gpu_sim::gemm::GemmDims;
-    use planverify::MutationKind;
 
     fn plan(pattern: CommPattern) -> OverlapPlan {
         let dims = GemmDims::new(512, 1024, 512);
@@ -387,7 +355,7 @@ mod tests {
         let dims = GemmDims::new(512, 1024, 512);
         let system = SystemSpec::rtx4090(4).with_nodes(2);
         let p = OverlapPlan::tuned(dims, CommPattern::AllReduce, system).unwrap();
-        let model = model_of_plan(&p);
+        let model = model_of_chain(&[&p]);
         assert_eq!(model.node_of, vec![0, 0, 1, 1]);
         let report = p.verify();
         assert!(report.is_clean(), "{:?}", report.violations);
@@ -397,7 +365,7 @@ mod tests {
         );
         // Single-node plans lower an empty map: the pass is skipped.
         let flat = plan(CommPattern::AllReduce);
-        assert!(model_of_plan(&flat).node_of.is_empty());
+        assert!(model_of_chain(&[&flat]).node_of.is_empty());
         assert_eq!(flat.verify().stats.node_checks, 0);
     }
 
@@ -430,7 +398,7 @@ mod tests {
             let system = SystemSpec::rtx4090(tp);
             let a2a =
                 OverlapPlan::tuned(dims, routed_differently(tp, 2048), system.clone()).unwrap();
-            let model = model_of_plan(&a2a);
+            let model = model_of_chain(&[&a2a]);
             let seg = &model.segments[0];
             assert_eq!(
                 seg.writers.len(),
@@ -449,7 +417,7 @@ mod tests {
                 CommPattern::AllGather,
             ] {
                 let p = OverlapPlan::tuned(dims, pattern, system.clone()).unwrap();
-                let model = model_of_plan(&p);
+                let model = model_of_chain(&[&p]);
                 let seg = &model.segments[0];
                 assert_eq!(seg.writers.len(), 1, "{:?}", p.primitive());
                 assert!(seg.ranks.iter().all(|r| r.writer == 0));
@@ -514,8 +482,10 @@ mod tests {
     #[test]
     fn mutated_model_fails_statically_with_named_target() {
         let p = plan(CommPattern::AllReduce);
-        let mut model = model_of_plan(&p);
-        model.apply(&Mutation::RaiseThreshold { rank: 1, group: 0 }, 0);
+        let mut model = model_of_chain(&[&p]);
+        model
+            .apply(&Mutation::RaiseThreshold { rank: 1, group: 0 }, 0)
+            .unwrap();
         let report = planverify::verify(&model);
         assert_eq!(report.count_of("unreachable-threshold"), 1);
         let err = reject_if_invalid(&report, "test-plan").unwrap_err();
@@ -529,7 +499,7 @@ mod tests {
     fn chain_model_ping_pongs_tables_and_rearms_from_segment_two() {
         let p = plan(CommPattern::AllReduce);
         let plans = [&p, &p, &p, &p];
-        let model = model_of_chain(&plans, "batch");
+        let model = model_of_chain(&plans);
         let meta: Vec<(usize, bool)> = model
             .segments
             .iter()
@@ -540,7 +510,7 @@ mod tests {
         // Dropping batch 2's rearm is the statically visible stale-table
         // hazard the sequence mutation self-test exercises dynamically.
         let mut mutated = model;
-        mutated.apply(&Mutation::DropRearm, 2);
+        mutated.apply(&Mutation::DropRearm, 2).unwrap();
         let report = planverify::verify(&mutated);
         assert!(
             report.count_of("stale-rearm") > 0,
@@ -564,14 +534,10 @@ mod tests {
         // The registry is the single enumeration: every (kind, path) cell
         // must map to a concrete runtime seam or an explicit reason.
         for cell in planverify::conformance_matrix() {
-            let mutation = sample_mutation(cell.mutation);
-            let seam = runtime_seam(&mutation, cell.path);
+            let seam = runtime_seam(&cell.mutation.sample(), cell.path);
             match cell.dynamic.label() {
                 "caught" | "conditional" => assert!(
-                    matches!(
-                        seam,
-                        RuntimeSeam::Signal(_) | RuntimeSeam::Fault(_) | RuntimeSeam::SequenceEdge
-                    ),
+                    matches!(seam, RuntimeSeam::Instrument | RuntimeSeam::Fault(_)),
                     "({}, {}) claims dynamic coverage but has seam {seam:?}",
                     cell.mutation,
                     cell.path
@@ -583,25 +549,6 @@ mod tests {
                     cell.path
                 ),
             }
-        }
-    }
-
-    pub(crate) fn sample_mutation(kind: MutationKind) -> Mutation {
-        match kind {
-            MutationKind::DropWait => Mutation::DropWait { rank: 0, group: 0 },
-            MutationKind::RaiseThreshold => Mutation::RaiseThreshold { rank: 0, group: 0 },
-            MutationKind::DropIncrements => Mutation::DropIncrements {
-                rank: 0,
-                group: 0,
-                count: 1,
-            },
-            MutationKind::DelayIncrements => Mutation::DelayIncrements {
-                rank: 0,
-                group: 0,
-                count: 1,
-            },
-            MutationKind::ReorderIncrements => Mutation::ReorderIncrements { rank: 0 },
-            MutationKind::DropRearm => Mutation::DropRearm,
         }
     }
 }

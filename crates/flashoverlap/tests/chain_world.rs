@@ -13,12 +13,13 @@
 use std::rc::Rc;
 
 use flashoverlap::resilience::{Fault, FaultPlan, WatchdogConfig};
-use flashoverlap::runtime::{CommPattern, SignalMutation};
+use flashoverlap::runtime::CommPattern;
 use flashoverlap::{
     execute_sequence, execute_sequence_in, ChainWorld, Instrumentation, OverlapPlan,
     SequenceOptions, SequenceOutcome, SystemSpec,
 };
 use gpu_sim::gemm::GemmDims;
+use planverify::Mutation;
 use proptest::prelude::*;
 use sim::DetRng;
 use telemetry::Telemetry;
@@ -191,9 +192,10 @@ impl ChainSpec {
                 mutation: None,
             },
             None => Instrumentation {
-                mutation: self
-                    .mutation
-                    .then_some(SignalMutation::RaiseThreshold { rank: 0, group: 0 }),
+                mutation: self.mutation.then_some((
+                    self.segments.len() - 1,
+                    Mutation::RaiseThreshold { rank: 0, group: 0 },
+                )),
                 ..t.instrumentation()
             },
         });

@@ -16,10 +16,11 @@ use std::rc::Rc;
 use flashoverlap::runtime::CommPattern;
 use flashoverlap::{
     execute_sequence, FaultPlan, FlashOverlapError, FunctionalInputs, Instrumentation, LayerSpec,
-    OverlapPlan, Pipeline, SequenceOptions, SignalMutation, SystemSpec, WatchdogConfig,
+    OverlapPlan, Pipeline, SequenceOptions, SequenceOutcome, SystemSpec, WatchdogConfig,
 };
 use gpu_sim::elementwise::ElementwiseOp;
 use gpu_sim::gemm::GemmDims;
+use planverify::Mutation;
 use tensor::Matrix;
 
 fn small_system() -> SystemSpec {
@@ -185,13 +186,15 @@ fn invalid_mode_combinations_are_rejected() {
     // Resilient runs inject faults only through their fault plans.
     let faults = [FaultPlan::none()];
     let watchdog = WatchdogConfig::default();
-    let resilient = || SequenceOptions::new().resilient(&faults, &watchdog);
-    assert!(rejected(&resilient().drop_cross_batch_edge(0)));
     let instr = Instrumentation {
-        mutation: Some(SignalMutation::DropWait { rank: 0, group: 0 }),
+        mutation: Some((0, Mutation::DropWait { rank: 0, group: 0 })),
         ..Instrumentation::default()
     };
-    assert!(rejected(&resilient().instrument(&instr)));
+    assert!(rejected(
+        &SequenceOptions::new()
+            .resilient(&faults, &watchdog)
+            .instrument(&instr)
+    ));
     // One fault plan per segment.
     let two = [FaultPlan::none(), FaultPlan::none()];
     assert!(rejected(&SequenceOptions::new().resilient(&two, &watchdog)));
@@ -255,4 +258,47 @@ fn pipeline_options_mirror_plan_options() {
         Some(2),
         "one final-layer output per rank"
     );
+}
+
+#[test]
+fn off_target_and_increment_mutations_are_rejected_on_every_entry_point() {
+    // A mutation the runtime cannot apply must fail, not run clean: a
+    // clean run would read like a missed detection. The increment kinds
+    // are faults, armed through `SequenceOptions::resilient`.
+    let plan = plan();
+    let pipeline = pipeline();
+    type Run<'a> = &'a dyn Fn(&SequenceOptions) -> Result<SequenceOutcome, FlashOverlapError>;
+    let entries: [(&str, Run); 3] = [
+        ("execute_with", &|o| plan.execute_with(o)),
+        ("execute_sequence", &|o| {
+            execute_sequence(&[&plan, &plan], o)
+        }),
+        ("Pipeline::execute_with", &|o| pipeline.execute_with(o)),
+    ];
+    let refused = [
+        (2, Mutation::DropRearm),
+        (0, Mutation::DropWait { rank: 2, group: 0 }),
+        (0, Mutation::RaiseThreshold { rank: 0, group: 99 }),
+        (
+            0,
+            Mutation::DropIncrements {
+                rank: 0,
+                group: 0,
+                count: 1,
+            },
+        ),
+    ];
+    for (entry, run) in entries {
+        for mutation in refused {
+            let instr = Instrumentation {
+                mutation: Some(mutation),
+                ..Instrumentation::default()
+            };
+            let result = run(&SequenceOptions::new().instrument(&instr));
+            assert!(
+                matches!(result, Err(FlashOverlapError::BadInputs { .. })),
+                "{entry} ran {mutation:?}: {result:?}"
+            );
+        }
+    }
 }

@@ -16,8 +16,7 @@
 
 use flashoverlap::runtime::CommPattern;
 use flashoverlap::{
-    model_of_chain, verify_sequence, Instrumentation, OverlapPlan, SequenceOptions, SignalMutation,
-    SystemSpec, WavePartition,
+    model_of_chain, Instrumentation, OverlapPlan, SequenceOptions, SystemSpec, WavePartition,
 };
 use gpu_sim::gemm::GemmDims;
 use planverify::{verify, Mutation};
@@ -63,12 +62,12 @@ fn plan_with(m: u32, groups: u32) -> OverlapPlan {
     OverlapPlan::new(dims, CommPattern::AllReduce, system, partition).expect("valid plan")
 }
 
-fn run_sanitized(plan: &OverlapPlan, mutation: Option<SignalMutation>) -> Sanitizer {
+fn run_sanitized(plan: &OverlapPlan, mutation: Option<Mutation>) -> Sanitizer {
     let sanitizer = Sanitizer::new();
     let instr = Instrumentation {
         monitor: Some(sanitizer.monitor()),
         probe: Some(sanitizer.probe()),
-        mutation,
+        mutation: mutation.map(|m| (0, m)),
     };
     plan.execute_with(&SequenceOptions::new().instrument(&instr))
         .expect("simulation runs");
@@ -105,28 +104,20 @@ proptest! {
         let plan = plan_with(m, 2);
         prop_assert_eq!(plan.partition.num_groups(), 2);
 
-        let static_mutation = if raise {
+        let mutation = if raise {
             Mutation::RaiseThreshold { rank, group }
         } else {
             Mutation::DropWait { rank, group }
         };
-        let mut model = flashoverlap::model_of_plan(&plan);
-        model.apply(&static_mutation, 0);
+        let mut model = model_of_chain(&[&plan]);
+        model.apply(&mutation, 0).expect("the mutation targets the plan");
         let report = verify(&model);
-        prop_assert!(
-            !report.is_clean(),
-            "planverify missed {static_mutation:?}"
-        );
+        prop_assert!(!report.is_clean(), "planverify missed {mutation:?}");
 
-        let dynamic_mutation = if raise {
-            SignalMutation::RaiseThreshold { rank, group }
-        } else {
-            SignalMutation::DropWait { rank, group }
-        };
-        let s = run_sanitized(&plan, Some(dynamic_mutation));
+        let s = run_sanitized(&plan, Some(mutation));
         prop_assert!(
             !s.is_clean(),
-            "SimSan missed {dynamic_mutation:?} the static layer caught"
+            "SimSan missed {mutation:?} the static layer caught"
         );
     }
 
@@ -145,13 +136,15 @@ proptest! {
             .map(|&m| plan_with(m, 2))
             .collect();
         let refs: Vec<&OverlapPlan> = plans.iter().collect();
-        let report = verify_sequence(&refs);
+        let mut model = model_of_chain(&refs);
+        let report = verify(&model);
         prop_assert!(report.is_clean(), "static violations: {:?}", report.violations);
 
         // Rearm edges exist from the first table reuse onwards.
         let segment = 2 + seg_raw % (len - 2);
-        let mut model = model_of_chain(&refs, "batch");
-        model.apply(&Mutation::DropRearm, segment);
+        model
+            .apply(&Mutation::DropRearm, segment)
+            .expect("the segment is in the chain");
         let report = verify(&model);
         prop_assert!(!report.is_clean(), "planverify missed a dropped rearm");
         prop_assert!(

@@ -11,10 +11,10 @@
 
 use flashoverlap::runtime::CommPattern;
 use flashoverlap::{
-    execute_sequence, Instrumentation, OverlapPlan, SequenceOptions, SignalMutation, SystemSpec,
-    WavePartition,
+    execute_sequence, Instrumentation, OverlapPlan, SequenceOptions, SystemSpec, WavePartition,
 };
 use gpu_sim::gemm::GemmDims;
+use planverify::Mutation;
 use proptest::prelude::*;
 use proptest::sample::select;
 use simsan::{Finding, Sanitizer};
@@ -69,12 +69,12 @@ fn plan(pattern: CommPattern, groups: u32) -> OverlapPlan {
     OverlapPlan::new(dims, pattern, system, partition).expect("valid plan")
 }
 
-fn run_sanitized(plan: &OverlapPlan, mutation: Option<SignalMutation>) -> Sanitizer {
+fn run_sanitized(plan: &OverlapPlan, mutation: Option<Mutation>) -> Sanitizer {
     let sanitizer = Sanitizer::new();
     let instr = Instrumentation {
         monitor: Some(sanitizer.monitor()),
         probe: Some(sanitizer.probe()),
-        mutation,
+        mutation: mutation.map(|m| (0, m)),
     };
     plan.execute_with(&SequenceOptions::new().instrument(&instr))
         .expect("simulation runs");
@@ -110,7 +110,7 @@ fn tuned_plan_is_race_free_under_simsan() {
 #[test]
 fn dropped_wait_is_flagged_as_use_before_signal() {
     let p = plan(CommPattern::AllReduce, 2);
-    let s = run_sanitized(&p, Some(SignalMutation::DropWait { rank: 0, group: 0 }));
+    let s = run_sanitized(&p, Some(Mutation::DropWait { rank: 0, group: 0 }));
     let reports = s.reports();
     assert!(
         reports
@@ -123,10 +123,7 @@ fn dropped_wait_is_flagged_as_use_before_signal() {
 #[test]
 fn raised_threshold_is_flagged_as_lost_signal_and_deadlock() {
     let p = plan(CommPattern::AllReduce, 2);
-    let s = run_sanitized(
-        &p,
-        Some(SignalMutation::RaiseThreshold { rank: 1, group: 1 }),
-    );
+    let s = run_sanitized(&p, Some(Mutation::RaiseThreshold { rank: 1, group: 1 }));
     let reports = s.reports();
     assert!(
         reports
@@ -150,7 +147,7 @@ fn every_single_wait_deletion_is_caught() {
     let n = p.system.n_gpus;
     for rank in 0..n {
         for group in 0..p.partition.num_groups() {
-            let s = run_sanitized(&p, Some(SignalMutation::DropWait { rank, group }));
+            let s = run_sanitized(&p, Some(Mutation::DropWait { rank, group }));
             assert!(
                 !s.is_clean(),
                 "DropWait {{ rank: {rank}, group: {group} }} went undetected"
@@ -185,7 +182,7 @@ proptest! {
         let target = (0..p.partition.num_groups())
             .find(|&g| p.group_payload_elems()[g] > 0);
         if let Some(group) = target {
-            let mutated = run_sanitized(&p, Some(SignalMutation::DropWait { rank, group }));
+            let mutated = run_sanitized(&p, Some(Mutation::DropWait { rank, group }));
             prop_assert!(
                 !mutated.is_clean(),
                 "DropWait {{ rank: {}, group: {} }} went undetected",
@@ -194,7 +191,7 @@ proptest! {
             );
             let starved = run_sanitized(
                 &p,
-                Some(SignalMutation::RaiseThreshold { rank, group }),
+                Some(Mutation::RaiseThreshold { rank, group }),
             );
             prop_assert!(
                 starved.reports().iter().any(|f| matches!(f, Finding::LostSignal { .. })),
@@ -276,7 +273,7 @@ fn late_layer_mutation_is_caught_through_table_reuse() {
     let instr = Instrumentation {
         monitor: Some(sanitizer.monitor()),
         probe: Some(sanitizer.probe()),
-        mutation: Some(SignalMutation::DropWait { rank: 0, group: 0 }),
+        mutation: Some((2, Mutation::DropWait { rank: 0, group: 0 })),
     };
     pipeline
         .execute_with(&SequenceOptions::new().instrument(&instr))
@@ -310,7 +307,7 @@ fn final_iteration_mutation_is_caught_after_reuse() {
     let instr = Instrumentation {
         monitor: Some(sanitizer.monitor()),
         probe: Some(sanitizer.probe()),
-        mutation: Some(SignalMutation::DropWait { rank: 0, group: 0 }),
+        mutation: Some((3, Mutation::DropWait { rank: 0, group: 0 })),
     };
     let iterations = [&p; 4];
     execute_sequence(&iterations, &SequenceOptions::new().instrument(&instr))
@@ -327,7 +324,7 @@ fn final_iteration_mutation_is_caught_after_reuse() {
     let instr = Instrumentation {
         monitor: Some(sanitizer.monitor()),
         probe: Some(sanitizer.probe()),
-        mutation: Some(SignalMutation::RaiseThreshold { rank: 1, group: 1 }),
+        mutation: Some((3, Mutation::RaiseThreshold { rank: 1, group: 1 })),
     };
     execute_sequence(&iterations, &SequenceOptions::new().instrument(&instr))
         .expect("iterations run");

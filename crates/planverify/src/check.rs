@@ -446,6 +446,10 @@ impl<'w> Regions<'w> {
                 let mut pieces = Vec::with_capacity(writer.intervals.len());
                 pieces.extend(pieces_of(writer));
                 pieces.sort_unstable_by_key(|p| (p.start, p.tile));
+                #[expect(
+                    clippy::expect_used,
+                    reason = "merge_runs fails only on unsorted pieces, and these were just sorted"
+                )]
                 let runs = merge_runs(pieces.iter().copied()).expect("the pieces are sorted");
                 (None, OnceCell::from(pieces), runs)
             }
@@ -682,7 +686,8 @@ mod tests {
     #[test]
     fn dropped_wait_races_every_tile_of_the_group() {
         let mut m = model(1, true);
-        m.apply(&Mutation::DropWait { rank: 0, group: 1 }, 0);
+        m.apply(&Mutation::DropWait { rank: 0, group: 1 }, 0)
+            .unwrap();
         let report = verify(&m);
         assert_eq!(report.count_of("tile-race"), 2, "{:?}", report.violations);
         assert!(report
@@ -694,7 +699,8 @@ mod tests {
     #[test]
     fn raised_threshold_is_an_unreachable_deadlock() {
         let mut m = model(1, true);
-        m.apply(&Mutation::RaiseThreshold { rank: 0, group: 0 }, 0);
+        m.apply(&Mutation::RaiseThreshold { rank: 0, group: 0 }, 0)
+            .unwrap();
         let report = verify(&m);
         assert_eq!(report.count_of("unreachable-threshold"), 1);
         assert!(
@@ -725,7 +731,8 @@ mod tests {
                 count: 1,
             },
             0,
-        );
+        )
+        .unwrap();
         let report = verify(&m);
         assert_eq!(report.count_of("unreachable-threshold"), 1);
     }
@@ -741,7 +748,7 @@ mod tests {
     #[test]
     fn missing_rearm_is_flagged_on_table_reuse() {
         let mut m = model(3, true);
-        m.apply(&Mutation::DropRearm, 2);
+        m.apply(&Mutation::DropRearm, 2).unwrap();
         let report = verify(&m);
         // Batch 2 reuses batch 0's table without a reset: both groups'
         // waits can release on stale counts.
@@ -922,8 +929,8 @@ mod tests {
             }
             assert!(copied.segments[0].ranks[1].groups != copied.segments[0].ranks[2].groups);
             if let Some(mutation) = mutation {
-                shared.apply(&mutation, 2);
-                copied.apply(&mutation, 2);
+                shared.apply(&mutation, 2).unwrap();
+                copied.apply(&mutation, 2).unwrap();
             }
             let (a, b) = (verify(&shared), verify(&copied));
             assert_eq!(a.violations, b.violations, "{mutation:?}");

@@ -39,6 +39,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::indexing_slicing)]
+#![cfg_attr(not(test), warn(clippy::expect_used))]
 
 pub mod check;
 pub mod model;
@@ -49,6 +50,6 @@ pub use check::{verify, VerifyReport, VerifyStats, Violation};
 pub use model::{GroupModel, Interval, RankModel, ScheduleModel, Segment, TileWrite, Writer};
 pub use mutation::{
     caveats, conformance_matrix, Caveat, DynamicCoverage, ExecPath, Expectation, MatrixCell,
-    Mutation, MutationKind,
+    Mutation, MutationKind, OffTarget, RAISE_DELTA,
 };
 pub use shadow::{may_conflict, ranges_overlap};

@@ -24,12 +24,8 @@
 use std::borrow::Cow;
 use std::ops::Range;
 
-use crate::mutation::Mutation;
+use crate::mutation::{Mutation, OffTarget};
 use crate::shadow;
-
-/// The threshold inflation the runtime's `RaiseThreshold` mutation
-/// applies; mirrored here so the static model mutates identically.
-pub const RAISE_DELTA: u32 = 1_000_000;
 
 /// A half-open element interval `[start, start + len)` in a rank's packed
 /// send buffer.
@@ -151,7 +147,7 @@ pub struct RankModel {
 /// groups name ranges of [`Segment::reads`].
 #[derive(Debug, Clone)]
 pub struct Segment {
-    /// Human-readable position ("plan", "layer 2", "batch 5").
+    /// Human-readable position ("plan", or "segment 2" in a chain).
     pub label: Cow<'static, str>,
     /// Counting-table set the segment signals through (ping-pong parity
     /// for chains; always 0 single-shot).
@@ -230,20 +226,13 @@ impl Segment {
         self.reads.get(group.reads.clone()).unwrap_or(&[])
     }
 
-    /// The contracts of the rank at index `rank`, for editing. A range
-    /// another rank shares is copied to the end of the arena first, so
-    /// the edit stays with this rank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the segment has no rank at index `rank`.
+    /// The contracts of the rank at index `rank`, for editing (empty for
+    /// a missing rank). A range another rank shares is copied to the end
+    /// of the arena first, so the edit stays with this rank.
     pub fn groups_mut(&mut self, rank: usize) -> &mut [GroupModel] {
-        let mut range = self
-            .ranks
-            .get(rank)
-            .expect("the segment has this rank")
-            .groups
-            .clone();
+        let Some(mut range) = self.ranks.get(rank).map(|r| r.groups.clone()) else {
+            return &mut [];
+        };
         let shared = self.ranks.iter().enumerate().any(|(i, other)| {
             i != rank && other.groups.start < range.end && range.start < other.groups.end
         });
@@ -277,34 +266,65 @@ pub struct ScheduleModel {
 }
 
 impl ScheduleModel {
-    /// Applies a registry mutation to `segment`, mirroring what the
-    /// corresponding runtime seam does to the executed schedule.
+    /// Checks that `mutation`'s target exists: `segment`, and in it the
+    /// rank and group the mutation names.
+    ///
+    /// # Errors
+    ///
+    /// [`OffTarget`] when any of them is missing.
+    pub fn check_target(&self, mutation: &Mutation, segment: usize) -> Result<(), OffTarget> {
+        let (rank, group) = match *mutation {
+            Mutation::DropWait { rank, group }
+            | Mutation::RaiseThreshold { rank, group }
+            | Mutation::DropIncrements { rank, group, .. }
+            | Mutation::DelayIncrements { rank, group, .. } => (Some(rank), Some(group)),
+            Mutation::ReorderIncrements { rank } => (Some(rank), None),
+            Mutation::DropRearm => (None, None),
+        };
+        let found = self.segments.get(segment).is_some_and(|seg| {
+            rank.is_none_or(|rank| {
+                seg.ranks.get(rank).is_some_and(|rm| {
+                    group.is_none_or(|group| seg.groups_of(rm).iter().any(|g| g.group == group))
+                })
+            })
+        });
+        if found {
+            Ok(())
+        } else {
+            Err(OffTarget {
+                mutation: *mutation,
+                segment,
+            })
+        }
+    }
+
+    /// Applies a registry mutation to `segment`, as the runtime applies
+    /// the same pair to the executed schedule.
     ///
     /// [`Mutation::DelayIncrements`] and [`Mutation::ReorderIncrements`]
     /// are no-ops by construction — the model carries neither a clock nor
     /// an issue order — which is the machine-checked form of their
     /// "documented benign" verdicts.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the targeted segment, rank, or group does not exist in
-    /// the model; the conformance driver always aims at real targets.
-    pub fn apply(&mut self, mutation: &Mutation, segment: usize) {
-        let seg = self
-            .segments
-            .get_mut(segment)
-            .expect("mutation targets an existing segment");
+    /// [`OffTarget`] when the targeted segment, rank or group does not
+    /// exist; the model is then unchanged.
+    pub fn apply(&mut self, mutation: &Mutation, segment: usize) -> Result<(), OffTarget> {
+        self.check_target(mutation, segment)?;
+        let Some(seg) = self.segments.get_mut(segment) else {
+            return Ok(());
+        };
         match *mutation {
-            Mutation::DropWait { rank, group } => {
-                *Self::wait_slot(seg, rank, group) = None;
-            }
-            Mutation::RaiseThreshold { rank, group } => {
-                let wait = Self::wait_slot(seg, rank, group);
-                *wait = wait.map(|t| t + RAISE_DELTA);
+            Mutation::DropWait { rank, group } | Mutation::RaiseThreshold { rank, group } => {
+                for gm in seg.groups_mut(rank).iter_mut().filter(|g| g.group == group) {
+                    gm.wait = mutation.wait(rank, group, gm.wait);
+                }
             }
             Mutation::DropIncrements { rank, group, count } => {
-                let gm = Self::group_slot(seg, rank, group);
-                gm.increments = gm.increments.saturating_sub(count);
+                for gm in seg.groups_mut(rank).iter_mut().filter(|g| g.group == group) {
+                    gm.increments = gm.increments.saturating_sub(count);
+                }
             }
             // Timing-only: the model has no clock, so a delayed increment
             // changes nothing it represents.
@@ -316,17 +336,7 @@ impl ScheduleModel {
                 seg.rearmed = false;
             }
         }
-    }
-
-    fn group_slot(seg: &mut Segment, rank: usize, group: usize) -> &mut GroupModel {
-        seg.groups_mut(rank)
-            .iter_mut()
-            .find(|g| g.group == group)
-            .expect("mutation targets an existing group")
-    }
-
-    fn wait_slot(seg: &mut Segment, rank: usize, group: usize) -> &mut Option<u32> {
-        &mut Self::group_slot(seg, rank, group).wait
+        Ok(())
     }
 }
 
@@ -334,6 +344,7 @@ impl ScheduleModel {
 #[allow(clippy::indexing_slicing)]
 mod tests {
     use super::*;
+    use crate::mutation::RAISE_DELTA;
 
     /// A minimal clean two-group, one-rank, one-segment model.
     pub(crate) fn tiny_model() -> ScheduleModel {
@@ -355,7 +366,8 @@ mod tests {
     #[test]
     fn apply_drop_wait_clears_the_threshold() {
         let mut m = tiny_model();
-        m.apply(&Mutation::DropWait { rank: 0, group: 1 }, 0);
+        m.apply(&Mutation::DropWait { rank: 0, group: 1 }, 0)
+            .unwrap();
         let seg = &m.segments[0];
         let groups = seg.groups_of(&seg.ranks[0]);
         assert_eq!(groups[1].wait, None);
@@ -365,7 +377,8 @@ mod tests {
     #[test]
     fn apply_raise_threshold_inflates_like_the_runtime() {
         let mut m = tiny_model();
-        m.apply(&Mutation::RaiseThreshold { rank: 0, group: 0 }, 0);
+        m.apply(&Mutation::RaiseThreshold { rank: 0, group: 0 }, 0)
+            .unwrap();
         let seg = &m.segments[0];
         assert_eq!(seg.groups_of(&seg.ranks[0])[0].wait, Some(1 + RAISE_DELTA));
     }
@@ -374,16 +387,20 @@ mod tests {
     fn timing_and_order_mutations_are_noops_by_construction() {
         let clean = tiny_model();
         let mut delayed = tiny_model();
-        delayed.apply(
-            &Mutation::DelayIncrements {
-                rank: 0,
-                group: 0,
-                count: 1,
-            },
-            0,
-        );
+        delayed
+            .apply(
+                &Mutation::DelayIncrements {
+                    rank: 0,
+                    group: 0,
+                    count: 1,
+                },
+                0,
+            )
+            .unwrap();
         let mut reordered = tiny_model();
-        reordered.apply(&Mutation::ReorderIncrements { rank: 0 }, 0);
+        reordered
+            .apply(&Mutation::ReorderIncrements { rank: 0 }, 0)
+            .unwrap();
         // Structural equality via the debug form: the model derives no
         // PartialEq on purpose (it would tempt float-style comparisons on
         // future fields), but the mutation contract is "unchanged".
@@ -398,7 +415,8 @@ mod tests {
         let mut m = tiny_model();
         m.n_ranks = 2;
         m.segments[0].push_rank(1, 0, 0..2);
-        m.apply(&Mutation::RaiseThreshold { rank: 1, group: 1 }, 0);
+        m.apply(&Mutation::RaiseThreshold { rank: 1, group: 1 }, 0)
+            .unwrap();
         let seg = &m.segments[0];
         let waits = |rank: usize| -> Vec<Option<u32>> {
             seg.groups_of(&seg.ranks[rank])
@@ -415,10 +433,27 @@ mod tests {
     }
 
     #[test]
+    fn off_target_mutations_are_refused_and_change_nothing() {
+        let mut m = tiny_model();
+        let before = format!("{m:?}");
+        for (mutation, segment) in [
+            (Mutation::DropRearm, 1),
+            (Mutation::ReorderIncrements { rank: 1 }, 0),
+            (Mutation::DropWait { rank: 0, group: 2 }, 0),
+        ] {
+            assert_eq!(
+                m.apply(&mutation, segment),
+                Err(OffTarget { mutation, segment })
+            );
+        }
+        assert_eq!(format!("{m:?}"), before);
+    }
+
+    #[test]
     fn drop_rearm_clears_the_segment_flag() {
         let mut m = tiny_model();
         m.segments[0].rearmed = true;
-        m.apply(&Mutation::DropRearm, 0);
+        m.apply(&Mutation::DropRearm, 0).unwrap();
         assert!(!m.segments[0].rearmed);
     }
 }

@@ -1,36 +1,37 @@
-//! The unified mutation registry and the protocol-conformance matrix
-//! (ROADMAP carried item c).
+//! The mutation registry and the protocol-conformance matrix.
 //!
-//! The repo historically grew three unrelated mutation mechanisms — the
-//! runtime's `SignalMutation` (drop/raise a wait), the sequence
-//! executor's `drop_cross_batch_edge`, and the signal-affecting
-//! `FaultPlan` arms (dropped/delayed increments). Each had its own
-//! ad-hoc self-test, so a new execute path could silently miss coverage.
-//! This module is the single enumerable registry: every corruption the
-//! suite knows how to express is a [`Mutation`], every execute path is an
-//! [`ExecPath`], and [`conformance_matrix`] classifies each
-//! `(mutation, path)` cell as caught-static, caught-dynamic, or
-//! documented-benign — with the dynamic-observability caveats promoted
-//! from code comments to machine-checked [`Caveat`] entries.
+//! Every schedule corruption the suite can express is a [`Mutation`]. The
+//! static model applies it with [`crate::model::ScheduleModel::apply`],
+//! and the runtime takes the same segment-and-mutation pair: the wait and
+//! rearm kinds through its instrumentation, the increment kinds as faults
+//! under the resilient runtime. Every execute path is an [`ExecPath`], and
+//! [`conformance_matrix`] classifies each `(mutation, path)` cell as
+//! caught-static, caught-dynamic, documented-benign or not-applicable,
+//! with the dynamic-observability caveats as machine-checked [`Caveat`]
+//! entries.
 
 use std::fmt;
 
-/// One schedule corruption, parameterized with its target. The model
-/// mutates via [`crate::model::ScheduleModel::apply`]; the runtime seams
-/// live in `flashoverlap::verify` (the registry itself stays
-/// simulator-free).
+/// The threshold inflation [`Mutation::RaiseThreshold`] applies: far
+/// beyond any group's tile count, so the raised wait is unreachable.
+pub const RAISE_DELTA: u32 = 1_000_000;
+
+/// One schedule corruption, parameterized with its target rank and group;
+/// the segment it hits is given alongside. The registry stays
+/// simulator-free: `flashoverlap::verify::runtime_seam` names how the
+/// runtime drives each one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {
     /// Delete the `WaitCounter` guarding `(rank, group)` — the collective
-    /// launches ungated (runtime seam: `SignalMutation::DropWait`).
+    /// launches ungated.
     DropWait {
         /// Target rank.
         rank: usize,
         /// Target group.
         group: usize,
     },
-    /// Inflate the wait threshold far beyond any reachable count
-    /// (runtime seam: `SignalMutation::RaiseThreshold`).
+    /// Inflate the wait threshold by [`RAISE_DELTA`], beyond any
+    /// reachable count.
     RaiseThreshold {
         /// Target rank.
         rank: usize,
@@ -66,8 +67,7 @@ pub enum Mutation {
         rank: usize,
     },
     /// Delete a chained segment's rearm edges (wait on the table's
-    /// previous user → `ResetCounter` → ready-event). Runtime seam:
-    /// `SequenceOptions::drop_cross_batch_edge` on the chained paths.
+    /// previous user → `ResetCounter` → ready-event).
     DropRearm,
 }
 
@@ -83,7 +83,44 @@ impl Mutation {
             Mutation::DropRearm => MutationKind::DropRearm,
         }
     }
+
+    /// The wait guarding `(rank, group)` once this mutation applies,
+    /// given the scheduled `wait`: [`Mutation::DropWait`] deletes it,
+    /// [`Mutation::RaiseThreshold`] raises it by [`RAISE_DELTA`], and
+    /// every other mutation or target leaves it as it is.
+    pub fn wait(&self, rank: usize, group: usize, wait: Option<u32>) -> Option<u32> {
+        match *self {
+            Mutation::DropWait { rank: r, group: g } if (r, g) == (rank, group) => None,
+            Mutation::RaiseThreshold { rank: r, group: g } if (r, g) == (rank, group) => {
+                wait.map(|t| t + RAISE_DELTA)
+            }
+            _ => wait,
+        }
+    }
 }
+
+/// A mutation aimed at a segment, rank or group the schedule does not
+/// have. Applied anyway it would change nothing, and a clean run would
+/// read like a missed detection, so the model and the runtime refuse it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OffTarget {
+    /// The refused mutation.
+    pub mutation: Mutation,
+    /// The segment it aimed at.
+    pub segment: usize,
+}
+
+impl fmt::Display for OffTarget {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let OffTarget { mutation, segment } = self;
+        write!(
+            f,
+            "mutation target {mutation:?} at segment {segment} is outside the plan"
+        )
+    }
+}
+
+impl std::error::Error for OffTarget {}
 
 /// The registry of mutation kinds (target-free).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,6 +150,21 @@ impl MutationKind {
         MutationKind::DropRearm,
     ];
 
+    /// A mutation of this kind aimed at rank 0, group 0 (count 1 for the
+    /// increment kinds): a slot every real plan has, so one sample per
+    /// kind drives each matrix cell.
+    pub fn sample(&self) -> Mutation {
+        let (rank, group, count) = (0, 0, 1);
+        match self {
+            MutationKind::DropWait => Mutation::DropWait { rank, group },
+            MutationKind::RaiseThreshold => Mutation::RaiseThreshold { rank, group },
+            MutationKind::DropIncrements => Mutation::DropIncrements { rank, group, count },
+            MutationKind::DelayIncrements => Mutation::DelayIncrements { rank, group, count },
+            MutationKind::ReorderIncrements => Mutation::ReorderIncrements { rank },
+            MutationKind::DropRearm => Mutation::DropRearm,
+        }
+    }
+
     /// Stable kebab-case label (report keys, CI assertions).
     pub fn label(&self) -> &'static str {
         match self {
@@ -132,27 +184,28 @@ impl fmt::Display for MutationKind {
     }
 }
 
-/// The execute paths a plan can run through.
+/// The shapes an execution can take. Every entry point lowers to one
+/// chain executor, so only the chain's length tells the paths apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecPath {
-    /// `OverlapPlan::execute_with` — one plan, one shot.
+    /// One segment (`OverlapPlan::execute_with`): no counting table is
+    /// reused.
     Single,
-    /// `Pipeline::execute_with` — chained layers, ping-ponged tables.
-    Pipeline,
-    /// `execute_sequence` — chained batches, ping-ponged tables.
-    Sequence,
+    /// Two or more segments (`execute_sequence` batches, `Pipeline`
+    /// layers): tables ping-pong by segment parity and are rearmed from
+    /// segment 2 on. A layer's fused epilogue changes no verdict.
+    Chain,
 }
 
 impl ExecPath {
     /// Every execute path.
-    pub const ALL: [ExecPath; 3] = [ExecPath::Single, ExecPath::Pipeline, ExecPath::Sequence];
+    pub const ALL: [ExecPath; 2] = [ExecPath::Single, ExecPath::Chain];
 
     /// Stable label.
     pub fn label(&self) -> &'static str {
         match self {
             ExecPath::Single => "single",
-            ExecPath::Pipeline => "pipeline",
-            ExecPath::Sequence => "sequence",
+            ExecPath::Chain => "chain",
         }
     }
 }
@@ -343,7 +396,7 @@ fn dynamic(kind: MutationKind, path: ExecPath) -> DynamicCoverage {
              the group",
         ),
         (MutationKind::ReorderIncrements, _) => DynamicCoverage::Benign,
-        (MutationKind::DropRearm, ExecPath::Sequence | ExecPath::Pipeline) => {
+        (MutationKind::DropRearm, ExecPath::Chain) => {
             DynamicCoverage::Conditional("sequence-edge-observability")
         }
         (MutationKind::DropRearm, ExecPath::Single) => {
@@ -431,22 +484,29 @@ mod tests {
 
     #[test]
     fn matrix_and_caveat_counts_are_pinned() {
-        // The shape the `verify` command reports: 6 mutation kinds x 3
-        // paths, 11 proven statically, 3 documented caveats.
+        // The shape the `verify` command reports: 6 mutation kinds x 2
+        // paths, 7 proven statically, 3 documented caveats.
         let cells = conformance_matrix();
-        assert_eq!(cells.len(), 18);
+        assert_eq!(cells.len(), 12);
         let caught_static = cells
             .iter()
             .filter(|c| c.expected == Expectation::CaughtStatic)
             .count();
-        assert_eq!(caught_static, 11);
+        assert_eq!(caught_static, 7);
         assert_eq!(caveats().len(), 3);
+    }
+
+    #[test]
+    fn every_sample_has_its_kind() {
+        for kind in MutationKind::ALL {
+            assert_eq!(kind.sample().kind(), kind);
+        }
     }
 
     #[test]
     fn labels_are_stable() {
         assert_eq!(MutationKind::DropWait.label(), "drop-wait");
-        assert_eq!(ExecPath::Sequence.label(), "sequence");
+        assert_eq!(ExecPath::Chain.label(), "chain");
         assert_eq!(Expectation::CaughtStatic.label(), "caught-static");
         assert_eq!(Expectation::Benign("x").reason(), Some("x"));
     }

@@ -1,5 +1,5 @@
 //! The tile-granular conflict predicate shared by the static verifier and
-//! SimSan's dynamic shadow memory (ROADMAP carried item b).
+//! SimSan's dynamic shadow memory.
 //!
 //! Mappings model a tile's packed writes at sub-tile granularity — one
 //! interval per destination subtile for ReduceScatter, one per token row

@@ -484,7 +484,7 @@ proptest! {
         assert_agree(seed, &model)?;
         let mut rng = Rng(seed ^ 0x0D0E);
         let (mutation, segment) = random_mutation(&mut rng, &model);
-        model.apply(&mutation, segment);
+        model.apply(&mutation, segment).expect("the mutation targets the model");
         assert_agree(seed, &model)?;
     }
 
@@ -496,7 +496,7 @@ proptest! {
         let mut rng = Rng(seed ^ 0x5EED);
         for _ in 0..1 + rng.below(3) {
             let (mutation, segment) = random_mutation(&mut rng, &model);
-            model.apply(&mutation, segment);
+            model.apply(&mutation, segment).expect("the mutation targets the model");
         }
         assert_agree(seed, &model)?;
     }

@@ -174,8 +174,8 @@ pub struct NodeStats {
 
 /// Measured-vs-predicted collective-completion drift for one
 /// `(GEMM shape, wave group)` pair, aggregated over a serve run — the
-/// signal the ROADMAP's online-autotuning item needs to decide when a
-/// cached plan has gone stale.
+/// signal an online autotuner needs to decide when a cached plan has
+/// gone stale.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftRow {
     /// GEMM rows.

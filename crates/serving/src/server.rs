@@ -54,8 +54,8 @@ use crate::traffic::{generate, ArrivalProcess, Request};
 
 /// How the serve loop runs its replicas. Both variants run every
 /// replica on the calling thread; nothing reads the choice. The type stays
-/// only because the benchmark package sets it, and leaves with the
-/// benchmark change that ROADMAP item 1 names.
+/// only because the benchmark package sets it, so it can leave only
+/// together with a change to that package.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// Every engine runs on the calling thread.

@@ -903,7 +903,7 @@ mod tests {
 
     #[test]
     fn same_tile_partial_overlap_race_is_caught_by_the_tile_shadow() {
-        // Regression for ROADMAP carried item b: two unordered accesses to
+        // Regression for the partial-overlap race: two unordered accesses to
         // *different sub-ranges of the same tile*. The epilogue stores
         // tile 4's slot as one burst, so the collective send genuinely
         // overlaps the write — but the modelled ranges are disjoint, and
