@@ -228,8 +228,7 @@ mod tests {
                 // The closed form prices the machine the plan runs on: a
                 // one-group plan, which overlaps nothing, is no faster
                 // and only noise slower.
-                let config = GemmConfig::choose(dims, &system.arch);
-                let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+                let waves = system.planned_waves(dims);
                 let single = WavePartition::single(waves);
                 let plan = OverlapPlan::new(dims, CommPattern::AllReduce, system, single).unwrap();
                 let simulated = plan.execute_with(&Default::default()).unwrap().total;

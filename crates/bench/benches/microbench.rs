@@ -18,7 +18,7 @@ use flashoverlap::{
     execute_sequence_in, predictive_search, ChainWorld, Fault, FaultPlan, LatencyPredictor,
     OverlapPlan, SystemSpec, WatchdogConfig, WavePartition,
 };
-use gpu_sim::gemm::{GemmConfig, GemmDims};
+use gpu_sim::gemm::GemmDims;
 use gpu_sim::swizzle::Swizzle;
 use gpu_sim::tile::{TileGrid, TileShape};
 use gpu_sim::wave::WaveSchedule;
@@ -190,8 +190,7 @@ fn bench_plan_cache_miss_churn(c: &mut Criterion) {
 fn bench_simulated_run(c: &mut Criterion) {
     let system = SystemSpec::rtx4090(4);
     let dims = GemmDims::new(4096, 8192, 8192);
-    let config = GemmConfig::choose(dims, &system.arch);
-    let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+    let waves = system.planned_waves(dims);
     let plan = OverlapPlan::new(
         dims,
         CommPattern::AllReduce,
@@ -324,8 +323,7 @@ fn bench_resilient_chain_reused(c: &mut Criterion) {
         let mut system = SystemSpec::rtx4090(2);
         system.arch.sm_count = 8;
         system.comm_sms = 2;
-        let config = GemmConfig::choose(dims, &system.arch);
-        let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+        let waves = system.planned_waves(dims);
         OverlapPlan::new(
             dims,
             CommPattern::AllReduce,

@@ -54,20 +54,7 @@ fn serial_pipeline(system: &SystemSpec, layers: &[LayerSpec]) -> u64 {
             layer.dims,
             layer.pattern.clone(),
             system.clone(),
-            WavePartition::new(vec![1]),
-        );
-        let waves = match plan {
-            Ok(p) => p.total_waves(),
-            Err(flashoverlap::FlashOverlapError::PartitionMismatch { schedule_waves, .. }) => {
-                schedule_waves
-            }
-            Err(e) => panic!("probe failed: {e}"),
-        };
-        let plan = OverlapPlan::new(
-            layer.dims,
-            layer.pattern.clone(),
-            system.clone(),
-            WavePartition::single(waves),
+            WavePartition::single(system.planned_waves(layer.dims)),
         )
         .expect("plan");
         // A single layer with its fused epilogue is a one-layer pipeline.

@@ -7,7 +7,7 @@
 
 use bench::parallel_map;
 use flashoverlap::runtime::CommPattern;
-use flashoverlap::{exhaustive_search, measure_partition, OverlapPlan, SystemSpec, WavePartition};
+use flashoverlap::{exhaustive_search, measure_partition, SystemSpec, WavePartition};
 use gpu_sim::gemm::GemmDims;
 
 fn shapes() -> Vec<GemmDims> {
@@ -42,19 +42,7 @@ fn main() {
     );
 
     let rows = parallel_map(shapes, |&dims| {
-        let probe = OverlapPlan::new(
-            dims,
-            pattern.clone(),
-            system.clone(),
-            WavePartition::new(vec![1]),
-        );
-        let waves = match probe {
-            Ok(p) => p.total_waves(),
-            Err(flashoverlap::FlashOverlapError::PartitionMismatch { schedule_waves, .. }) => {
-                schedule_waves
-            }
-            Err(e) => panic!("probe failed: {e}"),
-        };
+        let waves = system.planned_waves(dims);
         let optimum = exhaustive_search(dims, &pattern, &system).expect("exhaustive");
         let baseline = measure_partition(dims, &pattern, &system, WavePartition::per_wave(waves))
             .expect("baseline partition");

@@ -156,7 +156,7 @@ pub(crate) fn execute_chain(
             Some((faults, _)) => arm_cluster_faults(world, sim, faults),
             None => 0,
         };
-        let streams = StreamCtx::create(world, n);
+        let streams = StreamCtx::create(world);
         let segments = enqueue_chain(world, sim, plans, epilogues, options, &streams);
         let (end, outcomes) = if let Some((_, watchdog)) = options.resilient {
             drive_chain(world, sim, plans, &segments, &streams, watchdog)?

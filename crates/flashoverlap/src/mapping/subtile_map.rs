@@ -229,13 +229,6 @@ impl SubtileMapping {
         }
         map
     }
-
-    /// The global rows rank `k` ends up holding, in logical order.
-    pub fn rows_of_rank(&self, k: usize) -> Vec<u32> {
-        (0..self.grid.m())
-            .filter(|r| (*r as usize) % self.n_ranks == k)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -315,7 +308,8 @@ mod tests {
             // over rank k's rows; the gather must read them in logical
             // order.
             let mut recv = vec![-1.0f32; m.recv_elems];
-            for &r in &m.rows_of_rank(k) {
+            // Rank k holds the global rows r with r % 2 == k.
+            for r in (k as u32..32).step_by(2) {
                 for c in 0..16u32 {
                     recv[m.packed_recv_index(r, c)] = (r * 1000 + c) as f32;
                 }

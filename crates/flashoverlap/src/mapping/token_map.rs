@@ -8,6 +8,8 @@
 //! covering that row) finishes. When a group signals, one All-to-All(v)
 //! moves every pool segment of that group to its destination.
 
+use std::rc::Rc;
+
 use collectives::A2aPlan;
 use gpu_sim::tile::TileGrid;
 use gpu_sim::wave::WaveSchedule;
@@ -31,8 +33,9 @@ pub struct TokenMapping {
     pub token_offset: Vec<Vec<usize>>,
     /// Send pool size in elements (`== M * N`, every token exactly once).
     pub send_pool_elems: usize,
-    /// One All-to-All(v) plan per group.
-    pub group_plans: Vec<A2aPlan>,
+    /// One All-to-All(v) plan per group, shared with every launch's
+    /// collective.
+    pub group_plans: Vec<Rc<A2aPlan>>,
     /// Received elements per rank.
     pub recv_elems: Vec<usize>,
     /// `[rank][logical_row] -> packed received row index`; logical order
@@ -201,7 +204,7 @@ impl TokenMapping {
             *recv_elems.get_mut(dest).expect("dest ranges over n_ranks") = acc;
         }
 
-        let group_plans: Vec<A2aPlan> = (0..num_groups)
+        let group_plans: Vec<Rc<A2aPlan>> = (0..num_groups)
             .map(|g| {
                 let len: Vec<Vec<usize>> = (0..n_ranks)
                     .map(|src| {
@@ -222,11 +225,11 @@ impl TokenMapping {
                             .collect()
                     })
                     .collect();
-                A2aPlan {
+                Rc::new(A2aPlan {
                     send_off: send_off.get(g).expect("g ranges over num_groups").clone(),
                     len,
                     recv_off: recv_off.get(g).expect("g ranges over num_groups").clone(),
-                }
+                })
             })
             .collect();
 

@@ -178,10 +178,7 @@ fn observed(plan: &OverlapPlan, evaluated: usize, rank: usize) -> Reference {
             .into_iter()
             .map(|(t, spans)| (t, layout.group_of_tile[t as usize] as usize, spans))
             .collect(),
-        completions: plan
-            .predicted_group_completions()
-            .expect("the searched partition covers the profile")
-            .to_vec(),
+        completions: plan.predicted_group_completions().to_vec(),
     }
 }
 

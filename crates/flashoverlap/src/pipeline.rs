@@ -355,8 +355,7 @@ mod tests {
     }
 
     fn per_wave_plan(dims: GemmDims, system: &SystemSpec) -> OverlapPlan {
-        let config = gpu_sim::gemm::GemmConfig::choose(dims, &system.arch);
-        let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+        let waves = system.planned_waves(dims);
         OverlapPlan::new(
             dims,
             CommPattern::AllReduce,

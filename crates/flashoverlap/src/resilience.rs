@@ -425,17 +425,8 @@ pub fn run_chaos(config: &ChaosConfig) -> Result<ChaosReport, FlashOverlapError>
     system.comm_sms = config.comm_sms;
     // Per-wave grouping maximizes the number of signal waits — the widest
     // fault surface a partition can offer.
-    let gemm_config = gpu_sim::gemm::GemmConfig::choose(config.dims, &system.arch);
-    let waves = gemm_config
-        .grid(config.dims)
-        .num_tiles()
-        .div_ceil(system.compute_sms());
-    let plan = OverlapPlan::new(
-        config.dims,
-        CommPattern::AllReduce,
-        system,
-        crate::partition::WavePartition::per_wave(waves),
-    )?;
+    let partition = crate::partition::WavePartition::per_wave(system.planned_waves(config.dims));
+    let plan = OverlapPlan::new(config.dims, CommPattern::AllReduce, system, partition)?;
     let num_groups = plan.group_tile_counts().len();
 
     let inputs = FunctionalInputs::random(config.dims, config.gpus, config.seed);

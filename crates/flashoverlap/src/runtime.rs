@@ -18,17 +18,18 @@
 //! is the chain executor's job (`chain.rs`). [`OverlapPlan::execute_with`]
 //! lowers to a one-segment chain. A steady-state measurement is
 //! `n` copies of the plan in [`crate::execute_sequence`], total over `n`.
+#![warn(clippy::indexing_slicing)]
 
 use std::cell::OnceCell;
 use std::rc::Rc;
 
 use collectives::{CollectiveRole, CollectiveSpec, CommScope, Communicator, Primitive, Region};
 use gpu_sim::arch::RemapGranularity;
-use gpu_sim::elementwise::{ElementwiseKernel, ElementwiseOp, Gather};
+use gpu_sim::elementwise::{gather_logical, ElementwiseKernel, ElementwiseOp, Gather};
 use gpu_sim::gemm::{CounterHook, EpilogueWriter, GemmConfig, GemmDims, GemmKernel, GroupRun};
 use gpu_sim::memory::BufferId;
 use gpu_sim::monitor::ClusterMonitor;
-use gpu_sim::stream::{enqueue, Op};
+use gpu_sim::stream::{enqueue, Op, StreamId};
 use gpu_sim::wave::WaveSchedule;
 use gpu_sim::{Cluster, ClusterSim};
 use planverify::Mutation;
@@ -181,7 +182,7 @@ pub struct OverlapPlan {
     predictor: OnceCell<LatencyPredictor>,
     /// The predictor's per-group completions (serve drift), computed on
     /// first use.
-    predicted_completions: OnceCell<Option<Vec<SimDuration>>>,
+    predicted_completions: OnceCell<Vec<SimDuration>>,
 }
 
 impl std::fmt::Debug for OverlapPlan {
@@ -398,25 +399,6 @@ impl OverlapPlan {
         &self.layout().group_tile_counts
     }
 
-    /// Per-group communicated element counts (per rank; the max across
-    /// ranks for All-to-All).
-    pub fn group_payload_elems(&self) -> Vec<usize> {
-        match &self.mapping {
-            PlanMapping::Tile(m) | PlanMapping::Gather(m) => {
-                m.group_regions.iter().map(|&(_, c)| c).collect()
-            }
-            PlanMapping::Subtile(m) => m.send_group_regions.iter().map(|&(_, c)| c).collect(),
-            PlanMapping::Token(m) => (0..m.group_plans.len())
-                .map(|g| {
-                    (0..m.n_ranks)
-                        .map(|src| m.group_send_elems(g, src))
-                        .max()
-                        .unwrap_or(0)
-                })
-                .collect(),
-        }
-    }
-
     /// Executes the plan as a one-segment chain with the modes selected
     /// in `options` — timing, instrumented, traced, functional or
     /// resilient (see [`SequenceOptions`]). A fused epilogue is a
@@ -460,17 +442,13 @@ impl OverlapPlan {
     /// Logical output shape of rank `d` after the post-communication
     /// remap.
     pub fn logical_shape(&self, d: usize) -> (usize, usize) {
+        let (m, n) = (self.dims.m as usize, self.dims.n as usize);
+        let ranks = self.system.n_gpus;
         match &self.mapping {
-            PlanMapping::Tile(_) => (self.dims.m as usize, self.dims.n as usize),
-            PlanMapping::Subtile(_) => (
-                self.dims.m as usize / self.system.n_gpus,
-                self.dims.n as usize,
-            ),
-            PlanMapping::Token(m) => (m.recv_row_gather[d].len(), self.dims.n as usize),
-            PlanMapping::Gather(_) => (
-                self.dims.m as usize,
-                self.dims.n as usize * self.system.n_gpus,
-            ),
+            PlanMapping::Tile(_) => (m, n),
+            PlanMapping::Subtile(_) => (m / ranks, n),
+            PlanMapping::Token(map) => (map.recv_row_gather.get(d).map_or(0, Vec::len), n),
+            PlanMapping::Gather(_) => (m, n * ranks),
         }
     }
 
@@ -501,18 +479,16 @@ impl OverlapPlan {
                 ),
             });
         }
-        for r in 0..n {
-            if reads_a
-                && (inputs.a[r].rows() != self.dims.m as usize
-                    || inputs.a[r].cols() != self.dims.k as usize)
-            {
+        let a_shape = (self.dims.m as usize, self.dims.k as usize);
+        let b_shape = (self.dims.k as usize, self.dims.n as usize);
+        for (r, b) in inputs.b.iter().enumerate() {
+            let a = inputs.a.get(r).filter(|_| reads_a);
+            if a.is_some_and(|a| (a.rows(), a.cols()) != a_shape) {
                 return Err(FlashOverlapError::BadInputs {
                     reason: format!("rank {r} A operand is not {}x{}", self.dims.m, self.dims.k),
                 });
             }
-            if inputs.b[r].rows() != self.dims.k as usize
-                || inputs.b[r].cols() != self.dims.n as usize
-            {
+            if (b.rows(), b.cols()) != b_shape {
                 return Err(FlashOverlapError::BadInputs {
                     reason: format!("rank {r} B operand is not {}x{}", self.dims.k, self.dims.n),
                 });
@@ -541,100 +517,110 @@ impl OverlapPlan {
         mutation: Option<Mutation>,
         tables: &[usize],
     ) -> ProgramHandles {
-        let n = self.system.n_gpus;
         let comm = self.comm.open(world);
-        let counts = self.group_tile_counts().to_vec();
-        let num_groups = counts.len();
         let grid = self.config.grid(self.dims);
 
-        let compute_streams = &streams.compute;
-        let comm_streams = &streams.comm;
-        let tables = tables.to_vec();
-        let mut packed_bufs = Vec::with_capacity(n);
-        let mut recv_bufs = Vec::with_capacity(n);
-        let mut a_bufs = Vec::with_capacity(n);
-        let mut b_bufs = Vec::with_capacity(n);
-        for d in 0..n {
-            let writer = self.writer_for(d);
-            let dev = &mut world.devices[d];
-            a_bufs.push(match (a_override, inputs) {
-                (Some(bufs), _) => bufs[d],
-                (None, Some(inp)) => dev.mem.alloc_init(inp.a[d].as_slice()),
+        let mut lanes = Vec::with_capacity(world.devices.len());
+        let ranks = world.devices.iter_mut().zip(tables);
+        for (d, ((dev, &table), (&compute, &comm_stream))) in ranks
+            .zip(streams.compute.iter().zip(&streams.comm))
+            .enumerate()
+        {
+            let (a_in, b_in) = match inputs {
+                Some(inp) => (inp.a.get(d), inp.b.get(d)),
+                None => (None, None),
+            };
+            let a = match (a_override.and_then(|bufs| bufs.get(d)), a_in) {
+                (Some(&buf), _) => buf,
+                (None, Some(a)) => dev.mem.alloc_init(a.as_slice()),
                 (None, None) => dev.mem.alloc((self.dims.m * self.dims.k) as usize),
-            });
-            b_bufs.push(match inputs {
-                Some(inp) => dev.mem.alloc_init(inp.b[d].as_slice()),
+            };
+            let b = match b_in {
+                Some(b) => dev.mem.alloc_init(b.as_slice()),
                 None => dev.mem.alloc((self.dims.k * self.dims.n) as usize),
-            });
-            packed_bufs.push(dev.mem.alloc(writer.out_len(&grid)));
-            recv_bufs.push(match &self.mapping {
+            };
+            let packed = dev.mem.alloc(self.writer_for(d).out_len(&grid));
+            let recv = match &self.mapping {
                 // AllReduce is in place: the packed buffer doubles as recv.
-                PlanMapping::Tile(_) => packed_bufs[d],
-                PlanMapping::Subtile(m) => dev.mem.alloc(m.recv_elems),
-                PlanMapping::Token(m) => dev.mem.alloc(m.recv_elems[d].max(1)),
-                PlanMapping::Gather(m) => {
-                    dev.mem.alloc(m.all_gather_recv_elems(self.system.n_gpus))
+                PlanMapping::Tile(_) => packed,
+                PlanMapping::Subtile(map) => dev.mem.alloc(map.recv_elems),
+                PlanMapping::Token(map) => dev
+                    .mem
+                    .alloc(map.recv_elems.get(d).map_or(1, |&e| e.max(1))),
+                PlanMapping::Gather(map) => {
+                    dev.mem.alloc(map.all_gather_recv_elems(self.system.n_gpus))
                 }
+            };
+            lanes.push(Lane {
+                a,
+                b,
+                packed,
+                recv,
+                table,
+                compute,
+                comm: comm_stream,
             });
         }
 
-        let probes = Probes::new(world, num_groups);
+        let probes = Probes::new(world, self.group_tile_counts().len());
 
         // Host-process launch skew: each rank's whole program starts a
         // random delay late (both its streams — the host thread submits
         // everything).
-        for d in 0..n {
-            if let Some(delay) = self.system.launch_skew(&mut world.devices[d]) {
-                enqueue(world, sim, d, compute_streams[d], Op::Delay(delay));
-                enqueue(world, sim, d, comm_streams[d], Op::Delay(delay));
+        for (d, lane) in lanes.iter().enumerate() {
+            let Some(dev) = world.devices.get_mut(d) else {
+                continue;
+            };
+            if let Some(delay) = self.system.launch_skew(dev) {
+                enqueue(world, sim, d, lane.compute, Op::Delay(delay));
+                enqueue(world, sim, d, lane.comm, Op::Delay(delay));
             }
         }
 
         // Compute stream: the single GEMM kernel plus a completion probe.
-        for d in 0..n {
+        for (d, lane) in lanes.iter().enumerate() {
             let kernel = GemmKernel {
-                a: a_bufs[d],
-                b: b_bufs[d],
-                out: packed_bufs[d],
+                a: lane.a,
+                b: lane.b,
+                out: lane.packed,
                 dims: self.dims,
                 config: self.config,
                 issue: Rc::clone(self.issue_order()),
                 writer: self.writer_for(d),
-                counter: Some(CounterHook::new(tables[d], Rc::clone(&self.group_runs))),
+                counter: Some(CounterHook::new(lane.table, Rc::clone(&self.group_runs))),
             };
-            enqueue(world, sim, d, compute_streams[d], Op::Gemm(kernel));
+            enqueue(world, sim, d, lane.compute, Op::Gemm(kernel));
             if d == 0 {
-                let stamp = Op::Stamp(probes.gemm_slot());
-                enqueue(world, sim, 0, compute_streams[0], stamp);
+                enqueue(world, sim, 0, lane.compute, Op::Stamp(probes.gemm_slot()));
             }
         }
 
         // Communication stream: per group, a signaling kernel then the
         // collective call.
-        #[expect(clippy::needless_range_loop)]
-        for g in 0..num_groups {
+        let packed_bufs: Vec<BufferId> = lanes.iter().map(|lane| lane.packed).collect();
+        let recv_bufs: Vec<BufferId> = lanes.iter().map(|lane| lane.recv).collect();
+        for (g, &count) in self.group_tile_counts().iter().enumerate() {
             let Some(spec) = self.group_spec(g, &packed_bufs, &recv_bufs) else {
                 // Zero-payload group (possible for All-to-All): nothing to
                 // wait for or send.
                 continue;
             };
             let ops = comm.ops_with_role(spec, Some(g), CollectiveRole::Overlap);
-            for (d, op) in ops.enumerate() {
+            for ((d, op), lane) in ops.enumerate().zip(&lanes) {
                 // A seeded mutation may drop or corrupt this rank's wait
                 // (sanitizer self-tests); `None` skips the wait entirely.
-                let wait = Some(counts[g]);
+                let wait = Some(count);
                 if let Some(threshold) = mutation.map_or(wait, |m| m.wait(d, g, wait)) {
                     let wait = Op::WaitCounter {
-                        table: tables[d],
+                        table: lane.table,
                         group: g,
                         threshold,
                     };
-                    enqueue(world, sim, d, comm_streams[d], wait);
+                    enqueue(world, sim, d, lane.comm, wait);
                 }
-                enqueue(world, sim, d, comm_streams[d], op);
+                enqueue(world, sim, d, lane.comm, op);
                 if d == 0 {
-                    let stamp = Op::Stamp(probes.group_slot(g));
-                    enqueue(world, sim, 0, comm_streams[0], stamp);
+                    enqueue(world, sim, 0, lane.comm, Op::Stamp(probes.group_slot(g)));
                 }
             }
         }
@@ -642,20 +628,23 @@ impl OverlapPlan {
         // Fused post-communication epilogue (Fig. 6): wait for the comm
         // stream to drain, then run the element-wise kernel with the
         // remap gathered in.
-        let mut epilogue_bufs: Vec<Option<BufferId>> = vec![None; n];
+        let mut epilogue_bufs: Vec<Option<BufferId>> = vec![None; lanes.len()];
         let mut epilogue_gates = Vec::new();
         if let Some(op) = epilogue {
             let granularity = self.remap_granularity();
-            for d in 0..n {
+            for ((d, lane), slot) in lanes.iter().enumerate().zip(&mut epilogue_bufs) {
                 let (rows, cols) = self.logical_shape(d);
-                let comm_done = world.devices[d].create_event();
+                let Some(dev) = world.devices.get_mut(d) else {
+                    continue;
+                };
+                let (comm_done, output) = (dev.create_event(), dev.mem.alloc(rows * cols));
                 epilogue_gates.push(comm_done);
-                enqueue(world, sim, d, comm_streams[d], Op::RecordEvent(comm_done));
-                enqueue(world, sim, d, compute_streams[d], Op::WaitEvent(comm_done));
+                *slot = Some(output);
+                enqueue(world, sim, d, lane.comm, Op::RecordEvent(comm_done));
+                enqueue(world, sim, d, lane.compute, Op::WaitEvent(comm_done));
                 if rows == 0 {
-                    // Nothing received (possible for All-to-All): still
-                    // allocate an empty logical buffer.
-                    epilogue_bufs[d] = Some(world.devices[d].mem.alloc(0));
+                    // Nothing received (possible for All-to-All): the
+                    // logical buffer stays empty.
                     continue;
                 }
                 let gather = if world.functional {
@@ -663,10 +652,8 @@ impl OverlapPlan {
                 } else {
                     Gather::None
                 };
-                let output = world.devices[d].mem.alloc(rows * cols);
-                epilogue_bufs[d] = Some(output);
                 let kernel = ElementwiseKernel {
-                    input: recv_bufs[d],
+                    input: lane.recv,
                     output,
                     rows,
                     cols,
@@ -674,10 +661,10 @@ impl OverlapPlan {
                     gather,
                     remap_cost: Some(granularity),
                 };
-                enqueue(world, sim, d, compute_streams[d], Op::Elementwise(kernel));
+                enqueue(world, sim, d, lane.compute, Op::Elementwise(kernel));
                 if d == 0 {
                     let stamp = Op::Stamp(probes.epilogue_slot());
-                    enqueue(world, sim, 0, compute_streams[0], stamp);
+                    enqueue(world, sim, 0, lane.compute, stamp);
                 }
             }
         }
@@ -689,7 +676,7 @@ impl OverlapPlan {
             epilogue_bufs,
             epilogue_gates,
             comm,
-            tables,
+            tables: lanes.iter().map(|lane| lane.table).collect(),
         }
     }
 
@@ -699,7 +686,9 @@ impl OverlapPlan {
         match &self.mapping {
             PlanMapping::Tile(m) => Gather::Elements(Rc::new(m.element_gather())),
             PlanMapping::Subtile(m) => Gather::Elements(Rc::new(m.recv_gather(d))),
-            PlanMapping::Token(m) => Gather::Rows(Rc::new(m.recv_row_gather[d].clone())),
+            PlanMapping::Token(m) => Gather::Rows(Rc::new(
+                m.recv_row_gather.get(d).cloned().unwrap_or_default(),
+            )),
             PlanMapping::Gather(m) => {
                 Gather::Elements(Rc::new(m.all_gather_gather(self.system.n_gpus)))
             }
@@ -709,7 +698,7 @@ impl OverlapPlan {
     pub(crate) fn writer_for(&self, rank: usize) -> Rc<dyn EpilogueWriter> {
         match &self.writers {
             Writers::Shared(writer) => Rc::clone(writer),
-            Writers::PerRank(writers) => Rc::clone(&writers[rank]),
+            Writers::PerRank(writers) => Rc::clone(writers.get(rank).expect("one writer per rank")),
         }
     }
 
@@ -726,167 +715,95 @@ impl OverlapPlan {
         self.mapping.layout()
     }
 
+    /// The collective group `g` schedules over the per-rank `packed` and
+    /// `recv` buffers: every rank sends its
+    /// [`OverlapPlan::group_send_region`], and a group without one owes no
+    /// collective.
     pub(crate) fn group_spec(
         &self,
         g: usize,
         packed: &[BufferId],
         recv: &[BufferId],
     ) -> Option<CollectiveSpec> {
+        let (_, count) = self.group_send_region(g, 0)?;
+        let send = || {
+            let regions = packed.iter().enumerate().map(|(d, &buf)| {
+                let (offset, count) = self.group_send_region(g, d)?;
+                Some(Region::new(buf, offset, count))
+            });
+            regions.collect::<Option<Vec<_>>>()
+        };
+        let recv_at = |offset, count| -> Vec<Region> {
+            recv.iter()
+                .map(|&buf| Region::new(buf, offset, count))
+                .collect()
+        };
         let n = self.system.n_gpus;
-        match &self.mapping {
-            PlanMapping::Tile(m) => {
-                let (offset, count) = m.group_regions[g];
-                Some(CollectiveSpec::AllReduce {
-                    regions: (0..n)
-                        .map(|d| Region::new(packed[d], offset, count))
-                        .collect(),
-                })
-            }
-            PlanMapping::Subtile(m) => {
-                let (offset, count) = m.send_group_regions[g];
-                let recv_off = m.recv_group_offset[g];
-                Some(CollectiveSpec::ReduceScatter {
-                    send: (0..n)
-                        .map(|d| Region::new(packed[d], offset, count))
-                        .collect(),
-                    recv: (0..n)
-                        .map(|d| Region::new(recv[d], recv_off, count / n))
-                        .collect(),
-                })
-            }
-            PlanMapping::Token(m) => {
-                let plan = &m.group_plans[g];
-                let total: usize = plan.len.iter().map(|row| row.iter().sum::<usize>()).sum();
-                if total == 0 {
-                    return None;
-                }
-                Some(CollectiveSpec::AllToAllV {
-                    send: packed.to_vec(),
-                    recv: recv.to_vec(),
-                    plan: Rc::new(plan.clone()),
-                })
-            }
+        Some(match &self.mapping {
+            PlanMapping::Tile(_) => CollectiveSpec::AllReduce { regions: send()? },
+            PlanMapping::Subtile(m) => CollectiveSpec::ReduceScatter {
+                send: send()?,
+                recv: recv_at(*m.recv_group_offset.get(g)?, count / n),
+            },
+            PlanMapping::Token(m) => CollectiveSpec::AllToAllV {
+                send: packed.to_vec(),
+                recv: recv.to_vec(),
+                plan: Rc::clone(m.group_plans.get(g)?),
+            },
             PlanMapping::Gather(m) => {
-                let (offset, count) = m.group_regions[g];
                 let (recv_off, recv_count) = m.all_gather_recv_region(g, n);
                 debug_assert_eq!(recv_count, count * n);
-                Some(CollectiveSpec::AllGather {
-                    send: (0..n)
-                        .map(|d| Region::new(packed[d], offset, count))
-                        .collect(),
-                    recv: (0..n)
-                        .map(|d| Region::new(recv[d], recv_off, recv_count))
-                        .collect(),
-                })
+                CollectiveSpec::AllGather {
+                    send: send()?,
+                    recv: recv_at(recv_off, recv_count),
+                }
             }
-        }
+        })
     }
 
     /// The contiguous packed-buffer region `rank`'s collective for group
-    /// `g` reads, as `(offset, elems)`; `None` when the group schedules
-    /// no collective at all (zero total payload — possible for
-    /// All-to-All). Mirrors [`OverlapPlan::group_spec`]'s send side, and
-    /// is what the static verifier models as the group's read set.
+    /// `g` reads, as `(offset, elems)`, or `None` when the group owes no
+    /// collective at all (zero total payload — possible for All-to-All).
+    /// The one definition of both: [`OverlapPlan::group_spec`] sends these
+    /// regions, and the static verifier models them as the group's read
+    /// set.
     pub(crate) fn group_send_region(&self, g: usize, rank: usize) -> Option<(usize, usize)> {
         match &self.mapping {
-            PlanMapping::Tile(m) | PlanMapping::Gather(m) => Some(m.group_regions[g]),
-            PlanMapping::Subtile(m) => Some(m.send_group_regions[g]),
+            PlanMapping::Tile(m) | PlanMapping::Gather(m) => m.group_regions.get(g).copied(),
+            PlanMapping::Subtile(m) => m.send_group_regions.get(g).copied(),
             PlanMapping::Token(m) => {
-                let plan = &m.group_plans[g];
-                let total: usize = plan.len.iter().map(|row| row.iter().sum::<usize>()).sum();
-                if total == 0 {
+                let plan = m.group_plans.get(g)?;
+                if plan.len.iter().flatten().all(|&len| len == 0) {
                     return None;
                 }
                 // The pool packs (group asc, dest asc): dest 0's offset is
                 // the group's block start even when dest 0 sends nothing.
-                Some((plan.send_off[rank][0], m.group_send_elems(g, rank)))
+                let start = *plan.send_off.get(rank)?.first()?;
+                Some((start, m.group_send_elems(g, rank)))
             }
         }
     }
 
     /// Per-rank logical outputs of a finished program: the fused
     /// epilogue's buffers when it has one (the remap happened in the
-    /// kernel, not host-side), otherwise the remapped receive data.
+    /// kernel), otherwise the receive data through the same gather.
     pub(crate) fn extract_outputs(&self, world: &Cluster, handles: &ProgramHandles) -> Vec<Matrix> {
-        let n = self.system.n_gpus;
-        let fused: Option<Vec<BufferId>> = handles.epilogue_bufs.iter().copied().collect();
-        if let Some(bufs) = fused {
-            return bufs
-                .iter()
-                .enumerate()
-                .map(|(d, &buf)| {
-                    let (rows, cols) = self.logical_shape(d);
-                    Matrix::from_vec(rows, cols, world.devices[d].mem.snapshot(buf))
-                })
-                .collect();
-        }
-        match &self.mapping {
-            PlanMapping::Tile(m) => {
-                let gather = m.element_gather();
-                (0..n)
-                    .map(|d| {
-                        let packed = world.devices[d].mem.data(handles.packed_bufs[d]);
-                        let data: Vec<f32> = gather.iter().map(|&i| packed[i as usize]).collect();
-                        Matrix::from_vec(self.dims.m as usize, self.dims.n as usize, data)
-                    })
-                    .collect()
-            }
-            PlanMapping::Subtile(m) => (0..n)
-                .map(|d| {
-                    let recv = world.devices[d].mem.data(handles.recv_bufs[d]);
-                    let gather = m.recv_gather(d);
-                    let data: Vec<f32> = gather.iter().map(|&i| recv[i as usize]).collect();
-                    Matrix::from_vec(self.dims.m as usize / n, self.dims.n as usize, data)
-                })
-                .collect(),
-            PlanMapping::Token(m) => (0..n)
-                .map(|d| {
-                    let recv = world.devices[d].mem.data(handles.recv_bufs[d]);
-                    let n_cols = self.dims.n as usize;
-                    let rows = m.recv_row_gather[d].len();
-                    let mut data = Vec::with_capacity(rows * n_cols);
-                    for &packed_row in &m.recv_row_gather[d] {
-                        let start = packed_row as usize * n_cols;
-                        data.extend_from_slice(&recv[start..start + n_cols]);
+        let buffers = handles.epilogue_bufs.iter().zip(&handles.recv_bufs);
+        world
+            .devices
+            .iter()
+            .zip(buffers)
+            .enumerate()
+            .map(|(d, (dev, (&fused, &recv)))| {
+                let (rows, cols) = self.logical_shape(d);
+                match fused {
+                    Some(buf) => Matrix::from_vec(rows, cols, dev.mem.snapshot(buf)),
+                    None => {
+                        gather_logical(dev.mem.data(recv), rows, cols, &self.epilogue_gather(d))
                     }
-                    Matrix::from_vec(rows, n_cols, data)
-                })
-                .collect(),
-            PlanMapping::Gather(m) => {
-                let gather = m.all_gather_gather(n);
-                (0..n)
-                    .map(|d| {
-                        let recv = world.devices[d].mem.data(handles.recv_bufs[d]);
-                        let data: Vec<f32> = gather.iter().map(|&i| recv[i as usize]).collect();
-                        Matrix::from_vec(self.dims.m as usize, self.dims.n as usize * n, data)
-                    })
-                    .collect()
-            }
-        }
-    }
-
-    /// Extra device-memory elements per rank this plan needs beyond the
-    /// non-overlap baseline (staging for reordered packing / receives) —
-    /// the capacity cost of the design.
-    ///
-    /// AllReduce runs in place (zero overhead); ReduceScatter and
-    /// All-to-All need their receive buffers exactly like NCCL's own
-    /// out-of-place calls, so only AllGather's duplicated packed buffer
-    /// counts.
-    pub fn memory_overhead_elems(&self, rank: usize) -> usize {
-        match &self.mapping {
-            // In-place: the packed buffer replaces the plain output.
-            PlanMapping::Tile(_) => 0,
-            // NCCL ReduceScatter is out-of-place too; no extra.
-            PlanMapping::Subtile(_) => 0,
-            // Same receive buffer an unoverlapped MoE exchange needs.
-            PlanMapping::Token(_) => 0,
-            // The packed send copy exists alongside the gathered result.
-            PlanMapping::Gather(m) => {
-                let _ = rank;
-                m.total_elems
-            }
-        }
+                }
+            })
+            .collect()
     }
 
     /// The token mapping, when the pattern is All-to-All (verification
@@ -913,31 +830,17 @@ impl OverlapPlan {
     /// The predictor's expected operator latency for this plan — the
     /// base the watchdog deadline is derived from.
     pub fn expected_latency(&self) -> SimDuration {
-        let predictor = self.predictor();
-        if predictor.profile().total_waves == self.partition.total_waves() {
-            predictor.predict(&self.partition)
-        } else {
-            // Swizzle overrides can shift the planned wave count away
-            // from the profiled estimate; fall back to the serial bound.
-            predictor.predict_serial()
-        }
+        self.predictor().predict(&self.partition)
     }
 
     /// The predictor's expected per-group collective completion times
     /// (absolute, from GEMM launch) — the baseline that measured
     /// [`RunReport::group_comm_done`] values are compared against for
-    /// measured-vs-predicted drift reporting. `None` when the planned
-    /// wave count diverges from the profiled estimate (swizzle
-    /// overrides), where per-group predictions are undefined. Computed
-    /// on first use and kept for the plan's lifetime.
-    pub fn predicted_group_completions(&self) -> Option<&[SimDuration]> {
+    /// measured-vs-predicted drift reporting. Computed on first use and
+    /// kept for the plan's lifetime.
+    pub fn predicted_group_completions(&self) -> &[SimDuration] {
         self.predicted_completions
-            .get_or_init(|| {
-                let predictor = self.predictor();
-                (predictor.profile().total_waves == self.partition.total_waves())
-                    .then(|| predictor.predict_group_completions(&self.partition))
-            })
-            .as_deref()
+            .get_or_init(|| self.predictor().predict_group_completions(&self.partition))
     }
 
     /// The latency predictor for this plan's shape, primitive and
@@ -958,19 +861,29 @@ impl OverlapPlan {
 
 /// Per-rank compute/communication stream pair a program runs on.
 pub(crate) struct StreamCtx {
-    pub(crate) compute: Vec<gpu_sim::stream::StreamId>,
-    pub(crate) comm: Vec<gpu_sim::stream::StreamId>,
+    pub(crate) compute: Vec<StreamId>,
+    pub(crate) comm: Vec<StreamId>,
+}
+
+/// One rank's operands, buffers, counting table and streams in a program.
+struct Lane {
+    a: BufferId,
+    b: BufferId,
+    packed: BufferId,
+    recv: BufferId,
+    table: usize,
+    compute: StreamId,
+    comm: StreamId,
 }
 
 impl StreamCtx {
-    pub(crate) fn create(world: &mut Cluster, n: usize) -> Self {
-        let mut compute = Vec::with_capacity(n);
-        let mut comm = Vec::with_capacity(n);
-        for d in 0..n {
-            let dev = &mut world.devices[d];
-            compute.push(dev.create_stream());
-            comm.push(dev.create_stream());
-        }
+    /// One compute and one communication stream on every device.
+    pub(crate) fn create(world: &mut Cluster) -> Self {
+        let (compute, comm) = world
+            .devices
+            .iter_mut()
+            .map(|dev| (dev.create_stream(), dev.create_stream()))
+            .unzip();
         StreamCtx { compute, comm }
     }
 }
@@ -1062,6 +975,7 @@ impl Probes {
 }
 
 #[cfg(test)]
+#[allow(clippy::indexing_slicing)]
 mod tests {
     use super::*;
     use crate::pipeline::Pipeline;
@@ -1112,10 +1026,7 @@ mod tests {
     fn all_reduce_overlap_is_numerically_exact() {
         let dims = GemmDims::new(256, 256, 64);
         let system = small_system(2);
-        let config = GemmConfig::choose(dims, &system.arch);
-        let grid = config.grid(dims);
-        let waves = grid.num_tiles().div_ceil(system.compute_sms());
-        let partition = WavePartition::per_wave(waves);
+        let partition = WavePartition::per_wave(system.planned_waves(dims));
         let plan = OverlapPlan::new(dims, CommPattern::AllReduce, system, partition).unwrap();
         let inputs = FunctionalInputs::random(dims, 2, 77);
         let (report, outputs) = exec_functional(&plan, &inputs);
@@ -1128,8 +1039,7 @@ mod tests {
 
     fn all_reduce_plan(dims: GemmDims, n: usize) -> OverlapPlan {
         let system = small_system(n);
-        let config = GemmConfig::choose(dims, &system.arch);
-        let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+        let waves = system.planned_waves(dims);
         OverlapPlan::new(
             dims,
             CommPattern::AllReduce,
@@ -1142,9 +1052,7 @@ mod tests {
     #[test]
     fn predicted_group_completions_align_with_the_plan() {
         let plan = all_reduce_plan(GemmDims::new(256, 256, 64), 2);
-        let predicted = plan
-            .predicted_group_completions()
-            .expect("per-wave plan matches the profiled wave count");
+        let predicted = plan.predicted_group_completions();
         assert_eq!(predicted.len(), plan.partition.num_groups());
         assert!(
             predicted.windows(2).all(|w| w[0] <= w[1]),
@@ -1283,8 +1191,7 @@ mod tests {
 
     fn two_node_plan(dims: GemmDims, n: usize) -> OverlapPlan {
         let system = small_system(n).with_nodes(2);
-        let config = GemmConfig::choose(dims, &system.arch);
-        let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+        let waves = system.planned_waves(dims);
         OverlapPlan::new(
             dims,
             CommPattern::AllReduce,
@@ -1420,8 +1327,7 @@ mod tests {
         let dims = GemmDims::new(256, 128, 64);
         let system = small_system(2);
         let plan = {
-            let config = GemmConfig::choose(dims, &system.arch);
-            let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+            let waves = system.planned_waves(dims);
             OverlapPlan::new(
                 dims,
                 CommPattern::ReduceScatter,
@@ -1454,8 +1360,7 @@ mod tests {
             .map(|_| (0..128).map(|_| rng.next_below(2) as usize).collect())
             .collect();
         let plan = {
-            let config = GemmConfig::choose(dims, &system.arch);
-            let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+            let waves = system.planned_waves(dims);
             OverlapPlan::new(
                 dims,
                 CommPattern::AllToAll { routing },
@@ -1499,8 +1404,7 @@ mod tests {
         // tiles nothing guarantees (a tile race planverify rejects).
         let dims = GemmDims::new(128, 512, 32);
         let system = small_system(2);
-        let config = GemmConfig::choose(dims, &system.arch);
-        let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+        let waves = system.planned_waves(dims);
         let pattern = CommPattern::AllToAll {
             routing: all_to_all_routing(128, 2, 31),
         };
@@ -1546,8 +1450,7 @@ mod tests {
         // sized to give several waves on the tiny test architecture.
         let dims = GemmDims::new(512, 512, 32);
         let system = small_system(2);
-        let config = GemmConfig::choose(dims, &system.arch);
-        let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+        let waves = system.planned_waves(dims);
         assert!(waves >= 2, "need multiple waves, got {waves}");
         let inputs = FunctionalInputs::random(dims, 2, 123);
         let expected = reduced_reference(&inputs);
@@ -1577,8 +1480,7 @@ mod tests {
         // balanced shape must benefit from splitting into groups.
         let dims = GemmDims::new(4096, 8192, 16384);
         let system = SystemSpec::rtx4090(4);
-        let config = GemmConfig::choose(dims, &system.arch);
-        let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+        let waves = system.planned_waves(dims);
         assert!(waves >= 4, "test needs several waves, got {waves}");
         let serial = OverlapPlan::new(
             dims,
@@ -1608,8 +1510,7 @@ mod tests {
     fn group_comm_times_are_monotone() {
         let dims = GemmDims::new(2048, 4096, 2048);
         let system = SystemSpec::rtx4090(2);
-        let config = GemmConfig::choose(dims, &system.arch);
-        let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+        let waves = system.planned_waves(dims);
         let plan = OverlapPlan::new(
             dims,
             CommPattern::AllReduce,
@@ -1629,8 +1530,7 @@ mod tests {
     fn all_gather_overlap_concatenates_column_shards() {
         let dims = GemmDims::new(256, 128, 64);
         let system = small_system(2);
-        let config = GemmConfig::choose(dims, &system.arch);
-        let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+        let waves = system.planned_waves(dims);
         let plan = OverlapPlan::new(
             dims,
             CommPattern::AllGather,
@@ -1677,16 +1577,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_overhead_is_zero_except_allgather() {
-        let system = small_system(2);
-        let dims = GemmDims::new(256, 128, 64);
-        let ar = OverlapPlan::tuned(dims, CommPattern::AllReduce, system.clone()).unwrap();
-        assert_eq!(ar.memory_overhead_elems(0), 0);
-        let ag = OverlapPlan::tuned(dims, CommPattern::AllGather, system).unwrap();
-        assert_eq!(ag.memory_overhead_elems(0), 256 * 128);
-    }
-
-    #[test]
     fn steady_state_average_is_close_to_single_shot() {
         let dims = GemmDims::new(4096, 8192, 8192);
         let system = SystemSpec::rtx4090(4);
@@ -1710,8 +1600,7 @@ mod tests {
 
         let dims = GemmDims::new(256, 256, 64);
         let system = small_system(2);
-        let config = GemmConfig::choose(dims, &system.arch);
-        let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+        let waves = system.planned_waves(dims);
         let plan = OverlapPlan::new(
             dims,
             CommPattern::AllReduce,
@@ -1803,8 +1692,7 @@ mod tests {
     fn bad_functional_inputs_are_rejected() {
         let dims = GemmDims::new(256, 256, 64);
         let system = small_system(2);
-        let config = GemmConfig::choose(dims, &system.arch);
-        let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+        let waves = system.planned_waves(dims);
         let plan = OverlapPlan::new(
             dims,
             CommPattern::AllReduce,

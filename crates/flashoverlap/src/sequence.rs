@@ -177,7 +177,7 @@ mod tests {
     use crate::partition::WavePartition;
     use crate::runtime::CommPattern;
     use crate::system::SystemSpec;
-    use gpu_sim::gemm::{GemmConfig, GemmDims};
+    use gpu_sim::gemm::GemmDims;
     use tensor::allclose;
 
     fn small_system(n: usize) -> SystemSpec {
@@ -188,8 +188,7 @@ mod tests {
     }
 
     fn plan_for(dims: GemmDims, system: &SystemSpec) -> OverlapPlan {
-        let config = GemmConfig::choose(dims, &system.arch);
-        let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+        let waves = system.planned_waves(dims);
         OverlapPlan::new(
             dims,
             CommPattern::AllReduce,

@@ -3,6 +3,7 @@
 use collectives::{Algorithm, Communicator};
 use gpu_sim::arch::GpuArch;
 use gpu_sim::cluster::Cluster;
+use gpu_sim::gemm::{GemmConfig, GemmDims};
 use interconnect::FabricSpec;
 use topology::Topology;
 
@@ -194,6 +195,16 @@ impl SystemSpec {
             .sm_count
             .saturating_sub(self.comm_sms)
             .max(gpu_sim::device::Device::min_compute_sms(self.arch.sm_count))
+    }
+
+    /// The planned wave count `T` of `dims` on this system: the tiles of
+    /// [`GemmConfig::choose`]'s configuration at [`SystemSpec::compute_sms`]
+    /// tiles per wave. Every plan, offline profile and partition space of
+    /// the shape spans this many waves; a pattern's swizzle override only
+    /// reorders the tiles.
+    pub fn planned_waves(&self, dims: GemmDims) -> u32 {
+        let tiles = GemmConfig::choose(dims, &self.arch).grid(dims).num_tiles();
+        gpu_sim::wave::wave_count(tiles, self.compute_sms())
     }
 
     /// Realistic execution noise of the evaluation systems: kernels and

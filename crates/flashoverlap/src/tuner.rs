@@ -111,18 +111,8 @@ pub fn exhaustive_search(
     pattern: &CommPattern,
     system: &SystemSpec,
 ) -> Result<TuneOutcome, FlashOverlapError> {
-    // Derive the wave count from a throwaway single-group plan.
-    let probe = OverlapPlan::new(
-        dims,
-        pattern.clone(),
-        system.clone(),
-        WavePartition::new(vec![1]),
-    );
-    let waves = match probe {
-        Ok(p) => p.total_waves(),
-        Err(FlashOverlapError::PartitionMismatch { schedule_waves, .. }) => schedule_waves,
-        Err(e) => return Err(e),
-    };
+    system.check_group()?;
+    let waves = system.planned_waves(dims);
     if waves > EXHAUSTIVE_WAVE_LIMIT {
         return Err(FlashOverlapError::IncompatibleShape {
             reason: format!(

@@ -5,34 +5,18 @@
 //! recovery re-issues collectives over complete tiles, so even a
 //! degraded segment never ships corrupt numerics.
 
+mod common;
+
+use common::{mini_system, per_wave_plan};
 use flashoverlap::pipeline::Pipeline;
 use flashoverlap::resilience::{FaultPlan, WatchdogConfig};
-use flashoverlap::runtime::{CommPattern, FunctionalInputs};
-use flashoverlap::{execute_sequence, OverlapPlan, SequenceOptions, SystemSpec, WavePartition};
+use flashoverlap::runtime::FunctionalInputs;
+use flashoverlap::{execute_sequence, OverlapPlan, SequenceOptions, SystemSpec};
 use gpu_sim::elementwise::ElementwiseOp;
-use gpu_sim::gemm::{GemmConfig, GemmDims};
+use gpu_sim::gemm::GemmDims;
 use proptest::prelude::*;
 use std::rc::Rc;
 use tensor::Matrix;
-
-fn small_system(n: usize) -> SystemSpec {
-    let mut system = SystemSpec::rtx4090(n);
-    system.arch.sm_count = 8;
-    system.comm_sms = 2;
-    system
-}
-
-fn per_wave_plan(dims: GemmDims, system: &SystemSpec) -> OverlapPlan {
-    let config = GemmConfig::choose(dims, &system.arch);
-    let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
-    OverlapPlan::new(
-        dims,
-        CommPattern::AllReduce,
-        system.clone(),
-        WavePartition::per_wave(waves),
-    )
-    .expect("valid plan")
-}
 
 /// Per-segment fault seed, decorrelated the same way the serving layer
 /// salts per-batch seeds.
@@ -55,7 +39,7 @@ fn chaos_pipeline(system: &SystemSpec) -> (Pipeline, Vec<FunctionalInputs>) {
         GemmDims::new(1024, 64, 128),
         GemmDims::new(1024, 128, 64),
     ];
-    let plans: Vec<OverlapPlan> = dims.iter().map(|&d| per_wave_plan(d, system)).collect();
+    let plans: Vec<OverlapPlan> = dims.iter().map(|&d| per_wave_plan(system, d)).collect();
     let pipeline = Pipeline::with_plans(
         system.clone(),
         plans,
@@ -92,12 +76,12 @@ proptest! {
         m in prop::sample::select(vec![256u32, 384, 512]),
         seed in any::<u64>(),
     ) {
-        let system = small_system(2);
+        let system = mini_system(2, 2);
         let plans: Vec<OverlapPlan> = (0..batches)
             // Alternate shapes so the chain crosses plan boundaries.
             .map(|i| {
                 let dims = GemmDims::new(if i % 2 == 0 { m } else { 256 }, 256, 64);
-                per_wave_plan(dims, &system)
+                per_wave_plan(&system, dims)
             })
             .collect();
         let refs: Vec<&OverlapPlan> = plans.iter().collect();
@@ -155,9 +139,9 @@ proptest! {
     /// event timeline, and end-to-end latency all match.
     #[test]
     fn chaos_chains_replay_bit_exact(seed in any::<u64>()) {
-        let system = small_system(2);
+        let system = mini_system(2, 2);
         let plans: Vec<OverlapPlan> = (0..3)
-            .map(|_| per_wave_plan(GemmDims::new(256, 256, 64), &system))
+            .map(|_| per_wave_plan(&system, GemmDims::new(256, 256, 64)))
             .collect();
         let refs: Vec<&OverlapPlan> = plans.iter().collect();
         let faults: Vec<FaultPlan> = plans
@@ -185,7 +169,7 @@ proptest! {
     /// layer wedged and recovered.
     #[test]
     fn seeded_chaos_pipelines_terminate_accountably(seed in any::<u64>()) {
-        let system = small_system(2);
+        let system = mini_system(2, 2);
         let (pipeline, inputs) = chaos_pipeline(&system);
         let reference = pipeline
             .execute_with(&SequenceOptions::new().functional(&inputs))

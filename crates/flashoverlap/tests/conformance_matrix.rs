@@ -19,11 +19,14 @@
 //!    the observability condition holds (the dynamic layer misses or
 //!    no-ops) while the static verdict is unchanged.
 
+mod common;
+
+use common::{mini_system, per_wave_plan, run_sanitized, sanitized};
 use flashoverlap::resilience::{FaultPlan, WatchdogConfig};
 use flashoverlap::runtime::CommPattern;
 use flashoverlap::{
-    execute_sequence, model_of_chain, runtime_seam, Fault, Instrumentation, OverlapPlan, Pipeline,
-    ResilientOutcome, RuntimeSeam, SequenceOptions, SequenceOutcome, SystemSpec, WavePartition,
+    execute_sequence, model_of_chain, runtime_seam, Fault, OverlapPlan, Pipeline, ResilientOutcome,
+    RuntimeSeam, SequenceOptions, SequenceOutcome, SystemSpec,
 };
 use gpu_sim::elementwise::ElementwiseOp;
 use gpu_sim::gemm::GemmDims;
@@ -35,18 +38,11 @@ use simsan::{Finding, Sanitizer};
 use std::rc::Rc;
 
 // ---------------------------------------------------------------------------
-// Shared fixtures (same observability rationale as simsan_runtime.rs /
-// simsan_sequence.rs: comm_sms = 0 keeps planned waves == runtime waves,
-// so dropped edges stay dynamically visible).
+// Fixtures. The comm_sms = 0 systems keep planned waves == runtime waves,
+// so dropped edges stay dynamically visible (see `common::mini_system`).
 // ---------------------------------------------------------------------------
 
-fn small_system() -> SystemSpec {
-    let mut spec = SystemSpec::rtx4090(2);
-    spec.arch.sm_count = 8;
-    spec.comm_sms = 0;
-    spec
-}
-
+/// The 2-GPU miniature system on an A800 NVLink pair.
 fn nvlink_system() -> SystemSpec {
     let mut spec = SystemSpec::a800(2);
     spec.arch.sm_count = 8;
@@ -54,41 +50,9 @@ fn nvlink_system() -> SystemSpec {
     spec
 }
 
-/// The resilience-calibrated system: the watchdog's default deadline
-/// multiplier separates clean runs from wedged ones on it.
-fn calibrated_system() -> SystemSpec {
-    let mut spec = SystemSpec::rtx4090(2);
-    spec.arch.sm_count = 8;
-    spec.comm_sms = 2;
-    spec
-}
-
-fn plan_on(system: SystemSpec, dims: GemmDims) -> OverlapPlan {
-    let probe = OverlapPlan::new(
-        dims,
-        CommPattern::AllReduce,
-        system.clone(),
-        WavePartition::new(vec![1]),
-    );
-    let waves = match probe {
-        Ok(p) => p.total_waves(),
-        Err(flashoverlap::FlashOverlapError::PartitionMismatch { schedule_waves, .. }) => {
-            schedule_waves
-        }
-        Err(e) => panic!("probe failed: {e}"),
-    };
-    OverlapPlan::new(
-        dims,
-        CommPattern::AllReduce,
-        system,
-        WavePartition::per_wave(waves),
-    )
-    .expect("valid plan")
-}
-
 /// An observable plan with at least two wave groups.
 fn observable_plan() -> OverlapPlan {
-    let p = plan_on(small_system(), GemmDims::new(384, 512, 64));
+    let p = per_wave_plan(&mini_system(2, 0), GemmDims::new(384, 512, 64));
     assert!(p.partition.num_groups() >= 2, "fixture needs >= 2 groups");
     p
 }
@@ -97,13 +61,13 @@ fn observable_plan() -> OverlapPlan {
 /// wave is far slower than shipping its payload, so stale-count windows
 /// stay open long enough for the dynamic layer to observe.
 fn compute_bound_plan() -> OverlapPlan {
-    plan_on(nvlink_system(), GemmDims::new(384, 512, 4096))
+    per_wave_plan(&nvlink_system(), GemmDims::new(384, 512, 4096))
 }
 
 /// The resilience-calibrated fixture (same shape as the resilience unit
 /// tests): per-wave 256x256x64 across 2 GPUs, multi-group.
 fn calibrated_plan() -> OverlapPlan {
-    plan_on(calibrated_system(), GemmDims::new(256, 256, 64))
+    per_wave_plan(&mini_system(2, 2), GemmDims::new(256, 256, 64))
 }
 
 fn rms(cols: usize) -> Option<ElementwiseOp> {
@@ -116,7 +80,7 @@ fn rms(cols: usize) -> Option<ElementwiseOp> {
 /// A layer pipeline of per-wave plans on `system`, every layer but the
 /// last carrying a fused RMSNorm epilogue.
 fn pipeline_on(system: SystemSpec, dims: &[GemmDims]) -> Pipeline {
-    let plans: Vec<OverlapPlan> = dims.iter().map(|&d| plan_on(system.clone(), d)).collect();
+    let plans: Vec<OverlapPlan> = dims.iter().map(|&d| per_wave_plan(&system, d)).collect();
     let epilogues = dims
         .iter()
         .enumerate()
@@ -165,32 +129,13 @@ impl Chain {
     /// Runs the chain under SimSan, seeded with `mutation` at its
     /// segment.
     fn sanitized(&self, mutation: Option<(usize, Mutation)>) -> Sanitizer {
-        let sanitizer = Sanitizer::new();
-        let instr = Instrumentation {
-            monitor: Some(sanitizer.monitor()),
-            probe: Some(sanitizer.probe()),
-            mutation,
-        };
-        self.run(&SequenceOptions::new().instrument(&instr));
-        sanitizer
+        sanitized(SequenceOptions::new(), mutation, |o| Ok(self.run(o)))
     }
 }
 
 /// A batch chain of `n` plans built by `plan`.
 fn batches(n: usize, plan: fn() -> OverlapPlan) -> Chain {
     Chain::Batches(std::iter::repeat_with(plan).take(n).collect())
-}
-
-fn run_sanitized(plan: &OverlapPlan, mutation: Option<Mutation>) -> Sanitizer {
-    let sanitizer = Sanitizer::new();
-    let instr = Instrumentation {
-        monitor: Some(sanitizer.monitor()),
-        probe: Some(sanitizer.probe()),
-        mutation: mutation.map(|m| (0, m)),
-    };
-    plan.execute_with(&SequenceOptions::new().instrument(&instr))
-        .expect("simulation runs");
-    sanitizer
 }
 
 /// Unwraps the fault seam the registry maps a cell to.
@@ -297,7 +242,7 @@ fn wait_seams_are_caught_on_every_path() {
         batches(4, observable_plan),
         Chain::Layers(Box::new(
             Pipeline::tuned(
-                small_system(),
+                mini_system(2, 0),
                 vec![
                     layer(GemmDims::new(384, 512, 64), rms(512)),
                     layer(GemmDims::new(384, 256, 512), rms(256)),
@@ -417,7 +362,7 @@ fn fault_seams_escalate_the_chain_watchdog() {
     // pipeline collapses to one group per layer, which cannot exercise
     // the tail rung, so its layers are per-wave).
     let layers = pipeline_on(
-        calibrated_system(),
+        mini_system(2, 2),
         &[
             GemmDims::new(1024, 128, 64),
             GemmDims::new(1024, 64, 128),
@@ -612,7 +557,7 @@ fn wave_collapse_caveat_static_catches_what_the_collapsed_run_hides() {
     let mut system = SystemSpec::rtx4090(2);
     system.arch.sm_count = 12;
     system.comm_sms = 4;
-    let plan = plan_on(system, dims);
+    let plan = per_wave_plan(&system, dims);
     assert!(
         plan.partition.num_groups() >= 2,
         "fixture needs >= 2 planned groups"

@@ -128,21 +128,12 @@ fn memoized_predictions_equal_a_fresh_predictor() {
         let plan = OverlapPlan::tuned(dims(), pattern.clone(), small_system()).unwrap();
         let name = format!("{:?}", pattern.primitive());
         let predictor = LatencyPredictor::build(plan.dims, plan.primitive(), &plan.system);
-        let profiled = predictor.profile().total_waves == plan.partition.total_waves();
-        let latency = if profiled {
-            predictor.predict(&plan.partition)
-        } else {
-            predictor.predict_serial()
-        };
-        let completions = profiled.then(|| predictor.predict_group_completions(&plan.partition));
+        let latency = predictor.predict(&plan.partition);
+        let completions = predictor.predict_group_completions(&plan.partition);
         // Twice: the first call builds the predictor, the second reuses it.
         for _ in 0..2 {
             assert_eq!(plan.expected_latency(), latency, "{name}");
-            assert_eq!(
-                plan.predicted_group_completions(),
-                completions.as_deref(),
-                "{name}"
-            );
+            assert_eq!(plan.predicted_group_completions(), completions, "{name}");
         }
     }
 }

@@ -3,26 +3,17 @@
 //! deliver either bit-exact outputs or a structured `Degraded` verdict
 //! with a non-empty cause — never a hang, never silent corruption.
 
+mod common;
+
+use common::{mini_system, per_wave_plan};
 use flashoverlap::resilience::{FaultPlan, ResilientOutcome, WatchdogConfig};
-use flashoverlap::runtime::{CommPattern, FunctionalInputs};
-use flashoverlap::{OverlapPlan, SequenceOptions, SystemSpec, WavePartition};
-use gpu_sim::gemm::{GemmConfig, GemmDims};
+use flashoverlap::runtime::FunctionalInputs;
+use flashoverlap::{OverlapPlan, SequenceOptions};
+use gpu_sim::gemm::GemmDims;
 use proptest::prelude::*;
 
 fn plan_for(m: u32, n: u32, k: u32, gpus: usize) -> OverlapPlan {
-    let dims = GemmDims::new(m, n, k);
-    let mut system = SystemSpec::rtx4090(gpus);
-    system.arch.sm_count = 8;
-    system.comm_sms = 2;
-    let config = GemmConfig::choose(dims, &system.arch);
-    let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
-    OverlapPlan::new(
-        dims,
-        CommPattern::AllReduce,
-        system,
-        WavePartition::per_wave(waves),
-    )
-    .expect("valid plan")
+    per_wave_plan(&mini_system(gpus, 2), GemmDims::new(m, n, k))
 }
 
 proptest! {

@@ -14,64 +14,22 @@
 //!    lengths verify clean, and a dropped rearm at any reused segment
 //!    is flagged statically.
 
+mod common;
+
+use common::{grouped_plan, mini_system, run_sanitized};
 use flashoverlap::runtime::CommPattern;
-use flashoverlap::{
-    model_of_chain, Instrumentation, OverlapPlan, SequenceOptions, SystemSpec, WavePartition,
-};
+use flashoverlap::{model_of_chain, OverlapPlan};
 use gpu_sim::gemm::GemmDims;
 use planverify::{verify, Mutation};
 use proptest::prelude::*;
 use proptest::sample::select;
-use simsan::Sanitizer;
 
-/// Planned waves equal runtime waves (see simsan_runtime.rs) — both
+/// A plan for `m x 512 x 64` split into `groups` wave groups, on the
+/// miniature system whose planned waves equal its runtime waves — both
 /// layers can observe every signal edge.
-fn small_system() -> SystemSpec {
-    let mut spec = SystemSpec::rtx4090(2);
-    spec.arch.sm_count = 8;
-    spec.comm_sms = 0;
-    spec
-}
-
-/// A plan for `m x 512 x 64` split into `groups` wave groups.
 fn plan_with(m: u32, groups: u32) -> OverlapPlan {
     let dims = GemmDims::new(m, 512, 64);
-    let system = small_system();
-    let probe = OverlapPlan::new(
-        dims,
-        CommPattern::AllReduce,
-        system.clone(),
-        WavePartition::new(vec![1]),
-    );
-    let waves = match probe {
-        Ok(p) => p.total_waves(),
-        Err(flashoverlap::FlashOverlapError::PartitionMismatch { schedule_waves, .. }) => {
-            schedule_waves
-        }
-        Err(e) => panic!("probe failed: {e}"),
-    };
-    let partition = if groups >= waves {
-        WavePartition::per_wave(waves)
-    } else {
-        let base = waves / groups;
-        let mut sizes = vec![base; groups as usize];
-        let used = base * (groups - 1);
-        sizes[groups as usize - 1] = waves - used;
-        WavePartition::new(sizes)
-    };
-    OverlapPlan::new(dims, CommPattern::AllReduce, system, partition).expect("valid plan")
-}
-
-fn run_sanitized(plan: &OverlapPlan, mutation: Option<Mutation>) -> Sanitizer {
-    let sanitizer = Sanitizer::new();
-    let instr = Instrumentation {
-        monitor: Some(sanitizer.monitor()),
-        probe: Some(sanitizer.probe()),
-        mutation: mutation.map(|m| (0, m)),
-    };
-    plan.execute_with(&SequenceOptions::new().instrument(&instr))
-        .expect("simulation runs");
-    sanitizer
+    grouped_plan(&mini_system(2, 0), dims, CommPattern::AllReduce, groups)
 }
 
 proptest! {

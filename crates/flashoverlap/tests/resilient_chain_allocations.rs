@@ -10,13 +10,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+mod common;
+
+use common::{mini_system, per_wave_plan};
 use flashoverlap::resilience::{Fault, FaultPlan, WatchdogConfig};
-use flashoverlap::runtime::CommPattern;
 use flashoverlap::{
-    execute_sequence_in, ChainWorld, Instrumentation, OverlapPlan, SequenceOptions, SystemSpec,
-    WavePartition,
+    execute_sequence_in, ChainWorld, Instrumentation, OverlapPlan, SequenceOptions,
 };
-use gpu_sim::gemm::{GemmConfig, GemmDims};
+use gpu_sim::gemm::GemmDims;
 use gpu_sim::RuntimeEventKind;
 use sim::SimDuration;
 use telemetry::{Telemetry, TelemetryRecord};
@@ -80,19 +81,7 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 /// A per-wave AllReduce plan on a miniature 2-rank system: several
 /// waves, one signal group each.
 fn plan(m: u32) -> OverlapPlan {
-    let dims = GemmDims::new(m, 256, 64);
-    let mut system = SystemSpec::rtx4090(2);
-    system.arch.sm_count = 8;
-    system.comm_sms = 2;
-    let config = GemmConfig::choose(dims, &system.arch);
-    let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
-    OverlapPlan::new(
-        dims,
-        CommPattern::AllReduce,
-        system,
-        WavePartition::per_wave(waves),
-    )
-    .expect("valid plan")
+    per_wave_plan(&mini_system(2, 2), GemmDims::new(m, 256, 64))
 }
 
 #[test]

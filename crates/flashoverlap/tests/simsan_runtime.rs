@@ -9,76 +9,26 @@
 //!    one finding of the matching class (the sanitizer has no blind spot
 //!    a mutation can hide in).
 
+mod common;
+
+use common::{grouped_plan, mini_system, run_sanitized, sanitized};
 use flashoverlap::runtime::CommPattern;
-use flashoverlap::{
-    execute_sequence, Instrumentation, OverlapPlan, SequenceOptions, SystemSpec, WavePartition,
-};
+use flashoverlap::{execute_sequence, OverlapPlan, SequenceOptions, SystemSpec};
 use gpu_sim::gemm::GemmDims;
 use planverify::Mutation;
 use proptest::prelude::*;
 use proptest::sample::select;
-use simsan::{Finding, Sanitizer};
+use simsan::Finding;
 
-/// A tiny system whose *planned* waves equal its *runtime* waves.
-///
-/// With `comm_sms = 0` the planner's capacity (`sm_count - comm_sms`)
-/// matches what the simulated GEMM actually gets, so wave (and therefore
-/// group) boundaries fall on real temporal boundaries of the execution.
-/// That matters for mutation coverage: a vector-clock sanitizer reports
-/// races of the *observed* execution, and a dropped signal edge is only
-/// observable if some tile of its group is written after the previous
-/// group's signal. When planned and runtime waves diverge (the planner
-/// reserves SMs that no communication is using yet), whole groups can
-/// collapse into one runtime wave where the earlier group's signal
-/// already orders everything — a true negative, not a blind spot.
-fn small_system(n: usize) -> SystemSpec {
-    let mut spec = SystemSpec::rtx4090(n);
-    spec.arch.sm_count = 8;
-    spec.comm_sms = 0;
-    spec
-}
-
-/// The wave count the runtime will plan for `dims` under `pattern`
-/// (mirrors `OverlapPlan::new`, including the All-to-All rasterization
-/// override).
-fn wave_count(dims: GemmDims, pattern: &CommPattern, system: &SystemSpec) -> u32 {
-    let mut config = gpu_sim::gemm::GemmConfig::choose(dims, &system.arch);
-    if matches!(pattern, CommPattern::AllToAll { .. }) {
-        config.swizzle = gpu_sim::swizzle::Swizzle::StripRows { height: 1 };
-    }
-    let grid = config.grid(dims);
-    let issue = config.swizzle.issue_order(&grid);
-    gpu_sim::wave::WaveSchedule::new(&issue, system.compute_sms()).num_waves()
-}
-
+/// A 384x512x64 plan on the 2-GPU miniature system whose planned waves
+/// equal its runtime waves (see [`mini_system`]), in `groups` groups.
 fn plan(pattern: CommPattern, groups: u32) -> OverlapPlan {
-    let n = 2;
-    let dims = GemmDims::new(384, 512, 64);
-    let system = small_system(n);
-    let waves = wave_count(dims, &pattern, &system);
-    let partition = if groups >= waves {
-        WavePartition::per_wave(waves)
-    } else {
-        // `groups - 1` equal groups plus one catch-all tail.
-        let base = waves / groups;
-        let mut sizes = vec![base; groups as usize];
-        let used = base * (groups - 1);
-        sizes[groups as usize - 1] = waves - used;
-        WavePartition::new(sizes)
-    };
-    OverlapPlan::new(dims, pattern, system, partition).expect("valid plan")
-}
-
-fn run_sanitized(plan: &OverlapPlan, mutation: Option<Mutation>) -> Sanitizer {
-    let sanitizer = Sanitizer::new();
-    let instr = Instrumentation {
-        monitor: Some(sanitizer.monitor()),
-        probe: Some(sanitizer.probe()),
-        mutation: mutation.map(|m| (0, m)),
-    };
-    plan.execute_with(&SequenceOptions::new().instrument(&instr))
-        .expect("simulation runs");
-    sanitizer
+    grouped_plan(
+        &mini_system(2, 0),
+        GemmDims::new(384, 512, 64),
+        pattern,
+        groups,
+    )
 }
 
 fn round_robin_routing(rows: usize, n: usize) -> Vec<Vec<usize>> {
@@ -179,8 +129,7 @@ proptest! {
 
         // Mutate a group that actually communicates (All-to-All groups can
         // be zero-payload, where no wait exists to drop).
-        let target = (0..p.partition.num_groups())
-            .find(|&g| p.group_payload_elems()[g] > 0);
+        let target = p.wait_thresholds().iter().position(Option::is_some);
         if let Some(group) = target {
             let mutated = run_sanitized(&p, Some(Mutation::DropWait { rank, group }));
             prop_assert!(
@@ -211,10 +160,13 @@ proptest! {
 // before reuse. The sanitizer must treat each reset as an epoch boundary:
 // clean runs stay clean (no stale-label false positives), and a signal
 // edge deleted *after* resets started is still caught (no stale-label
-// false negatives).
+// false negatives). A dropped wait in the last layer of this pipeline
+// and in the last of four per-wave batches is driven in
+// `conformance_matrix.rs::wait_seams_are_caught_on_every_path`.
 // ---------------------------------------------------------------------------
 
-fn three_layer_pipeline() -> flashoverlap::Pipeline {
+#[test]
+fn multi_layer_pipeline_is_race_free_under_simsan() {
     use flashoverlap::pipeline::LayerSpec;
     use gpu_sim::elementwise::ElementwiseOp;
     use std::rc::Rc;
@@ -223,112 +175,59 @@ fn three_layer_pipeline() -> flashoverlap::Pipeline {
         weight: Rc::new(vec![1.0; cols]),
         eps: 1e-6,
     };
+    let layer = |dims, epilogue| LayerSpec {
+        dims,
+        pattern: CommPattern::AllReduce,
+        epilogue,
+    };
     // Three layers so layer 2 reuses (and resets) layer 0's table set.
-    flashoverlap::Pipeline::tuned(
-        small_system(2),
+    let pipeline = flashoverlap::Pipeline::tuned(
+        mini_system(2, 0),
         vec![
-            LayerSpec {
-                dims: GemmDims::new(384, 512, 64),
-                pattern: CommPattern::AllReduce,
-                epilogue: Some(rms(512)),
-            },
-            LayerSpec {
-                dims: GemmDims::new(384, 256, 512),
-                pattern: CommPattern::AllReduce,
-                epilogue: Some(rms(256)),
-            },
-            LayerSpec {
-                dims: GemmDims::new(384, 128, 256),
-                pattern: CommPattern::AllReduce,
-                epilogue: None,
-            },
+            layer(GemmDims::new(384, 512, 64), Some(rms(512))),
+            layer(GemmDims::new(384, 256, 512), Some(rms(256))),
+            layer(GemmDims::new(384, 128, 256), None),
         ],
     )
-    .expect("valid pipeline")
-}
-
-#[test]
-fn multi_layer_pipeline_is_race_free_under_simsan() {
-    let pipeline = three_layer_pipeline();
-    let sanitizer = Sanitizer::new();
-    let instr = Instrumentation {
-        monitor: Some(sanitizer.monitor()),
-        probe: Some(sanitizer.probe()),
-        mutation: None,
-    };
-    pipeline
-        .execute_with(&SequenceOptions::new().instrument(&instr))
-        .expect("pipeline runs");
+    .expect("valid pipeline");
+    let sanitizer = sanitized(SequenceOptions::new(), None, |o| pipeline.execute_with(o));
     assert!(sanitizer.is_clean(), "{}", sanitizer.summary());
     assert!(sanitizer.accesses_checked() > 0, "monitor saw no accesses");
 }
 
 #[test]
-fn late_layer_mutation_is_caught_through_table_reuse() {
-    // Layer 2 runs on a reset table set; a wait dropped there must still
-    // surface even though the same (device, table, group) slots carried
-    // legitimate layer-0 signals before the reset.
-    let pipeline = three_layer_pipeline();
-    let sanitizer = Sanitizer::new();
-    let instr = Instrumentation {
-        monitor: Some(sanitizer.monitor()),
-        probe: Some(sanitizer.probe()),
-        mutation: Some((2, Mutation::DropWait { rank: 0, group: 0 })),
-    };
-    pipeline
-        .execute_with(&SequenceOptions::new().instrument(&instr))
-        .expect("pipeline runs");
-    assert!(
-        !sanitizer.is_clean(),
-        "layer-2 dropped wait went undetected: {}",
-        sanitizer.summary()
-    );
-}
-
-#[test]
 fn steady_state_iterations_are_race_free_under_simsan() {
     let p = plan(CommPattern::AllReduce, 2);
-    let sanitizer = Sanitizer::new();
-    let instr = Instrumentation {
-        monitor: Some(sanitizer.monitor()),
-        probe: Some(sanitizer.probe()),
-        mutation: None,
-    };
     // Back-to-back iterations: five copies of the plan in one sequence.
-    execute_sequence(&[&p; 5], &SequenceOptions::new().instrument(&instr)).expect("iterations run");
+    let sanitizer = sanitized(SequenceOptions::new(), None, |o| {
+        execute_sequence(&[&p; 5], o)
+    });
     assert!(sanitizer.is_clean(), "{}", sanitizer.summary());
     assert!(sanitizer.accesses_checked() > 0, "monitor saw no accesses");
 }
 
 #[test]
 fn final_iteration_mutation_is_caught_after_reuse() {
+    // A two-group plan, where the conformance matrix chains per-wave
+    // ones: a corruption in the final iteration, on a reset table set, is
+    // still caught.
     let p = plan(CommPattern::AllReduce, 2);
-    let sanitizer = Sanitizer::new();
-    let instr = Instrumentation {
-        monitor: Some(sanitizer.monitor()),
-        probe: Some(sanitizer.probe()),
-        mutation: Some((3, Mutation::DropWait { rank: 0, group: 0 })),
-    };
     let iterations = [&p; 4];
-    execute_sequence(&iterations, &SequenceOptions::new().instrument(&instr))
-        .expect("iterations run");
+    let run = |mutation| {
+        sanitized(SequenceOptions::new(), Some((3, mutation)), |o| {
+            execute_sequence(&iterations, o)
+        })
+    };
+    let sanitizer = run(Mutation::DropWait { rank: 0, group: 0 });
     assert!(
         !sanitizer.is_clean(),
         "final-iteration dropped wait went undetected: {}",
         sanitizer.summary()
     );
 
-    // A starved wait in the final iteration is a lost signal + deadlock,
-    // exactly as in the single-shot path.
-    let sanitizer = Sanitizer::new();
-    let instr = Instrumentation {
-        monitor: Some(sanitizer.monitor()),
-        probe: Some(sanitizer.probe()),
-        mutation: Some((3, Mutation::RaiseThreshold { rank: 1, group: 1 })),
-    };
-    execute_sequence(&iterations, &SequenceOptions::new().instrument(&instr))
-        .expect("iterations run");
-    let reports = sanitizer.reports();
+    // A starved wait in the final iteration is a lost signal, exactly as
+    // in the single-shot path.
+    let reports = run(Mutation::RaiseThreshold { rank: 1, group: 1 }).reports();
     assert!(
         reports
             .iter()

@@ -141,13 +141,6 @@ impl Device {
         &mut self.counters[table]
     }
 
-    /// SMs currently available to compute kernels: total minus those held
-    /// by communication kernels, floored at [`Device::min_compute_sms`].
-    pub fn avail_sms(&self) -> u32 {
-        (self.arch.sm_count.saturating_sub(self.comm_sms))
-            .max(Self::min_compute_sms(self.arch.sm_count))
-    }
-
     /// SMs a *new* compute wave can claim right now: total minus
     /// communication SMs minus SMs other in-flight compute waves hold,
     /// floored at [`Device::min_compute_sms`] (kernels time-share when
@@ -272,14 +265,14 @@ mod tests {
     #[test]
     fn comm_sm_ledger() {
         let mut d = device();
-        assert_eq!(d.avail_sms(), 128);
+        assert_eq!(d.avail_sms_for_compute(), 128);
         d.occupy_comm_sms(16);
-        assert_eq!(d.avail_sms(), 112);
+        assert_eq!(d.avail_sms_for_compute(), 112);
         assert_eq!(d.comm_sms(), 16);
         d.occupy_comm_sms(16);
-        assert_eq!(d.avail_sms(), 96);
+        assert_eq!(d.avail_sms_for_compute(), 96);
         d.release_comm_sms(32);
-        assert_eq!(d.avail_sms(), 128);
+        assert_eq!(d.avail_sms_for_compute(), 128);
     }
 
     #[test]
@@ -302,7 +295,7 @@ mod tests {
     fn avail_sms_floors_under_oversubscription() {
         let mut d = device();
         d.occupy_comm_sms(1000);
-        assert_eq!(d.avail_sms(), Device::min_compute_sms(128));
+        assert_eq!(d.avail_sms_for_compute(), Device::min_compute_sms(128));
     }
 
     #[test]

@@ -97,32 +97,29 @@ pub struct ElementwiseKernel {
     pub remap_cost: Option<RemapGranularity>,
 }
 
-impl ElementwiseKernel {
-    /// Builds the logically-ordered input matrix, applying the gather.
-    fn gathered_input(&self, data: &[f32]) -> Matrix {
-        match &self.gather {
-            Gather::None => {
-                Matrix::from_vec(self.rows, self.cols, data[..self.rows * self.cols].to_vec())
-            }
-            Gather::Rows(map) => {
-                assert_eq!(map.len(), self.rows, "row gather map length mismatch");
-                Matrix::from_fn(self.rows, self.cols, |r, c| {
-                    data[map[r] as usize * self.cols + c]
-                })
-            }
-            Gather::Elements(map) => {
-                assert_eq!(
-                    map.len(),
-                    self.rows * self.cols,
-                    "element gather map length mismatch"
-                );
-                Matrix::from_fn(self.rows, self.cols, |r, c| {
-                    data[map[r * self.cols + c] as usize]
-                })
-            }
+/// Reads the logically ordered `rows x cols` operand out of `data`
+/// through `gather`: the post-communication remap, whether the fused
+/// element-wise kernel or the host applies it.
+///
+/// # Panics
+///
+/// Panics if the gather map's length does not match the shape or names
+/// an element outside `data`.
+pub fn gather_logical(data: &[f32], rows: usize, cols: usize, gather: &Gather) -> Matrix {
+    match gather {
+        Gather::None => Matrix::from_vec(rows, cols, data[..rows * cols].to_vec()),
+        Gather::Rows(map) => {
+            assert_eq!(map.len(), rows, "row gather map length mismatch");
+            Matrix::from_fn(rows, cols, |r, c| data[map[r] as usize * cols + c])
+        }
+        Gather::Elements(map) => {
+            assert_eq!(map.len(), rows * cols, "element gather map length mismatch");
+            Matrix::from_fn(rows, cols, |r, c| data[map[r * cols + c] as usize])
         }
     }
+}
 
+impl ElementwiseKernel {
     fn apply(&self, input: &Matrix) -> Matrix {
         match &self.op {
             ElementwiseOp::Copy => input.clone(),
@@ -201,7 +198,12 @@ pub(crate) fn finish(slot: usize, world: &mut Cluster, sim: &mut ClusterSim) {
     if world.functional {
         let out = {
             let mem = &world.devices[completion.device()].mem;
-            let input = kernel.gathered_input(mem.data(kernel.input));
+            let input = gather_logical(
+                mem.data(kernel.input),
+                kernel.rows,
+                kernel.cols,
+                &kernel.gather,
+            );
             kernel.apply(&input)
         };
         let mem = &mut world.devices[completion.device()].mem;

@@ -105,16 +105,6 @@ impl SampledCurve {
         }
     }
 
-    /// Adds one measurement point.
-    pub fn add_point(&mut self, bytes: u64, duration: SimDuration) {
-        let idx = self.points.partition_point(|&(b, _)| b < bytes);
-        if idx < self.points.len() && self.points[idx].0 == bytes {
-            self.points[idx].1 = duration.as_nanos();
-        } else {
-            self.points.insert(idx, (bytes, duration.as_nanos()));
-        }
-    }
-
     /// Number of sample points.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -305,19 +295,8 @@ mod tests {
     }
 
     #[test]
-    fn add_point_keeps_sorted_and_replaces() {
-        let mut curve = SampledCurve::new();
-        curve.add_point(200, SimDuration::from_nanos(2));
-        curve.add_point(100, SimDuration::from_nanos(1));
-        curve.add_point(200, SimDuration::from_nanos(5));
-        assert_eq!(curve.len(), 2);
-        assert_eq!(curve.interpolate(200).as_nanos(), 5);
-    }
-
-    #[test]
     fn single_point_curve_is_constant() {
-        let mut curve = SampledCurve::new();
-        curve.add_point(100, SimDuration::from_nanos(42));
+        let curve = SampledCurve::from_points(vec![(100, SimDuration::from_nanos(42))]);
         assert_eq!(curve.interpolate(1).as_nanos(), 42);
         assert_eq!(curve.interpolate(10_000).as_nanos(), 42);
     }

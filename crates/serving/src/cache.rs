@@ -25,7 +25,7 @@ use collectives::Primitive;
 use flashoverlap::{
     tune_plan, CommPattern, FlashOverlapError, OverlapPlan, SystemSpec, WavePartition,
 };
-use gpu_sim::gemm::{GemmConfig, GemmDims};
+use gpu_sim::gemm::GemmDims;
 
 /// Cache key: the GEMM shape, the collective primitive, and a
 /// fingerprint of the system the plan was tuned for. A plan tuned for
@@ -284,11 +284,8 @@ impl PlanCache {
             let (plan, evaluated) = tune_plan(dims, pattern.clone(), system.clone())?;
             (plan, evaluated as u64)
         } else {
-            // Non-overlap baseline: one group spanning every wave of the
-            // schedule the plan will choose for this shape.
-            let config = GemmConfig::choose(dims, &system.arch);
-            let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
-            let partition = WavePartition::single(waves.max(1));
+            // Non-overlap baseline: one group spanning every planned wave.
+            let partition = WavePartition::single(system.planned_waves(dims).max(1));
             let plan = OverlapPlan::new(dims, pattern.clone(), system.clone(), partition)?;
             (plan, 0)
         };

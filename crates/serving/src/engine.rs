@@ -91,8 +91,8 @@ pub(crate) struct Replica {
 struct ChainRun {
     /// Per-segment completion, ns after launch.
     completions: Vec<u64>,
-    /// Per-segment outcome labels.
-    outcomes: Vec<&'static str>,
+    /// Per-segment dispositions.
+    outcomes: Vec<Disposition>,
     /// Launch to the last segment's completion.
     total_ns: u64,
     /// Signal-latency delta, `(mean_total_ns * samples, samples)`, as the
@@ -356,9 +356,8 @@ impl Replica {
         if let ([leader, ..], [(plan, _), ..], Some(measured)) =
             (chain, plans.as_slice(), &run.leader_group_done)
         {
-            if let Some(predicted) = plan.predicted_group_completions() {
-                acct.absorb_drift(leader.batch.gemm_dims(tp), predicted, measured);
-            }
+            let predicted = plan.predicted_group_completions();
+            acct.absorb_drift(leader.batch.gemm_dims(tp), predicted, measured);
         }
 
         let chain_len = chain.len() as u64;
@@ -368,7 +367,7 @@ impl Replica {
         // pre-topology timeline is reproduced exactly.
         let mig_ns: u64 = chain.iter().map(|p| p.migration_ns).sum();
         let mut prev_done = 0u64;
-        for ((pending, (_, cache_hit)), (done_ns, &outcome)) in chain
+        for ((pending, (_, cache_hit)), (done_ns, &disposition)) in chain
             .iter()
             .zip(&plans)
             .zip(run.completions.iter().zip(&run.outcomes))
@@ -380,7 +379,6 @@ impl Replica {
             // accounting window is clamped monotone; request latencies keep
             // the true completion time.
             let window_end = (*done_ns).max(prev_done);
-            let disposition = Disposition::from_outcome_label(outcome);
             let queue_wait = start_ns.saturating_sub(pending.close_ns);
             for r in &batch.requests {
                 acct.place(RequestRecord {
@@ -424,7 +422,7 @@ impl Replica {
                 start_ns: start_ns.saturating_add(mig_ns).saturating_add(prev_done),
                 exec_ns: window_end - prev_done,
                 cache_hit: *cache_hit,
-                outcome,
+                outcome: disposition.label(),
                 replica: replica_idx,
                 node: stats.node,
                 migration_ns: pending.migration_ns,
@@ -448,7 +446,7 @@ impl Replica {
         chain_totals.add(Category::CollectiveTransfer, mig_ns);
         chain_log.push((start_ns, mig_ns.saturating_add(run.total_ns), chain_totals));
         *free_ns = start_ns.saturating_add(mig_ns).saturating_add(run.total_ns);
-        Ok(run.outcomes.contains(&"degraded"))
+        Ok(run.outcomes.contains(&Disposition::Degraded))
     }
 }
 
@@ -517,7 +515,7 @@ fn simulate_chain(
         .iter()
         .map(|r| r.latency.as_nanos())
         .collect();
-    let outcomes = outcome.outcomes.iter().map(|o| o.label()).collect();
+    let outcomes = outcome.outcomes.iter().map(Disposition::from).collect();
     let total_ns = outcome.total.as_nanos();
     let spans = outcome.spans;
     let leader_group_done = outcome

@@ -9,6 +9,7 @@
 //! serializes through the vendored `telemetry::json` module so `--seed`
 //! determinism is checkable byte-for-byte on the JSON output.
 
+use flashoverlap::ResilientOutcome;
 use telemetry::attribution::{AttributionTotals, Category};
 use telemetry::json::Value;
 use telemetry::Percentiles;
@@ -38,13 +39,16 @@ impl Disposition {
             Disposition::Shed => "shed",
         }
     }
+}
 
-    /// Maps a [`ResilientOutcome`](flashoverlap::ResilientOutcome) label.
-    pub fn from_outcome_label(label: &str) -> Disposition {
-        match label {
-            "recovered" => Disposition::Recovered,
-            "degraded" => Disposition::Degraded,
-            _ => Disposition::Clean,
+impl From<&ResilientOutcome> for Disposition {
+    /// How a batch's requests left the system, by its chain segment's
+    /// outcome.
+    fn from(outcome: &ResilientOutcome) -> Self {
+        match outcome {
+            ResilientOutcome::Clean => Disposition::Clean,
+            ResilientOutcome::Recovered { .. } => Disposition::Recovered,
+            ResilientOutcome::Degraded { .. } => Disposition::Degraded,
         }
     }
 }

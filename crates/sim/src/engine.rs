@@ -209,11 +209,6 @@ impl<E: Event> Sim<E> {
         self.now
     }
 
-    /// Returns the number of events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.processed
-    }
-
     /// Returns the number of events currently pending.
     pub fn pending(&self) -> usize {
         self.queue.len()
@@ -373,7 +368,7 @@ mod tests {
         sim.reset();
         assert_eq!(sim.now(), SimTime::ZERO);
         assert_eq!(sim.pending(), 0, "queued events are dropped");
-        assert_eq!(sim.events_processed(), 0);
+        assert_eq!(sim.processed, 0);
         assert!(sim.probe.is_none());
         assert_eq!(sim.event_budget, Sim::<Ev>::DEFAULT_EVENT_BUDGET);
         // Sequence numbers restart: same-time events stay FIFO from 0.
@@ -509,7 +504,7 @@ mod tests {
         sim.schedule_at(at(2), Ev::Push(2));
         assert_eq!(sim.pending(), 2);
         sim.run(&mut Vec::new()).unwrap();
-        assert_eq!(sim.events_processed(), 2);
+        assert_eq!(sim.processed, 2);
         assert_eq!(sim.pending(), 0);
     }
 }

@@ -59,16 +59,6 @@ impl Cdf {
         Some(self.samples[idx])
     }
 
-    /// Fraction of samples ≤ `x`.
-    pub fn fraction_at_most(&mut self, x: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.ensure_sorted();
-        let n = self.samples.partition_point(|&s| s <= x);
-        n as f64 / self.samples.len() as f64
-    }
-
     /// Sample mean; zero when empty.
     pub fn mean(&self) -> f64 {
         if self.samples.is_empty() {
@@ -117,14 +107,6 @@ mod tests {
         assert_eq!(c.quantile(1.0), Some(100.0));
         let median = c.quantile(0.5).unwrap();
         assert!((49.0..=51.0).contains(&median));
-    }
-
-    #[test]
-    fn cdf_fraction_at_most() {
-        let mut c: Cdf = [1.0, 2.0, 3.0, 4.0].into_iter().collect();
-        assert!((c.fraction_at_most(2.0) - 0.5).abs() < 1e-12);
-        assert_eq!(c.fraction_at_most(0.0), 0.0);
-        assert_eq!(c.fraction_at_most(10.0), 1.0);
     }
 
     #[test]

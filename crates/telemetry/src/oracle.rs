@@ -406,7 +406,7 @@ mod tests {
         execute_sequence_in, ChainWorld, Instrumentation, OverlapPlan, SequenceOptions, SystemSpec,
         WavePartition,
     };
-    use gpu_sim::gemm::{GemmConfig, GemmDims};
+    use gpu_sim::gemm::GemmDims;
     use proptest::prelude::*;
     use sim::DetRng;
     use workloads::{models, quantize_tokens, MixEntry, ServeMix};
@@ -553,8 +553,7 @@ mod tests {
         let mut system = SystemSpec::rtx4090(2);
         system.arch.sm_count = 8;
         system.comm_sms = 2;
-        let config = GemmConfig::choose(dims, &system.arch);
-        let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+        let waves = system.planned_waves(dims);
         OverlapPlan::new(
             dims,
             CommPattern::AllReduce,

@@ -16,7 +16,7 @@ use flashoverlap::{
     execute_sequence_in, ChainWorld, Instrumentation, OverlapPlan, SequenceOptions, SystemSpec,
     WavePartition,
 };
-use gpu_sim::gemm::{GemmConfig, GemmDims};
+use gpu_sim::gemm::GemmDims;
 use gpu_sim::OpSpan;
 use telemetry::{ChainIndex, Telemetry, TelemetryRecord};
 
@@ -85,8 +85,7 @@ fn plan(m: u32) -> OverlapPlan {
     let mut system = SystemSpec::rtx4090(2);
     system.arch.sm_count = 8;
     system.comm_sms = 2;
-    let config = GemmConfig::choose(dims, &system.arch);
-    let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+    let waves = system.planned_waves(dims);
     OverlapPlan::new(
         dims,
         CommPattern::AllReduce,

@@ -11,7 +11,7 @@ use flashoverlap::{
     execute_sequence, Instrumentation, OverlapPlan, SequenceOptions, SequenceOutcome, SystemSpec,
     WavePartition,
 };
-use gpu_sim::gemm::{GemmConfig, GemmDims};
+use gpu_sim::gemm::GemmDims;
 use gpu_sim::{RuntimeDetail, RuntimeEventKind};
 use sim::SimDuration;
 use telemetry::json::{self, Value};
@@ -26,8 +26,7 @@ fn plan_of(dims: GemmDims) -> OverlapPlan {
     let mut system = SystemSpec::rtx4090(2);
     system.arch.sm_count = 8;
     system.comm_sms = 2;
-    let config = GemmConfig::choose(dims, &system.arch);
-    let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+    let waves = system.planned_waves(dims);
     OverlapPlan::new(
         dims,
         CommPattern::AllReduce,

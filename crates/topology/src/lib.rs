@@ -170,15 +170,6 @@ impl Topology {
         }
     }
 
-    /// Whether a rank set crosses a node boundary.
-    pub fn ranks_span_nodes(&self, ranks: &[usize]) -> bool {
-        let mut nodes = ranks.iter().map(|&r| self.node_of(r));
-        match nodes.next() {
-            Some(first) => nodes.any(|n| n != first),
-            None => false,
-        }
-    }
-
     /// The rank → node map, indexable by device id.
     pub fn node_map(&self) -> Vec<usize> {
         (0..self.n_gpus()).map(|r| self.node_of(r)).collect()
@@ -188,17 +179,6 @@ impl Topology {
     /// endpoints of the inter-node ring in hierarchical collectives.
     pub fn leaders(&self) -> Vec<usize> {
         (0..self.nodes).map(|k| k * self.gpus_per_node).collect()
-    }
-
-    /// How many edges of the flat rank-order ring cross a node boundary:
-    /// zero on a single node, `nodes` otherwise (one exit per node,
-    /// including the wrap-around edge).
-    pub fn flat_ring_crossings(&self) -> u64 {
-        if self.nodes > 1 {
-            self.nodes as u64
-        } else {
-            0
-        }
     }
 }
 
@@ -212,8 +192,6 @@ mod tests {
         let t = Topology::single_node(FabricSpec::a800_nvlink(), 8);
         assert_eq!(t.n_gpus(), 8);
         assert!(!t.spans_nodes());
-        assert_eq!(t.flat_ring_crossings(), 0);
-        assert!(!t.ranks_span_nodes(&[0, 3, 7]));
         assert_eq!(t.node_map(), vec![0; 8]);
         assert_eq!(t.leaders(), vec![0]);
     }
@@ -225,7 +203,6 @@ mod tests {
         assert!(t.spans_nodes());
         assert_eq!(t.node_map(), vec![0, 0, 0, 0, 1, 1, 1, 1]);
         assert_eq!(t.leaders(), vec![0, 4]);
-        assert_eq!(t.flat_ring_crossings(), 2);
     }
 
     #[test]
@@ -235,8 +212,6 @@ mod tests {
         assert_eq!(t.tier(3, 4), LinkTier::Inter);
         assert_eq!(t.link(0, 3).name, "A800-NVLink");
         assert_eq!(t.link(3, 4).name, "HDR-IB");
-        assert!(t.ranks_span_nodes(&[3, 4]));
-        assert!(!t.ranks_span_nodes(&[4, 5, 6]));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use flashoverlap::runtime::CommPattern;
 use flashoverlap::{FunctionalInputs, OverlapPlan, SequenceOptions, SystemSpec, WavePartition};
-use gpu_sim::gemm::{GemmConfig, GemmDims};
+use gpu_sim::gemm::GemmDims;
 use tensor::{allclose, gemm, rmsnorm, Matrix};
 
 /// Per-rank logical outputs of a functional single-plan run.
@@ -23,11 +23,6 @@ fn reduced_reference(inputs: &FunctionalInputs) -> Matrix {
         acc = acc.add(&gemm(&inputs.a[r], &inputs.b[r]));
     }
     acc
-}
-
-fn waves_for(dims: GemmDims, system: &SystemSpec) -> u32 {
-    let config = GemmConfig::choose(dims, &system.arch);
-    config.grid(dims).num_tiles().div_ceil(system.compute_sms())
 }
 
 #[test]
@@ -175,7 +170,7 @@ fn every_partition_of_a_shape_gives_identical_numerics() {
     // the 4090; K stays small so the functional oracle is cheap.
     let dims = GemmDims::new(2048, 2048, 32);
     let system = SystemSpec::rtx4090(2);
-    let waves = waves_for(dims, &system);
+    let waves = system.planned_waves(dims);
     assert!(waves >= 2, "need multiple waves (got {waves})");
     let inputs = FunctionalInputs::random(dims, 2, 99);
     let expected = reduced_reference(&inputs);

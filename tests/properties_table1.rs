@@ -5,7 +5,7 @@
 
 use flashoverlap::runtime::CommPattern;
 use flashoverlap::{OverlapPlan, SystemSpec, WavePartition};
-use gpu_sim::gemm::{gemm_estimate, GemmConfig, GemmDims};
+use gpu_sim::gemm::{gemm_estimate, GemmDims};
 
 /// Tile-wise overlapping: with a multi-group partition, early groups'
 /// communication completes strictly before the GEMM finishes — the two
@@ -42,8 +42,7 @@ fn interference_free_computation() {
     let mut system = SystemSpec::rtx4090(4);
     // Disable execution noise for an exact comparison.
     system.seed = 7;
-    let config = GemmConfig::choose(dims, &system.arch);
-    let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+    let waves = system.planned_waves(dims);
     let plan = OverlapPlan::new(
         dims,
         CommPattern::AllReduce,
@@ -72,8 +71,7 @@ fn interference_free_computation() {
 fn contention_bounded_computation() {
     let dims = GemmDims::new(4096, 8192, 2048);
     let system = SystemSpec::rtx4090(4);
-    let config = GemmConfig::choose(dims, &system.arch);
-    let waves = config.grid(dims).num_tiles().div_ceil(system.compute_sms());
+    let waves = system.planned_waves(dims);
     let plan = OverlapPlan::new(
         dims,
         CommPattern::AllReduce,

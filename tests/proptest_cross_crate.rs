@@ -6,7 +6,7 @@ use flashoverlap::{
     nonoverlap_latency, theoretical_latency, FunctionalInputs, LatencyPredictor, OverlapPlan,
     RunReport, SequenceOptions, SystemSpec, WavePartition,
 };
-use gpu_sim::gemm::{GemmConfig, GemmDims};
+use gpu_sim::gemm::GemmDims;
 use proptest::prelude::*;
 use tensor::{allclose, gemm};
 
@@ -21,13 +21,6 @@ fn run(plan: &OverlapPlan) -> RunReport {
         .expect("run")
         .reports
         .remove(0)
-}
-
-fn waves_for(dims: GemmDims, system: &SystemSpec) -> u32 {
-    GemmConfig::choose(dims, &system.arch)
-        .grid(dims)
-        .num_tiles()
-        .div_ceil(system.compute_sms())
 }
 
 fn arb_partition(waves: u32, seed: u64) -> WavePartition {
@@ -52,7 +45,7 @@ proptest! {
     #[test]
     fn latency_within_theory_envelope(dims in arb_dims(), seed in 0u64..1000) {
         let system = SystemSpec::rtx4090(4).with_seed(seed);
-        let waves = waves_for(dims, &system);
+        let waves = system.planned_waves(dims);
         let partition = arb_partition(waves, seed ^ 0xABCD);
         let plan = OverlapPlan::new(dims, CommPattern::AllReduce, system.clone(), partition)
             .expect("plan");
@@ -80,7 +73,7 @@ proptest! {
     fn numerics_independent_of_partition(seed in 0u64..50) {
         let dims = GemmDims::new(512, 512, 64);
         let system = SystemSpec::rtx4090(2).with_seed(seed);
-        let waves = waves_for(dims, &system);
+        let waves = system.planned_waves(dims);
         let inputs = FunctionalInputs::random(dims, 2, 1234);
         let expected = gemm(&inputs.a[0], &inputs.b[0]).add(&gemm(&inputs.a[1], &inputs.b[1]));
         let partition = arb_partition(waves, seed);
@@ -113,6 +106,40 @@ proptest! {
         let rel = (actual - predicted) / actual;
         prop_assert!(rel > -0.05, "prediction {predicted} far above actual {actual}");
         prop_assert!(rel < 0.25, "prediction {predicted} far below actual {actual}");
+    }
+
+    /// One wave count per shape: the plan's schedule, the system's
+    /// planned waves and the offline profile agree for every pattern,
+    /// SM budget and topology, so the predictor always scores the plan's
+    /// own partition.
+    #[test]
+    fn planned_waves_match_the_plan_and_the_profile(
+        dims in (1u32..=16, 1u32..=32, 1u32..=64)
+            .prop_map(|(m, n, k)| GemmDims::new(m * 256, n * 64, k * 64)),
+        sm_count in 4u32..=132,
+        comm_sms in 0u32..=132,
+        nodes in 1usize..=2,
+        pattern_id in 0usize..4,
+    ) {
+        let mut system = SystemSpec::rtx4090(4).with_comm_sms(comm_sms).with_nodes(nodes);
+        system.arch.sm_count = sm_count;
+        let mut rng = sim::DetRng::new(u64::from(dims.m ^ dims.n));
+        let pattern = match pattern_id {
+            0 => CommPattern::AllReduce,
+            1 => CommPattern::ReduceScatter,
+            2 => CommPattern::AllGather,
+            _ => CommPattern::AllToAll {
+                routing: (0..4)
+                    .map(|_| (0..dims.m).map(|_| rng.next_below(4) as usize).collect())
+                    .collect(),
+            },
+        };
+        let waves = system.planned_waves(dims);
+        let profile = LatencyPredictor::build(dims, pattern.primitive(), &system);
+        let plan = OverlapPlan::new(dims, pattern, system, WavePartition::single(waves))
+            .expect("the planned waves cover the plan's schedule");
+        prop_assert_eq!(plan.total_waves(), waves);
+        prop_assert_eq!(profile.profile().total_waves, waves);
     }
 
     /// Same seed, same everything: the whole stack is deterministic.
