@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::str::FromStr;
 
 use collectives::{Algorithm, Primitive};
 use flashoverlap::WavePartition;
@@ -94,64 +95,8 @@ pub enum ServeArrival {
     Bursty,
 }
 
-/// Raw argv tokens mid-parse; flag groups pull their values from it.
-type ArgIter<'a> = std::iter::Peekable<std::slice::Iter<'a, String>>;
-
-/// Pulls the path value following a flag, or errors with usage.
-fn parse_path(flag: &str, value: Option<&String>) -> Result<String, CliError> {
-    Ok(value
-        .ok_or_else(|| CliError::usage(format!("missing value for {flag}")))?
-        .clone())
-}
-
-/// Artifact output paths shared across commands. The flags used to be
-/// parsed by per-command copy-paste; this group owns them once and
-/// every command reads the same fields.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OutputArgs {
-    /// `--trace-out`: Perfetto/Chrome trace (timeline, profile, serve,
-    /// analyze).
-    pub trace_out: Option<String>,
-    /// `--metrics-out`: machine-readable metrics report JSON.
-    pub metrics_out: Option<String>,
-}
-
-impl OutputArgs {
-    /// Consumes `flag` (and its value) if it belongs to this group;
-    /// returns whether it did.
-    fn accept(&mut self, flag: &str, it: &mut ArgIter<'_>) -> Result<bool, CliError> {
-        match flag {
-            "--trace-out" => self.trace_out = Some(parse_path(flag, it.next())?),
-            "--metrics-out" => self.metrics_out = Some(parse_path(flag, it.next())?),
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-}
-
-/// Tuned-plan-cache snapshot persistence (`serve`/`bench`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PlanCacheArgs {
-    /// `--plan-cache-in`: snapshot preloaded into every replica.
-    pub load: Option<String>,
-    /// `--plan-cache-out`: snapshot written after serving.
-    pub save: Option<String>,
-}
-
-impl PlanCacheArgs {
-    /// Consumes `flag` (and its value) if it belongs to this group;
-    /// returns whether it did.
-    fn accept(&mut self, flag: &str, it: &mut ArgIter<'_>) -> Result<bool, CliError> {
-        match flag {
-            "--plan-cache-in" => self.load = Some(parse_path(flag, it.next())?),
-            "--plan-cache-out" => self.save = Some(parse_path(flag, it.next())?),
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-}
-
-/// Parsed command-line options.
+/// Parsed command-line options. [`Cli::parse`] starts from the
+/// command's defaults and each flag overwrites the field it names.
 #[derive(Debug, Clone)]
 pub struct Cli {
     /// Subcommand.
@@ -174,8 +119,11 @@ pub struct Cli {
     pub seed: u64,
     /// Collective algorithm.
     pub algorithm: Algorithm,
-    /// Artifact output paths (`--trace-out`, `--metrics-out`).
-    pub output: OutputArgs,
+    /// `--trace-out`: Perfetto/Chrome trace (timeline, profile, serve,
+    /// analyze).
+    pub trace_out: Option<String>,
+    /// `--metrics-out`: machine-readable metrics report JSON.
+    pub metrics_out: Option<String>,
     /// Run under the SimSan happens-before sanitizer (run/timeline).
     pub sanitize: bool,
     /// Seeded wait mutation for sanitizer self-tests (implies
@@ -214,8 +162,12 @@ pub struct Cli {
     /// Also serve the single-replica and unpipelined arms and report
     /// the scaling comparison (`serve --scaling`).
     pub scaling: bool,
-    /// Tuned-plan-cache snapshot persistence (`serve`).
-    pub plan_cache: PlanCacheArgs,
+    /// `--plan-cache-in`: tuned-plan-cache snapshot preloaded into every
+    /// replica (`serve`).
+    pub plan_cache_in: Option<String>,
+    /// `--plan-cache-out`: tuned-plan-cache snapshot written after
+    /// serving (`serve`).
+    pub plan_cache_out: Option<String>,
 }
 
 /// The usage text printed on `--help` or parse errors.
@@ -320,31 +272,36 @@ so the file is byte-identical for a fixed seed, while host wall-clock
 (a monotonic-clock delta) goes to stdout only.
 ";
 
-fn parse_u32(flag: &str, value: Option<&String>) -> Result<u32, CliError> {
-    value
-        .ok_or_else(|| CliError::usage(format!("missing value for {flag}")))?
+/// The value following `flag`, or a usage error naming the flag.
+fn value<'a>(flag: &str, v: Option<&'a String>) -> Result<&'a str, CliError> {
+    v.map(String::as_str)
+        .ok_or_else(|| CliError::usage(format!("missing value for {flag}")))
+}
+
+fn parse_int<T: FromStr>(flag: &str, v: Option<&String>) -> Result<T, CliError> {
+    value(flag, v)?
         .parse()
         .map_err(|_| CliError::usage(format!("invalid integer for {flag}")))
 }
 
 /// A GEMM dimension: a positive integer.
-fn parse_dim(flag: &str, value: Option<&String>) -> Result<u32, CliError> {
-    match parse_u32(flag, value)? {
+fn parse_dim(flag: &str, v: Option<&String>) -> Result<u32, CliError> {
+    match parse_int(flag, v)? {
         0 => Err(CliError::usage(format!("{flag} must be positive"))),
-        v => Ok(v),
+        d => Ok(d),
     }
 }
 
-fn parse_u64(flag: &str, value: Option<&String>) -> Result<u64, CliError> {
-    value
-        .ok_or_else(|| CliError::usage(format!("missing value for {flag}")))?
-        .parse()
-        .map_err(|_| CliError::usage(format!("invalid integer for {flag}")))
+/// A count that must be at least 1.
+fn parse_count(flag: &str, v: Option<&String>) -> Result<usize, CliError> {
+    match parse_int::<u32>(flag, v)? {
+        0 => Err(CliError::usage(format!("{flag} must be at least 1"))),
+        c => Ok(c as usize),
+    }
 }
 
-fn parse_f64(flag: &str, value: Option<&String>) -> Result<f64, CliError> {
-    let v: f64 = value
-        .ok_or_else(|| CliError::usage(format!("missing value for {flag}")))?
+fn parse_f64(flag: &str, v: Option<&String>) -> Result<f64, CliError> {
+    let v: f64 = value(flag, v)?
         .parse()
         .map_err(|_| CliError::usage(format!("invalid number for {flag}")))?;
     if !v.is_finite() || v <= 0.0 {
@@ -353,10 +310,69 @@ fn parse_f64(flag: &str, value: Option<&String>) -> Result<f64, CliError> {
     Ok(v)
 }
 
+/// `--primitive` names and aliases.
+const PRIMITIVES: &[(&str, Primitive)] = &[
+    ("allreduce", Primitive::AllReduce),
+    ("ar", Primitive::AllReduce),
+    ("reducescatter", Primitive::ReduceScatter),
+    ("rs", Primitive::ReduceScatter),
+    ("alltoall", Primitive::AllToAll),
+    ("a2a", Primitive::AllToAll),
+    ("allgather", Primitive::AllGather),
+    ("ag", Primitive::AllGather),
+];
+
+/// `--platform` names.
+const PLATFORMS: &[(&str, GpuKind)] = &[
+    ("rtx4090", GpuKind::Rtx4090),
+    ("4090", GpuKind::Rtx4090),
+    ("a800", GpuKind::A800),
+];
+
+/// `--algorithm` names.
+const ALGORITHMS: &[(&str, Algorithm)] = &[
+    ("ring", Algorithm::Ring),
+    ("direct", Algorithm::Direct),
+    ("auto", Algorithm::Auto),
+];
+
+/// `--arrival` names.
+const ARRIVALS: &[(&str, ServeArrival)] = &[
+    ("poisson", ServeArrival::Poisson),
+    ("bursty", ServeArrival::Bursty),
+];
+
+/// One of the named `choices`, case-insensitively; the error names the
+/// flag without its dashes (`unknown primitive: ...`).
+fn parse_choice<T: Copy>(
+    flag: &str,
+    v: Option<&String>,
+    choices: &[(&str, T)],
+) -> Result<T, CliError> {
+    let name = value(flag, v)?.to_lowercase();
+    choices
+        .iter()
+        .find(|(choice, _)| *choice == name)
+        .map(|&(_, chosen)| chosen)
+        .ok_or_else(|| CliError::usage(format!("unknown {}: {name}", flag.trim_start_matches('-'))))
+}
+
+/// Comma-separated positive wave-group sizes.
+fn parse_partition(flag: &str, v: Option<&String>) -> Result<WavePartition, CliError> {
+    let sizes: Vec<u32> = value(flag, v)?
+        .split(',')
+        .map(|p| p.trim().parse::<u32>())
+        .collect::<Result<_, _>>()
+        .map_err(|_| CliError::usage("partition must be comma-separated ints"))?;
+    if sizes.is_empty() || sizes.contains(&0) {
+        return Err(CliError::usage("partition sizes must be positive"));
+    }
+    Ok(WavePartition::new(sizes))
+}
+
 /// Parses a `rank,group` pair for the signal-mutation flags.
-fn parse_rank_group(flag: &str, value: Option<&String>) -> Result<(usize, usize), CliError> {
-    let v = value.ok_or_else(|| CliError::usage(format!("missing value for {flag}")))?;
-    let parts: Vec<&str> = v.split(',').map(str::trim).collect();
+fn parse_rank_group(flag: &str, v: Option<&String>) -> Result<(usize, usize), CliError> {
+    let parts: Vec<&str> = value(flag, v)?.split(',').map(str::trim).collect();
     let [rank, group] = parts.as_slice() else {
         return Err(CliError::usage(format!("{flag} expects RANK,GROUP")));
     };
@@ -376,7 +392,7 @@ impl Cli {
     ///
     /// Returns [`CliError`] with usage on malformed input.
     pub fn parse(argv: &[String]) -> Result<Cli, CliError> {
-        let mut it = argv.iter().peekable();
+        let mut it = argv.iter();
         let command = match it.next().map(String::as_str) {
             Some("tune") => Command::Plan(PlanCommand::Tune),
             Some("run") => Command::Plan(PlanCommand::Run),
@@ -388,224 +404,115 @@ impl Cli {
             Some("verify") => Command::Plan(PlanCommand::Verify),
             Some("analyze") => Command::Plan(PlanCommand::Analyze),
             Some("bench") => Command::Bench,
-            Some("-h") | Some("--help") | None => {
-                return Err(CliError::usage("".to_string()));
-            }
-            Some(other) => {
-                return Err(CliError::usage(format!("unknown command: {other}")));
-            }
+            Some("-h" | "--help") | None => return Err(CliError::usage("")),
+            Some(other) => return Err(CliError::usage(format!("unknown command: {other}"))),
         };
-        let mut m = None;
-        let mut n = None;
-        let mut k = None;
-        let mut primitive = Primitive::AllReduce;
-        // Chaos sweeps default to the miniature two-rank campaign system
-        // (matching `ChaosConfig::default`) so 50-campaign runs stay fast;
-        // serve does the same so hundred-request traces stay fast.
-        let mut gpus = if matches!(command, Command::Plan(_)) {
-            4
+        // Plan commands need explicit dimensions (0 marks one not given;
+        // -m/-n/-k reject 0). Chaos defaults to its campaign shape and
+        // to the miniature two-rank campaign system (matching
+        // `ChaosConfig::default`) so 50-campaign runs stay fast; serve and
+        // bench draw shapes from the traffic mix and take the same two
+        // ranks so hundred-request traces stay fast.
+        let plan = matches!(command, Command::Plan(_));
+        let ((m, n, k), gpus) = if plan {
+            ((0, 0, 0), 4)
         } else {
-            2
+            ((384, 512, 64), 2)
         };
-        let mut platform = GpuKind::Rtx4090;
-        let mut partition = None;
-        let mut seed = 7u64;
-        let mut algorithm = Algorithm::Ring;
-        let mut output = OutputArgs::default();
-        let mut sanitize = false;
-        let mut mutation = None;
-        let mut campaigns = 20usize;
-        let mut requests = 200usize;
-        let mut arrival = ServeArrival::Poisson;
-        let mut rate = 500.0f64;
-        let mut slo_ms = 20.0f64;
-        let mut serve_chaos = false;
-        let mut baseline = false;
-        let mut replicas = 1usize;
-        let mut nodes = 1usize;
-        let mut wedge_replica = None;
-        let mut router = RouterPolicy::RoundRobin;
-        let mut no_pipeline = false;
-        let mut scaling = false;
-        let mut plan_cache = PlanCacheArgs::default();
+        let mut cli = Cli {
+            command,
+            m,
+            n,
+            k,
+            primitive: Primitive::AllReduce,
+            gpus,
+            platform: GpuKind::Rtx4090,
+            partition: None,
+            seed: 7,
+            algorithm: Algorithm::Ring,
+            trace_out: None,
+            metrics_out: None,
+            sanitize: false,
+            mutation: None,
+            campaigns: 20,
+            requests: 200,
+            arrival: ServeArrival::Poisson,
+            rate: 500.0,
+            slo_ms: 20.0,
+            serve_chaos: false,
+            baseline: false,
+            replicas: 1,
+            nodes: 1,
+            wedge_replica: None,
+            router: RouterPolicy::RoundRobin,
+            no_pipeline: false,
+            scaling: false,
+            plan_cache_in: None,
+            plan_cache_out: None,
+        };
         while let Some(flag) = it.next() {
-            // Shared flag groups first (the hand-rolled equivalent of a
-            // flattened sub-struct); singleton flags fall through.
-            if output.accept(flag, &mut it)? || plan_cache.accept(flag, &mut it)? {
-                continue;
-            }
-            match flag.as_str() {
-                "-m" => m = Some(parse_dim("-m", it.next())?),
-                "-n" => n = Some(parse_dim("-n", it.next())?),
-                "-k" => k = Some(parse_dim("-k", it.next())?),
-                "--gpus" => gpus = parse_u32("--gpus", it.next())? as usize,
-                "--seed" => seed = parse_u64("--seed", it.next())?,
-                "--primitive" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| CliError::usage("missing value for --primitive"))?;
-                    primitive = match v.to_lowercase().as_str() {
-                        "allreduce" | "ar" => Primitive::AllReduce,
-                        "reducescatter" | "rs" => Primitive::ReduceScatter,
-                        "alltoall" | "a2a" => Primitive::AllToAll,
-                        "allgather" | "ag" => Primitive::AllGather,
-                        other => {
-                            return Err(CliError::usage(format!("unknown primitive: {other}")));
-                        }
-                    };
+            let flag = flag.as_str();
+            match flag {
+                "-m" => cli.m = parse_dim(flag, it.next())?,
+                "-n" => cli.n = parse_dim(flag, it.next())?,
+                "-k" => cli.k = parse_dim(flag, it.next())?,
+                "--gpus" => cli.gpus = parse_int::<u32>(flag, it.next())? as usize,
+                "--seed" => cli.seed = parse_int(flag, it.next())?,
+                "--primitive" => cli.primitive = parse_choice(flag, it.next(), PRIMITIVES)?,
+                "--platform" => cli.platform = parse_choice(flag, it.next(), PLATFORMS)?,
+                "--partition" => cli.partition = Some(parse_partition(flag, it.next())?),
+                "--algorithm" => cli.algorithm = parse_choice(flag, it.next(), ALGORITHMS)?,
+                "--trace-out" => cli.trace_out = Some(value(flag, it.next())?.to_owned()),
+                "--metrics-out" => cli.metrics_out = Some(value(flag, it.next())?.to_owned()),
+                "--sanitize" => cli.sanitize = true,
+                "--drop-signal" => {
+                    let (rank, group) = parse_rank_group(flag, it.next())?;
+                    cli.mutation = Some(Mutation::DropWait { rank, group });
+                    cli.sanitize = true;
                 }
-                "--platform" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| CliError::usage("missing value for --platform"))?;
-                    platform = match v.to_lowercase().as_str() {
-                        "rtx4090" | "4090" => GpuKind::Rtx4090,
-                        "a800" => GpuKind::A800,
-                        other => {
-                            return Err(CliError::usage(format!("unknown platform: {other}")));
-                        }
-                    };
+                "--starve-signal" => {
+                    let (rank, group) = parse_rank_group(flag, it.next())?;
+                    cli.mutation = Some(Mutation::RaiseThreshold { rank, group });
+                    cli.sanitize = true;
                 }
-                "--partition" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| CliError::usage("missing value for --partition"))?;
-                    let sizes: Result<Vec<u32>, _> =
-                        v.split(',').map(|p| p.trim().parse::<u32>()).collect();
-                    let sizes = sizes
-                        .map_err(|_| CliError::usage("partition must be comma-separated ints"))?;
-                    if sizes.is_empty() || sizes.contains(&0) {
-                        return Err(CliError::usage("partition sizes must be positive"));
-                    }
-                    partition = Some(WavePartition::new(sizes));
-                }
-                "--algorithm" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| CliError::usage("missing value for --algorithm"))?;
-                    algorithm = match v.to_lowercase().as_str() {
-                        "ring" => Algorithm::Ring,
-                        "direct" => Algorithm::Direct,
-                        "auto" => Algorithm::Auto,
-                        other => {
-                            return Err(CliError::usage(format!("unknown algorithm: {other}")));
-                        }
-                    };
-                }
-                "--sanitize" => sanitize = true,
-                "--campaigns" => {
-                    campaigns = parse_u32("--campaigns", it.next())? as usize;
-                    if campaigns == 0 {
-                        return Err(CliError::usage("--campaigns must be at least 1"));
-                    }
-                }
-                "--requests" => {
-                    requests = parse_u32("--requests", it.next())? as usize;
-                    if requests == 0 {
-                        return Err(CliError::usage("--requests must be at least 1"));
-                    }
-                }
-                "--arrival" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| CliError::usage("missing value for --arrival"))?;
-                    arrival = match v.to_lowercase().as_str() {
-                        "poisson" => ServeArrival::Poisson,
-                        "bursty" => ServeArrival::Bursty,
-                        other => {
-                            return Err(CliError::usage(format!("unknown arrival: {other}")));
-                        }
-                    };
-                }
-                "--rate" => rate = parse_f64("--rate", it.next())?,
-                "--slo-ms" => slo_ms = parse_f64("--slo-ms", it.next())?,
-                "--chaos" => serve_chaos = true,
-                "--baseline" => baseline = true,
-                "--replicas" => {
-                    replicas = parse_u32("--replicas", it.next())? as usize;
-                    if replicas == 0 {
-                        return Err(CliError::usage("--replicas must be at least 1"));
-                    }
-                }
-                "--nodes" => {
-                    nodes = parse_u32("--nodes", it.next())? as usize;
-                    if nodes == 0 {
-                        return Err(CliError::usage("--nodes must be at least 1"));
-                    }
-                }
+                "--campaigns" => cli.campaigns = parse_count(flag, it.next())?,
+                "--requests" => cli.requests = parse_count(flag, it.next())?,
+                "--arrival" => cli.arrival = parse_choice(flag, it.next(), ARRIVALS)?,
+                "--rate" => cli.rate = parse_f64(flag, it.next())?,
+                "--slo-ms" => cli.slo_ms = parse_f64(flag, it.next())?,
+                "--chaos" => cli.serve_chaos = true,
+                "--baseline" => cli.baseline = true,
+                "--replicas" => cli.replicas = parse_count(flag, it.next())?,
+                "--nodes" => cli.nodes = parse_count(flag, it.next())?,
                 "--wedge-replica" => {
-                    wedge_replica = Some(parse_u32("--wedge-replica", it.next())? as usize);
+                    cli.wedge_replica = Some(parse_int::<u32>(flag, it.next())? as usize);
                 }
                 "--router" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| CliError::usage("missing value for --router"))?;
-                    router = RouterPolicy::parse(&v.to_lowercase()).ok_or_else(|| {
+                    let v = value(flag, it.next())?;
+                    cli.router = RouterPolicy::parse(&v.to_lowercase()).ok_or_else(|| {
                         CliError::usage(format!(
                             "unknown router: {v} (expected round-robin, least-loaded, \
                              shape-affinity, or locality)"
                         ))
                     })?;
                 }
-                "--no-pipeline" => no_pipeline = true,
-                "--scaling" => scaling = true,
-                "--drop-signal" => {
-                    let (rank, group) = parse_rank_group("--drop-signal", it.next())?;
-                    mutation = Some(Mutation::DropWait { rank, group });
-                    sanitize = true;
+                "--no-pipeline" => cli.no_pipeline = true,
+                "--scaling" => cli.scaling = true,
+                "--plan-cache-in" => cli.plan_cache_in = Some(value(flag, it.next())?.to_owned()),
+                "--plan-cache-out" => {
+                    cli.plan_cache_out = Some(value(flag, it.next())?.to_owned());
                 }
-                "--starve-signal" => {
-                    let (rank, group) = parse_rank_group("--starve-signal", it.next())?;
-                    mutation = Some(Mutation::RaiseThreshold { rank, group });
-                    sanitize = true;
-                }
-                "-h" | "--help" => return Err(CliError::usage("".to_string())),
+                "-h" | "--help" => return Err(CliError::usage("")),
                 other => return Err(CliError::usage(format!("unknown flag: {other}"))),
             }
         }
-        // Plan commands need explicit dimensions. Chaos has a sensible
-        // built-in workload (the default campaign shape) and serve draws
-        // shapes from the traffic mix.
-        let (m, n, k) = if matches!(command, Command::Plan(_)) {
-            let (Some(m), Some(n), Some(k)) = (m, n, k) else {
-                return Err(CliError::usage("-m, -n, and -k are required"));
-            };
-            (m, n, k)
-        } else {
-            (m.unwrap_or(384), n.unwrap_or(512), k.unwrap_or(64))
-        };
-        if gpus < 2 {
+        if plan && [cli.m, cli.n, cli.k].contains(&0) {
+            return Err(CliError::usage("-m, -n, and -k are required"));
+        }
+        if cli.gpus < 2 {
             return Err(CliError::usage("--gpus must be at least 2"));
         }
-        Ok(Cli {
-            command,
-            m,
-            n,
-            k,
-            primitive,
-            gpus,
-            platform,
-            partition,
-            seed,
-            algorithm,
-            output,
-            sanitize,
-            mutation,
-            campaigns,
-            requests,
-            arrival,
-            rate,
-            slo_ms,
-            serve_chaos,
-            baseline,
-            replicas,
-            nodes,
-            wedge_replica,
-            router,
-            no_pipeline,
-            scaling,
-            plan_cache,
-        })
+        Ok(cli)
     }
 }
 
@@ -690,7 +597,7 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(cli.algorithm, Algorithm::Auto);
-        assert_eq!(cli.output.trace_out.as_deref(), Some("/tmp/t.json"));
+        assert_eq!(cli.trace_out.as_deref(), Some("/tmp/t.json"));
         assert!(
             Cli::parse(&argv("run -m 1 -n 1 -k 1 --algorithm bogus"))
                 .unwrap_err()
@@ -705,10 +612,10 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(cli.command, Command::Plan(PlanCommand::Profile));
-        assert_eq!(cli.output.trace_out.as_deref(), Some("t.json"));
-        assert_eq!(cli.output.metrics_out.as_deref(), Some("m.json"));
+        assert_eq!(cli.trace_out.as_deref(), Some("t.json"));
+        assert_eq!(cli.metrics_out.as_deref(), Some("m.json"));
         let cli = Cli::parse(&argv("run -m 64 -n 64 -k 64 --metrics-out m.json")).unwrap();
-        assert_eq!(cli.output.metrics_out.as_deref(), Some("m.json"));
+        assert_eq!(cli.metrics_out.as_deref(), Some("m.json"));
         assert!(
             Cli::parse(&argv("profile -m 1 -n 1 -k 1 --metrics-out"))
                 .unwrap_err()
@@ -782,7 +689,7 @@ mod tests {
         assert_eq!(cli.seed, 9);
         assert!(cli.serve_chaos && cli.baseline);
         assert_eq!(cli.gpus, 4);
-        assert_eq!(cli.output.metrics_out.as_deref(), Some("s.json"));
+        assert_eq!(cli.metrics_out.as_deref(), Some("s.json"));
     }
 
     #[test]
@@ -791,7 +698,7 @@ mod tests {
         assert_eq!(cli.replicas, 1);
         assert_eq!(cli.router, RouterPolicy::RoundRobin);
         assert!(!cli.no_pipeline && !cli.scaling);
-        assert!(cli.plan_cache.load.is_none() && cli.plan_cache.save.is_none());
+        assert!(cli.plan_cache_in.is_none() && cli.plan_cache_out.is_none());
         let cli = Cli::parse(&argv(
             "serve --replicas 4 --router shape-affinity --no-pipeline --scaling \
              --plan-cache-out cache.json --plan-cache-in warm.json",
@@ -800,8 +707,8 @@ mod tests {
         assert_eq!(cli.replicas, 4);
         assert_eq!(cli.router, RouterPolicy::ShapeAffinity);
         assert!(cli.no_pipeline && cli.scaling);
-        assert_eq!(cli.plan_cache.save.as_deref(), Some("cache.json"));
-        assert_eq!(cli.plan_cache.load.as_deref(), Some("warm.json"));
+        assert_eq!(cli.plan_cache_out.as_deref(), Some("cache.json"));
+        assert_eq!(cli.plan_cache_in.as_deref(), Some("warm.json"));
         let cli = Cli::parse(&argv("serve --router least-loaded")).unwrap();
         assert_eq!(cli.router, RouterPolicy::LeastLoaded);
         assert_eq!(cli.nodes, 1);
@@ -868,8 +775,8 @@ mod tests {
         assert_eq!(cli.command, Command::Plan(PlanCommand::Analyze));
         assert_eq!((cli.m, cli.n, cli.k), (2048, 4096, 4096));
         assert_eq!(cli.gpus, 2);
-        assert_eq!(cli.output.metrics_out.as_deref(), Some("a.json"));
-        assert_eq!(cli.output.trace_out.as_deref(), Some("t.json"));
+        assert_eq!(cli.metrics_out.as_deref(), Some("a.json"));
+        assert_eq!(cli.trace_out.as_deref(), Some("t.json"));
         // Analyze attributes a concrete run; the shape is required.
         assert!(Cli::parse(&argv("analyze")).unwrap_err().show_usage);
     }
@@ -881,15 +788,67 @@ mod tests {
         assert_eq!(cli.requests, 120);
         assert_eq!(cli.seed, 7);
         assert_eq!(cli.gpus, 2, "bench defaults to the two-rank system");
-        assert!(
-            cli.output.metrics_out.is_none(),
-            "default path resolves later"
-        );
+        assert!(cli.metrics_out.is_none(), "default path resolves later");
     }
 
     #[test]
     fn help_requests_usage() {
         assert!(Cli::parse(&argv("--help")).unwrap_err().show_usage);
         assert!(Cli::parse(&[]).unwrap_err().show_usage);
+    }
+
+    /// Every `-x`/`--flag` token USAGE shows must have an option line and
+    /// must parse with a sample value of the kind that line names.
+    #[test]
+    fn every_flag_usage_lists_parses() {
+        // Option lines read `  -m, -n, -k <int>   description`: flags,
+        // then an optional `<placeholder>`, then the description.
+        let mut placeholders = std::collections::BTreeMap::new();
+        for line in USAGE.lines().filter(|l| l.starts_with("  -")) {
+            let mut tokens = line.split_whitespace().peekable();
+            let mut flags = Vec::new();
+            while let Some(flag) = tokens.next_if(|t| t.starts_with('-')) {
+                flags.push(flag.trim_end_matches(','));
+            }
+            let placeholder = tokens.next_if(|t| t.starts_with('<'));
+            for flag in flags {
+                placeholders.insert(flag, placeholder);
+            }
+        }
+        let mentioned: std::collections::BTreeSet<&str> = USAGE
+            .split(|c: char| !c.is_ascii_alphanumeric() && c != '-')
+            .filter(|t| {
+                let name = t.trim_start_matches('-');
+                matches!(t.len() - name.len(), 1 | 2)
+                    && name.starts_with(|c: char| c.is_ascii_alphabetic())
+            })
+            .collect();
+        assert!(mentioned.len() >= 30, "scanned only {mentioned:?}");
+        for flag in mentioned {
+            let Some(&placeholder) = placeholders.get(flag) else {
+                panic!("USAGE mentions {flag} but has no option line for it");
+            };
+            let value = match (flag, placeholder) {
+                (_, None) => None,
+                (_, Some("<int>")) => Some("2"),
+                (_, Some("<float>")) => Some("2.5"),
+                (_, Some("<path>")) => Some("out.json"),
+                (_, Some("<a,b,c>")) => Some("1,2"),
+                (_, Some("<r,g>")) => Some("0,1"),
+                ("--primitive", _) => Some("allgather"),
+                ("--platform", _) => Some("a800"),
+                ("--algorithm", _) => Some("auto"),
+                ("--arrival", _) => Some("bursty"),
+                ("--router", _) => Some("locality"),
+                (_, Some(other)) => panic!("no sample value for {flag} {other}"),
+            };
+            let line = format!("run -m 64 -n 64 -k 64 {flag} {}", value.unwrap_or(""));
+            match Cli::parse(&argv(&line)) {
+                Err(e) if ["-h", "--help"].contains(&flag) => {
+                    assert_eq!(e, CliError::usage(""), "{line}");
+                }
+                parsed => assert!(parsed.is_ok(), "{line}: {parsed:?}"),
+            }
+        }
     }
 }

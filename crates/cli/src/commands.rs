@@ -16,6 +16,13 @@ use flashoverlap::runtime::CommPattern;
 
 use crate::args::{Cli, CliError, Command, PlanCommand, ServeArrival};
 
+/// Writes one artifact and returns the stdout line announcing it.
+fn write_artifact(what: &str, path: &str, contents: impl AsRef<[u8]>) -> Result<String, CliError> {
+    std::fs::write(path, contents)
+        .map_err(|e| CliError::runtime(format!("writing {path}: {e}")))?;
+    Ok(format!("{what} written to {path}\n"))
+}
+
 /// Profiles every method on the workload and writes the metrics report
 /// (and, for the `profile` command, the Perfetto trace). Returns the
 /// human-readable summary.
@@ -28,20 +35,15 @@ fn profiled_report(
     let profile = telemetry::profile(dims, pattern, system)
         .map_err(|e| CliError::runtime(format!("profiling failed: {e}")))?;
     let mut out = profile.report.summary();
-    if cli.command == Command::Plan(PlanCommand::Profile) {
-        if let Some(path) = &cli.output.trace_out {
-            let trace = profile.trace_string().ok_or_else(|| {
-                CliError::runtime("FlashOverlap run failed; no trace to write".to_owned())
-            })?;
-            std::fs::write(path, trace)
-                .map_err(|e| CliError::runtime(format!("writing {path}: {e}")))?;
-            out.push_str(&format!("perfetto trace written to {path}\n"));
-        }
+    if let (Command::Plan(PlanCommand::Profile), Some(path)) = (cli.command, &cli.trace_out) {
+        let trace = profile.trace_string().ok_or_else(|| {
+            CliError::runtime("FlashOverlap run failed; no trace to write".to_owned())
+        })?;
+        out.push_str(&write_artifact("perfetto trace", path, trace)?);
     }
-    if let Some(path) = &cli.output.metrics_out {
-        std::fs::write(path, profile.report.to_json().to_json_pretty())
-            .map_err(|e| CliError::runtime(format!("writing {path}: {e}")))?;
-        out.push_str(&format!("metrics written to {path}\n"));
+    if let Some(path) = &cli.metrics_out {
+        let json = profile.report.to_json().to_json_pretty();
+        out.push_str(&write_artifact("metrics", path, json)?);
     }
     Ok(out)
 }
@@ -119,7 +121,6 @@ fn execute_chaos(cli: &Cli) -> Result<String, CliError> {
         campaigns: cli.campaigns,
         dims: GemmDims::new(cli.m, cli.n, cli.k),
         gpus: cli.gpus,
-        ..ChaosConfig::default()
     };
     let report =
         run_chaos(&config).map_err(|e| CliError::runtime(format!("chaos sweep failed: {e}")))?;
@@ -155,10 +156,9 @@ fn execute_chaos(cli: &Cli) -> Result<String, CliError> {
          violations: {}\n",
         report.violations()
     ));
-    if let Some(path) = &cli.output.metrics_out {
-        std::fs::write(path, chaos_json(&report).to_json_pretty())
-            .map_err(|e| CliError::runtime(format!("writing {path}: {e}")))?;
-        out.push_str(&format!("metrics written to {path}\n"));
+    if let Some(path) = &cli.metrics_out {
+        let json = chaos_json(&report).to_json_pretty();
+        out.push_str(&write_artifact("metrics", path, json)?);
     }
     if report.violations() > 0 {
         return Err(CliError::runtime(format!(
@@ -191,27 +191,29 @@ fn serve_config(cli: &Cli) -> Result<serving::ServeConfig, CliError> {
         }
         system = system.with_nodes(cli.nodes);
     }
-    let mut config = serving::ServeConfig::new(system);
-    config.seed = cli.seed;
-    config.requests = cli.requests;
-    config.slo_ns = (cli.slo_ms * 1e6).round() as u64;
-    config.chaos = cli.serve_chaos;
-    config.replicas = cli.replicas;
-    config.nodes = cli.nodes;
-    config.wedge_replica = cli.wedge_replica;
-    config.router = cli.router;
-    config.pipelined = !cli.no_pipeline;
-    config.process = match cli.arrival {
-        ServeArrival::Poisson => serving::ArrivalProcess::Poisson { rate_rps: cli.rate },
-        // Bursty keeps the requested mean: half-rate calm phases
-        // alternating with 8x-rate bursts, 5 ms mean phase length.
-        ServeArrival::Bursty => serving::ArrivalProcess::Bursty {
-            base_rps: cli.rate * 0.5,
-            burst_rps: cli.rate * 8.0,
-            mean_phase_ms: 5.0,
+    let mut config = serving::ServeConfig {
+        seed: cli.seed,
+        requests: cli.requests,
+        slo_ns: (cli.slo_ms * 1e6).round() as u64,
+        chaos: cli.serve_chaos,
+        replicas: cli.replicas,
+        nodes: cli.nodes,
+        wedge_replica: cli.wedge_replica,
+        router: cli.router,
+        pipelined: !cli.no_pipeline,
+        process: match cli.arrival {
+            ServeArrival::Poisson => serving::ArrivalProcess::Poisson { rate_rps: cli.rate },
+            // Bursty keeps the requested mean: half-rate calm phases
+            // alternating with 8x-rate bursts, 5 ms mean phase length.
+            ServeArrival::Bursty => serving::ArrivalProcess::Bursty {
+                base_rps: cli.rate * 0.5,
+                burst_rps: cli.rate * 8.0,
+                mean_phase_ms: 5.0,
+            },
         },
+        ..serving::ServeConfig::new(system)
     };
-    if let Some(path) = &cli.plan_cache.load {
+    if let Some(path) = &cli.plan_cache_in {
         let text = std::fs::read_to_string(path)
             .map_err(|e| CliError::runtime(format!("reading {path}: {e}")))?;
         let snapshot = serving::CacheSnapshot::from_json(&text)
@@ -258,14 +260,13 @@ fn execute_serve(cli: &Cli) -> Result<String, CliError> {
         let json = report.to_json();
         (report.summary(), json, report)
     };
-    if let Some(path) = &cli.output.trace_out {
+    if let Some(path) = &cli.trace_out {
         // The scaling/baseline arms trace their primary (multi/tuned)
         // report; request flows in the other arms carry the same ids.
-        std::fs::write(path, serving::serve_trace_string(&traced))
-            .map_err(|e| CliError::runtime(format!("writing {path}: {e}")))?;
-        out.push_str(&format!("request-lifecycle trace written to {path}\n"));
+        let trace = serving::serve_trace_string(&traced);
+        out.push_str(&write_artifact("request-lifecycle trace", path, trace)?);
     }
-    if let Some(path) = &cli.plan_cache.save {
+    if let Some(path) = &cli.plan_cache_out {
         // The scaling/baseline arms consume their reports internally; an
         // extra export run is deterministic and reuses the same config.
         let snapshot = match exported {
@@ -276,14 +277,10 @@ fn execute_serve(cli: &Cli) -> Result<String, CliError> {
                     .1
             }
         };
-        std::fs::write(path, snapshot.to_json())
-            .map_err(|e| CliError::runtime(format!("writing {path}: {e}")))?;
-        out.push_str(&format!("plan cache written to {path}\n"));
+        out.push_str(&write_artifact("plan cache", path, snapshot.to_json())?);
     }
-    if let Some(path) = &cli.output.metrics_out {
-        std::fs::write(path, json.to_json_pretty())
-            .map_err(|e| CliError::runtime(format!("writing {path}: {e}")))?;
-        out.push_str(&format!("metrics written to {path}\n"));
+    if let Some(path) = &cli.metrics_out {
+        out.push_str(&write_artifact("metrics", path, json.to_json_pretty())?);
     }
     Ok(out)
 }
@@ -310,6 +307,18 @@ fn attributed_run(
     let record = telemetry.take_record();
     let attribution = telemetry::attribute(&out.spans, &record);
     Ok((out.spans, record, attribution, out.reports.remove(0)))
+}
+
+/// The `workload` object of the verify and analyze reports.
+fn workload_json(cli: &Cli, system: &flashoverlap::SystemSpec) -> Value {
+    Value::obj(vec![
+        ("m", Value::num(f64::from(cli.m))),
+        ("n", Value::num(f64::from(cli.n))),
+        ("k", Value::num(f64::from(cli.k))),
+        ("primitive", Value::str(cli.primitive.to_string())),
+        ("gpus", Value::num(cli.gpus as f64)),
+        ("platform", Value::str(system.arch.name)),
+    ])
 }
 
 /// One arm of the analyze comparison as JSON.
@@ -348,17 +357,7 @@ fn execute_analyze(
     let base_wait = base_attr.totals.get(Category::SignalWait);
     let doc = Value::obj(vec![
         ("kind", Value::str("flashoverlap-analyze")),
-        (
-            "workload",
-            Value::obj(vec![
-                ("m", Value::num(f64::from(cli.m))),
-                ("n", Value::num(f64::from(cli.n))),
-                ("k", Value::num(f64::from(cli.k))),
-                ("primitive", Value::str(cli.primitive.to_string())),
-                ("gpus", Value::num(cli.gpus as f64)),
-                ("platform", Value::str(system.arch.name)),
-            ]),
-        ),
+        ("workload", workload_json(cli, system)),
         (
             "tuned",
             analyze_arm_json(&plan.partition, &tuned_report, &tuned_attr),
@@ -397,18 +396,13 @@ fn execute_analyze(
             "VIOLATED — attribution does not tile the makespan"
         },
     ));
-    if let Some(path) = &cli.output.trace_out {
+    if let Some(path) = &cli.trace_out {
         let trace = telemetry::perfetto::trace_with_attribution(&spans, Some(&record), &tuned_attr);
-        std::fs::write(path, trace.to_json())
-            .map_err(|e| CliError::runtime(format!("writing {path}: {e}")))?;
-        out.push_str(&format!(
-            "perfetto trace with critical-path track written to {path}\n"
-        ));
+        let what = "perfetto trace with critical-path track";
+        out.push_str(&write_artifact(what, path, trace.to_json())?);
     }
-    if let Some(path) = &cli.output.metrics_out {
-        std::fs::write(path, doc.to_json_pretty())
-            .map_err(|e| CliError::runtime(format!("writing {path}: {e}")))?;
-        out.push_str(&format!("metrics written to {path}\n"));
+    if let Some(path) = &cli.metrics_out {
+        out.push_str(&write_artifact("metrics", path, doc.to_json_pretty())?);
     }
     if !identity {
         return Err(CliError::runtime(format!(
@@ -491,13 +485,8 @@ fn execute_bench(cli: &Cli) -> Result<String, CliError> {
         ("drift_rows", Value::num(report.drift.len() as f64)),
     ]);
 
-    let path = cli
-        .output
-        .metrics_out
-        .clone()
-        .unwrap_or_else(|| "BENCH_serve.json".to_string());
-    std::fs::write(&path, doc.to_json_pretty())
-        .map_err(|e| CliError::runtime(format!("writing {path}: {e}")))?;
+    let path = cli.metrics_out.as_deref().unwrap_or("BENCH_serve.json");
+    let written = write_artifact("bench report", path, doc.to_json_pretty())?;
 
     // Host-side figures stay out of the artifact: they vary run to run
     // and would break the byte-compare gate.
@@ -535,7 +524,7 @@ fn execute_bench(cli: &Cli) -> Result<String, CliError> {
         "host     : {:.3} s wall-clock (monotonic)\n",
         wall.as_secs_f64()
     ));
-    out.push_str(&format!("bench report written to {path}\n"));
+    out.push_str(&written);
     Ok(out)
 }
 
@@ -722,17 +711,7 @@ fn execute_verify(
 
     let doc = Value::obj(vec![
         ("kind", Value::str("flashoverlap-verify")),
-        (
-            "workload",
-            Value::obj(vec![
-                ("m", Value::num(f64::from(cli.m))),
-                ("n", Value::num(f64::from(cli.n))),
-                ("k", Value::num(f64::from(cli.k))),
-                ("primitive", Value::str(cli.primitive.to_string())),
-                ("gpus", Value::num(cli.gpus as f64)),
-                ("platform", Value::str(system.arch.name)),
-            ]),
-        ),
+        ("workload", workload_json(cli, system)),
         (
             "plan",
             Value::obj(vec![
@@ -812,10 +791,8 @@ fn execute_verify(
         cli.gpus,
         if mix_clean { "all clean" } else { "VIOLATIONS" },
     ));
-    if let Some(path) = &cli.output.metrics_out {
-        std::fs::write(path, doc.to_json_pretty())
-            .map_err(|e| CliError::runtime(format!("writing {path}: {e}")))?;
-        out.push_str(&format!("metrics written to {path}\n"));
+    if let Some(path) = &cli.metrics_out {
+        out.push_str(&write_artifact("metrics", path, doc.to_json_pretty())?);
     }
     if !report.is_clean() || !nonconforming.is_empty() || !mix_clean {
         return Err(CliError::runtime(format!("verification failed:\n{out}")));
@@ -883,15 +860,12 @@ fn execute_plan(cli: &Cli, command: PlanCommand) -> Result<String, CliError> {
         }
         PlanCommand::Run => {
             let (report, sanitizer_text) = if cli.sanitize {
-                let (report, text) = sanitized_run(cli, &plan)?;
-                (report, Some(text))
+                sanitized_run(cli, &plan)?
             } else {
-                let report = plan
+                let mut run = plan
                     .execute_with(&SequenceOptions::new())
-                    .map_err(|e| CliError::runtime(format!("simulation failed: {e}")))?
-                    .reports
-                    .remove(0);
-                (report, None)
+                    .map_err(|e| CliError::runtime(format!("simulation failed: {e}")))?;
+                (run.reports.remove(0), String::new())
             };
             let base = nonoverlap_latency(dims, cli.primitive, &system);
             let theory = theoretical_latency(dims, cli.primitive, &system);
@@ -904,10 +878,8 @@ fn execute_plan(cli: &Cli, command: PlanCommand) -> Result<String, CliError> {
                 "vs serial: {:.3}x (non-overlap model {base}); theory bound {theory}\n",
                 base.as_nanos() as f64 / report.latency.as_nanos() as f64
             ));
-            if let Some(text) = sanitizer_text {
-                out.push_str(&text);
-            }
-            if cli.output.metrics_out.is_some() {
+            out.push_str(&sanitizer_text);
+            if cli.metrics_out.is_some() {
                 out.push_str(&profiled_report(cli, dims, &pattern, &system)?);
             }
         }
@@ -927,7 +899,7 @@ fn execute_plan(cli: &Cli, command: PlanCommand) -> Result<String, CliError> {
                     base.as_nanos() as f64 / latency.as_nanos() as f64
                 ));
             }
-            if cli.output.metrics_out.is_some() {
+            if cli.metrics_out.is_some() {
                 out.push_str(&profiled_report(cli, dims, &pattern, &system)?);
             }
         }
@@ -945,10 +917,9 @@ fn execute_plan(cli: &Cli, command: PlanCommand) -> Result<String, CliError> {
                 .collect();
             out.push_str(&format!("latency  : {}\n", report.latency));
             out.push_str(&render_timeline(&rank0, 100));
-            if let Some(path) = &cli.output.trace_out {
-                std::fs::write(path, telemetry::perfetto::trace_string(&spans, None))
-                    .map_err(|e| CliError::runtime(format!("writing {path}: {e}")))?;
-                out.push_str(&format!("perfetto trace written to {path}\n"));
+            if let Some(path) = &cli.trace_out {
+                let trace = telemetry::perfetto::trace_string(&spans, None);
+                out.push_str(&write_artifact("perfetto trace", path, trace)?);
             }
             if cli.sanitize {
                 // The timeline above shows the *faithful* schedule; the
@@ -958,35 +929,22 @@ fn execute_plan(cli: &Cli, command: PlanCommand) -> Result<String, CliError> {
                 out.push_str(&text);
             }
         }
-        PlanCommand::Profile => {
-            out.push_str(&profiled_report(cli, dims, &pattern, &system)?);
-        }
-        PlanCommand::Verify => {
-            out.push_str(&execute_verify(cli, &plan, &pattern, &system)?);
-        }
-        PlanCommand::Analyze => {
-            out.push_str(&execute_analyze(cli, &plan, &pattern, &system)?);
-        }
+        PlanCommand::Profile => out.push_str(&profiled_report(cli, dims, &pattern, &system)?),
+        PlanCommand::Verify => out.push_str(&execute_verify(cli, &plan, &pattern, &system)?),
+        PlanCommand::Analyze => out.push_str(&execute_analyze(cli, &plan, &pattern, &system)?),
     }
     Ok(out)
 }
 
-/// Convenience for tests: execute against a parsed argv.
-pub fn execute_argv(argv: &[String]) -> Result<String, CliError> {
-    execute(&Cli::parse(argv)?)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
     }
 
     #[test]
     fn tune_reports_partition_and_prediction() {
-        let out = execute_argv(&argv("tune -m 2048 -n 4096 -k 8192")).unwrap();
+        let out = crate::run(&argv("tune -m 2048 -n 4096 -k 8192")).unwrap();
         assert!(out.contains("tuned"));
         assert!(out.contains("predicted"));
         assert!(out.contains("candidates scored"));
@@ -994,7 +952,7 @@ mod tests {
 
     #[test]
     fn run_reports_latency_and_groups() {
-        let out = execute_argv(&argv("run -m 2048 -n 4096 -k 8192 --gpus 2")).unwrap();
+        let out = crate::run(&argv("run -m 2048 -n 4096 -k 8192 --gpus 2")).unwrap();
         assert!(out.contains("latency"));
         assert!(out.contains("group 0"));
         assert!(out.contains("vs serial"));
@@ -1003,7 +961,7 @@ mod tests {
     #[test]
     fn zero_dimension_is_a_usage_error() {
         for flag in ["-m 0 -n 64 -k 64", "-m 64 -n 0 -k 64", "-m 64 -n 64 -k 0"] {
-            let err = execute_argv(&argv(&format!("run {flag}"))).unwrap_err();
+            let err = crate::run(&argv(&format!("run {flag}"))).unwrap_err();
             assert!(err.show_usage, "{flag}: {}", err.message);
             assert!(err.message.contains("must be positive"), "{}", err.message);
         }
@@ -1011,25 +969,25 @@ mod tests {
 
     #[test]
     fn one_element_gemm_runs_and_verifies() {
-        let run = execute_argv(&argv("run -m 1 -n 1 -k 1")).unwrap();
+        let run = crate::run(&argv("run -m 1 -n 1 -k 1")).unwrap();
         assert!(run.contains("latency"), "{run}");
-        execute_argv(&argv("verify -m 1 -n 1 -k 1")).unwrap();
+        crate::run(&argv("verify -m 1 -n 1 -k 1")).unwrap();
     }
 
     #[test]
     fn run_accepts_explicit_partition() {
         // 2048x4096 -> 256 tiles -> 3 contended waves on the 4090.
-        let out = execute_argv(&argv("run -m 2048 -n 4096 -k 4096 --partition 1,2")).unwrap();
+        let out = crate::run(&argv("run -m 2048 -n 4096 -k 4096 --partition 1,2")).unwrap();
         assert!(out.contains("partition (1,2)"));
     }
 
     #[test]
     fn compare_lists_every_method() {
-        let out = execute_argv(&argv("compare -m 2048 -n 4096 -k 4096 --gpus 2")).unwrap();
+        let out = crate::run(&argv("compare -m 2048 -n 4096 -k 4096 --gpus 2")).unwrap();
         assert!(out.contains("Non-overlap"));
         assert!(out.contains("FlashOverlap"));
         assert!(out.contains("n/a (requires P2P)"), "PCIe hides FLUX");
-        let a800 = execute_argv(&argv(
+        let a800 = crate::run(&argv(
             "compare -m 2048 -n 4096 -k 4096 --gpus 2 --platform a800",
         ))
         .unwrap();
@@ -1039,7 +997,7 @@ mod tests {
 
     #[test]
     fn timeline_renders_streams() {
-        let out = execute_argv(&argv("timeline -m 2048 -n 4096 -k 4096")).unwrap();
+        let out = crate::run(&argv("timeline -m 2048 -n 4096 -k 4096")).unwrap();
         assert!(out.contains("dev0 s0"));
         assert!(out.contains("dev0 s1"));
         assert!(out.contains('G'), "gemm glyph present");
@@ -1048,7 +1006,7 @@ mod tests {
 
     #[test]
     fn bad_partition_surfaces_as_runtime_error() {
-        let err = execute_argv(&argv(
+        let err = crate::run(&argv(
             "run -m 2048 -n 4096 -k 4096 --partition 1,1,1,1,1,1,1",
         ))
         .unwrap_err();
@@ -1058,7 +1016,7 @@ mod tests {
 
     #[test]
     fn run_with_sanitize_reports_clean() {
-        let out = execute_argv(&argv("run -m 2048 -n 4096 -k 4096 --gpus 2 --sanitize")).unwrap();
+        let out = crate::run(&argv("run -m 2048 -n 4096 -k 4096 --gpus 2 --sanitize")).unwrap();
         assert!(out.contains("simsan: clean"), "{out}");
         assert!(out.contains("vs serial"), "sanitize keeps the run report");
     }
@@ -1067,7 +1025,7 @@ mod tests {
     fn timeline_with_dropped_signal_flags_use_before_signal() {
         // Group 0's wait guards the very first collective send, so dropping
         // it is detectable at any scale.
-        let out = execute_argv(&argv(
+        let out = crate::run(&argv(
             "timeline -m 2048 -n 4096 -k 4096 --gpus 2 --drop-signal 0,0",
         ))
         .unwrap();
@@ -1078,7 +1036,7 @@ mod tests {
 
     #[test]
     fn out_of_range_mutation_is_rejected() {
-        let err = execute_argv(&argv(
+        let err = crate::run(&argv(
             "run -m 2048 -n 4096 -k 4096 --gpus 2 --drop-signal 0,9",
         ))
         .unwrap_err();
@@ -1087,7 +1045,7 @@ mod tests {
 
     #[test]
     fn run_with_starved_signal_flags_lost_signal() {
-        let out = execute_argv(&argv(
+        let out = crate::run(&argv(
             "run -m 2048 -n 4096 -k 4096 --gpus 2 --starve-signal 0,0",
         ))
         .unwrap();
@@ -1113,11 +1071,11 @@ mod tests {
         ] {
             let cmd =
                 |path: &std::path::Path| format!("serve {flags} --metrics-out {}", path.display());
-            let out = execute_argv(&argv(&cmd(&metrics_a))).unwrap();
+            let out = crate::run(&argv(&cmd(&metrics_a))).unwrap();
             assert!(out.contains(&format!("serve: {offered} offered")), "{out}");
             assert!(out.contains("plan cache hit rate"));
             assert!(out.contains("goodput"));
-            execute_argv(&argv(&cmd(&metrics_b))).unwrap();
+            crate::run(&argv(&cmd(&metrics_b))).unwrap();
             let a = std::fs::read_to_string(&metrics_a).unwrap();
             let b = std::fs::read_to_string(&metrics_b).unwrap();
             assert_eq!(a, b, "{flags}: same seed must write byte-identical metrics");
@@ -1149,12 +1107,12 @@ mod tests {
                 path.display()
             )
         };
-        let out = execute_argv(&argv(&cmd(&metrics_a))).unwrap();
+        let out = crate::run(&argv(&cmd(&metrics_a))).unwrap();
         assert!(out.contains("2 nodes:"), "{out}");
         assert!(out.contains("node 0:"), "{out}");
         assert!(out.contains("node 1:"), "{out}");
         assert!(out.contains("locality router"), "{out}");
-        execute_argv(&argv(&cmd(&metrics_b))).unwrap();
+        crate::run(&argv(&cmd(&metrics_b))).unwrap();
         let a = std::fs::read_to_string(&metrics_a).unwrap();
         let b = std::fs::read_to_string(&metrics_b).unwrap();
         assert_eq!(a, b, "same seed must write byte-identical node metrics");
@@ -1166,15 +1124,15 @@ mod tests {
 
     #[test]
     fn serve_rejects_indivisible_node_counts() {
-        let err = execute_argv(&argv("serve --nodes 3 --replicas 3 --gpus 4")).unwrap_err();
+        let err = crate::run(&argv("serve --nodes 3 --replicas 3 --gpus 4")).unwrap_err();
         assert!(err.message.contains("divide --gpus"), "{}", err.message);
-        let err = execute_argv(&argv("serve --nodes 2 --replicas 3 --gpus 4")).unwrap_err();
+        let err = crate::run(&argv("serve --nodes 2 --replicas 3 --gpus 4")).unwrap_err();
         assert!(err.message.contains("divide --replicas"), "{}", err.message);
     }
 
     #[test]
     fn serve_baseline_reports_speedup() {
-        let out = execute_argv(&argv("serve --requests 30 --seed 5 --baseline")).unwrap();
+        let out = crate::run(&argv("serve --requests 30 --seed 5 --baseline")).unwrap();
         assert!(out.contains("tuned arm:"));
         assert!(out.contains("baseline (non-overlap) arm:"));
         assert!(out.contains("speedup tuned vs baseline"));
@@ -1182,7 +1140,7 @@ mod tests {
 
     #[test]
     fn serve_chaos_accounts_every_request() {
-        let out = execute_argv(&argv("serve --requests 30 --seed 11 --chaos")).unwrap();
+        let out = crate::run(&argv("serve --requests 30 --seed 11 --chaos")).unwrap();
         assert!(out.contains("with chaos"));
         assert!(out.contains("completed"));
     }
@@ -1190,7 +1148,7 @@ mod tests {
     #[test]
     fn serve_scaling_reports_replica_and_pipelining_gains() {
         let metrics = temp_path("serve-scaling.json");
-        let out = execute_argv(&argv(&format!(
+        let out = crate::run(&argv(&format!(
             "serve --requests 120 --rate 2400 --seed 7 --replicas 4 \
              --router shape-affinity --scaling --metrics-out {}",
             metrics.display()
@@ -1224,7 +1182,7 @@ mod tests {
     #[test]
     fn serve_plan_cache_round_trips_through_files() {
         let cache = temp_path("serve-plan-cache.json");
-        let out = execute_argv(&argv(&format!(
+        let out = crate::run(&argv(&format!(
             "serve --requests 40 --seed 3 --plan-cache-out {}",
             cache.display()
         )))
@@ -1236,7 +1194,7 @@ mod tests {
             Some("flashoverlap-plan-cache")
         );
         // Warm start from the snapshot: same accounting, zero misses.
-        let warm = execute_argv(&argv(&format!(
+        let warm = crate::run(&argv(&format!(
             "serve --requests 40 --seed 3 --plan-cache-in {}",
             cache.display()
         )))
@@ -1248,13 +1206,13 @@ mod tests {
     #[test]
     fn serve_rejects_mismatched_plan_cache() {
         let cache = temp_path("serve-plan-cache-4090.json");
-        execute_argv(&argv(&format!(
+        crate::run(&argv(&format!(
             "serve --requests 20 --seed 3 --plan-cache-out {}",
             cache.display()
         )))
         .unwrap();
         // Same snapshot against a different platform: fingerprint error.
-        let err = execute_argv(&argv(&format!(
+        let err = crate::run(&argv(&format!(
             "serve --requests 20 --seed 3 --platform a800 --plan-cache-in {}",
             cache.display()
         )))
@@ -1290,7 +1248,7 @@ mod tests {
         for (name, text, expected) in probes {
             let path = temp_path(&format!("snapshot-{name}.json"));
             std::fs::write(&path, text).unwrap();
-            let err = execute_argv(&argv(&format!(
+            let err = crate::run(&argv(&format!(
                 "serve --requests 4 --plan-cache-in {}",
                 path.display()
             )))
@@ -1310,7 +1268,7 @@ mod tests {
         let trace = temp_path("profile-trace.json");
         let metrics = temp_path("profile-metrics.json");
         for dims in ["-m 2048 -n 4096 -k 4096", "-m 1024 -n 2048 -k 2048"] {
-            let out = execute_argv(&argv(&format!(
+            let out = crate::run(&argv(&format!(
                 "profile {dims} --gpus 2 --platform a800 --trace-out {} --metrics-out {}",
                 trace.display(),
                 metrics.display()
@@ -1368,7 +1326,7 @@ mod tests {
     #[test]
     fn run_and_compare_accept_metrics_out() {
         let metrics = temp_path("run-metrics.json");
-        let out = execute_argv(&argv(&format!(
+        let out = crate::run(&argv(&format!(
             "run -m 2048 -n 4096 -k 4096 --gpus 2 --metrics-out {}",
             metrics.display()
         )))
@@ -1377,7 +1335,7 @@ mod tests {
         let doc = telemetry::json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
         assert!(doc.get("signal_latency").is_some());
         let metrics = temp_path("compare-metrics.json");
-        let out = execute_argv(&argv(&format!(
+        let out = crate::run(&argv(&format!(
             "compare -m 2048 -n 4096 -k 4096 --gpus 2 --metrics-out {}",
             metrics.display()
         )))
@@ -1389,7 +1347,7 @@ mod tests {
     fn timeline_trace_covers_every_device() {
         // Regression: the exported trace used to keep only rank 0's spans.
         let trace = temp_path("timeline-trace.json");
-        let out = execute_argv(&argv(&format!(
+        let out = crate::run(&argv(&format!(
             "timeline -m 2048 -n 4096 -k 4096 --gpus 2 --trace-out {}",
             trace.display()
         )))
@@ -1410,7 +1368,7 @@ mod tests {
     fn chaos_sweep_reports_verdicts_and_metrics() {
         use telemetry::json::Value;
         let metrics = temp_path("chaos-metrics.json");
-        let out = execute_argv(&argv(&format!(
+        let out = crate::run(&argv(&format!(
             "chaos --seed 7 --campaigns 20 --metrics-out {}",
             metrics.display()
         )))
@@ -1460,12 +1418,12 @@ mod tests {
                 path.display()
             )
         };
-        let out = execute_argv(&argv(&cmd(&metrics_a))).unwrap();
+        let out = crate::run(&argv(&cmd(&metrics_a))).unwrap();
         assert!(out.contains("static   : clean"), "{out}");
         assert!(out.contains("conforms in every cell"), "{out}");
         assert!(out.contains("serve mix:"), "{out}");
         assert!(out.contains("all clean"), "{out}");
-        execute_argv(&argv(&cmd(&metrics_b))).unwrap();
+        crate::run(&argv(&cmd(&metrics_b))).unwrap();
         let a = std::fs::read_to_string(&metrics_a).unwrap();
         let b = std::fs::read_to_string(&metrics_b).unwrap();
         assert_eq!(a, b, "verify must write byte-identical reports");
@@ -1506,7 +1464,7 @@ mod tests {
     fn verify_rejects_a_statically_invalid_partition() {
         // A partition summing short of the wave count fails construction;
         // verify surfaces that before any simulation could run.
-        let err = execute_argv(&argv(
+        let err = crate::run(&argv(
             "verify -m 2048 -n 4096 -k 4096 --partition 1,1,1,1,1,1,1",
         ))
         .unwrap_err();
@@ -1520,7 +1478,7 @@ mod tests {
 
     #[test]
     fn all_to_all_compare_runs() {
-        let out = execute_argv(&argv(
+        let out = crate::run(&argv(
             "compare -m 2048 -n 2048 -k 2048 --primitive a2a --gpus 4",
         ))
         .unwrap();
@@ -1538,7 +1496,7 @@ mod tests {
                 path.display()
             )
         };
-        let out = execute_argv(&argv(&format!(
+        let out = crate::run(&argv(&format!(
             "{} --trace-out {}",
             cmd(&metrics_a),
             trace.display()
@@ -1550,7 +1508,7 @@ mod tests {
             out.contains("both attributions sum exactly to their makespans"),
             "{out}"
         );
-        execute_argv(&argv(&cmd(&metrics_b))).unwrap();
+        crate::run(&argv(&cmd(&metrics_b))).unwrap();
         let a = std::fs::read_to_string(&metrics_a).unwrap();
         let b = std::fs::read_to_string(&metrics_b).unwrap();
         assert_eq!(a, b, "analyze must write byte-identical metrics");
@@ -1615,10 +1573,10 @@ mod tests {
         let bench_a = temp_path("bench-a.json");
         let bench_b = temp_path("bench-b.json");
         let cmd = |path: &std::path::Path| format!("bench {args} --metrics-out {}", path.display());
-        let out = execute_argv(&argv(&cmd(&bench_a))).unwrap();
+        let out = crate::run(&argv(&cmd(&bench_a))).unwrap();
         assert!(out.contains("wall-clock"), "{out}");
         assert!(out.contains("bench report written to"), "{out}");
-        execute_argv(&argv(&cmd(&bench_b))).unwrap();
+        crate::run(&argv(&cmd(&bench_b))).unwrap();
         let a = std::fs::read_to_string(&bench_a).unwrap();
         let b = std::fs::read_to_string(&bench_b).unwrap();
         assert_eq!(

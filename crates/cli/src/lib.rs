@@ -14,6 +14,7 @@
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::indexing_slicing))]
 
 pub mod args;
 pub mod commands;
@@ -30,4 +31,24 @@ pub use args::{Cli, CliError, Command, PlanCommand};
 pub fn run(argv: &[String]) -> Result<String, CliError> {
     let cli = Cli::parse(argv)?;
     commands::execute(&cli)
+}
+
+/// The body of both `flashoverlap` binaries: runs the process arguments
+/// and prints the report. On an error it prints the message and, where
+/// it helps, [`args::USAGE`] to stderr, then exits 0 for a bare help request
+/// and 1 otherwise.
+pub fn main_with_env_args() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match run(&argv) {
+        Ok(report) => print!("{report}"),
+        Err(e) => {
+            if !e.message.is_empty() {
+                eprintln!("error: {e}");
+            }
+            if e.show_usage {
+                eprint!("{}", args::USAGE);
+            }
+            std::process::exit(if e.message.is_empty() { 0 } else { 1 });
+        }
+    }
 }

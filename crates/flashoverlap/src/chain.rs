@@ -57,7 +57,7 @@ use gpu_sim::memory::BufferId;
 use gpu_sim::stream::{abort_counter_waits, enqueue, Op};
 use gpu_sim::{
     Cluster, ClusterSim, Diagnosis, FaultArming, GpuEventId, RuntimeDetail, RuntimeEvent,
-    RuntimeEventKind, StuckWait, Wedge,
+    StuckWait, Wedge,
 };
 use planverify::Mutation;
 use sim::{SimDuration, SimTime};
@@ -505,7 +505,6 @@ fn arm_cluster_faults(world: &mut Cluster, sim: &ClusterSim, faults: &[FaultPlan
             world.log_runtime_event(RuntimeEvent {
                 at: sim.now(),
                 device: fault_device(fault),
-                kind: RuntimeEventKind::FaultInjected,
                 group: None,
                 detail: RuntimeDetail::FaultArmed {
                     segment,
@@ -562,7 +561,6 @@ fn enqueue_segment_faults(
             world.log_runtime_event(RuntimeEvent {
                 at: sim.now(),
                 device: rank,
-                kind: RuntimeEventKind::FaultInjected,
                 group: None,
                 detail: RuntimeDetail::FaultArmed {
                     segment,
@@ -719,7 +717,6 @@ fn drive_chain(
             world.log_runtime_event(RuntimeEvent {
                 at: sim.now(),
                 device: 0,
-                kind: RuntimeEventKind::WatchdogFired,
                 group: None,
                 detail: RuntimeDetail::WedgeDetected {
                     segment: f,
@@ -746,7 +743,6 @@ fn drive_chain(
                     Some(RuntimeEvent {
                         at: sim.now(),
                         device: 0,
-                        kind: RuntimeEventKind::WatchdogFired,
                         group: None,
                         detail: RuntimeDetail::Extension {
                             segment: f,
@@ -763,7 +759,6 @@ fn drive_chain(
                     Some(RuntimeEvent {
                         at: sim.now(),
                         device: 0,
-                        kind: RuntimeEventKind::DegradedFallback,
                         group: None,
                         detail: RuntimeDetail::DegradedFallback { segment: f },
                     })
@@ -905,7 +900,6 @@ fn recover_chain(
         world.log_runtime_event(RuntimeEvent {
             at: sim.now(),
             device: 0,
-            kind: RuntimeEventKind::TailRecovery,
             group: None,
             detail: RuntimeDetail::CommReenqueued {
                 segment: j,
@@ -941,11 +935,6 @@ fn reissue_groups(
         .collect();
     let thresholds = plan.group_tile_counts();
     let tail = matches!(role, CollectiveRole::Tail);
-    let kind = if tail {
-        RuntimeEventKind::TailRecovery
-    } else {
-        RuntimeEventKind::DegradedFallback
-    };
     let mut issued = Vec::new();
     for (g, done) in completed.iter().enumerate() {
         if *done {
@@ -985,7 +974,6 @@ fn reissue_groups(
             world.log_runtime_event(RuntimeEvent {
                 at: sim.now(),
                 device: 0,
-                kind,
                 group: Some(g),
                 detail: RuntimeDetail::GroupReissued {
                     segment,

@@ -310,13 +310,14 @@ pub struct ChaosConfig {
     pub dims: GemmDims,
     /// Simulated ranks.
     pub gpus: usize,
+}
+
+impl ChaosConfig {
     /// SM count of the miniature campaign system (small keeps runs fast
     /// while still producing multi-wave, multi-group plans).
-    pub sm_count: u32,
-    /// SMs reserved for communication kernels.
-    pub comm_sms: u32,
-    /// Watchdog policy under test.
-    pub watchdog: WatchdogConfig,
+    pub const SM_COUNT: u32 = 8;
+    /// SMs the campaign system reserves for communication kernels.
+    pub const COMM_SMS: u32 = 2;
 }
 
 impl Default for ChaosConfig {
@@ -326,9 +327,6 @@ impl Default for ChaosConfig {
             campaigns: 20,
             dims: GemmDims::new(384, 512, 64),
             gpus: 2,
-            sm_count: 8,
-            comm_sms: 2,
-            watchdog: WatchdogConfig::default(),
         }
     }
 }
@@ -421,8 +419,8 @@ pub fn run_chaos(config: &ChaosConfig) -> Result<ChaosReport, FlashOverlapError>
         });
     }
     let mut system = SystemSpec::rtx4090(config.gpus);
-    system.arch.sm_count = config.sm_count;
-    system.comm_sms = config.comm_sms;
+    system.arch.sm_count = ChaosConfig::SM_COUNT;
+    system.comm_sms = ChaosConfig::COMM_SMS;
     // Per-wave grouping maximizes the number of signal waits — the widest
     // fault surface a partition can offer.
     let partition = crate::partition::WavePartition::per_wave(system.planned_waves(config.dims));
@@ -444,7 +442,7 @@ pub fn run_chaos(config: &ChaosConfig) -> Result<ChaosReport, FlashOverlapError>
         let mut run = plan.execute_with(
             &SequenceOptions::new()
                 .functional(&inputs)
-                .resilient(std::slice::from_ref(&faults), &config.watchdog),
+                .resilient(std::slice::from_ref(&faults), &WatchdogConfig::default()),
         )?;
         let run_outputs = run.outputs.and_then(|mut o| o.pop()).unwrap_or_default();
         let bit_exact = run_outputs.len() == reference_outputs.len()

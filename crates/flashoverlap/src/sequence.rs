@@ -129,7 +129,10 @@ pub struct SequenceOutcome {
 impl SequenceOutcome {
     /// Events of one kind from the resilient event log.
     pub fn events_of(&self, kind: gpu_sim::RuntimeEventKind) -> Vec<&RuntimeEvent> {
-        self.events.iter().filter(|e| e.kind == kind).collect()
+        self.events
+            .iter()
+            .filter(|e| e.detail.kind() == kind)
+            .collect()
     }
 }
 

@@ -10,7 +10,7 @@ use crate::counter::IncrementFault;
 use crate::device::{Device, DeviceId};
 use crate::elementwise::ElementwiseKernel;
 use crate::gemm::GemmRun;
-use crate::monitor::{ClusterMonitor, Fault, RuntimeDetail, RuntimeEvent, RuntimeEventKind};
+use crate::monitor::{ClusterMonitor, Fault, RuntimeDetail, RuntimeEvent};
 use crate::stream::Completion;
 
 /// Storage for the state of in-flight ops, indexed by the slots
@@ -473,7 +473,6 @@ impl Cluster {
             self.log_runtime_event(RuntimeEvent {
                 at: now,
                 device,
-                kind: RuntimeEventKind::FaultQuarantined,
                 group: None,
                 detail: RuntimeDetail::FaultQuarantined {
                     segment,
@@ -501,7 +500,6 @@ impl Cluster {
             self.log_runtime_event(RuntimeEvent {
                 at: now,
                 device,
-                kind: RuntimeEventKind::FaultInjected,
                 group: Some(group),
                 detail: RuntimeDetail::FaultArmed { segment, fault },
             });

@@ -264,7 +264,6 @@ pub(crate) fn launch(
         world.log_runtime_event(RuntimeEvent {
             at: sim.now(),
             device: lead,
-            kind: crate::monitor::RuntimeEventKind::FaultInjected,
             group: op.group,
             detail: crate::monitor::RuntimeDetail::LinkStall { stall, call: op.id },
         });

@@ -605,7 +605,7 @@ fn signal_wave(
     runs: impl Iterator<Item = (usize, Range<usize>)>,
 ) {
     use crate::counter::IncrementFault;
-    use crate::monitor::{RuntimeDetail, RuntimeEvent, RuntimeEventKind};
+    use crate::monitor::{RuntimeDetail, RuntimeEvent};
     use crate::stream::{increment_counter, wake_counter_waiters};
 
     for (group, positions) in runs {
@@ -623,7 +623,6 @@ fn signal_wave(
             world.log_runtime_event(RuntimeEvent {
                 at: sim.now(),
                 device,
-                kind: RuntimeEventKind::FaultInjected,
                 group: Some(group),
                 detail,
             });

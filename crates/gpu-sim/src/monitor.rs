@@ -323,6 +323,28 @@ pub enum RuntimeDetail {
     },
 }
 
+impl RuntimeDetail {
+    /// The fault or recovery class this detail belongs to.
+    pub fn kind(&self) -> RuntimeEventKind {
+        match self {
+            RuntimeDetail::FaultArmed { .. }
+            | RuntimeDetail::IncrementDropped { .. }
+            | RuntimeDetail::IncrementDelayed { .. }
+            | RuntimeDetail::LinkStall { .. } => RuntimeEventKind::FaultInjected,
+            RuntimeDetail::FaultQuarantined { .. } => RuntimeEventKind::FaultQuarantined,
+            RuntimeDetail::WedgeDetected { .. } | RuntimeDetail::Extension { .. } => {
+                RuntimeEventKind::WatchdogFired
+            }
+            RuntimeDetail::DegradedFallback { .. }
+            | RuntimeDetail::GroupReissued { tail: false, .. } => {
+                RuntimeEventKind::DegradedFallback
+            }
+            RuntimeDetail::CommReenqueued { .. }
+            | RuntimeDetail::GroupReissued { tail: true, .. } => RuntimeEventKind::TailRecovery,
+        }
+    }
+}
+
 impl fmt::Display for RuntimeDetail {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -411,8 +433,6 @@ pub struct RuntimeEvent {
     pub at: SimTime,
     /// The device the event concerns.
     pub device: DeviceId,
-    /// Fault or recovery class.
-    pub kind: RuntimeEventKind,
     /// The counter group concerned, when the event targets one.
     pub group: Option<usize>,
     /// What happened (cause, parameters); formats to the event's

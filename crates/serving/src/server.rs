@@ -10,7 +10,7 @@
 //! loop keeps one `Replica` per group: its dispatch queue, drain time,
 //! report row, [`PlanCache`](crate::cache::PlanCache) and simulation
 //! world. An idle replica drains its dispatch queue in
-//! *chains* of up to [`ServeConfig::chain`] batches executed through
+//! *chains* of up to [`ServeConfig::CHAIN`] batches executed through
 //! one simulation ([`flashoverlap::execute_sequence`]): with
 //! [`ServeConfig::pipelined`] set, batch *k+1*'s GEMM waves run while
 //! batch *k*'s tail collectives drain, double-buffered counting tables
@@ -103,8 +103,6 @@ pub struct ServeConfig {
     /// Execute replica chains with cross-batch pipelining (false
     /// inserts a serial barrier between consecutive batches).
     pub pipelined: bool,
-    /// Most batches an idle replica chains into one simulation.
-    pub chain: usize,
     /// Force this replica's first chaos chain to wedge deterministically
     /// (an unrecoverable dropped-signal fault on its leading batch), so
     /// the quarantine → re-route path is reproducible under a fixed
@@ -119,6 +117,9 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
+    /// Most batches an idle replica chains into one simulation.
+    pub const CHAIN: usize = 4;
+
     /// Defaults: 200 requests of the default mix at 500 rps Poisson
     /// (≈70% utilization of a two-rank 4090 group under the default
     /// prefill-heavy mix), 20 ms SLO, 64-deep queue, 32-plan cache,
@@ -140,7 +141,6 @@ impl ServeConfig {
             nodes: 1,
             router: RouterPolicy::RoundRobin,
             pipelined: true,
-            chain: 4,
             wedge_replica: None,
             preload: None,
             exec: ExecMode::Serial,
@@ -148,7 +148,7 @@ impl ServeConfig {
     }
 
     /// Validates shape divisibility (every mix model's intermediate
-    /// size must split across the TP group), replica/chain bounds, and
+    /// size must split across the TP group), replica and node bounds, and
     /// preload fingerprint compatibility.
     fn validate(&self) -> Result<(), FlashOverlapError> {
         let tp = self.system.n_gpus as u32;
@@ -165,11 +165,6 @@ impl ServeConfig {
         if self.replicas == 0 {
             return Err(FlashOverlapError::BadInputs {
                 reason: "need at least one replica".into(),
-            });
-        }
-        if self.chain == 0 {
-            return Err(FlashOverlapError::BadInputs {
-                reason: "chain length must be at least 1".into(),
             });
         }
         if self.nodes == 0 {
@@ -664,7 +659,7 @@ pub(crate) fn serve_run(
             if replica.stats.quarantined || replica.pending.is_empty() || replica.free_ns > now_ns {
                 continue;
             }
-            let take = replica.pending.len().min(config.chain);
+            let take = replica.pending.len().min(ServeConfig::CHAIN);
             chain.clear();
             chain.extend(replica.pending.drain(..take));
             let degraded = run_chain(

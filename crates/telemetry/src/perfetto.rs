@@ -215,7 +215,7 @@ fn flow_events(record: &TelemetryRecord, spans: &[OpSpan], events: &mut Vec<Valu
 /// run, placed on the affected device's track.
 fn instant_events(record: &TelemetryRecord, events: &mut Vec<Value>) {
     for ev in &record.runtime_events {
-        let name = match ev.kind {
+        let name = match ev.detail.kind() {
             RuntimeEventKind::FaultInjected => "fault-injected",
             RuntimeEventKind::WatchdogFired => "watchdog-fired",
             RuntimeEventKind::FaultQuarantined => "fault-quarantined",

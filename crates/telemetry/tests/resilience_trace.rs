@@ -98,7 +98,7 @@ fn dropped_increment_recovery_is_visible_in_the_trace() {
     assert!(record
         .runtime_events
         .iter()
-        .any(|e| e.kind == RuntimeEventKind::TailRecovery && e.group == Some(1)));
+        .any(|e| e.detail.kind() == RuntimeEventKind::TailRecovery && e.group == Some(1)));
     let doc = json::parse(&perfetto::trace_string(spans, Some(&record))).expect("valid JSON");
     let events = doc
         .get("traceEvents")
@@ -131,7 +131,13 @@ fn recovery_timeline_is_deterministic() {
     let timeline = |r: &SequenceOutcome| -> Vec<(u64, RuntimeEventKind, Option<usize>)> {
         r.events
             .iter()
-            .map(|e| ((e.at - sim::SimTime::ZERO).as_nanos(), e.kind, e.group))
+            .map(|e| {
+                (
+                    (e.at - sim::SimTime::ZERO).as_nanos(),
+                    e.detail.kind(),
+                    e.group,
+                )
+            })
             .collect()
     };
     assert_eq!(timeline(&a), timeline(&b));

@@ -1,20 +1,6 @@
 //! Workspace-root entry point: forwards to the `flashoverlap` CLI so
 //! `cargo run --release -- <command>` works from the repository root.
 
-use flashoverlap_cli::args::USAGE;
-
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match flashoverlap_cli::run(&argv) {
-        Ok(report) => print!("{report}"),
-        Err(e) => {
-            if !e.message.is_empty() {
-                eprintln!("error: {e}");
-            }
-            if e.show_usage {
-                eprint!("{USAGE}");
-            }
-            std::process::exit(if e.message.is_empty() { 0 } else { 1 });
-        }
-    }
+    flashoverlap_cli::main_with_env_args();
 }
