@@ -58,7 +58,8 @@ impl std::fmt::Display for Method {
             Method::Flux => "FLUX",
             Method::FlashOverlap => "FlashOverlap",
         };
-        f.write_str(name)
+        // `pad`, not `write_str`: table rows align names with a width.
+        f.pad(name)
     }
 }
 
@@ -142,6 +143,12 @@ pub fn measure_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn names_pad_to_a_column_width() {
+        assert_eq!(format!("{:<10}|", Method::Flux), "FLUX      |");
+        assert_eq!(format!("{:>10}|", Method::AsyncTp), "  Async-TP|");
+    }
 
     #[test]
     fn applicability_matrix_matches_paper() {

@@ -114,11 +114,11 @@ fn plan_commands_match_their_golden_digests() {
             ),
             (
                 "compare -m 2048 -n 4096 -k 4096 --gpus 2 --platform a800 --algorithm direct",
-                &[("stdout", 0xbe8d0d29260a13c9)],
+                &[("stdout", 0xc932a856c5fa280f)],
             ),
             (
                 "compare -m 1024 -n 1024 -k 512 --primitive a2a --gpus 4 --seed 3",
-                &[("stdout", 0x1ce781ec601ff24e)],
+                &[("stdout", 0x71c712632f89c9fe)],
             ),
             (
                 "profile -m 2048 -n 4096 -k 4096 --gpus 2 --platform a800 \

@@ -62,9 +62,7 @@ impl GroupLayout {
     /// [`WavePartition::check_covers`] first for a recoverable error.
     pub fn new(schedule: &WaveSchedule, partition: &WavePartition) -> Self {
         let mut packer = Packer::new(schedule, partition);
-        (0..schedule.num_tiles()).for_each(|t| {
-            packer.place(t);
-        });
+        (0..schedule.num_tiles()).for_each(|t| packer.place(t));
         packer.finish()
     }
 
@@ -161,24 +159,23 @@ impl GroupLayout {
 /// Builds a [`GroupLayout`] one tile at a time: every tile of the
 /// schedule, in ascending id, takes the next free slot of its wave's
 /// packed range — a counting pass, so each wave's tiles land already
-/// sorted, with no per-wave sort. A mapping builder drives the pass and
-/// extends it with its own per-tile tables.
-pub(crate) struct Packer<'s> {
-    schedule: &'s WaveSchedule,
+/// sorted, with no per-wave sort.
+struct Packer {
     /// Per wave: its group, and the packed slot its next tile takes.
     waves: Vec<(u32, usize)>,
+    /// Per tile: its wave until the tile is placed, its group after.
     group_of_tile: Vec<u32>,
     reorder_order: Vec<u32>,
     group_tile_counts: Vec<u32>,
 }
 
-impl<'s> Packer<'s> {
+impl Packer {
     /// A packer for `schedule` grouped by `partition`.
     ///
     /// # Panics
     ///
     /// Panics if the partition does not cover the schedule's waves.
-    pub(crate) fn new(schedule: &'s WaveSchedule, partition: &WavePartition) -> Self {
+    fn new(schedule: &WaveSchedule, partition: &WavePartition) -> Self {
         assert_eq!(
             partition.total_waves(),
             schedule.num_waves(),
@@ -201,41 +198,39 @@ impl<'s> Packer<'s> {
         }
         let num_tiles = schedule.num_tiles() as usize;
         Packer {
-            schedule,
             waves,
-            group_of_tile: vec![0; num_tiles],
+            group_of_tile: schedule.wave_of_tile(),
             reorder_order: vec![0; num_tiles],
             group_tile_counts,
         }
     }
 
-    /// Packs tile `t` and returns its slot. Tiles must come in ascending
-    /// id, each once.
-    pub(crate) fn place(&mut self, t: u32) -> usize {
+    /// Packs tile `t`. Tiles must come in ascending id, each once.
+    fn place(&mut self, t: u32) {
         // Index proofs: `new` pins the partition to the schedule's
         // waves, so every wave has a group and a slot cursor; each
         // wave's cursor starts at its prefix sum and advances once per
         // tile of the wave (WaveSchedule invariant), so it stays below
         // num_tiles; t is a tile of the schedule.
+        let group_of_t = self
+            .group_of_tile
+            .get_mut(t as usize)
+            .expect("t is a tile of the schedule");
         let (group, slot) = self
             .waves
-            .get_mut(self.schedule.wave_of(t) as usize)
+            .get_mut(*group_of_t as usize)
             .expect("the partition covers every wave");
+        *group_of_t = *group;
         let placed = *slot;
         *slot += 1;
         *self
             .reorder_order
             .get_mut(placed)
             .expect("a wave's slots stay within its packed range") = t;
-        *self
-            .group_of_tile
-            .get_mut(t as usize)
-            .expect("t is a tile of the schedule") = *group;
-        placed
     }
 
     /// The layout, once every tile is placed.
-    pub(crate) fn finish(self) -> GroupLayout {
+    fn finish(self) -> GroupLayout {
         GroupLayout {
             group_of_tile: self.group_of_tile,
             reorder_order: self.reorder_order,
@@ -296,8 +291,9 @@ mod tests {
         let s = schedule();
         let p = WavePartition::new(vec![2, 2]);
         let layout = GroupLayout::new(&s, &p);
+        let wave_of = s.wave_of_tile();
         for t in 0..s.num_tiles() {
-            let expected = p.group_of_wave(s.wave_of(t)) as u32;
+            let expected = p.group_of_wave(wave_of[t as usize]) as u32;
             assert_eq!(layout.group_of_tile[t as usize], expected);
         }
     }

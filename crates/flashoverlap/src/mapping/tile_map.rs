@@ -5,29 +5,76 @@
 //! the same mapping from the same (deterministic) wave schedule, so the
 //! reordered buffers are element-wise aligned and summing them is correct.
 
+use std::cell::OnceCell;
+
 use gpu_sim::tile::TileGrid;
 use gpu_sim::wave::WaveSchedule;
 
-use crate::mapping::{GroupLayout, Packer};
+use crate::mapping::GroupLayout;
 use crate::partition::WavePartition;
 
-/// The tile-level mapping table: packed slot per tile, element offsets,
-/// and per-group contiguous regions.
+/// The tile-level mapping table: the group layout, per-group contiguous
+/// regions, and the per-tile slot tables.
+///
+/// Only writes through the mapping read the slot tables: functional
+/// epilogues, access-monitored launches and the output gathers. A plan
+/// that is only timed never does, so the tables are built on first such
+/// use ([`TileMapping::slots`]) and the static verifier's footprints build
+/// them as a transient, leaving timed plans without them.
 #[derive(Debug, Clone)]
 pub struct TileMapping {
     /// Shared wave-group structure.
     pub layout: GroupLayout,
-    /// Packed slot index per address-order tile.
-    pub slot_of_tile: Vec<u32>,
-    /// Element offset of each packed slot (slot sizes vary at matrix
-    /// edges).
-    pub slot_offset: Vec<usize>,
     /// Per-group `(element offset, element count)` regions in the packed
     /// buffer — the arguments of each group's collective call.
     pub group_regions: Vec<(usize, usize)>,
     /// Total packed elements (`== M * N`).
     pub total_elems: usize,
     grid: TileGrid,
+    slots: OnceCell<TileSlots>,
+}
+
+/// Where each tile lands in the packed buffer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TileSlots {
+    /// Packed slot index per address-order tile.
+    pub slot_of_tile: Vec<u32>,
+    /// Element offset of each packed slot (slot sizes vary at matrix
+    /// edges).
+    pub slot_offset: Vec<usize>,
+}
+
+impl TileSlots {
+    /// The slot tables of `layout`'s packed order over `grid`.
+    fn build(grid: &TileGrid, layout: &GroupLayout) -> Self {
+        let mut slot_of_tile = vec![0u32; layout.reorder_order.len()];
+        for (slot, &t) in (0u32..).zip(&layout.reorder_order) {
+            // Index proof: the packed order is a permutation of the
+            // grid's tiles, so t < num_tiles.
+            *slot_of_tile
+                .get_mut(t as usize)
+                .expect("the packed order names in-grid tiles") = slot;
+        }
+        TileSlots {
+            slot_of_tile,
+            slot_offset: slot_offsets(grid, layout),
+        }
+    }
+}
+
+/// The element offset of each slot of `layout`'s packed order over
+/// `grid`: the running total of the packed tiles' sizes.
+fn slot_offsets(grid: &TileGrid, layout: &GroupLayout) -> Vec<usize> {
+    let mut acc = 0usize;
+    layout
+        .reorder_order
+        .iter()
+        .map(|&t| {
+            let offset = acc;
+            acc += grid.tile_elems(t) as usize;
+            offset
+        })
+        .collect()
 }
 
 impl TileMapping {
@@ -37,62 +84,66 @@ impl TileMapping {
     ///
     /// Panics if the partition does not cover the schedule.
     pub fn build(grid: TileGrid, schedule: &WaveSchedule, partition: &WavePartition) -> Self {
-        let num_tiles = grid.num_tiles() as usize;
-        let mut slot_of_tile = vec![0u32; num_tiles];
-        // Each slot's element count first, then prefix-summed in place
-        // into its offset.
-        let mut slot_offset = vec![0usize; num_tiles];
-        // One pass: the packer takes tiles in ascending id, the order the
-        // grid sizes them in.
-        let mut packer = Packer::new(schedule, partition);
-        grid.tile_elems_in_order()
-            .zip(0u32..)
-            .for_each(|(elems, t)| {
-                let slot = packer.place(t);
-                // Index proofs: the packer places every tile of the grid
-                // once (t < num_tiles) at a slot of the packed order
-                // (slot < num_tiles).
-                *slot_of_tile
-                    .get_mut(t as usize)
-                    .expect("the packer places in-grid tiles") = slot as u32;
-                *slot_offset
-                    .get_mut(slot)
-                    .expect("packed slots stay below num_tiles") = elems as usize;
-            });
-        let layout = packer.finish();
-        let mut acc = 0usize;
-        for offset in &mut slot_offset {
-            let elems = *offset;
-            *offset = acc;
-            acc += elems;
+        let layout = GroupLayout::new(schedule, partition);
+        // Group regions: consecutive slot runs, so consecutive element
+        // ranges. Each group's element count first, then its offset.
+        let mut group_regions = vec![(0usize, 0usize); layout.num_groups()];
+        for (elems, &g) in grid.tile_elems_in_order().zip(&layout.group_of_tile) {
+            // Index proof: group_of_tile values come from the partition's
+            // groups (< num_groups).
+            group_regions
+                .get_mut(g as usize)
+                .expect("group ids are < num_groups")
+                .1 += elems as usize;
         }
-        // Group regions: consecutive slot runs.
-        let mut group_regions = Vec::with_capacity(layout.num_groups());
-        let mut slot = 0usize;
-        for &tiles in &layout.group_tile_counts {
-            // Index proofs: slot walks the prefix sums of
-            // group_tile_counts, which total num_tiles, so slot <
-            // num_tiles here and end_slot <= num_tiles (the == case is
-            // handled without indexing).
-            let start = slot_offset.get(slot).copied().unwrap_or(acc);
-            let end_slot = slot + tiles as usize;
-            let end = slot_offset.get(end_slot).copied().unwrap_or(acc);
-            group_regions.push((start, end - start));
-            slot = end_slot;
+        let mut acc = 0usize;
+        for (start, elems) in &mut group_regions {
+            *start = acc;
+            acc += *elems;
         }
         TileMapping {
             layout,
-            slot_of_tile,
-            slot_offset,
             group_regions,
             total_elems: acc,
             grid,
+            slots: OnceCell::new(),
         }
     }
 
     /// The tile grid the mapping is built for.
     pub fn grid(&self) -> &TileGrid {
         &self.grid
+    }
+
+    /// The slot tables, built on first use and kept for the mapping's
+    /// lifetime.
+    pub fn slots(&self) -> &TileSlots {
+        self.slots
+            .get_or_init(|| TileSlots::build(&self.grid, &self.layout))
+    }
+
+    /// Whether [`TileMapping::slots`] has built the slot tables yet.
+    pub(crate) fn slots_built(&self) -> bool {
+        self.slots.get().is_some()
+    }
+
+    /// Calls `f` with the slot tables: the kept ones once built, else a
+    /// transient copy that is dropped afterwards, so a caller that reads
+    /// them once (the static verifier) leaves the mapping without them.
+    pub(crate) fn with_slots<R>(&self, f: impl FnOnce(&TileSlots) -> R) -> R {
+        match self.slots.get() {
+            Some(slots) => f(slots),
+            None => f(&TileSlots::build(&self.grid, &self.layout)),
+        }
+    }
+
+    /// [`TileMapping::with_slots`] for a caller that reads only the slot
+    /// offsets.
+    pub(crate) fn with_slot_offsets<R>(&self, f: impl FnOnce(&[usize]) -> R) -> R {
+        match self.slots.get() {
+            Some(slots) => f(&slots.slot_offset),
+            None => f(&slot_offsets(&self.grid, &self.layout)),
+        }
     }
 
     /// Element offset of tile `t`'s block in the packed buffer.
@@ -103,11 +154,12 @@ impl TileMapping {
     pub fn tile_base(&self, t: u32) -> usize {
         // Index proof: slot_of_tile values are enumeration indices of
         // reorder_order, hence < num_tiles == slot_offset.len().
-        let slot = *self
+        let slots = self.slots();
+        let slot = *slots
             .slot_of_tile
             .get(t as usize)
             .expect("tile out of range");
-        *self
+        *slots
             .slot_offset
             .get(slot as usize)
             .expect("slots enumerate the packed order")
@@ -219,10 +271,10 @@ mod tests {
     #[test]
     fn slots_are_a_permutation_and_offsets_monotone() {
         let m = build(64, 128, 16, 2, 3, vec![]);
-        let mut slots = m.slot_of_tile.clone();
+        let mut slots = m.slots().slot_of_tile.clone();
         slots.sort_unstable();
         assert_eq!(slots, (0..m.grid().num_tiles()).collect::<Vec<_>>());
-        for pair in m.slot_offset.windows(2) {
+        for pair in m.slots().slot_offset.windows(2) {
             assert!(pair[0] < pair[1]);
         }
         assert_eq!(m.total_elems, 64 * 128);

@@ -94,11 +94,18 @@ impl TokenMapping {
         // completes; waves execute in order, so that is the max wave over
         // the band's tiles.
         let tile_m = grid.tile().m;
+        let wave_of_tile = schedule.wave_of_tile();
         let group_of_row: Vec<u32> = (0..grid.m())
             .map(|r| {
                 let band = r / tile_m;
                 let band_wave = (0..grid.tiles_n())
-                    .map(|col| schedule.wave_of(grid.tile_at(band, col)))
+                    .map(|col| {
+                        // Index proof: tile_at returns an in-grid tile,
+                        // and the table covers every tile of the grid.
+                        *wave_of_tile
+                            .get(grid.tile_at(band, col) as usize)
+                            .expect("tile_at returns an in-grid tile")
+                    })
                     .max()
                     .expect("grid has at least one column");
                 partition.group_of_wave(band_wave) as u32
@@ -385,10 +392,11 @@ mod tests {
         let partition = WavePartition::per_wave(schedule.num_waves());
         let routing = vec![vec![0usize; 32], vec![0usize; 32]];
         let tm = TokenMapping::build(grid, &schedule, &partition, &routing).unwrap();
+        let wave_of = schedule.wave_of_tile();
         for row in 0..32u32 {
             let band = row / 16;
             let max_wave = (0..4)
-                .map(|col| schedule.wave_of(grid.tile_at(band, col)))
+                .map(|col| wave_of[grid.tile_at(band, col) as usize])
                 .max()
                 .unwrap();
             assert_eq!(tm.group_of_row[row as usize], max_wave);

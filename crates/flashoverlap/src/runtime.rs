@@ -183,6 +183,9 @@ pub struct OverlapPlan {
     /// The predictor's per-group completions (serve drift), computed on
     /// first use.
     predicted_completions: OnceCell<Vec<SimDuration>>,
+    /// The fused remap's gather per rank, built on the first functional
+    /// launch or output extraction (see [`OverlapPlan::epilogue_gather`]).
+    gathers: OnceCell<Vec<Gather>>,
 }
 
 impl std::fmt::Debug for OverlapPlan {
@@ -363,6 +366,7 @@ impl OverlapPlan {
             comm,
             predictor: predictor.map_or_else(OnceCell::new, OnceCell::from),
             predicted_completions: OnceCell::new(),
+            gathers: OnceCell::new(),
         })
     }
 
@@ -681,18 +685,42 @@ impl OverlapPlan {
     }
 
     /// The gather pattern of the fused remap for rank `d` (functional
-    /// mode only — timing mode needs just the granularity).
+    /// mode only — timing mode needs just the granularity). Built for
+    /// every rank on first use and kept for the plan's lifetime: tile and
+    /// AllGather packing is the same on every rank, so their ranks share
+    /// one map.
     fn epilogue_gather(&self, d: usize) -> Gather {
-        match &self.mapping {
-            PlanMapping::Tile(m) => Gather::Elements(Rc::new(m.element_gather())),
-            PlanMapping::Subtile(m) => Gather::Elements(Rc::new(m.recv_gather(d))),
-            PlanMapping::Token(m) => Gather::Rows(Rc::new(
-                m.recv_row_gather.get(d).cloned().unwrap_or_default(),
-            )),
-            PlanMapping::Gather(m) => {
-                Gather::Elements(Rc::new(m.all_gather_gather(self.system.n_gpus)))
+        let gathers = self.gathers.get_or_init(|| {
+            let n = self.system.n_gpus;
+            match &self.mapping {
+                PlanMapping::Tile(m) => vec![Gather::Elements(Rc::new(m.element_gather())); n],
+                PlanMapping::Gather(m) => {
+                    vec![Gather::Elements(Rc::new(m.all_gather_gather(n))); n]
+                }
+                PlanMapping::Subtile(m) => (0..n)
+                    .map(|d| Gather::Elements(Rc::new(m.recv_gather(d))))
+                    .collect(),
+                PlanMapping::Token(m) => (0..n)
+                    .map(|d| {
+                        Gather::Rows(Rc::new(
+                            m.recv_row_gather.get(d).cloned().unwrap_or_default(),
+                        ))
+                    })
+                    .collect(),
             }
-        }
+        });
+        gathers.get(d).cloned().unwrap_or(Gather::None)
+    }
+
+    /// Whether the plan holds any table only functional or
+    /// access-monitored launches read: the tile slot tables or the
+    /// remap's gather maps. A plan that is only timed never builds them.
+    pub fn holds_functional_tables(&self) -> bool {
+        let slots = match &self.mapping {
+            PlanMapping::Tile(m) | PlanMapping::Gather(m) => m.slots_built(),
+            PlanMapping::Subtile(_) | PlanMapping::Token(_) => false,
+        };
+        slots || self.gathers.get().is_some()
     }
 
     pub(crate) fn writer_for(&self, rank: usize) -> Rc<dyn EpilogueWriter> {
@@ -1705,5 +1733,54 @@ mod tests {
             plan.execute_with(&SequenceOptions::new().functional(&bad)),
             Err(FlashOverlapError::BadInputs { .. })
         ));
+    }
+
+    /// The gather map rank `d` remaps with, by identity.
+    fn gather_ptr(plan: &OverlapPlan, d: usize) -> *const Vec<u32> {
+        match plan.epilogue_gather(d) {
+            Gather::Elements(map) | Gather::Rows(map) => Rc::as_ptr(&map),
+            Gather::None => std::ptr::null(),
+        }
+    }
+
+    #[test]
+    fn timed_plans_hold_no_functional_tables_and_functional_runs_build_them_once() {
+        let dims = GemmDims::new(256, 256, 64);
+        let system = small_system(2);
+        let waves = system.planned_waves(dims);
+        let inputs = FunctionalInputs::random(dims, 2, 9);
+        for pattern in [
+            CommPattern::AllReduce,
+            CommPattern::ReduceScatter,
+            CommPattern::AllGather,
+        ] {
+            let plan = || {
+                let partition = WavePartition::per_wave(waves);
+                OverlapPlan::new(dims, pattern.clone(), system.clone(), partition).unwrap()
+            };
+            let (timed, fresh) = (plan(), plan());
+            timed.check_static().unwrap();
+            exec(&timed);
+            assert!(!timed.holds_functional_tables(), "{pattern:?}");
+
+            let (_, first) = exec_functional(&timed, &inputs);
+            assert!(timed.holds_functional_tables(), "{pattern:?}");
+            let maps = [gather_ptr(&timed, 0), gather_ptr(&timed, 1)];
+            let (_, second) = exec_functional(&timed, &inputs);
+            assert_eq!(maps, [gather_ptr(&timed, 0), gather_ptr(&timed, 1)]);
+            // Tile and AllGather packing is the same on every rank.
+            let shared = !matches!(pattern, CommPattern::ReduceScatter);
+            assert_eq!(maps[0] == maps[1], shared, "{pattern:?}");
+
+            let (_, expected) = exec_functional(&fresh, &inputs);
+            for outputs in [&first, &second] {
+                assert_eq!(outputs.len(), expected.len());
+                for (out, want) in outputs.iter().zip(&expected) {
+                    let bits =
+                        |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(out), bits(want), "{pattern:?}");
+                }
+            }
+        }
     }
 }

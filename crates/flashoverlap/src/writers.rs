@@ -48,24 +48,28 @@ impl EpilogueWriter for PackedTileWriter {
 
     fn footprints(&self, grid: &TileGrid, tiles: &[u32], sink: &mut dyn FootprintSink) {
         // A tile fills its packed slot: from its offset to the next
-        // slot's.
+        // slot's. The static verifier is the only caller, so a mapping
+        // without slot tables lends a transient copy rather than keeping
+        // them.
         let m = &*self.mapping;
         debug_assert_eq!(grid, m.grid());
         if tiles == m.layout.reorder_order.as_slice() {
             // The whole packed order: slot `i` is `tiles[i]`'s.
-            sink.slots(tiles, &m.slot_offset, m.total_elems);
+            m.with_slot_offsets(|offsets| sink.slots(tiles, offsets, m.total_elems));
             return;
         }
-        for &t in tiles {
-            let slot = m.slot_of_tile[t as usize] as usize;
-            let end = m
-                .slot_offset
-                .get(slot + 1)
-                .copied()
-                .unwrap_or(m.total_elems);
-            sink.span(m.slot_offset[slot]..end);
-            sink.end_tile(t);
-        }
+        m.with_slots(|slots| {
+            for &t in tiles {
+                let slot = slots.slot_of_tile[t as usize] as usize;
+                let end = slots
+                    .slot_offset
+                    .get(slot + 1)
+                    .copied()
+                    .unwrap_or(m.total_elems);
+                sink.span(slots.slot_offset[slot]..end);
+                sink.end_tile(t);
+            }
+        });
     }
 }
 

@@ -16,12 +16,12 @@ use std::rc::Rc;
 
 /// The planned assignment of tiles to waves: the issue order, cut into
 /// chunks of the wave width. Waves are slices of the shared order, not
-/// copies of it.
+/// copies of it, and the tile→wave table is built only for the callers
+/// that need it ([`WaveSchedule::wave_of_tile`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WaveSchedule {
     issue: Rc<[u32]>,
     width: usize,
-    wave_of_tile: Vec<u32>,
 }
 
 impl WaveSchedule {
@@ -47,21 +47,16 @@ impl WaveSchedule {
         assert!(concurrency > 0, "concurrency must be positive");
         assert!(!issue_order.is_empty(), "empty issue order");
         let width = (concurrency as usize).min(issue_order.len());
-        let mut wave_of_tile = vec![0u32; issue_order.len()];
-        for (w, chunk) in issue_order.chunks(width).enumerate() {
-            for &t in chunk {
-                // In bounds for permutations (t < len); a malformed
-                // order is a caller bug surfaced here.
-                let slot = wave_of_tile
-                    .get_mut(t as usize)
-                    .expect("issue order names a tile outside 0..len");
-                *slot = w as u32;
-            }
-        }
+        // A malformed order is a caller bug surfaced here.
+        assert!(
+            issue_order
+                .iter()
+                .all(|&t| (t as usize) < issue_order.len()),
+            "issue order names a tile outside 0..len"
+        );
         WaveSchedule {
             issue: issue_order,
             width,
-            wave_of_tile,
         }
     }
 
@@ -89,21 +84,25 @@ impl WaveSchedule {
         self.issue.chunks(self.width)
     }
 
-    /// The wave that tile `t` (address-order index) belongs to.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is out of range.
-    pub fn wave_of(&self, t: u32) -> u32 {
-        self.wave_of_tile
-            .get(t as usize)
-            .copied()
-            .expect("tile out of range")
+    /// The wave of every tile, by address-order index: a table built
+    /// per call, for callers that look up many tiles while they build
+    /// their own tables.
+    pub fn wave_of_tile(&self) -> Vec<u32> {
+        let mut wave_of_tile = vec![0u32; self.issue.len()];
+        for (w, wave) in (0u32..).zip(self.waves()) {
+            for &t in wave {
+                // In bounds: `over` checked every tile is < len.
+                if let Some(slot) = wave_of_tile.get_mut(t as usize) {
+                    *slot = w;
+                }
+            }
+        }
+        wave_of_tile
     }
 
     /// Total number of tiles.
     pub fn num_tiles(&self) -> u32 {
-        self.wave_of_tile.len() as u32
+        self.issue.len() as u32
     }
 
     /// Full-wave width (tiles per non-tail wave).
@@ -152,9 +151,10 @@ mod tests {
         let grid = TileGrid::new(256, 512, TileShape::new(64, 64));
         let order = Swizzle::Strip { width: 2 }.issue_order(&grid);
         let ws = WaveSchedule::new(&order, 7);
+        let wave_of = ws.wave_of_tile();
         for w in 0..ws.num_waves() {
             for &t in ws.wave(w) {
-                assert_eq!(ws.wave_of(t), w);
+                assert_eq!(wave_of[t as usize], w);
             }
         }
     }

@@ -25,8 +25,8 @@ proptest! {
         }
     }
 
-    /// Wave schedules partition the issue order exactly, and wave_of is
-    /// consistent with membership.
+    /// Wave schedules partition the issue order exactly, and wave_of_tile
+    /// is consistent with membership.
     #[test]
     fn wave_schedule_partitions(tiles in 1u32..2000, conc in 1u32..256) {
         let order: Vec<u32> = (0..tiles).collect();
@@ -34,9 +34,10 @@ proptest! {
         let total: usize = ws.waves().map(<[u32]>::len).sum();
         prop_assert_eq!(total as u32, tiles);
         prop_assert_eq!(ws.num_waves(), tiles.div_ceil(conc));
+        let wave_of = ws.wave_of_tile();
         for w in 0..ws.num_waves() {
             for &t in ws.wave(w) {
-                prop_assert_eq!(ws.wave_of(t), w);
+                prop_assert_eq!(wave_of[t as usize], w);
             }
         }
         // All non-tail waves are full.

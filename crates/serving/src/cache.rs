@@ -13,10 +13,15 @@
 //! clock), and ticks are unique, so eviction order is deterministic
 //! regardless of `HashMap` iteration order.
 //!
-//! Each serve replica has its own cache. Tuning is a pure function of the
-//! key, so a replica's miss first adopts the plan a sibling replica's
-//! cache tuned for the same key, and tunes only when no sibling holds one.
-//! The counters stay per replica: an adopted plan is still a miss here.
+//! Each serve replica has its own cache, and the run owns one
+//! `PlanStore` behind them. Tuning is a pure function of the key, so a
+//! replica's miss takes the store's plan for the key and tunes only when
+//! the store has none: a run tunes each shape once, and the store holds
+//! at most one plan per distinct (model × token bucket) shape the run
+//! forms. The counters stay per replica: a plan from the store is still a
+//! miss here.
+
+#![warn(clippy::indexing_slicing)]
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -81,12 +86,12 @@ pub struct CacheStats {
     /// Lookups served from the cache.
     pub hits: u64,
     /// Lookups that missed this cache; each plan was tuned here or
-    /// adopted from a sibling replica's cache.
+    /// taken from the run's plan store.
     pub misses: u64,
     /// Plans evicted to stay within capacity.
     pub evictions: u64,
     /// Partitions predictive search evaluated for this cache's misses,
-    /// tuned here or adopted from a sibling (which adds the count its own
+    /// tuned here or taken from the store (which adds the count its own
     /// tuning would have): the online tuning work the cache amortizes.
     pub tune_evaluated: u64,
     /// Plans seeded from a persisted snapshot before the run.
@@ -123,10 +128,6 @@ impl CacheStats {
 struct Entry {
     plan: Rc<OverlapPlan>,
     last_used: u64,
-    /// Partitions the search evaluated to build `plan` on a miss (0 for
-    /// an untuned plan). `None` for a preloaded plan, which a sibling must
-    /// not adopt: its snapshot partition need not be the one a miss tunes.
-    tune_evaluated: Option<u64>,
 }
 
 /// Bounded LRU cache of tuned [`OverlapPlan`]s. A clone shares the
@@ -142,8 +143,6 @@ pub struct PlanCache {
     /// (single group) instead of tuning — the serve-vs-baseline
     /// comparison runs the identical loop with only this bit flipped.
     tuned: bool,
-    /// Plans this cache tuned (or built untuned) itself on a miss.
-    tunes: u64,
 }
 
 impl std::fmt::Debug for PlanCache {
@@ -154,7 +153,6 @@ impl std::fmt::Debug for PlanCache {
             .field("tick", &self.tick)
             .field("stats", &self.stats)
             .field("tuned", &self.tuned)
-            .field("tunes", &self.tunes)
             .finish()
     }
 }
@@ -168,7 +166,6 @@ impl PlanCache {
             tick: 0,
             stats: CacheStats::default(),
             tuned: true,
-            tunes: 0,
         }
     }
 
@@ -184,11 +181,6 @@ impl PlanCache {
     /// Counters so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Plans this cache tuned (or built untuned) itself, not adopted.
-    pub(crate) fn tunes(&self) -> u64 {
-        self.tunes
     }
 
     /// Plans currently resident.
@@ -215,25 +207,24 @@ impl PlanCache {
             primitive: pattern.primitive(),
             system_fp: system_fingerprint(system),
         };
-        self.get_or_adopt(key, pattern, system, [])
+        self.get_or_fetch(key, pattern, system, &mut PlanStore::new(false))
     }
 
     /// [`PlanCache::get_or_tune`] under a key the caller already built
     /// (callers whose system never changes fingerprint it once), except
-    /// that a miss first adopts the plan the first of `siblings` holding
-    /// one tuned for `key`, and tunes only when none does. The miss is
-    /// counted either way, and adds the adopted plan's search count to
-    /// `tune_evaluated`. Preloaded plans are never adopted.
+    /// that a miss takes `store`'s plan for `key` and tunes (into the
+    /// store) only when it has none. The miss is counted either way, and
+    /// adds the plan's search count to `tune_evaluated`.
     ///
     /// `key.primitive` must be `pattern.primitive()`, `key.system_fp`
-    /// must be [`system_fingerprint`]`(system)`, and `siblings` must be
-    /// tuned (or untuned) like this cache.
-    pub(crate) fn get_or_adopt<'s>(
+    /// must be [`system_fingerprint`]`(system)`, and every cache `store`
+    /// serves must be tuned (or untuned) like this one.
+    pub(crate) fn get_or_fetch(
         &mut self,
         key: PlanKey,
         pattern: &CommPattern,
         system: &SystemSpec,
-        siblings: impl IntoIterator<Item = &'s PlanCache>,
+        store: &mut PlanStore,
     ) -> Result<(Rc<OverlapPlan>, bool), FlashOverlapError> {
         debug_assert_eq!(key.primitive, pattern.primitive());
         self.tick += 1;
@@ -243,18 +234,8 @@ impl PlanCache {
             return Ok((Rc::clone(&entry.plan), true));
         }
         self.stats.misses += 1;
-        let adopted = siblings.into_iter().find_map(|s| {
-            let entry = s.entries.get(&key)?;
-            Some((Rc::clone(&entry.plan), entry.tune_evaluated?))
-        });
-        let (plan, evaluated) = match adopted {
-            Some(adopted) => adopted,
-            None => {
-                let (plan, evaluated) = self.build(key.dims, pattern, system)?;
-                self.tunes += 1;
-                (Rc::new(plan), evaluated)
-            }
-        };
+        let (plan, evaluated) =
+            store.get_or_build(key, || self.build(key.dims, pattern, system))?;
         self.stats.tune_evaluated += evaluated;
         if self.entries.len() >= self.capacity {
             self.evict_lru();
@@ -264,7 +245,6 @@ impl PlanCache {
             Entry {
                 plan: Rc::clone(&plan),
                 last_used: self.tick,
-                tune_evaluated: Some(evaluated),
             },
         );
         Ok((plan, false))
@@ -407,13 +387,89 @@ impl PlanCache {
                 Entry {
                     plan,
                     last_used: self.tick,
-                    tune_evaluated: None,
                 },
             );
             self.stats.preloaded += 1;
             loaded += 1;
         }
         Ok(loaded)
+    }
+}
+
+/// A serve run's tuned, statically checked plans, one per [`PlanKey`]
+/// the run tuned, behind every replica's [`PlanCache`].
+///
+/// The run owns the store and hands it to each lookup, so a replica's
+/// miss on a shape any replica tuned before gets that plan back instead
+/// of tuning again, however often the replicas' small caches evicted it.
+/// It holds at most one plan per distinct shape the run forms (model ×
+/// token bucket), and never a preloaded plan: a snapshot's partition need
+/// not be the one a miss tunes. A store that does not keep plans (the
+/// byte-identity tests' off switch, and a lone cache's lookups) tunes on
+/// every miss.
+pub(crate) struct PlanStore {
+    /// `None` when the store keeps nothing.
+    plans: Option<HashMap<PlanKey, StoredPlan>>,
+    /// Plans built: one per store miss.
+    tunes: u64,
+}
+
+struct StoredPlan {
+    plan: Rc<OverlapPlan>,
+    /// Partitions the search evaluated to build `plan` (0 untuned).
+    tune_evaluated: u64,
+}
+
+impl PlanStore {
+    /// An empty store that keeps what it builds when `keep` is set.
+    pub(crate) fn new(keep: bool) -> Self {
+        PlanStore {
+            plans: keep.then(HashMap::new),
+            tunes: 0,
+        }
+    }
+
+    /// The plan stored under `key` with its search count, else `build`'s
+    /// plan, stored when the store keeps plans.
+    fn get_or_build(
+        &mut self,
+        key: PlanKey,
+        build: impl FnOnce() -> Result<(OverlapPlan, u64), FlashOverlapError>,
+    ) -> Result<(Rc<OverlapPlan>, u64), FlashOverlapError> {
+        if let Some(stored) = self.plans.as_ref().and_then(|plans| plans.get(&key)) {
+            return Ok((Rc::clone(&stored.plan), stored.tune_evaluated));
+        }
+        let (plan, tune_evaluated) = build()?;
+        self.tunes += 1;
+        let plan = Rc::new(plan);
+        if let Some(plans) = &mut self.plans {
+            let stored = StoredPlan {
+                plan: Rc::clone(&plan),
+                tune_evaluated,
+            };
+            plans.insert(key, stored);
+        }
+        Ok((plan, tune_evaluated))
+    }
+
+    /// Plans built so far.
+    #[cfg_attr(
+        not(test),
+        expect(dead_code, reason = "only the store's tests read it")
+    )]
+    pub(crate) fn tunes(&self) -> u64 {
+        self.tunes
+    }
+
+    /// The stored plans, in no particular order.
+    #[cfg_attr(
+        not(test),
+        expect(dead_code, reason = "only the store's tests read it")
+    )]
+    pub(crate) fn plans(&self) -> impl Iterator<Item = &Rc<OverlapPlan>> {
+        self.plans
+            .iter()
+            .flat_map(|plans| plans.values().map(|s| &s.plan))
     }
 }
 
@@ -609,7 +665,7 @@ impl CacheSnapshot {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
+#[allow(clippy::unwrap_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
     use flashoverlap::predictive_search;
@@ -651,7 +707,12 @@ mod tests {
             system_fp: system_fingerprint(&sys),
         };
         let (b, hit) = cache
-            .get_or_adopt(key, &CommPattern::AllReduce, &sys, [])
+            .get_or_fetch(
+                key,
+                &CommPattern::AllReduce,
+                &sys,
+                &mut PlanStore::new(true),
+            )
             .unwrap();
         assert!(hit && Rc::ptr_eq(&a, &b));
     }
@@ -831,7 +892,7 @@ mod tests {
     }
 
     #[test]
-    fn a_miss_adopts_a_siblings_tuned_plan_but_never_its_preload() {
+    fn a_miss_takes_the_stores_plan_and_preloads_never_enter_it() {
         let sys = system();
         let fp = system_fingerprint(&sys);
         let dims = GemmDims::new(2048, 4096, 3584);
@@ -841,17 +902,19 @@ mod tests {
             system_fp: fp,
         };
         let pattern = CommPattern::AllReduce;
+        let mut store = PlanStore::new(true);
         let mut tuner = PlanCache::new(4);
-        let (tuned, _) = tuner.get_or_tune(dims, &pattern, &sys).unwrap();
+        let (tuned, _) = tuner.get_or_fetch(key, &pattern, &sys, &mut store).unwrap();
         let tuner_stats = tuner.stats();
-        let mut adopter = PlanCache::new(4);
-        let (adopted, hit) = adopter.get_or_adopt(key, &pattern, &sys, [&tuner]).unwrap();
-        assert!(!hit && Rc::ptr_eq(&tuned, &adopted));
-        assert_eq!(adopter.stats(), tuner_stats, "the same logical miss");
-        assert_eq!(tuner.stats(), tuner_stats, "the sibling is only read");
-        assert_eq!((tuner.tunes(), adopter.tunes()), (1, 0));
+        let mut taker = PlanCache::new(4);
+        let (taken, hit) = taker.get_or_fetch(key, &pattern, &sys, &mut store).unwrap();
+        assert!(!hit && Rc::ptr_eq(&tuned, &taken));
+        assert_eq!(taker.stats(), tuner_stats, "the same logical miss");
+        assert_eq!(store.tunes(), 1);
+        assert_eq!(store.plans().count(), 1);
 
-        // A preload of another partition is not what a miss tunes.
+        // A preload of another partition is not what a miss tunes, and
+        // it stays out of the store.
         let mut entries = tuner.export_entries(fp);
         entries[0].groups = match entries[0].groups.as_slice() {
             [a, b, rest @ ..] => [&[a + b], rest].concat(),
@@ -861,12 +924,40 @@ mod tests {
         entries[0].thresholds = None;
         let mut preloaded = PlanCache::new(4);
         assert_eq!(preloaded.preload(&sys, &entries).unwrap(), 1);
+        let mut fresh_store = PlanStore::new(true);
+        let (preload, hit) = preloaded
+            .get_or_fetch(key, &pattern, &sys, &mut fresh_store)
+            .unwrap();
+        assert!(hit && preload.partition != tuned.partition);
+        assert_eq!(fresh_store.plans().count(), 0);
         let mut fresh = PlanCache::new(4);
         let (plan, _) = fresh
-            .get_or_adopt(key, &pattern, &sys, [&preloaded])
+            .get_or_fetch(key, &pattern, &sys, &mut fresh_store)
             .unwrap();
         assert_eq!(plan.partition, tuned.partition);
-        assert_eq!(fresh.tunes(), 1);
+        assert_eq!(fresh_store.tunes(), 1);
+    }
+
+    #[test]
+    fn a_store_that_keeps_nothing_tunes_every_miss() {
+        let sys = system();
+        let dims = GemmDims::new(256, 2048, 704);
+        let key = PlanKey {
+            dims,
+            primitive: Primitive::AllReduce,
+            system_fp: system_fingerprint(&sys),
+        };
+        let mut store = PlanStore::new(false);
+        let plans: Vec<Rc<OverlapPlan>> = (0..2)
+            .map(|_| {
+                let mut cache = PlanCache::new(4);
+                let fetched = cache.get_or_fetch(key, &CommPattern::AllReduce, &sys, &mut store);
+                fetched.unwrap().0
+            })
+            .collect();
+        assert!(!Rc::ptr_eq(&plans[0], &plans[1]));
+        assert_eq!(plans[0].partition, plans[1].partition);
+        assert_eq!((store.tunes(), store.plans().count()), (2, 0));
     }
 
     #[test]

@@ -10,12 +10,12 @@
 //! [`flashoverlap::execute_sequence_in`]), the recycled telemetry buffers
 //! and the chain analyses' [`ChainIndex`]. The serve loop keeps one
 //! `Vec<Replica>` and runs each chain, on the calling thread, when it
-//! dispatches it ([`run_chain`]), so every chain's accounting lands in
-//! dispatch order.
+//! dispatches it ([`Replica::execute_chain`]), so every chain's
+//! accounting lands in dispatch order.
 //!
-//! A replica's plan-cache miss first adopts the plan a sibling replica
-//! tuned for the same key, so while some replica still holds a shape's
-//! plan, the run tunes that shape once.
+//! A replica's plan-cache miss takes the plan the run's [`PlanStore`]
+//! holds for the key, so the run tunes each shape once, whichever
+//! replica forms it and however often the replicas' caches evict it.
 
 #![warn(clippy::indexing_slicing)]
 
@@ -31,7 +31,7 @@ use telemetry::attribution::{Attribution, AttributionTotals, Category};
 use telemetry::{ChainIndex, Telemetry, TelemetryRecord};
 
 use crate::batch::Batch;
-use crate::cache::{system_fingerprint, CacheStats, PlanCache, PlanKey};
+use crate::cache::{system_fingerprint, CacheStats, PlanCache, PlanKey, PlanStore};
 use crate::report::{BatchRecord, Disposition, ReplicaStats, RequestRecord};
 use crate::server::{fault_seed, Accounting, ServeConfig};
 
@@ -116,13 +116,13 @@ struct ChainRun {
 /// its stored run instead of simulating again. Chaos chains draw fault
 /// plans per batch id and always execute; errors are never stored.
 ///
-/// Keys hold [`Weak`] plans: the memo never keeps an evicted plan alive,
+/// Keys hold [`Weak`] plans: the memo never keeps a plan alive itself,
 /// and a live `Weak` pins its allocation, so a pointer match is the same
 /// plan — never a re-tuned replacement under the same [`PlanKey`].
-/// Entries whose plans died are dropped. A plan adopted from a sibling
-/// replica has one identity across the replicas that hold it: a sibling
-/// may keep it alive after this replica evicts it, and a later miss here
-/// may adopt it again. A match is then still the same plan, so a replay
+/// Entries whose plans died are dropped. A plan from the run's
+/// [`PlanStore`] has one identity across the replicas and the run: the
+/// store keeps it alive after this replica evicts it, and a later miss
+/// here gets it back. A match is then still the same plan, so a replay
 /// is still exact. Bounded by the plan-cache capacity, least recently
 /// used out first (unique ticks).
 ///
@@ -254,35 +254,6 @@ pub(crate) fn build_replicas(
         .collect())
 }
 
-/// Runs `chain` on replica `idx` from `start_ns`, accounts it into `acct`
-/// and sets the replica's `free_ns` to when it drains. Returns whether any
-/// batch in the chain came back degraded (the caller's quarantine signal;
-/// only possible under chaos).
-///
-/// With `adopt` set, a plan-cache miss first takes the plan one of the
-/// other replicas' caches tuned for the same key (the lowest replica id
-/// holding one wins), and tunes only when none does. Adoption never
-/// changes the report: tuning is a pure function of the key, so an
-/// adopted plan equals the one the miss would have tuned, and the miss is
-/// counted exactly as before (see [`PlanCache`]).
-pub(crate) fn run_chain(
-    replicas: &mut [Replica],
-    idx: usize,
-    config: &ServeConfig,
-    adopt: bool,
-    start_ns: u64,
-    chain: &[PendingBatch],
-    acct: &mut Accounting,
-) -> Result<bool, FlashOverlapError> {
-    let Some((before, [replica, after @ ..])) = replicas.split_at_mut_checked(idx) else {
-        return Err(FlashOverlapError::BadInputs {
-            reason: format!("no replica {idx}"),
-        });
-    };
-    let siblings: [&[Replica]; 2] = if adopt { [before, after] } else { [&[], &[]] };
-    replica.execute_chain(config, start_ns, chain, siblings, acct)
-}
-
 impl Replica {
     /// Padded tokens waiting in the dispatch queue.
     pub(crate) fn queued_tokens(&self) -> u64 {
@@ -297,15 +268,23 @@ impl Replica {
         self.memo.hits
     }
 
-    /// Executes one chain of batches starting at `start_ns`: resolves its
-    /// plans (adopting misses from `siblings`' caches), takes its
-    /// [`ChainRun`] from the memo or simulates it, and accounts it.
-    fn execute_chain(
+    /// Runs `chain` from `start_ns`, accounts it into `acct` and sets
+    /// `free_ns` to when it drains: resolves the chain's plans (a miss
+    /// takes `store`'s plan, tuning into it only when it has none), takes
+    /// its [`ChainRun`] from the memo or simulates it, and accounts it.
+    /// Returns whether any batch in the chain came back degraded (the
+    /// caller's quarantine signal; only possible under chaos).
+    ///
+    /// The store never changes the report: tuning is a pure function of
+    /// the key, so a stored plan equals the one the miss would have
+    /// tuned, and the miss is counted exactly as before (see
+    /// [`PlanCache`]).
+    pub(crate) fn execute_chain(
         &mut self,
         config: &ServeConfig,
+        store: &mut PlanStore,
         start_ns: u64,
         chain: &[PendingBatch],
-        siblings: [&[Replica]; 2],
         acct: &mut Accounting,
     ) -> Result<bool, FlashOverlapError> {
         // Split the borrow: the cache and memo are mutated while the
@@ -334,8 +313,7 @@ impl Replica {
                 primitive: pattern.primitive(),
                 system_fp: *system_fp,
             };
-            let siblings = siblings.iter().flat_map(|s| s.iter()).map(|r| &r.cache);
-            plans.push(cache.get_or_adopt(key, &pattern, &config.system, siblings)?);
+            plans.push(cache.get_or_fetch(key, &pattern, &config.system, store)?);
         }
         let mut simulate =
             || simulate_chain(config, replica_idx, chain, &plans, scratch, index, world);
@@ -680,13 +658,21 @@ mod tests {
         }
     }
 
+    /// The memo holds its plans only weakly, and the store holds every
+    /// plan the run tuned: a shape the cache evicted and misses again
+    /// gets the store's plan back, and its chain replays the memo's run,
+    /// byte-identical to a fresh simulation.
     #[test]
-    fn chain_memo_keeps_no_evicted_plan_alive() {
+    fn chain_memo_replays_the_stores_plan_for_a_re_missed_shape() {
         let mut config = ServeConfig::new(SystemSpec::rtx4090(2));
         config.cache_capacity = 1;
         let mut replicas = build_replicas(&config, true, true).expect("replica builds");
-        let mut acct = Accounting::new(0);
-        let mut held: Vec<Weak<OverlapPlan>> = Vec::new();
+        let mut fresh = build_replicas(&config, true, false).expect("replica builds");
+        // A memo that outlives the one-plan cache's evictions.
+        replicas[0].memo = ChainMemo::new(4);
+        let mut store = PlanStore::new(true);
+        let (mut acct, mut fresh_acct) = (Accounting::new(0), Accounting::new(0));
+        let mut first: Vec<(u32, Rc<OverlapPlan>)> = Vec::new();
         for (id, tokens) in [512u32, 1024, 512, 1024, 512].into_iter().enumerate() {
             let pending = PendingBatch {
                 batch: Batch {
@@ -700,41 +686,69 @@ mod tests {
                 close_ns: 0,
                 migration_ns: 0,
             };
-            run_chain(&mut replicas, 0, &config, true, 0, &[pending], &mut acct)
+            let chain = std::slice::from_ref(&pending);
+            replicas[0]
+                .execute_chain(&config, &mut store, 0, chain, &mut acct)
                 .expect("chain runs");
-            let memo = &replicas[0].memo;
-            assert!(memo.entries.len() <= 1, "memo exceeds capacity");
-            held.extend(memo.entries.iter().flat_map(|e| e.plans.clone()));
+            fresh[0]
+                .execute_chain(
+                    &config,
+                    &mut PlanStore::new(false),
+                    0,
+                    chain,
+                    &mut fresh_acct,
+                )
+                .expect("chain runs");
+            let dims = pending.batch.gemm_dims(2);
+            let plan = store
+                .plans()
+                .find(|p| p.dims == dims)
+                .expect("the store holds every tuned plan");
+            match first.iter().find(|(t, _)| *t == tokens) {
+                Some((_, earlier)) => assert!(Rc::ptr_eq(earlier, plan), "a re-miss re-tuned"),
+                None => first.push((tokens, Rc::clone(plan))),
+            }
         }
-        let (last, evicted) = held.split_last().expect("plans held");
-        assert_eq!(last.strong_count(), 1, "only the cache holds the live plan");
-        assert!(
-            evicted.iter().all(|w| w.upgrade().is_none()),
-            "an evicted plan is still alive"
-        );
         assert_eq!(replicas[0].cache.stats().evictions, 4);
-        assert_eq!(replicas[0].memo.hits, 0, "every re-tuned plan is a new key");
+        assert_eq!((store.tunes(), replicas[0].memo.hits), (2, 3));
+        assert_eq!(acct.batch_records, fresh_acct.batch_records);
+        assert_eq!(replicas[0].chain_log, fresh[0].chain_log);
+
+        // Only the cache, the store and this test hold the plans strongly.
+        let held: Vec<Weak<OverlapPlan>> = replicas[0]
+            .memo
+            .entries
+            .iter()
+            .flat_map(|e| e.plans.clone())
+            .collect();
+        assert_eq!(held.len(), 2);
+        drop((first, store));
+        replicas[0].cache = PlanCache::new(1);
+        assert!(
+            held.iter().all(|w| w.upgrade().is_none()),
+            "the memo kept a plan alive"
+        );
     }
 
-    /// Serves `config` with and without sibling plan adoption, asserts the
-    /// rendered reports and plan snapshots are byte-equal, and returns
-    /// the run with adoption. Without it, every miss tunes.
-    fn adopting_without_changing_the_report(config: &ServeConfig, tuned: bool) -> ServeRun {
+    /// Serves `config` with the plan store keeping its plans and without,
+    /// asserts the rendered reports and plan snapshots are byte-equal, and
+    /// returns the run with the store. Without it, every miss tunes.
+    fn storing_without_changing_the_report(config: &ServeConfig, tuned: bool) -> ServeRun {
         let opts = RunOptions::new(tuned, true);
-        let with = serve_run(config, opts).expect("serves with adoption");
+        let with = serve_run(config, opts).expect("serves with the store");
         let without = serve_run(
             config,
             RunOptions {
-                adopt: false,
+                store: false,
                 ..opts
             },
         )
-        .expect("serves without adoption");
-        assert_eq!(without.tunes, without.report.cache.misses);
+        .expect("serves without the store");
+        assert_eq!(without.store.tunes(), without.report.cache.misses);
         assert_eq!(
             with.report.to_json().to_json_pretty(),
             without.report.to_json().to_json_pretty(),
-            "sibling adoption changed the report"
+            "the plan store changed the report"
         );
         assert_eq!(with.snapshot, without.snapshot);
         with
@@ -744,10 +758,10 @@ mod tests {
     fn four_replicas_tune_each_shape_once() {
         let mut config = affinity_config();
         config.router = RouterPolicy::LeastLoaded;
-        let run = adopting_without_changing_the_report(&config, true);
+        let run = storing_without_changing_the_report(&config, true);
         let report = &run.report;
         assert_eq!(report.cache.evictions, 0);
-        assert_eq!(run.tunes, report.distinct_shapes);
+        assert_eq!(run.store.tunes(), report.distinct_shapes);
         assert!(
             report.cache.misses > report.distinct_shapes,
             "replicas must miss on each other's shapes: {:?}",
@@ -755,34 +769,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn sibling_adoption_never_changes_the_report() {
-        for router in [
-            RouterPolicy::RoundRobin,
-            RouterPolicy::LeastLoaded,
-            RouterPolicy::ShapeAffinity,
-        ] {
-            let config = ServeConfig {
-                router,
-                ..affinity_config()
-            };
-            adopting_without_changing_the_report(&config, true);
-        }
-        adopting_without_changing_the_report(&two_node_config(), true);
-        // The untuned baseline cache.
-        adopting_without_changing_the_report(&affinity_config(), false);
-
-        // Chaos, with replica 2 wedged and its queue re-routed.
-        let mut chaos = affinity_config();
-        chaos.chaos = true;
-        chaos.wedge_replica = Some(2);
-        chaos.process = ArrivalProcess::Poisson { rate_rps: 12_000.0 };
-        chaos.requests = 200;
-        let run = adopting_without_changing_the_report(&chaos, true);
-        assert!(run.report.replicas_quarantined > 0);
-
-        // Churn: three models, a fine token bucket and small caches, so
-        // plans are evicted while siblings still hold them.
+    /// Three models, a fine token bucket and small caches, so plans are
+    /// evicted and missed again.
+    fn small_churn_config() -> ServeConfig {
         let mut churn = affinity_config();
         churn.router = RouterPolicy::RoundRobin;
         churn.requests = 300;
@@ -805,20 +794,48 @@ mod tests {
                 max_tokens: 2048,
             },
         ]);
-        let run = adopting_without_changing_the_report(&churn, true);
-        assert!(run.report.cache.evictions > 0, "{:?}", run.report.cache);
-        assert!(
-            run.tunes < run.report.cache.misses,
-            "{:?}",
-            run.report.cache
-        );
+        churn
     }
 
-    /// Preloaded plans are shared by every replica but never adopted: a
-    /// replica that evicted one re-tunes its key, while a sibling may
-    /// still hold the preload under it.
     #[test]
-    fn preloads_are_built_once_and_never_adopted() {
+    fn the_plan_store_never_changes_the_report() {
+        for router in [
+            RouterPolicy::RoundRobin,
+            RouterPolicy::LeastLoaded,
+            RouterPolicy::ShapeAffinity,
+        ] {
+            let config = ServeConfig {
+                router,
+                ..affinity_config()
+            };
+            storing_without_changing_the_report(&config, true);
+        }
+        // The fourth router, on two nodes.
+        storing_without_changing_the_report(&two_node_config(), true);
+        // The untuned baseline cache.
+        storing_without_changing_the_report(&affinity_config(), false);
+
+        // Chaos, with replica 2 wedged and its queue re-routed.
+        let mut chaos = affinity_config();
+        chaos.chaos = true;
+        chaos.wedge_replica = Some(2);
+        chaos.process = ArrivalProcess::Poisson { rate_rps: 12_000.0 };
+        chaos.requests = 200;
+        let run = storing_without_changing_the_report(&chaos, true);
+        assert!(run.report.replicas_quarantined > 0);
+
+        let run = storing_without_changing_the_report(&small_churn_config(), true);
+        let cache = run.report.cache;
+        assert!(cache.evictions > 0, "{cache:?}");
+        assert_eq!(run.store.tunes(), run.report.distinct_shapes, "{cache:?}");
+        assert!(run.store.tunes() < cache.misses, "{cache:?}");
+    }
+
+    /// Preloaded plans are shared by every replica but never stored: a
+    /// replica that evicted one tunes its key, while a sibling may still
+    /// hold the preload under it.
+    #[test]
+    fn preloads_are_built_once_and_never_stored() {
         let mut config = affinity_config();
         config.router = RouterPolicy::RoundRobin;
         let snapshot = serve_run(&config, RunOptions::new(true, true))
@@ -826,9 +843,10 @@ mod tests {
             .snapshot;
         let mut warm = config.clone();
         warm.preload = Some(snapshot);
-        let run = adopting_without_changing_the_report(&warm, true);
+        let run = storing_without_changing_the_report(&warm, true);
         let cache = run.report.cache;
         assert_eq!(cache.misses, 0, "{cache:?}");
+        assert_eq!(run.store.plans().count(), 0);
         let per_replica = run.snapshot.entries.len().min(warm.cache_capacity);
         assert_eq!(cache.preloaded, 4 * per_replica as u64);
 
@@ -840,8 +858,71 @@ mod tests {
             system_fp: system_fingerprint(&trap.system),
             entries: other_partitions(&config),
         });
-        let run = adopting_without_changing_the_report(&trap, true);
+        let run = storing_without_changing_the_report(&trap, true);
         let cache = run.report.cache;
         assert!(cache.preloaded > 0 && cache.evictions > 0, "{cache:?}");
+        assert_eq!(run.store.tunes(), run.store.plans().count() as u64);
+    }
+
+    /// The churn benchmark's serve call: four replicas of a 4-GPU system,
+    /// three models over wide token ranges in 16-token buckets, 8-plan
+    /// caches and round-robin routing.
+    fn churn_config(requests: usize) -> ServeConfig {
+        let mut config = ServeConfig::new(SystemSpec::rtx4090(4));
+        config.replicas = 4;
+        config.requests = requests;
+        config.seed = 3;
+        config.mix = ServeMix::new(vec![
+            MixEntry {
+                model: models::LLAMA3_8B,
+                weight: 2,
+                min_tokens: 64,
+                max_tokens: 4096,
+            },
+            MixEntry {
+                model: models::LLAMA2_70B,
+                weight: 1,
+                min_tokens: 64,
+                max_tokens: 2048,
+            },
+            MixEntry {
+                model: models::DEEPSEEK_MOE_EXPERT,
+                weight: 1,
+                min_tokens: 16,
+                max_tokens: 1024,
+            },
+        ]);
+        config.process = ArrivalProcess::Poisson { rate_rps: 500.0 };
+        config.batch = BatchConfig {
+            token_bucket: 16,
+            ..BatchConfig::default()
+        };
+        config.cache_capacity = 8;
+        config.router = RouterPolicy::RoundRobin;
+        config
+    }
+
+    #[test]
+    fn churn_tunes_each_shape_once_and_keeps_no_functional_table() {
+        for requests in [1500, 4000] {
+            let run =
+                serve_run(&churn_config(requests), RunOptions::new(true, false)).expect("serves");
+            let report = &run.report;
+            assert_eq!(
+                run.store.tunes(),
+                report.distinct_shapes,
+                "{requests} requests"
+            );
+            assert!(
+                report.cache.misses > report.distinct_shapes,
+                "{:?}",
+                report.cache
+            );
+            assert_eq!(run.store.plans().count() as u64, report.distinct_shapes);
+            assert!(
+                run.store.plans().all(|p| !p.holds_functional_tables()),
+                "a timed plan built a slot table or gather map"
+            );
+        }
     }
 }

@@ -12,10 +12,10 @@
 //! - [`batch`] — continuous batching with a token budget, a max-wait
 //!   deadline, and token-bucket shape quantization;
 //! - [`cache`] — a bounded LRU of tuned [`OverlapPlan`]s keyed by
-//!   `(shape, primitive, system fingerprint)`, one per replica, running
-//!   the paper's predictive search (§4.1.4) online on each miss that no
-//!   sibling replica's cache can serve, with snapshot export/preload for
-//!   warm restarts;
+//!   `(shape, primitive, system fingerprint)`, one per replica, over one
+//!   run-wide store of tuned plans, running the paper's predictive search
+//!   (§4.1.4) online once per shape the run forms, with snapshot
+//!   export/preload for warm restarts;
 //! - [`router`] — batch routing across N independent replica groups
 //!   (round-robin, least-loaded, shape-affinity — which steers each
 //!   bucketed shape to a home replica to keep its plan cache hot — or

@@ -43,8 +43,10 @@ use telemetry::percentiles;
 use workloads::ServeMix;
 
 use crate::batch::{form_batch, BatchConfig};
-use crate::cache::{primitive_label, system_fingerprint, CacheSnapshot, CacheStats, PlanEntry};
-use crate::engine::{build_replicas, run_chain, PendingBatch, Replica};
+use crate::cache::{
+    primitive_label, system_fingerprint, CacheSnapshot, CacheStats, PlanEntry, PlanStore,
+};
+use crate::engine::{build_replicas, PendingBatch, Replica};
 use crate::report::{
     BatchRecord, ComparisonReport, Disposition, DriftRow, NodeStats, ReplicaStats, RequestRecord,
     ScalingReport, ServeReport,
@@ -481,13 +483,13 @@ pub(crate) struct ServeRun {
         expect(dead_code, reason = "only the chain-memo tests read it")
     )]
     pub(crate) memo_hits: u64,
-    /// Plans the replicas tuned themselves rather than adopting them from
-    /// a sibling replica.
+    /// The run's plan store: every plan the run tuned, unless the run
+    /// kept none.
     #[cfg_attr(
         not(test),
-        expect(dead_code, reason = "only the adoption tests read it")
+        expect(dead_code, reason = "only the plan-store tests read it")
     )]
-    pub(crate) tunes: u64,
+    pub(crate) store: PlanStore,
 }
 
 /// How one run of the serve loop is set up.
@@ -500,19 +502,20 @@ pub(crate) struct RunOptions {
     /// The replicas' chain memos. Never changes the report; only the
     /// memo's tests turn it off.
     pub(crate) memo: bool,
-    /// Plan-cache misses adopt sibling replicas' plans. Never changes the
-    /// report; only the adoption tests turn it off.
-    pub(crate) adopt: bool,
+    /// The run's [`PlanStore`] keeps what it tunes, so plan-cache misses
+    /// take it instead of tuning again. Never changes the report; only
+    /// the store's tests turn it off.
+    pub(crate) store: bool,
 }
 
 impl RunOptions {
-    /// A run with the memo and adoption on.
+    /// A run with the memo and the plan store on.
     pub(crate) fn new(tuned: bool, export: bool) -> Self {
         RunOptions {
             tuned,
             export,
             memo: true,
-            adopt: true,
+            store: true,
         }
     }
 }
@@ -528,6 +531,7 @@ pub(crate) fn serve_run(
     let offered_span_ns = arrivals.last().map_or(0, |r| r.arrival_ns);
 
     let mut replicas = build_replicas(config, opts.tuned, opts.memo)?;
+    let mut store = PlanStore::new(opts.store);
     let mut router = Router::new(config.router);
 
     let mut queue: Vec<Request> = Vec::new();
@@ -662,15 +666,7 @@ pub(crate) fn serve_run(
             let take = replica.pending.len().min(ServeConfig::CHAIN);
             chain.clear();
             chain.extend(replica.pending.drain(..take));
-            let degraded = run_chain(
-                &mut replicas,
-                idx,
-                config,
-                opts.adopt,
-                now_ns,
-                &chain,
-                &mut acct,
-            )?;
+            let degraded = replica.execute_chain(config, &mut store, now_ns, &chain, &mut acct)?;
             // A degraded chain marks the replica wedged. Quarantine it
             // and re-route its queue — unless it is the last replica in
             // service, which keeps limping rather than shedding all
@@ -742,7 +738,7 @@ pub(crate) fn serve_run(
         report,
         snapshot,
         memo_hits: replicas.iter().map(Replica::memo_hits).sum(),
-        tunes: replicas.iter().map(|r| r.cache.tunes()).sum(),
+        store,
     })
 }
 

@@ -57,7 +57,7 @@ fn two_nodes() -> ServeConfig {
 }
 
 /// Three model families, a 16-token bucket and 4-plan caches: plans are
-/// evicted and re-tuned or adopted throughout the run.
+/// evicted and missed again throughout the run.
 fn churn() -> ServeConfig {
     let mut config = four_replicas(RouterPolicy::RoundRobin);
     config.requests = 300;

@@ -17,10 +17,11 @@ use serving::PlanCache;
 use workloads::models;
 
 /// Allocations one warm churn-shape miss may make, the leader's read of
-/// the plan's predicted group completions included: 27 on every shape
-/// below. Before the single-pass miss path they made 57 to 83, growing
-/// with the wave count.
-const PINNED_ALLOCATIONS_PER_MISS: u64 = 27;
+/// the plan's predicted group completions included: 25 on every shape
+/// below, since timed plans build their tile slot tables only as the
+/// verifier's transient. Before the single-pass miss path they made 57
+/// to 83, growing with the wave count.
+const PINNED_ALLOCATIONS_PER_MISS: u64 = 25;
 
 thread_local! {
     /// Allocations made by this thread. Const-initialized and free of

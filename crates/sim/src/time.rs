@@ -254,12 +254,15 @@ impl fmt::Debug for SimDuration {
 }
 
 impl fmt::Display for SimDuration {
+    /// Milliseconds or microseconds to three places, padded to the
+    /// formatter's width (table columns align durations with one).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 >= 1_000_000 {
-            write!(f, "{:.3}ms", self.as_millis_f64())
+        let text = if self.0 >= 1_000_000 {
+            format!("{:.3}ms", self.as_millis_f64())
         } else {
-            write!(f, "{:.3}us", self.as_micros_f64())
-        }
+            format!("{:.3}us", self.as_micros_f64())
+        };
+        f.pad(&text)
     }
 }
 
@@ -337,6 +340,7 @@ mod tests {
     fn display_formats() {
         assert_eq!(format!("{}", SimDuration::from_micros(2)), "2.000us");
         assert_eq!(format!("{}", SimDuration::from_millis(2)), "2.000ms");
+        assert_eq!(format!("{:>9}|", SimDuration::from_micros(2)), "  2.000us|");
         assert_eq!(format!("{:?}", SimTime::from_nanos(7)), "t+7ns");
     }
 }
