@@ -19,8 +19,9 @@ use crate::partition::WavePartition;
 /// Only writes through the mapping read the slot tables: functional
 /// epilogues, access-monitored launches and the output gathers. A plan
 /// that is only timed never does, so the tables are built on first such
-/// use ([`TileMapping::slots`]) and the static verifier's footprints build
-/// them as a transient, leaving timed plans without them.
+/// use ([`TileMapping::slots`]) and the static verifier's footprints
+/// compute the slot offsets as a transient, leaving timed plans without
+/// them.
 #[derive(Debug, Clone)]
 pub struct TileMapping {
     /// Shared wave-group structure.
@@ -64,7 +65,7 @@ impl TileSlots {
 
 /// The element offset of each slot of `layout`'s packed order over
 /// `grid`: the running total of the packed tiles' sizes.
-fn slot_offsets(grid: &TileGrid, layout: &GroupLayout) -> Vec<usize> {
+pub(crate) fn slot_offsets(grid: &TileGrid, layout: &GroupLayout) -> Vec<usize> {
     let mut acc = 0usize;
     layout
         .reorder_order
@@ -125,25 +126,6 @@ impl TileMapping {
     /// Whether [`TileMapping::slots`] has built the slot tables yet.
     pub(crate) fn slots_built(&self) -> bool {
         self.slots.get().is_some()
-    }
-
-    /// Calls `f` with the slot tables: the kept ones once built, else a
-    /// transient copy that is dropped afterwards, so a caller that reads
-    /// them once (the static verifier) leaves the mapping without them.
-    pub(crate) fn with_slots<R>(&self, f: impl FnOnce(&TileSlots) -> R) -> R {
-        match self.slots.get() {
-            Some(slots) => f(slots),
-            None => f(&TileSlots::build(&self.grid, &self.layout)),
-        }
-    }
-
-    /// [`TileMapping::with_slots`] for a caller that reads only the slot
-    /// offsets.
-    pub(crate) fn with_slot_offsets<R>(&self, f: impl FnOnce(&[usize]) -> R) -> R {
-        match self.slots.get() {
-            Some(slots) => f(&slots.slot_offset),
-            None => f(&slot_offsets(&self.grid, &self.layout)),
-        }
     }
 
     /// Element offset of tile `t`'s block in the packed buffer.

@@ -13,6 +13,7 @@ use gpu_sim::gemm::{EpilogueWriter, FootprintSink};
 use gpu_sim::tile::TileGrid;
 use tensor::Matrix;
 
+use crate::mapping::tile_map::slot_offsets;
 use crate::mapping::{SubtileMapping, TileMapping, TokenMapping};
 
 /// Packs whole tiles in wave order (AllReduce reordering).
@@ -48,28 +49,28 @@ impl EpilogueWriter for PackedTileWriter {
 
     fn footprints(&self, grid: &TileGrid, tiles: &[u32], sink: &mut dyn FootprintSink) {
         // A tile fills its packed slot: from its offset to the next
-        // slot's. The static verifier is the only caller, so a mapping
-        // without slot tables lends a transient copy rather than keeping
-        // them.
+        // slot's. The static verifier passes the whole packed order and
+        // gets transient offsets, so a timed plan never keeps the slot
+        // tables.
         let m = &*self.mapping;
         debug_assert_eq!(grid, m.grid());
         if tiles == m.layout.reorder_order.as_slice() {
             // The whole packed order: slot `i` is `tiles[i]`'s.
-            m.with_slot_offsets(|offsets| sink.slots(tiles, offsets, m.total_elems));
+            let offsets = slot_offsets(grid, &m.layout);
+            sink.slots(tiles, &offsets, m.total_elems);
             return;
         }
-        m.with_slots(|slots| {
-            for &t in tiles {
-                let slot = slots.slot_of_tile[t as usize] as usize;
-                let end = slots
-                    .slot_offset
-                    .get(slot + 1)
-                    .copied()
-                    .unwrap_or(m.total_elems);
-                sink.span(slots.slot_offset[slot]..end);
-                sink.end_tile(t);
-            }
-        });
+        let slots = m.slots();
+        for &t in tiles {
+            let slot = slots.slot_of_tile[t as usize] as usize;
+            let end = slots
+                .slot_offset
+                .get(slot + 1)
+                .copied()
+                .unwrap_or(m.total_elems);
+            sink.span(slots.slot_offset[slot]..end);
+            sink.end_tile(t);
+        }
     }
 }
 

@@ -661,17 +661,22 @@ mod tests {
     /// The memo holds its plans only weakly, and the store holds every
     /// plan the run tuned: a shape the cache evicted and misses again
     /// gets the store's plan back, and its chain replays the memo's run,
-    /// byte-identical to a fresh simulation.
+    /// byte-identical to a fresh simulation. Store-held plans never die
+    /// during a run, so the LRU bound is what limits the memo: a
+    /// one-entry memo over the same shapes never holds more than one.
     #[test]
     fn chain_memo_replays_the_stores_plan_for_a_re_missed_shape() {
         let mut config = ServeConfig::new(SystemSpec::rtx4090(2));
         config.cache_capacity = 1;
         let mut replicas = build_replicas(&config, true, true).expect("replica builds");
         let mut fresh = build_replicas(&config, true, false).expect("replica builds");
+        // The default memo, as small as the one-plan cache.
+        let mut tight = build_replicas(&config, true, true).expect("replica builds");
         // A memo that outlives the one-plan cache's evictions.
         replicas[0].memo = ChainMemo::new(4);
-        let mut store = PlanStore::new(true);
+        let (mut store, mut tight_store) = (PlanStore::new(true), PlanStore::new(true));
         let (mut acct, mut fresh_acct) = (Accounting::new(0), Accounting::new(0));
+        let mut tight_acct = Accounting::new(0);
         let mut first: Vec<(u32, Rc<OverlapPlan>)> = Vec::new();
         for (id, tokens) in [512u32, 1024, 512, 1024, 512].into_iter().enumerate() {
             let pending = PendingBatch {
@@ -699,6 +704,12 @@ mod tests {
                     &mut fresh_acct,
                 )
                 .expect("chain runs");
+            tight[0]
+                .execute_chain(&config, &mut tight_store, 0, chain, &mut tight_acct)
+                .expect("chain runs");
+            for memo in [&replicas[0].memo, &tight[0].memo] {
+                assert!(memo.entries.len() <= memo.capacity, "memo exceeds capacity");
+            }
             let dims = pending.batch.gemm_dims(2);
             let plan = store
                 .plans()
@@ -713,6 +724,10 @@ mod tests {
         assert_eq!((store.tunes(), replicas[0].memo.hits), (2, 3));
         assert_eq!(acct.batch_records, fresh_acct.batch_records);
         assert_eq!(replicas[0].chain_log, fresh[0].chain_log);
+        // Alternating shapes evict each other's entry from the one-entry
+        // memo, so every chain simulates afresh.
+        assert_eq!((tight_store.tunes(), tight[0].memo.hits), (2, 0));
+        assert_eq!(tight_acct.batch_records, fresh_acct.batch_records);
 
         // Only the cache, the store and this test hold the plans strongly.
         let held: Vec<Weak<OverlapPlan>> = replicas[0]
