@@ -40,8 +40,9 @@ pub struct TokenMapping {
     pub recv_elems: Vec<usize>,
     /// `[rank][logical_row] -> packed received row index`; logical order
     /// is (source rank ascending, original row ascending) — the order the
-    /// post-communication remap restores.
-    pub recv_row_gather: Vec<Vec<u32>>,
+    /// post-communication remap restores. Shared with the remap's row
+    /// gather.
+    pub recv_row_gather: Vec<Rc<Vec<u32>>>,
     /// `[rank][logical_row] -> (source rank, original row)` for
     /// verification.
     pub recv_expected: Vec<Vec<(usize, u32)>>,
@@ -257,12 +258,12 @@ impl TokenMapping {
             let mut indexed: Vec<(usize, (usize, u32))> =
                 received_rows.iter().copied().enumerate().collect();
             indexed.sort_by_key(|&(_, key)| key);
-            recv_row_gather.push(
+            recv_row_gather.push(Rc::new(
                 indexed
                     .iter()
                     .map(|&(packed_row, _)| packed_row as u32)
                     .collect(),
-            );
+            ));
             recv_expected.push(indexed.into_iter().map(|(_, key)| key).collect());
         }
 

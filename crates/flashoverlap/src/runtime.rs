@@ -451,7 +451,7 @@ impl OverlapPlan {
         match &self.mapping {
             PlanMapping::Tile(_) => (m, n),
             PlanMapping::Subtile(_) => (m / ranks, n),
-            PlanMapping::Token(map) => (map.recv_row_gather.get(d).map_or(0, Vec::len), n),
+            PlanMapping::Token(map) => (map.recv_row_gather.get(d).map_or(0, |rows| rows.len()), n),
             PlanMapping::Gather(_) => (m, n * ranks),
         }
     }
@@ -688,7 +688,7 @@ impl OverlapPlan {
     /// mode only — timing mode needs just the granularity). Built for
     /// every rank on first use and kept for the plan's lifetime: tile and
     /// AllGather packing is the same on every rank, so their ranks share
-    /// one map.
+    /// one map, and an All-to-All rank's row map is the mapping's own.
     fn epilogue_gather(&self, d: usize) -> Gather {
         let gathers = self.gathers.get_or_init(|| {
             let n = self.system.n_gpus;
@@ -700,12 +700,11 @@ impl OverlapPlan {
                 PlanMapping::Subtile(m) => (0..n)
                     .map(|d| Gather::Elements(Rc::new(m.recv_gather(d))))
                     .collect(),
-                PlanMapping::Token(m) => (0..n)
-                    .map(|d| {
-                        Gather::Rows(Rc::new(
-                            m.recv_row_gather.get(d).cloned().unwrap_or_default(),
-                        ))
-                    })
+                PlanMapping::Token(m) => m
+                    .recv_row_gather
+                    .iter()
+                    .cloned()
+                    .map(Gather::Rows)
                     .collect(),
             }
         });
@@ -1740,6 +1739,26 @@ mod tests {
         match plan.epilogue_gather(d) {
             Gather::Elements(map) | Gather::Rows(map) => Rc::as_ptr(&map),
             Gather::None => std::ptr::null(),
+        }
+    }
+
+    #[test]
+    fn all_to_all_gathers_share_the_mappings_row_maps() {
+        let dims = GemmDims::new(128, 256, 32);
+        let system = small_system(2);
+        let waves = system.planned_waves(dims);
+        let pattern = CommPattern::AllToAll {
+            routing: all_to_all_routing(128, 2, 7),
+        };
+        let plan = OverlapPlan::new(dims, pattern, system, WavePartition::per_wave(waves)).unwrap();
+        let map = plan
+            .token_mapping()
+            .expect("an All-to-All plan maps tokens");
+        for (d, rows) in map.recv_row_gather.iter().enumerate() {
+            let Gather::Rows(gather) = plan.epilogue_gather(d) else {
+                panic!("rank {d} remaps rows");
+            };
+            assert!(Rc::ptr_eq(&gather, rows), "rank {d} copied its row map");
         }
     }
 

@@ -131,7 +131,7 @@ proptest! {
         for dest in 0..ranks {
             let expected_rows = mapping.recv_elems[dest] / grid.n() as usize;
             prop_assert_eq!(mapping.recv_row_gather[dest].len(), expected_rows);
-            let mut packed = mapping.recv_row_gather[dest].clone();
+            let mut packed = mapping.recv_row_gather[dest].to_vec();
             packed.sort_unstable();
             prop_assert_eq!(packed, (0..expected_rows as u32).collect::<Vec<_>>());
             for pair in mapping.recv_expected[dest].windows(2) {

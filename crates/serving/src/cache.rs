@@ -21,8 +21,6 @@
 //! forms. The counters stay per replica: a plan from the store is still a
 //! miss here.
 
-#![warn(clippy::indexing_slicing)]
-
 use std::collections::HashMap;
 use std::rc::Rc;
 

@@ -1,25 +1,26 @@
-//! One serve replica.
+//! One serve replica, and the run-wide memo of simulated chains.
 //!
 //! A [`Replica`] is everything the serve loop knows about one
 //! tensor-parallel replica group: its dispatch queue, the virtual time its
 //! last chain drains, its report row ([`ReplicaStats`], whose counters are
 //! bumped as chains run and whose `quarantined` flag takes it out of
 //! service), its chain log, and what its chains run on — the tuned-plan
-//! [`PlanCache`], the chain memo, the simulation world (one
-//! [`ChainWorld`], reset for every chain by
-//! [`flashoverlap::execute_sequence_in`]), the recycled telemetry buffers
-//! and the chain analyses' [`ChainIndex`]. The serve loop keeps one
-//! `Vec<Replica>` and runs each chain, on the calling thread, when it
-//! dispatches it ([`Replica::execute_chain`]), so every chain's
-//! accounting lands in dispatch order.
+//! [`PlanCache`], the simulation world (one [`ChainWorld`], reset for
+//! every chain by [`flashoverlap::execute_sequence_in`]), the recycled
+//! telemetry buffers and the chain analyses' [`ChainIndex`]. The serve
+//! loop keeps one `Vec<Replica>` and runs each chain, on the calling
+//! thread, when it dispatches it ([`Replica::execute_chain`]), so every
+//! chain's accounting lands in dispatch order.
 //!
-//! A replica's plan-cache miss takes the plan the run's [`PlanStore`]
-//! holds for the key, so the run tunes each shape once, whichever
-//! replica forms it and however often the replicas' caches evict it.
+//! Two things outlive a replica's chains and are shared by every replica
+//! of a run: a replica's plan-cache miss takes the plan the run's
+//! [`PlanStore`] holds for the key, so the run tunes each shape once,
+//! whichever replica forms it and however often the replicas' caches
+//! evict it; and a chain whose plans any replica has run before replays
+//! the run's [`ChainMemo`] instead of simulating again.
 
-#![warn(clippy::indexing_slicing)]
-
-use std::collections::VecDeque;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::rc::{Rc, Weak};
 
 use flashoverlap::{
@@ -50,7 +51,9 @@ pub(crate) struct PendingBatch {
     pub(crate) migration_ns: u64,
 }
 
-/// One replica group of a serve run.
+/// One replica group of a serve run. The run's [`PlanStore`] and
+/// [`ChainMemo`] are shared by every replica, so they are not held here:
+/// [`Replica::execute_chain`] borrows them for each chain.
 pub(crate) struct Replica {
     /// Closed batches routed here, waiting for the replica to go idle.
     pub(crate) pending: VecDeque<PendingBatch>,
@@ -72,7 +75,6 @@ pub(crate) struct Replica {
     pub(crate) system_fp: u64,
     /// The replica's tuned plans.
     pub(crate) cache: PlanCache,
-    memo: ChainMemo,
     /// Recycled telemetry buffers: each chain's recorder takes this
     /// record's capacity and hands it back after harvest, so the
     /// per-event vectors stop re-growing from zero on every chain.
@@ -105,30 +107,37 @@ struct ChainRun {
     leader_group_done: Option<Vec<SimDuration>>,
 }
 
-/// A replica's memo of simulated chains, keyed by the identity of the
-/// chain's cached plans.
+/// A serve run's memo of simulated chains, keyed by the identity of the
+/// chain's plans, shared by every replica of the run.
 ///
-/// Sound because every chain starts from the same state: the world is
-/// reset to exactly what [`SystemSpec::build_cluster`] gives, with the
-/// same device RNG forks, and the replica's system, pipelining and
-/// instrumentation never change. So a non-chaos chain's [`ChainRun`] is
-/// a pure function of its plans, and a repeated plan sequence replays
-/// its stored run instead of simulating again. Chaos chains draw fault
-/// plans per batch id and always execute; errors are never stored.
+/// Sound because every chain starts from the same state: each replica
+/// builds its world from the run's one system and resets it to exactly
+/// what [`SystemSpec::build_cluster`] gives, with the same device RNG
+/// forks, for every chain, and the run's pipelining and instrumentation
+/// never change. So a non-chaos chain's [`ChainRun`] is a pure function
+/// of its plans, whichever replica runs it, and a repeated plan sequence
+/// replays its stored run instead of simulating again. The replica's id
+/// is read only by chaos chains, which draw fault plans per batch id and
+/// always execute; errors are never stored.
 ///
-/// Keys hold [`Weak`] plans: the memo never keeps a plan alive itself,
-/// and a live `Weak` pins its allocation, so a pointer match is the same
-/// plan — never a re-tuned replacement under the same [`PlanKey`].
-/// Entries whose plans died are dropped. A plan from the run's
-/// [`PlanStore`] has one identity across the replicas and the run: the
-/// store keeps it alive after this replica evicts it, and a later miss
-/// here gets it back. A match is then still the same plan, so a replay
-/// is still exact. Bounded by the plan-cache capacity, least recently
-/// used out first (unique ticks).
+/// The key is the chain's plan addresses ([`ChainKey`]); the entry keeps
+/// the plans as [`Weak`]s. The memo never keeps a plan alive itself, and
+/// a live `Weak` pins its allocation, so while an entry exists no other
+/// plan can take its plans' addresses: an address match is the same
+/// plan — never a re-tuned replacement under the same [`PlanKey`]. A
+/// plan from the run's [`PlanStore`] (or a shared preload) has one
+/// identity in every replica and across evictions, so a chain one
+/// replica simulated replays on another. An entry whose plans died can
+/// never match again and ages out.
+///
+/// Bounded by a fixed entry count, least recently used out first
+/// (unique ticks). A hit is a hash lookup (two on a full memo) and never
+/// scans the entries; only a miss on a full memo scans them for the
+/// oldest, next to the simulation it pays.
 ///
 /// [`SystemSpec::build_cluster`]: flashoverlap::SystemSpec::build_cluster
-struct ChainMemo {
-    entries: Vec<MemoEntry>,
+pub(crate) struct ChainMemo {
+    entries: HashMap<ChainKey, MemoEntry>,
     /// Most entries held; 0 turns the memo off.
     capacity: usize,
     tick: u64,
@@ -136,73 +145,100 @@ struct ChainMemo {
     hits: u64,
 }
 
+/// The addresses of a chain's plans in chain order, unused slots 0.
+type ChainKey = [usize; ServeConfig::CHAIN];
+
 struct MemoEntry {
-    plans: Vec<Weak<OverlapPlan>>,
+    /// The key's plans, each pinning its address while the entry lives.
+    #[cfg_attr(
+        not(test),
+        expect(dead_code, reason = "held to pin the addresses; only tests read it")
+    )]
+    plans: [Weak<OverlapPlan>; ServeConfig::CHAIN],
     run: ChainRun,
     last_used: u64,
 }
 
 impl ChainMemo {
-    fn new(capacity: usize) -> Self {
+    /// The serve memo's bound. Distinct chains per serve call, counted
+    /// from the reports of perfbench's first six calls at seeds 3 and
+    /// 17: steady 87–210 of 3000 requests, churn 348–376 of 1500 (444 of
+    /// 4000 at seed 3), overload 147–167 of 750, nearly every chain. An
+    /// entry is a 265 B hash slot plus its run's segments, about 0.6 KiB
+    /// for churn's chains and 1.2 KiB for overload's 4-batch ones, so a
+    /// full memo stays under 2 MiB. An entry whose plans died also pins
+    /// their 1.5 KiB `Rc` allocations until it ages out; with the store
+    /// on, only evicted preloads die during a run.
+    pub(crate) const CAPACITY: usize = 1024;
+
+    /// An empty memo of at most `capacity` entries (0: off).
+    pub(crate) fn new(capacity: usize) -> Self {
         ChainMemo {
-            entries: Vec::new(),
+            entries: HashMap::new(),
             capacity,
             tick: 0,
             hits: 0,
         }
     }
 
-    /// The stored run for `plans`, or `simulate`'s fresh run, stored
-    /// first. An error is returned and not stored.
+    /// Chains replayed from an entry instead of simulated.
+    pub(crate) fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// The key of a chain of `plans`: their addresses in chain order.
+    /// `None` when the memo is off or the chain is longer than
+    /// [`ServeConfig::CHAIN`]; such a chain always simulates.
+    fn key(&self, plans: &[(Rc<OverlapPlan>, bool)]) -> Option<ChainKey> {
+        let mut key = [0; ServeConfig::CHAIN];
+        if self.capacity == 0 || plans.len() > key.len() {
+            return None;
+        }
+        for (slot, (plan, _)) in key.iter_mut().zip(plans) {
+            *slot = Rc::as_ptr(plan) as usize;
+        }
+        Some(key)
+    }
+
+    /// The stored run for `key`, the key of `plans`, or `simulate`'s
+    /// fresh run, stored first. An error is returned and not stored.
     fn run_or_simulate(
         &mut self,
+        key: ChainKey,
         plans: &[(Rc<OverlapPlan>, bool)],
         simulate: impl FnOnce() -> Result<ChainRun, FlashOverlapError>,
     ) -> Result<&ChainRun, FlashOverlapError> {
         self.tick += 1;
-        self.entries
-            .retain(|e| e.plans.iter().all(|w| w.strong_count() > 0));
-        let found = self.entries.iter().position(|e| {
-            e.plans.len() == plans.len()
-                && e.plans
-                    .iter()
-                    .zip(plans)
-                    .all(|(w, (p, _))| w.upgrade().is_some_and(|w| Rc::ptr_eq(&w, p)))
-        });
-        let idx = match found {
-            Some(idx) => {
+        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
+            let lru = self.entries.iter().min_by_key(|(_, e)| e.last_used);
+            if let Some(lru) = lru.map(|(k, _)| *k) {
+                self.entries.remove(&lru);
+            }
+        }
+        let entry = match self.entries.entry(key) {
+            Entry::Occupied(entry) => {
                 self.hits += 1;
-                idx
+                entry.into_mut()
             }
-            None => {
-                let entry = MemoEntry {
-                    plans: plans.iter().map(|(p, _)| Rc::downgrade(p)).collect(),
-                    run: simulate()?,
-                    last_used: self.tick,
-                };
-                if self.entries.len() >= self.capacity {
-                    let lru = self.entries.iter().enumerate();
-                    if let Some((lru, _)) = lru.min_by_key(|(_, e)| e.last_used) {
-                        self.entries.swap_remove(lru);
-                    }
-                }
-                self.entries.push(entry);
-                self.entries.len() - 1
-            }
+            Entry::Vacant(slot) => slot.insert(MemoEntry {
+                plans: std::array::from_fn(|i| {
+                    plans
+                        .get(i)
+                        .map_or_else(Weak::new, |(p, _)| Rc::downgrade(p))
+                }),
+                run: simulate()?,
+                last_used: self.tick,
+            }),
         };
-        let entry = self.entries.get_mut(idx).ok_or_else(|| {
-            FlashOverlapError::Simulation(format!("chain memo has no entry {idx}"))
-        })?;
         entry.last_used = self.tick;
         Ok(&entry.run)
     }
 }
 
-/// Builds the replicas of `config`, each with its chain memo on or off
-/// (the memo never changes a result, so only its own tests turn it off).
-/// A `--plan-cache-in` snapshot is built and verified once, into the
-/// first cache; every replica starts from a copy of that cache, sharing
-/// its plans and counting the same preloads.
+/// Builds the replicas of `config`. A `--plan-cache-in` snapshot is
+/// built and verified once, into the first cache; every replica starts
+/// from a copy of that cache, sharing its plans and counting the same
+/// preloads.
 ///
 /// # Errors
 ///
@@ -210,7 +246,6 @@ impl ChainMemo {
 pub(crate) fn build_replicas(
     config: &ServeConfig,
     tuned: bool,
-    memo: bool,
 ) -> Result<Vec<Replica>, FlashOverlapError> {
     let mut cache = if tuned {
         PlanCache::new(config.cache_capacity)
@@ -221,11 +256,6 @@ pub(crate) fn build_replicas(
         // Fingerprint compatibility was validated up front.
         cache.preload(&config.system, &snapshot.entries)?;
     }
-    let memo_capacity = if memo {
-        config.cache_capacity.max(1)
-    } else {
-        0
-    };
     let system_fp = system_fingerprint(&config.system);
     Ok((0..config.replicas)
         .map(|id| Replica {
@@ -246,7 +276,6 @@ pub(crate) fn build_replicas(
             chain_log: Vec::new(),
             system_fp,
             cache: cache.clone(),
-            memo: ChainMemo::new(memo_capacity),
             scratch: TelemetryRecord::default(),
             index: ChainIndex::new(),
             world: ChainWorld::new(),
@@ -263,15 +292,10 @@ impl Replica {
             .sum()
     }
 
-    /// Chains replayed from the chain memo instead of simulated.
-    pub(crate) fn memo_hits(&self) -> u64 {
-        self.memo.hits
-    }
-
     /// Runs `chain` from `start_ns`, accounts it into `acct` and sets
     /// `free_ns` to when it drains: resolves the chain's plans (a miss
     /// takes `store`'s plan, tuning into it only when it has none), takes
-    /// its [`ChainRun`] from the memo or simulates it, and accounts it.
+    /// its [`ChainRun`] from `memo` or simulates it, and accounts it.
     /// Returns whether any batch in the chain came back degraded (the
     /// caller's quarantine signal; only possible under chaos).
     ///
@@ -283,13 +307,13 @@ impl Replica {
         &mut self,
         config: &ServeConfig,
         store: &mut PlanStore,
+        memo: &mut ChainMemo,
         start_ns: u64,
         chain: &[PendingBatch],
         acct: &mut Accounting,
     ) -> Result<bool, FlashOverlapError> {
-        // Split the borrow: the cache and memo are mutated while the
-        // world is lent to the simulation, and the report row bumps batch
-        // by batch.
+        // Split the borrow: the cache is mutated while the world is lent
+        // to the simulation, and the report row bumps batch by batch.
         let Replica {
             pending: _,
             free_ns,
@@ -297,7 +321,6 @@ impl Replica {
             chain_log,
             system_fp,
             cache,
-            memo,
             scratch,
             index,
             world,
@@ -318,11 +341,14 @@ impl Replica {
         let mut simulate =
             || simulate_chain(config, replica_idx, chain, &plans, scratch, index, world);
         let fresh;
-        let run = if config.chaos || memo.capacity == 0 {
-            fresh = simulate()?;
-            &fresh
-        } else {
-            memo.run_or_simulate(&plans, simulate)?
+        // Chaos chains draw their faults per batch id: never memoized.
+        let key = if config.chaos { None } else { memo.key(&plans) };
+        let run = match key {
+            Some(key) => memo.run_or_simulate(key, &plans, simulate)?,
+            None => {
+                fresh = simulate()?;
+                &fresh
+            }
         };
 
         acct.signal_weighted_sum += run.signal.0;
@@ -658,56 +684,68 @@ mod tests {
         }
     }
 
+    /// A one-batch chain of `tokens` Llama-3 8B tokens, closed at 0.
+    fn single(id: u64, tokens: u32) -> PendingBatch {
+        PendingBatch {
+            batch: Batch {
+                id,
+                model: models::LLAMA3_8B,
+                requests: Vec::new(),
+                tokens,
+                padded_tokens: tokens,
+            },
+            routing: "test",
+            close_ns: 0,
+            migration_ns: 0,
+        }
+    }
+
     /// The memo holds its plans only weakly, and the store holds every
     /// plan the run tuned: a shape the cache evicted and misses again
     /// gets the store's plan back, and its chain replays the memo's run,
     /// byte-identical to a fresh simulation. Store-held plans never die
-    /// during a run, so the LRU bound is what limits the memo: a
-    /// one-entry memo over the same shapes never holds more than one.
+    /// during a run, so the LRU bound is what limits the memo: a memo
+    /// built smaller than the bound never holds more than it allows.
     #[test]
     fn chain_memo_replays_the_stores_plan_for_a_re_missed_shape() {
         let mut config = ServeConfig::new(SystemSpec::rtx4090(2));
         config.cache_capacity = 1;
-        let mut replicas = build_replicas(&config, true, true).expect("replica builds");
-        let mut fresh = build_replicas(&config, true, false).expect("replica builds");
-        // The default memo, as small as the one-plan cache.
-        let mut tight = build_replicas(&config, true, true).expect("replica builds");
-        // A memo that outlives the one-plan cache's evictions.
-        replicas[0].memo = ChainMemo::new(4);
+        let build = || build_replicas(&config, true).expect("replica builds");
+        let (mut replicas, mut fresh, mut tight) = (build(), build(), build());
+        let mut memo = ChainMemo::new(ChainMemo::CAPACITY);
+        // A one-entry memo: alternating shapes evict each other's entry.
+        let mut tight_memo = ChainMemo::new(1);
         let (mut store, mut tight_store) = (PlanStore::new(true), PlanStore::new(true));
         let (mut acct, mut fresh_acct) = (Accounting::new(0), Accounting::new(0));
         let mut tight_acct = Accounting::new(0);
         let mut first: Vec<(u32, Rc<OverlapPlan>)> = Vec::new();
         for (id, tokens) in [512u32, 1024, 512, 1024, 512].into_iter().enumerate() {
-            let pending = PendingBatch {
-                batch: Batch {
-                    id: id as u64,
-                    model: workloads::models::LLAMA3_8B,
-                    requests: Vec::new(),
-                    tokens,
-                    padded_tokens: tokens,
-                },
-                routing: "test",
-                close_ns: 0,
-                migration_ns: 0,
-            };
+            let pending = single(id as u64, tokens);
             let chain = std::slice::from_ref(&pending);
             replicas[0]
-                .execute_chain(&config, &mut store, 0, chain, &mut acct)
+                .execute_chain(&config, &mut store, &mut memo, 0, chain, &mut acct)
                 .expect("chain runs");
             fresh[0]
                 .execute_chain(
                     &config,
                     &mut PlanStore::new(false),
+                    &mut ChainMemo::new(0),
                     0,
                     chain,
                     &mut fresh_acct,
                 )
                 .expect("chain runs");
             tight[0]
-                .execute_chain(&config, &mut tight_store, 0, chain, &mut tight_acct)
+                .execute_chain(
+                    &config,
+                    &mut tight_store,
+                    &mut tight_memo,
+                    0,
+                    chain,
+                    &mut tight_acct,
+                )
                 .expect("chain runs");
-            for memo in [&replicas[0].memo, &tight[0].memo] {
+            for memo in [&memo, &tight_memo] {
                 assert!(memo.entries.len() <= memo.capacity, "memo exceeds capacity");
             }
             let dims = pending.batch.gemm_dims(2);
@@ -721,20 +759,17 @@ mod tests {
             }
         }
         assert_eq!(replicas[0].cache.stats().evictions, 4);
-        assert_eq!((store.tunes(), replicas[0].memo.hits), (2, 3));
+        assert_eq!((store.tunes(), memo.hits()), (2, 3));
         assert_eq!(acct.batch_records, fresh_acct.batch_records);
         assert_eq!(replicas[0].chain_log, fresh[0].chain_log);
-        // Alternating shapes evict each other's entry from the one-entry
-        // memo, so every chain simulates afresh.
-        assert_eq!((tight_store.tunes(), tight[0].memo.hits), (2, 0));
+        assert_eq!((tight_store.tunes(), tight_memo.hits()), (2, 0));
         assert_eq!(tight_acct.batch_records, fresh_acct.batch_records);
 
         // Only the cache, the store and this test hold the plans strongly.
-        let held: Vec<Weak<OverlapPlan>> = replicas[0]
-            .memo
+        let held: Vec<Weak<OverlapPlan>> = memo
             .entries
-            .iter()
-            .flat_map(|e| e.plans.clone())
+            .values()
+            .flat_map(|e| e.plans.iter().filter(|w| w.strong_count() > 0).cloned())
             .collect();
         assert_eq!(held.len(), 2);
         drop((first, store));
@@ -743,6 +778,47 @@ mod tests {
             held.iter().all(|w| w.upgrade().is_none()),
             "the memo kept a plan alive"
         );
+    }
+
+    /// The memo is the run's, not a replica's: a chain replica 0
+    /// simulated replays when replica 1 runs the same plans, and both
+    /// account exactly what a memo-less, store-less run does.
+    #[test]
+    fn chain_memo_replays_one_replicas_chain_on_another() {
+        let mut config = ServeConfig::new(SystemSpec::rtx4090(2));
+        config.replicas = 2;
+        let build = || build_replicas(&config, true).expect("replicas build");
+        let (mut replicas, mut fresh) = (build(), build());
+        let mut store = PlanStore::new(true);
+        let mut memo = ChainMemo::new(ChainMemo::CAPACITY);
+        let (mut acct, mut fresh_acct) = (Accounting::new(0), Accounting::new(0));
+        let chains = [
+            [single(0, 512), single(1, 1024)],
+            [single(2, 512), single(3, 1024)],
+        ];
+        for (idx, chain) in chains.iter().enumerate() {
+            let start_ns = 1000 * idx as u64;
+            replicas[idx]
+                .execute_chain(&config, &mut store, &mut memo, start_ns, chain, &mut acct)
+                .expect("chain runs");
+            assert_eq!(memo.hits(), idx as u64, "replica {idx}");
+            fresh[idx]
+                .execute_chain(
+                    &config,
+                    &mut PlanStore::new(false),
+                    &mut ChainMemo::new(0),
+                    start_ns,
+                    chain,
+                    &mut fresh_acct,
+                )
+                .expect("chain runs");
+        }
+        assert_eq!((store.tunes(), memo.entries.len()), (2, 1));
+        assert_eq!(replicas[1].cache.stats().misses, 2);
+        assert_eq!(acct.batch_records, fresh_acct.batch_records);
+        for (replica, fresh) in replicas.iter().zip(&fresh) {
+            assert_eq!(replica.chain_log, fresh.chain_log);
+        }
     }
 
     /// Serves `config` with the plan store keeping its plans and without,
@@ -937,6 +1013,50 @@ mod tests {
             assert!(
                 run.store.plans().all(|p| !p.holds_functional_tables()),
                 "a timed plan built a slot table or gather map"
+            );
+        }
+    }
+
+    /// The distinct plan sequences of a report's chains. A chain's
+    /// batch records are consecutive, `chain_len` of them; with the
+    /// store and no preload, one (model, padded tokens) shape is one plan.
+    fn distinct_chains(report: &crate::report::ServeReport) -> (u64, usize) {
+        let mut sequences = std::collections::HashSet::new();
+        let mut records = report.batch_records.as_slice();
+        let mut chains = 0;
+        while let [head, ..] = records {
+            let (chain, rest) = records.split_at(head.chain_len as usize);
+            sequences.insert(
+                chain
+                    .iter()
+                    .map(|b| (b.model, b.padded_tokens))
+                    .collect::<Vec<_>>(),
+            );
+            chains += 1;
+            records = rest;
+        }
+        (chains, sequences.len())
+    }
+
+    /// One memo for the whole run: churn simulates each distinct plan
+    /// sequence once, however the round-robin router spreads it over the
+    /// replicas, and replays every repeat, byte-identically.
+    #[test]
+    fn churn_simulates_each_distinct_chain_once() {
+        for requests in [1500, 4000] {
+            let config = churn_config(requests);
+            let run = serve_run(&config, RunOptions::new(true, true)).expect("serves");
+            let (chains, distinct) = distinct_chains(&run.report);
+            let replica_chains: u64 = run.report.replica_stats.iter().map(|r| r.chains).sum();
+            assert_eq!(chains, replica_chains, "{requests} requests");
+            assert_eq!(
+                chains - run.memo_hits,
+                distinct as u64,
+                "{requests} requests"
+            );
+            assert_eq!(
+                memo_hits_without_changing_the_report(&config, true),
+                run.memo_hits
             );
         }
     }

@@ -36,6 +36,10 @@
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::expect_used))]
+// Serving turns replica ids, plan keys and batch slots back into
+// indices all over the serve loop, so hold it to the no-panic standard:
+// every access goes through `get` (test modules opt out).
+#![warn(clippy::indexing_slicing)]
 
 pub mod batch;
 pub mod cache;

@@ -24,12 +24,6 @@
 //! Routing is pure state-machine logic over load snapshots: no clocks,
 //! no randomness, deterministic for a given decision sequence.
 
-// Routing is the one module that turns replica *ids* back into array
-// accesses all over the server loop, so hold it to the stricter
-// no-panic standard: every index is either proven in a comment or
-// routed through `get`.
-#![warn(clippy::indexing_slicing)]
-
 use std::collections::HashMap;
 
 use gpu_sim::gemm::GemmDims;

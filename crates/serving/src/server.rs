@@ -34,8 +34,6 @@
 //! healthy replicas (or shed, with full accounting, when none remain),
 //! and the run completes instead of aborting.
 
-#![warn(clippy::indexing_slicing)]
-
 use flashoverlap::{FlashOverlapError, SystemSpec};
 use gpu_sim::gemm::GemmDims;
 use telemetry::attribution::{AttributionTotals, Category};
@@ -46,7 +44,7 @@ use crate::batch::{form_batch, BatchConfig};
 use crate::cache::{
     primitive_label, system_fingerprint, CacheSnapshot, CacheStats, PlanEntry, PlanStore,
 };
-use crate::engine::{build_replicas, PendingBatch, Replica};
+use crate::engine::{build_replicas, ChainMemo, PendingBatch, Replica};
 use crate::report::{
     BatchRecord, ComparisonReport, Disposition, DriftRow, NodeStats, ReplicaStats, RequestRecord,
     ScalingReport, ServeReport,
@@ -271,24 +269,44 @@ fn shed_pending(p: &PendingBatch, acct: &mut Accounting) {
     acct.quarantine_shed += p.batch.requests.len() as u64;
 }
 
-/// Routes a batch of `dims` among the in-service replicas, as loaded at
-/// `now_ns`.
-fn route(
-    router: &mut Router,
-    replicas: &[Replica],
-    dims: GemmDims,
-    now_ns: u64,
-) -> Option<RouteDecision> {
-    let eligible: Vec<bool> = replicas.iter().map(|r| !r.stats.quarantined).collect();
-    let loads: Vec<ReplicaLoad> = replicas
-        .iter()
-        .map(|r| ReplicaLoad {
+/// The run's router, with the load snapshot it reads refilled for every
+/// routed batch into buffers the serve loop reuses.
+struct Routing {
+    router: Router,
+    /// Each replica's load, by replica id.
+    loads: Vec<ReplicaLoad>,
+    /// Whether each replica is in service, by replica id.
+    eligible: Vec<bool>,
+}
+
+impl Routing {
+    fn new(policy: RouterPolicy) -> Self {
+        Routing {
+            router: Router::new(policy),
+            loads: Vec::new(),
+            eligible: Vec::new(),
+        }
+    }
+
+    /// Routes a batch of `dims` among the in-service replicas, as loaded
+    /// at `now_ns`.
+    fn route(
+        &mut self,
+        replicas: &[Replica],
+        dims: GemmDims,
+        now_ns: u64,
+    ) -> Option<RouteDecision> {
+        self.eligible.clear();
+        self.eligible
+            .extend(replicas.iter().map(|r| !r.stats.quarantined));
+        self.loads.clear();
+        self.loads.extend(replicas.iter().map(|r| ReplicaLoad {
             queued_tokens: r.queued_tokens(),
             busy_ns: r.free_ns.saturating_sub(now_ns),
             node: r.stats.node,
-        })
-        .collect();
-    router.route_among(dims, &loads, &eligible)
+        }));
+        self.router.route_among(dims, &self.loads, &self.eligible)
+    }
 }
 
 /// Pulls replica `idx` from service: marks it quarantined, drains its
@@ -299,7 +317,7 @@ fn route(
 fn quarantine_replica(
     replicas: &mut [Replica],
     idx: usize,
-    router: &mut Router,
+    routing: &mut Routing,
     config: &ServeConfig,
     now_ns: u64,
     acct: &mut Accounting,
@@ -315,7 +333,7 @@ fn quarantine_replica(
     let orphans: Vec<PendingBatch> = replica.pending.drain(..).collect();
     for p in orphans {
         let dims = p.batch.gemm_dims(tp);
-        match route(router, replicas, dims, now_ns) {
+        match routing.route(replicas, dims, now_ns) {
             Some(decision) => {
                 // The new placement may cross a node boundary the old
                 // one did not (or vice versa): re-derive the penalty.
@@ -477,7 +495,7 @@ pub(crate) struct ServeRun {
     /// The merged tuned-plan snapshot of every replica's cache; no
     /// entries unless the run exports them.
     pub(crate) snapshot: CacheSnapshot,
-    /// Chains the replicas replayed from their chain memos.
+    /// Chains replayed from the run's chain memo.
     #[cfg_attr(
         not(test),
         expect(dead_code, reason = "only the chain-memo tests read it")
@@ -499,8 +517,8 @@ pub(crate) struct RunOptions {
     pub(crate) tuned: bool,
     /// Export the replicas' tuned plans into [`ServeRun::snapshot`].
     pub(crate) export: bool,
-    /// The replicas' chain memos. Never changes the report; only the
-    /// memo's tests turn it off.
+    /// The run's [`ChainMemo`]. Never changes the report; only the memo's
+    /// tests turn it off.
     pub(crate) memo: bool,
     /// The run's [`PlanStore`] keeps what it tunes, so plan-cache misses
     /// take it instead of tuning again. Never changes the report; only
@@ -530,9 +548,10 @@ pub(crate) fn serve_run(
     let arrivals = generate(&config.mix, config.process, config.requests, config.seed);
     let offered_span_ns = arrivals.last().map_or(0, |r| r.arrival_ns);
 
-    let mut replicas = build_replicas(config, opts.tuned, opts.memo)?;
+    let mut replicas = build_replicas(config, opts.tuned)?;
     let mut store = PlanStore::new(opts.store);
-    let mut router = Router::new(config.router);
+    let mut memo = ChainMemo::new(if opts.memo { ChainMemo::CAPACITY } else { 0 });
+    let mut routing = Routing::new(config.router);
 
     let mut queue: Vec<Request> = Vec::new();
     let mut next_arrival = 0usize;
@@ -560,7 +579,7 @@ pub(crate) fn serve_run(
             if let Some(r) = wedged_replica(&pending) {
                 let healthy = replicas.iter().filter(|x| !x.stats.quarantined).count();
                 if healthy > 1 && replicas.get(r).is_some_and(|x| !x.stats.quarantined) {
-                    quarantine_replica(&mut replicas, r, &mut router, config, now_ns, &mut acct);
+                    quarantine_replica(&mut replicas, r, &mut routing, config, now_ns, &mut acct);
                     iterations = 0;
                     continue;
                 }
@@ -624,7 +643,7 @@ pub(crate) fn serve_run(
             batch_id += 1;
             let dims = batch.gemm_dims(tp);
             shapes.insert(dims);
-            match route(&mut router, &replicas, dims, now_ns) {
+            match routing.route(&replicas, dims, now_ns) {
                 Some(decision) => {
                     let migration_ns =
                         migration_penalty_ns(config, dims, decision.replica % config.nodes);
@@ -666,14 +685,15 @@ pub(crate) fn serve_run(
             let take = replica.pending.len().min(ServeConfig::CHAIN);
             chain.clear();
             chain.extend(replica.pending.drain(..take));
-            let degraded = replica.execute_chain(config, &mut store, now_ns, &chain, &mut acct)?;
+            let degraded =
+                replica.execute_chain(config, &mut store, &mut memo, now_ns, &chain, &mut acct)?;
             // A degraded chain marks the replica wedged. Quarantine it
             // and re-route its queue — unless it is the last replica in
             // service, which keeps limping rather than shedding all
             // remaining traffic.
             let healthy = replicas.iter().filter(|r| !r.stats.quarantined).count();
             if degraded && healthy > 1 {
-                quarantine_replica(&mut replicas, idx, &mut router, config, now_ns, &mut acct);
+                quarantine_replica(&mut replicas, idx, &mut routing, config, now_ns, &mut acct);
             }
         }
 
@@ -737,7 +757,7 @@ pub(crate) fn serve_run(
     Ok(ServeRun {
         report,
         snapshot,
-        memo_hits: replicas.iter().map(Replica::memo_hits).sum(),
+        memo_hits: memo.hits(),
         store,
     })
 }

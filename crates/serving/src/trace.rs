@@ -120,8 +120,7 @@ pub fn serve_trace(report: &ServeReport) -> Value {
     edges.sort_unstable();
     let mut depth = 0i64;
     let mut i = 0;
-    while i < edges.len() {
-        let at = edges[i].0;
+    while let Some(&(at, _)) = edges.get(i) {
         while let Some(&(t, delta)) = edges.get(i) {
             if t != at {
                 break;
