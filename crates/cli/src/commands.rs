@@ -1,5 +1,8 @@
 //! Command execution for the `flashoverlap` binary.
 
+use std::fs::File;
+use std::io::{self, BufWriter, Write as _};
+
 use baselines::{measure, Method};
 use bench::{pattern_for, render_timeline, system_for};
 use flashoverlap::{
@@ -10,7 +13,7 @@ use flashoverlap::{
 use gpu_sim::gemm::GemmDims;
 use planverify::{caveats, conformance_matrix, ExecPath, MutationKind, VerifyReport};
 use simsan::Sanitizer;
-use telemetry::json::Value;
+use telemetry::json::{Document, JsonWriter, Sink, Value, WriteJson};
 
 use flashoverlap::runtime::CommPattern;
 
@@ -19,6 +22,23 @@ use crate::args::{Cli, CliError, Command, PlanCommand, ServeArrival};
 /// Writes one artifact and returns the stdout line announcing it.
 fn write_artifact(what: &str, path: &str, contents: impl AsRef<[u8]>) -> Result<String, CliError> {
     std::fs::write(path, contents)
+        .map_err(|e| CliError::runtime(format!("writing {path}: {e}")))?;
+    Ok(format!("{what} written to {path}\n"))
+}
+
+/// Streams one artifact into a new file through a buffer and returns the
+/// stdout line announcing it.
+fn stream_artifact(
+    what: &str,
+    path: &str,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> Result<String, CliError> {
+    File::create(path)
+        .and_then(|file| {
+            let mut out = BufWriter::new(file);
+            write(&mut out)?;
+            out.flush()
+        })
         .map_err(|e| CliError::runtime(format!("writing {path}: {e}")))?;
     Ok(format!("{what} written to {path}\n"))
 }
@@ -236,35 +256,47 @@ fn check_accounting(report: &serving::ServeReport) -> Result<(), CliError> {
 /// chaos, baseline, scaling, and plan-cache persistence arms.
 fn execute_serve(cli: &Cli) -> Result<String, CliError> {
     let config = serve_config(cli)?;
-    let mut exported = None;
-    let (mut out, json, traced) = if cli.scaling {
+    // The scaling/baseline arms trace their primary (multi/tuned)
+    // report; request flows in the other arms carry the same ids.
+    if cli.scaling {
         let scaling = serving::serve_scaling(&config)
             .map_err(|e| CliError::runtime(format!("serve scaling failed: {e}")))?;
         for report in [&scaling.multi, &scaling.single, &scaling.unpipelined] {
             check_accounting(report)?;
         }
-        let traced = scaling.multi.clone();
-        (scaling.summary(), scaling.to_json(), traced)
+        let out = scaling.summary();
+        serve_artifacts(cli, &config, out, &scaling.multi, None, scaling.to_json())
     } else if cli.baseline {
         let cmp = serving::serve_comparison(&config)
             .map_err(|e| CliError::runtime(format!("serve comparison failed: {e}")))?;
         check_accounting(&cmp.tuned)?;
         check_accounting(&cmp.baseline)?;
-        let traced = cmp.tuned.clone();
-        (cmp.summary(), cmp.to_json(), traced)
+        serve_artifacts(cli, &config, cmp.summary(), &cmp.tuned, None, cmp.to_json())
     } else {
         let (report, snapshot) = serving::serve_exporting(&config)
             .map_err(|e| CliError::runtime(format!("serve failed: {e}")))?;
         check_accounting(&report)?;
-        exported = Some(snapshot);
-        let json = report.to_json();
-        (report.summary(), json, report)
-    };
+        let out = report.summary();
+        serve_artifacts(cli, &config, out, &report, Some(snapshot), report.to_json())
+    }
+}
+
+/// Writes a serve run's requested artifacts — the request-lifecycle
+/// trace of `traced`, the plan-cache snapshot (`exported`, or one from
+/// an extra run) and the `metrics` document — and appends their
+/// announcements to `out`.
+fn serve_artifacts<T: WriteJson>(
+    cli: &Cli,
+    config: &serving::ServeConfig,
+    mut out: String,
+    traced: &serving::ServeReport,
+    exported: Option<serving::CacheSnapshot>,
+    metrics: Document<T>,
+) -> Result<String, CliError> {
     if let Some(path) = &cli.trace_out {
-        // The scaling/baseline arms trace their primary (multi/tuned)
-        // report; request flows in the other arms carry the same ids.
-        let trace = serving::serve_trace_string(&traced);
-        out.push_str(&write_artifact("request-lifecycle trace", path, trace)?);
+        let trace = serving::serve_trace(traced);
+        let what = "request-lifecycle trace";
+        out.push_str(&stream_artifact(what, path, |f| trace.write_compact(f))?);
     }
     if let Some(path) = &cli.plan_cache_out {
         // The scaling/baseline arms consume their reports internally; an
@@ -272,15 +304,20 @@ fn execute_serve(cli: &Cli) -> Result<String, CliError> {
         let snapshot = match exported {
             Some(s) => s,
             None => {
-                serving::serve_exporting(&config)
+                serving::serve_exporting(config)
                     .map_err(|e| CliError::runtime(format!("serve failed: {e}")))?
                     .1
             }
         };
-        out.push_str(&write_artifact("plan cache", path, snapshot.to_json())?);
+        let doc = Document(&snapshot);
+        out.push_str(&stream_artifact("plan cache", path, |f| {
+            doc.write_pretty(f)
+        })?);
     }
     if let Some(path) = &cli.metrics_out {
-        out.push_str(&write_artifact("metrics", path, json.to_json_pretty())?);
+        out.push_str(&stream_artifact("metrics", path, |f| {
+            metrics.write_pretty(f)
+        })?);
     }
     Ok(out)
 }
@@ -321,17 +358,36 @@ fn workload_json(cli: &Cli, system: &flashoverlap::SystemSpec) -> Value {
     ])
 }
 
-/// One arm of the analyze comparison as JSON.
-fn analyze_arm_json(
-    partition: &flashoverlap::WavePartition,
-    report: &RunReport,
-    attribution: &telemetry::Attribution,
-) -> Value {
-    Value::obj(vec![
-        ("partition", Value::str(partition.to_string())),
-        ("latency_ns", Value::num(report.latency.as_nanos() as f64)),
-        ("attribution", attribution.to_json()),
-    ])
+/// The `analyze` document: the workload, both arms, and the
+/// signal-wait the tuned plan saves.
+struct AnalyzeDoc<'a> {
+    workload: Value,
+    /// `(partition, run, attribution)` of the tuned and per-wave arms.
+    arms: [(
+        &'a flashoverlap::WavePartition,
+        &'a RunReport,
+        &'a telemetry::Attribution,
+    ); 2],
+    signal_wait_saved_ns: f64,
+}
+
+impl WriteJson for AnalyzeDoc<'_> {
+    fn write_json<W: Sink>(&self, w: &mut JsonWriter<W>) {
+        w.obj(|w| {
+            w.key("kind").str("flashoverlap-analyze");
+            w.key("workload").json(&self.workload);
+            for (key, (partition, report, attribution)) in
+                ["tuned", "per_wave"].iter().zip(&self.arms)
+            {
+                w.key(key).obj(|w| {
+                    w.key("partition").str(&partition.to_string());
+                    w.key("latency_ns").num(report.latency.as_nanos() as f64);
+                    w.key("attribution").json(attribution);
+                });
+            }
+            w.key("signal_wait_saved_ns").num(self.signal_wait_saved_ns);
+        });
+    }
 }
 
 /// Runs the `analyze` command: attributes the tuned (or `--partition`)
@@ -355,22 +411,14 @@ fn execute_analyze(
 
     let tuned_wait = tuned_attr.totals.get(Category::SignalWait);
     let base_wait = base_attr.totals.get(Category::SignalWait);
-    let doc = Value::obj(vec![
-        ("kind", Value::str("flashoverlap-analyze")),
-        ("workload", workload_json(cli, system)),
-        (
-            "tuned",
-            analyze_arm_json(&plan.partition, &tuned_report, &tuned_attr),
-        ),
-        (
-            "per_wave",
-            analyze_arm_json(&per_wave, &base_report, &base_attr),
-        ),
-        (
-            "signal_wait_saved_ns",
-            Value::num(base_wait as f64 - tuned_wait as f64),
-        ),
-    ]);
+    let doc = Document(AnalyzeDoc {
+        workload: workload_json(cli, system),
+        arms: [
+            (&plan.partition, &tuned_report, &tuned_attr),
+            (&per_wave, &base_report, &base_attr),
+        ],
+        signal_wait_saved_ns: base_wait as f64 - tuned_wait as f64,
+    });
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -402,7 +450,7 @@ fn execute_analyze(
         out.push_str(&write_artifact(what, path, trace.to_json())?);
     }
     if let Some(path) = &cli.metrics_out {
-        out.push_str(&write_artifact("metrics", path, doc.to_json_pretty())?);
+        out.push_str(&stream_artifact("metrics", path, |f| doc.write_pretty(f))?);
     }
     if !identity {
         return Err(CliError::runtime(format!(
@@ -410,6 +458,49 @@ fn execute_analyze(
         )));
     }
     Ok(out)
+}
+
+/// The `bench` document: a serve run's virtual-time metrics only.
+struct BenchDoc<'a>(&'a serving::ServeReport);
+
+impl WriteJson for BenchDoc<'_> {
+    fn write_json<W: Sink>(&self, w: &mut JsonWriter<W>) {
+        let report = self.0;
+        w.obj(|w| {
+            w.key("kind").str("flashoverlap-bench-serve");
+            w.key("seed").num(report.seed as f64);
+            w.key("requests").num(report.offered as f64);
+            w.key("gpus").num(report.gpus as f64);
+            w.key("platform").str(report.platform);
+            w.key("replicas").num(report.replicas as f64);
+            w.key("chaos").bool(report.chaos);
+            w.key("makespan_ns").num(report.makespan_ns as f64);
+            w.key("throughput").obj(|w| {
+                w.key("goodput_rps").num(report.goodput_rps);
+                w.key("offered_rps").num(report.offered_rps);
+                w.key("shed_rate").num(report.shed_rate);
+            });
+            w.key("latency");
+            match &report.latency {
+                Some(p) => w.obj(|w| {
+                    w.key("p50_ns").num(p.p50 as f64);
+                    w.key("p95_ns").num(p.p95 as f64);
+                    w.key("p99_ns").num(p.p99 as f64);
+                    w.key("mean_ns").num(report.mean_latency_ns);
+                }),
+                None => w.null(),
+            };
+            serving::report::write_scheduling(w, &report.form_wait, &report.queue_wait);
+            w.key("attribution")
+                .obj(|w| report.attribution.write_breakdown(w, report.makespan_ns));
+            w.key("signaling").obj(|w| {
+                w.key("mean_signal_ns").num(report.mean_signal_ns);
+                w.key("samples").num(report.signal_samples as f64);
+            });
+            w.key("batches").num(report.batches as f64);
+            w.key("drift_rows").num(report.drift.len() as f64);
+        });
+    }
 }
 
 /// Runs the `bench` command: the serve regression benchmark. The JSON
@@ -426,67 +517,9 @@ fn execute_bench(cli: &Cli) -> Result<String, CliError> {
     let wall = started.elapsed();
     check_accounting(&report)?;
 
-    let doc = Value::obj(vec![
-        ("kind", Value::str("flashoverlap-bench-serve")),
-        ("seed", Value::num(report.seed as f64)),
-        ("requests", Value::num(report.offered as f64)),
-        ("gpus", Value::num(report.gpus as f64)),
-        ("platform", Value::str(report.platform)),
-        ("replicas", Value::num(report.replicas as f64)),
-        ("chaos", Value::Bool(report.chaos)),
-        ("makespan_ns", Value::num(report.makespan_ns as f64)),
-        (
-            "throughput",
-            Value::obj(vec![
-                ("goodput_rps", Value::num(report.goodput_rps)),
-                ("offered_rps", Value::num(report.offered_rps)),
-                ("shed_rate", Value::num(report.shed_rate)),
-            ]),
-        ),
-        (
-            "latency",
-            match &report.latency {
-                Some(p) => Value::obj(vec![
-                    ("p50_ns", Value::num(p.p50 as f64)),
-                    ("p95_ns", Value::num(p.p95 as f64)),
-                    ("p99_ns", Value::num(p.p99 as f64)),
-                    ("mean_ns", Value::num(report.mean_latency_ns)),
-                ]),
-                None => Value::Null,
-            },
-        ),
-        (
-            "scheduling",
-            Value::obj(vec![
-                ("form_wait", serving::report::wait_json(&report.form_wait)),
-                ("queue_wait", serving::report::wait_json(&report.queue_wait)),
-            ]),
-        ),
-        (
-            "attribution",
-            Value::obj(vec![
-                ("makespan_ns", Value::num(report.makespan_ns as f64)),
-                (
-                    "identity_holds",
-                    Value::Bool(report.attribution.sum() == report.makespan_ns),
-                ),
-                ("categories", report.attribution.to_json()),
-                ("shares", report.attribution.shares_json(report.makespan_ns)),
-            ]),
-        ),
-        (
-            "signaling",
-            Value::obj(vec![
-                ("mean_signal_ns", Value::num(report.mean_signal_ns)),
-                ("samples", Value::num(report.signal_samples as f64)),
-            ]),
-        ),
-        ("batches", Value::num(report.batches as f64)),
-        ("drift_rows", Value::num(report.drift.len() as f64)),
-    ]);
-
     let path = cli.metrics_out.as_deref().unwrap_or("BENCH_serve.json");
-    let written = write_artifact("bench report", path, doc.to_json_pretty())?;
+    let doc = Document(BenchDoc(&report));
+    let written = stream_artifact("bench report", path, |f| doc.write_pretty(f))?;
 
     // Host-side figures stay out of the artifact: they vary run to run
     // and would break the byte-compare gate.

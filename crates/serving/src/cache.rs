@@ -29,6 +29,7 @@ use flashoverlap::{
     tune_plan, CommPattern, FlashOverlapError, OverlapPlan, SystemSpec, WavePartition,
 };
 use gpu_sim::gemm::GemmDims;
+use telemetry::json::{Document, JsonWriter, Sink, WriteJson};
 
 /// Cache key: the GEMM shape, the collective primitive, and a
 /// fingerprint of the system the plan was tuned for. A plan tuned for
@@ -533,53 +534,10 @@ fn pattern_of(p: Primitive) -> Option<CommPattern> {
 }
 
 impl CacheSnapshot {
-    /// Serializes to the `flashoverlap-plan-cache` JSON document. The
-    /// fingerprint is hex-encoded: the JSON layer stores numbers as
-    /// `f64`, which cannot hold a full `u64` exactly.
+    /// Serializes to the pretty `flashoverlap-plan-cache` JSON document
+    /// (see the [`WriteJson`] impl).
     pub fn to_json(&self) -> String {
-        use telemetry::json::Value;
-        Value::obj(vec![
-            ("kind", Value::str("flashoverlap-plan-cache")),
-            ("system_fp", Value::str(format!("{:016x}", self.system_fp))),
-            (
-                "entries",
-                Value::Arr(
-                    self.entries
-                        .iter()
-                        .map(|e| {
-                            let mut fields = vec![
-                                ("m", Value::num(f64::from(e.dims.m))),
-                                ("n", Value::num(f64::from(e.dims.n))),
-                                ("k", Value::num(f64::from(e.dims.k))),
-                                ("primitive", Value::str(primitive_label(e.primitive))),
-                                (
-                                    "groups",
-                                    Value::Arr(
-                                        e.groups
-                                            .iter()
-                                            .map(|&g| Value::num(f64::from(g)))
-                                            .collect(),
-                                    ),
-                                ),
-                            ];
-                            if let Some(thresholds) = &e.thresholds {
-                                fields.push((
-                                    "thresholds",
-                                    Value::Arr(
-                                        thresholds
-                                            .iter()
-                                            .map(|&t| Value::num(f64::from(t)))
-                                            .collect(),
-                                    ),
-                                ));
-                            }
-                            Value::obj(fields)
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-        .to_json_pretty()
+        Document(self).to_json_pretty()
     }
 
     /// Parses a document produced by [`CacheSnapshot::to_json`].
@@ -659,6 +617,41 @@ impl CacheSnapshot {
             });
         }
         Ok(CacheSnapshot { system_fp, entries })
+    }
+}
+
+impl WriteJson for CacheSnapshot {
+    /// The `flashoverlap-plan-cache` document. The fingerprint is
+    /// hex-encoded: the JSON layer stores numbers as `f64`, which cannot
+    /// hold a full `u64` exactly.
+    fn write_json<W: Sink>(&self, w: &mut JsonWriter<W>) {
+        let fp = format!("{:016x}", self.system_fp);
+        w.obj(|w| {
+            w.key("kind").str("flashoverlap-plan-cache");
+            w.key("system_fp").str(&fp);
+            w.key("entries").arr(|w| {
+                for e in &self.entries {
+                    w.obj(|w| {
+                        w.key("m").num(f64::from(e.dims.m));
+                        w.key("n").num(f64::from(e.dims.n));
+                        w.key("k").num(f64::from(e.dims.k));
+                        w.key("primitive").str(primitive_label(e.primitive));
+                        w.key("groups").arr(|w| {
+                            for &g in &e.groups {
+                                w.num(f64::from(g));
+                            }
+                        });
+                        if let Some(thresholds) = &e.thresholds {
+                            w.key("thresholds").arr(|w| {
+                                for &t in thresholds {
+                                    w.num(f64::from(t));
+                                }
+                            });
+                        }
+                    });
+                }
+            });
+        });
     }
 }
 

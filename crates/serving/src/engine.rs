@@ -51,12 +51,61 @@ pub(crate) struct PendingBatch {
     pub(crate) migration_ns: u64,
 }
 
+/// A replica's dispatch queue: closed batches waiting for the replica to
+/// go idle, with their padded-token total kept as batches come and go,
+/// so the router reads a replica's load without scanning its backlog.
+/// Every change goes through these methods, so the total cannot drift.
+#[derive(Debug, Default)]
+pub(crate) struct DispatchQueue {
+    batches: VecDeque<PendingBatch>,
+    /// Sum of `batches`' padded tokens.
+    padded_tokens: u64,
+}
+
+impl DispatchQueue {
+    /// Appends a closed batch.
+    pub(crate) fn push_back(&mut self, p: PendingBatch) {
+        self.padded_tokens += u64::from(p.batch.padded_tokens);
+        self.batches.push_back(p);
+    }
+
+    /// Moves the first `n` batches (all, if fewer wait) onto `into`.
+    pub(crate) fn drain_front_into(&mut self, n: usize, into: &mut Vec<PendingBatch>) {
+        let n = n.min(self.batches.len());
+        for p in self.batches.drain(..n) {
+            self.padded_tokens -= u64::from(p.batch.padded_tokens);
+            into.push(p);
+        }
+    }
+
+    /// Empties the queue, returning its batches in order.
+    pub(crate) fn take_all(&mut self) -> VecDeque<PendingBatch> {
+        self.padded_tokens = 0;
+        std::mem::take(&mut self.batches)
+    }
+
+    /// Padded tokens waiting.
+    pub(crate) fn queued_tokens(&self) -> u64 {
+        self.padded_tokens
+    }
+
+    /// Batches waiting.
+    pub(crate) fn len(&self) -> usize {
+        self.batches.len()
+    }
+
+    /// Whether no batch waits.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.batches.is_empty()
+    }
+}
+
 /// One replica group of a serve run. The run's [`PlanStore`] and
 /// [`ChainMemo`] are shared by every replica, so they are not held here:
 /// [`Replica::execute_chain`] borrows them for each chain.
 pub(crate) struct Replica {
     /// Closed batches routed here, waiting for the replica to go idle.
-    pub(crate) pending: VecDeque<PendingBatch>,
+    pub(crate) pending: DispatchQueue,
     /// Virtual time the replica's last chain drains (<= now means idle).
     pub(crate) free_ns: u64,
     /// The replica's report row. Each chain bumps its `batches`,
@@ -231,7 +280,37 @@ impl ChainMemo {
             }),
         };
         entry.last_used = self.tick;
+        #[cfg(test)]
+        let entry = {
+            self.check_pins();
+            self.entries.get(&key).expect("the entry was just used")
+        };
         Ok(&entry.run)
+    }
+
+    /// Checks that every entry pins the addresses its key names: slot
+    /// `i` of its plans points at the key's address `i`, the key's used
+    /// slots come first, and its unused slots are 0 with no plan.
+    #[cfg(test)]
+    fn check_pins(&self) {
+        for (key, entry) in &self.entries {
+            let used = key.iter().take_while(|&&a| a != 0).count();
+            for (i, (&address, plan)) in key.iter().zip(&entry.plans).enumerate() {
+                if i < used {
+                    assert_eq!(
+                        plan.as_ptr() as usize,
+                        address,
+                        "memo entry slot {i} does not pin its key's plan"
+                    );
+                } else {
+                    assert_eq!(address, 0, "memo key slot {i} is used after an unused one");
+                    assert!(
+                        Weak::ptr_eq(plan, &Weak::new()),
+                        "memo entry slot {i} holds a plan its key does not name"
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -259,7 +338,7 @@ pub(crate) fn build_replicas(
     let system_fp = system_fingerprint(&config.system);
     Ok((0..config.replicas)
         .map(|id| Replica {
-            pending: VecDeque::new(),
+            pending: DispatchQueue::default(),
             free_ns: 0,
             stats: ReplicaStats {
                 id,
@@ -284,14 +363,6 @@ pub(crate) fn build_replicas(
 }
 
 impl Replica {
-    /// Padded tokens waiting in the dispatch queue.
-    pub(crate) fn queued_tokens(&self) -> u64 {
-        self.pending
-            .iter()
-            .map(|p| u64::from(p.batch.padded_tokens))
-            .sum()
-    }
-
     /// Runs `chain` from `start_ns`, accounts it into `acct` and sets
     /// `free_ns` to when it drains: resolves the chain's plans (a miss
     /// takes `store`'s plan, tuning into it only when it has none), takes
@@ -697,6 +768,44 @@ mod tests {
             routing: "test",
             close_ns: 0,
             migration_ns: 0,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random pushes, dispatch drains and quarantine re-routes across
+        /// three queues: after every step each queue's running total is
+        /// what summing its batches gives.
+        #[test]
+        fn dispatch_queue_totals_match_the_scan(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = sim::DetRng::new(seed);
+            let mut queues: [DispatchQueue; 3] = Default::default();
+            let mut chain = Vec::new();
+            for id in 0..rng.next_below(200) {
+                let q = rng.next_below(3) as usize;
+                match rng.next_below(4) {
+                    0 | 1 => queues[q].push_back(single(id, 1 + rng.next_below(4096) as u32)),
+                    2 => {
+                        chain.clear();
+                        let n = rng.next_below(ServeConfig::CHAIN as u64 + 2) as usize;
+                        queues[q].drain_front_into(n, &mut chain);
+                    }
+                    _ => {
+                        for (i, p) in queues[q].take_all().into_iter().enumerate() {
+                            queues[(q + 1 + i % 2) % 3].push_back(p);
+                        }
+                    }
+                }
+                for queue in &queues {
+                    let scan: u64 = queue
+                        .batches
+                        .iter()
+                        .map(|p| u64::from(p.batch.padded_tokens))
+                        .sum();
+                    proptest::prop_assert_eq!(queue.queued_tokens(), scan);
+                }
+            }
         }
     }
 

@@ -60,5 +60,5 @@ pub use router::{home_node, ReplicaLoad, RouteDecision, Router, RouterPolicy};
 pub use server::{
     serve, serve_baseline, serve_comparison, serve_exporting, serve_scaling, ExecMode, ServeConfig,
 };
-pub use trace::{serve_trace, serve_trace_string};
+pub use trace::{serve_trace, ServeTrace};
 pub use traffic::{generate, ArrivalProcess, Request};

@@ -6,12 +6,13 @@
 //! chaos) or shed at admission. The aggregate [`ServeReport`] carries
 //! latency percentiles (via [`telemetry::metrics::percentiles`]),
 //! goodput, shed rate, plan-cache counters, and signaling cost, and
-//! serializes through the vendored `telemetry::json` module so `--seed`
-//! determinism is checkable byte-for-byte on the JSON output.
+//! writes itself straight into the vendored `telemetry::json` writer so
+//! `--seed` determinism is checkable byte-for-byte on the JSON output.
 
 use flashoverlap::ResilientOutcome;
 use telemetry::attribution::{AttributionTotals, Category};
-use telemetry::json::Value;
+
+use telemetry::json::{Document, JsonWriter, Sink, WriteJson};
 use telemetry::Percentiles;
 
 use crate::cache::CacheStats;
@@ -466,159 +467,10 @@ impl ServeReport {
         Ok(())
     }
 
-    /// Serializes to the vendored JSON model. Deterministic: field
-    /// order is fixed and no map iteration is involved.
-    pub fn to_json(&self) -> Value {
-        let latency = match &self.latency {
-            Some(p) => Value::obj(vec![
-                ("p50_ns", Value::num(p.p50 as f64)),
-                ("p95_ns", Value::num(p.p95 as f64)),
-                ("p99_ns", Value::num(p.p99 as f64)),
-                ("mean_ns", Value::num(self.mean_latency_ns)),
-                ("max_ns", Value::num(self.max_latency_ns as f64)),
-            ]),
-            None => Value::Null,
-        };
-        Value::obj(vec![
-            ("kind", Value::str("flashoverlap-serve")),
-            ("seed", Value::num(self.seed as f64)),
-            ("arrival", Value::str(self.arrival)),
-            ("offered", Value::num(self.offered as f64)),
-            ("gpus", Value::num(self.gpus as f64)),
-            ("platform", Value::str(self.platform)),
-            ("slo_ms", Value::num(self.slo_ns as f64 / 1e6)),
-            ("chaos", Value::Bool(self.chaos)),
-            ("tuned", Value::Bool(self.tuned)),
-            ("replicas", Value::num(self.replicas as f64)),
-            ("nodes", Value::num(self.nodes as f64)),
-            ("router", Value::str(self.router)),
-            ("pipelined", Value::Bool(self.pipelined)),
-            (
-                "wedge_replica",
-                self.wedge_replica
-                    .map_or(Value::Null, |r| Value::num(r as f64)),
-            ),
-            ("makespan_ns", Value::num(self.makespan_ns as f64)),
-            (
-                "requests",
-                Value::obj(vec![
-                    ("completed", Value::num(self.completed as f64)),
-                    ("shed", Value::num(self.shed as f64)),
-                    ("clean", Value::num(self.clean as f64)),
-                    ("recovered", Value::num(self.recovered as f64)),
-                    ("degraded", Value::num(self.degraded as f64)),
-                    ("slo_met", Value::num(self.slo_met as f64)),
-                ]),
-            ),
-            ("latency", latency),
-            (
-                "throughput",
-                Value::obj(vec![
-                    ("goodput_rps", Value::num(self.goodput_rps)),
-                    ("offered_rps", Value::num(self.offered_rps)),
-                    ("shed_rate", Value::num(self.shed_rate)),
-                ]),
-            ),
-            (
-                "batches",
-                Value::obj(vec![
-                    ("executed", Value::num(self.batches as f64)),
-                    ("mean_requests", Value::num(self.mean_batch_requests)),
-                    ("mean_tokens", Value::num(self.mean_batch_tokens)),
-                    ("distinct_shapes", Value::num(self.distinct_shapes as f64)),
-                ]),
-            ),
-            (
-                "plan_cache",
-                Value::obj(vec![
-                    ("hits", Value::num(self.cache.hits as f64)),
-                    ("misses", Value::num(self.cache.misses as f64)),
-                    ("evictions", Value::num(self.cache.evictions as f64)),
-                    ("hit_rate", Value::num(self.cache.hit_rate())),
-                    (
-                        "tune_evaluated",
-                        Value::num(self.cache.tune_evaluated as f64),
-                    ),
-                    ("preloaded", Value::num(self.cache.preloaded as f64)),
-                ]),
-            ),
-            (
-                "resilience",
-                Value::obj(vec![
-                    (
-                        "replicas_quarantined",
-                        Value::num(self.replicas_quarantined as f64),
-                    ),
-                    ("batches_rerouted", Value::num(self.batches_rerouted as f64)),
-                    ("quarantine_shed", Value::num(self.quarantine_shed as f64)),
-                    ("recovered", Value::num(self.recovered as f64)),
-                    ("degraded", Value::num(self.degraded as f64)),
-                ]),
-            ),
-            (
-                "cross_node",
-                Value::obj(vec![
-                    ("batches", Value::num(self.cross_node_batches as f64)),
-                    ("migration_ns", Value::num(self.migration_ns as f64)),
-                    (
-                        "inter_bytes",
-                        Value::obj(vec![
-                            (
-                                "hierarchical",
-                                Value::num(self.inter_bytes_hierarchical as f64),
-                            ),
-                            ("flat_baseline", Value::num(self.inter_bytes_flat as f64)),
-                        ]),
-                    ),
-                ]),
-            ),
-            (
-                "per_replica",
-                Value::Arr(self.replica_stats.iter().map(replica_json).collect()),
-            ),
-            (
-                "per_node",
-                Value::Arr(self.node_stats.iter().map(node_json).collect()),
-            ),
-            (
-                "signaling",
-                Value::obj(vec![
-                    ("mean_signal_ns", Value::num(self.mean_signal_ns)),
-                    ("samples", Value::num(self.signal_samples as f64)),
-                ]),
-            ),
-            (
-                "scheduling",
-                Value::obj(vec![
-                    ("form_wait", wait_json(&self.form_wait)),
-                    ("queue_wait", wait_json(&self.queue_wait)),
-                ]),
-            ),
-            (
-                "attribution",
-                Value::obj(vec![
-                    ("makespan_ns", Value::num(self.makespan_ns as f64)),
-                    (
-                        "identity_holds",
-                        Value::Bool(self.attribution.sum() == self.makespan_ns),
-                    ),
-                    ("categories", self.attribution.to_json()),
-                    ("shares", self.attribution.shares_json(self.makespan_ns)),
-                ]),
-            ),
-            (
-                "predictor_drift",
-                Value::Arr(self.drift.iter().map(drift_json).collect()),
-            ),
-            (
-                "per_request",
-                Value::Arr(self.records.iter().map(request_json).collect()),
-            ),
-            (
-                "per_batch",
-                Value::Arr(self.batch_records.iter().map(batch_json).collect()),
-            ),
-        ])
+    /// The JSON report, ready to render or stream. Deterministic:
+    /// field order is fixed and no map iteration is involved.
+    pub fn to_json(&self) -> Document<&Self> {
+        Document(self)
     }
 
     /// Short human-readable summary.
@@ -765,119 +617,225 @@ impl ServeReport {
     }
 }
 
-/// A wait distribution as `{"p50_ns", "p95_ns", "p99_ns"}`, or `null`
-/// when nothing waited.
-pub fn wait_json(p: &Option<Percentiles>) -> Value {
-    match p {
-        Some(p) => Value::obj(vec![
-            ("p50_ns", Value::num(p.p50 as f64)),
-            ("p95_ns", Value::num(p.p95 as f64)),
-            ("p99_ns", Value::num(p.p99 as f64)),
-        ]),
-        None => Value::Null,
+impl WriteJson for ServeReport {
+    fn write_json<W: Sink>(&self, w: &mut JsonWriter<W>) {
+        w.obj(|w| {
+            w.key("kind").str("flashoverlap-serve");
+            w.key("seed").num(self.seed as f64);
+            w.key("arrival").str(self.arrival);
+            w.key("offered").num(self.offered as f64);
+            w.key("gpus").num(self.gpus as f64);
+            w.key("platform").str(self.platform);
+            w.key("slo_ms").num(self.slo_ns as f64 / 1e6);
+            w.key("chaos").bool(self.chaos);
+            w.key("tuned").bool(self.tuned);
+            w.key("replicas").num(self.replicas as f64);
+            w.key("nodes").num(self.nodes as f64);
+            w.key("router").str(self.router);
+            w.key("pipelined").bool(self.pipelined);
+            w.key("wedge_replica")
+                .opt_num(self.wedge_replica.map(|r| r as f64));
+            w.key("makespan_ns").num(self.makespan_ns as f64);
+            w.key("requests").obj(|w| {
+                w.key("completed").num(self.completed as f64);
+                w.key("shed").num(self.shed as f64);
+                w.key("clean").num(self.clean as f64);
+                w.key("recovered").num(self.recovered as f64);
+                w.key("degraded").num(self.degraded as f64);
+                w.key("slo_met").num(self.slo_met as f64);
+            });
+            w.key("latency");
+            match &self.latency {
+                Some(p) => w.obj(|w| {
+                    w.key("p50_ns").num(p.p50 as f64);
+                    w.key("p95_ns").num(p.p95 as f64);
+                    w.key("p99_ns").num(p.p99 as f64);
+                    w.key("mean_ns").num(self.mean_latency_ns);
+                    w.key("max_ns").num(self.max_latency_ns as f64);
+                }),
+                None => w.null(),
+            };
+            w.key("throughput").obj(|w| {
+                w.key("goodput_rps").num(self.goodput_rps);
+                w.key("offered_rps").num(self.offered_rps);
+                w.key("shed_rate").num(self.shed_rate);
+            });
+            w.key("batches").obj(|w| {
+                w.key("executed").num(self.batches as f64);
+                w.key("mean_requests").num(self.mean_batch_requests);
+                w.key("mean_tokens").num(self.mean_batch_tokens);
+                w.key("distinct_shapes").num(self.distinct_shapes as f64);
+            });
+            w.key("plan_cache").obj(|w| {
+                w.key("hits").num(self.cache.hits as f64);
+                w.key("misses").num(self.cache.misses as f64);
+                w.key("evictions").num(self.cache.evictions as f64);
+                w.key("hit_rate").num(self.cache.hit_rate());
+                w.key("tune_evaluated")
+                    .num(self.cache.tune_evaluated as f64);
+                w.key("preloaded").num(self.cache.preloaded as f64);
+            });
+            w.key("resilience").obj(|w| {
+                w.key("replicas_quarantined")
+                    .num(self.replicas_quarantined as f64);
+                w.key("batches_rerouted").num(self.batches_rerouted as f64);
+                w.key("quarantine_shed").num(self.quarantine_shed as f64);
+                w.key("recovered").num(self.recovered as f64);
+                w.key("degraded").num(self.degraded as f64);
+            });
+            w.key("cross_node").obj(|w| {
+                w.key("batches").num(self.cross_node_batches as f64);
+                w.key("migration_ns").num(self.migration_ns as f64);
+                w.key("inter_bytes").obj(|w| {
+                    w.key("hierarchical")
+                        .num(self.inter_bytes_hierarchical as f64);
+                    w.key("flat_baseline").num(self.inter_bytes_flat as f64);
+                });
+            });
+            w.key("per_replica").arr(|w| {
+                for r in &self.replica_stats {
+                    write_replica(w, r);
+                }
+            });
+            w.key("per_node").arr(|w| {
+                for n in &self.node_stats {
+                    write_node(w, n);
+                }
+            });
+            w.key("signaling").obj(|w| {
+                w.key("mean_signal_ns").num(self.mean_signal_ns);
+                w.key("samples").num(self.signal_samples as f64);
+            });
+            write_scheduling(w, &self.form_wait, &self.queue_wait);
+            w.key("attribution")
+                .obj(|w| self.attribution.write_breakdown(w, self.makespan_ns));
+            w.key("predictor_drift").arr(|w| {
+                for d in &self.drift {
+                    write_drift(w, d);
+                }
+            });
+            w.key("per_request").arr(|w| {
+                for r in &self.records {
+                    write_request(w, r);
+                }
+            });
+            w.key("per_batch").arr(|w| {
+                for b in &self.batch_records {
+                    write_batch(w, b);
+                }
+            });
+        });
     }
 }
 
-fn drift_json(d: &DriftRow) -> Value {
-    Value::obj(vec![
-        ("m", Value::num(f64::from(d.m))),
-        ("n", Value::num(f64::from(d.n))),
-        ("k", Value::num(f64::from(d.k))),
-        ("group", Value::num(d.group as f64)),
-        ("samples", Value::num(d.samples as f64)),
-        ("mean_predicted_ns", Value::num(d.mean_predicted_ns)),
-        ("mean_measured_ns", Value::num(d.mean_measured_ns)),
-        ("drift", Value::num(d.drift())),
-    ])
+/// Writes the `scheduling` member: the batch-forming and dispatch-queue
+/// wait distributions, each `{"p50_ns", "p95_ns", "p99_ns"}` or `null`
+/// when nothing waited.
+pub fn write_scheduling<W: Sink>(
+    w: &mut JsonWriter<W>,
+    form_wait: &Option<Percentiles>,
+    queue_wait: &Option<Percentiles>,
+) {
+    w.key("scheduling").obj(|w| {
+        for (key, p) in [("form_wait", form_wait), ("queue_wait", queue_wait)] {
+            w.key(key);
+            match p {
+                Some(p) => w.obj(|w| {
+                    w.key("p50_ns").num(p.p50 as f64);
+                    w.key("p95_ns").num(p.p95 as f64);
+                    w.key("p99_ns").num(p.p99 as f64);
+                }),
+                None => w.null(),
+            };
+        }
+    });
 }
 
-fn request_json(r: &RequestRecord) -> Value {
-    Value::obj(vec![
-        ("id", Value::num(r.id as f64)),
-        ("model", Value::str(r.model)),
-        ("tokens", Value::num(f64::from(r.tokens))),
-        ("arrival_ns", Value::num(r.arrival_ns as f64)),
-        ("disposition", Value::str(r.disposition.label())),
-        (
-            "batch",
-            r.batch.map_or(Value::Null, |b| Value::num(b as f64)),
-        ),
-        (
-            "latency_ns",
-            r.latency_ns.map_or(Value::Null, |l| Value::num(l as f64)),
-        ),
-        (
-            "form_wait_ns",
-            r.form_wait_ns.map_or(Value::Null, |w| Value::num(w as f64)),
-        ),
-        (
-            "queue_wait_ns",
-            r.queue_wait_ns
-                .map_or(Value::Null, |w| Value::num(w as f64)),
-        ),
-    ])
+fn write_drift<W: Sink>(w: &mut JsonWriter<W>, d: &DriftRow) {
+    w.obj(|w| {
+        w.key("m").num(f64::from(d.m));
+        w.key("n").num(f64::from(d.n));
+        w.key("k").num(f64::from(d.k));
+        w.key("group").num(d.group as f64);
+        w.key("samples").num(d.samples as f64);
+        w.key("mean_predicted_ns").num(d.mean_predicted_ns);
+        w.key("mean_measured_ns").num(d.mean_measured_ns);
+        w.key("drift").num(d.drift());
+    });
 }
 
-fn batch_json(b: &BatchRecord) -> Value {
-    Value::obj(vec![
-        ("id", Value::num(b.id as f64)),
-        ("model", Value::str(b.model)),
-        ("requests", Value::num(b.requests as f64)),
-        ("tokens", Value::num(f64::from(b.tokens))),
-        ("padded_tokens", Value::num(f64::from(b.padded_tokens))),
-        ("start_ns", Value::num(b.start_ns as f64)),
-        ("exec_ns", Value::num(b.exec_ns as f64)),
-        ("cache_hit", Value::Bool(b.cache_hit)),
-        ("outcome", Value::str(b.outcome)),
-        ("replica", Value::num(b.replica as f64)),
-        ("node", Value::num(b.node as f64)),
-        ("migration_ns", Value::num(b.migration_ns as f64)),
-        ("routing", Value::str(b.routing)),
-        ("chain_len", Value::num(b.chain_len as f64)),
-        ("close_ns", Value::num(b.close_ns as f64)),
-        ("queue_wait_ns", Value::num(b.queue_wait_ns as f64)),
-        (
-            "attribution",
-            b.attribution
-                .as_ref()
-                .map_or(Value::Null, AttributionTotals::to_json),
-        ),
-    ])
+fn write_request<W: Sink>(w: &mut JsonWriter<W>, r: &RequestRecord) {
+    w.obj(|w| {
+        w.key("id").num(r.id as f64);
+        w.key("model").str(r.model);
+        w.key("tokens").num(f64::from(r.tokens));
+        w.key("arrival_ns").num(r.arrival_ns as f64);
+        w.key("disposition").str(r.disposition.label());
+        w.key("batch").opt_num(r.batch.map(|b| b as f64));
+        w.key("latency_ns").opt_num(r.latency_ns.map(|l| l as f64));
+        w.key("form_wait_ns")
+            .opt_num(r.form_wait_ns.map(|x| x as f64));
+        w.key("queue_wait_ns")
+            .opt_num(r.queue_wait_ns.map(|x| x as f64));
+    });
 }
 
-fn node_json(n: &NodeStats) -> Value {
-    Value::obj(vec![
-        ("node", Value::num(n.node as f64)),
-        ("replicas", Value::num(n.replicas as f64)),
-        ("batches", Value::num(n.batches as f64)),
-        ("requests", Value::num(n.requests as f64)),
-        ("tokens", Value::num(n.tokens as f64)),
-        ("busy_ns", Value::num(n.busy_ns as f64)),
-    ])
+fn write_batch<W: Sink>(w: &mut JsonWriter<W>, b: &BatchRecord) {
+    w.obj(|w| {
+        w.key("id").num(b.id as f64);
+        w.key("model").str(b.model);
+        w.key("requests").num(b.requests as f64);
+        w.key("tokens").num(f64::from(b.tokens));
+        w.key("padded_tokens").num(f64::from(b.padded_tokens));
+        w.key("start_ns").num(b.start_ns as f64);
+        w.key("exec_ns").num(b.exec_ns as f64);
+        w.key("cache_hit").bool(b.cache_hit);
+        w.key("outcome").str(b.outcome);
+        w.key("replica").num(b.replica as f64);
+        w.key("node").num(b.node as f64);
+        w.key("migration_ns").num(b.migration_ns as f64);
+        w.key("routing").str(b.routing);
+        w.key("chain_len").num(b.chain_len as f64);
+        w.key("close_ns").num(b.close_ns as f64);
+        w.key("queue_wait_ns").num(b.queue_wait_ns as f64);
+        w.key("attribution");
+        match &b.attribution {
+            Some(a) => w.json(a),
+            None => w.null(),
+        };
+    });
 }
 
-fn replica_json(r: &ReplicaStats) -> Value {
-    Value::obj(vec![
-        ("id", Value::num(r.id as f64)),
-        ("node", Value::num(r.node as f64)),
-        ("batches", Value::num(r.batches as f64)),
-        ("requests", Value::num(r.requests as f64)),
-        ("tokens", Value::num(r.tokens as f64)),
-        ("busy_ns", Value::num(r.busy_ns as f64)),
-        ("chains", Value::num(r.chains as f64)),
-        ("utilization", Value::num(r.utilization)),
-        ("quarantined", Value::Bool(r.quarantined)),
-        (
-            "cache",
-            Value::obj(vec![
-                ("hits", Value::num(r.cache.hits as f64)),
-                ("misses", Value::num(r.cache.misses as f64)),
-                ("evictions", Value::num(r.cache.evictions as f64)),
-                ("hit_rate", Value::num(r.cache.hit_rate())),
-                ("preloaded", Value::num(r.cache.preloaded as f64)),
-            ]),
-        ),
-    ])
+fn write_node<W: Sink>(w: &mut JsonWriter<W>, n: &NodeStats) {
+    w.obj(|w| {
+        w.key("node").num(n.node as f64);
+        w.key("replicas").num(n.replicas as f64);
+        w.key("batches").num(n.batches as f64);
+        w.key("requests").num(n.requests as f64);
+        w.key("tokens").num(n.tokens as f64);
+        w.key("busy_ns").num(n.busy_ns as f64);
+    });
+}
+
+fn write_replica<W: Sink>(w: &mut JsonWriter<W>, r: &ReplicaStats) {
+    w.obj(|w| {
+        w.key("id").num(r.id as f64);
+        w.key("node").num(r.node as f64);
+        w.key("batches").num(r.batches as f64);
+        w.key("requests").num(r.requests as f64);
+        w.key("tokens").num(r.tokens as f64);
+        w.key("busy_ns").num(r.busy_ns as f64);
+        w.key("chains").num(r.chains as f64);
+        w.key("utilization").num(r.utilization);
+        w.key("quarantined").bool(r.quarantined);
+        w.key("cache").obj(|w| {
+            w.key("hits").num(r.cache.hits as f64);
+            w.key("misses").num(r.cache.misses as f64);
+            w.key("evictions").num(r.cache.evictions as f64);
+            w.key("hit_rate").num(r.cache.hit_rate());
+            w.key("preloaded").num(r.cache.preloaded as f64);
+        });
+    });
 }
 
 /// Tuned-vs-baseline comparison: the same seeded traffic served twice,
@@ -907,22 +865,9 @@ impl ComparisonReport {
         ))
     }
 
-    /// Serializes both arms plus the speedup summary.
-    pub fn to_json(&self) -> Value {
-        let speedup = match self.speedups() {
-            Some((p50, p95, mean)) => Value::obj(vec![
-                ("p50", Value::num(p50)),
-                ("p95", Value::num(p95)),
-                ("mean", Value::num(mean)),
-            ]),
-            None => Value::Null,
-        };
-        Value::obj(vec![
-            ("kind", Value::str("flashoverlap-serve-comparison")),
-            ("speedup", speedup),
-            ("tuned", self.tuned.to_json()),
-            ("baseline", self.baseline.to_json()),
-        ])
+    /// The JSON document of both arms plus the speedup summary.
+    pub fn to_json(&self) -> Document<&Self> {
+        Document(self)
     }
 
     /// Human-readable summary of both arms.
@@ -973,34 +918,9 @@ impl ScalingReport {
         ))
     }
 
-    /// Serializes all three arms plus the scaling summary.
-    pub fn to_json(&self) -> Value {
-        let pipelining = match self.pipelining_p95() {
-            Some((pipelined, serial)) => Value::obj(vec![
-                ("pipelined_p95_ns", Value::num(pipelined as f64)),
-                ("serial_p95_ns", Value::num(serial as f64)),
-                (
-                    "p95_speedup",
-                    if pipelined > 0 {
-                        Value::num(serial as f64 / pipelined as f64)
-                    } else {
-                        Value::Null
-                    },
-                ),
-            ]),
-            None => Value::Null,
-        };
-        Value::obj(vec![
-            ("kind", Value::str("flashoverlap-serve-scaling")),
-            (
-                "goodput_scaling",
-                self.goodput_scaling().map_or(Value::Null, Value::num),
-            ),
-            ("pipelining", pipelining),
-            ("multi", self.multi.to_json()),
-            ("single", self.single.to_json()),
-            ("unpipelined", self.unpipelined.to_json()),
-        ])
+    /// The JSON document of all three arms plus the scaling summary.
+    pub fn to_json(&self) -> Document<&Self> {
+        Document(self)
     }
 
     /// Human-readable summary of all three arms.
@@ -1025,5 +945,46 @@ impl ScalingReport {
             ));
         }
         out
+    }
+}
+
+impl WriteJson for ComparisonReport {
+    fn write_json<W: Sink>(&self, w: &mut JsonWriter<W>) {
+        w.obj(|w| {
+            w.key("kind").str("flashoverlap-serve-comparison");
+            w.key("speedup");
+            match self.speedups() {
+                Some((p50, p95, mean)) => w.obj(|w| {
+                    w.key("p50").num(p50);
+                    w.key("p95").num(p95);
+                    w.key("mean").num(mean);
+                }),
+                None => w.null(),
+            };
+            w.key("tuned").json(&self.tuned);
+            w.key("baseline").json(&self.baseline);
+        });
+    }
+}
+
+impl WriteJson for ScalingReport {
+    fn write_json<W: Sink>(&self, w: &mut JsonWriter<W>) {
+        w.obj(|w| {
+            w.key("kind").str("flashoverlap-serve-scaling");
+            w.key("goodput_scaling").opt_num(self.goodput_scaling());
+            w.key("pipelining");
+            match self.pipelining_p95() {
+                Some((pipelined, serial)) => w.obj(|w| {
+                    w.key("pipelined_p95_ns").num(pipelined as f64);
+                    w.key("serial_p95_ns").num(serial as f64);
+                    w.key("p95_speedup")
+                        .opt_num((pipelined > 0).then(|| serial as f64 / pipelined as f64));
+                }),
+                None => w.null(),
+            };
+            w.key("multi").json(&self.multi);
+            w.key("single").json(&self.single);
+            w.key("unpipelined").json(&self.unpipelined);
+        });
     }
 }

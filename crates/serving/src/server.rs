@@ -301,7 +301,7 @@ impl Routing {
             .extend(replicas.iter().map(|r| !r.stats.quarantined));
         self.loads.clear();
         self.loads.extend(replicas.iter().map(|r| ReplicaLoad {
-            queued_tokens: r.queued_tokens(),
+            queued_tokens: r.pending.queued_tokens(),
             busy_ns: r.free_ns.saturating_sub(now_ns),
             node: r.stats.node,
         }));
@@ -330,8 +330,7 @@ fn quarantine_replica(
         return;
     }
     replica.stats.quarantined = true;
-    let orphans: Vec<PendingBatch> = replica.pending.drain(..).collect();
-    for p in orphans {
+    for p in replica.pending.take_all() {
         let dims = p.batch.gemm_dims(tp);
         match routing.route(replicas, dims, now_ns) {
             Some(decision) => {
@@ -682,9 +681,10 @@ pub(crate) fn serve_run(
             if replica.stats.quarantined || replica.pending.is_empty() || replica.free_ns > now_ns {
                 continue;
             }
-            let take = replica.pending.len().min(ServeConfig::CHAIN);
             chain.clear();
-            chain.extend(replica.pending.drain(..take));
+            replica
+                .pending
+                .drain_front_into(ServeConfig::CHAIN, &mut chain);
             let degraded =
                 replica.execute_chain(config, &mut store, &mut memo, now_ns, &chain, &mut acct)?;
             // A degraded chain marks the replica wedged. Quarantine it

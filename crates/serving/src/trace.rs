@@ -18,93 +18,35 @@
 //! Timestamps are microseconds (the trace-event format's unit). The
 //! export is deterministic: events are emitted in fixed id order.
 
-use telemetry::json::Value;
-use telemetry::perfetto::event;
+use std::fmt;
+
+use telemetry::json::{Document, JsonWriter, Sink, WriteJson};
 
 use crate::report::{BatchRecord, ServeReport};
 
-fn named_meta(kind: &str, pid: usize, tid: usize, name: &str) -> Value {
-    let mut e = event("M", kind, pid, tid, 0.0);
-    e.push(("args", Value::obj(vec![("name", Value::str(name))])));
-    Value::obj(e)
+/// The request-lifecycle trace of one serve run, written straight from
+/// its report (see [`serve_trace`]).
+#[derive(Debug)]
+pub struct ServeTrace<'a> {
+    report: &'a ServeReport,
+    /// Index into `report.batch_records` of each batch id's first row
+    /// (`usize::MAX` for a batch that never executed), so each flow
+    /// arrow finds its batch slice without a scan.
+    batch_index: Vec<usize>,
+    /// The queue-depth counter's samples: `(instant, depth after it)`,
+    /// one per distinct instant, in time order.
+    depths: Vec<(u64, i64)>,
 }
 
-/// Builds the request-lifecycle trace document for a serve run.
-pub fn serve_trace(report: &ServeReport) -> Value {
-    let mut events: Vec<Value> = Vec::new();
-
-    events.push(named_meta("process_name", 0, 0, "serving"));
-    events.push(named_meta("thread_name", 0, 0, "requests"));
-    for r in &report.replica_stats {
-        let pid = r.id + 1;
-        events.push(named_meta(
-            "process_name",
-            pid,
-            0,
-            &format!("replica {}", r.id),
-        ));
-        events.push(named_meta("thread_name", pid, 0, "batches"));
-    }
-
-    // Async request spans: arrival → completion on the serving track.
-    for r in &report.records {
-        let Some(latency) = r.latency_ns else {
-            continue;
-        };
-        let id = (r.id + 1) as f64;
-        let mut b = event("b", r.model, 0, 0, r.arrival_ns as f64 / 1e3);
-        b.push(("cat", Value::str("request")));
-        b.push(("id", Value::num(id)));
-        b.push((
-            "args",
-            Value::obj(vec![
-                ("tokens", Value::num(f64::from(r.tokens))),
-                ("disposition", Value::str(r.disposition.label())),
-                (
-                    "batch",
-                    r.batch.map_or(Value::Null, |b| Value::num(b as f64)),
-                ),
-            ]),
-        ));
-        events.push(Value::obj(b));
-        let mut e = event("e", r.model, 0, 0, (r.arrival_ns + latency) as f64 / 1e3);
-        e.push(("cat", Value::str("request")));
-        e.push(("id", Value::num(id)));
-        events.push(Value::obj(e));
-    }
-
-    // Batch slices on their replicas' tracks.
-    for b in &report.batch_records {
-        events.push(batch_slice(b));
-    }
-
-    // Flow arrows: batch close on the serving track → the executing
-    // batch slice. One arrow per request keeps slow requests traceable
-    // to the replica that served them.
-    for r in &report.records {
-        let (Some(form_wait), Some(batch_id)) = (r.form_wait_ns, r.batch) else {
-            continue;
-        };
-        let Some(batch) = report.batch_records.iter().find(|b| b.id == batch_id) else {
-            continue;
-        };
-        let id = (r.id + 1) as f64;
-        let close_us = (r.arrival_ns + form_wait) as f64 / 1e3;
-        let mut s = event("s", "dispatch", 0, 0, close_us);
-        s.push(("cat", Value::str("dispatch")));
-        s.push(("id", Value::num(id)));
-        events.push(Value::obj(s));
-        let mut f = event(
-            "f",
-            "dispatch",
-            batch.replica + 1,
-            0,
-            batch.start_ns as f64 / 1e3,
-        );
-        f.push(("cat", Value::str("dispatch")));
-        f.push(("id", Value::num(id)));
-        f.push(("bp", Value::str("e")));
-        events.push(Value::obj(f));
+/// The request-lifecycle trace document of a serve run, ready to render
+/// or stream.
+pub fn serve_trace(report: &ServeReport) -> Document<ServeTrace<'_>> {
+    let batches = report.batch_records.iter().map(|b| b.id as usize + 1);
+    let mut batch_index = vec![usize::MAX; batches.max().unwrap_or(0)];
+    for (i, b) in report.batch_records.iter().enumerate().rev() {
+        if let Some(slot) = batch_index.get_mut(b.id as usize) {
+            *slot = i;
+        }
     }
 
     // Queue-depth counter: +1 at each admitted arrival, −1 when the
@@ -118,60 +60,150 @@ pub fn serve_trace(report: &ServeReport) -> Value {
         }
     }
     edges.sort_unstable();
+    let mut depths = Vec::new();
     let mut depth = 0i64;
-    let mut i = 0;
-    while let Some(&(at, _)) = edges.get(i) {
-        while let Some(&(t, delta)) = edges.get(i) {
-            if t != at {
-                break;
-            }
-            depth += delta;
-            i += 1;
+    for (i, &(at, delta)) in edges.iter().enumerate() {
+        depth += delta;
+        if edges.get(i + 1).is_none_or(|&(next, _)| next != at) {
+            depths.push((at, depth));
         }
-        let mut e = event("C", "queue depth", 0, 0, at as f64 / 1e3);
-        e.push((
-            "args",
-            Value::obj(vec![("requests", Value::num(depth.max(0) as f64))]),
-        ));
-        events.push(Value::obj(e));
     }
-
-    Value::obj(vec![
-        ("traceEvents", Value::Arr(events)),
-        ("displayTimeUnit", Value::str("ns")),
-    ])
+    Document(ServeTrace {
+        report,
+        batch_index,
+        depths,
+    })
 }
 
-fn batch_slice(b: &BatchRecord) -> Value {
-    let mut e = event(
-        "X",
-        &format!("batch {}", b.id),
-        b.replica + 1,
-        0,
-        b.start_ns as f64 / 1e3,
-    );
-    e.push(("dur", Value::num(b.exec_ns as f64 / 1e3)));
-    e.push(("cat", Value::str("batch")));
-    e.push((
-        "args",
-        Value::obj(vec![
-            ("model", Value::str(b.model)),
-            ("requests", Value::num(b.requests as f64)),
-            ("tokens", Value::num(f64::from(b.tokens))),
-            ("padded_tokens", Value::num(f64::from(b.padded_tokens))),
-            ("outcome", Value::str(b.outcome)),
-            ("routing", Value::str(b.routing)),
-            ("cache_hit", Value::Bool(b.cache_hit)),
-            ("chain_len", Value::num(b.chain_len as f64)),
-            ("queue_wait_ns", Value::num(b.queue_wait_ns as f64)),
-        ]),
-    ));
-    Value::obj(e)
+/// Writes the members every trace event starts with — `name`, `ph`,
+/// `pid`, `tid` and `ts` (microseconds), in that order — into an open
+/// event object.
+fn event<W: Sink>(w: &mut JsonWriter<W>, ph: &str, name: &str, pid: usize, ts: f64) {
+    w.key("name").str(name);
+    w.key("ph").str(ph);
+    w.key("pid").num(pid as f64);
+    w.key("tid").num(0.0);
+    w.key("ts").num(ts);
 }
 
-/// Serializes the serve trace compactly.
-pub fn serve_trace_string(report: &ServeReport) -> String {
-    serve_trace(report).to_json()
+fn named_meta<W: Sink>(w: &mut JsonWriter<W>, kind: &str, pid: usize, name: &str) {
+    w.obj(|w| {
+        event(w, "M", kind, pid, 0.0);
+        w.key("args").obj(|w| {
+            w.key("name").str(name);
+        });
+    });
+}
+
+impl WriteJson for ServeTrace<'_> {
+    fn write_json<W: Sink>(&self, w: &mut JsonWriter<W>) {
+        let report = self.report;
+        w.obj(|w| {
+            w.key("traceEvents").arr(|w| {
+                named_meta(w, "process_name", 0, "serving");
+                named_meta(w, "thread_name", 0, "requests");
+                let mut label = String::new();
+                for r in &report.replica_stats {
+                    let pid = r.id + 1;
+                    label.clear();
+                    let _ = fmt::Write::write_fmt(&mut label, format_args!("replica {}", r.id));
+                    named_meta(w, "process_name", pid, &label);
+                    named_meta(w, "thread_name", pid, "batches");
+                }
+
+                // Async request spans: arrival → completion on the
+                // serving track.
+                for r in &report.records {
+                    let Some(latency) = r.latency_ns else {
+                        continue;
+                    };
+                    let id = (r.id + 1) as f64;
+                    w.obj(|w| {
+                        event(w, "b", r.model, 0, r.arrival_ns as f64 / 1e3);
+                        w.key("cat").str("request");
+                        w.key("id").num(id);
+                        w.key("args").obj(|w| {
+                            w.key("tokens").num(f64::from(r.tokens));
+                            w.key("disposition").str(r.disposition.label());
+                            w.key("batch").opt_num(r.batch.map(|b| b as f64));
+                        });
+                    });
+                    w.obj(|w| {
+                        event(w, "e", r.model, 0, (r.arrival_ns + latency) as f64 / 1e3);
+                        w.key("cat").str("request");
+                        w.key("id").num(id);
+                    });
+                }
+
+                // Batch slices on their replicas' tracks.
+                for b in &report.batch_records {
+                    batch_slice(w, b, &mut label);
+                }
+
+                // Flow arrows: batch close on the serving track → the
+                // executing batch slice. One arrow per request keeps slow
+                // requests traceable to the replica that served them.
+                for r in &report.records {
+                    let (Some(form_wait), Some(batch_id)) = (r.form_wait_ns, r.batch) else {
+                        continue;
+                    };
+                    let Some(batch) = self
+                        .batch_index
+                        .get(batch_id as usize)
+                        .and_then(|&i| report.batch_records.get(i))
+                    else {
+                        continue;
+                    };
+                    let id = (r.id + 1) as f64;
+                    let close_us = (r.arrival_ns + form_wait) as f64 / 1e3;
+                    w.obj(|w| {
+                        event(w, "s", "dispatch", 0, close_us);
+                        w.key("cat").str("dispatch");
+                        w.key("id").num(id);
+                    });
+                    w.obj(|w| {
+                        let start_us = batch.start_ns as f64 / 1e3;
+                        event(w, "f", "dispatch", batch.replica + 1, start_us);
+                        w.key("cat").str("dispatch");
+                        w.key("id").num(id);
+                        w.key("bp").str("e");
+                    });
+                }
+
+                for &(at, depth) in &self.depths {
+                    w.obj(|w| {
+                        event(w, "C", "queue depth", 0, at as f64 / 1e3);
+                        w.key("args").obj(|w| {
+                            w.key("requests").num(depth.max(0) as f64);
+                        });
+                    });
+                }
+            });
+            w.key("displayTimeUnit").str("ns");
+        });
+    }
+}
+
+/// Writes a batch's duration slice; `label` is a buffer for its name.
+fn batch_slice<W: Sink>(w: &mut JsonWriter<W>, b: &BatchRecord, label: &mut String) {
+    label.clear();
+    let _ = fmt::Write::write_fmt(label, format_args!("batch {}", b.id));
+    w.obj(|w| {
+        event(w, "X", label, b.replica + 1, b.start_ns as f64 / 1e3);
+        w.key("dur").num(b.exec_ns as f64 / 1e3);
+        w.key("cat").str("batch");
+        w.key("args").obj(|w| {
+            w.key("model").str(b.model);
+            w.key("requests").num(b.requests as f64);
+            w.key("tokens").num(f64::from(b.tokens));
+            w.key("padded_tokens").num(f64::from(b.padded_tokens));
+            w.key("outcome").str(b.outcome);
+            w.key("routing").str(b.routing);
+            w.key("cache_hit").bool(b.cache_hit);
+            w.key("chain_len").num(b.chain_len as f64);
+            w.key("queue_wait_ns").num(b.queue_wait_ns as f64);
+        });
+    });
 }
 
 #[cfg(test)]
@@ -179,6 +211,7 @@ pub fn serve_trace_string(report: &ServeReport) -> String {
 mod tests {
     use super::*;
     use flashoverlap::SystemSpec;
+    use telemetry::json::{self, Value};
 
     use crate::server::{serve, ServeConfig};
 
@@ -188,7 +221,7 @@ mod tests {
         cfg.requests = 40;
         cfg.seed = 3;
         let report = serve(&cfg).unwrap();
-        let doc = serve_trace(&report);
+        let doc = json::parse(&serve_trace(&report).to_json()).unwrap();
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
 
         let count = |ph: &str| {

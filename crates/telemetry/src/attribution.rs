@@ -31,7 +31,7 @@ use gpu_sim::{DeviceId, OpSpan, StreamId};
 use sim::SimTime;
 
 use crate::index::{with_chain_index, ChainIndex, Node};
-use crate::json::Value;
+use crate::json::{JsonWriter, Sink, WriteJson};
 use crate::record::TelemetryRecord;
 
 /// Exclusive time categories of the critical path.
@@ -194,32 +194,36 @@ impl AttributionTotals {
         self.ns.iter().sum()
     }
 
-    /// `{"<category>_ns": u64, ...}` in [`Category::ALL`] order.
-    pub fn to_json(&self) -> Value {
-        Value::Obj(
-            Category::ALL
-                .iter()
-                .map(|c| (c.ns_key().into(), Value::num(self.get(*c) as f64)))
-                .collect(),
-        )
+    /// Writes the members an attribution object opens with:
+    /// `makespan_ns`, `identity_holds` (these totals sum to it),
+    /// `categories` (the totals) and `shares` (each category's fraction
+    /// of the makespan, in [`Category::ALL`] order, all zero when the
+    /// makespan is zero).
+    pub fn write_breakdown<W: Sink>(&self, w: &mut JsonWriter<W>, makespan_ns: u64) {
+        w.key("makespan_ns").num(makespan_ns as f64);
+        w.key("identity_holds").bool(self.sum() == makespan_ns);
+        w.key("categories").json(self);
+        w.key("shares").obj(|w| {
+            for c in Category::ALL {
+                let share = if makespan_ns == 0 {
+                    0.0
+                } else {
+                    self.get(c) as f64 / makespan_ns as f64
+                };
+                w.key(c.key()).num(share);
+            }
+        });
     }
+}
 
-    /// `{"<category>": share, ...}` of `makespan_ns`, each in `[0, 1]`
-    /// (all zero when the makespan is zero).
-    pub fn shares_json(&self, makespan_ns: u64) -> Value {
-        Value::Obj(
-            Category::ALL
-                .iter()
-                .map(|c| {
-                    let share = if makespan_ns == 0 {
-                        0.0
-                    } else {
-                        self.get(*c) as f64 / makespan_ns as f64
-                    };
-                    (c.key().into(), Value::num(share))
-                })
-                .collect(),
-        )
+impl WriteJson for AttributionTotals {
+    /// `{"<category>_ns": u64, ...}` in [`Category::ALL`] order.
+    fn write_json<W: Sink>(&self, w: &mut JsonWriter<W>) {
+        w.obj(|w| {
+            for c in Category::ALL {
+                w.key(c.ns_key()).num(self.get(c) as f64);
+            }
+        });
     }
 }
 
@@ -272,41 +276,6 @@ impl Attribution {
         totals
     }
 
-    /// Full JSON form: makespan, identity, totals, shares, and the
-    /// chronological critical-path segments.
-    pub fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("makespan_ns", Value::num(self.makespan_ns as f64)),
-            ("identity_holds", Value::Bool(self.identity_holds())),
-            ("categories", self.totals.to_json()),
-            ("shares", self.totals.shares_json(self.makespan_ns)),
-            (
-                "critical_path",
-                Value::Arr(
-                    self.segments
-                        .iter()
-                        .map(|s| {
-                            Value::obj(vec![
-                                ("start_ns", Value::num(s.start_ns as f64)),
-                                ("end_ns", Value::num(s.end_ns as f64)),
-                                ("category", Value::str(s.category.label())),
-                                (
-                                    "device",
-                                    s.device.map_or(Value::Null, |d| Value::num(d as f64)),
-                                ),
-                                (
-                                    "stream",
-                                    s.stream.map_or(Value::Null, |s| Value::num(s as f64)),
-                                ),
-                                ("op", Value::str(s.op)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
     /// One-line human summary: `category share%` pairs for the
     /// non-empty categories.
     pub fn summary(&self) -> String {
@@ -322,6 +291,28 @@ impl Attribution {
         } else {
             parts.join(", ")
         }
+    }
+}
+
+impl WriteJson for Attribution {
+    /// Full JSON form: makespan, identity, totals, shares, and the
+    /// chronological critical-path segments.
+    fn write_json<W: Sink>(&self, w: &mut JsonWriter<W>) {
+        w.obj(|w| {
+            self.totals.write_breakdown(w, self.makespan_ns);
+            w.key("critical_path").arr(|w| {
+                for s in &self.segments {
+                    w.obj(|w| {
+                        w.key("start_ns").num(s.start_ns as f64);
+                        w.key("end_ns").num(s.end_ns as f64);
+                        w.key("category").str(s.category.label());
+                        w.key("device").opt_num(s.device.map(|d| d as f64));
+                        w.key("stream").opt_num(s.stream.map(|s| s as f64));
+                        w.key("op").str(s.op);
+                    });
+                }
+            });
+        });
     }
 }
 
@@ -513,6 +504,7 @@ pub(crate) fn walk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{self, Document, Value};
     use crate::record::{IncrementEvent, WaitSatisfied};
     use gpu_sim::cluster::SpanMeta;
 
@@ -783,7 +775,7 @@ mod tests {
         let spans = vec![span(0, 0, "gemm", 0, 50)];
         let a = attribute_makespan(&spans, &TelemetryRecord::default(), 100);
         assert!((a.share(Category::GemmCompute) - 0.5).abs() < 1e-12);
-        let json = a.to_json();
+        let json = json::parse(&Document(&a).to_json()).unwrap();
         assert_eq!(json.get("makespan_ns").and_then(Value::as_f64), Some(100.0));
         assert_eq!(
             json.get("identity_holds").and_then(Value::as_bool),

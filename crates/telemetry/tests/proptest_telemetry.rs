@@ -14,33 +14,145 @@ use telemetry::{
 
 /// Characters the string generator draws from — ASCII, the JSON escape
 /// set, control characters, and multi-byte UTF-8 (incl. non-BMP).
-const PALETTE: [char; 12] = [
-    'a', 'Z', '0', ' ', '"', '\\', '\n', '\t', '\u{1}', 'µ', '→', '😀',
+const PALETTE: [char; 14] = [
+    'a', 'Z', '0', ' ', '"', '\\', '\n', '\t', '\r', '\u{1}', '\u{1f}', 'µ', '→', '😀',
 ];
 
+/// A finite number from a word: integral or fractional, either sign.
+fn finite_number(w: u64) -> f64 {
+    let x = (w as f64 / u64::MAX as f64 - 0.5) * 2e12;
+    if w & 16 != 0 {
+        x.trunc()
+    } else {
+        x
+    }
+}
+
+/// A number from a word covering every branch of the number format:
+/// integral below and above 9e15, fractions, negatives, `-0.0`, NaN and
+/// the infinities.
+fn any_number(w: u64) -> f64 {
+    match (w >> 5) % 8 {
+        0 => -0.0,
+        1 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(w >> 8) as usize % 3],
+        2 => 9e15 - 1.0 - (w >> 12) as f64,
+        3 => (9e15 + (w >> 12) as f64 * 2.0) * if w & 64 != 0 { -1.0 } else { 1.0 },
+        4 => f64::from_bits(w ^ 0x4000_0000_0000_0000).max(-1e300),
+        _ => finite_number(w),
+    }
+}
+
 /// Deterministically interprets a word stream as a JSON document of
-/// bounded depth, covering every [`Value`] variant.
-fn build_value(words: &mut std::slice::Iter<'_, u64>, depth: u32) -> Value {
+/// bounded depth, covering every [`Value`] variant, its numbers drawn by
+/// `number`.
+fn build_value(words: &mut std::slice::Iter<'_, u64>, depth: u32, number: fn(u64) -> f64) -> Value {
     let w = *words.next().unwrap_or(&0);
     let variants = if depth == 0 { 4 } else { 6 };
     match w % variants {
         0 => Value::Null,
         1 => Value::Bool(w & 8 != 0),
-        2 => {
-            let x = (w as f64 / u64::MAX as f64 - 0.5) * 2e12;
-            Value::Num(if w & 16 != 0 { x.trunc() } else { x })
-        }
+        2 => Value::Num(number(w)),
         3 => Value::Str(
             (0..w % 9)
                 .map(|i| PALETTE[((w >> (4 * i)) % PALETTE.len() as u64) as usize])
                 .collect(),
         ),
-        4 => Value::Arr((0..w % 5).map(|_| build_value(words, depth - 1)).collect()),
-        _ => Value::Obj(
+        4 => Value::Arr(
             (0..w % 5)
-                .map(|i| (format!("k{i}").into(), build_value(words, depth - 1)))
+                .map(|_| build_value(words, depth - 1, number))
                 .collect(),
         ),
+        _ => Value::Obj(
+            (0..w % 5)
+                .map(|i| {
+                    let key = PALETTE[(w >> (8 + i)) as usize % PALETTE.len()];
+                    (
+                        format!("k{i}{key}").into(),
+                        build_value(words, depth - 1, number),
+                    )
+                })
+                .collect(),
+        ),
+    }
+}
+
+/// The recursive tree serializer `Value` rendered through before the
+/// streaming writer: the byte-for-byte oracle the writer is checked
+/// against. `indent` is `Some(2)` for pretty output.
+fn oracle_write(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
+    use std::fmt::Write as _;
+    fn newline(out: &mut String, indent: Option<usize>, depth: usize) {
+        if let Some(width) = indent {
+            out.push('\n');
+            for _ in 0..width * depth {
+                out.push(' ');
+            }
+        }
+    }
+    fn write_str(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+    match v {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Num(n) => {
+            let n = *n;
+            if !n.is_finite() {
+                out.push_str("null");
+            } else if n == n.trunc() && n.abs() < 9e15 {
+                let _ = write!(out, "{}", n as i64);
+            } else {
+                let _ = write!(out, "{n}");
+            }
+        }
+        Value::Str(s) => write_str(out, s),
+        Value::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                newline(out, indent, depth + 1);
+                oracle_write(item, out, indent, depth + 1);
+            }
+            if !items.is_empty() {
+                newline(out, indent, depth);
+            }
+            out.push(']');
+        }
+        Value::Obj(pairs) => {
+            out.push('{');
+            for (i, (k, v)) in pairs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                newline(out, indent, depth + 1);
+                write_str(out, k);
+                out.push(':');
+                if indent.is_some() {
+                    out.push(' ');
+                }
+                oracle_write(v, out, indent, depth + 1);
+            }
+            if !pairs.is_empty() {
+                newline(out, indent, depth);
+            }
+            out.push('}');
+        }
     }
 }
 
@@ -372,11 +484,38 @@ proptest! {
     /// the compact and the pretty writer.
     #[test]
     fn json_round_trips(words in prop::collection::vec(any::<u64>(), 1..64)) {
-        let v = build_value(&mut words.iter(), 3);
+        let v = build_value(&mut words.iter(), 3, finite_number);
         let compact = json::parse(&v.to_json());
         prop_assert_eq!(compact.as_ref(), Ok(&v));
         let pretty = json::parse(&v.to_json_pretty());
         prop_assert_eq!(pretty.as_ref(), Ok(&v));
+    }
+
+    /// The streaming writer writes exactly the bytes of the tree
+    /// serializer it replaced, compact and pretty, into a `String` and
+    /// into an `io::Write` sink.
+    #[test]
+    fn writer_matches_the_tree_oracle(words in prop::collection::vec(any::<u64>(), 1..96)) {
+        let v = build_value(&mut words.iter(), 4, any_number);
+        // Nested deeper than the writer's precomputed indentation too.
+        let nest = (words[0] % 24) as usize;
+        let v = (0..nest).fold(v, |v, i| {
+            if i % 2 == 0 {
+                Value::Arr(vec![Value::Null, v])
+            } else {
+                Value::Obj(vec![("k".into(), v), ("\"".into(), Value::Bool(true))])
+            }
+        });
+        let mut compact = String::new();
+        oracle_write(&v, &mut compact, None, 0);
+        let mut pretty = String::new();
+        oracle_write(&v, &mut pretty, Some(2), 0);
+        pretty.push('\n');
+        prop_assert_eq!(&v.to_json(), &compact);
+        prop_assert_eq!(&v.to_json_pretty(), &pretty);
+        let mut streamed = Vec::new();
+        json::Document(&v).write_pretty(&mut streamed).unwrap();
+        prop_assert_eq!(streamed, pretty.into_bytes());
     }
 
     /// Overlap efficiency is always in [0, 1] whenever it is defined,
